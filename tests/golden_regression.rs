@@ -50,6 +50,9 @@
 //!   `engine_metrics.json`* byte-for-byte: a fleet that declares one
 //!   Monolithic pool routes through the unchanged flat cluster path with
 //!   the pool's router, so the pool refactor cannot drift the flat stack.
+//! * `fleet_streaming.json` — the streaming fleet path: a fixed 4-replica
+//!   fleet and a reactive autoscaled fleet in histogram-sink mode, pinning
+//!   merged and per-replica metrics, online SLO scores, and load imbalance.
 //!
 //! # Updating
 //!
@@ -70,7 +73,7 @@ use rago::schema::{
     FleetConfig, KvTransferModel, PoolRole, PoolSpec, RouterPolicy, SequenceProfile, SloTarget,
     Stage,
 };
-use rago::serving_sim::autoscaler::AutoscalerPolicy;
+use rago::serving_sim::autoscaler::{AutoscaleEngine, AutoscalerPolicy};
 use rago::serving_sim::engine::{
     sustained_throughput_knee, DecodeSpec, LatencyTable, PipelineSpec, ServingEngine, StageSpec,
 };
@@ -747,6 +750,139 @@ fn golden_admission_shed() {
         "admission_shed.json",
         &render_chaos("admission_shed", &report, &slo, 0.5),
     );
+}
+
+/// One line of streaming-report metrics: counts, the three latency
+/// distributions, and the accumulator-derived pipeline fields.
+fn render_streamed_metrics(m: &rago::serving_sim::ServingMetrics) -> String {
+    let stats = |s: &rago::serving_sim::LatencyStats| {
+        format!(
+            "{{\"mean_s\": {}, \"p50_s\": {}, \"p95_s\": {}, \"p99_s\": {}, \"max_s\": {}}}",
+            f(s.mean_s),
+            f(s.p50_s),
+            f(s.p95_s),
+            f(s.p99_s),
+            f(s.max_s)
+        )
+    };
+    format!(
+        "{{\"requests\": {}, \"completed\": {}, \"makespan_s\": {}, \"serving_duration_s\": {}, \
+         \"throughput_rps\": {}, \"ttft\": {}, \"tpot\": {}, \"latency\": {}, \
+         \"queueing_mean_s\": {}, \"service_mean_s\": {}, \"mean_decode_fill\": {}, \
+         \"events_processed\": {}}}",
+        m.requests,
+        m.completed,
+        f(m.makespan_s),
+        f(m.serving_duration_s),
+        f(m.throughput_rps),
+        stats(&m.ttft),
+        stats(&m.tpot),
+        stats(&m.latency),
+        f(m.queueing_mean_s),
+        f(m.service_mean_s),
+        f(m.mean_decode_fill),
+        m.events_processed,
+    )
+}
+
+/// Renders a streaming fleet run: merged metrics and online SLO scores,
+/// every replica's metrics, and the router's load imbalance.
+fn render_streamed_fleet(fleet: &rago::serving_sim::FleetReport, slo: &SloTarget) -> String {
+    let replica_rows: Vec<String> = fleet
+        .per_replica
+        .iter()
+        .map(|r| {
+            format!(
+                "        {{\"replica\": {}, \"assigned\": {}, \"metrics\": {}}}",
+                r.replica,
+                r.assigned,
+                render_streamed_metrics(&r.report.metrics)
+            )
+        })
+        .collect();
+    let im = &fleet.imbalance;
+    format!(
+        "\"merged\": {}, \"attainment\": {}, \"goodput_rps\": {}, \"assignments\": {},\n      \
+         \"imbalance\": {{\"assigned_per_replica\": {:?}, \"min_assigned\": {}, \
+         \"max_assigned\": {}, \"mean_assigned\": {}, \"cv\": {}, \"max_over_mean\": {}}},\n      \
+         \"per_replica\": [\n{}\n      ]",
+        render_streamed_metrics(&fleet.merged.metrics),
+        f(fleet.attainment(slo)),
+        f(fleet.goodput_rps(slo)),
+        fleet.assignments.len(),
+        im.assigned_per_replica,
+        im.min_assigned,
+        im.max_assigned,
+        f(im.mean_assigned),
+        f(im.coefficient_of_variation),
+        f(im.max_over_mean),
+        replica_rows.join(",\n"),
+    )
+}
+
+#[test]
+fn golden_fleet_streaming() {
+    // The streaming fleet path: the engine-metrics pipeline as a fixed
+    // 4-replica least-outstanding fleet and as a reactive autoscaled fleet
+    // under a flash crowd, both draining every replica into a histogram
+    // sink merged in replica order. The TTFT target sits inside both runs'
+    // distributions, so the online SLO counts are not trivially complete.
+    let slo = SloTarget::new(0.08, 0.05);
+    let mode = MetricsMode::Streaming(
+        rago::serving_sim::StreamingConfig::new(rago::schema::HistogramSpec::default())
+            .with_slo(slo),
+    );
+    let poisson = TraceSpec {
+        num_requests: 2_000,
+        profile: SequenceProfile::paper_default().with_decode_tokens(32),
+        arrival: ArrivalProcess::Poisson { rate_rps: 300.0 },
+        length_jitter: 0.2,
+        seed: 41,
+    }
+    .generate();
+    let fixed = ClusterEngine::homogeneous(engine_metrics_spec(), 4, RouterPolicy::LeastOutstanding)
+        .run_trace_with_mode(&poisson, &mode);
+
+    let spike = TraceSpec {
+        num_requests: 1_500,
+        profile: SequenceProfile::paper_default().with_decode_tokens(32),
+        arrival: ArrivalProcess::Spike {
+            base_rps: 40.0,
+            spike_rps: 250.0,
+            start_s: 3.0,
+            duration_s: 3.0,
+        },
+        length_jitter: 0.2,
+        seed: 43,
+    }
+    .generate();
+    let policy = AutoscalerPolicy::new(1, 4)
+        .with_evaluation_interval(0.25)
+        .with_scale_out_queue_depth(2.0)
+        .with_scale_in_outstanding(1.0)
+        .with_cooldown(1.0)
+        .with_warmup(0.5);
+    let scaled = AutoscaleEngine::new(engine_metrics_spec(), RouterPolicy::LeastOutstanding, policy)
+        .run_trace_with_mode(&spike, &mode);
+
+    let mut out = String::from("{\n  \"bench\": \"golden/fleet_streaming\",\n  \"runs\": [\n");
+    let _ = writeln!(
+        out,
+        "    {{\"run\": \"fixed_4_least_outstanding\", {}}},",
+        render_streamed_fleet(&fixed, &slo)
+    );
+    let _ = writeln!(
+        out,
+        "    {{\"run\": \"reactive_1_to_4\", \"scaling\": {{\"peak_provisioned\": {}, \
+         \"min_provisioned\": {}, \"events\": {}, \"replica_seconds\": {}}},\n      {}}}",
+        scaled.peak_provisioned,
+        scaled.min_provisioned,
+        scaled.events.len(),
+        f(scaled.replica_seconds),
+        render_streamed_fleet(&scaled.fleet, &slo)
+    );
+    out.push_str("  ]\n}\n");
+    check_golden("fleet_streaming.json", &out);
 }
 
 /// The degenerate pin: a one-replica chaos fleet with an empty fault

@@ -16,8 +16,8 @@
 //! exact run reproduces the baseline's timelines **bit for bit** — speed
 //! must not buy drift. Where exact and streaming both run, every reported
 //! percentile must agree within one histogram bucket width. A separate
-//! equality study pins serial-versus-parallel replica advancement (fleet
-//! and autoscaler, exact and streaming) to identical reports with
+//! equality study pins serial-versus-parallel replica advancement (fixed
+//! and autoscaled fleets, exact and streaming) to identical reports with
 //! `RAYON_NUM_THREADS` forced above one.
 //!
 //! The JSON refuses to serialize non-finite numbers, so CI can gate on the
@@ -26,12 +26,13 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rago_bench::baseline::run_baseline;
 use rago_schema::{HistogramSpec, RouterPolicy};
-use rago_serving_sim::autoscaler::{AutoscaleEngine, AutoscalerPolicy};
-use rago_serving_sim::cluster::ClusterEngine;
+use rago_serving_sim::autoscaler::AutoscalerPolicy;
 use rago_serving_sim::engine::{
     DecodeSpec, EngineRequest, LatencyStats, LatencyTable, PipelineSpec, ServingEngine,
     ServingReport, StageSpec,
 };
+use rago_serving_sim::faults::ScaleDriver;
+use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::{MetricsMode, StreamingConfig};
 use std::time::Instant;
 
@@ -248,29 +249,25 @@ fn check_serial_parallel_equality(spec: &PipelineSpec) -> EqualityFlags {
     let router = RouterPolicy::LeastOutstanding;
     let streaming_mode = MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()));
 
-    let serial = ClusterEngine::homogeneous(spec.clone(), replicas, router);
-    let parallel =
-        ClusterEngine::homogeneous(spec.clone(), replicas, router).with_parallel_advance(true);
-    let fleet_exact = serial.run(requests.clone()) == parallel.run(requests.clone());
-    let fleet_streaming = serial.run_with_mode(requests.clone(), &streaming_mode)
-        == parallel.run_with_mode(requests.clone(), &streaming_mode);
-
-    let policy = AutoscalerPolicy::new(1, replicas as u32)
-        .with_evaluation_interval(0.5)
-        .with_scale_out_queue_depth(8.0)
-        .with_scale_in_outstanding(2.0)
-        .with_cooldown(2.0);
-    let serial = AutoscaleEngine::new(spec.clone(), router, policy);
-    let parallel = AutoscaleEngine::new(spec.clone(), router, policy).with_parallel_advance(true);
-    let autoscale_exact = serial.run(requests.clone()) == parallel.run(requests.clone());
-    let autoscale_streaming = serial.run_with_mode(requests.clone(), &streaming_mode)
-        == parallel.run_with_mode(requests, &streaming_mode);
-
+    let equal = |driver: &ScaleDriver, mode: &MetricsMode| {
+        let serial = FleetEngine::new(spec.clone(), router, driver.clone());
+        let parallel = serial.clone().with_parallel_advance(true);
+        serial.run_with_mode(requests.clone(), mode)
+            == parallel.run_with_mode(requests.clone(), mode)
+    };
+    let fixed = ScaleDriver::Static { replicas };
+    let autoscaled = ScaleDriver::Reactive(
+        AutoscalerPolicy::new(1, replicas)
+            .with_evaluation_interval(0.5)
+            .with_scale_out_queue_depth(8.0)
+            .with_scale_in_outstanding(2.0)
+            .with_cooldown(2.0),
+    );
     EqualityFlags {
-        fleet_exact,
-        fleet_streaming,
-        autoscale_exact,
-        autoscale_streaming,
+        fleet_exact: equal(&fixed, &MetricsMode::Exact),
+        fleet_streaming: equal(&fixed, &streaming_mode),
+        autoscale_exact: equal(&autoscaled, &MetricsMode::Exact),
+        autoscale_streaming: equal(&autoscaled, &streaming_mode),
     }
 }
 

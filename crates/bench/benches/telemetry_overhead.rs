@@ -33,7 +33,9 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rago_schema::{RouterPolicy, SequenceProfile};
 use rago_serving_sim::engine::{DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, StageSpec};
-use rago_serving_sim::faults::{ChaosEngine, ChaosReport, FaultEvent, FaultSchedule, ScaleDriver};
+use rago_serving_sim::faults::{ChaosReport, FaultEvent, FaultSchedule, ScaleDriver};
+use rago_serving_sim::fleet::FleetEngine;
+use rago_serving_sim::MetricsMode;
 use rago_telemetry::{
     export_chrome_trace, export_jsonl, validate_json, validate_jsonl, NullRecorder,
     TelemetryConfig, TraceRecorder,
@@ -78,11 +80,11 @@ fn requests(num_requests: usize) -> Vec<EngineRequest> {
     .collect()
 }
 
-fn scenario(num_requests: usize) -> ChaosEngine {
+fn scenario(num_requests: usize) -> FleetEngine {
     // Crash mid-stream so the traced path exercises requeue re-picks and
     // disruption events, not just the steady state.
     let crash_at_s = num_requests as f64 / 120.0 / 2.0;
-    ChaosEngine::new(
+    FleetEngine::new(
         pipeline(),
         RouterPolicy::LeastOutstanding,
         ScaleDriver::Static { replicas: 3 },
@@ -120,12 +122,13 @@ fn bench_telemetry_json(_c: &mut Criterion) {
     // Samples are interleaved so slow drift (thermal, scheduler) hits
     // every variant equally; the best sample per variant is compared.
     let mut run_untraced = || engine.run(reqs.clone());
-    let mut run_nullrec = || engine.run_traced(reqs.clone(), &mut NullRecorder);
+    let mut run_nullrec =
+        || engine.run_traced(reqs.clone(), &MetricsMode::Exact, &mut NullRecorder);
     let live_engine = scenario(num_requests).with_telemetry(TelemetryConfig::full(0.25));
     let mut events_captured = 0usize;
     let mut run_live = || {
         let mut rec = TraceRecorder::new(TelemetryConfig::full(0.25));
-        let report = live_engine.run_traced(reqs.clone(), &mut rec);
+        let report = live_engine.run_traced(reqs.clone(), &MetricsMode::Exact, &mut rec);
         events_captured = rec.len();
         report
     };
@@ -149,7 +152,7 @@ fn bench_telemetry_json(_c: &mut Criterion) {
 
     // ---- Flag 1: disabled (and even live) recording is inert ----
     let disabled_is_bit_identical = untraced == nullrec && untraced == live && {
-        let (report, rec) = engine.run_telemetry(reqs.clone());
+        let (report, rec) = engine.run_telemetry(reqs.clone(), &MetricsMode::Exact);
         report == untraced && rec.is_empty()
     };
     assert!(
@@ -169,7 +172,7 @@ fn bench_telemetry_json(_c: &mut Criterion) {
     let live_overhead = live_best_s / untraced_best_s.max(1e-12) - 1.0;
 
     // ---- Flag 3: the exports are valid JSON / JSONL ----
-    let (_, rec) = live_engine.run_telemetry(reqs.clone());
+    let (_, rec) = live_engine.run_telemetry(reqs.clone(), &MetricsMode::Exact);
     let chrome = export_chrome_trace(rec.events());
     let jsonl = export_jsonl(rec.events());
     let traces_parse = validate_json(&chrome).is_ok() && validate_jsonl(&jsonl).is_ok();

@@ -43,8 +43,9 @@ use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
 pub use rago_cache::CacheConfig;
 use rago_schema::{FleetConfig, SloTarget};
-use rago_serving_sim::cluster::ClusterEngine;
 use rago_serving_sim::engine::ServingEngine;
+use rago_serving_sim::faults::ScaleDriver;
+use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::MetricsMode;
 use rago_workloads::{ContentSpec, Trace};
 use serde::{Deserialize, Serialize};
@@ -175,8 +176,12 @@ pub fn evaluate_fleet_cached_with(
         _ => fleet.router,
     };
     let spec = pipeline_spec_cached(profiler, schedule, Some(cache))?;
-    let engine = ClusterEngine::homogeneous(spec, fleet.replicas as usize, router);
-    Ok(score_fleet(engine.run_trace_with_mode(trace, mode), slo))
+    let replicas = fleet.replicas;
+    let engine = FleetEngine::new(spec, router, ScaleDriver::Static { replicas });
+    Ok(score_fleet(
+        engine.run_trace_with_mode(trace, mode).fleet,
+        slo,
+    ))
 }
 
 /// Ranks the points of a Pareto frontier by SLO goodput under a

@@ -29,8 +29,10 @@ use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
 use rago_schema::{KvTransferModel, RouterPolicy, SequenceProfile, SloTarget};
-use rago_serving_sim::cluster::{ClusterEngine, FleetReport};
+use rago_serving_sim::cluster::FleetReport;
 use rago_serving_sim::engine::PipelineSpec;
+use rago_serving_sim::faults::ScaleDriver;
+use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::pools::{DisaggEngine, DisaggReport};
 use rago_workloads::{ArrivalProcess, RateSegment, TraceSpec};
 use rayon::prelude::*;
@@ -264,8 +266,13 @@ pub(crate) fn search_min_replicas(
         reports
             .entry(replicas)
             .or_insert_with(|| {
-                ClusterEngine::homogeneous(spec.clone(), replicas_usize(replicas), options.router)
-                    .run_trace(trace)
+                FleetEngine::new(
+                    spec.clone(),
+                    options.router,
+                    ScaleDriver::Static { replicas },
+                )
+                .run_trace(trace)
+                .fleet
             })
             .attainment(slo)
             >= slo.attainment
@@ -732,9 +739,14 @@ mod tests {
         .generate();
         let scan = (1..=options.max_replicas)
             .find(|&n| {
-                ClusterEngine::homogeneous(spec.clone(), replicas_usize(n), options.router)
-                    .run_trace(&trace)
-                    .attainment(&slo)
+                FleetEngine::new(
+                    spec.clone(),
+                    options.router,
+                    ScaleDriver::Static { replicas: n },
+                )
+                .run_trace(&trace)
+                .fleet
+                .attainment(&slo)
                     >= slo.attainment
             })
             .expect("some count within the bound meets the SLO");

@@ -19,10 +19,12 @@ use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
 use rago_schema::{FleetConfig, RouterPolicy, SloTarget, Stage};
-use rago_serving_sim::cluster::{ClusterEngine, FleetReport};
+use rago_serving_sim::cluster::FleetReport;
 use rago_serving_sim::engine::{
     DecodeSpec, IterativeSpec, LatencyTable, PipelineSpec, ServingEngine, ServingReport,
 };
+use rago_serving_sim::faults::ScaleDriver;
+use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::MetricsMode;
 use rago_workloads::Trace;
 use rayon::prelude::*;
@@ -321,8 +323,12 @@ pub fn evaluate_fleet_dynamic_with(
         _ => fleet.router,
     };
     let spec = pipeline_spec(profiler, schedule)?;
-    let engine = ClusterEngine::homogeneous(spec, fleet.replicas as usize, router);
-    Ok(score_fleet(engine.run_trace_with_mode(trace, mode), slo))
+    let replicas = fleet.replicas;
+    let engine = FleetEngine::new(spec, router, ScaleDriver::Static { replicas });
+    Ok(score_fleet(
+        engine.run_trace_with_mode(trace, mode).fleet,
+        slo,
+    ))
 }
 
 /// [`evaluate_fleet_dynamic_with`] recording a telemetry trace into `rec`
@@ -378,14 +384,15 @@ pub fn evaluate_fleet_dynamic_traced<R: rago_telemetry::Recorder>(
         _ => fleet.router,
     };
     let spec = pipeline_spec(profiler, schedule)?;
-    let engine = ClusterEngine::homogeneous(spec, fleet.replicas as usize, router)
+    let replicas = fleet.replicas;
+    let engine = FleetEngine::new(spec, router, ScaleDriver::Static { replicas })
         .with_telemetry(telemetry.clone());
     let requests = trace
         .requests
         .iter()
         .map(rago_serving_sim::engine::EngineRequest::from)
         .collect();
-    let eval = score_fleet(engine.run_traced(requests, mode, rec), slo);
+    let eval = score_fleet(engine.run_traced(requests, mode, rec).fleet, slo);
     record_profiler_memo(profiler, rec, eval.report.merged.metrics.makespan_s);
     Ok(eval)
 }
@@ -443,8 +450,11 @@ pub fn evaluate_heterogeneous_fleet_dynamic_with(
         schedule.validate()?;
         specs.push(pipeline_spec(profiler, schedule)?);
     }
-    let engine = ClusterEngine::heterogeneous(specs, router);
-    Ok(score_fleet(engine.run_trace_with_mode(trace, mode), slo))
+    let engine = heterogeneous_fleet(specs, router);
+    Ok(score_fleet(
+        engine.run_trace_with_mode(trace, mode).fleet,
+        slo,
+    ))
 }
 
 /// [`evaluate_heterogeneous_fleet_dynamic_with`] recording a telemetry
@@ -477,15 +487,21 @@ pub fn evaluate_heterogeneous_fleet_dynamic_traced<R: rago_telemetry::Recorder>(
         schedule.validate()?;
         specs.push(pipeline_spec(profiler, schedule)?);
     }
-    let engine = ClusterEngine::heterogeneous(specs, router).with_telemetry(telemetry.clone());
+    let engine = heterogeneous_fleet(specs, router).with_telemetry(telemetry.clone());
     let requests = trace
         .requests
         .iter()
         .map(rago_serving_sim::engine::EngineRequest::from)
         .collect();
-    let eval = score_fleet(engine.run_traced(requests, mode, rec), slo);
+    let eval = score_fleet(engine.run_traced(requests, mode, rec).fleet, slo);
     record_profiler_memo(profiler, rec, eval.report.merged.metrics.makespan_s);
     Ok(eval)
+}
+
+/// A fixed fleet running one pipeline per replica.
+fn heterogeneous_fleet(specs: Vec<PipelineSpec>, router: RouterPolicy) -> FleetEngine {
+    let replicas = specs.len() as u32;
+    FleetEngine::heterogeneous(specs, router, ScaleDriver::Static { replicas })
 }
 
 /// Scores a finished fleet run against `slo`. Shared with

@@ -18,11 +18,11 @@
 //! disruption) come from the windowed attainment timeline of the
 //! [`ChaosReport`].
 //!
-//! With no faults, no admission control, and a reactive (or static)
-//! driver, the underlying engine is **bit-identical** to the one behind
-//! [`crate::timevarying::evaluate_fleet_timevarying`] — pinned by
-//! `faultless_scenario_matches_timevarying` below and by the degenerate
-//! tests in `rago-serving-sim`.
+//! Both facades run the same [`rago_serving_sim::FleetEngine`] loop; with
+//! no faults, no admission control, and a reactive (or static) driver the
+//! scores are **bit-identical** to
+//! [`crate::timevarying::evaluate_fleet_timevarying`]'s — pinned by
+//! `faultless_scenario_matches_timevarying` below.
 
 use crate::capacity::CapacityProfile;
 use crate::dynamic::{pipeline_spec, reject_empty_trace};
@@ -32,9 +32,10 @@ use crate::schedule::Schedule;
 use crate::timevarying::ScalingSummary;
 use rago_schema::{RouterPolicy, SloTarget};
 use rago_serving_sim::faults::{
-    AdmissionConfig, AttainmentWindow, ChaosEngine, ChaosReport, CrashPolicy, FaultSchedule,
-    PlanStep, RecoveryMetrics, ScaleDriver, ScalingPlan,
+    AdmissionConfig, AttainmentWindow, ChaosReport, CrashPolicy, FaultSchedule, PlanStep,
+    RecoveryMetrics, ScaleDriver, ScalingPlan,
 };
+use rago_serving_sim::fleet::FleetEngine;
 use rago_workloads::{Trace, WorkloadMix};
 use serde::{Deserialize, Serialize};
 
@@ -357,7 +358,7 @@ pub fn evaluate_fleet_faulted(
     });
 
     let spec = pipeline_spec(profiler, schedule)?;
-    let mut engine = ChaosEngine::new(spec, router, scenario.driver.clone())
+    let mut engine = FleetEngine::new(spec, router, scenario.driver.clone())
         .with_faults(scenario.faults.clone())
         .with_crash_policy(scenario.crash_policy);
     if let Some(a) = admission.clone() {

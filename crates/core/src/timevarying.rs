@@ -23,10 +23,10 @@ use crate::error::RagoError;
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
 use rago_schema::{FleetConfig, SloTarget};
-use rago_serving_sim::autoscaler::{
-    AutoscaleEngine, AutoscalerPolicy, ReplicaLifetime, ScalingEvent,
-};
-use rago_serving_sim::cluster::{ClusterEngine, FleetReport};
+use rago_serving_sim::autoscaler::{AutoscalerPolicy, ReplicaLifetime, ScalingEvent};
+use rago_serving_sim::cluster::FleetReport;
+use rago_serving_sim::faults::ScaleDriver;
+use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::{MetricsMode, StreamingConfig};
 use rago_workloads::{Trace, WorkloadMix};
 use serde::{Deserialize, Serialize};
@@ -124,7 +124,7 @@ impl TimeVaryingEvaluation {
 ///   (`replicas × makespan` replica-seconds).
 /// * With `autoscaler = Some(policy)`, the fleet starts at
 ///   `policy.min_replicas` and the reactive policy resizes it while the
-///   trace plays ([`AutoscaleEngine`]); `fleet.replicas` is ignored and
+///   trace plays ([`ScaleDriver::Reactive`]); `fleet.replicas` is ignored and
 ///   `fleet.router` routes over the currently routable replicas. The
 ///   scaling history is returned in
 ///   [`TimeVaryingEvaluation::scaling`].
@@ -213,26 +213,30 @@ pub fn evaluate_fleet_timevarying_with(
     };
 
     let spec = pipeline_spec(profiler, schedule)?;
-    let (report, scaling, replica_seconds) = match autoscaler {
-        None => {
-            let report = ClusterEngine::homogeneous(spec, fleet.replicas as usize, fleet.router)
-                .run_trace_with_mode(trace, &mode);
-            let replica_seconds = f64::from(fleet.replicas) * report.merged.metrics.makespan_s;
-            (report, None, replica_seconds)
-        }
-        Some(policy) => {
-            let run =
-                AutoscaleEngine::new(spec, fleet.router, *policy).run_trace_with_mode(trace, &mode);
-            let summary = ScalingSummary {
+    let driver = match autoscaler {
+        None => ScaleDriver::Static {
+            replicas: fleet.replicas,
+        },
+        Some(policy) => ScaleDriver::Reactive(*policy),
+    };
+    let run = FleetEngine::new(spec, fleet.router, driver).run_trace_with_mode(trace, &mode);
+    let (scaling, replica_seconds) = match autoscaler {
+        None => (
+            None,
+            f64::from(fleet.replicas) * run.fleet.merged.metrics.makespan_s,
+        ),
+        Some(_) => (
+            Some(ScalingSummary {
                 peak_provisioned: run.peak_provisioned,
                 min_provisioned: run.min_provisioned,
                 mean_provisioned: run.mean_provisioned(),
                 events: run.events,
                 lifetimes: run.lifetimes,
-            };
-            (run.fleet, Some(summary), run.replica_seconds)
-        }
+            }),
+            run.replica_seconds,
+        ),
     };
+    let report = run.fleet;
 
     // Score every tenant against its own SLO, through the engine's
     // per-class accounting primitives — one definition of per-class SLO

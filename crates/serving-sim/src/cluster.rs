@@ -1,12 +1,12 @@
-//! Fleet-level serving: N pipeline replicas behind a request router.
+//! Fleet routing and the fleet report.
 //!
 //! [`crate::engine::ServingEngine`] answers what one pipeline replica does
 //! under a request stream. Serving heavy traffic is a *fleet* question — how
-//! many replicas, and how is the arrival stream spread across them? This
-//! module simulates exactly that: a [`ClusterEngine`] owns one
-//! [`PipelineSpec`] per replica (homogeneous or not), routes a shared
-//! arrival stream across them with a [`RouterPolicy`], and merges the
-//! per-replica runs into one [`FleetReport`].
+//! many replicas, and how is the arrival stream spread across them? The
+//! [`crate::FleetEngine`] loop answers it; this module holds what every
+//! fleet shares: the state-aware router behind each [`RouterPolicy`], and
+//! the [`FleetReport`] that merges the per-replica runs into fleet-level
+//! metrics with per-replica breakdowns and load-imbalance statistics.
 //!
 //! Routing is *state-aware*: every replica simulation is advanced to just
 //! before each arrival instant (the engine's composable shared-clock form,
@@ -20,8 +20,9 @@
 //! # Examples
 //!
 //! ```
-//! use rago_serving_sim::cluster::ClusterEngine;
 //! use rago_serving_sim::engine::{DecodeSpec, LatencyTable, PipelineSpec, StageSpec};
+//! use rago_serving_sim::faults::ScaleDriver;
+//! use rago_serving_sim::fleet::FleetEngine;
 //! use rago_schema::{RouterPolicy, SloTarget};
 //! use rago_schema::SequenceProfile;
 //! use rago_workloads::{ArrivalProcess, TraceSpec};
@@ -38,8 +39,10 @@
 //!     seed: 3,
 //! }
 //! .generate();
-//! let fleet = ClusterEngine::homogeneous(spec, 2, RouterPolicy::LeastOutstanding)
-//!     .run_trace(&trace);
+//! let fleet = FleetEngine::new(spec, RouterPolicy::LeastOutstanding,
+//!     ScaleDriver::Static { replicas: 2 })
+//!     .run_trace(&trace)
+//!     .fleet;
 //! assert_eq!(fleet.merged.metrics.completed, 60);
 //! assert_eq!(fleet.per_replica.len(), 2);
 //! let assigned: usize = fleet.per_replica.iter().map(|r| r.assigned).sum();
@@ -47,15 +50,8 @@
 //! assert!(fleet.attainment(&SloTarget::new(5.0, 1.0)) > 0.0);
 //! ```
 
-use crate::engine::{
-    build_report, CacheProbe, EngineRequest, PipelineSpec, ReplicaSim, RequestTimeline,
-    ServingReport, SimAccumulators,
-};
-use crate::equeue::EventQueueStats;
-use crate::sink::{HistogramSink, MetricsMode, StreamingConfig};
+use crate::engine::{EngineRequest, ReplicaSim, ServingReport};
 use rago_schema::{RouterPolicy, SloTarget};
-use rago_workloads::Trace;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// One replica's slice of a fleet run.
@@ -131,8 +127,8 @@ pub struct FleetReport {
     pub merged: ServingReport,
     /// Per-replica breakdowns, by replica index.
     pub per_replica: Vec<ReplicaReport>,
-    /// `(request id, replica index)` for every routed request, in arrival
-    /// order.
+    /// `(request id, replica index)` for every routing decision, in routing
+    /// order; empty for a streaming run.
     pub assignments: Vec<(u64, usize)>,
     /// Router load-balance statistics.
     pub imbalance: LoadImbalance,
@@ -158,445 +154,17 @@ impl FleetReport {
     }
 }
 
-/// Observability state harvested from one drained replica: its cache-probe
-/// log and event-queue counters, captured just before the simulation is
-/// consumed. Zero-cost when tracing is off — probes are only collected
-/// when the replica's `track_probes` flag was set.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ReplicaObs {
-    pub(crate) replica: usize,
-    pub(crate) probes: Vec<CacheProbe>,
-    pub(crate) equeue: EventQueueStats,
-}
-
-/// A fleet of pipeline replicas behind a router. See the module docs.
-#[derive(Debug, Clone)]
-pub struct ClusterEngine {
-    replicas: Vec<PipelineSpec>,
-    router: RouterPolicy,
-    parallel_advance: bool,
-    telemetry: rago_telemetry::TelemetryConfig,
-}
-
-impl ClusterEngine {
-    /// A fleet of `replicas` identical copies of `spec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas` is zero.
-    pub fn homogeneous(spec: PipelineSpec, replicas: usize, router: RouterPolicy) -> Self {
-        assert!(replicas > 0, "a fleet needs at least one replica");
-        Self {
-            replicas: vec![spec; replicas],
-            router,
-            parallel_advance: false,
-            telemetry: rago_telemetry::TelemetryConfig::disabled(),
-        }
-    }
-
-    /// A fleet with one (possibly different) pipeline per replica — e.g.
-    /// distinct schedules from a Pareto frontier serving side by side.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas` is empty.
-    pub fn heterogeneous(replicas: Vec<PipelineSpec>, router: RouterPolicy) -> Self {
-        assert!(!replicas.is_empty(), "a fleet needs at least one replica");
-        Self {
-            replicas,
-            router,
-            parallel_advance: false,
-            telemetry: rago_telemetry::TelemetryConfig::disabled(),
-        }
-    }
-
-    /// Sets the telemetry config used by [`Self::run_telemetry`] (and by
-    /// [`Self::run_traced`] for its gauge cadence). The untraced run paths
-    /// never consult it.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: rago_telemetry::TelemetryConfig) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Advances replicas in parallel between routing points (off by
-    /// default). Each replica simulation is independent between arrivals,
-    /// so the per-replica state after a parallel advance is identical to a
-    /// serial advance regardless of thread interleaving — routing still
-    /// inspects the replicas serially, and the resulting [`FleetReport`] is
-    /// bit-identical to the serial run (the `scale_stress` bench asserts
-    /// this on every run).
-    #[must_use]
-    pub fn with_parallel_advance(mut self, parallel: bool) -> Self {
-        self.parallel_advance = parallel;
-        self
-    }
-
-    /// Number of replicas in the fleet.
-    pub fn num_replicas(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// The routing policy.
-    pub fn router(&self) -> RouterPolicy {
-        self.router
-    }
-
-    /// Routes every request of a generated trace through the fleet.
-    pub fn run_trace(&self, trace: &Trace) -> FleetReport {
-        self.run(trace.requests.iter().map(EngineRequest::from).collect())
-    }
-
-    /// [`Self::run_trace`] with an explicit metrics pipeline.
-    pub fn run_trace_with_mode(&self, trace: &Trace, mode: &MetricsMode) -> FleetReport {
-        self.run_with_mode(
-            trace.requests.iter().map(EngineRequest::from).collect(),
-            mode,
-        )
-    }
-
-    /// Runs the fleet over `requests` (sorted by arrival time internally)
-    /// and returns the merged report.
-    ///
-    /// The run interleaves routing with simulation: before each arrival,
-    /// every replica is advanced to just before that instant; the router
-    /// then inspects live replica state and the request is injected into the
-    /// chosen replica. After the last arrival the replicas drain to
-    /// completion independently.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any arrival time is negative or non-finite, or any request
-    /// generates zero tokens.
-    pub fn run(&self, requests: Vec<EngineRequest>) -> FleetReport {
-        let (sims, assigned_counts, assignments) =
-            self.route_all(requests, &mut rago_telemetry::NullRecorder);
-        merge_finished_replicas(sims, assigned_counts, assignments, self.router).0
-    }
-
-    /// [`Self::run`] with an explicit metrics pipeline.
-    ///
-    /// In streaming mode the fleet report holds no timelines and no
-    /// per-request assignment log — per-replica and merged metrics come
-    /// from histogram sinks merged in replica-index order (deterministic,
-    /// but the merged floating-point sums may differ in the last bits from
-    /// the exact path's arrival-order accumulation).
-    pub fn run_with_mode(&self, requests: Vec<EngineRequest>, mode: &MetricsMode) -> FleetReport {
-        match mode {
-            MetricsMode::Exact => self.run(requests),
-            MetricsMode::Streaming(config) => {
-                let (sims, assigned_counts, _) =
-                    self.route_all(requests, &mut rago_telemetry::NullRecorder);
-                merge_finished_replicas_streaming(sims, assigned_counts, self.router, config).0
-            }
-        }
-    }
-
-    /// [`Self::run_with_mode`] recording a trace into `rec`: router picks
-    /// (with the chosen replica's load as the "why") live during routing,
-    /// and per-replica request spans, cache probes, load gauges (at the
-    /// [`Self::with_telemetry`] cadence) and self-profiling counters
-    /// derived post-hoc in replica order. A
-    /// [`rago_telemetry::NullRecorder`] makes this exactly
-    /// [`Self::run_with_mode`].
-    pub fn run_traced<R: rago_telemetry::Recorder>(
-        &self,
-        requests: Vec<EngineRequest>,
-        mode: &MetricsMode,
-        rec: &mut R,
-    ) -> FleetReport {
-        let (sims, assigned_counts, assignments) = self.route_all(requests, rec);
-        let (report, obs) = match mode {
-            MetricsMode::Exact => {
-                merge_finished_replicas(sims, assigned_counts, assignments, self.router)
-            }
-            MetricsMode::Streaming(config) => {
-                merge_finished_replicas_streaming(sims, assigned_counts, self.router, config)
-            }
-        };
-        if R::ENABLED {
-            record_fleet_observability(rec, &report, &obs, self.telemetry.gauge_cadence_s);
-        }
-        report
-    }
-
-    /// Convenience wrapper: [`Self::run_traced`] with a
-    /// [`rago_telemetry::TraceRecorder`] built from the engine's
-    /// [`Self::with_telemetry`] config.
-    pub fn run_telemetry(
-        &self,
-        requests: Vec<EngineRequest>,
-        mode: &MetricsMode,
-    ) -> (FleetReport, rago_telemetry::TraceRecorder) {
-        let mut rec = rago_telemetry::TraceRecorder::new(self.telemetry.clone());
-        let report = self.run_traced(requests, mode, &mut rec);
-        (report, rec)
-    }
-
-    /// The routing loop shared by every run mode: advances all replicas to
-    /// each arrival (serially, or in parallel when
-    /// [`Self::with_parallel_advance`] is set), routes, and injects. The
-    /// recorder sees one decision event per pick; it never influences the
-    /// pick.
-    fn route_all<R: rago_telemetry::Recorder>(
-        &self,
-        mut requests: Vec<EngineRequest>,
-        rec: &mut R,
-    ) -> (Vec<ReplicaSim>, Vec<usize>, Vec<(u64, usize)>) {
-        crate::engine::sort_by_arrival(&mut requests);
-        let mut sims: Vec<ReplicaSim> = self
-            .replicas
-            .iter()
-            .map(|spec| {
-                let mut sim = ReplicaSim::new(spec.clone());
-                sim.track_probes = R::ENABLED;
-                sim
-            })
-            .collect();
-        let mut assignments: Vec<(u64, usize)> = Vec::with_capacity(requests.len());
-        let mut assigned_counts = vec![0usize; sims.len()];
-        let mut round_robin_next = 0usize;
-        for req in &requests {
-            advance_all(&mut sims, |s| s, req.arrival_s, self.parallel_advance);
-            let replica = route_pick(
-                self.router,
-                sims.len(),
-                |i| &sims[i],
-                |i| i,
-                &mut round_robin_next,
-                req,
-            );
-            if R::ENABLED {
-                crate::telemetry::record_route_pick(
-                    rec,
-                    req.arrival_s,
-                    self.router,
-                    replica,
-                    req,
-                    &sims[replica],
-                );
-            }
-            assignments.push((req.id, replica));
-            assigned_counts[replica] += 1;
-            sims[replica].inject(*req);
-        }
-        (sims, assigned_counts, assignments)
-    }
-}
-
-/// Shared post-hoc derivation over a finished fleet: per-replica spans,
-/// probes, gauges and profile counters, walked in replica-index order so
-/// the event stream is deterministic on any worker count.
-pub(crate) fn record_fleet_observability<R: rago_telemetry::Recorder>(
-    rec: &mut R,
-    report: &FleetReport,
-    obs: &[ReplicaObs],
-    gauge_cadence_s: f64,
-) {
-    if !R::ENABLED {
-        return;
-    }
-    let end_s = report.merged.metrics.makespan_s;
-    for rr in &report.per_replica {
-        let track = rr.replica as u32;
-        crate::telemetry::record_request_spans(rec, track, &rr.report.timelines);
-        crate::telemetry::record_load_gauges(
-            rec,
-            track,
-            &rr.report.timelines,
-            gauge_cadence_s,
-            end_s,
-        );
-    }
-    let mut profile = rago_telemetry::SimProfile::default();
-    for (i, ob) in obs.iter().enumerate() {
-        crate::telemetry::record_cache_probes(rec, ob.replica as u32, &ob.probes);
-        let events = report
-            .per_replica
-            .get(i)
-            .map_or(0, |rr| rr.report.metrics.events_processed);
-        profile.merge_from(&crate::telemetry::profile_from_stats(
-            &ob.equeue, events, end_s,
-        ));
-    }
-    profile.record_into(rec, end_s, rago_telemetry::FLEET_TRACK);
-}
-
-/// Advances every replica to just before `arrival_s`. The replicas share no
-/// state between routing points, so the parallel form leaves each replica
-/// bit-identical to the serial loop — shared by the fixed fleet and the
-/// autoscaler (whose replicas live inside slot structs, hence the
-/// accessor).
-pub(crate) fn advance_all<T, F>(items: &mut [T], sim_of: F, arrival_s: f64, parallel: bool)
-where
-    T: Send,
-    F: for<'a> Fn(&'a mut T) -> &'a mut ReplicaSim + Sync,
-{
-    if parallel && items.len() > 1 {
-        items
-            .iter_mut()
-            .par_bridge()
-            .fold(
-                || (),
-                |(), item| {
-                    sim_of(item).advance_before(arrival_s);
-                },
-            )
-            .reduce(|| (), |(), ()| ());
-    } else {
-        for item in items.iter_mut() {
-            sim_of(item).advance_before(arrival_s);
-        }
-    }
-}
-
-/// Drains every replica simulation to completion and merges the runs into a
-/// [`FleetReport`] — the shared tail of [`ClusterEngine::run`] and the
-/// autoscaled run in [`crate::autoscaler`], so fixed and elastic fleets
-/// report by one definition.
-pub(crate) fn merge_finished_replicas(
-    sims: Vec<ReplicaSim>,
-    assigned_counts: Vec<usize>,
-    assignments: Vec<(u64, usize)>,
-    router: RouterPolicy,
-) -> (FleetReport, Vec<ReplicaObs>) {
-    // The drain is the expensive leg (each replica runs its remaining
-    // events to completion with no further routing interaction), so it runs
-    // in parallel and the results are re-ordered by replica index before
-    // merging — every later step sees exactly the serial order, keeping the
-    // report bit-identical to a serial drain.
-    let drained = drain_replicas(sims);
-    let mut per_replica = Vec::with_capacity(drained.len());
-    let mut obs = Vec::with_capacity(drained.len());
-    let mut merged_timelines = Vec::with_capacity(assignments.len());
-    let mut merged_acc = SimAccumulators::default();
-    for (replica, timelines, acc, ob) in drained {
-        merged_timelines.extend(timelines.iter().cloned());
-        merged_acc.merge_from(&acc);
-        per_replica.push(ReplicaReport {
-            replica,
-            assigned: assigned_counts[replica],
-            report: build_report(timelines, &acc),
-        });
-        obs.push(ob);
-    }
-    merged_timelines.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
-    let report = FleetReport {
-        merged: build_report(merged_timelines, &merged_acc),
-        per_replica,
-        assignments,
-        imbalance: LoadImbalance::from_counts(assigned_counts),
-        router,
-    };
-    (report, obs)
-}
-
-/// Runs every replica to completion and returns `(replica index, timelines,
-/// accumulators, observability)` sorted by replica index — in parallel for
-/// a multi-replica fleet, serially otherwise.
-fn drain_replicas(
-    sims: Vec<ReplicaSim>,
-) -> Vec<(usize, Vec<RequestTimeline>, SimAccumulators, ReplicaObs)> {
-    let drain = |(replica, mut sim): (usize, ReplicaSim)| {
-        sim.run_to_completion();
-        let ob = ReplicaObs {
-            replica,
-            probes: sim.drain_probe_log(),
-            equeue: sim.equeue_stats(),
-        };
-        let (timelines, acc) = sim.finish();
-        (replica, timelines, acc, ob)
-    };
-    let mut drained: Vec<_> = if sims.len() > 1 {
-        sims.into_iter()
-            .enumerate()
-            .par_bridge()
-            .fold(Vec::new, |mut acc, item| {
-                acc.push(drain(item));
-                acc
-            })
-            .reduce(Vec::new, |mut a, mut b| {
-                a.append(&mut b);
-                a
-            })
-    } else {
-        sims.into_iter().enumerate().map(drain).collect()
-    };
-    drained.sort_by_key(|(replica, ..)| *replica);
-    drained
-}
-
-/// The streaming counterpart of [`merge_finished_replicas`]: each replica
-/// drains into its own [`HistogramSink`], and the sinks merge in
-/// replica-index order into the fleet report. `O(buckets)` retained state
-/// per replica; no timelines, no assignment log.
-pub(crate) fn merge_finished_replicas_streaming(
-    sims: Vec<ReplicaSim>,
-    assigned_counts: Vec<usize>,
-    router: RouterPolicy,
-    config: &StreamingConfig,
-) -> (FleetReport, Vec<ReplicaObs>) {
-    let drain = |(replica, mut sim): (usize, ReplicaSim)| {
-        sim.run_to_completion();
-        let ob = ReplicaObs {
-            replica,
-            probes: sim.drain_probe_log(),
-            equeue: sim.equeue_stats(),
-        };
-        let mut sink = HistogramSink::new(config);
-        sim.drain_outcomes(&mut sink);
-        sink.acc = sim.into_accumulators();
-        (replica, sink, ob)
-    };
-    let mut drained: Vec<(usize, HistogramSink, ReplicaObs)> = if sims.len() > 1 {
-        sims.into_iter()
-            .enumerate()
-            .par_bridge()
-            .fold(Vec::new, |mut acc, item| {
-                acc.push(drain(item));
-                acc
-            })
-            .reduce(Vec::new, |mut a, mut b| {
-                a.append(&mut b);
-                a
-            })
-    } else {
-        sims.into_iter().enumerate().map(drain).collect()
-    };
-    drained.sort_by_key(|(replica, ..)| *replica);
-    let mut merged = HistogramSink::new(config);
-    let mut per_replica = Vec::with_capacity(drained.len());
-    let mut obs = Vec::with_capacity(drained.len());
-    for (replica, sink, ob) in drained {
-        merged.merge_from(&sink);
-        per_replica.push(ReplicaReport {
-            replica,
-            assigned: assigned_counts[replica],
-            report: sink.into_report(),
-        });
-        obs.push(ob);
-    }
-    let report = FleetReport {
-        merged: merged.into_report(),
-        per_replica,
-        assignments: Vec::new(),
-        imbalance: LoadImbalance::from_counts(assigned_counts),
-        router,
-    };
-    (report, obs)
-}
-
 /// Picks the replica for the next arrival among the `len` candidates
 /// exposed by `sim_at` (returned index is into that candidate order). Ties
 /// break toward the lowest index, so routing is deterministic. The
-/// accessor form lets the fixed fleet route straight over its replica
-/// slice while [`crate::autoscaler`] routes over the currently-routable
-/// subset of a changing fleet, with no per-arrival candidate allocation in
-/// either. The request itself is consulted only by the content-aware
-/// policies (`PrefixHash`, `CacheAffinity`), which hash over `slot_of` —
-/// the candidate's *stable* replica slot id, not its position in the
-/// candidate order — so a template's hash home does not shift every time
-/// the autoscaler changes which replicas are routable.
+/// accessor form lets a fleet route over the currently-routable subset of
+/// its slots, and a disaggregated pool over its live replicas, with no
+/// per-arrival candidate allocation. The request itself is consulted only
+/// by the content-aware policies (`PrefixHash`, `CacheAffinity`), which
+/// hash over `slot_of` — the candidate's *stable* replica slot id, not its
+/// position in the candidate order — so a template's hash home does not
+/// shift every time scaling or a fault changes which replicas are
+/// routable.
 pub(crate) fn route_pick<'a>(
     router: RouterPolicy,
     len: usize,
@@ -711,7 +279,11 @@ fn argmin_by<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{DecodeSpec, IterativeSpec, LatencyTable, ServingEngine, StageSpec};
+    use crate::engine::{
+        DecodeSpec, IterativeSpec, LatencyTable, PipelineSpec, ServingEngine, StageSpec,
+    };
+    use crate::faults::ScaleDriver;
+    use crate::fleet::FleetEngine;
     use rago_schema::SequenceProfile;
     use rago_workloads::{ArrivalProcess, TraceSpec};
 
@@ -735,6 +307,11 @@ mod tests {
         )
     }
 
+    /// A fixed fleet of `replicas` copies of `spec`.
+    fn fixed(spec: PipelineSpec, replicas: u32, router: RouterPolicy) -> FleetEngine {
+        FleetEngine::new(spec, router, ScaleDriver::Static { replicas })
+    }
+
     fn req(id: u64, arrival: f64, tokens: u32) -> EngineRequest {
         EngineRequest {
             id,
@@ -748,12 +325,8 @@ mod tests {
 
     #[test]
     fn round_robin_cycles_through_replicas() {
-        let fleet = ClusterEngine::homogeneous(
-            one_stage_spec(0.1, 1, 0.01, 4),
-            2,
-            RouterPolicy::RoundRobin,
-        );
-        let report = fleet.run((0..4).map(|i| req(i, 0.0, 1)).collect());
+        let fleet = fixed(one_stage_spec(0.1, 1, 0.01, 4), 2, RouterPolicy::RoundRobin);
+        let report = fleet.run((0..4).map(|i| req(i, 0.0, 1)).collect()).fleet;
         let replicas: Vec<usize> = report.assignments.iter().map(|&(_, r)| r).collect();
         assert_eq!(replicas, vec![0, 1, 0, 1]);
         assert_eq!(report.imbalance.max_over_mean, 1.0);
@@ -764,12 +337,14 @@ mod tests {
     fn least_outstanding_avoids_the_busy_replica() {
         // Request 0 occupies replica 0 for a long time; the two later
         // arrivals must both land on replica 1 (0 still has 1 outstanding).
-        let fleet = ClusterEngine::homogeneous(
+        let fleet = fixed(
             one_stage_spec(0.01, 4, 0.1, 4),
             2,
             RouterPolicy::LeastOutstanding,
         );
-        let report = fleet.run(vec![req(0, 0.0, 100), req(1, 0.5, 1), req(2, 0.7, 1)]);
+        let report = fleet
+            .run(vec![req(0, 0.0, 100), req(1, 0.5, 1), req(2, 0.7, 1)])
+            .fleet;
         let replicas: Vec<usize> = report.assignments.iter().map(|&(_, r)| r).collect();
         assert_eq!(replicas[0], 0);
         assert_eq!(replicas[1], 1);
@@ -784,12 +359,12 @@ mod tests {
         // Replica 0 gets a request that decodes for a long time but queues
         // nothing; JSQ sees zero queue on both and ties to replica 0 again,
         // whereas least-outstanding would move on.
-        let fleet = ClusterEngine::homogeneous(
+        let fleet = fixed(
             one_stage_spec(0.01, 4, 0.1, 4),
             2,
             RouterPolicy::JoinShortestQueue,
         );
-        let report = fleet.run(vec![req(0, 0.0, 100), req(1, 0.5, 1)]);
+        let report = fleet.run(vec![req(0, 0.0, 100), req(1, 0.5, 1)]).fleet;
         let replicas: Vec<usize> = report.assignments.iter().map(|&(_, r)| r).collect();
         // Queue empty on both (request 0 is *in service*), so the
         // least-outstanding tiebreak sends request 1 to replica 1.
@@ -805,8 +380,10 @@ mod tests {
             Vec::new(),
             DecodeSpec::new(2, LatencyTable::constant(2, 0.05)),
         );
-        let fleet = ClusterEngine::homogeneous(spec, 2, RouterPolicy::DecodeFillAware);
-        let report = fleet.run(vec![req(0, 0.0, 50), req(1, 0.5, 50), req(2, 1.0, 1)]);
+        let fleet = fixed(spec, 2, RouterPolicy::DecodeFillAware);
+        let report = fleet
+            .run(vec![req(0, 0.0, 50), req(1, 0.5, 50), req(2, 1.0, 1)])
+            .fleet;
         let replicas: Vec<usize> = report.assignments.iter().map(|&(_, r)| r).collect();
         assert_eq!(replicas[0], 0);
         assert_eq!(replicas[1], 1);
@@ -828,7 +405,7 @@ mod tests {
         .generate();
         let engine = ServingEngine::from_trace(spec.clone(), &trace).run();
         for policy in RouterPolicy::ALL {
-            let fleet = ClusterEngine::homogeneous(spec.clone(), 1, policy).run_trace(&trace);
+            let fleet = fixed(spec.clone(), 1, policy).run_trace(&trace).fleet;
             assert_eq!(fleet.merged, engine, "policy {policy} diverged");
             assert_eq!(fleet.per_replica[0].report, engine);
         }
@@ -851,8 +428,9 @@ mod tests {
         }
         .generate();
         let engine = ServingEngine::from_trace(spec.clone(), &trace).run();
-        let fleet =
-            ClusterEngine::homogeneous(spec, 1, RouterPolicy::LeastOutstanding).run_trace(&trace);
+        let fleet = fixed(spec, 1, RouterPolicy::LeastOutstanding)
+            .run_trace(&trace)
+            .fleet;
         assert_eq!(fleet.merged, engine);
     }
 
@@ -868,10 +446,12 @@ mod tests {
         }
         .generate();
         let slo = SloTarget::new(0.5, 0.02);
-        let one = ClusterEngine::homogeneous(spec.clone(), 1, RouterPolicy::LeastOutstanding)
-            .run_trace(&trace);
-        let two =
-            ClusterEngine::homogeneous(spec, 2, RouterPolicy::LeastOutstanding).run_trace(&trace);
+        let one = fixed(spec.clone(), 1, RouterPolicy::LeastOutstanding)
+            .run_trace(&trace)
+            .fleet;
+        let two = fixed(spec, 2, RouterPolicy::LeastOutstanding)
+            .run_trace(&trace)
+            .fleet;
         assert!(two.attainment(&slo) > one.attainment(&slo));
         assert!(two.merged.metrics.ttft.p95_s < one.merged.metrics.ttft.p95_s);
     }
@@ -882,7 +462,11 @@ mod tests {
         // should route more requests to replica 1.
         let slow = one_stage_spec(0.4, 1, 1e-3, 8);
         let fast = one_stage_spec(0.1, 1, 1e-3, 8);
-        let fleet = ClusterEngine::heterogeneous(vec![slow, fast], RouterPolicy::LeastOutstanding);
+        let fleet = FleetEngine::heterogeneous(
+            vec![slow, fast],
+            RouterPolicy::LeastOutstanding,
+            ScaleDriver::Static { replicas: 2 },
+        );
         let trace = TraceSpec {
             num_requests: 80,
             profile: SequenceProfile::paper_default().with_decode_tokens(4),
@@ -891,7 +475,7 @@ mod tests {
             seed: 2,
         }
         .generate();
-        let report = fleet.run_trace(&trace);
+        let report = fleet.run_trace(&trace).fleet;
         assert!(
             report.per_replica[1].assigned > report.per_replica[0].assigned,
             "fast replica got {} vs slow {}",
@@ -913,7 +497,9 @@ mod tests {
             seed: 13,
         }
         .generate();
-        let fleet = ClusterEngine::homogeneous(spec, 3, RouterPolicy::RoundRobin).run_trace(&trace);
+        let fleet = fixed(spec, 3, RouterPolicy::RoundRobin)
+            .run_trace(&trace)
+            .fleet;
         // Conservation: every request appears exactly once across replicas.
         let per_replica_total: usize = fleet
             .per_replica
@@ -937,7 +523,9 @@ mod tests {
         }
         // Fleet runs are deterministic.
         let spec = one_stage_spec(0.03, 4, 2e-3, 8);
-        let again = ClusterEngine::homogeneous(spec, 3, RouterPolicy::RoundRobin).run_trace(&trace);
+        let again = fixed(spec, 3, RouterPolicy::RoundRobin)
+            .run_trace(&trace)
+            .fleet;
         assert_eq!(again, fleet);
     }
 
@@ -981,10 +569,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one replica")]
     fn zero_replica_fleets_are_rejected() {
-        let _ = ClusterEngine::homogeneous(
-            one_stage_spec(0.1, 1, 0.01, 1),
-            0,
-            RouterPolicy::RoundRobin,
-        );
+        let _ = fixed(one_stage_spec(0.1, 1, 0.01, 1), 0, RouterPolicy::RoundRobin);
     }
 }

@@ -603,8 +603,8 @@ pub struct ServingMetrics {
     /// bench divides it by wall-clock time for its events/sec figure.
     pub events_processed: u64,
     /// Requests shed by fleet-level admission control before reaching a
-    /// replica. Always zero for plain engine and cluster runs; the chaos
-    /// path ([`crate::faults`]) patches it into merged and per-class rows.
+    /// replica. Always zero without admission control; the fleet engine
+    /// ([`crate::fleet`]) patches it into merged and per-class rows.
     /// Shed requests are excluded from `requests`/`completed` and from every
     /// latency distribution — they never executed.
     #[serde(default)]
@@ -697,21 +697,28 @@ impl ServingReport {
     /// For a streaming report, panics unless `slo` is the SLO that was
     /// configured in the run's [`crate::sink::StreamingConfig`].
     pub fn attainment(&self, slo: &SloTarget) -> f64 {
-        if let Some(streamed) = &self.streamed {
-            if self.metrics.requests == 0 {
-                return 1.0;
-            }
-            return streamed.run_met(slo) as f64 / self.metrics.requests as f64;
-        }
-        if self.timelines.is_empty() {
+        if self.metrics.requests == 0 {
             return 1.0;
         }
-        let met = self
-            .timelines
-            .iter()
-            .filter(|t| slo.meets(t.ttft_s(), t.tpot_s()))
-            .count();
-        met as f64 / self.timelines.len() as f64
+        self.met_count(slo) as f64 / self.metrics.requests as f64
+    }
+
+    /// Requests meeting both latency targets of `slo`: scored from the
+    /// retained timelines, or read from the streaming sink's online count.
+    ///
+    /// # Panics
+    ///
+    /// For a streaming report, panics unless `slo` is the SLO that was
+    /// configured in the run's [`crate::sink::StreamingConfig`].
+    pub(crate) fn met_count(&self, slo: &SloTarget) -> usize {
+        match &self.streamed {
+            Some(streamed) => streamed.run_met(slo) as usize,
+            None => self
+                .timelines
+                .iter()
+                .filter(|t| slo.meets(t.ttft_s(), t.tpot_s()))
+                .count(),
+        }
     }
 
     /// The distinct workload-class tags of the run, ascending.
@@ -795,15 +802,7 @@ impl ServingReport {
         if self.metrics.serving_duration_s <= 0.0 {
             return 0.0;
         }
-        let met = if let Some(streamed) = &self.streamed {
-            streamed.run_met(slo) as usize
-        } else {
-            self.timelines
-                .iter()
-                .filter(|t| slo.meets(t.ttft_s(), t.tpot_s()))
-                .count()
-        };
-        met as f64 / self.metrics.serving_duration_s
+        self.met_count(slo) as f64 / self.metrics.serving_duration_s
     }
 
     /// Whether the run meets `slo` including its attainment requirement.
@@ -1336,7 +1335,7 @@ impl CacheAcc {
 }
 
 /// Aggregate accumulators a simulation carries besides its timelines. Kept
-/// separate so fleet-level reports (see [`crate::cluster`]) can sum them
+/// separate so fleet-level reports (see [`crate::fleet`]) can sum them
 /// across replicas before building merged [`ServingMetrics`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SimAccumulators {
@@ -1365,7 +1364,7 @@ impl SimAccumulators {
 /// One pipeline's discrete-event simulation as a steppable state machine.
 ///
 /// [`ServingEngine::run`] injects every request up front and runs to
-/// completion; the cluster layer instead drives several replicas from a
+/// completion; the fleet engine instead drives several replicas from a
 /// shared clock — injecting each routed request at its arrival time after
 /// advancing every replica to just before that instant, so router policies
 /// can observe live queue and decode state. Both paths produce identical
@@ -2234,7 +2233,7 @@ impl ReplicaSim {
 
 /// Builds a [`ServingReport`] from completed timelines and the simulation
 /// accumulators. Shared by [`ServingEngine::run`] and the fleet-level
-/// merge in [`crate::cluster`], so single-engine and fleet metrics are
+/// merge in [`crate::fleet`], so single-engine and fleet metrics are
 /// computed by one definition. The per-class rows reuse the same metric
 /// computation over each class's timeline subset; for a run with a single
 /// distinct class the row is the aggregate metrics verbatim, which is what

@@ -281,7 +281,7 @@ fn key_cmp(t_a: f64, seq_a: u64, t_b: f64, seq_b: u64) -> Ordering {
     t_a.total_cmp(&t_b).then(seq_a.cmp(&seq_b))
 }
 
-/// Observability snapshot of one [`EventQueue`]'s internal work: per-lane
+/// Observability snapshot of one event queue's internal work: per-lane
 /// pop counts, calendar maintenance counts, and the final calendar
 /// geometry. Pure counters — reading them never perturbs the simulation,
 /// so traced and untraced runs stay bit-identical.

@@ -1,11 +1,12 @@
 //! Fault injection, SLO-aware admission control, and plan-driven scaling.
 //!
-//! The fleet engines in [`crate::cluster`] and [`crate::autoscaler`] assume
-//! replicas never fail. Real fleets lose replicas mid-peak — crashes, slow
-//! nodes, spot preemptions — and the serving literature the roadmap tracks
-//! (DistServe's SLO-attained goodput, Splitwise's provisioning headroom)
-//! presumes the fleet degrades *proportionally* when that happens. This
-//! module makes that claim testable:
+//! A fleet that never fails is the easy case. Real fleets lose replicas
+//! mid-peak — crashes, slow nodes, spot preemptions — and the serving
+//! literature the roadmap tracks (DistServe's SLO-attained goodput,
+//! Splitwise's provisioning headroom) presumes the fleet degrades
+//! *proportionally* when that happens. This module holds the configuration
+//! that makes that claim testable on [`crate::FleetEngine`], and the report
+//! it comes back with:
 //!
 //! * **[`FaultSchedule`]** — a deterministic list of [`FaultEvent`]s
 //!   (explicit or seeded): replica crashes (in-flight requests re-queued or
@@ -34,10 +35,9 @@
 //! is in force before that request is processed — the tie-break is pinned
 //! by `tests/golden/fault_*.json`.
 //!
-//! With an empty schedule, no admission control, and the reactive driver,
-//! [`ChaosEngine`] is **bit-identical** to [`crate::AutoscaleEngine`] (and
-//! with a static driver, to [`crate::ClusterEngine`]) — the degenerate pins
-//! in `tests/golden_regression.rs` hold this exact.
+//! An empty schedule and no admission control are the plain and elastic
+//! fleets: the same loop with those lanes idle, pinned against the
+//! pre-fault snapshots in `tests/golden_regression.rs`.
 //!
 //! # Examples
 //!
@@ -45,7 +45,8 @@
 //! recovery:
 //!
 //! ```
-//! use rago_serving_sim::faults::{ChaosEngine, FaultEvent, FaultSchedule, ScaleDriver};
+//! use rago_serving_sim::faults::{FaultEvent, FaultSchedule, ScaleDriver};
+//! use rago_serving_sim::fleet::FleetEngine;
 //! use rago_serving_sim::engine::{DecodeSpec, LatencyTable, PipelineSpec, StageSpec};
 //! use rago_schema::{RouterPolicy, SloTarget};
 //! use rago_schema::SequenceProfile;
@@ -68,7 +69,7 @@
 //!     at_s: 1.0,
 //!     restart_delay_s: 0.5,
 //! }]);
-//! let report = ChaosEngine::new(spec, RouterPolicy::LeastOutstanding,
+//! let report = FleetEngine::new(spec, RouterPolicy::LeastOutstanding,
 //!     ScaleDriver::Static { replicas: 3 })
 //!     .with_faults(faults)
 //!     .run_trace(&trace);
@@ -83,19 +84,12 @@
 //! assert!(report.offered_attainment(&slo) > 0.0);
 //! ```
 
-use crate::autoscaler::{AutoscalerPolicy, ReplicaLifetime, ScalingAction, ScalingEvent};
-use crate::cluster::{advance_all, route_pick, FleetReport, LoadImbalance, ReplicaReport};
-use crate::engine::{
-    build_report, compute_metrics_for, sort_by_arrival, ClassMetrics, EngineRequest, PipelineSpec,
-    ReplicaSim, RequestTimeline, SimAccumulators,
-};
-use rago_schema::{RouterPolicy, SloTarget};
-use rago_workloads::Trace;
+use crate::autoscaler::{AutoscalerPolicy, ReplicaLifetime, ScalingEvent};
+use crate::cluster::FleetReport;
+use rago_schema::SloTarget;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
 
 /// One injected fault. Replica indices refer to fleet slots in provisioning
 /// order: the initial fleet is `0..initial`, and every later provisioning
@@ -531,7 +525,7 @@ impl PredictivePolicy {
     }
 }
 
-/// How the chaos engine sizes the fleet while the trace plays.
+/// How [`crate::FleetEngine`] sizes the fleet while the trace plays.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ScaleDriver {
     /// A fixed fleet (no ticks, no scaling; restarts are immediate since a
@@ -540,9 +534,8 @@ pub enum ScaleDriver {
         /// Fleet size (at least 1).
         replicas: u32,
     },
-    /// The reactive policy of [`crate::AutoscaleEngine`], evaluated at its
-    /// interval — with an empty fault schedule and no admission control the
-    /// run is bit-identical to that engine.
+    /// The reactive [`AutoscalerPolicy`], evaluated at its interval up to
+    /// the last arrival.
     Reactive(AutoscalerPolicy),
     /// A feed-forward [`ScalingPlan`]: capacity changes at the plan's step
     /// times regardless of observed load.
@@ -550,7 +543,7 @@ pub enum ScaleDriver {
 }
 
 impl ScaleDriver {
-    fn assert_valid(&self) {
+    pub(crate) fn assert_valid(&self) {
         match self {
             ScaleDriver::Static { replicas } => {
                 assert!(*replicas >= 1, "a static fleet needs at least one replica");
@@ -560,7 +553,7 @@ impl ScaleDriver {
         }
     }
 
-    fn initial_replicas(&self) -> u32 {
+    pub(crate) fn initial_replicas(&self) -> u32 {
         match self {
             ScaleDriver::Static { replicas } => *replicas,
             ScaleDriver::Reactive(policy) => policy.min_replicas,
@@ -570,7 +563,7 @@ impl ScaleDriver {
 
     /// The warm-up a provisioned replica pays — scale-out and restart take
     /// the same path.
-    fn warmup_s(&self) -> f64 {
+    pub(crate) fn warmup_s(&self) -> f64 {
         match self {
             ScaleDriver::Static { .. } => 0.0,
             ScaleDriver::Reactive(policy) => policy.warmup_s,
@@ -578,7 +571,7 @@ impl ScaleDriver {
         }
     }
 
-    fn track_completions(&self) -> bool {
+    pub(crate) fn track_completions(&self) -> bool {
         matches!(self, ScaleDriver::Reactive(p) if p.attainment_trigger.is_some())
     }
 }
@@ -687,15 +680,14 @@ pub struct RecoveryMetrics {
     pub dip_area: f64,
 }
 
-/// The result of one chaos run: the ordinary fleet report and scaling
-/// history, plus fault accounting and recovery analysis.
+/// The result of one [`crate::FleetEngine`] run: the fleet report and
+/// scaling history, plus fault accounting and recovery analysis.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChaosReport {
-    /// The merged fleet report — same definitions as
-    /// [`crate::ClusterEngine`] / [`crate::AutoscaleEngine`] runs, with one
-    /// row per fleet slot ever provisioned (dead slots report what they
-    /// completed before dying). [`crate::ServingMetrics::shed`] carries the
-    /// admission-control counts in the merged and per-class rows.
+    /// The merged fleet report, with one row per fleet slot ever
+    /// provisioned (dead slots report what they completed before dying).
+    /// [`crate::ServingMetrics::shed`] carries the admission-control counts
+    /// in the merged and per-class rows.
     pub fleet: FleetReport,
     /// Every *policy* scaling decision, in time order (restarts appear in
     /// [`Self::lifetimes`], not here).
@@ -729,26 +721,27 @@ impl ChaosReport {
     /// Attainment against everything *offered*: requests meeting `slo`
     /// divided by all injected requests, so shed and failed requests count
     /// against the fleet (1.0 when nothing was injected). The plain
-    /// [`FleetReport::attainment`] scores completions only.
+    /// [`FleetReport::attainment`] scores completions only. Met requests
+    /// are counted like [`crate::ServingReport::attainment`] counts them,
+    /// so exact and streaming runs agree.
+    ///
+    /// # Panics
+    ///
+    /// For a streaming report, panics unless `slo` is the SLO that was
+    /// configured in the run's [`crate::StreamingConfig`].
     pub fn offered_attainment(&self, slo: &SloTarget) -> f64 {
         if self.fault.injected == 0 {
             return 1.0;
         }
-        let met = self
-            .fleet
-            .merged
-            .timelines
-            .iter()
-            .filter(|t| slo.meets(t.ttft_s(), t.tpot_s()))
-            .count();
-        met as f64 / self.fault.injected as f64
+        self.fleet.merged.met_count(slo) as f64 / self.fault.injected as f64
     }
 
     /// The windowed attainment timeline: completions bucketed by completion
     /// time into `window_s`-wide windows from `t = 0` to the run's
     /// makespan. Empty windows read zero attainment (see
     /// [`AttainmentWindow::attainment`]). Returns an empty vector for an
-    /// empty run or a non-positive window.
+    /// empty run, a non-positive window, or a streaming report (which
+    /// retains no timelines to bucket).
     pub fn attainment_timeline(&self, slo: &SloTarget, window_s: f64) -> Vec<AttainmentWindow> {
         if !window_s.is_finite() || window_s <= 0.0 || self.fleet.merged.timelines.is_empty() {
             return Vec::new();
@@ -790,7 +783,13 @@ impl ChaosReport {
     /// target*, and measures reattainment from the disruption to the first
     /// at-target window after that. A disruption the fleet absorbs without
     /// ever dipping reports `reattainment_s = Some(0.0)` and a zero dip.
+    ///
+    /// Returns an empty vector for a streaming report: without retained
+    /// timelines there is no windowed attainment to measure a dip on.
     pub fn recovery(&self, slo: &SloTarget, window_s: f64) -> Vec<RecoveryMetrics> {
+        if self.fleet.merged.streamed.is_some() {
+            return Vec::new();
+        }
         let timeline = self.attainment_timeline(slo, window_s);
         self.fault
             .disruptions
@@ -827,1228 +826,15 @@ impl ChaosReport {
     }
 }
 
-/// One fleet slot of the chaos engine. `sim` is `None` once the replica is
-/// dead (crashed or killed); its pre-death results are parked until the
-/// merge.
-struct ChaosSlot {
-    sim: Option<ReplicaSim>,
-    provisioned_s: f64,
-    routable_s: f64,
-    decommissioned_s: Option<f64>,
-    /// Death instant of a crashed/preempted slot — its chips are released
-    /// here, unlike a decommissioned-but-draining slot.
-    retired_at: Option<f64>,
-    assigned: usize,
-    completion_cursor: usize,
-}
-
-impl ChaosSlot {
-    fn fresh(sim: ReplicaSim, provisioned_s: f64, routable_s: f64) -> Self {
-        Self {
-            sim: Some(sim),
-            provisioned_s,
-            routable_s,
-            decommissioned_s: None,
-            retired_at: None,
-            assigned: 0,
-            completion_cursor: 0,
-        }
-    }
-
-    fn alive(&self) -> bool {
-        self.sim.is_some()
-    }
-
-    fn routable_at(&self, t: f64) -> bool {
-        self.alive() && self.routable_s <= t && self.decommissioned_s.is_none()
-    }
-}
-
-/// One pending fault-lane action of the run's agenda.
-#[derive(Debug, Clone, Copy)]
-enum Action {
-    Crash { slot: usize, restart_delay_s: f64 },
-    Slowdown { slot: usize, factor: f64 },
-    PreemptNotice { slot: usize, notice_s: f64 },
-    Kill { slot: usize },
-    Restart,
-}
-
-struct Agendum {
-    t: f64,
-    seq: u64,
-    action: Action,
-}
-
-/// The chaos-ready fleet engine: replicas of one pipeline behind a router,
-/// sized by a [`ScaleDriver`], degraded by a [`FaultSchedule`], and guarded
-/// by optional [`AdmissionConfig`] load shedding. See the module docs.
-#[derive(Debug, Clone)]
-pub struct ChaosEngine {
-    spec: PipelineSpec,
-    router: RouterPolicy,
-    driver: ScaleDriver,
-    faults: FaultSchedule,
-    crash_policy: CrashPolicy,
-    admission: Option<AdmissionConfig>,
-    parallel_advance: bool,
-    telemetry: rago_telemetry::TelemetryConfig,
-}
-
-impl ChaosEngine {
-    /// A chaos engine with no faults and no admission control — in that
-    /// configuration the run is bit-identical to the fault-free engines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the driver is malformed (zero replicas, invalid reactive
-    /// policy).
-    pub fn new(spec: PipelineSpec, router: RouterPolicy, driver: ScaleDriver) -> Self {
-        driver.assert_valid();
-        Self {
-            spec,
-            router,
-            driver,
-            faults: FaultSchedule::empty(),
-            crash_policy: CrashPolicy::default(),
-            admission: None,
-            parallel_advance: false,
-            telemetry: rago_telemetry::TelemetryConfig::disabled(),
-        }
-    }
-
-    /// Sets the telemetry config used by [`Self::run_telemetry`] (and by
-    /// [`Self::run_traced`] for its gauge cadence). The untraced run paths
-    /// never consult it.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: rago_telemetry::TelemetryConfig) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Injects a fault schedule.
-    #[must_use]
-    pub fn with_faults(mut self, faults: FaultSchedule) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Sets the in-flight policy for dying replicas (default
-    /// [`CrashPolicy::Requeue`]).
-    #[must_use]
-    pub fn with_crash_policy(mut self, policy: CrashPolicy) -> Self {
-        self.crash_policy = policy;
-        self
-    }
-
-    /// Enables priority-aware admission control.
-    #[must_use]
-    pub fn with_admission(mut self, admission: AdmissionConfig) -> Self {
-        self.admission = Some(admission);
-        self
-    }
-
-    /// Advances replicas in parallel between clock points (off by default);
-    /// bit-identical to the serial run, as for
-    /// [`crate::ClusterEngine::with_parallel_advance`].
-    #[must_use]
-    pub fn with_parallel_advance(mut self, parallel: bool) -> Self {
-        self.parallel_advance = parallel;
-        self
-    }
-
-    /// The scale driver.
-    pub fn driver(&self) -> &ScaleDriver {
-        &self.driver
-    }
-
-    fn new_sim(&self, track_probes: bool) -> ReplicaSim {
-        let mut sim = ReplicaSim::new(self.spec.clone());
-        sim.track_completions = self.driver.track_completions();
-        sim.track_probes = track_probes;
-        sim
-    }
-
-    /// Runs a generated trace through the chaos fleet.
-    pub fn run_trace(&self, trace: &Trace) -> ChaosReport {
-        self.run(trace.requests.iter().map(EngineRequest::from).collect())
-    }
-
-    /// Runs the fleet over `requests` (sorted by arrival time internally).
-    ///
-    /// The run interleaves four chronological streams under one clock, with
-    /// a pinned tie-break at equal instants: **fault actions** first, then
-    /// **pending-request flushes** (requests that arrived while no replica
-    /// was routable), then **policy ticks / plan steps**, then **arrivals**
-    /// — a fault or scaling decision at an arrival's instant is in force
-    /// before that arrival is routed, exactly as in
-    /// [`crate::AutoscaleEngine::run`]. No policy scaling happens after the
-    /// last arrival, but faults (and restarts) keep firing through the
-    /// drain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any arrival time is negative or non-finite, or any request
-    /// generates zero tokens.
-    pub fn run(&self, requests: Vec<EngineRequest>) -> ChaosReport {
-        self.run_recorded(requests, &mut rago_telemetry::NullRecorder)
-            .0
-    }
-
-    /// [`Self::run`] recording a trace into `rec`: router picks (including
-    /// crash-requeue re-picks) live during routing; admission sheds, fault
-    /// disruptions, scaling decisions, replica lifecycle instants, and the
-    /// per-replica fleet observability derived post-hoc from the ledgers
-    /// the report already carries. A [`rago_telemetry::NullRecorder`]
-    /// makes this exactly [`Self::run`].
-    pub fn run_traced<R: rago_telemetry::Recorder>(
-        &self,
-        requests: Vec<EngineRequest>,
-        rec: &mut R,
-    ) -> ChaosReport {
-        let (report, obs) = self.run_recorded(requests, rec);
-        if R::ENABLED {
-            let end_s = report.fleet.merged.metrics.makespan_s;
-            crate::cluster::record_fleet_observability(
-                rec,
-                &report.fleet,
-                &obs,
-                self.telemetry.gauge_cadence_s,
-            );
-            crate::telemetry::record_scaling_events(rec, &report.events);
-            crate::telemetry::record_replica_lifetimes(rec, &report.lifetimes);
-            crate::telemetry::record_routable_gauge(
-                rec,
-                &report.lifetimes,
-                self.telemetry.gauge_cadence_s,
-                end_s,
-            );
-            crate::telemetry::record_shed_events(rec, &report.fault.shed_log);
-            crate::telemetry::record_disruptions(rec, &report.fault.disruptions);
-        }
-        report
-    }
-
-    /// Convenience wrapper: [`Self::run_traced`] with a
-    /// [`rago_telemetry::TraceRecorder`] built from the engine's
-    /// [`Self::with_telemetry`] config.
-    pub fn run_telemetry(
-        &self,
-        requests: Vec<EngineRequest>,
-    ) -> (ChaosReport, rago_telemetry::TraceRecorder) {
-        let mut rec = rago_telemetry::TraceRecorder::new(self.telemetry.clone());
-        let report = self.run_traced(requests, &mut rec);
-        (report, rec)
-    }
-
-    /// The shared chaos run body; the recorder sees router picks only
-    /// (everything else is derived from the returned ledgers).
-    fn run_recorded<R: rago_telemetry::Recorder>(
-        &self,
-        mut requests: Vec<EngineRequest>,
-        rec: &mut R,
-    ) -> (ChaosReport, Vec<crate::cluster::ReplicaObs>) {
-        sort_by_arrival(&mut requests);
-        let injected = requests.len();
-        let initial = self.driver.initial_replicas();
-        let mut slots: Vec<ChaosSlot> = (0..initial)
-            .map(|_| ChaosSlot::fresh(self.new_sim(R::ENABLED), 0.0, 0.0))
-            .collect();
-        let mut events: Vec<ScalingEvent> = Vec::new();
-        let mut assignments: Vec<(u64, usize)> = Vec::with_capacity(requests.len());
-        let mut round_robin_next = 0usize;
-        let mut last_action_s = f64::NEG_INFINITY;
-        let mut peak_provisioned = initial;
-        let mut min_provisioned = initial;
-
-        // Fault-lane state.
-        let mut agenda: Vec<Agendum> = self
-            .faults
-            .events()
-            .iter()
-            .enumerate()
-            .map(|(i, e)| Agendum {
-                t: e.at_s(),
-                seq: i as u64,
-                action: match *e {
-                    FaultEvent::Crash {
-                        replica,
-                        restart_delay_s,
-                        ..
-                    } => Action::Crash {
-                        slot: replica,
-                        restart_delay_s,
-                    },
-                    FaultEvent::StragglerStart {
-                        replica, slowdown, ..
-                    } => Action::Slowdown {
-                        slot: replica,
-                        factor: slowdown,
-                    },
-                    FaultEvent::StragglerEnd { replica, .. } => Action::Slowdown {
-                        slot: replica,
-                        factor: 1.0,
-                    },
-                    FaultEvent::Preempt {
-                        replica, notice_s, ..
-                    } => Action::PreemptNotice {
-                        slot: replica,
-                        notice_s,
-                    },
-                },
-            })
-            .collect();
-        let mut next_seq = agenda.len() as u64;
-        let mut pending: VecDeque<EngineRequest> = VecDeque::new();
-        let mut dead: BTreeMap<usize, DeadReplica> = BTreeMap::new();
-        let mut shed_total = 0usize;
-        let mut shed_by_class: BTreeMap<u32, usize> = BTreeMap::new();
-        let mut shed_log: Vec<ShedEvent> = Vec::new();
-        let mut failed = 0usize;
-        let mut retried = 0usize;
-        let mut faults_applied = 0usize;
-        let mut faults_skipped = 0usize;
-        let mut disruptions: Vec<Disruption> = Vec::new();
-
-        let last_arrival = requests.last().map(|r| r.arrival_s).unwrap_or(0.0);
-        let mut next_req = 0usize;
-        // Reactive tick state / predictive step cursor.
-        let mut next_tick = match &self.driver {
-            ScaleDriver::Reactive(policy) => policy.evaluation_interval_s,
-            _ => f64::INFINITY,
-        };
-        let mut next_step = 0usize;
-
-        loop {
-            let arrival_t = requests.get(next_req).map(|r| r.arrival_s);
-            let agenda_pick = agenda
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| a.t.total_cmp(&b.t).then(a.seq.cmp(&b.seq)))
-                .map(|(i, a)| (i, a.t));
-            let flush_t = if pending.is_empty() {
-                None
-            } else {
-                slots
-                    .iter()
-                    .filter(|s| s.alive() && s.decommissioned_s.is_none())
-                    .map(|s| s.routable_s)
-                    .min_by(f64::total_cmp)
-            };
-            let tick_t: Option<f64> = match &self.driver {
-                ScaleDriver::Reactive(_) => (next_tick <= last_arrival).then_some(next_tick),
-                ScaleDriver::Predictive(p) => p
-                    .plan
-                    .steps
-                    .get(next_step)
-                    .map(|s| s.at_s)
-                    .filter(|&t| t <= last_arrival),
-                ScaleDriver::Static { .. } => None,
-            };
-
-            // Earliest wins; ties break fault < flush < tick < arrival.
-            let agenda_t = agenda_pick.map(|(_, t)| t);
-            let best = [agenda_t, flush_t, tick_t, arrival_t]
-                .iter()
-                .enumerate()
-                .filter_map(|(lane, t)| t.map(|t| (lane, t)))
-                .min_by(|(la, ta), (lb, tb)| ta.total_cmp(tb).then(la.cmp(lb)));
-            let Some((lane, now)) = best else {
-                break;
-            };
-
-            match lane {
-                0 => {
-                    let (idx, _) = agenda_pick.expect("lane 0 implies an agenda entry");
-                    let Agendum { action, .. } = agenda.remove(idx);
-                    self.apply_action(
-                        action,
-                        now,
-                        &mut slots,
-                        &mut agenda,
-                        &mut next_seq,
-                        &mut dead,
-                        &mut pending,
-                        &mut assignments,
-                        &mut round_robin_next,
-                        &mut peak_provisioned,
-                        &mut min_provisioned,
-                        &mut failed,
-                        &mut retried,
-                        &mut faults_applied,
-                        &mut faults_skipped,
-                        &mut disruptions,
-                        rec,
-                    );
-                }
-                1 => {
-                    // Flush: a replica just became routable; drain pending
-                    // arrivals through admission + routing at this instant.
-                    advance_live(&mut slots, now, self.parallel_advance);
-                    while let Some(req) = pending.pop_front() {
-                        let routable = routable_indices(&slots, now);
-                        if routable.is_empty() {
-                            // The candidate replica died in this same
-                            // instant: put the request back and wait again.
-                            pending.push_front(req);
-                            break;
-                        }
-                        if self.shed_check(
-                            &req,
-                            now,
-                            &slots,
-                            &routable,
-                            &mut shed_total,
-                            &mut shed_by_class,
-                            &mut shed_log,
-                        ) {
-                            continue;
-                        }
-                        let replica = self.route_into(
-                            &req,
-                            now,
-                            &routable,
-                            &slots,
-                            &mut round_robin_next,
-                            rec,
-                        );
-                        assignments.push((req.id, replica));
-                        slots[replica].assigned += 1;
-                        slots[replica]
-                            .sim
-                            .as_mut()
-                            .expect("routable slots are alive")
-                            .inject_delayed(req, now);
-                    }
-                }
-                2 => match &self.driver {
-                    ScaleDriver::Reactive(policy) => {
-                        next_tick += policy.evaluation_interval_s;
-                        advance_live(&mut slots, now, self.parallel_advance);
-                        self.evaluate_reactive(
-                            policy,
-                            now,
-                            &mut slots,
-                            &mut events,
-                            &mut last_action_s,
-                            &mut peak_provisioned,
-                            &mut min_provisioned,
-                            R::ENABLED,
-                        );
-                    }
-                    ScaleDriver::Predictive(p) => {
-                        let target = p.plan.steps[next_step].replicas;
-                        next_step += 1;
-                        advance_live(&mut slots, now, self.parallel_advance);
-                        self.apply_plan_target(
-                            target,
-                            p.warmup_s,
-                            now,
-                            &mut slots,
-                            &mut events,
-                            &mut peak_provisioned,
-                            &mut min_provisioned,
-                            R::ENABLED,
-                        );
-                    }
-                    ScaleDriver::Static { .. } => unreachable!("static drivers have no ticks"),
-                },
-                _ => {
-                    let req = requests[next_req];
-                    next_req += 1;
-                    advance_live(&mut slots, req.arrival_s, self.parallel_advance);
-                    let routable = routable_indices(&slots, req.arrival_s);
-                    if routable.is_empty() {
-                        pending.push_back(req);
-                    } else if !self.shed_check(
-                        &req,
-                        req.arrival_s,
-                        &slots,
-                        &routable,
-                        &mut shed_total,
-                        &mut shed_by_class,
-                        &mut shed_log,
-                    ) {
-                        let replica = self.route_into(
-                            &req,
-                            req.arrival_s,
-                            &routable,
-                            &slots,
-                            &mut round_robin_next,
-                            rec,
-                        );
-                        assignments.push((req.id, replica));
-                        slots[replica].assigned += 1;
-                        slots[replica]
-                            .sim
-                            .as_mut()
-                            .expect("routable slots are alive")
-                            .inject(req);
-                    }
-                }
-            }
-        }
-
-        // Requests that never found a routable replica fail.
-        failed += pending.len();
-        pending.clear();
-
-        self.finish_run(
-            slots,
-            dead,
-            assignments,
-            events,
-            peak_provisioned,
-            min_provisioned,
-            FaultTally {
-                injected,
-                shed_total,
-                shed_by_class,
-                shed_log,
-                failed,
-                retried,
-                faults_applied,
-                faults_skipped,
-                disruptions,
-            },
-        )
-    }
-}
-
-/// Advances every live replica to just before `t`.
-fn advance_live(slots: &mut [ChaosSlot], t: f64, parallel: bool) {
-    let mut live: Vec<&mut ReplicaSim> = slots.iter_mut().filter_map(|s| s.sim.as_mut()).collect();
-    advance_all(&mut live, |s| &mut **s, t, parallel);
-}
-
-/// Slot indices routable at `t`, ascending.
-fn routable_indices(slots: &[ChaosSlot], t: f64) -> Vec<usize> {
-    slots
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.routable_at(t))
-        .map(|(i, _)| i)
-        .collect()
-}
-
-/// Mean queued requests per routable replica.
-fn mean_queue_depth(slots: &[ChaosSlot], routable: &[usize]) -> f64 {
-    routable
-        .iter()
-        .map(|&i| {
-            slots[i]
-                .sim
-                .as_ref()
-                .expect("routable slots are alive")
-                .queued()
-        })
-        .sum::<usize>() as f64
-        / routable.len() as f64
-}
-
-/// A dead replica's parked results plus the observability harvested at its
-/// death instant.
-struct DeadReplica {
-    timelines: Vec<RequestTimeline>,
-    acc: SimAccumulators,
-    obs: crate::cluster::ReplicaObs,
-}
-
-struct FaultTally {
-    injected: usize,
-    shed_total: usize,
-    shed_by_class: BTreeMap<u32, usize>,
-    shed_log: Vec<ShedEvent>,
-    failed: usize,
-    retried: usize,
-    faults_applied: usize,
-    faults_skipped: usize,
-    disruptions: Vec<Disruption>,
-}
-
-impl ChaosEngine {
-    /// Returns `true` (and records the shed) when admission control rejects
-    /// `req` at `t` given the routable fleet state.
-    #[allow(clippy::too_many_arguments)]
-    fn shed_check(
-        &self,
-        req: &EngineRequest,
-        t: f64,
-        slots: &[ChaosSlot],
-        routable: &[usize],
-        shed_total: &mut usize,
-        shed_by_class: &mut BTreeMap<u32, usize>,
-        shed_log: &mut Vec<ShedEvent>,
-    ) -> bool {
-        let Some(admission) = &self.admission else {
-            return false;
-        };
-        let depth = mean_queue_depth(slots, routable);
-        let priority = admission.priority_of(req.class);
-        if depth > admission.threshold_for(priority) {
-            *shed_total += 1;
-            *shed_by_class.entry(req.class).or_insert(0) += 1;
-            shed_log.push(ShedEvent {
-                time_s: t,
-                id: req.id,
-                class: req.class,
-                priority,
-                mean_queue_depth: depth,
-            });
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Routes `req` over the routable candidates, returning the chosen slot
-    /// index. The recorder sees one decision event per pick; it never
-    /// influences the pick.
-    fn route_into<R: rago_telemetry::Recorder>(
-        &self,
-        req: &EngineRequest,
-        t: f64,
-        routable: &[usize],
-        slots: &[ChaosSlot],
-        round_robin_next: &mut usize,
-        rec: &mut R,
-    ) -> usize {
-        let pick = route_pick(
-            self.router,
-            routable.len(),
-            |i| {
-                slots[routable[i]]
-                    .sim
-                    .as_ref()
-                    .expect("routable slots are alive")
-            },
-            |i| routable[i],
-            round_robin_next,
-            req,
-        );
-        let replica = routable[pick];
-        if R::ENABLED {
-            crate::telemetry::record_route_pick(
-                rec,
-                t,
-                self.router,
-                replica,
-                req,
-                slots[replica]
-                    .sim
-                    .as_ref()
-                    .expect("routable slots are alive"),
-            );
-        }
-        replica
-    }
-
-    /// Applies one fault-lane action at time `now`.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_action<R: rago_telemetry::Recorder>(
-        &self,
-        action: Action,
-        now: f64,
-        slots: &mut Vec<ChaosSlot>,
-        agenda: &mut Vec<Agendum>,
-        next_seq: &mut u64,
-        dead: &mut BTreeMap<usize, DeadReplica>,
-        pending: &mut VecDeque<EngineRequest>,
-        assignments: &mut Vec<(u64, usize)>,
-        round_robin_next: &mut usize,
-        peak_provisioned: &mut u32,
-        min_provisioned: &mut u32,
-        failed: &mut usize,
-        retried: &mut usize,
-        faults_applied: &mut usize,
-        faults_skipped: &mut usize,
-        disruptions: &mut Vec<Disruption>,
-        rec: &mut R,
-    ) {
-        match action {
-            Action::Slowdown { slot, factor } => {
-                match slots.get_mut(slot).and_then(|s| s.sim.as_mut()) {
-                    Some(sim) => {
-                        // Rides the sim's own fault lane: in force before
-                        // any same-instant arrival is processed.
-                        sim.schedule_slowdown(now, factor);
-                        *faults_applied += 1;
-                    }
-                    None => *faults_skipped += 1,
-                }
-            }
-            Action::Crash {
-                slot,
-                restart_delay_s,
-            } => {
-                if slots.get(slot).map_or(true, |s| !s.alive()) {
-                    *faults_skipped += 1;
-                    return;
-                }
-                *faults_applied += 1;
-                self.kill_slot(
-                    slot,
-                    now,
-                    FaultKind::Crash,
-                    slots,
-                    dead,
-                    pending,
-                    assignments,
-                    round_robin_next,
-                    min_provisioned,
-                    failed,
-                    retried,
-                    rec,
-                );
-                disruptions.push(Disruption {
-                    time_s: now,
-                    replica: slot,
-                    kind: FaultKind::Crash,
-                });
-                if restart_delay_s.is_finite() {
-                    agenda.push(Agendum {
-                        t: now + restart_delay_s,
-                        seq: *next_seq,
-                        action: Action::Restart,
-                    });
-                    *next_seq += 1;
-                }
-            }
-            Action::PreemptNotice { slot, notice_s } => {
-                if slots.get(slot).map_or(true, |s| !s.alive()) {
-                    *faults_skipped += 1;
-                    return;
-                }
-                *faults_applied += 1;
-                // Capacity stops at the notice: the replica drains, the
-                // router excludes it, and the disruption clock starts now.
-                if slots[slot].decommissioned_s.is_none() {
-                    slots[slot].decommissioned_s = Some(now);
-                }
-                let provisioned = provisioned_count(slots);
-                *min_provisioned = (*min_provisioned).min(provisioned);
-                disruptions.push(Disruption {
-                    time_s: now,
-                    replica: slot,
-                    kind: FaultKind::Preemption,
-                });
-                agenda.push(Agendum {
-                    t: now + notice_s,
-                    seq: *next_seq,
-                    action: Action::Kill { slot },
-                });
-                *next_seq += 1;
-            }
-            Action::Kill { slot } => {
-                // The preemption deadline; skip silently if the replica
-                // already crashed during the notice window.
-                if slots.get(slot).map_or(true, |s| !s.alive()) {
-                    return;
-                }
-                self.kill_slot(
-                    slot,
-                    now,
-                    FaultKind::Preemption,
-                    slots,
-                    dead,
-                    pending,
-                    assignments,
-                    round_robin_next,
-                    min_provisioned,
-                    failed,
-                    retried,
-                    rec,
-                );
-            }
-            Action::Restart => {
-                // A cold replacement replica: same provisioning path as a
-                // scale-out (fresh caches, full warm-up).
-                slots.push(ChaosSlot::fresh(
-                    self.new_sim(R::ENABLED),
-                    now,
-                    now + self.driver.warmup_s(),
-                ));
-                let provisioned = provisioned_count(slots);
-                *peak_provisioned = (*peak_provisioned).max(provisioned);
-            }
-        }
-    }
-
-    /// Tears one replica down at `now`: its completed work is parked for
-    /// the merge, its in-flight requests are re-queued or failed, and its
-    /// chips are released.
-    #[allow(clippy::too_many_arguments)]
-    fn kill_slot<R: rago_telemetry::Recorder>(
-        &self,
-        slot: usize,
-        now: f64,
-        _kind: FaultKind,
-        slots: &mut [ChaosSlot],
-        dead: &mut BTreeMap<usize, DeadReplica>,
-        pending: &mut VecDeque<EngineRequest>,
-        assignments: &mut Vec<(u64, usize)>,
-        round_robin_next: &mut usize,
-        min_provisioned: &mut u32,
-        failed: &mut usize,
-        retried: &mut usize,
-        rec: &mut R,
-    ) {
-        // Work completing strictly before the death instant survives; work
-        // completing exactly at it is lost with the replica (the pinned
-        // `advance_before` semantics).
-        advance_live(slots, now, self.parallel_advance);
-        let mut sim = slots[slot]
-            .sim
-            .take()
-            .expect("kill_slot targets live slots");
-        let obs = crate::cluster::ReplicaObs {
-            replica: slot,
-            probes: sim.drain_probe_log(),
-            equeue: sim.equeue_stats(),
-        };
-        let (timelines, in_flight, acc) = sim.dismantle();
-        dead.insert(
-            slot,
-            DeadReplica {
-                timelines,
-                acc,
-                obs,
-            },
-        );
-        if slots[slot].decommissioned_s.is_none() {
-            slots[slot].decommissioned_s = Some(now);
-        }
-        slots[slot].retired_at = Some(now);
-        let provisioned = provisioned_count(slots);
-        *min_provisioned = (*min_provisioned).min(provisioned);
-        match self.crash_policy {
-            CrashPolicy::Fail => *failed += in_flight.len(),
-            CrashPolicy::Requeue => {
-                for req in in_flight {
-                    *retried += 1;
-                    let routable = routable_indices(slots, now);
-                    if routable.is_empty() {
-                        pending.push_back(req);
-                    } else {
-                        // Retries bypass admission — they were admitted
-                        // once; TTFT keeps accruing from the original
-                        // arrival.
-                        let replica =
-                            self.route_into(&req, now, &routable, slots, round_robin_next, rec);
-                        assignments.push((req.id, replica));
-                        slots[replica].assigned += 1;
-                        slots[replica]
-                            .sim
-                            .as_mut()
-                            .expect("routable slots are alive")
-                            .inject_delayed(req, now);
-                    }
-                }
-            }
-        }
-    }
-
-    /// One reactive policy evaluation — the exact decision procedure of
-    /// [`crate::AutoscaleEngine`], over the live subset of the chaos fleet.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_reactive(
-        &self,
-        policy: &AutoscalerPolicy,
-        now: f64,
-        slots: &mut Vec<ChaosSlot>,
-        events: &mut Vec<ScalingEvent>,
-        last_action_s: &mut f64,
-        peak_provisioned: &mut u32,
-        min_provisioned: &mut u32,
-        track_probes: bool,
-    ) {
-        let routable = routable_indices(slots, now);
-        let provisioned = provisioned_count(slots);
-        if routable.is_empty() {
-            return;
-        }
-        let n = routable.len() as f64;
-        let mean_queue_depth = routable
-            .iter()
-            .map(|&i| {
-                slots[i]
-                    .sim
-                    .as_ref()
-                    .expect("routable slots are alive")
-                    .queued()
-            })
-            .sum::<usize>() as f64
-            / n;
-        let mean_outstanding = routable
-            .iter()
-            .map(|&i| {
-                slots[i]
-                    .sim
-                    .as_ref()
-                    .expect("routable slots are alive")
-                    .outstanding()
-            })
-            .sum::<usize>() as f64
-            / n;
-
-        let queue_trigger = mean_queue_depth > policy.scale_out_queue_depth;
-        let attainment_trigger = if let Some(t) = &policy.attainment_trigger {
-            let mut met = 0usize;
-            let mut total = 0usize;
-            for slot in slots.iter_mut() {
-                let Some(sim) = slot.sim.as_ref() else {
-                    continue;
-                };
-                for &(_, ttft, tpot) in sim.completions_up_to(&mut slot.completion_cursor, now) {
-                    total += 1;
-                    if t.slo.meets(ttft, tpot) {
-                        met += 1;
-                    }
-                }
-            }
-            total > 0 && (met as f64 / total as f64) < t.floor
-        } else {
-            false
-        };
-
-        if (queue_trigger || attainment_trigger) && provisioned < policy.max_replicas {
-            let replica = slots.len();
-            slots.push(ChaosSlot::fresh(
-                self.new_sim(track_probes),
-                now,
-                now + policy.warmup_s,
-            ));
-            *last_action_s = now;
-            *peak_provisioned = (*peak_provisioned).max(provisioned + 1);
-            events.push(ScalingEvent {
-                time_s: now,
-                action: ScalingAction::ScaleOut,
-                replica,
-                provisioned_after: provisioned + 1,
-                routable_after: routable.len() as u32 + u32::from(policy.warmup_s <= 0.0),
-                mean_queue_depth,
-                mean_outstanding,
-            });
-        } else if mean_outstanding < policy.scale_in_outstanding
-            && routable.len() as u32 > policy.min_replicas
-            && now - *last_action_s >= policy.cooldown_s
-        {
-            let victim = routable
-                .iter()
-                .copied()
-                .min_by_key(|&i| {
-                    (
-                        slots[i]
-                            .sim
-                            .as_ref()
-                            .expect("routable slots are alive")
-                            .outstanding(),
-                        usize::MAX - i,
-                    )
-                })
-                .expect("routable is non-empty");
-            slots[victim].decommissioned_s = Some(now);
-            *last_action_s = now;
-            *min_provisioned = (*min_provisioned).min(provisioned - 1);
-            events.push(ScalingEvent {
-                time_s: now,
-                action: ScalingAction::ScaleIn,
-                replica: victim,
-                provisioned_after: provisioned - 1,
-                routable_after: routable.len() as u32 - 1,
-                mean_queue_depth,
-                mean_outstanding,
-            });
-        }
-    }
-
-    /// One predictive plan step: provision or decommission until the live
-    /// fleet matches `target`.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_plan_target(
-        &self,
-        target: u32,
-        warmup_s: f64,
-        now: f64,
-        slots: &mut Vec<ChaosSlot>,
-        events: &mut Vec<ScalingEvent>,
-        peak_provisioned: &mut u32,
-        min_provisioned: &mut u32,
-        track_probes: bool,
-    ) {
-        let routable = routable_indices(slots, now);
-        let mean_queue_depth = if routable.is_empty() {
-            0.0
-        } else {
-            routable
-                .iter()
-                .map(|&i| {
-                    slots[i]
-                        .sim
-                        .as_ref()
-                        .expect("routable slots are alive")
-                        .queued()
-                })
-                .sum::<usize>() as f64
-                / routable.len() as f64
-        };
-        let mean_outstanding = if routable.is_empty() {
-            0.0
-        } else {
-            routable
-                .iter()
-                .map(|&i| {
-                    slots[i]
-                        .sim
-                        .as_ref()
-                        .expect("routable slots are alive")
-                        .outstanding()
-                })
-                .sum::<usize>() as f64
-                / routable.len() as f64
-        };
-
-        let mut provisioned = provisioned_count(slots);
-        let mut routable_now = routable.len() as u32;
-        while provisioned < target {
-            let replica = slots.len();
-            slots.push(ChaosSlot::fresh(
-                self.new_sim(track_probes),
-                now,
-                now + warmup_s,
-            ));
-            provisioned += 1;
-            if warmup_s <= 0.0 {
-                routable_now += 1;
-            }
-            *peak_provisioned = (*peak_provisioned).max(provisioned);
-            events.push(ScalingEvent {
-                time_s: now,
-                action: ScalingAction::ScaleOut,
-                replica,
-                provisioned_after: provisioned,
-                routable_after: routable_now,
-                mean_queue_depth,
-                mean_outstanding,
-            });
-        }
-        while provisioned > target {
-            // Decommission the emptiest routable replica; never take the
-            // last one (warming replicas cannot drain the backlog).
-            let victims = routable_indices(slots, now);
-            if victims.len() <= 1 {
-                break;
-            }
-            let victim = victims
-                .iter()
-                .copied()
-                .min_by_key(|&i| {
-                    (
-                        slots[i]
-                            .sim
-                            .as_ref()
-                            .expect("routable slots are alive")
-                            .outstanding(),
-                        usize::MAX - i,
-                    )
-                })
-                .expect("victims is non-empty");
-            slots[victim].decommissioned_s = Some(now);
-            provisioned -= 1;
-            routable_now = routable_now.saturating_sub(1);
-            *min_provisioned = (*min_provisioned).min(provisioned);
-            events.push(ScalingEvent {
-                time_s: now,
-                action: ScalingAction::ScaleIn,
-                replica: victim,
-                provisioned_after: provisioned,
-                routable_after: routable_now,
-                mean_queue_depth,
-                mean_outstanding,
-            });
-        }
-    }
-
-    /// Drains the surviving replicas, merges them with the dead replicas'
-    /// parked results, patches shed counts into the metrics, and assembles
-    /// the report — the chaos counterpart of the cluster merge, and
-    /// bit-identical to it when no replica ever died and nothing was shed.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_run(
-        &self,
-        mut slots: Vec<ChaosSlot>,
-        dead: BTreeMap<usize, DeadReplica>,
-        assignments: Vec<(u64, usize)>,
-        events: Vec<ScalingEvent>,
-        peak_provisioned: u32,
-        min_provisioned: u32,
-        tally: FaultTally,
-    ) -> (ChaosReport, Vec<crate::cluster::ReplicaObs>) {
-        let assigned_counts: Vec<usize> = slots.iter().map(|s| s.assigned).collect();
-        let alive: Vec<(usize, ReplicaSim)> = slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, s)| s.sim.take().map(|sim| (i, sim)))
-            .collect();
-        let drain = |(replica, mut sim): (usize, ReplicaSim)| {
-            sim.run_to_completion();
-            let obs = crate::cluster::ReplicaObs {
-                replica,
-                probes: sim.drain_probe_log(),
-                equeue: sim.equeue_stats(),
-            };
-            let (timelines, acc) = sim.finish();
-            (replica, timelines, acc, obs)
-        };
-        type Drained = (
-            usize,
-            Vec<RequestTimeline>,
-            SimAccumulators,
-            crate::cluster::ReplicaObs,
-        );
-        let mut drained: Vec<Drained> = if alive.len() > 1 {
-            alive
-                .into_iter()
-                .par_bridge()
-                .fold(Vec::new, |mut acc, item| {
-                    acc.push(drain(item));
-                    acc
-                })
-                .reduce(Vec::new, |mut a, mut b| {
-                    a.append(&mut b);
-                    a
-                })
-        } else {
-            alive.into_iter().map(drain).collect()
-        };
-        for (replica, d) in dead {
-            drained.push((replica, d.timelines, d.acc, d.obs));
-        }
-        drained.sort_by_key(|(replica, ..)| *replica);
-
-        let mut per_replica = Vec::with_capacity(drained.len());
-        let mut obs_out = Vec::with_capacity(drained.len());
-        let mut merged_timelines = Vec::with_capacity(assignments.len());
-        let mut merged_acc = SimAccumulators::default();
-        for (replica, timelines, acc, obs) in drained {
-            merged_timelines.extend(timelines.iter().cloned());
-            merged_acc.merge_from(&acc);
-            per_replica.push(ReplicaReport {
-                replica,
-                assigned: assigned_counts[replica],
-                report: build_report(timelines, &acc),
-            });
-            obs_out.push(obs);
-        }
-        merged_timelines.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
-        let mut merged = build_report(merged_timelines, &merged_acc);
-
-        // Thread the shed counts into the merged and per-class rows —
-        // untouched when nothing was shed, preserving bit-identity.
-        if tally.shed_total > 0 {
-            merged.metrics.shed = tally.shed_total;
-            for row in &mut merged.per_class {
-                row.metrics.shed = tally.shed_by_class.get(&row.class).copied().unwrap_or(0);
-            }
-            for (&class, &count) in &tally.shed_by_class {
-                if !merged.per_class.iter().any(|r| r.class == class) {
-                    // A class shed in its entirety still gets a row: zero
-                    // completions, its shed count, shared-resource fields
-                    // repeating the run-level values like every class row.
-                    let mut metrics = compute_metrics_for(&[], Some(class), &merged_acc);
-                    metrics.shed = count;
-                    merged.per_class.push(ClassMetrics { class, metrics });
-                }
-            }
-            merged.per_class.sort_by_key(|r| r.class);
-        }
-
-        let completed = merged.metrics.completed;
-        debug_assert_eq!(
-            tally.injected,
-            completed + tally.shed_total + tally.failed,
-            "request conservation must hold"
-        );
-
-        let fleet = FleetReport {
-            merged,
-            per_replica,
-            assignments,
-            imbalance: LoadImbalance::from_counts(assigned_counts),
-            router: self.router,
-        };
-
-        // Cost accounting: dead replicas release their chips at death;
-        // surviving ones follow the autoscaler's retirement rules.
-        let makespan = fleet.merged.metrics.makespan_s;
-        let mut lifetimes = Vec::with_capacity(slots.len());
-        let mut replica_seconds = 0.0;
-        for (replica, slot) in slots.iter().enumerate() {
-            let report = &fleet.per_replica[replica].report;
-            let last_completion = report.metrics.makespan_s.max(slot.provisioned_s);
-            let retired_s = match slot.retired_at {
-                Some(death) => death,
-                None => match slot.decommissioned_s {
-                    Some(d) => d.max(last_completion),
-                    None => makespan.max(slot.provisioned_s),
-                },
-            };
-            replica_seconds += retired_s - slot.provisioned_s;
-            lifetimes.push(ReplicaLifetime {
-                replica,
-                provisioned_s: slot.provisioned_s,
-                routable_s: slot.routable_s,
-                decommissioned_s: slot.decommissioned_s,
-                retired_s,
-                assigned: fleet.per_replica[replica].assigned,
-            });
-        }
-
-        let report = ChaosReport {
-            fleet,
-            events,
-            lifetimes,
-            peak_provisioned,
-            min_provisioned,
-            replica_seconds,
-            fault: FaultReport {
-                injected: tally.injected,
-                completed,
-                shed: tally.shed_total,
-                failed: tally.failed,
-                retried: tally.retried,
-                faults_applied: tally.faults_applied,
-                faults_skipped: tally.faults_skipped,
-                shed_by_class: tally
-                    .shed_by_class
-                    .iter()
-                    .map(|(&class, &shed)| ClassShed { class, shed })
-                    .collect(),
-                shed_log: tally.shed_log,
-                disruptions: tally.disruptions,
-            },
-        };
-        (report, obs_out)
-    }
-}
-
-/// Live, non-decommissioned replicas — the autoscaler's "provisioned"
-/// count, with dead slots excluded.
-fn provisioned_count(slots: &[ChaosSlot]) -> u32 {
-    slots
-        .iter()
-        .filter(|s| s.alive() && s.decommissioned_s.is_none())
-        .count() as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::autoscaler::AutoscaleEngine;
-    use crate::cluster::ClusterEngine;
-    use crate::engine::{DecodeSpec, LatencyTable, StageSpec};
-    use rago_schema::SequenceProfile;
-    use rago_workloads::{ArrivalProcess, TraceSpec};
+    use crate::autoscaler::ScalingAction;
+    use crate::engine::{DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, StageSpec};
+    use crate::fleet::FleetEngine;
+    use crate::sink::{MetricsMode, StreamingConfig};
+    use rago_schema::{HistogramSpec, RouterPolicy, SequenceProfile};
+    use rago_workloads::{ArrivalProcess, Trace, TraceSpec};
 
     fn one_stage_spec(stage_latency: f64, batch: u32) -> PipelineSpec {
         PipelineSpec::new(
@@ -2100,85 +886,18 @@ mod tests {
         }
     }
 
-    /// The degenerate pin behind the golden suite: no faults, no admission,
-    /// reactive driver ⇒ bit-identical to the autoscaler, field by field.
-    #[test]
-    fn degenerate_reactive_matches_the_autoscaler_exactly() {
-        let spec = one_stage_spec(0.04, 2);
-        let trace = spike_trace(220);
-        let policy = AutoscalerPolicy::new(1, 6)
-            .with_evaluation_interval(0.25)
-            .with_scale_out_queue_depth(1.5)
-            .with_scale_in_outstanding(1.0)
-            .with_cooldown(1.0)
-            .with_warmup(0.5);
-        for router in [RouterPolicy::LeastOutstanding, RouterPolicy::PrefixHash] {
-            let baseline = AutoscaleEngine::new(spec.clone(), router, policy).run_trace(&trace);
-            let chaos = ChaosEngine::new(spec.clone(), router, ScaleDriver::Reactive(policy))
-                .run_trace(&trace);
-            assert_eq!(
-                chaos.fleet, baseline.fleet,
-                "router {router} fleet diverged"
-            );
-            assert_eq!(chaos.events, baseline.events);
-            assert_eq!(chaos.lifetimes, baseline.lifetimes);
-            assert_eq!(chaos.peak_provisioned, baseline.peak_provisioned);
-            assert_eq!(chaos.min_provisioned, baseline.min_provisioned);
-            assert_eq!(chaos.replica_seconds, baseline.replica_seconds);
-            assert_eq!(chaos.fault.shed, 0);
-            assert_eq!(chaos.fault.failed, 0);
-            assert_eq!(chaos.fault.retried, 0);
-        }
-    }
-
-    /// Same pin with the attainment trigger on (exercises the completion
-    /// cursors through the chaos slot wrappers).
-    #[test]
-    fn degenerate_reactive_matches_with_attainment_trigger() {
-        let spec = one_stage_spec(0.04, 2);
-        let trace = spike_trace(180);
-        let policy = AutoscalerPolicy::new(1, 5)
-            .with_evaluation_interval(0.5)
-            .with_scale_out_queue_depth(100.0)
-            .with_attainment_trigger(SloTarget::new(0.5, 0.01), 0.9);
-        let baseline = AutoscaleEngine::new(spec.clone(), RouterPolicy::LeastOutstanding, policy)
-            .run_trace(&trace);
-        let chaos = ChaosEngine::new(
-            spec,
-            RouterPolicy::LeastOutstanding,
-            ScaleDriver::Reactive(policy),
-        )
-        .run_trace(&trace);
-        assert_eq!(chaos.fleet, baseline.fleet);
-        assert_eq!(chaos.events, baseline.events);
-    }
-
-    /// Static driver, no faults ⇒ bit-identical to the fixed fleet.
-    #[test]
-    fn degenerate_static_matches_the_cluster_exactly() {
-        let spec = one_stage_spec(0.03, 4);
-        let trace = poisson_trace(150, 60.0, 11);
-        for router in RouterPolicy::ALL {
-            let baseline = ClusterEngine::homogeneous(spec.clone(), 3, router).run_trace(&trace);
-            let chaos = ChaosEngine::new(spec.clone(), router, ScaleDriver::Static { replicas: 3 })
-                .run_trace(&trace);
-            assert_eq!(chaos.fleet, baseline, "router {router} diverged");
-            assert!(chaos.events.is_empty());
-        }
-    }
-
     /// A predictive driver with a flat plan is a static fleet, bit-exact.
     #[test]
     fn predictive_flat_plan_matches_static_exactly() {
         let spec = one_stage_spec(0.03, 2);
         let trace = poisson_trace(140, 50.0, 23);
-        let baseline = ChaosEngine::new(
+        let baseline = FleetEngine::new(
             spec.clone(),
             RouterPolicy::LeastOutstanding,
             ScaleDriver::Static { replicas: 2 },
         )
         .run_trace(&trace);
-        let predictive = ChaosEngine::new(
+        let predictive = FleetEngine::new(
             spec,
             RouterPolicy::LeastOutstanding,
             ScaleDriver::Predictive(PredictivePolicy::new(ScalingPlan::flat(2), 0.5)),
@@ -2198,7 +917,7 @@ mod tests {
             at_s: 1.0,
             restart_delay_s: 0.5,
         }]);
-        let report = ChaosEngine::new(
+        let report = FleetEngine::new(
             spec,
             RouterPolicy::LeastOutstanding,
             ScaleDriver::Static { replicas: 2 },
@@ -2238,7 +957,7 @@ mod tests {
             at_s: 1.0,
             restart_delay_s: f64::INFINITY,
         }]);
-        let report = ChaosEngine::new(
+        let report = FleetEngine::new(
             spec,
             RouterPolicy::LeastOutstanding,
             ScaleDriver::Static { replicas: 2 },
@@ -2260,7 +979,7 @@ mod tests {
     fn straggler_slows_completions_then_recovers() {
         let spec = one_stage_spec(0.02, 4);
         let trace = poisson_trace(200, 50.0, 3);
-        let healthy = ChaosEngine::new(
+        let healthy = FleetEngine::new(
             spec.clone(),
             RouterPolicy::RoundRobin,
             ScaleDriver::Static { replicas: 2 },
@@ -2277,7 +996,7 @@ mod tests {
                 at_s: 2.5,
             },
         ]);
-        let degraded = ChaosEngine::new(
+        let degraded = FleetEngine::new(
             spec,
             RouterPolicy::RoundRobin,
             ScaleDriver::Static { replicas: 2 },
@@ -2309,7 +1028,7 @@ mod tests {
             requests.push(req(2 * i + 1, t, 1, 8));
         }
         let admission = AdmissionConfig::new(1.0, 100.0).with_class_priority(1, 1);
-        let report = ChaosEngine::new(
+        let report = FleetEngine::new(
             spec,
             RouterPolicy::LeastOutstanding,
             ScaleDriver::Static { replicas: 1 },
@@ -2364,7 +1083,7 @@ mod tests {
             at_s: 3.6, // right after the spike's first scale-out ticks
             restart_delay_s: 0.25,
         }]);
-        let report = ChaosEngine::new(
+        let report = FleetEngine::new(
             spec,
             RouterPolicy::LeastOutstanding,
             ScaleDriver::Reactive(policy),
@@ -2409,7 +1128,7 @@ mod tests {
             at_s: 1.0,
             notice_s: 0.5,
         }]);
-        let report = ChaosEngine::new(
+        let report = FleetEngine::new(
             spec,
             RouterPolicy::LeastOutstanding,
             ScaleDriver::Static { replicas: 2 },
@@ -2450,7 +1169,7 @@ mod tests {
                 },
             ],
         );
-        let report = ChaosEngine::new(
+        let report = FleetEngine::new(
             spec,
             RouterPolicy::LeastOutstanding,
             ScaleDriver::Predictive(PredictivePolicy::new(plan, 0.25)),
@@ -2485,7 +1204,7 @@ mod tests {
             at_s: 2.0,
             restart_delay_s: 1.0,
         }]);
-        let report = ChaosEngine::new(
+        let report = FleetEngine::new(
             spec,
             RouterPolicy::LeastOutstanding,
             ScaleDriver::Static { replicas: 2 },
@@ -2519,7 +1238,7 @@ mod tests {
             at_s: 0.0,
             restart_delay_s: 0.5,
         }]);
-        let report = ChaosEngine::new(
+        let report = FleetEngine::new(
             spec,
             RouterPolicy::LeastOutstanding,
             ScaleDriver::Static { replicas: 1 },
@@ -2545,7 +1264,7 @@ mod tests {
             at_s: 0.0,
             restart_delay_s: f64::INFINITY,
         }]);
-        let report = ChaosEngine::new(
+        let report = FleetEngine::new(
             spec,
             RouterPolicy::LeastOutstanding,
             ScaleDriver::Static { replicas: 1 },
@@ -2573,13 +1292,13 @@ mod tests {
                 slowdown: 2.0,
             },
         ]);
-        let baseline = ChaosEngine::new(
+        let baseline = FleetEngine::new(
             spec.clone(),
             RouterPolicy::RoundRobin,
             ScaleDriver::Static { replicas: 2 },
         )
         .run_trace(&trace);
-        let report = ChaosEngine::new(
+        let report = FleetEngine::new(
             spec,
             RouterPolicy::RoundRobin,
             ScaleDriver::Static { replicas: 2 },
@@ -2590,6 +1309,40 @@ mod tests {
         assert_eq!(report.fault.faults_applied, 0);
         // Skipped faults leave the run bit-identical.
         assert_eq!(report.fleet, baseline.fleet);
+    }
+
+    /// Offered attainment counts met requests through the report's own SLO
+    /// counter, so a streaming run (no timelines) agrees with the exact run
+    /// of the same reactive, admission-controlled fleet.
+    #[test]
+    fn offered_attainment_agrees_across_metrics_modes() {
+        let slo = SloTarget::new(0.3, 0.01);
+        let engine = FleetEngine::new(
+            one_stage_spec(0.04, 2),
+            RouterPolicy::LeastOutstanding,
+            ScaleDriver::Reactive(
+                AutoscalerPolicy::new(1, 3)
+                    .with_evaluation_interval(0.25)
+                    .with_scale_out_queue_depth(1.5)
+                    .with_warmup(0.5),
+            ),
+        )
+        .with_admission(AdmissionConfig::new(3.0, 0.0));
+        let streaming =
+            MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()).with_slo(slo));
+        let exact = engine.run_trace(&spike_trace(220));
+        let streamed = engine.run_trace_with_mode(&spike_trace(220), &streaming);
+        assert!(streamed.fleet.merged.timelines.is_empty());
+        assert!(exact.fault.shed > 0, "the spike should overflow admission");
+        let offered = exact.offered_attainment(&slo);
+        assert!(
+            offered > 0.0 && offered < 1.0,
+            "offered attainment {offered}"
+        );
+        assert_eq!(streamed.offered_attainment(&slo), offered);
+        // Without timelines there is no windowed attainment to measure.
+        assert!(streamed.attainment_timeline(&slo, 0.5).is_empty());
+        assert!(streamed.recovery(&slo, 0.5).is_empty());
     }
 
     #[test]
@@ -2610,7 +1363,7 @@ mod tests {
     #[test]
     fn chaos_runs_are_deterministic() {
         let run = || {
-            ChaosEngine::new(
+            FleetEngine::new(
                 one_stage_spec(0.04, 2),
                 RouterPolicy::LeastOutstanding,
                 ScaleDriver::Reactive(

@@ -27,37 +27,30 @@
 //!   attainment/goodput against a [`rago_schema::SloTarget`] — and it
 //!   reproduces the two special-case simulators above as degenerate cases
 //!   (`tests/engine_equivalence.rs`).
-//! * **Fleets of replicas** — the scale dimension on top of all three:
-//!   [`cluster::ClusterEngine`] runs N replicas of a pipeline (optionally
+//! * **Fleets** — the scale dimension on top of all three: one loop,
+//!   [`fleet::FleetEngine`], runs N replicas of a pipeline (optionally
 //!   heterogeneous) behind a state-aware router
-//!   ([`rago_schema::RouterPolicy`]), dispatching a shared arrival stream
-//!   and merging the runs into fleet-level metrics with per-replica
-//!   breakdowns and load-imbalance statistics. A one-replica fleet
-//!   reproduces [`engine::ServingEngine::run`] exactly
-//!   (`tests/proptest_cluster.rs`).
-//! * **Time-varying traffic and autoscaling** — the fleet size itself as a
-//!   dynamic quantity: [`autoscaler::AutoscaleEngine`] re-evaluates a
-//!   reactive [`autoscaler::AutoscalerPolicy`] while the simulation runs,
-//!   scaling out on queue-depth (or recent-SLO-attainment) triggers,
-//!   scaling in only after a cooldown, and holding new replicas out of the
-//!   router during their warm-up — the provisioning loop a diurnal or spiky
-//!   [`rago_workloads::ArrivalProcess`] exercises. Requests carry
-//!   workload-class tags ([`rago_workloads::WorkloadMix`]), and every
-//!   report breaks metrics down per tenant class
-//!   ([`engine::ClassMetrics`]).
-//! * **Faults, admission control, and planned scaling** — the chaos
-//!   dimension: [`faults::ChaosEngine`] wraps the same replica fleet with a
-//!   deterministic [`faults::FaultSchedule`] (replica crashes with cold
-//!   restarts, stragglers, spot preemptions with advance notice), SLO-aware
-//!   admission control that sheds excess load in priority order
-//!   ([`faults::AdmissionConfig`]), and a third scaling driver — a
-//!   [`faults::PredictivePolicy`] that executes a precomputed
-//!   [`faults::ScalingPlan`] instead of reacting to queue depth. Reports
-//!   add a fault ledger, per-class shed counts, windowed attainment
-//!   timelines, and per-disruption recovery metrics
-//!   ([`faults::RecoveryMetrics`]). With no faults and no admission
-//!   config, the chaos engine is bit-identical to the engines it wraps
-//!   (`tests/proptest_faults.rs`, `tests/golden_regression.rs`).
+//!   ([`rago_schema::RouterPolicy`], [`cluster`]), dispatching a shared
+//!   arrival stream and merging the runs into a [`cluster::FleetReport`]
+//!   with per-replica breakdowns and load-imbalance statistics. What makes
+//!   a fleet plain, elastic, or faulted is configuration of that loop:
+//!   a [`faults::ScaleDriver`] sizes it — `Static`, the reactive
+//!   [`autoscaler::AutoscalerPolicy`] (scale out on queue-depth or
+//!   recent-attainment triggers, scale in after a cooldown, new replicas
+//!   held out of the router while they warm up), or a
+//!   [`faults::PredictivePolicy`] executing a precomputed
+//!   [`faults::ScalingPlan`]; a deterministic [`faults::FaultSchedule`]
+//!   injects replica crashes with cold restarts, stragglers, and spot
+//!   preemptions with advance notice; and SLO-aware admission control
+//!   sheds excess load in priority order ([`faults::AdmissionConfig`]).
+//!   Requests carry workload-class tags ([`rago_workloads::WorkloadMix`]),
+//!   and every report breaks metrics down per tenant class
+//!   ([`engine::ClassMetrics`]); a [`faults::ChaosReport`] adds the
+//!   scaling history, a fault ledger, per-class shed counts, windowed
+//!   attainment timelines, and per-disruption recovery metrics
+//!   ([`faults::RecoveryMetrics`]). Both metrics modes run through the same
+//!   loop, and a one-replica static fleet reproduces
+//!   [`engine::ServingEngine::run`] exactly (`tests/proptest_cluster.rs`).
 //! * **Disaggregated prefill/decode pools** — the placement dimension:
 //!   [`pools::DisaggEngine`] splits the fleet into a typed Prefill pool and
 //!   a Decode pool (Splitwise/DistServe style). A request finishing its
@@ -131,6 +124,7 @@ pub mod cluster;
 pub mod engine;
 mod equeue;
 pub mod faults;
+pub mod fleet;
 pub mod iterative;
 pub mod microbatch;
 pub mod pools;
@@ -138,10 +132,9 @@ pub mod sink;
 pub mod telemetry;
 
 pub use autoscaler::{
-    AttainmentTrigger, AutoscaleEngine, AutoscaleReport, AutoscalerPolicy, ReplicaLifetime,
-    ScalingAction, ScalingEvent,
+    AttainmentTrigger, AutoscalerPolicy, ReplicaLifetime, ScalingAction, ScalingEvent,
 };
-pub use cluster::{ClusterEngine, FleetReport, LoadImbalance, ReplicaReport};
+pub use cluster::{FleetReport, LoadImbalance, ReplicaReport};
 pub use engine::{
     sustained_throughput_knee, CachePlan, CacheProbe, CacheUsage, ClassCacheUsage, ClassMetrics,
     DecodeSpec, EngineRequest, IterativeSpec, LatencyStats, LatencyTable, PipelineSpec,
@@ -149,10 +142,11 @@ pub use engine::{
 };
 pub use equeue::EventQueueStats;
 pub use faults::{
-    AdmissionConfig, AttainmentWindow, ChaosEngine, ChaosReport, ClassShed, CrashPolicy,
-    Disruption, FaultEvent, FaultKind, FaultReport, FaultSchedule, PlanStep, PredictivePolicy,
-    RecoveryMetrics, ScaleDriver, ScalingPlan, ShedEvent,
+    AdmissionConfig, AttainmentWindow, ChaosReport, ClassShed, CrashPolicy, Disruption, FaultEvent,
+    FaultKind, FaultReport, FaultSchedule, PlanStep, PredictivePolicy, RecoveryMetrics,
+    ScaleDriver, ScalingPlan, ShedEvent,
 };
+pub use fleet::FleetEngine;
 pub use iterative::{IterativeDecodeParams, IterativeDecodeResult, IterativeDecodeSim};
 pub use microbatch::{simulate_collocated_burst, simulate_pipelined_burst, BurstResult};
 pub use pools::{DisaggEngine, DisaggReport, PoolCrash, PoolReport, PoolRouter, TransferStats};

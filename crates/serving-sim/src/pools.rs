@@ -8,7 +8,7 @@
 //!
 //! 1. Arrivals route across the Prefill pool with the fleet's arrival
 //!    [`RouterPolicy`] (state-aware, same semantics as
-//!    [`crate::cluster::ClusterEngine`]).
+//!    [`crate::FleetEngine`]).
 //! 2. A request finishing its last pre-decode stage on a prefill replica
 //!    emits its first token there and a *handoff* record; the
 //!    [`KvTransferModel`] prices the KV transfer (bytes from prefix length,
@@ -32,7 +32,7 @@
 //! [`KvTransferModel::zero`] reproduces the monolithic engine's per-request
 //! timings exactly (`tests/proptest_pools.rs`), and a single-Monolithic-pool
 //! fleet never enters this module at all — the core evaluators dispatch it
-//! to [`crate::cluster::ClusterEngine`] unchanged.
+//! to [`crate::FleetEngine`] unchanged.
 //!
 //! # Examples
 //!
@@ -65,12 +65,13 @@
 //! assert!(report.transfers.latency_total_s > 0.0);
 //! ```
 
-use crate::cluster::{advance_all, route_pick, FleetReport, LoadImbalance, ReplicaReport};
+use crate::cluster::{route_pick, FleetReport, LoadImbalance, ReplicaReport};
 use crate::engine::{
     build_report, sort_by_arrival, EngineRequest, PipelineSpec, ReplicaSim, RequestTimeline,
     ServingReport, SimAccumulators,
 };
 use crate::equeue::EventQueue;
+use crate::fleet::{advance_all, ReplicaObs};
 use rago_schema::{FleetConfig, KvTransferModel, PoolRole, RouterPolicy};
 use rago_workloads::Trace;
 use serde::{Deserialize, Serialize};
@@ -377,7 +378,7 @@ impl DisaggEngine {
 
     /// Creates the engine from a disaggregated [`FleetConfig`], or `None`
     /// when the fleet is flat / single-Monolithic-pool (callers dispatch
-    /// those to [`crate::cluster::ClusterEngine`] unchanged).
+    /// those to [`crate::FleetEngine`] unchanged).
     pub fn from_fleet(
         prefill_spec: PipelineSpec,
         decode_spec: PipelineSpec,
@@ -398,7 +399,7 @@ impl DisaggEngine {
 
     /// Enables rayon-parallel advancement of the prefill pool between
     /// routing points (bit-identical to the serial loop, as in
-    /// [`crate::cluster::ClusterEngine::with_parallel_advance`]).
+    /// [`crate::FleetEngine::with_parallel_advance`]).
     #[must_use]
     pub fn with_parallel_advance(mut self, parallel: bool) -> Self {
         self.parallel_advance = parallel;
@@ -538,7 +539,7 @@ impl DisaggEngine {
         &self,
         mut requests: Vec<EngineRequest>,
         rec: &mut R,
-    ) -> (DisaggReport, Vec<crate::cluster::ReplicaObs>) {
+    ) -> (DisaggReport, Vec<ReplicaObs>) {
         sort_by_arrival(&mut requests);
         let mut prefill: Vec<PoolSlot> = (0..self.prefill_replicas)
             .map(|_| PoolSlot::new(&self.prefill_spec, R::ENABLED))
@@ -898,7 +899,7 @@ impl DisaggEngine {
         stats: TransferStats,
         prefill_asg: Vec<(u64, usize)>,
         decode_asg: Vec<(u64, usize)>,
-    ) -> (DisaggReport, Vec<crate::cluster::ReplicaObs>) {
+    ) -> (DisaggReport, Vec<ReplicaObs>) {
         let (prefill_report, prefill_legs, prefill_acc, mut obs) = finish_pool(
             prefill,
             PoolRole::Prefill,
@@ -977,19 +978,7 @@ impl DisaggEngine {
 
 /// Advances every live slot of a pool to just before `t`.
 fn advance_pool(slots: &mut [PoolSlot], t: f64, parallel: bool) {
-    // `advance_all` needs a `&mut ReplicaSim` per item; crashed slots are
-    // filtered out first.
-    if parallel {
-        let mut sims: Vec<&mut ReplicaSim> =
-            slots.iter_mut().filter_map(|s| s.sim.as_mut()).collect();
-        advance_all(&mut sims, |s| &mut **s, t, true);
-    } else {
-        for slot in slots.iter_mut() {
-            if let Some(sim) = slot.sim.as_mut() {
-                sim.advance_before(t);
-            }
-        }
-    }
+    advance_all(slots, |s| s.sim.as_mut(), t, parallel);
 }
 
 /// Collects the indices of slots whose replica is currently up.
@@ -1018,7 +1007,7 @@ fn finish_pool(
     PoolReport,
     Vec<RequestTimeline>,
     SimAccumulators,
-    Vec<crate::cluster::ReplicaObs>,
+    Vec<ReplicaObs>,
 ) {
     let mut per_replica = Vec::with_capacity(slots.len());
     let mut legs: Vec<RequestTimeline> = Vec::new();
@@ -1041,7 +1030,7 @@ fn finish_pool(
         legs.extend(timelines.iter().cloned());
         pool_acc.merge_from(&acc);
         assigned_counts.push(slot.assigned);
-        obs.push(crate::cluster::ReplicaObs {
+        obs.push(ReplicaObs {
             replica: track_base + replica,
             probes,
             equeue,

@@ -19,7 +19,7 @@
 //!   online against the SLOs named up front in the [`StreamingConfig`].
 //!
 //! The choice is carried by [`MetricsMode`] through every run entry point
-//! (`ServingEngine::run_with_mode`, the cluster and autoscaler twins, and
+//! (`ServingEngine::run_with_mode`, `FleetEngine::run_with_mode`, and
 //! the evaluator `_with` variants in `rago-core`).
 
 use crate::engine::{RequestTimeline, ServingMetrics, ServingReport};

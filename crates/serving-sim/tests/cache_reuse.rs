@@ -5,12 +5,17 @@
 
 use rago_cache::{CacheConfig, EvictionPolicy, PrefixKvCacheConfig, RetrievalCacheConfig};
 use rago_schema::{RouterPolicy, SequenceProfile};
-use rago_serving_sim::autoscaler::{AutoscaleEngine, AutoscalerPolicy};
-use rago_serving_sim::cluster::ClusterEngine;
 use rago_serving_sim::engine::{
     CachePlan, DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, ServingEngine, StageSpec,
 };
+use rago_serving_sim::faults::ScaleDriver;
+use rago_serving_sim::fleet::FleetEngine;
 use rago_workloads::{ArrivalProcess, ContentIdentity, ContentSpec, PopularityModel, TraceSpec};
+
+/// A fixed fleet of `replicas` copies of `spec`.
+fn fixed(spec: PipelineSpec, replicas: u32, router: RouterPolicy) -> FleetEngine {
+    FleetEngine::new(spec, router, ScaleDriver::Static { replicas })
+}
 
 /// Retrieval (0.05 s) then prefix (0.2 s), each on its own resource.
 fn two_stage_spec() -> PipelineSpec {
@@ -201,15 +206,16 @@ fn zero_capacity_caches_match_the_cacheless_engine_bit_exactly() {
     assert_eq!(cached.cache.retrieval.hits, 0);
     assert_eq!(cached.cache.prefix.insertions, 0);
     // The same holds for a whole fleet.
-    let fleet_plain =
-        ClusterEngine::homogeneous(two_stage_spec(), 2, RouterPolicy::LeastOutstanding)
-            .run_trace(&trace);
-    let fleet_cached = ClusterEngine::homogeneous(
+    let fleet_plain = fixed(two_stage_spec(), 2, RouterPolicy::LeastOutstanding)
+        .run_trace(&trace)
+        .fleet;
+    let fleet_cached = fixed(
         two_stage_spec().with_cache(plan(both(0, 0))),
         2,
         RouterPolicy::LeastOutstanding,
     )
-    .run_trace(&trace);
+    .run_trace(&trace)
+    .fleet;
     assert_eq!(fleet_plain.merged.timelines, fleet_cached.merged.timelines);
     assert_eq!(fleet_plain.merged.metrics, fleet_cached.merged.metrics);
     assert_eq!(fleet_plain.assignments, fleet_cached.assignments);
@@ -223,7 +229,7 @@ fn cluster_replicas_start_cold_and_warm_independently() {
     let requests: Vec<EngineRequest> = (0..6)
         .map(|i| req_with_identity(i, i as f64, 7, 800, 100 + i))
         .collect();
-    let fleet = ClusterEngine::homogeneous(spec, 2, RouterPolicy::RoundRobin).run(requests);
+    let fleet = fixed(spec, 2, RouterPolicy::RoundRobin).run(requests).fleet;
     let usage = &fleet.merged.cache;
     assert_eq!(usage.prefix.lookups, 6);
     assert_eq!(usage.prefix.insertions, 2, "one cold miss per replica");
@@ -245,8 +251,9 @@ fn cache_affinity_concentrates_templates() {
     let requests: Vec<EngineRequest> = (0..12)
         .map(|i| req_with_identity(i, i as f64, i % 2, 800, 1000 + i))
         .collect();
-    let affinity = ClusterEngine::homogeneous(spec.clone(), 3, RouterPolicy::CacheAffinity)
-        .run(requests.clone());
+    let affinity = fixed(spec.clone(), 3, RouterPolicy::CacheAffinity)
+        .run(requests.clone())
+        .fleet;
     // One cold miss per template; everything else hits.
     assert_eq!(affinity.merged.cache.prefix.insertions, 2);
     assert_eq!(affinity.merged.cache.prefix.hits, 10);
@@ -261,42 +268,11 @@ fn cache_affinity_concentrates_templates() {
         assert_eq!(replicas.len(), 1, "template {template} was scattered");
     }
     // The hash router achieves the same concentration statically.
-    let hashed =
-        ClusterEngine::homogeneous(spec, 3, RouterPolicy::PrefixHash).run(requests.clone());
+    let hashed = fixed(spec, 3, RouterPolicy::PrefixHash)
+        .run(requests.clone())
+        .fleet;
     assert_eq!(hashed.merged.cache.prefix.insertions, 2);
     assert_eq!(hashed.merged.cache.prefix.hits, 10);
-}
-
-/// With caches in the spec, a min == max autoscaler still reproduces the
-/// fixed fleet bit-exactly — the cache state lives inside the shared
-/// replica simulation, so elastic and fixed paths stay one implementation.
-#[test]
-fn static_autoscaler_policy_matches_fixed_fleet_with_caches() {
-    let content = ContentSpec {
-        prefixes: PopularityModel::zipf(4, 1.0),
-        shared_prefix_fraction: 0.75,
-        docs: PopularityModel::zipf(16, 1.0),
-        seed: 23,
-    };
-    let trace = content.tag(
-        &TraceSpec {
-            num_requests: 100,
-            profile: SequenceProfile::paper_default().with_decode_tokens(16),
-            arrival: ArrivalProcess::Poisson { rate_rps: 30.0 },
-            length_jitter: 0.1,
-            seed: 3,
-        }
-        .generate(),
-    );
-    let spec = two_stage_spec().with_cache(plan(both(100_000, 64)));
-    let policy = AutoscalerPolicy::new(2, 2)
-        .with_evaluation_interval(0.5)
-        .with_scale_in_outstanding(0.0);
-    for router in [RouterPolicy::CacheAffinity, RouterPolicy::LeastOutstanding] {
-        let elastic = AutoscaleEngine::new(spec.clone(), router, policy).run_trace(&trace);
-        let fixed = ClusterEngine::homogeneous(spec.clone(), 2, router).run_trace(&trace);
-        assert_eq!(elastic.fleet, fixed, "router {router} diverged");
-    }
 }
 
 /// Skewed traffic through a cached pipeline beats the cache-less pipeline

@@ -20,8 +20,10 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rago_schema::RouterPolicy;
 use rago_schema::SequenceProfile;
-use rago_serving_sim::autoscaler::{AutoscaleEngine, AutoscalerPolicy, ScalingAction};
+use rago_serving_sim::autoscaler::{AutoscalerPolicy, ScalingAction};
 use rago_serving_sim::engine::{DecodeSpec, LatencyTable, PipelineSpec, StageSpec};
+use rago_serving_sim::faults::ScaleDriver;
+use rago_serving_sim::fleet::FleetEngine;
 use rago_workloads::{ArrivalProcess, TraceSpec};
 
 fn pipeline(stage_latency: f64, stage_batch: u32) -> PipelineSpec {
@@ -67,7 +69,12 @@ fn check_invariants(
         seed,
     }
     .generate();
-    let report = AutoscaleEngine::new(pipeline(stage_latency, 2), router, policy).run_trace(&trace);
+    let report = FleetEngine::new(
+        pipeline(stage_latency, 2),
+        router,
+        ScaleDriver::Reactive(policy),
+    )
+    .run_trace(&trace);
 
     // Conservation: every request completes exactly once.
     prop_assert_eq!(report.fleet.merged.metrics.completed, n);
@@ -176,8 +183,8 @@ proptest! {
             seed,
         }
         .generate();
-        let report =
-            AutoscaleEngine::new(pipeline(0.03, 2), router, policy).run_trace(&trace);
+        let report = FleetEngine::new(pipeline(0.03, 2), router, ScaleDriver::Reactive(policy))
+            .run_trace(&trace);
         prop_assert!(report.events.is_empty());
         prop_assert_eq!(report.peak_provisioned, min);
         prop_assert_eq!(report.min_provisioned, min);

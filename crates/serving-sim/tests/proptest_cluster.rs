@@ -12,10 +12,11 @@
 
 use proptest::prelude::*;
 use rago_schema::RouterPolicy;
-use rago_serving_sim::cluster::ClusterEngine;
 use rago_serving_sim::engine::{
     DecodeSpec, EngineRequest, IterativeSpec, LatencyTable, PipelineSpec, ServingEngine, StageSpec,
 };
+use rago_serving_sim::faults::ScaleDriver;
+use rago_serving_sim::fleet::FleetEngine;
 
 /// Builds a pipeline with one or two pre-decode stages plus decode.
 fn pipeline(
@@ -83,8 +84,12 @@ proptest! {
     ) {
         let spec = pipeline(stages, stage_batch, 0.01, collocate, decode_batch, 1e-3);
         let reqs = requests(n, gap);
-        let fleet = ClusterEngine::homogeneous(spec, replicas, policy(policy_idx));
-        let report = fleet.run(reqs.clone());
+        let fleet = FleetEngine::new(
+            spec,
+            policy(policy_idx),
+            ScaleDriver::Static { replicas: replicas as u32 },
+        );
+        let report = fleet.run(reqs.clone()).fleet;
 
         // Union of per-replica timelines == input set, no loss/duplication.
         let mut seen: Vec<u64> = report
@@ -137,7 +142,9 @@ proptest! {
         let spec = pipeline(stages, stage_batch, 0.015, collocate, decode_batch, step_latency);
         let reqs = requests(n, gap);
         let engine = ServingEngine::new(spec.clone(), reqs.clone()).run();
-        let fleet = ClusterEngine::homogeneous(spec, 1, policy(policy_idx)).run(reqs);
+        let fleet = FleetEngine::new(spec, policy(policy_idx), ScaleDriver::Static { replicas: 1 })
+            .run(reqs)
+            .fleet;
         prop_assert_eq!(&fleet.merged, &engine, "one-replica fleet diverged from the engine");
         prop_assert_eq!(&fleet.per_replica[0].report, &engine);
         prop_assert_eq!(fleet.per_replica[0].assigned, engine.timelines.len());
@@ -163,7 +170,9 @@ proptest! {
         });
         let reqs = requests(n, gap);
         let engine = ServingEngine::new(spec.clone(), reqs.clone()).run();
-        let fleet = ClusterEngine::homogeneous(spec, 1, policy(policy_idx)).run(reqs);
+        let fleet = FleetEngine::new(spec, policy(policy_idx), ScaleDriver::Static { replicas: 1 })
+            .run(reqs)
+            .fleet;
         prop_assert_eq!(&fleet.merged, &engine);
     }
 
@@ -177,7 +186,12 @@ proptest! {
     ) {
         let run = || {
             let spec = pipeline(1, 4, 0.01, false, 8, 1e-3);
-            ClusterEngine::homogeneous(spec, replicas, policy(policy_idx)).run(requests(n, gap))
+            FleetEngine::new(
+                spec,
+                policy(policy_idx),
+                ScaleDriver::Static { replicas: replicas as u32 },
+            )
+            .run(requests(n, gap))
         };
         prop_assert_eq!(run(), run());
     }

@@ -7,17 +7,19 @@
 //!   summation order — and online SLO counts match post-hoc scoring.
 //! * Injection order is canonical: shuffled or reversed request vectors
 //!   produce reports identical to sorted input, for the single-replica
-//!   engine and the autoscaler alike (the `sort_by_arrival` fast path
+//!   engine and the autoscaled fleet alike (the `sort_by_arrival` fast path
 //!   must never change what a run computes, only what it costs).
 //! * Empty and single-request traces run in both modes without NaNs.
 
 use proptest::prelude::*;
 use rago_schema::{HistogramSpec, RouterPolicy, SloTarget};
-use rago_serving_sim::autoscaler::{AutoscaleEngine, AutoscalerPolicy};
+use rago_serving_sim::autoscaler::AutoscalerPolicy;
 use rago_serving_sim::engine::{
     DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, RequestTimeline, ServingEngine,
     StageSpec,
 };
+use rago_serving_sim::faults::ScaleDriver;
+use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::{MetricsMode, StreamingConfig};
 
 /// A two-stage pipeline plus continuous-batching decode, sized so random
@@ -150,9 +152,9 @@ proptest! {
     }
 }
 
-/// The autoscaler sorts injected requests into the same canonical order as
-/// the single-replica engine: a reversed vector changes nothing in the
-/// report, including the scaling timeline.
+/// An autoscaled fleet sorts injected requests into the same canonical
+/// order as the single-replica engine: a reversed vector changes nothing in
+/// the report, including the scaling timeline.
 #[test]
 fn autoscaler_report_is_invariant_to_injection_order() {
     let spec = pipeline(8, 16);
@@ -166,7 +168,11 @@ fn autoscaler_report_is_invariant_to_injection_order() {
         .with_scale_out_queue_depth(4.0)
         .with_scale_in_outstanding(1.0)
         .with_cooldown(1.0);
-    let engine = AutoscaleEngine::new(spec, RouterPolicy::LeastOutstanding, policy);
+    let engine = FleetEngine::new(
+        spec,
+        RouterPolicy::LeastOutstanding,
+        ScaleDriver::Reactive(policy),
+    );
     let mode = MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()));
 
     let mut reversed = requests.clone();

@@ -12,8 +12,9 @@
 
 use proptest::prelude::*;
 use rago_schema::{RouterPolicy, SequenceProfile, SloTarget};
-use rago_serving_sim::cluster::ClusterEngine;
 use rago_serving_sim::engine::{DecodeSpec, LatencyTable, PipelineSpec, StageSpec};
+use rago_serving_sim::faults::ScaleDriver;
+use rago_serving_sim::fleet::FleetEngine;
 use rago_workloads::{ArrivalProcess, MixTraceSpec, RequestClass, TraceSpec, WorkloadMix};
 
 fn pipeline(stage_batch: u32, stage_latency: f64, decode_batch: u32) -> PipelineSpec {
@@ -72,12 +73,13 @@ proptest! {
             seed,
         }
         .generate();
-        let fleet = ClusterEngine::homogeneous(
+        let fleet = FleetEngine::new(
             pipeline(stage_batch, 0.02, decode_batch),
-            replicas,
             policy,
+            ScaleDriver::Static { replicas: replicas as u32 },
         )
-        .run_trace(&trace);
+        .run_trace(&trace)
+        .fleet;
 
         // Merged rows partition the merged run.
         let merged_total: usize = fleet
@@ -156,9 +158,13 @@ proptest! {
         .generate();
         prop_assert_eq!(&tagged, &untagged);
 
-        let engine = ClusterEngine::homogeneous(pipeline(4, 0.02, 8), replicas, policy);
-        let from_tagged = engine.run_trace(&tagged);
-        let from_untagged = engine.run_trace(&untagged);
+        let engine = FleetEngine::new(
+            pipeline(4, 0.02, 8),
+            policy,
+            ScaleDriver::Static { replicas: replicas as u32 },
+        );
+        let from_tagged = engine.run_trace(&tagged).fleet;
+        let from_untagged = engine.run_trace(&untagged).fleet;
         prop_assert_eq!(&from_tagged, &from_untagged);
         prop_assert_eq!(from_tagged.merged.per_class.len(), 1);
         prop_assert_eq!(

@@ -5,7 +5,7 @@
 //! 1. build a two-stage RAG pipeline and one diurnal traffic cycle, with
 //!    replica 0 crashing **right at the peak** (cold restart after an
 //!    eighth of a cycle);
-//! 2. serve the trace through the chaos engine behind a reactive
+//! 2. serve the trace through the fleet engine behind a reactive
 //!    autoscaler, with full telemetry on: per-request spans, 250 ms load
 //!    gauges, router/admission/scaling/fault decisions with reasons, and
 //!    the simulator's own profile counters;
@@ -23,7 +23,9 @@
 use rago::schema::{RouterPolicy, SequenceProfile};
 use rago::serving_sim::autoscaler::AutoscalerPolicy;
 use rago::serving_sim::engine::{DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, StageSpec};
-use rago::serving_sim::faults::{ChaosEngine, FaultEvent, FaultSchedule, ScaleDriver};
+use rago::serving_sim::faults::{FaultEvent, FaultSchedule, ScaleDriver};
+use rago::serving_sim::fleet::FleetEngine;
+use rago::serving_sim::MetricsMode;
 use rago::telemetry::{export_chrome_trace, export_jsonl, Lane, TelemetryConfig, TelemetryReport};
 use rago::workloads::{ArrivalProcess, TraceSpec};
 
@@ -82,7 +84,7 @@ fn main() -> std::io::Result<()> {
         .with_scale_in_outstanding(10.0)
         .with_cooldown(1.0)
         .with_warmup(0.5);
-    let engine = ChaosEngine::new(
+    let engine = FleetEngine::new(
         spec,
         RouterPolicy::LeastOutstanding,
         ScaleDriver::Reactive(policy),
@@ -90,7 +92,7 @@ fn main() -> std::io::Result<()> {
     .with_faults(faults)
     .with_telemetry(TelemetryConfig::full(0.25));
     let requests: Vec<EngineRequest> = trace.requests.iter().map(EngineRequest::from).collect();
-    let (report, rec) = engine.run_telemetry(requests);
+    let (report, rec) = engine.run_telemetry(requests, &MetricsMode::Exact);
     println!(
         "served {} requests across {} scaling events ({} trace events captured)",
         report.fleet.merged.metrics.requests,

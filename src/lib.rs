@@ -14,8 +14,9 @@
 //! * [`retrieval_sim`] — the ScaNN-style retrieval cost model (§4(b));
 //! * [`serving_sim`] — discrete-event serving simulation (§5.3, §6.1),
 //!   including the request-level engine with continuous batching and SLO
-//!   metrics, the fleet-level cluster simulation (replicas behind a
-//!   router), and the reactive fleet autoscaler for time-varying traffic;
+//!   metrics, and the fleet engine (replicas behind a router, sized
+//!   statically, by the reactive autoscaler, or by a capacity plan, with
+//!   fault injection and admission control);
 //! * [`telemetry`] — the zero-cost-when-off tracing layer: statically
 //!   dispatched recorders, span/gauge/decision/profile events, Perfetto
 //!   (Chrome trace) and JSONL exporters, and trace summaries;

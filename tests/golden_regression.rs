@@ -38,17 +38,17 @@
 //! * `admission_shed.json` — PR 7 admission control: a two-class
 //!   overload trace shed in priority order, pinning per-class shed counts
 //!   and the surviving latency distribution. Two further tests pin the
-//!   degenerate chaos configuration *against the existing snapshots*
+//!   fault-free fleet configuration *against the existing snapshots*
 //!   (`engine_metrics.json` byte-for-byte, and the autoscaled
-//!   `timevarying.json` scenario through the public facade), so the chaos
-//!   wrapper cannot drift the engines it wraps.
+//!   `timevarying.json` scenario through the public facade), so the fault
+//!   and admission lanes cannot drift the plain and elastic fleets.
 //! * `disagg_run.json` — the PR 8 disaggregated pools: the engine-metrics
 //!   pipeline cut into a 2-prefill + 1-decode split with a priced KV
 //!   handoff, pinning the merged metrics, both pools' per-replica
 //!   breakdowns, and every transfer counter. A companion degenerate test
 //!   pins the single-Monolithic-pool fleet shape *against the committed
 //!   `engine_metrics.json`* byte-for-byte: a fleet that declares one
-//!   Monolithic pool routes through the unchanged flat cluster path with
+//!   Monolithic pool routes through the unchanged flat fleet path with
 //!   the pool's router, so the pool refactor cannot drift the flat stack.
 //! * `fleet_streaming.json` — the streaming fleet path: a fixed 4-replica
 //!   fleet and a reactive autoscaled fleet in histogram-sink mode, pinning
@@ -73,15 +73,16 @@ use rago::schema::{
     FleetConfig, KvTransferModel, PoolRole, PoolSpec, RouterPolicy, SequenceProfile, SloTarget,
     Stage,
 };
-use rago::serving_sim::autoscaler::{AutoscaleEngine, AutoscalerPolicy};
+use rago::serving_sim::autoscaler::AutoscalerPolicy;
 use rago::serving_sim::engine::{
     sustained_throughput_knee, DecodeSpec, LatencyTable, PipelineSpec, ServingEngine, StageSpec,
 };
 use rago::serving_sim::faults::{
-    AdmissionConfig, ChaosEngine, ChaosReport, FaultEvent, FaultSchedule, ScaleDriver,
+    AdmissionConfig, ChaosReport, FaultEvent, FaultSchedule, ScaleDriver,
 };
+use rago::serving_sim::fleet::FleetEngine;
 use rago::serving_sim::pools::{DisaggEngine, PoolReport};
-use rago::serving_sim::{ClusterEngine, MetricsMode};
+use rago::serving_sim::MetricsMode;
 use rago::workloads::{
     ArrivalProcess, ContentSpec, MixTraceSpec, PopularityModel, RequestClass, TraceSpec,
     WorkloadMix,
@@ -665,7 +666,7 @@ fn golden_fault_crash() {
         at_s: 1.0,
         restart_delay_s: 0.5,
     }]);
-    let report = ChaosEngine::new(
+    let report = FleetEngine::new(
         engine_metrics_spec(),
         RouterPolicy::LeastOutstanding,
         ScaleDriver::Static { replicas: 2 },
@@ -695,7 +696,7 @@ fn golden_fault_straggler() {
             at_s: 2.5,
         },
     ]);
-    let report = ChaosEngine::new(
+    let report = FleetEngine::new(
         engine_metrics_spec(),
         RouterPolicy::RoundRobin,
         ScaleDriver::Static { replicas: 2 },
@@ -738,7 +739,7 @@ fn golden_admission_shed() {
     }
     .generate();
     let admission = AdmissionConfig::new(8.0, 16.0).with_class_priority(1, 2);
-    let report = ChaosEngine::new(
+    let report = FleetEngine::new(
         engine_metrics_spec(),
         RouterPolicy::LeastOutstanding,
         ScaleDriver::Static { replicas: 1 },
@@ -840,8 +841,13 @@ fn golden_fleet_streaming() {
         seed: 41,
     }
     .generate();
-    let fixed = ClusterEngine::homogeneous(engine_metrics_spec(), 4, RouterPolicy::LeastOutstanding)
-        .run_trace_with_mode(&poisson, &mode);
+    let fixed = FleetEngine::new(
+        engine_metrics_spec(),
+        RouterPolicy::LeastOutstanding,
+        ScaleDriver::Static { replicas: 4 },
+    )
+    .run_trace_with_mode(&poisson, &mode)
+    .fleet;
 
     let spike = TraceSpec {
         num_requests: 1_500,
@@ -862,8 +868,12 @@ fn golden_fleet_streaming() {
         .with_scale_in_outstanding(1.0)
         .with_cooldown(1.0)
         .with_warmup(0.5);
-    let scaled = AutoscaleEngine::new(engine_metrics_spec(), RouterPolicy::LeastOutstanding, policy)
-        .run_trace_with_mode(&spike, &mode);
+    let scaled = FleetEngine::new(
+        engine_metrics_spec(),
+        RouterPolicy::LeastOutstanding,
+        ScaleDriver::Reactive(policy),
+    )
+    .run_trace_with_mode(&spike, &mode);
 
     let mut out = String::from("{\n  \"bench\": \"golden/fleet_streaming\",\n  \"runs\": [\n");
     let _ = writeln!(
@@ -891,7 +901,7 @@ fn golden_fleet_streaming() {
 /// engine with everything turned off is the PR 2 engine.
 #[test]
 fn golden_chaos_degenerate_reproduces_engine_metrics() {
-    let report = ChaosEngine::new(
+    let report = FleetEngine::new(
         engine_metrics_spec(),
         RouterPolicy::RoundRobin,
         ScaleDriver::Static { replicas: 1 },
@@ -1082,7 +1092,7 @@ fn golden_disagg_run() {
 }
 
 /// The pool degenerate pin: a fleet declaring one Monolithic pool is not
-/// disaggregated — it routes through the unchanged flat cluster path with
+/// disaggregated — it routes through the unchanged flat fleet path with
 /// the *pool's* replica count and router — so a single-replica Monolithic
 /// pool must reproduce the committed `engine_metrics.json` **byte for
 /// byte**. This is the same dispatch the core evaluators perform, pinned
@@ -1106,11 +1116,15 @@ fn golden_single_monolithic_pool_reproduces_engine_metrics() {
     let [pool] = fleet.pools.as_slice() else {
         panic!("fleet declares exactly one pool");
     };
-    let report =
-        ClusterEngine::homogeneous(engine_metrics_spec(), pool.replicas as usize, pool.router)
-            .run_trace(&engine_metrics_trace());
+    let replicas = pool.replicas;
+    let report = FleetEngine::new(
+        engine_metrics_spec(),
+        pool.router,
+        ScaleDriver::Static { replicas },
+    )
+    .run_trace(&engine_metrics_trace());
     check_golden(
         "engine_metrics.json",
-        &render_engine_metrics(&report.merged),
+        &render_engine_metrics(&report.fleet.merged),
     );
 }

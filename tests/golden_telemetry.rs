@@ -36,7 +36,8 @@ use rago::schema::{KvTransferModel, RouterPolicy, SequenceProfile};
 use rago::serving_sim::engine::{
     DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, ServingEngine, StageSpec,
 };
-use rago::serving_sim::faults::{ChaosEngine, FaultEvent, FaultSchedule, ScaleDriver};
+use rago::serving_sim::faults::{FaultEvent, FaultSchedule, ScaleDriver};
+use rago::serving_sim::fleet::FleetEngine;
 use rago::serving_sim::pools::DisaggEngine;
 use rago::serving_sim::MetricsMode;
 use rago::telemetry::{
@@ -125,8 +126,8 @@ fn requests(num: usize) -> Vec<EngineRequest> {
         .collect()
 }
 
-fn chaos_scenario() -> ChaosEngine {
-    ChaosEngine::new(
+fn chaos_scenario() -> FleetEngine {
+    FleetEngine::new(
         pipeline_spec(),
         RouterPolicy::LeastOutstanding,
         ScaleDriver::Static { replicas: 2 },
@@ -156,7 +157,7 @@ fn disagg_scenario() -> DisaggEngine {
 #[test]
 fn golden_chaos_trace() {
     let engine = chaos_scenario().with_telemetry(TelemetryConfig::full(0.5));
-    let (report, rec) = engine.run_telemetry(requests(60));
+    let (report, rec) = engine.run_telemetry(requests(60), &MetricsMode::Exact);
     assert_eq!(report.fleet.merged.metrics.requests, 60);
     assert!(!rec.is_empty(), "a full-capture chaos run must emit events");
 
@@ -211,8 +212,11 @@ fn null_recorder_runs_are_bit_identical() {
 
     let chaos = chaos_scenario();
     let untraced = chaos.run(reqs.clone());
-    assert_eq!(untraced, chaos.run_traced(reqs.clone(), &mut NullRecorder));
-    let (report, rec) = chaos.run_telemetry(reqs.clone());
+    assert_eq!(
+        untraced,
+        chaos.run_traced(reqs.clone(), &MetricsMode::Exact, &mut NullRecorder)
+    );
+    let (report, rec) = chaos.run_telemetry(reqs.clone(), &MetricsMode::Exact);
     assert_eq!(untraced, report);
     assert!(rec.is_empty(), "a disabled config must record nothing");
 
@@ -241,8 +245,8 @@ fn null_recorder_runs_are_bit_identical() {
 #[test]
 fn traces_are_byte_identical_across_runs_and_workers() {
     let chaos = chaos_scenario().with_telemetry(TelemetryConfig::full(0.5));
-    let (_, first) = chaos.run_telemetry(requests(60));
-    let (_, second) = chaos.run_telemetry(requests(60));
+    let (_, first) = chaos.run_telemetry(requests(60), &MetricsMode::Exact);
+    let (_, second) = chaos.run_telemetry(requests(60), &MetricsMode::Exact);
     assert_eq!(export_jsonl(first.events()), export_jsonl(second.events()));
 
     let serial = disagg_scenario().with_telemetry(TelemetryConfig::full(0.5));

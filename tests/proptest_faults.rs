@@ -22,9 +22,10 @@ use proptest::prelude::*;
 use rago::schema::RouterPolicy;
 use rago::serving_sim::engine::{DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, StageSpec};
 use rago::serving_sim::faults::{
-    AdmissionConfig, ChaosEngine, CrashPolicy, FaultEvent, FaultSchedule, PredictivePolicy,
-    ScaleDriver, ScalingPlan,
+    AdmissionConfig, CrashPolicy, FaultEvent, FaultSchedule, PredictivePolicy, ScaleDriver,
+    ScalingPlan,
 };
+use rago::serving_sim::fleet::FleetEngine;
 
 fn pipeline(stage_latency: f64, batch: u32) -> PipelineSpec {
     PipelineSpec::new(
@@ -87,7 +88,7 @@ proptest! {
             at_s: f64::from(crash_decis) * 0.1,
             restart_delay_s,
         }]);
-        let report = ChaosEngine::new(
+        let report = FleetEngine::new(
             pipeline(0.01, 4),
             RouterPolicy::LeastOutstanding,
             ScaleDriver::Static { replicas },
@@ -123,7 +124,7 @@ proptest! {
         let reqs = requests(2 * n_pairs, f64::from(gap_millis) * 1e-3, 2);
         let admission = AdmissionConfig::new(f64::from(base_depth), f64::from(bonus_depth))
             .with_class_priority(1, 1);
-        let report = ChaosEngine::new(
+        let report = FleetEngine::new(
             pipeline(0.05, 1),
             RouterPolicy::LeastOutstanding,
             ScaleDriver::Static { replicas: 1 },
@@ -158,7 +159,7 @@ proptest! {
         n in 15usize..50,
         replicas in 1u32..4,
     ) {
-        let build = || ChaosEngine::new(
+        let build = || FleetEngine::new(
             pipeline(0.01, 4),
             RouterPolicy::RoundRobin,
             ScaleDriver::Static { replicas },
@@ -189,7 +190,7 @@ proptest! {
             at_s: 0.0,
             restart_delay_s: f64::INFINITY,
         }]);
-        let report = ChaosEngine::new(
+        let report = FleetEngine::new(
             pipeline(0.01, 4),
             RouterPolicy::LeastOutstanding,
             ScaleDriver::Static { replicas: 1 },
@@ -208,13 +209,13 @@ proptest! {
         n in 15usize..60,
         replicas in 1u32..4,
     ) {
-        let static_run = ChaosEngine::new(
+        let static_run = FleetEngine::new(
             pipeline(0.01, 4),
             RouterPolicy::LeastOutstanding,
             ScaleDriver::Static { replicas },
         )
         .run(requests(n, 0.015, 1));
-        let predictive = ChaosEngine::new(
+        let predictive = FleetEngine::new(
             pipeline(0.01, 4),
             RouterPolicy::LeastOutstanding,
             ScaleDriver::Predictive(PredictivePolicy::new(ScalingPlan::flat(replicas), 0.5)),

@@ -17,8 +17,8 @@
 //!    request the report does not know, no completed request missing from
 //!    the trace.
 //! 4. **`NullRecorder` bit-identity** — for any router policy, metrics
-//!    mode, fleet size, and engine family (flat, cluster, autoscaled,
-//!    chaos, disaggregated), `run_traced` with a [`NullRecorder`] returns
+//!    mode, fleet size, and engine family (flat, fleet, disaggregated),
+//!    `run_traced` with a [`NullRecorder`] returns
 //!    a report equal to the untraced run, and a disabled
 //!    [`TelemetryConfig`] records zero events.
 
@@ -26,13 +26,13 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use rago::schema::{KvTransferModel, RouterPolicy};
-use rago::serving_sim::autoscaler::{AutoscaleEngine, AutoscalerPolicy};
 use rago::serving_sim::engine::{
     DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, ServingEngine, StageSpec,
 };
-use rago::serving_sim::faults::{ChaosEngine, FaultEvent, FaultSchedule, ScaleDriver};
+use rago::serving_sim::faults::{FaultEvent, FaultSchedule, ScaleDriver};
+use rago::serving_sim::fleet::FleetEngine;
 use rago::serving_sim::pools::DisaggEngine;
-use rago::serving_sim::{ClusterEngine, MetricsMode, StreamingConfig};
+use rago::serving_sim::{MetricsMode, StreamingConfig};
 use rago::telemetry::{
     sort_events, Lane, NullRecorder, Phase, TelemetryConfig, TraceEvent, TraceRecorder,
 };
@@ -83,14 +83,14 @@ fn chaos_events(
     crash_decis: u32,
     policy: RouterPolicy,
 ) -> Vec<TraceEvent> {
-    let engine = ChaosEngine::new(pipeline(0.01, 4), policy, ScaleDriver::Static { replicas })
+    let engine = FleetEngine::new(pipeline(0.01, 4), policy, ScaleDriver::Static { replicas })
         .with_faults(FaultSchedule::new(vec![FaultEvent::Crash {
             replica: 0,
             at_s: f64::from(crash_decis) * 0.05,
             restart_delay_s: 0.25,
         }]))
         .with_telemetry(TelemetryConfig::full(0.25));
-    let (_, rec) = engine.run_telemetry(requests(n, 0.02));
+    let (_, rec) = engine.run_telemetry(requests(n, 0.02), &MetricsMode::Exact);
     rec.into_events()
 }
 
@@ -170,7 +170,7 @@ proptest! {
         crash_decis in 0u32..30,
         router_choice in 0u32..4,
     ) {
-        let engine = ChaosEngine::new(
+        let engine = FleetEngine::new(
             pipeline(0.01, 4),
             router(router_choice),
             ScaleDriver::Static { replicas },
@@ -181,7 +181,7 @@ proptest! {
             restart_delay_s: 0.25,
         }]))
         .with_telemetry(TelemetryConfig::full(0.25));
-        let (report, rec) = engine.run_telemetry(requests(n, 0.02));
+        let (report, rec) = engine.run_telemetry(requests(n, 0.02), &MetricsMode::Exact);
 
         let mut traced: Vec<u64> = rec
             .events()
@@ -221,25 +221,7 @@ proptest! {
             flat.run_traced(&mode, &mut NullRecorder)
         );
 
-        let cluster = ClusterEngine::homogeneous(pipeline(0.01, 4), replicas, policy);
-        prop_assert_eq!(
-            cluster.run_with_mode(reqs.clone(), &mode),
-            cluster.run_traced(reqs.clone(), &mode, &mut NullRecorder)
-        );
-
-        let scaler = AutoscaleEngine::new(
-            pipeline(0.01, 4),
-            policy,
-            AutoscalerPolicy::new(1, replicas as u32)
-                .with_evaluation_interval(0.1)
-                .with_scale_out_queue_depth(3.0),
-        );
-        prop_assert_eq!(
-            scaler.run_with_mode(reqs.clone(), &mode),
-            scaler.run_traced(reqs.clone(), &mode, &mut NullRecorder)
-        );
-
-        let chaos = ChaosEngine::new(
+        let chaos = FleetEngine::new(
             pipeline(0.01, 4),
             policy,
             ScaleDriver::Static { replicas: replicas as u32 },
@@ -249,13 +231,13 @@ proptest! {
             at_s: 0.4,
             restart_delay_s: 0.25,
         }]));
-        let untraced = chaos.run(reqs.clone());
+        let untraced = chaos.run_with_mode(reqs.clone(), &mode);
         prop_assert_eq!(
             untraced.clone(),
-            chaos.run_traced(reqs.clone(), &mut NullRecorder)
+            chaos.run_traced(reqs.clone(), &mode, &mut NullRecorder)
         );
         // Disabled config: same report, empty recorder.
-        let (report, rec) = chaos.run_telemetry(reqs.clone());
+        let (report, rec) = chaos.run_telemetry(reqs.clone(), &mode);
         prop_assert_eq!(untraced, report);
         prop_assert!(rec.is_empty());
 
@@ -284,7 +266,7 @@ proptest! {
         crash_decis in 0u32..30,
         router_choice in 0u32..4,
     ) {
-        let engine = ChaosEngine::new(
+        let engine = FleetEngine::new(
             pipeline(0.01, 4),
             router(router_choice),
             ScaleDriver::Static { replicas },
@@ -296,7 +278,7 @@ proptest! {
         }]))
         .with_telemetry(TelemetryConfig::full(0.25));
         let mut rec = TraceRecorder::new(TelemetryConfig::full(0.25));
-        let traced = engine.run_traced(requests(n, 0.02), &mut rec);
+        let traced = engine.run_traced(requests(n, 0.02), &MetricsMode::Exact, &mut rec);
         let untraced = engine.run(requests(n, 0.02));
         prop_assert_eq!(traced, untraced);
         prop_assert!(!rec.is_empty());

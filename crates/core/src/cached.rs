@@ -34,8 +34,8 @@ use crate::capacity::{
     CapacityPlan,
 };
 use crate::dynamic::{
-    check_mode_slo, pipeline_spec_cached, rank_frontier_with, reject_empty_trace, score_fleet,
-    score_single, DynamicEvaluation, FleetEvaluation,
+    check_mode_slo, fleet_engine, pipeline_spec_cached, rank_frontier_with, reject_empty_trace,
+    score_fleet, score_single, DynamicEvaluation, FleetEvaluation,
 };
 use crate::error::RagoError;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
@@ -44,8 +44,6 @@ use crate::schedule::Schedule;
 pub use rago_cache::CacheConfig;
 use rago_schema::{FleetConfig, SloTarget};
 use rago_serving_sim::engine::ServingEngine;
-use rago_serving_sim::faults::ScaleDriver;
-use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::MetricsMode;
 use rago_workloads::{ContentSpec, Trace};
 use serde::{Deserialize, Serialize};
@@ -133,17 +131,15 @@ pub fn evaluate_fleet_cached(
 /// [`crate::dynamic::evaluate_schedule_dynamic_with`] for the mode
 /// semantics).
 ///
-/// Disaggregated `[Prefill, Decode]` pool fleets dispatch to
-/// [`crate::disagg::evaluate_fleet_disagg_cached`] — the caches live on the
-/// prefill pool, where the prefix and retrieval stages run — and require
-/// [`MetricsMode::Exact`]. A fleet declaring a single `[Monolithic]` pool
-/// runs the flat path with the pool's router.
+/// Disaggregated `[Prefill, Decode]` pool fleets run as a split fleet with
+/// the caches on the prefill pool, where the prefix and retrieval stages
+/// run, and require [`MetricsMode::Exact`]. A fleet declaring a single
+/// `[Monolithic]` pool runs the flat path with the pool's router.
 ///
 /// # Errors
 ///
-/// As [`evaluate_fleet_cached`], plus [`RagoError::InvalidConfig`] when a
-/// streaming mode's configured SLO differs from `slo`, or when a streaming
-/// mode is combined with a disaggregated pool fleet.
+/// As [`evaluate_fleet_cached`], plus the errors of
+/// [`crate::dynamic::evaluate_fleet_dynamic_with`].
 pub fn evaluate_fleet_cached_with(
     profiler: &StageProfiler,
     schedule: &Schedule,
@@ -153,31 +149,7 @@ pub fn evaluate_fleet_cached_with(
     cache: &CacheConfig,
     mode: &MetricsMode,
 ) -> Result<FleetEvaluation, RagoError> {
-    schedule.validate()?;
-    fleet.validate().map_err(|e| RagoError::InvalidConfig {
-        reason: e.to_string(),
-    })?;
-    reject_empty_trace(trace)?;
-    check_mode_slo(mode, slo)?;
-    if fleet.is_disaggregated() {
-        if !matches!(mode, MetricsMode::Exact) {
-            return Err(RagoError::InvalidConfig {
-                reason: "streaming metrics are not supported for disaggregated pool fleets; \
-                         score the exact merged report instead"
-                    .into(),
-            });
-        }
-        let report = crate::disagg::run_disagg(profiler, schedule, fleet, trace, Some(cache), &[])?;
-        let eval = crate::disagg::score_disagg(report, schedule, slo);
-        return Ok(crate::disagg::to_fleet_evaluation(&eval));
-    }
-    let router = match fleet.pools.as_slice() {
-        [only] => only.router,
-        _ => fleet.router,
-    };
-    let spec = pipeline_spec_cached(profiler, schedule, Some(cache))?;
-    let replicas = fleet.replicas;
-    let engine = FleetEngine::new(spec, router, ScaleDriver::Static { replicas });
+    let engine = fleet_engine(profiler, schedule, fleet, trace, slo, mode, Some(cache))?;
     Ok(score_fleet(
         engine.run_trace_with_mode(trace, mode).fleet,
         slo,

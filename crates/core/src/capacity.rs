@@ -28,12 +28,11 @@ use crate::error::RagoError;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
-use rago_schema::{KvTransferModel, RouterPolicy, SequenceProfile, SloTarget};
+use rago_schema::{FleetConfig, KvTransferModel, RouterPolicy, SequenceProfile, SloTarget};
 use rago_serving_sim::cluster::FleetReport;
-use rago_serving_sim::engine::PipelineSpec;
+use rago_serving_sim::engine::{PipelineSpec, ServingReport};
 use rago_serving_sim::faults::ScaleDriver;
 use rago_serving_sim::fleet::FleetEngine;
-use rago_serving_sim::pools::{DisaggEngine, DisaggReport};
 use rago_workloads::{ArrivalProcess, RateSegment, TraceSpec};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -160,19 +159,8 @@ pub fn plan_capacity_with(
 /// unchecked huge count (say `u32::MAX` from a config file) would attempt
 /// an absurd allocation before the binary search ever narrowed it. 4096
 /// replicas of even the smallest paper schedule already exceed any cluster
-/// the cost model describes. The bound also makes every internal
-/// `u32 → usize` replica-count conversion provably lossless, on any
-/// platform width.
+/// the cost model describes.
 pub const MAX_PLANNER_REPLICAS: u32 = 4096;
-
-/// Checked `u32 → usize` conversion for replica counts. Counts reaching
-/// the engines were bounded by [`MAX_PLANNER_REPLICAS`] in
-/// [`validate_capacity_inputs`], so failure here is a planner bug, not a
-/// user error — hence a panic rather than a silent wrap (the old
-/// `as usize` cast would truncate on a 16-bit target).
-pub(crate) fn replicas_usize(replicas: u32) -> usize {
-    usize::try_from(replicas).expect("replica count was bounded by MAX_PLANNER_REPLICAS")
-}
 
 /// Input validation shared by [`plan_capacity_with`] and the cache-aware
 /// planner in [`crate::cached`] — one set of error messages for both.
@@ -384,23 +372,18 @@ pub fn plan_capacity_pools(
     let trace = sizing_trace(target_qps, options);
     let max = options.max_replicas;
 
-    let mut reports: BTreeMap<(u32, u32), DisaggReport> = BTreeMap::new();
-    let meets = |p: u32, d: u32, reports: &mut BTreeMap<(u32, u32), DisaggReport>| -> bool {
+    // The merged report of every split evaluated so far.
+    let mut reports: BTreeMap<(u32, u32), ServingReport> = BTreeMap::new();
+    let meets = |p: u32, d: u32, reports: &mut BTreeMap<(u32, u32), ServingReport>| -> bool {
         reports
             .entry((p, d))
             .or_insert_with(|| {
-                DisaggEngine::new(
-                    prefill_spec.clone(),
-                    replicas_usize(p),
-                    options.router,
-                    decode_spec.clone(),
-                    replicas_usize(d),
-                    options.router,
-                    *transfer,
-                )
-                .run_trace(&trace)
+                let fleet = FleetConfig::split(p, d, options.router).with_transfer(*transfer);
+                crate::disagg::split_fleet(prefill_spec.clone(), decode_spec.clone(), &fleet)
+                    .run_trace(&trace)
+                    .fleet
+                    .merged
             })
-            .merged
             .attainment(slo)
             >= slo.attainment
     };
@@ -412,7 +395,7 @@ pub fn plan_capacity_pools(
             reason: format!(
                 "even a {max} + {max} prefill/decode split reaches only {:.1} % attainment \
                  at {target_qps:.1} rps (target {:.1} %)",
-                top.merged.attainment(slo) * 100.0,
+                top.attainment(slo) * 100.0,
                 slo.attainment * 100.0
             ),
         });
@@ -463,11 +446,11 @@ pub fn plan_capacity_pools(
         prefill_replicas: p,
         decode_replicas: d,
         target_qps,
-        attainment: report.merged.attainment(slo),
-        goodput_rps: report.merged.goodput_rps(slo),
+        attainment: report.attainment(slo),
+        goodput_rps: report.goodput_rps(slo),
         total_xpus: cost,
         total_retrieval_servers: schedule.allocation.retrieval_servers * p,
-        drain_tail_s: report.merged.metrics.drain_tail_s,
+        drain_tail_s: report.metrics.drain_tail_s,
     })
 }
 
@@ -792,16 +775,11 @@ mod tests {
         let mut best: Option<(u32, u32, u32)> = None;
         for p in 1..=options.max_replicas {
             for d in 1..=options.max_replicas {
-                let report = DisaggEngine::new(
-                    prefill_spec.clone(),
-                    replicas_usize(p),
-                    options.router,
-                    decode_spec.clone(),
-                    replicas_usize(d),
-                    options.router,
-                    transfer,
-                )
-                .run_trace(&trace);
+                let fleet = FleetConfig::split(p, d, options.router).with_transfer(transfer);
+                let report =
+                    crate::disagg::split_fleet(prefill_spec.clone(), decode_spec.clone(), &fleet)
+                        .run_trace(&trace)
+                        .fleet;
                 if report.merged.attainment(&slo) < slo.attainment {
                     continue;
                 }

@@ -11,9 +11,9 @@
 //!
 //! * [`evaluate_fleet_disagg`] / [`evaluate_fleet_disagg_cached`] — drive a
 //!   trace through a disaggregated [`FleetConfig`] (a `[Prefill, Decode]`
-//!   pool pair plus its [`KvTransferModel`]) via
-//!   [`rago_serving_sim::pools::DisaggEngine`], and score the stitched
-//!   result per chip. The flat evaluators dispatch pool fleets here, so
+//!   pool pair plus its [`KvTransferModel`]) on
+//!   [`FleetEngine::disaggregated`], and score the stitched result per
+//!   chip. The flat evaluators build the same engine for pool fleets, so
 //!   `evaluate_fleet_dynamic` *accepts* pool configs unchanged.
 //! * [`transfer_model_from_interconnect`] — prices the handoff from first
 //!   principles: the generative model's KV bytes per token over an
@@ -30,7 +30,7 @@
 //! replica only its decode XPUs ([`decode_xpus`]) — that asymmetry is the
 //! entire economic case for disaggregation.
 
-use crate::dynamic::{pipeline_spec_cached, reject_empty_trace, FleetEvaluation};
+use crate::dynamic::{pipeline_spec_cached, reject_empty_trace};
 use crate::error::RagoError;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
@@ -39,7 +39,9 @@ use rago_cache::CacheConfig;
 use rago_hardware::InterconnectSpec;
 use rago_schema::{FleetConfig, KvTransferModel, PoolRole, RagSchema, SloTarget};
 use rago_serving_sim::engine::PipelineSpec;
-use rago_serving_sim::pools::{DisaggEngine, DisaggReport, PoolCrash};
+use rago_serving_sim::faults::{ChaosReport, FaultSchedule};
+use rago_serving_sim::fleet::FleetEngine;
+use rago_serving_sim::pools::{DisaggReport, PoolCrash};
 use rago_workloads::Trace;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -189,76 +191,66 @@ fn check_disagg_fleet(fleet: &FleetConfig, crashes: &[PoolCrash]) -> Result<(), 
     Ok(())
 }
 
-/// The shared run core: split the spec, build the engine, play the crashes,
-/// return the stitched report.
-pub(crate) fn run_disagg(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
+/// [`FleetEngine::disaggregated`] over `fleet`'s pool pair and transfer
+/// model, its pools running the two halves of [`split_pipeline_spec`].
+///
+/// # Panics
+///
+/// Panics unless `fleet` is a `[Prefill, Decode]` pool pair.
+pub(crate) fn split_fleet(
+    prefill_spec: PipelineSpec,
+    decode_spec: PipelineSpec,
     fleet: &FleetConfig,
-    trace: &Trace,
-    cache: Option<&CacheConfig>,
-    crashes: &[PoolCrash],
-) -> Result<DisaggReport, RagoError> {
-    run_disagg_recorded(
-        profiler,
-        schedule,
-        fleet,
-        trace,
-        cache,
-        crashes,
-        &rago_telemetry::TelemetryConfig::disabled(),
-        &mut rago_telemetry::NullRecorder,
-    )
+) -> FleetEngine {
+    let (prefill, decode) = fleet
+        .prefill_decode()
+        .expect("a split fleet needs a [Prefill, Decode] pool pair");
+    FleetEngine::disaggregated(prefill_spec, decode_spec, prefill, decode, fleet.transfer)
 }
 
-/// [`run_disagg`] recording a trace into `rec` (bit-identical outcome for
-/// any recorder; `telemetry` only sets the derived-gauge cadence).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_disagg_recorded<R: rago_telemetry::Recorder>(
+/// The shared run core of the disaggregated entry points: validate, split
+/// the spec, play the crashes onto the pool fleet, and run it.
+pub(crate) fn run_pools(
     profiler: &StageProfiler,
     schedule: &Schedule,
     fleet: &FleetConfig,
     trace: &Trace,
     cache: Option<&CacheConfig>,
     crashes: &[PoolCrash],
-    telemetry: &rago_telemetry::TelemetryConfig,
-    rec: &mut R,
-) -> Result<DisaggReport, RagoError> {
+) -> Result<ChaosReport, RagoError> {
     schedule.validate()?;
     check_disagg_fleet(fleet, crashes)?;
     reject_empty_trace(trace)?;
     let (prefill_spec, decode_spec) = split_pipeline_spec(profiler, schedule, cache)?;
-    let mut engine = DisaggEngine::from_fleet(prefill_spec, decode_spec, fleet, fleet.transfer)
-        .expect("check_disagg_fleet verified the pool pair")
-        .with_telemetry(telemetry.clone());
-    if !crashes.is_empty() {
-        engine = engine.with_faults(crashes.to_vec());
-    }
-    Ok(engine.run_traced(
-        trace
-            .requests
-            .iter()
-            .map(rago_serving_sim::engine::EngineRequest::from)
-            .collect(),
-        rec,
-    ))
+    let (prefill, _) = fleet
+        .prefill_decode()
+        .expect("check_disagg_fleet verified the pool pair");
+    let faults = crashes
+        .iter()
+        .map(|c| c.to_fault(prefill.replicas))
+        .collect();
+    Ok(split_fleet(prefill_spec, decode_spec, fleet)
+        .with_faults(FaultSchedule::new(faults))
+        .run_trace(trace))
 }
 
-/// Scores a finished disaggregated run against `slo` with per-chip
-/// accounting for the given split.
+/// Scores a finished run of the pool fleet `fleet` against `slo`, billing
+/// its configured pools per chip — a crashed replica's cold replacement
+/// stands in for it and is not billed on top.
 pub(crate) fn score_disagg(
-    report: DisaggReport,
+    report: ChaosReport,
     schedule: &Schedule,
+    fleet: &FleetConfig,
     slo: &SloTarget,
 ) -> DisaggEvaluation {
+    let (prefill, decode) = fleet
+        .prefill_decode()
+        .expect("scored runs come from a pool fleet");
+    let report = DisaggReport::from_chaos(report, decode.router, fleet.transfer);
     let attainment = report.merged.attainment(slo);
     let goodput_rps = report.merged.goodput_rps(slo);
     let meets_slo = report.merged.meets_slo(slo);
-    let total_xpus = split_xpus(
-        schedule,
-        report.prefill.per_replica.len() as u32,
-        report.decode.per_replica.len() as u32,
-    );
+    let total_xpus = split_xpus(schedule, prefill.replicas, decode.replicas);
     DisaggEvaluation {
         report,
         attainment,
@@ -291,8 +283,8 @@ pub fn evaluate_fleet_disagg(
     trace: &Trace,
     slo: &SloTarget,
 ) -> Result<DisaggEvaluation, RagoError> {
-    let report = run_disagg(profiler, schedule, fleet, trace, None, &[])?;
-    Ok(score_disagg(report, schedule, slo))
+    let report = run_pools(profiler, schedule, fleet, trace, None, &[])?;
+    Ok(score_disagg(report, schedule, fleet, slo))
 }
 
 /// [`evaluate_fleet_disagg`] with per-replica caches from `cache` on the
@@ -313,22 +305,8 @@ pub fn evaluate_fleet_disagg_cached(
     slo: &SloTarget,
     cache: &CacheConfig,
 ) -> Result<DisaggEvaluation, RagoError> {
-    let report = run_disagg(profiler, schedule, fleet, trace, Some(cache), &[])?;
-    Ok(score_disagg(report, schedule, slo))
-}
-
-/// Converts a disaggregated evaluation into the [`FleetEvaluation`] shape
-/// the flat evaluators return (via
-/// [`DisaggReport::to_fleet_report`]). Used by the dispatch in
-/// [`crate::dynamic::evaluate_fleet_dynamic_with`] so callers holding a
-/// [`FleetConfig`] get one result type regardless of pool shape.
-pub(crate) fn to_fleet_evaluation(eval: &DisaggEvaluation) -> FleetEvaluation {
-    FleetEvaluation {
-        report: eval.report.to_fleet_report(),
-        attainment: eval.attainment,
-        goodput_rps: eval.goodput_rps,
-        meets_slo: eval.meets_slo,
-    }
+    let report = run_pools(profiler, schedule, fleet, trace, Some(cache), &[])?;
+    Ok(score_disagg(report, schedule, fleet, slo))
 }
 
 /// One candidate of the joint disaggregation search: a pool split priced
@@ -525,8 +503,8 @@ mod tests {
     }
 
     /// Pool configs flow through the flat entry point: a disaggregated
-    /// `FleetConfig` dispatches to the pool engine and comes back in the
-    /// standard fleet shape.
+    /// `FleetConfig` runs as a split fleet and comes back in the standard
+    /// fleet shape.
     #[test]
     fn fleet_dynamic_accepts_pool_configs() {
         let profiler = case1_profiler();
@@ -576,7 +554,7 @@ mod tests {
             restart_delay_s: None,
         };
         assert!(matches!(
-            run_disagg(&profiler, &schedule, &fleet, &trace, None, &[bad_crash]),
+            run_pools(&profiler, &schedule, &fleet, &trace, None, &[bad_crash]),
             Err(RagoError::InvalidConfig { .. })
         ));
     }

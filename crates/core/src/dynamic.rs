@@ -279,17 +279,18 @@ pub fn evaluate_fleet_dynamic(
 /// [`evaluate_fleet_dynamic`] with an explicit metrics mode (see
 /// [`evaluate_schedule_dynamic_with`] for the mode semantics).
 ///
-/// Disaggregated `[Prefill, Decode]` pool fleets dispatch to
-/// [`crate::disagg::evaluate_fleet_disagg`] and come back converted into the
-/// flat [`FleetEvaluation`] shape (replicas renumbered prefill-first); they
-/// require [`MetricsMode::Exact`]. A fleet declaring a single `[Monolithic]`
-/// pool runs the flat path with the pool's router.
+/// Disaggregated `[Prefill, Decode]` pool fleets run as a split
+/// [`FleetEngine`] (see [`crate::disagg`]) with prefill replicas numbered
+/// `0..P` and decode replicas `P..P+D`; they require [`MetricsMode::Exact`].
+/// A fleet declaring a single `[Monolithic]` pool runs the flat path with
+/// the pool's router.
 ///
 /// # Errors
 ///
 /// As [`evaluate_fleet_dynamic`], plus [`RagoError::InvalidConfig`] when a
-/// streaming mode's configured SLO differs from `slo`, or when a streaming
-/// mode is combined with a disaggregated pool fleet.
+/// streaming mode's configured SLO differs from `slo`, when a streaming
+/// mode is combined with a disaggregated pool fleet, or when a pool
+/// fleet's schedule has no pre-decode stage to prefill.
 pub fn evaluate_fleet_dynamic_with(
     profiler: &StageProfiler,
     schedule: &Schedule,
@@ -298,6 +299,27 @@ pub fn evaluate_fleet_dynamic_with(
     slo: &SloTarget,
     mode: &MetricsMode,
 ) -> Result<FleetEvaluation, RagoError> {
+    let engine = fleet_engine(profiler, schedule, fleet, trace, slo, mode, None)?;
+    Ok(score_fleet(
+        engine.run_trace_with_mode(trace, mode).fleet,
+        slo,
+    ))
+}
+
+/// Validates one fleet evaluation and builds its [`FleetEngine`] from any
+/// [`FleetConfig`]: a static fleet of `schedule`'s pipeline, or a split
+/// fleet running its two halves. Shared with [`crate::cached`], whose
+/// `cache` lives on every replica of a flat fleet and on a split fleet's
+/// prefill pool.
+pub(crate) fn fleet_engine(
+    profiler: &StageProfiler,
+    schedule: &Schedule,
+    fleet: &FleetConfig,
+    trace: &Trace,
+    slo: &SloTarget,
+    mode: &MetricsMode,
+    cache: Option<&rago_cache::CacheConfig>,
+) -> Result<FleetEngine, RagoError> {
     schedule.validate()?;
     fleet.validate().map_err(|e| RagoError::InvalidConfig {
         reason: e.to_string(),
@@ -312,9 +334,9 @@ pub fn evaluate_fleet_dynamic_with(
                     .into(),
             });
         }
-        let report = crate::disagg::run_disagg(profiler, schedule, fleet, trace, None, &[])?;
-        let eval = crate::disagg::score_disagg(report, schedule, slo);
-        return Ok(crate::disagg::to_fleet_evaluation(&eval));
+        let (prefill_spec, decode_spec) =
+            crate::disagg::split_pipeline_spec(profiler, schedule, cache)?;
+        return Ok(crate::disagg::split_fleet(prefill_spec, decode_spec, fleet));
     }
     // A single declared Monolithic pool is the flat fleet spelled in pool
     // form — honour the pool's router (`validate` pinned the totals).
@@ -322,20 +344,19 @@ pub fn evaluate_fleet_dynamic_with(
         [only] => only.router,
         _ => fleet.router,
     };
-    let spec = pipeline_spec(profiler, schedule)?;
+    let spec = pipeline_spec_cached(profiler, schedule, cache)?;
     let replicas = fleet.replicas;
-    let engine = FleetEngine::new(spec, router, ScaleDriver::Static { replicas });
-    Ok(score_fleet(
-        engine.run_trace_with_mode(trace, mode).fleet,
-        slo,
+    Ok(FleetEngine::new(
+        spec,
+        router,
+        ScaleDriver::Static { replicas },
     ))
 }
 
 /// [`evaluate_fleet_dynamic_with`] recording a telemetry trace into `rec`
 /// (see [`evaluate_schedule_dynamic_traced`] for the tracing semantics).
-/// Disaggregated pool fleets trace through
-/// [`rago_serving_sim::pools::DisaggEngine`] with prefill replicas on
-/// tracks `0..P` and decode replicas on `P..P+D`.
+/// Disaggregated pool fleets trace with prefill replicas on tracks `0..P`
+/// and decode replicas on `P..P+D`.
 ///
 /// # Errors
 ///
@@ -351,41 +372,7 @@ pub fn evaluate_fleet_dynamic_traced<R: rago_telemetry::Recorder>(
     telemetry: &rago_telemetry::TelemetryConfig,
     rec: &mut R,
 ) -> Result<FleetEvaluation, RagoError> {
-    schedule.validate()?;
-    fleet.validate().map_err(|e| RagoError::InvalidConfig {
-        reason: e.to_string(),
-    })?;
-    reject_empty_trace(trace)?;
-    check_mode_slo(mode, slo)?;
-    if fleet.is_disaggregated() {
-        if !matches!(mode, MetricsMode::Exact) {
-            return Err(RagoError::InvalidConfig {
-                reason: "streaming metrics are not supported for disaggregated pool fleets; \
-                         score the exact merged report instead"
-                    .into(),
-            });
-        }
-        let report = crate::disagg::run_disagg_recorded(
-            profiler,
-            schedule,
-            fleet,
-            trace,
-            None,
-            &[],
-            telemetry,
-            rec,
-        )?;
-        let eval = crate::disagg::score_disagg(report, schedule, slo);
-        record_profiler_memo(profiler, rec, eval.report.merged.metrics.makespan_s);
-        return Ok(crate::disagg::to_fleet_evaluation(&eval));
-    }
-    let router = match fleet.pools.as_slice() {
-        [only] => only.router,
-        _ => fleet.router,
-    };
-    let spec = pipeline_spec(profiler, schedule)?;
-    let replicas = fleet.replicas;
-    let engine = FleetEngine::new(spec, router, ScaleDriver::Static { replicas })
+    let engine = fleet_engine(profiler, schedule, fleet, trace, slo, mode, None)?
         .with_telemetry(telemetry.clone());
     let requests = trace
         .requests

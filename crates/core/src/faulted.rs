@@ -463,9 +463,14 @@ pub fn evaluate_fleet_faulted(
 ///
 /// Crash semantics are pool-typed: a prefill-replica crash re-queues its
 /// un-prefilled and un-transferred work onto prefill *survivors* only; a
-/// decode-replica crash sends its in-flight decodes back through the
-/// transfer lane to surviving decode replicas. The requeue counters land in
-/// [`rago_serving_sim::pools::TransferStats`] on the returned report.
+/// decode-replica crash re-injects its in-flight decodes directly into
+/// surviving decode replicas (their KV state has already crossed the
+/// interconnect). Work whose pool has no live replica waits for a
+/// restart's cold replacement, which joins the victim's pool, or fails if
+/// none comes; a failed request is missing from the stitched timelines.
+/// The requeue counters land in
+/// [`rago_serving_sim::pools::TransferStats`] on the returned report, and
+/// chips are billed for the configured pool sizes.
 ///
 /// # Errors
 ///
@@ -480,8 +485,8 @@ pub fn evaluate_fleet_faulted_pools(
     trace: &Trace,
     slo: &SloTarget,
 ) -> Result<crate::disagg::DisaggEvaluation, RagoError> {
-    let report = crate::disagg::run_disagg(profiler, schedule, fleet, trace, None, crashes)?;
-    Ok(crate::disagg::score_disagg(report, schedule, slo))
+    let report = crate::disagg::run_pools(profiler, schedule, fleet, trace, None, crashes)?;
+    Ok(crate::disagg::score_disagg(report, schedule, fleet, slo))
 }
 
 #[cfg(test)]
@@ -838,5 +843,104 @@ mod tests {
             evaluate_fleet_faulted_pools(&profiler, &schedule, &fleet, &[bad], &trace, &slo),
             Err(RagoError::InvalidConfig { .. })
         ));
+    }
+
+    fn pool_trace() -> Trace {
+        rago_workloads::TraceSpec {
+            num_requests: 120,
+            profile: rago_schema::SequenceProfile::paper_default().with_decode_tokens(16),
+            arrival: rago_workloads::ArrivalProcess::Poisson { rate_rps: 40.0 },
+            length_jitter: 0.2,
+            seed: 29,
+        }
+        .generate()
+    }
+
+    /// The only replica of either pool of a 1+1 split can crash mid-trace:
+    /// with a restart its pool's work waits for the cold replacement and
+    /// every request completes; with a permanent loss the requests the
+    /// pool can no longer serve fail, and the call still returns `Ok`.
+    #[test]
+    fn single_replica_pool_crashes_wait_or_fail_instead_of_panicking() {
+        use rago_schema::PoolRole;
+        use rago_serving_sim::pools::PoolCrash;
+
+        let profiler = case1_profiler();
+        let schedule = case1_schedule();
+        let slo = SloTarget::new(1.0, 0.1);
+        let trace = pool_trace();
+        let fleet = FleetConfig::split(1, 1, RouterPolicy::LeastOutstanding);
+        for pool in [PoolRole::Prefill, PoolRole::Decode] {
+            let restart = PoolCrash {
+                pool,
+                replica: 0,
+                at_s: 1.0,
+                restart_delay_s: Some(0.5),
+            };
+            let eval = evaluate_fleet_faulted_pools(
+                &profiler,
+                &schedule,
+                &fleet,
+                &[restart],
+                &trace,
+                &slo,
+            )
+            .unwrap();
+            assert_eq!(eval.report.merged.metrics.completed, 120, "{pool} restart");
+
+            let lost = PoolCrash {
+                restart_delay_s: None,
+                ..restart
+            };
+            assert!(evaluate_fleet_faulted_pools(
+                &profiler,
+                &schedule,
+                &fleet,
+                &[lost],
+                &trace,
+                &slo
+            )
+            .is_ok());
+            let chaos =
+                crate::disagg::run_pools(&profiler, &schedule, &fleet, &trace, None, &[lost])
+                    .unwrap();
+            let fault = &chaos.fault;
+            assert_eq!(fault.injected, 120);
+            assert_eq!(
+                fault.completed + fault.failed,
+                fault.injected,
+                "{pool} loss"
+            );
+            assert!(fault.failed > 0, "the {pool} loss left nothing to fail");
+        }
+    }
+
+    /// A crashed pool replica's cold replacement is reported next to it but
+    /// billed in its place: the split still costs its configured chips.
+    #[test]
+    fn restarted_pool_replicas_are_billed_once() {
+        use rago_schema::PoolRole;
+        use rago_serving_sim::pools::PoolCrash;
+
+        let profiler = case1_profiler();
+        let schedule = case1_schedule();
+        let fleet = FleetConfig::split(2, 1, RouterPolicy::LeastOutstanding);
+        let crash = PoolCrash {
+            pool: PoolRole::Prefill,
+            replica: 0,
+            at_s: 0.5,
+            restart_delay_s: Some(0.2),
+        };
+        let eval = evaluate_fleet_faulted_pools(
+            &profiler,
+            &schedule,
+            &fleet,
+            &[crash],
+            &pool_trace(),
+            &SloTarget::new(1.0, 0.1),
+        )
+        .unwrap();
+        assert_eq!(eval.report.prefill.per_replica.len(), 3);
+        assert_eq!(eval.total_xpus, crate::disagg::split_xpus(&schedule, 2, 1));
     }
 }

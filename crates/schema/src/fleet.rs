@@ -131,11 +131,6 @@ pub struct PoolSpec {
     /// Intra-pool routing policy dispatching requests across the pool's
     /// replicas (for a Decode pool this routes transfer completions).
     pub router: RouterPolicy,
-    /// Optional chip type label for heterogeneous-pool studies (e.g. a
-    /// bandwidth-heavy part for decode). Informational: the pipeline spec
-    /// bound to the pool carries the actual latency tables.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub chip: Option<String>,
 }
 
 impl PoolSpec {
@@ -145,15 +140,7 @@ impl PoolSpec {
             role,
             replicas,
             router,
-            chip: None,
         }
-    }
-
-    /// Labels the pool with a chip type.
-    #[must_use]
-    pub fn with_chip(mut self, chip: impl Into<String>) -> Self {
-        self.chip = Some(chip.into());
-        self
     }
 
     /// Validates the pool.

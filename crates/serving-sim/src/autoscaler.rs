@@ -66,7 +66,7 @@
 //! assert!(report.replica_seconds > 0.0);
 //! ```
 
-use rago_schema::SloTarget;
+use rago_schema::{PoolRole, SloTarget};
 use serde::{Deserialize, Serialize};
 
 /// Scale out when the SLO attainment of requests completed in the last
@@ -232,6 +232,9 @@ pub struct ScalingEvent {
 pub struct ReplicaLifetime {
     /// Replica index (matches [`crate::FleetReport::per_replica`]).
     pub replica: usize,
+    /// The pool the replica was provisioned into: `Monolithic` in a flat
+    /// fleet, `Prefill` or `Decode` in a split one.
+    pub pool: PoolRole,
     /// When the replica was provisioned (0 for the initial fleet), in
     /// seconds.
     pub provisioned_s: f64,

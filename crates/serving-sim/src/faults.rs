@@ -86,6 +86,7 @@
 
 use crate::autoscaler::{AutoscalerPolicy, ReplicaLifetime, ScalingEvent};
 use crate::cluster::FleetReport;
+use crate::pools::TransferStats;
 use rago_schema::SloTarget;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -681,7 +682,9 @@ pub struct RecoveryMetrics {
 }
 
 /// The result of one [`crate::FleetEngine`] run: the fleet report and
-/// scaling history, plus fault accounting and recovery analysis.
+/// scaling history, plus fault accounting, recovery analysis, and — for a
+/// prefill/decode split — the KV-transfer statistics. A split fleet's
+/// [`crate::pools::DisaggReport`] is a view of it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChaosReport {
     /// The merged fleet report, with one row per fleet slot ever
@@ -705,6 +708,9 @@ pub struct ChaosReport {
     pub replica_seconds: f64,
     /// Fault accounting.
     pub fault: FaultReport,
+    /// The KV handoffs of a prefill/decode split fleet (all zero for a
+    /// flat fleet).
+    pub transfers: TransferStats,
 }
 
 impl ChaosReport {

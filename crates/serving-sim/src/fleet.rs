@@ -1,31 +1,41 @@
 //! The fleet engine: pipeline replicas behind a router, sized by a scale
 //! driver, degraded by faults, and guarded by admission control — every
-//! flat fleet runs through this one loop.
+//! fleet, flat or split into prefill/decode pools, runs through this one
+//! loop.
 //!
 //! [`crate::engine::ServingEngine`] answers what one pipeline replica does
 //! under a request stream. [`FleetEngine`] answers the fleet question: it
-//! owns one replica simulation per fleet slot, advances every live replica
-//! to just before each clock point (the engine's composable shared-clock
+//! owns one replica simulation per fleet slot, advances live replicas to
+//! just before each clock point (the engine's composable shared-clock
 //! form), and routes a shared arrival stream across the routable replicas
 //! with a [`RouterPolicy`] that observes live queue depths and decode
-//! residency. What varies between a plain, an elastic, and a faulted fleet
-//! is configuration, not code:
+//! residency. What varies between a plain, an elastic, a faulted, and a
+//! disaggregated fleet is configuration, not code:
 //!
 //! * the [`ScaleDriver`] sizes the fleet — `Static` (fixed; the only driver
-//!   a [`FleetEngine::heterogeneous`] fleet takes), `Reactive` (the
+//!   a [`FleetEngine::heterogeneous`] or [`FleetEngine::disaggregated`]
+//!   fleet takes), `Reactive` (the
 //!   [`crate::autoscaler::AutoscalerPolicy`] evaluated at its interval), or
 //!   `Predictive` (a feed-forward [`crate::faults::ScalingPlan`]);
 //! * the [`FaultSchedule`] injects crashes, stragglers, and preemptions
 //!   (empty by default);
-//! * an optional [`AdmissionConfig`] sheds arrivals in priority order.
+//! * an optional [`AdmissionConfig`] sheds arrivals in priority order;
+//! * the pools: one for a flat fleet, or a prefill pool feeding a decode
+//!   pool through priced KV transfers (see [`crate::pools`]). Each pool
+//!   routes with its own policy and round-robin cursor, and a crashed
+//!   replica's work re-queues within its own pool.
 //!
-//! Four chronological lanes share one clock, with a pinned tie-break at
+//! Five chronological lanes share one clock, with a pinned tie-break at
 //! equal instants: **fault actions**, then **pending-request flushes**
-//! (arrivals that found no routable replica), then **policy ticks / plan
-//! steps**, then **arrivals** — a fault or scaling decision at an
-//! arrival's instant is in force before that arrival is routed. The report
-//! is a [`ChaosReport`]: the merged [`FleetReport`] plus the scaling
-//! history and the fault ledger. A one-replica static fleet reproduces
+//! (requests that found no routable replica in their pool), then **policy
+//! ticks / plan steps**, then **arrivals**, then **KV-transfer
+//! completions** — a fault or scaling decision at an arrival's instant is
+//! in force before that arrival is routed. A transfer is acted on only once
+//! the prefill pool has been simulated past it (the *knowledge horizon*),
+//! so a handoff discovered later can never complete earlier than one
+//! already delivered. The report is a [`ChaosReport`]: the merged
+//! [`FleetReport`] plus the scaling history, the fault ledger, and the
+//! transfer statistics. A one-replica static fleet reproduces
 //! [`ServingEngine::run`](crate::engine::ServingEngine::run) exactly
 //! (`tests/proptest_cluster.rs`).
 //!
@@ -72,26 +82,38 @@ use crate::engine::{
     build_report, compute_metrics_for, sort_by_arrival, CacheProbe, ClassMetrics, EngineRequest,
     PipelineSpec, ReplicaSim, RequestTimeline, ServingReport, SimAccumulators,
 };
-use crate::equeue::EventQueueStats;
+use crate::equeue::{EventQueue, EventQueueStats};
 use crate::faults::{
     AdmissionConfig, ChaosReport, ClassShed, CrashPolicy, Disruption, FaultEvent, FaultKind,
     FaultReport, FaultSchedule, ScaleDriver, ShedEvent,
 };
+use crate::pools::TransferStats;
 use crate::sink::{HistogramSink, MetricsMode, MetricsSink, RequestOutcome};
-use rago_schema::RouterPolicy;
+use rago_schema::{KvTransferModel, PoolRole, PoolSpec, RouterPolicy};
 use rago_telemetry::Recorder;
 use rago_workloads::Trace;
 use rayon::prelude::*;
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+
+/// Index of the pool arrivals route over: the only pool of a flat fleet,
+/// the prefill pool of a split one.
+const ARRIVAL_POOL: usize = 0;
+/// Index of a split fleet's decode pool.
+const DECODE_POOL: usize = 1;
 
 /// The fleet engine. See the module docs.
 #[derive(Debug, Clone)]
 pub struct FleetEngine {
-    /// The pipeline of each initial slot of a heterogeneous fleet, or the
-    /// one pipeline every slot of a homogeneous fleet runs.
+    /// The pipeline of each initial slot of a heterogeneous fleet, the one
+    /// pipeline every slot of a homogeneous fleet runs, or a split fleet's
+    /// prefill and decode pipelines.
     specs: Vec<PipelineSpec>,
+    /// The arrival pool's router (a split fleet's prefill router).
     router: RouterPolicy,
     driver: ScaleDriver,
+    /// The decode side of a prefill/decode split; `None` for a flat fleet.
+    split: Option<PoolSplit>,
     faults: FaultSchedule,
     crash_policy: CrashPolicy,
     admission: Option<AdmissionConfig>,
@@ -133,12 +155,61 @@ impl FleetEngine {
         Self::from_specs(specs, router, driver)
     }
 
+    /// A prefill/decode pool fleet (Splitwise/DistServe style): the
+    /// `prefill` pool runs `prefill_spec` (marked for KV handoff) and takes
+    /// the arrivals; the `decode` pool runs `decode_spec` and takes each
+    /// request once its prefilled KV state has crossed the interconnect,
+    /// priced by `transfer`. Slots `0..P` are the prefill pool and
+    /// `P..P+D` the decode pool, each routed by its own pool's policy. The
+    /// fleet is static and runs in [`MetricsMode::Exact`] only: the report
+    /// stitches each request's two legs (see [`crate::pools`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the pools are a Prefill and a Decode pool of at least
+    /// one replica each, the prefill spec has a pre-decode stage, and the
+    /// decode spec has none (use [`PipelineSpec::decode_only`]).
+    pub fn disaggregated(
+        prefill_spec: PipelineSpec,
+        decode_spec: PipelineSpec,
+        prefill: &PoolSpec,
+        decode: &PoolSpec,
+        transfer: KvTransferModel,
+    ) -> Self {
+        assert!(
+            prefill.role == PoolRole::Prefill && decode.role == PoolRole::Decode,
+            "a split fleet takes a Prefill and a Decode pool"
+        );
+        assert!(
+            prefill.replicas > 0 && decode.replicas > 0,
+            "each pool of a split fleet needs a replica"
+        );
+        assert!(
+            decode_spec.stages.is_empty(),
+            "a decode-pool pipeline must not carry pre-decode stages \
+             (use PipelineSpec::decode_only)"
+        );
+        let replicas = prefill.replicas + decode.replicas;
+        let mut engine = Self::from_specs(
+            vec![prefill_spec.with_handoff(), decode_spec],
+            prefill.router,
+            ScaleDriver::Static { replicas },
+        );
+        engine.split = Some(PoolSplit {
+            prefill: prefill.replicas as usize,
+            decode_router: decode.router,
+            transfer,
+        });
+        engine
+    }
+
     fn from_specs(specs: Vec<PipelineSpec>, router: RouterPolicy, driver: ScaleDriver) -> Self {
         driver.assert_valid();
         Self {
             specs,
             router,
             driver,
+            split: None,
             faults: FaultSchedule::empty(),
             crash_policy: CrashPolicy::default(),
             admission: None,
@@ -214,8 +285,9 @@ impl FleetEngine {
     ///
     /// # Panics
     ///
-    /// Panics if any arrival time is negative or non-finite, or any request
-    /// generates zero tokens.
+    /// Panics if any arrival time is negative or non-finite, any request
+    /// generates zero tokens, or a split fleet's request ids are not
+    /// unique (its two legs are stitched by id).
     pub fn run(&self, requests: Vec<EngineRequest>) -> ChaosReport {
         self.run_with_mode(requests, &MetricsMode::Exact)
     }
@@ -227,6 +299,10 @@ impl FleetEngine {
     /// `O(events + replicas)` and kept either way). The merged
     /// floating-point sums may differ in the last bits from the exact
     /// path's arrival-order accumulation.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::run`], and for a streaming mode on a split fleet.
     pub fn run_with_mode(&self, requests: Vec<EngineRequest>, mode: &MetricsMode) -> ChaosReport {
         self.run_recorded(requests, mode, &mut rago_telemetry::NullRecorder)
             .0
@@ -237,9 +313,11 @@ impl FleetEngine {
     /// request spans, cache probes, load gauges (at the
     /// [`Self::with_telemetry`] cadence), self-profiling counters,
     /// admission sheds and fault disruptions derived post-hoc from the
-    /// report's ledgers. Scaling decisions, replica lifecycle instants, and
-    /// the routable-replica gauge are recorded only when the fleet size can
-    /// change — a non-`Static` driver or a non-empty fault schedule. A
+    /// report's ledgers. Scaling decisions, replica lifecycle instants,
+    /// fault disruptions, and the routable-replica gauge are recorded only
+    /// when a flat fleet's size can change — a non-`Static` driver or a
+    /// non-empty fault schedule. A split fleet also records each KV
+    /// transfer live, as a span on the receiving decode replica's track. A
     /// [`rago_telemetry::NullRecorder`] makes this exactly
     /// [`Self::run_with_mode`].
     pub fn run_traced<R: Recorder>(
@@ -253,13 +331,18 @@ impl FleetEngine {
             let cadence = self.telemetry.gauge_cadence_s;
             let end_s = report.fleet.merged.metrics.makespan_s;
             record_fleet_observability(rec, &report.fleet, &obs, cadence);
-            if !matches!(self.driver, ScaleDriver::Static { .. }) || !self.faults.is_empty() {
+            // Disruptions exist only under a non-empty fault schedule.
+            let lifecycle = self.split.is_none()
+                && (!matches!(self.driver, ScaleDriver::Static { .. }) || !self.faults.is_empty());
+            if lifecycle {
                 crate::telemetry::record_scaling_events(rec, &report.events);
                 crate::telemetry::record_replica_lifetimes(rec, &report.lifetimes);
                 crate::telemetry::record_routable_gauge(rec, &report.lifetimes, cadence, end_s);
             }
             crate::telemetry::record_shed_events(rec, &report.fault.shed_log);
-            crate::telemetry::record_disruptions(rec, &report.fault.disruptions);
+            if lifecycle {
+                crate::telemetry::record_disruptions(rec, &report.fault.disruptions);
+            }
         }
         report
     }
@@ -285,6 +368,10 @@ impl FleetEngine {
         mode: &MetricsMode,
         rec: &mut R,
     ) -> (ChaosReport, Vec<ReplicaObs>) {
+        assert!(
+            self.split.is_none() || matches!(mode, MetricsMode::Exact),
+            "a prefill/decode split stitches exact timelines; run it in MetricsMode::Exact"
+        );
         sort_by_arrival(&mut requests);
         let mut run = Run::new(self, mode, R::ENABLED, requests.len());
         let last_arrival = requests.last().map_or(0.0, |r| r.arrival_s);
@@ -311,9 +398,16 @@ impl FleetEngine {
                 ScaleDriver::Static { .. } => None,
             };
             let arrival_t = requests.get(next_req).map(|r| r.arrival_s);
+            let transfer_t = run.next_transfer(
+                [agenda_t, flush_t, tick_t, arrival_t]
+                    .into_iter()
+                    .flatten()
+                    .min_by(f64::total_cmp),
+            );
 
-            // Earliest wins; ties break fault < flush < tick < arrival.
-            let best = [agenda_t, flush_t, tick_t, arrival_t]
+            // Earliest wins; ties break fault < flush < tick < arrival <
+            // transfer.
+            let best = [agenda_t, flush_t, tick_t, arrival_t, transfer_t]
                 .into_iter()
                 .enumerate()
                 .filter_map(|(lane, t)| t.map(|t| (lane, t)))
@@ -330,7 +424,7 @@ impl FleetEngine {
                 }
                 1 => run.flush(now, rec),
                 2 => {
-                    run.advance(now);
+                    run.advance(ARRIVAL_POOL, now);
                     match &self.driver {
                         ScaleDriver::Reactive(policy) => {
                             next_tick += policy.evaluation_interval_s;
@@ -344,27 +438,45 @@ impl FleetEngine {
                         ScaleDriver::Static { .. } => unreachable!("static drivers have no ticks"),
                     }
                 }
-                _ => {
+                3 => {
                     // Route the whole run of arrivals strictly earlier than
                     // the next fault, flush, or tick instant — nothing but an
                     // arrival parked for want of a routable replica can move
-                    // those lanes, and that ends the run early.
+                    // those lanes, and that ends the run early. A KV
+                    // transfer completing before an arrival goes first.
                     let horizon = [agenda_t, flush_t, tick_t]
                         .into_iter()
                         .flatten()
                         .fold(f64::INFINITY, f64::min);
                     while let Some(&req) = requests.get(next_req).filter(|r| r.arrival_s < horizon)
                     {
+                        if run
+                            .next_transfer(Some(req.arrival_s))
+                            .is_some_and(|t| t < req.arrival_s)
+                        {
+                            break;
+                        }
                         next_req += 1;
                         if !run.arrive(req, rec) {
                             break;
                         }
                     }
                 }
+                _ => run.deliver_transfer(rec),
             }
         }
         run.finish(requests.len())
     }
+}
+
+/// The decode side of a prefill/decode split fleet.
+#[derive(Debug, Clone)]
+struct PoolSplit {
+    /// Initial prefill replicas: slots `0..prefill` start in the prefill
+    /// pool, the rest in the decode pool.
+    prefill: usize,
+    decode_router: RouterPolicy,
+    transfer: KvTransferModel,
 }
 
 /// One fleet slot. `sim` is `None` once the replica is dead (crashed or
@@ -374,6 +486,12 @@ struct Slot {
     /// Index of the slot's pipeline in [`FleetEngine::specs`]; a restart of
     /// this slot runs the same pipeline.
     spec: usize,
+    /// Index of the slot's pool in [`Run::pools`]; a restart of this slot
+    /// joins the same pool.
+    pool: usize,
+    /// The slot's stable id within its pool, in provisioning order: what
+    /// hash-based routers key on, and its replica index in a pool report.
+    home: usize,
     provisioned_s: f64,
     routable_s: f64,
     decommissioned_s: Option<f64>,
@@ -420,9 +538,10 @@ enum Action {
     Kill {
         slot: usize,
     },
-    /// Provision a cold replacement running pipeline `spec`.
+    /// Provision a cold replacement of slot `like`: same pipeline, same
+    /// pool.
     Restart {
-        spec: usize,
+        like: usize,
     },
 }
 
@@ -463,6 +582,52 @@ struct Agendum {
     action: Action,
 }
 
+/// The routing state of one pool: a flat fleet's only pool, or a split
+/// fleet's prefill or decode pool.
+struct Pool {
+    role: PoolRole,
+    router: RouterPolicy,
+    round_robin_next: usize,
+    /// Slots provisioned into the pool so far — the next slot's `home`.
+    size: usize,
+    /// The latest instant the pool was advanced to; advancing to an
+    /// earlier or equal instant is a no-op.
+    clock: f64,
+    /// Requests waiting for a routable replica of this pool.
+    pending: VecDeque<EngineRequest>,
+    /// `(request id, slot)` of every dispatch into the pool (exact mode
+    /// only).
+    assignments: Vec<(u64, usize)>,
+}
+
+impl Pool {
+    fn new(role: PoolRole, router: RouterPolicy, log_capacity: usize) -> Self {
+        Self {
+            role,
+            router,
+            round_robin_next: 0,
+            size: 0,
+            clock: f64::NEG_INFINITY,
+            pending: VecDeque::new(),
+            assignments: Vec::with_capacity(log_capacity),
+        }
+    }
+}
+
+/// The KV handoffs of a split fleet, from the prefill pool's harvest to
+/// their delivery into the decode pool.
+struct Transfers {
+    model: KvTransferModel,
+    /// Completion instants of the transfers in flight, indexing
+    /// `priced`; same-instant completions pop in handoff order.
+    calendar: EventQueue<u32>,
+    /// `(request, bytes, latency)` of every transfer ever priced.
+    priced: Vec<(EngineRequest, f64, f64)>,
+    /// Reused buffer for one replica's harvested handoffs.
+    harvest: Vec<(f64, EngineRequest)>,
+    stats: TransferStats,
+}
+
 /// The mutable state of one fleet run.
 struct Run<'e> {
     engine: &'e FleetEngine,
@@ -473,19 +638,19 @@ struct Run<'e> {
     /// Whether new replicas log cache probes (traced runs only).
     track_probes: bool,
     slots: Vec<Slot>,
-    /// Routable slot indices as of the last [`Run::refresh_routable`] —
-    /// one buffer reused for every clock point.
+    /// Routable slot indices of one pool as of the last
+    /// [`Run::refresh_routable`] — one buffer reused for every clock point.
     routable: Vec<usize>,
     agenda: Vec<Agendum>,
     next_seq: u64,
-    /// Requests waiting for a routable replica.
-    pending: VecDeque<EngineRequest>,
+    /// The arrival pool, then a split fleet's decode pool.
+    pools: Vec<Pool>,
+    /// A split fleet's transfer lane.
+    transfers: Option<Transfers>,
     /// Harvests of replicas that died mid-run.
     dead: Vec<(usize, Harvest, ReplicaObs)>,
     /// Whether routing decisions are logged (exact mode only).
     log_assignments: bool,
-    assignments: Vec<(u64, usize)>,
-    round_robin_next: usize,
     events: Vec<ScalingEvent>,
     last_action_s: f64,
     peak_provisioned: u32,
@@ -508,6 +673,21 @@ impl<'e> Run<'e> {
     ) -> Self {
         let initial = engine.driver.initial_replicas();
         let log_assignments = matches!(mode, MetricsMode::Exact);
+        let log_capacity = if log_assignments { requests } else { 0 };
+        let pools = match &engine.split {
+            None => vec![Pool::new(PoolRole::Monolithic, engine.router, log_capacity)],
+            Some(split) => vec![
+                Pool::new(PoolRole::Prefill, engine.router, log_capacity),
+                Pool::new(PoolRole::Decode, split.decode_router, log_capacity),
+            ],
+        };
+        let transfers = engine.split.as_ref().map(|split| Transfers {
+            model: split.transfer,
+            calendar: EventQueue::new(),
+            priced: Vec::new(),
+            harvest: Vec::new(),
+            stats: TransferStats::default(),
+        });
         let mut run = Self {
             engine,
             mode,
@@ -527,15 +707,10 @@ impl<'e> Run<'e> {
                 })
                 .collect(),
             next_seq: engine.faults.len() as u64,
-            pending: VecDeque::new(),
+            pools,
+            transfers,
             dead: Vec::new(),
             log_assignments,
-            assignments: if log_assignments {
-                Vec::with_capacity(requests)
-            } else {
-                Vec::new()
-            },
-            round_robin_next: 0,
             events: Vec::new(),
             last_action_s: f64::NEG_INFINITY,
             peak_provisioned: initial,
@@ -550,19 +725,30 @@ impl<'e> Run<'e> {
         };
         let last_spec = engine.specs.len() - 1;
         for i in 0..initial as usize {
-            run.provision(i.min(last_spec), 0.0, 0.0);
+            // A split fleet's pool `k` runs pipeline `k`.
+            let (spec, pool) = match &engine.split {
+                None => (i.min(last_spec), ARRIVAL_POOL),
+                Some(split) if i < split.prefill => (ARRIVAL_POOL, ARRIVAL_POOL),
+                Some(_) => (DECODE_POOL, DECODE_POOL),
+            };
+            run.provision(spec, pool, 0.0, 0.0);
         }
         run
     }
 
-    /// Appends a fresh, cold replica slot running pipeline `spec`.
-    fn provision(&mut self, spec: usize, now: f64, routable_s: f64) -> usize {
+    /// Appends a fresh, cold replica slot running pipeline `spec` in
+    /// `pool`.
+    fn provision(&mut self, spec: usize, pool: usize, now: f64, routable_s: f64) -> usize {
         let mut sim = ReplicaSim::new(self.engine.specs[spec].clone());
         sim.track_completions = self.track_completions;
         sim.track_probes = self.track_probes;
+        let home = self.pools[pool].size;
+        self.pools[pool].size += 1;
         self.slots.push(Slot {
             sim: Some(sim),
             spec,
+            pool,
+            home,
             provisioned_s: now,
             routable_s,
             decommissioned_s: None,
@@ -584,14 +770,15 @@ impl<'e> Run<'e> {
     }
 
     /// When waiting requests can next be routed: the earliest instant a
-    /// provisioned replica is (or becomes) routable.
+    /// provisioned replica of a pool with waiting requests is (or becomes)
+    /// routable.
     fn flush_time(&self) -> Option<f64> {
-        if self.pending.is_empty() {
+        if self.pools.iter().all(|p| p.pending.is_empty()) {
             return None;
         }
         self.slots
             .iter()
-            .filter(|s| s.provisioned())
+            .filter(|s| s.provisioned() && !self.pools[s.pool].pending.is_empty())
             .map(|s| s.routable_s)
             .min_by(f64::total_cmp)
     }
@@ -613,20 +800,103 @@ impl<'e> Run<'e> {
         self.slots.iter().filter(|s| s.provisioned()).count() as u32
     }
 
-    /// Advances every live replica to just before `t`.
-    fn advance(&mut self, t: f64) {
-        advance_all(
-            &mut self.slots,
-            |s| s.sim.as_mut(),
-            t,
-            self.engine.parallel_advance,
+    /// Advances every live replica of `pool` to just before `t` — in
+    /// parallel when the engine asks for it. Replicas share no state
+    /// between clock points, so the parallel form leaves each one
+    /// bit-identical to the serial loop. A split fleet's decode pool must
+    /// not run ahead of the transfers it has yet to receive, so each pool
+    /// advances only to its own routing instants.
+    fn advance(&mut self, pool: usize, t: f64) {
+        // Every event due before an earlier horizon has been processed, and
+        // new events are never scheduled before the pool's clock.
+        if t <= self.pools[pool].clock {
+            return;
+        }
+        self.pools[pool].clock = t;
+        // A decode pool advances once per delivered transfer, too little
+        // work between deliveries to repay a fan-out.
+        let parallel =
+            self.engine.parallel_advance && pool == ARRIVAL_POOL && self.pools[pool].size > 1;
+        let step = |slot: &mut Slot| {
+            if slot.pool == pool {
+                if let Some(sim) = slot.sim.as_mut() {
+                    sim.advance_before(t);
+                }
+            }
+        };
+        if parallel {
+            self.slots
+                .iter_mut()
+                .par_bridge()
+                .fold(|| (), |(), slot| step(slot))
+                .reduce(|| (), |(), ()| ());
+        } else {
+            self.slots.iter_mut().for_each(step);
+        }
+    }
+
+    fn refresh_routable(&mut self, t: f64, pool: usize) {
+        self.routable.clear();
+        self.routable.extend(
+            (0..self.slots.len())
+                .filter(|&i| self.slots[i].pool == pool && self.slots[i].routable_at(t)),
         );
     }
 
-    fn refresh_routable(&mut self, t: f64) {
-        self.routable.clear();
-        self.routable
-            .extend((0..self.slots.len()).filter(|&i| self.slots[i].routable_at(t)));
+    /// The next KV-transfer completion of a split fleet (`None` for a flat
+    /// one), after moving the knowledge horizon to `horizon` — the next
+    /// instant of the other lanes: the prefill pool advances to it (or,
+    /// once no other lane remains, runs dry) and its new handoffs join the
+    /// transfer calendar. Every transfer completing before `horizon` is
+    /// then known, since no undiscovered handoff is ready before it.
+    fn next_transfer(&mut self, horizon: Option<f64>) -> Option<f64> {
+        self.transfers.as_ref()?;
+        match horizon {
+            Some(t) => self.advance(ARRIVAL_POOL, t),
+            None => self
+                .slots
+                .iter_mut()
+                .filter(|s| s.pool == ARRIVAL_POOL)
+                .filter_map(|s| s.sim.as_mut())
+                .for_each(ReplicaSim::run_to_completion),
+        }
+        let transfers = self.transfers.as_mut()?;
+        for slot in self.slots.iter_mut().filter(|s| s.pool == ARRIVAL_POOL) {
+            let Some(sim) = slot.sim.as_mut() else {
+                continue;
+            };
+            sim.take_handoffs(&mut transfers.harvest);
+            for (ready_s, req) in transfers.harvest.drain(..) {
+                let latency_s = transfers.model.latency_s(req.prefix_tokens);
+                let bytes = transfers.model.bytes_for(req.prefix_tokens);
+                let idx = transfers.priced.len() as u32;
+                transfers.priced.push((req, bytes, latency_s));
+                transfers.calendar.push_scheduled(ready_s + latency_s, idx);
+            }
+        }
+        transfers.calendar.peek_time()
+    }
+
+    /// Delivers the earliest KV transfer into the decode pool at its
+    /// completion instant — or parks it until a decode replica is routable.
+    fn deliver_transfer<R: Recorder>(&mut self, rec: &mut R) {
+        let transfers = self.transfers.as_mut().expect("only split fleets transfer");
+        let (t, idx) = transfers.calendar.pop().expect("the transfer lane fired");
+        let (req, bytes, latency_s) = transfers.priced[idx as usize];
+        let stats = &mut transfers.stats;
+        stats.transfers += 1;
+        stats.bytes_total += bytes;
+        stats.latency_total_s += latency_s;
+        stats.latency_max_s = stats.latency_max_s.max(latency_s);
+        self.advance(DECODE_POOL, t);
+        self.refresh_routable(t, DECODE_POOL);
+        let track = if self.routable.is_empty() {
+            self.pools[DECODE_POOL].pending.push_back(req);
+            rago_telemetry::FLEET_TRACK
+        } else {
+            self.route(req, t, true, DECODE_POOL, rec) as u32
+        };
+        crate::telemetry::record_kv_transfer(rec, track, t, latency_s, bytes, &req);
     }
 
     /// Mean queued and mean outstanding requests per routable replica.
@@ -660,36 +930,41 @@ impl<'e> Run<'e> {
     /// until a replica becomes routable. Returns `false` when parked.
     fn arrive<R: Recorder>(&mut self, req: EngineRequest, rec: &mut R) -> bool {
         let t = req.arrival_s;
-        self.advance(t);
-        self.refresh_routable(t);
+        self.advance(ARRIVAL_POOL, t);
+        self.refresh_routable(t, ARRIVAL_POOL);
         if self.routable.is_empty() {
-            self.pending.push_back(req);
+            self.pools[ARRIVAL_POOL].pending.push_back(req);
             return false;
         }
         if !self.shed(&req, t) {
-            self.route(req, t, false, rec);
+            self.route(req, t, false, ARRIVAL_POOL, rec);
         }
         true
     }
 
     /// A replica just became routable: admit and route the waiting
-    /// requests at this instant.
+    /// requests of every pool that can take them at this instant. Only
+    /// the arrival pool's requests face admission control.
     fn flush<R: Recorder>(&mut self, now: f64, rec: &mut R) {
-        self.advance(now);
-        self.refresh_routable(now);
-        debug_assert!(
-            !self.routable.is_empty(),
-            "flushes fire at routable instants"
-        );
-        while let Some(req) = self.pending.pop_front() {
-            if !self.shed(&req, now) {
-                self.route(req, now, true, rec);
+        for pool in 0..self.pools.len() {
+            if self.pools[pool].pending.is_empty() {
+                continue;
+            }
+            self.advance(pool, now);
+            self.refresh_routable(now, pool);
+            if self.routable.is_empty() {
+                continue;
+            }
+            while let Some(req) = self.pools[pool].pending.pop_front() {
+                if pool != ARRIVAL_POOL || !self.shed(&req, now) {
+                    self.route(req, now, true, pool, rec);
+                }
             }
         }
     }
 
     /// Returns `true` (and records the shed) when admission control rejects
-    /// `req` at `t` given the routable fleet's load.
+    /// `req` at `t` given the routable arrival pool's load.
     fn shed(&mut self, req: &EngineRequest, t: f64) -> bool {
         let engine = self.engine;
         let Some(admission) = &engine.admission else {
@@ -711,22 +986,31 @@ impl<'e> Run<'e> {
         true
     }
 
-    /// Routes `req` over the routable replicas at `t` and injects it —
-    /// `delayed` for a request that waited or was re-queued, whose arrival
-    /// event fires now rather than at its recorded arrival. The recorder
-    /// sees one decision event per pick; it never influences the pick.
-    fn route<R: Recorder>(&mut self, req: EngineRequest, t: f64, delayed: bool, rec: &mut R) {
-        let router = self.engine.router;
+    /// Routes `req` over `pool`'s routable replicas (as of the last
+    /// [`Run::refresh_routable`]) at `t` and injects it — `delayed` for a
+    /// request that waited, was re-queued, or crossed the transfer lane,
+    /// whose arrival event fires now rather than at its recorded arrival.
+    /// Returns the picked slot. The recorder sees one decision event per
+    /// pick; it never influences the pick.
+    fn route<R: Recorder>(
+        &mut self,
+        req: EngineRequest,
+        t: f64,
+        delayed: bool,
+        pool: usize,
+        rec: &mut R,
+    ) -> usize {
+        let pool = &mut self.pools[pool];
         let (slots, routable) = (&self.slots, &self.routable);
         let pick = route_pick(
-            router,
+            pool.router,
             routable.len(),
             |i| slots[routable[i]].sim(),
-            // Hash homes key on the stable slot index, not the position in
-            // the routable subset, so scale events do not re-home every
-            // template.
-            |i| routable[i],
-            &mut self.round_robin_next,
+            // Hash homes key on the stable slot id within the pool, not the
+            // position in the routable subset, so scale events do not
+            // re-home every template.
+            |i| slots[routable[i]].home,
+            &mut pool.round_robin_next,
             &req,
         );
         let replica = routable[pick];
@@ -734,14 +1018,14 @@ impl<'e> Run<'e> {
             crate::telemetry::record_route_pick(
                 rec,
                 t,
-                router,
+                pool.router,
                 replica,
                 &req,
                 slots[replica].sim(),
             );
         }
         if self.log_assignments {
-            self.assignments.push((req.id, replica));
+            pool.assignments.push((req.id, replica));
         }
         let slot = &mut self.slots[replica];
         slot.assigned += 1;
@@ -751,6 +1035,7 @@ impl<'e> Run<'e> {
         } else {
             sim.inject(req);
         }
+        replica
     }
 
     /// Applies one fault-lane action at `now`.
@@ -783,8 +1068,7 @@ impl<'e> Run<'e> {
                     kind: FaultKind::Crash,
                 });
                 if restart_delay_s.is_finite() {
-                    let spec = self.slots[slot].spec;
-                    self.schedule(now + restart_delay_s, Action::Restart { spec });
+                    self.schedule(now + restart_delay_s, Action::Restart { like: slot });
                 }
             }
             Action::PreemptNotice { slot, notice_s } => {
@@ -811,23 +1095,25 @@ impl<'e> Run<'e> {
                     self.kill(slot, now, rec);
                 }
             }
-            Action::Restart { spec } => {
+            Action::Restart { like } => {
                 // A cold replacement replica: same provisioning path as a
                 // scale-out (fresh caches, full warm-up).
-                self.provision(spec, now, now + self.engine.driver.warmup_s());
+                let (spec, pool) = (self.slots[like].spec, self.slots[like].pool);
+                self.provision(spec, pool, now, now + self.engine.driver.warmup_s());
                 self.peak_provisioned = self.peak_provisioned.max(self.provisioned());
             }
         }
     }
 
     /// Tears one replica down at `now`: its completed work is harvested,
-    /// its in-flight requests are re-queued or failed, and its chips are
-    /// released.
+    /// its in-flight requests are re-queued within its pool or failed, and
+    /// its chips are released.
     fn kill<R: Recorder>(&mut self, slot: usize, now: f64, rec: &mut R) {
         // Work completing strictly before the death instant survives; work
         // completing exactly at it is lost with the replica (the pinned
         // `advance_before` semantics).
-        self.advance(now);
+        let pool = self.slots[slot].pool;
+        self.advance(pool, now);
         let mut sim = self.slots[slot].sim.take().expect("only live slots die");
         let obs = ReplicaObs::take(slot, &mut sim);
         let (timelines, in_flight, acc) = sim.dismantle();
@@ -840,16 +1126,23 @@ impl<'e> Run<'e> {
         match self.engine.crash_policy {
             CrashPolicy::Fail => self.failed += in_flight.len(),
             CrashPolicy::Requeue => {
-                self.refresh_routable(now);
+                if let Some(transfers) = &mut self.transfers {
+                    let requeued = in_flight.len() as u64;
+                    match pool {
+                        DECODE_POOL => transfers.stats.requeued_decode += requeued,
+                        _ => transfers.stats.requeued_prefill += requeued,
+                    }
+                }
+                self.refresh_routable(now, pool);
                 for req in in_flight {
                     self.retried += 1;
                     if self.routable.is_empty() {
-                        self.pending.push_back(req);
+                        self.pools[pool].pending.push_back(req);
                     } else {
                         // Retries bypass admission — they were admitted
                         // once; TTFT keeps accruing from the original
                         // arrival.
-                        self.route(req, now, true, rec);
+                        self.route(req, now, true, pool, rec);
                     }
                 }
             }
@@ -860,7 +1153,7 @@ impl<'e> Run<'e> {
     /// the autoscaler's decision: observe the routable replicas, then take
     /// at most one scaling action.
     fn evaluate_reactive(&mut self, policy: &AutoscalerPolicy, now: f64) {
-        self.refresh_routable(now);
+        self.refresh_routable(now, ARRIVAL_POOL);
         if self.routable.is_empty() {
             return; // only transiently, while the whole fleet warms up or is dead
         }
@@ -896,7 +1189,7 @@ impl<'e> Run<'e> {
         };
 
         if (queue_trigger || attainment_trigger) && provisioned < policy.max_replicas {
-            let replica = self.provision(0, now, now + policy.warmup_s);
+            let replica = self.provision(0, ARRIVAL_POOL, now, now + policy.warmup_s);
             self.last_action_s = now;
             self.peak_provisioned = self.peak_provisioned.max(provisioned + 1);
             // A zero-warm-up replica is routable at this very tick, so it
@@ -928,7 +1221,7 @@ impl<'e> Run<'e> {
     /// One predictive plan step: provision or decommission until the live
     /// fleet matches `target`.
     fn apply_plan_target(&mut self, target: u32, warmup_s: f64, now: f64) {
-        self.refresh_routable(now);
+        self.refresh_routable(now, ARRIVAL_POOL);
         let (mean_queue_depth, mean_outstanding) = if self.routable.is_empty() {
             (0.0, 0.0)
         } else {
@@ -946,7 +1239,7 @@ impl<'e> Run<'e> {
         let mut provisioned = self.provisioned();
         let mut routable_now = self.routable.len() as u32;
         while provisioned < target {
-            let replica = self.provision(0, now, now + warmup_s);
+            let replica = self.provision(0, ARRIVAL_POOL, now, now + warmup_s);
             provisioned += 1;
             if warmup_s <= 0.0 {
                 routable_now += 1;
@@ -962,7 +1255,7 @@ impl<'e> Run<'e> {
         while provisioned > target {
             // Decommission the emptiest routable replica; never the last
             // one (warming replicas cannot drain the backlog).
-            self.refresh_routable(now);
+            self.refresh_routable(now, ARRIVAL_POOL);
             if self.routable.len() <= 1 {
                 break;
             }
@@ -984,8 +1277,13 @@ impl<'e> Run<'e> {
     /// waiting fail, and a replica's chips are paid until its death, the
     /// end of its drain after a decommission, or the end of the run.
     fn finish(mut self, injected: usize) -> (ChaosReport, Vec<ReplicaObs>) {
-        self.failed += self.pending.len();
-        let assigned_counts = self.slots.iter().map(|s| s.assigned).collect();
+        // The dispatch log lists the arrival pool's dispatches, then the
+        // decode pool's.
+        let mut assignments = std::mem::take(&mut self.pools[ARRIVAL_POOL].assignments);
+        for pool in &mut self.pools {
+            self.failed += pool.pending.len();
+            assignments.append(&mut pool.assignments);
+        }
         let live = self
             .slots
             .iter_mut()
@@ -995,8 +1293,8 @@ impl<'e> Run<'e> {
         let (fleet, obs) = drain_and_merge(
             live,
             self.dead,
-            assigned_counts,
-            self.assignments,
+            &self.slots,
+            assignments,
             self.engine.router,
             self.mode,
             &self.shed_by_class,
@@ -1026,6 +1324,7 @@ impl<'e> Run<'e> {
             replica_seconds += retired_s - slot.provisioned_s;
             lifetimes.push(ReplicaLifetime {
                 replica,
+                pool: self.pools[slot.pool].role,
                 provisioned_s: slot.provisioned_s,
                 routable_s: slot.routable_s,
                 decommissioned_s: slot.decommissioned_s,
@@ -1057,6 +1356,7 @@ impl<'e> Run<'e> {
                 shed_log: self.shed_log,
                 disruptions: self.disruptions,
             },
+            transfers: self.transfers.map(|t| t.stats).unwrap_or_default(),
         };
         (report, obs)
     }
@@ -1066,10 +1366,10 @@ impl<'e> Run<'e> {
 /// simulation is consumed: its cache-probe log (empty unless the replica
 /// tracked probes, i.e. the run was traced) and its event-queue counters.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct ReplicaObs {
-    pub(crate) replica: usize,
-    pub(crate) probes: Vec<CacheProbe>,
-    pub(crate) equeue: EventQueueStats,
+struct ReplicaObs {
+    replica: usize,
+    probes: Vec<CacheProbe>,
+    equeue: EventQueueStats,
 }
 
 impl ReplicaObs {
@@ -1168,12 +1468,11 @@ impl Harvest {
     }
 
     /// The merged fleet report (timelines in arrival order), with admission
-    /// sheds threaded into the merged and per-class rows — untouched when
-    /// nothing was shed, preserving bit-identity with shed-free runs.
+    /// sheds threaded in.
     fn into_merged_report(self, shed_by_class: &BTreeMap<u32, usize>) -> ServingReport {
-        let (mut report, acc) = match self {
+        let (report, acc) = match self {
             Harvest::Exact(mut timelines, acc) => {
-                timelines.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
+                timelines.sort_by(by_arrival);
                 (build_report(timelines, &acc), acc)
             }
             Harvest::Streaming(sink) => {
@@ -1181,39 +1480,103 @@ impl Harvest {
                 (sink.into_report(), acc)
             }
         };
-        if shed_by_class.is_empty() {
-            return report;
-        }
-        report.metrics.shed = shed_by_class.values().sum();
-        for row in &mut report.per_class {
-            row.metrics.shed = shed_by_class.get(&row.class).copied().unwrap_or(0);
-        }
-        for (&class, &count) in shed_by_class {
-            if !report.per_class.iter().any(|r| r.class == class) {
-                // A class shed in its entirety still gets a row: zero
-                // completions, its shed count, shared-resource fields
-                // repeating the run-level values like every class row.
-                let mut metrics = compute_metrics_for(&[], Some(class), &acc);
-                metrics.shed = count;
-                report.per_class.push(ClassMetrics { class, metrics });
-            }
-        }
-        report.per_class.sort_by_key(|r| r.class);
-        report
+        with_sheds(report, &acc, shed_by_class)
     }
+
+    /// The merged report of a split fleet: its prefill legs (`self`) and
+    /// decode legs (`decode`) joined by request id into fleet-level
+    /// timelines — arrival, pre-decode stages, and first token from the
+    /// prefill leg; decode join and completion from the decode leg;
+    /// queueing summed over both. A request whose decode never finished
+    /// (its decode pool died under it) has no fleet timeline.
+    fn stitch(self, decode: Harvest, shed_by_class: &BTreeMap<u32, usize>) -> ServingReport {
+        let (Harvest::Exact(prefill_legs, prefill_acc), Harvest::Exact(decode_legs, decode_acc)) =
+            (self, decode)
+        else {
+            unreachable!("split fleets run in exact metrics mode")
+        };
+        let mut decoded: HashMap<u64, RequestTimeline> = HashMap::with_capacity(decode_legs.len());
+        for leg in decode_legs {
+            let id = leg.id;
+            assert!(
+                decoded.insert(id, leg).is_none(),
+                "duplicate request id {id} in the decode pool — a split fleet \
+                 stitches its two legs by request id"
+            );
+        }
+        let mut timelines: Vec<RequestTimeline> = prefill_legs
+            .into_iter()
+            .filter_map(|p| {
+                let d = decoded.remove(&p.id)?;
+                Some(RequestTimeline {
+                    decode_join_s: d.decode_join_s,
+                    completion_s: d.completion_s,
+                    queueing_s: p.queueing_s + d.queueing_s,
+                    decode_tokens: d.decode_tokens,
+                    ..p
+                })
+            })
+            .collect();
+        assert!(
+            decoded.is_empty(),
+            "{} requests decoded without a prefill leg",
+            decoded.len()
+        );
+        timelines.sort_by(by_arrival);
+        let mut acc = SimAccumulators::default();
+        acc.merge_from(&prefill_acc);
+        acc.merge_from(&decode_acc);
+        with_sheds(build_report(timelines, &acc), &acc, shed_by_class)
+    }
+}
+
+/// Arrival order, ties by request id.
+fn by_arrival(a: &RequestTimeline, b: &RequestTimeline) -> Ordering {
+    a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id))
+}
+
+/// Threads admission sheds into a merged report's aggregate and per-class
+/// rows — untouched when nothing was shed, preserving bit-identity with
+/// shed-free runs.
+fn with_sheds(
+    mut report: ServingReport,
+    acc: &SimAccumulators,
+    shed_by_class: &BTreeMap<u32, usize>,
+) -> ServingReport {
+    if shed_by_class.is_empty() {
+        return report;
+    }
+    report.metrics.shed = shed_by_class.values().sum();
+    for row in &mut report.per_class {
+        row.metrics.shed = shed_by_class.get(&row.class).copied().unwrap_or(0);
+    }
+    for (&class, &count) in shed_by_class {
+        if !report.per_class.iter().any(|r| r.class == class) {
+            // A class shed in its entirety still gets a row: zero
+            // completions, its shed count, shared-resource fields repeating
+            // the run-level values like every class row.
+            let mut metrics = compute_metrics_for(&[], Some(class), acc);
+            metrics.shed = count;
+            report.per_class.push(ClassMetrics { class, metrics });
+        }
+    }
+    report.per_class.sort_by_key(|r| r.class);
+    report
 }
 
 /// Drains the live replicas to completion, merges them in slot order with
 /// the harvests of replicas that died mid-run, and assembles the fleet
-/// report — one definition for fixed, elastic, and faulted fleets in either
-/// metrics mode. The drain is the expensive leg (each replica runs out its
-/// remaining events with no routing interaction), so a multi-replica fleet
-/// drains in parallel; the slot-order merge keeps the report identical to a
-/// serial drain.
+/// report — one definition for fixed, elastic, faulted, and split fleets in
+/// either metrics mode. The drain is the expensive leg (each replica runs
+/// out its remaining events with no routing interaction), so a
+/// multi-replica fleet drains in parallel; the slot-order merge keeps the
+/// report identical to a serial drain. A split fleet merges each pool's
+/// legs separately, lists each replica's legs in arrival order, and
+/// stitches the two pools' legs into the merged report.
 fn drain_and_merge(
     live: Vec<(usize, ReplicaSim)>,
     mut harvests: Vec<(usize, Harvest, ReplicaObs)>,
-    assigned_counts: Vec<usize>,
+    slots: &[Slot],
     assignments: Vec<(u64, usize)>,
     router: RouterPolicy,
     mode: &MetricsMode,
@@ -1242,57 +1605,38 @@ fn drain_and_merge(
     }
     harvests.sort_by_key(|(replica, ..)| *replica);
 
-    let mut merged = Harvest::empty(mode, assignments.len());
+    let split = slots.iter().any(|s| s.pool == DECODE_POOL);
+    let legs_per_pool = assignments.len() / (1 + usize::from(split));
+    let mut merged = Harvest::empty(mode, legs_per_pool);
+    let mut decode = split.then(|| Harvest::empty(mode, legs_per_pool));
     let mut per_replica = Vec::with_capacity(harvests.len());
     let mut obs = Vec::with_capacity(harvests.len());
-    for (replica, harvest, ob) in harvests {
+    for (replica, mut harvest, ob) in harvests {
+        let leg = match &mut decode {
+            Some(decode) if slots[replica].pool == DECODE_POOL => decode,
+            _ => &mut merged,
+        };
+        if let (true, Harvest::Exact(timelines, _)) = (split, &mut harvest) {
+            timelines.sort_by(by_arrival);
+        }
         per_replica.push(ReplicaReport {
             replica,
-            assigned: assigned_counts[replica],
-            report: merged.absorb(harvest),
+            assigned: slots[replica].assigned,
+            report: leg.absorb(harvest),
         });
         obs.push(ob);
     }
     let report = FleetReport {
-        merged: merged.into_merged_report(shed_by_class),
+        merged: match decode {
+            None => merged.into_merged_report(shed_by_class),
+            Some(decode) => merged.stitch(decode, shed_by_class),
+        },
         per_replica,
         assignments,
-        imbalance: LoadImbalance::from_counts(assigned_counts),
+        imbalance: LoadImbalance::from_counts(slots.iter().map(|s| s.assigned).collect()),
         router,
     };
     (report, obs)
-}
-
-/// Advances the live replica of every item to just before `t` — in
-/// parallel when asked and there is more than one item. Replicas share no
-/// state between clock points, so the parallel form leaves each one
-/// bit-identical to the serial loop. Items without a live replica are
-/// skipped.
-pub(crate) fn advance_all<T, F>(items: &mut [T], sim_of: F, t: f64, parallel: bool)
-where
-    T: Send,
-    F: for<'a> Fn(&'a mut T) -> Option<&'a mut ReplicaSim> + Sync,
-{
-    if parallel && items.len() > 1 {
-        items
-            .iter_mut()
-            .par_bridge()
-            .fold(
-                || (),
-                |(), item| {
-                    if let Some(sim) = sim_of(item) {
-                        sim.advance_before(t);
-                    }
-                },
-            )
-            .reduce(|| (), |(), ()| ());
-    } else {
-        for item in items.iter_mut() {
-            if let Some(sim) = sim_of(item) {
-                sim.advance_before(t);
-            }
-        }
-    }
 }
 
 /// Post-hoc derivation over a finished fleet: per-replica spans, probes,

@@ -29,7 +29,8 @@
 //!   (`tests/engine_equivalence.rs`).
 //! * **Fleets** — the scale dimension on top of all three: one loop,
 //!   [`fleet::FleetEngine`], runs N replicas of a pipeline (optionally
-//!   heterogeneous) behind a state-aware router
+//!   heterogeneous, or split into prefill/decode pools) behind a
+//!   state-aware router
 //!   ([`rago_schema::RouterPolicy`], [`cluster`]), dispatching a shared
 //!   arrival stream and merging the runs into a [`cluster::FleetReport`]
 //!   with per-replica breakdowns and load-imbalance statistics. What makes
@@ -51,16 +52,19 @@
 //!   ([`faults::RecoveryMetrics`]). Both metrics modes run through the same
 //!   loop, and a one-replica static fleet reproduces
 //!   [`engine::ServingEngine::run`] exactly (`tests/proptest_cluster.rs`).
-//! * **Disaggregated prefill/decode pools** — the placement dimension:
-//!   [`pools::DisaggEngine`] splits the fleet into a typed Prefill pool and
-//!   a Decode pool (Splitwise/DistServe style). A request finishing its
-//!   pre-decode stages on a prefill replica emits its first token there and
-//!   hands its KV state across the interconnect — priced by a
-//!   [`rago_schema::KvTransferModel`] — before a phase-aware
-//!   [`pools::PoolRouter`] re-injects it into a decode replica. Crashes are
-//!   per pool: un-transferred work re-queues to prefill survivors only. A
-//!   1+1 split at zero transfer cost reproduces the monolithic engine's
-//!   per-request timings exactly (`tests/proptest_pools.rs`).
+//! * **Disaggregated prefill/decode pools** — the placement dimension, as
+//!   a configuration of the same loop: [`fleet::FleetEngine::disaggregated`]
+//!   splits the fleet into a typed Prefill pool and a Decode pool
+//!   (Splitwise/DistServe style). A request finishing its pre-decode stages
+//!   on a prefill replica emits its first token there and hands its KV
+//!   state across the interconnect — priced by a
+//!   [`rago_schema::KvTransferModel`] on the loop's transfer lane — before
+//!   the decode pool's own router re-injects it into a decode replica.
+//!   Crashes are per pool ([`pools::PoolCrash`]): un-transferred work
+//!   re-queues to prefill survivors only. [`pools::DisaggReport`] is the
+//!   two-pool view of the run, and a 1+1 split at zero transfer cost
+//!   reproduces the monolithic engine's per-request timings exactly
+//!   (`tests/proptest_pools.rs`).
 //! * **Caching** — the content-reuse dimension on top of everything: a
 //!   [`engine::CachePlan`] attaches the deterministic cache simulators of
 //!   `rago-cache` to a pipeline. Each replica owns cold, replica-local
@@ -149,7 +153,7 @@ pub use faults::{
 pub use fleet::FleetEngine;
 pub use iterative::{IterativeDecodeParams, IterativeDecodeResult, IterativeDecodeSim};
 pub use microbatch::{simulate_collocated_burst, simulate_pipelined_burst, BurstResult};
-pub use pools::{DisaggEngine, DisaggReport, PoolCrash, PoolReport, PoolRouter, TransferStats};
+pub use pools::{DisaggReport, PoolCrash, PoolReport, TransferStats};
 pub use sink::{
     ClassSloScore, ExactSink, HistogramSink, LatencyHistogram, MetricsMode, MetricsSink,
     RequestOutcome, StreamedScores, StreamingConfig,

@@ -15,11 +15,13 @@
 //!    its stamps can differ by up to that grouping epsilon but never more).
 
 use proptest::prelude::*;
-use rago_schema::{KvTransferModel, PoolRole, RouterPolicy};
+use rago_schema::{KvTransferModel, PoolRole, PoolSpec, RouterPolicy};
 use rago_serving_sim::engine::{
     DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, ServingEngine, StageSpec,
 };
-use rago_serving_sim::pools::{DisaggEngine, PoolCrash};
+use rago_serving_sim::faults::FaultSchedule;
+use rago_serving_sim::fleet::FleetEngine;
+use rago_serving_sim::pools::{DisaggReport, PoolCrash};
 
 /// Per-field tolerance for time stamps that cross the engines'
 /// `TIME_EPS = 1e-12` event-grouping boundary.
@@ -75,6 +77,30 @@ fn policy(index: usize) -> RouterPolicy {
     RouterPolicy::ALL[index % RouterPolicy::ALL.len()]
 }
 
+/// Runs `reqs` through a `prefill + decode` split of `full` with `crashes`
+/// played onto its pools, and returns the two-pool view.
+fn run_split(
+    full: &PipelineSpec,
+    prefill: (u32, RouterPolicy),
+    decode: (u32, RouterPolicy),
+    transfer: KvTransferModel,
+    crashes: &[PoolCrash],
+    reqs: Vec<EngineRequest>,
+) -> DisaggReport {
+    let (prefill_spec, decode_spec) = split_specs(full);
+    let faults = crashes.iter().map(|c| c.to_fault(prefill.0)).collect();
+    let report = FleetEngine::disaggregated(
+        prefill_spec,
+        decode_spec,
+        &PoolSpec::new(PoolRole::Prefill, prefill.0, prefill.1),
+        &PoolSpec::new(PoolRole::Decode, decode.0, decode.1),
+        transfer,
+    )
+    .with_faults(FaultSchedule::new(faults))
+    .run(reqs);
+    DisaggReport::from_chaos(report, decode.1, transfer)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -87,8 +113,8 @@ proptest! {
     fn handoff_conserves_the_request_multiset(
         prefill_policy in 0usize..4,
         decode_policy in 0usize..4,
-        prefill_replicas in 1usize..4,
-        decode_replicas in 1usize..4,
+        prefill_replicas in 1u32..4,
+        decode_replicas in 1u32..4,
         n in 1usize..50,
         gap in 0.0f64..0.03,
         stages in 1usize..3,
@@ -98,19 +124,16 @@ proptest! {
         base_latency in 0.0f64..1e-3,
     ) {
         let full = full_pipeline(stages, stage_batch, 0.01, decode_batch, 1e-3);
-        let (prefill_spec, decode_spec) = split_specs(&full);
         let transfer = KvTransferModel::new(kv_bytes, 25e9, base_latency);
         let reqs = requests(n, gap);
-        let report = DisaggEngine::new(
-            prefill_spec,
-            prefill_replicas,
-            policy(prefill_policy),
-            decode_spec,
-            decode_replicas,
-            policy(decode_policy),
+        let report = run_split(
+            &full,
+            (prefill_replicas, policy(prefill_policy)),
+            (decode_replicas, policy(decode_policy)),
             transfer,
-        )
-        .run(reqs.clone());
+            &[],
+            reqs.clone(),
+        );
 
         // Stitched timelines == input multiset, data untouched.
         prop_assert_eq!(report.merged.timelines.len(), n);
@@ -155,8 +178,9 @@ proptest! {
     }
 
     /// Conservation survives a crash in either pool at any instant: the
-    /// victim's in-flight work re-queues onto same-pool survivors and every
-    /// request still completes exactly once.
+    /// victim's in-flight work re-queues onto same-pool survivors — or, in
+    /// a one-replica pool, waits for the victim's cold replacement — and
+    /// every request still completes exactly once.
     #[test]
     fn crashes_requeue_without_losing_requests(
         prefill_policy in 0usize..4,
@@ -166,32 +190,36 @@ proptest! {
         crash_at in 0.0f64..0.6,
         permanent in any::<bool>(),
         restart_delay in 0.01f64..0.3,
+        single_replica_pool in any::<bool>(),
         n in 1usize..50,
         gap in 0.0f64..0.02,
         decode_batch in 1u32..16,
     ) {
         // Two replicas in the crashed pool so a permanent loss always
-        // leaves a survivor to absorb the re-queued work.
+        // leaves a survivor to absorb the re-queued work; a one-replica
+        // pool always restarts its only replica.
         let full = full_pipeline(1, 4, 0.012, decode_batch, 2e-3);
-        let (prefill_spec, decode_spec) = split_specs(&full);
         let reqs = requests(n, gap);
+        let crashed_pool = if single_replica_pool { 1 } else { 2 };
         let crash = PoolCrash {
             pool: if crash_decode_pool { PoolRole::Decode } else { PoolRole::Prefill },
-            replica: victim,
+            replica: victim % crashed_pool as usize,
             at_s: crash_at,
-            restart_delay_s: (!permanent).then_some(restart_delay),
+            restart_delay_s: (single_replica_pool || !permanent).then_some(restart_delay),
         };
-        let report = DisaggEngine::new(
-            prefill_spec,
-            2,
-            policy(prefill_policy),
-            decode_spec,
-            2,
-            policy(decode_policy),
+        let (prefill_replicas, decode_replicas) = if crash_decode_pool {
+            (2, crashed_pool)
+        } else {
+            (crashed_pool, 2)
+        };
+        let report = run_split(
+            &full,
+            (prefill_replicas, policy(prefill_policy)),
+            (decode_replicas, policy(decode_policy)),
             KvTransferModel::new(1e4, 25e9, 20e-6),
-        )
-        .with_faults(vec![crash])
-        .run(reqs.clone());
+            &[crash],
+            reqs.clone(),
+        );
 
         prop_assert_eq!(report.merged.timelines.len(), n);
         let mut seen: Vec<u64> = report.merged.timelines.iter().map(|t| t.id).collect();
@@ -203,9 +231,9 @@ proptest! {
             prop_assert_eq!(t.decode_tokens, r.decode_tokens);
             prop_assert_eq!(t.class, r.class);
         }
-        // A decode-pool victim's work re-crosses the transfer lane, so the
-        // transfer count can exceed n but never undershoot it.
-        prop_assert!(report.transfers.transfers >= n as u64);
+        // Every request is handed off exactly once: a decode-pool victim's
+        // work re-enters the decode pool directly, never the transfer lane.
+        prop_assert_eq!(report.transfers.transfers, n as u64);
     }
 
     /// A 1+1 split at zero transfer cost is the monolithic engine:
@@ -222,19 +250,16 @@ proptest! {
         step_latency in 1e-4f64..0.01,
     ) {
         let full = full_pipeline(stages, stage_batch, 0.015, decode_batch, step_latency);
-        let (prefill_spec, decode_spec) = split_specs(&full);
         let reqs = requests(n, gap);
-        let mono = ServingEngine::new(full, reqs.clone()).run();
-        let split = DisaggEngine::new(
-            prefill_spec,
-            1,
-            policy(prefill_policy),
-            decode_spec,
-            1,
-            policy(decode_policy),
+        let mono = ServingEngine::new(full.clone(), reqs.clone()).run();
+        let split = run_split(
+            &full,
+            (1, policy(prefill_policy)),
+            (1, policy(decode_policy)),
             KvTransferModel::zero(),
-        )
-        .run(reqs);
+            &[],
+            reqs,
+        );
 
         prop_assert_eq!(split.merged.timelines.len(), mono.timelines.len());
         for (s, m) in split.merged.timelines.iter().zip(mono.timelines.iter()) {
@@ -271,24 +296,20 @@ proptest! {
     fn disagg_runs_are_deterministic(
         prefill_policy in 0usize..4,
         decode_policy in 0usize..4,
-        prefill_replicas in 1usize..3,
-        decode_replicas in 1usize..3,
+        prefill_replicas in 1u32..3,
+        decode_replicas in 1u32..3,
         n in 1usize..40,
         gap in 0.0f64..0.02,
     ) {
         let run = || {
-            let full = full_pipeline(1, 4, 0.01, 8, 1e-3);
-            let (prefill_spec, decode_spec) = split_specs(&full);
-            DisaggEngine::new(
-                prefill_spec,
-                prefill_replicas,
-                policy(prefill_policy),
-                decode_spec,
-                decode_replicas,
-                policy(decode_policy),
+            run_split(
+                &full_pipeline(1, 4, 0.01, 8, 1e-3),
+                (prefill_replicas, policy(prefill_policy)),
+                (decode_replicas, policy(decode_policy)),
                 KvTransferModel::new(1e4, 25e9, 5e-6),
+                &[],
+                requests(n, gap),
             )
-            .run(requests(n, gap))
         };
         prop_assert_eq!(run(), run());
     }

@@ -81,7 +81,7 @@ use rago::serving_sim::faults::{
     AdmissionConfig, ChaosReport, FaultEvent, FaultSchedule, ScaleDriver,
 };
 use rago::serving_sim::fleet::FleetEngine;
-use rago::serving_sim::pools::{DisaggEngine, PoolReport};
+use rago::serving_sim::pools::{DisaggReport, PoolReport};
 use rago::serving_sim::MetricsMode;
 use rago::workloads::{
     ArrivalProcess, ContentSpec, MixTraceSpec, PopularityModel, RequestClass, TraceSpec,
@@ -1024,19 +1024,21 @@ fn golden_disagg_run() {
     // priced at 128 KiB/token over a 100 GB/s link with 5 us of fixed
     // overhead, under the same seeded Poisson trace as the flat golden.
     let full = engine_metrics_spec();
-    let prefill_spec = full.clone().with_handoff();
     let decode_spec = PipelineSpec::decode_only(full.decode.clone(), None);
     let transfer = KvTransferModel::new(131_072.0, 100e9, 5e-6);
-    let report = DisaggEngine::new(
-        prefill_spec,
-        2,
-        RouterPolicy::LeastOutstanding,
+    let decode = PoolSpec::new(PoolRole::Decode, 1, RouterPolicy::LeastOutstanding);
+    let engine = FleetEngine::disaggregated(
+        full,
         decode_spec,
-        1,
-        RouterPolicy::LeastOutstanding,
+        &PoolSpec::new(PoolRole::Prefill, 2, RouterPolicy::LeastOutstanding),
+        &decode,
         transfer,
-    )
-    .run_trace(&engine_metrics_trace());
+    );
+    let report = DisaggReport::from_chaos(
+        engine.run_trace(&engine_metrics_trace()),
+        decode.router,
+        transfer,
+    );
 
     let m = &report.merged.metrics;
     let slo = SloTarget::paper_default();

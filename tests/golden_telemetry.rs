@@ -32,13 +32,12 @@
 //! UPDATE_GOLDEN=1 cargo test --test golden_telemetry
 //! ```
 
-use rago::schema::{KvTransferModel, RouterPolicy, SequenceProfile};
+use rago::schema::{KvTransferModel, PoolRole, PoolSpec, RouterPolicy, SequenceProfile};
 use rago::serving_sim::engine::{
     DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, ServingEngine, StageSpec,
 };
 use rago::serving_sim::faults::{FaultEvent, FaultSchedule, ScaleDriver};
 use rago::serving_sim::fleet::FleetEngine;
-use rago::serving_sim::pools::DisaggEngine;
 use rago::serving_sim::MetricsMode;
 use rago::telemetry::{
     export_chrome_trace, export_jsonl, validate_json, validate_jsonl, NullRecorder,
@@ -139,17 +138,14 @@ fn chaos_scenario() -> FleetEngine {
     }]))
 }
 
-fn disagg_scenario() -> DisaggEngine {
+fn disagg_scenario() -> FleetEngine {
     let full = pipeline_spec();
-    let prefill_spec = full.clone().with_handoff();
     let decode_spec = PipelineSpec::decode_only(full.decode.clone(), None);
-    DisaggEngine::new(
-        prefill_spec,
-        2,
-        RouterPolicy::LeastOutstanding,
+    FleetEngine::disaggregated(
+        full,
         decode_spec,
-        1,
-        RouterPolicy::LeastOutstanding,
+        &PoolSpec::new(PoolRole::Prefill, 2, RouterPolicy::LeastOutstanding),
+        &PoolSpec::new(PoolRole::Decode, 1, RouterPolicy::LeastOutstanding),
         KvTransferModel::new(131_072.0, 100e9, 5e-6),
     )
 }
@@ -178,8 +174,8 @@ fn golden_chaos_trace() {
 #[test]
 fn golden_disagg_trace() {
     let engine = disagg_scenario().with_telemetry(TelemetryConfig::full(0.5));
-    let (report, rec) = engine.run_telemetry(requests(60));
-    assert_eq!(report.merged.metrics.requests, 60);
+    let (report, rec) = engine.run_telemetry(requests(60), &MetricsMode::Exact);
+    assert_eq!(report.fleet.merged.metrics.requests, 60);
     assert!(
         report.transfers.transfers > 0,
         "the handoff split must price at least one KV transfer"
@@ -222,8 +218,11 @@ fn null_recorder_runs_are_bit_identical() {
 
     let disagg = disagg_scenario();
     let untraced = disagg.run(reqs.clone());
-    assert_eq!(untraced, disagg.run_traced(reqs.clone(), &mut NullRecorder));
-    let (report, rec) = disagg.run_telemetry(reqs.clone());
+    assert_eq!(
+        untraced,
+        disagg.run_traced(reqs.clone(), &MetricsMode::Exact, &mut NullRecorder)
+    );
+    let (report, rec) = disagg.run_telemetry(reqs.clone(), &MetricsMode::Exact);
     assert_eq!(untraced, report);
     assert!(rec.is_empty());
 
@@ -253,8 +252,8 @@ fn traces_are_byte_identical_across_runs_and_workers() {
     let parallel = disagg_scenario()
         .with_parallel_advance(true)
         .with_telemetry(TelemetryConfig::full(0.5));
-    let (serial_report, serial_rec) = serial.run_telemetry(requests(60));
-    let (parallel_report, parallel_rec) = parallel.run_telemetry(requests(60));
+    let (serial_report, serial_rec) = serial.run_telemetry(requests(60), &MetricsMode::Exact);
+    let (parallel_report, parallel_rec) = parallel.run_telemetry(requests(60), &MetricsMode::Exact);
     assert_eq!(serial_report, parallel_report);
     assert_eq!(
         export_jsonl(serial_rec.events()),

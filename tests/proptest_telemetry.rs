@@ -17,7 +17,8 @@
 //!    request the report does not know, no completed request missing from
 //!    the trace.
 //! 4. **`NullRecorder` bit-identity** — for any router policy, metrics
-//!    mode, fleet size, and engine family (flat, fleet, disaggregated),
+//!    mode, fleet size, and engine family (single engine, fleet, split
+//!    fleet),
 //!    `run_traced` with a [`NullRecorder`] returns
 //!    a report equal to the untraced run, and a disabled
 //!    [`TelemetryConfig`] records zero events.
@@ -25,13 +26,12 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use rago::schema::{KvTransferModel, RouterPolicy};
+use rago::schema::{KvTransferModel, PoolRole, PoolSpec, RouterPolicy};
 use rago::serving_sim::engine::{
     DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, ServingEngine, StageSpec,
 };
 use rago::serving_sim::faults::{FaultEvent, FaultSchedule, ScaleDriver};
 use rago::serving_sim::fleet::FleetEngine;
-use rago::serving_sim::pools::DisaggEngine;
 use rago::serving_sim::{MetricsMode, StreamingConfig};
 use rago::telemetry::{
     sort_events, Lane, NullRecorder, Phase, TelemetryConfig, TraceEvent, TraceRecorder,
@@ -242,18 +242,16 @@ proptest! {
         prop_assert!(rec.is_empty());
 
         let full = pipeline(0.01, 4);
-        let disagg = DisaggEngine::new(
-            full.clone().with_handoff(),
-            replicas,
-            policy,
+        let disagg = FleetEngine::disaggregated(
+            full.clone(),
             PipelineSpec::decode_only(full.decode.clone(), None),
-            1,
-            policy,
+            &PoolSpec::new(PoolRole::Prefill, replicas as u32, policy),
+            &PoolSpec::new(PoolRole::Decode, 1, policy),
             KvTransferModel::new(131_072.0, 100e9, 5e-6),
         );
         prop_assert_eq!(
             disagg.run(reqs.clone()),
-            disagg.run_traced(reqs, &mut NullRecorder)
+            disagg.run_traced(reqs, &MetricsMode::Exact, &mut NullRecorder)
         );
     }
 

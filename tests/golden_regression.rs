@@ -53,6 +53,13 @@
 //! * `fleet_streaming.json` — the streaming fleet path: a fixed 4-replica
 //!   fleet and a reactive autoscaled fleet in histogram-sink mode, pinning
 //!   merged and per-replica metrics, online SLO scores, and load imbalance.
+//! * `iterative_decode.json` — the decode-stall simulator behind Case III
+//!   (§5.3): every `IterativeDecodeResult` field, as `f64::to_bits` hex, over
+//!   a grid of decode batch × iterative batch × retrievals × decode length ×
+//!   retrieval latency × seed, plus the Case III fast-grid frontier
+//!   (identity keys and performance bits). Pinned to the bit, not to nine
+//!   decimals, so a rewrite of the simulator loop must reproduce every
+//!   floating-point operation in order.
 //!
 //! # Updating
 //!
@@ -1129,4 +1136,102 @@ fn golden_single_monolithic_pool_reproduces_engine_metrics() {
         "engine_metrics.json",
         &render_engine_metrics(&report.fleet.merged),
     );
+}
+
+/// `f64` as its IEEE-754 bit pattern, for bit-exact pins.
+fn bits(value: f64) -> String {
+    format!("\"{:016x}\"", value.to_bits())
+}
+
+#[test]
+fn golden_iterative_decode() {
+    // The decode-stall simulator over its corner cases: a batch of one,
+    // odd batches, iterative batches above the decode batch, no retrievals,
+    // one- and two-token generations, and retrieval latencies of zero,
+    // under one step, and far above one step. Then the Case III search that
+    // scores every candidate with it.
+    use rago::serving_sim::iterative::{IterativeDecodeParams, IterativeDecodeSim};
+    let step_latency_s = 1e-3;
+    let latencies = [("zero", 0.0), ("under_step", 4e-4), ("over_step", 0.05)];
+    let mut rows = Vec::new();
+    for decode_batch in [1u32, 2, 7, 64, 1024] {
+        for iterative_batch in [1u32, 4, 64, 2048] {
+            for retrievals in [0u32, 1, 3, 8] {
+                for decode_len in [1u32, 2, 256] {
+                    for (latency_name, latency) in latencies {
+                        for seed in [7u64, 0x5EED] {
+                            let r = IterativeDecodeSim::new(IterativeDecodeParams {
+                                decode_batch,
+                                iterative_batch,
+                                decode_len,
+                                retrievals_per_sequence: retrievals,
+                                step_latency_s,
+                                retrieval_prefix_latency_s: latency,
+                                seed,
+                            })
+                            .run();
+                            rows.push(format!(
+                                "    [{decode_batch}, {iterative_batch}, {retrievals}, \
+                                 {decode_len}, \"{latency_name}\", {seed}, {}, {}, {}, {}, {}, \
+                                 {}, {}]",
+                                bits(r.total_time_s),
+                                bits(r.tpot_mean_s),
+                                bits(r.tpot_worst_s),
+                                bits(r.normalized_decode_latency),
+                                r.retrieval_batches,
+                                bits(r.mean_retrieval_batch_fill),
+                                bits(r.idle_fraction),
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    let rago = Rago::new(
+        presets::case3_iterative(LlmSize::B8, 4),
+        ClusterSpec::paper_default(),
+    );
+    let frontier = rago
+        .optimize(&SearchOptions::fast())
+        .expect("static search succeeds");
+    let points: Vec<String> = frontier
+        .iter()
+        .map(|p| {
+            let perf = &p.performance;
+            format!(
+                "    {{\"schedule\": \"{}\", \"ttft_s\": {}, \"tpot_s\": {}, \"qps\": {}, \
+                 \"qps_per_chip\": {}, \"total_xpus\": {}, \"retrieval_servers\": {}}}",
+                p.schedule.identity_key(),
+                bits(perf.ttft_s),
+                bits(perf.tpot_s),
+                bits(perf.qps),
+                bits(perf.qps_per_chip),
+                perf.total_xpus,
+                perf.retrieval_servers,
+            )
+        })
+        .collect();
+
+    let mut out = String::from("{\n  \"bench\": \"golden/iterative_decode\",\n");
+    let _ = writeln!(out, "  \"step_latency_s\": {},", bits(step_latency_s));
+    out.push_str(
+        "  \"columns\": [\"decode_batch\", \"iterative_batch\", \"retrievals\", \
+         \"decode_len\", \"latency\", \"seed\", \"total_time_s\", \"tpot_mean_s\", \
+         \"tpot_worst_s\", \"normalized_decode_latency\", \"retrieval_batches\", \
+         \"mean_retrieval_batch_fill\", \"idle_fraction\"],\n",
+    );
+    out.push_str("  \"simulations\": [\n");
+    out.push_str(&rows.join(",\n"));
+    out.push_str("\n  ],\n");
+    let _ = writeln!(
+        out,
+        "  \"case3_fast_evaluated_schedules\": {},",
+        frontier.evaluated_schedules
+    );
+    out.push_str("  \"case3_fast_frontier\": [\n");
+    out.push_str(&points.join(",\n"));
+    out.push_str("\n  ]\n}\n");
+    check_golden("iterative_decode.json", &out);
 }

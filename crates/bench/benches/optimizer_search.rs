@@ -5,14 +5,20 @@
 //!
 //! The headline comparison also writes `BENCH_optimizer.json` at the
 //! workspace root (schedules/sec for each path and the speedup), so future
-//! changes can track the search-throughput trajectory. Set
-//! `RAGO_BENCH_QUICK=1` for a CI-friendly quick mode (fewer samples, same
-//! JSON).
+//! changes can track the search-throughput trajectory. Its `case3_iterative`
+//! section times a cold Case III search, where every candidate is scored
+//! with a decode-stall simulation, memoized and unmemoized, and counts the
+//! simulations the memoized search runs against the distinct simulation
+//! inputs it sees: the `iterative_sims_equal_distinct_inputs` flag is the
+//! exact check that each input is simulated once. Set `RAGO_BENCH_QUICK=1`
+//! for a CI-friendly quick mode (fewer samples, the coarse grid for Case
+//! III, same JSON).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rago_core::{Rago, SearchOptions};
 use rago_hardware::ClusterSpec;
 use rago_schema::presets::{self, LlmSize};
+use std::collections::HashSet;
 use std::time::Instant;
 
 fn bench_search(c: &mut Criterion) {
@@ -84,6 +90,77 @@ fn json_path_entry(name: &str, t: &PathTiming) -> String {
     )
 }
 
+/// The distinct decode-stall inputs a search over `options` simulates: one
+/// per feasible candidate, with the latencies compared by bit pattern.
+fn distinct_stall_inputs(rago: &Rago, options: &SearchOptions) -> usize {
+    let profiler = rago.profiler();
+    rago.schedule_iter(options)
+        .filter(|s| s.evaluate(profiler).is_ok())
+        .filter_map(|s| s.decode_stall_params(profiler).ok().flatten())
+        .map(|p| {
+            (
+                p.decode_batch,
+                p.iterative_batch,
+                p.decode_len,
+                p.retrievals_per_sequence,
+                p.step_latency_s.to_bits(),
+                p.retrieval_prefix_latency_s.to_bits(),
+                p.seed,
+            )
+        })
+        .collect::<HashSet<_>>()
+        .len()
+}
+
+/// The Case III section of `BENCH_optimizer.json`: a cold search (fresh
+/// profiler per run, so the memo is paid for inside the timing) with and
+/// without memoization, and the memoized search's simulation count against
+/// the distinct inputs of the grid.
+fn case3_section(runs: usize) -> String {
+    let (grid, options) = if rago_bench::quick_mode() {
+        ("coarse", SearchOptions::fast())
+    } else {
+        ("paper", SearchOptions::paper_default())
+    };
+    let cold = |memoize: bool| {
+        Rago::new(
+            presets::case3_iterative(LlmSize::B8, 4),
+            ClusterSpec::paper_default(),
+        )
+        .with_memoization(memoize)
+    };
+    let best_cold_seconds = |memoize: bool| {
+        (0..runs)
+            .map(|_| {
+                let rago = cold(memoize);
+                let start = Instant::now();
+                rago.optimize(&options).expect("case3 search succeeds");
+                start.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let memoized_seconds = best_cold_seconds(true);
+    let unmemoized_seconds = best_cold_seconds(false);
+
+    let rago = cold(true);
+    let candidates = rago.schedule_iter(&options).count();
+    let frontier = rago.optimize(&options).expect("case3 search succeeds");
+    let (_, iterative_sims) = rago.profiler().decode_stall_stats();
+    let distinct_inputs = distinct_stall_inputs(&rago, &options);
+    println!(
+        "case3 {grid} grid: {candidates} candidates, {iterative_sims} decode-stall simulations \
+         for {distinct_inputs} distinct inputs; cold search {memoized_seconds:.3}s memoized vs \
+         {unmemoized_seconds:.3}s unmemoized"
+    );
+    format!(
+        "  \"case3_iterative\": {{\n    \"grid\": \"{grid}\",\n    \"candidates\": {candidates},\n    \"evaluated_schedules\": {},\n    \"frontier_len\": {},\n    \"iterative_sims\": {iterative_sims},\n    \"distinct_inputs\": {distinct_inputs},\n    \"memoized_seconds\": {memoized_seconds:.6},\n    \"unmemoized_seconds\": {unmemoized_seconds:.6},\n    \"memo_speedup\": {:.2},\n    \"iterative_sims_equal_distinct_inputs\": {}\n  }}",
+        frontier.evaluated_schedules,
+        frontier.len(),
+        unmemoized_seconds / memoized_seconds,
+        iterative_sims == distinct_inputs as u64,
+    )
+}
+
 /// The acceptance benchmark: `optimize(paper_default)` on the case-1
 /// hyperscale preset — streaming + parallel + memoized — against the serial
 /// unmemoized path the optimizer used to be.
@@ -113,13 +190,14 @@ fn bench_paper_grid_speedup(c: &mut Criterion) {
 
     let speedup = serial_unmemoized.seconds / parallel_memoized.seconds;
     let json = format!(
-        "{{\n  \"bench\": \"optimizer_search/paper_grid_case1_hyperscale\",\n  \"grid_candidates\": {grid_candidates},\n  \"threads\": {},\n  \"distinct_stage_profiles\": {},\n{},\n{},\n{},\n  \"speedup_vs_serial_unmemoized\": {:.2}\n}}\n",
+        "{{\n  \"bench\": \"optimizer_search/paper_grid_case1_hyperscale\",\n  \"grid_candidates\": {grid_candidates},\n  \"threads\": {},\n  \"distinct_stage_profiles\": {},\n{},\n{},\n{},\n  \"speedup_vs_serial_unmemoized\": {:.2},\n{}\n}}\n",
         rayon::current_num_threads(),
         optimized.profiler().cached_profiles(),
         json_path_entry("parallel_memoized", &parallel_memoized),
         json_path_entry("serial_memoized", &serial_memoized),
         json_path_entry("serial_unmemoized", &serial_unmemoized),
         speedup,
+        case3_section(runs),
     );
     // The bench runs with the package as CWD; the JSON belongs at the
     // workspace root next to the other tracked reports.

@@ -26,8 +26,11 @@
 //! * **Memoized** — candidate evaluation decomposes into per-stage profiles
 //!   keyed by `(stage, resources, batch)`; the grid being a cross product,
 //!   the same profile is shared by thousands of schedules, and
-//!   [`StageProfiler`] computes each exactly once behind an `RwLock` (see
-//!   the profiler module docs).
+//!   [`StageProfiler`] computes each once behind an `RwLock`. Iterative
+//!   workloads add a decode-stall simulation per candidate, memoized by its
+//!   full input and run exactly once per input even under threads. The
+//!   pre-decode batch is not an input of that simulation, so all
+//!   `|predecode_batch|` steps share it (see the profiler module docs).
 //! * **Parallel** — [`Rago::optimize`] bridges the candidate stream across
 //!   rayon worker threads; each folds into a thread-local incremental
 //!   [`ParetoAccumulator`] (online dominance pruning), and the per-thread

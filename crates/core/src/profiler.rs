@@ -15,18 +15,36 @@
 //! so millions of candidate schedules share a few thousand distinct stage
 //! profiles; the profiler memoizes them behind an [`std::sync::RwLock`] so
 //! concurrent search threads share one cache (reads in parallel, a write
-//! only on first computation). [`StageProfiler::with_memoization`] disables
-//! the cache, which exists solely to benchmark the unmemoized search.
+//! only on first computation).
+//!
+//! Iterative workloads (Case III) also score every candidate with a
+//! decode-stall simulation ([`IterativeDecodeSim`]), by far the most
+//! expensive part of an evaluation. [`StageProfiler::decode_stall`]
+//! memoizes it by its full input, an [`IterativeDecodeParams`] with each
+//! float keyed by bit pattern. Those inputs are the decode and iterative
+//! batches, the decode step latency and the iterative retrieval + re-prefix
+//! latency. The pre-decode batch is not among them, so every pre-decode
+//! step of the grid shares one simulation. Each entry is a [`OnceLock`]
+//! behind the map's `RwLock`, so threads that miss on the same input at the
+//! same time wait for one simulation instead of each running their own.
+//! Its counters ([`StageProfiler::decode_stall_stats`]) are separate from
+//! the stage-profile ones ([`StageProfiler::memo_stats`]).
+//!
+//! [`StageProfiler::with_memoization`] disables both caches, which exists
+//! solely to benchmark the unmemoized search.
 
 use crate::error::RagoError;
 use rago_accel_sim::{AcceleratorGroup, InferenceSimulator};
 use rago_hardware::ClusterSpec;
 use rago_retrieval_sim::RetrievalSimulator;
 use rago_schema::{RagSchema, Stage};
+use rago_serving_sim::iterative::{
+    IterativeDecodeParams, IterativeDecodeResult, IterativeDecodeSim,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// The profiled performance of one stage under a specific resource count and
 /// batch size.
@@ -53,6 +71,28 @@ pub struct StagePerf {
 type ProfileKey = (Stage, u32, u32);
 /// The shared profile cache (outcomes are memoized whether feasible or not).
 type ProfileCache = RwLock<HashMap<ProfileKey, Result<StagePerf, RagoError>>>;
+/// Decode-stall memoization key: every field of an
+/// [`IterativeDecodeParams`] — the batches, lengths and seed as they are, the
+/// two latencies by bit pattern.
+type StallKey = (u32, u32, u32, u32, u64, u64, u64);
+/// One decode-stall result, simulated by the first caller to ask for it.
+/// Concurrent callers asking for the same key block on the cell instead of
+/// simulating it again.
+type StallCell = Arc<OnceLock<IterativeDecodeResult>>;
+/// The shared decode-stall cache.
+type StallCache = RwLock<HashMap<StallKey, StallCell>>;
+
+fn stall_key(p: &IterativeDecodeParams) -> StallKey {
+    (
+        p.decode_batch,
+        p.iterative_batch,
+        p.decode_len,
+        p.retrievals_per_sequence,
+        p.step_latency_s.to_bits(),
+        p.retrieval_prefix_latency_s.to_bits(),
+        p.seed,
+    )
+}
 
 /// Profiles individual RAG stages using the analytical cost models.
 ///
@@ -65,9 +105,12 @@ pub struct StageProfiler {
     inference: InferenceSimulator,
     retrieval: RetrievalSimulator,
     cache: ProfileCache,
+    stalls: StallCache,
     memoize: bool,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
+    stall_hits: AtomicU64,
+    stall_misses: AtomicU64,
 }
 
 impl Clone for StageProfiler {
@@ -78,9 +121,24 @@ impl Clone for StageProfiler {
             inference: self.inference,
             retrieval: self.retrieval.clone(),
             cache: RwLock::new(self.cache.read().expect("profiler cache poisoned").clone()),
+            // Fresh cells, so a clone never waits on a simulation the
+            // original is still running.
+            stalls: RwLock::new(
+                self.stalls
+                    .read()
+                    .expect("decode-stall cache poisoned")
+                    .iter()
+                    .filter_map(|(key, cell)| {
+                        cell.get()
+                            .map(|result| (*key, Arc::new(OnceLock::from(*result))))
+                    })
+                    .collect(),
+            ),
             memoize: self.memoize,
             memo_hits: AtomicU64::new(self.memo_hits.load(Ordering::Relaxed)),
             memo_misses: AtomicU64::new(self.memo_misses.load(Ordering::Relaxed)),
+            stall_hits: AtomicU64::new(self.stall_hits.load(Ordering::Relaxed)),
+            stall_misses: AtomicU64::new(self.stall_misses.load(Ordering::Relaxed)),
         }
     }
 }
@@ -95,15 +153,19 @@ impl StageProfiler {
             inference: InferenceSimulator::new(),
             retrieval,
             cache: RwLock::new(HashMap::new()),
+            stalls: RwLock::new(HashMap::new()),
             memoize: true,
             memo_hits: AtomicU64::new(0),
             memo_misses: AtomicU64::new(0),
+            stall_hits: AtomicU64::new(0),
+            stall_misses: AtomicU64::new(0),
         }
     }
 
-    /// Enables or disables profile memoization (enabled by default).
-    /// Disabling exists to measure the unmemoized search; there is no reason
-    /// to turn the cache off in production use.
+    /// Enables or disables memoization of stage profiles and decode-stall
+    /// simulations (enabled by default). Disabling exists to measure the
+    /// unmemoized search; there is no reason to turn the caches off in
+    /// production use.
     pub fn with_memoization(mut self, enabled: bool) -> Self {
         self.memoize = enabled;
         self
@@ -127,6 +189,19 @@ impl StageProfiler {
         (
             self.memo_hits.load(Ordering::Relaxed),
             self.memo_misses.load(Ordering::Relaxed),
+        )
+    }
+
+    /// Lifetime decode-stall counters: `(hits, misses)`. A miss runs one
+    /// [`IterativeDecodeSim`]; a hit is answered from the cache, including a
+    /// call that waited while another thread simulated the same input. Each
+    /// distinct input is simulated once, so with memoization enabled the
+    /// misses count the distinct inputs seen. These counters are separate
+    /// from [`Self::memo_stats`], which counts stage profiles only.
+    pub fn decode_stall_stats(&self) -> (u64, u64) {
+        (
+            self.stall_hits.load(Ordering::Relaxed),
+            self.stall_misses.load(Ordering::Relaxed),
         )
     }
 
@@ -184,6 +259,49 @@ impl StageProfiler {
             .write()
             .expect("profiler cache poisoned")
             .insert((stage, resources, batch), result.clone());
+        result
+    }
+
+    /// Runs the decode-stall simulation of iterative retrieval (§5.3) for
+    /// `params`. Results are memoized by the full input, and each distinct
+    /// input is simulated exactly once even when search threads ask for it
+    /// at the same time.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the inputs [`IterativeDecodeSim::new`] rejects.
+    pub fn decode_stall(&self, params: IterativeDecodeParams) -> IterativeDecodeResult {
+        if !self.memoize {
+            self.stall_misses.fetch_add(1, Ordering::Relaxed);
+            return IterativeDecodeSim::new(params).run();
+        }
+        let key = stall_key(&params);
+        let cached = self
+            .stalls
+            .read()
+            .expect("decode-stall cache poisoned")
+            .get(&key)
+            .cloned();
+        let cell = cached.unwrap_or_else(|| {
+            Arc::clone(
+                self.stalls
+                    .write()
+                    .expect("decode-stall cache poisoned")
+                    .entry(key)
+                    .or_default(),
+            )
+        });
+        let mut simulated = false;
+        let result = *cell.get_or_init(|| {
+            simulated = true;
+            IterativeDecodeSim::new(params).run()
+        });
+        let counter = if simulated {
+            &self.stall_misses
+        } else {
+            &self.stall_hits
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         result
     }
 
@@ -420,6 +538,57 @@ mod tests {
         assert!(perf.step_latency_s.unwrap() < perf.latency_s);
         let prefix = p.profile(Stage::Prefix, 8, 32).unwrap();
         assert!(prefix.step_latency_s.is_none());
+    }
+
+    fn stall_params() -> IterativeDecodeParams {
+        IterativeDecodeParams {
+            decode_batch: 32,
+            iterative_batch: 4,
+            decode_len: 64,
+            retrievals_per_sequence: 2,
+            step_latency_s: 1e-3,
+            retrieval_prefix_latency_s: 0.01,
+            seed: 1,
+        }
+    }
+
+    #[test]
+    fn decode_stalls_are_memoized_apart_from_stage_profiles() {
+        let params = stall_params();
+        let direct = IterativeDecodeSim::new(params).run();
+        let p = profiler_case1();
+        assert_eq!(p.decode_stall(params), direct);
+        assert_eq!(p.decode_stall(params), direct);
+        assert_eq!(p.decode_stall_stats(), (1, 1));
+        assert_eq!(p.memo_stats(), (0, 0), "stage-profile counters moved");
+        // A clone carries the memo and its counters.
+        let clone = p.clone();
+        assert_eq!(clone.decode_stall(params), direct);
+        assert_eq!(clone.decode_stall_stats(), (2, 1));
+        // Without memoization every call simulates.
+        let off = profiler_case1().with_memoization(false);
+        assert_eq!(off.decode_stall(params), direct);
+        assert_eq!(off.decode_stall(params), direct);
+        assert_eq!(off.decode_stall_stats(), (0, 2));
+    }
+
+    #[test]
+    fn concurrent_decode_stall_misses_simulate_once() {
+        // Large enough that the threads overlap inside the simulation.
+        let params = IterativeDecodeParams {
+            decode_batch: 1024,
+            decode_len: 256,
+            ..stall_params()
+        };
+        let p = profiler_case1();
+        let results: Vec<IterativeDecodeResult> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| p.decode_stall(params)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(results.iter().all(|r| *r == results[0]));
+        assert_eq!(p.decode_stall_stats(), (3, 1));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 use crate::error::RagoError;
 use crate::metrics::RagPerformance;
 use crate::placement::PlacementPlan;
-use crate::profiler::StageProfiler;
+use crate::profiler::{StagePerf, StageProfiler};
 use rago_schema::Stage;
-use rago_serving_sim::iterative::{IterativeDecodeParams, IterativeDecodeSim};
+use rago_serving_sim::iterative::IterativeDecodeParams;
 use serde::{Deserialize, Serialize};
 
 /// Resource allocation of one schedule (§6.1 \[II\]).
@@ -157,11 +157,10 @@ impl Schedule {
             ttft += perf.latency_s;
             throughputs.push(perf.throughput_rps);
             if schema.is_iterative() {
-                let iter_batch = self.batching.iterative_batch.unwrap_or(batch).max(1);
                 let iter_perf = profiler.profile(
                     Stage::Retrieval,
                     self.allocation.retrieval_servers,
-                    iter_batch,
+                    self.iterative_batch(),
                 )?;
                 retrieval_latency_at_iter_batch = iter_perf.latency_s;
             }
@@ -179,30 +178,9 @@ impl Schedule {
         // Iterative retrieval (Case III): decoding stalls while batched
         // retrieval + prefix passes complete; simulate the resulting slowdown.
         if schema.is_iterative() {
-            let retrieval_cfg = schema
-                .retrieval
-                .as_ref()
-                .expect("iterative implies retrieval");
-            let iter_batch = self.batching.iterative_batch.unwrap_or(batch).max(1);
-            // The re-prefix of newly retrieved content runs on the last
-            // pre-decode group (the one containing the main prefix).
-            let prefix_group = self
-                .placement
-                .group_of(Stage::Prefix)
-                .map(|g| self.allocation.group_xpus[g])
-                .unwrap_or(self.allocation.decode_xpus);
-            let reprefix = profiler.profile(Stage::Prefix, prefix_group, iter_batch)?;
-            let sim = IterativeDecodeSim::new(IterativeDecodeParams {
-                decode_batch: self.batching.decode_batch,
-                iterative_batch: iter_batch,
-                decode_len: schema.sequence.decode_tokens,
-                // One retrieval happens before decoding; the rest interrupt it.
-                retrievals_per_sequence: retrieval_cfg.retrievals_per_sequence.saturating_sub(1),
-                step_latency_s: decode_perf.step_latency_s.unwrap_or(1e-3),
-                retrieval_prefix_latency_s: retrieval_latency_at_iter_batch + reprefix.latency_s,
-                seed: 0x5EED,
-            });
-            let result = sim.run();
+            let params =
+                self.stall_params(profiler, &decode_perf, retrieval_latency_at_iter_batch)?;
+            let result = profiler.decode_stall(params);
             tpot = result.tpot_worst_s;
             decode_throughput = f64::from(self.batching.decode_batch) / result.total_time_s;
         }
@@ -234,6 +212,81 @@ impl Schedule {
             qps_per_chip: qps / chip_denominator,
             total_xpus,
             retrieval_servers: self.allocation.retrieval_servers,
+        })
+    }
+
+    /// The decode-stall simulation [`Self::evaluate`] runs for this schedule,
+    /// or `None` when the workload issues no iterative retrievals. Its
+    /// inputs are the decode and iterative batches and the latencies of the
+    /// decode step and of one iterative retrieval + re-prefix pass; the
+    /// pre-decode batch never reaches it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::evaluate`], for the stages the simulation's inputs are
+    /// profiled from.
+    pub fn decode_stall_params(
+        &self,
+        profiler: &StageProfiler,
+    ) -> Result<Option<IterativeDecodeParams>, RagoError> {
+        self.validate()?;
+        if !profiler.schema().is_iterative() {
+            return Ok(None);
+        }
+        let retrieval = profiler.profile(
+            Stage::Retrieval,
+            self.allocation.retrieval_servers,
+            self.iterative_batch(),
+        )?;
+        let decode = profiler.profile(
+            Stage::Decode,
+            self.allocation.decode_xpus,
+            self.batching.decode_batch,
+        )?;
+        self.stall_params(profiler, &decode, retrieval.latency_s)
+            .map(Some)
+    }
+
+    /// The batch of iterative retrieval + re-prefix passes: the policy's
+    /// iterative batch, or the pre-decode batch when it sets none.
+    fn iterative_batch(&self) -> u32 {
+        self.batching
+            .iterative_batch
+            .unwrap_or(self.batching.predecode_batch)
+            .max(1)
+    }
+
+    /// Builds the decode-stall input from the decode profile and the
+    /// iterative retrieval latency, profiling the re-prefix pass.
+    fn stall_params(
+        &self,
+        profiler: &StageProfiler,
+        decode: &StagePerf,
+        retrieval_latency_s: f64,
+    ) -> Result<IterativeDecodeParams, RagoError> {
+        let schema = profiler.schema();
+        let retrieval_cfg = schema
+            .retrieval
+            .as_ref()
+            .expect("iterative implies retrieval");
+        let iter_batch = self.iterative_batch();
+        // The re-prefix of newly retrieved content runs on the last
+        // pre-decode group (the one containing the main prefix).
+        let prefix_group = self
+            .placement
+            .group_of(Stage::Prefix)
+            .map(|g| self.allocation.group_xpus[g])
+            .unwrap_or(self.allocation.decode_xpus);
+        let reprefix = profiler.profile(Stage::Prefix, prefix_group, iter_batch)?;
+        Ok(IterativeDecodeParams {
+            decode_batch: self.batching.decode_batch,
+            iterative_batch: iter_batch,
+            decode_len: schema.sequence.decode_tokens,
+            // One retrieval happens before decoding; the rest interrupt it.
+            retrievals_per_sequence: retrieval_cfg.retrievals_per_sequence.saturating_sub(1),
+            step_latency_s: decode.step_latency_s.unwrap_or(1e-3),
+            retrieval_prefix_latency_s: retrieval_latency_s + reprefix.latency_s,
+            seed: 0x5EED,
         })
     }
 

@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// Parameters of one iterative-decode simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -143,71 +144,64 @@ impl IterativeDecodeSim {
             })
             .collect();
 
+        let iterative_batch = p.iterative_batch as usize;
         let mut now = 0.0f64;
-        let mut retrieval_queue: Vec<usize> = Vec::new();
-        // (completion_time, sequence indices) of in-flight retrieval batches.
-        let mut in_flight: Vec<(f64, Vec<usize>)> = Vec::new();
+        // Sequences with a retrieval outstanding, in request order. Batches
+        // are dispatched from the front of the queue and all take the same
+        // latency from a non-decreasing `now`, so they complete in dispatch
+        // order: the in-flight batches are consecutive runs at the front of
+        // `requests`, and the last `queued` entries await dispatch.
+        let mut requests: VecDeque<usize> = VecDeque::new();
+        let mut queued = 0usize;
+        // (completion time, size) of each in-flight batch, in dispatch order.
+        let mut in_flight: VecDeque<(f64, usize)> = VecDeque::new();
+        // Indices of unfinished sequences, ascending. Those in `requests`
+        // are paused; the rest are active.
+        let mut unfinished: Vec<usize> = (0..sequences.len()).collect();
         let mut retrieval_batches = 0u32;
         let mut total_fill = 0u64;
 
         loop {
             // Resume sequences whose retrieval has completed by `now`.
-            let mut resumed = Vec::new();
-            in_flight.retain(|(done_at, seqs)| {
-                if *done_at <= now + 1e-12 {
-                    resumed.extend(seqs.iter().copied());
-                    false
-                } else {
-                    true
+            while let Some(&(done_at, size)) = in_flight.front() {
+                if done_at > now + 1e-12 {
+                    break;
                 }
-            });
-            for idx in resumed {
-                sequences[idx].paused = false;
+                in_flight.pop_front();
+                for idx in requests.drain(..size) {
+                    sequences[idx].paused = false;
+                }
             }
-
-            let unfinished: Vec<usize> = sequences
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.finish_time.is_none())
-                .map(|(i, _)| i)
-                .collect();
             if unfinished.is_empty() {
                 break;
             }
-            let active: Vec<usize> = unfinished
-                .iter()
-                .copied()
-                .filter(|&i| !sequences[i].paused)
-                .collect();
+            let active = unfinished.len() - requests.len();
 
-            // Dispatch the retrieval queue when it is full, or when nothing
-            // can make progress otherwise (avoids deadlock at the tail).
-            let should_dispatch = !retrieval_queue.is_empty()
-                && (retrieval_queue.len() >= p.iterative_batch as usize
-                    || (active.is_empty() && in_flight.is_empty()));
-            if should_dispatch {
-                let batch: Vec<usize> = retrieval_queue
-                    .drain(..retrieval_queue.len().min(p.iterative_batch as usize))
-                    .collect();
-                retrieval_batches += 1;
-                total_fill += batch.len() as u64;
-                in_flight.push((now + p.retrieval_prefix_latency_s, batch));
+            // Dispatch every full retrieval batch, or the partial remainder
+            // when nothing can make progress otherwise (avoids deadlock at
+            // the tail).
+            let dispatch_partial = queued > 0 && active == 0 && in_flight.is_empty();
+            if (queued > 0 && queued >= iterative_batch) || dispatch_partial {
+                let batch = queued.min(iterative_batch);
+                for _ in 0..queued / batch {
+                    retrieval_batches += 1;
+                    total_fill += batch as u64;
+                    in_flight.push_back((now + p.retrieval_prefix_latency_s, batch));
+                }
+                queued %= batch;
                 continue;
             }
 
-            if active.is_empty() {
+            if active == 0 {
                 // Jump to the next retrieval completion.
-                if let Some(next) = in_flight
-                    .iter()
-                    .map(|(t, _)| *t)
-                    .min_by(|a, b| a.total_cmp(b))
-                {
+                if let Some(&(next, _)) = in_flight.front() {
                     // Everything unfinished is waiting on retrievals.
                     let waiting = unfinished.len() as f64;
                     let skipped_steps = (next - now) / p.step_latency_s;
+                    let waited =
+                        skipped_steps / waiting.max(1.0) * waiting / unfinished.len() as f64;
                     for &i in &unfinished {
-                        sequences[i].waited_steps +=
-                            skipped_steps / waiting.max(1.0) * waiting / unfinished.len() as f64;
+                        sequences[i].waited_steps += waited;
                     }
                     now = next;
                     continue;
@@ -216,15 +210,15 @@ impl IterativeDecodeSim {
                 break;
             }
 
-            // Execute one decode step for the active sequences.
+            // Execute one decode step: paused sequences wait, active ones
+            // generate a token and may pause for a retrieval or finish.
             now += p.step_latency_s;
-            for &i in &unfinished {
-                if sequences[i].paused {
-                    sequences[i].waited_steps += 1.0;
-                }
-            }
-            for &i in &active {
+            unfinished.retain(|&i| {
                 let seq = &mut sequences[i];
+                if seq.paused {
+                    seq.waited_steps += 1.0;
+                    return true;
+                }
                 seq.generated += 1;
                 // Trigger a retrieval when the sequence reaches its next
                 // retrieval position (and has not finished).
@@ -234,12 +228,15 @@ impl IterativeDecodeSim {
                 {
                     seq.next_retrieval += 1;
                     seq.paused = true;
-                    retrieval_queue.push(i);
+                    requests.push_back(i);
+                    queued += 1;
                 }
                 if seq.generated >= p.decode_len {
                     seq.finish_time = Some(now);
+                    return false;
                 }
-            }
+                true
+            });
         }
 
         let total_time = sequences

@@ -195,13 +195,10 @@ impl IterativeDecodeSim {
             if active == 0 {
                 // Jump to the next retrieval completion.
                 if let Some(&(next, _)) = in_flight.front() {
-                    // Everything unfinished is waiting on retrievals.
-                    let waiting = unfinished.len() as f64;
+                    // Everything unfinished is paused for the whole jump.
                     let skipped_steps = (next - now) / p.step_latency_s;
-                    let waited =
-                        skipped_steps / waiting.max(1.0) * waiting / unfinished.len() as f64;
                     for &i in &unfinished {
-                        sequences[i].waited_steps += waited;
+                        sequences[i].waited_steps += skipped_steps;
                     }
                     now = next;
                     continue;
@@ -421,6 +418,26 @@ mod tests {
         })
         .run();
         assert!(slow.tpot_worst_s > fast.tpot_worst_s);
+    }
+
+    #[test]
+    fn a_full_stall_idles_every_paused_sequence_for_the_whole_jump() {
+        // Both sequences pause at token 1 (t = 1 s); their batch returns at
+        // t = 11 s and both finish at t = 12 s. Each waits 10 steps: 20 of
+        // the 2 x 12 sequence-steps are idle.
+        let r = IterativeDecodeSim::new(IterativeDecodeParams {
+            decode_batch: 2,
+            iterative_batch: 2,
+            decode_len: 2,
+            retrievals_per_sequence: 1,
+            step_latency_s: 1.0,
+            retrieval_prefix_latency_s: 10.0,
+            seed: 0,
+        })
+        .run();
+        assert_eq!(r.total_time_s, 12.0);
+        assert_eq!(r.retrieval_batches, 1);
+        assert!((r.idle_fraction - 20.0 / 24.0).abs() < 1e-12, "{r:?}");
     }
 
     #[test]

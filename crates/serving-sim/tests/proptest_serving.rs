@@ -117,12 +117,10 @@ fn reference_run(p: IterativeDecodeParams) -> IterativeDecodeResult {
                 .map(|(t, _)| *t)
                 .min_by(|a, b| a.total_cmp(b))
             {
-                // Everything unfinished is waiting on retrievals.
-                let waiting = unfinished.len() as f64;
+                // Everything unfinished is paused for the whole jump.
                 let skipped_steps = (next - now) / p.step_latency_s;
                 for &i in &unfinished {
-                    sequences[i].waited_steps +=
-                        skipped_steps / waiting.max(1.0) * waiting / unfinished.len() as f64;
+                    sequences[i].waited_steps += skipped_steps;
                 }
                 now = next;
                 continue;

@@ -574,16 +574,23 @@ mod tests {
 
     #[test]
     fn concurrent_decode_stall_misses_simulate_once() {
-        // Large enough that the threads overlap inside the simulation.
+        // The threads start together on a simulation that takes
+        // milliseconds, so the later ones ask while the first simulates.
         let params = IterativeDecodeParams {
             decode_batch: 1024,
             decode_len: 256,
             ..stall_params()
         };
         let p = profiler_case1();
+        let start = std::sync::Barrier::new(4);
         let results: Vec<IterativeDecodeResult> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
-                .map(|_| scope.spawn(|| p.decode_stall(params)))
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        p.decode_stall(params)
+                    })
+                })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });

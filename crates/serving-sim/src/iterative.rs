@@ -150,11 +150,13 @@ impl IterativeDecodeSim {
         // are dispatched from the front of the queue and all take the same
         // latency from a non-decreasing `now`, so they complete in dispatch
         // order: the in-flight batches are consecutive runs at the front of
-        // `requests`, and the last `queued` entries await dispatch.
-        let mut requests: VecDeque<usize> = VecDeque::new();
+        // `requests`, and the last `queued` entries await dispatch. A
+        // sequence has at most one retrieval outstanding, so neither queue
+        // outgrows the decode batch.
+        let mut requests: VecDeque<usize> = VecDeque::with_capacity(sequences.len());
         let mut queued = 0usize;
         // (completion time, size) of each in-flight batch, in dispatch order.
-        let mut in_flight: VecDeque<(f64, usize)> = VecDeque::new();
+        let mut in_flight: VecDeque<(f64, usize)> = VecDeque::with_capacity(sequences.len());
         // Indices of unfinished sequences, ascending. Those in `requests`
         // are paused; the rest are active.
         let mut unfinished: Vec<usize> = (0..sequences.len()).collect();

@@ -10,12 +10,17 @@
 //! with a decode-stall simulation, memoized and unmemoized, and counts the
 //! simulations the memoized search runs against the distinct simulation
 //! inputs it sees: the `iterative_sims_equal_distinct_inputs` flag is the
-//! exact check that each input is simulated once. Set `RAGO_BENCH_QUICK=1`
+//! exact check that each input is simulated once. Its
+//! `case4_rewriter_reranker` section times a cold Case IV search, about a
+//! million candidates and no simulator, on the parallel path and on one
+//! thread scoring straight against the profiler, and checks that the cold
+//! search computed each stage profile once: the
+//! `profile_misses_equal_cached_profiles` flag. Set `RAGO_BENCH_QUICK=1`
 //! for a CI-friendly quick mode (fewer samples, the coarse grid for Case
-//! III, same JSON).
+//! III and the medium grid for Case IV, same JSON).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rago_core::{Rago, SearchOptions};
+use rago_core::{ParetoAccumulator, ParetoPoint, Rago, SearchOptions};
 use rago_hardware::ClusterSpec;
 use rago_schema::presets::{self, LlmSize};
 use std::collections::HashSet;
@@ -33,14 +38,7 @@ fn bench_search(c: &mut Criterion) {
         presets::case4_rewriter_reranker(LlmSize::B70),
         cluster.clone(),
     );
-    let medium = SearchOptions {
-        xpu_steps: vec![4, 16, 64],
-        server_steps: vec![32],
-        predecode_batch_steps: vec![1, 8, 64],
-        decode_batch_steps: vec![128, 512],
-        iterative_batch_steps: vec![8],
-        placements: None,
-    };
+    let medium = medium_grid();
     c.bench_function("optimize_case4_medium_grid", |b| {
         b.iter(|| case4.optimize(&medium).unwrap())
     });
@@ -52,6 +50,18 @@ fn bench_search(c: &mut Criterion) {
     c.bench_function("enumerate_schedules_case2", |b| {
         b.iter(|| case2.enumerate_schedules(&medium))
     });
+}
+
+/// A grid between the coarse and the paper one.
+fn medium_grid() -> SearchOptions {
+    SearchOptions {
+        xpu_steps: vec![4, 16, 64],
+        server_steps: vec![32],
+        predecode_batch_steps: vec![1, 8, 64],
+        decode_batch_steps: vec![128, 512],
+        iterative_batch_steps: vec![8],
+        placements: None,
+    }
 }
 
 /// One timed run of a search path: wall-clock seconds and candidate
@@ -161,6 +171,73 @@ fn case3_section(runs: usize) -> String {
     )
 }
 
+/// The Case IV section of `BENCH_optimizer.json`: the best of `runs` cold
+/// searches (fresh profiler per run) on the parallel path and on one thread
+/// that scores every candidate straight against the profiler, and the
+/// parallel search's stage-profile misses against the profiles it cached.
+fn case4_section(runs: usize) -> String {
+    let (grid, options) = if rago_bench::quick_mode() {
+        ("medium", medium_grid())
+    } else {
+        ("paper", SearchOptions::paper_default())
+    };
+    let cold = || {
+        Rago::new(
+            presets::case4_rewriter_reranker(LlmSize::B8),
+            ClusterSpec::paper_default(),
+        )
+    };
+    let serial_search = |rago: &Rago| {
+        let mut acc = ParetoAccumulator::new();
+        for schedule in rago.schedule_iter(&options) {
+            if let Ok(performance) = schedule.evaluate(rago.profiler()) {
+                acc.push(ParetoPoint {
+                    schedule,
+                    performance,
+                });
+            }
+        }
+        acc.into_frontier()
+    };
+    let best_cold_seconds = |search: &dyn Fn(&Rago) -> rago_core::ParetoFrontier| {
+        (0..runs)
+            .map(|_| {
+                let rago = cold();
+                let start = Instant::now();
+                search(&rago);
+                start.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let parallel_seconds =
+        best_cold_seconds(&|rago| rago.optimize(&options).expect("case4 search succeeds"));
+    let serial_seconds = best_cold_seconds(&serial_search);
+
+    let rago = cold();
+    let frontier = rago.optimize(&options).expect("case4 search succeeds");
+    let (_, profile_misses) = rago.profiler().memo_stats();
+    let cached_profiles = rago.profiler().cached_profiles();
+    assert_eq!(
+        frontier,
+        serial_search(&cold()),
+        "the parallel Case IV frontier left the serial one"
+    );
+    let candidates = rago.schedule_iter(&options).count();
+    let threads = rayon::current_num_threads();
+    println!(
+        "case4 {grid} grid: {candidates} candidates, {profile_misses} stage-profile misses for \
+         {cached_profiles} cached profiles; cold search {parallel_seconds:.3}s on {threads} \
+         threads vs {serial_seconds:.3}s on one"
+    );
+    format!(
+        "  \"case4_rewriter_reranker\": {{\n    \"grid\": \"{grid}\",\n    \"candidates\": {candidates},\n    \"evaluated_schedules\": {},\n    \"frontier_len\": {},\n    \"profile_misses\": {profile_misses},\n    \"cached_profiles\": {cached_profiles},\n    \"threads\": {threads},\n    \"parallel_seconds\": {parallel_seconds:.6},\n    \"serial_seconds\": {serial_seconds:.6},\n    \"parallel_speedup\": {:.2},\n    \"profile_misses_equal_cached_profiles\": {}\n  }}",
+        frontier.evaluated_schedules,
+        frontier.len(),
+        serial_seconds / parallel_seconds,
+        profile_misses == cached_profiles as u64,
+    )
+}
+
 /// The acceptance benchmark: `optimize(paper_default)` on the case-1
 /// hyperscale preset — streaming + parallel + memoized — against the serial
 /// unmemoized path the optimizer used to be.
@@ -190,7 +267,7 @@ fn bench_paper_grid_speedup(c: &mut Criterion) {
 
     let speedup = serial_unmemoized.seconds / parallel_memoized.seconds;
     let json = format!(
-        "{{\n  \"bench\": \"optimizer_search/paper_grid_case1_hyperscale\",\n  \"grid_candidates\": {grid_candidates},\n  \"threads\": {},\n  \"distinct_stage_profiles\": {},\n{},\n{},\n{},\n  \"speedup_vs_serial_unmemoized\": {:.2},\n{}\n}}\n",
+        "{{\n  \"bench\": \"optimizer_search/paper_grid_case1_hyperscale\",\n  \"grid_candidates\": {grid_candidates},\n  \"threads\": {},\n  \"distinct_stage_profiles\": {},\n{},\n{},\n{},\n  \"speedup_vs_serial_unmemoized\": {:.2},\n{},\n{}\n}}\n",
         rayon::current_num_threads(),
         optimized.profiler().cached_profiles(),
         json_path_entry("parallel_memoized", &parallel_memoized),
@@ -198,6 +275,7 @@ fn bench_paper_grid_speedup(c: &mut Criterion) {
         json_path_entry("serial_unmemoized", &serial_unmemoized),
         speedup,
         case3_section(runs),
+        case4_section(runs),
     );
     // The bench runs with the package as CWD; the JSON belongs at the
     // workspace root next to the other tracked reports.

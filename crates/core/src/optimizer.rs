@@ -23,19 +23,35 @@
 //!   odometer state machine ([`ScheduleIter`]); nothing is materialized.
 //!   [`Rago::enumerate_schedules`] survives as a `Vec`-collecting wrapper
 //!   for callers that want the list.
-//! * **Memoized** — candidate evaluation decomposes into per-stage profiles
-//!   keyed by `(stage, resources, batch)`; the grid being a cross product,
-//!   the same profile is shared by thousands of schedules, and
-//!   [`StageProfiler`] computes each once behind an `RwLock`. Iterative
-//!   workloads add a decode-stall simulation per candidate, memoized by its
-//!   full input and run exactly once per input even under threads. The
-//!   pre-decode batch is not an input of that simulation, so all
-//!   `|predecode_batch|` steps share it (see the profiler module docs).
-//! * **Parallel** — [`Rago::optimize`] bridges the candidate stream across
-//!   rayon worker threads; each folds into a thread-local incremental
-//!   [`ParetoAccumulator`] (online dominance pruning), and the per-thread
-//!   frontiers merge at the end. Peak candidate storage is
-//!   O(frontier + threads), never O(grid).
+//!
+//! [`Rago::optimize`] and [`Rago::frontiers_by_plan`] then run Algorithm 1
+//! in three phases:
+//!
+//! 1. **Profile once.** Candidate evaluation decomposes into per-stage
+//!    profiles keyed by `(stage, resources, batch)`. The grid is a cross
+//!    product, so thousands of schedules share each profile. Before any
+//!    candidate is scored, every stage is profiled serially at each of its
+//!    resource steps and at each batch of its own axis, through
+//!    [`StageProfiler::profile`], into an immutable table. Each profile is
+//!    computed exactly once, and the profiler's memo ends up warm.
+//! 2. **Simulate distinct stalls in parallel.** Iterative workloads also
+//!    score every candidate with a decode-stall simulation. One pass over
+//!    the candidates collects the distinct simulation inputs that feasible
+//!    candidates reach; rayon workers then simulate them through
+//!    [`StageProfiler::decode_stall`], each worker on different inputs. The
+//!    pre-decode batch is not an input, so all `|predecode_batch|` steps
+//!    share one simulation (see the profiler module docs).
+//! 3. **Score lock-free.** The candidate stream is bridged across rayon
+//!    worker threads. Each scores against the table with no lock and no
+//!    shared counter per lookup, and folds into a thread-local incremental
+//!    [`ParetoAccumulator`] (online dominance pruning). The per-thread
+//!    frontiers merge at the end, and the workers' lookup tallies are added
+//!    to the profiler's memo hits once. Peak candidate storage is
+//!    O(frontier + threads), never O(grid).
+//!
+//! With memoization disabled ([`Rago::with_memoization`]) the table stays
+//! empty and no stall is simulated up front, so every candidate is scored
+//! straight against the profiler.
 //!
 //! The parallel path is frontier-identical to the serial reference
 //! ([`Rago::optimize_serial`]): performance ties between schedules are
@@ -51,7 +67,7 @@
 use crate::error::RagoError;
 use crate::pareto::{ParetoAccumulator, ParetoFrontier, ParetoPoint};
 use crate::placement::PlacementPlan;
-use crate::profiler::StageProfiler;
+use crate::profiler::{ProfileTable, StageProfiler};
 use crate::schedule::{BatchingPolicy, ResourceAllocation, Schedule};
 use rago_hardware::{power_of_two_steps, ClusterSpec, ResourceBudget};
 use rago_schema::RagSchema;
@@ -126,7 +142,7 @@ impl Default for SearchOptions {
 /// The budget-filtered axes of one search grid: every placement block and
 /// every admissible step list, as produced by `Rago::search_axes`. The
 /// exhaustive odometer and the stochastic codec are two views of this one
-/// struct.
+/// struct, and the exhaustive search profiles its stages over it.
 #[derive(Debug, Clone)]
 pub(crate) struct SearchAxes {
     pub placements: Vec<PlacementPlan>,
@@ -152,20 +168,15 @@ pub(crate) struct SearchAxes {
 /// to spin).
 ///
 /// Allocations whose XPU total exceeds the budget are skipped without
-/// touching the inner batching axes. Individual steps that can never fit
-/// (zero, duplicate, or above budget) are dropped up front via
+/// touching the inner batching axes. Individual steps that can never yield
+/// a valid candidate are dropped up front, keeping the odometer as small as
+/// the budget allows: zero, duplicate and above-budget resource steps via
 /// [`ResourceBudget::admissible_xpu_steps`] /
-/// [`ResourceBudget::admissible_server_steps`], keeping the odometer as
-/// small as the budget allows.
+/// [`ResourceBudget::admissible_server_steps`], and zero and duplicate batch
+/// steps on every batch axis.
 #[derive(Debug, Clone)]
 pub struct ScheduleIter {
-    placements: Vec<PlacementPlan>,
-    xpu_steps: Vec<u32>,
-    server_steps: Vec<u32>,
-    predecode_batches: Vec<u32>,
-    decode_batches: Vec<u32>,
-    iterative_batches: Vec<Option<u32>>,
-    max_total_xpus: u32,
+    axes: SearchAxes,
     // Odometer state.
     placement_idx: usize,
     group_alloc: Vec<usize>,
@@ -178,33 +189,20 @@ pub struct ScheduleIter {
 }
 
 impl ScheduleIter {
-    fn new(
-        placements: Vec<PlacementPlan>,
-        xpu_steps: Vec<u32>,
-        server_steps: Vec<u32>,
-        predecode_batches: Vec<u32>,
-        decode_batches: Vec<u32>,
-        iterative_batches: Vec<Option<u32>>,
-        max_total_xpus: u32,
-    ) -> Self {
-        let done = placements.is_empty()
-            || xpu_steps.is_empty()
-            || server_steps.is_empty()
-            || predecode_batches.is_empty()
-            || decode_batches.is_empty()
-            || iterative_batches.is_empty();
-        let group_alloc = placements
+    pub(crate) fn new(axes: SearchAxes) -> Self {
+        let done = axes.placements.is_empty()
+            || axes.xpu_steps.is_empty()
+            || axes.server_steps.is_empty()
+            || axes.predecode_batches.is_empty()
+            || axes.decode_batches.is_empty()
+            || axes.iterative_batches.is_empty();
+        let group_alloc = axes
+            .placements
             .first()
             .map(|p| vec![0usize; p.num_groups()])
             .unwrap_or_default();
         Self {
-            placements,
-            xpu_steps,
-            server_steps,
-            predecode_batches,
-            decode_batches,
-            iterative_batches,
-            max_total_xpus,
+            axes,
             placement_idx: 0,
             group_alloc,
             decode_idx: 0,
@@ -218,28 +216,30 @@ impl ScheduleIter {
 
     /// Total XPUs of the current (group allocation, decode) digit setting.
     fn current_total_xpus(&self) -> u32 {
-        let groups: u32 = self.group_alloc.iter().map(|&i| self.xpu_steps[i]).sum();
-        groups + self.xpu_steps[self.decode_idx]
+        let steps = &self.axes.xpu_steps;
+        let groups: u32 = self.group_alloc.iter().map(|&i| steps[i]).sum();
+        groups + steps[self.decode_idx]
     }
 
     fn build_schedule(&self) -> Schedule {
-        let placement = self.placements[self.placement_idx].clone();
+        let axes = &self.axes;
+        let placement = axes.placements[self.placement_idx].clone();
         let group_xpus: Vec<u32> = self
             .group_alloc
             .iter()
-            .map(|&i| self.xpu_steps[i])
+            .map(|&i| axes.xpu_steps[i])
             .collect();
         let mut batching = BatchingPolicy::new(
-            self.predecode_batches[self.predecode_idx],
-            self.decode_batches[self.decode_batch_idx],
+            axes.predecode_batches[self.predecode_idx],
+            axes.decode_batches[self.decode_batch_idx],
         );
-        batching.iterative_batch = self.iterative_batches[self.iterative_idx];
+        batching.iterative_batch = axes.iterative_batches[self.iterative_idx];
         Schedule {
             placement,
             allocation: ResourceAllocation {
                 group_xpus,
-                decode_xpus: self.xpu_steps[self.decode_idx],
-                retrieval_servers: self.server_steps[self.server_idx],
+                decode_xpus: axes.xpu_steps[self.decode_idx],
+                retrieval_servers: axes.server_steps[self.server_idx],
             },
             batching,
         }
@@ -250,22 +250,22 @@ impl ScheduleIter {
     /// whole space is exhausted.
     fn advance_inner(&mut self) -> bool {
         self.iterative_idx += 1;
-        if self.iterative_idx < self.iterative_batches.len() {
+        if self.iterative_idx < self.axes.iterative_batches.len() {
             return true;
         }
         self.iterative_idx = 0;
         self.decode_batch_idx += 1;
-        if self.decode_batch_idx < self.decode_batches.len() {
+        if self.decode_batch_idx < self.axes.decode_batches.len() {
             return true;
         }
         self.decode_batch_idx = 0;
         self.predecode_idx += 1;
-        if self.predecode_idx < self.predecode_batches.len() {
+        if self.predecode_idx < self.axes.predecode_batches.len() {
             return true;
         }
         self.predecode_idx = 0;
         self.server_idx += 1;
-        if self.server_idx < self.server_steps.len() {
+        if self.server_idx < self.axes.server_steps.len() {
             return true;
         }
         self.server_idx = 0;
@@ -280,7 +280,7 @@ impl ScheduleIter {
         self.decode_batch_idx = 0;
         self.iterative_idx = 0;
         self.decode_idx += 1;
-        if self.decode_idx < self.xpu_steps.len() {
+        if self.decode_idx < self.axes.xpu_steps.len() {
             return true;
         }
         self.decode_idx = 0;
@@ -295,7 +295,7 @@ impl ScheduleIter {
         let mut pos = 0;
         while pos < groups {
             self.group_alloc[pos] += 1;
-            if self.group_alloc[pos] < self.xpu_steps.len() {
+            if self.group_alloc[pos] < self.axes.xpu_steps.len() {
                 return true;
             }
             self.group_alloc[pos] = 0;
@@ -306,8 +306,8 @@ impl ScheduleIter {
 
     fn advance_placement(&mut self) -> bool {
         self.placement_idx += 1;
-        if self.placement_idx < self.placements.len() {
-            self.group_alloc = vec![0usize; self.placements[self.placement_idx].num_groups()];
+        if self.placement_idx < self.axes.placements.len() {
+            self.group_alloc = vec![0usize; self.axes.placements[self.placement_idx].num_groups()];
             true
         } else {
             self.done = true;
@@ -321,7 +321,7 @@ impl Iterator for ScheduleIter {
 
     fn next(&mut self) -> Option<Schedule> {
         while !self.done {
-            if self.current_total_xpus() > self.max_total_xpus {
+            if self.current_total_xpus() > self.axes.max_total_xpus {
                 // The whole batching sub-space of this allocation is
                 // infeasible; skip it without spinning the inner digits.
                 self.advance_decode();
@@ -753,10 +753,9 @@ impl Rago {
             .clone()
             .unwrap_or_else(|| PlacementPlan::enumerate(schema));
         let iterative_batches: Vec<Option<u32>> = if schema.is_iterative() {
-            options
-                .iterative_batch_steps
-                .iter()
-                .map(|&b| Some(b))
+            admissible_batches(&options.iterative_batch_steps)
+                .into_iter()
+                .map(Some)
                 .collect()
         } else {
             vec![None]
@@ -767,8 +766,8 @@ impl Rago {
             server_steps: self
                 .budget
                 .admissible_server_steps(&self.server_steps(options)),
-            predecode_batches: options.predecode_batch_steps.clone(),
-            decode_batches: options.decode_batch_steps.clone(),
+            predecode_batches: admissible_batches(&options.predecode_batch_steps),
+            decode_batches: admissible_batches(&options.decode_batch_steps),
             iterative_batches,
             max_total_xpus: self.budget.max_xpus,
         }
@@ -778,16 +777,7 @@ impl Rago {
     /// Algorithm 1): every legal placement × allocation within the budget ×
     /// batching policy, yielded lazily in a stable enumeration order.
     pub fn schedule_iter(&self, options: &SearchOptions) -> ScheduleIter {
-        let axes = self.search_axes(options);
-        ScheduleIter::new(
-            axes.placements,
-            axes.xpu_steps,
-            axes.server_steps,
-            axes.predecode_batches,
-            axes.decode_batches,
-            axes.iterative_batches,
-            axes.max_total_xpus,
-        )
+        ScheduleIter::new(self.search_axes(options))
     }
 
     /// The random-access view of the same candidate space
@@ -869,9 +859,10 @@ impl Rago {
     /// Runs the full search (Algorithm 1) and returns the performance Pareto
     /// frontier over (TTFT, QPS/chip) with the schedules achieving it.
     ///
-    /// Candidates are streamed across rayon worker threads, each folding
-    /// into an incremental [`ParetoAccumulator`]; the per-thread frontiers
-    /// merge at the end. The result is bit-identical to
+    /// The grid's stage profiles and distinct decode stalls are computed
+    /// first; candidates are then streamed across rayon worker threads,
+    /// each folding into an incremental [`ParetoAccumulator`], and the
+    /// per-thread frontiers merge at the end. The result is bit-identical to
     /// [`Rago::optimize_serial`] — see the module docs.
     ///
     /// # Errors
@@ -879,19 +870,12 @@ impl Rago {
     /// Returns [`RagoError::NoFeasibleSchedule`] when no candidate schedule is
     /// feasible within the budget.
     pub fn optimize(&self, options: &SearchOptions) -> Result<ParetoFrontier, RagoError> {
-        let accumulator = self
-            .schedule_iter(options)
-            .par_bridge()
-            .fold(ParetoAccumulator::new, |mut acc, schedule| {
-                if let Ok(performance) = schedule.evaluate(&self.profiler) {
-                    acc.push(ParetoPoint {
-                        schedule,
-                        performance,
-                    });
-                }
-                acc
-            })
-            .reduce(ParetoAccumulator::new, ParetoAccumulator::merge);
+        let accumulator = self.search_exhaustive(
+            options,
+            ParetoAccumulator::new,
+            ParetoAccumulator::push,
+            ParetoAccumulator::merge,
+        );
         if accumulator.is_empty() {
             return Err(self.no_feasible_schedule());
         }
@@ -927,6 +911,45 @@ impl Rago {
         }
     }
 
+    /// Algorithm 1 over every candidate of `options`, in three phases.
+    /// First, profile the grid once into a table. Second, simulate the
+    /// distinct decode stalls in parallel. Third, score the candidates across
+    /// rayon workers against the table, without a lock. Each worker folds
+    /// its feasible points into an accumulator from `init` with `push`, and
+    /// `merge` joins the workers' accumulators.
+    fn search_exhaustive<A: Send>(
+        &self,
+        options: &SearchOptions,
+        init: impl Fn() -> A + Sync,
+        push: impl Fn(&mut A, ParetoPoint) + Sync,
+        merge: impl Fn(A, A) -> A,
+    ) -> A {
+        let axes = self.search_axes(options);
+        let table = ProfileTable::fill(&self.profiler, &axes);
+        table.simulate_stalls(ScheduleIter::new(axes.clone()));
+        let (accumulator, lookups) = ScheduleIter::new(axes)
+            .par_bridge()
+            .fold(
+                || (init(), 0),
+                |(mut acc, lookups), schedule| {
+                    let reader = table.reader();
+                    if let Ok(performance) = schedule.evaluate_with(&reader) {
+                        push(
+                            &mut acc,
+                            ParetoPoint {
+                                schedule,
+                                performance,
+                            },
+                        );
+                    }
+                    (acc, lookups + reader.lookups())
+                },
+            )
+            .reduce(|| (init(), 0), |(a, x), (b, y)| (merge(a, b), x + y));
+        table.count_hits(lookups);
+        accumulator
+    }
+
     /// Groups all evaluated points by (placement, allocation) and returns the
     /// per-plan Pareto frontiers (each point on a per-plan frontier is a
     /// batching policy), as plotted in Figures 16 and 18 of the paper.
@@ -939,24 +962,18 @@ impl Rago {
         options: &SearchOptions,
     ) -> Vec<(PlacementPlan, ResourceAllocation, ParetoFrontier)> {
         type PlanKey = (PlacementPlan, ResourceAllocation);
-        let by_plan: HashMap<PlanKey, ParetoAccumulator> = self
-            .schedule_iter(options)
-            .par_bridge()
-            .fold(
-                HashMap::new,
-                |mut map: HashMap<PlanKey, ParetoAccumulator>, schedule| {
-                    if let Ok(performance) = schedule.evaluate(&self.profiler) {
-                        map.entry((schedule.placement.clone(), schedule.allocation.clone()))
-                            .or_default()
-                            .push(ParetoPoint {
-                                schedule,
-                                performance,
-                            });
-                    }
-                    map
-                },
-            )
-            .reduce(HashMap::new, |mut merged, map| {
+        let by_plan: HashMap<PlanKey, ParetoAccumulator> = self.search_exhaustive(
+            options,
+            HashMap::new,
+            |map: &mut HashMap<PlanKey, ParetoAccumulator>, point| {
+                map.entry((
+                    point.schedule.placement.clone(),
+                    point.schedule.allocation.clone(),
+                ))
+                .or_default()
+                .push(point)
+            },
+            |mut merged, map| {
                 for (key, acc) in map {
                     match merged.entry(key) {
                         std::collections::hash_map::Entry::Occupied(mut existing) => {
@@ -969,7 +986,8 @@ impl Rago {
                     }
                 }
                 merged
-            });
+            },
+        );
 
         let mut out: Vec<(PlacementPlan, ResourceAllocation, ParetoFrontier)> = by_plan
             .into_iter()
@@ -1019,6 +1037,12 @@ impl Rago {
             .into_iter()
             .collect()
     }
+}
+
+/// The batch sizes of `steps` a candidate can use: positive and unique, in
+/// the caller's order — the resource axes' filter without a budget.
+fn admissible_batches(steps: &[u32]) -> Vec<u32> {
+    ResourceBudget::new(u32::MAX, u32::MAX).admissible_xpu_steps(steps)
 }
 
 #[cfg(test)]
@@ -1199,6 +1223,34 @@ mod tests {
             assert!(s.allocation.total_xpus() <= 16);
             assert!(s.allocation.group_xpus.iter().all(|&x| x == 8 || x == 4));
         }
+    }
+
+    #[test]
+    fn zero_and_repeated_batch_steps_are_dropped() {
+        let rago = Rago::new(
+            presets::case3_iterative(LlmSize::B8, 4),
+            ClusterSpec::paper_default(),
+        );
+        let clean = SearchOptions::fast();
+        let noisy = SearchOptions {
+            predecode_batch_steps: vec![1, 8, 8, 32],
+            decode_batch_steps: vec![64, 0, 256],
+            iterative_batch_steps: vec![4, 16, 16],
+            ..SearchOptions::fast()
+        };
+        assert_eq!(rago.schedule_iter(&clean).count(), 108);
+        assert_eq!(
+            rago.schedule_iter(&noisy).count(),
+            rago.schedule_iter(&clean).count()
+        );
+        assert_eq!(
+            rago.schedule_space(&noisy).size(),
+            rago.schedule_space(&clean).size()
+        );
+        assert_eq!(
+            rago.optimize(&noisy).unwrap(),
+            rago.optimize(&clean).unwrap()
+        );
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! The profiler maps every stage of a RAGSchema onto the appropriate cost
 //! model — the XPU inference simulator for model stages, the CPU retrieval
 //! simulator for the retrieval stage — and evaluates it for a given resource
-//! count and batch size. The optimizer calls this for every (stage, resource,
-//! batch) combination in its search grid and assembles end-to-end schedules
-//! from the results.
+//! count and batch size. The optimizer assembles end-to-end schedules from
+//! these profiles.
 //!
 //! # Memoization
 //!
@@ -13,9 +12,8 @@
 //! size)` — for XPU stages the resource count is the group's chip count, for
 //! retrieval it is the CPU-server count. The search grid is a cross product,
 //! so millions of candidate schedules share a few thousand distinct stage
-//! profiles; the profiler memoizes them behind an [`std::sync::RwLock`] so
-//! concurrent search threads share one cache (reads in parallel, a write
-//! only on first computation).
+//! profiles; the profiler memoizes them behind an [`std::sync::RwLock`], so
+//! threads that evaluate schedules one at a time share one cache.
 //!
 //! Iterative workloads (Case III) also score every candidate with a
 //! decode-stall simulation ([`IterativeDecodeSim`]), by far the most
@@ -32,8 +30,32 @@
 //!
 //! [`StageProfiler::with_memoization`] disables both caches, which exists
 //! solely to benchmark the unmemoized search.
+//!
+//! # The exhaustive search's table
+//!
+//! The exhaustive search does not send its millions of lookups through the
+//! shared cache: its workers would contend on the lock and on the hit
+//! counter. Instead it profiles the grid up front, as Algorithm 1 does.
+//! A crate-private `ProfileTable` is filled serially through
+//! [`StageProfiler::profile`]: every pipeline stage at each of its resource
+//! steps and at each batch the search can ask of it. Decode uses the decode
+//! batches; prefix and retrieval, which iterative retrievals re-enter, the
+//! pre-decode and iterative batches; every other stage the pre-decode
+//! batches. Each profile is computed once, so after a cold search the memo
+//! misses equal [`StageProfiler::cached_profiles`]. For iterative
+//! workloads one serial pass over the candidates then reserves a
+//! decode-stall memo cell for each distinct input they reach, and workers
+//! simulate those inputs in parallel, each worker on different inputs; the
+//! results stay in the decode-stall memo. Scoring
+//! reads the immutable table without a lock. Each worker tallies its
+//! lookups and the total is added to the memo hits once, at the end, less
+//! one per table entry: the fill's request for an entry stands in for its
+//! first lookup, so the counters add up to one request per lookup, as when
+//! candidates query the profiler directly.
 
 use crate::error::RagoError;
+use crate::optimizer::SearchAxes;
+use crate::schedule::Schedule;
 use rago_accel_sim::{AcceleratorGroup, InferenceSimulator};
 use rago_hardware::ClusterSpec;
 use rago_retrieval_sim::RetrievalSimulator;
@@ -41,8 +63,11 @@ use rago_schema::{RagSchema, Stage};
 use rago_serving_sim::iterative::{
     IterativeDecodeParams, IterativeDecodeResult, IterativeDecodeSim,
 };
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::cell::{Cell, RefCell};
+use std::cmp::Reverse;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -504,6 +529,223 @@ impl StageProfiler {
             }
         }
         out
+    }
+}
+
+/// Where [`Schedule::evaluate`] reads its costs from: the profiler itself,
+/// or the exhaustive search's table, filled from the profiler up front.
+pub(crate) trait CostSource {
+    /// The profiler behind the costs, which also knows the workload and the
+    /// cluster.
+    fn profiler(&self) -> &StageProfiler;
+
+    /// As [`StageProfiler::profile`].
+    fn profile(&self, stage: Stage, resources: u32, batch: u32) -> Result<StagePerf, RagoError>;
+
+    /// As [`StageProfiler::decode_stall`].
+    fn decode_stall(&self, params: IterativeDecodeParams) -> IterativeDecodeResult {
+        self.profiler().decode_stall(params)
+    }
+}
+
+impl CostSource for StageProfiler {
+    fn profiler(&self) -> &StageProfiler {
+        self
+    }
+
+    fn profile(&self, stage: Stage, resources: u32, batch: u32) -> Result<StagePerf, RagoError> {
+        StageProfiler::profile(self, stage, resources, batch)
+    }
+}
+
+/// One stage's profiles over its resource steps × its batch axis.
+struct StageGrid {
+    resources: Vec<u32>,
+    batches: Vec<u32>,
+    /// Row-major: resource step outer, batch inner.
+    profiles: Vec<Result<StagePerf, RagoError>>,
+}
+
+/// Every stage profile a search grid can ask for, computed once before the
+/// candidates are scored (see the module docs). It is immutable once
+/// filled, so search workers read it without a lock.
+pub(crate) struct ProfileTable<'p> {
+    profiler: &'p StageProfiler,
+    /// Indexed by `stage as usize`; `None` for stages outside the workload.
+    grids: [Option<StageGrid>; Stage::PIPELINE_ORDER.len()],
+}
+
+impl<'p> ProfileTable<'p> {
+    /// Profiles every pipeline stage of `profiler`'s workload over `axes`.
+    /// With memoization disabled the table stays empty and every lookup
+    /// goes straight to the profiler.
+    pub(crate) fn fill(profiler: &'p StageProfiler, axes: &SearchAxes) -> Self {
+        let mut grids = std::array::from_fn(|_| None);
+        if profiler.memoize {
+            let mut reentrant = axes.predecode_batches.clone();
+            for &b in axes.iterative_batches.iter().flatten() {
+                if !reentrant.contains(&b) {
+                    reentrant.push(b);
+                }
+            }
+            for stage in profiler.schema.pipeline() {
+                let resources = if stage == Stage::Retrieval {
+                    &axes.server_steps
+                } else {
+                    &axes.xpu_steps
+                };
+                let batches = match stage {
+                    Stage::Decode => &axes.decode_batches,
+                    Stage::Prefix | Stage::Retrieval => &reentrant,
+                    _ => &axes.predecode_batches,
+                };
+                let profiles = resources
+                    .iter()
+                    .flat_map(|&r| batches.iter().map(move |&b| profiler.profile(stage, r, b)))
+                    .collect();
+                grids[stage as usize] = Some(StageGrid {
+                    resources: resources.clone(),
+                    batches: batches.clone(),
+                    profiles,
+                });
+            }
+        }
+        Self { profiler, grids }
+    }
+
+    /// The profile of `stage` at `resources` and `batch`, from the table
+    /// when it holds the point and from the profiler otherwise. The flag is
+    /// whether the table answered.
+    fn lookup(
+        &self,
+        stage: Stage,
+        resources: u32,
+        batch: u32,
+    ) -> (Result<StagePerf, RagoError>, bool) {
+        let hit = self.grids[stage as usize].as_ref().and_then(|grid| {
+            let r = grid.resources.iter().position(|&x| x == resources)?;
+            let b = grid.batches.iter().position(|&x| x == batch)?;
+            Some(&grid.profiles[r * grid.batches.len() + b])
+        });
+        match hit {
+            Some(profile) => (profile.clone(), true),
+            None => (self.profiler.profile(stage, resources, batch), false),
+        }
+    }
+
+    /// A cost source for one candidate that counts the lookups the table
+    /// answers.
+    pub(crate) fn reader(&self) -> TableReader<'_> {
+        TableReader {
+            table: self,
+            lookups: Cell::new(0),
+        }
+    }
+
+    /// Counts a search's `lookups` answered by the table as memo hits, once
+    /// the workers have tallied them. Filling the table asked the profiler
+    /// for each entry once, and that request stands in for the entry's first
+    /// lookup: the memo then counts one request per lookup, as it does when
+    /// candidates query the profiler directly.
+    pub(crate) fn count_hits(&self, lookups: u64) {
+        let filled: usize = self
+            .grids
+            .iter()
+            .flatten()
+            .map(|grid| grid.profiles.len())
+            .sum();
+        let hits = lookups.saturating_sub(filled as u64);
+        self.profiler.memo_hits.fetch_add(hits, Ordering::Relaxed);
+    }
+
+    /// Simulates, in parallel, every distinct decode-stall input that the
+    /// feasible `candidates` reach, so that scoring finds each one in the
+    /// decode-stall memo. Does nothing for workloads without iterative
+    /// retrievals or with memoization disabled.
+    pub(crate) fn simulate_stalls(&self, candidates: impl Iterator<Item = Schedule>) {
+        if !self.profiler.memoize || !self.profiler.schema.is_iterative() {
+            return;
+        }
+        let collector = StallInputs {
+            table: self,
+            fresh: RefCell::new(Vec::new()),
+        };
+        for schedule in candidates {
+            // Only the inputs reaching the simulator matter; an infeasible
+            // candidate fails before it.
+            let _ = schedule.evaluate_with(&collector);
+        }
+        let mut inputs = collector.fresh.into_inner();
+        // Larger decode batches simulate for longer: start them first so
+        // the workers run out of inputs at about the same time.
+        inputs.sort_by_key(|p| Reverse(p.decode_batch));
+        inputs
+            .into_iter()
+            .par_bridge()
+            .fold(
+                || (),
+                |(), params| {
+                    self.profiler.decode_stall(params);
+                },
+            )
+            .reduce(|| (), |(), ()| ());
+    }
+}
+
+/// One candidate's view of a [`ProfileTable`], counting the lookups the
+/// table answers.
+pub(crate) struct TableReader<'t> {
+    table: &'t ProfileTable<'t>,
+    lookups: Cell<u64>,
+}
+
+impl TableReader<'_> {
+    /// Lookups the table answered.
+    pub(crate) fn lookups(&self) -> u64 {
+        self.lookups.get()
+    }
+}
+
+impl CostSource for TableReader<'_> {
+    fn profiler(&self) -> &StageProfiler {
+        self.table.profiler
+    }
+
+    fn profile(&self, stage: Stage, resources: u32, batch: u32) -> Result<StagePerf, RagoError> {
+        let (profile, hit) = self.table.lookup(stage, resources, batch);
+        self.lookups.set(self.lookups.get() + u64::from(hit));
+        profile
+    }
+}
+
+/// A cost source over a [`ProfileTable`] whose decode-stall simulator only
+/// records its input: evaluating candidates against it reserves a memo
+/// cell for each input they reach and lists the inputs the memo lacked.
+struct StallInputs<'t> {
+    table: &'t ProfileTable<'t>,
+    fresh: RefCell<Vec<IterativeDecodeParams>>,
+}
+
+impl CostSource for StallInputs<'_> {
+    fn profiler(&self) -> &StageProfiler {
+        self.table.profiler
+    }
+
+    fn profile(&self, stage: Stage, resources: u32, batch: u32) -> Result<StagePerf, RagoError> {
+        self.table.lookup(stage, resources, batch).0
+    }
+
+    fn decode_stall(&self, params: IterativeDecodeParams) -> IterativeDecodeResult {
+        let mut stalls = self
+            .profiler()
+            .stalls
+            .write()
+            .expect("decode-stall cache poisoned");
+        if let Entry::Vacant(cell) = stalls.entry(stall_key(&params)) {
+            cell.insert(StallCell::default());
+            self.fresh.borrow_mut().push(params);
+        }
+        IterativeDecodeResult::default()
     }
 }
 

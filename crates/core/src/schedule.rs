@@ -4,7 +4,7 @@
 use crate::error::RagoError;
 use crate::metrics::RagPerformance;
 use crate::placement::PlacementPlan;
-use crate::profiler::{StagePerf, StageProfiler};
+use crate::profiler::{CostSource, StagePerf, StageProfiler};
 use rago_schema::Stage;
 use rago_serving_sim::iterative::IterativeDecodeParams;
 use serde::{Deserialize, Serialize};
@@ -122,8 +122,17 @@ impl Schedule {
     /// schedules and [`RagoError::CostModel`] when any stage is infeasible
     /// under its allocation (e.g. its model does not fit in memory).
     pub fn evaluate(&self, profiler: &StageProfiler) -> Result<RagPerformance, RagoError> {
+        self.evaluate_with(profiler)
+    }
+
+    /// [`Self::evaluate`] against any cost source: the profiler, or the
+    /// exhaustive search's table of it.
+    pub(crate) fn evaluate_with(
+        &self,
+        costs: &impl CostSource,
+    ) -> Result<RagPerformance, RagoError> {
         self.validate()?;
-        let schema = profiler.schema();
+        let schema = costs.profiler().schema();
         let batch = self.batching.predecode_batch;
 
         let mut ttft = 0.0f64;
@@ -136,7 +145,7 @@ impl Schedule {
             let mut group_latency = 0.0;
             let mut singleton_throughput = None;
             for &stage in stages {
-                let perf = profiler.profile(stage, chips, batch)?;
+                let perf = costs.profile(stage, chips, batch)?;
                 group_latency += perf.latency_s;
                 singleton_throughput = Some(perf.throughput_rps);
             }
@@ -152,12 +161,11 @@ impl Schedule {
         // Retrieval (CPU servers).
         let mut retrieval_latency_at_iter_batch = 0.0;
         if schema.has_retrieval() {
-            let perf =
-                profiler.profile(Stage::Retrieval, self.allocation.retrieval_servers, batch)?;
+            let perf = costs.profile(Stage::Retrieval, self.allocation.retrieval_servers, batch)?;
             ttft += perf.latency_s;
             throughputs.push(perf.throughput_rps);
             if schema.is_iterative() {
-                let iter_perf = profiler.profile(
+                let iter_perf = costs.profile(
                     Stage::Retrieval,
                     self.allocation.retrieval_servers,
                     self.iterative_batch(),
@@ -167,7 +175,7 @@ impl Schedule {
         }
 
         // Decode stage.
-        let decode_perf = profiler.profile(
+        let decode_perf = costs.profile(
             Stage::Decode,
             self.allocation.decode_xpus,
             self.batching.decode_batch,
@@ -178,9 +186,8 @@ impl Schedule {
         // Iterative retrieval (Case III): decoding stalls while batched
         // retrieval + prefix passes complete; simulate the resulting slowdown.
         if schema.is_iterative() {
-            let params =
-                self.stall_params(profiler, &decode_perf, retrieval_latency_at_iter_batch)?;
-            let result = profiler.decode_stall(params);
+            let params = self.stall_params(costs, &decode_perf, retrieval_latency_at_iter_batch)?;
+            let result = costs.decode_stall(params);
             tpot = result.tpot_worst_s;
             decode_throughput = f64::from(self.batching.decode_batch) / result.total_time_s;
         }
@@ -197,7 +204,7 @@ impl Schedule {
         // servers the schedule occupies: enough to carry the inference XPUs
         // (xpus_per_server each) *and* at least the retrieval server count —
         // retrieval-only servers contribute idle XPUs to the denominator.
-        let xpus_per_server = profiler.cluster().xpus_per_server.max(1);
+        let xpus_per_server = costs.profiler().cluster().xpus_per_server.max(1);
         let inference_servers = total_xpus.div_ceil(xpus_per_server);
         let occupied_servers = if schema.has_retrieval() {
             inference_servers.max(self.allocation.retrieval_servers)
@@ -260,11 +267,11 @@ impl Schedule {
     /// iterative retrieval latency, profiling the re-prefix pass.
     fn stall_params(
         &self,
-        profiler: &StageProfiler,
+        costs: &impl CostSource,
         decode: &StagePerf,
         retrieval_latency_s: f64,
     ) -> Result<IterativeDecodeParams, RagoError> {
-        let schema = profiler.schema();
+        let schema = costs.profiler().schema();
         let retrieval_cfg = schema
             .retrieval
             .as_ref()
@@ -277,7 +284,7 @@ impl Schedule {
             .group_of(Stage::Prefix)
             .map(|g| self.allocation.group_xpus[g])
             .unwrap_or(self.allocation.decode_xpus);
-        let reprefix = profiler.profile(Stage::Prefix, prefix_group, iter_batch)?;
+        let reprefix = costs.profile(Stage::Prefix, prefix_group, iter_batch)?;
         Ok(IterativeDecodeParams {
             decode_batch: self.batching.decode_batch,
             iterative_batch: iter_batch,

@@ -47,15 +47,25 @@ fn distinct_stall_inputs(rago: &Rago, options: &SearchOptions) -> u64 {
 fn memoized_case3_frontier_matches_unmemoized() {
     let options = SearchOptions::fast();
     let memoized = case3();
-    let unmemoized = case3().with_memoization(false);
     let frontier = memoized.optimize(&options).unwrap();
-    assert_eq!(frontier, unmemoized.optimize_serial(&options).unwrap());
-    // Without the memo every feasible candidate runs its own simulation.
-    let (hits, misses) = unmemoized.profiler().decode_stall_stats();
-    assert_eq!(hits, 0);
-    assert_eq!(misses, frontier.evaluated_schedules as u64);
+    let feasible = frontier.evaluated_schedules as u64;
+    // Without the memo every feasible candidate runs its own simulation, on
+    // the parallel path as on the serial reference.
+    for parallel in [false, true] {
+        let unmemoized = case3().with_memoization(false);
+        let reference = if parallel {
+            unmemoized.optimize(&options)
+        } else {
+            unmemoized.optimize_serial(&options)
+        };
+        assert_eq!(frontier, reference.unwrap(), "parallel: {parallel}");
+        assert_eq!(unmemoized.profiler().decode_stall_stats(), (0, feasible));
+    }
+    // With it, the search simulates each distinct input once up front, and
+    // scoring then finds every feasible candidate's input in the memo.
     let (hits, misses) = memoized.profiler().decode_stall_stats();
-    assert_eq!(hits + misses, frontier.evaluated_schedules as u64);
+    assert_eq!(hits, feasible);
+    assert_eq!(misses, distinct_stall_inputs(&memoized, &options));
     assert!(hits > misses, "{hits} hits for {misses} simulations");
 }
 

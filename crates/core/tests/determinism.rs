@@ -2,18 +2,27 @@
 //! the serial batch reference: same points (schedules included), same order,
 //! same `evaluated_schedules` count — independent of thread interleaving.
 
-use rago_core::{Rago, SearchOptions};
+use rago_core::{
+    ParetoFrontier, ParetoPoint, PlacementPlan, Rago, ResourceAllocation, SearchOptions,
+};
 use rago_hardware::ClusterSpec;
 use rago_schema::presets::{self, LlmSize};
+use rago_schema::RagSchema;
+use std::collections::HashMap;
 
-fn assert_parallel_matches_serial(rago: &Rago, options: &SearchOptions, label: &str) {
-    let serial = rago
+fn fresh(schema: &RagSchema) -> Rago {
+    Rago::new(schema.clone(), ClusterSpec::paper_default())
+}
+
+fn assert_parallel_matches_serial(schema: &RagSchema, options: &SearchOptions, label: &str) {
+    let serial = fresh(schema)
         .optimize_serial(options)
         .unwrap_or_else(|e| panic!("{label}: serial search failed: {e}"));
-    // Run the parallel path several times: a race in the fold/merge would
-    // show up as run-to-run variation.
+    // Run the parallel path several times, each on a cold profiler so the
+    // search fills its profile table from scratch: a race in the fill or in
+    // the fold/merge would show up as run-to-run variation.
     for run in 0..3 {
-        let parallel = rago
+        let parallel = fresh(schema)
             .optimize(options)
             .unwrap_or_else(|e| panic!("{label}: parallel search failed: {e}"));
         assert_eq!(
@@ -29,49 +38,127 @@ fn assert_parallel_matches_serial(rago: &Rago, options: &SearchOptions, label: &
 
 #[test]
 fn streaming_matches_serial_reference_case1() {
-    let rago = Rago::new(
-        presets::case1_hyperscale(LlmSize::B8, 1),
-        ClusterSpec::paper_default(),
+    assert_parallel_matches_serial(
+        &presets::case1_hyperscale(LlmSize::B8, 1),
+        &SearchOptions::fast(),
+        "case1/fast",
     );
-    assert_parallel_matches_serial(&rago, &SearchOptions::fast(), "case1/fast");
+}
+
+#[test]
+fn streaming_matches_serial_reference_case2_with_infeasible_candidates() {
+    // A 70B model does not fit one chip, so with a one-chip step some
+    // Case II candidates are infeasible and the profile table holds errors
+    // next to profiles.
+    let schema = presets::case2_long_context(LlmSize::B70, 1_000_000);
+    let options = SearchOptions {
+        xpu_steps: vec![1, 4, 16, 64],
+        ..SearchOptions::fast()
+    };
+    let rago = fresh(&schema);
+    let feasible = rago.evaluate_all(&options).len();
+    assert!(
+        feasible < rago.schedule_iter(&options).count(),
+        "every case II candidate is feasible; the table's error entries go untested"
+    );
+    assert_parallel_matches_serial(&schema, &options, "case2/fast");
 }
 
 #[test]
 fn streaming_matches_serial_reference_case4() {
     // Case IV exercises multiple placements and multi-group allocations.
-    let rago = Rago::new(
-        presets::case4_rewriter_reranker(LlmSize::B8),
-        ClusterSpec::paper_default(),
+    assert_parallel_matches_serial(
+        &presets::case4_rewriter_reranker(LlmSize::B8),
+        &SearchOptions::fast(),
+        "case4/fast",
     );
-    assert_parallel_matches_serial(&rago, &SearchOptions::fast(), "case4/fast");
 }
 
 #[test]
 fn streaming_matches_serial_reference_case3_iterative() {
     // Iterative workloads spin the extra batching axis and the decode-stall
     // simulator.
-    let rago = Rago::new(
-        presets::case3_iterative(LlmSize::B8, 4),
-        ClusterSpec::paper_default(),
+    assert_parallel_matches_serial(
+        &presets::case3_iterative(LlmSize::B8, 4),
+        &SearchOptions::fast(),
+        "case3/fast",
     );
-    assert_parallel_matches_serial(&rago, &SearchOptions::fast(), "case3/fast");
 }
 
 #[test]
 fn memoization_does_not_change_the_frontier() {
     let options = SearchOptions::fast();
-    let memoized = Rago::new(
-        presets::case1_hyperscale(LlmSize::B8, 1),
-        ClusterSpec::paper_default(),
-    );
-    let unmemoized = Rago::new(
-        presets::case1_hyperscale(LlmSize::B8, 1),
-        ClusterSpec::paper_default(),
-    )
-    .with_memoization(false);
+    let schema = presets::case1_hyperscale(LlmSize::B8, 1);
+    let unmemoized = fresh(&schema).with_memoization(false);
     assert_eq!(
-        memoized.optimize(&options).unwrap(),
+        fresh(&schema).optimize(&options).unwrap(),
         unmemoized.optimize_serial(&options).unwrap(),
     );
     assert_eq!(unmemoized.profiler().cached_profiles(), 0);
+}
+
+#[test]
+fn frontiers_by_plan_match_the_serial_reference_grouped_by_plan() {
+    let options = SearchOptions::fast();
+    for schema in [
+        presets::case3_iterative(LlmSize::B8, 4),
+        presets::case4_rewriter_reranker(LlmSize::B8),
+    ] {
+        let mut by_plan: HashMap<(PlacementPlan, ResourceAllocation), Vec<ParetoPoint>> =
+            HashMap::new();
+        for point in fresh(&schema).evaluate_all(&options) {
+            by_plan
+                .entry((
+                    point.schedule.placement.clone(),
+                    point.schedule.allocation.clone(),
+                ))
+                .or_default()
+                .push(point);
+        }
+        let plans = fresh(&schema).frontiers_by_plan(&options);
+        assert_eq!(plans.len(), by_plan.len(), "{}", schema.name);
+        for (placement, allocation, frontier) in plans {
+            let points = by_plan
+                .remove(&(placement, allocation))
+                .expect("a plan the serial reference never evaluated");
+            assert_eq!(
+                frontier,
+                ParetoFrontier::from_points(points),
+                "{}",
+                schema.name
+            );
+        }
+    }
+}
+
+#[test]
+fn cold_searches_compute_each_stage_profile_once() {
+    let options = SearchOptions::fast();
+    for schema in [
+        presets::case3_iterative(LlmSize::B8, 4),
+        presets::case4_rewriter_reranker(LlmSize::B8),
+    ] {
+        let cold_stats = |search: fn(&Rago, &SearchOptions)| {
+            let rago = fresh(&schema);
+            search(&rago, &options);
+            let (hits, misses) = rago.profiler().memo_stats();
+            (hits, misses, rago.profiler().cached_profiles() as u64)
+        };
+        let parallel = cold_stats(|rago, options| {
+            rago.optimize(options).unwrap();
+        });
+        let (_, misses, cached) = parallel;
+        assert_eq!(misses, cached, "{}", schema.name);
+        let again = cold_stats(|rago, options| {
+            rago.optimize(options).unwrap();
+        });
+        assert_eq!(parallel, again, "{}: cold searches disagree", schema.name);
+        // Every profile of the fast grid's table is asked for by some
+        // candidate, so the table's counters match those of candidates
+        // querying the profiler one by one.
+        let serial = cold_stats(|rago, options| {
+            rago.optimize_serial(options).unwrap();
+        });
+        assert_eq!(parallel, serial, "{}", schema.name);
+    }
 }

@@ -41,7 +41,7 @@ pub struct IterativeDecodeParams {
 }
 
 /// Result of an iterative-decode simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct IterativeDecodeResult {
     /// Wall-clock time until every sequence finished its generation.
     pub total_time_s: f64,

@@ -11,8 +11,9 @@
 //!    knee is strictly above the 1-replica knee.
 //! 2. **Routing** — every `RouterPolicy` at one fixed (replicas, rate)
 //!    point: attainment, goodput, TTFT tail, and load imbalance.
-//! 3. **Capacity planning** — `plan_capacity`'s binary search must agree
-//!    with an exhaustive linear scan over the same replica grid.
+//! 3. **Capacity planning** — `plan_capacity`'s gallop-and-bisect search
+//!    must agree with an exhaustive linear scan over the same replica grid,
+//!    within `2·ceil(log2 max_replicas) + 2` DES runs.
 //!
 //! Set `RAGO_BENCH_QUICK=1` for a CI-friendly quick mode (smaller grid and
 //! traces, same JSON shape). The bench asserts its acceptance criteria and
@@ -20,7 +21,7 @@
 //! the file's presence and NaN-freeness.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rago_core::{CapacityOptions, Rago, SearchOptions};
+use rago_core::{CapacityOptions, CapacityPlan, Rago, SearchOptions};
 use rago_schema::presets::{self, LlmSize};
 use rago_schema::{FleetConfig, RouterPolicy, SequenceProfile, SloTarget};
 use rago_serving_sim::engine::sustained_throughput_knee;
@@ -198,7 +199,13 @@ fn bench_fleet_json(_c: &mut Criterion) {
         .expect("some count within the bound meets the SLO");
     assert_eq!(
         plan.replicas, linear_scan,
-        "binary search disagrees with the exhaustive scan"
+        "the capacity search disagrees with the exhaustive scan"
+    );
+    let run_bound = 2 * capacity.max_replicas.next_power_of_two().trailing_zeros() + 2;
+    assert!(
+        plan.des_runs <= run_bound,
+        "the capacity search ran {} DES runs, over its bound of {run_bound}",
+        plan.des_runs
     );
 
     let json = render_json(
@@ -211,10 +218,9 @@ fn bench_fleet_json(_c: &mut Criterion) {
         policy_rate,
         &policy_rows,
         target_qps,
-        plan.replicas,
+        capacity.max_replicas,
+        &plan,
         linear_scan,
-        plan.attainment,
-        plan.total_xpus,
         knee_1,
         knee_2,
     );
@@ -242,10 +248,9 @@ fn render_json(
     policy_rate: f64,
     policy_rows: &[PolicyRow],
     target_qps: f64,
-    planned_replicas: u32,
+    max_replicas: u32,
+    plan: &CapacityPlan,
     linear_scan_replicas: u32,
-    plan_attainment: f64,
-    plan_total_xpus: u32,
     knee_1: f64,
     knee_2: f64,
 ) -> String {
@@ -297,15 +302,22 @@ fn render_json(
          \"schedule\": \"{schedule}\",\n  \"static_qps\": {static_qps:.3},\n  \
          \"attainment_vs_replicas\": [\n{series_json}\n  ],\n  \
          \"router_comparison\": {{\n    \"replicas\": {policy_replicas}, \"rate_rps\": {policy_rate:.3},\n    \"policies\": [\n{policies_json}\n    ]\n  }},\n  \
-         \"capacity_plan\": {{\"target_qps\": {target_qps:.3}, \"planned_replicas\": {planned_replicas}, \
-         \"linear_scan_replicas\": {linear_scan_replicas}, \"agrees\": {}, \
-         \"attainment\": {plan_attainment:.4}, \"total_xpus\": {plan_total_xpus}}},\n  \
+         \"capacity_plan\": {{\"target_qps\": {target_qps:.3}, \"max_replicas\": {max_replicas}, \
+         \"planned_replicas\": {}, \"linear_scan_replicas\": {linear_scan_replicas}, \"agrees\": {}, \
+         \"attainment\": {:.4}, \"total_xpus\": {}, \"des_runs\": {}, \"des_runs_stopped\": {}, \
+         \"des_events\": {}}},\n  \
          \"acceptance\": {{\"knee_1_replica_rps\": {knee_1:.3}, \"knee_2_replicas_rps\": {knee_2:.3}, \
          \"two_replicas_beat_one\": {}}}\n}}\n",
         slo.ttft_s,
         slo.tpot_s,
         slo.attainment,
-        planned_replicas == linear_scan_replicas,
+        plan.replicas,
+        plan.replicas == linear_scan_replicas,
+        plan.attainment,
+        plan.total_xpus,
+        plan.des_runs,
+        plan.des_runs_stopped,
+        plan.des_events,
         knee_2 > knee_1,
     )
 }

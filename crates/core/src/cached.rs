@@ -30,8 +30,8 @@
 //! cache-less twin bit-exactly — timelines, metrics, and per-class rows.
 
 use crate::capacity::{
-    build_plan, search_min_replicas, sizing_trace, validate_capacity_inputs, CapacityOptions,
-    CapacityPlan,
+    analytic_replicas, build_plan, search_min_replicas, sizing_trace, validate_capacity_inputs,
+    CapacityOptions, CapacityPlan,
 };
 use crate::dynamic::{
     check_mode_slo, fleet_engine, pipeline_spec_cached, rank_frontier_with, reject_empty_trace,
@@ -227,11 +227,13 @@ pub fn plan_capacity_cached(
     validate_capacity_inputs(target_qps, options)?;
     schedule.validate()?;
     let spec = pipeline_spec_cached(profiler, schedule, Some(cache))?;
+    let n0 = analytic_replicas(profiler, schedule, target_qps, options.max_replicas)?;
     let trace = content.tag(&sizing_trace(target_qps, options));
-    let (replicas, report) = search_min_replicas(&spec, &trace, slo, target_qps, options)?;
+    let (replicas, report, work) =
+        search_min_replicas(&spec, &trace, slo, target_qps, n0, options)?;
     let usage = &report.merged.cache;
     Ok(CachedCapacityPlan {
-        plan: build_plan(schedule, replicas, &report, slo, target_qps),
+        plan: build_plan(schedule, replicas, &report, work, slo, target_qps),
         prefix_hit_rate: usage.prefix.hit_rate(),
         retrieval_hit_rate: usage.retrieval.hit_rate(),
         prefix_tokens_saved: usage.prefix.tokens_saved,

@@ -5,10 +5,11 @@
 //! must provision to serve a target rate within an SLO — the decision
 //! DistServe and Splitwise show dominates per-pipeline tuning at scale.
 //! This module closes that loop on top of the fleet simulation in
-//! `rago-serving-sim::cluster`:
+//! `rago-serving-sim::fleet`:
 //!
-//! * [`plan_capacity`] binary-searches the minimum replica count whose
-//!   fleet-level SLO attainment meets the target at a given offered rate;
+//! * [`plan_capacity`] searches the minimum replica count whose fleet-level
+//!   SLO attainment meets the target at a given offered rate;
+//! * [`plan_capacity_pools`] searches the cheapest prefill/decode split;
 //! * [`rank_frontier_by_cost_at_qps`] re-ranks a Pareto frontier by the
 //!   *total chips* each schedule needs to serve that rate — the fleet-level
 //!   analogue of [`crate::dynamic::rank_frontier_by_goodput`]: a schedule
@@ -17,11 +18,24 @@
 //!
 //! Attainment is monotone (non-decreasing) in the replica count in
 //! expectation — more replicas strictly reduce every replica's share of the
-//! load — which is what lets [`plan_capacity`] binary-search instead of
-//! scanning. A finite seeded trace can still dip, so the search finishes
+//! load — which is what lets [`plan_capacity`] bracket and bisect instead
+//! of scanning. A finite seeded trace can still dip, so the search finishes
 //! with a downward confirmation walk (see [`plan_capacity_with`]); the
 //! `fleet_scaling` bench cross-checks the result against an exhaustive
 //! linear scan.
+//!
+//! **Probe discipline.** Each candidate fleet is one DES run over the same
+//! sizing trace, memoized per search. The flat search starts from the
+//! analytic replica count `ceil(target / qps)` of [`Schedule::evaluate`]
+//! rather than from the bound, so `max_replicas` is simulated only when
+//! the search climbs to it. From a probe it does not return, a planner
+//! reads only the verdict `attainment ≥ target`, so those probes run
+//! verdict-only ([`FleetEngine::run_trace_verdict`]): an infeasible run
+//! stops as soon as its final misses rule the target out, and a feasible
+//! run completes with the report a full run gives. The probes at the bound
+//! (`max_replicas`, or `(max, max)` for pools) always complete, so an
+//! infeasible target is reported with the full run's attainment. Plans
+//! count their DES runs, stopped runs and events exactly.
 
 use crate::dynamic::pipeline_spec;
 use crate::error::RagoError;
@@ -30,8 +44,8 @@ use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
 use rago_schema::{FleetConfig, KvTransferModel, RouterPolicy, SequenceProfile, SloTarget};
 use rago_serving_sim::cluster::FleetReport;
-use rago_serving_sim::engine::{PipelineSpec, ServingReport};
-use rago_serving_sim::faults::ScaleDriver;
+use rago_serving_sim::engine::PipelineSpec;
+use rago_serving_sim::faults::{ChaosReport, ScaleDriver};
 use rago_serving_sim::fleet::FleetEngine;
 use rago_workloads::{ArrivalProcess, RateSegment, TraceSpec};
 use rayon::prelude::*;
@@ -92,6 +106,14 @@ pub struct CapacityPlan {
     /// after the last arrival); planners can discount it since it is paid
     /// once per burst, not per unit of sustained traffic.
     pub drain_tail_s: f64,
+    /// Candidate fleets the search simulated (each at most once).
+    pub des_runs: u32,
+    /// Verdict-only probes among [`Self::des_runs`] that stopped once
+    /// their SLO was lost.
+    pub des_runs_stopped: u32,
+    /// Simulation events processed across all of [`Self::des_runs`],
+    /// stopped runs included.
+    pub des_events: u64,
 }
 
 /// Finds the minimum replica count of `schedule`'s pipeline whose fleet
@@ -118,26 +140,32 @@ pub fn plan_capacity(
 
 /// Finds the minimum replica count of `schedule`'s pipeline whose
 /// fleet-level SLO attainment meets `slo` at a Poisson offered rate of
-/// `target_qps`: a binary search over `1..=options.max_replicas` followed
-/// by a downward confirmation walk. Attainment is monotone in the replica
-/// count in expectation (more replicas strictly shrink every replica's
-/// load share), but a finite seeded trace with discrete routing can dip;
-/// the confirmation walk re-checks successively smaller fleets from the
-/// binary-search result (memoized, so the walk is one extra evaluation in
-/// the monotone case) and guarantees the returned count's predecessor
-/// misses the SLO — which makes the result equal to an exhaustive linear
-/// scan whenever the sweep is monotone (cross-checked by the
-/// `fleet_scaling` bench). The pipeline is profiled once and replicated;
-/// every candidate count is evaluated on the same generated trace, so
-/// plans are comparable across schedules.
+/// `target_qps`. The search starts from the analytic estimate
+/// `n0 = ceil(target_qps / qps)` of [`Schedule::evaluate`], clamped to
+/// `1..=options.max_replicas`; gallops `n0, n0 + 1, n0 + 3, n0 + 7, …`
+/// (capped at the bound) to the first feasible count; bisects between the
+/// last infeasible count and it; and finishes with a downward confirmation
+/// walk. Attainment is monotone in the replica count in expectation (more
+/// replicas strictly shrink every replica's load share), but a finite
+/// seeded trace with discrete routing can dip; the confirmation walk
+/// re-checks successively smaller fleets (memoized, so it is free in the
+/// monotone case) and guarantees the returned count's predecessor misses
+/// the SLO — which makes the result equal to an exhaustive linear scan
+/// whenever the sweep is monotone (cross-checked by the `fleet_scaling`
+/// bench). The pipeline is profiled once and replicated; every candidate
+/// count is evaluated on the same generated trace, so plans are comparable
+/// across schedules. Probes other than `max_replicas` are verdict-only
+/// and stop once their SLO is lost (see the module docs); the plan counts
+/// the DES runs spent.
 ///
 /// # Errors
 ///
 /// Returns [`RagoError::InvalidConfig`] when the target rate is not
-/// positive and finite or the schedule is invalid,
-/// [`RagoError::CostModel`] when the schedule cannot be profiled, and
-/// [`RagoError::NoFeasibleSchedule`] when even `options.max_replicas`
-/// replicas miss the SLO at the target rate.
+/// positive and finite, the options are out of range (zero or too many
+/// replicas, zero requests, a length jitter outside `[0, 1)`) or the
+/// schedule is invalid, [`RagoError::CostModel`] when the schedule cannot
+/// be profiled, and [`RagoError::NoFeasibleSchedule`] when even
+/// `options.max_replicas` replicas miss the SLO at the target rate.
 pub fn plan_capacity_with(
     profiler: &StageProfiler,
     schedule: &Schedule,
@@ -148,18 +176,23 @@ pub fn plan_capacity_with(
     validate_capacity_inputs(target_qps, options)?;
     schedule.validate()?;
     let spec = pipeline_spec(profiler, schedule)?;
+    let n0 = analytic_replicas(profiler, schedule, target_qps, options.max_replicas)?;
     let trace = sizing_trace(target_qps, options);
-    let (replicas, report) = search_min_replicas(&spec, &trace, slo, target_qps, options)?;
-    Ok(build_plan(schedule, replicas, &report, slo, target_qps))
+    let (replicas, report, work) =
+        search_min_replicas(&spec, &trace, slo, target_qps, n0, options)?;
+    Ok(build_plan(
+        schedule, replicas, &report, work, slo, target_qps,
+    ))
 }
 
 /// Upper bound on [`CapacityOptions::max_replicas`] accepted by the
 /// planners. The sizing engines materialize one pipeline replica per count,
-/// and the feasibility probe simulates the *upper bound* first — so an
-/// unchecked huge count (say `u32::MAX` from a config file) would attempt
-/// an absurd allocation before the binary search ever narrowed it. 4096
-/// replicas of even the smallest paper schedule already exceed any cluster
-/// the cost model describes.
+/// and a planner may simulate the bound itself — the pool planner's first
+/// probe is the `(max, max)` split, and the flat search's gallop ends there
+/// when smaller fleets miss — so an unchecked huge count (say `u32::MAX`
+/// from a config file) could attempt an absurd allocation. 4096 replicas of
+/// even the smallest paper schedule already exceed any cluster the cost
+/// model describes.
 pub const MAX_PLANNER_REPLICAS: u32 = 4096;
 
 /// Input validation shared by [`plan_capacity_with`] and the cache-aware
@@ -182,8 +215,8 @@ pub(crate) fn validate_capacity_inputs(
         return Err(RagoError::InvalidConfig {
             reason: format!(
                 "max_replicas {} exceeds the planner bound of {MAX_PLANNER_REPLICAS}; \
-                 sizing a larger fleet would simulate the upper bound first and is \
-                 almost certainly a misconfiguration",
+                 a planner may simulate a fleet that large, which is almost certainly \
+                 a misconfiguration",
                 options.max_replicas
             ),
         });
@@ -194,6 +227,15 @@ pub(crate) fn validate_capacity_inputs(
         // rejects for zero-request traces.
         return Err(RagoError::InvalidConfig {
             reason: "capacity planning needs at least one request in the sizing trace".into(),
+        });
+    }
+    if !(0.0..1.0).contains(&options.length_jitter) {
+        // The sizing trace's request generator would panic on it.
+        return Err(RagoError::InvalidConfig {
+            reason: format!(
+                "length_jitter must be in [0, 1), got {}",
+                options.length_jitter
+            ),
         });
     }
     Ok(())
@@ -222,6 +264,7 @@ pub(crate) fn build_plan(
     schedule: &Schedule,
     replicas: u32,
     report: &FleetReport,
+    work: DesWork,
     slo: &SloTarget,
     target_qps: f64,
 ) -> CapacityPlan {
@@ -233,75 +276,184 @@ pub(crate) fn build_plan(
         total_xpus: schedule.allocation.total_xpus() * replicas,
         total_retrieval_servers: schedule.allocation.retrieval_servers * replicas,
         drain_tail_s: report.merged.metrics.drain_tail_s,
+        des_runs: work.runs,
+        des_runs_stopped: work.stopped,
+        des_events: work.events,
+    }
+}
+
+/// The replica count the analytic model predicts for `target_qps`:
+/// `ceil(target_qps / qps)` of [`Schedule::evaluate`], clamped to
+/// `[1, max_replicas]` — where [`search_min_replicas`] starts its gallop.
+pub(crate) fn analytic_replicas(
+    profiler: &StageProfiler,
+    schedule: &Schedule,
+    target_qps: f64,
+    max_replicas: u32,
+) -> Result<u32, RagoError> {
+    let qps = schedule.evaluate(profiler)?.qps;
+    // `as` saturates: an infinite or NaN ratio lands on a bound.
+    Ok(((target_qps / qps).ceil() as u32).clamp(1, max_replicas))
+}
+
+/// The DES work one capacity plan spent: every candidate fleet simulated,
+/// the verdict-only probes among them that stopped early, and the
+/// simulation events processed, stopped runs included.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct DesWork {
+    pub(crate) runs: u32,
+    pub(crate) stopped: u32,
+    pub(crate) events: u64,
+}
+
+/// The memoized probes of one capacity search: each candidate fleet `K` is
+/// simulated at most once, on the same trace, and its DES work tallied.
+/// The probe at the search bound, whose attainment an infeasible search
+/// quotes, runs to completion ([`FleetEngine::run_trace`]); every other
+/// probe is verdict-only ([`FleetEngine::run_trace_verdict`]) and is kept
+/// only if it completes, as every feasible one does.
+struct Probes<'a, K> {
+    slo: &'a SloTarget,
+    trace: &'a rago_workloads::Trace,
+    /// The fleet at the search bound, the one probe always run in full.
+    bound: K,
+    runs: BTreeMap<K, Option<ChaosReport>>,
+    work: DesWork,
+}
+
+impl<'a, K: Ord + Copy> Probes<'a, K> {
+    fn new(slo: &'a SloTarget, trace: &'a rago_workloads::Trace, bound: K) -> Self {
+        Self {
+            slo,
+            trace,
+            bound,
+            runs: BTreeMap::new(),
+            work: DesWork::default(),
+        }
+    }
+
+    /// Whether fleet `key` meets the SLO; `engine` builds it on a miss of
+    /// the memo.
+    fn meets(&mut self, key: K, engine: impl FnOnce() -> FleetEngine) -> bool {
+        let (slo, trace, work) = (self.slo, self.trace, &mut self.work);
+        let full = key == self.bound;
+        self.runs
+            .entry(key)
+            .or_insert_with(|| {
+                let engine = engine();
+                work.runs += 1;
+                let run = if full {
+                    Ok(engine.run_trace(trace))
+                } else {
+                    engine.run_trace_verdict(trace, slo)
+                };
+                match run {
+                    Ok(report) => {
+                        work.events += report.fleet.merged.metrics.events_processed;
+                        Some(report)
+                    }
+                    Err(lost) => {
+                        work.stopped += 1;
+                        work.events += lost.events;
+                        None
+                    }
+                }
+            })
+            .as_ref()
+            .is_some_and(|report| report.fleet.attainment(slo) >= slo.attainment)
+    }
+
+    /// The completed report of fleet `key`, as last probed.
+    fn report(&self, key: K) -> &ChaosReport {
+        self.runs[&key]
+            .as_ref()
+            .expect("feasible and full probes run to completion")
+    }
+
+    /// Hands over the completed report of fleet `key`.
+    fn take(&mut self, key: K) -> ChaosReport {
+        self.runs
+            .remove(&key)
+            .flatten()
+            .expect("feasible and full probes run to completion")
     }
 }
 
 /// The search core of [`plan_capacity_with`]: the minimum replica count of
-/// `spec` whose fleet attainment over `trace` meets `slo` (binary search
-/// plus a downward confirmation walk, every candidate memoized on the same
-/// trace). Returns the count together with its fleet report. Shared with
-/// the cache-aware planner in [`crate::cached`], which supplies a cached
-/// spec and a content-tagged trace.
+/// `spec` whose fleet attainment over `trace` meets `slo`, starting from
+/// the analytic estimate `n0` (see [`analytic_replicas`]). It gallops
+/// `n0, n0 + 1, n0 + 3, n0 + 7, …` (capped at `max_replicas`) to the first
+/// feasible count, bisects between the last infeasible count (or 1) and
+/// it, and finishes with a downward confirmation walk — every candidate
+/// memoized on the same trace. `max_replicas` is simulated only when the
+/// gallop reaches it, and then to completion, so an infeasible target is
+/// reported with the full run's attainment; every other probe is
+/// verdict-only and stops once its SLO is lost. Returns the count, its
+/// fleet report and the DES work spent. Shared with the cache-aware
+/// planner in [`crate::cached`], which supplies a cached spec and a
+/// content-tagged trace.
 pub(crate) fn search_min_replicas(
     spec: &PipelineSpec,
     trace: &rago_workloads::Trace,
     slo: &SloTarget,
     target_qps: f64,
+    n0: u32,
     options: &CapacityOptions,
-) -> Result<(u32, FleetReport), RagoError> {
-    let mut reports: BTreeMap<u32, FleetReport> = BTreeMap::new();
-    let meets = |replicas: u32, reports: &mut BTreeMap<u32, FleetReport>| -> bool {
-        reports
-            .entry(replicas)
-            .or_insert_with(|| {
-                FleetEngine::new(
-                    spec.clone(),
-                    options.router,
-                    ScaleDriver::Static { replicas },
-                )
-                .run_trace(trace)
-                .fleet
-            })
-            .attainment(slo)
-            >= slo.attainment
+) -> Result<(u32, FleetReport, DesWork), RagoError> {
+    let max = options.max_replicas;
+    let mut probes = Probes::new(slo, trace, max);
+    let meets = |probes: &mut Probes<u32>, replicas: u32| {
+        probes.meets(replicas, || {
+            FleetEngine::new(
+                spec.clone(),
+                options.router,
+                ScaleDriver::Static { replicas },
+            )
+        })
     };
 
-    // Establish feasibility at the upper bound, then binary-search the
-    // minimal feasible count in [1, max].
-    if !meets(options.max_replicas, &mut reports) {
-        let top = &reports[&options.max_replicas];
-        return Err(RagoError::NoFeasibleSchedule {
-            reason: format!(
-                "even {} replicas reach only {:.1} % attainment at {target_qps:.1} rps \
-                 (target {:.1} %)",
-                options.max_replicas,
-                top.attainment(slo) * 100.0,
-                slo.attainment * 100.0
-            ),
-        });
-    }
-    let mut lo = 1u32;
-    let mut hi = options.max_replicas;
+    // Gallop up from the analytic estimate to the first feasible count.
+    let mut infeasible = 0u32;
+    let mut offset = 0u32;
+    let feasible = loop {
+        let replicas = n0.saturating_add(offset).clamp(1, max);
+        if meets(&mut probes, replicas) {
+            break replicas;
+        }
+        if replicas == max {
+            let top = probes.report(max);
+            return Err(RagoError::NoFeasibleSchedule {
+                reason: format!(
+                    "even {max} replicas reach only {:.1} % attainment at {target_qps:.1} rps \
+                     (target {:.1} %)",
+                    top.fleet.attainment(slo) * 100.0,
+                    slo.attainment * 100.0
+                ),
+            });
+        }
+        infeasible = replicas;
+        offset = offset.saturating_mul(2).saturating_add(1);
+    };
+    let mut lo = infeasible + 1;
+    let mut hi = feasible;
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if meets(mid, &mut reports) {
+        if meets(&mut probes, mid) {
             hi = mid;
         } else {
             lo = mid + 1;
         }
     }
-    // Downward confirmation: a noisy dip in the sweep can make the binary
-    // search land above the true minimum, so keep stepping down while
-    // smaller fleets still meet the SLO (memoized — one extra evaluation
-    // when the sweep is monotone).
+    // Downward confirmation: a noisy dip in the sweep can make the search
+    // land above the true minimum, so keep stepping down while smaller
+    // fleets still meet the SLO (memoized — free when the sweep is
+    // monotone, since the bracket already probed the count below).
     let mut replicas = hi;
-    while replicas > 1 && meets(replicas - 1, &mut reports) {
+    while replicas > 1 && meets(&mut probes, replicas - 1) {
         replicas -= 1;
     }
-    let report = reports
-        .remove(&replicas)
-        .expect("the chosen replica count was evaluated");
-    Ok((replicas, report))
+    let report = probes.take(replicas).fleet;
+    Ok((replicas, report, probes.work))
 }
 
 /// The provisioning decision for one schedule at one target rate under
@@ -330,6 +482,14 @@ pub struct PoolCapacityPlan {
     pub total_retrieval_servers: u32,
     /// Drain tail of the sizing run.
     pub drain_tail_s: f64,
+    /// Candidate splits the search simulated (each at most once).
+    pub des_runs: u32,
+    /// Verdict-only probes among [`Self::des_runs`] that stopped once
+    /// their SLO was lost.
+    pub des_runs_stopped: u32,
+    /// Simulation events processed across all of [`Self::des_runs`],
+    /// stopped runs included.
+    pub des_events: u64,
 }
 
 /// Finds the cheapest disaggregated `(prefill, decode)` split of
@@ -340,12 +500,14 @@ pub struct PoolCapacityPlan {
 /// The objective is total accelerators, which the pools price
 /// *asymmetrically*: a prefill replica occupies only the schedule's
 /// pre-decode groups, a decode replica only its decode XPUs. The search
-/// walks prefill counts `p = 1..=max_replicas`; for each feasible `p` it
-/// binary-searches the minimal decode count (same memoized
-/// search-plus-confirmation discipline as [`plan_capacity_with`], on the
-/// same sizing trace), and prunes the cross product by cost: once even a
-/// one-decode-replica split at the current `p` cannot beat the best cost
-/// found, no larger `p` can either, and the walk stops. Every candidate is
+/// first confirms the `(max_replicas, max_replicas)` split in a full run,
+/// then walks prefill counts `p = 1..=max_replicas`; for each `p` feasible
+/// at `(p, max_replicas)` it binary-searches the minimal decode count (the
+/// memoized search-plus-confirmation discipline of [`plan_capacity_with`],
+/// on the same sizing trace, every probe but the first verdict-only), and
+/// prunes the cross product by cost: once even a one-decode-replica split
+/// at the current `p` cannot beat the best cost found, no larger `p` can
+/// either, and the walk stops. Every candidate is
 /// evaluated on the identical trace, so the returned plan is directly
 /// comparable to the collocated plan at the same rate.
 ///
@@ -372,30 +534,22 @@ pub fn plan_capacity_pools(
     let trace = sizing_trace(target_qps, options);
     let max = options.max_replicas;
 
-    // The merged report of every split evaluated so far.
-    let mut reports: BTreeMap<(u32, u32), ServingReport> = BTreeMap::new();
-    let meets = |p: u32, d: u32, reports: &mut BTreeMap<(u32, u32), ServingReport>| -> bool {
-        reports
-            .entry((p, d))
-            .or_insert_with(|| {
-                let fleet = FleetConfig::split(p, d, options.router).with_transfer(*transfer);
-                crate::disagg::split_fleet(prefill_spec.clone(), decode_spec.clone(), &fleet)
-                    .run_trace(&trace)
-                    .fleet
-                    .merged
-            })
-            .attainment(slo)
-            >= slo.attainment
+    let mut probes = Probes::new(slo, &trace, (max, max));
+    let meets = |probes: &mut Probes<(u32, u32)>, p: u32, d: u32| {
+        probes.meets((p, d), || {
+            let fleet = FleetConfig::split(p, d, options.router).with_transfer(*transfer);
+            crate::disagg::split_fleet(prefill_spec.clone(), decode_spec.clone(), &fleet)
+        })
     };
 
-    // Feasibility at the joint upper bound, mirroring the flat planner.
-    if !meets(max, max, &mut reports) {
-        let top = &reports[&(max, max)];
+    // Feasibility at the joint upper bound, run to completion so the error
+    // can quote its attainment.
+    if !meets(&mut probes, max, max) {
         return Err(RagoError::NoFeasibleSchedule {
             reason: format!(
                 "even a {max} + {max} prefill/decode split reaches only {:.1} % attainment \
                  at {target_qps:.1} rps (target {:.1} %)",
-                top.attainment(slo) * 100.0,
+                probes.report((max, max)).fleet.attainment(slo) * 100.0,
                 slo.attainment * 100.0
             ),
         });
@@ -411,21 +565,21 @@ pub fn plan_capacity_pools(
         if best.is_some_and(|(.., cost)| floor > cost) {
             break;
         }
-        if !meets(p, max, &mut reports) {
+        if !meets(&mut probes, p, max) {
             continue;
         }
         let mut lo = 1u32;
         let mut hi = max;
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if meets(p, mid, &mut reports) {
+            if meets(&mut probes, p, mid) {
                 hi = mid;
             } else {
                 lo = mid + 1;
             }
         }
         let mut d = hi;
-        while d > 1 && meets(p, d - 1, &mut reports) {
+        while d > 1 && meets(&mut probes, p, d - 1) {
             d -= 1;
         }
         let cost = p * chips_prefill + d * chips_decode;
@@ -439,9 +593,7 @@ pub fn plan_capacity_pools(
     }
 
     let (p, d, cost) = best.expect("the (max, max) split was confirmed feasible");
-    let report = reports
-        .remove(&(p, d))
-        .expect("the chosen split was evaluated");
+    let report = probes.take((p, d)).fleet.merged;
     Ok(PoolCapacityPlan {
         prefill_replicas: p,
         decode_replicas: d,
@@ -451,6 +603,9 @@ pub fn plan_capacity_pools(
         total_xpus: cost,
         total_retrieval_servers: schedule.allocation.retrieval_servers * p,
         drain_tail_s: report.metrics.drain_tail_s,
+        des_runs: probes.work.runs,
+        des_runs_stopped: probes.work.stopped,
+        des_events: probes.work.events,
     })
 }
 
@@ -465,11 +620,11 @@ pub fn plan_capacity_pools(
 ///
 /// # Panics
 ///
-/// Panics when the target rate is not positive and finite or the options
-/// describe an empty search (zero requests or zero replicas). Those inputs
-/// would fail *every* per-point plan, and silently returning an empty
-/// ranking would be indistinguishable from "no schedule can serve this
-/// rate".
+/// Panics when the target rate is not positive and finite, the options
+/// describe an empty search (zero requests or zero replicas), or the length
+/// jitter is outside `[0, 1)`. Those inputs would fail *every* per-point
+/// plan, and silently returning an empty ranking would be
+/// indistinguishable from "no schedule can serve this rate".
 pub fn rank_frontier_by_cost_at_qps(
     profiler: &StageProfiler,
     frontier: &ParetoFrontier,
@@ -484,6 +639,11 @@ pub fn rank_frontier_by_cost_at_qps(
     assert!(
         options.max_replicas > 0 && options.num_requests > 0,
         "capacity options must allow at least one replica and one request"
+    );
+    assert!(
+        (0.0..1.0).contains(&options.length_jitter),
+        "length_jitter must be in [0, 1), got {}",
+        options.length_jitter
     );
     let mut ranked: Vec<(ParetoPoint, CapacityPlan)> = frontier
         .iter()
@@ -684,68 +844,198 @@ mod tests {
         }
     }
 
+    /// The minimum replica count in `1..=max` whose full run over the
+    /// sizing trace meets `slo` — the exhaustive scan the planners must
+    /// reproduce.
+    fn linear_scan(
+        spec: &PipelineSpec,
+        slo: &SloTarget,
+        target_qps: f64,
+        options: &CapacityOptions,
+    ) -> Option<u32> {
+        let trace = sizing_trace(target_qps, options);
+        (1..=options.max_replicas).find(|&n| {
+            FleetEngine::new(
+                spec.clone(),
+                options.router,
+                ScaleDriver::Static { replicas: n },
+            )
+            .run_trace(&trace)
+            .fleet
+            .attainment(slo)
+                >= slo.attainment
+        })
+    }
+
+    /// Sizing options whose trace lasts `seconds` at `rate_rps`, so
+    /// overload accumulates instead of draining as a short burst.
+    fn timed_options(rate_rps: f64, seconds: f64) -> CapacityOptions {
+        CapacityOptions {
+            num_requests: (rate_rps * seconds) as usize,
+            ..quick_options()
+        }
+    }
+
+    /// The flat planner equals an exhaustive linear scan whether the
+    /// analytic estimate `n0` lies below the simulated minimum, on it,
+    /// above it, or above `max_replicas` (feasible there or not).
     #[test]
     fn plan_matches_an_exhaustive_linear_scan() {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let profiler = case1_profiler();
+        let schedule = case1_schedule();
+        let spec = pipeline_spec(&profiler, &schedule).unwrap();
+        // (TTFT target, rate, where the unclamped n0 lies relative to the
+        // scan's answer; `None`: no count within the bound is feasible).
+        let sweep = [
+            (0.1, 90.0, Some(Less)),
+            (0.1, 170.0, Some(Equal)),
+            (0.4, 250.0, Some(Greater)),
+            (0.4, 900.0, Some(Greater)),
+            (0.1, 900.0, None),
+        ];
+        let mut above_max = 0;
+        for (ttft_s, target_qps, relation) in sweep {
+            let slo = SloTarget::new(ttft_s, 0.1);
+            let options = timed_options(target_qps, 3.0);
+            let n0 =
+                analytic_replicas(&profiler, &schedule, target_qps, MAX_PLANNER_REPLICAS).unwrap();
+            above_max += usize::from(n0 > options.max_replicas);
+            let scan = linear_scan(&spec, &slo, target_qps, &options);
+            let plan = plan_capacity_with(&profiler, &schedule, &slo, target_qps, &options);
+            let at = format!("{target_qps} rps, TTFT {ttft_s} s, n0 {n0}");
+            assert_eq!(scan.map(|n| n0.cmp(&n)), relation, "{at}: sweep drifted");
+            match scan {
+                Some(n) => {
+                    let plan = plan.unwrap();
+                    assert_eq!(plan.replicas, n, "{at}");
+                    assert!(plan.attainment >= slo.attainment, "{at}");
+                    assert_eq!(
+                        plan.total_xpus,
+                        schedule.allocation.total_xpus() * plan.replicas
+                    );
+                    assert!(plan.des_runs_stopped < plan.des_runs, "{at}");
+                    assert!(plan.des_runs <= 2 * 3 + 2, "{at}: {} runs", plan.des_runs);
+                }
+                None => assert!(
+                    matches!(plan, Err(RagoError::NoFeasibleSchedule { .. })),
+                    "{at}: {plan:?}"
+                ),
+            }
+        }
+        assert_eq!(above_max, 2, "two rates must start above the bound");
+    }
+
+    /// The plan's DES counters are exact: with `n0` feasible and `n0 − 1`
+    /// not, the search simulates those two fleets, the first in full and
+    /// the second verdict-only until its SLO is lost.
+    #[test]
+    fn plan_counts_its_des_runs_exactly() {
+        let profiler = case1_profiler();
+        let schedule = case1_schedule();
+        let slo = SloTarget::new(0.1, 0.1);
+        let target_qps = 170.0;
+        let options = timed_options(target_qps, 3.0);
+        let plan = plan_capacity_with(&profiler, &schedule, &slo, target_qps, &options).unwrap();
+        assert_eq!(plan.replicas, 2);
+        let spec = pipeline_spec(&profiler, &schedule).unwrap();
+        let trace = sizing_trace(target_qps, &options);
+        let fleet = |replicas| {
+            FleetEngine::new(
+                spec.clone(),
+                options.router,
+                ScaleDriver::Static { replicas },
+            )
+        };
+        let full = fleet(2)
+            .run_trace(&trace)
+            .fleet
+            .merged
+            .metrics
+            .events_processed;
+        let lost = fleet(1).run_trace_verdict(&trace, &slo).unwrap_err();
+        assert_eq!(
+            (plan.des_runs, plan.des_runs_stopped, plan.des_events),
+            (2, 1, full + lost.events)
+        );
+    }
+
+    /// A length jitter outside `[0, 1)` is a configuration error of every
+    /// planner, not a panic in the sizing trace's generator.
+    #[test]
+    fn out_of_range_length_jitter_is_rejected() {
         let profiler = case1_profiler();
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
-        let options = quick_options();
-        // A rate one replica cannot hold but a small fleet can.
-        let single = crate::dynamic::evaluate_fleet_dynamic(
-            &profiler,
-            &schedule,
-            &rago_schema::FleetConfig::new(1, options.router),
-            &TraceSpec {
-                num_requests: options.num_requests,
-                profile: options.profile,
-                arrival: ArrivalProcess::Poisson { rate_rps: 40.0 },
-                length_jitter: options.length_jitter,
-                seed: options.seed,
-            }
-            .generate(),
-            &slo,
-        )
-        .unwrap();
-        let target_qps = 40.0;
-        let plan = plan_capacity_with(&profiler, &schedule, &slo, target_qps, &options).unwrap();
-        // Exhaustive scan over the same candidate counts.
-        let spec = pipeline_spec(&profiler, &schedule).unwrap();
-        let trace = TraceSpec {
-            num_requests: options.num_requests,
-            profile: options.profile,
-            arrival: ArrivalProcess::Poisson {
-                rate_rps: target_qps,
-            },
-            length_jitter: options.length_jitter,
-            seed: options.seed,
-        }
-        .generate();
-        let scan = (1..=options.max_replicas)
-            .find(|&n| {
-                FleetEngine::new(
-                    spec.clone(),
-                    options.router,
-                    ScaleDriver::Static { replicas: n },
+        for jitter in [1.0, 1.5, -0.1, f64::NAN] {
+            let options = CapacityOptions {
+                length_jitter: jitter,
+                ..quick_options()
+            };
+            let invalid =
+                |r: Result<(), RagoError>| matches!(r, Err(RagoError::InvalidConfig { .. }));
+            assert!(invalid(
+                plan_capacity_with(&profiler, &schedule, &slo, 10.0, &options).map(|_| ())
+            ));
+            assert!(invalid(
+                plan_capacity_pools(
+                    &profiler,
+                    &schedule,
+                    &slo,
+                    10.0,
+                    &KvTransferModel::zero(),
+                    &options
                 )
-                .run_trace(&trace)
-                .fleet
-                .attainment(&slo)
-                    >= slo.attainment
-            })
-            .expect("some count within the bound meets the SLO");
-        assert_eq!(plan.replicas, scan);
-        assert!(plan.attainment >= slo.attainment);
-        assert_eq!(
-            plan.total_xpus,
-            schedule.allocation.total_xpus() * plan.replicas
-        );
-        // If one replica were already enough the comparison is vacuous;
-        // make sure the chosen rate actually needs a fleet.
-        if single.meets_slo {
-            assert_eq!(plan.replicas, 1);
-        } else {
-            assert!(plan.replicas > 1);
+                .map(|_| ())
+            ));
+            assert!(invalid(
+                plan_capacity_profile(
+                    &profiler,
+                    &schedule,
+                    &slo,
+                    &[RateSegment::new(5.0, 10.0)],
+                    &options
+                )
+                .map(|_| ())
+            ));
+            assert!(invalid(
+                crate::cached::plan_capacity_cached(
+                    &profiler,
+                    &schedule,
+                    &slo,
+                    10.0,
+                    &options,
+                    &rago_cache::CacheConfig::disabled(),
+                    &rago_workloads::ContentSpec {
+                        prefixes: rago_workloads::PopularityModel::zipf(8, 1.0),
+                        shared_prefix_fraction: 0.8,
+                        docs: rago_workloads::PopularityModel::zipf(32, 1.0),
+                        seed: 5,
+                    },
+                )
+                .map(|_| ())
+            ));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "length_jitter must be in [0, 1)")]
+    fn cost_ranking_asserts_the_length_jitter() {
+        let rago = Rago::new(
+            presets::case1_hyperscale(LlmSize::B8, 1),
+            ClusterSpec::paper_default(),
+        );
+        let options = CapacityOptions {
+            length_jitter: 1.5,
+            ..quick_options()
+        };
+        let _ = rank_frontier_by_cost_at_qps(
+            rago.profiler(),
+            &ParetoFrontier::from_points(Vec::new()),
+            &SloTarget::new(1.0, 0.1),
+            10.0,
+            &options,
+        );
     }
 
     /// The joint pool search returns the cheapest feasible split found by a

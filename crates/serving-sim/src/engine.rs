@@ -2134,6 +2134,11 @@ impl ReplicaSim {
         &self.completion_log[start..*cursor]
     }
 
+    /// Simulation events processed so far.
+    pub(crate) fn events(&self) -> u64 {
+        self.acc.events
+    }
+
     /// Feeds every completed request to `sink`, once each, in injection
     /// (= arrival) order. Outcomes borrow the arena's stage slices, so the
     /// walk allocates nothing; what the sink retains is its own choice.

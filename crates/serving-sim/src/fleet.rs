@@ -37,7 +37,11 @@
 //! [`FleetReport`] plus the scaling history, the fault ledger, and the
 //! transfer statistics. A one-replica static fleet reproduces
 //! [`ServingEngine::run`](crate::engine::ServingEngine::run) exactly
-//! (`tests/proptest_cluster.rs`).
+//! (`tests/proptest_cluster.rs`). A static, fault-free, admission-free
+//! fleet can also run *verdict-only*
+//! ([`FleetEngine::run_trace_verdict`]): the same loop, stopped once its
+//! final SLO misses rule the attainment target out — what the capacity
+//! planners use for the probes they do not return.
 //!
 //! # Examples
 //!
@@ -89,7 +93,7 @@ use crate::faults::{
 };
 use crate::pools::TransferStats;
 use crate::sink::{HistogramSink, MetricsMode, MetricsSink, RequestOutcome};
-use rago_schema::{KvTransferModel, PoolRole, PoolSpec, RouterPolicy};
+use rago_schema::{KvTransferModel, PoolRole, PoolSpec, RouterPolicy, SloTarget};
 use rago_telemetry::Recorder;
 use rago_workloads::Trace;
 use rayon::prelude::*;
@@ -271,6 +275,48 @@ impl FleetEngine {
         self.run(trace.requests.iter().map(EngineRequest::from).collect())
     }
 
+    /// [`Self::run_trace`] for a caller that needs only the verdict
+    /// `attainment(slo) >= slo.attainment` of a run that misses it. The
+    /// run stops as soon as so many requests have *finally* missed `slo`
+    /// that even if every other request met it the attainment would fall
+    /// short: `(n − misses) / n < slo.attainment`, the verdict's own
+    /// expression over the `n` trace requests. A miss is final once it is
+    /// in a replica's completion log — a flat fleet's request completed
+    /// outside `slo`, a split fleet's TTFT at the prefill handoff or TPOT
+    /// at decode completion. A split fleet stops on the larger of its TTFT
+    /// and TPOT miss counts, a lower bound on its distinct misses.
+    ///
+    /// A run that never loses its verdict returns the full report, equal
+    /// to [`Self::run_trace`]'s; one that loses it at any point returns
+    /// the [`LostVerdict`] with the work it spent. Checking costs one
+    /// completion-log entry per request and never changes the simulation.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::run_trace`], and unless the fleet is static, fault-free
+    /// and admission-free — only there does every injected request
+    /// complete, so a logged miss is a miss of the final report.
+    pub fn run_trace_verdict(
+        &self,
+        trace: &Trace,
+        slo: &SloTarget,
+    ) -> Result<ChaosReport, LostVerdict> {
+        assert!(
+            matches!(self.driver, ScaleDriver::Static { .. })
+                && self.faults.is_empty()
+                && self.admission.is_none(),
+            "a verdict-only run needs a static, fault-free, admission-free fleet"
+        );
+        let requests = trace.requests.iter().map(EngineRequest::from).collect();
+        self.run_recorded(
+            requests,
+            &MetricsMode::Exact,
+            Some(slo),
+            &mut rago_telemetry::NullRecorder,
+        )
+        .map(|(report, _)| report)
+    }
+
     /// [`Self::run_trace`] with an explicit metrics pipeline.
     pub fn run_trace_with_mode(&self, trace: &Trace, mode: &MetricsMode) -> ChaosReport {
         self.run_with_mode(
@@ -304,8 +350,7 @@ impl FleetEngine {
     ///
     /// As [`Self::run`], and for a streaming mode on a split fleet.
     pub fn run_with_mode(&self, requests: Vec<EngineRequest>, mode: &MetricsMode) -> ChaosReport {
-        self.run_recorded(requests, mode, &mut rago_telemetry::NullRecorder)
-            .0
+        self.run_traced(requests, mode, &mut rago_telemetry::NullRecorder)
     }
 
     /// [`Self::run_with_mode`] recording a trace into `rec`: router picks
@@ -326,7 +371,9 @@ impl FleetEngine {
         mode: &MetricsMode,
         rec: &mut R,
     ) -> ChaosReport {
-        let (report, obs) = self.run_recorded(requests, mode, rec);
+        let Ok((report, obs)) = self.run_recorded(requests, mode, None, rec) else {
+            unreachable!("a run without a miss budget never stops early")
+        };
         if R::ENABLED {
             let cadence = self.telemetry.gauge_cadence_s;
             let end_s = report.fleet.merged.metrics.makespan_s;
@@ -361,19 +408,23 @@ impl FleetEngine {
     }
 
     /// The one fleet loop. The recorder sees router picks only; everything
-    /// else is derived from the returned ledgers.
+    /// else is derived from the returned ledgers. With a miss budget the
+    /// loop stops once `budget`'s verdict is lost (see
+    /// [`Self::run_trace_verdict`]); without one it always runs out.
     fn run_recorded<R: Recorder>(
         &self,
         mut requests: Vec<EngineRequest>,
         mode: &MetricsMode,
+        budget: Option<&SloTarget>,
         rec: &mut R,
-    ) -> (ChaosReport, Vec<ReplicaObs>) {
+    ) -> Result<(ChaosReport, Vec<ReplicaObs>), LostVerdict> {
         assert!(
             self.split.is_none() || matches!(mode, MetricsMode::Exact),
             "a prefill/decode split stitches exact timelines; run it in MetricsMode::Exact"
         );
         sort_by_arrival(&mut requests);
-        let mut run = Run::new(self, mode, R::ENABLED, requests.len());
+        let mut budget = budget.map(|slo| MissBudget::new(*slo, requests.len()));
+        let mut run = Run::new(self, mode, R::ENABLED, budget.is_some(), requests.len());
         let last_arrival = requests.last().map_or(0.0, |r| r.arrival_s);
         let mut next_req = 0usize;
         // Reactive tick clock / predictive step cursor.
@@ -457,15 +508,92 @@ impl FleetEngine {
                             break;
                         }
                         next_req += 1;
-                        if !run.arrive(req, rec) {
+                        let routed = run.arrive(req, rec);
+                        if let Some(budget) = &mut budget {
+                            budget.check(&run)?;
+                        }
+                        if !routed {
                             break;
                         }
                     }
                 }
                 _ => run.deliver_transfer(rec),
             }
+            if let Some(budget) = &mut budget {
+                budget.check(&run)?;
+            }
         }
-        run.finish(requests.len())
+        Ok(run.finish(requests.len()))
+    }
+}
+
+/// A verdict-only run ([`FleetEngine::run_trace_verdict`]) that stopped
+/// once its SLO could no longer be met.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LostVerdict {
+    /// Simulation events the replicas had processed when the run stopped.
+    pub events: u64,
+}
+
+/// The miss budget of a verdict-only run: final misses read from each
+/// replica's completion log through a cursor of the budget's own.
+struct MissBudget {
+    slo: SloTarget,
+    /// Requests the verdict is scored over.
+    requests: usize,
+    /// A flat fleet's misses, or a split fleet's TTFT misses.
+    ttft_misses: usize,
+    /// A split fleet's TPOT misses.
+    tpot_misses: usize,
+    /// Per slot: completion-log entries already scored.
+    cursors: Vec<usize>,
+}
+
+impl MissBudget {
+    fn new(slo: SloTarget, requests: usize) -> Self {
+        Self {
+            slo,
+            requests,
+            ttft_misses: 0,
+            tpot_misses: 0,
+            cursors: Vec::new(),
+        }
+    }
+
+    /// Scores the completions logged since the last check and stops the
+    /// run once even all-met remaining requests could not lift the
+    /// attainment to the target.
+    fn check(&mut self, run: &Run<'_>) -> Result<(), LostVerdict> {
+        self.cursors.resize(run.slots.len(), 0);
+        let slo = self.slo;
+        for (slot, cursor) in run.slots.iter().zip(&mut self.cursors) {
+            let Some(sim) = slot.sim.as_ref() else {
+                continue;
+            };
+            for &(_, ttft, tpot) in sim.completions_up_to(cursor, f64::INFINITY) {
+                if slot.pool == DECODE_POOL {
+                    // A decode leg's TTFT is not the request's; its TPOT is.
+                    self.tpot_misses += usize::from(!slo.meets(0.0, tpot));
+                } else {
+                    // A prefill handoff logs a zero TPOT, so this scores
+                    // its TTFT alone.
+                    self.ttft_misses += usize::from(!slo.meets(ttft, tpot));
+                }
+            }
+        }
+        let misses = self.ttft_misses.max(self.tpot_misses);
+        let n = self.requests;
+        if n > 0 && ((n - misses) as f64 / n as f64) < slo.attainment {
+            return Err(LostVerdict {
+                events: run
+                    .slots
+                    .iter()
+                    .filter_map(|s| s.sim.as_ref())
+                    .map(ReplicaSim::events)
+                    .sum(),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -633,7 +761,7 @@ struct Run<'e> {
     engine: &'e FleetEngine,
     mode: &'e MetricsMode,
     /// Whether new replicas log completions (only the reactive attainment
-    /// trigger reads the log).
+    /// trigger and a miss budget read the log).
     track_completions: bool,
     /// Whether new replicas log cache probes (traced runs only).
     track_probes: bool,
@@ -669,6 +797,7 @@ impl<'e> Run<'e> {
         engine: &'e FleetEngine,
         mode: &'e MetricsMode,
         track_probes: bool,
+        track_completions: bool,
         requests: usize,
     ) -> Self {
         let initial = engine.driver.initial_replicas();
@@ -691,7 +820,7 @@ impl<'e> Run<'e> {
         let mut run = Self {
             engine,
             mode,
-            track_completions: engine.driver.track_completions(),
+            track_completions: track_completions || engine.driver.track_completions(),
             track_probes,
             slots: Vec::with_capacity(initial as usize),
             routable: Vec::with_capacity(initial as usize),
@@ -1679,7 +1808,8 @@ mod tests {
     use super::*;
     use crate::engine::{DecodeSpec, LatencyTable, StageSpec};
     use crate::sink::StreamingConfig;
-    use rago_schema::{HistogramSpec, SloTarget};
+    use rago_schema::{HistogramSpec, SequenceProfile};
+    use rago_workloads::{ArrivalProcess, TraceSpec};
 
     fn one_stage_spec(stage_latency: f64) -> PipelineSpec {
         PipelineSpec::new(
@@ -1771,5 +1901,178 @@ mod tests {
             streamed.fleet.attainment(&slo),
             exact.fleet.attainment(&slo)
         );
+    }
+
+    fn poisson_trace(n: usize, rate_rps: f64, decode_tokens: u32) -> Trace {
+        TraceSpec {
+            num_requests: n,
+            profile: SequenceProfile::paper_default().with_decode_tokens(decode_tokens),
+            arrival: ArrivalProcess::Poisson { rate_rps },
+            length_jitter: 0.2,
+            seed: 5,
+        }
+        .generate()
+    }
+
+    /// Runs `engine` both ways under every SLO of `slos` and checks the
+    /// verdict-only run: it stops only when the full run's attainment is
+    /// below target, and otherwise returns the full run's report — also
+    /// at each SLO's boundary target, the full run's own attainment, where
+    /// any overcount of misses would stop a feasible run. Returns
+    /// `(stopped, complete)` counts.
+    fn check_verdicts(engine: &FleetEngine, trace: &Trace, slos: &[SloTarget]) -> (usize, usize) {
+        let full = engine.run_trace(trace);
+        let boundaries = slos
+            .iter()
+            .map(|slo| slo.with_attainment(full.fleet.attainment(slo)));
+        let (mut stopped, mut complete) = (0, 0);
+        for slo in slos.iter().copied().chain(boundaries) {
+            match engine.run_trace_verdict(trace, &slo) {
+                Err(lost) => {
+                    stopped += 1;
+                    assert!(full.fleet.attainment(&slo) < slo.attainment, "{slo:?}");
+                    assert!(lost.events <= full.fleet.merged.metrics.events_processed);
+                }
+                Ok(report) => {
+                    complete += 1;
+                    assert!(report == full, "{slo:?}: the kept report differs");
+                }
+            }
+        }
+        (stopped, complete)
+    }
+
+    /// Verdict-only runs of flat fleets stop only on a lost verdict and
+    /// otherwise equal the full run, across loads from overload to idle.
+    #[test]
+    fn verdict_runs_of_flat_fleets_are_sound() {
+        let trace = poisson_trace(300, 120.0, 8);
+        let slos: Vec<SloTarget> = [0.3, 0.6, 0.9, 0.99, 1.0]
+            .into_iter()
+            .flat_map(|a| {
+                [SloTarget::new(0.05, 0.01), SloTarget::new(0.2, 0.01)]
+                    .map(|s| s.with_attainment(a))
+            })
+            .collect();
+        let (mut stopped, mut complete) = (0, 0);
+        for replicas in 1..=4 {
+            let engine = FleetEngine::new(
+                one_stage_spec(0.03),
+                RouterPolicy::LeastOutstanding,
+                ScaleDriver::Static { replicas },
+            );
+            let (s, c) = check_verdicts(&engine, &trace, &slos);
+            stopped += s;
+            complete += c;
+        }
+        assert!(
+            stopped > 0 && complete > 0,
+            "{stopped} stopped, {complete} complete"
+        );
+        // An overloaded fleet loses its verdict long before the trace ends.
+        let overloaded = FleetEngine::new(
+            one_stage_spec(0.03),
+            RouterPolicy::LeastOutstanding,
+            ScaleDriver::Static { replicas: 1 },
+        );
+        let full = overloaded.run_trace(&trace).fleet.merged.metrics;
+        let lost = overloaded
+            .run_trace_verdict(&trace, &SloTarget::new(0.05, 0.01).with_attainment(0.9))
+            .unwrap_err();
+        assert!(lost.events < full.events_processed / 2, "{lost:?}");
+    }
+
+    /// A split fleet counts TTFT misses at the prefill handoff and TPOT
+    /// misses at decode completion; stopping on the larger count stays
+    /// sound when some requests miss both.
+    #[test]
+    fn verdict_runs_of_split_fleets_are_sound() {
+        let prefill = PipelineSpec::new(
+            vec![StageSpec::new(
+                "prefix",
+                0,
+                8,
+                LatencyTable::from_fn(8, |b| 0.01 * f64::from(b)),
+            )],
+            DecodeSpec::new(8, LatencyTable::constant(8, 1e-3)),
+        );
+        let decode = PipelineSpec::decode_only(
+            DecodeSpec::new(
+                32,
+                LatencyTable::from_fn(32, |b| 2e-3 + 1e-3 * f64::from(b)),
+            ),
+            None,
+        );
+        let trace = poisson_trace(300, 150.0, 24);
+        let base = SloTarget::new(0.1, 0.02);
+        let slos: Vec<SloTarget> = [0.2, 0.4, 0.6, 0.8, 0.95, 1.0]
+            .into_iter()
+            .map(|a| base.with_attainment(a))
+            .collect();
+        let (mut stopped, mut complete, mut both) = (0, 0, 0);
+        for (p, d) in [(1, 1), (1, 4), (2, 1), (2, 2), (4, 4)] {
+            let engine = FleetEngine::disaggregated(
+                prefill.clone(),
+                decode.clone(),
+                &PoolSpec::new(PoolRole::Prefill, p, RouterPolicy::LeastOutstanding),
+                &PoolSpec::new(PoolRole::Decode, d, RouterPolicy::LeastOutstanding),
+                KvTransferModel::zero(),
+            );
+            both += engine
+                .run_trace(&trace)
+                .fleet
+                .merged
+                .timelines
+                .iter()
+                .filter(|t| t.ttft_s() > base.ttft_s && t.tpot_s() > base.tpot_s)
+                .count();
+            let (s, c) = check_verdicts(&engine, &trace, &slos);
+            stopped += s;
+            complete += c;
+        }
+        assert!(both > 0, "no request missed both targets");
+        assert!(
+            stopped > 0 && complete > 0,
+            "{stopped} stopped, {complete} complete"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "static, fault-free, admission-free")]
+    fn verdict_runs_reject_reactive_fleets() {
+        let _ = FleetEngine::new(
+            one_stage_spec(0.03),
+            RouterPolicy::LeastOutstanding,
+            ScaleDriver::Reactive(AutoscalerPolicy::new(1, 4)),
+        )
+        .run_trace_verdict(&poisson_trace(20, 50.0, 8), &SloTarget::new(0.1, 0.01));
+    }
+
+    #[test]
+    #[should_panic(expected = "static, fault-free, admission-free")]
+    fn verdict_runs_reject_faulted_fleets() {
+        let _ = FleetEngine::new(
+            one_stage_spec(0.03),
+            RouterPolicy::LeastOutstanding,
+            ScaleDriver::Static { replicas: 2 },
+        )
+        .with_faults(FaultSchedule::new(vec![FaultEvent::Crash {
+            replica: 0,
+            at_s: 0.1,
+            restart_delay_s: 0.5,
+        }]))
+        .run_trace_verdict(&poisson_trace(20, 50.0, 8), &SloTarget::new(0.1, 0.01));
+    }
+
+    #[test]
+    #[should_panic(expected = "static, fault-free, admission-free")]
+    fn verdict_runs_reject_admission_control() {
+        let _ = FleetEngine::new(
+            one_stage_spec(0.03),
+            RouterPolicy::LeastOutstanding,
+            ScaleDriver::Static { replicas: 2 },
+        )
+        .with_admission(AdmissionConfig::new(2.0, 4.0))
+        .run_trace_verdict(&poisson_trace(20, 50.0, 8), &SloTarget::new(0.1, 0.01));
     }
 }

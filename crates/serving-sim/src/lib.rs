@@ -150,7 +150,7 @@ pub use faults::{
     FaultKind, FaultReport, FaultSchedule, PlanStep, PredictivePolicy, RecoveryMetrics,
     ScaleDriver, ScalingPlan, ShedEvent,
 };
-pub use fleet::FleetEngine;
+pub use fleet::{FleetEngine, LostVerdict};
 pub use iterative::{IterativeDecodeParams, IterativeDecodeResult, IterativeDecodeSim};
 pub use microbatch::{simulate_collocated_burst, simulate_pipelined_burst, BurstResult};
 pub use pools::{DisaggReport, PoolCrash, PoolReport, TransferStats};

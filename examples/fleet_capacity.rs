@@ -7,8 +7,8 @@
 //!    the best QPS/chip schedule off the Pareto frontier;
 //! 2. show how fleet SLO attainment scales with the replica count at a
 //!    fixed offered rate, under least-outstanding routing;
-//! 3. `plan_capacity`: binary-search the minimum replica count that meets
-//!    the SLO at a target rate;
+//! 3. `plan_capacity`: search the minimum replica count that meets the SLO
+//!    at a target rate, starting from the analytic estimate;
 //! 4. `rank_frontier_by_cost_at_qps`: re-rank the whole frontier by the
 //!    total chips each schedule's fleet needs at that rate — the
 //!    fleet-level analogue of goodput ranking.

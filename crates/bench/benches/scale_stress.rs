@@ -6,11 +6,20 @@
 //! rate, two pre-decode stages, continuous-batching decode) is replayed at
 //! increasing request tiers:
 //!
-//! * **100k** — always run; the CI smoke tier (`RAGO_BENCH_QUICK=1`).
+//! * **10k, 100k** — always run; the CI smoke tiers (`RAGO_BENCH_QUICK=1`).
 //! * **1M** — full mode; the acceptance tier: the streaming engine must
 //!   process events at least 5x faster than the vendored baseline.
 //! * **10M** — full mode, streaming-only (an exact run would retain tens of
 //!   millions of timeline allocations for no extra information).
+//! * **100M** — full mode, `pulled_fleet` only: a day-scale diurnal trace.
+//!
+//! Every tier also has a `pulled_fleet` row: a one-replica streaming
+//! `FleetEngine` pulling its arrivals straight from a lazy
+//! `TraceSpec::requests()` generator, so no trace is ever materialized. Its
+//! exact `peak_live_requests` — the most requests the replica held state
+//! for at once — must stay flat across tiers (`flat_live_requests`: the
+//! largest tier's peak at most twice the smallest's), which is what lets
+//! the 100M-request tier run in bounded memory.
 //!
 //! At every tier that runs both engines, the bench asserts the optimized
 //! exact run reproduces the baseline's timelines **bit for bit** — speed
@@ -25,7 +34,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rago_bench::baseline::run_baseline;
-use rago_schema::{HistogramSpec, RouterPolicy};
+use rago_schema::{HistogramSpec, RouterPolicy, SequenceProfile};
 use rago_serving_sim::autoscaler::AutoscalerPolicy;
 use rago_serving_sim::engine::{
     DecodeSpec, EngineRequest, LatencyStats, LatencyTable, PipelineSpec, ServingEngine,
@@ -34,6 +43,7 @@ use rago_serving_sim::engine::{
 use rago_serving_sim::faults::ScaleDriver;
 use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::{MetricsMode, StreamingConfig};
+use rago_workloads::{ArrivalProcess, TraceSpec};
 use std::time::Instant;
 
 /// Offered rate of the open-loop workload, just under the pipeline's
@@ -89,14 +99,29 @@ struct EngineFigures {
     retained_bytes: usize,
 }
 
+/// Per-tier engine runs: the three engine rows over the open-loop
+/// requests (absent on the pulled-only tier), and the pulled fleet.
 struct TierResult {
     requests: u64,
+    engines: Option<EngineTier>,
+    pulled: PulledFigures,
+}
+
+struct EngineTier {
     events: u64,
     baseline: Option<EngineFigures>,
     exact: Option<EngineFigures>,
     streaming: EngineFigures,
     baseline_matches_exact: Option<bool>,
     percentile_delta_within_bucket: Option<bool>,
+}
+
+/// The `pulled_fleet` row: a one-replica streaming fleet fed lazily.
+struct PulledFigures {
+    arrival: &'static str,
+    events: u64,
+    wall_s: f64,
+    peak_live_requests: usize,
 }
 
 fn figures(wall_s: f64, events: u64, retained_bytes: usize) -> EngineFigures {
@@ -138,7 +163,7 @@ fn max_percentile_delta(streaming: &ServingReport, exact: &ServingReport) -> f64
 /// otherwise be billed to whichever engine happens to run first. Combined
 /// with the allocator retention configured in `bench_scale_json`, the timed
 /// runs then measure the simulation loops, not the host's memory plumbing.
-fn run_tier(spec: &PipelineSpec, n: u64, with_baseline: bool, with_exact: bool) -> TierResult {
+fn run_engines(spec: &PipelineSpec, n: u64, with_baseline: bool, with_exact: bool) -> EngineTier {
     let requests = open_loop_requests(n, RATE_RPS);
     let streaming_mode = MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()));
     let engine = ServingEngine::new(spec.clone(), requests.clone());
@@ -221,14 +246,64 @@ fn run_tier(spec: &PipelineSpec, n: u64, with_baseline: bool, with_exact: bool) 
         true
     });
 
-    TierResult {
-        requests: n,
+    EngineTier {
         events,
         baseline: baseline.map(|(f, _)| f),
         exact: exact_report.map(|(f, _)| f),
         streaming,
         baseline_matches_exact,
         percentile_delta_within_bucket,
+    }
+}
+
+/// The lazy trace of a `pulled_fleet` tier: Poisson arrivals at
+/// [`RATE_RPS`], or — `diurnal` — a day-long cycle between a fifth of that
+/// rate and all of it. Both peak at the same offered rate with the same
+/// burstiness, so the tiers differ in length, not in load. Decode lengths
+/// are jittered around the engine rows' mean.
+fn pulled_trace(n: u64, diurnal: bool) -> TraceSpec {
+    let arrival = if diurnal {
+        ArrivalProcess::Diurnal {
+            base_rps: 0.2 * RATE_RPS,
+            peak_rps: RATE_RPS,
+            period_s: 86_400.0,
+        }
+    } else {
+        ArrivalProcess::Poisson { rate_rps: RATE_RPS }
+    };
+    TraceSpec {
+        num_requests: n as usize,
+        profile: SequenceProfile::paper_default().with_decode_tokens(10),
+        arrival,
+        length_jitter: 0.2,
+        seed: 1,
+    }
+}
+
+/// Runs one `pulled_fleet` row: the trace is generated request by request
+/// as the fleet pulls it, and the replica retires each request once it and
+/// everything before it completed.
+fn run_pulled(spec: &PipelineSpec, n: u64, diurnal: bool) -> PulledFigures {
+    let trace = pulled_trace(n, diurnal);
+    let engine = FleetEngine::new(
+        spec.clone(),
+        RouterPolicy::LeastOutstanding,
+        ScaleDriver::Static { replicas: 1 },
+    );
+    let mode = MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()));
+    let t0 = Instant::now();
+    let report = engine.run_pulled(trace.requests().map(|r| EngineRequest::from(&r)), &mode);
+    let wall_s = t0.elapsed().as_secs_f64();
+    let metrics = &report.fleet.merged.metrics;
+    assert_eq!(
+        metrics.completed, n as usize,
+        "the pulled fleet must complete every request"
+    );
+    PulledFigures {
+        arrival: if diurnal { "diurnal" } else { "poisson" },
+        events: metrics.events_processed,
+        wall_s,
+        peak_live_requests: report.fleet.per_replica[0].peak_live_requests,
     }
 }
 
@@ -293,28 +368,43 @@ fn bench_scale_json(_c: &mut Criterion) {
     let quick = rago_bench::quick_mode();
     let spec = stress_spec();
 
-    // Tier plan: (requests, run baseline, run exact). The 10M tier is
-    // streaming-only — its exact twin would retain tens of millions of
-    // timeline allocations without adding information the 1M tier lacks.
-    let plan: &[(u64, bool, bool)] = if quick {
-        &[(100_000, true, true)]
+    // Tier plan: (requests, engine rows as (run baseline, run exact)). The
+    // 10M tier is streaming-only — its exact twin would retain tens of
+    // millions of timeline allocations without adding information the 1M
+    // tier lacks — and the 100M diurnal tier is pulled-fleet only.
+    let plan: &[(u64, Option<(bool, bool)>)] = if quick {
+        &[(10_000, Some((true, true))), (100_000, Some((true, true)))]
     } else {
         &[
-            (100_000, true, true),
-            (1_000_000, true, true),
-            (10_000_000, false, false),
+            (10_000, Some((true, true))),
+            (100_000, Some((true, true))),
+            (1_000_000, Some((true, true))),
+            (10_000_000, Some((false, false))),
+            (100_000_000, None),
         ]
     };
     let tiers: Vec<TierResult> = plan
         .iter()
-        .map(|&(n, with_baseline, with_exact)| {
-            let tier = run_tier(&spec, n, with_baseline, with_exact);
+        .map(|&(n, engines)| {
+            let engines = engines.map(|(with_baseline, with_exact)| {
+                let tier = run_engines(&spec, n, with_baseline, with_exact);
+                println!(
+                    "tier {n}: {} events, streaming {:.2}M ev/s",
+                    tier.events,
+                    tier.streaming.events_per_s / 1e6
+                );
+                tier
+            });
+            let pulled = run_pulled(&spec, n, engines.is_none());
             println!(
-                "tier {n}: {} events, streaming {:.2}M ev/s",
-                tier.events,
-                tier.streaming.events_per_s / 1e6
+                "tier {n}: pulled fleet ({}) {:.1}s, peak {} live requests",
+                pulled.arrival, pulled.wall_s, pulled.peak_live_requests
             );
-            tier
+            TierResult {
+                requests: n,
+                engines,
+                pulled,
+            }
         })
         .collect();
 
@@ -339,6 +429,7 @@ fn bench_scale_json(_c: &mut Criterion) {
     let speedup_at_1m = tiers
         .iter()
         .find(|t| t.requests == 1_000_000)
+        .and_then(|t| t.engines.as_ref())
         .and_then(|t| {
             t.baseline
                 .as_ref()
@@ -354,15 +445,39 @@ fn bench_scale_json(_c: &mut Criterion) {
 
     // Acceptance 2: streaming retained memory is sub-linear in the tier
     // size — the histogram state must not grow with the request count.
-    let first = tiers.first().expect("at least one tier");
-    let last = tiers.last().expect("at least one tier");
+    let streamed: Vec<(u64, &EngineTier)> = tiers
+        .iter()
+        .filter_map(|t| t.engines.as_ref().map(|e| (t.requests, e)))
+        .collect();
+    let (first_n, first) = streamed.first().expect("at least one engine tier");
+    let (last_n, last) = streamed.last().expect("at least one engine tier");
     let retained_growth =
         last.streaming.retained_bytes as f64 / first.streaming.retained_bytes.max(1) as f64;
-    let request_growth = last.requests as f64 / first.requests as f64;
+    let request_growth = *last_n as f64 / *first_n as f64;
     assert!(
         retained_growth <= request_growth.sqrt().max(2.0),
         "streaming retained bytes grew {retained_growth:.1}x over a {request_growth:.0}x \
          request increase — not sub-linear"
+    );
+
+    // Acceptance 3: the pulled fleet's per-request state is bounded by its
+    // in-flight load — the largest tier holds at most twice the live
+    // requests of the smallest.
+    let smallest = tiers
+        .first()
+        .expect("at least one tier")
+        .pulled
+        .peak_live_requests;
+    let largest = tiers
+        .last()
+        .expect("at least one tier")
+        .pulled
+        .peak_live_requests;
+    let flat_live_requests = largest <= 2 * smallest;
+    assert!(
+        flat_live_requests,
+        "the pulled fleet held {largest} live requests at its largest tier, \
+         {smallest} at its smallest — per-request state grew with the trace"
     );
 
     let json = render_json(
@@ -372,6 +487,7 @@ fn bench_scale_json(_c: &mut Criterion) {
         speedup_at_1m,
         SPEEDUP_TARGET,
         retained_growth,
+        flat_live_requests,
     );
     assert!(
         !json.to_ascii_lowercase().contains("nan") && !json.contains("inf"),
@@ -402,6 +518,18 @@ fn fmt_engine(f: Option<&EngineFigures>) -> String {
     )
 }
 
+fn fmt_pulled(p: &PulledFigures) -> String {
+    format!(
+        "{{\"arrival\": \"{}\", \"events\": {}, \"wall_s\": {:.4}, \"events_per_s\": {:.0}, \
+         \"peak_live_requests\": {}}}",
+        p.arrival,
+        p.events,
+        p.wall_s,
+        p.events as f64 / p.wall_s.max(1e-9),
+        p.peak_live_requests
+    )
+}
+
 fn render_json(
     quick: bool,
     tiers: &[TierResult],
@@ -409,28 +537,33 @@ fn render_json(
     speedup_at_1m: Option<f64>,
     speedup_target: f64,
     retained_growth: f64,
+    flat_live_requests: bool,
 ) -> String {
     let tiers_json = tiers
         .iter()
         .map(|t| {
-            let speedup = t
-                .baseline
-                .as_ref()
-                .map(|b| t.streaming.events_per_s / b.events_per_s);
+            let e = t.engines.as_ref();
+            let speedup = e.and_then(|e| {
+                e.baseline
+                    .as_ref()
+                    .map(|b| e.streaming.events_per_s / b.events_per_s)
+            });
             format!(
                 "    {{\"requests\": {}, \"events\": {},\n      \"baseline\": {},\n      \
                  \"exact\": {},\n      \"streaming\": {},\n      \
                  \"speedup_streaming_vs_baseline\": {},\n      \
                  \"baseline_matches_exact\": {},\n      \
-                 \"percentile_delta_within_bucket\": {}}}",
+                 \"percentile_delta_within_bucket\": {},\n      \
+                 \"pulled_fleet\": {}}}",
                 t.requests,
-                t.events,
-                fmt_engine(t.baseline.as_ref()),
-                fmt_engine(t.exact.as_ref()),
-                fmt_engine(Some(&t.streaming)),
+                e.map_or_else(|| "null".into(), |e| e.events.to_string()),
+                fmt_engine(e.and_then(|e| e.baseline.as_ref())),
+                fmt_engine(e.and_then(|e| e.exact.as_ref())),
+                fmt_engine(e.map(|e| &e.streaming)),
                 speedup.map_or_else(|| "null".into(), |s| format!("{s:.2}")),
-                fmt_opt_bool(t.baseline_matches_exact),
-                fmt_opt_bool(t.percentile_delta_within_bucket),
+                fmt_opt_bool(e.and_then(|e| e.baseline_matches_exact)),
+                fmt_opt_bool(e.and_then(|e| e.percentile_delta_within_bucket)),
+                fmt_pulled(&t.pulled),
             )
         })
         .collect::<Vec<_>>()
@@ -444,7 +577,8 @@ fn render_json(
          \"acceptance\": {{\"speedup_streaming_vs_baseline_1m\": {}, \
          \"speedup_target\": {speedup_target:.1}, \"meets_speedup\": {}, \
          \"streaming_retained_growth\": {retained_growth:.2}, \
-         \"sublinear_retained_growth\": true}}\n}}\n",
+         \"sublinear_retained_growth\": true, \
+         \"flat_live_requests\": {flat_live_requests}}}\n}}\n",
         HistogramSpec::default().bucket_width_s,
         equality.fleet_exact,
         equality.fleet_streaming,

@@ -34,8 +34,8 @@ use crate::capacity::{
     CapacityOptions, CapacityPlan,
 };
 use crate::dynamic::{
-    check_mode_slo, fleet_engine, pipeline_spec_cached, rank_frontier_with, reject_empty_trace,
-    score_fleet, score_single, DynamicEvaluation, FleetEvaluation,
+    check_mode_slo, fleet_engine, pipeline_spec_cached, rank_frontier_with, score_fleet,
+    score_single, validate_trace, DynamicEvaluation, FleetEvaluation,
 };
 use crate::error::RagoError;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
@@ -88,7 +88,7 @@ pub fn evaluate_schedule_cached_with(
     mode: &MetricsMode,
 ) -> Result<DynamicEvaluation, RagoError> {
     schedule.validate()?;
-    reject_empty_trace(trace)?;
+    validate_trace(trace)?;
     check_mode_slo(mode, slo)?;
     let spec = pipeline_spec_cached(profiler, schedule, Some(cache))?;
     Ok(score_single(

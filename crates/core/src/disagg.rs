@@ -30,7 +30,7 @@
 //! replica only its decode XPUs ([`decode_xpus`]) — that asymmetry is the
 //! entire economic case for disaggregation.
 
-use crate::dynamic::{pipeline_spec_cached, reject_empty_trace};
+use crate::dynamic::{pipeline_spec_cached, validate_trace};
 use crate::error::RagoError;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
@@ -220,7 +220,7 @@ pub(crate) fn run_pools(
 ) -> Result<ChaosReport, RagoError> {
     schedule.validate()?;
     check_disagg_fleet(fleet, crashes)?;
-    reject_empty_trace(trace)?;
+    validate_trace(trace)?;
     let (prefill_spec, decode_spec) = split_pipeline_spec(profiler, schedule, cache)?;
     let (prefill, _) = fleet
         .prefill_decode()

@@ -65,9 +65,10 @@ pub struct DynamicEvaluation {
 ///
 /// # Errors
 ///
-/// Returns [`RagoError::InvalidConfig`] for structurally invalid schedules
-/// or an empty trace (a zero-request trace has no attainment to measure —
-/// reporting `meets_slo = true` for it would let a misconfigured sweep pass
+/// Returns [`RagoError::InvalidConfig`] for structurally invalid schedules,
+/// an arrival time that is not finite and non-negative, or an empty trace
+/// (a zero-request trace has no attainment to measure — reporting
+/// `meets_slo = true` for it would let a misconfigured sweep pass
 /// silently), and [`RagoError::CostModel`] when any profiled point is
 /// infeasible under its allocation.
 pub fn evaluate_schedule_dynamic(
@@ -98,7 +99,7 @@ pub fn evaluate_schedule_dynamic_with(
     mode: &MetricsMode,
 ) -> Result<DynamicEvaluation, RagoError> {
     schedule.validate()?;
-    reject_empty_trace(trace)?;
+    validate_trace(trace)?;
     check_mode_slo(mode, slo)?;
     let spec = pipeline_spec(profiler, schedule)?;
     Ok(score_single(
@@ -127,7 +128,7 @@ pub fn evaluate_schedule_dynamic_traced<R: rago_telemetry::Recorder>(
     rec: &mut R,
 ) -> Result<DynamicEvaluation, RagoError> {
     schedule.validate()?;
-    reject_empty_trace(trace)?;
+    validate_trace(trace)?;
     check_mode_slo(mode, slo)?;
     let spec = pipeline_spec(profiler, schedule)?;
     let engine = ServingEngine::from_trace(spec, trace).with_telemetry(telemetry.clone());
@@ -229,14 +230,29 @@ pub(crate) fn score_single(report: ServingReport, slo: &SloTarget) -> DynamicEva
     }
 }
 
-/// Rejects zero-request traces, which would otherwise score a vacuous
-/// `attainment = 1.0`. Shared with [`crate::timevarying`].
-pub(crate) fn reject_empty_trace(trace: &Trace) -> Result<(), RagoError> {
+/// Validates a trace before it reaches the simulator: rejects zero-request
+/// traces, which would otherwise score a vacuous `attainment = 1.0`, and
+/// any arrival that is not a finite, non-negative time — a NaN or infinite
+/// arrival can never be routed, and a negative one would count TTFT from
+/// before the fleet exists. Shared by every trace-driven evaluator.
+pub(crate) fn validate_trace(trace: &Trace) -> Result<(), RagoError> {
     if trace.requests.is_empty() {
         return Err(RagoError::InvalidConfig {
             reason: "dynamic evaluation needs at least one request; \
                      a zero-request trace has no SLO attainment to measure"
                 .into(),
+        });
+    }
+    if let Some(bad) = trace
+        .requests
+        .iter()
+        .find(|r| !(r.arrival_s.is_finite() && r.arrival_s >= 0.0))
+    {
+        return Err(RagoError::InvalidConfig {
+            reason: format!(
+                "request {} arrives at {} s; arrival times must be finite and non-negative",
+                bad.id, bad.arrival_s
+            ),
         });
     }
     Ok(())
@@ -264,7 +280,8 @@ pub struct FleetEvaluation {
 /// # Errors
 ///
 /// Returns [`RagoError::InvalidConfig`] for invalid schedules, invalid
-/// fleet configurations, or an empty trace, and [`RagoError::CostModel`]
+/// fleet configurations, or an empty or malformed trace (see
+/// [`evaluate_schedule_dynamic`]), and [`RagoError::CostModel`]
 /// when any profiled point is infeasible.
 pub fn evaluate_fleet_dynamic(
     profiler: &StageProfiler,
@@ -324,7 +341,7 @@ pub(crate) fn fleet_engine(
     fleet.validate().map_err(|e| RagoError::InvalidConfig {
         reason: e.to_string(),
     })?;
-    reject_empty_trace(trace)?;
+    validate_trace(trace)?;
     check_mode_slo(mode, slo)?;
     if fleet.is_disaggregated() {
         if !matches!(mode, MetricsMode::Exact) {
@@ -430,7 +447,7 @@ pub fn evaluate_heterogeneous_fleet_dynamic_with(
             reason: "a heterogeneous fleet needs at least one schedule".into(),
         });
     }
-    reject_empty_trace(trace)?;
+    validate_trace(trace)?;
     check_mode_slo(mode, slo)?;
     let mut specs = Vec::with_capacity(schedules.len());
     for schedule in schedules {
@@ -467,7 +484,7 @@ pub fn evaluate_heterogeneous_fleet_dynamic_traced<R: rago_telemetry::Recorder>(
             reason: "a heterogeneous fleet needs at least one schedule".into(),
         });
     }
-    reject_empty_trace(trace)?;
+    validate_trace(trace)?;
     check_mode_slo(mode, slo)?;
     let mut specs = Vec::with_capacity(schedules.len());
     for schedule in schedules {
@@ -874,6 +891,45 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, RagoError::InvalidConfig { .. }));
+    }
+
+    /// Regression: a NaN or infinite arrival made the fleet loop spin
+    /// forever (the arrival lane never routed it), and a negative one was
+    /// served from time zero with its TTFT counted from before it. Each is
+    /// rejected before the simulator runs, in both metrics modes and on
+    /// the single-engine path.
+    #[test]
+    fn malformed_arrivals_are_rejected() {
+        let profiler = case1_profiler();
+        let schedule = case1_schedule();
+        let slo = SloTarget::paper_default();
+        let fleet = rago_schema::FleetConfig::new(2, RouterPolicy::LeastOutstanding);
+        let streaming = MetricsMode::Streaming(
+            rago_serving_sim::StreamingConfig::new(rago_schema::HistogramSpec::default())
+                .with_slo(slo),
+        );
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let mut trace = TraceSpec {
+                num_requests: 20,
+                profile: SequenceProfile::paper_default(),
+                arrival: ArrivalProcess::Poisson { rate_rps: 10.0 },
+                length_jitter: 0.0,
+                seed: 3,
+            }
+            .generate();
+            trace.requests[7].arrival_s = bad;
+            for mode in [&MetricsMode::Exact, &streaming] {
+                let err =
+                    evaluate_fleet_dynamic_with(&profiler, &schedule, &fleet, &trace, &slo, mode)
+                        .unwrap_err();
+                assert!(
+                    matches!(&err, RagoError::InvalidConfig { reason } if reason.contains("request 7")),
+                    "{bad}: {err:?}"
+                );
+            }
+            let err = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo).unwrap_err();
+            assert!(matches!(err, RagoError::InvalidConfig { .. }), "{bad}");
+        }
     }
 
     /// An empty trace must not produce an empty ranking that masquerades as

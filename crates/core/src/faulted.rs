@@ -25,7 +25,7 @@
 //! `faultless_scenario_matches_timevarying` below.
 
 use crate::capacity::CapacityProfile;
-use crate::dynamic::{pipeline_spec, reject_empty_trace};
+use crate::dynamic::{pipeline_spec, validate_trace};
 use crate::error::RagoError;
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
@@ -330,7 +330,7 @@ pub fn evaluate_fleet_faulted(
     scenario: &FaultScenario,
 ) -> Result<FaultedEvaluation, RagoError> {
     schedule.validate()?;
-    reject_empty_trace(trace)?;
+    validate_trace(trace)?;
     let num_classes = mix.num_classes() as u32;
     if let Some(bad) = trace.requests.iter().find(|r| r.class >= num_classes) {
         return Err(RagoError::InvalidConfig {

@@ -18,7 +18,7 @@
 //! the equivalence is pinned by `timevarying_matches_fleet_dynamic` below
 //! and property-tested in `rago-serving-sim/tests/proptest_tenant.rs`.
 
-use crate::dynamic::{pipeline_spec, reject_empty_trace};
+use crate::dynamic::{pipeline_spec, validate_trace};
 use crate::error::RagoError;
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
@@ -181,7 +181,7 @@ pub fn evaluate_fleet_timevarying_with(
     fleet.validate().map_err(|e| RagoError::InvalidConfig {
         reason: e.to_string(),
     })?;
-    reject_empty_trace(trace)?;
+    validate_trace(trace)?;
     let num_classes = mix.num_classes() as u32;
     if let Some(bad) = trace.requests.iter().find(|r| r.class >= num_classes) {
         return Err(RagoError::InvalidConfig {

@@ -61,6 +61,13 @@ pub struct ReplicaReport {
     pub replica: usize,
     /// Requests the router assigned to this replica.
     pub assigned: usize,
+    /// The most requests the replica held per-request state for at once:
+    /// injected and not yet retired, the retired ones being those that
+    /// completed along with every request injected before them. Exact, and
+    /// the same in both metrics modes; bounded by the in-flight load, not
+    /// the trace length.
+    #[serde(default)]
+    pub peak_live_requests: usize,
     /// The replica's own serving report (its timelines and metrics, computed
     /// exactly as a standalone engine run over the routed subset would).
     pub report: ServingReport,

@@ -67,6 +67,7 @@
 
 use crate::equeue::EventQueue;
 use crate::iterative::sample_positions;
+use crate::sink::{MetricsMode, MetricsSink, RunSink};
 use rago_cache::{
     CacheConfig, CacheCounters, PrefixKvCache, PrefixLookup, RetrievalLookup, RetrievalResultCache,
 };
@@ -680,7 +681,8 @@ pub struct ServingReport {
 impl ServingReport {
     /// Builds the report of an exact (timeline-retaining) run — the
     /// identity path, bit-identical to [`ServingEngine::run`].
-    pub fn from_exact_sink(sink: crate::sink::ExactSink) -> Self {
+    pub fn from_exact_sink(mut sink: crate::sink::ExactSink) -> Self {
+        sink.build_timelines();
         build_report(sink.timelines, &sink.acc)
     }
 
@@ -971,11 +973,7 @@ impl ServingEngine {
 
     /// Runs the simulation to completion and returns the report.
     pub fn run(&self) -> ServingReport {
-        let mut sim = ReplicaSim::new(self.spec.clone());
-        sim.inject_bulk(&self.requests);
-        sim.run_to_completion();
-        let (timelines, acc) = sim.finish();
-        build_report(timelines, &acc)
+        self.run_with_mode(&MetricsMode::Exact)
     }
 
     /// Runs the simulation with an explicit metrics pipeline.
@@ -983,24 +981,8 @@ impl ServingEngine {
     /// bit (via [`crate::sink::ExactSink`]);
     /// [`crate::sink::MetricsMode::Streaming`] folds outcomes into
     /// histograms and returns an `O(buckets)` report with no timelines.
-    pub fn run_with_mode(&self, mode: &crate::sink::MetricsMode) -> ServingReport {
-        let mut sim = ReplicaSim::new(self.spec.clone());
-        sim.inject_bulk(&self.requests);
-        sim.run_to_completion();
-        match mode {
-            crate::sink::MetricsMode::Exact => {
-                let mut sink = crate::sink::ExactSink::new();
-                sim.drain_outcomes(&mut sink);
-                sink.acc = sim.into_accumulators();
-                ServingReport::from_exact_sink(sink)
-            }
-            crate::sink::MetricsMode::Streaming(config) => {
-                let mut sink = crate::sink::HistogramSink::new(config);
-                sim.drain_outcomes(&mut sink);
-                sink.acc = sim.into_accumulators();
-                ServingReport::from_histogram_sink(sink)
-            }
-        }
+    pub fn run_with_mode(&self, mode: &MetricsMode) -> ServingReport {
+        self.run_traced(mode, &mut rago_telemetry::NullRecorder)
     }
 
     /// Runs the simulation like [`Self::run_with_mode`], recording a trace
@@ -1013,29 +995,16 @@ impl ServingEngine {
     /// the probe instants and profile counters.
     pub fn run_traced<R: rago_telemetry::Recorder>(
         &self,
-        mode: &crate::sink::MetricsMode,
+        mode: &MetricsMode,
         rec: &mut R,
     ) -> ServingReport {
-        let mut sim = ReplicaSim::new(self.spec.clone());
+        let mut sim = ReplicaSim::new(self.spec.clone(), mode);
         sim.track_probes = R::ENABLED;
         sim.inject_bulk(&self.requests);
         sim.run_to_completion();
         let probes = sim.drain_probe_log();
         let equeue = sim.equeue_stats();
-        let report = match mode {
-            crate::sink::MetricsMode::Exact => {
-                let mut sink = crate::sink::ExactSink::new();
-                sim.drain_outcomes(&mut sink);
-                sink.acc = sim.into_accumulators();
-                ServingReport::from_exact_sink(sink)
-            }
-            crate::sink::MetricsMode::Streaming(config) => {
-                let mut sink = crate::sink::HistogramSink::new(config);
-                sim.drain_outcomes(&mut sink);
-                sink.acc = sim.into_accumulators();
-                ServingReport::from_histogram_sink(sink)
-            }
-        };
+        let report = sim.finish().sink.into_report();
         if R::ENABLED {
             let end_s = report.metrics.makespan_s;
             crate::telemetry::record_request_spans(rec, 0, &report.timelines);
@@ -1060,7 +1029,7 @@ impl ServingEngine {
     /// [`rago_telemetry::export_jsonl`].
     pub fn run_telemetry(
         &self,
-        mode: &crate::sink::MetricsMode,
+        mode: &MetricsMode,
     ) -> (ServingReport, rago_telemetry::TraceRecorder) {
         let mut rec = rago_telemetry::TraceRecorder::new(self.telemetry.clone());
         let report = self.run_traced(mode, &mut rec);
@@ -1117,22 +1086,39 @@ struct StageBatch {
 /// unambiguous.
 const UNSET: f64 = f64::NEG_INFINITY;
 
+/// Retired slots the arena lets accumulate before it compacts them away,
+/// so a compaction's fixed cost — one drain per column — is spread over at
+/// least this many slots.
+const COMPACT_MIN: usize = 64;
+
 /// Per-request simulation state in struct-of-arrays layout: one dense slot
-/// per injected request (its injection index), each field a parallel `Vec`.
-/// The hot loop touches narrow field groups per event — admission writes
+/// per in-flight request, each field a parallel `Vec`. The hot loop
+/// touches narrow field groups per event — admission writes
 /// `decode_join_s`/`queueing_s`, a step touches `generated`/`paused` — so
 /// splitting the fields keeps those writes on dense cache lines, and slot
 /// creation is a handful of `Vec` pushes instead of a per-request struct
 /// with three heap-allocated vectors.
 ///
-/// Slots are never recycled: a slot index is the request's injection (=
-/// arrival) order, which is what makes member iteration, retrieval-queue
-/// order and the finished timelines reproduce the original engine exactly.
+/// A request's *slot id* is its injection (= arrival) index on the
+/// replica, monotone over the run: event payloads, `resident` and the
+/// stage/retrieval queues all hold slot ids, so member iteration and the
+/// arrival-order tie-break reproduce the original engine exactly. Slots
+/// are retired in that same order — the head slot once it completes (see
+/// [`ReplicaSim::retire`]) — and a full arena drains its retired prefix
+/// before it would grow, so its capacity stays within twice the replica's
+/// peak of live requests (or [`COMPACT_MIN`]). Local index `i` holds slot
+/// id `base + i`.
 #[derive(Debug, Clone, Default)]
 struct ReqArena {
     /// Pre-decode stage count of the pipeline (stage slices are
     /// `num_stages` wide per request).
     num_stages: usize,
+    /// Slot id of local index 0.
+    base: usize,
+    /// Local index of the oldest slot not yet retired.
+    head: usize,
+    /// The injected requests.
+    requests: Vec<EngineRequest>,
     queue_entry_s: Vec<f64>,
     decode_join_s: Vec<f64>,
     first_token_s: Vec<f64>,
@@ -1149,14 +1135,14 @@ struct ReqArena {
     /// retrieval stages are skipped as zero-duration pass-throughs.
     skip_retrieval: Vec<bool>,
     /// Flat `num_stages`-strided stage service start times; only the first
-    /// `stage_starts_len[r]` entries of request `r`'s slice are recorded.
+    /// `stage_starts_len[i]` entries of slot `i`'s slice are recorded.
     stage_starts_s: Vec<f64>,
     stage_starts_len: Vec<u32>,
     /// Flat `num_stages`-strided stage completion times, like the starts.
     stage_ends_s: Vec<f64>,
     stage_ends_len: Vec<u32>,
-    /// Flat pool of iterative-retrieval trigger positions; request `r` owns
-    /// `retrieval_pos[retrieval_pos_off[r] .. retrieval_pos_off[r + 1]]`.
+    /// Flat pool of iterative-retrieval trigger positions; slot `i` owns
+    /// `retrieval_pos[retrieval_pos_off[i] .. retrieval_pos_off[i + 1]]`.
     retrieval_pos: Vec<u32>,
     retrieval_pos_off: Vec<u32>,
 }
@@ -1170,13 +1156,34 @@ impl ReqArena {
         }
     }
 
+    /// Slots held: in flight, plus retired ones not yet compacted away.
     fn len(&self) -> usize {
-        self.queue_entry_s.len()
+        self.requests.len()
+    }
+
+    /// Requests ever injected — the next slot id.
+    fn injected(&self) -> usize {
+        self.base + self.len()
+    }
+
+    /// Slots injected and not yet retired.
+    fn live(&self) -> usize {
+        self.len() - self.head
+    }
+
+    /// The local index of slot id `slot`.
+    fn at(&self, slot: u32) -> usize {
+        debug_assert!(
+            slot as usize >= self.base + self.head,
+            "slot already retired"
+        );
+        slot as usize - self.base
     }
 
     /// Reserves capacity for `additional` more slots across every column,
     /// so bulk injection grows each `Vec` once instead of doubling.
     fn reserve(&mut self, additional: usize) {
+        self.requests.reserve(additional);
         self.queue_entry_s.reserve(additional);
         self.decode_join_s.reserve(additional);
         self.first_token_s.reserve(additional);
@@ -1195,11 +1202,18 @@ impl ReqArena {
     }
 
     /// Appends `reqs.len()` slots at once with bulk column fills (`resize`
-    /// compiles to a memset, not per-request pushes). Only valid when no
-    /// request carries iterative trigger positions.
-    fn push_slots_bulk(&mut self, reqs: &[EngineRequest]) {
+    /// compiles to a memset, not per-request pushes), returning the first
+    /// new slot id. Only valid when no request carries iterative trigger
+    /// positions.
+    fn push_slots_bulk(&mut self, reqs: &[EngineRequest]) -> u32 {
+        let first = self.injected();
+        assert!(
+            first + reqs.len() < u32::MAX as usize,
+            "request arena is full"
+        );
+        self.compact_before_growth(reqs.len());
         let new_len = self.len() + reqs.len();
-        assert!(new_len < u32::MAX as usize, "request arena is full");
+        self.requests.extend_from_slice(reqs);
         self.queue_entry_s.resize(new_len, 0.0);
         self.decode_join_s.resize(new_len, 0.0);
         self.first_token_s.resize(new_len, UNSET);
@@ -1217,19 +1231,22 @@ impl ReqArena {
         let off = self.retrieval_pos.len() as u32;
         self.retrieval_pos_off
             .resize(self.retrieval_pos_off.len() + reqs.len(), off);
+        first as u32
     }
 
-    /// Appends one request slot, returning its index.
-    fn push_slot(&mut self, tokens: u32, positions: &[u32]) -> u32 {
-        let slot = self.len();
+    /// Appends one request slot, returning its slot id.
+    fn push_slot(&mut self, req: EngineRequest, positions: &[u32]) -> u32 {
+        let slot = self.injected();
         assert!(slot < u32::MAX as usize, "request arena is full");
+        self.compact_before_growth(1);
+        self.requests.push(req);
         self.queue_entry_s.push(0.0);
         self.decode_join_s.push(0.0);
         self.first_token_s.push(UNSET);
         self.completion_s.push(UNSET);
         self.queueing_s.push(0.0);
         self.generated.push(0);
-        self.tokens.push(tokens);
+        self.tokens.push(req.decode_tokens);
         self.next_retrieval.push(0);
         self.paused.push(false);
         self.skip_retrieval.push(false);
@@ -1244,30 +1261,87 @@ impl ReqArena {
         slot as u32
     }
 
-    /// Records a stage service start for request `r`.
-    fn push_stage_start(&mut self, r: usize, t: f64) {
-        let n = self.stage_starts_len[r] as usize;
+    /// Records a stage service start for slot `i`.
+    fn push_stage_start(&mut self, i: usize, t: f64) {
+        let n = self.stage_starts_len[i] as usize;
         debug_assert!(n < self.num_stages, "more stage starts than stages");
-        self.stage_starts_s[r * self.num_stages + n] = t;
-        self.stage_starts_len[r] = (n + 1) as u32;
+        self.stage_starts_s[i * self.num_stages + n] = t;
+        self.stage_starts_len[i] = (n + 1) as u32;
     }
 
-    /// Records a stage completion for request `r`.
-    fn push_stage_end(&mut self, r: usize, t: f64) {
-        let n = self.stage_ends_len[r] as usize;
+    /// Records a stage completion for slot `i`.
+    fn push_stage_end(&mut self, i: usize, t: f64) {
+        let n = self.stage_ends_len[i] as usize;
         debug_assert!(n < self.num_stages, "more stage ends than stages");
-        self.stage_ends_s[r * self.num_stages + n] = t;
-        self.stage_ends_len[r] = (n + 1) as u32;
+        self.stage_ends_s[i * self.num_stages + n] = t;
+        self.stage_ends_len[i] = (n + 1) as u32;
     }
 
-    fn stage_starts(&self, r: usize) -> &[f64] {
-        let base = r * self.num_stages;
-        &self.stage_starts_s[base..base + self.stage_starts_len[r] as usize]
+    /// The finished outcome of completed slot `i`, borrowing its stage
+    /// slices.
+    fn outcome(&self, i: usize) -> crate::sink::RequestOutcome<'_> {
+        let req = &self.requests[i];
+        let stride = i * self.num_stages;
+        debug_assert!(
+            self.first_token_s[i] != UNSET,
+            "completed without a first token"
+        );
+        crate::sink::RequestOutcome {
+            id: req.id,
+            class: req.class,
+            arrival_s: req.arrival_s,
+            stage_starts_s: &self.stage_starts_s
+                [stride..stride + self.stage_starts_len[i] as usize],
+            stage_ends_s: &self.stage_ends_s[stride..stride + self.stage_ends_len[i] as usize],
+            decode_join_s: self.decode_join_s[i],
+            first_token_s: self.first_token_s[i],
+            completion_s: self.completion_s[i],
+            queueing_s: self.queueing_s[i],
+            decode_tokens: req.decode_tokens,
+        }
     }
 
-    fn stage_ends(&self, r: usize) -> &[f64] {
-        let base = r * self.num_stages;
-        &self.stage_ends_s[base..base + self.stage_ends_len[r] as usize]
+    /// Makes room for `additional` slots by dropping the retired prefix
+    /// instead of growing, when the columns are full and the prefix is at
+    /// least [`COMPACT_MIN`] slots and no shorter than the live suffix.
+    /// Each compaction moves at most as many slots as it frees, and at
+    /// least half the capacity is free after it — amortised `O(1)` per
+    /// slot — and the capacity stays within twice the peak of live slots.
+    /// An arena filled in bulk up front never grows again, so it never
+    /// pays for moves that would free nothing.
+    fn compact_before_growth(&mut self, additional: usize) {
+        let k = self.head;
+        let full = self.len() + additional > self.requests.capacity();
+        if !full || k < COMPACT_MIN || k < self.live() {
+            return;
+        }
+        let strided = k * self.num_stages;
+        self.requests.drain(..k);
+        self.queue_entry_s.drain(..k);
+        self.decode_join_s.drain(..k);
+        self.first_token_s.drain(..k);
+        self.completion_s.drain(..k);
+        self.queueing_s.drain(..k);
+        self.generated.drain(..k);
+        self.tokens.drain(..k);
+        self.next_retrieval.drain(..k);
+        self.paused.drain(..k);
+        self.skip_retrieval.drain(..k);
+        self.stage_starts_s.drain(..strided);
+        self.stage_starts_len.drain(..k);
+        self.stage_ends_s.drain(..strided);
+        self.stage_ends_len.drain(..k);
+        // Rebase the trigger-position offsets onto the surviving pool.
+        let dropped = self.retrieval_pos_off[k];
+        self.retrieval_pos.drain(..dropped as usize);
+        self.retrieval_pos_off.drain(..k);
+        if dropped > 0 {
+            for off in &mut self.retrieval_pos_off {
+                *off -= dropped;
+            }
+        }
+        self.base += k;
+        self.head = 0;
     }
 }
 
@@ -1371,13 +1445,21 @@ impl SimAccumulators {
 /// per-replica behaviour: event order is `(time, class, seq)` with arrivals
 /// ordered before same-instant completions, which makes the order
 /// independent of *when* the arrival event was pushed.
+///
+/// The simulation owns its run's sink from construction and retires each
+/// request into it as soon as that request and every one injected before
+/// it have completed, so per-request state lives only while requests are
+/// in flight.
 pub(crate) struct ReplicaSim {
     spec: PipelineSpec,
     /// RNG for iterative trigger positions, sampled per request at injection
     /// in arrival order — the exact scheme of `IterativeDecodeSim`.
     iterative_rng: Option<StdRng>,
-    requests: Vec<EngineRequest>,
     arena: ReqArena,
+    /// Where retired requests go, in injection order.
+    sink: RunSink,
+    /// The most slots injected and not yet retired at any one time.
+    peak_live: usize,
     stage_queues: Vec<VecDeque<u32>>,
     resource_busy: Vec<bool>,
     /// The micro-batch in flight on each resource, valid while the
@@ -1422,12 +1504,11 @@ pub(crate) struct ReplicaSim {
     /// arrival, prefix-KV probes at micro-batch dispatch). Empty unless
     /// `track_probes` is set.
     probe_log: Vec<CacheProbe>,
-    /// `(ready_s, slot)` of every prefill handoff, in completion order —
-    /// only a handoff-mode replica ([`PipelineSpec::handoff`]) records any.
-    /// The pool engine drains it with [`ReplicaSim::take_handoffs`].
-    handoff_log: Vec<(f64, u32)>,
-    /// First `handoff_log` entry not yet drained by `take_handoffs`.
-    handoff_cursor: usize,
+    /// `(ready_s, request)` of every prefill handoff not yet drained, in
+    /// completion order — only a handoff-mode replica
+    /// ([`PipelineSpec::handoff`]) records any. The pool engine drains it
+    /// with [`ReplicaSim::take_handoffs`].
+    handoff_log: Vec<(f64, EngineRequest)>,
     /// Replica-local prefix-KV cache, created cold from the spec's cache
     /// plan (a scaled-out replica starts with nothing resident).
     prefix_cache: Option<PrefixKvCache>,
@@ -1443,8 +1524,9 @@ pub(crate) struct ReplicaSim {
 }
 
 impl ReplicaSim {
-    /// Creates an idle simulation of `spec` with no requests.
-    pub(crate) fn new(spec: PipelineSpec) -> Self {
+    /// Creates an idle simulation of `spec` with no requests, retiring
+    /// into a fresh sink of `mode`.
+    pub(crate) fn new(spec: PipelineSpec, mode: &MetricsMode) -> Self {
         let iterative_rng = spec
             .iterative
             .as_ref()
@@ -1464,8 +1546,9 @@ impl ReplicaSim {
         Self {
             spec,
             iterative_rng,
-            requests: Vec::new(),
             arena: ReqArena::new(num_stages),
+            sink: RunSink::new(mode, 0),
+            peak_live: 0,
             stage_queues: vec![VecDeque::new(); num_stages],
             resource_busy: vec![false; num_resources],
             stage_batches: vec![StageBatch::default(); num_resources],
@@ -1483,7 +1566,6 @@ impl ReplicaSim {
             track_probes: false,
             probe_log: Vec::new(),
             handoff_log: Vec::new(),
-            handoff_cursor: 0,
             prefix_cache,
             retrieval_cache,
             slowdown: 1.0,
@@ -1492,13 +1574,15 @@ impl ReplicaSim {
         }
     }
 
-    /// Reserves capacity for `additional` more requests across the request
-    /// list, the arena's columns and the arrival lane — bulk injection (a
-    /// whole trace up front) then grows each backing `Vec` exactly once.
+    /// Reserves capacity for `additional` more requests across the
+    /// arena's columns, the arrival lane and an exact sink — bulk injection
+    /// (a whole trace up front) then grows each backing `Vec` exactly once.
     pub(crate) fn reserve(&mut self, additional: usize) {
-        self.requests.reserve(additional);
         self.arena.reserve(additional);
         self.queue.reserve_arrivals(additional);
+        if let RunSink::Exact(sink) = &mut self.sink {
+            sink.reserve(additional, self.spec.stages.len());
+        }
     }
 
     /// Injects a whole sorted batch of requests at once. Equivalent to
@@ -1530,13 +1614,11 @@ impl ReplicaSim {
             "every request must generate at least one token"
         );
         self.reserve(reqs.len());
-        let base = self.requests.len();
-        self.arena.push_slots_bulk(reqs);
-        self.requests.extend_from_slice(reqs);
-        for (i, req) in reqs.iter().enumerate() {
-            self.queue
-                .push_arrival(req.arrival_s, Ev::Arrival((base + i) as u32));
+        let first = self.arena.push_slots_bulk(reqs);
+        for (slot, req) in (first..).zip(reqs) {
+            self.queue.push_arrival(req.arrival_s, Ev::Arrival(slot));
         }
+        self.peak_live = self.peak_live.max(self.arena.live());
     }
 
     /// Adds one request to the simulation, scheduling its arrival event.
@@ -1562,15 +1644,19 @@ impl ReplicaSim {
             }
             _ => Vec::new(),
         };
-        let slot = self.arena.push_slot(req.decode_tokens, &positions);
-        debug_assert_eq!(slot as usize, self.requests.len());
-        self.requests.push(req);
-        self.queue.push_arrival(req.arrival_s, Ev::Arrival(slot));
+        self.push_arrival(req, positions, req.arrival_s);
+    }
+
+    /// Appends `req`'s slot and schedules its arrival event at `at`.
+    fn push_arrival(&mut self, req: EngineRequest, positions: Vec<u32>, at: f64) {
+        let slot = self.arena.push_slot(req, &positions);
+        self.peak_live = self.peak_live.max(self.arena.live());
+        self.queue.push_arrival(at, Ev::Arrival(slot));
     }
 
     /// Requests injected but not yet fully decoded.
     pub(crate) fn outstanding(&self) -> usize {
-        self.requests.len() - self.completed
+        self.arena.injected() - self.completed
     }
 
     /// Snapshot of the event queue's internal work counters (for
@@ -1647,36 +1733,49 @@ impl ReplicaSim {
         }
         self.dispatch_stages(now);
         self.decode_tick(now);
+        self.retire();
         true
+    }
+
+    /// Retires every completed slot at the head of the arena into the
+    /// sink, oldest first; the arena reuses their room as it fills. A
+    /// completed request never changes again, so each sink sees exactly
+    /// the injection-order sequence of outcomes a post-run walk would feed
+    /// it.
+    fn retire(&mut self) {
+        let arena = &mut self.arena;
+        while arena.head < arena.len() && arena.completion_s[arena.head] != UNSET {
+            self.sink.record(&arena.outcome(arena.head));
+            arena.head += 1;
+        }
     }
 
     /// Consults the retrieval-result cache for request `r` at its arrival.
     /// A hit marks the plan's retrieval stages for zero-duration
     /// pass-through; identity-free requests (or cache-less pipelines) are
     /// untouched.
-    fn lookup_retrieval_cache(&mut self, r: usize, t: f64) {
+    fn lookup_retrieval_cache(&mut self, i: usize, t: f64) {
         let Some(cache) = self.retrieval_cache.as_mut() else {
             return;
         };
-        let Some(identity) = self.requests[r].identity else {
+        let req = &self.arena.requests[i];
+        let Some(identity) = req.identity else {
             return;
         };
         let lookup = cache.access(identity.doc_key);
-        self.acc
-            .cache
-            .record_retrieval(self.requests[r].class, &lookup);
+        self.acc.cache.record_retrieval(req.class, &lookup);
         if self.track_probes {
             self.probe_log.push(CacheProbe {
                 time_s: t,
-                id: self.requests[r].id,
-                class: self.requests[r].class,
+                id: req.id,
+                class: req.class,
                 prefix: false,
                 hit: lookup.hit,
                 hit_tokens: 0,
             });
         }
         if lookup.hit {
-            self.arena.skip_retrieval[r] = true;
+            self.arena.skip_retrieval[i] = true;
         }
     }
 
@@ -1688,39 +1787,47 @@ impl ReplicaSim {
     /// (the `StageDone` path); one that skips past the end behaves like a
     /// no-pre-decode request, emitting its first token at its first decode
     /// step.
-    fn route_to_stage(&mut self, r: usize, from: usize, t: f64) {
+    fn route_to_stage(&mut self, r: u32, from: usize, t: f64) {
         let num_stages = self.spec.stages.len();
+        let i = self.arena.at(r);
         let mut stage = from;
-        if self.arena.skip_retrieval[r] {
+        if self.arena.skip_retrieval[i] {
             let plan = self
                 .spec
                 .cache
                 .as_ref()
                 .expect("skip_retrieval is only set when a cache plan exists");
             while stage < num_stages && plan.retrieval_stages.contains(&stage) {
-                self.arena.push_stage_start(r, t);
-                self.arena.push_stage_end(r, t);
+                self.arena.push_stage_start(i, t);
+                self.arena.push_stage_end(i, t);
                 stage += 1;
             }
         }
-        self.arena.queue_entry_s[r] = t;
+        self.arena.queue_entry_s[i] = t;
         if stage < num_stages {
-            self.stage_queues[stage].push_back(r as u32);
+            self.stage_queues[stage].push_back(r);
         } else if self.spec.handoff {
             // Every remaining stage was skipped by a cache hit: the prefill
             // state is already resident, so the handoff is ready at once
             // (zero-work prefill, first token at the handoff instant).
-            self.arena.first_token_s[r] = t;
-            self.arena.decode_join_s[r] = t;
-            self.arena.completion_s[r] = t;
-            self.completed += 1;
-            self.handoff_log.push((t, r as u32));
-            if self.track_completions {
-                let ttft = t - self.requests[r].arrival_s;
-                self.completion_log.push((t, ttft, 0.0));
-            }
+            self.arena.first_token_s[i] = t;
+            self.complete_handoff(i, t);
         } else {
-            self.admission.push_back(r as u32);
+            self.admission.push_back(r);
+        }
+    }
+
+    /// Completes slot `i` at its prefill handoff at `t`: its KV state
+    /// becomes ready for the cross-pool transfer instead of joining decode
+    /// admission.
+    fn complete_handoff(&mut self, i: usize, t: f64) {
+        self.arena.decode_join_s[i] = t;
+        self.arena.completion_s[i] = t;
+        self.completed += 1;
+        let req = self.arena.requests[i];
+        self.handoff_log.push((t, req));
+        if self.track_completions {
+            self.completion_log.push((t, t - req.arrival_s, 0.0));
         }
     }
 
@@ -1734,8 +1841,7 @@ impl ReplicaSim {
         self.acc.events += 1;
         match ev {
             Ev::Arrival(r) => {
-                let r = r as usize;
-                self.lookup_retrieval_cache(r, t);
+                self.lookup_retrieval_cache(self.arena.at(r), t);
                 self.route_to_stage(r, 0, t);
             }
             Ev::StageDone { resource } => {
@@ -1745,26 +1851,17 @@ impl ReplicaSim {
                 let stage = self.stage_batches[resource].stage as usize;
                 let last_stage = stage + 1 == self.spec.stages.len();
                 for &r in &members {
-                    let r = r as usize;
-                    self.arena.push_stage_end(r, t);
+                    let i = self.arena.at(r);
+                    self.arena.push_stage_end(i, t);
                     if last_stage {
                         // The main prefix emits the first output token.
-                        self.arena.queue_entry_s[r] = t;
-                        self.arena.first_token_s[r] = t;
+                        self.arena.queue_entry_s[i] = t;
+                        self.arena.first_token_s[i] = t;
                         if self.spec.handoff {
-                            // Prefill-pool replica: the request is done here;
-                            // its KV state becomes ready for the cross-pool
-                            // transfer instead of joining decode admission.
-                            self.arena.decode_join_s[r] = t;
-                            self.arena.completion_s[r] = t;
-                            self.completed += 1;
-                            self.handoff_log.push((t, r as u32));
-                            if self.track_completions {
-                                let ttft = t - self.requests[r].arrival_s;
-                                self.completion_log.push((t, ttft, 0.0));
-                            }
+                            // Prefill-pool replica: the request is done here.
+                            self.complete_handoff(i, t);
                         } else {
-                            self.admission.push_back(r as u32);
+                            self.admission.push_back(r);
                         }
                     } else {
                         self.route_to_stage(r, stage + 1, t);
@@ -1778,7 +1875,7 @@ impl ReplicaSim {
                 self.stepping = false;
                 let mut members = std::mem::take(&mut self.step_members);
                 for &r in &members {
-                    let ri = r as usize;
+                    let ri = self.arena.at(r);
                     let tokens = self.arena.tokens[ri];
                     self.arena.generated[ri] += 1;
                     let generated = self.arena.generated[ri];
@@ -1804,7 +1901,7 @@ impl ReplicaSim {
                         if self.track_completions {
                             let first = self.arena.first_token_s[ri];
                             debug_assert!(first != UNSET, "first token precedes completion");
-                            let ttft = first - self.requests[ri].arrival_s;
+                            let ttft = first - self.arena.requests[ri].arrival_s;
                             let tpot =
                                 (t - self.arena.decode_join_s[ri]) / f64::from(tokens.max(1));
                             self.completion_log.push((t, ttft, tpot));
@@ -1818,7 +1915,8 @@ impl ReplicaSim {
                 self.in_flight_retrievals -= 1;
                 let mut members = std::mem::take(&mut self.retrieval_pool[slot as usize]);
                 for &r in &members {
-                    self.arena.paused[r as usize] = false;
+                    let i = self.arena.at(r);
+                    self.arena.paused[i] = false;
                 }
                 members.clear();
                 self.retrieval_pool[slot as usize] = members;
@@ -1853,9 +1951,9 @@ impl ReplicaSim {
             debug_assert!(members.is_empty(), "free resource has a live batch buffer");
             members.extend(self.stage_queues[stage].drain(..take));
             for &r in &members {
-                let r = r as usize;
-                self.arena.push_stage_start(r, now);
-                self.arena.queueing_s[r] += now - self.arena.queue_entry_s[r];
+                let i = self.arena.at(r);
+                self.arena.push_stage_start(i, now);
+                self.arena.queueing_s[i] += now - self.arena.queue_entry_s[i];
             }
             let full = self.spec.stages[stage].latency.latency(take as u32);
             let charged = self.charge_prefix_cache(stage, &members, full, now);
@@ -1892,7 +1990,7 @@ impl ReplicaSim {
         let mut total_tokens: u64 = 0;
         let mut saved_tokens: u64 = 0;
         for &r in members {
-            let req = &self.requests[r as usize];
+            let req = &self.arena.requests[self.arena.at(r)];
             total_tokens += u64::from(req.prefix_tokens);
             if let Some(identity) = req.identity {
                 let shared = identity.shared_prefix_tokens.min(req.prefix_tokens);
@@ -1926,7 +2024,7 @@ impl ReplicaSim {
             let Some(r) = self.admission.pop_front() else {
                 break;
             };
-            let ri = r as usize;
+            let ri = self.arena.at(r);
             self.arena.decode_join_s[ri] = now;
             self.arena.queueing_s[ri] += now - self.arena.queue_entry_s[ri];
             let pos = match self.resident.binary_search(&r) {
@@ -1961,7 +2059,8 @@ impl ReplicaSim {
                         let Some(r) = self.retrieval_queue.pop_front() else {
                             break;
                         };
-                        self.arena.paused[r as usize] = false;
+                        let i = self.arena.at(r);
+                        self.arena.paused[i] = false;
                     }
                 } else {
                     self.in_flight_retrievals += 1;
@@ -1996,7 +2095,7 @@ impl ReplicaSim {
                 resident
                     .iter()
                     .copied()
-                    .filter(|&r| !arena.paused[r as usize]),
+                    .filter(|&r| !arena.paused[arena.at(r)]),
             );
             let fill = self.step_members.len() as u32;
             if fill > 0 {
@@ -2012,7 +2111,7 @@ impl ReplicaSim {
     fn active_count(&self) -> usize {
         self.resident
             .iter()
-            .filter(|&&r| !self.arena.paused[r as usize])
+            .filter(|&&r| !self.arena.paused[self.arena.at(r)])
             .count()
     }
 
@@ -2063,47 +2162,29 @@ impl ReplicaSim {
             }
             _ => Vec::new(),
         };
-        let slot = self.arena.push_slot(req.decode_tokens, &positions);
-        debug_assert_eq!(slot as usize, self.requests.len());
-        self.requests.push(req);
-        self.queue.push_arrival(now, Ev::Arrival(slot));
+        self.push_arrival(req, positions, now);
     }
 
     /// Tears down a crashed or preempted replica at its current instant:
-    /// every request that already completed becomes a timeline (exactly as
-    /// [`ReplicaSim::finish`] would emit it), every request still in flight
-    /// or queued is returned as its original [`EngineRequest`] for the
-    /// caller to re-queue or fail, and the accumulators keep the work the
-    /// replica did perform. Unprocessed events die with the replica —
-    /// including work that would have completed at the very crash instant,
-    /// which [`ReplicaSim::advance_before`] leaves unprocessed; the crash
-    /// wins that tie by construction, and the chaos goldens pin it.
-    pub(crate) fn dismantle(self) -> (Vec<RequestTimeline>, Vec<EngineRequest>, SimAccumulators) {
-        let arena = &self.arena;
-        let mut timelines = Vec::new();
+    /// every request that already completed retires into the sink (in
+    /// injection order, exactly as [`ReplicaSim::finish`] would have
+    /// retired it), every request still in flight or queued is returned as
+    /// its original [`EngineRequest`] for the caller to re-queue or fail,
+    /// and the accumulators keep the work the replica did perform.
+    /// Unprocessed events die with the replica — including work that would
+    /// have completed at the very crash instant, which
+    /// [`ReplicaSim::advance_before`] leaves unprocessed; the crash wins
+    /// that tie by construction, and the chaos goldens pin it.
+    pub(crate) fn dismantle(mut self) -> (Retired, Vec<EngineRequest>) {
         let mut in_flight = Vec::new();
-        for (r, req) in self.requests.iter().enumerate() {
-            let completion_s = arena.completion_s[r];
-            if completion_s == UNSET {
-                in_flight.push(*req);
-                continue;
+        for i in self.arena.head..self.arena.len() {
+            if self.arena.completion_s[i] == UNSET {
+                in_flight.push(self.arena.requests[i]);
+            } else {
+                self.sink.record(&self.arena.outcome(i));
             }
-            let first_token_s = arena.first_token_s[r];
-            debug_assert!(first_token_s != UNSET, "completed without a first token");
-            timelines.push(RequestTimeline {
-                id: req.id,
-                arrival_s: req.arrival_s,
-                stage_starts_s: arena.stage_starts(r).to_vec(),
-                stage_ends_s: arena.stage_ends(r).to_vec(),
-                class: req.class,
-                decode_join_s: arena.decode_join_s[r],
-                first_token_s,
-                completion_s,
-                queueing_s: arena.queueing_s[r],
-                decode_tokens: req.decode_tokens,
-            });
         }
-        (timelines, in_flight, self.acc)
+        (self.into_retired(), in_flight)
     }
 
     /// Drains the prefill-handoff records accumulated since the last call:
@@ -2113,11 +2194,7 @@ impl ReplicaSim {
     /// ids, arrival times, classes, and content identity all preserved for
     /// re-injection into a decode-pool replica.
     pub(crate) fn take_handoffs(&mut self, out: &mut Vec<(f64, EngineRequest)>) {
-        while self.handoff_cursor < self.handoff_log.len() {
-            let (ready_s, slot) = self.handoff_log[self.handoff_cursor];
-            self.handoff_cursor += 1;
-            out.push((ready_s, self.requests[slot as usize]));
-        }
+        out.append(&mut self.handoff_log);
     }
 
     /// `(completion, ttft, tpot)` of every request completed at or before
@@ -2139,101 +2216,47 @@ impl ReplicaSim {
         self.acc.events
     }
 
-    /// Feeds every completed request to `sink`, once each, in injection
-    /// (= arrival) order. Outcomes borrow the arena's stage slices, so the
-    /// walk allocates nothing; what the sink retains is its own choice.
+    /// Consumes the finished simulation into its sink — every request
+    /// retired, the accumulators moved in — and its live-slot peak.
     ///
     /// # Panics
     ///
     /// Panics if any request has not completed — call
     /// [`ReplicaSim::run_to_completion`] first.
-    pub(crate) fn drain_outcomes<S: crate::sink::MetricsSink + ?Sized>(&self, sink: &mut S) {
-        debug_assert!(
-            self.queue.is_empty(),
-            "drain_outcomes() requires the event queue to be drained"
-        );
-        let arena = &self.arena;
-        for (r, req) in self.requests.iter().enumerate() {
-            let first_token_s = arena.first_token_s[r];
-            let completion_s = arena.completion_s[r];
-            assert!(
-                first_token_s != UNSET,
-                "every request emits a first token before the engine finishes"
-            );
-            assert!(
-                completion_s != UNSET,
-                "every request completes before the engine finishes"
-            );
-            sink.record(&crate::sink::RequestOutcome {
-                id: req.id,
-                class: req.class,
-                arrival_s: req.arrival_s,
-                stage_starts_s: arena.stage_starts(r),
-                stage_ends_s: arena.stage_ends(r),
-                decode_join_s: arena.decode_join_s[r],
-                first_token_s,
-                completion_s,
-                queueing_s: arena.queueing_s[r],
-                decode_tokens: req.decode_tokens,
-            });
-        }
-    }
-
-    /// Consumes the finished simulation into its accumulators — the
-    /// companion of [`ReplicaSim::drain_outcomes`], which streams the
-    /// per-request side.
-    pub(crate) fn into_accumulators(self) -> SimAccumulators {
-        self.acc
-    }
-
-    /// Consumes the finished simulation into per-request timelines (in
-    /// injection = arrival order) and the aggregate accumulators.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any request has not completed — call
-    /// [`ReplicaSim::run_to_completion`] first.
-    pub(crate) fn finish(self) -> (Vec<RequestTimeline>, SimAccumulators) {
+    pub(crate) fn finish(self) -> Retired {
         debug_assert!(
             self.queue.is_empty(),
             "finish() requires the event queue to be drained"
         );
-        let arena = &self.arena;
-        let timelines: Vec<RequestTimeline> = self
-            .requests
-            .iter()
-            .enumerate()
-            .map(|(r, req)| {
-                // The event loop drains the queue only after every request
-                // has generated its final token; a request without a first
-                // token or completion would be an engine bug, so fail loudly
-                // rather than emit a silently wrong report.
-                let first_token_s = arena.first_token_s[r];
-                let completion_s = arena.completion_s[r];
-                assert!(
-                    first_token_s != UNSET,
-                    "every request emits a first token before the engine finishes"
-                );
-                assert!(
-                    completion_s != UNSET,
-                    "every request completes before the engine finishes"
-                );
-                RequestTimeline {
-                    id: req.id,
-                    arrival_s: req.arrival_s,
-                    stage_starts_s: arena.stage_starts(r).to_vec(),
-                    stage_ends_s: arena.stage_ends(r).to_vec(),
-                    class: req.class,
-                    decode_join_s: arena.decode_join_s[r],
-                    first_token_s,
-                    completion_s,
-                    queueing_s: arena.queueing_s[r],
-                    decode_tokens: req.decode_tokens,
-                }
-            })
-            .collect();
-        (timelines, self.acc)
+        // The event loop drains the queue only after every request has
+        // generated its final token and retired; a request left over would
+        // be an engine bug, so fail loudly rather than emit a silently
+        // wrong report.
+        assert!(
+            self.arena.live() == 0,
+            "every request completes before the engine finishes"
+        );
+        self.into_retired()
     }
+
+    fn into_retired(mut self) -> Retired {
+        if let RunSink::Exact(sink) = &mut self.sink {
+            sink.build_timelines();
+        }
+        *self.sink.acc_mut() = self.acc;
+        Retired {
+            sink: self.sink,
+            peak_live: self.peak_live,
+        }
+    }
+}
+
+/// A consumed replica simulation: its sink, holding every retired request
+/// and the run's accumulators, and the most request slots it held at once.
+pub(crate) struct Retired {
+    pub(crate) sink: RunSink,
+    /// The most requests injected and not yet retired at any one time.
+    pub(crate) peak_live: usize,
 }
 
 /// Builds a [`ServingReport`] from completed timelines and the simulation

@@ -37,7 +37,11 @@
 //! [`FleetReport`] plus the scaling history, the fault ledger, and the
 //! transfer statistics. A one-replica static fleet reproduces
 //! [`ServingEngine::run`](crate::engine::ServingEngine::run) exactly
-//! (`tests/proptest_cluster.rs`). A static, fault-free, admission-free
+//! (`tests/proptest_cluster.rs`). The loop pulls its arrivals one at a
+//! time ([`FleetEngine::run_pulled`]) and each replica retires a request
+//! once it and every earlier one have completed, so a lazily generated
+//! trace drives the fleet with per-request state only for requests in
+//! flight. A static, fault-free, admission-free
 //! fleet can also run *verdict-only*
 //! ([`FleetEngine::run_trace_verdict`]): the same loop, stopped once its
 //! final SLO misses rule the attainment target out — what the capacity
@@ -84,7 +88,7 @@ use crate::autoscaler::{AutoscalerPolicy, ReplicaLifetime, ScalingAction, Scalin
 use crate::cluster::{route_pick, FleetReport, LoadImbalance, ReplicaReport};
 use crate::engine::{
     build_report, compute_metrics_for, sort_by_arrival, CacheProbe, ClassMetrics, EngineRequest,
-    PipelineSpec, ReplicaSim, RequestTimeline, ServingReport, SimAccumulators,
+    PipelineSpec, ReplicaSim, RequestTimeline, Retired, ServingReport, SimAccumulators,
 };
 use crate::equeue::{EventQueue, EventQueueStats};
 use crate::faults::{
@@ -92,10 +96,10 @@ use crate::faults::{
     FaultReport, FaultSchedule, ScaleDriver, ShedEvent,
 };
 use crate::pools::TransferStats;
-use crate::sink::{HistogramSink, MetricsMode, MetricsSink, RequestOutcome};
+use crate::sink::{MetricsMode, RunSink};
 use rago_schema::{KvTransferModel, PoolRole, PoolSpec, RouterPolicy, SloTarget};
 use rago_telemetry::Recorder;
-use rago_workloads::Trace;
+use rago_workloads::{Request, Trace};
 use rayon::prelude::*;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -270,9 +274,11 @@ impl FleetEngine {
         &self.driver
     }
 
-    /// Runs a generated trace through the fleet.
+    /// Runs a generated trace through the fleet, reading its requests in
+    /// place — an unsorted trace through a permutation sorted by
+    /// `(arrival, id)`, the order [`Self::run`] sorts into.
     pub fn run_trace(&self, trace: &Trace) -> ChaosReport {
-        self.run(trace.requests.iter().map(EngineRequest::from).collect())
+        self.run_trace_with_mode(trace, &MetricsMode::Exact)
     }
 
     /// [`Self::run_trace`] for a caller that needs only the verdict
@@ -307,9 +313,8 @@ impl FleetEngine {
                 && self.admission.is_none(),
             "a verdict-only run needs a static, fault-free, admission-free fleet"
         );
-        let requests = trace.requests.iter().map(EngineRequest::from).collect();
         self.run_recorded(
-            requests,
+            trace_arrivals(trace),
             &MetricsMode::Exact,
             Some(slo),
             &mut rago_telemetry::NullRecorder,
@@ -319,9 +324,10 @@ impl FleetEngine {
 
     /// [`Self::run_trace`] with an explicit metrics pipeline.
     pub fn run_trace_with_mode(&self, trace: &Trace, mode: &MetricsMode) -> ChaosReport {
-        self.run_with_mode(
-            trace.requests.iter().map(EngineRequest::from).collect(),
+        self.run_pulled_traced(
+            trace_arrivals(trace),
             mode,
+            &mut rago_telemetry::NullRecorder,
         )
     }
 
@@ -339,7 +345,7 @@ impl FleetEngine {
     }
 
     /// [`Self::run`] with an explicit metrics pipeline. In streaming mode
-    /// every replica drains into its own [`HistogramSink`] and the sinks
+    /// every replica retires into its own [`crate::sink::HistogramSink`] and the sinks
     /// merge in slot order: the fleet report holds no timelines and no
     /// assignment log (the scaling history, lifetimes, and fault ledger are
     /// `O(events + replicas)` and kept either way). The merged
@@ -351,6 +357,25 @@ impl FleetEngine {
     /// As [`Self::run`], and for a streaming mode on a split fleet.
     pub fn run_with_mode(&self, requests: Vec<EngineRequest>, mode: &MetricsMode) -> ChaosReport {
         self.run_traced(requests, mode, &mut rago_telemetry::NullRecorder)
+    }
+
+    /// Runs the fleet over arrivals pulled one at a time from `arrivals`,
+    /// in the order they come: nothing is copied or sorted, so a generator
+    /// such as `rago_workloads::TraceSpec::requests` drives the fleet
+    /// without a trace ever being materialized. Together with arrival-order
+    /// slot retirement, a streaming run then holds per-request state only
+    /// for the requests in flight. [`Self::run_with_mode`] is this after a
+    /// sort by `(arrival, id)`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::run_with_mode`], and when a pulled arrival is earlier
+    /// than the one before it.
+    pub fn run_pulled<I>(&self, arrivals: I, mode: &MetricsMode) -> ChaosReport
+    where
+        I: ExactSizeIterator<Item = EngineRequest>,
+    {
+        self.run_pulled_traced(arrivals, mode, &mut rago_telemetry::NullRecorder)
     }
 
     /// [`Self::run_with_mode`] recording a trace into `rec`: router picks
@@ -367,11 +392,25 @@ impl FleetEngine {
     /// [`Self::run_with_mode`].
     pub fn run_traced<R: Recorder>(
         &self,
-        requests: Vec<EngineRequest>,
+        mut requests: Vec<EngineRequest>,
         mode: &MetricsMode,
         rec: &mut R,
     ) -> ChaosReport {
-        let Ok((report, obs)) = self.run_recorded(requests, mode, None, rec) else {
+        sort_by_arrival(&mut requests);
+        self.run_pulled_traced(requests.into_iter(), mode, rec)
+    }
+
+    /// [`Self::run_pulled`] recording into `rec`, as [`Self::run_traced`].
+    fn run_pulled_traced<R: Recorder, I>(
+        &self,
+        arrivals: I,
+        mode: &MetricsMode,
+        rec: &mut R,
+    ) -> ChaosReport
+    where
+        I: ExactSizeIterator<Item = EngineRequest>,
+    {
+        let Ok((report, obs)) = self.run_recorded(arrivals, mode, None, rec) else {
             unreachable!("a run without a miss budget never stops early")
         };
         if R::ENABLED {
@@ -407,26 +446,29 @@ impl FleetEngine {
         (report, rec)
     }
 
-    /// The one fleet loop. The recorder sees router picks only; everything
-    /// else is derived from the returned ledgers. With a miss budget the
-    /// loop stops once `budget`'s verdict is lost (see
-    /// [`Self::run_trace_verdict`]); without one it always runs out.
-    fn run_recorded<R: Recorder>(
+    /// The one fleet loop, pulling sorted arrivals from `arrivals`. The
+    /// recorder sees router picks only; everything else is derived from
+    /// the returned ledgers. With a miss budget the loop stops once
+    /// `budget`'s verdict is lost (see [`Self::run_trace_verdict`]);
+    /// without one it always runs out.
+    fn run_recorded<R: Recorder, I>(
         &self,
-        mut requests: Vec<EngineRequest>,
+        arrivals: I,
         mode: &MetricsMode,
         budget: Option<&SloTarget>,
         rec: &mut R,
-    ) -> Result<(ChaosReport, Vec<ReplicaObs>), LostVerdict> {
+    ) -> Result<(ChaosReport, Vec<ReplicaObs>), LostVerdict>
+    where
+        I: ExactSizeIterator<Item = EngineRequest>,
+    {
         assert!(
             self.split.is_none() || matches!(mode, MetricsMode::Exact),
             "a prefill/decode split stitches exact timelines; run it in MetricsMode::Exact"
         );
-        sort_by_arrival(&mut requests);
-        let mut budget = budget.map(|slo| MissBudget::new(*slo, requests.len()));
-        let mut run = Run::new(self, mode, R::ENABLED, budget.is_some(), requests.len());
-        let last_arrival = requests.last().map_or(0.0, |r| r.arrival_s);
-        let mut next_req = 0usize;
+        let injected = arrivals.len();
+        let mut arrivals = Arrivals::new(arrivals);
+        let mut budget = budget.map(|slo| MissBudget::new(*slo, injected));
+        let mut run = Run::new(self, mode, R::ENABLED, budget.is_some(), injected);
         // Reactive tick clock / predictive step cursor.
         let mut next_tick = match &self.driver {
             ScaleDriver::Reactive(policy) => policy.evaluation_interval_s,
@@ -438,17 +480,20 @@ impl FleetEngine {
             let agenda_pick = run.next_agendum();
             let agenda_t = agenda_pick.map(|(_, t)| t);
             let flush_t = run.flush_time();
+            let arrival_t = arrivals.peek().map(|r| r.arrival_s);
+            // Policy ticks run up to the last arrival: live while another
+            // arrival is coming, and then up to the last one pulled.
+            let tick_live = |t: f64| arrival_t.is_some() || t <= arrivals.last_s;
             let tick_t = match &self.driver {
-                ScaleDriver::Reactive(_) => (next_tick <= last_arrival).then_some(next_tick),
+                ScaleDriver::Reactive(_) => tick_live(next_tick).then_some(next_tick),
                 ScaleDriver::Predictive(p) => p
                     .plan
                     .steps
                     .get(next_step)
                     .map(|s| s.at_s)
-                    .filter(|&t| t <= last_arrival),
+                    .filter(|&t| tick_live(t)),
                 ScaleDriver::Static { .. } => None,
             };
-            let arrival_t = requests.get(next_req).map(|r| r.arrival_s);
             let transfer_t = run.next_transfer(
                 [agenda_t, flush_t, tick_t, arrival_t]
                     .into_iter()
@@ -499,15 +544,12 @@ impl FleetEngine {
                         .into_iter()
                         .flatten()
                         .fold(f64::INFINITY, f64::min);
-                    while let Some(&req) = requests.get(next_req).filter(|r| r.arrival_s < horizon)
-                    {
-                        if run
-                            .next_transfer(Some(req.arrival_s))
-                            .is_some_and(|t| t < req.arrival_s)
-                        {
+                    while let Some(req) = arrivals.peek().filter(|r| r.arrival_s < horizon) {
+                        let at = req.arrival_s;
+                        if run.next_transfer(Some(at)).is_some_and(|t| t < at) {
                             break;
                         }
-                        next_req += 1;
+                        let req = arrivals.pull();
                         let routed = run.arrive(req, rec);
                         if let Some(budget) = &mut budget {
                             budget.check(&run)?;
@@ -523,7 +565,93 @@ impl FleetEngine {
                 budget.check(&run)?;
             }
         }
-        Ok(run.finish(requests.len()))
+        Ok(run.finish(injected))
+    }
+}
+
+/// `trace`'s requests in the fleet's injection order, ascending
+/// `(arrival, id)`, without copying the trace: a sorted trace — what every
+/// `rago-workloads` generator emits — is read in place, and an unsorted one
+/// through a `u32` permutation, stably sorted like
+/// [`crate::engine::ServingEngine::new`] sorts its requests.
+///
+/// # Panics
+///
+/// Panics if an unsorted trace has more than `u32::MAX` requests.
+fn trace_arrivals(trace: &Trace) -> impl ExactSizeIterator<Item = EngineRequest> + '_ {
+    let requests = &trace.requests;
+    let before =
+        |a: &Request, b: &Request| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id));
+    let order = (!requests.windows(2).all(|w| before(&w[0], &w[1]).is_le())).then(|| {
+        let n = u32::try_from(requests.len()).expect("an unsorted trace fits a u32 permutation");
+        let mut order: Vec<u32> = (0..n).collect();
+        order.sort_by(|&a, &b| before(&requests[a as usize], &requests[b as usize]));
+        order
+    });
+    (0..requests.len()).map(move |k| {
+        let i = order.as_ref().map_or(k, |order| order[k] as usize);
+        EngineRequest::from(&requests[i])
+    })
+}
+
+/// The fleet loop's arrival source: the next arrival held for peeking,
+/// the rest pulled on demand. Every arrival is checked as it is fetched —
+/// finite, non-negative, and no earlier than the one before — so no input
+/// can stall the loop on an arrival it can never route.
+struct Arrivals<I> {
+    source: I,
+    next: Option<EngineRequest>,
+    /// The last arrival pulled (zero before the first).
+    last_s: f64,
+}
+
+impl<I: Iterator<Item = EngineRequest>> Arrivals<I> {
+    fn new(source: I) -> Self {
+        let mut arrivals = Self {
+            source,
+            next: None,
+            last_s: 0.0,
+        };
+        arrivals.next = arrivals.fetch();
+        arrivals
+    }
+
+    fn fetch(&mut self) -> Option<EngineRequest> {
+        let req = self.source.next()?;
+        assert!(
+            req.arrival_s.is_finite() && req.arrival_s >= 0.0,
+            "arrival times must be finite and non-negative (request {} arrives at {})",
+            req.id,
+            req.arrival_s
+        );
+        assert!(
+            req.arrival_s >= self.last_s,
+            "arrivals must be pulled in non-decreasing time order \
+             (request {} arrives at {} after {})",
+            req.id,
+            req.arrival_s,
+            self.last_s
+        );
+        Some(req)
+    }
+
+    fn peek(&self) -> Option<&EngineRequest> {
+        self.next.as_ref()
+    }
+
+    /// Takes the peeked arrival and fetches the one after it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the source is exhausted.
+    fn pull(&mut self) -> EngineRequest {
+        let req = self
+            .next
+            .take()
+            .expect("pull() follows a successful peek()");
+        self.last_s = req.arrival_s;
+        self.next = self.fetch();
+        req
     }
 }
 
@@ -775,8 +903,8 @@ struct Run<'e> {
     pools: Vec<Pool>,
     /// A split fleet's transfer lane.
     transfers: Option<Transfers>,
-    /// Harvests of replicas that died mid-run.
-    dead: Vec<(usize, Harvest, ReplicaObs)>,
+    /// Retired sinks of replicas that died mid-run.
+    dead: Vec<(usize, Retired, ReplicaObs)>,
     /// Whether routing decisions are logged (exact mode only).
     log_assignments: bool,
     events: Vec<ScalingEvent>,
@@ -868,7 +996,7 @@ impl<'e> Run<'e> {
     /// Appends a fresh, cold replica slot running pipeline `spec` in
     /// `pool`.
     fn provision(&mut self, spec: usize, pool: usize, now: f64, routable_s: f64) -> usize {
-        let mut sim = ReplicaSim::new(self.engine.specs[spec].clone());
+        let mut sim = ReplicaSim::new(self.engine.specs[spec].clone(), self.mode);
         sim.track_completions = self.track_completions;
         sim.track_probes = self.track_probes;
         let home = self.pools[pool].size;
@@ -1245,9 +1373,8 @@ impl<'e> Run<'e> {
         self.advance(pool, now);
         let mut sim = self.slots[slot].sim.take().expect("only live slots die");
         let obs = ReplicaObs::take(slot, &mut sim);
-        let (timelines, in_flight, acc) = sim.dismantle();
-        self.dead
-            .push((slot, Harvest::dismantled(timelines, acc, self.mode), obs));
+        let (retired, in_flight) = sim.dismantle();
+        self.dead.push((slot, retired, obs));
         let dying = &mut self.slots[slot];
         dying.decommissioned_s.get_or_insert(now);
         dying.retired_at = Some(now);
@@ -1511,88 +1638,23 @@ impl ReplicaObs {
     }
 }
 
-/// One replica's finished results, in the run's metrics mode.
-enum Harvest {
-    /// Completed timelines, in injection order, and the accumulators.
-    Exact(Vec<RequestTimeline>, SimAccumulators),
-    /// A histogram sink holding the completed outcomes and the
-    /// accumulators.
-    Streaming(Box<HistogramSink>),
-}
-
-impl Harvest {
-    /// An empty fleet-level harvest to merge replicas into.
-    fn empty(mode: &MetricsMode, requests: usize) -> Self {
-        match mode {
-            MetricsMode::Exact => {
-                Harvest::Exact(Vec::with_capacity(requests), SimAccumulators::default())
-            }
-            MetricsMode::Streaming(config) => {
-                Harvest::Streaming(Box::new(HistogramSink::new(config)))
-            }
-        }
-    }
-
-    /// Harvests a simulation run to completion.
-    fn drained(sim: ReplicaSim, mode: &MetricsMode) -> Self {
-        match mode {
-            MetricsMode::Exact => {
-                let (timelines, acc) = sim.finish();
-                Harvest::Exact(timelines, acc)
-            }
-            MetricsMode::Streaming(config) => {
-                let mut sink = HistogramSink::new(config);
-                sim.drain_outcomes(&mut sink);
-                sink.acc = sim.into_accumulators();
-                Harvest::Streaming(Box::new(sink))
-            }
-        }
-    }
-
-    /// Harvests the completed work of a replica that died mid-run.
-    fn dismantled(
-        timelines: Vec<RequestTimeline>,
-        acc: SimAccumulators,
-        mode: &MetricsMode,
-    ) -> Self {
-        match mode {
-            MetricsMode::Exact => Harvest::Exact(timelines, acc),
-            MetricsMode::Streaming(config) => {
-                let mut sink = HistogramSink::new(config);
-                for t in &timelines {
-                    sink.record(&RequestOutcome {
-                        id: t.id,
-                        class: t.class,
-                        arrival_s: t.arrival_s,
-                        stage_starts_s: &t.stage_starts_s,
-                        stage_ends_s: &t.stage_ends_s,
-                        decode_join_s: t.decode_join_s,
-                        first_token_s: t.first_token_s,
-                        completion_s: t.completion_s,
-                        queueing_s: t.queueing_s,
-                        decode_tokens: t.decode_tokens,
-                    });
-                }
-                sink.acc = acc;
-                Harvest::Streaming(Box::new(sink))
-            }
-        }
-    }
-
-    /// Folds one replica's harvest into this fleet-level one and returns
-    /// the replica's own report.
-    fn absorb(&mut self, replica: Harvest) -> ServingReport {
+/// Fleet-level merging of the replicas' sinks. An exact fleet keeps the
+/// timelines of every replica; a streaming one merges histograms.
+impl RunSink {
+    /// Folds one replica's sink into this fleet-level one and returns the
+    /// replica's own report.
+    fn absorb(&mut self, replica: RunSink) -> ServingReport {
         match (self, replica) {
-            (Harvest::Exact(all, all_acc), Harvest::Exact(timelines, acc)) => {
-                all.extend(timelines.iter().cloned());
-                all_acc.merge_from(&acc);
-                build_report(timelines, &acc)
+            (RunSink::Exact(all), RunSink::Exact(sink)) => {
+                all.timelines.extend(sink.timelines.iter().cloned());
+                all.acc.merge_from(&sink.acc);
+                ServingReport::from_exact_sink(*sink)
             }
-            (Harvest::Streaming(all), Harvest::Streaming(sink)) => {
+            (RunSink::Streaming(all), RunSink::Streaming(sink)) => {
                 all.merge_from(&sink);
                 sink.into_report()
             }
-            _ => unreachable!("every replica harvests in the run's metrics mode"),
+            _ => unreachable!("every replica retires in the run's metrics mode"),
         }
     }
 
@@ -1600,11 +1662,11 @@ impl Harvest {
     /// sheds threaded in.
     fn into_merged_report(self, shed_by_class: &BTreeMap<u32, usize>) -> ServingReport {
         let (report, acc) = match self {
-            Harvest::Exact(mut timelines, acc) => {
-                timelines.sort_by(by_arrival);
-                (build_report(timelines, &acc), acc)
+            RunSink::Exact(mut sink) => {
+                sink.timelines.sort_by(by_arrival);
+                (build_report(sink.timelines, &sink.acc), sink.acc)
             }
-            Harvest::Streaming(sink) => {
+            RunSink::Streaming(sink) => {
                 let acc = sink.acc.clone();
                 (sink.into_report(), acc)
             }
@@ -1618,14 +1680,13 @@ impl Harvest {
     /// prefill leg; decode join and completion from the decode leg;
     /// queueing summed over both. A request whose decode never finished
     /// (its decode pool died under it) has no fleet timeline.
-    fn stitch(self, decode: Harvest, shed_by_class: &BTreeMap<u32, usize>) -> ServingReport {
-        let (Harvest::Exact(prefill_legs, prefill_acc), Harvest::Exact(decode_legs, decode_acc)) =
-            (self, decode)
-        else {
+    fn stitch(self, decode: RunSink, shed_by_class: &BTreeMap<u32, usize>) -> ServingReport {
+        let (RunSink::Exact(prefill), RunSink::Exact(decode)) = (self, decode) else {
             unreachable!("split fleets run in exact metrics mode")
         };
-        let mut decoded: HashMap<u64, RequestTimeline> = HashMap::with_capacity(decode_legs.len());
-        for leg in decode_legs {
+        let mut decoded: HashMap<u64, RequestTimeline> =
+            HashMap::with_capacity(decode.timelines.len());
+        for leg in decode.timelines {
             let id = leg.id;
             assert!(
                 decoded.insert(id, leg).is_none(),
@@ -1633,7 +1694,8 @@ impl Harvest {
                  stitches its two legs by request id"
             );
         }
-        let mut timelines: Vec<RequestTimeline> = prefill_legs
+        let mut timelines: Vec<RequestTimeline> = prefill
+            .timelines
             .into_iter()
             .filter_map(|p| {
                 let d = decoded.remove(&p.id)?;
@@ -1653,8 +1715,8 @@ impl Harvest {
         );
         timelines.sort_by(by_arrival);
         let mut acc = SimAccumulators::default();
-        acc.merge_from(&prefill_acc);
-        acc.merge_from(&decode_acc);
+        acc.merge_from(&prefill.acc);
+        acc.merge_from(&decode.acc);
         with_sheds(build_report(timelines, &acc), &acc, shed_by_class)
     }
 }
@@ -1704,7 +1766,7 @@ fn with_sheds(
 /// stitches the two pools' legs into the merged report.
 fn drain_and_merge(
     live: Vec<(usize, ReplicaSim)>,
-    mut harvests: Vec<(usize, Harvest, ReplicaObs)>,
+    mut harvests: Vec<(usize, Retired, ReplicaObs)>,
     slots: &[Slot],
     assignments: Vec<(u64, usize)>,
     router: RouterPolicy,
@@ -1714,7 +1776,7 @@ fn drain_and_merge(
     let drain = |(replica, mut sim): (usize, ReplicaSim)| {
         sim.run_to_completion();
         let obs = ReplicaObs::take(replica, &mut sim);
-        (replica, Harvest::drained(sim, mode), obs)
+        (replica, sim.finish(), obs)
     };
     if live.len() > 1 {
         let mut drained = live
@@ -1736,22 +1798,23 @@ fn drain_and_merge(
 
     let split = slots.iter().any(|s| s.pool == DECODE_POOL);
     let legs_per_pool = assignments.len() / (1 + usize::from(split));
-    let mut merged = Harvest::empty(mode, legs_per_pool);
-    let mut decode = split.then(|| Harvest::empty(mode, legs_per_pool));
+    let mut merged = RunSink::new(mode, legs_per_pool);
+    let mut decode = split.then(|| RunSink::new(mode, legs_per_pool));
     let mut per_replica = Vec::with_capacity(harvests.len());
     let mut obs = Vec::with_capacity(harvests.len());
-    for (replica, mut harvest, ob) in harvests {
+    for (replica, mut retired, ob) in harvests {
         let leg = match &mut decode {
             Some(decode) if slots[replica].pool == DECODE_POOL => decode,
             _ => &mut merged,
         };
-        if let (true, Harvest::Exact(timelines, _)) = (split, &mut harvest) {
-            timelines.sort_by(by_arrival);
+        if let (true, RunSink::Exact(sink)) = (split, &mut retired.sink) {
+            sink.timelines.sort_by(by_arrival);
         }
         per_replica.push(ReplicaReport {
             replica,
             assigned: slots[replica].assigned,
-            report: leg.absorb(harvest),
+            peak_live_requests: retired.peak_live,
+            report: leg.absorb(retired.sink),
         });
         obs.push(ob);
     }
@@ -2035,6 +2098,43 @@ mod tests {
             stopped > 0 && complete > 0,
             "{stopped} stopped, {complete} complete"
         );
+    }
+
+    /// A trace is read in place, sorted or not: an unsorted one runs
+    /// exactly as its sorted copy does, and as the request vector `run`
+    /// sorts itself.
+    #[test]
+    fn unsorted_traces_run_in_sorted_order() {
+        let mut sorted = poisson_trace(120, 80.0, 8);
+        // A tie at one instant, which the ids break.
+        sorted.requests[11].arrival_s = sorted.requests[10].arrival_s;
+        let mut shuffled = sorted.clone();
+        shuffled.requests.reverse();
+        shuffled.requests.swap(3, 70);
+        let engine = FleetEngine::new(
+            one_stage_spec(0.03),
+            RouterPolicy::LeastOutstanding,
+            ScaleDriver::Static { replicas: 2 },
+        );
+        let report = engine.run_trace(&shuffled);
+        assert_eq!(report, engine.run_trace(&sorted));
+        let vector = shuffled.requests.iter().map(EngineRequest::from).collect();
+        assert_eq!(report, engine.run(vector));
+    }
+
+    /// Arrivals pulled out of time order are a caller bug the loop refuses
+    /// rather than a stall.
+    #[test]
+    #[should_panic(expected = "non-decreasing time order")]
+    fn pulled_arrivals_must_not_go_back_in_time() {
+        let mut reqs = requests(10, 0.1);
+        reqs.swap(2, 5);
+        let _ = FleetEngine::new(
+            one_stage_spec(0.03),
+            RouterPolicy::LeastOutstanding,
+            ScaleDriver::Static { replicas: 1 },
+        )
+        .run_pulled(reqs.into_iter(), &MetricsMode::Exact);
     }
 
     #[test]

@@ -144,7 +144,8 @@ impl RequestOutcome<'_> {
 
 /// An online consumer of completed-request outcomes. The engine calls
 /// [`record`](Self::record) exactly once per request, in injection (=
-/// arrival) order, after the simulation has drained.
+/// arrival) order, as each request retires: once it and every request
+/// injected before it have completed.
 pub trait MetricsSink {
     /// Observes one completed request.
     fn record(&mut self, outcome: &RequestOutcome<'_>);
@@ -152,10 +153,35 @@ pub trait MetricsSink {
 
 /// The identity sink: rebuilds every [`RequestTimeline`] and reports
 /// exactly what the default engine path reports, bit for bit.
+///
+/// Outcomes are recorded flat — scalars plus one shared pool of stage
+/// times — and built into timelines in one pass when the report is made,
+/// so a run that retires requests as it goes does not interleave two small
+/// allocations per request with the rest of its working set.
 #[derive(Debug, Clone, Default)]
 pub struct ExactSink {
     pub(crate) timelines: Vec<RequestTimeline>,
     pub(crate) acc: crate::engine::SimAccumulators,
+    /// Outcomes recorded since the last [`ExactSink::build_timelines`].
+    recorded: Vec<Recorded>,
+    /// Each recorded outcome's stage starts, then its stage ends.
+    stage_times: Vec<f64>,
+}
+
+/// The scalar half of one outcome an [`ExactSink`] has not yet built into
+/// a timeline.
+#[derive(Debug, Clone, Copy)]
+struct Recorded {
+    id: u64,
+    class: u32,
+    arrival_s: f64,
+    starts: u32,
+    ends: u32,
+    decode_join_s: f64,
+    first_token_s: f64,
+    completion_s: f64,
+    queueing_s: f64,
+    decode_tokens: u32,
 }
 
 impl ExactSink {
@@ -163,22 +189,110 @@ impl ExactSink {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Reserves room to record `additional` more outcomes of a pipeline
+    /// with `num_stages` pre-decode stages.
+    pub(crate) fn reserve(&mut self, additional: usize, num_stages: usize) {
+        self.recorded.reserve(additional);
+        self.stage_times.reserve(additional * 2 * num_stages);
+    }
+
+    /// Builds the recorded outcomes into [`RequestTimeline`]s, appended in
+    /// recording order, and frees the flat buffers.
+    pub(crate) fn build_timelines(&mut self) {
+        self.timelines.reserve_exact(self.recorded.len());
+        let mut stages = self.stage_times.as_slice();
+        for r in &self.recorded {
+            let (starts, rest) = stages.split_at(r.starts as usize);
+            let (ends, rest) = rest.split_at(r.ends as usize);
+            stages = rest;
+            self.timelines.push(RequestTimeline {
+                id: r.id,
+                arrival_s: r.arrival_s,
+                stage_starts_s: starts.to_vec(),
+                stage_ends_s: ends.to_vec(),
+                class: r.class,
+                decode_join_s: r.decode_join_s,
+                first_token_s: r.first_token_s,
+                completion_s: r.completion_s,
+                queueing_s: r.queueing_s,
+                decode_tokens: r.decode_tokens,
+            });
+        }
+        self.recorded = Vec::new();
+        self.stage_times = Vec::new();
+    }
 }
 
 impl MetricsSink for ExactSink {
     fn record(&mut self, outcome: &RequestOutcome<'_>) {
-        self.timelines.push(RequestTimeline {
+        self.recorded.push(Recorded {
             id: outcome.id,
-            arrival_s: outcome.arrival_s,
-            stage_starts_s: outcome.stage_starts_s.to_vec(),
-            stage_ends_s: outcome.stage_ends_s.to_vec(),
             class: outcome.class,
+            arrival_s: outcome.arrival_s,
+            starts: outcome.stage_starts_s.len() as u32,
+            ends: outcome.stage_ends_s.len() as u32,
             decode_join_s: outcome.decode_join_s,
             first_token_s: outcome.first_token_s,
             completion_s: outcome.completion_s,
             queueing_s: outcome.queueing_s,
             decode_tokens: outcome.decode_tokens,
         });
+        self.stage_times.extend_from_slice(outcome.stage_starts_s);
+        self.stage_times.extend_from_slice(outcome.stage_ends_s);
+    }
+}
+
+/// The sink of one run in its metrics mode: what a replica retires its
+/// completed requests into as the run goes, and what a fleet merges its
+/// replicas' sinks into.
+#[derive(Debug, Clone)]
+pub(crate) enum RunSink {
+    /// Retains every timeline ([`MetricsMode::Exact`]).
+    Exact(Box<ExactSink>),
+    /// Folds outcomes into histograms ([`MetricsMode::Streaming`]).
+    Streaming(Box<HistogramSink>),
+}
+
+impl RunSink {
+    /// An empty sink for `mode`; an exact one reserves room for
+    /// `timelines` requests.
+    pub(crate) fn new(mode: &MetricsMode, timelines: usize) -> Self {
+        match mode {
+            MetricsMode::Exact => RunSink::Exact(Box::new(ExactSink {
+                timelines: Vec::with_capacity(timelines),
+                ..ExactSink::default()
+            })),
+            MetricsMode::Streaming(config) => {
+                RunSink::Streaming(Box::new(HistogramSink::new(config)))
+            }
+        }
+    }
+
+    /// The run's accumulators.
+    pub(crate) fn acc_mut(&mut self) -> &mut crate::engine::SimAccumulators {
+        match self {
+            RunSink::Exact(sink) => &mut sink.acc,
+            RunSink::Streaming(sink) => &mut sink.acc,
+        }
+    }
+
+    /// The sink's report: exact timelines and metrics, or the streaming
+    /// `O(buckets)` report.
+    pub(crate) fn into_report(self) -> ServingReport {
+        match self {
+            RunSink::Exact(sink) => ServingReport::from_exact_sink(*sink),
+            RunSink::Streaming(sink) => ServingReport::from_histogram_sink(*sink),
+        }
+    }
+}
+
+impl MetricsSink for RunSink {
+    fn record(&mut self, outcome: &RequestOutcome<'_>) {
+        match self {
+            RunSink::Exact(sink) => sink.record(outcome),
+            RunSink::Streaming(sink) => sink.record(outcome),
+        }
     }
 }
 

@@ -5,10 +5,13 @@
 //! processes by thinning: candidate arrivals are drawn at the peak rate and
 //! accepted with probability `rate(t) / rate_max`, which is exact for any
 //! bounded rate function and stays deterministic in the RNG stream.
+//! Sampling is lazy ([`ArrivalProcess::times`]): a timestamp is drawn only
+//! when it is pulled.
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::borrow::BorrowMut;
 
 /// One piecewise-constant segment of a time-varying offered-rate profile.
 ///
@@ -115,7 +118,8 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
-    /// Generates `n` arrival timestamps (seconds, non-decreasing).
+    /// Generates `n` arrival timestamps (seconds, non-decreasing): the
+    /// collected [`Self::times`].
     ///
     /// # Examples
     ///
@@ -135,25 +139,43 @@ impl ArrivalProcess {
     ///
     /// # Panics
     ///
+    /// As [`Self::times`].
+    pub fn sample(&self, n: usize, rng: &mut StdRng) -> Vec<f64> {
+        self.times(n, rng).collect()
+    }
+
+    /// Lazily generates `n` arrival timestamps (seconds, non-decreasing),
+    /// one per `next()`, drawing from `rng` in exactly the order
+    /// [`Self::sample`] does — so a day-long trace can be replayed without
+    /// holding its timestamps.
+    ///
+    /// The time-varying processes are sampled by thinning (Lewis &
+    /// Shedler): candidates arrive as a homogeneous process at the peak
+    /// rate and are kept with probability `rate(t) / rate_max`.
+    ///
+    /// ```
+    /// use rago_workloads::ArrivalProcess;
+    /// use rand::rngs::StdRng;
+    /// use rand::SeedableRng;
+    ///
+    /// let process = ArrivalProcess::Poisson { rate_rps: 100.0 };
+    /// let lazy: Vec<f64> = process.times(50, StdRng::seed_from_u64(1)).collect();
+    /// assert_eq!(lazy, process.sample(50, &mut StdRng::seed_from_u64(1)));
+    /// ```
+    ///
+    /// # Panics
+    ///
     /// Panics if a Poisson rate or burst period is not positive, a burst
     /// size is zero, or a time-varying profile is degenerate (no segments,
     /// zero peak rate, non-positive period, peak below base, a
     /// non-positive spike duration, or a non-positive spike *base* rate —
     /// the spike window is finite, so only a positive base guarantees any
     /// request count terminates).
-    pub fn sample(&self, n: usize, rng: &mut StdRng) -> Vec<f64> {
-        match self {
+    pub fn times<R: BorrowMut<StdRng>>(&self, n: usize, rng: R) -> ArrivalTimes<'_, R> {
+        let rate_max = match self {
             ArrivalProcess::Poisson { rate_rps } => {
-                let rate_rps = *rate_rps;
-                assert!(rate_rps > 0.0, "Poisson rate must be positive");
-                let mut t = 0.0;
-                (0..n)
-                    .map(|_| {
-                        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                        t += -u.ln() / rate_rps;
-                        t
-                    })
-                    .collect()
+                assert!(*rate_rps > 0.0, "Poisson rate must be positive");
+                *rate_rps
             }
             ArrivalProcess::Bursts {
                 burst_size,
@@ -161,11 +183,9 @@ impl ArrivalProcess {
             } => {
                 assert!(*burst_size > 0, "burst size must be at least 1");
                 assert!(*period_s > 0.0, "burst period must be positive");
-                (0..n)
-                    .map(|i| (i as u64 / u64::from(*burst_size)) as f64 * *period_s)
-                    .collect()
+                0.0
             }
-            ArrivalProcess::Instantaneous => vec![0.0; n],
+            ArrivalProcess::Instantaneous => 0.0,
             ArrivalProcess::PiecewiseRate { segments } => {
                 assert!(
                     !segments.is_empty(),
@@ -176,23 +196,12 @@ impl ArrivalProcess {
                         panic!("{reason}");
                     }
                 }
-                let total: f64 = segments.iter().map(|s| s.duration_s).sum();
                 let rate_max = segments.iter().map(|s| s.rate_rps).fold(0.0f64, f64::max);
                 assert!(
                     rate_max > 0.0,
                     "a piecewise rate profile needs at least one positive-rate segment"
                 );
-                let rate = move |t: f64| {
-                    let mut rem = t % total;
-                    for s in segments {
-                        if rem < s.duration_s {
-                            return s.rate_rps;
-                        }
-                        rem -= s.duration_s;
-                    }
-                    segments.last().expect("non-empty").rate_rps
-                };
-                sample_thinned(n, rng, rate_max, rate)
+                rate_max
             }
             ArrivalProcess::Diurnal {
                 base_rps,
@@ -212,11 +221,7 @@ impl ArrivalProcess {
                     period > 0.0 && period.is_finite(),
                     "diurnal period must be positive and finite"
                 );
-                sample_thinned(n, rng, peak, move |t| {
-                    base + (peak - base)
-                        * 0.5
-                        * (1.0 - (2.0 * std::f64::consts::PI * t / period).cos())
-                })
+                peak
             }
             ArrivalProcess::Spike {
                 base_rps,
@@ -239,14 +244,23 @@ impl ArrivalProcess {
                     start >= 0.0 && start.is_finite() && dur > 0.0 && dur.is_finite(),
                     "spike onset must be non-negative and its duration positive"
                 );
-                sample_thinned(n, rng, base.max(spike), move |t| {
-                    if t >= start && t < start + dur {
-                        spike
-                    } else {
-                        base
-                    }
-                })
+                base.max(spike)
             }
+        };
+        let cycle_s = match self {
+            ArrivalProcess::PiecewiseRate { segments } => {
+                segments.iter().map(|s| s.duration_s).sum()
+            }
+            _ => 0.0,
+        };
+        ArrivalTimes {
+            process: self,
+            rng,
+            remaining: n,
+            index: 0,
+            t: 0.0,
+            rate_max,
+            cycle_s,
         }
     }
 
@@ -298,29 +312,100 @@ impl ArrivalProcess {
     }
 }
 
-/// Samples `n` arrivals of a non-homogeneous Poisson process with bounded
-/// intensity `rate(t) <= rate_max` by thinning (Lewis & Shedler): candidates
-/// arrive as a homogeneous process at `rate_max` and are kept with
-/// probability `rate(t) / rate_max`.
-fn sample_thinned(
-    n: usize,
-    rng: &mut StdRng,
+/// The lazy timestamps of [`ArrivalProcess::times`].
+#[derive(Debug)]
+pub struct ArrivalTimes<'a, R> {
+    process: &'a ArrivalProcess,
+    rng: R,
+    remaining: usize,
+    /// Timestamps yielded so far.
+    index: u64,
+    /// The latest arrival (or thinning candidate).
+    t: f64,
+    /// The Poisson rate, or the thinning bound `rate(t) <= rate_max`.
     rate_max: f64,
-    rate: impl Fn(f64) -> f64,
-) -> Vec<f64> {
-    debug_assert!(rate_max > 0.0);
-    let mut out = Vec::with_capacity(n);
-    let mut t = 0.0f64;
-    while out.len() < n {
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        t += -u.ln() / rate_max;
-        let accept: f64 = rng.gen_range(0.0..1.0);
-        if accept * rate_max < rate(t) {
-            out.push(t);
+    /// A piecewise profile's cycle length.
+    cycle_s: f64,
+}
+
+impl<R: BorrowMut<StdRng>> ArrivalTimes<'_, R> {
+    /// The thinned processes' intensity at `t`.
+    fn rate(&self, t: f64) -> f64 {
+        match self.process {
+            ArrivalProcess::PiecewiseRate { segments } => {
+                let mut rem = t % self.cycle_s;
+                for s in segments {
+                    if rem < s.duration_s {
+                        return s.rate_rps;
+                    }
+                    rem -= s.duration_s;
+                }
+                segments.last().expect("non-empty").rate_rps
+            }
+            &ArrivalProcess::Diurnal {
+                base_rps: base,
+                peak_rps: peak,
+                period_s: period,
+            } => {
+                base + (peak - base) * 0.5 * (1.0 - (2.0 * std::f64::consts::PI * t / period).cos())
+            }
+            &ArrivalProcess::Spike {
+                base_rps: base,
+                spike_rps: spike,
+                start_s: start,
+                duration_s: dur,
+            } => {
+                if t >= start && t < start + dur {
+                    spike
+                } else {
+                    base
+                }
+            }
+            _ => unreachable!("only the time-varying processes are thinned"),
         }
     }
-    out
+
+    /// One exponential gap at the rate bound, added to the clock.
+    fn step(&mut self) -> f64 {
+        let u: f64 = self.rng.borrow_mut().gen_range(f64::EPSILON..1.0);
+        self.t += -u.ln() / self.rate_max;
+        self.t
+    }
 }
+
+impl<R: BorrowMut<StdRng>> Iterator for ArrivalTimes<'_, R> {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let i = self.index;
+        self.index += 1;
+        Some(match self.process {
+            ArrivalProcess::Poisson { .. } => self.step(),
+            ArrivalProcess::Bursts {
+                burst_size,
+                period_s,
+            } => (i / u64::from(*burst_size)) as f64 * *period_s,
+            ArrivalProcess::Instantaneous => 0.0,
+            _ => loop {
+                let t = self.step();
+                let accept: f64 = self.rng.borrow_mut().gen_range(0.0..1.0);
+                if accept * self.rate_max < self.rate(t) {
+                    break t;
+                }
+            },
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl<R: BorrowMut<StdRng>> ExactSizeIterator for ArrivalTimes<'_, R> {}
 
 #[cfg(test)]
 mod tests {

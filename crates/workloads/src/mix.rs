@@ -19,7 +19,7 @@
 //! `rago-serving-sim/tests/proptest_tenant.rs`).
 
 use crate::arrival::ArrivalProcess;
-use crate::request::{RequestGenerator, Trace};
+use crate::request::{Request, RequestGenerator, Trace};
 use rago_schema::{SequenceProfile, SloTarget};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -250,8 +250,22 @@ impl MixTraceSpec {
     /// assert_eq!(spec.generate(), trace); // deterministic
     /// ```
     pub fn generate(&self) -> Trace {
-        let mut arrival_rng = StdRng::seed_from_u64(self.seed);
-        let arrivals = self.arrival.sample(self.num_requests, &mut arrival_rng);
+        Trace {
+            requests: self.requests().collect(),
+        }
+    }
+
+    /// Lazily generates the tagged requests in arrival order, one per
+    /// `next()` — bit for bit the requests of [`Self::generate`], from the
+    /// same RNG streams, without materializing the trace.
+    ///
+    /// # Panics
+    ///
+    /// As [`ArrivalProcess::times`].
+    pub fn requests(&self) -> impl ExactSizeIterator<Item = Request> + '_ {
+        let arrivals = self
+            .arrival
+            .times(self.num_requests, StdRng::seed_from_u64(self.seed));
         let mut class_rng = StdRng::seed_from_u64(self.seed.wrapping_add(CLASS_SEED_OFFSET));
         // One generator per class, each with its own stream, so adding a
         // class never perturbs another class's length draws.
@@ -268,21 +282,16 @@ impl MixTraceSpec {
                 )
             })
             .collect();
-        let requests = arrivals
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let class = if self.mix.classes.len() == 1 {
-                    0
-                } else {
-                    self.mix.sample_class(&mut class_rng)
-                };
-                let mut r = generators[class as usize].sample(i as u64, t);
-                r.class = class;
-                r
-            })
-            .collect();
-        Trace { requests }
+        arrivals.enumerate().map(move |(i, t)| {
+            let class = if self.mix.classes.len() == 1 {
+                0
+            } else {
+                self.mix.sample_class(&mut class_rng)
+            };
+            let mut r = generators[class as usize].sample(i as u64, t);
+            r.class = class;
+            r
+        })
     }
 }
 

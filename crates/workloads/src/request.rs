@@ -289,16 +289,44 @@ impl TraceSpec {
     /// assert_eq!(spec.generate(), trace); // deterministic
     /// ```
     pub fn generate(&self) -> Trace {
-        let mut arrival_rng = StdRng::seed_from_u64(self.seed);
-        let arrivals = self.arrival.sample(self.num_requests, &mut arrival_rng);
+        Trace {
+            requests: self.requests().collect(),
+        }
+    }
+
+    /// Lazily generates the trace's requests in arrival order, one per
+    /// `next()` — bit for bit the requests of [`Self::generate`], from the
+    /// same RNG streams, without materializing the trace.
+    ///
+    /// ```
+    /// use rago_workloads::{ArrivalProcess, TraceSpec};
+    /// use rago_schema::SequenceProfile;
+    ///
+    /// let spec = TraceSpec {
+    ///     num_requests: 1_000,
+    ///     profile: SequenceProfile::paper_default(),
+    ///     arrival: ArrivalProcess::Poisson { rate_rps: 50.0 },
+    ///     length_jitter: 0.2,
+    ///     seed: 9,
+    /// };
+    /// let mut requests = spec.requests();
+    /// assert_eq!(requests.len(), 1_000);
+    /// assert_eq!(requests.next(), Some(spec.generate().requests[0]));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// As [`ArrivalProcess::times`], and if the length jitter is not in
+    /// `[0, 1)`.
+    pub fn requests(&self) -> impl ExactSizeIterator<Item = Request> + '_ {
+        let arrivals = self
+            .arrival
+            .times(self.num_requests, StdRng::seed_from_u64(self.seed));
         let mut generator =
             RequestGenerator::new(self.profile, self.length_jitter, self.seed.wrapping_add(1));
-        let requests = arrivals
-            .into_iter()
+        arrivals
             .enumerate()
-            .map(|(i, t)| generator.sample(i as u64, t))
-            .collect();
-        Trace { requests }
+            .map(move |(i, t)| generator.sample(i as u64, t))
     }
 }
 

@@ -1,23 +1,24 @@
-//! Cache-aware schedule evaluation and capacity planning: what the
-//! optimizer's answers look like once prefill and retrieval work can be
-//! *reused* across requests.
+//! Cache-aware capacity planning, and the cache model behind every cached
+//! evaluation: what the optimizer's answers look like once prefill and
+//! retrieval work can be *reused* across requests.
 //!
 //! The dynamic evaluators in [`crate::dynamic`] treat every request as
-//! independent. Real RAG traffic is popularity-skewed — shared prompt
-//! templates, repeated queries, hot documents — and the serving stack can
-//! exploit it with the cache simulators of `rago-cache`: a prefix-KV hit
-//! charges prefill only for the uncached suffix, and a retrieval-result hit
-//! skips the retrieve and rerank stages outright. This module threads a
-//! [`CacheConfig`] through the same engine, fleet, frontier-ranking, and
-//! capacity-planning entry points, so the optimizer's chips-per-goodput
-//! answer *changes* when caching is on:
+//! independent unless they are given a [`CacheConfig`]. Real RAG traffic is
+//! popularity-skewed — shared prompt templates, repeated queries, hot
+//! documents — and the serving stack can exploit it with the cache
+//! simulators of `rago-cache`: a prefix-KV hit charges prefill only for the
+//! uncached suffix, and a retrieval-result hit skips the retrieve and rerank
+//! stages outright. A cache is a parameter of the existing entry points, so
+//! the optimizer's chips-per-goodput answer *changes* when caching is on:
 //!
-//! * [`evaluate_schedule_cached`] / [`evaluate_fleet_cached`] — the cached
-//!   twins of [`crate::dynamic::evaluate_schedule_dynamic`] and
-//!   [`crate::dynamic::evaluate_fleet_dynamic`];
-//! * [`rank_frontier_by_goodput_cached`] — cache-aware frontier re-ranking:
-//!   schedules with large pre-decode batches amortize differently once the
-//!   prefix stage's work becomes hit-rate-dependent;
+//! * [`crate::dynamic::evaluate_schedule_dynamic`] and
+//!   [`crate::dynamic::rank_frontier_by_goodput`] take
+//!   `cache: Option<&CacheConfig>` — schedules with large pre-decode batches
+//!   amortize differently once the prefix stage's work becomes
+//!   hit-rate-dependent;
+//! * [`crate::Rago::evaluate_fleet_cached`] gives every replica of a flat
+//!   fleet, or every prefill replica of a `[Prefill, Decode]` split, its own
+//!   cold caches;
 //! * [`plan_capacity_cached`] — fleet sizing under a content model: the
 //!   sizing trace carries Zipfian identity from a
 //!   [`rago_workloads::ContentSpec`], and the plan reports the hit rates it
@@ -26,162 +27,21 @@
 //!
 //! **Degenerate-case discipline** (pinned by tests here and in
 //! `rago-serving-sim`): with [`CacheConfig::disabled`], a zero-capacity
-//! config, or an identity-free trace, every function reproduces its
-//! cache-less twin bit-exactly — timelines, metrics, and per-class rows.
+//! config, or an identity-free trace, every cached evaluation reproduces
+//! its cache-less run bit-exactly — timelines, metrics, and per-class rows.
 
 use crate::capacity::{
     analytic_replicas, build_plan, search_min_replicas, sizing_trace, validate_capacity_inputs,
     CapacityOptions, CapacityPlan,
 };
-use crate::dynamic::{
-    check_mode_slo, fleet_engine, pipeline_spec_cached, rank_frontier_with, score_fleet,
-    score_single, validate_trace, DynamicEvaluation, FleetEvaluation,
-};
+use crate::dynamic::pipeline_spec;
 use crate::error::RagoError;
-use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
 pub use rago_cache::CacheConfig;
-use rago_schema::{FleetConfig, SloTarget};
-use rago_serving_sim::engine::ServingEngine;
-use rago_serving_sim::MetricsMode;
-use rago_workloads::{ContentSpec, Trace};
+use rago_schema::SloTarget;
+use rago_workloads::ContentSpec;
 use serde::{Deserialize, Serialize};
-
-/// Drives `trace` through `schedule`'s pipeline with per-replica caches
-/// from `cache` and scores the result against `slo` — the cached twin of
-/// [`crate::dynamic::evaluate_schedule_dynamic`]. The report's
-/// [`rago_serving_sim::engine::CacheUsage`] carries hit/miss/eviction
-/// counters, overall and per class.
-///
-/// # Errors
-///
-/// Returns [`RagoError::InvalidConfig`] for invalid schedules, empty
-/// traces, or a prefix cache on a schema without a prefix stage, and
-/// [`RagoError::CostModel`] when the schedule cannot be profiled.
-pub fn evaluate_schedule_cached(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    trace: &Trace,
-    slo: &SloTarget,
-    cache: &CacheConfig,
-) -> Result<DynamicEvaluation, RagoError> {
-    evaluate_schedule_cached_with(profiler, schedule, trace, slo, cache, &MetricsMode::Exact)
-}
-
-/// [`evaluate_schedule_cached`] with an explicit metrics mode (see
-/// [`crate::dynamic::evaluate_schedule_dynamic_with`] for the mode
-/// semantics). Cache hit/miss counters are exact in both modes — the cache
-/// simulators run inside the engine regardless of how latency samples are
-/// aggregated.
-///
-/// # Errors
-///
-/// As [`evaluate_schedule_cached`], plus [`RagoError::InvalidConfig`] when
-/// a streaming mode's configured SLO differs from `slo`.
-pub fn evaluate_schedule_cached_with(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    trace: &Trace,
-    slo: &SloTarget,
-    cache: &CacheConfig,
-    mode: &MetricsMode,
-) -> Result<DynamicEvaluation, RagoError> {
-    schedule.validate()?;
-    validate_trace(trace)?;
-    check_mode_slo(mode, slo)?;
-    let spec = pipeline_spec_cached(profiler, schedule, Some(cache))?;
-    Ok(score_single(
-        ServingEngine::from_trace(spec, trace).run_with_mode(mode),
-        slo,
-    ))
-}
-
-/// Drives `trace` through a fleet of `fleet.replicas` replicas of
-/// `schedule`'s pipeline, each with its *own cold* caches from `cache`, and
-/// scores the merged result — the cached twin of
-/// [`crate::dynamic::evaluate_fleet_dynamic`]. Pair it with the
-/// content-aware routers ([`rago_schema::RouterPolicy::CacheAffinity`] /
-/// [`rago_schema::RouterPolicy::PrefixHash`]) to keep each template's KV
-/// state on one replica instead of duplicating it everywhere.
-///
-/// # Errors
-///
-/// As [`evaluate_schedule_cached`], plus invalid fleet configurations.
-pub fn evaluate_fleet_cached(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    fleet: &FleetConfig,
-    trace: &Trace,
-    slo: &SloTarget,
-    cache: &CacheConfig,
-) -> Result<FleetEvaluation, RagoError> {
-    evaluate_fleet_cached_with(
-        profiler,
-        schedule,
-        fleet,
-        trace,
-        slo,
-        cache,
-        &MetricsMode::Exact,
-    )
-}
-
-/// [`evaluate_fleet_cached`] with an explicit metrics mode (see
-/// [`crate::dynamic::evaluate_schedule_dynamic_with`] for the mode
-/// semantics).
-///
-/// Disaggregated `[Prefill, Decode]` pool fleets run as a split fleet with
-/// the caches on the prefill pool, where the prefix and retrieval stages
-/// run, and require [`MetricsMode::Exact`]. A fleet declaring a single
-/// `[Monolithic]` pool runs the flat path with the pool's router.
-///
-/// # Errors
-///
-/// As [`evaluate_fleet_cached`], plus the errors of
-/// [`crate::dynamic::evaluate_fleet_dynamic_with`].
-pub fn evaluate_fleet_cached_with(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    fleet: &FleetConfig,
-    trace: &Trace,
-    slo: &SloTarget,
-    cache: &CacheConfig,
-    mode: &MetricsMode,
-) -> Result<FleetEvaluation, RagoError> {
-    let engine = fleet_engine(profiler, schedule, fleet, trace, slo, mode, Some(cache))?;
-    Ok(score_fleet(
-        engine.run_trace_with_mode(trace, mode).fleet,
-        slo,
-    ))
-}
-
-/// Ranks the points of a Pareto frontier by SLO goodput under a
-/// (content-tagged) trace with caching enabled, best first — the cached
-/// twin of [`crate::dynamic::rank_frontier_by_goodput`]. The static
-/// frontier does not know about reuse, so its best-QPS/chip point can lose
-/// this ranking to a point whose larger pre-decode batch turns the cached
-/// prefix stage into nearly free work.
-///
-/// # Panics
-///
-/// Panics on a zero-request trace, for the reason documented on
-/// [`crate::dynamic::rank_frontier_by_goodput`].
-pub fn rank_frontier_by_goodput_cached(
-    profiler: &StageProfiler,
-    frontier: &ParetoFrontier,
-    trace: &Trace,
-    slo: &SloTarget,
-    cache: &CacheConfig,
-) -> Vec<(ParetoPoint, DynamicEvaluation)> {
-    assert!(
-        !trace.requests.is_empty(),
-        "cannot rank a frontier by goodput over a zero-request trace"
-    );
-    rank_frontier_with(frontier, |schedule| {
-        evaluate_schedule_cached(profiler, schedule, trace, slo, cache)
-    })
-}
 
 /// A capacity plan sized under a content model, with the hit rates the
 /// sizing run achieved.
@@ -226,7 +86,7 @@ pub fn plan_capacity_cached(
 ) -> Result<CachedCapacityPlan, RagoError> {
     validate_capacity_inputs(target_qps, options)?;
     schedule.validate()?;
-    let spec = pipeline_spec_cached(profiler, schedule, Some(cache))?;
+    let spec = pipeline_spec(profiler, schedule, Some(cache))?;
     let n0 = analytic_replicas(profiler, schedule, target_qps, options.max_replicas)?;
     let trace = content.tag(&sizing_trace(target_qps, options));
     let (replicas, report, work) =
@@ -243,17 +103,28 @@ pub fn plan_capacity_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamic::{evaluate_fleet_dynamic, evaluate_schedule_dynamic};
+    use crate::dynamic::{
+        evaluate_fleet_dynamic_with, evaluate_schedule_dynamic, rank_frontier_by_goodput,
+    };
+    use crate::optimizer::Rago;
     use crate::placement::PlacementPlan;
     use crate::schedule::{BatchingPolicy, ResourceAllocation};
     use rago_cache::{EvictionPolicy, PrefixKvCacheConfig, RetrievalCacheConfig};
     use rago_hardware::ClusterSpec;
     use rago_schema::presets::{self, LlmSize};
-    use rago_schema::{RouterPolicy, SequenceProfile, Stage};
-    use rago_workloads::{ArrivalProcess, PopularityModel, TraceSpec};
+    use rago_schema::{FleetConfig, RouterPolicy, SequenceProfile, Stage};
+    use rago_serving_sim::MetricsMode;
+    use rago_workloads::{ArrivalProcess, PopularityModel, Trace, TraceSpec};
 
     fn case1_profiler() -> StageProfiler {
         StageProfiler::new(
+            presets::case1_hyperscale(LlmSize::B8, 1),
+            ClusterSpec::paper_default(),
+        )
+    }
+
+    fn case1_rago() -> Rago {
+        Rago::new(
             presets::case1_hyperscale(LlmSize::B8, 1),
             ClusterSpec::paper_default(),
         )
@@ -316,9 +187,10 @@ mod tests {
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let trace = content().tag(&poisson_trace(80, 30.0, 5));
-        let plain = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo).unwrap();
+        let plain = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, None).unwrap();
         let cached =
-            evaluate_schedule_cached(&profiler, &schedule, &trace, &slo, &zero_cache()).unwrap();
+            evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, Some(&zero_cache()))
+                .unwrap();
         assert_eq!(cached.report.timelines, plain.report.timelines);
         assert_eq!(cached.report.metrics, plain.report.metrics);
         assert_eq!(cached.report.per_class, plain.report.per_class);
@@ -337,20 +209,29 @@ mod tests {
     /// the cache-less path bit-exactly — including all-zero counters.
     #[test]
     fn identity_free_traces_match_the_dynamic_path_bit_exactly() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
+        let profiler = rago.profiler();
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let trace = poisson_trace(80, 30.0, 5); // no content tagging
-        let plain = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo).unwrap();
+        let plain = evaluate_schedule_dynamic(profiler, &schedule, &trace, &slo, None).unwrap();
         let cached =
-            evaluate_schedule_cached(&profiler, &schedule, &trace, &slo, &hot_cache()).unwrap();
+            evaluate_schedule_dynamic(profiler, &schedule, &trace, &slo, Some(&hot_cache()))
+                .unwrap();
         assert_eq!(cached.report, plain.report);
         let fleet = FleetConfig::new(3, RouterPolicy::LeastOutstanding);
-        let plain_fleet =
-            evaluate_fleet_dynamic(&profiler, &schedule, &fleet, &trace, &slo).unwrap();
-        let cached_fleet =
-            evaluate_fleet_cached(&profiler, &schedule, &fleet, &trace, &slo, &hot_cache())
-                .unwrap();
+        let plain_fleet = evaluate_fleet_dynamic_with(
+            profiler,
+            &schedule,
+            &fleet,
+            &trace,
+            &slo,
+            &MetricsMode::Exact,
+        )
+        .unwrap();
+        let cached_fleet = rago
+            .evaluate_fleet_cached(&schedule, &fleet, &trace, &slo, &hot_cache())
+            .unwrap();
         assert_eq!(cached_fleet.report, plain_fleet.report);
     }
 
@@ -361,10 +242,15 @@ mod tests {
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let trace = content().tag(&poisson_trace(60, 25.0, 9));
-        let plain = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo).unwrap();
-        let cached =
-            evaluate_schedule_cached(&profiler, &schedule, &trace, &slo, &CacheConfig::disabled())
-                .unwrap();
+        let plain = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, None).unwrap();
+        let cached = evaluate_schedule_dynamic(
+            &profiler,
+            &schedule,
+            &trace,
+            &slo,
+            Some(&CacheConfig::disabled()),
+        )
+        .unwrap();
         assert_eq!(cached.report, plain.report);
     }
 
@@ -376,9 +262,10 @@ mod tests {
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let trace = content().tag(&poisson_trace(150, 60.0, 13));
-        let plain = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo).unwrap();
+        let plain = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, None).unwrap();
         let cached =
-            evaluate_schedule_cached(&profiler, &schedule, &trace, &slo, &hot_cache()).unwrap();
+            evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, Some(&hot_cache()))
+                .unwrap();
         let usage = &cached.report.cache;
         assert!(
             usage.prefix.hit_rate() > 0.5,
@@ -422,7 +309,7 @@ mod tests {
         let slo = SloTarget::new(2.0, 0.1);
         let trace = content().tag(&poisson_trace(60, 20.0, 5));
         let ranked =
-            rank_frontier_by_goodput_cached(rago.profiler(), &frontier, &trace, &slo, &hot_cache());
+            rank_frontier_by_goodput(rago.profiler(), &frontier, &trace, &slo, Some(&hot_cache()));
         assert_eq!(ranked.len(), frontier.len());
         for pair in ranked.windows(2) {
             assert!(pair[0].1.goodput_rps >= pair[1].1.goodput_rps);
@@ -430,6 +317,55 @@ mod tests {
         assert!(ranked
             .iter()
             .all(|(_, e)| e.report.cache.prefix.lookups > 0));
+    }
+
+    /// Caches on a `[Prefill, Decode]` split live on the prefill pool. The
+    /// degenerate configurations reproduce the cache-less split run
+    /// bit-exactly (a disabled config down to the whole report, zero
+    /// capacities everywhere but the miss counters), and hot caches on a
+    /// content-tagged trace hit.
+    #[test]
+    fn split_fleet_caches_follow_the_degenerate_case_rule() {
+        let rago = case1_rago();
+        let schedule = case1_schedule();
+        let slo = SloTarget::new(1.0, 0.1);
+        let trace = content().tag(&poisson_trace(80, 40.0, 7));
+        let split = FleetConfig::split(2, 1, RouterPolicy::LeastOutstanding);
+        let plain = evaluate_fleet_dynamic_with(
+            rago.profiler(),
+            &schedule,
+            &split,
+            &trace,
+            &slo,
+            &MetricsMode::Exact,
+        )
+        .unwrap();
+        let cached = |cache: &CacheConfig| {
+            rago.evaluate_fleet_cached(&schedule, &split, &trace, &slo, cache)
+                .unwrap()
+        };
+
+        let disabled = cached(&CacheConfig::disabled());
+        assert_eq!(disabled, plain);
+
+        let zero = cached(&zero_cache());
+        assert_eq!(zero.report.merged.timelines, plain.report.merged.timelines);
+        assert_eq!(zero.report.merged.metrics, plain.report.merged.metrics);
+        assert_eq!(zero.report.merged.per_class, plain.report.merged.per_class);
+        assert_eq!(zero.report.assignments, plain.report.assignments);
+        assert_eq!(zero.attainment, plain.attainment);
+        assert_eq!(zero.goodput_rps, plain.goodput_rps);
+        assert_eq!(zero.report.merged.cache.prefix.lookups, 80);
+        assert_eq!(zero.report.merged.cache.prefix.hits, 0);
+        assert_eq!(zero.report.merged.cache.retrieval.hits, 0);
+
+        let hot = cached(&hot_cache());
+        assert!(
+            hot.report.merged.cache.prefix.hits > 0,
+            "no prefix hits on a split fleet: {:?}",
+            hot.report.merged.cache.prefix
+        );
+        assert_eq!(hot.report.merged.metrics.completed, 80);
     }
 
     /// The tentpole's capacity claim: at a rate where the cache-less plan
@@ -481,7 +417,7 @@ mod tests {
         let slo = SloTarget::new(1.0, 0.1);
         let empty = Trace { requests: vec![] };
         assert!(matches!(
-            evaluate_schedule_cached(&profiler, &schedule, &empty, &slo, &hot_cache()),
+            evaluate_schedule_dynamic(&profiler, &schedule, &empty, &slo, Some(&hot_cache())),
             Err(RagoError::InvalidConfig { .. })
         ));
         let options = CapacityOptions::default();

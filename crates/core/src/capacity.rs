@@ -37,7 +37,7 @@
 //! infeasible target is reported with the full run's attainment. Plans
 //! count their DES runs, stopped runs and events exactly.
 
-use crate::dynamic::pipeline_spec;
+use crate::dynamic::{fleet_engine, pipeline_spec};
 use crate::error::RagoError;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
@@ -47,6 +47,7 @@ use rago_serving_sim::cluster::FleetReport;
 use rago_serving_sim::engine::PipelineSpec;
 use rago_serving_sim::faults::{ChaosReport, ScaleDriver};
 use rago_serving_sim::fleet::FleetEngine;
+use rago_serving_sim::MetricsMode;
 use rago_workloads::{ArrivalProcess, RateSegment, TraceSpec};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -175,7 +176,7 @@ pub fn plan_capacity_with(
 ) -> Result<CapacityPlan, RagoError> {
     validate_capacity_inputs(target_qps, options)?;
     schedule.validate()?;
-    let spec = pipeline_spec(profiler, schedule)?;
+    let spec = pipeline_spec(profiler, schedule, None)?;
     let n0 = analytic_replicas(profiler, schedule, target_qps, options.max_replicas)?;
     let trace = sizing_trace(target_qps, options);
     let (replicas, report, work) =
@@ -530,21 +531,34 @@ pub fn plan_capacity_pools(
     transfer.validate().map_err(|e| RagoError::InvalidConfig {
         reason: e.to_string(),
     })?;
-    let (prefill_spec, decode_spec) = crate::disagg::split_pipeline_spec(profiler, schedule, None)?;
     let trace = sizing_trace(target_qps, options);
     let max = options.max_replicas;
+    let engine = |p: u32, d: u32| {
+        let fleet = FleetConfig::split(p, d, options.router).with_transfer(*transfer);
+        fleet_engine(
+            profiler,
+            schedule,
+            &fleet,
+            &trace,
+            slo,
+            &MetricsMode::Exact,
+            None,
+        )
+    };
+    // Building the bound surfaces every input error; the other probes
+    // differ from it only in their pool sizes.
+    let bound = engine(max, max)?;
 
     let mut probes = Probes::new(slo, &trace, (max, max));
     let meets = |probes: &mut Probes<(u32, u32)>, p: u32, d: u32| {
         probes.meets((p, d), || {
-            let fleet = FleetConfig::split(p, d, options.router).with_transfer(*transfer);
-            crate::disagg::split_fleet(prefill_spec.clone(), decode_spec.clone(), &fleet)
+            engine(p, d).expect("every split of the bound's inputs builds")
         })
     };
 
     // Feasibility at the joint upper bound, run to completion so the error
     // can quote its attainment.
-    if !meets(&mut probes, max, max) {
+    if !probes.meets((max, max), || bound) {
         return Err(RagoError::NoFeasibleSchedule {
             reason: format!(
                 "even a {max} + {max} prefill/decode split reaches only {:.1} % attainment \
@@ -884,7 +898,7 @@ mod tests {
         use std::cmp::Ordering::{Equal, Greater, Less};
         let profiler = case1_profiler();
         let schedule = case1_schedule();
-        let spec = pipeline_spec(&profiler, &schedule).unwrap();
+        let spec = pipeline_spec(&profiler, &schedule, None).unwrap();
         // (TTFT target, rate, where the unclamped n0 lies relative to the
         // scan's answer; `None`: no count within the bound is feasible).
         let sweep = [
@@ -938,7 +952,7 @@ mod tests {
         let options = timed_options(target_qps, 3.0);
         let plan = plan_capacity_with(&profiler, &schedule, &slo, target_qps, &options).unwrap();
         assert_eq!(plan.replicas, 2);
-        let spec = pipeline_spec(&profiler, &schedule).unwrap();
+        let spec = pipeline_spec(&profiler, &schedule, None).unwrap();
         let trace = sizing_trace(target_qps, &options);
         let fleet = |replicas| {
             FleetEngine::new(
@@ -1057,8 +1071,6 @@ mod tests {
             .unwrap();
 
         // Exhaustive scan over every (p, d) in the same bounds.
-        let (prefill_spec, decode_spec) =
-            crate::disagg::split_pipeline_spec(&profiler, &schedule, None).unwrap();
         let trace = sizing_trace(target_qps, &options);
         let chips_prefill = crate::disagg::prefill_xpus(&schedule);
         let chips_decode = crate::disagg::decode_xpus(&schedule);
@@ -1066,10 +1078,18 @@ mod tests {
         for p in 1..=options.max_replicas {
             for d in 1..=options.max_replicas {
                 let fleet = FleetConfig::split(p, d, options.router).with_transfer(transfer);
-                let report =
-                    crate::disagg::split_fleet(prefill_spec.clone(), decode_spec.clone(), &fleet)
-                        .run_trace(&trace)
-                        .fleet;
+                let report = fleet_engine(
+                    &profiler,
+                    &schedule,
+                    &fleet,
+                    &trace,
+                    &slo,
+                    &MetricsMode::Exact,
+                    None,
+                )
+                .unwrap()
+                .run_trace(&trace)
+                .fleet;
                 if report.merged.attainment(&slo) < slo.attainment {
                     continue;
                 }

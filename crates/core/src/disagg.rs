@@ -9,12 +9,15 @@
 //! each request's KV state crosses an interconnect between the phases. This
 //! module closes the optimizer loop over that placement dimension:
 //!
-//! * [`evaluate_fleet_disagg`] / [`evaluate_fleet_disagg_cached`] — drive a
-//!   trace through a disaggregated [`FleetConfig`] (a `[Prefill, Decode]`
-//!   pool pair plus its [`KvTransferModel`]) on
-//!   [`FleetEngine::disaggregated`], and score the stitched result per
-//!   chip. The flat evaluators build the same engine for pool fleets, so
-//!   `evaluate_fleet_dynamic` *accepts* pool configs unchanged.
+//! * [`evaluate_fleet_disagg`] — drives a trace through a disaggregated
+//!   [`FleetConfig`] (a `[Prefill, Decode]` pool pair plus its
+//!   [`KvTransferModel`]) on
+//!   [`rago_serving_sim::fleet::FleetEngine::disaggregated`], and scores the
+//!   stitched result per chip. The flat evaluators build the same engine
+//!   for pool fleets, so [`crate::dynamic::evaluate_fleet_dynamic_with`]
+//!   *accepts* pool configs unchanged, and
+//!   [`crate::Rago::evaluate_fleet_cached`] puts its caches on the prefill
+//!   pool.
 //! * [`transfer_model_from_interconnect`] — prices the handoff from first
 //!   principles: the generative model's KV bytes per token over an
 //!   [`InterconnectSpec`]'s link bandwidth plus its per-message overhead.
@@ -30,18 +33,19 @@
 //! replica only its decode XPUs ([`decode_xpus`]) — that asymmetry is the
 //! entire economic case for disaggregation.
 
-use crate::dynamic::{pipeline_spec_cached, validate_trace};
+use crate::dynamic::{fleet_engine, pipeline_spec, run_fleet, validate_trace};
 use crate::error::RagoError;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
 use rago_cache::CacheConfig;
 use rago_hardware::InterconnectSpec;
-use rago_schema::{FleetConfig, KvTransferModel, PoolRole, RagSchema, SloTarget};
+use rago_schema::{FleetConfig, KvTransferModel, PoolSpec, RagSchema, SloTarget};
 use rago_serving_sim::engine::PipelineSpec;
-use rago_serving_sim::faults::{ChaosReport, FaultSchedule};
-use rago_serving_sim::fleet::FleetEngine;
-use rago_serving_sim::pools::{DisaggReport, PoolCrash};
+use rago_serving_sim::faults::ChaosReport;
+use rago_serving_sim::pools::DisaggReport;
+use rago_serving_sim::MetricsMode;
+use rago_telemetry::NullRecorder;
 use rago_workloads::Trace;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -118,15 +122,14 @@ pub fn transfer_model_from_interconnect(
 /// Splits `schedule`'s profiled pipeline into its pool halves: the prefill
 /// spec keeps every pre-decode stage (and the cache plan, when present) and
 /// is marked for KV handoff; the decode spec is decode-only and carries the
-/// iterative-retrieval configuration (a decode-phase feature). Shared by
-/// every disaggregated entry point so both halves always come from one
-/// profiling pass.
+/// iterative-retrieval configuration (a decode-phase feature). Both halves
+/// always come from one profiling pass.
 pub(crate) fn split_pipeline_spec(
     profiler: &StageProfiler,
     schedule: &Schedule,
     cache: Option<&CacheConfig>,
 ) -> Result<(PipelineSpec, PipelineSpec), RagoError> {
-    let full = pipeline_spec_cached(profiler, schedule, cache)?;
+    let full = pipeline_spec(profiler, schedule, cache)?;
     if full.stages.is_empty() {
         return Err(RagoError::InvalidConfig {
             reason: "disaggregation needs at least one pre-decode stage to prefill".into(),
@@ -141,97 +144,16 @@ pub(crate) fn split_pipeline_spec(
     Ok((prefill_spec, decode_spec))
 }
 
-/// Validates that `fleet` is a disaggregated `[Prefill, Decode]` pool pair
-/// and that every crash targets a real replica of one of its pools.
-fn check_disagg_fleet(fleet: &FleetConfig, crashes: &[PoolCrash]) -> Result<(), RagoError> {
-    fleet.validate().map_err(|e| RagoError::InvalidConfig {
-        reason: e.to_string(),
-    })?;
-    let Some((prefill, decode)) = fleet.prefill_decode() else {
-        return Err(RagoError::InvalidConfig {
+/// The `[Prefill, Decode]` pool pair of `fleet`, or the error a
+/// disaggregated entry point returns for any other fleet.
+pub(crate) fn pool_pair(fleet: &FleetConfig) -> Result<(&PoolSpec, &PoolSpec), RagoError> {
+    fleet
+        .prefill_decode()
+        .ok_or_else(|| RagoError::InvalidConfig {
             reason: "disaggregated evaluation needs a [Prefill, Decode] pool pair; \
-                     flat fleets go through evaluate_fleet_dynamic"
+                     flat fleets go through evaluate_fleet_dynamic_with"
                 .into(),
-        });
-    };
-    for c in crashes {
-        let pool_len = match c.pool {
-            PoolRole::Prefill => prefill.replicas,
-            PoolRole::Decode => decode.replicas,
-            PoolRole::Monolithic => {
-                return Err(RagoError::InvalidConfig {
-                    reason: "pool crashes target the Prefill or Decode pool".into(),
-                })
-            }
-        };
-        if c.replica as u64 >= u64::from(pool_len) {
-            return Err(RagoError::InvalidConfig {
-                reason: format!(
-                    "crash at {:.3}s targets replica {} of a {}-replica {} pool",
-                    c.at_s, c.replica, pool_len, c.pool
-                ),
-            });
-        }
-        if !(c.at_s.is_finite() && c.at_s >= 0.0) {
-            return Err(RagoError::InvalidConfig {
-                reason: format!(
-                    "crash times must be finite and non-negative, got {}",
-                    c.at_s
-                ),
-            });
-        }
-        if let Some(d) = c.restart_delay_s {
-            if !(d.is_finite() && d >= 0.0) {
-                return Err(RagoError::InvalidConfig {
-                    reason: format!("restart delays must be finite and non-negative, got {d}"),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// [`FleetEngine::disaggregated`] over `fleet`'s pool pair and transfer
-/// model, its pools running the two halves of [`split_pipeline_spec`].
-///
-/// # Panics
-///
-/// Panics unless `fleet` is a `[Prefill, Decode]` pool pair.
-pub(crate) fn split_fleet(
-    prefill_spec: PipelineSpec,
-    decode_spec: PipelineSpec,
-    fleet: &FleetConfig,
-) -> FleetEngine {
-    let (prefill, decode) = fleet
-        .prefill_decode()
-        .expect("a split fleet needs a [Prefill, Decode] pool pair");
-    FleetEngine::disaggregated(prefill_spec, decode_spec, prefill, decode, fleet.transfer)
-}
-
-/// The shared run core of the disaggregated entry points: validate, split
-/// the spec, play the crashes onto the pool fleet, and run it.
-pub(crate) fn run_pools(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    fleet: &FleetConfig,
-    trace: &Trace,
-    cache: Option<&CacheConfig>,
-    crashes: &[PoolCrash],
-) -> Result<ChaosReport, RagoError> {
-    schedule.validate()?;
-    check_disagg_fleet(fleet, crashes)?;
-    validate_trace(trace)?;
-    let (prefill_spec, decode_spec) = split_pipeline_spec(profiler, schedule, cache)?;
-    let (prefill, _) = fleet
-        .prefill_decode()
-        .expect("check_disagg_fleet verified the pool pair");
-    let faults = crashes
-        .iter()
-        .map(|c| c.to_fault(prefill.replicas))
-        .collect();
-    Ok(split_fleet(prefill_spec, decode_spec, fleet)
-        .with_faults(FaultSchedule::new(faults))
-        .run_trace(trace))
+        })
 }
 
 /// Scores a finished run of the pool fleet `fleet` against `slo`, billing
@@ -283,29 +205,23 @@ pub fn evaluate_fleet_disagg(
     trace: &Trace,
     slo: &SloTarget,
 ) -> Result<DisaggEvaluation, RagoError> {
-    let report = run_pools(profiler, schedule, fleet, trace, None, &[])?;
-    Ok(score_disagg(report, schedule, fleet, slo))
-}
-
-/// [`evaluate_fleet_disagg`] with per-replica caches from `cache` on the
-/// *prefill* pool (prefix-KV and retrieval-result reuse are pre-decode
-/// phenomena; the decode pool receives already-prefilled state). Content-
-/// aware pool routers steer requests toward the prefill replica owning
-/// their template, exactly as in [`crate::cached::evaluate_fleet_cached`].
-///
-/// # Errors
-///
-/// As [`evaluate_fleet_disagg`], plus the cached pipeline's configuration
-/// errors (e.g. a prefix cache on a schema without a prefix stage).
-pub fn evaluate_fleet_disagg_cached(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    fleet: &FleetConfig,
-    trace: &Trace,
-    slo: &SloTarget,
-    cache: &CacheConfig,
-) -> Result<DisaggEvaluation, RagoError> {
-    let report = run_pools(profiler, schedule, fleet, trace, Some(cache), &[])?;
+    pool_pair(fleet)?;
+    let engine = fleet_engine(
+        profiler,
+        schedule,
+        fleet,
+        trace,
+        slo,
+        &MetricsMode::Exact,
+        None,
+    )?;
+    let report = run_fleet(
+        profiler,
+        &engine,
+        trace,
+        &MetricsMode::Exact,
+        &mut NullRecorder,
+    );
     Ok(score_disagg(report, schedule, fleet, slo))
 }
 
@@ -342,8 +258,10 @@ pub struct DisaggChoice {
 ///
 /// # Panics
 ///
-/// Panics on a zero-request trace, an empty split list, or an empty
-/// interconnect list — each would silently rank nothing.
+/// Panics on an empty split list, an empty interconnect list, an empty
+/// trace, or a trace with an arrival that is not finite and non-negative
+/// (with [`RagoError::InvalidConfig`]'s reason as the message) — each would
+/// silently rank nothing.
 pub fn rank_frontier_by_goodput_disagg(
     profiler: &StageProfiler,
     frontier: &ParetoFrontier,
@@ -352,10 +270,9 @@ pub fn rank_frontier_by_goodput_disagg(
     splits: &[(u32, u32)],
     interconnects: &[InterconnectSpec],
 ) -> Vec<(ParetoPoint, DisaggChoice, DisaggEvaluation)> {
-    assert!(
-        !trace.requests.is_empty(),
-        "cannot rank a frontier by goodput over a zero-request trace"
-    );
+    if let Err(e) = validate_trace(trace) {
+        panic!("cannot rank a frontier by goodput: {e}");
+    }
     assert!(
         !splits.is_empty(),
         "the joint search needs at least one (prefill, decode) split"
@@ -418,12 +335,13 @@ pub fn rank_frontier_by_goodput_disagg(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamic::{evaluate_fleet_dynamic, evaluate_fleet_dynamic_with};
+    use crate::dynamic::evaluate_fleet_dynamic_with;
     use crate::placement::PlacementPlan;
     use crate::schedule::{BatchingPolicy, ResourceAllocation};
     use rago_hardware::ClusterSpec;
     use rago_schema::presets::{self, LlmSize};
-    use rago_schema::{RouterPolicy, SequenceProfile, Stage};
+    use rago_schema::{PoolRole, RouterPolicy, SequenceProfile, Stage};
+    use rago_serving_sim::pools::PoolCrash;
     use rago_workloads::{ArrivalProcess, TraceSpec};
 
     fn case1_profiler() -> StageProfiler {
@@ -486,12 +404,13 @@ mod tests {
         let schedule = case1_schedule();
         let trace = poisson_trace(100, 30.0, 11);
         let slo = SloTarget::new(1.0, 0.1);
-        let flat = evaluate_fleet_dynamic(
+        let flat = evaluate_fleet_dynamic_with(
             &profiler,
             &schedule,
             &FleetConfig::new(1, RouterPolicy::LeastOutstanding),
             &trace,
             &slo,
+            &MetricsMode::Exact,
         )
         .unwrap();
         let split = FleetConfig::split(1, 1, RouterPolicy::LeastOutstanding);
@@ -513,7 +432,15 @@ mod tests {
         let slo = SloTarget::new(1.0, 0.1);
         let fleet = FleetConfig::split(1, 2, RouterPolicy::LeastOutstanding)
             .with_transfer(KvTransferModel::new(131_072.0, 25e9, 20e-6));
-        let eval = evaluate_fleet_dynamic(&profiler, &schedule, &fleet, &trace, &slo).unwrap();
+        let eval = evaluate_fleet_dynamic_with(
+            &profiler,
+            &schedule,
+            &fleet,
+            &trace,
+            &slo,
+            &MetricsMode::Exact,
+        )
+        .unwrap();
         assert_eq!(eval.report.merged.metrics.completed, 60);
         // Replicas renumbered prefill-first: 1 prefill + 2 decode.
         assert_eq!(eval.report.per_replica.len(), 3);
@@ -554,7 +481,14 @@ mod tests {
             restart_delay_s: None,
         };
         assert!(matches!(
-            run_pools(&profiler, &schedule, &fleet, &trace, None, &[bad_crash]),
+            crate::faulted::evaluate_fleet_faulted_pools(
+                &profiler,
+                &schedule,
+                &fleet,
+                &[bad_crash],
+                &trace,
+                &slo
+            ),
             Err(RagoError::InvalidConfig { .. })
         ));
     }
@@ -585,12 +519,13 @@ mod tests {
         // Best collocated goodput per chip across 1..=3 flat replicas.
         let mut best_flat = 0.0f64;
         for n in 1..=3u32 {
-            let eval = evaluate_fleet_dynamic(
+            let eval = evaluate_fleet_dynamic_with(
                 &profiler,
                 &schedule,
                 &FleetConfig::new(n, RouterPolicy::LeastOutstanding),
                 &trace,
                 &tight,
+                &MetricsMode::Exact,
             )
             .unwrap();
             let chips = schedule.allocation.total_xpus() * n;

@@ -13,19 +13,33 @@
 //! what the optimizer needs to rank Pareto-frontier schedules against a
 //! latency SLO (the direction of the disaggregated-serving literature in
 //! `PAPERS.md`).
+//!
+//! Each result type has one build, run and score path:
+//!
+//! * a [`DynamicEvaluation`] comes from [`evaluate_schedule_dynamic`]: one
+//!   exact-mode engine, optionally cached;
+//! * a [`FleetEvaluation`] (and [`crate::disagg::DisaggEvaluation`]) comes
+//!   from a [`FleetEngine`] that `fleet_engine` builds from any
+//!   [`FleetConfig`] — flat, a single `[Monolithic]` pool, or a
+//!   `[Prefill, Decode]` split, optionally cached — and that `run_fleet`
+//!   drives over the trace in place, with or without a telemetry recorder.
+//!   Streaming metrics are a fleet feature; a one-replica fleet runs
+//!   bit-identically to the single engine.
 
 use crate::error::RagoError;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
+use rago_cache::CacheConfig;
 use rago_schema::{FleetConfig, RouterPolicy, SloTarget, Stage};
 use rago_serving_sim::cluster::FleetReport;
 use rago_serving_sim::engine::{
     DecodeSpec, IterativeSpec, LatencyTable, PipelineSpec, ServingEngine, ServingReport,
 };
-use rago_serving_sim::faults::ScaleDriver;
+use rago_serving_sim::faults::{ChaosReport, ScaleDriver};
 use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::MetricsMode;
+use rago_telemetry::{NullRecorder, Recorder};
 use rago_workloads::Trace;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -41,7 +55,7 @@ pub struct DynamicEvaluation {
     pub report: ServingReport,
     /// Fraction of requests meeting the SLO's latency targets.
     pub attainment: f64,
-    /// Requests meeting the SLO per second of makespan.
+    /// Requests meeting the SLO per second of serving duration.
     pub goodput_rps: f64,
     /// Whether attainment reaches the SLO's required fraction.
     pub meets_slo: bool,
@@ -61,91 +75,52 @@ pub struct DynamicEvaluation {
 ///   every fill up to the schedule's batch sizes;
 /// * iterative workloads pause decoding exactly as in
 ///   [`Schedule::evaluate`]'s simulation, with the same trigger-position
-///   seed.
+///   seed;
+/// * with a `cache`, the engine carries its own prefix-KV and
+///   retrieval-result caches (see [`crate::cached`]) and the report's
+///   [`rago_serving_sim::engine::CacheUsage`] counts their lookups and
+///   hits. [`CacheConfig::disabled`], zero capacities and an identity-free
+///   trace all reproduce the cache-less run's timelines, metrics and
+///   per-class rows bit-exactly.
+///
+/// The run keeps every request's timeline. For `O(histogram buckets)`
+/// streaming metrics, evaluate a one-replica fleet with
+/// [`evaluate_fleet_dynamic_with`], which runs bit-identically to this
+/// engine.
 ///
 /// # Errors
 ///
 /// Returns [`RagoError::InvalidConfig`] for structurally invalid schedules,
-/// an arrival time that is not finite and non-negative, or an empty trace
-/// (a zero-request trace has no attainment to measure — reporting
+/// an arrival time that is not finite and non-negative, an empty trace (a
+/// zero-request trace has no attainment to measure — reporting
 /// `meets_slo = true` for it would let a misconfigured sweep pass
-/// silently), and [`RagoError::CostModel`] when any profiled point is
-/// infeasible under its allocation.
+/// silently), or a cache acting on a stage the schema's pipeline lacks, and
+/// [`RagoError::CostModel`] when any profiled point is infeasible under its
+/// allocation.
 pub fn evaluate_schedule_dynamic(
     profiler: &StageProfiler,
     schedule: &Schedule,
     trace: &Trace,
     slo: &SloTarget,
-) -> Result<DynamicEvaluation, RagoError> {
-    evaluate_schedule_dynamic_with(profiler, schedule, trace, slo, &MetricsMode::Exact)
-}
-
-/// [`evaluate_schedule_dynamic`] with an explicit metrics mode: `Exact`
-/// reproduces the default evaluation bit-for-bit (timelines and all), while
-/// `Streaming` keeps only `O(histogram buckets)` state per run — the mode
-/// the million-request `scale_stress` bench drives. A streaming mode must
-/// name `slo` in its [`rago_serving_sim::StreamingConfig`], because SLO
-/// attainment is counted online during the run.
-///
-/// # Errors
-///
-/// As [`evaluate_schedule_dynamic`], plus [`RagoError::InvalidConfig`] when
-/// a streaming mode's configured SLO differs from `slo`.
-pub fn evaluate_schedule_dynamic_with(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    trace: &Trace,
-    slo: &SloTarget,
-    mode: &MetricsMode,
+    cache: Option<&CacheConfig>,
 ) -> Result<DynamicEvaluation, RagoError> {
     schedule.validate()?;
     validate_trace(trace)?;
-    check_mode_slo(mode, slo)?;
-    let spec = pipeline_spec(profiler, schedule)?;
-    Ok(score_single(
-        ServingEngine::from_trace(spec, trace).run_with_mode(mode),
-        slo,
-    ))
-}
-
-/// [`evaluate_schedule_dynamic_with`] recording a telemetry trace into
-/// `rec`: the engine run is bit-identical to the untraced path for any
-/// recorder (with [`rago_telemetry::NullRecorder`] the hooks compile to
-/// nothing), and the profiler's memoization counters are appended as
-/// Profile-lane counters after the run. `telemetry` only sets the derived
-/// gauge cadence — event *filtering* is the recorder's concern.
-///
-/// # Errors
-///
-/// As [`evaluate_schedule_dynamic_with`].
-pub fn evaluate_schedule_dynamic_traced<R: rago_telemetry::Recorder>(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    trace: &Trace,
-    slo: &SloTarget,
-    mode: &MetricsMode,
-    telemetry: &rago_telemetry::TelemetryConfig,
-    rec: &mut R,
-) -> Result<DynamicEvaluation, RagoError> {
-    schedule.validate()?;
-    validate_trace(trace)?;
-    check_mode_slo(mode, slo)?;
-    let spec = pipeline_spec(profiler, schedule)?;
-    let engine = ServingEngine::from_trace(spec, trace).with_telemetry(telemetry.clone());
-    let eval = score_single(engine.run_traced(mode, rec), slo);
-    record_profiler_memo(profiler, rec, eval.report.metrics.makespan_s);
-    Ok(eval)
+    let spec = pipeline_spec(profiler, schedule, cache)?;
+    let report = ServingEngine::from_trace(spec, trace).run();
+    Ok(DynamicEvaluation {
+        attainment: report.attainment(slo),
+        goodput_rps: report.goodput_rps(slo),
+        meets_slo: report.meets_slo(slo),
+        report,
+    })
 }
 
 /// Appends the profiler's lifetime memoization counters to a trace as
 /// Profile-lane counters on the fleet track, using the same `sim.*` names
 /// as [`rago_telemetry::SimProfile`]. Compiles to nothing for a
 /// [`rago_telemetry::NullRecorder`].
-pub fn record_profiler_memo<R: rago_telemetry::Recorder>(
-    profiler: &StageProfiler,
-    rec: &mut R,
-    time_s: f64,
-) {
+pub fn record_profiler_memo<R: Recorder>(profiler: &StageProfiler, rec: &mut R, time_s: f64) {
     if !R::ENABLED {
         return;
     }
@@ -173,8 +148,8 @@ pub fn record_profiler_memo<R: rago_telemetry::Recorder>(
 /// SLO the evaluation scores against. The histogram sink counts attainment
 /// *during* the run; querying a different SLO afterwards is unanswerable
 /// (and the report accessors would panic), so the mismatch is surfaced as a
-/// configuration error up front. Shared with [`crate::cached`].
-pub(crate) fn check_mode_slo(mode: &MetricsMode, slo: &SloTarget) -> Result<(), RagoError> {
+/// configuration error up front.
+fn check_mode_slo(mode: &MetricsMode, slo: &SloTarget) -> Result<(), RagoError> {
     if let MetricsMode::Streaming(config) = mode {
         if config.slo.as_ref() != Some(slo) {
             return Err(RagoError::InvalidConfig {
@@ -188,46 +163,6 @@ pub(crate) fn check_mode_slo(mode: &MetricsMode, slo: &SloTarget) -> Result<(), 
         }
     }
     Ok(())
-}
-
-/// Scores a finished single-engine run against `slo`. Shared with the
-/// cache-aware evaluation in [`crate::cached`], so cached and cache-less
-/// paths score by one definition.
-pub(crate) fn score_single(report: ServingReport, slo: &SloTarget) -> DynamicEvaluation {
-    if report.streamed.is_some() {
-        // A streaming run kept no timelines; the report answers from the
-        // SLO counts the sink accumulated online.
-        let attainment = report.attainment(slo);
-        let goodput_rps = report.goodput_rps(slo);
-        let meets_slo = attainment >= slo.attainment;
-        return DynamicEvaluation {
-            report,
-            attainment,
-            goodput_rps,
-            meets_slo,
-        };
-    }
-    // One pass over the timelines covers all three SLO figures.
-    let met = report
-        .timelines
-        .iter()
-        .filter(|t| slo.meets(t.ttft_s(), t.tpot_s()))
-        .count();
-    let attainment = met as f64 / report.timelines.len() as f64;
-    // Goodput over the serving window (first arrival to last completion):
-    // a trace whose first arrival is late must not deflate the rate.
-    let goodput_rps = if report.metrics.serving_duration_s > 0.0 {
-        met as f64 / report.metrics.serving_duration_s
-    } else {
-        0.0
-    };
-    let meets_slo = attainment >= slo.attainment;
-    DynamicEvaluation {
-        report,
-        attainment,
-        goodput_rps,
-        meets_slo,
-    }
 }
 
 /// Validates a trace before it reaches the simulator: rejects zero-request
@@ -274,27 +209,15 @@ pub struct FleetEvaluation {
 
 /// Drives `trace` through a fleet of `fleet.replicas` identical replicas of
 /// `schedule`'s pipeline behind `fleet.router`, and scores the merged
-/// result against `slo`. The fleet-level analogue of
+/// result against `slo` — the fleet-level analogue of
 /// [`evaluate_schedule_dynamic`].
 ///
-/// # Errors
-///
-/// Returns [`RagoError::InvalidConfig`] for invalid schedules, invalid
-/// fleet configurations, or an empty or malformed trace (see
-/// [`evaluate_schedule_dynamic`]), and [`RagoError::CostModel`]
-/// when any profiled point is infeasible.
-pub fn evaluate_fleet_dynamic(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    fleet: &FleetConfig,
-    trace: &Trace,
-    slo: &SloTarget,
-) -> Result<FleetEvaluation, RagoError> {
-    evaluate_fleet_dynamic_with(profiler, schedule, fleet, trace, slo, &MetricsMode::Exact)
-}
-
-/// [`evaluate_fleet_dynamic`] with an explicit metrics mode (see
-/// [`evaluate_schedule_dynamic_with`] for the mode semantics).
+/// `mode` picks the metrics pipeline: [`MetricsMode::Exact`] keeps every
+/// request's timeline, while [`MetricsMode::Streaming`] keeps only
+/// `O(histogram buckets)` state per replica — the mode the
+/// million-request `scale_stress` bench drives. A streaming mode must name
+/// `slo` in its [`rago_serving_sim::StreamingConfig`], because SLO
+/// attainment is counted online during the run.
 ///
 /// Disaggregated `[Prefill, Decode]` pool fleets run as a split
 /// [`FleetEngine`] (see [`crate::disagg`]) with prefill replicas numbered
@@ -304,10 +227,12 @@ pub fn evaluate_fleet_dynamic(
 ///
 /// # Errors
 ///
-/// As [`evaluate_fleet_dynamic`], plus [`RagoError::InvalidConfig`] when a
-/// streaming mode's configured SLO differs from `slo`, when a streaming
-/// mode is combined with a disaggregated pool fleet, or when a pool
-/// fleet's schedule has no pre-decode stage to prefill.
+/// Returns [`RagoError::InvalidConfig`] for invalid schedules, invalid
+/// fleet configurations, an empty or malformed trace (see
+/// [`evaluate_schedule_dynamic`]), a streaming mode whose configured SLO
+/// differs from `slo`, a streaming mode on a disaggregated pool fleet, or a
+/// pool fleet whose schedule has no pre-decode stage to prefill, and
+/// [`RagoError::CostModel`] when any profiled point is infeasible.
 pub fn evaluate_fleet_dynamic_with(
     profiler: &StageProfiler,
     schedule: &Schedule,
@@ -317,69 +242,24 @@ pub fn evaluate_fleet_dynamic_with(
     mode: &MetricsMode,
 ) -> Result<FleetEvaluation, RagoError> {
     let engine = fleet_engine(profiler, schedule, fleet, trace, slo, mode, None)?;
-    Ok(score_fleet(
-        engine.run_trace_with_mode(trace, mode).fleet,
-        slo,
-    ))
+    let report = run_fleet(profiler, &engine, trace, mode, &mut NullRecorder);
+    Ok(score_fleet(report.fleet, slo))
 }
 
-/// Validates one fleet evaluation and builds its [`FleetEngine`] from any
-/// [`FleetConfig`]: a static fleet of `schedule`'s pipeline, or a split
-/// fleet running its two halves. Shared with [`crate::cached`], whose
-/// `cache` lives on every replica of a flat fleet and on a split fleet's
-/// prefill pool.
-pub(crate) fn fleet_engine(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    fleet: &FleetConfig,
-    trace: &Trace,
-    slo: &SloTarget,
-    mode: &MetricsMode,
-    cache: Option<&rago_cache::CacheConfig>,
-) -> Result<FleetEngine, RagoError> {
-    schedule.validate()?;
-    fleet.validate().map_err(|e| RagoError::InvalidConfig {
-        reason: e.to_string(),
-    })?;
-    validate_trace(trace)?;
-    check_mode_slo(mode, slo)?;
-    if fleet.is_disaggregated() {
-        if !matches!(mode, MetricsMode::Exact) {
-            return Err(RagoError::InvalidConfig {
-                reason: "streaming metrics are not supported for disaggregated pool fleets; \
-                         score the exact merged report instead"
-                    .into(),
-            });
-        }
-        let (prefill_spec, decode_spec) =
-            crate::disagg::split_pipeline_spec(profiler, schedule, cache)?;
-        return Ok(crate::disagg::split_fleet(prefill_spec, decode_spec, fleet));
-    }
-    // A single declared Monolithic pool is the flat fleet spelled in pool
-    // form — honour the pool's router (`validate` pinned the totals).
-    let router = match fleet.pools.as_slice() {
-        [only] => only.router,
-        _ => fleet.router,
-    };
-    let spec = pipeline_spec_cached(profiler, schedule, cache)?;
-    let replicas = fleet.replicas;
-    Ok(FleetEngine::new(
-        spec,
-        router,
-        ScaleDriver::Static { replicas },
-    ))
-}
-
-/// [`evaluate_fleet_dynamic_with`] recording a telemetry trace into `rec`
-/// (see [`evaluate_schedule_dynamic_traced`] for the tracing semantics).
-/// Disaggregated pool fleets trace with prefill replicas on tracks `0..P`
-/// and decode replicas on `P..P+D`.
+/// [`evaluate_fleet_dynamic_with`] recording a telemetry trace into `rec`:
+/// the run is bit-identical to the untraced path for any recorder (with
+/// [`rago_telemetry::NullRecorder`] the hooks compile to nothing), and the
+/// profiler's memoization counters are appended as Profile-lane counters
+/// after the run. `telemetry` only sets the derived gauge cadence — event
+/// *filtering* is the recorder's concern. Disaggregated pool fleets trace
+/// with prefill replicas on tracks `0..P` and decode replicas on
+/// `P..P+D`.
 ///
 /// # Errors
 ///
 /// As [`evaluate_fleet_dynamic_with`].
 #[allow(clippy::too_many_arguments)]
-pub fn evaluate_fleet_dynamic_traced<R: rago_telemetry::Recorder>(
+pub fn evaluate_fleet_dynamic_traced<R: Recorder>(
     profiler: &StageProfiler,
     schedule: &Schedule,
     fleet: &FleetConfig,
@@ -391,14 +271,77 @@ pub fn evaluate_fleet_dynamic_traced<R: rago_telemetry::Recorder>(
 ) -> Result<FleetEvaluation, RagoError> {
     let engine = fleet_engine(profiler, schedule, fleet, trace, slo, mode, None)?
         .with_telemetry(telemetry.clone());
-    let requests = trace
-        .requests
-        .iter()
-        .map(rago_serving_sim::engine::EngineRequest::from)
-        .collect();
-    let eval = score_fleet(engine.run_traced(requests, mode, rec).fleet, slo);
-    record_profiler_memo(profiler, rec, eval.report.merged.metrics.makespan_s);
-    Ok(eval)
+    let report = run_fleet(profiler, &engine, trace, mode, rec);
+    Ok(score_fleet(report.fleet, slo))
+}
+
+/// Validates one fleet evaluation and builds its [`FleetEngine`] from any
+/// [`FleetConfig`]: a static fleet of `schedule`'s pipeline, or a split
+/// fleet running its two halves. `cache` lives on every replica of a flat
+/// fleet and on a split fleet's prefill pool, where the prefix and
+/// retrieval stages run. The only place a fleet is built from a schedule.
+pub(crate) fn fleet_engine(
+    profiler: &StageProfiler,
+    schedule: &Schedule,
+    fleet: &FleetConfig,
+    trace: &Trace,
+    slo: &SloTarget,
+    mode: &MetricsMode,
+    cache: Option<&CacheConfig>,
+) -> Result<FleetEngine, RagoError> {
+    schedule.validate()?;
+    fleet.validate().map_err(|e| RagoError::InvalidConfig {
+        reason: e.to_string(),
+    })?;
+    validate_trace(trace)?;
+    check_mode_slo(mode, slo)?;
+    if let Some((prefill, decode)) = fleet.prefill_decode() {
+        if !matches!(mode, MetricsMode::Exact) {
+            return Err(RagoError::InvalidConfig {
+                reason: "streaming metrics are not supported for disaggregated pool fleets; \
+                         score the exact merged report instead"
+                    .into(),
+            });
+        }
+        let (prefill_spec, decode_spec) =
+            crate::disagg::split_pipeline_spec(profiler, schedule, cache)?;
+        return Ok(FleetEngine::disaggregated(
+            prefill_spec,
+            decode_spec,
+            prefill,
+            decode,
+            fleet.transfer,
+        ));
+    }
+    // A single declared Monolithic pool is the flat fleet spelled in pool
+    // form — honour the pool's router (`validate` pinned the totals).
+    let router = match fleet.pools.as_slice() {
+        [only] => only.router,
+        _ => fleet.router,
+    };
+    let spec = pipeline_spec(profiler, schedule, cache)?;
+    let replicas = fleet.replicas;
+    Ok(FleetEngine::new(
+        spec,
+        router,
+        ScaleDriver::Static { replicas },
+    ))
+}
+
+/// The one run core behind every fleet evaluation: drives `trace` through
+/// `engine` in place, recording into `rec`, then appends the profiler's
+/// memoization counters to the recording. With a [`NullRecorder`] it is
+/// the plain run.
+pub(crate) fn run_fleet<R: Recorder>(
+    profiler: &StageProfiler,
+    engine: &FleetEngine,
+    trace: &Trace,
+    mode: &MetricsMode,
+    rec: &mut R,
+) -> ChaosReport {
+    let report = engine.run_trace_with_mode(trace, mode, rec);
+    record_profiler_memo(profiler, rec, report.fleet.merged.metrics.makespan_s);
+    report
 }
 
 /// A heterogeneous fleet: one (possibly different) schedule per replica —
@@ -407,8 +350,8 @@ pub fn evaluate_fleet_dynamic_traced<R: rago_telemetry::Recorder>(
 /// # Errors
 ///
 /// Returns [`RagoError::InvalidConfig`] when `schedules` is empty, any
-/// schedule is invalid, or the trace is empty, and [`RagoError::CostModel`]
-/// when any profiled point is infeasible.
+/// schedule is invalid, or the trace is empty or malformed, and
+/// [`RagoError::CostModel`] when any profiled point is infeasible.
 pub fn evaluate_heterogeneous_fleet_dynamic(
     profiler: &StageProfiler,
     schedules: &[Schedule],
@@ -416,100 +359,30 @@ pub fn evaluate_heterogeneous_fleet_dynamic(
     trace: &Trace,
     slo: &SloTarget,
 ) -> Result<FleetEvaluation, RagoError> {
-    evaluate_heterogeneous_fleet_dynamic_with(
-        profiler,
-        schedules,
-        router,
-        trace,
-        slo,
-        &MetricsMode::Exact,
-    )
-}
-
-/// [`evaluate_heterogeneous_fleet_dynamic`] with an explicit metrics mode
-/// (see [`evaluate_schedule_dynamic_with`] for the mode semantics).
-///
-/// # Errors
-///
-/// As [`evaluate_heterogeneous_fleet_dynamic`], plus
-/// [`RagoError::InvalidConfig`] when a streaming mode's configured SLO
-/// differs from `slo`.
-pub fn evaluate_heterogeneous_fleet_dynamic_with(
-    profiler: &StageProfiler,
-    schedules: &[Schedule],
-    router: RouterPolicy,
-    trace: &Trace,
-    slo: &SloTarget,
-    mode: &MetricsMode,
-) -> Result<FleetEvaluation, RagoError> {
     if schedules.is_empty() {
         return Err(RagoError::InvalidConfig {
             reason: "a heterogeneous fleet needs at least one schedule".into(),
         });
     }
     validate_trace(trace)?;
-    check_mode_slo(mode, slo)?;
     let mut specs = Vec::with_capacity(schedules.len());
     for schedule in schedules {
         schedule.validate()?;
-        specs.push(pipeline_spec(profiler, schedule)?);
+        specs.push(pipeline_spec(profiler, schedule, None)?);
     }
-    let engine = heterogeneous_fleet(specs, router);
-    Ok(score_fleet(
-        engine.run_trace_with_mode(trace, mode).fleet,
-        slo,
-    ))
-}
-
-/// [`evaluate_heterogeneous_fleet_dynamic_with`] recording a telemetry
-/// trace into `rec` (see [`evaluate_schedule_dynamic_traced`] for the
-/// tracing semantics).
-///
-/// # Errors
-///
-/// As [`evaluate_heterogeneous_fleet_dynamic_with`].
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_heterogeneous_fleet_dynamic_traced<R: rago_telemetry::Recorder>(
-    profiler: &StageProfiler,
-    schedules: &[Schedule],
-    router: RouterPolicy,
-    trace: &Trace,
-    slo: &SloTarget,
-    mode: &MetricsMode,
-    telemetry: &rago_telemetry::TelemetryConfig,
-    rec: &mut R,
-) -> Result<FleetEvaluation, RagoError> {
-    if schedules.is_empty() {
-        return Err(RagoError::InvalidConfig {
-            reason: "a heterogeneous fleet needs at least one schedule".into(),
-        });
-    }
-    validate_trace(trace)?;
-    check_mode_slo(mode, slo)?;
-    let mut specs = Vec::with_capacity(schedules.len());
-    for schedule in schedules {
-        schedule.validate()?;
-        specs.push(pipeline_spec(profiler, schedule)?);
-    }
-    let engine = heterogeneous_fleet(specs, router).with_telemetry(telemetry.clone());
-    let requests = trace
-        .requests
-        .iter()
-        .map(rago_serving_sim::engine::EngineRequest::from)
-        .collect();
-    let eval = score_fleet(engine.run_traced(requests, mode, rec).fleet, slo);
-    record_profiler_memo(profiler, rec, eval.report.merged.metrics.makespan_s);
-    Ok(eval)
-}
-
-/// A fixed fleet running one pipeline per replica.
-fn heterogeneous_fleet(specs: Vec<PipelineSpec>, router: RouterPolicy) -> FleetEngine {
     let replicas = specs.len() as u32;
-    FleetEngine::heterogeneous(specs, router, ScaleDriver::Static { replicas })
+    let engine = FleetEngine::heterogeneous(specs, router, ScaleDriver::Static { replicas });
+    let report = run_fleet(
+        profiler,
+        &engine,
+        trace,
+        &MetricsMode::Exact,
+        &mut NullRecorder,
+    );
+    Ok(score_fleet(report.fleet, slo))
 }
 
-/// Scores a finished fleet run against `slo`. Shared with
-/// [`crate::cached`].
+/// Scores a finished fleet run against `slo`.
 pub(crate) fn score_fleet(report: FleetReport, slo: &SloTarget) -> FleetEvaluation {
     let attainment = report.attainment(slo);
     let goodput_rps = report.goodput_rps(slo);
@@ -523,25 +396,17 @@ pub(crate) fn score_fleet(report: FleetReport, slo: &SloTarget) -> FleetEvaluati
 }
 
 /// Translates a schedule into the engine's pipeline description using the
-/// profiled stage costs. Shared with the capacity planner
-/// ([`crate::capacity`]), which builds the spec once and replicates it.
-pub(crate) fn pipeline_spec(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-) -> Result<PipelineSpec, RagoError> {
-    pipeline_spec_cached(profiler, schedule, None)
-}
-
-/// [`pipeline_spec`] with an optional cache configuration attached: the
+/// profiled stage costs, with an optional cache configuration attached: the
 /// prefix-KV cache binds to the [`Stage::Prefix`] stage, and a
 /// retrieval-result hit skips the [`Stage::Retrieval`] and [`Stage::Rerank`]
 /// stages. With `cache = None` the spec is byte-for-byte the cache-less
-/// pipeline, which is what makes the cached evaluators' degenerate cases
-/// bit-exact.
-pub(crate) fn pipeline_spec_cached(
+/// pipeline, which is what makes the cached evaluations' degenerate cases
+/// bit-exact. Shared with the capacity planners ([`crate::capacity`]),
+/// which build the spec once and replicate it.
+pub(crate) fn pipeline_spec(
     profiler: &StageProfiler,
     schedule: &Schedule,
-    cache: Option<&rago_cache::CacheConfig>,
+    cache: Option<&CacheConfig>,
 ) -> Result<PipelineSpec, RagoError> {
     let schema = profiler.schema();
     let batch = schedule.batching.predecode_batch;
@@ -645,14 +510,18 @@ pub(crate) fn pipeline_spec_cached(
 }
 
 /// Ranks the points of a Pareto frontier by SLO goodput under a request
-/// trace, best first. Points whose dynamic evaluation fails are omitted
-/// from the result (frontier points are statically feasible, and the
-/// dynamic path only profiles at fills up to the already-feasible batch
-/// sizes, so in practice every point evaluates).
+/// trace, best first, each point evaluated by [`evaluate_schedule_dynamic`]
+/// with `cache`. Points whose dynamic evaluation fails are omitted from the
+/// result (frontier points are statically feasible, and the dynamic path
+/// only profiles at fills up to the already-feasible batch sizes, so in
+/// practice every point evaluates). With caching on, the static frontier's
+/// best-QPS/chip point can lose this ranking to a point whose larger
+/// pre-decode batch turns the cached prefix stage into nearly free work.
 ///
 /// Evaluations run across rayon worker threads — each point's
 /// discrete-event run is independent and deterministic, and the final sort
-/// breaks every tie, so the ranking does not depend on thread scheduling.
+/// breaks every tie (goodput, static TTFT, schedule description), so the
+/// ranking does not depend on thread scheduling.
 ///
 /// This is the SLO-aware selection step on top of Algorithm 1: the static
 /// search reduces millions of candidates to a frontier, and the dynamic
@@ -661,41 +530,28 @@ pub(crate) fn pipeline_spec_cached(
 ///
 /// # Panics
 ///
-/// Panics on a zero-request trace. The per-point evaluation rejects empty
-/// traces, so silently dropping the error here would turn a misconfigured
-/// sweep into an empty ranking indistinguishable from "nothing was
-/// feasible" — the exact failure mode the empty-trace guard exists to
-/// surface.
+/// Panics on an empty trace or one with an arrival that is not finite and
+/// non-negative, with [`RagoError::InvalidConfig`]'s reason as the message.
+/// Every per-point evaluation would reject such a trace, so silently
+/// dropping the errors here would turn a misconfigured sweep into an empty
+/// ranking indistinguishable from "nothing was feasible".
 pub fn rank_frontier_by_goodput(
     profiler: &StageProfiler,
     frontier: &ParetoFrontier,
     trace: &Trace,
     slo: &SloTarget,
+    cache: Option<&CacheConfig>,
 ) -> Vec<(ParetoPoint, DynamicEvaluation)> {
-    assert!(
-        !trace.requests.is_empty(),
-        "cannot rank a frontier by goodput over a zero-request trace"
-    );
-    rank_frontier_with(frontier, |schedule| {
-        evaluate_schedule_dynamic(profiler, schedule, trace, slo)
-    })
-}
-
-/// The shared rank-and-sort machinery of [`rank_frontier_by_goodput`] and
-/// [`crate::cached::rank_frontier_by_goodput_cached`]: evaluates every
-/// frontier point with `evaluate` across rayon workers (points whose
-/// evaluation fails are omitted), then sorts best-goodput-first with the
-/// deterministic three-key tie-break (goodput, static TTFT, schedule
-/// description) so the ranking never depends on thread scheduling.
-pub(crate) fn rank_frontier_with(
-    frontier: &ParetoFrontier,
-    evaluate: impl Fn(&Schedule) -> Result<DynamicEvaluation, RagoError> + Sync,
-) -> Vec<(ParetoPoint, DynamicEvaluation)> {
+    if let Err(e) = validate_trace(trace) {
+        panic!("cannot rank a frontier by goodput: {e}");
+    }
     let mut ranked: Vec<(ParetoPoint, DynamicEvaluation)> = frontier
         .iter()
         .par_bridge()
         .fold(Vec::new, |mut acc, point| {
-            if let Ok(eval) = evaluate(&point.schedule) {
+            if let Ok(eval) =
+                evaluate_schedule_dynamic(profiler, &point.schedule, trace, slo, cache)
+            {
                 acc.push((point.clone(), eval));
             }
             acc
@@ -761,9 +617,14 @@ mod tests {
             seed: 0,
         }
         .generate();
-        let eval =
-            evaluate_schedule_dynamic(&profiler, &schedule, &trace, &SloTarget::paper_default())
-                .unwrap();
+        let eval = evaluate_schedule_dynamic(
+            &profiler,
+            &schedule,
+            &trace,
+            &SloTarget::paper_default(),
+            None,
+        )
+        .unwrap();
         // All eight requests flow as one micro-batch through retrieval and
         // prefix: TTFT equals the static sum of stage latencies.
         assert!(
@@ -795,9 +656,14 @@ mod tests {
             seed: 0,
         }
         .generate();
-        let eval =
-            evaluate_schedule_dynamic(&profiler, &schedule, &trace, &SloTarget::paper_default())
-                .unwrap();
+        let eval = evaluate_schedule_dynamic(
+            &profiler,
+            &schedule,
+            &trace,
+            &SloTarget::paper_default(),
+            None,
+        )
+        .unwrap();
         assert!(
             (eval.report.metrics.tpot.max_s - static_perf.tpot_s).abs() < 1e-9,
             "dynamic TPOT {} != static step latency {}",
@@ -820,7 +686,7 @@ mod tests {
                 seed: 11,
             }
             .generate();
-            evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo).unwrap()
+            evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, None).unwrap()
         };
         let light = run(2.0);
         let crushed = run(4000.0);
@@ -852,9 +718,14 @@ mod tests {
             seed: 2,
         }
         .generate();
-        let eval =
-            evaluate_schedule_dynamic(&profiler, &schedule, &trace, &SloTarget::paper_default())
-                .unwrap();
+        let eval = evaluate_schedule_dynamic(
+            &profiler,
+            &schedule,
+            &trace,
+            &SloTarget::paper_default(),
+            None,
+        )
+        .unwrap();
         assert!(eval.report.metrics.retrieval_batches > 0);
         // Pauses stretch the achieved TPOT beyond the raw step latency.
         let step = profiler
@@ -880,14 +751,15 @@ mod tests {
         }
         .generate();
         let slo = SloTarget::paper_default();
-        let err = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo).unwrap_err();
+        let err = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, None).unwrap_err();
         assert!(matches!(err, RagoError::InvalidConfig { .. }));
-        let err = evaluate_fleet_dynamic(
+        let err = evaluate_fleet_dynamic_with(
             &profiler,
             &schedule,
             &rago_schema::FleetConfig::new(2, RouterPolicy::LeastOutstanding),
             &trace,
             &slo,
+            &MetricsMode::Exact,
         )
         .unwrap_err();
         assert!(matches!(err, RagoError::InvalidConfig { .. }));
@@ -927,7 +799,8 @@ mod tests {
                     "{bad}: {err:?}"
                 );
             }
-            let err = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo).unwrap_err();
+            let err =
+                evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, None).unwrap_err();
             assert!(matches!(err, RagoError::InvalidConfig { .. }), "{bad}");
         }
     }
@@ -982,8 +855,8 @@ mod tests {
         }
         .generate();
         let shifted = trace.with_arrival_offset(100.0);
-        let base = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo).unwrap();
-        let moved = evaluate_schedule_dynamic(&profiler, &schedule, &shifted, &slo).unwrap();
+        let base = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, None).unwrap();
+        let moved = evaluate_schedule_dynamic(&profiler, &schedule, &shifted, &slo, None).unwrap();
         assert!(base.goodput_rps > 0.0);
         assert!(
             (moved.goodput_rps - base.goodput_rps).abs() < 1e-9,
@@ -1015,12 +888,13 @@ mod tests {
         }
         .generate();
         let fleet = |n: u32| {
-            evaluate_fleet_dynamic(
+            evaluate_fleet_dynamic_with(
                 &profiler,
                 &schedule,
                 &rago_schema::FleetConfig::new(n, RouterPolicy::LeastOutstanding),
                 &trace,
                 &slo,
+                &MetricsMode::Exact,
             )
             .unwrap()
         };
@@ -1037,7 +911,7 @@ mod tests {
             120
         );
         // A 1-replica fleet agrees with the single-engine path.
-        let single = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo).unwrap();
+        let single = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, None).unwrap();
         assert_eq!(one.report.merged, single.report);
         assert!((one.attainment - single.attainment).abs() < 1e-12);
         assert!((one.goodput_rps - single.goodput_rps).abs() < 1e-12);
@@ -1077,8 +951,24 @@ mod tests {
                 )],
                 transfer: rago_schema::KvTransferModel::zero(),
             };
-            let a = evaluate_fleet_dynamic(&profiler, &schedule, &flat, &trace, &slo).unwrap();
-            let b = evaluate_fleet_dynamic(&profiler, &schedule, &pooled, &trace, &slo).unwrap();
+            let a = evaluate_fleet_dynamic_with(
+                &profiler,
+                &schedule,
+                &flat,
+                &trace,
+                &slo,
+                &MetricsMode::Exact,
+            )
+            .unwrap();
+            let b = evaluate_fleet_dynamic_with(
+                &profiler,
+                &schedule,
+                &pooled,
+                &trace,
+                &slo,
+                &MetricsMode::Exact,
+            )
+            .unwrap();
             assert_eq!(a.report, b.report, "router {router:?}");
             assert_eq!(a.attainment, b.attainment);
             assert_eq!(a.goodput_rps, b.goodput_rps);
@@ -1135,9 +1025,14 @@ mod tests {
             seed: 0,
         }
         .generate();
-        let err =
-            evaluate_schedule_dynamic(&profiler, &schedule, &trace, &SloTarget::paper_default())
-                .unwrap_err();
+        let err = evaluate_schedule_dynamic(
+            &profiler,
+            &schedule,
+            &trace,
+            &SloTarget::paper_default(),
+            None,
+        )
+        .unwrap_err();
         assert!(matches!(err, RagoError::InvalidConfig { .. }));
     }
 
@@ -1173,9 +1068,9 @@ mod tests {
     }
 
     /// SLO counting is exact in streaming mode (only latency *percentiles*
-    /// are histogram-approximated), so the streaming evaluation's scores
-    /// must equal the exact evaluation's bit for bit — with no timelines
-    /// retained.
+    /// are histogram-approximated), so a streaming one-replica fleet — the
+    /// single engine's streaming form — must score the exact single-engine
+    /// evaluation bit for bit, with no timelines retained.
     #[test]
     fn streaming_evaluation_scores_match_exact() {
         use rago_schema::HistogramSpec;
@@ -1192,27 +1087,26 @@ mod tests {
             seed: 11,
         }
         .generate();
-        let exact = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo).unwrap();
+        let exact = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, None).unwrap();
         let mode =
             MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()).with_slo(slo));
+        let one = FleetConfig::new(1, RouterPolicy::LeastOutstanding);
         let streamed =
-            evaluate_schedule_dynamic_with(&profiler, &schedule, &trace, &slo, &mode).unwrap();
+            evaluate_fleet_dynamic_with(&profiler, &schedule, &one, &trace, &slo, &mode).unwrap();
 
         assert_eq!(streamed.attainment, exact.attainment);
         assert_eq!(streamed.goodput_rps, exact.goodput_rps);
         assert_eq!(streamed.meets_slo, exact.meets_slo);
-        assert!(streamed.report.timelines.is_empty());
-        assert_eq!(streamed.report.metrics.requests, 80);
+        let merged = &streamed.report.merged;
+        assert!(merged.timelines.is_empty());
+        assert_eq!(merged.metrics.requests, 80);
         // Percentile estimates land within one bucket width of the exact
         // order statistics.
         let w = HistogramSpec::default().bucket_width_s;
         for (est, true_v) in [
+            (merged.metrics.ttft.p99_s, exact.report.metrics.ttft.p99_s),
             (
-                streamed.report.metrics.ttft.p99_s,
-                exact.report.metrics.ttft.p99_s,
-            ),
-            (
-                streamed.report.metrics.latency.p50_s,
+                merged.metrics.latency.p50_s,
                 exact.report.metrics.latency.p50_s,
             ),
         ] {
@@ -1223,12 +1117,19 @@ mod tests {
         }
         // The streaming report retains orders of magnitude less memory than
         // the per-request timelines.
-        assert!(streamed.report.retained_bytes() < exact.report.retained_bytes());
+        assert!(merged.retained_bytes() < exact.report.retained_bytes());
 
-        // The fleet evaluator agrees through the same sink plumbing.
+        // A larger fleet agrees through the same sink plumbing.
         let fleet = FleetConfig::new(2, RouterPolicy::LeastOutstanding);
-        let exact_fleet =
-            evaluate_fleet_dynamic(&profiler, &schedule, &fleet, &trace, &slo).unwrap();
+        let exact_fleet = evaluate_fleet_dynamic_with(
+            &profiler,
+            &schedule,
+            &fleet,
+            &trace,
+            &slo,
+            &MetricsMode::Exact,
+        )
+        .unwrap();
         let streamed_fleet =
             evaluate_fleet_dynamic_with(&profiler, &schedule, &fleet, &trace, &slo, &mode).unwrap();
         assert_eq!(streamed_fleet.attainment, exact_fleet.attainment);
@@ -1255,14 +1156,109 @@ mod tests {
         .generate();
         let unconfigured = MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()));
         assert!(matches!(
-            evaluate_schedule_dynamic_with(
+            evaluate_fleet_dynamic_with(
                 &profiler,
                 &schedule,
+                &FleetConfig::new(1, RouterPolicy::LeastOutstanding),
                 &trace,
                 &SloTarget::paper_default(),
                 &unconfigured
             ),
             Err(RagoError::InvalidConfig { .. })
         ));
+    }
+
+    /// A live recorder observes the fleet run without changing it: the
+    /// traced evaluation equals the untraced one for a flat exact fleet, a
+    /// flat streaming fleet and a 1+1 prefill/decode split, and the
+    /// recording ends with the profiler's three memoization counters.
+    #[test]
+    fn traced_fleet_evaluation_matches_untraced() {
+        use rago_schema::HistogramSpec;
+        use rago_serving_sim::StreamingConfig;
+        use rago_telemetry::{TelemetryConfig, TraceRecorder};
+
+        let profiler = case1_profiler();
+        let schedule = case1_schedule();
+        let slo = SloTarget::new(1.0, 0.1);
+        let trace = TraceSpec {
+            num_requests: 60,
+            profile: SequenceProfile::paper_default().with_decode_tokens(32),
+            arrival: ArrivalProcess::Poisson { rate_rps: 40.0 },
+            length_jitter: 0.2,
+            seed: 4,
+        }
+        .generate();
+        let streaming =
+            MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()).with_slo(slo));
+        let flat = FleetConfig::new(2, RouterPolicy::LeastOutstanding);
+        let split = FleetConfig::split(1, 1, RouterPolicy::LeastOutstanding);
+        for (fleet, mode) in [
+            (&flat, &MetricsMode::Exact),
+            (&flat, &streaming),
+            (&split, &MetricsMode::Exact),
+        ] {
+            let untraced =
+                evaluate_fleet_dynamic_with(&profiler, &schedule, fleet, &trace, &slo, mode)
+                    .unwrap();
+            let telemetry = TelemetryConfig::full(0.25);
+            let mut rec = TraceRecorder::new(telemetry.clone());
+            let traced = evaluate_fleet_dynamic_traced(
+                &profiler, &schedule, fleet, &trace, &slo, mode, &telemetry, &mut rec,
+            )
+            .unwrap();
+            assert_eq!(traced, untraced, "{fleet:?} in {mode:?}");
+            let names: Vec<&str> = rec.events().iter().map(|e| e.name.as_str()).collect();
+            for counter in [
+                "sim.profiler_memo_hits",
+                "sim.profiler_memo_misses",
+                "sim.profiler_memo_hit_rate",
+            ] {
+                assert!(names.contains(&counter), "{counter} missing for {fleet:?}");
+            }
+        }
+    }
+
+    /// Case I's two-point fast frontier and its trace, with one arrival
+    /// made NaN.
+    fn fast_frontier_and_nan_trace() -> (Rago, ParetoFrontier, Trace) {
+        let rago = Rago::new(
+            presets::case1_hyperscale(LlmSize::B8, 1),
+            ClusterSpec::paper_default(),
+        );
+        let frontier = rago.optimize(&SearchOptions::fast()).unwrap();
+        let mut trace = TraceSpec {
+            num_requests: 20,
+            profile: SequenceProfile::paper_default().with_decode_tokens(32),
+            arrival: ArrivalProcess::Poisson { rate_rps: 10.0 },
+            length_jitter: 0.0,
+            seed: 3,
+        }
+        .generate();
+        trace.requests[5].arrival_s = f64::NAN;
+        (rago, frontier, trace)
+    }
+
+    /// Regression: a malformed trace made every point's evaluation fail, so
+    /// the goodput ranking returned zero points with no error.
+    #[test]
+    #[should_panic(expected = "arrival times must be finite and non-negative")]
+    fn goodput_ranking_rejects_a_nan_arrival() {
+        let (rago, frontier, trace) = fast_frontier_and_nan_trace();
+        let _ = rago.rank_frontier_by_goodput(&frontier, &trace, &SloTarget::paper_default());
+    }
+
+    /// The same regression for the joint disaggregation ranking.
+    #[test]
+    #[should_panic(expected = "arrival times must be finite and non-negative")]
+    fn disagg_ranking_rejects_a_nan_arrival() {
+        let (rago, frontier, trace) = fast_frontier_and_nan_trace();
+        let _ = rago.rank_frontier_by_goodput_disagg(
+            &frontier,
+            &trace,
+            &SloTarget::paper_default(),
+            &[(1, 1)],
+            &[rago_hardware::InterconnectSpec::torus_3d()],
+        );
     }
 }

@@ -25,17 +25,20 @@
 //! `faultless_scenario_matches_timevarying` below.
 
 use crate::capacity::CapacityProfile;
-use crate::dynamic::{pipeline_spec, validate_trace};
+use crate::dynamic::{fleet_engine, pipeline_spec, run_fleet, validate_trace};
 use crate::error::RagoError;
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
 use crate::timevarying::ScalingSummary;
-use rago_schema::{RouterPolicy, SloTarget};
+use rago_schema::{FleetConfig, PoolRole, RouterPolicy, SloTarget};
 use rago_serving_sim::faults::{
     AdmissionConfig, AttainmentWindow, ChaosReport, CrashPolicy, FaultSchedule, PlanStep,
     RecoveryMetrics, ScaleDriver, ScalingPlan,
 };
 use rago_serving_sim::fleet::FleetEngine;
+use rago_serving_sim::pools::PoolCrash;
+use rago_serving_sim::MetricsMode;
+use rago_telemetry::NullRecorder;
 use rago_workloads::{Trace, WorkloadMix};
 use serde::{Deserialize, Serialize};
 
@@ -357,7 +360,7 @@ pub fn evaluate_fleet_faulted(
         a
     });
 
-    let spec = pipeline_spec(profiler, schedule)?;
+    let spec = pipeline_spec(profiler, schedule, None)?;
     let mut engine = FleetEngine::new(spec, router, scenario.driver.clone())
         .with_faults(scenario.faults.clone())
         .with_crash_policy(scenario.crash_policy);
@@ -480,13 +483,82 @@ pub fn evaluate_fleet_faulted(
 pub fn evaluate_fleet_faulted_pools(
     profiler: &StageProfiler,
     schedule: &Schedule,
-    fleet: &rago_schema::FleetConfig,
-    crashes: &[rago_serving_sim::pools::PoolCrash],
+    fleet: &FleetConfig,
+    crashes: &[PoolCrash],
     trace: &Trace,
     slo: &SloTarget,
 ) -> Result<crate::disagg::DisaggEvaluation, RagoError> {
-    let report = crate::disagg::run_pools(profiler, schedule, fleet, trace, None, crashes)?;
+    let engine = faulted_pool_engine(profiler, schedule, fleet, crashes, trace, slo)?;
+    let report = run_fleet(
+        profiler,
+        &engine,
+        trace,
+        &MetricsMode::Exact,
+        &mut NullRecorder,
+    );
     Ok(crate::disagg::score_disagg(report, schedule, fleet, slo))
+}
+
+/// The pool fleet `fleet` as [`fleet_engine`] builds it, with `crashes`
+/// played onto it once each is checked to target a real replica of the
+/// Prefill or Decode pool at a finite, non-negative time.
+pub(crate) fn faulted_pool_engine(
+    profiler: &StageProfiler,
+    schedule: &Schedule,
+    fleet: &FleetConfig,
+    crashes: &[PoolCrash],
+    trace: &Trace,
+    slo: &SloTarget,
+) -> Result<FleetEngine, RagoError> {
+    let (prefill, decode) = crate::disagg::pool_pair(fleet)?;
+    let engine = fleet_engine(
+        profiler,
+        schedule,
+        fleet,
+        trace,
+        slo,
+        &MetricsMode::Exact,
+        None,
+    )?;
+    for c in crashes {
+        let pool_len = match c.pool {
+            PoolRole::Prefill => prefill.replicas,
+            PoolRole::Decode => decode.replicas,
+            PoolRole::Monolithic => {
+                return Err(RagoError::InvalidConfig {
+                    reason: "pool crashes target the Prefill or Decode pool".into(),
+                })
+            }
+        };
+        if c.replica as u64 >= u64::from(pool_len) {
+            return Err(RagoError::InvalidConfig {
+                reason: format!(
+                    "crash at {:.3}s targets replica {} of a {}-replica {} pool",
+                    c.at_s, c.replica, pool_len, c.pool
+                ),
+            });
+        }
+        if !(c.at_s.is_finite() && c.at_s >= 0.0) {
+            return Err(RagoError::InvalidConfig {
+                reason: format!(
+                    "crash times must be finite and non-negative, got {}",
+                    c.at_s
+                ),
+            });
+        }
+        if let Some(d) = c.restart_delay_s {
+            if !(d.is_finite() && d >= 0.0) {
+                return Err(RagoError::InvalidConfig {
+                    reason: format!("restart delays must be finite and non-negative, got {d}"),
+                });
+            }
+        }
+    }
+    let faults = crashes
+        .iter()
+        .map(|c| c.to_fault(prefill.replicas))
+        .collect();
+    Ok(engine.with_faults(FaultSchedule::new(faults)))
 }
 
 #[cfg(test)]
@@ -901,9 +973,9 @@ mod tests {
                 &slo
             )
             .is_ok());
-            let chaos =
-                crate::disagg::run_pools(&profiler, &schedule, &fleet, &trace, None, &[lost])
-                    .unwrap();
+            let chaos = faulted_pool_engine(&profiler, &schedule, &fleet, &[lost], &trace, &slo)
+                .unwrap()
+                .run_trace(&trace);
             let fault = &chaos.fault;
             assert_eq!(fault.injected, 120);
             assert_eq!(

@@ -52,25 +52,19 @@ pub mod timevarying;
 
 pub use baseline::BaselineSystem;
 pub use breakdown::{stage_breakdown, StageShare};
-pub use cached::{
-    evaluate_fleet_cached, evaluate_fleet_cached_with, evaluate_schedule_cached,
-    evaluate_schedule_cached_with, plan_capacity_cached, rank_frontier_by_goodput_cached,
-    CacheConfig, CachedCapacityPlan,
-};
+pub use cached::{plan_capacity_cached, CacheConfig, CachedCapacityPlan};
 pub use capacity::{
     plan_capacity, plan_capacity_pools, plan_capacity_profile, plan_capacity_with,
     rank_frontier_by_cost_at_qps, CapacityInterval, CapacityOptions, CapacityPlan, CapacityProfile,
     PoolCapacityPlan, MAX_PLANNER_REPLICAS,
 };
 pub use disagg::{
-    evaluate_fleet_disagg, evaluate_fleet_disagg_cached, rank_frontier_by_goodput_disagg,
-    transfer_model_from_interconnect, DisaggChoice, DisaggEvaluation,
+    evaluate_fleet_disagg, rank_frontier_by_goodput_disagg, transfer_model_from_interconnect,
+    DisaggChoice, DisaggEvaluation,
 };
 pub use dynamic::{
-    evaluate_fleet_dynamic, evaluate_fleet_dynamic_traced, evaluate_fleet_dynamic_with,
-    evaluate_heterogeneous_fleet_dynamic, evaluate_heterogeneous_fleet_dynamic_traced,
-    evaluate_heterogeneous_fleet_dynamic_with, evaluate_schedule_dynamic,
-    evaluate_schedule_dynamic_traced, evaluate_schedule_dynamic_with, rank_frontier_by_goodput,
+    evaluate_fleet_dynamic_traced, evaluate_fleet_dynamic_with,
+    evaluate_heterogeneous_fleet_dynamic, evaluate_schedule_dynamic, rank_frontier_by_goodput,
     record_profiler_memo, DynamicEvaluation, FleetEvaluation,
 };
 pub use error::RagoError;

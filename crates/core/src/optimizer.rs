@@ -432,7 +432,7 @@ impl Rago {
         trace: &rago_workloads::Trace,
         slo: &rago_schema::SloTarget,
     ) -> Result<crate::dynamic::DynamicEvaluation, RagoError> {
-        crate::dynamic::evaluate_schedule_dynamic(&self.profiler, schedule, trace, slo)
+        crate::dynamic::evaluate_schedule_dynamic(&self.profiler, schedule, trace, slo, None)
     }
 
     /// Re-scores a Pareto frontier under a request trace and ranks its
@@ -447,16 +447,17 @@ impl Rago {
         crate::pareto::ParetoPoint,
         crate::dynamic::DynamicEvaluation,
     )> {
-        crate::dynamic::rank_frontier_by_goodput(&self.profiler, frontier, trace, slo)
+        crate::dynamic::rank_frontier_by_goodput(&self.profiler, frontier, trace, slo, None)
     }
 
     /// Evaluates one schedule as a *fleet*: `fleet.replicas` copies of its
     /// pipeline behind `fleet.router`, sharing the trace's arrival stream.
-    /// See [`crate::dynamic::evaluate_fleet_dynamic`].
+    /// See [`crate::dynamic::evaluate_fleet_dynamic_with`] in
+    /// [`crate::MetricsMode::Exact`].
     ///
     /// # Errors
     ///
-    /// Propagates [`crate::dynamic::evaluate_fleet_dynamic`] errors.
+    /// Propagates [`crate::dynamic::evaluate_fleet_dynamic_with`] errors.
     pub fn evaluate_fleet(
         &self,
         schedule: &Schedule,
@@ -464,7 +465,14 @@ impl Rago {
         trace: &rago_workloads::Trace,
         slo: &rago_schema::SloTarget,
     ) -> Result<crate::dynamic::FleetEvaluation, RagoError> {
-        crate::dynamic::evaluate_fleet_dynamic(&self.profiler, schedule, fleet, trace, slo)
+        crate::dynamic::evaluate_fleet_dynamic_with(
+            &self.profiler,
+            schedule,
+            fleet,
+            trace,
+            slo,
+            &crate::MetricsMode::Exact,
+        )
     }
 
     /// Sizes a fleet of `schedule` replicas for `target_qps` within `slo`:
@@ -630,11 +638,11 @@ impl Rago {
     /// Evaluates one schedule dynamically **with caching enabled**:
     /// per-replica prefix-KV and retrieval-result caches exploit the
     /// trace's content identity. See
-    /// [`crate::cached::evaluate_schedule_cached`].
+    /// [`crate::dynamic::evaluate_schedule_dynamic`] and [`crate::cached`].
     ///
     /// # Errors
     ///
-    /// Propagates [`crate::cached::evaluate_schedule_cached`] errors.
+    /// Propagates [`crate::dynamic::evaluate_schedule_dynamic`] errors.
     pub fn evaluate_cached(
         &self,
         schedule: &Schedule,
@@ -642,15 +650,22 @@ impl Rago {
         slo: &rago_schema::SloTarget,
         cache: &rago_cache::CacheConfig,
     ) -> Result<crate::dynamic::DynamicEvaluation, RagoError> {
-        crate::cached::evaluate_schedule_cached(&self.profiler, schedule, trace, slo, cache)
+        crate::dynamic::evaluate_schedule_dynamic(&self.profiler, schedule, trace, slo, Some(cache))
     }
 
-    /// Evaluates one schedule as a fleet with per-replica caches. See
-    /// [`crate::cached::evaluate_fleet_cached`].
+    /// Evaluates one schedule as a fleet with per-replica caches, each
+    /// replica's cold at the start. Pair it with the content-aware routers
+    /// ([`rago_schema::RouterPolicy::CacheAffinity`] /
+    /// [`rago_schema::RouterPolicy::PrefixHash`]) to keep each template's KV
+    /// state on one replica instead of duplicating it everywhere. A
+    /// `[Prefill, Decode]` split puts the caches on its prefill pool, where
+    /// the prefix and retrieval stages run. See [`crate::cached`].
     ///
     /// # Errors
     ///
-    /// Propagates [`crate::cached::evaluate_fleet_cached`] errors.
+    /// As [`crate::dynamic::evaluate_fleet_dynamic_with`], plus
+    /// [`RagoError::InvalidConfig`] for a cache acting on a stage the
+    /// schema's pipeline lacks.
     pub fn evaluate_fleet_cached(
         &self,
         schedule: &Schedule,
@@ -659,22 +674,24 @@ impl Rago {
         slo: &rago_schema::SloTarget,
         cache: &rago_cache::CacheConfig,
     ) -> Result<crate::dynamic::FleetEvaluation, RagoError> {
-        crate::cached::evaluate_fleet_cached(&self.profiler, schedule, fleet, trace, slo, cache)
-    }
-
-    /// Re-ranks a Pareto frontier by SLO goodput with caching enabled. See
-    /// [`crate::cached::rank_frontier_by_goodput_cached`].
-    pub fn rank_frontier_by_goodput_cached(
-        &self,
-        frontier: &ParetoFrontier,
-        trace: &rago_workloads::Trace,
-        slo: &rago_schema::SloTarget,
-        cache: &rago_cache::CacheConfig,
-    ) -> Vec<(
-        crate::pareto::ParetoPoint,
-        crate::dynamic::DynamicEvaluation,
-    )> {
-        crate::cached::rank_frontier_by_goodput_cached(&self.profiler, frontier, trace, slo, cache)
+        let mode = crate::MetricsMode::Exact;
+        let engine = crate::dynamic::fleet_engine(
+            &self.profiler,
+            schedule,
+            fleet,
+            trace,
+            slo,
+            &mode,
+            Some(cache),
+        )?;
+        let report = crate::dynamic::run_fleet(
+            &self.profiler,
+            &engine,
+            trace,
+            &mode,
+            &mut rago_telemetry::NullRecorder,
+        );
+        Ok(crate::dynamic::score_fleet(report.fleet, slo))
     }
 
     /// Sizes a fleet for `target_qps` within `slo` with caching enabled,
@@ -793,7 +810,7 @@ impl Rago {
     /// [`crate::search::SearchMode::Stochastic`] runs the seeded anytime search
     /// ([`Rago::optimize_stochastic`]) and returns its frontier. Both modes
     /// produce a [`ParetoFrontier`], so every frontier consumer
-    /// (`rank_frontier_by_goodput{,_disagg,_cached}`,
+    /// (`rank_frontier_by_goodput{,_disagg}`,
     /// `rank_frontier_by_cost_at_qps`, …) works with either.
     ///
     /// # Errors

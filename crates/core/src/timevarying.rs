@@ -1,7 +1,7 @@
 //! Time-varying, multi-tenant fleet evaluation: the scenario axis where
 //! traffic breathes and capacity follows it.
 //!
-//! [`crate::dynamic::evaluate_fleet_dynamic`] scores a *fixed* fleet under
+//! [`crate::dynamic::evaluate_fleet_dynamic_with`] scores a *fixed* fleet under
 //! one SLO. This module generalizes both sides: the trace may be
 //! class-tagged (a [`WorkloadMix`] of tenants, each with its own
 //! [`rago_schema::SloTarget`]) and generated by a time-varying
@@ -14,7 +14,7 @@
 //! terms.
 //!
 //! With one class, a constant rate, and no autoscaler, the evaluation
-//! reduces **bit-exactly** to [`crate::dynamic::evaluate_fleet_dynamic`] —
+//! reduces **bit-exactly** to [`crate::dynamic::evaluate_fleet_dynamic_with`] —
 //! the equivalence is pinned by `timevarying_matches_fleet_dynamic` below
 //! and property-tested in `rago-serving-sim/tests/proptest_tenant.rs`.
 
@@ -119,7 +119,7 @@ impl TimeVaryingEvaluation {
 ///
 /// * With `autoscaler = None`, the fleet is `fleet.replicas` fixed replicas
 ///   behind `fleet.router` — exactly the run of
-///   [`crate::dynamic::evaluate_fleet_dynamic`], bit for bit; this function
+///   [`crate::dynamic::evaluate_fleet_dynamic_with`], bit for bit; this function
 ///   adds the per-tenant scoring and the provisioning cost
 ///   (`replicas × makespan` replica-seconds).
 /// * With `autoscaler = Some(policy)`, the fleet starts at
@@ -212,14 +212,18 @@ pub fn evaluate_fleet_timevarying_with(
         }
     };
 
-    let spec = pipeline_spec(profiler, schedule)?;
+    let spec = pipeline_spec(profiler, schedule, None)?;
     let driver = match autoscaler {
         None => ScaleDriver::Static {
             replicas: fleet.replicas,
         },
         Some(policy) => ScaleDriver::Reactive(*policy),
     };
-    let run = FleetEngine::new(spec, fleet.router, driver).run_trace_with_mode(trace, &mode);
+    let run = FleetEngine::new(spec, fleet.router, driver).run_trace_with_mode(
+        trace,
+        &mode,
+        &mut rago_telemetry::NullRecorder,
+    );
     let (scaling, replica_seconds) = match autoscaler {
         None => (
             None,
@@ -301,7 +305,7 @@ pub fn evaluate_fleet_timevarying_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamic::evaluate_fleet_dynamic;
+    use crate::dynamic::evaluate_fleet_dynamic_with;
     use crate::placement::PlacementPlan;
     use crate::schedule::{BatchingPolicy, ResourceAllocation};
     use rago_hardware::ClusterSpec;
@@ -351,7 +355,7 @@ mod tests {
 
     /// The acceptance-criterion equivalence: one class, constant rate, no
     /// autoscaler — `evaluate_fleet_timevarying` reproduces
-    /// `evaluate_fleet_dynamic` bit-exactly.
+    /// `evaluate_fleet_dynamic_with` bit-exactly.
     #[test]
     fn timevarying_matches_fleet_dynamic_bit_exactly() {
         let profiler = case1_profiler();
@@ -370,7 +374,15 @@ mod tests {
         let mix = WorkloadMix::single("all", profile, 0.2, slo);
         let tv =
             evaluate_fleet_timevarying(&profiler, &schedule, &fleet, &mix, &trace, None).unwrap();
-        let dynamic = evaluate_fleet_dynamic(&profiler, &schedule, &fleet, &trace, &slo).unwrap();
+        let dynamic = evaluate_fleet_dynamic_with(
+            &profiler,
+            &schedule,
+            &fleet,
+            &trace,
+            &slo,
+            &rago_serving_sim::MetricsMode::Exact,
+        )
+        .unwrap();
         assert_eq!(tv.report, dynamic.report);
         assert_eq!(tv.attainment, dynamic.attainment);
         assert_eq!(tv.goodput_rps, dynamic.goodput_rps);

@@ -1337,7 +1337,11 @@ mod tests {
         let streaming =
             MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()).with_slo(slo));
         let exact = engine.run_trace(&spike_trace(220));
-        let streamed = engine.run_trace_with_mode(&spike_trace(220), &streaming);
+        let streamed = engine.run_trace_with_mode(
+            &spike_trace(220),
+            &streaming,
+            &mut rago_telemetry::NullRecorder,
+        );
         assert!(streamed.fleet.merged.timelines.is_empty());
         assert!(exact.fault.shed > 0, "the spike should overflow admission");
         let offered = exact.offered_attainment(&slo);

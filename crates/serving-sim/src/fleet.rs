@@ -76,7 +76,7 @@
 //! let engine = FleetEngine::new(spec, RouterPolicy::LeastOutstanding,
 //!     ScaleDriver::Static { replicas: 3 });
 //! let exact = engine.run_trace(&trace);
-//! let streamed = engine.run_trace_with_mode(&trace, &streaming);
+//! let streamed = engine.run_trace_with_mode(&trace, &streaming, &mut rago_telemetry::NullRecorder);
 //! // Streaming keeps histogram-sized state: no timelines, no assignment log.
 //! assert!(streamed.fleet.merged.timelines.is_empty());
 //! assert!(streamed.fleet.assignments.is_empty());
@@ -278,7 +278,11 @@ impl FleetEngine {
     /// place — an unsorted trace through a permutation sorted by
     /// `(arrival, id)`, the order [`Self::run`] sorts into.
     pub fn run_trace(&self, trace: &Trace) -> ChaosReport {
-        self.run_trace_with_mode(trace, &MetricsMode::Exact)
+        self.run_trace_with_mode(
+            trace,
+            &MetricsMode::Exact,
+            &mut rago_telemetry::NullRecorder,
+        )
     }
 
     /// [`Self::run_trace`] for a caller that needs only the verdict
@@ -322,13 +326,17 @@ impl FleetEngine {
         .map(|(report, _)| report)
     }
 
-    /// [`Self::run_trace`] with an explicit metrics pipeline.
-    pub fn run_trace_with_mode(&self, trace: &Trace, mode: &MetricsMode) -> ChaosReport {
-        self.run_pulled_traced(
-            trace_arrivals(trace),
-            mode,
-            &mut rago_telemetry::NullRecorder,
-        )
+    /// [`Self::run_trace`] with an explicit metrics pipeline, recording
+    /// into `rec` as [`Self::run_traced`] does. A
+    /// [`rago_telemetry::NullRecorder`] records nothing and leaves the run
+    /// unchanged.
+    pub fn run_trace_with_mode<R: Recorder>(
+        &self,
+        trace: &Trace,
+        mode: &MetricsMode,
+        rec: &mut R,
+    ) -> ChaosReport {
+        self.run_pulled_traced(trace_arrivals(trace), mode, rec)
     }
 
     /// Runs the fleet over `requests` (sorted by arrival time internally)

@@ -29,7 +29,7 @@
 //!   diurnal trace through `evaluate_fleet_timevarying`, static and
 //!   autoscaled, with per-tenant outcomes and the provisioning cost.
 //! * `cache_run.json` — the PR 5 cache subsystem: a seeded Zipfian
-//!   content-tagged trace through `evaluate_schedule_cached`, pinning the
+//!   content-tagged trace through `Rago::evaluate_cached`, pinning the
 //!   hit/miss/eviction counters, tokens saved, and the cached TTFT.
 //! * `fault_crash.json` / `fault_straggler.json` — the PR 7 chaos layer:
 //!   the engine-metrics scenario rerun under a replica crash (cold
@@ -90,6 +90,7 @@ use rago::serving_sim::faults::{
 use rago::serving_sim::fleet::FleetEngine;
 use rago::serving_sim::pools::{DisaggReport, PoolReport};
 use rago::serving_sim::MetricsMode;
+use rago::telemetry::NullRecorder;
 use rago::workloads::{
     ArrivalProcess, ContentSpec, MixTraceSpec, PopularityModel, RequestClass, TraceSpec,
     WorkloadMix,
@@ -425,7 +426,7 @@ fn golden_timevarying() {
 #[test]
 fn golden_cache_run() {
     // The cache subsystem end to end: a seeded Zipfian content-tagged trace
-    // through `evaluate_schedule_cached`, with every cache counter pinned.
+    // through `Rago::evaluate_cached`, with every cache counter pinned.
     let rago = Rago::new(
         presets::case1_hyperscale(LlmSize::B8, 1),
         ClusterSpec::paper_default(),
@@ -853,7 +854,7 @@ fn golden_fleet_streaming() {
         RouterPolicy::LeastOutstanding,
         ScaleDriver::Static { replicas: 4 },
     )
-    .run_trace_with_mode(&poisson, &mode)
+    .run_trace_with_mode(&poisson, &mode, &mut NullRecorder)
     .fleet;
 
     let spike = TraceSpec {
@@ -880,7 +881,7 @@ fn golden_fleet_streaming() {
         RouterPolicy::LeastOutstanding,
         ScaleDriver::Reactive(policy),
     )
-    .run_trace_with_mode(&spike, &mode);
+    .run_trace_with_mode(&spike, &mode, &mut NullRecorder);
 
     let mut out = String::from("{\n  \"bench\": \"golden/fleet_streaming\",\n  \"runs\": [\n");
     let _ = writeln!(

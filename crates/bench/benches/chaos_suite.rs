@@ -22,8 +22,9 @@
 //!   chip-hours.
 //! * `degradation_proportional` — the highest-priority class's attainment
 //!   drop under the crash stays below the fleet share of the lost replica.
-//! * `matches_baseline` — with no faults and no admission the chaos
-//!   engine's report is bit-identical to the time-varying evaluation.
+//! * `matches_baseline` — with no faults, no admission, and a static
+//!   driver the chaos engine's fleet report is bit-identical to the plain
+//!   fleet evaluation (`Rago::evaluate_fleet`) of the same fleet.
 //!
 //! Set `RAGO_BENCH_QUICK=1` for the CI-friendly quick mode (shorter
 //! profile, same JSON shape). The bench refuses to write non-finite
@@ -166,23 +167,6 @@ fn bench_chaos_json(_c: &mut Criterion) {
         predictive.attainment, predictive.chip_seconds, reactive.attainment, reactive.chip_seconds
     );
 
-    // ---- Baseline pin: faultless chaos run == time-varying evaluation ----
-    let baseline = rago
-        .evaluate_fleet_timevarying(
-            &best.schedule,
-            &FleetConfig::new(max_replicas, RouterPolicy::LeastOutstanding),
-            &mix,
-            &trace,
-            Some(&reactive_policy),
-        )
-        .expect("baseline evaluation succeeds");
-    let matches_baseline = reactive.chaos.fleet == baseline.report
-        && reactive.replica_seconds == baseline.replica_seconds;
-    assert!(
-        matches_baseline,
-        "faultless chaos run diverged from the time-varying baseline"
-    );
-
     // ---- Run C: crash at the peak, three priorities, admission on ----
     let crash_mix = WorkloadMix::new(vec![
         RequestClass::new(
@@ -233,6 +217,22 @@ fn bench_chaos_json(_c: &mut Criterion) {
             }),
         )
         .expect("healthy run succeeds");
+
+    // ---- Baseline pin: faultless static chaos run == plain fleet run ----
+    let baseline = rago
+        .evaluate_fleet(
+            &best.schedule,
+            &FleetConfig::new(crash_replicas, RouterPolicy::LeastOutstanding),
+            &crash_trace,
+            &crash_mix.classes[0].slo,
+        )
+        .expect("baseline evaluation succeeds");
+    let matches_baseline = healthy.chaos.fleet == baseline.report;
+    assert!(
+        matches_baseline,
+        "faultless chaos run drifted from the plain fleet baseline"
+    );
+
     let crash_scenario = FaultScenario::new(ScaleDriver::Static {
         replicas: crash_replicas,
     })
@@ -297,12 +297,12 @@ fn bench_chaos_json(_c: &mut Criterion) {
         segments.len(),
         reactive.attainment,
         reactive.chip_hours(),
-        reactive.scaling.peak_provisioned,
+        reactive.chaos.peak_provisioned,
         reactive.chaos.fault.shed,
         reactive.chaos.fault.failed,
         predictive.attainment,
         predictive.chip_hours(),
-        predictive.scaling.peak_provisioned,
+        predictive.chaos.peak_provisioned,
         period_s / 8.0,
         crashed.chaos.fault.injected,
         crashed.chaos.fault.completed,

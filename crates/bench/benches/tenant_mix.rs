@@ -24,21 +24,22 @@
 //! cycle, same JSON shape). The bench refuses to write non-finite numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rago_core::timevarying::TimeVaryingEvaluation;
+use rago_core::faulted::{FaultScenario, FaultedEvaluation};
 use rago_core::{CapacityOptions, Rago, SearchOptions};
 use rago_schema::presets::{self, LlmSize};
-use rago_schema::{FleetConfig, RouterPolicy, SequenceProfile, SloTarget};
+use rago_schema::{RouterPolicy, SequenceProfile, SloTarget};
 use rago_serving_sim::autoscaler::AutoscalerPolicy;
+use rago_serving_sim::faults::ScaleDriver;
 use rago_workloads::{ArrivalProcess, MixTraceSpec, RequestClass, WorkloadMix};
 
-fn class_rows(eval: &TimeVaryingEvaluation) -> String {
+fn class_rows(eval: &FaultedEvaluation) -> String {
     eval.per_class
         .iter()
         .map(|c| {
             format!(
                 "      {{\"class\": {}, \"name\": \"{}\", \"requests\": {}, \
                  \"attainment\": {:.4}, \"goodput_rps\": {:.3}, \"meets_slo\": {}}}",
-                c.class, c.name, c.requests, c.attainment, c.goodput_rps, c.meets_slo
+                c.class, c.name, c.offered, c.attainment, c.goodput_rps, c.meets_slo
             )
         })
         .collect::<Vec<_>>()
@@ -113,11 +114,20 @@ fn bench_tenant_json(_c: &mut Criterion) {
         .plan_capacity(&best.schedule, &mix.classes[0].slo, peak_rps, &capacity)
         .expect("the peak rate is plannable within the replica bound");
     let static_replicas = peak_plan.replicas;
-    let fleet = FleetConfig::new(static_replicas, RouterPolicy::LeastOutstanding);
+    let evaluate = |driver| {
+        rago.evaluate_fleet_faulted(
+            &best.schedule,
+            RouterPolicy::LeastOutstanding,
+            &mix,
+            &trace,
+            &FaultScenario::new(driver),
+        )
+    };
 
-    let fixed = rago
-        .evaluate_fleet_timevarying(&best.schedule, &fleet, &mix, &trace, None)
-        .expect("static evaluation succeeds");
+    let fixed = evaluate(ScaleDriver::Static {
+        replicas: static_replicas,
+    })
+    .expect("static evaluation succeeds");
 
     // The reactive policy: start at one replica and follow the cycle,
     // capped at the static plan's size (capacity beyond the peak plan buys
@@ -131,13 +141,7 @@ fn bench_tenant_json(_c: &mut Criterion) {
         .with_scale_in_outstanding(10.0)
         .with_cooldown(1.0)
         .with_warmup(0.5);
-    let elastic = rago
-        .evaluate_fleet_timevarying(&best.schedule, &fleet, &mix, &trace, Some(&policy))
-        .expect("autoscaled evaluation succeeds");
-    let scaling = elastic
-        .scaling
-        .as_ref()
-        .expect("autoscaled run has history");
+    let elastic = evaluate(ScaleDriver::Reactive(policy)).expect("autoscaled evaluation succeeds");
 
     // Acceptance: no worse attainment, strictly fewer chip-hours.
     assert!(
@@ -152,7 +156,10 @@ fn bench_tenant_json(_c: &mut Criterion) {
         elastic.chip_seconds,
         fixed.chip_seconds
     );
-    assert!(scaling.peak_provisioned > 1, "the peak never scaled out");
+    assert!(
+        elastic.chaos.peak_provisioned > 1,
+        "the peak never scaled out"
+    );
 
     let ranking = elastic
         .tenants_by_goodput()
@@ -160,7 +167,8 @@ fn bench_tenant_json(_c: &mut Criterion) {
         .map(|c| format!("\"{}\"", c.name))
         .collect::<Vec<_>>()
         .join(", ");
-    let events_out = scaling
+    let events_out = elastic
+        .chaos
         .events
         .iter()
         .filter(|e| {
@@ -188,9 +196,9 @@ fn bench_tenant_json(_c: &mut Criterion) {
         fixed.attainment,
         fixed.chip_hours(),
         class_rows(&fixed),
-        scaling.peak_provisioned,
-        scaling.mean_provisioned,
-        scaling.events.len() - events_out,
+        elastic.chaos.peak_provisioned,
+        elastic.chaos.mean_provisioned(),
+        elastic.chaos.events.len() - events_out,
         elastic.attainment,
         elastic.chip_hours(),
         class_rows(&elastic),

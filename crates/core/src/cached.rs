@@ -63,7 +63,7 @@ pub struct CachedCapacityPlan {
 /// from `cache`, and the returned plan carries the hit rates the chosen
 /// fleet achieved. Because hits shed prefill and retrieval work, the
 /// cached plan needs *at most* as many replicas as
-/// [`crate::capacity::plan_capacity_with`] at the same rate — the
+/// [`crate::capacity::plan_capacity`] at the same rate — the
 /// chips-per-goodput answer the tentpole changes.
 ///
 /// "Planning under a target hit rate" works by construction: the hit rate
@@ -73,7 +73,7 @@ pub struct CachedCapacityPlan {
 ///
 /// # Errors
 ///
-/// As [`crate::capacity::plan_capacity_with`], plus the cached pipeline's
+/// As [`crate::capacity::plan_capacity`], plus the cached pipeline's
 /// configuration errors.
 pub fn plan_capacity_cached(
     profiler: &StageProfiler,
@@ -383,8 +383,7 @@ mod tests {
         };
         let target = 40.0;
         let plain =
-            crate::capacity::plan_capacity_with(&profiler, &schedule, &slo, target, &options)
-                .unwrap();
+            crate::capacity::plan_capacity(&profiler, &schedule, &slo, target, &options).unwrap();
         let cached = plan_capacity_cached(
             &profiler,
             &schedule,

@@ -20,9 +20,8 @@
 //! expectation — more replicas strictly reduce every replica's share of the
 //! load — which is what lets [`plan_capacity`] bracket and bisect instead
 //! of scanning. A finite seeded trace can still dip, so the search finishes
-//! with a downward confirmation walk (see [`plan_capacity_with`]); the
-//! `fleet_scaling` bench cross-checks the result against an exhaustive
-//! linear scan.
+//! with a downward confirmation walk; the `fleet_scaling` bench
+//! cross-checks the result against an exhaustive linear scan.
 //!
 //! **Probe discipline.** Each candidate fleet is one DES run over the same
 //! sizing trace, memoized per search. The flat search starts from the
@@ -117,28 +116,6 @@ pub struct CapacityPlan {
     pub des_events: u64,
 }
 
-/// Finds the minimum replica count of `schedule`'s pipeline whose fleet
-/// attainment meets `slo` at `target_qps`, with default
-/// [`CapacityOptions`]. See [`plan_capacity_with`].
-///
-/// # Errors
-///
-/// See [`plan_capacity_with`].
-pub fn plan_capacity(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    slo: &SloTarget,
-    target_qps: f64,
-) -> Result<CapacityPlan, RagoError> {
-    plan_capacity_with(
-        profiler,
-        schedule,
-        slo,
-        target_qps,
-        &CapacityOptions::default(),
-    )
-}
-
 /// Finds the minimum replica count of `schedule`'s pipeline whose
 /// fleet-level SLO attainment meets `slo` at a Poisson offered rate of
 /// `target_qps`. The search starts from the analytic estimate
@@ -167,7 +144,7 @@ pub fn plan_capacity(
 /// schedule is invalid, [`RagoError::CostModel`] when the schedule cannot
 /// be profiled, and [`RagoError::NoFeasibleSchedule`] when even
 /// `options.max_replicas` replicas miss the SLO at the target rate.
-pub fn plan_capacity_with(
+pub fn plan_capacity(
     profiler: &StageProfiler,
     schedule: &Schedule,
     slo: &SloTarget,
@@ -196,7 +173,7 @@ pub fn plan_capacity_with(
 /// model describes.
 pub const MAX_PLANNER_REPLICAS: u32 = 4096;
 
-/// Input validation shared by [`plan_capacity_with`] and the cache-aware
+/// Input validation shared by [`plan_capacity`] and the cache-aware
 /// planner in [`crate::cached`] — one set of error messages for both.
 pub(crate) fn validate_capacity_inputs(
     target_qps: f64,
@@ -380,7 +357,7 @@ impl<'a, K: Ord + Copy> Probes<'a, K> {
     }
 }
 
-/// The search core of [`plan_capacity_with`]: the minimum replica count of
+/// The search core of [`plan_capacity`]: the minimum replica count of
 /// `spec` whose fleet attainment over `trace` meets `slo`, starting from
 /// the analytic estimate `n0` (see [`analytic_replicas`]). It gallops
 /// `n0, n0 + 1, n0 + 3, n0 + 7, …` (capped at `max_replicas`) to the first
@@ -496,7 +473,7 @@ pub struct PoolCapacityPlan {
 /// Finds the cheapest disaggregated `(prefill, decode)` split of
 /// `schedule`'s pipeline whose fleet attainment meets `slo` at a Poisson
 /// offered rate of `target_qps` — the joint-search extension of
-/// [`plan_capacity_with`], with every KV handoff priced by `transfer`.
+/// [`plan_capacity`], with every KV handoff priced by `transfer`.
 ///
 /// The objective is total accelerators, which the pools price
 /// *asymmetrically*: a prefill replica occupies only the schedule's
@@ -504,7 +481,7 @@ pub struct PoolCapacityPlan {
 /// first confirms the `(max_replicas, max_replicas)` split in a full run,
 /// then walks prefill counts `p = 1..=max_replicas`; for each `p` feasible
 /// at `(p, max_replicas)` it binary-searches the minimal decode count (the
-/// memoized search-plus-confirmation discipline of [`plan_capacity_with`],
+/// memoized search-plus-confirmation discipline of [`plan_capacity`],
 /// on the same sizing trace, every probe but the first verdict-only), and
 /// prunes the cross product by cost: once even a one-decode-replica split
 /// at the current `p` cannot beat the best cost found, no larger `p` can
@@ -514,7 +491,7 @@ pub struct PoolCapacityPlan {
 ///
 /// # Errors
 ///
-/// As [`plan_capacity_with`] (including [`RagoError::NoFeasibleSchedule`]
+/// As [`plan_capacity`] (including [`RagoError::NoFeasibleSchedule`]
 /// when even a `max_replicas + max_replicas` split misses the SLO), plus
 /// [`RagoError::InvalidConfig`] for an invalid transfer model or a schedule
 /// without a pre-decode stage to disaggregate.
@@ -663,9 +640,7 @@ pub fn rank_frontier_by_cost_at_qps(
         .iter()
         .par_bridge()
         .fold(Vec::new, |mut acc, point| {
-            if let Ok(plan) =
-                plan_capacity_with(profiler, &point.schedule, slo, target_qps, options)
-            {
+            if let Ok(plan) = plan_capacity(profiler, &point.schedule, slo, target_qps, options) {
                 acc.push((point.clone(), plan));
             }
             acc
@@ -723,7 +698,7 @@ pub struct CapacityProfile {
 
 /// Plans the minimum replica *schedule* of `schedule`'s pipeline over a
 /// piecewise-constant rate profile: each [`RateSegment`] is sized
-/// independently with [`plan_capacity_with`] at its own rate (zero-rate
+/// independently with [`plan_capacity`] at its own rate (zero-rate
 /// segments need zero replicas), so the result is by construction identical
 /// to per-interval static planning — the cross-check the
 /// `capacity_profile_matches_per_interval_planning` test pins. Repeated
@@ -784,7 +759,7 @@ pub fn plan_capacity_profile(
             match plans.entry(s.rate_rps.to_bits()) {
                 std::collections::btree_map::Entry::Occupied(e) => *e.get(),
                 std::collections::btree_map::Entry::Vacant(e) => {
-                    let plan = plan_capacity_with(profiler, schedule, slo, s.rate_rps, options)?;
+                    let plan = plan_capacity(profiler, schedule, slo, s.rate_rps, options)?;
                     *e.insert((plan.replicas, plan.attainment))
                 }
             }
@@ -916,7 +891,7 @@ mod tests {
                 analytic_replicas(&profiler, &schedule, target_qps, MAX_PLANNER_REPLICAS).unwrap();
             above_max += usize::from(n0 > options.max_replicas);
             let scan = linear_scan(&spec, &slo, target_qps, &options);
-            let plan = plan_capacity_with(&profiler, &schedule, &slo, target_qps, &options);
+            let plan = plan_capacity(&profiler, &schedule, &slo, target_qps, &options);
             let at = format!("{target_qps} rps, TTFT {ttft_s} s, n0 {n0}");
             assert_eq!(scan.map(|n| n0.cmp(&n)), relation, "{at}: sweep drifted");
             match scan {
@@ -950,7 +925,7 @@ mod tests {
         let slo = SloTarget::new(0.1, 0.1);
         let target_qps = 170.0;
         let options = timed_options(target_qps, 3.0);
-        let plan = plan_capacity_with(&profiler, &schedule, &slo, target_qps, &options).unwrap();
+        let plan = plan_capacity(&profiler, &schedule, &slo, target_qps, &options).unwrap();
         assert_eq!(plan.replicas, 2);
         let spec = pipeline_spec(&profiler, &schedule, None).unwrap();
         let trace = sizing_trace(target_qps, &options);
@@ -989,7 +964,7 @@ mod tests {
             let invalid =
                 |r: Result<(), RagoError>| matches!(r, Err(RagoError::InvalidConfig { .. }));
             assert!(invalid(
-                plan_capacity_with(&profiler, &schedule, &slo, 10.0, &options).map(|_| ())
+                plan_capacity(&profiler, &schedule, &slo, 10.0, &options).map(|_| ())
             ));
             assert!(invalid(
                 plan_capacity_pools(
@@ -1159,19 +1134,19 @@ mod tests {
             num_requests: 80,
             ..CapacityOptions::default()
         };
-        let err = plan_capacity_with(&profiler, &schedule, &slo, 100.0, &options).unwrap_err();
+        let err = plan_capacity(&profiler, &schedule, &slo, 100.0, &options).unwrap_err();
         assert!(matches!(err, RagoError::NoFeasibleSchedule { .. }));
         let slo = SloTarget::new(0.5, 0.05);
-        let err = plan_capacity_with(&profiler, &schedule, &slo, 0.0, &options).unwrap_err();
+        let err = plan_capacity(&profiler, &schedule, &slo, 0.0, &options).unwrap_err();
         assert!(matches!(err, RagoError::InvalidConfig { .. }));
-        let err = plan_capacity_with(&profiler, &schedule, &slo, f64::NAN, &options).unwrap_err();
+        let err = plan_capacity(&profiler, &schedule, &slo, f64::NAN, &options).unwrap_err();
         assert!(matches!(err, RagoError::InvalidConfig { .. }));
         // A zero-request sizing trace would vacuously meet any SLO.
         let empty = CapacityOptions {
             num_requests: 0,
             ..CapacityOptions::default()
         };
-        let err = plan_capacity_with(&profiler, &schedule, &slo, 10.0, &empty).unwrap_err();
+        let err = plan_capacity(&profiler, &schedule, &slo, 10.0, &empty).unwrap_err();
         assert!(matches!(err, RagoError::InvalidConfig { .. }));
     }
 
@@ -1180,13 +1155,13 @@ mod tests {
         let profiler = case1_profiler();
         let schedule = case1_schedule();
         let slo = SloTarget::new(5.0, 0.2);
-        let plan = plan_capacity_with(&profiler, &schedule, &slo, 1.0, &quick_options()).unwrap();
+        let plan = plan_capacity(&profiler, &schedule, &slo, 1.0, &quick_options()).unwrap();
         assert_eq!(plan.replicas, 1);
         assert!(plan.drain_tail_s >= 0.0);
     }
 
     /// The cross-check the issue pins: the profile planner's per-interval
-    /// replica counts equal independent `plan_capacity_with` calls at each
+    /// replica counts equal independent `plan_capacity` calls at each
     /// interval's rate.
     #[test]
     fn capacity_profile_matches_per_interval_planning() {
@@ -1210,8 +1185,7 @@ mod tests {
                 continue;
             }
             let single =
-                plan_capacity_with(&profiler, &schedule, &slo, interval.rate_rps, &options)
-                    .unwrap();
+                plan_capacity(&profiler, &schedule, &slo, interval.rate_rps, &options).unwrap();
             assert_eq!(
                 interval.replicas, single.replicas,
                 "interval at {} rps diverged from static planning",
@@ -1306,7 +1280,7 @@ mod tests {
             ..quick_options()
         };
         assert!(matches!(
-            plan_capacity_with(&profiler, &schedule, &slo, 10.0, &absurd),
+            plan_capacity(&profiler, &schedule, &slo, 10.0, &absurd),
             Err(RagoError::InvalidConfig { .. })
         ));
         assert!(matches!(

@@ -279,7 +279,12 @@ pub fn evaluate_fleet_dynamic_traced<R: Recorder>(
 /// [`FleetConfig`]: a static fleet of `schedule`'s pipeline, or a split
 /// fleet running its two halves. `cache` lives on every replica of a flat
 /// fleet and on a split fleet's prefill pool, where the prefix and
-/// retrieval stages run. The only place a fleet is built from a schedule.
+/// retrieval stages run. Every evaluator that takes a [`FleetConfig`]
+/// builds its fleet here; the capacity planner's replica search,
+/// [`evaluate_heterogeneous_fleet_dynamic`] and
+/// [`crate::faulted::evaluate_fleet_faulted`] size their fleets otherwise
+/// (a probed count, one spec per replica, a scale driver) and call
+/// [`FleetEngine::new`] or [`FleetEngine::heterogeneous`] directly.
 pub(crate) fn fleet_engine(
     profiler: &StageProfiler,
     schedule: &Schedule,

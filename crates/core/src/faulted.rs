@@ -1,35 +1,38 @@
-//! Chaos-ready fleet evaluation: faults, admission control, and predictive
-//! scaling scored end to end.
+//! Tenant-scored fleet evaluation: time-varying traffic, elastic scaling,
+//! faults, and admission control, with every request scored against its
+//! own class's SLO.
 //!
-//! [`crate::timevarying::evaluate_fleet_timevarying`] scores an elastic
-//! fleet under time-varying traffic, but assumes every replica stays
-//! healthy and every request is admitted. This module adds the failure
-//! axis: a [`FaultSchedule`] of crashes, stragglers, and spot preemptions
-//! plays against the fleet while it serves, an optional
-//! [`AdmissionConfig`] sheds work by class priority under overload, and
-//! the fleet may be driven by a *predictive* [`ScalingPlan`] — typically
-//! derived from a provisioning-side [`CapacityProfile`] via
-//! [`scaling_plan_from_profile`] — instead of the reactive policy.
+//! [`evaluate_fleet_faulted`] is the one evaluator that scores a fleet
+//! against per-tenant SLOs. The trace may be class-tagged (a
+//! [`WorkloadMix`] of tenants, each with its own [`SloTarget`]) and
+//! generated by a time-varying [`rago_workloads::ArrivalProcess`]
+//! (diurnal, spike, piecewise). A [`FaultScenario`] sizes the fleet with
+//! its [`ScaleDriver`] — static, a reactive
+//! [`rago_serving_sim::autoscaler::AutoscalerPolicy`], or a predictive
+//! [`ScalingPlan`] typically derived from a provisioning-side
+//! [`CapacityProfile`] via [`scaling_plan_from_profile`] — plays a
+//! [`FaultSchedule`] of crashes, stragglers, and spot preemptions against
+//! it, and may shed work by class priority through an [`AdmissionConfig`].
 //!
-//! Scoring switches from *completed* to *offered* attainment: shed
-//! requests count against their class in the denominator, so an admission
-//! controller cannot buy attainment by refusing work. Recovery metrics
-//! (time to SLO re-attainment and the goodput-dip area after each
-//! disruption) come from the windowed attainment timeline of the
-//! [`ChaosReport`].
+//! Scoring is on *offered* traffic: shed requests count against their
+//! class in the denominator, so an admission controller cannot buy
+//! attainment by refusing work. The result reports what the fleet *paid
+//! for* ([`ChaosReport::replica_seconds`] and chip-seconds), so autoscaled
+//! and statically provisioned deployments compare on equal terms.
+//! Recovery metrics (time to SLO re-attainment and the goodput-dip area
+//! after each disruption) come from the windowed attainment timeline of
+//! the [`ChaosReport`].
 //!
-//! Both facades run the same [`rago_serving_sim::FleetEngine`] loop; with
-//! no faults, no admission control, and a reactive (or static) driver the
-//! scores are **bit-identical** to
-//! [`crate::timevarying::evaluate_fleet_timevarying`]'s — pinned by
-//! `faultless_scenario_matches_timevarying` below.
+//! With one class, no faults, no admission control, and a static driver
+//! the scores are **bit-identical** to
+//! [`crate::dynamic::evaluate_fleet_dynamic_with`]'s — pinned by
+//! `faultless_static_scenario_matches_fleet_dynamic` below.
 
 use crate::capacity::CapacityProfile;
 use crate::dynamic::{fleet_engine, pipeline_spec, run_fleet, validate_trace};
 use crate::error::RagoError;
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
-use crate::timevarying::ScalingSummary;
 use rago_schema::{FleetConfig, PoolRole, RouterPolicy, SloTarget};
 use rago_serving_sim::faults::{
     AdmissionConfig, AttainmentWindow, ChaosReport, CrashPolicy, FaultSchedule, PlanStep,
@@ -172,8 +175,8 @@ pub struct FaultedClassOutcome {
 /// The outcome of one faulted fleet evaluation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultedEvaluation {
-    /// The full chaos run: merged fleet report, scaling events, lifetimes,
-    /// and the fault ledger.
+    /// The full chaos run: merged fleet report, scaling events, replica
+    /// lifetimes, provisioning cost, and the fault ledger.
     pub chaos: ChaosReport,
     /// Fraction of all *offered* requests meeting their own class's SLO
     /// (shed and lost requests count as misses).
@@ -186,22 +189,28 @@ pub struct FaultedEvaluation {
     pub meets_slo: bool,
     /// Per-tenant outcomes, by class id.
     pub per_class: Vec<FaultedClassOutcome>,
-    /// Scaling history (always present: a chaos run tracks lifetimes even
-    /// for a static fleet, since faults change the provisioned count).
-    pub scaling: ScalingSummary,
     /// Windowed SLO-attainment timeline over the run, for recovery plots.
     pub timeline: Vec<AttainmentWindow>,
     /// Per-disruption recovery metrics (time to re-attainment, dip area).
     pub recovery: Vec<RecoveryMetrics>,
-    /// Integral of provisioned replicas over time, in replica-seconds —
-    /// dead replicas stop accruing at their death instant.
-    pub replica_seconds: f64,
-    /// `replica_seconds × total XPUs per replica` — the chip-time the
-    /// deployment paid.
+    /// [`ChaosReport::replica_seconds`] × total XPUs per replica — the
+    /// chip-time the deployment paid.
     pub chip_seconds: f64,
 }
 
 impl FaultedEvaluation {
+    /// The tenants ranked by goodput, best first (ties break toward the
+    /// lower class id).
+    pub fn tenants_by_goodput(&self) -> Vec<FaultedClassOutcome> {
+        let mut ranked = self.per_class.clone();
+        ranked.sort_by(|a, b| {
+            b.goodput_rps
+                .total_cmp(&a.goodput_rps)
+                .then(a.class.cmp(&b.class))
+        });
+        ranked
+    }
+
     /// Chip-hours paid by the deployment.
     pub fn chip_hours(&self) -> f64 {
         self.chip_seconds / 3600.0
@@ -314,15 +323,17 @@ pub fn scaling_plan_from_profile(profile: &CapacityProfile, lead_s: f64) -> Scal
 /// `scenario`'s fault schedule plays against it, scoring every tenant's
 /// *offered* traffic against its own SLO from `mix`.
 ///
-/// The fleet is sized by `scenario.driver` (`fleet` supplies only the
-/// router — the driver owns the replica count), admission control sheds by
-/// class priority when configured, and every disruption's recovery is
-/// measured on the windowed attainment timeline.
+/// The fleet is sized by `scenario.driver` behind `router`, admission
+/// control sheds by class priority when configured, and every disruption's
+/// recovery is measured on the windowed attainment timeline. Untagged
+/// traces (all requests class 0) work with any single-class mix — the
+/// homogeneous special case.
 ///
 /// # Errors
 ///
-/// Returns [`RagoError::InvalidConfig`] for invalid schedules, an empty
-/// trace, a class tag outside the mix, or an invalid per-class SLO, and
+/// Returns [`RagoError::InvalidConfig`] for invalid schedules, a malformed
+/// scale driver ([`ScaleDriver::validate`]), an empty trace, a class tag
+/// outside the mix, or an invalid per-class SLO, and
 /// [`RagoError::CostModel`] when the schedule cannot be profiled.
 pub fn evaluate_fleet_faulted(
     profiler: &StageProfiler,
@@ -333,6 +344,10 @@ pub fn evaluate_fleet_faulted(
     scenario: &FaultScenario,
 ) -> Result<FaultedEvaluation, RagoError> {
     schedule.validate()?;
+    scenario
+        .driver
+        .validate()
+        .map_err(|reason| RagoError::InvalidConfig { reason })?;
     validate_trace(trace)?;
     let num_classes = mix.num_classes() as u32;
     if let Some(bad) = trace.requests.iter().find(|r| r.class >= num_classes) {
@@ -435,15 +450,7 @@ pub fn evaluate_fleet_faulted(
     let timeline = chaos.attainment_timeline(&recovery_slo, scenario.recovery_window_s);
     let recovery = chaos.recovery(&recovery_slo, scenario.recovery_window_s);
 
-    let scaling = ScalingSummary {
-        peak_provisioned: chaos.peak_provisioned,
-        min_provisioned: chaos.min_provisioned,
-        mean_provisioned: chaos.mean_provisioned(),
-        events: chaos.events.clone(),
-        lifetimes: chaos.lifetimes.clone(),
-    };
-    let replica_seconds = chaos.replica_seconds;
-    let chip_seconds = replica_seconds * f64::from(schedule.allocation.total_xpus());
+    let chip_seconds = chaos.replica_seconds * f64::from(schedule.allocation.total_xpus());
 
     Ok(FaultedEvaluation {
         chaos,
@@ -451,10 +458,8 @@ pub fn evaluate_fleet_faulted(
         goodput_rps,
         meets_slo,
         per_class,
-        scaling,
         timeline,
         recovery,
-        replica_seconds,
         chip_seconds,
     })
 }
@@ -567,7 +572,6 @@ mod tests {
     use crate::capacity::{plan_capacity_profile, CapacityOptions};
     use crate::placement::PlacementPlan;
     use crate::schedule::{BatchingPolicy, ResourceAllocation};
-    use crate::timevarying::evaluate_fleet_timevarying;
     use rago_hardware::ClusterSpec;
     use rago_schema::presets::{self, LlmSize};
     use rago_schema::{FleetConfig, SequenceProfile, Stage};
@@ -630,9 +634,83 @@ mod tests {
         .generate()
     }
 
-    /// The degenerate pin at the core layer: no faults, no admission,
-    /// reactive driver ⇒ the same fleet report and cost as the
-    /// time-varying evaluation.
+    fn two_class_mix() -> WorkloadMix {
+        WorkloadMix::new(vec![
+            RequestClass::new(
+                "chat",
+                3.0,
+                SequenceProfile::paper_default().with_decode_tokens(32),
+                0.1,
+                SloTarget::new(2.0, 0.05),
+            ),
+            RequestClass::new(
+                "report",
+                1.0,
+                SequenceProfile::paper_default().with_decode_tokens(128),
+                0.1,
+                SloTarget::new(10.0, 0.2),
+            ),
+        ])
+    }
+
+    /// The degenerate pin at the core layer: one class, a constant rate,
+    /// no faults, no admission, and a static driver reproduce
+    /// `evaluate_fleet_dynamic_with` bit-exactly, and bill
+    /// `replicas × makespan` replica-seconds.
+    #[test]
+    fn faultless_static_scenario_matches_fleet_dynamic() {
+        let profiler = case1_profiler();
+        let schedule = case1_schedule();
+        let slo = SloTarget::new(1.0, 0.1);
+        let profile = SequenceProfile::paper_default().with_decode_tokens(32);
+        let trace = rago_workloads::TraceSpec {
+            num_requests: 90,
+            profile,
+            arrival: ArrivalProcess::Poisson { rate_rps: 40.0 },
+            length_jitter: 0.2,
+            seed: 13,
+        }
+        .generate();
+        let mix = WorkloadMix::single("all", profile, 0.2, slo);
+        let faulted = evaluate_fleet_faulted(
+            &profiler,
+            &schedule,
+            RouterPolicy::LeastOutstanding,
+            &mix,
+            &trace,
+            &FaultScenario::new(ScaleDriver::Static { replicas: 3 }),
+        )
+        .unwrap();
+        let dynamic = crate::dynamic::evaluate_fleet_dynamic_with(
+            &profiler,
+            &schedule,
+            &FleetConfig::new(3, RouterPolicy::LeastOutstanding),
+            &trace,
+            &slo,
+            &MetricsMode::Exact,
+        )
+        .unwrap();
+        assert_eq!(faulted.chaos.fleet, dynamic.report);
+        // With nothing shed or lost, offered attainment equals completed
+        // attainment.
+        assert_eq!(faulted.attainment, dynamic.attainment);
+        assert_eq!(faulted.goodput_rps, dynamic.goodput_rps);
+        assert_eq!(faulted.meets_slo, dynamic.meets_slo);
+        assert!(faulted.chaos.events.is_empty());
+        assert!(faulted.recovery.is_empty());
+        assert_eq!(faulted.chaos.fault.shed, 0);
+        assert_eq!(faulted.chaos.fault.failed, 0);
+        assert_eq!(faulted.per_class.len(), 1);
+        assert_eq!(faulted.per_class[0].offered, 90);
+        let makespan = faulted.chaos.fleet.merged.metrics.makespan_s;
+        assert!((faulted.chaos.replica_seconds - 3.0 * makespan).abs() < 1e-12);
+        assert!(faulted.chip_seconds > faulted.chaos.replica_seconds); // 16 XPUs per replica
+    }
+
+    /// A faultless reactive scenario is the plain time-varying fleet run: the
+    /// same autoscaled `FleetEngine` run with no faults, crash policy or
+    /// admission reproduces the evaluation's chaos report, and every score is
+    /// recomputed here from that run's request timelines.
     #[test]
     fn faultless_scenario_matches_timevarying() {
         let profiler = case1_profiler();
@@ -645,10 +723,12 @@ mod tests {
             .with_scale_in_outstanding(2.0)
             .with_cooldown(2.0)
             .with_warmup(0.5);
-        let fleet = FleetConfig::new(1, RouterPolicy::LeastOutstanding);
-        let baseline =
-            evaluate_fleet_timevarying(&profiler, &schedule, &fleet, &mix, &trace, Some(&policy))
-                .unwrap();
+        let baseline = FleetEngine::new(
+            pipeline_spec(&profiler, &schedule, None).unwrap(),
+            RouterPolicy::LeastOutstanding,
+            ScaleDriver::Reactive(policy),
+        )
+        .run_trace(&trace);
         let scenario = FaultScenario::new(ScaleDriver::Reactive(policy));
         let faulted = evaluate_fleet_faulted(
             &profiler,
@@ -659,16 +739,186 @@ mod tests {
             &scenario,
         )
         .unwrap();
-        assert_eq!(faulted.chaos.fleet, baseline.report);
-        assert_eq!(faulted.replica_seconds, baseline.replica_seconds);
-        assert_eq!(faulted.chip_seconds, baseline.chip_seconds);
-        // With nothing shed or lost, offered attainment equals completed
-        // attainment.
-        assert_eq!(faulted.attainment, baseline.attainment);
-        assert_eq!(faulted.goodput_rps, baseline.goodput_rps);
+        assert_eq!(faulted.chaos, baseline);
+        assert!(!baseline.events.is_empty(), "the diurnal run never scaled");
+        assert_eq!(
+            faulted.chip_seconds,
+            baseline.replica_seconds * f64::from(schedule.allocation.total_xpus())
+        );
+
+        // Each tenant scored against its own SLO, straight from the
+        // timelines. With nothing shed or lost, offered attainment equals
+        // completed attainment.
+        let timelines = &baseline.fleet.merged.timelines;
+        assert_eq!(timelines.len(), trace.requests.len());
+        let mut met_total = 0;
+        for (class, outcome) in faulted.per_class.iter().enumerate() {
+            let slo = &mix.classes[class].slo;
+            let offered = trace
+                .requests
+                .iter()
+                .filter(|r| r.class == class as u32)
+                .count();
+            let met = timelines
+                .iter()
+                .filter(|t| t.class == class as u32 && slo.meets(t.ttft_s(), t.tpot_s()))
+                .count();
+            met_total += met;
+            assert_eq!(outcome.offered, offered);
+            assert_eq!(outcome.completed, offered);
+            assert_eq!(outcome.shed, 0);
+            assert_eq!(outcome.attainment, met as f64 / offered as f64);
+        }
+        assert_eq!(
+            faulted.attainment,
+            met_total as f64 / trace.requests.len() as f64
+        );
+        assert_eq!(
+            faulted.goodput_rps,
+            met_total as f64 / baseline.fleet.merged.metrics.serving_duration_s
+        );
         assert!(faulted.recovery.is_empty());
         assert_eq!(faulted.chaos.fault.shed, 0);
         assert_eq!(faulted.chaos.fault.failed, 0);
+    }
+
+    #[test]
+    fn tenants_are_scored_against_their_own_slos() {
+        let profiler = case1_profiler();
+        let schedule = case1_schedule();
+        let mix = two_class_mix();
+        let trace = MixTraceSpec {
+            num_requests: 120,
+            mix: mix.clone(),
+            arrival: ArrivalProcess::Poisson { rate_rps: 30.0 },
+            seed: 7,
+        }
+        .generate();
+        let eval = evaluate_fleet_faulted(
+            &profiler,
+            &schedule,
+            RouterPolicy::LeastOutstanding,
+            &mix,
+            &trace,
+            &FaultScenario::new(ScaleDriver::Static { replicas: 2 }),
+        )
+        .unwrap();
+        assert_eq!(eval.per_class.len(), 2);
+        let total: usize = eval.per_class.iter().map(|c| c.offered).sum();
+        assert_eq!(total, 120);
+        // The overall attainment is the request-weighted mix of the classes.
+        let weighted: f64 = eval
+            .per_class
+            .iter()
+            .map(|c| c.attainment * c.offered as f64)
+            .sum::<f64>()
+            / 120.0;
+        assert!((weighted - eval.attainment).abs() < 1e-12);
+        // Ranking is sorted by goodput.
+        let ranked = eval.tenants_by_goodput();
+        for pair in ranked.windows(2) {
+            assert!(pair[0].goodput_rps >= pair[1].goodput_rps);
+        }
+        // meets_slo is the conjunction over classes.
+        assert_eq!(eval.meets_slo, eval.per_class.iter().all(|c| c.meets_slo));
+    }
+
+    #[test]
+    fn autoscaled_diurnal_run_saves_chip_time_at_matching_attainment() {
+        let profiler = case1_profiler();
+        let schedule = case1_schedule();
+        let profile = SequenceProfile::paper_default().with_decode_tokens(32);
+        let slo = SloTarget::new(2.0, 0.1);
+        let mix = WorkloadMix::single("all", profile, 0.1, slo);
+        // One diurnal cycle: trough 5 rps, peak 120 rps over 30 s.
+        let trace = MixTraceSpec {
+            num_requests: 900,
+            mix: mix.clone(),
+            arrival: ArrivalProcess::Diurnal {
+                base_rps: 5.0,
+                peak_rps: 120.0,
+                period_s: 30.0,
+            },
+            seed: 21,
+        }
+        .generate();
+        let run = |driver| {
+            evaluate_fleet_faulted(
+                &profiler,
+                &schedule,
+                RouterPolicy::LeastOutstanding,
+                &mix,
+                &trace,
+                &FaultScenario::new(driver),
+            )
+            .unwrap()
+        };
+        let fixed = run(ScaleDriver::Static { replicas: 4 });
+        let policy = AutoscalerPolicy::new(1, 5)
+            .with_evaluation_interval(0.5)
+            .with_scale_out_queue_depth(1.0)
+            .with_scale_in_outstanding(2.0)
+            .with_cooldown(2.0)
+            .with_warmup(0.5);
+        let elastic = run(ScaleDriver::Reactive(policy));
+        assert!(
+            elastic.chaos.peak_provisioned > 1,
+            "diurnal peak never scaled out"
+        );
+        assert!(!elastic.chaos.events.is_empty());
+        assert!(
+            elastic.chaos.replica_seconds < fixed.chaos.replica_seconds,
+            "autoscaler paid {} replica-seconds vs static {}",
+            elastic.chaos.replica_seconds,
+            fixed.chaos.replica_seconds
+        );
+        assert!(
+            elastic.attainment >= fixed.attainment - 0.05,
+            "autoscaler attainment {} collapsed vs static {}",
+            elastic.attainment,
+            fixed.attainment
+        );
+    }
+
+    /// A malformed driver — the kind a configuration file can carry, since
+    /// the drivers' fields are public and deserializable — is a
+    /// configuration error, not a panic inside the engine.
+    #[test]
+    fn malformed_scale_drivers_are_rejected() {
+        let profiler = case1_profiler();
+        let schedule = case1_schedule();
+        let mix = priority_mix();
+        let trace = diurnal_trace(&mix, 10);
+        let nan_interval = AutoscalerPolicy {
+            evaluation_interval_s: f64::NAN,
+            ..AutoscalerPolicy::new(1, 2)
+        };
+        let empty_plan = rago_serving_sim::faults::PredictivePolicy {
+            plan: ScalingPlan {
+                initial: 0,
+                steps: Vec::new(),
+            },
+            warmup_s: 0.5,
+        };
+        for driver in [
+            ScaleDriver::Static { replicas: 0 },
+            ScaleDriver::Reactive(AutoscalerPolicy::new(0, 2)),
+            ScaleDriver::Reactive(nan_interval),
+            ScaleDriver::Predictive(empty_plan),
+        ] {
+            let result = evaluate_fleet_faulted(
+                &profiler,
+                &schedule,
+                RouterPolicy::RoundRobin,
+                &mix,
+                &trace,
+                &FaultScenario::new(driver.clone()),
+            );
+            assert!(
+                matches!(result, Err(RagoError::InvalidConfig { .. })),
+                "{driver:?} was not rejected"
+            );
+        }
     }
 
     /// The acceptance criterion: under a single-replica crash with
@@ -792,7 +1042,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(eval.chaos.fault.completed, 300);
-        assert_eq!(eval.scaling.peak_provisioned, peak_target.max(plan.initial));
+        assert_eq!(eval.chaos.peak_provisioned, peak_target.max(plan.initial));
     }
 
     #[test]

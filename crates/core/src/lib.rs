@@ -48,15 +48,14 @@ pub mod placement;
 pub mod profiler;
 pub mod schedule;
 pub mod search;
-pub mod timevarying;
 
 pub use baseline::BaselineSystem;
 pub use breakdown::{stage_breakdown, StageShare};
 pub use cached::{plan_capacity_cached, CacheConfig, CachedCapacityPlan};
 pub use capacity::{
-    plan_capacity, plan_capacity_pools, plan_capacity_profile, plan_capacity_with,
-    rank_frontier_by_cost_at_qps, CapacityInterval, CapacityOptions, CapacityPlan, CapacityProfile,
-    PoolCapacityPlan, MAX_PLANNER_REPLICAS,
+    plan_capacity, plan_capacity_pools, plan_capacity_profile, rank_frontier_by_cost_at_qps,
+    CapacityInterval, CapacityOptions, CapacityPlan, CapacityProfile, PoolCapacityPlan,
+    MAX_PLANNER_REPLICAS,
 };
 pub use disagg::{
     evaluate_fleet_disagg, rank_frontier_by_goodput_disagg, transfer_model_from_interconnect,
@@ -82,8 +81,4 @@ pub use schedule::{BatchingPolicy, ResourceAllocation, Schedule};
 pub use search::{
     AnytimeSample, BeamEntry, BestSamples, ScheduleSpace, SearchMode, StochasticConfig,
     StochasticSearchReport,
-};
-pub use timevarying::{
-    evaluate_fleet_timevarying, evaluate_fleet_timevarying_with, ClassOutcome, ScalingSummary,
-    TimeVaryingEvaluation,
 };

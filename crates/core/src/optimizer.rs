@@ -477,7 +477,7 @@ impl Rago {
 
     /// Sizes a fleet of `schedule` replicas for `target_qps` within `slo`:
     /// the minimum replica count whose fleet attainment meets the SLO. See
-    /// [`crate::capacity::plan_capacity_with`].
+    /// [`crate::capacity::plan_capacity`].
     ///
     /// # Examples
     ///
@@ -502,7 +502,7 @@ impl Rago {
     ///
     /// # Errors
     ///
-    /// Propagates [`crate::capacity::plan_capacity_with`] errors.
+    /// Propagates [`crate::capacity::plan_capacity`] errors.
     pub fn plan_capacity(
         &self,
         schedule: &Schedule,
@@ -510,7 +510,7 @@ impl Rago {
         target_qps: f64,
         options: &crate::capacity::CapacityOptions,
     ) -> Result<crate::capacity::CapacityPlan, RagoError> {
-        crate::capacity::plan_capacity_with(&self.profiler, schedule, slo, target_qps, options)
+        crate::capacity::plan_capacity(&self.profiler, schedule, slo, target_qps, options)
     }
 
     /// Evaluates one schedule as a *disaggregated* fleet: its pre-decode
@@ -580,38 +580,13 @@ impl Rago {
         )
     }
 
-    /// Evaluates one schedule as a (possibly autoscaled) fleet under a
-    /// class-tagged, possibly time-varying trace, scoring every tenant
-    /// against its own SLO. See
-    /// [`crate::timevarying::evaluate_fleet_timevarying`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::timevarying::evaluate_fleet_timevarying`]
-    /// errors.
-    pub fn evaluate_fleet_timevarying(
-        &self,
-        schedule: &Schedule,
-        fleet: &rago_schema::FleetConfig,
-        mix: &rago_workloads::WorkloadMix,
-        trace: &rago_workloads::Trace,
-        autoscaler: Option<&rago_serving_sim::autoscaler::AutoscalerPolicy>,
-    ) -> Result<crate::timevarying::TimeVaryingEvaluation, RagoError> {
-        crate::timevarying::evaluate_fleet_timevarying(
-            &self.profiler,
-            schedule,
-            fleet,
-            mix,
-            trace,
-            autoscaler,
-        )
-    }
-
-    /// Evaluates one schedule as a fleet while a fault scenario plays
-    /// against it: replica crashes, stragglers, and preemptions from a
-    /// [`rago_serving_sim::faults::FaultSchedule`], priority-aware
-    /// admission control, and static/reactive/predictive scaling, scored
-    /// on *offered* attainment with per-disruption recovery metrics. See
+    /// Evaluates one schedule as a fleet under a class-tagged, possibly
+    /// time-varying trace, scoring every tenant against its own SLO, while
+    /// a fault scenario plays against it: static/reactive/predictive
+    /// scaling, replica crashes, stragglers, and preemptions from a
+    /// [`rago_serving_sim::faults::FaultSchedule`], and priority-aware
+    /// admission control, scored on *offered* attainment with
+    /// per-disruption recovery metrics. See
     /// [`crate::faulted::evaluate_fleet_faulted`].
     ///
     /// # Errors

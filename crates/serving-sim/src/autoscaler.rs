@@ -162,40 +162,47 @@ impl AutoscalerPolicy {
         self
     }
 
-    /// Panics unless the policy is well-formed.
-    pub(crate) fn assert_valid(&self) {
-        assert!(self.min_replicas >= 1, "min_replicas must be at least 1");
-        assert!(
-            self.max_replicas >= self.min_replicas,
-            "max_replicas must be at least min_replicas"
-        );
-        assert!(
-            self.evaluation_interval_s > 0.0 && self.evaluation_interval_s.is_finite(),
-            "the evaluation interval must be positive and finite"
-        );
-        assert!(
-            self.scale_out_queue_depth >= 0.0 && self.scale_out_queue_depth.is_finite(),
-            "the scale-out queue depth must be non-negative and finite"
-        );
-        assert!(
-            self.scale_in_outstanding >= 0.0 && self.scale_in_outstanding.is_finite(),
-            "the scale-in outstanding threshold must be non-negative and finite"
-        );
-        assert!(
-            self.cooldown_s >= 0.0 && self.cooldown_s.is_finite(),
-            "the cooldown must be non-negative and finite"
-        );
-        assert!(
-            self.warmup_s >= 0.0 && self.warmup_s.is_finite(),
-            "the warm-up delay must be non-negative and finite"
-        );
-        if let Some(t) = &self.attainment_trigger {
-            assert!(
-                t.floor > 0.0 && t.floor <= 1.0,
-                "the attainment floor must be in (0, 1]"
-            );
-            assert!(t.slo.validate().is_ok(), "the trigger SLO must be valid");
+    /// Checks that the policy is well-formed: at least one replica, ordered
+    /// bounds, a positive finite evaluation interval, non-negative finite
+    /// thresholds and delays, and a valid attainment trigger.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first rule the policy breaks.
+    pub fn validate(&self) -> Result<(), String> {
+        let non_negative = |v: f64| v >= 0.0 && v.is_finite();
+        if self.min_replicas < 1 {
+            return Err("min_replicas must be at least 1".into());
         }
+        if self.max_replicas < self.min_replicas {
+            return Err("max_replicas must be at least min_replicas".into());
+        }
+        if !(self.evaluation_interval_s > 0.0 && self.evaluation_interval_s.is_finite()) {
+            return Err("the evaluation interval must be positive and finite".into());
+        }
+        if !non_negative(self.scale_out_queue_depth) {
+            return Err("the scale-out queue depth must be non-negative and finite".into());
+        }
+        if !non_negative(self.scale_in_outstanding) {
+            return Err(
+                "the scale-in outstanding threshold must be non-negative and finite".into(),
+            );
+        }
+        if !non_negative(self.cooldown_s) {
+            return Err("the cooldown must be non-negative and finite".into());
+        }
+        if !non_negative(self.warmup_s) {
+            return Err("the warm-up delay must be non-negative and finite".into());
+        }
+        if let Some(t) = &self.attainment_trigger {
+            if !(t.floor > 0.0 && t.floor <= 1.0) {
+                return Err("the attainment floor must be in (0, 1]".into());
+            }
+            t.slo
+                .validate()
+                .map_err(|e| format!("the trigger SLO must be valid: {e}"))?;
+        }
+        Ok(())
     }
 }
 

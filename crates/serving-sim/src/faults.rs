@@ -465,19 +465,29 @@ impl ScalingPlan {
     /// Panics if `initial` or any step target is zero, any step time is
     /// negative or non-finite, or step times are not strictly increasing.
     pub fn new(initial: u32, steps: Vec<PlanStep>) -> Self {
-        assert!(initial >= 1, "a plan must start with at least one replica");
-        for step in &steps {
-            assert!(
-                step.at_s.is_finite() && step.at_s >= 0.0,
-                "plan step times must be finite and non-negative"
-            );
-            assert!(step.replicas >= 1, "plan targets must be at least 1");
+        let plan = Self { initial, steps };
+        if let Err(e) = plan.validate() {
+            panic!("{e}");
         }
-        assert!(
-            steps.windows(2).all(|w| w[0].at_s < w[1].at_s),
-            "plan step times must be strictly increasing"
-        );
-        Self { initial, steps }
+        plan
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        if self.initial < 1 {
+            return Err("a plan must start with at least one replica".into());
+        }
+        for step in &self.steps {
+            if !(step.at_s.is_finite() && step.at_s >= 0.0) {
+                return Err("plan step times must be finite and non-negative".into());
+            }
+            if step.replicas < 1 {
+                return Err("plan targets must be at least 1".into());
+            }
+        }
+        if !self.steps.windows(2).all(|w| w[0].at_s < w[1].at_s) {
+            return Err("plan step times must be strictly increasing".into());
+        }
+        Ok(())
     }
 
     /// A constant plan: `replicas` for the whole run. A predictive driver
@@ -518,11 +528,18 @@ impl PredictivePolicy {
     ///
     /// Panics if the warm-up is negative or non-finite.
     pub fn new(plan: ScalingPlan, warmup_s: f64) -> Self {
-        assert!(
-            warmup_s.is_finite() && warmup_s >= 0.0,
-            "the warm-up delay must be non-negative and finite"
-        );
-        Self { plan, warmup_s }
+        let policy = Self { plan, warmup_s };
+        if let Err(e) = policy.validate() {
+            panic!("{e}");
+        }
+        policy
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        if !(self.warmup_s.is_finite() && self.warmup_s >= 0.0) {
+            return Err("the warm-up delay must be non-negative and finite".into());
+        }
+        self.plan.validate()
     }
 }
 
@@ -544,13 +561,24 @@ pub enum ScaleDriver {
 }
 
 impl ScaleDriver {
-    pub(crate) fn assert_valid(&self) {
+    /// Checks that the driver can size a fleet: a static fleet needs at
+    /// least one replica, a reactive policy must pass
+    /// [`AutoscalerPolicy::validate`], and a predictive policy must hold
+    /// what [`PredictivePolicy::new`] and [`ScalingPlan::new`] assert. The
+    /// drivers' fields are public and deserializable, so a driver read from
+    /// a configuration file is checked here rather than at construction.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first rule the driver breaks.
+    pub fn validate(&self) -> Result<(), String> {
         match self {
-            ScaleDriver::Static { replicas } => {
-                assert!(*replicas >= 1, "a static fleet needs at least one replica");
+            ScaleDriver::Static { replicas: 0 } => {
+                Err("a static fleet needs at least one replica".into())
             }
-            ScaleDriver::Reactive(policy) => policy.assert_valid(),
-            ScaleDriver::Predictive(_) => {} // validated at construction
+            ScaleDriver::Static { .. } => Ok(()),
+            ScaleDriver::Reactive(policy) => policy.validate(),
+            ScaleDriver::Predictive(policy) => policy.validate(),
         }
     }
 

@@ -135,8 +135,7 @@ impl FleetEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the driver is malformed (zero replicas, invalid reactive
-    /// policy).
+    /// Panics if the driver is malformed ([`ScaleDriver::validate`]).
     pub fn new(spec: PipelineSpec, router: RouterPolicy, driver: ScaleDriver) -> Self {
         Self::from_specs(vec![spec], router, driver)
     }
@@ -212,7 +211,9 @@ impl FleetEngine {
     }
 
     fn from_specs(specs: Vec<PipelineSpec>, router: RouterPolicy, driver: ScaleDriver) -> Self {
-        driver.assert_valid();
+        if let Err(e) = driver.validate() {
+            panic!("{e}");
+        }
         Self {
             specs,
             router,

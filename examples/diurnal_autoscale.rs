@@ -12,9 +12,9 @@
 //!    a piecewise approximation of the diurnal rate — the provisioning
 //!    lower bound;
 //! 4. run the trace through a **static peak-sized fleet** and through the
-//!    **autoscaled fleet** (`evaluate_fleet_timevarying` with an
-//!    [`AutoscalerPolicy`]), and compare per-tenant SLO attainment and
-//!    chip-hours.
+//!    **autoscaled fleet** (`evaluate_fleet_faulted` with a faultless
+//!    scenario driven by an [`AutoscalerPolicy`]), and compare per-tenant
+//!    SLO attainment and chip-hours.
 //!
 //! ```sh
 //! cargo run --release --example diurnal_autoscale
@@ -23,10 +23,11 @@
 //! [`WorkloadMix`]: rago::workloads::WorkloadMix
 //! [`AutoscalerPolicy`]: rago::serving_sim::autoscaler::AutoscalerPolicy
 
-use rago::core::{CapacityOptions, Rago, SearchOptions};
+use rago::core::{CapacityOptions, FaultScenario, Rago, SearchOptions};
 use rago::hardware::ClusterSpec;
-use rago::schema::{presets, FleetConfig, RouterPolicy, SequenceProfile, SloTarget};
+use rago::schema::{presets, RouterPolicy, SequenceProfile, SloTarget};
 use rago::serving_sim::autoscaler::AutoscalerPolicy;
+use rago::serving_sim::faults::ScaleDriver;
 use rago::workloads::{ArrivalProcess, MixTraceSpec, RateSegment, RequestClass, WorkloadMix};
 
 fn main() {
@@ -122,20 +123,26 @@ fn main() {
     // Step 4: static peak fleet vs the reactive autoscaler on the same
     // trace.
     let static_replicas = planned.peak_replicas;
-    let fleet = FleetConfig::new(static_replicas, RouterPolicy::LeastOutstanding);
-    let fixed = rago
-        .evaluate_fleet_timevarying(&best.schedule, &fleet, &mix, &trace, None)
-        .expect("static evaluation succeeds");
+    let evaluate = |driver| {
+        rago.evaluate_fleet_faulted(
+            &best.schedule,
+            RouterPolicy::LeastOutstanding,
+            &mix,
+            &trace,
+            &FaultScenario::new(driver),
+        )
+    };
+    let fixed = evaluate(ScaleDriver::Static {
+        replicas: static_replicas,
+    })
+    .expect("static evaluation succeeds");
     let policy = AutoscalerPolicy::new(1, static_replicas)
         .with_evaluation_interval(0.25)
         .with_scale_out_queue_depth(2.0)
         .with_scale_in_outstanding(10.0)
         .with_cooldown(1.0)
         .with_warmup(0.5);
-    let elastic = rago
-        .evaluate_fleet_timevarying(&best.schedule, &fleet, &mix, &trace, Some(&policy))
-        .expect("autoscaled evaluation succeeds");
-    let scaling = elastic.scaling.as_ref().expect("autoscaled run");
+    let elastic = evaluate(ScaleDriver::Reactive(policy)).expect("autoscaled evaluation succeeds");
 
     println!("\nstatic fleet ({static_replicas} replicas):");
     for c in &fixed.per_class {
@@ -148,7 +155,7 @@ fn main() {
 
     println!(
         "\nautoscaled fleet (1..={static_replicas} replicas, {} scaling events):",
-        scaling.events.len()
+        elastic.chaos.events.len()
     );
     for c in &elastic.per_class {
         println!(
@@ -159,8 +166,8 @@ fn main() {
     println!(
         "  chip-hours: {:.3} (mean {:.2} replicas provisioned, peak {})",
         elastic.chip_hours(),
-        scaling.mean_provisioned,
-        scaling.peak_provisioned
+        elastic.chaos.mean_provisioned(),
+        elastic.chaos.peak_provisioned
     );
     println!(
         "\nautoscaler vs static: attainment {:.3} vs {:.3}, chip-hours saved {:.0}%",

@@ -24,9 +24,8 @@
 //!   `tests/paper_claims.rs` (retrieval share versus scan fraction,
 //!   encoder share versus corpus size), pinned as numbers rather than
 //!   inequalities.
-//! * `timevarying.json` — the PR 4 time-varying path (pinned optimizer /
-//!   engine / fleet / paper-claims left this one open): a seeded two-tenant
-//!   diurnal trace through `evaluate_fleet_timevarying`, static and
+//! * `timevarying.json` — the time-varying path: a seeded two-tenant
+//!   diurnal trace through a faultless `evaluate_fleet_faulted`, static and
 //!   autoscaled, with per-tenant outcomes and the provisioning cost.
 //! * `cache_run.json` — the PR 5 cache subsystem: a seeded Zipfian
 //!   content-tagged trace through `Rago::evaluate_cached`, pinning the
@@ -37,11 +36,12 @@
 //!   replica lifetimes, windowed attainment, and recovery metrics.
 //! * `admission_shed.json` — PR 7 admission control: a two-class
 //!   overload trace shed in priority order, pinning per-class shed counts
-//!   and the surviving latency distribution. Two further tests pin the
-//!   fault-free fleet configuration *against the existing snapshots*
-//!   (`engine_metrics.json` byte-for-byte, and the autoscaled
-//!   `timevarying.json` scenario through the public facade), so the fault
-//!   and admission lanes cannot drift the plain and elastic fleets.
+//!   and the surviving latency distribution. A further test pins the
+//!   fault-free one-replica fleet *against the existing
+//!   `engine_metrics.json` snapshot* byte-for-byte, so the fault and
+//!   admission lanes cannot drift the plain fleet; `timevarying.json` is
+//!   itself rendered through the faulted facade, which pins the elastic
+//!   fleet.
 //! * `disagg_run.json` — the PR 8 disaggregated pools: the engine-metrics
 //!   pipeline cut into a 2-prefill + 1-decode split with a priced KV
 //!   handoff, pinning the merged metrics, both pools' per-replica
@@ -73,7 +73,7 @@
 //! and commit the diff — the point is that the drift shows up in review.
 
 use rago::cache::{CacheConfig, EvictionPolicy, PrefixKvCacheConfig, RetrievalCacheConfig};
-use rago::core::{Rago, SearchOptions};
+use rago::core::{FaultScenario, Rago, SearchOptions};
 use rago::hardware::ClusterSpec;
 use rago::schema::presets::{self, LlmSize};
 use rago::schema::{
@@ -325,8 +325,8 @@ fn golden_fleet_knees() {
 
 #[test]
 fn golden_timevarying() {
-    // The PR 4 time-varying path: a two-tenant diurnal trace through
-    // `evaluate_fleet_timevarying`, statically provisioned and autoscaled.
+    // The time-varying path: a two-tenant diurnal trace through a faultless
+    // `evaluate_fleet_faulted`, statically provisioned and autoscaled.
     let rago = Rago::new(
         presets::case1_hyperscale(LlmSize::B8, 1),
         ClusterSpec::paper_default(),
@@ -363,7 +363,6 @@ fn golden_timevarying() {
         seed: 29,
     }
     .generate();
-    let fleet = FleetConfig::new(3, RouterPolicy::LeastOutstanding);
     let policy = AutoscalerPolicy::new(1, 3)
         .with_evaluation_interval(0.25)
         .with_scale_out_queue_depth(2.0)
@@ -374,9 +373,19 @@ fn golden_timevarying() {
     let mut out = String::from("{\n  \"bench\": \"golden/timevarying\",\n");
     let _ = writeln!(out, "  \"schedule\": \"{}\",", best.schedule.describe());
     let mut variant_rows = Vec::new();
-    for (name, autoscaler) in [("static", None), ("autoscaled", Some(&policy))] {
+    for (name, driver) in [
+        ("static", ScaleDriver::Static { replicas: 3 }),
+        ("autoscaled", ScaleDriver::Reactive(policy)),
+    ] {
+        let elastic = matches!(driver, ScaleDriver::Reactive(_));
         let eval = rago
-            .evaluate_fleet_timevarying(&best.schedule, &fleet, &mix, &trace, autoscaler)
+            .evaluate_fleet_faulted(
+                &best.schedule,
+                RouterPolicy::LeastOutstanding,
+                &mix,
+                &trace,
+                &FaultScenario::new(driver),
+            )
             .expect("time-varying evaluation succeeds");
         let class_rows: Vec<String> = eval
             .per_class
@@ -387,23 +396,25 @@ fn golden_timevarying() {
                      \"attainment\": {}, \"goodput_rps\": {}, \"meets_slo\": {}}}",
                     c.class,
                     c.name,
-                    c.requests,
+                    c.offered,
                     f(c.attainment),
                     f(c.goodput_rps),
                     c.meets_slo,
                 )
             })
             .collect();
-        let scaling = match &eval.scaling {
-            None => "null".to_string(),
-            Some(s) => format!(
+        let chaos = &eval.chaos;
+        let scaling = if elastic {
+            format!(
                 "{{\"peak_provisioned\": {}, \"min_provisioned\": {}, \
                  \"mean_provisioned\": {}, \"events\": {}}}",
-                s.peak_provisioned,
-                s.min_provisioned,
-                f(s.mean_provisioned),
-                s.events.len(),
-            ),
+                chaos.peak_provisioned,
+                chaos.min_provisioned,
+                f(chaos.mean_provisioned()),
+                chaos.events.len(),
+            )
+        } else {
+            "null".to_string()
         };
         variant_rows.push(format!(
             "    {{\"variant\": \"{name}\", \"attainment\": {}, \"goodput_rps\": {}, \
@@ -412,7 +423,7 @@ fn golden_timevarying() {
             f(eval.attainment),
             f(eval.goodput_rps),
             eval.meets_slo,
-            f(eval.replica_seconds),
+            f(chaos.replica_seconds),
             f(eval.chip_seconds),
             class_rows.join(",\n"),
         ));
@@ -921,77 +932,6 @@ fn golden_chaos_degenerate_reproduces_engine_metrics() {
         "engine_metrics.json",
         &render_engine_metrics(&report.fleet.merged),
     );
-}
-
-/// The elastic degenerate pin: the faultless reactive chaos evaluation
-/// under the `timevarying.json` scenario is bit-identical to the
-/// autoscaled time-varying evaluation the golden was rendered from.
-#[test]
-fn golden_chaos_degenerate_matches_autoscaler_scenario() {
-    use rago::core::faulted::FaultScenario;
-    use rago::serving_sim::faults::ScaleDriver as Driver;
-    let rago = Rago::new(
-        presets::case1_hyperscale(LlmSize::B8, 1),
-        ClusterSpec::paper_default(),
-    );
-    let frontier = rago
-        .optimize(&SearchOptions::fast())
-        .expect("static search succeeds");
-    let best = frontier.max_qps_per_chip().expect("non-empty frontier");
-    let mix = WorkloadMix::new(vec![
-        RequestClass::new(
-            "chat",
-            3.0,
-            SequenceProfile::paper_default().with_decode_tokens(32),
-            0.1,
-            SloTarget::new(2.0, 0.05),
-        ),
-        RequestClass::new(
-            "report",
-            1.0,
-            SequenceProfile::paper_default().with_decode_tokens(128),
-            0.1,
-            SloTarget::new(10.0, 0.2),
-        ),
-    ]);
-    let qps = best.performance.qps;
-    let trace = MixTraceSpec {
-        num_requests: 400,
-        mix: mix.clone(),
-        arrival: ArrivalProcess::Diurnal {
-            base_rps: 0.3 * qps,
-            peak_rps: 2.0 * qps,
-            period_s: 16.0,
-        },
-        seed: 29,
-    }
-    .generate();
-    let policy = AutoscalerPolicy::new(1, 3)
-        .with_evaluation_interval(0.25)
-        .with_scale_out_queue_depth(2.0)
-        .with_scale_in_outstanding(10.0)
-        .with_cooldown(1.0)
-        .with_warmup(0.5);
-    let fleet = FleetConfig::new(3, RouterPolicy::LeastOutstanding);
-    let baseline = rago
-        .evaluate_fleet_timevarying(&best.schedule, &fleet, &mix, &trace, Some(&policy))
-        .expect("time-varying evaluation succeeds");
-    let chaos = rago
-        .evaluate_fleet_faulted(
-            &best.schedule,
-            RouterPolicy::LeastOutstanding,
-            &mix,
-            &trace,
-            &FaultScenario::new(Driver::Reactive(policy)),
-        )
-        .expect("faulted evaluation succeeds");
-    assert_eq!(chaos.chaos.fleet, baseline.report);
-    assert_eq!(chaos.replica_seconds, baseline.replica_seconds);
-    assert_eq!(chaos.attainment, baseline.attainment);
-    assert_eq!(chaos.goodput_rps, baseline.goodput_rps);
-    let scaling = baseline.scaling.expect("autoscaled run has history");
-    assert_eq!(chaos.scaling.events, scaling.events);
-    assert_eq!(chaos.scaling.lifetimes, scaling.lifetimes);
 }
 
 /// Renders one pool's side of a disaggregated run: router, load imbalance,

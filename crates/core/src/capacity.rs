@@ -611,9 +611,10 @@ pub fn plan_capacity_pools(
 ///
 /// # Panics
 ///
-/// Panics when the target rate is not positive and finite, the options
-/// describe an empty search (zero requests or zero replicas), or the length
-/// jitter is outside `[0, 1)`. Those inputs would fail *every* per-point
+/// Panics when the target rate or the options fail the planners' input
+/// validation (a non-positive or non-finite rate, zero requests or
+/// replicas, `max_replicas` above [`MAX_PLANNER_REPLICAS`], or a length
+/// jitter outside `[0, 1)`). Those inputs would fail *every* per-point
 /// plan, and silently returning an empty ranking would be
 /// indistinguishable from "no schedule can serve this rate".
 pub fn rank_frontier_by_cost_at_qps(
@@ -623,19 +624,9 @@ pub fn rank_frontier_by_cost_at_qps(
     target_qps: f64,
     options: &CapacityOptions,
 ) -> Vec<(ParetoPoint, CapacityPlan)> {
-    assert!(
-        target_qps > 0.0 && target_qps.is_finite(),
-        "target QPS must be positive and finite, got {target_qps}"
-    );
-    assert!(
-        options.max_replicas > 0 && options.num_requests > 0,
-        "capacity options must allow at least one replica and one request"
-    );
-    assert!(
-        (0.0..1.0).contains(&options.length_jitter),
-        "length_jitter must be in [0, 1), got {}",
-        options.length_jitter
-    );
+    if let Err(e) = validate_capacity_inputs(target_qps, options) {
+        panic!("{e}");
+    }
     let mut ranked: Vec<(ParetoPoint, CapacityPlan)> = frontier
         .iter()
         .par_bridge()
@@ -1016,6 +1007,28 @@ mod tests {
         );
         let options = CapacityOptions {
             length_jitter: 1.5,
+            ..quick_options()
+        };
+        let _ = rank_frontier_by_cost_at_qps(
+            rago.profiler(),
+            &ParetoFrontier::from_points(Vec::new()),
+            &SloTarget::new(1.0, 0.1),
+            10.0,
+            &options,
+        );
+    }
+
+    /// A `max_replicas` above the planner bound would fail every per-point
+    /// plan, so the ranking refuses it instead of returning nothing.
+    #[test]
+    #[should_panic(expected = "exceeds the planner bound")]
+    fn cost_ranking_asserts_the_planner_bound() {
+        let rago = Rago::new(
+            presets::case1_hyperscale(LlmSize::B8, 1),
+            ClusterSpec::paper_default(),
+        );
+        let options = CapacityOptions {
+            max_replicas: MAX_PLANNER_REPLICAS + 1,
             ..quick_options()
         };
         let _ = rank_frontier_by_cost_at_qps(

@@ -1,20 +1,23 @@
-//! Indexed two-lane event queue for the discrete-event hot path.
+//! Indexed event queue for the discrete-event hot path.
 //!
 //! The engine's original event queue was one global `BinaryHeap` holding
 //! *every* pending event — including all not-yet-arrived requests. At a
-//! million requests that is a million-entry heap: every push and pop pays
-//! `O(log n)` three-key comparisons, and the arrival backlog dominates the
-//! heap even though it is already sorted. This module replaces it with a
-//! structure indexed on the same `(time, arrival-class, seq)` key:
+//! million requests that is a million-entry heap, dominated by an arrival
+//! backlog that is already sorted. This module splits the queue into lanes
+//! keyed on the same `(time, class, seq)` order:
 //!
 //! * **Arrival lane** (class 0): arrivals are injected in non-decreasing
 //!   time order (the engine sorts its trace up front), so they live in a
 //!   plain FIFO — `O(1)` push and pop, no comparisons against the backlog.
-//! * **Calendar lane** (class 1): scheduled completions (stage, step and
-//!   retrieval events) go into a bucketed calendar queue ([`Calendar`]).
-//!   Only *in-flight* work lives here — at most one micro-batch per
-//!   resource, one decode step, and the outstanding retrieval batches — so
-//!   its live occupancy is tiny and pops are `O(1)` amortized.
+//! * **Scheduled lane** (class 1): scheduled completions (stage, step and
+//!   retrieval events) go into a `BinaryHeap` keyed `(time, seq)`. Only
+//!   *in-flight* work lives here. Under continuous batching a replica has
+//!   one decode step, one micro-batch per resource and its outstanding
+//!   retrieval batches in flight, so the lane holds a handful of entries:
+//!   at seed 1 a replica's lane peaks at 3 entries in the `stream` and
+//!   `ops` benchmark journeys and at 10 in `sizing`. A split fleet's
+//!   KV-transfer lane, which fills in bulk once the prefill pool runs dry,
+//!   peaks near a thousand — still a shallow heap.
 //!
 //! [`EventQueue::pop`] merges the lanes with exactly the historical
 //! ordering: earlier time first (`f64::total_cmp`), arrivals before
@@ -30,19 +33,11 @@
 //! part of the chaos-scenario golden contract.
 
 use std::cmp::Ordering;
-use std::collections::VecDeque;
+use std::collections::{BinaryHeap, VecDeque};
 
-/// Initial number of calendar buckets (always a power of two).
-const INITIAL_BUCKETS: usize = 16;
-
-/// Rebuild the calendar when occupancy exceeds `buckets × GROW_LOAD`.
-const GROW_LOAD: usize = 2;
-
-/// Minimum occupancy before a width re-estimation rebuild may trigger —
-/// below this the scans are trivially short and the span estimate noisy.
-const REESTIMATE_MIN_LEN: usize = 8;
-
-/// One scheduled entry in the calendar lane.
+/// One entry in the scheduled lane. Sequence numbers are unique, so the
+/// `(t, seq)` key is a total order and the heap pops exactly as the
+/// historical global heap did.
 #[derive(Debug, Clone, Copy)]
 struct Scheduled<E> {
     t: f64,
@@ -50,229 +45,24 @@ struct Scheduled<E> {
     ev: E,
 }
 
-/// A classic bucketed calendar queue over `(time, seq)` keys.
-///
-/// Entries hash into `buckets` ring slots of `width` seconds each; a pop
-/// scans forward from the current bucket, considering only entries that
-/// belong to the current "year" (the ring's sweep through time), and falls
-/// back to a full scan after one empty revolution — the standard sparse-set
-/// escape. The bucket width is re-estimated from the live key span whenever
-/// the queue is rebuilt, keeping the expected entries-per-bucket constant.
-///
-/// Keys must be popped in non-decreasing time order, which the engine
-/// guarantees: completions are always scheduled at or after the instant
-/// being processed. Ties on `t` break by `seq` (insertion order), matching
-/// the heap the calendar replaces.
-#[derive(Debug, Clone)]
-struct Calendar<E> {
-    buckets: Vec<Vec<Scheduled<E>>>,
-    /// Bucket time width, strictly positive and finite.
-    width: f64,
-    /// Bucket the next search starts from.
-    cur: usize,
-    /// Upper time bound of `cur`'s current year.
-    cur_top: f64,
-    len: usize,
-    /// Cached location of the minimum entry: `(t, seq, bucket, position)`.
-    /// Kept fresh by pushes (a smaller key simply replaces the cache, and
-    /// appends never move existing entries); invalidated by pops and
-    /// rebuilds.
-    cached_min: Option<(f64, u64, usize, usize)>,
-    /// Lifetime count of [`Calendar::rebuild`] calls (growth or width
-    /// re-estimation). Observability only — never read by the simulation.
-    rebuilds: u64,
-    /// Lifetime count of full-scan fallbacks in [`Calendar::ensure_min`]
-    /// (one empty revolution found nothing in-year). Observability only.
-    fallback_scans: u64,
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
 }
 
-impl<E: Copy> Calendar<E> {
-    fn new() -> Self {
-        Self {
-            buckets: vec![Vec::new(); INITIAL_BUCKETS],
-            width: 1.0,
-            cur: 0,
-            cur_top: 1.0,
-            len: 0,
-            cached_min: None,
-            rebuilds: 0,
-            fallback_scans: 0,
-        }
-    }
+impl<E> Eq for Scheduled<E> {}
 
-    fn bucket_of(&self, t: f64) -> usize {
-        // `t / width` can exceed u64 for pathological inputs; saturate
-        // before the modulo so the index stays in range instead of
-        // panicking or going through UB-free-but-wrong float casts.
-        let idx = (t / self.width).min(u64::MAX as f64).max(0.0) as u64;
-        (idx % self.buckets.len() as u64) as usize
+impl<E> PartialOrd for Scheduled<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
+}
 
-    fn push(&mut self, t: f64, seq: u64, ev: E) {
-        if self.len >= self.buckets.len() * GROW_LOAD {
-            self.rebuild(self.buckets.len() * 2);
-        } else if self.len >= REESTIMATE_MIN_LEN {
-            // Width sanity check against the live span (approximated as the
-            // distance from the cached minimum to this push — pushes are
-            // near the high end of the live window, since completions are
-            // scheduled ahead of the instant being processed). A width far
-            // off the span degenerates the calendar: too wide and every
-            // entry lands in one bucket (pops scan the whole population),
-            // too narrow and the population spans many "years" (pops sweep
-            // mostly-empty buckets). Either way, redistribute at the same
-            // size with a width re-estimated from the true span. The factor
-            // of four is hysteresis — a rebuild sets `width = span / len`,
-            // so the span must shift by 4x again before the next rebuild.
-            if let Some((min_t, ..)) = self.cached_min {
-                let span = t - min_t;
-                let coverage = self.width * self.buckets.len() as f64;
-                if span > 0.0 && (span * 4.0 < self.width || span > coverage * 4.0) {
-                    self.rebuild(self.buckets.len());
-                }
-            }
-        }
-        let was_empty = self.len == 0;
-        let b = self.bucket_of(t);
-        self.buckets[b].push(Scheduled { t, seq, ev });
-        self.len += 1;
-        let pos = self.buckets[b].len() - 1;
-        match self.cached_min {
-            // A fresh smaller key replaces the cached minimum directly.
-            Some((ct, cseq, ..)) if key_cmp(t, seq, ct, cseq) == Ordering::Less => {
-                self.cached_min = Some((t, seq, b, pos));
-            }
-            Some(_) => {}
-            // A stale (`None`) cache with live entries must stay stale: the
-            // true minimum may be an older entry, so only a push into an
-            // empty calendar may seed the cache.
-            None if was_empty => self.cached_min = Some((t, seq, b, pos)),
-            None => {}
-        }
-    }
-
-    /// Redistributes every entry over `new_buckets` slots with a width
-    /// re-estimated from the live key span.
-    fn rebuild(&mut self, new_buckets: usize) {
-        self.rebuilds += 1;
-        let entries: Vec<Scheduled<E>> = self.buckets.iter_mut().flat_map(std::mem::take).collect();
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for e in &entries {
-            lo = lo.min(e.t);
-            hi = hi.max(e.t);
-        }
-        let span = (hi - lo).max(0.0);
-        let width = if entries.is_empty() || span <= 0.0 {
-            1.0
-        } else {
-            // Aim for about one live entry per bucket over the span.
-            (span / entries.len() as f64).max(f64::MIN_POSITIVE)
-        };
-        self.buckets = vec![Vec::new(); new_buckets];
-        self.width = width;
-        self.len = 0;
-        self.cached_min = None;
-        // Restart the year sweep at the smallest live key (or zero).
-        let floor = if lo.is_finite() { lo } else { 0.0 };
-        self.cur = {
-            let idx = (floor / width).min(u64::MAX as f64).max(0.0) as u64;
-            (idx % new_buckets as u64) as usize
-        };
-        self.cur_top = (floor / width).floor() * width + width;
-        // Insert directly rather than through `push` — the re-estimation
-        // trigger must not observe the half-rebuilt calendar.
-        for e in entries {
-            let b = self.bucket_of(e.t);
-            self.buckets[b].push(e);
-            self.len += 1;
-            let pos = self.buckets[b].len() - 1;
-            match self.cached_min {
-                Some((ct, cseq, ..)) if key_cmp(e.t, e.seq, ct, cseq) == Ordering::Less => {
-                    self.cached_min = Some((e.t, e.seq, b, pos));
-                }
-                None => self.cached_min = Some((e.t, e.seq, b, pos)),
-                Some(_) => {}
-            }
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Time of the minimum entry, if any.
-    fn peek_time(&mut self) -> Option<f64> {
-        self.ensure_min();
-        self.cached_min.map(|(t, ..)| t)
-    }
-
-    /// Removes and returns the minimum entry by `(t, seq)`.
-    fn pop_min(&mut self) -> Option<(f64, E)> {
-        self.ensure_min();
-        let (t, seq, b, pos) = self.cached_min.take()?;
-        let bucket = &mut self.buckets[b];
-        debug_assert!(
-            bucket.get(pos).is_some_and(|e| e.t == t && e.seq == seq),
-            "cached minimum must exist at its recorded position"
-        );
-        let entry = bucket.swap_remove(pos);
-        self.len -= 1;
-        // Keep the year sweep at the popped key so the next search starts
-        // where this one ended.
-        self.cur = b;
-        self.cur_top = (t / self.width).floor() * self.width + self.width;
-        Some((entry.t, entry.ev))
-    }
-
-    /// Locates the minimum entry if the cache is stale.
-    fn ensure_min(&mut self) {
-        if self.cached_min.is_some() || self.len == 0 {
-            return;
-        }
-        let n = self.buckets.len();
-        let mut cur = self.cur;
-        let mut top = self.cur_top;
-        for _ in 0..n {
-            let mut best: Option<(f64, u64, usize)> = None;
-            for (pos, e) in self.buckets[cur].iter().enumerate() {
-                // Only entries inside the current year belong to this
-                // sweep position; later-year entries hash to the same
-                // bucket but are not minimal yet.
-                if e.t < top
-                    && best.map_or(true, |(bt, bs, _)| {
-                        key_cmp(e.t, e.seq, bt, bs) == Ordering::Less
-                    })
-                {
-                    best = Some((e.t, e.seq, pos));
-                }
-            }
-            if let Some((t, seq, pos)) = best {
-                self.cached_min = Some((t, seq, cur, pos));
-                self.cur = cur;
-                self.cur_top = top;
-                return;
-            }
-            cur = (cur + 1) % n;
-            top += self.width;
-        }
-        // One full revolution found nothing in-year: the live entries are
-        // sparse and far ahead. Fall back to a direct scan for the global
-        // minimum and jump the sweep there.
-        self.fallback_scans += 1;
-        let mut best: Option<(f64, u64, usize, usize)> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (pos, e) in bucket.iter().enumerate() {
-                if best.map_or(true, |(bt, bs, ..)| {
-                    key_cmp(e.t, e.seq, bt, bs) == Ordering::Less
-                }) {
-                    best = Some((e.t, e.seq, b, pos));
-                }
-            }
-        }
-        let (t, _, b, _) = best.expect("non-empty calendar has a minimum");
-        self.cached_min = best;
-        self.cur = b;
-        self.cur_top = (t / self.width).floor() * self.width + self.width;
+impl<E> Ord for Scheduled<E> {
+    /// Reversed key order: the max-heap's top is the smallest `(t, seq)`.
+    fn cmp(&self, other: &Self) -> Ordering {
+        key_cmp(other.t, other.seq, self.t, self.seq)
     }
 }
 
@@ -282,44 +72,30 @@ fn key_cmp(t_a: f64, seq_a: u64, t_b: f64, seq_b: u64) -> Ordering {
 }
 
 /// Observability snapshot of one event queue's internal work: per-lane
-/// pop counts, calendar maintenance counts, and the final calendar
-/// geometry. Pure counters — reading them never perturbs the simulation,
-/// so traced and untraced runs stay bit-identical.
+/// pop counts. Pure counters — reading them never perturbs the
+/// simulation, so traced and untraced runs stay bit-identical.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EventQueueStats {
     /// Events popped from the fault lane (class −1).
     pub fault_pops: u64,
     /// Events popped from the FIFO arrival lane (class 0).
     pub arrival_pops: u64,
-    /// Events popped from the bucketed calendar lane (class 1).
+    /// Events popped from the scheduled lane (class 1).
     pub scheduled_pops: u64,
-    /// Calendar bucket-array rebuilds (growth or width re-estimation).
-    pub rebuilds: u64,
-    /// Full-scan fallbacks after an empty calendar revolution.
-    pub fallback_scans: u64,
-    /// Current calendar bucket count.
-    pub buckets: u64,
-    /// Current calendar bucket width, in seconds.
-    pub width_s: f64,
 }
 
 impl EventQueueStats {
-    /// Accumulates another queue's stats (pop and maintenance counts add;
-    /// geometry keeps the maximum).
+    /// Accumulates another queue's pop counts.
     pub fn merge_from(&mut self, other: &EventQueueStats) {
         self.fault_pops += other.fault_pops;
         self.arrival_pops += other.arrival_pops;
         self.scheduled_pops += other.scheduled_pops;
-        self.rebuilds += other.rebuilds;
-        self.fallback_scans += other.fallback_scans;
-        self.buckets = self.buckets.max(other.buckets);
-        self.width_s = self.width_s.max(other.width_s);
     }
 }
 
-/// The engine's two-lane event queue: a FIFO arrival lane merged against a
-/// [`Calendar`] of scheduled completions. See the module docs for the
-/// ordering contract.
+/// The engine's event queue: FIFO fault and arrival lanes merged against a
+/// heap of scheduled completions. See the module docs for the ordering
+/// contract.
 #[derive(Debug, Clone)]
 pub(crate) struct EventQueue<E> {
     /// `(t, payload)` fault-lane events in non-decreasing `t`, FIFO.
@@ -327,7 +103,7 @@ pub(crate) struct EventQueue<E> {
     faults: VecDeque<(f64, E)>,
     /// `(t, payload)` arrivals in non-decreasing `t`, FIFO.
     arrivals: VecDeque<(f64, E)>,
-    calendar: Calendar<E>,
+    scheduled: BinaryHeap<Scheduled<E>>,
     /// Sequence counter for scheduled events (arrivals order by FIFO
     /// position; the two lanes never compare sequence numbers against each
     /// other because the class decides same-instant ties).
@@ -343,7 +119,7 @@ impl<E: Copy> EventQueue<E> {
         Self {
             faults: VecDeque::new(),
             arrivals: VecDeque::new(),
-            calendar: Calendar::new(),
+            scheduled: BinaryHeap::new(),
             seq: 0,
             fault_pops: 0,
             arrival_pops: 0,
@@ -357,13 +133,8 @@ impl<E: Copy> EventQueue<E> {
             fault_pops: self.fault_pops,
             arrival_pops: self.arrival_pops,
             scheduled_pops: self.scheduled_pops,
-            rebuilds: self.calendar.rebuilds,
-            fallback_scans: self.calendar.fallback_scans,
-            buckets: self.calendar.buckets.len() as u64,
-            width_s: self.calendar.width,
         }
     }
-
     /// Reserves space for `additional` more arrivals in the FIFO lane.
     pub(crate) fn reserve_arrivals(&mut self, additional: usize) {
         self.arrivals.reserve(additional);
@@ -384,7 +155,7 @@ impl<E: Copy> EventQueue<E> {
     pub(crate) fn push_scheduled(&mut self, t: f64, ev: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.calendar.push(t, seq, ev);
+        self.scheduled.push(Scheduled { t, seq, ev });
     }
 
     /// Enqueues a fault-lane event (class −1). Like arrivals, fault events
@@ -399,7 +170,7 @@ impl<E: Copy> EventQueue<E> {
     }
 
     /// Time of the next event without removing it.
-    pub(crate) fn peek_time(&mut self) -> Option<f64> {
+    pub(crate) fn peek_time(&self) -> Option<f64> {
         let merged = self.peek_rest();
         match (self.faults.front().map(|&(t, _)| t), merged) {
             // Faults (class −1) win ties against every other lane.
@@ -423,22 +194,16 @@ impl<E: Copy> EventQueue<E> {
                 return self.faults.pop_front();
             }
         }
-        let take_arrival = match (self.arrivals.front(), self.calendar.is_empty()) {
-            (Some(_), true) => true,
+        let take_arrival = match (self.arrivals.front(), self.scheduled.peek()) {
+            (Some(_), None) => true,
             (None, _) => false,
-            (Some(&(ta, _)), false) => {
-                let ts = self
-                    .calendar
-                    .peek_time()
-                    .expect("non-empty calendar peeks a time");
-                // Arrivals (class 0) win ties against scheduled events.
-                ta.total_cmp(&ts) != Ordering::Greater
-            }
+            // Arrivals (class 0) win ties against scheduled events.
+            (Some(&(ta, _)), Some(s)) => ta.total_cmp(&s.t) != Ordering::Greater,
         };
         let out = if take_arrival {
             self.arrivals.pop_front()
         } else {
-            self.calendar.pop_min()
+            self.scheduled.pop().map(|s| (s.t, s.ev))
         };
         if out.is_some() {
             if take_arrival {
@@ -450,11 +215,11 @@ impl<E: Copy> EventQueue<E> {
         out
     }
 
-    /// Earliest time across the arrival and calendar lanes only.
-    fn peek_rest(&mut self) -> Option<f64> {
+    /// Earliest time across the arrival and scheduled lanes only.
+    fn peek_rest(&self) -> Option<f64> {
         match (
             self.arrivals.front().map(|&(t, _)| t),
-            self.calendar.peek_time(),
+            self.scheduled.peek().map(|s| s.t),
         ) {
             (Some(ta), Some(ts)) => Some(if ta.total_cmp(&ts) != Ordering::Greater {
                 ta
@@ -467,7 +232,7 @@ impl<E: Copy> EventQueue<E> {
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.faults.is_empty() && self.arrivals.is_empty() && self.calendar.is_empty()
+        self.faults.is_empty() && self.arrivals.is_empty() && self.scheduled.is_empty()
     }
 }
 
@@ -554,10 +319,10 @@ mod tests {
         }
     }
 
-    /// Single-bucket degenerate case: every key identical, so the calendar
-    /// cannot spread them and must still pop in sequence order.
+    /// Degenerate case: every key shares one timestamp, so only the
+    /// sequence number orders them.
     #[test]
-    fn identical_timestamps_fill_one_bucket_and_stay_ordered() {
+    fn identical_timestamps_stay_in_insertion_order() {
         let mut q: EventQueue<u32> = EventQueue::new();
         for tag in 0..200 {
             q.push_scheduled(0.0, tag);
@@ -635,9 +400,9 @@ mod tests {
         }
     }
 
-    /// Growth path: enough live entries to force several rebuilds.
+    /// Many live entries pushed in random time order pop in key order.
     #[test]
-    fn rebuilds_preserve_every_entry_and_the_order() {
+    fn unsorted_pushes_pop_in_key_order() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut q: EventQueue<u32> = EventQueue::new();
         let mut keys: Vec<(f64, u32)> = Vec::new();
@@ -648,8 +413,7 @@ mod tests {
         }
         keys.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         // Popping in one go must be globally sorted even though pushes were
-        // not monotone (the engine never does this, but the calendar's
-        // full-scan fallback must still cope).
+        // not monotone (the engine never does this).
         let mut last = f64::NEG_INFINITY;
         let mut count = 0;
         while let Some((t, _)) = q.pop() {

@@ -125,7 +125,6 @@ pub struct FleetEngine {
     faults: FaultSchedule,
     crash_policy: CrashPolicy,
     admission: Option<AdmissionConfig>,
-    parallel_advance: bool,
     telemetry: rago_telemetry::TelemetryConfig,
 }
 
@@ -222,7 +221,6 @@ impl FleetEngine {
             faults: FaultSchedule::empty(),
             crash_policy: CrashPolicy::default(),
             admission: None,
-            parallel_advance: false,
             telemetry: rago_telemetry::TelemetryConfig::disabled(),
         }
     }
@@ -255,18 +253,6 @@ impl FleetEngine {
     #[must_use]
     pub fn with_admission(mut self, admission: AdmissionConfig) -> Self {
         self.admission = Some(admission);
-        self
-    }
-
-    /// Advances replicas in parallel between clock points (off by
-    /// default). Replicas share no state between clock points, so each one
-    /// ends up bit-identical to a serial advance regardless of thread
-    /// interleaving — routing still inspects the replicas serially, and the
-    /// report equals the serial run's (the `scale_stress` bench asserts
-    /// this on every run).
-    #[must_use]
-    pub fn with_parallel_advance(mut self, parallel: bool) -> Self {
-        self.parallel_advance = parallel;
         self
     }
 
@@ -885,7 +871,7 @@ struct Transfers {
     model: KvTransferModel,
     /// Completion instants of the transfers in flight, indexing
     /// `priced`; same-instant completions pop in handoff order.
-    calendar: EventQueue<u32>,
+    in_flight: EventQueue<u32>,
     /// `(request, bytes, latency)` of every transfer ever priced.
     priced: Vec<(EngineRequest, f64, f64)>,
     /// Reused buffer for one replica's harvested handoffs.
@@ -949,7 +935,7 @@ impl<'e> Run<'e> {
         };
         let transfers = engine.split.as_ref().map(|split| Transfers {
             model: split.transfer,
-            calendar: EventQueue::new(),
+            in_flight: EventQueue::new(),
             priced: Vec::new(),
             harvest: Vec::new(),
             stats: TransferStats::default(),
@@ -1066,12 +1052,9 @@ impl<'e> Run<'e> {
         self.slots.iter().filter(|s| s.provisioned()).count() as u32
     }
 
-    /// Advances every live replica of `pool` to just before `t` — in
-    /// parallel when the engine asks for it. Replicas share no state
-    /// between clock points, so the parallel form leaves each one
-    /// bit-identical to the serial loop. A split fleet's decode pool must
-    /// not run ahead of the transfers it has yet to receive, so each pool
-    /// advances only to its own routing instants.
+    /// Advances every live replica of `pool` to just before `t`. A split
+    /// fleet's decode pool must not run ahead of the transfers it has yet
+    /// to receive, so each pool advances only to its own routing instants.
     fn advance(&mut self, pool: usize, t: f64) {
         // Every event due before an earlier horizon has been processed, and
         // new events are never scheduled before the pool's clock.
@@ -1079,25 +1062,10 @@ impl<'e> Run<'e> {
             return;
         }
         self.pools[pool].clock = t;
-        // A decode pool advances once per delivered transfer, too little
-        // work between deliveries to repay a fan-out.
-        let parallel =
-            self.engine.parallel_advance && pool == ARRIVAL_POOL && self.pools[pool].size > 1;
-        let step = |slot: &mut Slot| {
-            if slot.pool == pool {
-                if let Some(sim) = slot.sim.as_mut() {
-                    sim.advance_before(t);
-                }
+        for slot in self.slots.iter_mut().filter(|s| s.pool == pool) {
+            if let Some(sim) = slot.sim.as_mut() {
+                sim.advance_before(t);
             }
-        };
-        if parallel {
-            self.slots
-                .iter_mut()
-                .par_bridge()
-                .fold(|| (), |(), slot| step(slot))
-                .reduce(|| (), |(), ()| ());
-        } else {
-            self.slots.iter_mut().for_each(step);
         }
     }
 
@@ -1113,7 +1081,7 @@ impl<'e> Run<'e> {
     /// one), after moving the knowledge horizon to `horizon` — the next
     /// instant of the other lanes: the prefill pool advances to it (or,
     /// once no other lane remains, runs dry) and its new handoffs join the
-    /// transfer calendar. Every transfer completing before `horizon` is
+    /// transfer lane. Every transfer completing before `horizon` is
     /// then known, since no undiscovered handoff is ready before it.
     fn next_transfer(&mut self, horizon: Option<f64>) -> Option<f64> {
         self.transfers.as_ref()?;
@@ -1137,17 +1105,17 @@ impl<'e> Run<'e> {
                 let bytes = transfers.model.bytes_for(req.prefix_tokens);
                 let idx = transfers.priced.len() as u32;
                 transfers.priced.push((req, bytes, latency_s));
-                transfers.calendar.push_scheduled(ready_s + latency_s, idx);
+                transfers.in_flight.push_scheduled(ready_s + latency_s, idx);
             }
         }
-        transfers.calendar.peek_time()
+        transfers.in_flight.peek_time()
     }
 
     /// Delivers the earliest KV transfer into the decode pool at its
     /// completion instant — or parks it until a decode replica is routable.
     fn deliver_transfer<R: Recorder>(&mut self, rec: &mut R) {
         let transfers = self.transfers.as_mut().expect("only split fleets transfer");
-        let (t, idx) = transfers.calendar.pop().expect("the transfer lane fired");
+        let (t, idx) = transfers.in_flight.pop().expect("the transfer lane fired");
         let (req, bytes, latency_s) = transfers.priced[idx as usize];
         let stats = &mut transfers.stats;
         stats.transfers += 1;

@@ -14,8 +14,8 @@
 //!    emits its first token there and a *handoff* record; the
 //!    [`KvTransferModel`] prices the KV transfer (bytes from prefix length,
 //!    latency from interconnect bandwidth plus fixed overhead), and the
-//!    transfer's completion joins the fleet's transfer lane (the `equeue`
-//!    calendar — same-instant completions keep their emission order).
+//!    transfer's completion joins the fleet's transfer lane (an `equeue`
+//!    scheduled lane — same-instant completions keep their emission order).
 //! 3. At the completion instant the Decode pool's router (any policy,
 //!    including the content-affinity routers) picks a decode replica, and
 //!    the request is re-injected with its *original* arrival time, so
@@ -586,23 +586,5 @@ mod tests {
             engine.unwrap().driver(),
             &ScaleDriver::Static { replicas: 4 }
         );
-    }
-
-    #[test]
-    fn parallel_advance_is_bit_identical() {
-        let trace = trace(90, 70.0, 21);
-        let model = KvTransferModel::new(131_072.0, 25e9, 20e-6);
-        let (engine, view) = split(
-            3,
-            RouterPolicy::LeastOutstanding,
-            decode_spec(),
-            2,
-            RouterPolicy::RoundRobin,
-            model,
-        );
-        let serial = view(engine.run_trace(&trace));
-        let parallel = view(engine.with_parallel_advance(true).run_trace(&trace));
-        assert_eq!(serial.merged.timelines, parallel.merged.timelines);
-        assert_eq!(serial.transfers, parallel.transfers);
     }
 }

@@ -395,10 +395,6 @@ pub fn profile_from_stats(stats: &EventQueueStats, events: u64, sim_time_s: f64)
         fault_pops: stats.fault_pops,
         arrival_pops: stats.arrival_pops,
         scheduled_pops: stats.scheduled_pops,
-        calendar_rebuilds: stats.rebuilds,
-        calendar_fallback_scans: stats.fallback_scans,
-        calendar_buckets: stats.buckets,
-        calendar_width_s: stats.width_s,
         ..SimProfile::default()
     }
 }

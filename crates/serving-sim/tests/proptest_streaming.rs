@@ -263,8 +263,8 @@ fn single_request_trace_is_degenerate_but_finite() {
 
 /// `run_with_mode(Exact)` is the identity path: it must reproduce `run()`
 /// byte for byte — timelines, metrics, per-class rows, everything the
-/// report derives, on a workload big enough to exercise queue growth,
-/// calendar rebuilds, and multi-class accounting.
+/// report derives, on a workload big enough to exercise queue growth
+/// and multi-class accounting.
 #[test]
 fn exact_mode_reproduces_run_byte_for_byte() {
     let spec = pipeline(8, 32);

@@ -16,7 +16,7 @@
 //!   [`export_chrome_trace`] (Perfetto-loadable) or [`export_jsonl`], and
 //!   summarize with [`TelemetryReport`].
 //! - **[`SimProfile`]** — self-profiling counters for the simulator's own
-//!   hot paths (event-queue lanes and calendar rebuilds, `StageProfiler`
+//!   hot paths (per-lane event-queue pops, `StageProfiler`
 //!   memoization, stochastic-search rounds).
 //!
 //! All JSON is rendered by hand and checked by the bundled

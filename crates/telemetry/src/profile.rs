@@ -1,5 +1,5 @@
 //! Self-profiling of the simulator's own internals ([`SimProfile`]):
-//! event-queue lane throughput, calendar rebuilds, memoization hit rates,
+//! event-queue lane throughput, memoization hit rates,
 //! and stochastic-search round dynamics. Where [`crate::TraceRecorder`]
 //! answers "why did the fleet behave like this", `SimProfile` answers "why
 //! was the simulator fast or slow" — perf regressions become observable
@@ -19,16 +19,8 @@ pub struct SimProfile {
     pub fault_pops: u64,
     /// Events popped from the FIFO arrival lane.
     pub arrival_pops: u64,
-    /// Events popped from the bucketed calendar lane.
+    /// Events popped from the scheduled (in-flight) lane.
     pub scheduled_pops: u64,
-    /// Calendar bucket-array rebuilds (growth or width re-estimation).
-    pub calendar_rebuilds: u64,
-    /// Full-scan fallbacks after an empty calendar revolution.
-    pub calendar_fallback_scans: u64,
-    /// Final calendar bucket count.
-    pub calendar_buckets: u64,
-    /// Final calendar bucket width, in seconds.
-    pub calendar_width_s: f64,
     /// `StageProfiler` memoization hits.
     pub profiler_memo_hits: u64,
     /// `StageProfiler` memoization misses (cold cost-model evaluations).
@@ -62,18 +54,14 @@ impl SimProfile {
         }
     }
 
-    /// Accumulates another profile into this one (lane counters add;
-    /// calendar geometry keeps the maximum; round vectors concatenate).
+    /// Accumulates another profile into this one (counters add; simulated
+    /// time keeps the maximum; round vectors concatenate).
     pub fn merge_from(&mut self, other: &SimProfile) {
         self.sim_time_s = self.sim_time_s.max(other.sim_time_s);
         self.events += other.events;
         self.fault_pops += other.fault_pops;
         self.arrival_pops += other.arrival_pops;
         self.scheduled_pops += other.scheduled_pops;
-        self.calendar_rebuilds += other.calendar_rebuilds;
-        self.calendar_fallback_scans += other.calendar_fallback_scans;
-        self.calendar_buckets = self.calendar_buckets.max(other.calendar_buckets);
-        self.calendar_width_s = self.calendar_width_s.max(other.calendar_width_s);
         self.profiler_memo_hits += other.profiler_memo_hits;
         self.profiler_memo_misses += other.profiler_memo_misses;
         self.search_rounds += other.search_rounds;
@@ -105,13 +93,6 @@ impl SimProfile {
         emit("sim.fault_pops", self.fault_pops as f64);
         emit("sim.arrival_pops", self.arrival_pops as f64);
         emit("sim.scheduled_pops", self.scheduled_pops as f64);
-        emit("sim.calendar_rebuilds", self.calendar_rebuilds as f64);
-        emit(
-            "sim.calendar_fallback_scans",
-            self.calendar_fallback_scans as f64,
-        );
-        emit("sim.calendar_buckets", self.calendar_buckets as f64);
-        emit("sim.calendar_width_s", self.calendar_width_s);
         if self.profiler_memo_hits + self.profiler_memo_misses > 0 {
             emit("sim.profiler_memo_hits", self.profiler_memo_hits as f64);
             emit("sim.profiler_memo_misses", self.profiler_memo_misses as f64);
@@ -128,18 +109,13 @@ impl SimProfile {
         let _ = write!(
             out,
             "\"sim_time_s\":{:.9},\"events\":{},\"fault_pops\":{},\"arrival_pops\":{},\
-             \"scheduled_pops\":{},\"calendar_rebuilds\":{},\"calendar_fallback_scans\":{},\
-             \"calendar_buckets\":{},\"calendar_width_s\":{:.9},\"profiler_memo_hits\":{},\
-             \"profiler_memo_misses\":{},\"memo_hit_rate\":{:.9},\"search_rounds\":{}",
+             \"scheduled_pops\":{},\"profiler_memo_hits\":{},\"profiler_memo_misses\":{},\
+             \"memo_hit_rate\":{:.9},\"search_rounds\":{}",
             self.sim_time_s,
             self.events,
             self.fault_pops,
             self.arrival_pops,
             self.scheduled_pops,
-            self.calendar_rebuilds,
-            self.calendar_fallback_scans,
-            self.calendar_buckets,
-            self.calendar_width_s,
             self.profiler_memo_hits,
             self.profiler_memo_misses,
             self.memo_hit_rate(),
@@ -184,10 +160,6 @@ mod tests {
             fault_pops: 2,
             arrival_pops: 500,
             scheduled_pops: 498,
-            calendar_rebuilds: 3,
-            calendar_fallback_scans: 1,
-            calendar_buckets: 64,
-            calendar_width_s: 0.25,
             profiler_memo_hits: 90,
             profiler_memo_misses: 10,
             search_rounds: 2,
@@ -203,7 +175,7 @@ mod tests {
         assert!((p.memo_hit_rate() - 0.9).abs() < 1e-12);
         p.merge_from(&sample());
         assert_eq!(p.events, 2000);
-        assert_eq!(p.calendar_buckets, 64);
+        assert_eq!(p.sim_time_s, 10.0);
         assert_eq!(p.search_round_evals.len(), 4);
     }
 
@@ -214,6 +186,7 @@ mod tests {
         p.record_into(&mut NullRecorder, 10.0, 0);
         let mut rec = TraceRecorder::new(TelemetryConfig::full(0.5));
         p.record_into(&mut rec, 10.0, 0);
-        assert!(rec.len() >= 12, "expected counters, got {}", rec.len());
+        // Five queue counters, three memo counters and the round count.
+        assert_eq!(rec.len(), 9);
     }
 }

@@ -23,8 +23,7 @@
 //! The remaining tests pin the layer's two core guarantees without
 //! snapshots: a [`NullRecorder`] run is *equal* to the untraced run on
 //! every engine (zero-cost-when-off), and a live trace is byte-identical
-//! across repeated runs and across the parallel-advance toggle
-//! (determinism independent of worker count).
+//! across repeated runs.
 //!
 //! Regenerate intentionally-moved snapshots with:
 //!
@@ -238,29 +237,18 @@ fn null_recorder_runs_are_bit_identical() {
 }
 
 /// Live traces are deterministic: rerunning the same seeded scenario
-/// yields byte-identical exports, and the disagg parallel-advance toggle
-/// (the worker-count knob) changes neither the report nor a single trace
-/// byte.
+/// yields the same report and byte-identical exports.
 #[test]
-fn traces_are_byte_identical_across_runs_and_workers() {
-    let chaos = chaos_scenario().with_telemetry(TelemetryConfig::full(0.5));
-    let (_, first) = chaos.run_telemetry(requests(60), &MetricsMode::Exact);
-    let (_, second) = chaos.run_telemetry(requests(60), &MetricsMode::Exact);
-    assert_eq!(export_jsonl(first.events()), export_jsonl(second.events()));
-
-    let serial = disagg_scenario().with_telemetry(TelemetryConfig::full(0.5));
-    let parallel = disagg_scenario()
-        .with_parallel_advance(true)
-        .with_telemetry(TelemetryConfig::full(0.5));
-    let (serial_report, serial_rec) = serial.run_telemetry(requests(60), &MetricsMode::Exact);
-    let (parallel_report, parallel_rec) = parallel.run_telemetry(requests(60), &MetricsMode::Exact);
-    assert_eq!(serial_report, parallel_report);
-    assert_eq!(
-        export_jsonl(serial_rec.events()),
-        export_jsonl(parallel_rec.events())
-    );
-    assert_eq!(
-        export_chrome_trace(serial_rec.events()),
-        export_chrome_trace(parallel_rec.events())
-    );
+fn traces_are_byte_identical_across_runs() {
+    for scenario in [chaos_scenario(), disagg_scenario()] {
+        let engine = scenario.with_telemetry(TelemetryConfig::full(0.5));
+        let (first_report, first) = engine.run_telemetry(requests(60), &MetricsMode::Exact);
+        let (second_report, second) = engine.run_telemetry(requests(60), &MetricsMode::Exact);
+        assert_eq!(first_report, second_report);
+        assert_eq!(export_jsonl(first.events()), export_jsonl(second.events()));
+        assert_eq!(
+            export_chrome_trace(first.events()),
+            export_chrome_trace(second.events())
+        );
+    }
 }

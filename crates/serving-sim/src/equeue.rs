@@ -17,7 +17,7 @@
 //!   at seed 1 a replica's lane peaks at 3 entries in the `stream` and
 //!   `ops` benchmark journeys and at 10 in `sizing`. A split fleet's
 //!   KV-transfer lane, which fills in bulk once the prefill pool runs dry,
-//!   peaks near a thousand — still a shallow heap.
+//!   peaks at 960 entries in `sizing` — still a shallow heap.
 //!
 //! [`EventQueue::pop`] merges the lanes with exactly the historical
 //! ordering: earlier time first (`f64::total_cmp`), arrivals before

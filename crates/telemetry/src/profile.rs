@@ -186,7 +186,8 @@ mod tests {
         p.record_into(&mut NullRecorder, 10.0, 0);
         let mut rec = TraceRecorder::new(TelemetryConfig::full(0.5));
         p.record_into(&mut rec, 10.0, 0);
-        // Five queue counters, three memo counters and the round count.
+        // Two event counters, three lane pops, three memo counters and the
+        // round count.
         assert_eq!(rec.len(), 9);
     }
 }

@@ -1,6 +1,7 @@
 //! Million-request DES stress bench: events/sec and retained memory of the
-//! optimized engine versus the vendored pre-optimization loop, written to
-//! `BENCH_scale.json` at the workspace root.
+//! optimized engine — a one-replica `FleetEngine` — versus the vendored
+//! pre-optimization loop, written to `BENCH_scale.json` at the workspace
+//! root.
 //!
 //! One synthetic open-loop workload (deterministic arrivals at a fixed
 //! rate, two pre-decode stages, continuous-batching decode) is replayed at
@@ -8,7 +9,9 @@
 //!
 //! * **10k, 100k** — always run; the CI smoke tiers (`RAGO_BENCH_QUICK=1`).
 //! * **1M** — full mode; the acceptance tier: the streaming engine must
-//!   process events at least 5x faster than the vendored baseline.
+//!   process events at least 5x faster than the vendored baseline. Each
+//!   engine row's wall time is the median of [`REPS`] interleaved runs, so
+//!   one noisy run cannot swing the ratio.
 //! * **10M** — full mode, streaming-only (an exact run would retain tens of
 //!   millions of timeline allocations for no extra information).
 //! * **100M** — full mode, `pulled_fleet` only: a day-scale diurnal trace.
@@ -33,8 +36,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rago_bench::baseline::run_baseline;
 use rago_schema::{HistogramSpec, RouterPolicy, SequenceProfile};
 use rago_serving_sim::engine::{
-    DecodeSpec, EngineRequest, LatencyStats, LatencyTable, PipelineSpec, ServingEngine,
-    ServingReport, StageSpec,
+    DecodeSpec, EngineRequest, LatencyStats, LatencyTable, PipelineSpec, ServingReport, StageSpec,
 };
 use rago_serving_sim::faults::ScaleDriver;
 use rago_serving_sim::fleet::FleetEngine;
@@ -46,6 +48,10 @@ use std::time::Instant;
 /// bottleneck (the prefix stage) so queues stay bounded and the event count
 /// scales linearly with the tier.
 const RATE_RPS: f64 = 1000.0;
+
+/// Timed runs per engine row, interleaved across the engines; a row
+/// reports the median.
+const REPS: usize = 5;
 
 /// The stress pipeline: hyperscale-retrieval shape (retrieval + prefix +
 /// decode) with latency tables cheap enough that the bench measures the
@@ -149,65 +155,102 @@ fn max_percentile_delta(streaming: &ServingReport, exact: &ServingReport) -> f64
         .fold(0.0_f64, f64::max)
 }
 
+/// The median of `samples` (an odd count: the middle one).
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 /// Runs one tier through baseline / exact / streaming as requested and
 /// cross-checks the runs against each other.
 ///
-/// Engine construction (validation + sort) happens outside every timer, and
-/// an untimed streaming warmup run precedes the measurements: on hosts with
-/// expensive first-touch paging (lazily materialized VM memory), the first
-/// pass over a tier's working set pays microseconds per page, which would
-/// otherwise be billed to whichever engine happens to run first. Combined
-/// with the allocator retention configured in `bench_scale_json`, the timed
-/// runs then measure the simulation loops, not the host's memory plumbing.
+/// The optimized engine is a one-replica static fleet pulling the prebuilt
+/// requests in place ([`FleetEngine::run_pulled`]), so no copy or sort of
+/// the requests is timed. An untimed streaming warmup run precedes the
+/// measurements: on hosts with expensive first-touch paging (lazily
+/// materialized VM memory), the first pass over a tier's working set pays
+/// microseconds per page, which would otherwise be billed to whichever
+/// engine happens to run first. The engines then take turns, [`REPS`]
+/// rounds of one run each, and each row reports its median, so drift in
+/// the host's speed lands on every engine alike. Combined with the
+/// allocator retention configured in `bench_scale_json`, the timed runs
+/// measure the simulation loops, not the host's memory plumbing.
 fn run_engines(spec: &PipelineSpec, n: u64, with_baseline: bool, with_exact: bool) -> EngineTier {
     let requests = open_loop_requests(n, RATE_RPS);
     let streaming_mode = MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()));
-    let engine = ServingEngine::new(spec.clone(), requests.clone());
-
-    std::hint::black_box(engine.run_with_mode(&streaming_mode));
-
-    let t0 = Instant::now();
-    let streaming_report = engine.run_with_mode(&streaming_mode);
-    let streaming_wall = t0.elapsed().as_secs_f64();
-    let events = streaming_report.metrics.events_processed;
-    let streaming = figures(streaming_wall, events, streaming_report.retained_bytes());
-
-    let exact_report = with_exact.then(|| {
+    let engine = FleetEngine::new(
+        spec.clone(),
+        RouterPolicy::LeastOutstanding,
+        ScaleDriver::Static { replicas: 1 },
+    );
+    let run = |mode: &MetricsMode| -> (f64, ServingReport) {
         let t0 = Instant::now();
-        let report = engine.run();
-        let wall = t0.elapsed().as_secs_f64();
+        let report = engine.run_pulled(requests.iter().copied(), mode);
+        (t0.elapsed().as_secs_f64(), report.fleet.merged)
+    };
+
+    std::hint::black_box(run(&streaming_mode));
+
+    let mut walls = [Vec::new(), Vec::new(), Vec::new()];
+    let mut streaming_report = None;
+    let mut exact_report = None;
+    let mut baseline_run = None;
+    for _ in 0..REPS {
+        let (wall, report) = run(&streaming_mode);
+        walls[0].push(wall);
+        streaming_report.get_or_insert(report);
+
+        if with_exact {
+            let (wall, report) = run(&MetricsMode::Exact);
+            walls[1].push(wall);
+            exact_report.get_or_insert(report);
+        }
+
+        if with_baseline {
+            // The baseline's wall time includes the old metrics path —
+            // cloning each distribution out of the timelines and sorting
+            // it — because that is what the pre-optimization `run()` paid.
+            let t0 = Instant::now();
+            let run = run_baseline(spec, &requests);
+            for samples in [
+                run.timelines.iter().map(|t| t.ttft_s()).collect::<Vec<_>>(),
+                run.timelines.iter().map(|t| t.tpot_s()).collect(),
+                run.timelines.iter().map(|t| t.latency_s()).collect(),
+                run.timelines.iter().map(|t| t.queueing_s).collect(),
+                run.timelines.iter().map(|t| t.service_s()).collect(),
+            ] {
+                std::hint::black_box(LatencyStats::from_samples(&samples));
+            }
+            walls[2].push(t0.elapsed().as_secs_f64());
+            baseline_run.get_or_insert(run);
+        }
+    }
+    let [streaming_walls, exact_walls, baseline_walls] = walls;
+
+    let streaming_report = streaming_report.expect("at least one rep");
+    let events = streaming_report.metrics.events_processed;
+    let streaming = figures(
+        median(streaming_walls),
+        events,
+        streaming_report.retained_bytes(),
+    );
+    let exact = exact_report.as_ref().map(|report| {
         assert_eq!(
             report.metrics.events_processed, events,
             "exact and streaming runs must apply the same events"
         );
-        (figures(wall, events, report.retained_bytes()), report)
+        figures(median(exact_walls), events, report.retained_bytes())
     });
-
-    let baseline = with_baseline.then(|| {
-        // The baseline's wall time includes the old metrics path — cloning
-        // each distribution out of the timelines and sorting it — because
-        // that is what the pre-optimization `run()` paid.
-        let t0 = Instant::now();
-        let run = run_baseline(spec, &requests);
-        for samples in [
-            run.timelines.iter().map(|t| t.ttft_s()).collect::<Vec<_>>(),
-            run.timelines.iter().map(|t| t.tpot_s()).collect(),
-            run.timelines.iter().map(|t| t.latency_s()).collect(),
-            run.timelines.iter().map(|t| t.queueing_s).collect(),
-            run.timelines.iter().map(|t| t.service_s()).collect(),
-        ] {
-            std::hint::black_box(LatencyStats::from_samples(&samples));
-        }
-        let wall = t0.elapsed().as_secs_f64();
+    let baseline = baseline_run.as_ref().map(|run| {
         assert_eq!(
             run.events, events,
             "the vendored loop must apply the same events as the optimized engine"
         );
-        (figures(wall, run.events, 0), run)
+        figures(median(baseline_walls), run.events, 0)
     });
 
-    let baseline_matches_exact = match (&baseline, &exact_report) {
-        (Some((_, base)), Some((_, exact))) => {
+    let baseline_matches_exact = match (&baseline_run, &exact_report) {
+        (Some(base), Some(exact)) => {
             assert_eq!(
                 base.timelines, exact.timelines,
                 "vendored baseline diverged from the optimized exact engine at n={n}"
@@ -217,7 +260,7 @@ fn run_engines(spec: &PipelineSpec, n: u64, with_baseline: bool, with_exact: boo
         _ => None,
     };
 
-    let percentile_delta_within_bucket = exact_report.as_ref().map(|(_, exact)| {
+    let percentile_delta_within_bucket = exact_report.as_ref().map(|exact| {
         let delta = max_percentile_delta(&streaming_report, exact);
         let width = HistogramSpec::default().bucket_width_s;
         assert!(
@@ -244,8 +287,8 @@ fn run_engines(spec: &PipelineSpec, n: u64, with_baseline: bool, with_exact: boo
 
     EngineTier {
         events,
-        baseline: baseline.map(|(f, _)| f),
-        exact: exact_report.map(|(f, _)| f),
+        baseline,
+        exact,
         streaming,
         baseline_matches_exact,
         percentile_delta_within_bucket,

@@ -346,7 +346,19 @@ pub fn run_baseline(spec: &PipelineSpec, requests: &[EngineRequest]) -> Baseline
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rago_serving_sim::engine::{DecodeSpec, LatencyTable, ServingEngine, StageSpec};
+    use rago_schema::RouterPolicy;
+    use rago_serving_sim::engine::{DecodeSpec, LatencyTable, ServingReport, StageSpec};
+    use rago_serving_sim::{FleetEngine, ScaleDriver};
+
+    /// Runs `requests` through one replica of `spec`: a one-replica static
+    /// fleet, whose merged report is the replica's own.
+    fn run_alone(spec: PipelineSpec, requests: Vec<EngineRequest>) -> ServingReport {
+        let one = ScaleDriver::Static { replicas: 1 };
+        FleetEngine::new(spec, RouterPolicy::default(), one)
+            .run(requests)
+            .fleet
+            .merged
+    }
 
     fn two_stage_spec() -> PipelineSpec {
         PipelineSpec::new(
@@ -391,7 +403,7 @@ mod tests {
         let spec = two_stage_spec();
         let requests = poissonish_requests(300);
         let baseline = run_baseline(&spec, &requests);
-        let report = ServingEngine::new(spec, requests).run();
+        let report = run_alone(spec, requests);
         assert_eq!(baseline.timelines, report.timelines);
         assert_eq!(baseline.events, report.metrics.events_processed);
     }

@@ -33,7 +33,7 @@
 //! replica only its decode XPUs ([`decode_xpus`]) — that asymmetry is the
 //! entire economic case for disaggregation.
 
-use crate::dynamic::{fleet_engine, pipeline_spec, run_fleet, validate_trace};
+use crate::dynamic::{fleet_engine, pipeline_spec, run_fleet, validate_trace, validate_unique_ids};
 use crate::error::RagoError;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
@@ -196,8 +196,9 @@ pub(crate) fn score_disagg(
 ///
 /// Returns [`RagoError::InvalidConfig`] for invalid schedules, fleets that
 /// are not a `[Prefill, Decode]` pool pair, schedules without a pre-decode
-/// stage, or an empty trace, and [`RagoError::CostModel`] when the schedule
-/// cannot be profiled.
+/// stage, an empty or malformed trace, or a trace that repeats a request id
+/// (the two legs are stitched by id), and [`RagoError::CostModel`] when the
+/// schedule cannot be profiled.
 pub fn evaluate_fleet_disagg(
     profiler: &StageProfiler,
     schedule: &Schedule,
@@ -259,9 +260,9 @@ pub struct DisaggChoice {
 /// # Panics
 ///
 /// Panics on an empty split list, an empty interconnect list, an empty
-/// trace, or a trace with an arrival that is not finite and non-negative
-/// (with [`RagoError::InvalidConfig`]'s reason as the message) — each would
-/// silently rank nothing.
+/// trace, a trace with an arrival that is not finite and non-negative, or
+/// a trace that repeats a request id (with [`RagoError::InvalidConfig`]'s
+/// reason as the message) — each would silently rank nothing.
 pub fn rank_frontier_by_goodput_disagg(
     profiler: &StageProfiler,
     frontier: &ParetoFrontier,
@@ -270,7 +271,7 @@ pub fn rank_frontier_by_goodput_disagg(
     splits: &[(u32, u32)],
     interconnects: &[InterconnectSpec],
 ) -> Vec<(ParetoPoint, DisaggChoice, DisaggEvaluation)> {
-    if let Err(e) = validate_trace(trace) {
+    if let Err(e) = validate_trace(trace).and_then(|()| validate_unique_ids(trace)) {
         panic!("cannot rank a frontier by goodput: {e}");
     }
     assert!(

@@ -16,15 +16,15 @@
 //!
 //! Each result type has one build, run and score path:
 //!
-//! * a [`DynamicEvaluation`] comes from [`evaluate_schedule_dynamic`]: one
-//!   exact-mode engine, optionally cached;
-//! * a [`FleetEvaluation`] (and [`crate::disagg::DisaggEvaluation`]) comes
-//!   from a [`FleetEngine`] that `fleet_engine` builds from any
+//! * every run is a [`FleetEngine`] run, built by `fleet_engine` from a
 //!   [`FleetConfig`] — flat, a single `[Monolithic]` pool, or a
-//!   `[Prefill, Decode]` split, optionally cached — and that `run_fleet`
-//!   drives over the trace in place, with or without a telemetry recorder.
-//!   Streaming metrics are a fleet feature; a one-replica fleet runs
-//!   bit-identically to the single engine.
+//!   `[Prefill, Decode]` split, optionally cached — so every evaluation
+//!   shares one validation and one simulation loop;
+//! * a [`DynamicEvaluation`] comes from [`evaluate_schedule_dynamic`]: an
+//!   exact-mode one-replica fleet, scored on its merged report;
+//! * a [`FleetEvaluation`] (and [`crate::disagg::DisaggEvaluation`]) comes
+//!   from the fleet that `run_fleet` drives over the trace in place, with
+//!   or without a telemetry recorder, in either metrics mode.
 
 use crate::error::RagoError;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
@@ -34,7 +34,7 @@ use rago_cache::CacheConfig;
 use rago_schema::{FleetConfig, RouterPolicy, SloTarget, Stage};
 use rago_serving_sim::cluster::FleetReport;
 use rago_serving_sim::engine::{
-    DecodeSpec, IterativeSpec, LatencyTable, PipelineSpec, ServingEngine, ServingReport,
+    DecodeSpec, IterativeSpec, LatencyTable, PipelineSpec, ServingReport,
 };
 use rago_serving_sim::faults::{ChaosReport, ScaleDriver};
 use rago_serving_sim::fleet::FleetEngine;
@@ -61,11 +61,11 @@ pub struct DynamicEvaluation {
     pub meets_slo: bool,
 }
 
-/// Builds the engine pipeline implied by `schedule` and the profiled stage
-/// costs, then drives `trace` through it and scores the result against
-/// `slo`.
+/// Builds the pipeline implied by `schedule` and the profiled stage costs,
+/// then drives `trace` through one replica of it — a one-replica fleet —
+/// and scores the result against `slo`.
 ///
-/// Engine construction mirrors the static evaluation:
+/// Pipeline construction mirrors the static evaluation:
 ///
 /// * every pre-decode accelerator group is one resource; stages collocated in
 ///   a group time-share it (latest-stage-first), disaggregated groups
@@ -84,9 +84,8 @@ pub struct DynamicEvaluation {
 ///   per-class rows bit-exactly.
 ///
 /// The run keeps every request's timeline. For `O(histogram buckets)`
-/// streaming metrics, evaluate a one-replica fleet with
-/// [`evaluate_fleet_dynamic_with`], which runs bit-identically to this
-/// engine.
+/// streaming metrics, evaluate the same one-replica fleet with
+/// [`evaluate_fleet_dynamic_with`].
 ///
 /// # Errors
 ///
@@ -104,10 +103,17 @@ pub fn evaluate_schedule_dynamic(
     slo: &SloTarget,
     cache: Option<&CacheConfig>,
 ) -> Result<DynamicEvaluation, RagoError> {
-    schedule.validate()?;
-    validate_trace(trace)?;
-    let spec = pipeline_spec(profiler, schedule, cache)?;
-    let report = ServingEngine::from_trace(spec, trace).run();
+    let mode = MetricsMode::Exact;
+    let engine = fleet_engine(
+        profiler,
+        schedule,
+        &FleetConfig::single(),
+        trace,
+        slo,
+        &mode,
+        cache,
+    )?;
+    let report = engine.run_trace(trace).fleet.merged;
     Ok(DynamicEvaluation {
         attainment: report.attainment(slo),
         goodput_rps: report.goodput_rps(slo),
@@ -193,6 +199,24 @@ pub(crate) fn validate_trace(trace: &Trace) -> Result<(), RagoError> {
     Ok(())
 }
 
+/// Rejects a trace that repeats a request id. A prefill/decode split
+/// stitches each request's two legs by id, so a repeat would join the
+/// wrong legs; a flat fleet never joins by id and accepts repeats.
+pub(crate) fn validate_unique_ids(trace: &Trace) -> Result<(), RagoError> {
+    let mut ids: Vec<u64> = trace.requests.iter().map(|r| r.id).collect();
+    ids.sort_unstable();
+    match ids.windows(2).find(|w| w[0] == w[1]) {
+        Some(w) => Err(RagoError::InvalidConfig {
+            reason: format!(
+                "request id {} appears more than once; a prefill/decode split stitches \
+                 each request's two legs by id, so its trace needs unique ids",
+                w[0]
+            ),
+        }),
+        None => Ok(()),
+    }
+}
+
 /// The outcome of one fleet-level dynamic evaluation: `replicas` copies of
 /// the schedule's pipeline behind a router, sharing one arrival stream.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -230,8 +254,9 @@ pub struct FleetEvaluation {
 /// Returns [`RagoError::InvalidConfig`] for invalid schedules, invalid
 /// fleet configurations, an empty or malformed trace (see
 /// [`evaluate_schedule_dynamic`]), a streaming mode whose configured SLO
-/// differs from `slo`, a streaming mode on a disaggregated pool fleet, or a
-/// pool fleet whose schedule has no pre-decode stage to prefill, and
+/// differs from `slo`, a streaming mode on a disaggregated pool fleet, a
+/// disaggregated pool fleet whose trace repeats a request id, or a pool
+/// fleet whose schedule has no pre-decode stage to prefill, and
 /// [`RagoError::CostModel`] when any profiled point is infeasible.
 pub fn evaluate_fleet_dynamic_with(
     profiler: &StageProfiler,
@@ -308,6 +333,7 @@ pub(crate) fn fleet_engine(
                     .into(),
             });
         }
+        validate_unique_ids(trace)?;
         let (prefill_spec, decode_spec) =
             crate::disagg::split_pipeline_spec(profiler, schedule, cache)?;
         return Ok(FleetEngine::disaggregated(
@@ -774,7 +800,7 @@ mod tests {
     /// forever (the arrival lane never routed it), and a negative one was
     /// served from time zero with its TTFT counted from before it. Each is
     /// rejected before the simulator runs, in both metrics modes and on
-    /// the single-engine path.
+    /// the single-schedule path.
     #[test]
     fn malformed_arrivals_are_rejected() {
         let profiler = case1_profiler();
@@ -915,7 +941,7 @@ mod tests {
                 .sum::<usize>(),
             120
         );
-        // A 1-replica fleet agrees with the single-engine path.
+        // A 1-replica fleet agrees with the single-schedule path.
         let single = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, None).unwrap();
         assert_eq!(one.report.merged, single.report);
         assert!((one.attainment - single.attainment).abs() < 1e-12);
@@ -1073,9 +1099,9 @@ mod tests {
     }
 
     /// SLO counting is exact in streaming mode (only latency *percentiles*
-    /// are histogram-approximated), so a streaming one-replica fleet — the
-    /// single engine's streaming form — must score the exact single-engine
-    /// evaluation bit for bit, with no timelines retained.
+    /// are histogram-approximated), so a streaming one-replica fleet must
+    /// score the exact single-schedule evaluation bit for bit, with no
+    /// timelines retained.
     #[test]
     fn streaming_evaluation_scores_match_exact() {
         use rago_schema::HistogramSpec;
@@ -1258,6 +1284,74 @@ mod tests {
     #[should_panic(expected = "arrival times must be finite and non-negative")]
     fn disagg_ranking_rejects_a_nan_arrival() {
         let (rago, frontier, trace) = fast_frontier_and_nan_trace();
+        let _ = rago.rank_frontier_by_goodput_disagg(
+            &frontier,
+            &trace,
+            &SloTarget::paper_default(),
+            &[(1, 1)],
+            &[rago_hardware::InterconnectSpec::torus_3d()],
+        );
+    }
+
+    /// Regression: a split fleet stitches its two legs by request id, and a
+    /// trace repeating an id made the evaluation panic in the stitch. Every
+    /// split path now rejects it as a config error; a flat fleet, which
+    /// never joins by id, still accepts the same trace.
+    #[test]
+    fn split_fleets_reject_duplicate_request_ids() {
+        let rago = Rago::new(
+            presets::case1_hyperscale(LlmSize::B8, 1),
+            ClusterSpec::paper_default(),
+        );
+        let schedule = case1_schedule();
+        let slo = SloTarget::paper_default();
+        let mut trace = TraceSpec {
+            num_requests: 4,
+            profile: SequenceProfile::paper_default().with_decode_tokens(16),
+            arrival: ArrivalProcess::Poisson { rate_rps: 10.0 },
+            length_jitter: 0.0,
+            seed: 2,
+        }
+        .generate();
+        for r in &mut trace.requests {
+            r.id = 7;
+        }
+        let split = FleetConfig::split(1, 1, RouterPolicy::LeastOutstanding);
+        let rejected = |result: Result<(), RagoError>| matches!(result, Err(RagoError::InvalidConfig { reason }) if reason.contains("request id 7"));
+        assert!(rejected(
+            rago.evaluate_fleet_disagg(&schedule, &split, &trace, &slo)
+                .map(|_| ())
+        ));
+        assert!(rejected(
+            rago.evaluate_fleet(&schedule, &split, &trace, &slo)
+                .map(|_| ())
+        ));
+        assert!(rejected(
+            crate::faulted::evaluate_fleet_faulted_pools(
+                rago.profiler(),
+                &schedule,
+                &split,
+                &[],
+                &trace,
+                &slo
+            )
+            .map(|_| ())
+        ));
+        let flat = FleetConfig::new(2, RouterPolicy::LeastOutstanding);
+        let eval = rago.evaluate_fleet(&schedule, &flat, &trace, &slo).unwrap();
+        assert_eq!(eval.report.merged.metrics.completed, 4);
+    }
+
+    /// The joint disaggregation ranking refuses a trace with repeated ids up
+    /// front, as it refuses a NaN arrival.
+    #[test]
+    #[should_panic(expected = "request id 7 appears more than once")]
+    fn disagg_ranking_rejects_duplicate_request_ids() {
+        let (rago, frontier, mut trace) = fast_frontier_and_nan_trace();
+        trace.requests[5].arrival_s = trace.requests[4].arrival_s;
+        for r in &mut trace.requests {
+            r.id = 7;
+        }
         let _ = rago.rank_frontier_by_goodput_disagg(
             &frontier,
             &trace,

@@ -1,8 +1,8 @@
 //! Fleet routing and the fleet report.
 //!
-//! [`crate::engine::ServingEngine`] answers what one pipeline replica does
-//! under a request stream. Serving heavy traffic is a *fleet* question — how
-//! many replicas, and how is the arrival stream spread across them? The
+//! [`crate::engine`] simulates what one pipeline replica does under a
+//! request stream. Serving heavy traffic is a *fleet* question — how many
+//! replicas, and how is the arrival stream spread across them? The
 //! [`crate::FleetEngine`] loop answers it; this module holds what every
 //! fleet shares: the state-aware router behind each [`RouterPolicy`], and
 //! the [`FleetReport`] that merges the per-replica runs into fleet-level
@@ -12,10 +12,11 @@
 //! before each arrival instant (the engine's composable shared-clock form,
 //! [`crate::engine`]), so policies like least-outstanding or
 //! decode-fill-aware observe live queue depths and decode residency rather
-//! than static splits. A one-replica fleet therefore reproduces
-//! [`ServingEngine::run`](crate::engine::ServingEngine::run) *exactly* —
-//! event order, timelines, and metrics (see
-//! `tests/proptest_cluster.rs`).
+//! than static splits. A one-replica fleet therefore runs *exactly* as its
+//! replica would alone with every request scheduled up front — event
+//! order, timelines, and metrics, for every policy (pinned by this
+//! module's tests). That is why a single pipeline needs no run path of its
+//! own: it is a one-replica fleet.
 //!
 //! # Examples
 //!
@@ -287,12 +288,30 @@ fn argmin_by<'a>(
 mod tests {
     use super::*;
     use crate::engine::{
-        DecodeSpec, IterativeSpec, LatencyTable, PipelineSpec, ServingEngine, StageSpec,
+        DecodeSpec, IterativeSpec, LatencyTable, PipelineSpec, ReplicaSim, StageSpec,
     };
     use crate::faults::ScaleDriver;
     use crate::fleet::FleetEngine;
+    use crate::sink::{MetricsMode, RunSink};
+    use proptest::prelude::*;
     use rago_schema::SequenceProfile;
     use rago_workloads::{ArrivalProcess, TraceSpec};
+
+    /// The reference a one-replica fleet must reproduce: a bare replica
+    /// simulation of `spec` with every request injected up front, then
+    /// drained to completion. The fleet instead injects each request at
+    /// its arrival instant on a shared clock.
+    fn alone(spec: PipelineSpec, requests: &[EngineRequest]) -> ServingReport {
+        let mut sim = ReplicaSim::new(spec, &MetricsMode::Exact);
+        for req in requests {
+            sim.inject(*req);
+        }
+        sim.run_to_completion();
+        let RunSink::Exact(sink) = sim.finish().sink else {
+            unreachable!("an exact replica retires into an exact sink")
+        };
+        ServingReport::from_exact_sink(*sink)
+    }
 
     fn one_stage_spec(
         stage_latency: f64,
@@ -410,7 +429,8 @@ mod tests {
             seed: 3,
         }
         .generate();
-        let engine = ServingEngine::from_trace(spec.clone(), &trace).run();
+        let requests: Vec<EngineRequest> = trace.requests.iter().map(EngineRequest::from).collect();
+        let engine = alone(spec.clone(), &requests);
         for policy in RouterPolicy::ALL {
             let fleet = fixed(spec.clone(), 1, policy).run_trace(&trace).fleet;
             assert_eq!(fleet.merged, engine, "policy {policy} diverged");
@@ -434,7 +454,8 @@ mod tests {
             seed: 9,
         }
         .generate();
-        let engine = ServingEngine::from_trace(spec.clone(), &trace).run();
+        let requests: Vec<EngineRequest> = trace.requests.iter().map(EngineRequest::from).collect();
+        let engine = alone(spec.clone(), &requests);
         let fleet = fixed(spec, 1, RouterPolicy::LeastOutstanding)
             .run_trace(&trace)
             .fleet;
@@ -577,5 +598,98 @@ mod tests {
     #[should_panic(expected = "at least one replica")]
     fn zero_replica_fleets_are_rejected() {
         let _ = fixed(one_stage_spec(0.1, 1, 0.01, 1), 0, RouterPolicy::RoundRobin);
+    }
+
+    /// A pipeline with `stages` pre-decode stages (collocated on one
+    /// resource or one resource each) plus decode.
+    fn pipeline(
+        stages: usize,
+        stage_batch: u32,
+        stage_latency: f64,
+        collocate: bool,
+        decode_batch: u32,
+        step_latency: f64,
+    ) -> PipelineSpec {
+        let specs = (0..stages)
+            .map(|s| {
+                StageSpec::new(
+                    format!("s{s}"),
+                    if collocate { 0 } else { s },
+                    stage_batch,
+                    LatencyTable::from_fn(stage_batch, |b| {
+                        stage_latency * (1.0 + 0.1 * f64::from(b))
+                    }),
+                )
+            })
+            .collect();
+        PipelineSpec::new(
+            specs,
+            DecodeSpec::new(
+                decode_batch,
+                LatencyTable::from_fn(decode_batch, |b| step_latency * (1.0 + 0.02 * f64::from(b))),
+            ),
+        )
+    }
+
+    /// `n` requests `gap` seconds apart (a zero gap is one burst), with
+    /// spread-out token counts.
+    fn requests(n: usize, gap: f64) -> Vec<EngineRequest> {
+        (0..n)
+            .map(|i| req(i as u64, gap * i as f64, 1 + (i as u32 * 7) % 23))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A one-replica fleet is its replica run alone, exactly — every
+        /// policy, every pipeline shape, including same-instant arrival
+        /// bursts: injecting on the shared clock equals scheduling every
+        /// arrival up front.
+        #[test]
+        fn one_replica_fleet_is_the_engine(
+            policy_idx in 0usize..4,
+            n in 1usize..60,
+            gap in 0.0f64..0.02,
+            stages in 0usize..3,
+            collocate in any::<bool>(),
+            stage_batch in 1u32..8,
+            decode_batch in 1u32..16,
+            step_latency in 1e-4f64..0.01,
+        ) {
+            let spec = pipeline(stages, stage_batch, 0.015, collocate, decode_batch, step_latency);
+            let reqs = requests(n, gap);
+            let engine = alone(spec.clone(), &reqs);
+            let policy = RouterPolicy::ALL[policy_idx];
+            let fleet = fixed(spec, 1, policy).run(reqs).fleet;
+            prop_assert_eq!(&fleet.merged, &engine, "one-replica fleet diverged from the replica");
+            prop_assert_eq!(&fleet.per_replica[0].report, &engine);
+            prop_assert_eq!(fleet.per_replica[0].assigned, engine.timelines.len());
+        }
+
+        /// The degeneracy survives iterative retrieval, whose trigger
+        /// positions are sampled per replica at injection time.
+        #[test]
+        fn one_replica_fleet_is_the_engine_with_iterative_retrieval(
+            policy_idx in 0usize..4,
+            n in 1usize..32,
+            gap in 0.0f64..0.02,
+            retrievals in 1u32..4,
+            iterative_batch in 1u32..8,
+            retrieval_latency in 0.0f64..0.05,
+            seed in 0u64..200,
+        ) {
+            let spec = pipeline(1, 4, 0.01, false, 16, 2e-3).with_iterative(IterativeSpec {
+                retrievals_per_sequence: retrievals,
+                iterative_batch,
+                retrieval_prefix_latency_s: retrieval_latency,
+                seed,
+            });
+            let reqs = requests(n, gap);
+            let engine = alone(spec.clone(), &reqs);
+            let policy = RouterPolicy::ALL[policy_idx];
+            let fleet = fixed(spec, 1, policy).run(reqs).fleet;
+            prop_assert_eq!(&fleet.merged, &engine);
+        }
     }
 }

@@ -1,13 +1,14 @@
-//! A request-level discrete-event serving engine for the full RAG pipeline.
+//! The request-level discrete-event simulation of one RAG pipeline
+//! replica.
 //!
 //! The two special-case simulators in this crate answer narrow questions:
 //! [`crate::iterative`] models one decode batch with mid-generation
 //! retrievals, and [`crate::microbatch`] pushes one burst through the
-//! pre-decode stages. This module generalizes both into a single engine that
-//! drives **whole requests** — encode → rewrite → retrieve → rerank → prefix
-//! → decode, with optional iterative retrieval — from their arrival
-//! timestamps to their last generated token, under any arrival process from
-//! `rago-workloads`:
+//! pre-decode stages. This module generalizes both into a single replica
+//! simulation that drives **whole requests** — encode → rewrite → retrieve
+//! → rerank → prefix → decode, with optional iterative retrieval — from
+//! their arrival timestamps to their last generated token, under any
+//! arrival process from `rago-workloads`:
 //!
 //! * **Per-resource queues.** Every pipeline stage is mapped to a resource
 //!   (an accelerator group or the retrieval CPU pool). A resource executes
@@ -23,11 +24,13 @@
 //!   batch fill through a [`LatencyTable`].
 //! * **Iterative retrieval.** With an [`IterativeSpec`], sequences pause at
 //!   sampled token positions and their retrievals dispatch in batches,
-//!   exactly as in [`crate::iterative::IterativeDecodeSim`] — the engine
+//!   exactly as in [`crate::iterative::IterativeDecodeSim`] — the replica
 //!   reproduces that simulator's numbers when configured as its degenerate
 //!   case (see `tests/engine_equivalence.rs`).
 //!
-//! The result is a [`ServingReport`]: a per-request [`RequestTimeline`] and
+//! Every run goes through [`crate::fleet::FleetEngine`]: one pipeline is a
+//! one-replica static fleet, whose merged report is the replica's own. The
+//! result is a [`ServingReport`]: a per-request [`RequestTimeline`] and
 //! aggregate [`ServingMetrics`] — TTFT/TPOT distributions (p50/p95/p99),
 //! queueing-versus-service breakdown, and throughput — plus SLO attainment
 //! and goodput against a [`rago_schema::SloTarget`].
@@ -35,12 +38,11 @@
 //! # Examples
 //!
 //! ```
-//! use rago_serving_sim::engine::{
-//!     DecodeSpec, LatencyTable, PipelineSpec, ServingEngine, StageSpec,
-//! };
-//! use rago_schema::SloTarget;
+//! use rago_serving_sim::engine::{DecodeSpec, LatencyTable, PipelineSpec, StageSpec};
+//! use rago_serving_sim::faults::ScaleDriver;
+//! use rago_serving_sim::fleet::FleetEngine;
+//! use rago_schema::{RouterPolicy, SequenceProfile, SloTarget};
 //! use rago_workloads::{ArrivalProcess, TraceSpec};
-//! use rago_schema::SequenceProfile;
 //!
 //! // Retrieval on its own CPU pool, then prefix on an XPU group.
 //! let spec = PipelineSpec::new(
@@ -58,7 +60,11 @@
 //!     seed: 7,
 //! }
 //! .generate();
-//! let report = ServingEngine::from_trace(spec, &trace).run();
+//! let one = ScaleDriver::Static { replicas: 1 };
+//! let report = FleetEngine::new(spec, RouterPolicy::default(), one)
+//!     .run_trace(&trace)
+//!     .fleet
+//!     .merged;
 //! assert_eq!(report.metrics.completed, 50);
 //! assert!(report.metrics.ttft.p99_s >= report.metrics.ttft.p50_s);
 //! let slo = SloTarget::new(1.0, 0.05);
@@ -72,7 +78,7 @@ use rago_cache::{
     CacheConfig, CacheCounters, PrefixKvCache, PrefixLookup, RetrievalLookup, RetrievalResultCache,
 };
 use rago_schema::SloTarget;
-use rago_workloads::{ContentIdentity, Request, Trace};
+use rago_workloads::{ContentIdentity, Request};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -679,8 +685,8 @@ pub struct ServingReport {
 }
 
 impl ServingReport {
-    /// Builds the report of an exact (timeline-retaining) run — the
-    /// identity path, bit-identical to [`ServingEngine::run`].
+    /// Builds the report of an exact (timeline-retaining) run: every
+    /// request's timeline, in retirement order.
     pub fn from_exact_sink(mut sink: crate::sink::ExactSink) -> Self {
         sink.build_timelines();
         build_report(sink.timelines, &sink.acc)
@@ -919,124 +925,6 @@ pub struct CacheProbe {
     pub hit_tokens: u32,
 }
 
-/// The request-level discrete-event serving engine. See the module
-/// documentation for the model.
-#[derive(Debug, Clone)]
-pub struct ServingEngine {
-    spec: PipelineSpec,
-    requests: Vec<EngineRequest>,
-    telemetry: rago_telemetry::TelemetryConfig,
-}
-
-impl ServingEngine {
-    /// Creates an engine for the given pipeline and requests (sorted by
-    /// arrival time internally).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any arrival time is negative or non-finite, or any request
-    /// generates zero tokens.
-    pub fn new(spec: PipelineSpec, mut requests: Vec<EngineRequest>) -> Self {
-        assert!(
-            requests
-                .iter()
-                .all(|r| r.arrival_s.is_finite() && r.arrival_s >= 0.0),
-            "arrival times must be finite and non-negative"
-        );
-        assert!(
-            requests.iter().all(|r| r.decode_tokens > 0),
-            "every request must generate at least one token"
-        );
-        sort_by_arrival(&mut requests);
-        Self {
-            spec,
-            requests,
-            telemetry: rago_telemetry::TelemetryConfig::disabled(),
-        }
-    }
-
-    /// Sets the telemetry config consulted by the traced run paths
-    /// ([`Self::run_telemetry`], [`Self::run_traced`]). The untraced
-    /// [`Self::run`] / [`Self::run_with_mode`] never look at it.
-    pub fn with_telemetry(mut self, telemetry: rago_telemetry::TelemetryConfig) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Creates an engine driving every request of a generated trace.
-    pub fn from_trace(spec: PipelineSpec, trace: &Trace) -> Self {
-        Self::new(
-            spec,
-            trace.requests.iter().map(EngineRequest::from).collect(),
-        )
-    }
-
-    /// Runs the simulation to completion and returns the report.
-    pub fn run(&self) -> ServingReport {
-        self.run_with_mode(&MetricsMode::Exact)
-    }
-
-    /// Runs the simulation with an explicit metrics pipeline.
-    /// [`crate::sink::MetricsMode::Exact`] reproduces [`Self::run`] bit for
-    /// bit (via [`crate::sink::ExactSink`]);
-    /// [`crate::sink::MetricsMode::Streaming`] folds outcomes into
-    /// histograms and returns an `O(buckets)` report with no timelines.
-    pub fn run_with_mode(&self, mode: &MetricsMode) -> ServingReport {
-        self.run_traced(mode, &mut rago_telemetry::NullRecorder)
-    }
-
-    /// Runs the simulation like [`Self::run_with_mode`], recording a trace
-    /// into `rec`. With a [`rago_telemetry::NullRecorder`] every hook is
-    /// statically dead and the run is the recorder-free run; with a live
-    /// recorder, per-request spans, cache probes, gauges (at the engine's
-    /// [`Self::with_telemetry`] cadence) and self-profiling counters are
-    /// derived from the run's ledgers in deterministic order. Spans and
-    /// gauges need retained timelines, so streaming-mode traces carry only
-    /// the probe instants and profile counters.
-    pub fn run_traced<R: rago_telemetry::Recorder>(
-        &self,
-        mode: &MetricsMode,
-        rec: &mut R,
-    ) -> ServingReport {
-        let mut sim = ReplicaSim::new(self.spec.clone(), mode);
-        sim.track_probes = R::ENABLED;
-        sim.inject_bulk(&self.requests);
-        sim.run_to_completion();
-        let probes = sim.drain_probe_log();
-        let equeue = sim.equeue_stats();
-        let report = sim.finish().sink.into_report();
-        if R::ENABLED {
-            let end_s = report.metrics.makespan_s;
-            crate::telemetry::record_request_spans(rec, 0, &report.timelines);
-            crate::telemetry::record_cache_probes(rec, 0, &probes);
-            crate::telemetry::record_load_gauges(
-                rec,
-                0,
-                &report.timelines,
-                self.telemetry.gauge_cadence_s,
-                end_s,
-            );
-            crate::telemetry::profile_from_stats(&equeue, report.metrics.events_processed, end_s)
-                .record_into(rec, end_s, 0);
-        }
-        report
-    }
-
-    /// Convenience wrapper: runs with a [`rago_telemetry::TraceRecorder`]
-    /// built from the engine's [`Self::with_telemetry`] config and returns
-    /// it alongside the report, ready for
-    /// [`rago_telemetry::export_chrome_trace`] /
-    /// [`rago_telemetry::export_jsonl`].
-    pub fn run_telemetry(
-        &self,
-        mode: &MetricsMode,
-    ) -> (ServingReport, rago_telemetry::TraceRecorder) {
-        let mut rec = rago_telemetry::TraceRecorder::new(self.telemetry.clone());
-        let report = self.run_traced(mode, &mut rec);
-        (report, rec)
-    }
-}
-
 /// Discrete events. Same-timestamp events are applied together (state first,
 /// then one dispatch pass), so a retrieval completing exactly at a step
 /// boundary resumes before the next step forms — mirroring the loop order of
@@ -1180,60 +1068,6 @@ impl ReqArena {
         slot as usize - self.base
     }
 
-    /// Reserves capacity for `additional` more slots across every column,
-    /// so bulk injection grows each `Vec` once instead of doubling.
-    fn reserve(&mut self, additional: usize) {
-        self.requests.reserve(additional);
-        self.queue_entry_s.reserve(additional);
-        self.decode_join_s.reserve(additional);
-        self.first_token_s.reserve(additional);
-        self.completion_s.reserve(additional);
-        self.queueing_s.reserve(additional);
-        self.generated.reserve(additional);
-        self.tokens.reserve(additional);
-        self.next_retrieval.reserve(additional);
-        self.paused.reserve(additional);
-        self.skip_retrieval.reserve(additional);
-        self.stage_starts_s.reserve(additional * self.num_stages);
-        self.stage_starts_len.reserve(additional);
-        self.stage_ends_s.reserve(additional * self.num_stages);
-        self.stage_ends_len.reserve(additional);
-        self.retrieval_pos_off.reserve(additional);
-    }
-
-    /// Appends `reqs.len()` slots at once with bulk column fills (`resize`
-    /// compiles to a memset, not per-request pushes), returning the first
-    /// new slot id. Only valid when no request carries iterative trigger
-    /// positions.
-    fn push_slots_bulk(&mut self, reqs: &[EngineRequest]) -> u32 {
-        let first = self.injected();
-        assert!(
-            first + reqs.len() < u32::MAX as usize,
-            "request arena is full"
-        );
-        self.compact_before_growth(reqs.len());
-        let new_len = self.len() + reqs.len();
-        self.requests.extend_from_slice(reqs);
-        self.queue_entry_s.resize(new_len, 0.0);
-        self.decode_join_s.resize(new_len, 0.0);
-        self.first_token_s.resize(new_len, UNSET);
-        self.completion_s.resize(new_len, UNSET);
-        self.queueing_s.resize(new_len, 0.0);
-        self.generated.resize(new_len, 0);
-        self.tokens.extend(reqs.iter().map(|r| r.decode_tokens));
-        self.next_retrieval.resize(new_len, 0);
-        self.paused.resize(new_len, false);
-        self.skip_retrieval.resize(new_len, false);
-        self.stage_starts_s.resize(new_len * self.num_stages, 0.0);
-        self.stage_starts_len.resize(new_len, 0);
-        self.stage_ends_s.resize(new_len * self.num_stages, 0.0);
-        self.stage_ends_len.resize(new_len, 0);
-        let off = self.retrieval_pos.len() as u32;
-        self.retrieval_pos_off
-            .resize(self.retrieval_pos_off.len() + reqs.len(), off);
-        first as u32
-    }
-
     /// Appends one request slot, returning its slot id.
     fn push_slot(&mut self, req: EngineRequest, positions: &[u32]) -> u32 {
         let slot = self.injected();
@@ -1307,8 +1141,6 @@ impl ReqArena {
     /// Each compaction moves at most as many slots as it frees, and at
     /// least half the capacity is free after it — amortised `O(1)` per
     /// slot — and the capacity stays within twice the peak of live slots.
-    /// An arena filled in bulk up front never grows again, so it never
-    /// pays for moves that would free nothing.
     fn compact_before_growth(&mut self, additional: usize) {
         let k = self.head;
         let full = self.len() + additional > self.requests.capacity();
@@ -1437,14 +1269,14 @@ impl SimAccumulators {
 
 /// One pipeline's discrete-event simulation as a steppable state machine.
 ///
-/// [`ServingEngine::run`] injects every request up front and runs to
-/// completion; the fleet engine instead drives several replicas from a
-/// shared clock — injecting each routed request at its arrival time after
+/// The fleet engine ([`crate::fleet`]) drives its replicas from a shared
+/// clock — injecting each routed request at its arrival time after
 /// advancing every replica to just before that instant, so router policies
-/// can observe live queue and decode state. Both paths produce identical
-/// per-replica behaviour: event order is `(time, class, seq)` with arrivals
-/// ordered before same-instant completions, which makes the order
-/// independent of *when* the arrival event was pushed.
+/// can observe live queue and decode state. That is the same simulation
+/// as injecting every request up front and running to completion: event
+/// order is `(time, class, seq)` with arrivals ordered before
+/// same-instant completions, which makes the order independent of *when*
+/// the arrival event was pushed (pinned by the `cluster` unit tests).
 ///
 /// The simulation owns its run's sink from construction and retires each
 /// request into it as soon as that request and every one injected before
@@ -1572,53 +1404,6 @@ impl ReplicaSim {
             acc: SimAccumulators::default(),
             queue: EventQueue::new(),
         }
-    }
-
-    /// Reserves capacity for `additional` more requests across the
-    /// arena's columns, the arrival lane and an exact sink — bulk injection
-    /// (a whole trace up front) then grows each backing `Vec` exactly once.
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        self.arena.reserve(additional);
-        self.queue.reserve_arrivals(additional);
-        if let RunSink::Exact(sink) = &mut self.sink {
-            sink.reserve(additional, self.spec.stages.len());
-        }
-    }
-
-    /// Injects a whole sorted batch of requests at once. Equivalent to
-    /// calling [`Self::inject`] per request, but fills the arena columns
-    /// with bulk `resize`/`extend` operations — on a million-request trace
-    /// this is a handful of memsets instead of fifteen million `Vec`
-    /// pushes. Iterative pipelines fall back to the per-request path, which
-    /// samples trigger positions in arrival order.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`Self::inject`] on non-finite/negative arrivals or
-    /// zero-token requests.
-    pub(crate) fn inject_bulk(&mut self, reqs: &[EngineRequest]) {
-        if self.spec.iterative.is_some() {
-            self.reserve(reqs.len());
-            for req in reqs {
-                self.inject(*req);
-            }
-            return;
-        }
-        assert!(
-            reqs.iter()
-                .all(|r| r.arrival_s.is_finite() && r.arrival_s >= 0.0),
-            "arrival times must be finite and non-negative"
-        );
-        assert!(
-            reqs.iter().all(|r| r.decode_tokens > 0),
-            "every request must generate at least one token"
-        );
-        self.reserve(reqs.len());
-        let first = self.arena.push_slots_bulk(reqs);
-        for (slot, req) in (first..).zip(reqs) {
-            self.queue.push_arrival(req.arrival_s, Ev::Arrival(slot));
-        }
-        self.peak_live = self.peak_live.max(self.arena.live());
     }
 
     /// Adds one request to the simulation, scheduling its arrival event.
@@ -2260,9 +2045,9 @@ pub(crate) struct Retired {
 }
 
 /// Builds a [`ServingReport`] from completed timelines and the simulation
-/// accumulators. Shared by [`ServingEngine::run`] and the fleet-level
-/// merge in [`crate::fleet`], so single-engine and fleet metrics are
-/// computed by one definition. The per-class rows reuse the same metric
+/// accumulators. Shared by each replica's own report and the fleet-level
+/// merge in [`crate::fleet`], so replica and fleet metrics are computed by
+/// one definition. The per-class rows reuse the same metric
 /// computation over each class's timeline subset; for a run with a single
 /// distinct class the row is the aggregate metrics verbatim, which is what
 /// makes a one-class mix bit-identical to an untagged run.
@@ -2418,8 +2203,26 @@ pub(crate) fn compute_metrics_for(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rago_schema::SequenceProfile;
-    use rago_workloads::{ArrivalProcess, TraceSpec};
+    use crate::faults::ScaleDriver;
+    use crate::fleet::FleetEngine;
+    use rago_schema::{RouterPolicy, SequenceProfile};
+    use rago_workloads::{ArrivalProcess, Trace, TraceSpec};
+
+    /// Runs `requests` through `spec` alone: a one-replica static fleet,
+    /// whose merged report is the replica's own.
+    fn run(spec: PipelineSpec, requests: Vec<EngineRequest>) -> ServingReport {
+        alone(spec).run(requests).fleet.merged
+    }
+
+    /// [`run`] over a generated trace.
+    fn run_trace(spec: PipelineSpec, trace: &Trace) -> ServingReport {
+        alone(spec).run_trace(trace).fleet.merged
+    }
+
+    fn alone(spec: PipelineSpec) -> FleetEngine {
+        let one = ScaleDriver::Static { replicas: 1 };
+        FleetEngine::new(spec, RouterPolicy::default(), one)
+    }
 
     fn one_stage_spec(
         stage_latency: f64,
@@ -2455,7 +2258,7 @@ mod tests {
     #[test]
     fn single_request_passes_through_cleanly() {
         let spec = one_stage_spec(0.1, 8, 0.01, 4);
-        let report = ServingEngine::new(spec, vec![req(0, 0.0, 10)]).run();
+        let report = run(spec, vec![req(0, 0.0, 10)]);
         let t = &report.timelines[0];
         assert!((t.ttft_s() - 0.1).abs() < 1e-12);
         assert!((t.completion_s - (0.1 + 10.0 * 0.01)).abs() < 1e-12);
@@ -2468,8 +2271,7 @@ mod tests {
     fn queueing_builds_when_the_stage_is_saturated() {
         // Stage takes 1 s per batch of 1; three simultaneous arrivals queue.
         let spec = one_stage_spec(1.0, 1, 0.01, 8);
-        let report =
-            ServingEngine::new(spec, vec![req(0, 0.0, 1), req(1, 0.0, 1), req(2, 0.0, 1)]).run();
+        let report = run(spec, vec![req(0, 0.0, 1), req(1, 0.0, 1), req(2, 0.0, 1)]);
         let ttfts: Vec<f64> = report
             .timelines
             .iter()
@@ -2485,7 +2287,7 @@ mod tests {
     #[test]
     fn microbatching_bounds_the_dispatch_size() {
         let spec = one_stage_spec(0.5, 2, 0.01, 16);
-        let report = ServingEngine::new(spec, (0..6).map(|i| req(i, 0.0, 1)).collect()).run();
+        let report = run(spec, (0..6).map(|i| req(i, 0.0, 1)).collect());
         // Three sequential micro-batches of 2: TTFTs 0.5, 0.5, 1.0, 1.0, 1.5, 1.5.
         let mut ttfts: Vec<f64> = report
             .timelines
@@ -2503,7 +2305,7 @@ mod tests {
         // Decode slot cap of 1: the second request must wait for the first
         // to finish decoding before joining.
         let spec = one_stage_spec(0.1, 8, 0.1, 1);
-        let report = ServingEngine::new(spec, vec![req(0, 0.0, 5), req(1, 0.0, 5)]).run();
+        let report = run(spec, vec![req(0, 0.0, 5), req(1, 0.0, 5)]);
         let a = &report.timelines[0];
         let b = &report.timelines[1];
         // Both prefix together (batch 8 holds both), but decode serializes.
@@ -2523,7 +2325,7 @@ mod tests {
             Vec::new(),
             DecodeSpec::new(4, LatencyTable::constant(4, 0.1)),
         );
-        let report = ServingEngine::new(spec, vec![req(0, 0.0, 10), req(1, 0.25, 3)]).run();
+        let report = run(spec, vec![req(0, 0.0, 10), req(1, 0.25, 3)]);
         let b = &report.timelines[1];
         // Arrives at 0.25 during the step ending 0.3; first own step ends 0.4.
         assert!((b.first_token_s - 0.4).abs() < 1e-12);
@@ -2543,7 +2345,7 @@ mod tests {
             ],
             DecodeSpec::new(8, LatencyTable::constant(8, 1e-3)),
         );
-        let report = ServingEngine::new(spec, vec![req(0, 0.0, 1), req(1, 0.0, 1)]).run();
+        let report = run(spec, vec![req(0, 0.0, 1), req(1, 0.0, 1)]);
         assert!((report.timelines[0].ttft_s() - 0.2).abs() < 1e-12);
         assert!((report.timelines[1].ttft_s() - 0.4).abs() < 1e-12);
     }
@@ -2559,7 +2361,7 @@ mod tests {
             ],
             DecodeSpec::new(8, LatencyTable::constant(8, 1e-3)),
         );
-        let report = ServingEngine::new(spec, vec![req(0, 0.0, 1), req(1, 0.0, 1)]).run();
+        let report = run(spec, vec![req(0, 0.0, 1), req(1, 0.0, 1)]);
         assert!((report.timelines[0].ttft_s() - 0.2).abs() < 1e-12);
         assert!((report.timelines[1].ttft_s() - 0.3).abs() < 1e-12);
     }
@@ -2576,7 +2378,7 @@ mod tests {
             retrieval_prefix_latency_s: 0.05,
             seed: 9,
         });
-        let report = ServingEngine::new(spec, (0..8).map(|i| req(i, 0.0, 64)).collect()).run();
+        let report = run(spec, (0..8).map(|i| req(i, 0.0, 64)).collect());
         assert!(report.metrics.retrieval_batches >= 4); // 16 retrievals / batch 4
         assert!(report.metrics.mean_retrieval_batch_fill <= 4.0 + 1e-12);
         // Pauses necessarily stretch decode beyond the unobstructed time.
@@ -2606,7 +2408,7 @@ mod tests {
             seed: 21,
         }
         .generate();
-        let report = ServingEngine::from_trace(spec, &trace).run();
+        let report = run_trace(spec, &trace);
         assert_eq!(report.metrics.completed, 200);
         assert!(report.metrics.throughput_rps > 0.0);
         // Percentiles are ordered.
@@ -2626,7 +2428,7 @@ mod tests {
     #[test]
     fn attainment_and_goodput_follow_the_targets() {
         let spec = one_stage_spec(0.1, 8, 0.01, 8);
-        let report = ServingEngine::new(spec, (0..8).map(|i| req(i, 0.0, 10)).collect()).run();
+        let report = run(spec, (0..8).map(|i| req(i, 0.0, 10)).collect());
         let generous = SloTarget::new(10.0, 1.0);
         let impossible = SloTarget::new(1e-6, 1e-9);
         assert!((report.attainment(&generous) - 1.0).abs() < 1e-12);
@@ -2680,8 +2482,8 @@ mod tests {
                 ..*r
             })
             .collect();
-        let a = ServingEngine::new(spec.clone(), base).run();
-        let b = ServingEngine::new(spec, shifted).run();
+        let a = run(spec.clone(), base);
+        let b = run(spec, shifted);
         assert!((b.metrics.first_arrival_s - 100.0).abs() < 1e-12);
         assert!((b.metrics.serving_duration_s - a.metrics.serving_duration_s).abs() < 1e-9);
         assert!(
@@ -2749,7 +2551,7 @@ mod tests {
                 seed: 3,
             }
             .generate();
-            ServingEngine::from_trace(spec, &trace).run()
+            run_trace(spec, &trace)
         };
         assert_eq!(build(), build());
     }
@@ -2757,7 +2559,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one token")]
     fn zero_token_requests_are_rejected() {
-        let _ = ServingEngine::new(one_stage_spec(0.1, 1, 0.01, 1), vec![req(0, 0.0, 0)]);
+        let _ = run(one_stage_spec(0.1, 1, 0.01, 1), vec![req(0, 0.0, 0)]);
     }
 
     #[test]
@@ -2824,7 +2626,7 @@ mod tests {
                 .collect(),
         };
         let spec = one_stage_spec(0.05, 4, 0.01, 8);
-        let report = ServingEngine::from_trace(spec, &trace).run();
+        let report = run_trace(spec, &trace);
         assert_eq!(report.metrics.completed, 5);
         assert!(report.timelines.iter().all(|t| t.decode_tokens == 1));
         let m = &report.metrics;
@@ -2852,7 +2654,7 @@ mod tests {
             })
             .collect();
         requests[0].class = 2; // classes need not start at 0
-        let report = ServingEngine::new(spec, requests).run();
+        let report = run(spec, requests);
         assert_eq!(report.classes(), vec![0, 1, 2]);
         let total: usize = report.per_class.iter().map(|c| c.metrics.requests).sum();
         assert_eq!(total, 30);
@@ -2889,7 +2691,7 @@ mod tests {
     #[test]
     fn single_class_runs_have_one_row_equal_to_the_aggregate() {
         let spec = one_stage_spec(0.03, 4, 2e-3, 8);
-        let report = ServingEngine::new(spec, (0..12).map(|i| req(i, 0.0, 10)).collect()).run();
+        let report = run(spec, (0..12).map(|i| req(i, 0.0, 10)).collect());
         assert_eq!(report.per_class.len(), 1);
         assert_eq!(report.per_class[0].class, 0);
         assert_eq!(report.per_class[0].metrics, report.metrics);

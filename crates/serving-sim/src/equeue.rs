@@ -7,7 +7,7 @@
 //! keyed on the same `(time, class, seq)` order:
 //!
 //! * **Arrival lane** (class 0): arrivals are injected in non-decreasing
-//!   time order (the engine sorts its trace up front), so they live in a
+//!   time order (the fleet pulls them in time order), so they live in a
 //!   plain FIFO — `O(1)` push and pop, no comparisons against the backlog.
 //! * **Scheduled lane** (class 1): scheduled completions (stage, step and
 //!   retrieval events) go into a `BinaryHeap` keyed `(time, seq)`. Only
@@ -135,14 +135,10 @@ impl<E: Copy> EventQueue<E> {
             scheduled_pops: self.scheduled_pops,
         }
     }
-    /// Reserves space for `additional` more arrivals in the FIFO lane.
-    pub(crate) fn reserve_arrivals(&mut self, additional: usize) {
-        self.arrivals.reserve(additional);
-    }
 
     /// Enqueues an arrival (class 0). Arrivals must be pushed in
-    /// non-decreasing time order — the engine sorts its trace before
-    /// injection, and the debug assertion holds it to that.
+    /// non-decreasing time order — the fleet routes arrivals in time order,
+    /// and the debug assertion holds it to that.
     pub(crate) fn push_arrival(&mut self, t: f64, ev: E) {
         debug_assert!(
             self.arrivals.back().map_or(true, |&(back, _)| back <= t),

@@ -1,16 +1,17 @@
 //! The fleet engine: pipeline replicas behind a router, sized by a scale
 //! driver, degraded by faults, and guarded by admission control — every
-//! fleet, flat or split into prefill/decode pools, runs through this one
-//! loop.
+//! simulation, from one pipeline replica to a fleet split into
+//! prefill/decode pools, runs through this one loop.
 //!
-//! [`crate::engine::ServingEngine`] answers what one pipeline replica does
-//! under a request stream. [`FleetEngine`] answers the fleet question: it
-//! owns one replica simulation per fleet slot, advances live replicas to
-//! just before each clock point (the engine's composable shared-clock
-//! form), and routes a shared arrival stream across the routable replicas
-//! with a [`RouterPolicy`] that observes live queue depths and decode
-//! residency. What varies between a plain, an elastic, a faulted, and a
-//! disaggregated fleet is configuration, not code:
+//! [`crate::engine`] simulates what one pipeline replica does under a
+//! request stream. [`FleetEngine`] owns one such replica simulation per
+//! fleet slot, advances live replicas to just before each clock point (the
+//! replica's composable shared-clock form), and routes a shared arrival
+//! stream across the routable replicas with a [`RouterPolicy`] that
+//! observes live queue depths and decode residency. A single pipeline is a
+//! one-replica [`ScaleDriver::Static`] fleet. What varies between a plain,
+//! an elastic, a faulted, and a disaggregated fleet is configuration, not
+//! code:
 //!
 //! * the [`ScaleDriver`] sizes the fleet — `Static` (fixed; the only driver
 //!   a [`FleetEngine::heterogeneous`] or [`FleetEngine::disaggregated`]
@@ -35,10 +36,10 @@
 //! so a handoff discovered later can never complete earlier than one
 //! already delivered. The report is a [`ChaosReport`]: the merged
 //! [`FleetReport`] plus the scaling history, the fault ledger, and the
-//! transfer statistics. A one-replica static fleet reproduces
-//! [`ServingEngine::run`](crate::engine::ServingEngine::run) exactly
-//! (`tests/proptest_cluster.rs`). The loop pulls its arrivals one at a
-//! time ([`FleetEngine::run_pulled`]) and each replica retires a request
+//! transfer statistics. A one-replica static fleet runs exactly as its
+//! replica would with every request scheduled up front, for every router
+//! (pinned in [`crate::cluster`]'s tests). The loop pulls its arrivals one
+//! at a time ([`FleetEngine::run_pulled`]) and each replica retires a request
 //! once it and every earlier one have completed, so a lazily generated
 //! trace drives the fleet with per-request state only for requests in
 //! flight. A static, fault-free, admission-free
@@ -567,8 +568,8 @@ impl FleetEngine {
 /// `trace`'s requests in the fleet's injection order, ascending
 /// `(arrival, id)`, without copying the trace: a sorted trace — what every
 /// `rago-workloads` generator emits — is read in place, and an unsorted one
-/// through a `u32` permutation, stably sorted like
-/// [`crate::engine::ServingEngine::new`] sorts its requests.
+/// through a `u32` permutation, stably sorted like [`FleetEngine::run`]
+/// sorts its requests.
 ///
 /// # Panics
 ///
@@ -869,11 +870,10 @@ impl Pool {
 /// their delivery into the decode pool.
 struct Transfers {
     model: KvTransferModel,
-    /// Completion instants of the transfers in flight, indexing
-    /// `priced`; same-instant completions pop in handoff order.
-    in_flight: EventQueue<u32>,
-    /// `(request, bytes, latency)` of every transfer ever priced.
-    priced: Vec<(EngineRequest, f64, f64)>,
+    /// `(request, bytes, latency)` of each transfer in flight, keyed by
+    /// its completion instant; same-instant completions pop in handoff
+    /// order.
+    in_flight: EventQueue<(EngineRequest, f64, f64)>,
     /// Reused buffer for one replica's harvested handoffs.
     harvest: Vec<(f64, EngineRequest)>,
     stats: TransferStats,
@@ -936,7 +936,6 @@ impl<'e> Run<'e> {
         let transfers = engine.split.as_ref().map(|split| Transfers {
             model: split.transfer,
             in_flight: EventQueue::new(),
-            priced: Vec::new(),
             harvest: Vec::new(),
             stats: TransferStats::default(),
         });
@@ -1103,9 +1102,9 @@ impl<'e> Run<'e> {
             for (ready_s, req) in transfers.harvest.drain(..) {
                 let latency_s = transfers.model.latency_s(req.prefix_tokens);
                 let bytes = transfers.model.bytes_for(req.prefix_tokens);
-                let idx = transfers.priced.len() as u32;
-                transfers.priced.push((req, bytes, latency_s));
-                transfers.in_flight.push_scheduled(ready_s + latency_s, idx);
+                transfers
+                    .in_flight
+                    .push_scheduled(ready_s + latency_s, (req, bytes, latency_s));
             }
         }
         transfers.in_flight.peek_time()
@@ -1115,8 +1114,8 @@ impl<'e> Run<'e> {
     /// completion instant — or parks it until a decode replica is routable.
     fn deliver_transfer<R: Recorder>(&mut self, rec: &mut R) {
         let transfers = self.transfers.as_mut().expect("only split fleets transfer");
-        let (t, idx) = transfers.in_flight.pop().expect("the transfer lane fired");
-        let (req, bytes, latency_s) = transfers.priced[idx as usize];
+        let (t, (req, bytes, latency_s)) =
+            transfers.in_flight.pop().expect("the transfer lane fired");
         let stats = &mut transfers.stats;
         stats.transfers += 1;
         stats.bytes_total += bytes;

@@ -18,9 +18,9 @@
 //!   (time-multiplexed with an execution-order policy).
 //!   [`microbatch`] computes per-request completion times for both policies.
 //! * **Request streams** — the general case subsuming both: [`engine`] is a
-//!   request-level discrete-event engine that drives whole requests through
-//!   the full pipeline (encode → rewrite → retrieve → rerank → prefix →
-//!   decode, with optional iterative retrieval) under any
+//!   request-level discrete-event simulation that drives whole requests
+//!   through the full pipeline (encode → rewrite → retrieve → rerank →
+//!   prefix → decode, with optional iterative retrieval) under any
 //!   [`rago_workloads::ArrivalProcess`], with per-resource queues,
 //!   continuous batching for decode, and per-request timelines. It reports
 //!   TTFT/TPOT distributions, queueing-versus-service breakdown, and SLO
@@ -50,8 +50,9 @@
 //!   scaling history, a fault ledger, per-class shed counts, windowed
 //!   attainment timelines, and per-disruption recovery metrics
 //!   ([`faults::RecoveryMetrics`]). Both metrics modes run through the same
-//!   loop, and a one-replica static fleet reproduces
-//!   [`engine::ServingEngine::run`] exactly (`tests/proptest_cluster.rs`).
+//!   loop, and it is the only run path: a single pipeline is a one-replica
+//!   static fleet, which runs exactly as the replica alone would with
+//!   every request scheduled up front (pinned in [`cluster`]'s tests).
 //! * **Disaggregated prefill/decode pools** — the placement dimension, as
 //!   a configuration of the same loop: [`fleet::FleetEngine::disaggregated`]
 //!   splits the fleet into a typed Prefill pool and a Decode pool
@@ -63,7 +64,7 @@
 //!   Crashes are per pool ([`pools::PoolCrash`]): un-transferred work
 //!   re-queues to prefill survivors only. [`pools::DisaggReport`] is the
 //!   two-pool view of the run, and a 1+1 split at zero transfer cost
-//!   reproduces the monolithic engine's per-request timings exactly
+//!   reproduces a one-replica flat fleet's per-request timings exactly
 //!   (`tests/proptest_pools.rs`).
 //! * **Caching** — the content-reuse dimension on top of everything: a
 //!   [`engine::CachePlan`] attaches the deterministic cache simulators of
@@ -96,13 +97,14 @@
 //! assert!(result.normalized_decode_latency >= 1.0);
 //! ```
 //!
-//! Driving a Poisson request stream through a two-stage pipeline with the
-//! request-level engine:
+//! Driving a Poisson request stream through one replica of a pipeline — a
+//! one-replica fleet:
 //!
 //! ```
-//! use rago_serving_sim::engine::{DecodeSpec, LatencyTable, PipelineSpec, ServingEngine, StageSpec};
+//! use rago_serving_sim::engine::{DecodeSpec, LatencyTable, PipelineSpec, StageSpec};
+//! use rago_serving_sim::{FleetEngine, ScaleDriver};
 //! use rago_workloads::{ArrivalProcess, TraceSpec};
-//! use rago_schema::SequenceProfile;
+//! use rago_schema::{RouterPolicy, SequenceProfile};
 //!
 //! let spec = PipelineSpec::new(
 //!     vec![StageSpec::new("prefix", 0, 8, LatencyTable::constant(8, 0.02))],
@@ -116,7 +118,8 @@
 //!     seed: 1,
 //! }
 //! .generate();
-//! let report = ServingEngine::from_trace(spec, &trace).run();
+//! let engine = FleetEngine::new(spec, RouterPolicy::default(), ScaleDriver::Static { replicas: 1 });
+//! let report = engine.run_trace(&trace).fleet.merged;
 //! assert_eq!(report.metrics.completed, 40);
 //! ```
 
@@ -133,7 +136,7 @@ pub mod iterative;
 pub mod microbatch;
 pub mod pools;
 pub mod sink;
-pub mod telemetry;
+mod telemetry;
 
 pub use autoscaler::{
     AttainmentTrigger, AutoscalerPolicy, ReplicaLifetime, ScalingAction, ScalingEvent,
@@ -142,7 +145,7 @@ pub use cluster::{FleetReport, LoadImbalance, ReplicaReport};
 pub use engine::{
     sustained_throughput_knee, CachePlan, CacheProbe, CacheUsage, ClassCacheUsage, ClassMetrics,
     DecodeSpec, EngineRequest, IterativeSpec, LatencyStats, LatencyTable, PipelineSpec,
-    RequestTimeline, ServingEngine, ServingMetrics, ServingReport, StageSpec,
+    RequestTimeline, ServingMetrics, ServingReport, StageSpec,
 };
 pub use equeue::EventQueueStats;
 pub use faults::{
@@ -157,7 +160,4 @@ pub use pools::{DisaggReport, PoolCrash, PoolReport, TransferStats};
 pub use sink::{
     ClassSloScore, ExactSink, HistogramSink, LatencyHistogram, MetricsMode, MetricsSink,
     RequestOutcome, StreamedScores, StreamingConfig,
-};
-pub use telemetry::{
-    profile_from_stats, record_cache_probes, record_load_gauges, record_request_spans,
 };

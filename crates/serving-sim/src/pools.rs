@@ -31,7 +31,7 @@
 //!
 //! A split run returns the fleet's [`ChaosReport`]; [`DisaggReport`] is its
 //! two-pool view. Degenerate paths are pinned by tests: a 1+1 split under
-//! [`KvTransferModel::zero`] reproduces the monolithic engine's
+//! [`KvTransferModel::zero`] reproduces a one-replica flat fleet's
 //! per-request timings exactly (`tests/proptest_pools.rs`), and a
 //! single-Monolithic-pool fleet is an ordinary flat fleet.
 //!
@@ -255,7 +255,7 @@ impl DisaggReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{DecodeSpec, LatencyTable, PipelineSpec, ServingEngine, StageSpec};
+    use crate::engine::{DecodeSpec, LatencyTable, PipelineSpec, StageSpec};
     use crate::faults::{FaultSchedule, ScaleDriver};
     use crate::fleet::FleetEngine;
     use rago_schema::{FleetConfig, PoolSpec, SequenceProfile};
@@ -337,7 +337,7 @@ mod tests {
         )
     }
 
-    /// The monolithic engine groups events within [`crate::engine::TIME_EPS`]
+    /// A monolithic replica groups events within [`crate::engine::TIME_EPS`]
     /// onto one instant, so a near-coincident prefill event can nudge the
     /// decode step chain by sub-picosecond amounts that a split decode pool
     /// (which never sees prefill events) cannot reproduce. Equivalence of
@@ -354,7 +354,11 @@ mod tests {
     #[test]
     fn one_plus_one_at_zero_cost_matches_the_monolithic_engine() {
         let trace = trace(120, 60.0, 9);
-        let mono = ServingEngine::from_trace(two_stage_spec(), &trace).run();
+        let one = ScaleDriver::Static { replicas: 1 };
+        let mono = FleetEngine::new(two_stage_spec(), RouterPolicy::default(), one)
+            .run_trace(&trace)
+            .fleet
+            .merged;
         let (engine, view) = split_1p1(KvTransferModel::zero());
         let disagg = view(engine.run_trace(&trace));
 

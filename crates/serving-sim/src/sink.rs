@@ -1,7 +1,7 @@
 //! Online metrics sinks: exact (timeline-retaining) and streaming
 //! (histogram) consumers of completed-request outcomes.
 //!
-//! The engine's default report retains every [`RequestTimeline`] — perfect
+//! A run's default report retains every [`RequestTimeline`] — perfect
 //! fidelity, `O(requests)` memory. A million-request capacity sweep does
 //! not need per-request timelines; it needs percentiles and SLO counts. A
 //! [`MetricsSink`] observes each completed request exactly once, and two
@@ -18,9 +18,9 @@
 //!   maxima are tracked exactly, and SLO attainment/goodput are counted
 //!   online against the SLOs named up front in the [`StreamingConfig`].
 //!
-//! The choice is carried by [`MetricsMode`] through every run entry point
-//! (`ServingEngine::run_with_mode`, `FleetEngine::run_with_mode`, and
-//! the evaluator `_with` variants in `rago-core`).
+//! The choice is carried by [`MetricsMode`] through the fleet's run entry
+//! points (`FleetEngine::run_with_mode`, `FleetEngine::run_pulled`, and
+//! the fleet evaluators in `rago-core`).
 
 use crate::engine::{RequestTimeline, ServingMetrics, ServingReport};
 use rago_schema::{HistogramSpec, SloTarget};
@@ -190,13 +190,6 @@ impl ExactSink {
         Self::default()
     }
 
-    /// Reserves room to record `additional` more outcomes of a pipeline
-    /// with `num_stages` pre-decode stages.
-    pub(crate) fn reserve(&mut self, additional: usize, num_stages: usize) {
-        self.recorded.reserve(additional);
-        self.stage_times.reserve(additional * 2 * num_stages);
-    }
-
     /// Builds the recorded outcomes into [`RequestTimeline`]s, appended in
     /// recording order, and frees the flat buffers.
     pub(crate) fn build_timelines(&mut self) {
@@ -274,15 +267,6 @@ impl RunSink {
         match self {
             RunSink::Exact(sink) => &mut sink.acc,
             RunSink::Streaming(sink) => &mut sink.acc,
-        }
-    }
-
-    /// The sink's report: exact timelines and metrics, or the streaming
-    /// `O(buckets)` report.
-    pub(crate) fn into_report(self) -> ServingReport {
-        match self {
-            RunSink::Exact(sink) => ServingReport::from_exact_sink(*sink),
-            RunSink::Streaming(sink) => ServingReport::from_histogram_sink(*sink),
         }
     }
 }

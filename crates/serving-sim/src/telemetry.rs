@@ -1,11 +1,11 @@
-//! Post-hoc trace derivation: turns the engines' deterministic ledgers —
+//! Post-hoc trace derivation: turns a fleet run's deterministic ledgers —
 //! [`RequestTimeline`]s, cache-probe logs, event-queue stats — into
 //! [`rago_telemetry`] event streams.
 //!
 //! The design keeps the hot paths recorder-free: the DES loops record
 //! almost nothing live (only router picks and KV-transfer deliveries,
 //! which happen in serial orchestration code). Everything else is derived
-//! *after* the run from state the engines already produce, in a
+//! *after* the run from state the replicas already produce, in a
 //! deterministic order — per-replica ledgers walked in replica-index
 //! order, requests in ledger order — so a seeded run yields a
 //! byte-identical event stream on any worker count.
@@ -96,7 +96,11 @@ fn service_start_s(tl: &RequestTimeline) -> Option<f64> {
 /// executed pre-decode stage, a `decode` residency span, and a
 /// `first_token` instant. Unfinished phases (a request that died mid-run)
 /// emit nothing, so every recorded begin has a matching end.
-pub fn record_request_spans<R: Recorder>(rec: &mut R, track: u32, timelines: &[RequestTimeline]) {
+pub(crate) fn record_request_spans<R: Recorder>(
+    rec: &mut R,
+    track: u32,
+    timelines: &[RequestTimeline],
+) {
     if !R::ENABLED {
         return;
     }
@@ -159,7 +163,7 @@ pub fn record_request_spans<R: Recorder>(rec: &mut R, track: u32, timelines: &[R
 /// Records one instant per cache probe (`cache.prefix.hit`,
 /// `cache.retrieval.miss`, ...) onto `track`, with prefix hit-tokens as
 /// the value.
-pub fn record_cache_probes<R: Recorder>(rec: &mut R, track: u32, probes: &[CacheProbe]) {
+pub(crate) fn record_cache_probes<R: Recorder>(rec: &mut R, track: u32, probes: &[CacheProbe]) {
     if !R::ENABLED {
         return;
     }
@@ -184,7 +188,7 @@ pub fn record_cache_probes<R: Recorder>(rec: &mut R, track: u32, probes: &[Cache
 /// `decode_fill` (resident in the decode batch) gauges from `timelines`
 /// every `cadence_s` simulated seconds over `[0, end_s]`, onto `track`.
 /// No-op when the cadence is zero or negative.
-pub fn record_load_gauges<R: Recorder>(
+pub(crate) fn record_load_gauges<R: Recorder>(
     rec: &mut R,
     track: u32,
     timelines: &[RequestTimeline],
@@ -388,7 +392,11 @@ pub(crate) fn record_routable_gauge<R: Recorder>(
 
 /// Folds one event queue's counters (plus the DES event total) into a
 /// [`SimProfile`].
-pub fn profile_from_stats(stats: &EventQueueStats, events: u64, sim_time_s: f64) -> SimProfile {
+pub(crate) fn profile_from_stats(
+    stats: &EventQueueStats,
+    events: u64,
+    sim_time_s: f64,
+) -> SimProfile {
     SimProfile {
         sim_time_s,
         events,

@@ -1,20 +1,39 @@
-//! Engine-level cache semantics: prefix-suffix prefill charging, retrieval
+//! Replica-level cache semantics: prefix-suffix prefill charging, retrieval
 //! stage skipping, replica-local cold caches, content-aware routing — and
-//! the degenerate-case equivalences the issue pins (identity-free traces
-//! and zero-capacity caches reproduce the cache-less engine bit-exactly).
+//! the degenerate-case equivalences (identity-free traces and
+//! zero-capacity caches reproduce the cache-less run bit-exactly).
 
 use rago_cache::{CacheConfig, EvictionPolicy, PrefixKvCacheConfig, RetrievalCacheConfig};
 use rago_schema::{RouterPolicy, SequenceProfile};
 use rago_serving_sim::engine::{
-    CachePlan, DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, ServingEngine, StageSpec,
+    CachePlan, DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, ServingReport, StageSpec,
 };
 use rago_serving_sim::faults::ScaleDriver;
 use rago_serving_sim::fleet::FleetEngine;
-use rago_workloads::{ArrivalProcess, ContentIdentity, ContentSpec, PopularityModel, TraceSpec};
+use rago_workloads::{
+    ArrivalProcess, ContentIdentity, ContentSpec, PopularityModel, Trace, TraceSpec,
+};
 
 /// A fixed fleet of `replicas` copies of `spec`.
 fn fixed(spec: PipelineSpec, replicas: u32, router: RouterPolicy) -> FleetEngine {
     FleetEngine::new(spec, router, ScaleDriver::Static { replicas })
+}
+
+/// Runs `requests` through one replica of `spec`: a one-replica fleet,
+/// whose merged report is the replica's own.
+fn run_alone(spec: PipelineSpec, requests: Vec<EngineRequest>) -> ServingReport {
+    fixed(spec, 1, RouterPolicy::default())
+        .run(requests)
+        .fleet
+        .merged
+}
+
+/// [`run_alone`] over a generated trace.
+fn run_trace_alone(spec: PipelineSpec, trace: &Trace) -> ServingReport {
+    fixed(spec, 1, RouterPolicy::default())
+        .run_trace(trace)
+        .fleet
+        .merged
 }
 
 /// Retrieval (0.05 s) then prefix (0.2 s), each on its own resource.
@@ -95,14 +114,13 @@ fn prefix_hit_charges_only_the_uncached_suffix() {
     let spec = two_stage_spec().with_cache(plan(prefix_only(100_000)));
     // Distinct doc keys; arrivals far apart so every micro-batch is one
     // request.
-    let report = ServingEngine::new(
+    let report = run_alone(
         spec,
         vec![
             req_with_identity(0, 0.0, 7, 800, 100),
             req_with_identity(1, 1.0, 7, 800, 101),
         ],
-    )
-    .run();
+    );
     let prefix_duration =
         |i: usize| report.timelines[i].stage_ends_s[1] - report.timelines[i].stage_starts_s[1];
     assert!(
@@ -131,14 +149,13 @@ fn prefix_hit_charges_only_the_uncached_suffix() {
 #[test]
 fn retrieval_hit_skips_the_stage() {
     let spec = two_stage_spec().with_cache(plan(retrieval_only(64)));
-    let report = ServingEngine::new(
+    let report = run_alone(
         spec,
         vec![
             req_with_identity(0, 0.0, 1, 0, 42),
             req_with_identity(1, 1.0, 2, 0, 42), // same doc key
         ],
-    )
-    .run();
+    );
     let t0 = &report.timelines[0];
     let t1 = &report.timelines[1];
     // First request executes retrieval for 0.05 s.
@@ -164,10 +181,8 @@ fn identity_free_runs_match_the_cacheless_engine_bit_exactly() {
         seed: 11,
     }
     .generate();
-    let plain = ServingEngine::from_trace(two_stage_spec(), &trace).run();
-    let cached =
-        ServingEngine::from_trace(two_stage_spec().with_cache(plan(both(50_000, 64))), &trace)
-            .run();
+    let plain = run_trace_alone(two_stage_spec(), &trace);
+    let cached = run_trace_alone(two_stage_spec().with_cache(plan(both(50_000, 64))), &trace);
     assert_eq!(plain, cached);
     assert_eq!(cached.cache.prefix.lookups, 0);
     assert_eq!(cached.cache.retrieval.lookups, 0);
@@ -194,9 +209,8 @@ fn zero_capacity_caches_match_the_cacheless_engine_bit_exactly() {
         }
         .generate(),
     );
-    let plain = ServingEngine::from_trace(two_stage_spec(), &trace).run();
-    let cached =
-        ServingEngine::from_trace(two_stage_spec().with_cache(plan(both(0, 0))), &trace).run();
+    let plain = run_trace_alone(two_stage_spec(), &trace);
+    let cached = run_trace_alone(two_stage_spec().with_cache(plan(both(0, 0))), &trace);
     assert_eq!(plain.timelines, cached.timelines);
     assert_eq!(plain.metrics, cached.metrics);
     assert_eq!(plain.per_class, cached.per_class);
@@ -295,10 +309,8 @@ fn caches_improve_ttft_on_skewed_traffic() {
         }
         .generate(),
     );
-    let plain = ServingEngine::from_trace(two_stage_spec(), &trace).run();
-    let cached =
-        ServingEngine::from_trace(two_stage_spec().with_cache(plan(both(200_000, 64))), &trace)
-            .run();
+    let plain = run_trace_alone(two_stage_spec(), &trace);
+    let cached = run_trace_alone(two_stage_spec().with_cache(plan(both(200_000, 64))), &trace);
     assert!(cached.cache.prefix.hit_rate() > 0.6);
     assert!(cached.cache.retrieval.hit_rate() > 0.6);
     assert!(

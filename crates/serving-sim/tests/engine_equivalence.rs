@@ -1,28 +1,41 @@
-//! Degenerate-case equivalence of the request-level engine against the two
-//! special-case simulators it subsumes (the acceptance criterion of the
-//! engine):
+//! Degenerate-case equivalence of the request-level replica simulation —
+//! run as a one-replica fleet — against the two special-case simulators it
+//! subsumes (the acceptance criterion of the engine):
 //!
 //! * With no pre-decode stages, all requests present at t = 0, and a decode
-//!   batch equal to the request count, the engine **is**
+//!   batch equal to the request count, the replica **is**
 //!   [`IterativeDecodeSim`] — same TPOT, same completion time, same
 //!   retrieval-batch accounting.
 //! * With a burst at t = 0 flowing through pre-decode stages only, the
-//!   engine's TTFT distribution **is** the micro-batch burst model — the
+//!   replica's TTFT distribution **is** the micro-batch burst model — the
 //!   pipelined variant when every stage owns a resource, the collocated
 //!   variant when all stages share one.
 
+use rago_schema::RouterPolicy;
 use rago_serving_sim::engine::{
     DecodeSpec, EngineRequest, IterativeSpec, LatencyTable, PipelineSpec, RequestTimeline,
-    ServingEngine, StageSpec,
+    ServingReport, StageSpec,
 };
+use rago_serving_sim::faults::ScaleDriver;
+use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::iterative::{IterativeDecodeParams, IterativeDecodeSim};
 use rago_serving_sim::microbatch::{simulate_collocated_burst, simulate_pipelined_burst};
 
 const EPS: f64 = 1e-9;
 
-/// Builds the engine configuration that degenerates to one
+/// Runs `requests` through one replica of `spec`: a one-replica static
+/// fleet, whose merged report is the replica's own.
+fn run_alone(spec: PipelineSpec, requests: Vec<EngineRequest>) -> ServingReport {
+    let one = ScaleDriver::Static { replicas: 1 };
+    FleetEngine::new(spec, RouterPolicy::default(), one)
+        .run(requests)
+        .fleet
+        .merged
+}
+
+/// Runs the replica configuration that degenerates to one
 /// `IterativeDecodeSim` run.
-fn engine_for(params: IterativeDecodeParams) -> ServingEngine {
+fn run_iterative_case(params: IterativeDecodeParams) -> ServingReport {
     let spec = PipelineSpec::new(
         Vec::new(),
         DecodeSpec::new(
@@ -46,12 +59,12 @@ fn engine_for(params: IterativeDecodeParams) -> ServingEngine {
             identity: None,
         })
         .collect();
-    ServingEngine::new(spec, requests)
+    run_alone(spec, requests)
 }
 
 fn assert_matches_iterative_sim(params: IterativeDecodeParams) {
     let reference = IterativeDecodeSim::new(params).run();
-    let report = engine_for(params).run();
+    let report = run_iterative_case(params);
 
     let tpots: Vec<f64> = report
         .timelines
@@ -144,14 +157,14 @@ fn affine(base: f64, per_item: f64) -> impl Fn(u32) -> f64 {
     move |b: u32| base + per_item * f64::from(b)
 }
 
-/// Builds a burst engine over the given stage closures, one resource per
-/// stage (`disaggregated`) or all on resource zero (`collocated`).
-fn burst_engine(
+/// Runs a burst over the given stage closures, one resource per stage
+/// (`disaggregated`) or all on resource zero (`collocated`).
+fn run_burst(
     stages: &[(f64, f64)],
     burst: u32,
     microbatch: u32,
     disaggregated: bool,
-) -> ServingEngine {
+) -> ServingReport {
     let specs: Vec<StageSpec> = stages
         .iter()
         .enumerate()
@@ -179,11 +192,10 @@ fn burst_engine(
             identity: None,
         })
         .collect();
-    ServingEngine::new(spec, requests)
+    run_alone(spec, requests)
 }
 
-fn ttft_first_mean_makespan(engine: &ServingEngine) -> (f64, f64, f64) {
-    let report = engine.run();
+fn ttft_first_mean_makespan(report: &ServingReport) -> (f64, f64, f64) {
     let ttfts: Vec<f64> = report
         .timelines
         .iter()
@@ -204,8 +216,8 @@ fn engine_reproduces_pipelined_burst_completion_times() {
     let closures: Vec<&dyn Fn(u32) -> f64> = vec![&s0, &s1, &s2];
     for (burst, microbatch) in [(32u32, 4u32), (32, 32), (17, 5), (8, 1), (3, 16)] {
         let reference = simulate_pipelined_burst(&closures, burst, microbatch);
-        let engine = burst_engine(&stage_params, burst, microbatch, true);
-        let (first, mean, max) = ttft_first_mean_makespan(&engine);
+        let report = run_burst(&stage_params, burst, microbatch, true);
+        let (first, mean, max) = ttft_first_mean_makespan(&report);
         assert!(
             (first - reference.first_completion_s).abs() < EPS,
             "burst={burst} mb={microbatch}: first {first} != {}",
@@ -232,8 +244,8 @@ fn engine_reproduces_collocated_burst_completion_times() {
     let closures: Vec<&dyn Fn(u32) -> f64> = vec![&s0, &s1];
     for (burst, microbatch) in [(8u32, 4u32), (16, 4), (16, 16), (9, 2)] {
         let reference = simulate_collocated_burst(&closures, burst, microbatch);
-        let engine = burst_engine(&stage_params, burst, microbatch, false);
-        let (first, mean, max) = ttft_first_mean_makespan(&engine);
+        let report = run_burst(&stage_params, burst, microbatch, false);
+        let (first, mean, max) = ttft_first_mean_makespan(&report);
         assert!(
             (first - reference.first_completion_s).abs() < EPS,
             "burst={burst} mb={microbatch}: first {first} != {}",
@@ -261,8 +273,8 @@ fn engine_collocated_matches_heterogeneous_stage_costs_too() {
     let closures: Vec<&dyn Fn(u32) -> f64> = vec![&s0, &s1, &s2];
     for mb in [1u32, 2, 4, 8, 16] {
         let reference = simulate_collocated_burst(&closures, 16, mb);
-        let engine = burst_engine(&stage_params, 16, mb, false);
-        let (_, mean, max) = ttft_first_mean_makespan(&engine);
+        let report = run_burst(&stage_params, 16, mb, false);
+        let (_, mean, max) = ttft_first_mean_makespan(&report);
         assert!(
             (mean - reference.mean_completion_s).abs() < EPS,
             "mb={mb}: mean {mean} != {}",

@@ -1,20 +1,15 @@
 //! Property-based tests for the fleet-level cluster simulation.
 //!
-//! Two invariants hold for *every* router policy:
-//!
-//! 1. **Conservation** — the union of per-replica timelines is exactly the
-//!    input request set: no request is lost, duplicated, or mutated by
-//!    routing.
-//! 2. **Degeneracy** — a one-replica fleet reproduces
-//!    [`ServingEngine::run`] exactly (bit-identical timelines and metrics),
-//!    because the shared-clock composition of `ReplicaSim` preserves the
-//!    engine's event order.
+//! For *every* router policy, the union of per-replica timelines is
+//! exactly the input request set — no request is lost, duplicated, or
+//! mutated by routing — and a fleet run is deterministic. The degeneracy
+//! property (a one-replica fleet is its replica run alone, bit for bit)
+//! needs a bare replica simulation as its reference, so it lives in the
+//! crate's own `cluster` unit tests.
 
 use proptest::prelude::*;
 use rago_schema::RouterPolicy;
-use rago_serving_sim::engine::{
-    DecodeSpec, EngineRequest, IterativeSpec, LatencyTable, PipelineSpec, ServingEngine, StageSpec,
-};
+use rago_serving_sim::engine::{DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, StageSpec};
 use rago_serving_sim::faults::ScaleDriver;
 use rago_serving_sim::fleet::FleetEngine;
 
@@ -124,56 +119,6 @@ proptest! {
         }
         let total: usize = report.imbalance.assigned_per_replica.iter().sum();
         prop_assert_eq!(total, n);
-    }
-
-    /// A one-replica fleet is the engine, exactly — every policy, every
-    /// pipeline shape, including same-instant arrival bursts.
-    #[test]
-    fn one_replica_fleet_is_the_engine(
-        policy_idx in 0usize..4,
-        n in 1usize..60,
-        gap in 0.0f64..0.02,
-        stages in 0usize..3,
-        collocate in any::<bool>(),
-        stage_batch in 1u32..8,
-        decode_batch in 1u32..16,
-        step_latency in 1e-4f64..0.01,
-    ) {
-        let spec = pipeline(stages, stage_batch, 0.015, collocate, decode_batch, step_latency);
-        let reqs = requests(n, gap);
-        let engine = ServingEngine::new(spec.clone(), reqs.clone()).run();
-        let fleet = FleetEngine::new(spec, policy(policy_idx), ScaleDriver::Static { replicas: 1 })
-            .run(reqs)
-            .fleet;
-        prop_assert_eq!(&fleet.merged, &engine, "one-replica fleet diverged from the engine");
-        prop_assert_eq!(&fleet.per_replica[0].report, &engine);
-        prop_assert_eq!(fleet.per_replica[0].assigned, engine.timelines.len());
-    }
-
-    /// The exact-degeneracy property survives iterative retrieval, whose
-    /// trigger positions are sampled per replica at injection time.
-    #[test]
-    fn one_replica_fleet_is_the_engine_with_iterative_retrieval(
-        policy_idx in 0usize..4,
-        n in 1usize..32,
-        gap in 0.0f64..0.02,
-        retrievals in 1u32..4,
-        iterative_batch in 1u32..8,
-        retrieval_latency in 0.0f64..0.05,
-        seed in 0u64..200,
-    ) {
-        let spec = pipeline(1, 4, 0.01, false, 16, 2e-3).with_iterative(IterativeSpec {
-            retrievals_per_sequence: retrievals,
-            iterative_batch,
-            retrieval_prefix_latency_s: retrieval_latency,
-            seed,
-        });
-        let reqs = requests(n, gap);
-        let engine = ServingEngine::new(spec.clone(), reqs.clone()).run();
-        let fleet = FleetEngine::new(spec, policy(policy_idx), ScaleDriver::Static { replicas: 1 })
-            .run(reqs)
-            .fleet;
-        prop_assert_eq!(&fleet.merged, &engine);
     }
 
     /// Fleet runs are deterministic for every policy and replica count.

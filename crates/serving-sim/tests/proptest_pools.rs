@@ -7,19 +7,20 @@
 //!    loses, duplicates, nor mutates requests: the stitched timelines are
 //!    exactly the input multiset (ids, classes, token counts intact), even
 //!    while crashes re-queue in-flight work onto pool survivors.
-//! 2. **Degeneracy** — a 1+1 split at zero transfer cost reproduces the
-//!    monolithic engine: discrete fields bit-exactly, time fields to the
-//!    engine's `TIME_EPS` event-grouping tolerance (the monolithic engine
-//!    coalesces same-instant events into one group and stamps the group-max
-//!    time; the split sees the same instants through two event queues, so
-//!    its stamps can differ by up to that grouping epsilon but never more).
+//! 2. **Degeneracy** — a 1+1 split at zero transfer cost reproduces a
+//!    one-replica monolithic fleet: discrete fields bit-exactly, time
+//!    fields to the replica's `TIME_EPS` event-grouping tolerance (the
+//!    monolithic replica coalesces same-instant events into one group and
+//!    stamps the group-max time; the split sees the same instants through
+//!    two event queues, so its stamps can differ by up to that grouping
+//!    epsilon but never more).
 
 use proptest::prelude::*;
 use rago_schema::{KvTransferModel, PoolRole, PoolSpec, RouterPolicy};
 use rago_serving_sim::engine::{
-    DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, ServingEngine, StageSpec,
+    DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, ServingReport, StageSpec,
 };
-use rago_serving_sim::faults::FaultSchedule;
+use rago_serving_sim::faults::{FaultSchedule, ScaleDriver};
 use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::pools::{DisaggReport, PoolCrash};
 
@@ -71,6 +72,16 @@ fn requests(n: usize, gap: f64) -> Vec<EngineRequest> {
             identity: None,
         })
         .collect()
+}
+
+/// Runs `requests` through one replica of `full`: a one-replica
+/// monolithic fleet, whose merged report is the replica's own.
+fn run_monolithic(full: &PipelineSpec, requests: Vec<EngineRequest>) -> ServingReport {
+    let one = ScaleDriver::Static { replicas: 1 };
+    FleetEngine::new(full.clone(), RouterPolicy::default(), one)
+        .run(requests)
+        .fleet
+        .merged
 }
 
 fn policy(index: usize) -> RouterPolicy {
@@ -251,7 +262,7 @@ proptest! {
     ) {
         let full = full_pipeline(stages, stage_batch, 0.015, decode_batch, step_latency);
         let reqs = requests(n, gap);
-        let mono = ServingEngine::new(full.clone(), reqs.clone()).run();
+        let mono = run_monolithic(&full, reqs.clone());
         let split = run_split(
             &full,
             (1, policy(prefill_policy)),

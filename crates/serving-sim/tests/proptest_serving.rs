@@ -1,10 +1,13 @@
 //! Property-based tests for the discrete-event serving simulators.
 
 use proptest::prelude::*;
+use rago_schema::RouterPolicy;
 use rago_serving_sim::engine::{
     DecodeSpec, EngineRequest, IterativeSpec, LatencyTable, PipelineSpec, RequestTimeline,
-    ServingEngine, StageSpec,
+    ServingReport, StageSpec,
 };
+use rago_serving_sim::faults::ScaleDriver;
+use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::iterative::{
     IterativeDecodeParams, IterativeDecodeResult, IterativeDecodeSim,
 };
@@ -12,6 +15,16 @@ use rago_serving_sim::microbatch::{simulate_collocated_burst, simulate_pipelined
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+
+/// Runs `requests` through one replica of `spec`: a one-replica static
+/// fleet, whose merged report is the replica's own.
+fn run_alone(spec: PipelineSpec, requests: Vec<EngineRequest>) -> ServingReport {
+    let one = ScaleDriver::Static { replicas: 1 };
+    FleetEngine::new(spec, RouterPolicy::default(), one)
+        .run(requests)
+        .fleet
+        .merged
+}
 
 /// Per-sequence state of [`reference_run`].
 struct Sequence {
@@ -350,7 +363,7 @@ proptest! {
         let requests: Vec<EngineRequest> = (0..decode_batch)
             .map(|i| EngineRequest { id: u64::from(i), arrival_s: 0.0, prefix_tokens: 0, decode_tokens: decode_len, class: 0, identity: None })
             .collect();
-        let report = ServingEngine::new(spec, requests).run();
+        let report = run_alone(spec, requests);
         prop_assert!((report.metrics.makespan_s - reference.total_time_s).abs() < 1e-9);
         let tpot_worst = report
             .timelines
@@ -391,7 +404,7 @@ proptest! {
                 identity: None,
             })
             .collect();
-        let report = ServingEngine::new(spec, reqs).run();
+        let report = run_alone(spec, reqs);
         prop_assert_eq!(report.metrics.completed, requests);
         for t in &report.timelines {
             prop_assert!(t.first_token_s >= t.arrival_s - 1e-12);

@@ -1,13 +1,13 @@
 //! Property-based and degenerate-case pins of the streaming metrics path
-//! and the engine's canonical injection order:
+//! and the fleet's canonical injection order:
 //!
 //! * On random traces, the streaming (histogram) report tracks the exact
 //!   report within the sink's documented error bars — percentiles within
 //!   one bucket width, maxima and makespan bit-equal, means up to
 //!   summation order — and online SLO counts match post-hoc scoring.
 //! * Injection order is canonical: shuffled or reversed request vectors
-//!   produce reports identical to sorted input, for the single-replica
-//!   engine and the autoscaled fleet alike (the `sort_by_arrival` fast path
+//!   produce reports identical to sorted input, for a one-replica fleet
+//!   and the autoscaled fleet alike (the `sort_by_arrival` fast path
 //!   must never change what a run computes, only what it costs).
 //! * Empty and single-request traces run in both modes without NaNs.
 
@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use rago_schema::{HistogramSpec, RouterPolicy, SloTarget};
 use rago_serving_sim::autoscaler::AutoscalerPolicy;
 use rago_serving_sim::engine::{
-    DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, RequestTimeline, ServingEngine,
+    DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, RequestTimeline, ServingReport,
     StageSpec,
 };
 use rago_serving_sim::faults::ScaleDriver;
@@ -45,6 +45,24 @@ fn pipeline(stage_batch: u32, decode_batch: u32) -> PipelineSpec {
             LatencyTable::from_fn(decode_batch, |b| 0.001 + 0.0001 * f64::from(b)),
         ),
     )
+}
+
+/// `spec` run alone: a one-replica static fleet.
+fn alone(spec: PipelineSpec) -> FleetEngine {
+    FleetEngine::new(
+        spec,
+        RouterPolicy::default(),
+        ScaleDriver::Static { replicas: 1 },
+    )
+}
+
+/// Runs `requests` through one replica of `spec` in `mode`; the fleet's
+/// merged report is the replica's own.
+fn run(spec: &PipelineSpec, requests: Vec<EngineRequest>, mode: &MetricsMode) -> ServingReport {
+    alone(spec.clone())
+        .run_with_mode(requests, mode)
+        .fleet
+        .merged
 }
 
 fn requests_from(raw: &[(f64, u32, u32)]) -> Vec<EngineRequest> {
@@ -86,10 +104,8 @@ proptest! {
         let requests = requests_from(&raw);
         let slo = SloTarget::new(0.5, 0.01);
         let config = StreamingConfig::new(HistogramSpec::default()).with_slo(slo);
-        let engine = ServingEngine::new(spec, requests);
-
-        let exact = engine.run();
-        let streaming = engine.run_with_mode(&MetricsMode::Streaming(config));
+        let exact = run(&spec, requests.clone(), &MetricsMode::Exact);
+        let streaming = run(&spec, requests, &MetricsMode::Streaming(config));
 
         prop_assert_eq!(exact.metrics.requests, streaming.metrics.requests);
         prop_assert_eq!(exact.metrics.events_processed, streaming.metrics.events_processed);
@@ -138,22 +154,20 @@ proptest! {
         let sorted = requests_from(&raw);
         let mode = MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()));
 
-        let reference = ServingEngine::new(spec.clone(), sorted.clone());
-        let ref_exact = reference.run();
-        let ref_streaming = reference.run_with_mode(&mode);
+        let ref_exact = run(&spec, sorted.clone(), &MetricsMode::Exact);
+        let ref_streaming = run(&spec, sorted.clone(), &mode);
 
         let mut reversed = sorted.clone();
         reversed.reverse();
         for permuted in [reversed, shuffled(&sorted)] {
-            let engine = ServingEngine::new(spec.clone(), permuted);
-            prop_assert_eq!(&engine.run(), &ref_exact);
-            prop_assert_eq!(&engine.run_with_mode(&mode), &ref_streaming);
+            prop_assert_eq!(&run(&spec, permuted.clone(), &MetricsMode::Exact), &ref_exact);
+            prop_assert_eq!(&run(&spec, permuted, &mode), &ref_streaming);
         }
     }
 }
 
 /// An autoscaled fleet sorts injected requests into the same canonical
-/// order as the single-replica engine: a reversed vector changes nothing in
+/// order as a one-replica fleet: a reversed vector changes nothing in
 /// the report, including the scaling timeline.
 #[test]
 fn autoscaler_report_is_invariant_to_injection_order() {
@@ -193,13 +207,12 @@ fn autoscaler_report_is_invariant_to_injection_order() {
 fn empty_trace_runs_cleanly_in_both_modes() {
     let spec = pipeline(4, 8);
     let slo = SloTarget::new(1.0, 0.1);
-    let engine = ServingEngine::new(spec, Vec::new());
     let config = StreamingConfig::new(HistogramSpec::default()).with_slo(slo);
 
     for report in [
-        engine.run(),
-        engine.run_with_mode(&MetricsMode::Exact),
-        engine.run_with_mode(&MetricsMode::Streaming(config)),
+        alone(spec.clone()).run(Vec::new()).fleet.merged,
+        run(&spec, Vec::new(), &MetricsMode::Exact),
+        run(&spec, Vec::new(), &MetricsMode::Streaming(config)),
     ] {
         assert_eq!(report.metrics.requests, 0);
         assert_eq!(report.metrics.completed, 0);
@@ -233,21 +246,20 @@ fn empty_trace_runs_cleanly_in_both_modes() {
 #[test]
 fn single_request_trace_is_degenerate_but_finite() {
     let spec = pipeline(4, 8);
-    let engine = ServingEngine::new(
-        spec,
-        vec![EngineRequest {
-            id: 0,
-            arrival_s: 0.0,
-            prefix_tokens: 0,
-            decode_tokens: 1,
-            class: 0,
-            identity: None,
-        }],
+    let requests = vec![EngineRequest {
+        id: 0,
+        arrival_s: 0.0,
+        prefix_tokens: 0,
+        decode_tokens: 1,
+        class: 0,
+        identity: None,
+    }];
+    let exact = run(&spec, requests.clone(), &MetricsMode::Exact);
+    let streaming = run(
+        &spec,
+        requests,
+        &MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default())),
     );
-    let exact = engine.run();
-    let streaming = engine.run_with_mode(&MetricsMode::Streaming(StreamingConfig::new(
-        HistogramSpec::default(),
-    )));
 
     assert_eq!(exact.metrics.requests, 1);
     assert!(exact.metrics.makespan_s > 0.0);
@@ -264,7 +276,8 @@ fn single_request_trace_is_degenerate_but_finite() {
 /// `run_with_mode(Exact)` is the identity path: it must reproduce `run()`
 /// byte for byte — timelines, metrics, per-class rows, everything the
 /// report derives, on a workload big enough to exercise queue growth
-/// and multi-class accounting.
+/// and multi-class accounting — and merging a one-replica fleet's exact
+/// sink into the fleet report must copy the replica's report exactly.
 #[test]
 fn exact_mode_reproduces_run_byte_for_byte() {
     let spec = pipeline(8, 32);
@@ -273,10 +286,14 @@ fn exact_mode_reproduces_run_byte_for_byte() {
             .map(|i| (f64::from(i) * 0.0013, 1 + (i % 23) as u32, (i % 3) as u32))
             .collect::<Vec<_>>(),
     );
-    let engine = ServingEngine::new(spec, requests);
-    let plain = engine.run();
-    let via_sink = engine.run_with_mode(&MetricsMode::Exact);
-    assert_eq!(plain, via_sink);
+    let engine = alone(spec);
+    let fleet = engine.run(requests.clone()).fleet;
+    assert_eq!(
+        fleet,
+        engine.run_with_mode(requests, &MetricsMode::Exact).fleet
+    );
+    assert_eq!(fleet.merged, fleet.per_replica[0].report);
+    let plain = fleet.merged;
     // And the timelines really are populated (this is not a vacuous check).
     assert_eq!(plain.timelines.len(), 5_000);
     assert!(plain

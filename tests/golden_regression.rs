@@ -82,7 +82,7 @@ use rago::schema::{
 };
 use rago::serving_sim::autoscaler::AutoscalerPolicy;
 use rago::serving_sim::engine::{
-    sustained_throughput_knee, DecodeSpec, LatencyTable, PipelineSpec, ServingEngine, StageSpec,
+    sustained_throughput_knee, DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, StageSpec,
 };
 use rago::serving_sim::faults::{
     AdmissionConfig, ChaosReport, FaultEvent, FaultSchedule, ScaleDriver,
@@ -200,8 +200,14 @@ fn engine_metrics_trace() -> rago::workloads::Trace {
     .generate()
 }
 
-fn engine_metrics_scenario() -> ServingEngine {
-    ServingEngine::from_trace(engine_metrics_spec(), &engine_metrics_trace())
+/// The single-pipeline scenario: one replica of `engine_metrics_spec`, a
+/// one-replica static fleet.
+fn engine_metrics_scenario() -> FleetEngine {
+    FleetEngine::new(
+        engine_metrics_spec(),
+        RouterPolicy::default(),
+        ScaleDriver::Static { replicas: 1 },
+    )
 }
 
 fn render_engine_metrics(report: &rago::serving_sim::engine::ServingReport) -> String {
@@ -244,18 +250,31 @@ fn render_engine_metrics(report: &rago::serving_sim::engine::ServingReport) -> S
 
 #[test]
 fn golden_engine_metrics() {
-    let report = engine_metrics_scenario().run();
+    let report = engine_metrics_scenario()
+        .run_trace(&engine_metrics_trace())
+        .fleet
+        .merged;
     check_golden("engine_metrics.json", &render_engine_metrics(&report));
 }
 
 /// The exact metrics sink is the identity path: running the same scenario
-/// through `run_with_mode(MetricsMode::Exact)` must reproduce the committed
-/// golden byte for byte — timelines, aggregates, attainment, goodput.
+/// from a request vector through `run_with_mode(MetricsMode::Exact)` must
+/// reproduce the in-place trace run and the committed golden byte for byte
+/// — timelines, aggregates, attainment, goodput.
 #[test]
 fn golden_engine_metrics_via_exact_sink() {
     let engine = engine_metrics_scenario();
-    let via_sink = engine.run_with_mode(&MetricsMode::Exact);
-    assert_eq!(engine.run(), via_sink, "exact sink diverged from run()");
+    let trace = engine_metrics_trace();
+    let requests = trace.requests.iter().map(EngineRequest::from).collect();
+    let via_sink = engine
+        .run_with_mode(requests, &MetricsMode::Exact)
+        .fleet
+        .merged;
+    assert_eq!(
+        engine.run_trace(&trace).fleet.merged,
+        via_sink,
+        "exact sink diverged from run_trace()"
+    );
     check_golden("engine_metrics.json", &render_engine_metrics(&via_sink));
 }
 

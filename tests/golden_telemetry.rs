@@ -22,7 +22,7 @@
 //!
 //! The remaining tests pin the layer's two core guarantees without
 //! snapshots: a [`NullRecorder`] run is *equal* to the untraced run on
-//! every engine (zero-cost-when-off), and a live trace is byte-identical
+//! every fleet shape (zero-cost-when-off), and a live trace is byte-identical
 //! across repeated runs.
 //!
 //! Regenerate intentionally-moved snapshots with:
@@ -32,9 +32,7 @@
 //! ```
 
 use rago::schema::{KvTransferModel, PoolRole, PoolSpec, RouterPolicy, SequenceProfile};
-use rago::serving_sim::engine::{
-    DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, ServingEngine, StageSpec,
-};
+use rago::serving_sim::engine::{DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, StageSpec};
 use rago::serving_sim::faults::{FaultEvent, FaultSchedule, ScaleDriver};
 use rago::serving_sim::fleet::FleetEngine;
 use rago::serving_sim::MetricsMode;
@@ -198,7 +196,7 @@ fn golden_disagg_trace() {
 }
 
 /// Zero-cost-when-off: a `NullRecorder` run and a disabled-config
-/// `run_telemetry` are *equal* to the plain run on every wrapped engine
+/// `run_telemetry` are *equal* to the plain run on every fleet shape
 /// (the reports derive `PartialEq`, so this compares every metric,
 /// timeline, ledger, and counter).
 #[test]
@@ -222,16 +220,6 @@ fn null_recorder_runs_are_bit_identical() {
         disagg.run_traced(reqs.clone(), &MetricsMode::Exact, &mut NullRecorder)
     );
     let (report, rec) = disagg.run_telemetry(reqs.clone(), &MetricsMode::Exact);
-    assert_eq!(untraced, report);
-    assert!(rec.is_empty());
-
-    let flat = ServingEngine::from_trace(pipeline_spec(), &telemetry_trace(200));
-    let untraced = flat.run();
-    assert_eq!(
-        untraced,
-        flat.run_traced(&MetricsMode::Exact, &mut NullRecorder)
-    );
-    let (report, rec) = flat.run_telemetry(&MetricsMode::Exact);
     assert_eq!(untraced, report);
     assert!(rec.is_empty());
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the telemetry layer: the recorded traces obey
 //! structural invariants for *any* seeded scenario, and the disabled path
-//! is exactly the untraced engine.
+//! is exactly the untraced run.
 //!
 //! Invariants:
 //!
@@ -17,7 +17,7 @@
 //!    request the report does not know, no completed request missing from
 //!    the trace.
 //! 4. **`NullRecorder` bit-identity** — for any router policy, metrics
-//!    mode, fleet size, and engine family (single engine, fleet, split
+//!    mode, fleet size, and fleet shape (faulted flat fleet, split
 //!    fleet),
 //!    `run_traced` with a [`NullRecorder`] returns
 //!    a report equal to the untraced run, and a disabled
@@ -27,9 +27,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use rago::schema::{KvTransferModel, PoolRole, PoolSpec, RouterPolicy};
-use rago::serving_sim::engine::{
-    DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, ServingEngine, StageSpec,
-};
+use rago::serving_sim::engine::{DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, StageSpec};
 use rago::serving_sim::faults::{FaultEvent, FaultSchedule, ScaleDriver};
 use rago::serving_sim::fleet::FleetEngine;
 use rago::serving_sim::{MetricsMode, StreamingConfig};
@@ -197,7 +195,7 @@ proptest! {
         prop_assert_eq!(traced, completed);
     }
 
-    /// Invariant 4: for any router, metrics mode, and engine family, the
+    /// Invariant 4: for any router, metrics mode, and fleet shape, the
     /// `NullRecorder` path returns the untraced report and a disabled
     /// config records nothing.
     #[test]
@@ -214,12 +212,6 @@ proptest! {
         } else {
             MetricsMode::Exact
         };
-
-        let flat = ServingEngine::new(pipeline(0.01, 4), reqs.clone());
-        prop_assert_eq!(
-            flat.run_with_mode(&mode),
-            flat.run_traced(&mode, &mut NullRecorder)
-        );
 
         let chaos = FleetEngine::new(
             pipeline(0.01, 4),

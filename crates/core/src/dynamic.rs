@@ -103,14 +103,13 @@ pub fn evaluate_schedule_dynamic(
     slo: &SloTarget,
     cache: Option<&CacheConfig>,
 ) -> Result<DynamicEvaluation, RagoError> {
-    let mode = MetricsMode::Exact;
     let engine = fleet_engine(
         profiler,
         schedule,
         &FleetConfig::single(),
         trace,
         slo,
-        &mode,
+        &MetricsMode::Exact,
         cache,
     )?;
     let report = engine.run_trace(trace).fleet.merged;

@@ -14,6 +14,10 @@
 //! 3. **Capacity planning** — `plan_capacity`'s gallop-and-bisect search
 //!    must agree with an exhaustive linear scan over the same replica grid,
 //!    within `2·ceil(log2 max_replicas) + 2` DES runs.
+//! 4. **Pool planning** — `plan_capacity_pools`' walk over prefill/decode
+//!    splits must agree with an exhaustive cross-product scan of the same
+//!    splits on the same trace; its DES runs are recorded next to the
+//!    scan's `max_replicas²`.
 //!
 //! Set `RAGO_BENCH_QUICK=1` for a CI-friendly quick mode (smaller grid and
 //! traces, same JSON shape). The bench asserts its acceptance criteria and
@@ -21,7 +25,11 @@
 //! the file's presence and NaN-freeness.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rago_core::{CapacityOptions, CapacityPlan, Rago, SearchOptions};
+use rago_core::{
+    transfer_model_from_interconnect, CapacityOptions, CapacityPlan, PoolCapacityPlan, Rago,
+    SearchOptions,
+};
+use rago_hardware::InterconnectSpec;
 use rago_schema::presets::{self, LlmSize};
 use rago_schema::{FleetConfig, RouterPolicy, SequenceProfile, SloTarget};
 use rago_serving_sim::engine::sustained_throughput_knee;
@@ -208,6 +216,37 @@ fn bench_fleet_json(_c: &mut Criterion) {
         plan.des_runs
     );
 
+    // Study 4: plan_capacity_pools vs an exhaustive cross-product scan of
+    // every split within the same bound, at a TTFT target tight enough
+    // that the prefill pool needs more than one replica.
+    let pool_slo = SloTarget::new(0.4, slo.tpot_s);
+    let transfer =
+        transfer_model_from_interconnect(rago.profiler().schema(), &InterconnectSpec::torus_3d());
+    let pools = rago
+        .plan_capacity_pools(&best.schedule, &pool_slo, target_qps, &transfer, &capacity)
+        .expect("the target rate is plannable within the pool bound");
+    let chips = |p: u32, d: u32| rago_core::disagg::split_xpus(&best.schedule, p, d);
+    let max = capacity.max_replicas;
+    let pool_scan = (1..=max)
+        .flat_map(|p| (1..=max).map(move |d| (p, d)))
+        .filter(|&(p, d)| {
+            rago.evaluate_fleet(
+                &best.schedule,
+                &FleetConfig::split(p, d, capacity.router).with_transfer(transfer),
+                &scan_trace,
+                &pool_slo,
+            )
+            .expect("fleet evaluation succeeds")
+            .meets_slo
+        })
+        .min_by_key(|&(p, d)| (chips(p, d), p + d, p))
+        .expect("some split within the bound meets the SLO");
+    assert_eq!(
+        (pools.prefill_replicas, pools.decode_replicas),
+        pool_scan,
+        "the pool search disagrees with the exhaustive scan"
+    );
+
     let json = render_json(
         &slo,
         &best.schedule.describe(),
@@ -221,6 +260,9 @@ fn bench_fleet_json(_c: &mut Criterion) {
         capacity.max_replicas,
         &plan,
         linear_scan,
+        pool_slo.ttft_s,
+        &pools,
+        pool_scan,
         knee_1,
         knee_2,
     );
@@ -251,6 +293,9 @@ fn render_json(
     max_replicas: u32,
     plan: &CapacityPlan,
     linear_scan_replicas: u32,
+    pool_ttft_s: f64,
+    pools: &PoolCapacityPlan,
+    pool_scan: (u32, u32),
     knee_1: f64,
     knee_2: f64,
 ) -> String {
@@ -280,6 +325,7 @@ fn render_json(
         })
         .collect::<Vec<_>>()
         .join(",\n");
+    let pool_agrees = (pools.prefill_replicas, pools.decode_replicas) == pool_scan;
     let policies_json = policy_rows
         .iter()
         .map(|r| {
@@ -306,8 +352,12 @@ fn render_json(
          \"planned_replicas\": {}, \"linear_scan_replicas\": {linear_scan_replicas}, \"agrees\": {}, \
          \"attainment\": {:.4}, \"total_xpus\": {}, \"des_runs\": {}, \"des_runs_stopped\": {}, \
          \"des_events\": {}}},\n  \
+         \"pool_plan\": {{\"ttft_s\": {pool_ttft_s:.3}, \"prefill_replicas\": {}, \"decode_replicas\": {}, \
+         \"scan_prefill_replicas\": {}, \"scan_decode_replicas\": {}, \"agrees\": {pool_agrees}, \
+         \"attainment\": {:.4}, \"total_xpus\": {}, \"des_runs\": {}, \"des_runs_stopped\": {}, \
+         \"des_events\": {}, \"scan_des_runs\": {}}},\n  \
          \"acceptance\": {{\"knee_1_replica_rps\": {knee_1:.3}, \"knee_2_replicas_rps\": {knee_2:.3}, \
-         \"two_replicas_beat_one\": {}}}\n}}\n",
+         \"two_replicas_beat_one\": {}, \"pool_agrees\": {pool_agrees}}}\n}}\n",
         slo.ttft_s,
         slo.tpot_s,
         slo.attainment,
@@ -318,6 +368,16 @@ fn render_json(
         plan.des_runs,
         plan.des_runs_stopped,
         plan.des_events,
+        pools.prefill_replicas,
+        pools.decode_replicas,
+        pool_scan.0,
+        pool_scan.1,
+        pools.attainment,
+        pools.total_xpus,
+        pools.des_runs,
+        pools.des_runs_stopped,
+        pools.des_events,
+        max_replicas * max_replicas,
         knee_2 > knee_1,
     )
 }

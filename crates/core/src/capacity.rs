@@ -31,10 +31,13 @@
 //! reads only the verdict `attainment ≥ target`, so those probes run
 //! verdict-only ([`FleetEngine::run_trace_verdict`]): an infeasible run
 //! stops as soon as its final misses rule the target out, and a feasible
-//! run completes with the report a full run gives. The probes at the bound
-//! (`max_replicas`, or `(max, max)` for pools) always complete, so an
-//! infeasible target is reported with the full run's attainment. Plans
-//! count their DES runs, stopped runs and events exactly.
+//! run completes with the report a full run gives. The pool search starts
+//! from the analytic split and reaches each column's boundary from the
+//! infeasible side, so mostly its answer runs in full. A probe at the bound
+//! (`max_replicas`, or `(max, max)` for pools) runs only when the search
+//! reaches it, and then always completes, so an infeasible target is
+//! reported with the full run's attainment. Plans count their DES runs,
+//! stopped runs and events exactly.
 
 use crate::dynamic::{fleet_engine, pipeline_spec};
 use crate::error::RagoError;
@@ -50,7 +53,9 @@ use rago_serving_sim::MetricsMode;
 use rago_workloads::{ArrivalProcess, RateSegment, TraceSpec};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::iter;
 
 /// Knobs of a capacity-planning run: the simulated trace shape and the
 /// search bounds. The defaults suit the paper's QA/chatbot profile.
@@ -165,12 +170,11 @@ pub fn plan_capacity(
 
 /// Upper bound on [`CapacityOptions::max_replicas`] accepted by the
 /// planners. The sizing engines materialize one pipeline replica per count,
-/// and a planner may simulate the bound itself — the pool planner's first
-/// probe is the `(max, max)` split, and the flat search's gallop ends there
-/// when smaller fleets miss — so an unchecked huge count (say `u32::MAX`
-/// from a config file) could attempt an absurd allocation. 4096 replicas of
-/// even the smallest paper schedule already exceed any cluster the cost
-/// model describes.
+/// and a planner may simulate the bound itself — the flat search's gallop
+/// and the pool search's walk end there when smaller fleets miss — so an
+/// unchecked huge count (say `u32::MAX` from a config file) could attempt
+/// an absurd allocation. 4096 replicas of even the smallest paper schedule
+/// already exceed any cluster the cost model describes.
 pub const MAX_PLANNER_REPLICAS: u32 = 4096;
 
 /// Input validation shared by [`plan_capacity`] and the cache-aware
@@ -270,8 +274,7 @@ pub(crate) fn analytic_replicas(
     max_replicas: u32,
 ) -> Result<u32, RagoError> {
     let qps = schedule.evaluate(profiler)?.qps;
-    // `as` saturates: an infinite or NaN ratio lands on a bound.
-    Ok(((target_qps / qps).ceil() as u32).clamp(1, max_replicas))
+    Ok(replicas_for(target_qps, qps, max_replicas))
 }
 
 /// The DES work one capacity plan spent: every candidate fleet simulated,
@@ -477,17 +480,26 @@ pub struct PoolCapacityPlan {
 ///
 /// The objective is total accelerators, which the pools price
 /// *asymmetrically*: a prefill replica occupies only the schedule's
-/// pre-decode groups, a decode replica only its decode XPUs. The search
-/// first confirms the `(max_replicas, max_replicas)` split in a full run,
-/// then walks prefill counts `p = 1..=max_replicas`; for each `p` feasible
-/// at `(p, max_replicas)` it binary-searches the minimal decode count (the
-/// memoized search-plus-confirmation discipline of [`plan_capacity`],
-/// on the same sizing trace, every probe but the first verdict-only), and
-/// prunes the cross product by cost: once even a one-decode-replica split
-/// at the current `p` cannot beat the best cost found, no larger `p` can
-/// either, and the walk stops. Every candidate is
-/// evaluated on the identical trace, so the returned plan is directly
-/// comparable to the collocated plan at the same rate.
+/// pre-decode groups, a decode replica only its decode XPUs. Ties break
+/// toward fewer replicas, then fewer prefill replicas.
+///
+/// The search treats each prefill count `p` as a column and finds its
+/// least feasible decode count from the infeasible side (feasibility is
+/// monotone in the decode count, not in `p`: more prefill replicas hand
+/// decode a burstier stream). It starts from the analytic split
+/// `(p0, d0)`: `ceil(target_qps / qps)` of the slowest pre-decode group
+/// or retrieval and of the decode stage, the two-pool analogue of the flat
+/// planner's seed. Column `p0` gallops up from `d0`, then the columns
+/// above it gallop up from one, then the columns below it probe their cap
+/// first (too few prefill replicas: one stopped probe rules such a column
+/// out). Each column is capped at the largest decode count whose split
+/// can still tie the best cost found, and skipped when even `(p, 1)`
+/// costs more than the best split. Probes are memoized on one sizing
+/// trace and verdict-only, so an infeasible split stops once its SLO is
+/// lost and mostly the answer runs in full; `(max_replicas, max_replicas)`
+/// is simulated only when the walk reaches it, and then to completion.
+/// Every candidate is evaluated on the identical trace, so the returned
+/// plan is directly comparable to the collocated plan at the same rate.
 ///
 /// # Errors
 ///
@@ -508,8 +520,9 @@ pub fn plan_capacity_pools(
     transfer.validate().map_err(|e| RagoError::InvalidConfig {
         reason: e.to_string(),
     })?;
-    let trace = sizing_trace(target_qps, options);
     let max = options.max_replicas;
+    let (p0, d0) = analytic_split(profiler, schedule, target_qps, max)?;
+    let trace = sizing_trace(target_qps, options);
     let engine = |p: u32, d: u32| {
         let fleet = FleetConfig::split(p, d, options.router).with_transfer(*transfer);
         fleet_engine(
@@ -522,20 +535,51 @@ pub fn plan_capacity_pools(
             None,
         )
     };
-    // Building the bound surfaces every input error; the other probes
-    // differ from it only in their pool sizes.
-    let bound = engine(max, max)?;
+    // Building one split surfaces every input error before any DES run;
+    // the probes differ from it only in their pool sizes.
+    engine(1, 1)?;
 
     let mut probes = Probes::new(slo, &trace, (max, max));
-    let meets = |probes: &mut Probes<(u32, u32)>, p: u32, d: u32| {
-        probes.meets((p, d), || {
-            engine(p, d).expect("every split of the bound's inputs builds")
-        })
-    };
-
-    // Feasibility at the joint upper bound, run to completion so the error
-    // can quote its attainment.
-    if !probes.meets((max, max), || bound) {
+    let chips_prefill = crate::disagg::prefill_xpus(schedule);
+    let chips_decode = crate::disagg::decode_xpus(schedule);
+    // Each prefill count `p` is a column searched on its own: more prefill
+    // replicas hand decode a burstier stream, so the least feasible decode
+    // count can rise with `p` as well as fall. The seed column goes first,
+    // then the columns above it, whose answers cap the ones below. A column
+    // is capped at the largest decode count whose split can still tie the
+    // best cost, and skipped when even `(p, 1)` costs more.
+    let mut best: Option<(u32, u32, u32)> = None; // (p, d, cost)
+    for p in iter::once(p0).chain(p0 + 1..=max).chain(1..p0) {
+        if best.is_some_and(|(.., cost)| p * chips_prefill + chips_decode > cost) {
+            continue;
+        }
+        let cap = best.map_or(max, |(.., cost)| {
+            ((cost - p * chips_prefill) / chips_decode).min(max)
+        });
+        // Where the column's boundary is expected: at the seed, past the
+        // cap below it (too few prefill replicas for the rate), and at
+        // one decode replica above it.
+        let start = match p.cmp(&p0) {
+            Ordering::Less => cap,
+            Ordering::Equal => d0.min(cap),
+            Ordering::Greater => 1,
+        };
+        let meets = |d| {
+            probes.meets((p, d), || {
+                engine(p, d).expect("every split of the validated inputs builds")
+            })
+        };
+        let Some(d) = least_feasible(start, cap, meets) else {
+            continue;
+        };
+        let cost = p * chips_prefill + d * chips_decode;
+        // Lowest cost, then fewest replicas, then fewest prefill replicas.
+        let rank = |(p, d, cost): (u32, u32, u32)| (cost, p + d, p);
+        if best.map_or(true, |b| rank((p, d, cost)) < rank(b)) {
+            best = Some((p, d, cost));
+        }
+    }
+    let Some((p, d, cost)) = best else {
         return Err(RagoError::NoFeasibleSchedule {
             reason: format!(
                 "even a {max} + {max} prefill/decode split reaches only {:.1} % attainment \
@@ -544,46 +588,7 @@ pub fn plan_capacity_pools(
                 slo.attainment * 100.0
             ),
         });
-    }
-
-    let chips_prefill = crate::disagg::prefill_xpus(schedule);
-    let chips_decode = crate::disagg::decode_xpus(schedule);
-    let mut best: Option<(u32, u32, u32)> = None; // (p, d, cost)
-    for p in 1..=max {
-        // Cost pruning: decode counts only add cost, so `(p, 1)` is the
-        // cheapest split any larger `p` could offer.
-        let floor = p * chips_prefill + chips_decode;
-        if best.is_some_and(|(.., cost)| floor > cost) {
-            break;
-        }
-        if !meets(&mut probes, p, max) {
-            continue;
-        }
-        let mut lo = 1u32;
-        let mut hi = max;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if meets(&mut probes, p, mid) {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        let mut d = hi;
-        while d > 1 && meets(&mut probes, p, d - 1) {
-            d -= 1;
-        }
-        let cost = p * chips_prefill + d * chips_decode;
-        let better = match best {
-            None => true,
-            Some((bp, bd, bcost)) => cost < bcost || (cost == bcost && p + d < bp + bd),
-        };
-        if better {
-            best = Some((p, d, cost));
-        }
-    }
-
-    let (p, d, cost) = best.expect("the (max, max) split was confirmed feasible");
+    };
     let report = probes.take((p, d)).fleet.merged;
     Ok(PoolCapacityPlan {
         prefill_replicas: p,
@@ -598,6 +603,54 @@ pub fn plan_capacity_pools(
         des_runs_stopped: probes.work.stopped,
         des_events: probes.work.events,
     })
+}
+
+/// The least `d` in `1..=cap` that `meets`, for a feasibility monotone in
+/// `d`, reached from the infeasible side: gallop `start, start + 1,
+/// start + 3, …` (capped at `cap`) to the first feasible count, then walk up
+/// through the gap behind it. A verdict probe below the boundary stops
+/// early, so few probes run in full: the answer, and the gallop's
+/// overshoot when it lands past it. When `start` already meets, the counts
+/// below it are searched the same way from one.
+fn least_feasible(start: u32, cap: u32, mut meets: impl FnMut(u32) -> bool) -> Option<u32> {
+    if start > 1 && meets(start) {
+        return least_feasible(1, start - 1, meets).or(Some(start));
+    }
+    let mut below = start - 1;
+    let mut offset = 0u32;
+    let feasible = loop {
+        let d = start.saturating_add(offset).min(cap);
+        if meets(d) {
+            break d;
+        }
+        if d == cap {
+            return None;
+        }
+        below = d;
+        offset = offset.saturating_mul(2).saturating_add(1);
+    };
+    (below + 1..feasible).find(|&d| meets(d)).or(Some(feasible))
+}
+
+/// The split the analytic model predicts for `target_qps`: prefill
+/// replicas from the slowest pre-decode group or retrieval, decode
+/// replicas from the decode stage, each `ceil(target_qps / qps)` clamped
+/// to `[1, max_replicas]` — where [`plan_capacity_pools`] starts its walk.
+fn analytic_split(
+    profiler: &StageProfiler,
+    schedule: &Schedule,
+    target_qps: f64,
+    max_replicas: u32,
+) -> Result<(u32, u32), RagoError> {
+    let rates = schedule.side_rates(profiler)?;
+    let count = |qps: f64| replicas_for(target_qps, qps, max_replicas);
+    Ok((count(rates.predecode_qps), count(rates.decode_qps)))
+}
+
+/// `ceil(target_qps / qps)` clamped to `[1, max_replicas]`.
+fn replicas_for(target_qps: f64, qps: f64, max_replicas: u32) -> u32 {
+    // `as` saturates: an infinite or NaN ratio lands on a bound.
+    ((target_qps / qps).ceil() as u32).clamp(1, max_replicas)
 }
 
 /// Re-ranks a Pareto frontier by the total accelerators needed to serve
@@ -1040,71 +1093,254 @@ mod tests {
         );
     }
 
-    /// The joint pool search returns the cheapest feasible split found by a
-    /// full cross-product scan over the same (memoizable) evaluations, and
-    /// the pools price chips asymmetrically.
+    /// Sizing options of the pool tests: a trace of `rate_rps × 1.5 s`
+    /// whose requests decode `decode_tokens` tokens, within four replicas
+    /// per pool.
+    fn pool_options(rate_rps: f64, decode_tokens: u32) -> CapacityOptions {
+        CapacityOptions {
+            max_replicas: 4,
+            num_requests: (rate_rps * 1.5) as usize,
+            profile: SequenceProfile::paper_default().with_decode_tokens(decode_tokens),
+            ..CapacityOptions::default()
+        }
+    }
+
+    fn pool_transfer() -> KvTransferModel {
+        KvTransferModel::new(131_072.0, 100e9, 5e-6)
+    }
+
+    /// One split of the pool tests' sizing trace, built as the planner
+    /// builds its probes.
+    fn pool_engine(
+        profiler: &StageProfiler,
+        schedule: &Schedule,
+        slo: &SloTarget,
+        trace: &rago_workloads::Trace,
+        (p, d): (u32, u32),
+    ) -> FleetEngine {
+        let fleet =
+            FleetConfig::split(p, d, RouterPolicy::default()).with_transfer(pool_transfer());
+        fleet_engine(
+            profiler,
+            schedule,
+            &fleet,
+            trace,
+            slo,
+            &MetricsMode::Exact,
+            None,
+        )
+        .unwrap()
+    }
+
+    /// The cheapest split in `1..=max` squared whose full run meets `slo`,
+    /// ties broken toward fewer replicas, then fewer prefill replicas —
+    /// the exhaustive scan the pool planner must reproduce.
+    fn cross_product_scan(
+        profiler: &StageProfiler,
+        schedule: &Schedule,
+        slo: &SloTarget,
+        target_qps: f64,
+        options: &CapacityOptions,
+    ) -> Option<(u32, u32, u32)> {
+        let trace = sizing_trace(target_qps, options);
+        let max = options.max_replicas;
+        let chips = |p: u32, d: u32| crate::disagg::split_xpus(schedule, p, d);
+        (1..=max)
+            .flat_map(|p| (1..=max).map(move |d| (p, d)))
+            .filter(|&split| {
+                pool_engine(profiler, schedule, slo, &trace, split)
+                    .run_trace(&trace)
+                    .fleet
+                    .attainment(slo)
+                    >= slo.attainment
+            })
+            .min_by_key(|&(p, d)| (chips(p, d), p + d, p))
+            .map(|(p, d)| (p, d, chips(p, d)))
+    }
+
+    /// The pool planner equals an exhaustive cross-product scan whether
+    /// the analytic split lies below, on or above the scan's answer in
+    /// either coordinate, on a schedule that prices both pools alike
+    /// (every split of a given size costs the same) and on one that does
+    /// not, and where no split within the bound is feasible. One point
+    /// needs more decode replicas at three prefill replicas than at two —
+    /// feasibility is not monotone in the prefill count — and one answer
+    /// lies in the gap behind a gallop's overshoot.
     #[test]
     fn pool_plan_matches_an_exhaustive_cross_product_scan() {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let profiler = case1_profiler();
+        let symmetric = case1_schedule();
+        let asymmetric = Schedule {
+            allocation: ResourceAllocation {
+                group_xpus: vec![32],
+                ..symmetric.allocation.clone()
+            },
+            ..symmetric.clone()
+        };
+        let transfer = pool_transfer();
+        // (schedule, TTFT target, TPOT target, decode tokens, rate, where
+        // the seed lies relative to the scan's answer; `None`: no split
+        // within the bound is feasible).
+        let sweep = [
+            (&symmetric, 0.1, 0.1, 64, 80.0, Some((Less, Equal))),
+            (&symmetric, 0.09, 0.0021, 256, 80.0, Some((Less, Less))),
+            (&symmetric, 0.2, 0.1, 64, 160.0, Some((Equal, Greater))),
+            (&symmetric, 1.0, 0.0022, 256, 80.0, Some((Equal, Less))),
+            (
+                &symmetric,
+                1.0,
+                0.0025,
+                256,
+                320.0,
+                Some((Greater, Greater)),
+            ),
+            (&symmetric, 1.0, 0.0022, 256, 320.0, None),
+            (&asymmetric, 0.1, 0.1, 64, 80.0, Some((Less, Equal))),
+            (&asymmetric, 1.0, 0.0025, 256, 320.0, Some((Greater, Equal))),
+            (&asymmetric, 1.0, 0.0022, 256, 160.0, Some((Greater, Less))),
+        ];
+        for (schedule, ttft_s, tpot_s, tokens, target_qps, relation) in sweep {
+            let slo = SloTarget::new(ttft_s, tpot_s);
+            let options = pool_options(target_qps, tokens);
+            let (p0, d0) =
+                analytic_split(&profiler, schedule, target_qps, MAX_PLANNER_REPLICAS).unwrap();
+            let scan = cross_product_scan(&profiler, schedule, &slo, target_qps, &options);
+            let plan =
+                plan_capacity_pools(&profiler, schedule, &slo, target_qps, &transfer, &options);
+            let at = format!(
+                "{} at {target_qps} rps, TTFT {ttft_s} s, TPOT {tpot_s} s, {tokens} tokens, \
+                 seed ({p0}, {d0})",
+                schedule.describe()
+            );
+            assert_eq!(
+                scan.map(|(p, d, _)| (p0.cmp(&p), d0.cmp(&d))),
+                relation,
+                "{at}: sweep drifted"
+            );
+            let Some((p, d, cost)) = scan else {
+                assert!(
+                    matches!(plan, Err(RagoError::NoFeasibleSchedule { .. })),
+                    "{at}: {plan:?}"
+                );
+                continue;
+            };
+            let plan = plan.unwrap();
+            assert_eq!(
+                (plan.prefill_replicas, plan.decode_replicas),
+                (p, d),
+                "{at}"
+            );
+            assert_eq!(plan.total_xpus, cost, "{at}");
+            assert!(plan.attainment >= slo.attainment, "{at}");
+            assert_eq!(
+                plan.total_retrieval_servers,
+                schedule.allocation.retrieval_servers * plan.prefill_replicas
+            );
+            assert!(plan.des_runs_stopped < plan.des_runs, "{at}");
+        }
+    }
+
+    /// The pool plan's DES counters are exact, on two inputs whose probes
+    /// are known.
+    ///
+    /// 1. Seed `(1, 1)`; one prefill replica misses the TTFT target at any
+    ///    decode count. The walk gallops column one through `(1, 1)`,
+    ///    `(1, 2)` and `(1, 4)`, and column two through `(2, 1)` and
+    ///    `(2, 2)` to `(2, 4)`, which runs in full; walking back through
+    ///    the gap, `(2, 3)` is feasible too and runs in full. Only two
+    ///    decode replicas can still tie its cost at `p = 3`, and one at
+    ///    `p = 4`: `(3, 1)`, `(3, 2)` and `(4, 1)` miss.
+    /// 2. Seed `(2, 2)`, which meets the SLO in full, as does `(2, 1)`
+    ///    below it; `(3, 1)` already costs more, and column one probes
+    ///    its cap `(1, 2)` first, which misses.
+    ///
+    /// Every miss stops once its SLO is lost.
+    #[test]
+    fn pool_plan_counts_its_des_runs_exactly() {
         let profiler = case1_profiler();
         let schedule = case1_schedule();
-        let slo = SloTarget::new(1.0, 0.1);
-        let options = CapacityOptions {
-            max_replicas: 4,
-            num_requests: 120,
-            ..CapacityOptions::default()
-        };
-        let target_qps = 40.0;
-        let transfer = KvTransferModel::new(131_072.0, 100e9, 5e-6);
-        let plan = plan_capacity_pools(&profiler, &schedule, &slo, target_qps, &transfer, &options)
+        // (TTFT, TPOT, decode tokens, rate, seed, plan, splits run in
+        // full, splits stopped).
+        let cases: [(f64, f64, u32, f64, _, _, &[_], &[_]); 2] = [
+            (
+                0.09,
+                0.0021,
+                256,
+                80.0,
+                (1, 1),
+                (2, 3),
+                &[(2, 4), (2, 3)],
+                &[
+                    (1, 1),
+                    (1, 2),
+                    (1, 4),
+                    (2, 1),
+                    (2, 2),
+                    (3, 1),
+                    (3, 2),
+                    (4, 1),
+                ],
+            ),
+            (
+                0.2,
+                0.1,
+                64,
+                160.0,
+                (2, 2),
+                (2, 1),
+                &[(2, 2), (2, 1)],
+                &[(1, 2)],
+            ),
+        ];
+        for (ttft_s, tpot_s, tokens, target_qps, seed, split, full, stopped) in cases {
+            let slo = SloTarget::new(ttft_s, tpot_s);
+            let options = pool_options(target_qps, tokens);
+            assert_eq!(
+                analytic_split(&profiler, &schedule, target_qps, options.max_replicas).unwrap(),
+                seed
+            );
+            let plan = plan_capacity_pools(
+                &profiler,
+                &schedule,
+                &slo,
+                target_qps,
+                &pool_transfer(),
+                &options,
+            )
             .unwrap();
-
-        // Exhaustive scan over every (p, d) in the same bounds.
-        let trace = sizing_trace(target_qps, &options);
-        let chips_prefill = crate::disagg::prefill_xpus(&schedule);
-        let chips_decode = crate::disagg::decode_xpus(&schedule);
-        let mut best: Option<(u32, u32, u32)> = None;
-        for p in 1..=options.max_replicas {
-            for d in 1..=options.max_replicas {
-                let fleet = FleetConfig::split(p, d, options.router).with_transfer(transfer);
-                let report = fleet_engine(
-                    &profiler,
-                    &schedule,
-                    &fleet,
-                    &trace,
-                    &slo,
-                    &MetricsMode::Exact,
-                    None,
+            assert_eq!((plan.prefill_replicas, plan.decode_replicas), split);
+            let trace = sizing_trace(target_qps, &options);
+            let engine = |split| pool_engine(&profiler, &schedule, &slo, &trace, split);
+            let full_events: u64 = full
+                .iter()
+                .map(|&split| {
+                    engine(split)
+                        .run_trace(&trace)
+                        .fleet
+                        .merged
+                        .metrics
+                        .events_processed
+                })
+                .sum();
+            let lost_events: u64 = stopped
+                .iter()
+                .map(|&split| {
+                    engine(split)
+                        .run_trace_verdict(&trace, &slo)
+                        .unwrap_err()
+                        .events
+                })
+                .sum();
+            assert_eq!(
+                (plan.des_runs, plan.des_runs_stopped, plan.des_events),
+                (
+                    (full.len() + stopped.len()) as u32,
+                    stopped.len() as u32,
+                    full_events + lost_events
                 )
-                .unwrap()
-                .run_trace(&trace)
-                .fleet;
-                if report.merged.attainment(&slo) < slo.attainment {
-                    continue;
-                }
-                let cost = p * chips_prefill + d * chips_decode;
-                let better = match best {
-                    None => true,
-                    Some((bp, bd, bcost)) => cost < bcost || (cost == bcost && p + d < bp + bd),
-                };
-                if better {
-                    best = Some((p, d, cost));
-                }
-            }
+            );
         }
-        let (p, d, cost) = best.expect("the scan found a feasible split");
-        assert_eq!((plan.prefill_replicas, plan.decode_replicas), (p, d));
-        assert_eq!(plan.total_xpus, cost);
-        assert!(plan.attainment >= slo.attainment);
-        assert_eq!(
-            plan.total_retrieval_servers,
-            schedule.allocation.retrieval_servers * plan.prefill_replicas
-        );
-        // Asymmetric accounting: the split is never billed for full
-        // monolithic replicas.
-        assert_eq!(
-            plan.total_xpus,
-            plan.prefill_replicas * chips_prefill + plan.decode_replicas * chips_decode
-        );
     }
 
     #[test]
@@ -1126,13 +1362,46 @@ mod tests {
             &options,
         )
         .unwrap_err();
-        assert!(matches!(err, RagoError::NoFeasibleSchedule { .. }));
-        // An invalid transfer model is rejected before any simulation.
+        let RagoError::NoFeasibleSchedule { reason } = err else {
+            panic!("expected NoFeasibleSchedule, got {err:?}");
+        };
+        // The bound ran in full, so its attainment is quoted.
+        assert!(
+            reason.starts_with("even a 2 + 2 prefill/decode split reaches only ")
+                && reason.ends_with(" % attainment at 100.0 rps (target 90.0 %)"),
+            "{reason}"
+        );
+        // Input errors come back before any simulation: an invalid
+        // transfer model, and a schedule with no pre-decode stage to
+        // disaggregate.
         let bad = KvTransferModel::new(-1.0, 1e9, 0.0);
         assert!(matches!(
             plan_capacity_pools(&profiler, &schedule, &slo, 10.0, &bad, &options),
             Err(RagoError::InvalidConfig { .. })
         ));
+        let decode_only = Schedule {
+            placement: PlacementPlan {
+                predecode_groups: Vec::new(),
+            },
+            allocation: ResourceAllocation {
+                group_xpus: Vec::new(),
+                ..schedule.allocation.clone()
+            },
+            ..schedule.clone()
+        };
+        let err = plan_capacity_pools(
+            &profiler,
+            &decode_only,
+            &slo,
+            10.0,
+            &KvTransferModel::zero(),
+            &options,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, RagoError::InvalidConfig { reason } if reason.contains("`prefix`")),
+            "{err:?}"
+        );
     }
 
     #[test]

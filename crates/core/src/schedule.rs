@@ -60,6 +60,20 @@ impl BatchingPolicy {
     }
 }
 
+/// The analytic latencies and throughputs of a schedule's pre-decode side
+/// (every accelerator group and retrieval) and of its decode stage.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SideRates {
+    /// Time to first token: every pre-decode stage's latency, summed.
+    pub(crate) ttft_s: f64,
+    /// Time per output token of the decode stage.
+    pub(crate) tpot_s: f64,
+    /// Requests per second of the slowest pre-decode group or retrieval.
+    pub(crate) predecode_qps: f64,
+    /// Requests per second of the decode stage.
+    pub(crate) decode_qps: f64,
+}
+
 /// A complete scheduling decision: task placement, resource allocation, and
 /// batching policy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -131,12 +145,48 @@ impl Schedule {
         &self,
         costs: &impl CostSource,
     ) -> Result<RagPerformance, RagoError> {
+        let rates = self.side_rates(costs)?;
+        let schema = costs.profiler().schema();
+        let qps = rates.predecode_qps.min(rates.decode_qps).max(0.0);
+        let total_xpus = self.allocation.total_xpus();
+        // QPS/chip reflects whole-system cost efficiency (§4). In the paper's
+        // deployment the XPUs live on the same host servers that hold the
+        // sharded database, so the system's chip count is set by however many
+        // servers the schedule occupies: enough to carry the inference XPUs
+        // (xpus_per_server each) *and* at least the retrieval server count —
+        // retrieval-only servers contribute idle XPUs to the denominator.
+        let xpus_per_server = costs.profiler().cluster().xpus_per_server.max(1);
+        let inference_servers = total_xpus.div_ceil(xpus_per_server);
+        let occupied_servers = if schema.has_retrieval() {
+            inference_servers.max(self.allocation.retrieval_servers)
+        } else {
+            inference_servers
+        };
+        let chip_denominator = f64::from((occupied_servers * xpus_per_server).max(1));
+        Ok(RagPerformance {
+            ttft_s: rates.ttft_s,
+            tpot_s: rates.tpot_s,
+            qps,
+            qps_per_chip: qps / chip_denominator,
+            total_xpus,
+            retrieval_servers: self.allocation.retrieval_servers,
+        })
+    }
+
+    /// The latencies and throughputs of the schedule's two sides, the one
+    /// stage walk behind [`Self::evaluate`] and the pool planner's
+    /// analytic split.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::evaluate`].
+    pub(crate) fn side_rates(&self, costs: &impl CostSource) -> Result<SideRates, RagoError> {
         self.validate()?;
         let schema = costs.profiler().schema();
         let batch = self.batching.predecode_batch;
 
         let mut ttft = 0.0f64;
-        let mut throughputs: Vec<f64> = Vec::new();
+        let mut predecode_qps = f64::INFINITY;
 
         // Pre-decode XPU groups: time-multiplexed stages add their latencies;
         // a group's throughput is batch / total busy time per batch.
@@ -155,7 +205,7 @@ impl Schedule {
             } else {
                 f64::from(batch) / group_latency
             };
-            throughputs.push(throughput);
+            predecode_qps = predecode_qps.min(throughput);
         }
 
         // Retrieval (CPU servers).
@@ -163,7 +213,7 @@ impl Schedule {
         if schema.has_retrieval() {
             let perf = costs.profile(Stage::Retrieval, self.allocation.retrieval_servers, batch)?;
             ttft += perf.latency_s;
-            throughputs.push(perf.throughput_rps);
+            predecode_qps = predecode_qps.min(perf.throughput_rps);
             if schema.is_iterative() {
                 let iter_perf = costs.profile(
                     Stage::Retrieval,
@@ -181,7 +231,7 @@ impl Schedule {
             self.batching.decode_batch,
         )?;
         let mut tpot = decode_perf.step_latency_s.unwrap_or(0.0);
-        let mut decode_throughput = decode_perf.throughput_rps;
+        let mut decode_qps = decode_perf.throughput_rps;
 
         // Iterative retrieval (Case III): decoding stalls while batched
         // retrieval + prefix passes complete; simulate the resulting slowdown.
@@ -189,36 +239,13 @@ impl Schedule {
             let params = self.stall_params(costs, &decode_perf, retrieval_latency_at_iter_batch)?;
             let result = costs.decode_stall(params);
             tpot = result.tpot_worst_s;
-            decode_throughput = f64::from(self.batching.decode_batch) / result.total_time_s;
+            decode_qps = f64::from(self.batching.decode_batch) / result.total_time_s;
         }
-        throughputs.push(decode_throughput);
-
-        let qps = throughputs
-            .iter()
-            .fold(f64::INFINITY, |acc, &t| acc.min(t))
-            .max(0.0);
-        let total_xpus = self.allocation.total_xpus();
-        // QPS/chip reflects whole-system cost efficiency (§4). In the paper's
-        // deployment the XPUs live on the same host servers that hold the
-        // sharded database, so the system's chip count is set by however many
-        // servers the schedule occupies: enough to carry the inference XPUs
-        // (xpus_per_server each) *and* at least the retrieval server count —
-        // retrieval-only servers contribute idle XPUs to the denominator.
-        let xpus_per_server = costs.profiler().cluster().xpus_per_server.max(1);
-        let inference_servers = total_xpus.div_ceil(xpus_per_server);
-        let occupied_servers = if schema.has_retrieval() {
-            inference_servers.max(self.allocation.retrieval_servers)
-        } else {
-            inference_servers
-        };
-        let chip_denominator = f64::from((occupied_servers * xpus_per_server).max(1));
-        Ok(RagPerformance {
+        Ok(SideRates {
             ttft_s: ttft,
             tpot_s: tpot,
-            qps,
-            qps_per_chip: qps / chip_denominator,
-            total_xpus,
-            retrieval_servers: self.allocation.retrieval_servers,
+            predecode_qps,
+            decode_qps,
         })
     }
 

@@ -48,7 +48,7 @@ fn bench_search(c: &mut Criterion) {
         cluster,
     );
     c.bench_function("enumerate_schedules_case2", |b| {
-        b.iter(|| case2.enumerate_schedules(&medium))
+        b.iter(|| case2.schedule_iter(&medium).collect::<Vec<_>>())
     });
 }
 

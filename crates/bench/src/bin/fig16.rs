@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("== Figure 16: {name} ==\n");
         let rago = Rago::new(schema, cluster.clone());
         let opts = options();
-        let per_plan = rago.frontiers_by_plan(&opts);
+        let per_plan = rago.frontiers_by_plan(&opts)?;
         let global = rago.optimize(&opts)?;
 
         println!(

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("disaggregated", PlacementPlan::fully_disaggregated(&schema)),
     ] {
         let restricted = opts.clone().with_placements(vec![placement]);
-        let per_plan = rago.frontiers_by_plan(&restricted);
+        let per_plan = rago.frontiers_by_plan(&restricted)?;
         let mut best_list: Vec<(String, f64, f64)> = per_plan
             .iter()
             .filter_map(|(_, alloc, frontier)| {

@@ -439,6 +439,7 @@ pub(crate) fn pipeline_spec(
     cache: Option<&CacheConfig>,
 ) -> Result<PipelineSpec, RagoError> {
     let schema = profiler.schema();
+    schedule.placement.validate(schema)?;
     let batch = schedule.batching.predecode_batch;
     let retrieval_resource = schedule.placement.num_groups();
 
@@ -457,13 +458,10 @@ pub(crate) fn pipeline_spec(
         let (resource, chips) = if stage == Stage::Retrieval {
             (retrieval_resource, schedule.allocation.retrieval_servers)
         } else {
-            let group =
-                schedule
-                    .placement
-                    .group_of(stage)
-                    .ok_or_else(|| RagoError::InvalidConfig {
-                        reason: format!("stage `{stage}` is not placed in any accelerator group"),
-                    })?;
+            let group = schedule
+                .placement
+                .group_of(stage)
+                .expect("a validated placement places every collocatable stage");
             (group, schedule.allocation.group_xpus[group])
         };
         let mut table = Vec::with_capacity(batch as usize);
@@ -1064,6 +1062,51 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, RagoError::InvalidConfig { .. }));
+    }
+
+    #[test]
+    fn the_engine_rejects_a_placement_out_of_pipeline_order() {
+        // Every stage is placed, but the prefix group comes before the
+        // rewriter's: the DES takes the same placement check as the static
+        // evaluation.
+        let profiler = StageProfiler::new(
+            presets::case4_rewriter_reranker(LlmSize::B8),
+            ClusterSpec::paper_default(),
+        );
+        let schedule = Schedule {
+            placement: PlacementPlan {
+                predecode_groups: vec![
+                    vec![Stage::Prefix],
+                    vec![Stage::RewritePrefix, Stage::RewriteDecode, Stage::Rerank],
+                ],
+            },
+            allocation: ResourceAllocation {
+                group_xpus: vec![16, 16],
+                decode_xpus: 16,
+                retrieval_servers: 32,
+            },
+            batching: BatchingPolicy::new(8, 128),
+        };
+        let trace = TraceSpec {
+            num_requests: 4,
+            profile: SequenceProfile::paper_default(),
+            arrival: ArrivalProcess::Instantaneous,
+            length_jitter: 0.0,
+            seed: 0,
+        }
+        .generate();
+        let err = evaluate_schedule_dynamic(
+            &profiler,
+            &schedule,
+            &trace,
+            &SloTarget::paper_default(),
+            None,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, RagoError::InvalidConfig { reason } if reason.contains("pipeline order")),
+            "{err:?}"
+        );
     }
 
     #[test]

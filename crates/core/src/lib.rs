@@ -72,13 +72,13 @@ pub use faulted::{
     FaultedClassOutcome, FaultedEvaluation,
 };
 pub use metrics::RagPerformance;
-pub use optimizer::{Rago, ScheduleIter, SearchOptions};
+pub use optimizer::{Rago, SearchOptions};
 pub use pareto::{ParetoAccumulator, ParetoFrontier, ParetoPoint};
 pub use placement::PlacementPlan;
 pub use profiler::{StagePerf, StageProfiler};
 pub use rago_serving_sim::{MetricsMode, StreamingConfig};
 pub use schedule::{BatchingPolicy, ResourceAllocation, Schedule};
 pub use search::{
-    AnytimeSample, BeamEntry, BestSamples, ScheduleSpace, SearchMode, StochasticConfig,
-    StochasticSearchReport,
+    AnytimeSample, BeamEntry, BestSamples, ScheduleIter, ScheduleSpace, SearchMode,
+    StochasticConfig, StochasticSearchReport,
 };

@@ -19,10 +19,9 @@
 //! schedules for Case IV, so the implementation is built not to touch memory
 //! proportionally:
 //!
-//! * **Streaming** — [`Rago::schedule_iter`] yields candidates from an
-//!   odometer state machine ([`ScheduleIter`]); nothing is materialized.
-//!   [`Rago::enumerate_schedules`] survives as a `Vec`-collecting wrapper
-//!   for callers that want the list.
+//! * **Streaming** — [`Rago::schedule_iter`] walks the grid's
+//!   [`ScheduleSpace`] in index order ([`ScheduleIter`]), building each
+//!   candidate on demand; nothing is materialized.
 //!
 //! [`Rago::optimize`] and [`Rago::frontiers_by_plan`] then run Algorithm 1
 //! in three phases:
@@ -68,7 +67,8 @@ use crate::error::RagoError;
 use crate::pareto::{ParetoAccumulator, ParetoFrontier, ParetoPoint};
 use crate::placement::PlacementPlan;
 use crate::profiler::{ProfileTable, StageProfiler};
-use crate::schedule::{BatchingPolicy, ResourceAllocation, Schedule};
+use crate::schedule::{ResourceAllocation, Schedule};
+use crate::search::{ScheduleIter, ScheduleSpace};
 use rago_hardware::{power_of_two_steps, ClusterSpec, ResourceBudget};
 use rago_schema::RagSchema;
 use rayon::prelude::*;
@@ -136,202 +136,6 @@ impl SearchOptions {
 impl Default for SearchOptions {
     fn default() -> Self {
         SearchOptions::fast()
-    }
-}
-
-/// The budget-filtered axes of one search grid: every placement block and
-/// every admissible step list, as produced by `Rago::search_axes`. The
-/// exhaustive odometer and the stochastic codec are two views of this one
-/// struct, and the exhaustive search profiles its stages over it.
-#[derive(Debug, Clone)]
-pub(crate) struct SearchAxes {
-    pub placements: Vec<PlacementPlan>,
-    pub xpu_steps: Vec<u32>,
-    pub server_steps: Vec<u32>,
-    pub predecode_batches: Vec<u32>,
-    pub decode_batches: Vec<u32>,
-    pub iterative_batches: Vec<Option<u32>>,
-    pub max_total_xpus: u32,
-}
-
-/// Lazy enumeration of the candidate schedules implied by a search grid: an
-/// odometer over placement × per-group allocation × decode allocation ×
-/// server count × batching policy, yielding [`Schedule`]s on demand.
-///
-/// The iteration order matches the eager enumeration the optimizer
-/// historically produced (placement outermost; within a placement the first
-/// group's step advances fastest; the iterative batch innermost), so
-/// enumeration indices are stable and usable as deterministic tie-breaks.
-///
-/// A placement with **zero** pre-decode groups contributes the decode ×
-/// server × batching cross product exactly once (there is no group odometer
-/// to spin).
-///
-/// Allocations whose XPU total exceeds the budget are skipped without
-/// touching the inner batching axes. Individual steps that can never yield
-/// a valid candidate are dropped up front, keeping the odometer as small as
-/// the budget allows: zero, duplicate and above-budget resource steps via
-/// [`ResourceBudget::admissible_xpu_steps`] /
-/// [`ResourceBudget::admissible_server_steps`], and zero and duplicate batch
-/// steps on every batch axis.
-#[derive(Debug, Clone)]
-pub struct ScheduleIter {
-    axes: SearchAxes,
-    // Odometer state.
-    placement_idx: usize,
-    group_alloc: Vec<usize>,
-    decode_idx: usize,
-    server_idx: usize,
-    predecode_idx: usize,
-    decode_batch_idx: usize,
-    iterative_idx: usize,
-    done: bool,
-}
-
-impl ScheduleIter {
-    pub(crate) fn new(axes: SearchAxes) -> Self {
-        let done = axes.placements.is_empty()
-            || axes.xpu_steps.is_empty()
-            || axes.server_steps.is_empty()
-            || axes.predecode_batches.is_empty()
-            || axes.decode_batches.is_empty()
-            || axes.iterative_batches.is_empty();
-        let group_alloc = axes
-            .placements
-            .first()
-            .map(|p| vec![0usize; p.num_groups()])
-            .unwrap_or_default();
-        Self {
-            axes,
-            placement_idx: 0,
-            group_alloc,
-            decode_idx: 0,
-            server_idx: 0,
-            predecode_idx: 0,
-            decode_batch_idx: 0,
-            iterative_idx: 0,
-            done,
-        }
-    }
-
-    /// Total XPUs of the current (group allocation, decode) digit setting.
-    fn current_total_xpus(&self) -> u32 {
-        let steps = &self.axes.xpu_steps;
-        let groups: u32 = self.group_alloc.iter().map(|&i| steps[i]).sum();
-        groups + steps[self.decode_idx]
-    }
-
-    fn build_schedule(&self) -> Schedule {
-        let axes = &self.axes;
-        let placement = axes.placements[self.placement_idx].clone();
-        let group_xpus: Vec<u32> = self
-            .group_alloc
-            .iter()
-            .map(|&i| axes.xpu_steps[i])
-            .collect();
-        let mut batching = BatchingPolicy::new(
-            axes.predecode_batches[self.predecode_idx],
-            axes.decode_batches[self.decode_batch_idx],
-        );
-        batching.iterative_batch = axes.iterative_batches[self.iterative_idx];
-        Schedule {
-            placement,
-            allocation: ResourceAllocation {
-                group_xpus,
-                decode_xpus: axes.xpu_steps[self.decode_idx],
-                retrieval_servers: axes.server_steps[self.server_idx],
-            },
-            batching,
-        }
-    }
-
-    /// Advances the innermost digits (batching and server axes); cascades
-    /// into the allocation odometer when they wrap. Returns `false` when the
-    /// whole space is exhausted.
-    fn advance_inner(&mut self) -> bool {
-        self.iterative_idx += 1;
-        if self.iterative_idx < self.axes.iterative_batches.len() {
-            return true;
-        }
-        self.iterative_idx = 0;
-        self.decode_batch_idx += 1;
-        if self.decode_batch_idx < self.axes.decode_batches.len() {
-            return true;
-        }
-        self.decode_batch_idx = 0;
-        self.predecode_idx += 1;
-        if self.predecode_idx < self.axes.predecode_batches.len() {
-            return true;
-        }
-        self.predecode_idx = 0;
-        self.server_idx += 1;
-        if self.server_idx < self.axes.server_steps.len() {
-            return true;
-        }
-        self.server_idx = 0;
-        self.advance_decode()
-    }
-
-    /// Advances the decode-allocation digit (resetting everything inside
-    /// it); cascades into the group odometer when it wraps.
-    fn advance_decode(&mut self) -> bool {
-        self.server_idx = 0;
-        self.predecode_idx = 0;
-        self.decode_batch_idx = 0;
-        self.iterative_idx = 0;
-        self.decode_idx += 1;
-        if self.decode_idx < self.axes.xpu_steps.len() {
-            return true;
-        }
-        self.decode_idx = 0;
-        self.advance_group()
-    }
-
-    /// Advances the per-group allocation odometer (first group fastest); a
-    /// zero-group placement has nothing to advance and moves straight to the
-    /// next placement.
-    fn advance_group(&mut self) -> bool {
-        let groups = self.group_alloc.len();
-        let mut pos = 0;
-        while pos < groups {
-            self.group_alloc[pos] += 1;
-            if self.group_alloc[pos] < self.axes.xpu_steps.len() {
-                return true;
-            }
-            self.group_alloc[pos] = 0;
-            pos += 1;
-        }
-        self.advance_placement()
-    }
-
-    fn advance_placement(&mut self) -> bool {
-        self.placement_idx += 1;
-        if self.placement_idx < self.axes.placements.len() {
-            self.group_alloc = vec![0usize; self.axes.placements[self.placement_idx].num_groups()];
-            true
-        } else {
-            self.done = true;
-            false
-        }
-    }
-}
-
-impl Iterator for ScheduleIter {
-    type Item = Schedule;
-
-    fn next(&mut self) -> Option<Schedule> {
-        while !self.done {
-            if self.current_total_xpus() > self.axes.max_total_xpus {
-                // The whole batching sub-space of this allocation is
-                // infeasible; skip it without spinning the inner digits.
-                self.advance_decode();
-                continue;
-            }
-            let schedule = self.build_schedule();
-            self.advance_inner();
-            return Some(schedule);
-        }
-        None
     }
 }
 
@@ -733,51 +537,20 @@ impl Rago {
         )
     }
 
-    /// The budget-filtered axes of the search grid implied by `options` —
-    /// shared by the exhaustive odometer ([`Rago::schedule_iter`]) and the
-    /// stochastic sampler's random-access codec
-    /// ([`crate::search::ScheduleSpace`]), so both views agree on exactly
-    /// which candidates exist.
-    pub(crate) fn search_axes(&self, options: &SearchOptions) -> SearchAxes {
-        let schema = self.profiler.schema();
-        let placements = options
-            .placements
-            .clone()
-            .unwrap_or_else(|| PlacementPlan::enumerate(schema));
-        let iterative_batches: Vec<Option<u32>> = if schema.is_iterative() {
-            admissible_batches(&options.iterative_batch_steps)
-                .into_iter()
-                .map(Some)
-                .collect()
-        } else {
-            vec![None]
-        };
-        SearchAxes {
-            placements,
-            xpu_steps: self.budget.admissible_xpu_steps(&options.xpu_steps),
-            server_steps: self
-                .budget
-                .admissible_server_steps(&self.server_steps(options)),
-            predecode_batches: admissible_batches(&options.predecode_batch_steps),
-            decode_batches: admissible_batches(&options.decode_batch_steps),
-            iterative_batches,
-            max_total_xpus: self.budget.max_xpus,
-        }
-    }
-
     /// Streams the candidate schedules implied by `options` (Step 2 of
-    /// Algorithm 1): every legal placement × allocation within the budget ×
-    /// batching policy, yielded lazily in a stable enumeration order.
+    /// Algorithm 1): every placement × allocation within the budget ×
+    /// batching policy of [`Rago::schedule_space`], yielded lazily in index
+    /// order.
     pub fn schedule_iter(&self, options: &SearchOptions) -> ScheduleIter {
-        ScheduleIter::new(self.search_axes(options))
+        self.schedule_space(options).into_iter()
     }
 
-    /// The random-access view of the same candidate space
-    /// [`Rago::schedule_iter`] streams: placement blocks × mixed-radix
-    /// digits, decodable at any index. This is what the stochastic search
-    /// samples from. See [`crate::search::ScheduleSpace`].
-    pub fn schedule_space(&self, options: &SearchOptions) -> crate::search::ScheduleSpace {
-        crate::search::ScheduleSpace::new(self.search_axes(options))
+    /// The candidate space implied by `options`: placement blocks ×
+    /// mixed-radix digits, decodable at any index. The exhaustive search
+    /// streams it and the stochastic search samples it. See
+    /// [`ScheduleSpace`].
+    pub fn schedule_space(&self, options: &SearchOptions) -> ScheduleSpace {
+        ScheduleSpace::new(self, options)
     }
 
     /// Runs the search in the requested mode: [`crate::search::SearchMode::Exhaustive`]
@@ -824,13 +597,6 @@ impl Rago {
         crate::search::run_stochastic(self, &self.schedule_space(options), config)
     }
 
-    /// Collects the candidate stream of [`Rago::schedule_iter`] into a
-    /// `Vec`. Prefer the iterator for large grids — this materializes the
-    /// full cross product.
-    pub fn enumerate_schedules(&self, options: &SearchOptions) -> Vec<Schedule> {
-        self.schedule_iter(options).collect()
-    }
-
     /// Evaluates every candidate schedule and returns all feasible points
     /// (infeasible ones — e.g. out-of-memory allocations — are skipped), in
     /// enumeration order.
@@ -859,7 +625,9 @@ impl Rago {
     ///
     /// # Errors
     ///
-    /// Returns [`RagoError::NoFeasibleSchedule`] when no candidate schedule is
+    /// Returns [`RagoError::InvalidConfig`] when a placement of `options`
+    /// fails [`PlacementPlan::validate`], and
+    /// [`RagoError::NoFeasibleSchedule`] when no candidate schedule is
     /// feasible within the budget.
     pub fn optimize(&self, options: &SearchOptions) -> Result<ParetoFrontier, RagoError> {
         let accumulator = self.search_exhaustive(
@@ -867,7 +635,7 @@ impl Rago {
             ParetoAccumulator::new,
             ParetoAccumulator::push,
             ParetoAccumulator::merge,
-        );
+        )?;
         if accumulator.is_empty() {
             return Err(self.no_feasible_schedule());
         }
@@ -882,9 +650,10 @@ impl Rago {
     ///
     /// # Errors
     ///
-    /// Returns [`RagoError::NoFeasibleSchedule`] when no candidate schedule is
-    /// feasible within the budget.
+    /// As [`Rago::optimize`].
     pub fn optimize_serial(&self, options: &SearchOptions) -> Result<ParetoFrontier, RagoError> {
+        self.schedule_space(options)
+            .validate_placements(self.profiler.schema())?;
         let points = self.evaluate_all(options);
         if points.is_empty() {
             return Err(self.no_feasible_schedule());
@@ -903,23 +672,26 @@ impl Rago {
         }
     }
 
-    /// Algorithm 1 over every candidate of `options`, in three phases.
-    /// First, profile the grid once into a table. Second, simulate the
-    /// distinct decode stalls in parallel. Third, score the candidates across
-    /// rayon workers against the table, without a lock. Each worker folds
-    /// its feasible points into an accumulator from `init` with `push`, and
-    /// `merge` joins the workers' accumulators.
+    /// Algorithm 1 over every candidate of `options`, in three phases, once
+    /// its placements pass [`PlacementPlan::validate`]. First, profile the
+    /// grid once into a table. Second, simulate the distinct decode stalls
+    /// in parallel. Third, score the candidates across rayon workers against
+    /// the table, without a lock. Each worker folds its feasible points into
+    /// an accumulator from `init` with `push`, and `merge` joins the
+    /// workers' accumulators.
     fn search_exhaustive<A: Send>(
         &self,
         options: &SearchOptions,
         init: impl Fn() -> A + Sync,
         push: impl Fn(&mut A, ParetoPoint) + Sync,
         merge: impl Fn(A, A) -> A,
-    ) -> A {
-        let axes = self.search_axes(options);
-        let table = ProfileTable::fill(&self.profiler, &axes);
-        table.simulate_stalls(ScheduleIter::new(axes.clone()));
-        let (accumulator, lookups) = ScheduleIter::new(axes)
+    ) -> Result<A, RagoError> {
+        let space = self.schedule_space(options);
+        space.validate_placements(self.profiler.schema())?;
+        let table = ProfileTable::fill(&self.profiler, &space);
+        table.simulate_stalls(space.clone().into_iter());
+        let (accumulator, lookups) = space
+            .into_iter()
             .par_bridge()
             .fold(
                 || (init(), 0),
@@ -939,7 +711,7 @@ impl Rago {
             )
             .reduce(|| (init(), 0), |(a, x), (b, y)| (merge(a, b), x + y));
         table.count_hits(lookups);
-        accumulator
+        Ok(accumulator)
     }
 
     /// Groups all evaluated points by (placement, allocation) and returns the
@@ -949,10 +721,15 @@ impl Rago {
     /// Uses the same streaming/parallel pipeline as [`Rago::optimize`], with
     /// one incremental accumulator per plan: memory is proportional to the
     /// number of plans and their frontiers, not to the grid.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RagoError::InvalidConfig`] when a placement of `options`
+    /// fails [`PlacementPlan::validate`].
     pub fn frontiers_by_plan(
         &self,
         options: &SearchOptions,
-    ) -> Vec<(PlacementPlan, ResourceAllocation, ParetoFrontier)> {
+    ) -> Result<Vec<(PlacementPlan, ResourceAllocation, ParetoFrontier)>, RagoError> {
         type PlanKey = (PlacementPlan, ResourceAllocation);
         let by_plan: HashMap<PlanKey, ParetoAccumulator> = self.search_exhaustive(
             options,
@@ -979,7 +756,7 @@ impl Rago {
                 }
                 merged
             },
-        );
+        )?;
 
         let mut out: Vec<(PlacementPlan, ResourceAllocation, ParetoFrontier)> = by_plan
             .into_iter()
@@ -1008,10 +785,12 @@ impl Rago {
                     ))
             })
         });
-        out
+        Ok(out)
     }
 
-    fn server_steps(&self, options: &SearchOptions) -> Vec<u32> {
+    /// The retrieval server counts `options` asks for; by default, the
+    /// least that holds the database and every larger power of two.
+    pub(crate) fn server_steps(&self, options: &SearchOptions) -> Vec<u32> {
         if !options.server_steps.is_empty() {
             return options.server_steps.clone();
         }
@@ -1022,19 +801,11 @@ impl Rago {
         power_of_two_steps(self.budget.max_cpu_servers)
             .into_iter()
             .filter(|&s| s >= min)
-            .collect::<Vec<_>>()
-            .into_iter()
             .chain(std::iter::once(min))
             .collect::<std::collections::BTreeSet<_>>()
             .into_iter()
             .collect()
     }
-}
-
-/// The batch sizes of `steps` a candidate can use: positive and unique, in
-/// the caller's order — the resource axes' filter without a budget.
-fn admissible_batches(steps: &[u32]) -> Vec<u32> {
-    ResourceBudget::new(u32::MAX, u32::MAX).admissible_xpu_steps(steps)
 }
 
 #[cfg(test)]
@@ -1076,7 +847,7 @@ mod tests {
             presets::case1_hyperscale(LlmSize::B8, 1),
             ClusterSpec::paper_default(),
         );
-        for schedule in rago.enumerate_schedules(&tiny_options()) {
+        for schedule in rago.schedule_iter(&tiny_options()) {
             assert!(schedule.allocation.total_xpus() <= 128);
             assert!(schedule.allocation.retrieval_servers <= 32);
         }
@@ -1113,9 +884,10 @@ mod tests {
             iterative_batch_steps: vec![8],
             placements: None,
         };
-        let schedules = rago.enumerate_schedules(&opts);
-        let placements: std::collections::HashSet<String> =
-            schedules.iter().map(|s| s.placement.describe()).collect();
+        let placements: std::collections::HashSet<String> = rago
+            .schedule_iter(&opts)
+            .map(|s| s.placement.describe())
+            .collect();
         assert_eq!(placements.len(), 8, "expected all 8 case-IV placements");
         let frontier = rago.optimize(&opts).unwrap();
         assert!(!frontier.is_empty());
@@ -1127,7 +899,7 @@ mod tests {
             presets::case1_hyperscale(LlmSize::B8, 1),
             ClusterSpec::paper_default(),
         );
-        let plans = rago.frontiers_by_plan(&tiny_options());
+        let plans = rago.frontiers_by_plan(&tiny_options()).unwrap();
         assert!(!plans.is_empty());
         let total: usize = plans.iter().map(|(_, _, f)| f.evaluated_schedules).sum();
         assert_eq!(total, rago.evaluate_all(&tiny_options()).len());
@@ -1147,24 +919,22 @@ mod tests {
         let rago = Rago::new(schema.clone(), ClusterSpec::paper_default());
         let collocated = PlacementPlan::fully_collocated(&schema);
         let opts = tiny_options().with_placements(vec![collocated.clone()]);
-        for schedule in rago.enumerate_schedules(&opts) {
+        for schedule in rago.schedule_iter(&opts) {
             assert_eq!(schedule.placement, collocated);
         }
     }
 
     #[test]
-    fn schedule_iter_is_lazy_and_matches_enumerate() {
+    fn schedule_iter_is_lazy() {
         let rago = Rago::new(
             presets::case4_rewriter_reranker(LlmSize::B8),
             ClusterSpec::paper_default(),
         );
         let opts = tiny_options();
-        let eager = rago.enumerate_schedules(&opts);
         let streamed: Vec<Schedule> = rago.schedule_iter(&opts).collect();
-        assert_eq!(eager, streamed);
         // Pulling a prefix does not require enumerating the rest.
         let first_three: Vec<Schedule> = rago.schedule_iter(&opts).take(3).collect();
-        assert_eq!(&eager[..3], &first_three[..]);
+        assert_eq!(&streamed[..3], &first_three[..]);
     }
 
     #[test]
@@ -1184,7 +954,7 @@ mod tests {
             iterative_batch_steps: vec![8],
             placements: Some(vec![empty_placement.clone()]),
         };
-        let schedules = rago.enumerate_schedules(&opts);
+        let schedules: Vec<Schedule> = rago.schedule_iter(&opts).collect();
         // decode(2) × servers(2) × pre-batch(2) × decode-batch(2) = 16, once.
         assert_eq!(schedules.len(), 16);
         for s in &schedules {
@@ -1209,7 +979,7 @@ mod tests {
             xpu_steps: vec![8, 8, 64, 4],
             ..tiny_options()
         };
-        let schedules = rago.enumerate_schedules(&opts);
+        let schedules: Vec<Schedule> = rago.schedule_iter(&opts).collect();
         assert!(!schedules.is_empty());
         for s in &schedules {
             assert!(s.allocation.total_xpus() <= 16);
@@ -1254,8 +1024,8 @@ mod tests {
             iterative_batch_steps: vec![4, 8, 16],
             ..tiny_options()
         };
-        let n_single = single.enumerate_schedules(&opts).len();
-        let n_iter = iterative.enumerate_schedules(&opts).len();
+        let n_single = single.schedule_iter(&opts).count();
+        let n_iter = iterative.schedule_iter(&opts).count();
         assert_eq!(n_iter, n_single * 3);
         assert!(single
             .schedule_iter(&opts)
@@ -1304,9 +1074,8 @@ mod tests {
     #[test]
     fn zero_collocatable_stage_guard_terminates() {
         // A schema whose placement list contains only zero-group plans must
-        // terminate and still cover decode-only schedules (regression guard
-        // for the old odometer, which special-cased `groups == 0` after the
-        // fact).
+        // terminate and still cover decode-only schedules: a zero-group
+        // block has no group digits to carry through.
         let rago = Rago::new(presets::llm_only(LlmSize::B8), ClusterSpec::paper_default());
         let opts = SearchOptions {
             placements: Some(vec![PlacementPlan {
@@ -1314,13 +1083,40 @@ mod tests {
             }]),
             ..tiny_options()
         };
-        let schedules = rago.enumerate_schedules(&opts);
+        let schedules: Vec<Schedule> = rago.schedule_iter(&opts).collect();
         assert!(!schedules.is_empty());
         assert!(schedules.iter().all(|s| s.placement.num_groups() == 0));
         // And the normal pipeline still carries the prefix stage.
-        let normal = rago.enumerate_schedules(&tiny_options());
-        assert!(normal
-            .iter()
+        assert!(rago
+            .schedule_iter(&tiny_options())
             .all(|s| s.placement.group_of(Stage::Prefix).is_some()));
+    }
+
+    #[test]
+    fn searches_reject_a_placement_that_omits_a_stage() {
+        // Case IV's `[prefix]` alone leaves the rewriter and the reranker
+        // unplaced; searching it used to price them at zero and return a
+        // frontier faster than any real placement.
+        let rago = Rago::new(
+            presets::case4_rewriter_reranker(LlmSize::B8),
+            ClusterSpec::paper_default(),
+        );
+        let prefix_only = PlacementPlan {
+            predecode_groups: vec![vec![Stage::Prefix]],
+        };
+        let opts = SearchOptions::fast().with_placements(vec![prefix_only]);
+        let invalid = |r: Result<ParetoFrontier, RagoError>| matches!(r, Err(RagoError::InvalidConfig { reason }) if reason.contains("`rerank`"));
+        assert!(invalid(rago.optimize(&opts)));
+        assert!(invalid(rago.optimize_serial(&opts)));
+        let stochastic = crate::search::SearchMode::Stochastic(Default::default());
+        assert!(invalid(rago.optimize_with_mode(&opts, &stochastic)));
+        // One bad entry spoils the list, wherever it sits.
+        let mut mixed = PlacementPlan::enumerate(rago.profiler().schema());
+        mixed.push(PlacementPlan {
+            predecode_groups: vec![vec![Stage::Prefix], vec![Stage::Rerank]],
+        });
+        assert!(invalid(
+            rago.optimize(&SearchOptions::fast().with_placements(mixed))
+        ));
     }
 }

@@ -6,6 +6,7 @@
 //! on one accelerator group. A placement plan is therefore a partition of the
 //! pre-decode XPU stages into contiguous groups.
 
+use crate::error::RagoError;
 use rago_schema::{RagSchema, Stage};
 use serde::{Deserialize, Serialize};
 
@@ -78,6 +79,33 @@ impl PlacementPlan {
             });
         }
         plans
+    }
+
+    /// Checks that the plan places every collocatable stage of `schema`
+    /// exactly once, in pipeline order, with no empty group: the plans
+    /// [`Self::enumerate`] yields. Evaluation and the searches call it, so a
+    /// stage the plan leaves out cannot be priced at zero.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RagoError::InvalidConfig`] naming the plan and the stages
+    /// it must place.
+    pub fn validate(&self, schema: &RagSchema) -> Result<(), RagoError> {
+        let stages = Self::collocatable_stages(schema);
+        let placed = self.predecode_groups.iter().flatten();
+        if self.predecode_groups.iter().any(Vec::is_empty) || !placed.eq(stages.iter()) {
+            let names: Vec<String> = stages.iter().map(|s| format!("`{s}`")).collect();
+            return Err(RagoError::InvalidConfig {
+                reason: format!(
+                    "placement {} must place the stages {} of `{}` once each, in \
+                     pipeline order, in non-empty groups",
+                    self.describe(),
+                    names.join(", "),
+                    schema.name
+                ),
+            });
+        }
+        Ok(())
     }
 
     /// Number of accelerator groups serving the pre-decode stages.
@@ -172,6 +200,41 @@ mod tests {
         assert_eq!(plan.describe(), "[encode][prefix]");
         let plan = PlacementPlan::fully_collocated(&schema);
         assert_eq!(plan.describe(), "[encode+prefix]");
+    }
+
+    #[test]
+    fn validate_accepts_exactly_the_enumerated_shapes() {
+        let schema = presets::case4_rewriter_reranker(LlmSize::B8);
+        for plan in PlacementPlan::enumerate(&schema) {
+            assert!(plan.validate(&schema).is_ok(), "{}", plan.describe());
+        }
+        use Stage::{Prefix, Rerank, RewriteDecode, RewritePrefix};
+        for groups in [
+            // A stage left out.
+            vec![vec![Prefix]],
+            vec![vec![RewritePrefix, RewriteDecode], vec![Prefix]],
+            // A stage placed twice.
+            vec![
+                vec![RewritePrefix, RewriteDecode, Rerank, Prefix],
+                vec![Prefix],
+            ],
+            // Out of pipeline order.
+            vec![vec![RewritePrefix, Rerank, RewriteDecode, Prefix]],
+            vec![vec![Prefix], vec![RewritePrefix, RewriteDecode, Rerank]],
+            // An empty group.
+            vec![vec![RewritePrefix, RewriteDecode, Rerank, Prefix], vec![]],
+            // No group at all.
+            vec![],
+        ] {
+            let plan = PlacementPlan {
+                predecode_groups: groups,
+            };
+            assert!(
+                matches!(plan.validate(&schema), Err(RagoError::InvalidConfig { .. })),
+                "{} should be rejected",
+                plan.describe()
+            );
+        }
     }
 
     #[test]

@@ -54,8 +54,8 @@
 //! candidates query the profiler directly.
 
 use crate::error::RagoError;
-use crate::optimizer::SearchAxes;
 use crate::schedule::Schedule;
+use crate::search::ScheduleSpace;
 use rago_accel_sim::{AcceleratorGroup, InferenceSimulator};
 use rago_hardware::ClusterSpec;
 use rago_retrieval_sim::RetrievalSimulator;
@@ -576,28 +576,28 @@ pub(crate) struct ProfileTable<'p> {
 }
 
 impl<'p> ProfileTable<'p> {
-    /// Profiles every pipeline stage of `profiler`'s workload over `axes`.
-    /// With memoization disabled the table stays empty and every lookup
-    /// goes straight to the profiler.
-    pub(crate) fn fill(profiler: &'p StageProfiler, axes: &SearchAxes) -> Self {
+    /// Profiles every pipeline stage of `profiler`'s workload over the axes
+    /// of `space`. With memoization disabled the table stays empty and every
+    /// lookup goes straight to the profiler.
+    pub(crate) fn fill(profiler: &'p StageProfiler, space: &ScheduleSpace) -> Self {
         let mut grids = std::array::from_fn(|_| None);
         if profiler.memoize {
-            let mut reentrant = axes.predecode_batches.clone();
-            for &b in axes.iterative_batches.iter().flatten() {
+            let mut reentrant = space.predecode_batches.clone();
+            for &b in space.iterative_batches.iter().flatten() {
                 if !reentrant.contains(&b) {
                     reentrant.push(b);
                 }
             }
             for stage in profiler.schema.pipeline() {
                 let resources = if stage == Stage::Retrieval {
-                    &axes.server_steps
+                    &space.server_steps
                 } else {
-                    &axes.xpu_steps
+                    &space.xpu_steps
                 };
                 let batches = match stage {
-                    Stage::Decode => &axes.decode_batches,
+                    Stage::Decode => &space.decode_batches,
                     Stage::Prefix | Stage::Retrieval => &reentrant,
-                    _ => &axes.predecode_batches,
+                    _ => &space.predecode_batches,
                 };
                 let profiles = resources
                     .iter()

@@ -133,14 +133,18 @@ impl Schedule {
     /// # Errors
     ///
     /// Returns [`RagoError::InvalidConfig`] for structurally invalid
-    /// schedules and [`RagoError::CostModel`] when any stage is infeasible
-    /// under its allocation (e.g. its model does not fit in memory).
+    /// schedules, including a placement that fails
+    /// [`PlacementPlan::validate`], and [`RagoError::CostModel`] when any
+    /// stage is infeasible under its allocation (e.g. its model does not fit
+    /// in memory).
     pub fn evaluate(&self, profiler: &StageProfiler) -> Result<RagPerformance, RagoError> {
+        self.placement.validate(profiler.schema())?;
         self.evaluate_with(profiler)
     }
 
     /// [`Self::evaluate`] against any cost source: the profiler, or the
-    /// exhaustive search's table of it.
+    /// exhaustive search's table of it. It skips the placement check, which
+    /// the searches make once per space rather than once per candidate.
     pub(crate) fn evaluate_with(
         &self,
         costs: &impl CostSource,
@@ -494,6 +498,40 @@ mod tests {
         assert!(perf.ttft_s > 0.0);
         assert!(perf.qps > 0.0);
         assert_eq!(perf.total_xpus, 44);
+    }
+
+    #[test]
+    fn a_placement_that_omits_a_stage_is_rejected() {
+        // Case IV on 16 + 16 XPUs: `[prefix]` alone leaves the rewriter and
+        // the reranker unplaced, and used to evaluate at half the full
+        // placement's TTFT and twice its QPS/chip.
+        let profiler = StageProfiler::new(
+            presets::case4_rewriter_reranker(LlmSize::B8),
+            ClusterSpec::paper_default(),
+        );
+        let schedule = |groups: Vec<Vec<Stage>>| Schedule {
+            allocation: ResourceAllocation {
+                group_xpus: vec![16; groups.len()],
+                decode_xpus: 16,
+                retrieval_servers: 32,
+            },
+            placement: PlacementPlan {
+                predecode_groups: groups,
+            },
+            batching: BatchingPolicy::new(8, 128),
+        };
+        let full = vec![vec![
+            Stage::RewritePrefix,
+            Stage::RewriteDecode,
+            Stage::Rerank,
+            Stage::Prefix,
+        ]];
+        assert!(schedule(full).evaluate(&profiler).is_ok());
+        let prefix_only = schedule(vec![vec![Stage::Prefix]]);
+        assert!(matches!(
+            prefix_only.evaluate(&profiler),
+            Err(RagoError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

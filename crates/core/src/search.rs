@@ -1,12 +1,12 @@
-//! Anytime stochastic schedule search: sample → beam → coordinate descent →
-//! worker exchange.
+//! The schedule space and its anytime stochastic search: sample → beam →
+//! coordinate descent → worker exchange.
 //!
-//! The exhaustive odometer ([`crate::optimizer::ScheduleIter`]) is the right
-//! tool for paper-sized grids (thousands of candidates), but the spaces the
-//! repo now models — disaggregated pools × chip types × cache configs —
-//! are combinatorially large. This module searches the *same* candidate
-//! space (identical budget-filtered axes, shared via
-//! `Rago::search_axes`) without enumerating it:
+//! [`ScheduleSpace`] is the one description of a search grid, shared by
+//! both searches. The exhaustive search streams it in index order through
+//! [`ScheduleIter`], which is the right tool for paper-sized grids. The
+//! spaces the repo now models — disaggregated pools × chip types × cache
+//! configs — are combinatorially large, and the stochastic search samples
+//! the *same* space without enumerating it:
 //!
 //! 1. **Sample.** Each round draws a deterministic batch of novel
 //!    candidates: *uniform* draws over the whole space (via the
@@ -49,11 +49,13 @@
 
 use crate::error::RagoError;
 use crate::metrics::RagPerformance;
-use crate::optimizer::{Rago, SearchAxes};
+use crate::optimizer::{Rago, SearchOptions};
 use crate::pareto::{ParetoAccumulator, ParetoFrontier, ParetoPoint};
 use crate::placement::PlacementPlan;
 use crate::profiler::StageProfiler;
 use crate::schedule::{BatchingPolicy, ResourceAllocation, Schedule};
+use rago_hardware::ResourceBudget;
+use rago_schema::RagSchema;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -182,42 +184,41 @@ impl StochasticConfig {
     }
 }
 
-/// One placement's block of the candidate space: a contiguous index range
-/// whose digits are the per-group XPU steps, the decode step, the server
-/// step, and the batch steps.
+/// One placement's block of the candidate space: a contiguous index range,
+/// from `offset` up to the next block's, whose digits are the per-group XPU
+/// steps, the decode step, the server step, and the batch steps.
 #[derive(Debug, Clone)]
 struct PlacementBlock {
     placement: PlacementPlan,
     offset: u128,
-    size: u128,
 }
 
-/// Random-access mixed-radix codec over the candidate schedule space: the
-/// same placements × budget-filtered allocation steps × batching axes the
-/// exhaustive [`crate::optimizer::ScheduleIter`] streams, addressable by a
-/// dense index in `0..size()`. Decoding is O(axes); no candidate is ever
-/// materialized eagerly.
+/// The one description of a search grid: placements × budget-filtered
+/// allocation steps × batching axes, as a mixed-radix codec from a dense
+/// index in `0..size()` to its schedule. Decoding is O(axes); no candidate
+/// is ever materialized eagerly.
 ///
-/// Indices enumerate *allocations within the XPU budget or not* — the
-/// odometer skips over-budget allocations while streaming, whereas the
-/// codec reports them via [`ScheduleSpace::feasible`] so samplers can
-/// reject and redraw. Both views contain exactly the same feasible
-/// candidates.
+/// Each placement owns a contiguous block of indices. Within a block the
+/// iterative batch is the least significant digit, then the decode batch,
+/// the pre-decode batch, the server count, the decode allocation, and the
+/// groups' XPU counts, first group fastest. Indices cover allocations over
+/// the XPU budget too: [`ScheduleSpace::feasible`] rejects them, and the
+/// exhaustive stream ([`ScheduleIter`], from `into_iter`) skips them.
 #[derive(Debug, Clone)]
 pub struct ScheduleSpace {
     blocks: Vec<PlacementBlock>,
-    xpu_steps: Vec<u32>,
-    server_steps: Vec<u32>,
-    predecode_batches: Vec<u32>,
-    decode_batches: Vec<u32>,
-    iterative_batches: Vec<Option<u32>>,
+    pub(crate) xpu_steps: Vec<u32>,
+    pub(crate) server_steps: Vec<u32>,
+    pub(crate) predecode_batches: Vec<u32>,
+    pub(crate) decode_batches: Vec<u32>,
+    pub(crate) iterative_batches: Vec<Option<u32>>,
     max_total_xpus: u32,
     size: u128,
 }
 
 /// The digit vector of one candidate: its placement block and one index
 /// into every axis. The coordinate-descent refinement steps these digits
-/// one at a time.
+/// one at a time, and [`ScheduleIter`] carries through them in index order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Digits {
     block: usize,
@@ -229,51 +230,65 @@ struct Digits {
     iterative: usize,
 }
 
+/// The rank of the decode-allocation digit, counting from the least
+/// significant: the server and three batch digits below it span one
+/// allocation's sub-space.
+const ALLOCATION_RANK: usize = 4;
+
 impl ScheduleSpace {
-    pub(crate) fn new(axes: SearchAxes) -> Self {
-        let SearchAxes {
-            placements,
-            xpu_steps,
-            server_steps,
-            predecode_batches,
-            decode_batches,
+    /// The space `options` spans for `rago`'s workload and budget. Steps
+    /// that can never yield a valid candidate are dropped up front: zero,
+    /// duplicate and above-budget steps ([`ResourceBudget`]'s
+    /// `admissible_*_steps`). Only iterative workloads spin the iterative
+    /// axis; elsewhere it is the single step `None`.
+    pub(crate) fn new(rago: &Rago, options: &SearchOptions) -> Self {
+        let schema = rago.profiler().schema();
+        let budget = rago.budget();
+        let placements = options
+            .placements
+            .clone()
+            .unwrap_or_else(|| PlacementPlan::enumerate(schema));
+        let iterative_batches = if schema.is_iterative() {
+            admissible_batches(&options.iterative_batch_steps)
+                .into_iter()
+                .map(Some)
+                .collect()
+        } else {
+            vec![None]
+        };
+        let mut space = Self {
+            blocks: Vec::with_capacity(placements.len()),
+            xpu_steps: budget.admissible_xpu_steps(&options.xpu_steps),
+            server_steps: budget.admissible_server_steps(&rago.server_steps(options)),
+            predecode_batches: admissible_batches(&options.predecode_batch_steps),
+            decode_batches: admissible_batches(&options.decode_batch_steps),
             iterative_batches,
-            max_total_xpus,
-        } = axes;
-        let degenerate = xpu_steps.is_empty()
-            || server_steps.is_empty()
-            || predecode_batches.is_empty()
-            || decode_batches.is_empty()
-            || iterative_batches.is_empty();
-        let mut blocks = Vec::with_capacity(placements.len());
-        let mut offset: u128 = 0;
-        if !degenerate {
-            let inner = (xpu_steps.len()
-                * server_steps.len()
-                * predecode_batches.len()
-                * decode_batches.len()
-                * iterative_batches.len()) as u128;
-            for placement in placements {
-                let groups = placement.num_groups() as u32;
-                let size = inner * (xpu_steps.len() as u128).pow(groups);
-                blocks.push(PlacementBlock {
-                    placement,
-                    offset,
-                    size,
-                });
-                offset += size;
-            }
+            max_total_xpus: budget.max_xpus,
+            size: 0,
+        };
+        // Every axis but the groups; an empty axis empties the space.
+        let inner = (space.xpu_steps.len()
+            * space.server_steps.len()
+            * space.predecode_batches.len()
+            * space.decode_batches.len()
+            * space.iterative_batches.len()) as u128;
+        for placement in placements {
+            let groups = placement.num_groups() as u32;
+            space.blocks.push(PlacementBlock {
+                placement,
+                offset: space.size,
+            });
+            space.size += inner * (space.xpu_steps.len() as u128).pow(groups);
         }
-        Self {
-            blocks,
-            xpu_steps,
-            server_steps,
-            predecode_batches,
-            decode_batches,
-            iterative_batches,
-            max_total_xpus,
-            size: offset,
-        }
+        space
+    }
+
+    /// Checks every placement of the space with [`PlacementPlan::validate`].
+    /// The searches call it once, up front, so no candidate pays for it.
+    pub(crate) fn validate_placements(&self, schema: &RagSchema) -> Result<(), RagoError> {
+        self.blocks
+            .iter()
+            .try_for_each(|block| block.placement.validate(schema))
     }
 
     /// Total number of addressable candidates (including allocations over
@@ -292,8 +307,7 @@ impl ScheduleSpace {
     /// rejects admissible steps whose *sum* exceeds the budget.)
     pub fn feasible(&self, index: u128) -> bool {
         self.digits_of(index)
-            .map(|d| self.digits_feasible(&d))
-            .unwrap_or(false)
+            .is_some_and(|d| self.digits_feasible(&d))
     }
 
     fn digits_feasible(&self, d: &Digits) -> bool {
@@ -305,10 +319,8 @@ impl ScheduleSpace {
         if index >= self.size {
             return None;
         }
-        let block = self
-            .blocks
-            .partition_point(|b| b.offset + b.size <= index)
-            .min(self.blocks.len() - 1);
+        // Blocks are never empty in a non-empty space, so offsets rise.
+        let block = self.blocks.partition_point(|b| b.offset <= index) - 1;
         let mut rem = index - self.blocks[block].offset;
         let mut take = |len: usize| {
             let digit = (rem % len as u128) as usize;
@@ -345,6 +357,40 @@ impl ScheduleSpace {
         v = v * self.decode_batches.len() as u128 + d.decode_batch as u128;
         v = v * self.iterative_batches.len() as u128 + d.iterative as u128;
         self.blocks[d.block].offset + v
+    }
+
+    /// Steps `d` to a later index, carrying like an odometer: the digit of
+    /// rank `from` (counting from the least significant) goes up by one and
+    /// every digit below it resets to zero. Rank 0 steps to the next index;
+    /// [`ALLOCATION_RANK`] steps past the current allocation's sub-space.
+    /// Returns `false` past the end of the space.
+    fn carry(&self, d: &mut Digits, from: usize) -> bool {
+        let xpus = self.xpu_steps.len();
+        let inner = [
+            (&mut d.iterative, self.iterative_batches.len()),
+            (&mut d.decode_batch, self.decode_batches.len()),
+            (&mut d.predecode, self.predecode_batches.len()),
+            (&mut d.server, self.server_steps.len()),
+            (&mut d.decode, xpus),
+        ];
+        let groups = d.groups.iter_mut().map(|g| (g, xpus));
+        for (rank, (digit, len)) in inner.into_iter().chain(groups).enumerate() {
+            if rank >= from {
+                *digit += 1;
+                if *digit < len {
+                    return true;
+                }
+            }
+            *digit = 0;
+        }
+        d.block += 1;
+        match self.blocks.get(d.block) {
+            Some(block) => {
+                d.groups = vec![0; block.placement.num_groups()];
+                true
+            }
+            None => false,
+        }
     }
 
     fn schedule_at(&self, d: &Digits) -> Schedule {
@@ -426,6 +472,55 @@ impl ScheduleSpace {
         Self::set_axis_digit(&mut out, axis, next as usize);
         Some(out)
     }
+}
+
+impl IntoIterator for ScheduleSpace {
+    type Item = Schedule;
+    type IntoIter = ScheduleIter;
+
+    fn into_iter(self) -> ScheduleIter {
+        let cursor = self.digits_of(0);
+        ScheduleIter {
+            space: self,
+            cursor,
+        }
+    }
+}
+
+/// The exhaustive stream over a [`ScheduleSpace`]: every candidate within
+/// the XPU budget, in index order, built on demand. An allocation over the
+/// budget is passed over with its whole server × batching sub-space, without
+/// visiting those digits.
+#[derive(Debug, Clone)]
+pub struct ScheduleIter {
+    space: ScheduleSpace,
+    /// The digits of the next index to visit; `None` past the end.
+    cursor: Option<Digits>,
+}
+
+impl Iterator for ScheduleIter {
+    type Item = Schedule;
+
+    fn next(&mut self) -> Option<Schedule> {
+        loop {
+            let digits = self.cursor.as_mut()?;
+            let feasible = self.space.digits_feasible(digits);
+            let schedule = feasible.then(|| self.space.schedule_at(digits));
+            let from = if feasible { 0 } else { ALLOCATION_RANK };
+            if !self.space.carry(digits, from) {
+                self.cursor = None;
+            }
+            if feasible {
+                return schedule;
+            }
+        }
+    }
+}
+
+/// The batch sizes of `steps` a candidate can use: positive and unique, in
+/// the caller's order — the resource axes' filter without a budget.
+fn admissible_batches(steps: &[u32]) -> Vec<u32> {
+    ResourceBudget::new(u32::MAX, u32::MAX).admissible_xpu_steps(steps)
 }
 
 /// One survivor of the [`BestSamples`] beam.
@@ -595,7 +690,7 @@ fn evaluate_batch(
     workers: usize,
 ) -> Vec<Evaluated> {
     let eval_one = |(index, schedule): (u128, Schedule)| -> Evaluated {
-        let perf = schedule.evaluate(profiler).ok();
+        let perf = schedule.evaluate_with(profiler).ok();
         (index, schedule, perf)
     };
     if workers <= 1 || batch.len() <= 1 {
@@ -665,7 +760,7 @@ fn coordinate_descent(
                         budget_left -= 1;
                         let (schedule, perf) = if space.digits_feasible(&next) {
                             let schedule = space.schedule_at(&next);
-                            let perf = schedule.evaluate(profiler).ok();
+                            let perf = schedule.evaluate_with(profiler).ok();
                             (schedule, perf)
                         } else {
                             (space.schedule_at(&next), None)
@@ -698,7 +793,8 @@ fn coordinate_descent(
 ///
 /// # Errors
 ///
-/// Returns [`RagoError::InvalidConfig`] for a malformed `config` and
+/// Returns [`RagoError::InvalidConfig`] for a malformed `config` or a
+/// placement that fails [`PlacementPlan::validate`], and
 /// [`RagoError::NoFeasibleSchedule`] when the budget ran out before any
 /// feasible candidate was found (or the space holds none).
 pub fn run_stochastic(
@@ -707,6 +803,7 @@ pub fn run_stochastic(
     config: &StochasticConfig,
 ) -> Result<StochasticSearchReport, RagoError> {
     config.validate()?;
+    space.validate_placements(rago.profiler().schema())?;
     let start = Instant::now();
     let profiler = rago.profiler();
     let uniform_fraction = config.uniform_fraction.clamp(0.0, 1.0);
@@ -963,7 +1060,6 @@ pub fn run_stochastic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::SearchOptions;
     use rago_hardware::ClusterSpec;
     use rago_schema::presets::{self, LlmSize};
 
@@ -995,11 +1091,24 @@ mod tests {
     }
 
     #[test]
-    fn decode_covers_exactly_the_odometer_stream() {
-        let rago = case1();
-        let options = tiny_options();
+    fn schedule_iter_streams_the_feasible_decodes_in_order() {
+        // Case IV has placements of one to four groups. At 40 XPUs some
+        // allocations are over budget, so the stream's skip past an
+        // allocation's sub-space runs.
+        let rago = Rago::new(
+            presets::case4_rewriter_reranker(LlmSize::B8),
+            ClusterSpec::paper_default(),
+        )
+        .with_budget(ResourceBudget::new(40, 32));
+        let options = SearchOptions {
+            xpu_steps: vec![4, 16],
+            server_steps: vec![16, 32],
+            predecode_batch_steps: vec![4, 8],
+            decode_batch_steps: vec![128, 256],
+            iterative_batch_steps: vec![8],
+            placements: None,
+        };
         let space = rago.schedule_space(&options);
-        let streamed: Vec<Schedule> = rago.schedule_iter(&options).collect();
         let mut decoded: Vec<Schedule> = Vec::new();
         for index in 0..space.size() {
             let schedule = space.decode(index).expect("index in range");
@@ -1011,13 +1120,12 @@ mod tests {
                 decoded.push(schedule);
             }
         }
-        // Same candidates (the codec enumerates in a different digit order
-        // than the odometer, so compare as sets of identity keys).
-        let mut streamed_keys: Vec<String> = streamed.iter().map(Schedule::identity_key).collect();
-        let mut decoded_keys: Vec<String> = decoded.iter().map(Schedule::identity_key).collect();
-        streamed_keys.sort();
-        decoded_keys.sort();
-        assert_eq!(streamed_keys, decoded_keys);
+        assert!(
+            (decoded.len() as u128) < space.size(),
+            "no allocation rejected"
+        );
+        let streamed: Vec<Schedule> = rago.schedule_iter(&options).collect();
+        assert_eq!(streamed, decoded);
     }
 
     #[test]

@@ -115,7 +115,7 @@ fn frontiers_by_plan_match_the_serial_reference_grouped_by_plan() {
                 .or_default()
                 .push(point);
         }
-        let plans = fresh(&schema).frontiers_by_plan(&options);
+        let plans = fresh(&schema).frontiers_by_plan(&options).unwrap();
         assert_eq!(plans.len(), by_plan.len(), "{}", schema.name);
         for (placement, allocation, frontier) in plans {
             let points = by_plan

@@ -185,8 +185,8 @@ impl ResourceBudget {
 
     /// Filters candidate per-group XPU counts down to the steps that can
     /// appear in *some* feasible allocation: positive, unique, and within
-    /// `max_xpus`. The optimizer applies this before building its search
-    /// odometer, so over-budget steps never inflate the enumerated grid.
+    /// `max_xpus`. The optimizer applies this before building its schedule
+    /// space, so over-budget steps never inflate the enumerated grid.
     pub fn admissible_xpu_steps(&self, candidates: &[u32]) -> Vec<u32> {
         admissible_steps(candidates, self.max_xpus)
     }

@@ -21,7 +21,10 @@
 //!
 //! * **Streaming** — [`Rago::schedule_iter`] walks the grid's
 //!   [`ScheduleSpace`] in index order ([`ScheduleIter`]), building each
-//!   candidate on demand; nothing is materialized.
+//!   candidate on demand; nothing is materialized. The stream is the
+//!   in-order concatenation of one work unit per allocation (placement ×
+//!   group XPUs × decode XPUs), each spanning that allocation's server ×
+//!   batching sub-space; a unit over the XPU budget is empty.
 //!
 //! [`Rago::optimize`] and [`Rago::frontiers_by_plan`] then run Algorithm 1
 //! in three phases:
@@ -37,12 +40,15 @@
 //!    score every candidate with a decode-stall simulation. One pass over
 //!    the candidates collects the distinct simulation inputs that feasible
 //!    candidates reach; rayon workers then simulate them through
-//!    [`StageProfiler::decode_stall`], each worker on different inputs. The
+//!    [`StageProfiler::decode_stall`], each worker on different inputs,
+//!    all reading one table of retrieval trigger positions. The
 //!    pre-decode batch is not an input, so all `|predecode_batch|` steps
 //!    share one simulation (see the profiler module docs).
-//! 3. **Score lock-free.** The candidate stream is bridged across rayon
-//!    worker threads. Each scores against the table with no lock and no
-//!    shared counter per lookup, and folds into a thread-local incremental
+//! 3. **Score lock-free.** The allocation units are bridged across rayon
+//!    worker threads, so each worker builds its own units' candidates
+//!    outside the source's lock. Each scores against the table with no
+//!    lock and no shared counter per lookup, and folds into a thread-local
+//!    incremental
 //!    [`ParetoAccumulator`] (online dominance pruning). The per-thread
 //!    frontiers merge at the end, and the workers' lookup tallies are added
 //!    to the profiler's memo hits once. Peak candidate storage is
@@ -74,6 +80,7 @@ use rago_schema::RagSchema;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Granularity of the schedule search. The paper searches powers of two for
 /// accelerator counts and batch sizes; these options let callers trade search
@@ -130,6 +137,46 @@ impl SearchOptions {
     pub fn with_placements(mut self, placements: Vec<PlacementPlan>) -> Self {
         self.placements = Some(placements);
         self
+    }
+
+    /// Checks that every axis a search of `schema` spins holds a step.
+    /// Zero steps are dropped as unusable, so an axis that is empty or
+    /// holds only zeros leaves the search nothing to enumerate. The
+    /// iterative batch axis counts only for iterative workloads, and an
+    /// empty `server_steps` asks for the default server steps. Steps that
+    /// are all over the budget are not malformed: the search then finds
+    /// no feasible schedule.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RagoError::InvalidConfig`] naming the first such axis, or
+    /// naming `placements` when it restricts the search to no placement.
+    pub fn validate(&self, schema: &RagSchema) -> Result<(), RagoError> {
+        let mut axes = vec![
+            ("xpu_steps", &self.xpu_steps),
+            ("predecode_batch_steps", &self.predecode_batch_steps),
+            ("decode_batch_steps", &self.decode_batch_steps),
+        ];
+        if !self.server_steps.is_empty() {
+            axes.push(("server_steps", &self.server_steps));
+        }
+        if schema.is_iterative() {
+            axes.push(("iterative_batch_steps", &self.iterative_batch_steps));
+        }
+        if let Some((axis, steps)) = axes
+            .into_iter()
+            .find(|(_, steps)| steps.iter().all(|&step| step == 0))
+        {
+            return Err(RagoError::InvalidConfig {
+                reason: format!("search axis `{axis}` has no step above zero: {steps:?}"),
+            });
+        }
+        if self.placements.as_ref().is_some_and(Vec::is_empty) {
+            return Err(RagoError::InvalidConfig {
+                reason: "search option `placements` lists no placement".into(),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -564,8 +611,9 @@ impl Rago {
     /// # Errors
     ///
     /// Returns [`RagoError::NoFeasibleSchedule`] when no candidate schedule
-    /// is feasible within the budget, and [`RagoError::InvalidConfig`] for a
-    /// malformed [`crate::search::StochasticConfig`].
+    /// is feasible within the budget, and [`RagoError::InvalidConfig`] for
+    /// malformed `options` (see [`Rago::optimize`]) or a malformed
+    /// [`crate::search::StochasticConfig`].
     pub fn optimize_with_mode(
         &self,
         options: &SearchOptions,
@@ -586,7 +634,8 @@ impl Rago {
     ///
     /// # Errors
     ///
-    /// Returns [`RagoError::InvalidConfig`] for a malformed config and
+    /// Returns [`RagoError::InvalidConfig`] for malformed `options` (see
+    /// [`Rago::optimize`]) or a malformed config, and
     /// [`RagoError::NoFeasibleSchedule`] when no feasible candidate was
     /// found within the budget.
     pub fn optimize_stochastic(
@@ -594,6 +643,7 @@ impl Rago {
         options: &SearchOptions,
         config: &crate::search::StochasticConfig,
     ) -> Result<crate::search::StochasticSearchReport, RagoError> {
+        options.validate(self.profiler.schema())?;
         crate::search::run_stochastic(self, &self.schedule_space(options), config)
     }
 
@@ -625,8 +675,9 @@ impl Rago {
     ///
     /// # Errors
     ///
-    /// Returns [`RagoError::InvalidConfig`] when a placement of `options`
-    /// fails [`PlacementPlan::validate`], and
+    /// Returns [`RagoError::InvalidConfig`] when `options` fails
+    /// [`SearchOptions::validate`] or one of its placements fails
+    /// [`PlacementPlan::validate`], and
     /// [`RagoError::NoFeasibleSchedule`] when no candidate schedule is
     /// feasible within the budget.
     pub fn optimize(&self, options: &SearchOptions) -> Result<ParetoFrontier, RagoError> {
@@ -652,13 +703,23 @@ impl Rago {
     ///
     /// As [`Rago::optimize`].
     pub fn optimize_serial(&self, options: &SearchOptions) -> Result<ParetoFrontier, RagoError> {
-        self.schedule_space(options)
-            .validate_placements(self.profiler.schema())?;
+        self.searched_space(options)?;
         let points = self.evaluate_all(options);
         if points.is_empty() {
             return Err(self.no_feasible_schedule());
         }
         Ok(ParetoFrontier::from_points(points))
+    }
+
+    /// The space a search of `options` walks, once `options` passes
+    /// [`SearchOptions::validate`] and its placements pass
+    /// [`PlacementPlan::validate`].
+    fn searched_space(&self, options: &SearchOptions) -> Result<ScheduleSpace, RagoError> {
+        let schema = self.profiler.schema();
+        options.validate(schema)?;
+        let space = self.schedule_space(options);
+        space.validate_placements(schema)?;
+        Ok(space)
     }
 
     pub(crate) fn no_feasible_schedule(&self) -> RagoError {
@@ -673,7 +734,7 @@ impl Rago {
     }
 
     /// Algorithm 1 over every candidate of `options`, in three phases, once
-    /// its placements pass [`PlacementPlan::validate`]. First, profile the
+    /// the options and their placements are valid. First, profile the
     /// grid once into a table. Second, simulate the distinct decode stalls
     /// in parallel. Third, score the candidates across rayon workers against
     /// the table, without a lock. Each worker folds its feasible points into
@@ -686,25 +747,26 @@ impl Rago {
         push: impl Fn(&mut A, ParetoPoint) + Sync,
         merge: impl Fn(A, A) -> A,
     ) -> Result<A, RagoError> {
-        let space = self.schedule_space(options);
-        space.validate_placements(self.profiler.schema())?;
+        let space = Arc::new(self.searched_space(options)?);
         let table = ProfileTable::fill(&self.profiler, &space);
-        table.simulate_stalls(space.clone().into_iter());
+        table.simulate_stalls(Arc::clone(&space).allocations().flatten());
         let (accumulator, lookups) = space
-            .into_iter()
+            .allocations()
             .par_bridge()
             .fold(
                 || (init(), 0),
-                |(mut acc, lookups), schedule| {
+                |(mut acc, lookups), unit| {
                     let reader = table.reader();
-                    if let Ok(performance) = schedule.evaluate_with(&reader) {
-                        push(
-                            &mut acc,
-                            ParetoPoint {
-                                schedule,
-                                performance,
-                            },
-                        );
+                    for schedule in unit {
+                        if let Ok(performance) = schedule.evaluate_with(&reader) {
+                            push(
+                                &mut acc,
+                                ParetoPoint {
+                                    schedule,
+                                    performance,
+                                },
+                            );
+                        }
                     }
                     (acc, lookups + reader.lookups())
                 },
@@ -724,8 +786,9 @@ impl Rago {
     ///
     /// # Errors
     ///
-    /// Returns [`RagoError::InvalidConfig`] when a placement of `options`
-    /// fails [`PlacementPlan::validate`].
+    /// Returns [`RagoError::InvalidConfig`] when `options` fails
+    /// [`SearchOptions::validate`] or one of its placements fails
+    /// [`PlacementPlan::validate`].
     pub fn frontiers_by_plan(
         &self,
         options: &SearchOptions,
@@ -868,6 +931,69 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, RagoError::NoFeasibleSchedule { .. }));
+    }
+
+    #[test]
+    fn malformed_search_options_are_rejected_by_every_search() {
+        let rago = Rago::new(
+            presets::case3_iterative(LlmSize::B8, 4),
+            ClusterSpec::paper_default(),
+        );
+        let stochastic = crate::search::StochasticConfig::default().with_budget(64);
+        type Malform = fn(&mut SearchOptions);
+        let malformed: [(&str, Malform); 7] = [
+            ("iterative_batch_steps", |o| {
+                o.iterative_batch_steps = vec![]
+            }),
+            ("iterative_batch_steps", |o| {
+                o.iterative_batch_steps = vec![0]
+            }),
+            ("decode_batch_steps", |o| o.decode_batch_steps = vec![0]),
+            ("predecode_batch_steps", |o| {
+                o.predecode_batch_steps = vec![0, 0]
+            }),
+            ("xpu_steps", |o| o.xpu_steps = vec![]),
+            ("server_steps", |o| o.server_steps = vec![0]),
+            ("placements", |o| o.placements = Some(Vec::new())),
+        ];
+        for (axis, malform) in malformed {
+            let mut options = tiny_options();
+            malform(&mut options);
+            for result in [
+                rago.optimize(&options).map(drop),
+                rago.optimize_serial(&options).map(drop),
+                rago.frontiers_by_plan(&options).map(drop),
+                rago.optimize_stochastic(&options, &stochastic).map(drop),
+            ] {
+                assert!(
+                    matches!(result, Err(RagoError::InvalidConfig { ref reason }) if reason.contains(axis)),
+                    "{axis}: {result:?}"
+                );
+            }
+        }
+        // The iterative axis counts only for iterative workloads.
+        let single = Rago::new(
+            presets::case1_hyperscale(LlmSize::B8, 1),
+            ClusterSpec::paper_default(),
+        );
+        let no_iterative = SearchOptions {
+            iterative_batch_steps: vec![],
+            ..tiny_options()
+        };
+        assert!(single.optimize(&no_iterative).is_ok());
+        // Steps that are all over the budget are not malformed.
+        let over_budget = SearchOptions {
+            xpu_steps: vec![256],
+            ..tiny_options()
+        };
+        assert!(matches!(
+            rago.optimize(&over_budget),
+            Err(RagoError::NoFeasibleSchedule { .. })
+        ));
+        assert!(matches!(
+            rago.optimize_stochastic(&over_budget, &stochastic),
+            Err(RagoError::NoFeasibleSchedule { .. })
+        ));
     }
 
     #[test]

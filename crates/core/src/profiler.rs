@@ -28,6 +28,14 @@
 //! Its counters ([`StageProfiler::decode_stall_stats`]) are separate from
 //! the stage-profile ones ([`StageProfiler::memo_stats`]).
 //!
+//! A simulation's retrieval trigger positions depend only on its seed,
+//! decode length, retrieval count and sequence index, and a profiler's
+//! inputs share the first three. So the memoized simulations read one
+//! shared [`TriggerTable`], grown to the largest decode batch simulated so
+//! far: a simulation of batch `B` reads the first `B` rows, exactly the
+//! positions it would draw for itself. With memoization disabled each
+//! simulation draws its own.
+//!
 //! [`StageProfiler::with_memoization`] disables both caches, which exists
 //! solely to benchmark the unmemoized search.
 //!
@@ -44,10 +52,12 @@
 //! batches. Each profile is computed once, so after a cold search the memo
 //! misses equal [`StageProfiler::cached_profiles`]. For iterative
 //! workloads one serial pass over the candidates then reserves a
-//! decode-stall memo cell for each distinct input they reach, and workers
-//! simulate those inputs in parallel, each worker on different inputs; the
-//! results stay in the decode-stall memo. Scoring
-//! reads the immutable table without a lock. Each worker tallies its
+//! decode-stall memo cell for each distinct input they reach, sizes the
+//! trigger table for the largest of them, and workers simulate those
+//! inputs in parallel, each worker on different inputs and none redrawing
+//! the table; the results stay in the decode-stall memo. Scoring, one
+//! allocation's candidates per work unit, reads the immutable table
+//! without a lock. Each worker tallies its
 //! lookups and the total is added to the memo hits once, at the end, less
 //! one per table entry: the fill's request for an entry stands in for its
 //! first lookup, so the counters add up to one request per lookup, as when
@@ -61,7 +71,7 @@ use rago_hardware::ClusterSpec;
 use rago_retrieval_sim::RetrievalSimulator;
 use rago_schema::{RagSchema, Stage};
 use rago_serving_sim::iterative::{
-    IterativeDecodeParams, IterativeDecodeResult, IterativeDecodeSim,
+    IterativeDecodeParams, IterativeDecodeResult, IterativeDecodeSim, TriggerTable,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -131,6 +141,10 @@ pub struct StageProfiler {
     retrieval: RetrievalSimulator,
     cache: ProfileCache,
     stalls: StallCache,
+    /// The trigger positions memoized decode-stall simulations read, grown
+    /// to the largest decode batch simulated so far; `None` before the
+    /// first simulation.
+    triggers: RwLock<Option<Arc<TriggerTable>>>,
     memoize: bool,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
@@ -159,6 +173,12 @@ impl Clone for StageProfiler {
                     })
                     .collect(),
             ),
+            triggers: RwLock::new(
+                self.triggers
+                    .read()
+                    .expect("trigger table poisoned")
+                    .clone(),
+            ),
             memoize: self.memoize,
             memo_hits: AtomicU64::new(self.memo_hits.load(Ordering::Relaxed)),
             memo_misses: AtomicU64::new(self.memo_misses.load(Ordering::Relaxed)),
@@ -179,6 +199,7 @@ impl StageProfiler {
             retrieval,
             cache: RwLock::new(HashMap::new()),
             stalls: RwLock::new(HashMap::new()),
+            triggers: RwLock::new(None),
             memoize: true,
             memo_hits: AtomicU64::new(0),
             memo_misses: AtomicU64::new(0),
@@ -319,7 +340,8 @@ impl StageProfiler {
         let mut simulated = false;
         let result = *cell.get_or_init(|| {
             simulated = true;
-            IterativeDecodeSim::new(params).run()
+            let sim = IterativeDecodeSim::new(params);
+            sim.run_with(&self.triggers_for(&params))
         });
         let counter = if simulated {
             &self.stall_misses
@@ -328,6 +350,25 @@ impl StageProfiler {
         };
         counter.fetch_add(1, Ordering::Relaxed);
         result
+    }
+
+    /// The trigger table, redrawn first with `params.decode_batch` rows
+    /// when it does not fit `params`. A profiler's simulations all share
+    /// one seed, decode length and retrieval count, so the redraw only ever
+    /// grows the table to a larger decode batch.
+    fn triggers_for(&self, params: &IterativeDecodeParams) -> Arc<TriggerTable> {
+        let fitting = |slot: &Option<Arc<TriggerTable>>| {
+            slot.as_ref().filter(|table| table.fits(params)).cloned()
+        };
+        if let Some(table) = fitting(&self.triggers.read().expect("trigger table poisoned")) {
+            return table;
+        }
+        let mut slot = self.triggers.write().expect("trigger table poisoned");
+        fitting(&slot).unwrap_or_else(|| {
+            let table = Arc::new(TriggerTable::draw(params, params.decode_batch));
+            *slot = Some(Arc::clone(&table));
+            table
+        })
     }
 
     fn profile_uncached(
@@ -679,6 +720,11 @@ impl<'p> ProfileTable<'p> {
         // Larger decode batches simulate for longer: start them first so
         // the workers run out of inputs at about the same time.
         inputs.sort_by_key(|p| Reverse(p.decode_batch));
+        // Size the trigger table for the largest batch now, so no worker
+        // redraws it.
+        if let Some(largest) = inputs.first() {
+            self.profiler.triggers_for(largest);
+        }
         inputs
             .into_iter()
             .par_bridge()

@@ -60,6 +60,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How [`Rago::optimize_with_mode`] searches the schedule space.
@@ -201,9 +202,11 @@ struct PlacementBlock {
 /// Each placement owns a contiguous block of indices. Within a block the
 /// iterative batch is the least significant digit, then the decode batch,
 /// the pre-decode batch, the server count, the decode allocation, and the
-/// groups' XPU counts, first group fastest. Indices cover allocations over
-/// the XPU budget too: [`ScheduleSpace::feasible`] rejects them, and the
-/// exhaustive stream ([`ScheduleIter`], from `into_iter`) skips them.
+/// groups' XPU counts, first group fastest. An *allocation* is one setting
+/// of the placement, group and decode digits; the server and batch digits
+/// below it span its sub-space. Indices cover allocations over the XPU
+/// budget too: [`ScheduleSpace::feasible`] rejects them, and the exhaustive
+/// stream ([`ScheduleIter`], from `into_iter`) skips them.
 #[derive(Debug, Clone)]
 pub struct ScheduleSpace {
     blocks: Vec<PlacementBlock>,
@@ -218,7 +221,8 @@ pub struct ScheduleSpace {
 
 /// The digit vector of one candidate: its placement block and one index
 /// into every axis. The coordinate-descent refinement steps these digits
-/// one at a time, and [`ScheduleIter`] carries through them in index order.
+/// one at a time, and the exhaustive search's [`Allocation`] units carry
+/// through them in index order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Digits {
     block: usize,
@@ -308,6 +312,29 @@ impl ScheduleSpace {
     pub fn feasible(&self, index: u128) -> bool {
         self.digits_of(index)
             .is_some_and(|d| self.digits_feasible(&d))
+    }
+
+    /// The candidates in one allocation's sub-space: servers × batching.
+    fn allocation_size(&self) -> usize {
+        self.server_steps.len()
+            * self.predecode_batches.len()
+            * self.decode_batches.len()
+            * self.iterative_batches.len()
+    }
+
+    /// The exhaustive search's work units: one [`Allocation`] per
+    /// allocation of the space, in index order.
+    pub(crate) fn allocations(self: Arc<Self>) -> Allocations {
+        let cursor = self.digits_of(0);
+        let remaining = match self.allocation_size() {
+            0 => 0,
+            size => usize::try_from(self.size / size as u128).unwrap_or(usize::MAX),
+        };
+        Allocations {
+            space: self,
+            cursor,
+            remaining,
+        }
     }
 
     fn digits_feasible(&self, d: &Digits) -> bool {
@@ -479,41 +506,98 @@ impl IntoIterator for ScheduleSpace {
     type IntoIter = ScheduleIter;
 
     fn into_iter(self) -> ScheduleIter {
-        let cursor = self.digits_of(0);
         ScheduleIter {
-            space: self,
-            cursor,
+            units: Arc::new(self).allocations().flatten(),
         }
     }
 }
 
+/// The allocations of a [`ScheduleSpace`] in index order, each yielded as
+/// an [`Allocation`] work unit. The source reports its exact length, so a
+/// parallel consumer can split even a short list across its workers.
+#[derive(Debug, Clone)]
+pub(crate) struct Allocations {
+    space: Arc<ScheduleSpace>,
+    /// The digits of the next allocation's first candidate; `None` past the
+    /// end.
+    cursor: Option<Digits>,
+    /// Allocations not yet yielded.
+    remaining: usize,
+}
+
+impl Iterator for Allocations {
+    type Item = Allocation;
+
+    fn next(&mut self) -> Option<Allocation> {
+        let digits = self.cursor.as_mut()?;
+        let remaining = if self.space.digits_feasible(digits) {
+            self.space.allocation_size()
+        } else {
+            0
+        };
+        let unit = Allocation {
+            space: Arc::clone(&self.space),
+            digits: digits.clone(),
+            remaining,
+        };
+        if !self.space.carry(digits, ALLOCATION_RANK) {
+            self.cursor = None;
+        }
+        self.remaining = self.remaining.saturating_sub(1);
+        Some(unit)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+/// One allocation's candidates, every server × batching setting in index
+/// order, built on demand. An allocation over the XPU budget has none.
+#[derive(Debug, Clone)]
+pub(crate) struct Allocation {
+    space: Arc<ScheduleSpace>,
+    /// The digits of the next candidate.
+    digits: Digits,
+    /// Candidates not yet yielded.
+    remaining: usize,
+}
+
+impl Iterator for Allocation {
+    type Item = Schedule;
+
+    fn next(&mut self) -> Option<Schedule> {
+        if self.remaining == 0 {
+            return None;
+        }
+        let schedule = self.space.schedule_at(&self.digits);
+        self.remaining -= 1;
+        if self.remaining > 0 {
+            self.space.carry(&mut self.digits, 0);
+        }
+        Some(schedule)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
 /// The exhaustive stream over a [`ScheduleSpace`]: every candidate within
-/// the XPU budget, in index order, built on demand. An allocation over the
-/// budget is passed over with its whole server × batching sub-space, without
-/// visiting those digits.
+/// the XPU budget, in index order, built on demand. It is the in-order
+/// concatenation of the exhaustive search's per-allocation work units, so
+/// an allocation over the budget is passed over with its whole server ×
+/// batching sub-space.
 #[derive(Debug, Clone)]
 pub struct ScheduleIter {
-    space: ScheduleSpace,
-    /// The digits of the next index to visit; `None` past the end.
-    cursor: Option<Digits>,
+    units: std::iter::Flatten<Allocations>,
 }
 
 impl Iterator for ScheduleIter {
     type Item = Schedule;
 
     fn next(&mut self) -> Option<Schedule> {
-        loop {
-            let digits = self.cursor.as_mut()?;
-            let feasible = self.space.digits_feasible(digits);
-            let schedule = feasible.then(|| self.space.schedule_at(digits));
-            let from = if feasible { 0 } else { ALLOCATION_RANK };
-            if !self.space.carry(digits, from) {
-                self.cursor = None;
-            }
-            if feasible {
-                return schedule;
-            }
-        }
+        self.units.next()
     }
 }
 
@@ -1090,11 +1174,10 @@ mod tests {
         assert_eq!(space.size(), 8);
     }
 
-    #[test]
-    fn schedule_iter_streams_the_feasible_decodes_in_order() {
-        // Case IV has placements of one to four groups. At 40 XPUs some
-        // allocations are over budget, so the stream's skip past an
-        // allocation's sub-space runs.
+    /// Case IV has placements of one to four groups. At 40 XPUs some
+    /// allocations are over budget, so the stream's skip past an
+    /// allocation's sub-space runs.
+    fn case4_at_40_xpus() -> (Rago, SearchOptions) {
         let rago = Rago::new(
             presets::case4_rewriter_reranker(LlmSize::B8),
             ClusterSpec::paper_default(),
@@ -1108,6 +1191,12 @@ mod tests {
             iterative_batch_steps: vec![8],
             placements: None,
         };
+        (rago, options)
+    }
+
+    #[test]
+    fn schedule_iter_streams_the_feasible_decodes_in_order() {
+        let (rago, options) = case4_at_40_xpus();
         let space = rago.schedule_space(&options);
         let mut decoded: Vec<Schedule> = Vec::new();
         for index in 0..space.size() {
@@ -1126,6 +1215,42 @@ mod tests {
         );
         let streamed: Vec<Schedule> = rago.schedule_iter(&options).collect();
         assert_eq!(streamed, decoded);
+    }
+
+    #[test]
+    fn allocation_units_are_the_stream_split_by_allocation() {
+        let (rago, options) = case4_at_40_xpus();
+        let space = Arc::new(rago.schedule_space(&options));
+        let allocation_of = |s: &Schedule| {
+            (
+                s.placement.clone(),
+                s.allocation.group_xpus.clone(),
+                s.allocation.decode_xpus,
+            )
+        };
+        // Every allocation of the space, in index order, with its fit.
+        let mut allocations = Vec::new();
+        for index in 0..space.size() {
+            let schedule = space.decode(index).expect("index in range");
+            let key = (allocation_of(&schedule), space.feasible(index));
+            if allocations.last() != Some(&key) {
+                allocations.push(key);
+            }
+        }
+        let units = Arc::clone(&space).allocations();
+        assert_eq!(
+            units.size_hint(),
+            (allocations.len(), Some(allocations.len()))
+        );
+        let units: Vec<Vec<Schedule>> = units.map(Iterator::collect).collect();
+        assert_eq!(units.len(), allocations.len());
+        for (unit, (allocation, fits)) in units.iter().zip(&allocations) {
+            assert_eq!(unit.is_empty(), !fits, "{allocation:?}");
+            assert!(unit.iter().all(|s| allocation_of(s) == *allocation));
+        }
+        assert!(units.iter().any(Vec::is_empty), "no allocation over budget");
+        let streamed: Vec<Schedule> = rago.schedule_iter(&options).collect();
+        assert_eq!(units.concat(), streamed);
     }
 
     #[test]

@@ -62,10 +62,75 @@ pub struct IterativeDecodeResult {
     pub idle_fraction: f64,
 }
 
+/// The retrieval trigger positions of the first `rows` sequences of every
+/// simulation with one seed, decode length and retrieval count.
+///
+/// Sequence `i` draws its positions from the seed's RNG stream after
+/// sequences `0..i` drew theirs, so they depend only on those three
+/// parameters and on `i`, never on the decode batch. One table therefore
+/// serves every decode batch up to its row count: a simulation of batch
+/// `B` reads the first `B` rows, and gets exactly the positions
+/// [`IterativeDecodeSim::run`] would draw for itself.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TriggerTable {
+    seed: u64,
+    decode_len: u32,
+    retrievals_per_sequence: u32,
+    rows: u32,
+    /// Positions per row: `min(retrievals_per_sequence, decode_len - 1)`.
+    stride: usize,
+    /// Row `i` is `positions[i * stride..(i + 1) * stride]`, ascending.
+    positions: Vec<u32>,
+}
+
+impl TriggerTable {
+    /// Draws the positions of the first `rows` sequences of every
+    /// simulation with `params`' seed, decode length and retrieval count.
+    /// `params.decode_batch` is not read.
+    pub fn draw(params: &IterativeDecodeParams, rows: u32) -> Self {
+        let stride = params
+            .retrievals_per_sequence
+            .min(params.decode_len.saturating_sub(1)) as usize;
+        let mut positions = Vec::with_capacity(stride * rows as usize);
+        if stride > 0 {
+            let mut rng = StdRng::seed_from_u64(params.seed);
+            for _ in 0..rows {
+                positions.extend(sample_positions(
+                    &mut rng,
+                    params.decode_len,
+                    params.retrievals_per_sequence,
+                ));
+            }
+        }
+        Self {
+            seed: params.seed,
+            decode_len: params.decode_len,
+            retrievals_per_sequence: params.retrievals_per_sequence,
+            rows,
+            stride,
+            positions,
+        }
+    }
+
+    /// Whether a simulation of `params` can read its positions from this
+    /// table: it was drawn for the same seed, decode length and retrieval
+    /// count, and holds a row for every sequence of the decode batch.
+    pub fn fits(&self, params: &IterativeDecodeParams) -> bool {
+        self.seed == params.seed
+            && self.decode_len == params.decode_len
+            && self.retrievals_per_sequence == params.retrievals_per_sequence
+            && self.rows >= params.decode_batch
+    }
+
+    fn row(&self, i: usize) -> &[u32] {
+        &self.positions[i * self.stride..(i + 1) * self.stride]
+    }
+}
+
 #[derive(Debug, Clone)]
-struct Sequence {
+struct Sequence<'t> {
     /// Token positions (1-based) at which this sequence issues a retrieval.
-    retrieval_positions: Vec<u32>,
+    retrieval_positions: &'t [u32],
     /// Tokens generated so far.
     generated: u32,
     /// Index of the next retrieval position to trigger.
@@ -127,15 +192,28 @@ impl IterativeDecodeSim {
     /// assert_eq!(result.retrieval_batches, 0);
     /// ```
     pub fn run(&self) -> IterativeDecodeResult {
+        self.run_with(&TriggerTable::draw(&self.params, self.params.decode_batch))
+    }
+
+    /// As [`Self::run`], reading the trigger positions from `triggers`
+    /// instead of drawing them. The result is bit-identical to
+    /// [`Self::run`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`TriggerTable::fits`] the parameters: the table was
+    /// drawn for another seed, decode length or retrieval count, or holds
+    /// fewer rows than the decode batch.
+    pub fn run_with(&self, triggers: &TriggerTable) -> IterativeDecodeResult {
         let p = self.params;
-        let mut rng = StdRng::seed_from_u64(p.seed);
-        let mut sequences: Vec<Sequence> = (0..p.decode_batch)
-            .map(|_| Sequence {
-                retrieval_positions: sample_positions(
-                    &mut rng,
-                    p.decode_len,
-                    p.retrievals_per_sequence,
-                ),
+        assert!(
+            triggers.fits(&p),
+            "trigger table does not fit the simulation: drawn for another seed, \
+             decode length or retrieval count, or fewer rows than the decode batch"
+        );
+        let mut sequences: Vec<Sequence> = (0..p.decode_batch as usize)
+            .map(|i| Sequence {
+                retrieval_positions: triggers.row(i),
                 generated: 0,
                 next_retrieval: 0,
                 paused: false,
@@ -271,11 +349,13 @@ impl IterativeDecodeSim {
 
 /// Samples `count` distinct retrieval positions uniformly from
 /// `[1, decode_len - 1]`, sorted ascending (retrievals never trigger on the
-/// final token — there is nothing left to generate).
+/// final token — there is nothing left to generate). Draws nothing from
+/// `rng` when `count` is zero or `decode_len` at most 1.
 ///
-/// Shared with the request-level engine ([`crate::engine`]) so both
-/// simulators draw identical trigger positions from the same seed — the basis
-/// of the degenerate-case equivalence between them.
+/// [`TriggerTable::draw`] calls it once per row and the request-level
+/// engine ([`crate::engine`]) once per request, so both simulators draw
+/// identical trigger positions from the same seed — the basis of the
+/// degenerate-case equivalence between them.
 pub(crate) fn sample_positions(rng: &mut StdRng, decode_len: u32, count: u32) -> Vec<u32> {
     if count == 0 || decode_len <= 1 {
         return Vec::new();
@@ -453,6 +533,36 @@ mod tests {
         assert!(pos.iter().all(|&p| (1..256).contains(&p)));
         assert!(sample_positions(&mut rng, 1, 5).is_empty());
         assert!(sample_positions(&mut rng, 256, 0).is_empty());
+    }
+
+    #[test]
+    fn run_with_rejects_a_table_that_does_not_fit() {
+        let params = base_params();
+        let sim = IterativeDecodeSim::new(params);
+        assert_eq!(sim.run_with(&TriggerTable::draw(&params, 64)), sim.run());
+        let misfits = [
+            TriggerTable::draw(&params, 63),
+            TriggerTable::draw(&IterativeDecodeParams { seed: 43, ..params }, 64),
+            TriggerTable::draw(
+                &IterativeDecodeParams {
+                    decode_len: 255,
+                    ..params
+                },
+                64,
+            ),
+            TriggerTable::draw(
+                &IterativeDecodeParams {
+                    retrievals_per_sequence: 3,
+                    ..params
+                },
+                64,
+            ),
+        ];
+        for table in misfits {
+            assert!(!table.fits(&params));
+            let run = std::panic::catch_unwind(|| sim.run_with(&table));
+            assert!(run.is_err(), "a misfit table was read: {table:?}");
+        }
     }
 
     #[test]

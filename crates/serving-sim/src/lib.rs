@@ -154,7 +154,9 @@ pub use faults::{
     ScaleDriver, ScalingPlan, ShedEvent,
 };
 pub use fleet::{FleetEngine, LostVerdict};
-pub use iterative::{IterativeDecodeParams, IterativeDecodeResult, IterativeDecodeSim};
+pub use iterative::{
+    IterativeDecodeParams, IterativeDecodeResult, IterativeDecodeSim, TriggerTable,
+};
 pub use microbatch::{simulate_collocated_burst, simulate_pipelined_burst, BurstResult};
 pub use pools::{DisaggReport, PoolCrash, PoolReport, TransferStats};
 pub use sink::{

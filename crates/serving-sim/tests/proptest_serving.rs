@@ -9,7 +9,7 @@ use rago_serving_sim::engine::{
 use rago_serving_sim::faults::ScaleDriver;
 use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::iterative::{
-    IterativeDecodeParams, IterativeDecodeResult, IterativeDecodeSim,
+    IterativeDecodeParams, IterativeDecodeResult, IterativeDecodeSim, TriggerTable,
 };
 use rago_serving_sim::microbatch::{simulate_collocated_burst, simulate_pipelined_burst};
 use rand::rngs::StdRng;
@@ -238,6 +238,41 @@ proptest! {
         let fast = IterativeDecodeSim::new(params).run();
         let reference = reference_run(params);
         prop_assert_eq!(result_bits(&fast), result_bits(&reference), "{:?} vs {:?}", fast, reference);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One trigger table serves every decode batch up to its rows: a run
+    /// that reads the shared table equals, bit for bit, the run that draws
+    /// its own positions. Covers one-token generations, zero retrievals and
+    /// more retrievals than positions to trigger them at.
+    #[test]
+    fn shared_trigger_table_reproduces_every_prefix_run(
+        rows in 1u32..24,
+        iterative_batch in 1u32..16,
+        retrievals in prop_oneof![Just(0u32), 1u32..6, 200u32..300],
+        decode_len in prop_oneof![Just(1u32), Just(2u32), 3u32..200],
+        retrieval_latency in prop_oneof![Just(0.0f64), 0.0f64..0.2],
+        seed in 0u64..1_000,
+    ) {
+        let params = |decode_batch| IterativeDecodeParams {
+            decode_batch,
+            iterative_batch,
+            decode_len,
+            retrievals_per_sequence: retrievals,
+            step_latency_s: 2e-3,
+            retrieval_prefix_latency_s: retrieval_latency,
+            seed,
+        };
+        let table = TriggerTable::draw(&params(rows), rows);
+        for decode_batch in 1..=rows {
+            let sim = IterativeDecodeSim::new(params(decode_batch));
+            let shared = sim.run_with(&table);
+            let own = sim.run();
+            prop_assert_eq!(result_bits(&shared), result_bits(&own), "decode batch {}", decode_batch);
+        }
     }
 }
 

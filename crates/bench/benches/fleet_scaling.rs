@@ -11,13 +11,14 @@
 //!    knee is strictly above the 1-replica knee.
 //! 2. **Routing** — every `RouterPolicy` at one fixed (replicas, rate)
 //!    point: attainment, goodput, TTFT tail, and load imbalance.
-//! 3. **Capacity planning** — `plan_capacity`'s gallop-and-bisect search
-//!    must agree with an exhaustive linear scan over the same replica grid,
-//!    within `2·ceil(log2 max_replicas) + 2` DES runs.
-//! 4. **Pool planning** — `plan_capacity_pools`' walk over prefill/decode
-//!    splits must agree with an exhaustive cross-product scan of the same
-//!    splits on the same trace; its DES runs are recorded next to the
-//!    scan's `max_replicas²`.
+//! 3. **Capacity planning** — `plan_capacity`'s gallop-and-bisect walk
+//!    along the flat column of the replica lattice must agree with an
+//!    exhaustive linear scan over the same replica grid, within
+//!    `2·ceil(log2 max_replicas) + 2` DES runs.
+//! 4. **Pool planning** — `plan_capacity_pools`' search of the
+//!    prefill/decode grid, the same walk per prefill column, must agree
+//!    with an exhaustive cross-product scan of the same splits on the same
+//!    trace; its DES runs are recorded next to the scan's `max_replicas²`.
 //!
 //! Set `RAGO_BENCH_QUICK=1` for a CI-friendly quick mode (smaller grid and
 //! traces, same JSON shape). The bench asserts its acceptance criteria and

@@ -30,11 +30,7 @@
 //! config, or an identity-free trace, every cached evaluation reproduces
 //! its cache-less run bit-exactly — timelines, metrics, and per-class rows.
 
-use crate::capacity::{
-    analytic_replicas, build_plan, search_min_replicas, sizing_trace, validate_capacity_inputs,
-    CapacityOptions, CapacityPlan,
-};
-use crate::dynamic::pipeline_spec;
+use crate::capacity::{plan_flat, CapacityOptions, CapacityPlan};
 use crate::error::RagoError;
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
@@ -74,7 +70,8 @@ pub struct CachedCapacityPlan {
 /// # Errors
 ///
 /// As [`crate::capacity::plan_capacity`], plus the cached pipeline's
-/// configuration errors.
+/// configuration errors and [`RagoError::InvalidConfig`] for a content
+/// model that [`ContentSpec::validate`] rejects, before any DES run.
 pub fn plan_capacity_cached(
     profiler: &StageProfiler,
     schedule: &Schedule,
@@ -84,16 +81,22 @@ pub fn plan_capacity_cached(
     cache: &CacheConfig,
     content: &ContentSpec,
 ) -> Result<CachedCapacityPlan, RagoError> {
-    validate_capacity_inputs(target_qps, options)?;
-    schedule.validate()?;
-    let spec = pipeline_spec(profiler, schedule, Some(cache))?;
-    let n0 = analytic_replicas(profiler, schedule, target_qps, options.max_replicas)?;
-    let trace = content.tag(&sizing_trace(target_qps, options));
-    let (replicas, report, work) =
-        search_min_replicas(&spec, &trace, slo, target_qps, n0, options)?;
+    content
+        .validate()
+        .map_err(|reason| RagoError::InvalidConfig {
+            reason: format!("content model: {reason}"),
+        })?;
+    let (plan, report) = plan_flat(
+        profiler,
+        schedule,
+        slo,
+        target_qps,
+        options,
+        Some((cache, content)),
+    )?;
     let usage = &report.merged.cache;
     Ok(CachedCapacityPlan {
-        plan: build_plan(schedule, replicas, &report, work, slo, target_qps),
+        plan,
         prefix_hit_rate: usage.prefix.hit_rate(),
         retrieval_hit_rate: usage.retrieval.hit_rate(),
         prefix_tokens_saved: usage.prefix.tokens_saved,
@@ -448,5 +451,61 @@ mod tests {
             ),
             Err(RagoError::InvalidConfig { .. })
         ));
+    }
+
+    /// A malformed content model is a configuration error of the cached
+    /// planner, returned before any simulation, not a panic in the trace
+    /// tagger or a trace whose requests all share one identity.
+    #[test]
+    fn malformed_content_models_are_rejected() {
+        let profiler = case1_profiler();
+        let schedule = case1_schedule();
+        let slo = SloTarget::new(1.0, 0.1);
+        let options = CapacityOptions {
+            max_replicas: 4,
+            num_requests: 40,
+            ..CapacityOptions::default()
+        };
+        let empty = PopularityModel {
+            items: 0,
+            exponent: 1.0,
+        };
+        let nan_skew = PopularityModel {
+            items: 8,
+            exponent: f64::NAN,
+        };
+        let malformed = [
+            ContentSpec {
+                shared_prefix_fraction: 1.5,
+                ..content()
+            },
+            ContentSpec {
+                shared_prefix_fraction: f64::NAN,
+                ..content()
+            },
+            ContentSpec {
+                prefixes: empty,
+                ..content()
+            },
+            ContentSpec {
+                docs: nan_skew,
+                ..content()
+            },
+        ];
+        for spec in malformed {
+            let plan = plan_capacity_cached(
+                &profiler,
+                &schedule,
+                &slo,
+                10.0,
+                &options,
+                &hot_cache(),
+                &spec,
+            );
+            assert!(
+                matches!(&plan, Err(RagoError::InvalidConfig { reason }) if reason.starts_with("content model: ")),
+                "{spec:?}: {plan:?}"
+            );
+        }
     }
 }

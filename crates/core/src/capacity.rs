@@ -16,41 +16,43 @@
 //!   that looks mediocre per chip may win once replica granularity is
 //!   accounted for, and vice versa.
 //!
-//! Attainment is monotone (non-decreasing) in the replica count in
-//! expectation — more replicas strictly reduce every replica's share of the
-//! load — which is what lets [`plan_capacity`] bracket and bisect instead
-//! of scanning. A finite seeded trace can still dip, so the search finishes
-//! with a downward confirmation walk; the `fleet_scaling` bench
-//! cross-checks the result against an exhaustive linear scan.
+//! Every plan is one search over a replica lattice: point `(p, d)` is a
+//! fleet of `p` prefill and `d` decode replicas, priced by its
+//! accelerators. A flat fleet is the single column `p = 1`, pools are the
+//! grid, and a rate profile is one flat plan per distinct rate. Attainment
+//! is monotone (non-decreasing) along the decode axis in expectation —
+//! more replicas strictly reduce every replica's share of the load — so
+//! each column is searched by one walk, `least_feasible`: gallop up from
+//! a seed to the first feasible count, then bisect between the last miss
+//! and it. Bisection leaves the answer's predecessor a probed miss, so the
+//! result equals an exhaustive scan whenever the column is monotone; the
+//! `fleet_scaling` bench cross-checks both planners against one.
 //!
 //! **Probe discipline.** Each candidate fleet is one DES run over the same
-//! sizing trace, memoized per search. The flat search starts from the
-//! analytic replica count `ceil(target / qps)` of [`Schedule::evaluate`]
-//! rather than from the bound, so `max_replicas` is simulated only when
-//! the search climbs to it. From a probe it does not return, a planner
+//! sizing trace, memoized per search. The seeds are analytic: the flat
+//! column starts at `ceil(target / qps)` of [`Schedule::evaluate`], the
+//! pool grid at that count for each side, so the bound is simulated only
+//! when the walk climbs to it. From a probe it does not return, a planner
 //! reads only the verdict `attainment ≥ target`, so those probes run
 //! verdict-only ([`FleetEngine::run_trace_verdict`]): an infeasible run
 //! stops as soon as its final misses rule the target out, and a feasible
-//! run completes with the report a full run gives. The pool search starts
-//! from the analytic split and reaches each column's boundary from the
-//! infeasible side, so mostly its answer runs in full. A probe at the bound
-//! (`max_replicas`, or `(max, max)` for pools) runs only when the search
-//! reaches it, and then always completes, so an infeasible target is
-//! reported with the full run's attainment. Plans count their DES runs,
-//! stopped runs and events exactly.
+//! run completes with the report a full run gives. A probe at the bound
+//! (`max_replicas`, or `(max, max)` for pools) always completes, so an
+//! infeasible target is reported with the full run's attainment. Plans
+//! count their DES runs, stopped runs and events exactly.
 
 use crate::dynamic::{fleet_engine, pipeline_spec};
 use crate::error::RagoError;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
+use rago_cache::CacheConfig;
 use rago_schema::{FleetConfig, KvTransferModel, RouterPolicy, SequenceProfile, SloTarget};
 use rago_serving_sim::cluster::FleetReport;
-use rago_serving_sim::engine::PipelineSpec;
 use rago_serving_sim::faults::{ChaosReport, ScaleDriver};
 use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::MetricsMode;
-use rago_workloads::{ArrivalProcess, RateSegment, TraceSpec};
+use rago_workloads::{ArrivalProcess, ContentSpec, RateSegment, Trace, TraceSpec};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -123,23 +125,19 @@ pub struct CapacityPlan {
 
 /// Finds the minimum replica count of `schedule`'s pipeline whose
 /// fleet-level SLO attainment meets `slo` at a Poisson offered rate of
-/// `target_qps`. The search starts from the analytic estimate
+/// `target_qps` — the single column `p = 1` of the replica lattice (see the
+/// module docs). The walk starts from the analytic estimate
 /// `n0 = ceil(target_qps / qps)` of [`Schedule::evaluate`], clamped to
 /// `1..=options.max_replicas`; gallops `n0, n0 + 1, n0 + 3, n0 + 7, …`
-/// (capped at the bound) to the first feasible count; bisects between the
-/// last infeasible count and it; and finishes with a downward confirmation
-/// walk. Attainment is monotone in the replica count in expectation (more
-/// replicas strictly shrink every replica's load share), but a finite
-/// seeded trace with discrete routing can dip; the confirmation walk
-/// re-checks successively smaller fleets (memoized, so it is free in the
-/// monotone case) and guarantees the returned count's predecessor misses
-/// the SLO — which makes the result equal to an exhaustive linear scan
-/// whenever the sweep is monotone (cross-checked by the `fleet_scaling`
-/// bench). The pipeline is profiled once and replicated; every candidate
-/// count is evaluated on the same generated trace, so plans are comparable
-/// across schedules. Probes other than `max_replicas` are verdict-only
-/// and stop once their SLO is lost (see the module docs); the plan counts
-/// the DES runs spent.
+/// (capped at the bound) to the first feasible count; and bisects between
+/// the last infeasible count (or 0) and it. Bisection leaves the returned
+/// count's predecessor a probed miss, so the result equals an exhaustive
+/// linear scan whenever attainment is monotone in the replica count
+/// (cross-checked by the `fleet_scaling` bench). The pipeline is profiled
+/// once and replicated; every candidate count is evaluated on the same
+/// generated trace, so plans are comparable across schedules. Probes other
+/// than `max_replicas` are verdict-only and stop once their SLO is lost
+/// (see the module docs); the plan counts the DES runs spent.
 ///
 /// # Errors
 ///
@@ -156,16 +154,58 @@ pub fn plan_capacity(
     target_qps: f64,
     options: &CapacityOptions,
 ) -> Result<CapacityPlan, RagoError> {
+    plan_flat(profiler, schedule, slo, target_qps, options, None).map(|(plan, _)| plan)
+}
+
+/// The one flat planner behind [`plan_capacity`] and
+/// [`crate::cached::plan_capacity_cached`]. With a `(cache, content)` pair,
+/// every replica runs with its own cold caches and the sizing trace is
+/// tagged with the content model's identity. Returns the plan and the
+/// planned fleet's report, off which the cached planner reads hit rates.
+pub(crate) fn plan_flat(
+    profiler: &StageProfiler,
+    schedule: &Schedule,
+    slo: &SloTarget,
+    target_qps: f64,
+    options: &CapacityOptions,
+    cached: Option<(&CacheConfig, &ContentSpec)>,
+) -> Result<(CapacityPlan, FleetReport), RagoError> {
     validate_capacity_inputs(target_qps, options)?;
     schedule.validate()?;
-    let spec = pipeline_spec(profiler, schedule, None)?;
-    let n0 = analytic_replicas(profiler, schedule, target_qps, options.max_replicas)?;
-    let trace = sizing_trace(target_qps, options);
-    let (replicas, report, work) =
-        search_min_replicas(&spec, &trace, slo, target_qps, n0, options)?;
-    Ok(build_plan(
-        schedule, replicas, &report, work, slo, target_qps,
-    ))
+    let spec = pipeline_spec(profiler, schedule, cached.map(|(cache, _)| cache))?;
+    let max = options.max_replicas;
+    let n0 = analytic_replicas(profiler, schedule, target_qps, max)?;
+    let mut trace = sizing_trace(target_qps, options);
+    if let Some((_, content)) = cached {
+        trace = content.tag(&trace);
+    }
+    let engine = |_, replicas| {
+        FleetEngine::new(
+            spec.clone(),
+            options.router,
+            ScaleDriver::Static { replicas },
+        )
+    };
+    let mut probes = Probes::new(slo, &trace, (1, max));
+    let chips = (0, schedule.allocation.total_xpus());
+    let Some((_, replicas, total_xpus)) = search_lattice(&mut probes, (1, n0), chips, engine)
+    else {
+        return Err(probes.infeasible(&format!("{max} replicas reach"), target_qps));
+    };
+    let report = probes.take((1, replicas)).fleet;
+    let plan = CapacityPlan {
+        replicas,
+        target_qps,
+        attainment: report.attainment(slo),
+        goodput_rps: report.goodput_rps(slo),
+        total_xpus,
+        total_retrieval_servers: schedule.allocation.retrieval_servers * replicas,
+        drain_tail_s: report.merged.metrics.drain_tail_s,
+        des_runs: probes.work.runs,
+        des_runs_stopped: probes.work.stopped,
+        des_events: probes.work.events,
+    };
+    Ok((plan, report))
 }
 
 /// Upper bound on [`CapacityOptions::max_replicas`] accepted by the
@@ -177,12 +217,9 @@ pub fn plan_capacity(
 /// already exceed any cluster the cost model describes.
 pub const MAX_PLANNER_REPLICAS: u32 = 4096;
 
-/// Input validation shared by [`plan_capacity`] and the cache-aware
-/// planner in [`crate::cached`] — one set of error messages for both.
-pub(crate) fn validate_capacity_inputs(
-    target_qps: f64,
-    options: &CapacityOptions,
-) -> Result<(), RagoError> {
+/// Input validation shared by every planner — one set of error messages
+/// for all.
+fn validate_capacity_inputs(target_qps: f64, options: &CapacityOptions) -> Result<(), RagoError> {
     if !(target_qps > 0.0 && target_qps.is_finite()) {
         return Err(RagoError::InvalidConfig {
             reason: format!("target QPS must be positive and finite, got {target_qps}"),
@@ -223,10 +260,10 @@ pub(crate) fn validate_capacity_inputs(
     Ok(())
 }
 
-/// The Poisson sizing trace every capacity plan is evaluated on, shared
-/// with [`crate::cached::plan_capacity_cached`] (which content-tags it) so
-/// cached and cache-less plans at the same rate are directly comparable.
-pub(crate) fn sizing_trace(target_qps: f64, options: &CapacityOptions) -> rago_workloads::Trace {
+/// The Poisson sizing trace every capacity plan is evaluated on; the cached
+/// planner content-tags it, so cached and cache-less plans at the same rate
+/// are directly comparable.
+fn sizing_trace(target_qps: f64, options: &CapacityOptions) -> Trace {
     TraceSpec {
         num_requests: options.num_requests,
         profile: options.profile,
@@ -239,35 +276,10 @@ pub(crate) fn sizing_trace(target_qps: f64, options: &CapacityOptions) -> rago_w
     .generate()
 }
 
-/// Assembles the [`CapacityPlan`] of a finished search — the single
-/// definition of the plan's derived fields, shared with the cache-aware
-/// planner.
-pub(crate) fn build_plan(
-    schedule: &Schedule,
-    replicas: u32,
-    report: &FleetReport,
-    work: DesWork,
-    slo: &SloTarget,
-    target_qps: f64,
-) -> CapacityPlan {
-    CapacityPlan {
-        replicas,
-        target_qps,
-        attainment: report.attainment(slo),
-        goodput_rps: report.goodput_rps(slo),
-        total_xpus: schedule.allocation.total_xpus() * replicas,
-        total_retrieval_servers: schedule.allocation.retrieval_servers * replicas,
-        drain_tail_s: report.merged.metrics.drain_tail_s,
-        des_runs: work.runs,
-        des_runs_stopped: work.stopped,
-        des_events: work.events,
-    }
-}
-
 /// The replica count the analytic model predicts for `target_qps`:
 /// `ceil(target_qps / qps)` of [`Schedule::evaluate`], clamped to
-/// `[1, max_replicas]` — where [`search_min_replicas`] starts its gallop.
-pub(crate) fn analytic_replicas(
+/// `[1, max_replicas]` — where the flat column's walk starts.
+fn analytic_replicas(
     profiler: &StageProfiler,
     schedule: &Schedule,
     target_qps: f64,
@@ -281,29 +293,31 @@ pub(crate) fn analytic_replicas(
 /// the verdict-only probes among them that stopped early, and the
 /// simulation events processed, stopped runs included.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct DesWork {
-    pub(crate) runs: u32,
-    pub(crate) stopped: u32,
-    pub(crate) events: u64,
+struct DesWork {
+    runs: u32,
+    stopped: u32,
+    events: u64,
 }
 
-/// The memoized probes of one capacity search: each candidate fleet `K` is
-/// simulated at most once, on the same trace, and its DES work tallied.
-/// The probe at the search bound, whose attainment an infeasible search
-/// quotes, runs to completion ([`FleetEngine::run_trace`]); every other
-/// probe is verdict-only ([`FleetEngine::run_trace_verdict`]) and is kept
-/// only if it completes, as every feasible one does.
-struct Probes<'a, K> {
+/// The memoized probes of one capacity search: each lattice point
+/// `(prefill, decode)` is simulated at most once, on the same trace, and
+/// its DES work tallied. The probe at the lattice's far corner, whose
+/// attainment an infeasible search quotes, runs to completion
+/// ([`FleetEngine::run_trace`]); every other probe is verdict-only
+/// ([`FleetEngine::run_trace_verdict`]) and is kept only if it completes,
+/// as every feasible one does.
+struct Probes<'a> {
     slo: &'a SloTarget,
-    trace: &'a rago_workloads::Trace,
-    /// The fleet at the search bound, the one probe always run in full.
-    bound: K,
-    runs: BTreeMap<K, Option<ChaosReport>>,
+    trace: &'a Trace,
+    /// The lattice's far corner `(columns, max_replicas)`, the one probe
+    /// always run in full.
+    bound: (u32, u32),
+    runs: BTreeMap<(u32, u32), Option<ChaosReport>>,
     work: DesWork,
 }
 
-impl<'a, K: Ord + Copy> Probes<'a, K> {
-    fn new(slo: &'a SloTarget, trace: &'a rago_workloads::Trace, bound: K) -> Self {
+impl<'a> Probes<'a> {
+    fn new(slo: &'a SloTarget, trace: &'a Trace, bound: (u32, u32)) -> Self {
         Self {
             slo,
             trace,
@@ -315,7 +329,7 @@ impl<'a, K: Ord + Copy> Probes<'a, K> {
 
     /// Whether fleet `key` meets the SLO; `engine` builds it on a miss of
     /// the memo.
-    fn meets(&mut self, key: K, engine: impl FnOnce() -> FleetEngine) -> bool {
+    fn meets(&mut self, key: (u32, u32), engine: impl FnOnce() -> FleetEngine) -> bool {
         let (slo, trace, work) = (self.slo, self.trace, &mut self.work);
         let full = key == self.bound;
         self.runs
@@ -344,97 +358,28 @@ impl<'a, K: Ord + Copy> Probes<'a, K> {
             .is_some_and(|report| report.fleet.attainment(slo) >= slo.attainment)
     }
 
-    /// The completed report of fleet `key`, as last probed.
-    fn report(&self, key: K) -> &ChaosReport {
-        self.runs[&key]
-            .as_ref()
-            .expect("feasible and full probes run to completion")
-    }
-
     /// Hands over the completed report of fleet `key`.
-    fn take(&mut self, key: K) -> ChaosReport {
+    fn take(&mut self, key: (u32, u32)) -> ChaosReport {
         self.runs
             .remove(&key)
             .flatten()
             .expect("feasible and full probes run to completion")
     }
-}
 
-/// The search core of [`plan_capacity`]: the minimum replica count of
-/// `spec` whose fleet attainment over `trace` meets `slo`, starting from
-/// the analytic estimate `n0` (see [`analytic_replicas`]). It gallops
-/// `n0, n0 + 1, n0 + 3, n0 + 7, …` (capped at `max_replicas`) to the first
-/// feasible count, bisects between the last infeasible count (or 1) and
-/// it, and finishes with a downward confirmation walk — every candidate
-/// memoized on the same trace. `max_replicas` is simulated only when the
-/// gallop reaches it, and then to completion, so an infeasible target is
-/// reported with the full run's attainment; every other probe is
-/// verdict-only and stops once its SLO is lost. Returns the count, its
-/// fleet report and the DES work spent. Shared with the cache-aware
-/// planner in [`crate::cached`], which supplies a cached spec and a
-/// content-tagged trace.
-pub(crate) fn search_min_replicas(
-    spec: &PipelineSpec,
-    trace: &rago_workloads::Trace,
-    slo: &SloTarget,
-    target_qps: f64,
-    n0: u32,
-    options: &CapacityOptions,
-) -> Result<(u32, FleetReport, DesWork), RagoError> {
-    let max = options.max_replicas;
-    let mut probes = Probes::new(slo, trace, max);
-    let meets = |probes: &mut Probes<u32>, replicas: u32| {
-        probes.meets(replicas, || {
-            FleetEngine::new(
-                spec.clone(),
-                options.router,
-                ScaleDriver::Static { replicas },
-            )
-        })
-    };
-
-    // Gallop up from the analytic estimate to the first feasible count.
-    let mut infeasible = 0u32;
-    let mut offset = 0u32;
-    let feasible = loop {
-        let replicas = n0.saturating_add(offset).clamp(1, max);
-        if meets(&mut probes, replicas) {
-            break replicas;
-        }
-        if replicas == max {
-            let top = probes.report(max);
-            return Err(RagoError::NoFeasibleSchedule {
-                reason: format!(
-                    "even {max} replicas reach only {:.1} % attainment at {target_qps:.1} rps \
-                     (target {:.1} %)",
-                    top.fleet.attainment(slo) * 100.0,
-                    slo.attainment * 100.0
-                ),
-            });
-        }
-        infeasible = replicas;
-        offset = offset.saturating_mul(2).saturating_add(1);
-    };
-    let mut lo = infeasible + 1;
-    let mut hi = feasible;
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if meets(&mut probes, mid) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
+    /// The error of a search no fleet passed, quoting the full run of the
+    /// bound, which `fleet` names (with its verb).
+    fn infeasible(&self, fleet: &str, target_qps: f64) -> RagoError {
+        let top = self.runs[&self.bound]
+            .as_ref()
+            .expect("the bound runs to completion");
+        RagoError::NoFeasibleSchedule {
+            reason: format!(
+                "even {fleet} only {:.1} % attainment at {target_qps:.1} rps (target {:.1} %)",
+                top.fleet.attainment(self.slo) * 100.0,
+                self.slo.attainment * 100.0
+            ),
         }
     }
-    // Downward confirmation: a noisy dip in the sweep can make the search
-    // land above the true minimum, so keep stepping down while smaller
-    // fleets still meet the SLO (memoized — free when the sweep is
-    // monotone, since the bracket already probed the count below).
-    let mut replicas = hi;
-    while replicas > 1 && meets(&mut probes, replicas - 1) {
-        replicas -= 1;
-    }
-    let report = probes.take(replicas).fleet;
-    Ok((replicas, report, probes.work))
 }
 
 /// The provisioning decision for one schedule at one target rate under
@@ -483,23 +428,24 @@ pub struct PoolCapacityPlan {
 /// pre-decode groups, a decode replica only its decode XPUs. Ties break
 /// toward fewer replicas, then fewer prefill replicas.
 ///
-/// The search treats each prefill count `p` as a column and finds its
-/// least feasible decode count from the infeasible side (feasibility is
-/// monotone in the decode count, not in `p`: more prefill replicas hand
-/// decode a burstier stream). It starts from the analytic split
-/// `(p0, d0)`: `ceil(target_qps / qps)` of the slowest pre-decode group
-/// or retrieval and of the decode stage, the two-pool analogue of the flat
-/// planner's seed. Column `p0` gallops up from `d0`, then the columns
-/// above it gallop up from one, then the columns below it probe their cap
-/// first (too few prefill replicas: one stopped probe rules such a column
-/// out). Each column is capped at the largest decode count whose split
-/// can still tie the best cost found, and skipped when even `(p, 1)`
-/// costs more than the best split. Probes are memoized on one sizing
-/// trace and verdict-only, so an infeasible split stops once its SLO is
-/// lost and mostly the answer runs in full; `(max_replicas, max_replicas)`
-/// is simulated only when the walk reaches it, and then to completion.
-/// Every candidate is evaluated on the identical trace, so the returned
-/// plan is directly comparable to the collocated plan at the same rate.
+/// The search is the replica lattice's grid: each prefill count `p` is a
+/// column searched for its least feasible decode count by the same walk as
+/// the flat planner's column (feasibility is monotone in the decode count,
+/// not in `p`: more prefill replicas hand decode a burstier stream). It
+/// starts from the analytic split `(p0, d0)`: `ceil(target_qps / qps)` of
+/// the slowest pre-decode group or retrieval and of the decode stage, the
+/// two-pool analogue of the flat planner's seed. Column `p0` gallops up
+/// from `d0`, then the columns above it gallop up from one, then the
+/// columns below it probe their cap first (too few prefill replicas: one
+/// stopped probe rules such a column out). Each column is capped at the
+/// largest decode count whose split can still tie the best cost found, and
+/// skipped when even `(p, 1)` costs more than the best split. Probes are
+/// memoized on one sizing trace and verdict-only, so an infeasible split
+/// stops once its SLO is lost and mostly the answer runs in full;
+/// `(max_replicas, max_replicas)` is simulated only when the walk reaches
+/// it, and then to completion. Every candidate is evaluated on the
+/// identical trace, so the returned plan is directly comparable to the
+/// collocated plan at the same rate.
 ///
 /// # Errors
 ///
@@ -540,54 +486,14 @@ pub fn plan_capacity_pools(
     engine(1, 1)?;
 
     let mut probes = Probes::new(slo, &trace, (max, max));
-    let chips_prefill = crate::disagg::prefill_xpus(schedule);
-    let chips_decode = crate::disagg::decode_xpus(schedule);
-    // Each prefill count `p` is a column searched on its own: more prefill
-    // replicas hand decode a burstier stream, so the least feasible decode
-    // count can rise with `p` as well as fall. The seed column goes first,
-    // then the columns above it, whose answers cap the ones below. A column
-    // is capped at the largest decode count whose split can still tie the
-    // best cost, and skipped when even `(p, 1)` costs more.
-    let mut best: Option<(u32, u32, u32)> = None; // (p, d, cost)
-    for p in iter::once(p0).chain(p0 + 1..=max).chain(1..p0) {
-        if best.is_some_and(|(.., cost)| p * chips_prefill + chips_decode > cost) {
-            continue;
-        }
-        let cap = best.map_or(max, |(.., cost)| {
-            ((cost - p * chips_prefill) / chips_decode).min(max)
-        });
-        // Where the column's boundary is expected: at the seed, past the
-        // cap below it (too few prefill replicas for the rate), and at
-        // one decode replica above it.
-        let start = match p.cmp(&p0) {
-            Ordering::Less => cap,
-            Ordering::Equal => d0.min(cap),
-            Ordering::Greater => 1,
-        };
-        let meets = |d| {
-            probes.meets((p, d), || {
-                engine(p, d).expect("every split of the validated inputs builds")
-            })
-        };
-        let Some(d) = least_feasible(start, cap, meets) else {
-            continue;
-        };
-        let cost = p * chips_prefill + d * chips_decode;
-        // Lowest cost, then fewest replicas, then fewest prefill replicas.
-        let rank = |(p, d, cost): (u32, u32, u32)| (cost, p + d, p);
-        if best.map_or(true, |b| rank((p, d, cost)) < rank(b)) {
-            best = Some((p, d, cost));
-        }
-    }
-    let Some((p, d, cost)) = best else {
-        return Err(RagoError::NoFeasibleSchedule {
-            reason: format!(
-                "even a {max} + {max} prefill/decode split reaches only {:.1} % attainment \
-                 at {target_qps:.1} rps (target {:.1} %)",
-                probes.report((max, max)).fleet.attainment(slo) * 100.0,
-                slo.attainment * 100.0
-            ),
-        });
+    let chips = (
+        crate::disagg::prefill_xpus(schedule),
+        crate::disagg::decode_xpus(schedule),
+    );
+    let split = |p, d| engine(p, d).expect("every split of the validated inputs builds");
+    let Some((p, d, cost)) = search_lattice(&mut probes, (p0, d0), chips, split) else {
+        let fleet = format!("a {max} + {max} prefill/decode split reaches");
+        return Err(probes.infeasible(&fleet, target_qps));
     };
     let report = probes.take((p, d)).fleet.merged;
     Ok(PoolCapacityPlan {
@@ -605,31 +511,83 @@ pub fn plan_capacity_pools(
     })
 }
 
-/// The least `d` in `1..=cap` that `meets`, for a feasibility monotone in
-/// `d`, reached from the infeasible side: gallop `start, start + 1,
-/// start + 3, …` (capped at `cap`) to the first feasible count, then walk up
-/// through the gap behind it. A verdict probe below the boundary stops
-/// early, so few probes run in full: the answer, and the gallop's
-/// overshoot when it lands past it. When `start` already meets, the counts
-/// below it are searched the same way from one.
-fn least_feasible(start: u32, cap: u32, mut meets: impl FnMut(u32) -> bool) -> Option<u32> {
-    if start > 1 && meets(start) {
-        return least_feasible(1, start - 1, meets).or(Some(start));
-    }
-    let mut below = start - 1;
-    let mut offset = 0u32;
-    let feasible = loop {
-        let d = start.saturating_add(offset).min(cap);
-        if meets(d) {
-            break d;
+/// The cheapest feasible point `(p, d, cost)` of the replica lattice
+/// `1..=columns × 1..=max_replicas` (the bound of `probes`), priced
+/// `p × chips.0 + d × chips.1`, or `None` when no point meets the SLO. A
+/// flat fleet is the single column `p = 1`; pools are the grid. Each
+/// column `p` is searched on its own by [`least_feasible`], since
+/// feasibility is monotone in the decode count but not in `p` (more
+/// prefill replicas hand decode a burstier stream). The seed column goes
+/// first from `d0`, then the columns above it from one, whose answers cap
+/// the ones below; those start at their cap, where too few prefill
+/// replicas rule a column out in one stopped probe. A column is capped at
+/// the largest decode count whose point can still tie the best cost, and
+/// skipped when even `(p, 1)` costs more. Ties break toward fewer
+/// replicas, then fewer prefill replicas.
+fn search_lattice(
+    probes: &mut Probes,
+    (p0, d0): (u32, u32),
+    (chips_prefill, chips_decode): (u32, u32),
+    engine: impl Fn(u32, u32) -> FleetEngine,
+) -> Option<(u32, u32, u32)> {
+    let (columns, max) = probes.bound;
+    let mut best: Option<(u32, u32, u32)> = None; // (p, d, cost)
+    for p in iter::once(p0).chain(p0 + 1..=columns).chain(1..p0) {
+        if best.is_some_and(|(.., cost)| p * chips_prefill + chips_decode > cost) {
+            continue;
         }
-        if d == cap {
+        let cap = best.map_or(max, |(.., cost)| {
+            ((cost - p * chips_prefill) / chips_decode).min(max)
+        });
+        let start = match p.cmp(&p0) {
+            Ordering::Less => cap,
+            Ordering::Equal => d0.min(cap),
+            Ordering::Greater => 1,
+        };
+        let meets = |d| probes.meets((p, d), || engine(p, d));
+        let Some(d) = least_feasible(start, cap, meets) else {
+            continue;
+        };
+        let cost = p * chips_prefill + d * chips_decode;
+        // Lowest cost, then fewest replicas, then fewest prefill replicas.
+        let rank = |(p, d, cost): (u32, u32, u32)| (cost, p + d, p);
+        if best.map_or(true, |b| rank((p, d, cost)) < rank(b)) {
+            best = Some((p, d, cost));
+        }
+    }
+    best
+}
+
+/// The least `n` in `1..=cap` that `meets`, for a feasibility monotone in
+/// `n`: the one walk of every capacity plan. It gallops `start, start + 1,
+/// start + 3, …` (capped at `cap`) to the first feasible count, then
+/// bisects between the last miss (or 0) and it. Bisection keeps `lo − 1` a
+/// probed miss (or 0), so the answer's predecessor is always a probed
+/// miss, no count is probed twice, and a verdict probe below the boundary
+/// stops early: mostly only the answer runs in full.
+fn least_feasible(start: u32, cap: u32, mut meets: impl FnMut(u32) -> bool) -> Option<u32> {
+    let mut lo = 1;
+    let mut offset = 0u32;
+    let mut hi = loop {
+        let n = start.saturating_add(offset).min(cap);
+        if meets(n) {
+            break n;
+        }
+        if n == cap {
             return None;
         }
-        below = d;
+        lo = n + 1;
         offset = offset.saturating_mul(2).saturating_add(1);
     };
-    (below + 1..feasible).find(|&d| meets(d)).or(Some(feasible))
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if meets(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    Some(hi)
 }
 
 /// The split the analytic model predicts for `target_qps`: prefill
@@ -847,6 +805,7 @@ mod tests {
     use rago_hardware::ClusterSpec;
     use rago_schema::presets::{self, LlmSize};
     use rago_schema::Stage;
+    use rago_serving_sim::engine::PipelineSpec;
 
     fn case1_profiler() -> StageProfiler {
         StageProfiler::new(
@@ -959,38 +918,96 @@ mod tests {
         assert_eq!(above_max, 2, "two rates must start above the bound");
     }
 
-    /// The plan's DES counters are exact: with `n0` feasible and `n0 − 1`
-    /// not, the search simulates those two fleets, the first in full and
-    /// the second verdict-only until its SLO is lost.
+    /// The plan's DES counters are exact, on two inputs whose probes are
+    /// known.
+    ///
+    /// 1. `n0 = 2` is feasible and `1` is not: the walk simulates those two
+    ///    fleets, the first in full and the second verdict-only until its
+    ///    SLO is lost.
+    /// 2. `n0 = 7` is feasible and above the answer, so the walk bisects
+    ///    below it: `4` misses, then `6` and `5` meet the SLO in full.
     #[test]
     fn plan_counts_its_des_runs_exactly() {
         let profiler = case1_profiler();
         let schedule = case1_schedule();
-        let slo = SloTarget::new(0.1, 0.1);
-        let target_qps = 170.0;
-        let options = timed_options(target_qps, 3.0);
-        let plan = plan_capacity(&profiler, &schedule, &slo, target_qps, &options).unwrap();
-        assert_eq!(plan.replicas, 2);
         let spec = pipeline_spec(&profiler, &schedule, None).unwrap();
-        let trace = sizing_trace(target_qps, &options);
-        let fleet = |replicas| {
-            FleetEngine::new(
-                spec.clone(),
-                options.router,
-                ScaleDriver::Static { replicas },
-            )
-        };
-        let full = fleet(2)
-            .run_trace(&trace)
-            .fleet
-            .merged
-            .metrics
-            .events_processed;
-        let lost = fleet(1).run_trace_verdict(&trace, &slo).unwrap_err();
-        assert_eq!(
-            (plan.des_runs, plan.des_runs_stopped, plan.des_events),
-            (2, 1, full + lost.events)
-        );
+        // (TTFT, rate, n0, plan, counts run in full, counts stopped).
+        let cases: [(f64, f64, u32, u32, &[_], &[_]); 2] = [
+            (0.1, 170.0, 2, 2, &[2], &[1]),
+            (0.4, 600.0, 7, 5, &[7, 6, 5], &[4]),
+        ];
+        for (ttft_s, target_qps, n0, replicas, full, stopped) in cases {
+            let slo = SloTarget::new(ttft_s, 0.1);
+            let options = timed_options(target_qps, 3.0);
+            assert_eq!(
+                analytic_replicas(&profiler, &schedule, target_qps, options.max_replicas).unwrap(),
+                n0
+            );
+            let plan = plan_capacity(&profiler, &schedule, &slo, target_qps, &options).unwrap();
+            assert_eq!(plan.replicas, replicas);
+            let trace = sizing_trace(target_qps, &options);
+            let fleet = |replicas| {
+                FleetEngine::new(
+                    spec.clone(),
+                    options.router,
+                    ScaleDriver::Static { replicas },
+                )
+            };
+            let full_events: u64 = full
+                .iter()
+                .map(|&n| {
+                    fleet(n)
+                        .run_trace(&trace)
+                        .fleet
+                        .merged
+                        .metrics
+                        .events_processed
+                })
+                .sum();
+            let lost_events: u64 = stopped
+                .iter()
+                .map(|&n| fleet(n).run_trace_verdict(&trace, &slo).unwrap_err().events)
+                .sum();
+            assert_eq!(
+                (plan.des_runs, plan.des_runs_stopped, plan.des_events),
+                (
+                    (full.len() + stopped.len()) as u32,
+                    stopped.len() as u32,
+                    full_events + lost_events
+                )
+            );
+        }
+    }
+
+    /// The one walk, exhaustively: for every cap up to 16, every start in
+    /// `1..=cap` and every monotone boundary `b` in `1..=cap + 1`, it
+    /// returns `b` (or `None` past the cap), probes no count twice, has
+    /// probed the answer's predecessor as a miss, and stays within
+    /// `2·ceil(log2 cap) + 2` probes.
+    #[test]
+    fn least_feasible_finds_every_monotone_boundary() {
+        for cap in 1..=16u32 {
+            let budget = 2 * cap.next_power_of_two().trailing_zeros() + 2;
+            for start in 1..=cap {
+                for b in 1..=cap + 1 {
+                    let mut probed = Vec::new();
+                    let found = least_feasible(start, cap, |n| {
+                        probed.push(n);
+                        n >= b
+                    });
+                    let at = format!("cap {cap}, start {start}, boundary {b}: probed {probed:?}");
+                    assert_eq!(found, (b <= cap).then_some(b), "{at}");
+                    let mut distinct = probed.clone();
+                    distinct.sort_unstable();
+                    distinct.dedup();
+                    assert_eq!(distinct.len(), probed.len(), "{at}");
+                    if let Some(n) = found.filter(|&n| n > 1) {
+                        assert!(probed.contains(&(n - 1)), "{at}");
+                    }
+                    assert!(probed.len() as u32 <= budget, "{at}");
+                }
+            }
+        }
     }
 
     /// A length jitter outside `[0, 1)` is a configuration error of every

@@ -165,6 +165,37 @@ pub struct ContentSpec {
 }
 
 impl ContentSpec {
+    /// Checks the spec: `shared_prefix_fraction` must lie in `[0, 1]`, and
+    /// each popularity model needs at least one item and a non-negative,
+    /// finite exponent — what [`PopularityModel::zipf`] asserts, for specs
+    /// built as struct literals or deserialized.
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable reason when the spec is invalid.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(0.0..=1.0).contains(&self.shared_prefix_fraction) {
+            return Err(format!(
+                "shared_prefix_fraction must be in [0, 1], got {}",
+                self.shared_prefix_fraction
+            ));
+        }
+        for (name, model) in [("prefixes", &self.prefixes), ("docs", &self.docs)] {
+            if model.items == 0 {
+                return Err(format!(
+                    "{name}: a popularity model needs at least one item"
+                ));
+            }
+            if !(model.exponent >= 0.0 && model.exponent.is_finite()) {
+                return Err(format!(
+                    "{name}: the Zipf exponent must be non-negative and finite, got {}",
+                    model.exponent
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Returns `trace` with every request tagged with content identity
     /// drawn from the two popularity streams. Arrivals, token lengths, ids,
     /// and class tags are bit-identical to the input; only
@@ -356,5 +387,56 @@ mod tests {
     #[should_panic(expected = "at least one item")]
     fn empty_popularity_models_panic() {
         let _ = PopularityModel::zipf(0, 1.0);
+    }
+
+    /// `validate` accepts the edges of every range and names each field a
+    /// struct literal can get wrong.
+    #[test]
+    fn validate_checks_every_field() {
+        assert_eq!(spec().validate(), Ok(()));
+        for fraction in [0.0, 1.0] {
+            let edge = ContentSpec {
+                shared_prefix_fraction: fraction,
+                ..spec()
+            };
+            assert_eq!(edge.validate(), Ok(()));
+        }
+        let uniform = ContentSpec {
+            docs: PopularityModel::uniform(1),
+            ..spec()
+        };
+        assert_eq!(uniform.validate(), Ok(()));
+        let bad = |s: ContentSpec, needle: &str| {
+            let reason = s.validate().unwrap_err();
+            assert!(reason.contains(needle), "{reason}");
+        };
+        for fraction in [-0.1, 1.5, f64::NAN] {
+            let s = ContentSpec {
+                shared_prefix_fraction: fraction,
+                ..spec()
+            };
+            bad(s, "shared_prefix_fraction");
+        }
+        let empty = PopularityModel {
+            items: 0,
+            exponent: 1.0,
+        };
+        bad(
+            ContentSpec {
+                prefixes: empty,
+                ..spec()
+            },
+            "prefixes: a popularity model needs at least one item",
+        );
+        for exponent in [-1.0, f64::NAN, f64::INFINITY] {
+            let skew = PopularityModel { items: 4, exponent };
+            bad(
+                ContentSpec {
+                    docs: skew,
+                    ..spec()
+                },
+                "docs: the Zipf exponent",
+            );
+        }
     }
 }

@@ -41,6 +41,7 @@ use rago_serving_sim::engine::{
 use rago_serving_sim::faults::ScaleDriver;
 use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::{MetricsMode, StreamingConfig};
+use rago_telemetry::NullRecorder;
 use rago_workloads::{ArrivalProcess, TraceSpec};
 use std::time::Instant;
 
@@ -165,7 +166,7 @@ fn median(mut samples: Vec<f64>) -> f64 {
 /// cross-checks the runs against each other.
 ///
 /// The optimized engine is a one-replica static fleet pulling the prebuilt
-/// requests in place ([`FleetEngine::run_pulled`]), so no copy or sort of
+/// requests in place ([`FleetEngine::run`]), so no copy or sort of
 /// the requests is timed. An untimed streaming warmup run precedes the
 /// measurements: on hosts with expensive first-touch paging (lazily
 /// materialized VM memory), the first pass over a tier's working set pays
@@ -185,7 +186,7 @@ fn run_engines(spec: &PipelineSpec, n: u64, with_baseline: bool, with_exact: boo
     );
     let run = |mode: &MetricsMode| -> (f64, ServingReport) {
         let t0 = Instant::now();
-        let report = engine.run_pulled(requests.iter().copied(), mode);
+        let report = engine.run(requests.iter().copied(), mode, &mut NullRecorder);
         (t0.elapsed().as_secs_f64(), report.fleet.merged)
     };
 
@@ -331,7 +332,11 @@ fn run_pulled(spec: &PipelineSpec, n: u64, diurnal: bool) -> PulledFigures {
     );
     let mode = MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()));
     let t0 = Instant::now();
-    let report = engine.run_pulled(trace.requests().map(|r| EngineRequest::from(&r)), &mode);
+    let report = engine.run(
+        trace.requests().map(|r| EngineRequest::from(&r)),
+        &mode,
+        &mut NullRecorder,
+    );
     let wall_s = t0.elapsed().as_secs_f64();
     let metrics = &report.fleet.merged.metrics;
     assert_eq!(

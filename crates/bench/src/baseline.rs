@@ -348,14 +348,15 @@ mod tests {
     use super::*;
     use rago_schema::RouterPolicy;
     use rago_serving_sim::engine::{DecodeSpec, LatencyTable, ServingReport, StageSpec};
-    use rago_serving_sim::{FleetEngine, ScaleDriver};
+    use rago_serving_sim::{FleetEngine, MetricsMode, ScaleDriver};
+    use rago_telemetry::NullRecorder;
 
     /// Runs `requests` through one replica of `spec`: a one-replica static
     /// fleet, whose merged report is the replica's own.
     fn run_alone(spec: PipelineSpec, requests: Vec<EngineRequest>) -> ServingReport {
         let one = ScaleDriver::Static { replicas: 1 };
         FleetEngine::new(spec, RouterPolicy::default(), one)
-            .run(requests)
+            .run(requests, &MetricsMode::Exact, &mut NullRecorder)
             .fleet
             .merged
     }

@@ -37,7 +37,7 @@ use rago_serving_sim::engine::{
     DecodeSpec, IterativeSpec, LatencyTable, PipelineSpec, ServingReport,
 };
 use rago_serving_sim::faults::{ChaosReport, ScaleDriver};
-use rago_serving_sim::fleet::FleetEngine;
+use rago_serving_sim::fleet::{arrivals, FleetEngine};
 use rago_serving_sim::MetricsMode;
 use rago_telemetry::{NullRecorder, Recorder};
 use rago_workloads::Trace;
@@ -281,7 +281,8 @@ pub fn evaluate_fleet_dynamic_with(
 ///
 /// # Errors
 ///
-/// As [`evaluate_fleet_dynamic_with`].
+/// As [`evaluate_fleet_dynamic_with`], and [`RagoError::InvalidConfig`]
+/// for a malformed `telemetry` ([`rago_telemetry::TelemetryConfig::validate`]).
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_fleet_dynamic_traced<R: Recorder>(
     profiler: &StageProfiler,
@@ -293,6 +294,9 @@ pub fn evaluate_fleet_dynamic_traced<R: Recorder>(
     telemetry: &rago_telemetry::TelemetryConfig,
     rec: &mut R,
 ) -> Result<FleetEvaluation, RagoError> {
+    telemetry
+        .validate()
+        .map_err(|reason| RagoError::InvalidConfig { reason })?;
     let engine = fleet_engine(profiler, schedule, fleet, trace, slo, mode, None)?
         .with_telemetry(telemetry.clone());
     let report = run_fleet(profiler, &engine, trace, mode, rec);
@@ -369,7 +373,7 @@ pub(crate) fn run_fleet<R: Recorder>(
     mode: &MetricsMode,
     rec: &mut R,
 ) -> ChaosReport {
-    let report = engine.run_trace_with_mode(trace, mode, rec);
+    let report = engine.run(arrivals(trace), mode, rec);
     record_profiler_memo(profiler, rec, report.fleet.merged.metrics.makespan_s);
     report
 }
@@ -1289,6 +1293,44 @@ mod tests {
             ] {
                 assert!(names.contains(&counter), "{counter} missing for {fleet:?}");
             }
+        }
+    }
+
+    /// A gauge cadence with no valid sample time (infinite: the one
+    /// sample lands at `0 · ∞ = NaN`, an unparsable Chrome-trace `ts`) or
+    /// a negative or NaN one is a config error, reported before any run.
+    #[test]
+    fn malformed_gauge_cadences_are_rejected() {
+        use rago_telemetry::{TelemetryConfig, TraceRecorder};
+
+        let profiler = case1_profiler();
+        let trace = TraceSpec {
+            num_requests: 10,
+            profile: SequenceProfile::paper_default().with_decode_tokens(8),
+            arrival: ArrivalProcess::Poisson { rate_rps: 20.0 },
+            length_jitter: 0.0,
+            seed: 4,
+        }
+        .generate();
+        let fleet = FleetConfig::new(1, RouterPolicy::LeastOutstanding);
+        for cadence in [f64::INFINITY, f64::NAN, -0.5] {
+            let telemetry = TelemetryConfig::full(cadence);
+            let mut rec = TraceRecorder::new(telemetry.clone());
+            let result = evaluate_fleet_dynamic_traced(
+                &profiler,
+                &case1_schedule(),
+                &fleet,
+                &trace,
+                &SloTarget::new(1.0, 0.1),
+                &MetricsMode::Exact,
+                &telemetry,
+                &mut rec,
+            );
+            assert!(
+                matches!(&result, Err(RagoError::InvalidConfig { reason }) if reason.contains("gauge cadence")),
+                "cadence {cadence}: {result:?}"
+            );
+            assert!(rec.is_empty(), "cadence {cadence} recorded a run");
         }
     }
 

@@ -13,7 +13,10 @@
 //! retrieval it is the CPU-server count. The search grid is a cross product,
 //! so millions of candidate schedules share a few thousand distinct stage
 //! profiles; the profiler memoizes them behind an [`std::sync::RwLock`], so
-//! threads that evaluate schedules one at a time share one cache.
+//! threads that evaluate schedules one at a time share one cache. Each
+//! entry is a [`OnceLock`], so threads that miss on the same key at the
+//! same time wait for one evaluation: with memoization on, the misses equal
+//! [`StageProfiler::cached_profiles`] whatever the thread count.
 //!
 //! Iterative workloads (Case III) also score every candidate with a
 //! decode-stall simulation ([`IterativeDecodeSim`]), by far the most
@@ -22,9 +25,8 @@
 //! float keyed by bit pattern. Those inputs are the decode and iterative
 //! batches, the decode step latency and the iterative retrieval + re-prefix
 //! latency. The pre-decode batch is not among them, so every pre-decode
-//! step of the grid shares one simulation. Each entry is a [`OnceLock`]
-//! behind the map's `RwLock`, so threads that miss on the same input at the
-//! same time wait for one simulation instead of each running their own.
+//! step of the grid shares one simulation, and, as for profiles, each
+//! distinct input is simulated once however many threads ask for it.
 //! Its counters ([`StageProfiler::decode_stall_stats`]) are separate from
 //! the stage-profile ones ([`StageProfiler::memo_stats`]).
 //!
@@ -104,18 +106,68 @@ pub struct StagePerf {
 /// Memoization key: `(stage, resource count, batch size)` — the full input
 /// domain of a stage profile.
 type ProfileKey = (Stage, u32, u32);
+/// One memo cell: computed by the first caller to ask for its key, while
+/// concurrent callers asking for the same key block on the cell instead of
+/// computing it again.
+type Memo<V> = Arc<OnceLock<V>>;
 /// The shared profile cache (outcomes are memoized whether feasible or not).
-type ProfileCache = RwLock<HashMap<ProfileKey, Result<StagePerf, RagoError>>>;
+type ProfileCache = RwLock<HashMap<ProfileKey, Memo<Result<StagePerf, RagoError>>>>;
 /// Decode-stall memoization key: every field of an
 /// [`IterativeDecodeParams`] — the batches, lengths and seed as they are, the
 /// two latencies by bit pattern.
 type StallKey = (u32, u32, u32, u32, u64, u64, u64);
-/// One decode-stall result, simulated by the first caller to ask for it.
-/// Concurrent callers asking for the same key block on the cell instead of
-/// simulating it again.
-type StallCell = Arc<OnceLock<IterativeDecodeResult>>;
 /// The shared decode-stall cache.
-type StallCache = RwLock<HashMap<StallKey, StallCell>>;
+type StallCache = RwLock<HashMap<StallKey, Memo<IterativeDecodeResult>>>;
+
+/// `key`'s cell in `cache`, inserted empty by the first caller to ask.
+fn memo_cell<K: Eq + std::hash::Hash, V>(cache: &RwLock<HashMap<K, Memo<V>>>, key: K) -> Memo<V> {
+    let cached = cache
+        .read()
+        .expect("memo cache poisoned")
+        .get(&key)
+        .cloned();
+    cached.unwrap_or_else(|| {
+        Arc::clone(
+            cache
+                .write()
+                .expect("memo cache poisoned")
+                .entry(key)
+                .or_default(),
+        )
+    })
+}
+
+/// `cell`'s value, computed by `init` for the one caller that finds it
+/// empty: that caller counts a miss, every other caller a hit.
+fn memo_get<V: Clone>(
+    cell: &OnceLock<V>,
+    (hits, misses): (&AtomicU64, &AtomicU64),
+    init: impl FnOnce() -> V,
+) -> V {
+    let mut computed = false;
+    let value = cell
+        .get_or_init(|| {
+            computed = true;
+            init()
+        })
+        .clone();
+    let counter = if computed { misses } else { hits };
+    counter.fetch_add(1, Ordering::Relaxed);
+    value
+}
+
+/// A copy of `cache`'s computed entries in fresh cells, so a clone never
+/// waits on a computation the original is still running.
+fn clone_memo<K: Eq + std::hash::Hash + Copy, V: Clone>(
+    cache: &RwLock<HashMap<K, Memo<V>>>,
+) -> RwLock<HashMap<K, Memo<V>>> {
+    let cache = cache.read().expect("memo cache poisoned");
+    let computed = cache.iter().filter_map(|(key, cell)| {
+        cell.get()
+            .map(|value| (*key, Arc::new(OnceLock::from(value.clone()))))
+    });
+    RwLock::new(computed.collect())
+}
 
 fn stall_key(p: &IterativeDecodeParams) -> StallKey {
     (
@@ -159,20 +211,8 @@ impl Clone for StageProfiler {
             cluster: self.cluster.clone(),
             inference: self.inference,
             retrieval: self.retrieval.clone(),
-            cache: RwLock::new(self.cache.read().expect("profiler cache poisoned").clone()),
-            // Fresh cells, so a clone never waits on a simulation the
-            // original is still running.
-            stalls: RwLock::new(
-                self.stalls
-                    .read()
-                    .expect("decode-stall cache poisoned")
-                    .iter()
-                    .filter_map(|(key, cell)| {
-                        cell.get()
-                            .map(|result| (*key, Arc::new(OnceLock::from(*result))))
-                    })
-                    .collect(),
-            ),
+            cache: clone_memo(&self.cache),
+            stalls: clone_memo(&self.stalls),
             triggers: RwLock::new(
                 self.triggers
                     .read()
@@ -223,12 +263,14 @@ impl StageProfiler {
     /// against the number of schedules evaluated to see the memoization
     /// leverage.
     pub fn cached_profiles(&self) -> usize {
-        self.cache.read().expect("profiler cache poisoned").len()
+        self.cache.read().expect("memo cache poisoned").len()
     }
 
     /// Lifetime memoization counters: `(hits, misses)`. A hit answers a
-    /// [`Self::profile`] call from the cache; a miss pays a cold cost-model
-    /// evaluation (with memoization disabled every call counts as a miss).
+    /// [`Self::profile`] call from the cache, including a call that waited
+    /// while another thread evaluated the same key; a miss pays a cold
+    /// cost-model evaluation, once per distinct key (with memoization
+    /// disabled every call counts as a miss).
     /// Counters are relaxed atomics — exact totals once the search threads
     /// have joined, which is when the self-profiling report reads them.
     pub fn memo_stats(&self) -> (u64, u64) {
@@ -272,7 +314,9 @@ impl StageProfiler {
     }
 
     /// Profiles `stage` with `resources` XPU chips (or CPU servers for
-    /// retrieval) at the given request `batch` size. Results are memoized.
+    /// retrieval) at the given request `batch` size. Results are memoized,
+    /// and each distinct key is evaluated once even when threads ask for it
+    /// at the same time.
     ///
     /// # Errors
     ///
@@ -290,22 +334,10 @@ impl StageProfiler {
             self.memo_misses.fetch_add(1, Ordering::Relaxed);
             return self.profile_uncached(stage, resources, batch);
         }
-        if let Some(hit) = self
-            .cache
-            .read()
-            .expect("profiler cache poisoned")
-            .get(&(stage, resources, batch))
-        {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
-        }
-        self.memo_misses.fetch_add(1, Ordering::Relaxed);
-        let result = self.profile_uncached(stage, resources, batch);
-        self.cache
-            .write()
-            .expect("profiler cache poisoned")
-            .insert((stage, resources, batch), result.clone());
-        result
+        let cell = memo_cell(&self.cache, (stage, resources, batch));
+        memo_get(&cell, (&self.memo_hits, &self.memo_misses), || {
+            self.profile_uncached(stage, resources, batch)
+        })
     }
 
     /// Runs the decode-stall simulation of iterative retrieval (§5.3) for
@@ -321,35 +353,10 @@ impl StageProfiler {
             self.stall_misses.fetch_add(1, Ordering::Relaxed);
             return IterativeDecodeSim::new(params).run();
         }
-        let key = stall_key(&params);
-        let cached = self
-            .stalls
-            .read()
-            .expect("decode-stall cache poisoned")
-            .get(&key)
-            .cloned();
-        let cell = cached.unwrap_or_else(|| {
-            Arc::clone(
-                self.stalls
-                    .write()
-                    .expect("decode-stall cache poisoned")
-                    .entry(key)
-                    .or_default(),
-            )
-        });
-        let mut simulated = false;
-        let result = *cell.get_or_init(|| {
-            simulated = true;
-            let sim = IterativeDecodeSim::new(params);
-            sim.run_with(&self.triggers_for(&params))
-        });
-        let counter = if simulated {
-            &self.stall_misses
-        } else {
-            &self.stall_hits
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        result
+        let cell = memo_cell(&self.stalls, stall_key(&params));
+        memo_get(&cell, (&self.stall_hits, &self.stall_misses), || {
+            IterativeDecodeSim::new(params).run_with(&self.triggers_for(&params))
+        })
     }
 
     /// The trigger table, redrawn first with `params.decode_batch` rows
@@ -782,13 +789,9 @@ impl CostSource for StallInputs<'_> {
     }
 
     fn decode_stall(&self, params: IterativeDecodeParams) -> IterativeDecodeResult {
-        let mut stalls = self
-            .profiler()
-            .stalls
-            .write()
-            .expect("decode-stall cache poisoned");
+        let mut stalls = self.profiler().stalls.write().expect("memo cache poisoned");
         if let Entry::Vacant(cell) = stalls.entry(stall_key(&params)) {
-            cell.insert(StallCell::default());
+            cell.insert(Memo::default());
             self.fresh.borrow_mut().push(params);
         }
         IterativeDecodeResult::default()
@@ -884,6 +887,29 @@ mod tests {
         });
         assert!(results.iter().all(|r| *r == results[0]));
         assert_eq!(p.decode_stall_stats(), (3, 1));
+    }
+
+    #[test]
+    fn concurrent_profile_misses_compute_once() {
+        // Each round, 8 threads released together ask for one fresh key:
+        // exactly one of them may pay the cost-model evaluation.
+        const THREADS: u64 = 8;
+        const ROUNDS: u32 = 32;
+        let p = profiler_case1();
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    for batch in 1..=ROUNDS {
+                        start.wait();
+                        p.profile(Stage::Decode, 8, batch).unwrap();
+                    }
+                });
+            }
+        });
+        let rounds = u64::from(ROUNDS);
+        assert_eq!(p.memo_stats(), ((THREADS - 1) * rounds, rounds));
+        assert_eq!(p.cached_profiles(), ROUNDS as usize);
     }
 
     #[test]

@@ -273,7 +273,9 @@ mod tests {
     use crate::engine::{DecodeSpec, LatencyTable, PipelineSpec, StageSpec};
     use crate::faults::ScaleDriver;
     use crate::fleet::FleetEngine;
+    use crate::sink::MetricsMode;
     use rago_schema::{RouterPolicy, SequenceProfile};
+    use rago_telemetry::NullRecorder;
     use rago_workloads::{ArrivalProcess, Trace, TraceSpec};
 
     fn one_stage_spec(stage_latency: f64, batch: u32) -> PipelineSpec {
@@ -473,8 +475,11 @@ mod tests {
     #[test]
     fn empty_request_sets_produce_an_empty_report() {
         let policy = AutoscalerPolicy::new(2, 4);
-        let report =
-            elastic(one_stage_spec(0.05, 1), RouterPolicy::RoundRobin, policy).run(Vec::new());
+        let report = elastic(one_stage_spec(0.05, 1), RouterPolicy::RoundRobin, policy).run(
+            Vec::new(),
+            &MetricsMode::Exact,
+            &mut NullRecorder,
+        );
         assert_eq!(report.fleet.merged.metrics.requests, 0);
         assert!(report.events.is_empty());
         assert_eq!(report.lifetimes.len(), 2);

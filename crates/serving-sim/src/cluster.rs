@@ -295,6 +295,7 @@ mod tests {
     use crate::sink::{MetricsMode, RunSink};
     use proptest::prelude::*;
     use rago_schema::SequenceProfile;
+    use rago_telemetry::NullRecorder;
     use rago_workloads::{ArrivalProcess, TraceSpec};
 
     /// The reference a one-replica fleet must reproduce: a bare replica
@@ -352,7 +353,13 @@ mod tests {
     #[test]
     fn round_robin_cycles_through_replicas() {
         let fleet = fixed(one_stage_spec(0.1, 1, 0.01, 4), 2, RouterPolicy::RoundRobin);
-        let report = fleet.run((0..4).map(|i| req(i, 0.0, 1)).collect()).fleet;
+        let report = fleet
+            .run(
+                (0..4).map(|i| req(i, 0.0, 1)).collect::<Vec<_>>(),
+                &MetricsMode::Exact,
+                &mut NullRecorder,
+            )
+            .fleet;
         let replicas: Vec<usize> = report.assignments.iter().map(|&(_, r)| r).collect();
         assert_eq!(replicas, vec![0, 1, 0, 1]);
         assert_eq!(report.imbalance.max_over_mean, 1.0);
@@ -369,7 +376,11 @@ mod tests {
             RouterPolicy::LeastOutstanding,
         );
         let report = fleet
-            .run(vec![req(0, 0.0, 100), req(1, 0.5, 1), req(2, 0.7, 1)])
+            .run(
+                vec![req(0, 0.0, 100), req(1, 0.5, 1), req(2, 0.7, 1)],
+                &MetricsMode::Exact,
+                &mut NullRecorder,
+            )
             .fleet;
         let replicas: Vec<usize> = report.assignments.iter().map(|&(_, r)| r).collect();
         assert_eq!(replicas[0], 0);
@@ -390,7 +401,13 @@ mod tests {
             2,
             RouterPolicy::JoinShortestQueue,
         );
-        let report = fleet.run(vec![req(0, 0.0, 100), req(1, 0.5, 1)]).fleet;
+        let report = fleet
+            .run(
+                vec![req(0, 0.0, 100), req(1, 0.5, 1)],
+                &MetricsMode::Exact,
+                &mut NullRecorder,
+            )
+            .fleet;
         let replicas: Vec<usize> = report.assignments.iter().map(|&(_, r)| r).collect();
         // Queue empty on both (request 0 is *in service*), so the
         // least-outstanding tiebreak sends request 1 to replica 1.
@@ -408,7 +425,11 @@ mod tests {
         );
         let fleet = fixed(spec, 2, RouterPolicy::DecodeFillAware);
         let report = fleet
-            .run(vec![req(0, 0.0, 50), req(1, 0.5, 50), req(2, 1.0, 1)])
+            .run(
+                vec![req(0, 0.0, 50), req(1, 0.5, 50), req(2, 1.0, 1)],
+                &MetricsMode::Exact,
+                &mut NullRecorder,
+            )
             .fleet;
         let replicas: Vec<usize> = report.assignments.iter().map(|&(_, r)| r).collect();
         assert_eq!(replicas[0], 0);
@@ -661,7 +682,7 @@ mod tests {
             let reqs = requests(n, gap);
             let engine = alone(spec.clone(), &reqs);
             let policy = RouterPolicy::ALL[policy_idx];
-            let fleet = fixed(spec, 1, policy).run(reqs).fleet;
+            let fleet = fixed(spec, 1, policy).run(reqs, &MetricsMode::Exact, &mut NullRecorder).fleet;
             prop_assert_eq!(&fleet.merged, &engine, "one-replica fleet diverged from the replica");
             prop_assert_eq!(&fleet.per_replica[0].report, &engine);
             prop_assert_eq!(fleet.per_replica[0].assigned, engine.timelines.len());
@@ -688,7 +709,7 @@ mod tests {
             let reqs = requests(n, gap);
             let engine = alone(spec.clone(), &reqs);
             let policy = RouterPolicy::ALL[policy_idx];
-            let fleet = fixed(spec, 1, policy).run(reqs).fleet;
+            let fleet = fixed(spec, 1, policy).run(reqs, &MetricsMode::Exact, &mut NullRecorder).fleet;
             prop_assert_eq!(&fleet.merged, &engine);
         }
     }

@@ -73,7 +73,7 @@
 
 use crate::equeue::EventQueue;
 use crate::iterative::sample_positions;
-use crate::sink::{MetricsMode, MetricsSink, RunSink};
+use crate::sink::{MetricsMode, RunSink};
 use rago_cache::{
     CacheConfig, CacheCounters, PrefixKvCache, PrefixLookup, RetrievalLookup, RetrievalResultCache,
 };
@@ -687,15 +687,9 @@ pub struct ServingReport {
 impl ServingReport {
     /// Builds the report of an exact (timeline-retaining) run: every
     /// request's timeline, in retirement order.
-    pub fn from_exact_sink(mut sink: crate::sink::ExactSink) -> Self {
+    pub(crate) fn from_exact_sink(mut sink: crate::sink::ExactSink) -> Self {
         sink.build_timelines();
         build_report(sink.timelines, &sink.acc)
-    }
-
-    /// Builds the `O(buckets)` report of a streaming run: no timelines,
-    /// histogram-derived percentiles, and online SLO scores.
-    pub fn from_histogram_sink(sink: crate::sink::HistogramSink) -> Self {
-        sink.into_report()
     }
 
     /// Fraction of requests meeting both latency targets of `slo`.
@@ -881,26 +875,6 @@ pub fn sustained_throughput_knee(points: &[(f64, f64)], slo: &SloTarget) -> Opti
         }
     }
     knee
-}
-
-/// Sorts requests into the engine's canonical injection order — ascending
-/// `(arrival_s, id)` — with a fast path for the common case: traces from
-/// `rago-workloads` generators and re-submitted engine requests are already
-/// sorted, and checking that is one linear pass instead of an
-/// `O(n log n)` re-sort of a million-entry vector.
-pub(crate) fn sort_by_arrival(requests: &mut [EngineRequest]) {
-    let sorted = requests.windows(2).all(|w| arrival_key_le(&w[0], &w[1]));
-    if !sorted {
-        requests.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
-    }
-    debug_assert!(requests.windows(2).all(|w| arrival_key_le(&w[0], &w[1])));
-}
-
-fn arrival_key_le(a: &EngineRequest, b: &EngineRequest) -> bool {
-    a.arrival_s
-        .total_cmp(&b.arrival_s)
-        .then(a.id.cmp(&b.id))
-        .is_le()
 }
 
 /// One cache probe observed during a traced run: a retrieval-result
@@ -2206,12 +2180,16 @@ mod tests {
     use crate::faults::ScaleDriver;
     use crate::fleet::FleetEngine;
     use rago_schema::{RouterPolicy, SequenceProfile};
+    use rago_telemetry::NullRecorder;
     use rago_workloads::{ArrivalProcess, Trace, TraceSpec};
 
     /// Runs `requests` through `spec` alone: a one-replica static fleet,
     /// whose merged report is the replica's own.
     fn run(spec: PipelineSpec, requests: Vec<EngineRequest>) -> ServingReport {
-        alone(spec).run(requests).fleet.merged
+        alone(spec)
+            .run(requests, &MetricsMode::Exact, &mut NullRecorder)
+            .fleet
+            .merged
     }
 
     /// [`run`] over a generated trace.

@@ -868,6 +868,7 @@ mod tests {
     use crate::fleet::FleetEngine;
     use crate::sink::{MetricsMode, StreamingConfig};
     use rago_schema::{HistogramSpec, RouterPolicy, SequenceProfile};
+    use rago_telemetry::NullRecorder;
     use rago_workloads::{ArrivalProcess, Trace, TraceSpec};
 
     fn one_stage_spec(stage_latency: f64, batch: u32) -> PipelineSpec {
@@ -1068,7 +1069,7 @@ mod tests {
             ScaleDriver::Static { replicas: 1 },
         )
         .with_admission(admission)
-        .run(requests);
+        .run(requests, &MetricsMode::Exact, &mut NullRecorder);
         assert!(report.fault.shed > 0, "overload never shed");
         // Only the best-effort class was shed (class 1's threshold is far
         // higher).
@@ -1365,10 +1366,10 @@ mod tests {
         let streaming =
             MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()).with_slo(slo));
         let exact = engine.run_trace(&spike_trace(220));
-        let streamed = engine.run_trace_with_mode(
-            &spike_trace(220),
+        let streamed = engine.run(
+            crate::fleet::arrivals(&spike_trace(220)),
             &streaming,
-            &mut rago_telemetry::NullRecorder,
+            &mut NullRecorder,
         );
         assert!(streamed.fleet.merged.timelines.is_empty());
         assert!(exact.fault.shed > 0, "the spike should overflow admission");

@@ -38,12 +38,15 @@
 //! [`FleetReport`] plus the scaling history, the fault ledger, and the
 //! transfer statistics. A one-replica static fleet runs exactly as its
 //! replica would with every request scheduled up front, for every router
-//! (pinned in [`crate::cluster`]'s tests). The loop pulls its arrivals one
-//! at a time ([`FleetEngine::run_pulled`]) and each replica retires a request
-//! once it and every earlier one have completed, so a lazily generated
-//! trace drives the fleet with per-request state only for requests in
-//! flight. A static, fault-free, admission-free
-//! fleet can also run *verdict-only*
+//! (pinned in [`crate::cluster`]'s tests).
+//!
+//! [`FleetEngine::run`] is the one way to run the loop: it pulls arrivals
+//! in the order given and takes a [`MetricsMode`] and a [`Recorder`]. Each
+//! replica retires a request once it and every earlier one have completed,
+//! so a lazily generated trace drives the fleet with per-request state only
+//! for requests in flight. [`arrivals`] reads a [`Trace`] in injection
+//! order, and [`FleetEngine::run_trace`] runs one exactly and untraced. A
+//! static, fault-free, admission-free fleet can also run *verdict-only*
 //! ([`FleetEngine::run_trace_verdict`]): the same loop, stopped once its
 //! final SLO misses rule the attainment target out — what the capacity
 //! planners use for the probes they do not return.
@@ -53,7 +56,7 @@
 //! ```
 //! use rago_serving_sim::engine::{DecodeSpec, LatencyTable, PipelineSpec, StageSpec};
 //! use rago_serving_sim::faults::ScaleDriver;
-//! use rago_serving_sim::fleet::FleetEngine;
+//! use rago_serving_sim::fleet::{arrivals, FleetEngine};
 //! use rago_serving_sim::{MetricsMode, StreamingConfig};
 //! use rago_schema::{HistogramSpec, RouterPolicy, SequenceProfile, SloTarget};
 //! use rago_workloads::{ArrivalProcess, TraceSpec};
@@ -77,7 +80,7 @@
 //! let engine = FleetEngine::new(spec, RouterPolicy::LeastOutstanding,
 //!     ScaleDriver::Static { replicas: 3 });
 //! let exact = engine.run_trace(&trace);
-//! let streamed = engine.run_trace_with_mode(&trace, &streaming, &mut rago_telemetry::NullRecorder);
+//! let streamed = engine.run(arrivals(&trace), &streaming, &mut rago_telemetry::NullRecorder);
 //! // Streaming keeps histogram-sized state: no timelines, no assignment log.
 //! assert!(streamed.fleet.merged.timelines.is_empty());
 //! assert!(streamed.fleet.assignments.is_empty());
@@ -88,8 +91,8 @@
 use crate::autoscaler::{AutoscalerPolicy, ReplicaLifetime, ScalingAction, ScalingEvent};
 use crate::cluster::{route_pick, FleetReport, LoadImbalance, ReplicaReport};
 use crate::engine::{
-    build_report, compute_metrics_for, sort_by_arrival, CacheProbe, ClassMetrics, EngineRequest,
-    PipelineSpec, ReplicaSim, RequestTimeline, Retired, ServingReport, SimAccumulators,
+    build_report, compute_metrics_for, CacheProbe, ClassMetrics, EngineRequest, PipelineSpec,
+    ReplicaSim, RequestTimeline, Retired, ServingReport, SimAccumulators,
 };
 use crate::equeue::{EventQueue, EventQueueStats};
 use crate::faults::{
@@ -126,7 +129,8 @@ pub struct FleetEngine {
     faults: FaultSchedule,
     crash_policy: CrashPolicy,
     admission: Option<AdmissionConfig>,
-    telemetry: rago_telemetry::TelemetryConfig,
+    /// Gauge sampling cadence of traced runs ([`Self::with_telemetry`]).
+    gauge_cadence_s: f64,
 }
 
 impl FleetEngine {
@@ -222,16 +226,22 @@ impl FleetEngine {
             faults: FaultSchedule::empty(),
             crash_policy: CrashPolicy::default(),
             admission: None,
-            telemetry: rago_telemetry::TelemetryConfig::disabled(),
+            gauge_cadence_s: 0.0,
         }
     }
 
-    /// Sets the telemetry config used by [`Self::run_telemetry`] (and by
-    /// [`Self::run_traced`] for its gauge cadence). The untraced run paths
-    /// never consult it.
+    /// Sets the cadence at which traced runs sample load gauges
+    /// (`telemetry.gauge_cadence_s`); untraced runs never consult it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`rago_telemetry::TelemetryConfig::validate`] fails.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: rago_telemetry::TelemetryConfig) -> Self {
-        self.telemetry = telemetry;
+        if let Err(e) = telemetry.validate() {
+            panic!("{e}");
+        }
+        self.gauge_cadence_s = telemetry.gauge_cadence_s;
         self
     }
 
@@ -262,12 +272,12 @@ impl FleetEngine {
         &self.driver
     }
 
-    /// Runs a generated trace through the fleet, reading its requests in
-    /// place — an unsorted trace through a permutation sorted by
-    /// `(arrival, id)`, the order [`Self::run`] sorts into.
+    /// Runs a generated trace through the fleet in exact metrics mode,
+    /// untraced: [`Self::run`] over [`arrivals`]`(trace)`, so the trace may
+    /// be in any order.
     pub fn run_trace(&self, trace: &Trace) -> ChaosReport {
-        self.run_trace_with_mode(
-            trace,
+        self.run(
+            arrivals(trace),
             &MetricsMode::Exact,
             &mut rago_telemetry::NullRecorder,
         )
@@ -306,7 +316,7 @@ impl FleetEngine {
             "a verdict-only run needs a static, fault-free, admission-free fleet"
         );
         self.run_recorded(
-            trace_arrivals(trace),
+            arrivals(trace),
             &MetricsMode::Exact,
             Some(slo),
             &mut rago_telemetry::NullRecorder,
@@ -314,103 +324,43 @@ impl FleetEngine {
         .map(|(report, _)| report)
     }
 
-    /// [`Self::run_trace`] with an explicit metrics pipeline, recording
-    /// into `rec` as [`Self::run_traced`] does. A
+    /// Runs the fleet over `arrivals`, pulled one at a time in the order
+    /// given. Nothing is copied or sorted, so a lazy generator such as
+    /// `rago_workloads::TraceSpec::requests` drives the fleet holding
+    /// per-request state only for requests in flight; [`arrivals`] reads a
+    /// [`Trace`] in injection order. Faults and restarts keep firing through
+    /// the drain after the last arrival; policy scaling does not.
+    ///
+    /// In [`MetricsMode::Streaming`] each replica retires into its own
+    /// [`crate::sink::HistogramSink`], merged in slot order: the report
+    /// keeps no timelines and no assignment log, and its merged sums may
+    /// differ in the last bits from the exact path's.
+    ///
+    /// `rec` sees router picks (crash re-picks included) and a split
+    /// fleet's KV transfers live. Request spans, cache probes, load gauges
+    /// (at the [`Self::with_telemetry`] cadence), profile counters, sheds
+    /// and — only when a flat fleet's size can change, under a non-`Static`
+    /// driver or faults — the scaling, lifecycle, disruption and routable
+    /// lanes are derived from the report's ledgers afterwards. A
     /// [`rago_telemetry::NullRecorder`] records nothing and leaves the run
     /// unchanged.
-    pub fn run_trace_with_mode<R: Recorder>(
-        &self,
-        trace: &Trace,
-        mode: &MetricsMode,
-        rec: &mut R,
-    ) -> ChaosReport {
-        self.run_pulled_traced(trace_arrivals(trace), mode, rec)
-    }
-
-    /// Runs the fleet over `requests` (sorted by arrival time internally)
-    /// in exact metrics mode. No policy scaling happens after the last
-    /// arrival, but faults (and restarts) keep firing through the drain.
     ///
     /// # Panics
     ///
-    /// Panics if any arrival time is negative or non-finite, any request
-    /// generates zero tokens, or a split fleet's request ids are not
-    /// unique (its two legs are stitched by id).
-    pub fn run(&self, requests: Vec<EngineRequest>) -> ChaosReport {
-        self.run_with_mode(requests, &MetricsMode::Exact)
-    }
-
-    /// [`Self::run`] with an explicit metrics pipeline. In streaming mode
-    /// every replica retires into its own [`crate::sink::HistogramSink`] and the sinks
-    /// merge in slot order: the fleet report holds no timelines and no
-    /// assignment log (the scaling history, lifetimes, and fault ledger are
-    /// `O(events + replicas)` and kept either way). The merged
-    /// floating-point sums may differ in the last bits from the exact
-    /// path's arrival-order accumulation.
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::run`], and for a streaming mode on a split fleet.
-    pub fn run_with_mode(&self, requests: Vec<EngineRequest>, mode: &MetricsMode) -> ChaosReport {
-        self.run_traced(requests, mode, &mut rago_telemetry::NullRecorder)
-    }
-
-    /// Runs the fleet over arrivals pulled one at a time from `arrivals`,
-    /// in the order they come: nothing is copied or sorted, so a generator
-    /// such as `rago_workloads::TraceSpec::requests` drives the fleet
-    /// without a trace ever being materialized. Together with arrival-order
-    /// slot retirement, a streaming run then holds per-request state only
-    /// for the requests in flight. [`Self::run_with_mode`] is this after a
-    /// sort by `(arrival, id)`.
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::run_with_mode`], and when a pulled arrival is earlier
-    /// than the one before it.
-    pub fn run_pulled<I>(&self, arrivals: I, mode: &MetricsMode) -> ChaosReport
+    /// Panics if an arrival time is negative, non-finite or earlier than the
+    /// one before it, a request generates zero tokens, or a split fleet runs
+    /// in streaming mode or repeats a request id (its legs are stitched by
+    /// id).
+    pub fn run<R: Recorder, I>(&self, arrivals: I, mode: &MetricsMode, rec: &mut R) -> ChaosReport
     where
-        I: ExactSizeIterator<Item = EngineRequest>,
+        I: IntoIterator<Item = EngineRequest>,
+        I::IntoIter: ExactSizeIterator,
     {
-        self.run_pulled_traced(arrivals, mode, &mut rago_telemetry::NullRecorder)
-    }
-
-    /// [`Self::run_with_mode`] recording a trace into `rec`: router picks
-    /// (including crash-requeue re-picks) live during routing; per-replica
-    /// request spans, cache probes, load gauges (at the
-    /// [`Self::with_telemetry`] cadence), self-profiling counters,
-    /// admission sheds and fault disruptions derived post-hoc from the
-    /// report's ledgers. Scaling decisions, replica lifecycle instants,
-    /// fault disruptions, and the routable-replica gauge are recorded only
-    /// when a flat fleet's size can change — a non-`Static` driver or a
-    /// non-empty fault schedule. A split fleet also records each KV
-    /// transfer live, as a span on the receiving decode replica's track. A
-    /// [`rago_telemetry::NullRecorder`] makes this exactly
-    /// [`Self::run_with_mode`].
-    pub fn run_traced<R: Recorder>(
-        &self,
-        mut requests: Vec<EngineRequest>,
-        mode: &MetricsMode,
-        rec: &mut R,
-    ) -> ChaosReport {
-        sort_by_arrival(&mut requests);
-        self.run_pulled_traced(requests.into_iter(), mode, rec)
-    }
-
-    /// [`Self::run_pulled`] recording into `rec`, as [`Self::run_traced`].
-    fn run_pulled_traced<R: Recorder, I>(
-        &self,
-        arrivals: I,
-        mode: &MetricsMode,
-        rec: &mut R,
-    ) -> ChaosReport
-    where
-        I: ExactSizeIterator<Item = EngineRequest>,
-    {
-        let Ok((report, obs)) = self.run_recorded(arrivals, mode, None, rec) else {
+        let Ok((report, obs)) = self.run_recorded(arrivals.into_iter(), mode, None, rec) else {
             unreachable!("a run without a miss budget never stops early")
         };
         if R::ENABLED {
-            let cadence = self.telemetry.gauge_cadence_s;
+            let cadence = self.gauge_cadence_s;
             let end_s = report.fleet.merged.metrics.makespan_s;
             record_fleet_observability(rec, &report.fleet, &obs, cadence);
             // Disruptions exist only under a non-empty fault schedule.
@@ -427,19 +377,6 @@ impl FleetEngine {
             }
         }
         report
-    }
-
-    /// Convenience wrapper: [`Self::run_traced`] with a
-    /// [`rago_telemetry::TraceRecorder`] built from the engine's
-    /// [`Self::with_telemetry`] config.
-    pub fn run_telemetry(
-        &self,
-        requests: Vec<EngineRequest>,
-        mode: &MetricsMode,
-    ) -> (ChaosReport, rago_telemetry::TraceRecorder) {
-        let mut rec = rago_telemetry::TraceRecorder::new(self.telemetry.clone());
-        let report = self.run_traced(requests, mode, &mut rec);
-        (report, rec)
     }
 
     /// The one fleet loop, pulling sorted arrivals from `arrivals`. The
@@ -566,18 +503,17 @@ impl FleetEngine {
 }
 
 /// `trace`'s requests in the fleet's injection order, ascending
-/// `(arrival, id)`, without copying the trace: a sorted trace — what every
-/// `rago-workloads` generator emits — is read in place, and an unsorted one
-/// through a `u32` permutation, stably sorted like [`FleetEngine::run`]
-/// sorts its requests.
+/// `(arrival, id)`, without copying the trace: a sorted trace, what every
+/// `rago-workloads` generator emits, is read in place, and an unsorted one
+/// through a stably sorted `u32` permutation. Feed it to [`FleetEngine::run`].
 ///
 /// # Panics
 ///
 /// Panics if an unsorted trace has more than `u32::MAX` requests.
-fn trace_arrivals(trace: &Trace) -> impl ExactSizeIterator<Item = EngineRequest> + '_ {
+pub fn arrivals(trace: &Trace) -> impl ExactSizeIterator<Item = EngineRequest> + '_ {
     let requests = &trace.requests;
     let before =
-        |a: &Request, b: &Request| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id));
+        |a: &Request, b: &Request| injection_order((a.arrival_s, a.id), (b.arrival_s, b.id));
     let order = (!requests.windows(2).all(|w| before(&w[0], &w[1]).is_le())).then(|| {
         let n = u32::try_from(requests.len()).expect("an unsorted trace fits a u32 permutation");
         let mut order: Vec<u32> = (0..n).collect();
@@ -1697,9 +1633,14 @@ impl RunSink {
     }
 }
 
-/// Arrival order, ties by request id.
+/// The fleet's injection order: ascending `(arrival_s, id)`.
+fn injection_order(a: (f64, u64), b: (f64, u64)) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// Timelines in injection order.
 fn by_arrival(a: &RequestTimeline, b: &RequestTimeline) -> Ordering {
-    a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id))
+    injection_order((a.arrival_s, a.id), (b.arrival_s, b.id))
 }
 
 /// Threads admission sheds into a merged report's aggregate and per-class
@@ -1848,6 +1789,7 @@ mod tests {
     use crate::engine::{DecodeSpec, LatencyTable, StageSpec};
     use crate::sink::StreamingConfig;
     use rago_schema::{HistogramSpec, SequenceProfile};
+    use rago_telemetry::NullRecorder;
     use rago_workloads::{ArrivalProcess, TraceSpec};
 
     fn one_stage_spec(stage_latency: f64) -> PipelineSpec {
@@ -1899,7 +1841,7 @@ mod tests {
             at_s: 0.05,
             restart_delay_s: 0.0,
         }]));
-        let report = engine.run(requests(40, 0.5));
+        let report = engine.run(requests(40, 0.5), &MetricsMode::Exact, &mut NullRecorder);
         assert_eq!(report.fault.completed, 40);
         let replacement = &report.fleet.per_replica[2].report;
         assert!(!replacement.timelines.is_empty());
@@ -1925,8 +1867,8 @@ mod tests {
             at_s: 1.0,
             restart_delay_s: 0.5,
         }]));
-        let exact = engine.run(requests(300, 0.01));
-        let streamed = engine.run_with_mode(requests(300, 0.01), &streaming);
+        let exact = engine.run(requests(300, 0.01), &MetricsMode::Exact, &mut NullRecorder);
+        let streamed = engine.run(requests(300, 0.01), &streaming, &mut NullRecorder);
         assert!(streamed.fleet.assignments.is_empty());
         assert!(streamed.fleet.merged.timelines.is_empty());
         assert_eq!(streamed.fault, exact.fault);
@@ -2076,9 +2018,9 @@ mod tests {
         );
     }
 
-    /// A trace is read in place, sorted or not: an unsorted one runs
-    /// exactly as its sorted copy does, and as the request vector `run`
-    /// sorts itself.
+    /// A trace is read in place, sorted or not: [`arrivals`] yields an
+    /// unsorted one in its sorted copy's order, ties broken by id, and it
+    /// runs exactly as the sorted copy does.
     #[test]
     fn unsorted_traces_run_in_sorted_order() {
         let mut sorted = poisson_trace(120, 80.0, 8);
@@ -2092,10 +2034,8 @@ mod tests {
             RouterPolicy::LeastOutstanding,
             ScaleDriver::Static { replicas: 2 },
         );
-        let report = engine.run_trace(&shuffled);
-        assert_eq!(report, engine.run_trace(&sorted));
-        let vector = shuffled.requests.iter().map(EngineRequest::from).collect();
-        assert_eq!(report, engine.run(vector));
+        assert!(arrivals(&shuffled).eq(arrivals(&sorted)));
+        assert_eq!(engine.run_trace(&shuffled), engine.run_trace(&sorted));
     }
 
     /// Arrivals pulled out of time order are a caller bug the loop refuses
@@ -2110,7 +2050,18 @@ mod tests {
             RouterPolicy::LeastOutstanding,
             ScaleDriver::Static { replicas: 1 },
         )
-        .run_pulled(reqs.into_iter(), &MetricsMode::Exact);
+        .run(reqs, &MetricsMode::Exact, &mut NullRecorder);
+    }
+
+    #[test]
+    #[should_panic(expected = "gauge cadence must be finite")]
+    fn infinite_gauge_cadences_are_rejected() {
+        let _ = FleetEngine::new(
+            one_stage_spec(0.03),
+            RouterPolicy::LeastOutstanding,
+            ScaleDriver::Static { replicas: 1 },
+        )
+        .with_telemetry(rago_telemetry::TelemetryConfig::full(f64::INFINITY));
     }
 
     #[test]

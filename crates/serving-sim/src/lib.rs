@@ -153,13 +153,13 @@ pub use faults::{
     FaultKind, FaultReport, FaultSchedule, PlanStep, PredictivePolicy, RecoveryMetrics,
     ScaleDriver, ScalingPlan, ShedEvent,
 };
-pub use fleet::{FleetEngine, LostVerdict};
+pub use fleet::{arrivals, FleetEngine, LostVerdict};
 pub use iterative::{
     IterativeDecodeParams, IterativeDecodeResult, IterativeDecodeSim, TriggerTable,
 };
 pub use microbatch::{simulate_collocated_burst, simulate_pipelined_burst, BurstResult};
 pub use pools::{DisaggReport, PoolCrash, PoolReport, TransferStats};
 pub use sink::{
-    ClassSloScore, ExactSink, HistogramSink, LatencyHistogram, MetricsMode, MetricsSink,
-    RequestOutcome, StreamedScores, StreamingConfig,
+    ClassSloScore, HistogramSink, LatencyHistogram, MetricsMode, RequestOutcome, StreamedScores,
+    StreamingConfig,
 };

@@ -3,13 +3,13 @@
 //!
 //! A run's default report retains every [`RequestTimeline`] — perfect
 //! fidelity, `O(requests)` memory. A million-request capacity sweep does
-//! not need per-request timelines; it needs percentiles and SLO counts. A
-//! [`MetricsSink`] observes each completed request exactly once, and two
-//! sinks implement the trade-off:
+//! not need per-request timelines; it needs percentiles and SLO counts.
+//! Each replica records every completed request exactly once, in injection
+//! order, into the sink of the run's [`MetricsMode`]:
 //!
-//! * [`ExactSink`] reconstructs the timelines and reproduces the default
-//!   report **bit for bit** — it is the identity path, used to pin the
-//!   sink plumbing against the golden outputs.
+//! * the crate-private exact sink reconstructs the timelines and reproduces
+//!   the default report **bit for bit** — it is the identity path, pinned
+//!   against the golden outputs.
 //! * [`HistogramSink`] folds each outcome into fixed-resolution linear
 //!   histograms ([`rago_schema::HistogramSpec`]) plus scalar accumulators,
 //!   holding `O(buckets)` state regardless of trace length. Percentiles
@@ -18,9 +18,8 @@
 //!   maxima are tracked exactly, and SLO attainment/goodput are counted
 //!   online against the SLOs named up front in the [`StreamingConfig`].
 //!
-//! The choice is carried by [`MetricsMode`] through the fleet's run entry
-//! points (`FleetEngine::run_with_mode`, `FleetEngine::run_pulled`, and
-//! the fleet evaluators in `rago-core`).
+//! The choice is the `mode` argument of the fleet's one run method,
+//! `FleetEngine::run`, and of the fleet evaluators in `rago-core`.
 
 use crate::engine::{RequestTimeline, ServingMetrics, ServingReport};
 use rago_schema::{HistogramSpec, SloTarget};
@@ -31,7 +30,7 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Default, PartialEq)]
 pub enum MetricsMode {
     /// Retain every request timeline and compute exact metrics — the
-    /// default, bit-identical to the plain `run()` entry points.
+    /// default, and the mode of `FleetEngine::run_trace`.
     #[default]
     Exact,
     /// Stream outcomes into fixed-resolution histograms; the report holds
@@ -92,7 +91,7 @@ impl StreamingConfig {
     }
 }
 
-/// One completed request as seen by a [`MetricsSink`]: the scalar outcome
+/// One completed request as a sink records it: the scalar outcome
 /// plus borrowed stage timing slices (so the exact sink can reconstruct the
 /// full timeline while the histogram sink reads only scalars, with no
 /// allocation either way).
@@ -142,15 +141,6 @@ impl RequestOutcome<'_> {
     }
 }
 
-/// An online consumer of completed-request outcomes. The engine calls
-/// [`record`](Self::record) exactly once per request, in injection (=
-/// arrival) order, as each request retires: once it and every request
-/// injected before it have completed.
-pub trait MetricsSink {
-    /// Observes one completed request.
-    fn record(&mut self, outcome: &RequestOutcome<'_>);
-}
-
 /// The identity sink: rebuilds every [`RequestTimeline`] and reports
 /// exactly what the default engine path reports, bit for bit.
 ///
@@ -159,7 +149,7 @@ pub trait MetricsSink {
 /// so a run that retires requests as it goes does not interleave two small
 /// allocations per request with the rest of its working set.
 #[derive(Debug, Clone, Default)]
-pub struct ExactSink {
+pub(crate) struct ExactSink {
     pub(crate) timelines: Vec<RequestTimeline>,
     pub(crate) acc: crate::engine::SimAccumulators,
     /// Outcomes recorded since the last [`ExactSink::build_timelines`].
@@ -185,11 +175,6 @@ struct Recorded {
 }
 
 impl ExactSink {
-    /// An empty exact sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Builds the recorded outcomes into [`RequestTimeline`]s, appended in
     /// recording order, and frees the flat buffers.
     pub(crate) fn build_timelines(&mut self) {
@@ -215,9 +200,7 @@ impl ExactSink {
         self.recorded = Vec::new();
         self.stage_times = Vec::new();
     }
-}
 
-impl MetricsSink for ExactSink {
     fn record(&mut self, outcome: &RequestOutcome<'_>) {
         self.recorded.push(Recorded {
             id: outcome.id,
@@ -269,10 +252,9 @@ impl RunSink {
             RunSink::Streaming(sink) => &mut sink.acc,
         }
     }
-}
 
-impl MetricsSink for RunSink {
-    fn record(&mut self, outcome: &RequestOutcome<'_>) {
+    /// Records one retired request.
+    pub(crate) fn record(&mut self, outcome: &RequestOutcome<'_>) {
         match self {
             RunSink::Exact(sink) => sink.record(outcome),
             RunSink::Streaming(sink) => sink.record(outcome),
@@ -627,10 +609,12 @@ impl HistogramSink {
             streamed: Some(streamed),
         }
     }
-}
 
-impl MetricsSink for HistogramSink {
-    fn record(&mut self, outcome: &RequestOutcome<'_>) {
+    /// Folds one completed request into the histograms and SLO counts.
+    /// The engine records each request exactly once, in injection order,
+    /// as it retires: once it and every request injected before it have
+    /// completed.
+    pub fn record(&mut self, outcome: &RequestOutcome<'_>) {
         let run_slo = self.config.slo;
         self.run.observe(outcome, run_slo.as_ref());
         let class_slo = self.config.slo_for_class(outcome.class);

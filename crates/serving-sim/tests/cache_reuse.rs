@@ -10,6 +10,8 @@ use rago_serving_sim::engine::{
 };
 use rago_serving_sim::faults::ScaleDriver;
 use rago_serving_sim::fleet::FleetEngine;
+use rago_serving_sim::MetricsMode;
+use rago_telemetry::NullRecorder;
 use rago_workloads::{
     ArrivalProcess, ContentIdentity, ContentSpec, PopularityModel, Trace, TraceSpec,
 };
@@ -23,7 +25,7 @@ fn fixed(spec: PipelineSpec, replicas: u32, router: RouterPolicy) -> FleetEngine
 /// whose merged report is the replica's own.
 fn run_alone(spec: PipelineSpec, requests: Vec<EngineRequest>) -> ServingReport {
     fixed(spec, 1, RouterPolicy::default())
-        .run(requests)
+        .run(requests, &MetricsMode::Exact, &mut NullRecorder)
         .fleet
         .merged
 }
@@ -243,7 +245,9 @@ fn cluster_replicas_start_cold_and_warm_independently() {
     let requests: Vec<EngineRequest> = (0..6)
         .map(|i| req_with_identity(i, i as f64, 7, 800, 100 + i))
         .collect();
-    let fleet = fixed(spec, 2, RouterPolicy::RoundRobin).run(requests).fleet;
+    let fleet = fixed(spec, 2, RouterPolicy::RoundRobin)
+        .run(requests, &MetricsMode::Exact, &mut NullRecorder)
+        .fleet;
     let usage = &fleet.merged.cache;
     assert_eq!(usage.prefix.lookups, 6);
     assert_eq!(usage.prefix.insertions, 2, "one cold miss per replica");
@@ -266,7 +270,7 @@ fn cache_affinity_concentrates_templates() {
         .map(|i| req_with_identity(i, i as f64, i % 2, 800, 1000 + i))
         .collect();
     let affinity = fixed(spec.clone(), 3, RouterPolicy::CacheAffinity)
-        .run(requests.clone())
+        .run(requests.clone(), &MetricsMode::Exact, &mut NullRecorder)
         .fleet;
     // One cold miss per template; everything else hits.
     assert_eq!(affinity.merged.cache.prefix.insertions, 2);
@@ -283,7 +287,7 @@ fn cache_affinity_concentrates_templates() {
     }
     // The hash router achieves the same concentration statically.
     let hashed = fixed(spec, 3, RouterPolicy::PrefixHash)
-        .run(requests.clone())
+        .run(requests.clone(), &MetricsMode::Exact, &mut NullRecorder)
         .fleet;
     assert_eq!(hashed.merged.cache.prefix.insertions, 2);
     assert_eq!(hashed.merged.cache.prefix.hits, 10);

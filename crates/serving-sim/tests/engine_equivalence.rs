@@ -20,6 +20,8 @@ use rago_serving_sim::faults::ScaleDriver;
 use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::iterative::{IterativeDecodeParams, IterativeDecodeSim};
 use rago_serving_sim::microbatch::{simulate_collocated_burst, simulate_pipelined_burst};
+use rago_serving_sim::MetricsMode;
+use rago_telemetry::NullRecorder;
 
 const EPS: f64 = 1e-9;
 
@@ -28,7 +30,7 @@ const EPS: f64 = 1e-9;
 fn run_alone(spec: PipelineSpec, requests: Vec<EngineRequest>) -> ServingReport {
     let one = ScaleDriver::Static { replicas: 1 };
     FleetEngine::new(spec, RouterPolicy::default(), one)
-        .run(requests)
+        .run(requests, &MetricsMode::Exact, &mut NullRecorder)
         .fleet
         .merged
 }

@@ -12,6 +12,8 @@ use rago_schema::RouterPolicy;
 use rago_serving_sim::engine::{DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, StageSpec};
 use rago_serving_sim::faults::ScaleDriver;
 use rago_serving_sim::fleet::FleetEngine;
+use rago_serving_sim::MetricsMode;
+use rago_telemetry::NullRecorder;
 
 /// Builds a pipeline with one or two pre-decode stages plus decode.
 fn pipeline(
@@ -84,7 +86,7 @@ proptest! {
             policy(policy_idx),
             ScaleDriver::Static { replicas: replicas as u32 },
         );
-        let report = fleet.run(reqs.clone()).fleet;
+        let report = fleet.run(reqs.clone(), &MetricsMode::Exact, &mut NullRecorder).fleet;
 
         // Union of per-replica timelines == input set, no loss/duplication.
         let mut seen: Vec<u64> = report
@@ -136,7 +138,7 @@ proptest! {
                 policy(policy_idx),
                 ScaleDriver::Static { replicas: replicas as u32 },
             )
-            .run(requests(n, gap))
+            .run(requests(n, gap), &MetricsMode::Exact, &mut NullRecorder)
         };
         prop_assert_eq!(run(), run());
     }

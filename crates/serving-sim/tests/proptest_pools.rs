@@ -23,6 +23,8 @@ use rago_serving_sim::engine::{
 use rago_serving_sim::faults::{FaultSchedule, ScaleDriver};
 use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::pools::{DisaggReport, PoolCrash};
+use rago_serving_sim::MetricsMode;
+use rago_telemetry::NullRecorder;
 
 /// Per-field tolerance for time stamps that cross the engines'
 /// `TIME_EPS = 1e-12` event-grouping boundary.
@@ -79,7 +81,7 @@ fn requests(n: usize, gap: f64) -> Vec<EngineRequest> {
 fn run_monolithic(full: &PipelineSpec, requests: Vec<EngineRequest>) -> ServingReport {
     let one = ScaleDriver::Static { replicas: 1 };
     FleetEngine::new(full.clone(), RouterPolicy::default(), one)
-        .run(requests)
+        .run(requests, &MetricsMode::Exact, &mut NullRecorder)
         .fleet
         .merged
 }
@@ -108,7 +110,7 @@ fn run_split(
         transfer,
     )
     .with_faults(FaultSchedule::new(faults))
-    .run(reqs);
+    .run(reqs, &MetricsMode::Exact, &mut NullRecorder);
     DisaggReport::from_chaos(report, decode.1, transfer)
 }
 

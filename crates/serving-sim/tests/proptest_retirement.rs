@@ -18,8 +18,9 @@ use rago_serving_sim::engine::{
 };
 use rago_serving_sim::faults::{FaultEvent, FaultSchedule, ScaleDriver};
 use rago_serving_sim::fleet::FleetEngine;
-use rago_serving_sim::sink::{HistogramSink, MetricsSink, RequestOutcome};
+use rago_serving_sim::sink::{HistogramSink, RequestOutcome};
 use rago_serving_sim::{MetricsMode, StreamingConfig};
+use rago_telemetry::NullRecorder;
 use rago_workloads::{ArrivalProcess, TraceSpec};
 
 fn pipeline() -> PipelineSpec {
@@ -154,8 +155,8 @@ proptest! {
             .with_class_slo(2, SloTarget::new(0.2, 0.01));
         let engine = fleet(kind);
         let reqs = requests(&raw);
-        let exact = engine.run(reqs.clone());
-        let streamed = engine.run_with_mode(reqs, &MetricsMode::Streaming(config.clone()));
+        let exact = engine.run(reqs.clone(), &MetricsMode::Exact, &mut NullRecorder);
+        let streamed = engine.run(reqs, &MetricsMode::Streaming(config.clone()), &mut NullRecorder);
         prop_assert_eq!(exact.fleet.per_replica.len(), streamed.fleet.per_replica.len());
         for (e, s) in exact.fleet.per_replica.iter().zip(&streamed.fleet.per_replica) {
             // The exact timelines are in injection order: the order the
@@ -196,7 +197,11 @@ fn pulled_peak(n: usize) -> usize {
         RouterPolicy::LeastOutstanding,
         ScaleDriver::Static { replicas: 1 },
     )
-    .run_pulled(spec.requests().map(|r| EngineRequest::from(&r)), &mode);
+    .run(
+        spec.requests().map(|r| EngineRequest::from(&r)),
+        &mode,
+        &mut NullRecorder,
+    );
     assert_eq!(report.fleet.merged.metrics.completed, n);
     report.fleet.per_replica[0].peak_live_requests
 }

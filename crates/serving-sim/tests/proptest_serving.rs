@@ -12,6 +12,8 @@ use rago_serving_sim::iterative::{
     IterativeDecodeParams, IterativeDecodeResult, IterativeDecodeSim, TriggerTable,
 };
 use rago_serving_sim::microbatch::{simulate_collocated_burst, simulate_pipelined_burst};
+use rago_serving_sim::MetricsMode;
+use rago_telemetry::NullRecorder;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -21,7 +23,7 @@ use rand::SeedableRng;
 fn run_alone(spec: PipelineSpec, requests: Vec<EngineRequest>) -> ServingReport {
     let one = ScaleDriver::Static { replicas: 1 };
     FleetEngine::new(spec, RouterPolicy::default(), one)
-        .run(requests)
+        .run(requests, &MetricsMode::Exact, &mut NullRecorder)
         .fleet
         .merged
 }

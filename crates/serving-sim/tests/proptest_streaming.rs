@@ -5,10 +5,11 @@
 //!   report within the sink's documented error bars — percentiles within
 //!   one bucket width, maxima and makespan bit-equal, means up to
 //!   summation order — and online SLO counts match post-hoc scoring.
-//! * Injection order is canonical: shuffled or reversed request vectors
-//!   produce reports identical to sorted input, for a one-replica fleet
-//!   and the autoscaled fleet alike (the `sort_by_arrival` fast path
-//!   must never change what a run computes, only what it costs).
+//! * Injection order is canonical: shuffled or reversed traces, read
+//!   through `fleet::arrivals`, produce reports identical to sorted input,
+//!   for a one-replica fleet and the autoscaled fleet alike (reading a
+//!   sorted trace in place must never change what a run computes, only
+//!   what it costs).
 //! * Empty and single-request traces run in both modes without NaNs.
 
 use proptest::prelude::*;
@@ -19,8 +20,10 @@ use rago_serving_sim::engine::{
     StageSpec,
 };
 use rago_serving_sim::faults::ScaleDriver;
-use rago_serving_sim::fleet::FleetEngine;
+use rago_serving_sim::fleet::{arrivals, FleetEngine};
 use rago_serving_sim::{MetricsMode, StreamingConfig};
+use rago_telemetry::NullRecorder;
+use rago_workloads::{Request, Trace};
 
 /// A two-stage pipeline plus continuous-batching decode, sized so random
 /// traces exercise queueing, batching, and the decode drain tail.
@@ -56,27 +59,45 @@ fn alone(spec: PipelineSpec) -> FleetEngine {
     )
 }
 
-/// Runs `requests` through one replica of `spec` in `mode`; the fleet's
-/// merged report is the replica's own.
-fn run(spec: &PipelineSpec, requests: Vec<EngineRequest>, mode: &MetricsMode) -> ServingReport {
+/// Runs `trace`, in injection order, through one replica of `spec` in
+/// `mode`; the fleet's merged report is the replica's own.
+fn run(spec: &PipelineSpec, trace: &Trace, mode: &MetricsMode) -> ServingReport {
     alone(spec.clone())
-        .run_with_mode(requests, mode)
+        .run(arrivals(trace), mode, &mut NullRecorder)
         .fleet
         .merged
 }
 
-fn requests_from(raw: &[(f64, u32, u32)]) -> Vec<EngineRequest> {
-    raw.iter()
+/// A trace of `(arrival, decode tokens, class)` requests, in the order
+/// given: ids follow positions, arrivals need not be sorted.
+fn trace_from(raw: &[(f64, u32, u32)]) -> Trace {
+    let requests = raw
+        .iter()
         .enumerate()
-        .map(|(i, &(arrival_s, decode_tokens, class))| EngineRequest {
+        .map(|(i, &(arrival_s, decode_tokens, class))| Request {
             id: i as u64,
             arrival_s,
+            question_tokens: 0,
             prefix_tokens: 0,
             decode_tokens,
             class,
             identity: None,
-        })
-        .collect()
+        });
+    Trace {
+        requests: requests.collect(),
+    }
+}
+
+/// `trace` reversed and strided-shuffled: the permutations the
+/// injection-order tests run.
+fn permutations(trace: &Trace) -> [Trace; 2] {
+    let reversed = trace.requests.iter().rev().cloned().collect();
+    [
+        Trace { requests: reversed },
+        Trace {
+            requests: shuffled(&trace.requests),
+        },
+    ]
 }
 
 /// A deterministic non-trivial permutation: strided order by a prime
@@ -101,11 +122,11 @@ proptest! {
         decode_batch in 1u32..32,
     ) {
         let spec = pipeline(stage_batch, decode_batch);
-        let requests = requests_from(&raw);
+        let trace = trace_from(&raw);
         let slo = SloTarget::new(0.5, 0.01);
         let config = StreamingConfig::new(HistogramSpec::default()).with_slo(slo);
-        let exact = run(&spec, requests.clone(), &MetricsMode::Exact);
-        let streaming = run(&spec, requests, &MetricsMode::Streaming(config));
+        let exact = run(&spec, &trace, &MetricsMode::Exact);
+        let streaming = run(&spec, &trace, &MetricsMode::Streaming(config));
 
         prop_assert_eq!(exact.metrics.requests, streaming.metrics.requests);
         prop_assert_eq!(exact.metrics.events_processed, streaming.metrics.events_processed);
@@ -143,36 +164,36 @@ proptest! {
         }
     }
 
-    /// Injection order is canonical: reversed and strided-shuffled request
-    /// vectors produce byte-identical reports in both metrics modes.
+    /// Injection order is canonical: reversed and strided-shuffled traces
+    /// produce byte-identical reports in both metrics modes, and
+    /// `arrivals` yields every permutation of a trace in one order.
     #[test]
     fn shuffled_traces_round_trip_to_identical_reports(
         raw in prop::collection::vec((0.0f64..10.0, 1u32..20, 0u32..2), 2..120),
         stage_batch in 1u32..8,
     ) {
         let spec = pipeline(stage_batch, 16);
-        let sorted = requests_from(&raw);
+        let trace = trace_from(&raw);
         let mode = MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()));
 
-        let ref_exact = run(&spec, sorted.clone(), &MetricsMode::Exact);
-        let ref_streaming = run(&spec, sorted.clone(), &mode);
+        let ref_exact = run(&spec, &trace, &MetricsMode::Exact);
+        let ref_streaming = run(&spec, &trace, &mode);
 
-        let mut reversed = sorted.clone();
-        reversed.reverse();
-        for permuted in [reversed, shuffled(&sorted)] {
-            prop_assert_eq!(&run(&spec, permuted.clone(), &MetricsMode::Exact), &ref_exact);
-            prop_assert_eq!(&run(&spec, permuted, &mode), &ref_streaming);
+        for other in permutations(&trace) {
+            prop_assert!(arrivals(&other).eq(arrivals(&trace)));
+            prop_assert_eq!(&run(&spec, &other, &MetricsMode::Exact), &ref_exact);
+            prop_assert_eq!(&run(&spec, &other, &mode), &ref_streaming);
         }
     }
 }
 
-/// An autoscaled fleet sorts injected requests into the same canonical
-/// order as a one-replica fleet: a reversed vector changes nothing in
-/// the report, including the scaling timeline.
+/// An autoscaled fleet takes a trace in the same canonical order as a
+/// one-replica fleet: a reversed or shuffled trace changes nothing in the
+/// report, including the scaling timeline.
 #[test]
 fn autoscaler_report_is_invariant_to_injection_order() {
     let spec = pipeline(8, 16);
-    let requests = requests_from(
+    let trace = trace_from(
         &(0..500)
             .map(|i| (f64::from(i) * 0.011, 4 + (i % 7) as u32, (i % 2) as u32))
             .collect::<Vec<_>>(),
@@ -189,15 +210,14 @@ fn autoscaler_report_is_invariant_to_injection_order() {
     );
     let mode = MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()));
 
-    let mut reversed = requests.clone();
-    reversed.reverse();
-    let strided = shuffled(&requests);
-
-    let sorted_exact = engine.run(requests.clone());
-    let sorted_streaming = engine.run_with_mode(requests, &mode);
-    for permuted in [reversed, strided] {
-        assert_eq!(engine.run(permuted.clone()), sorted_exact);
-        assert_eq!(engine.run_with_mode(permuted, &mode), sorted_streaming);
+    let sorted_exact = engine.run_trace(&trace);
+    let sorted_streaming = engine.run(arrivals(&trace), &mode, &mut NullRecorder);
+    for other in permutations(&trace) {
+        assert_eq!(engine.run_trace(&other), sorted_exact);
+        assert_eq!(
+            engine.run(arrivals(&other), &mode, &mut NullRecorder),
+            sorted_streaming
+        );
     }
 }
 
@@ -210,9 +230,12 @@ fn empty_trace_runs_cleanly_in_both_modes() {
     let config = StreamingConfig::new(HistogramSpec::default()).with_slo(slo);
 
     for report in [
-        alone(spec.clone()).run(Vec::new()).fleet.merged,
-        run(&spec, Vec::new(), &MetricsMode::Exact),
-        run(&spec, Vec::new(), &MetricsMode::Streaming(config)),
+        alone(spec.clone())
+            .run(Vec::new(), &MetricsMode::Exact, &mut NullRecorder)
+            .fleet
+            .merged,
+        run(&spec, &trace_from(&[]), &MetricsMode::Exact),
+        run(&spec, &trace_from(&[]), &MetricsMode::Streaming(config)),
     ] {
         assert_eq!(report.metrics.requests, 0);
         assert_eq!(report.metrics.completed, 0);
@@ -246,18 +269,11 @@ fn empty_trace_runs_cleanly_in_both_modes() {
 #[test]
 fn single_request_trace_is_degenerate_but_finite() {
     let spec = pipeline(4, 8);
-    let requests = vec![EngineRequest {
-        id: 0,
-        arrival_s: 0.0,
-        prefix_tokens: 0,
-        decode_tokens: 1,
-        class: 0,
-        identity: None,
-    }];
-    let exact = run(&spec, requests.clone(), &MetricsMode::Exact);
+    let trace = trace_from(&[(0.0, 1, 0)]);
+    let exact = run(&spec, &trace, &MetricsMode::Exact);
     let streaming = run(
         &spec,
-        requests,
+        &trace,
         &MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default())),
     );
 
@@ -273,25 +289,26 @@ fn single_request_trace_is_degenerate_but_finite() {
     assert_eq!(exact.metrics.latency.max_s, streaming.metrics.latency.max_s);
 }
 
-/// `run_with_mode(Exact)` is the identity path: it must reproduce `run()`
-/// byte for byte — timelines, metrics, per-class rows, everything the
-/// report derives, on a workload big enough to exercise queue growth
-/// and multi-class accounting — and merging a one-replica fleet's exact
-/// sink into the fleet report must copy the replica's report exactly.
+/// Exact mode is the identity path: a run over a request vector must
+/// reproduce `run_trace` of the same trace byte for byte — timelines,
+/// metrics, per-class rows, everything the report derives, on a workload
+/// big enough to exercise queue growth and multi-class accounting — and
+/// merging a one-replica fleet's exact sink into the fleet report must
+/// copy the replica's report exactly.
 #[test]
 fn exact_mode_reproduces_run_byte_for_byte() {
     let spec = pipeline(8, 32);
-    let requests = requests_from(
+    let trace = trace_from(
         &(0..5_000)
             .map(|i| (f64::from(i) * 0.0013, 1 + (i % 23) as u32, (i % 3) as u32))
             .collect::<Vec<_>>(),
     );
+    let requests: Vec<EngineRequest> = trace.requests.iter().map(EngineRequest::from).collect();
     let engine = alone(spec);
-    let fleet = engine.run(requests.clone()).fleet;
-    assert_eq!(
-        fleet,
-        engine.run_with_mode(requests, &MetricsMode::Exact).fleet
-    );
+    let fleet = engine
+        .run(requests, &MetricsMode::Exact, &mut NullRecorder)
+        .fleet;
+    assert_eq!(fleet, engine.run_trace(&trace).fleet);
     assert_eq!(fleet.merged, fleet.per_replica[0].report);
     let plain = fleet.merged;
     // And the timelines really are populated (this is not a vacuous check).

@@ -4,9 +4,9 @@
 use crate::event::{sort_events, TraceEvent};
 use serde::{Deserialize, Serialize};
 
-/// What a traced run should capture. Threaded through every engine: the
-/// engine stores a config, and the traced run paths consult it for the
-/// gauge cadence and the per-category gates.
+/// What a traced run should capture: the engine takes its gauge cadence,
+/// and the [`TraceRecorder`] built from it applies the per-category
+/// gates.
 ///
 /// The *zero-cost* guarantee is static, not runtime: engines are generic
 /// over [`Recorder`], every hook is guarded by `R::ENABLED`, and the
@@ -27,8 +27,9 @@ pub struct TelemetryConfig {
     pub decisions: bool,
     /// Capture simulator self-profiling counters.
     pub profile: bool,
-    /// Gauge sampling cadence, in simulated seconds. Ignored when zero or
-    /// when `gauges` is off.
+    /// Gauge sampling cadence, in simulated seconds: finite and
+    /// non-negative ([`Self::validate`]). Ignored when zero or when
+    /// `gauges` is off.
     pub gauge_cadence_s: f64,
 }
 
@@ -56,6 +57,23 @@ impl TelemetryConfig {
             decisions: true,
             profile: true,
             gauge_cadence_s,
+        }
+    }
+
+    /// Checks that gauges can be sampled: the cadence must be finite and
+    /// non-negative (a gauge at `k · ∞` has no valid timestamp).
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason when the cadence is NaN, infinite or negative.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.gauge_cadence_s.is_finite() && self.gauge_cadence_s >= 0.0 {
+            Ok(())
+        } else {
+            Err(format!(
+                "telemetry gauge cadence must be finite and non-negative, got {}",
+                self.gauge_cadence_s
+            ))
         }
     }
 
@@ -163,5 +181,22 @@ impl Recorder for TraceRecorder {
         ev.seq = self.next_seq;
         self.next_seq += 1;
         self.events.push(ev);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn validate_requires_a_finite_non_negative_cadence() {
+        for cadence in [0.0, 0.25, 1e6] {
+            assert_eq!(TelemetryConfig::full(cadence).validate(), Ok(()));
+        }
+        assert_eq!(TelemetryConfig::disabled().validate(), Ok(()));
+        for cadence in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.5] {
+            let err = TelemetryConfig::full(cadence).validate().unwrap_err();
+            assert!(err.contains("gauge cadence"), "{err}");
+        }
     }
 }

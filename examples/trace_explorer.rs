@@ -22,11 +22,13 @@
 
 use rago::schema::{RouterPolicy, SequenceProfile};
 use rago::serving_sim::autoscaler::AutoscalerPolicy;
-use rago::serving_sim::engine::{DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, StageSpec};
+use rago::serving_sim::engine::{DecodeSpec, LatencyTable, PipelineSpec, StageSpec};
 use rago::serving_sim::faults::{FaultEvent, FaultSchedule, ScaleDriver};
-use rago::serving_sim::fleet::FleetEngine;
+use rago::serving_sim::fleet::{arrivals, FleetEngine};
 use rago::serving_sim::MetricsMode;
-use rago::telemetry::{export_chrome_trace, export_jsonl, Lane, TelemetryConfig, TelemetryReport};
+use rago::telemetry::{
+    export_chrome_trace, export_jsonl, Lane, TelemetryConfig, TelemetryReport, TraceRecorder,
+};
 use rago::workloads::{ArrivalProcess, TraceSpec};
 
 fn main() -> std::io::Result<()> {
@@ -91,8 +93,8 @@ fn main() -> std::io::Result<()> {
     )
     .with_faults(faults)
     .with_telemetry(TelemetryConfig::full(0.25));
-    let requests: Vec<EngineRequest> = trace.requests.iter().map(EngineRequest::from).collect();
-    let (report, rec) = engine.run_telemetry(requests, &MetricsMode::Exact);
+    let mut rec = TraceRecorder::new(TelemetryConfig::full(0.25));
+    let report = engine.run(arrivals(&trace), &MetricsMode::Exact, &mut rec);
     println!(
         "served {} requests across {} scaling events ({} trace events captured)",
         report.fleet.merged.metrics.requests,

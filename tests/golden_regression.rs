@@ -87,7 +87,7 @@ use rago::serving_sim::engine::{
 use rago::serving_sim::faults::{
     AdmissionConfig, ChaosReport, FaultEvent, FaultSchedule, ScaleDriver,
 };
-use rago::serving_sim::fleet::FleetEngine;
+use rago::serving_sim::fleet::{arrivals, FleetEngine};
 use rago::serving_sim::pools::{DisaggReport, PoolReport};
 use rago::serving_sim::MetricsMode;
 use rago::telemetry::NullRecorder;
@@ -258,16 +258,16 @@ fn golden_engine_metrics() {
 }
 
 /// The exact metrics sink is the identity path: running the same scenario
-/// from a request vector through `run_with_mode(MetricsMode::Exact)` must
+/// from a request vector through `run(.., MetricsMode::Exact, ..)` must
 /// reproduce the in-place trace run and the committed golden byte for byte
 /// — timelines, aggregates, attainment, goodput.
 #[test]
 fn golden_engine_metrics_via_exact_sink() {
     let engine = engine_metrics_scenario();
     let trace = engine_metrics_trace();
-    let requests = trace.requests.iter().map(EngineRequest::from).collect();
+    let requests: Vec<EngineRequest> = trace.requests.iter().map(EngineRequest::from).collect();
     let via_sink = engine
-        .run_with_mode(requests, &MetricsMode::Exact)
+        .run(requests, &MetricsMode::Exact, &mut NullRecorder)
         .fleet
         .merged;
     assert_eq!(
@@ -884,7 +884,7 @@ fn golden_fleet_streaming() {
         RouterPolicy::LeastOutstanding,
         ScaleDriver::Static { replicas: 4 },
     )
-    .run_trace_with_mode(&poisson, &mode, &mut NullRecorder)
+    .run(arrivals(&poisson), &mode, &mut NullRecorder)
     .fleet;
 
     let spike = TraceSpec {
@@ -911,7 +911,7 @@ fn golden_fleet_streaming() {
         RouterPolicy::LeastOutstanding,
         ScaleDriver::Reactive(policy),
     )
-    .run_trace_with_mode(&spike, &mode, &mut NullRecorder);
+    .run(arrivals(&spike), &mode, &mut NullRecorder);
 
     let mut out = String::from("{\n  \"bench\": \"golden/fleet_streaming\",\n  \"runs\": [\n");
     let _ = writeln!(

@@ -21,9 +21,10 @@
 //!   [`TelemetryReport`] summary of the chaos trace.
 //!
 //! The remaining tests pin the layer's two core guarantees without
-//! snapshots: a [`NullRecorder`] run is *equal* to the untraced run on
-//! every fleet shape (zero-cost-when-off), and a live trace is byte-identical
-//! across repeated runs.
+//! snapshots: a run recorded into a [`TraceRecorder`], disabled or live,
+//! is *equal* to the [`NullRecorder`] run on every fleet shape
+//! (recording never perturbs the simulation), and a live trace is
+//! byte-identical across repeated runs.
 //!
 //! Regenerate intentionally-moved snapshots with:
 //!
@@ -33,12 +34,12 @@
 
 use rago::schema::{KvTransferModel, PoolRole, PoolSpec, RouterPolicy, SequenceProfile};
 use rago::serving_sim::engine::{DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, StageSpec};
-use rago::serving_sim::faults::{FaultEvent, FaultSchedule, ScaleDriver};
+use rago::serving_sim::faults::{ChaosReport, FaultEvent, FaultSchedule, ScaleDriver};
 use rago::serving_sim::fleet::FleetEngine;
 use rago::serving_sim::MetricsMode;
 use rago::telemetry::{
     export_chrome_trace, export_jsonl, validate_json, validate_jsonl, NullRecorder,
-    TelemetryConfig, TelemetryReport,
+    TelemetryConfig, TelemetryReport, TraceRecorder,
 };
 use rago::workloads::{ArrivalProcess, TraceSpec};
 use std::path::PathBuf;
@@ -147,10 +148,22 @@ fn disagg_scenario() -> FleetEngine {
     )
 }
 
+/// `engine` over `reqs` in exact mode, recorded into a fresh
+/// [`TraceRecorder`] with `engine`'s gauge cadence set from `config`.
+fn traced(
+    engine: &FleetEngine,
+    reqs: Vec<EngineRequest>,
+    config: TelemetryConfig,
+) -> (ChaosReport, TraceRecorder) {
+    let engine = engine.clone().with_telemetry(config.clone());
+    let mut rec = TraceRecorder::new(config);
+    let report = engine.run(reqs, &MetricsMode::Exact, &mut rec);
+    (report, rec)
+}
+
 #[test]
 fn golden_chaos_trace() {
-    let engine = chaos_scenario().with_telemetry(TelemetryConfig::full(0.5));
-    let (report, rec) = engine.run_telemetry(requests(60), &MetricsMode::Exact);
+    let (report, rec) = traced(&chaos_scenario(), requests(60), TelemetryConfig::full(0.5));
     assert_eq!(report.fleet.merged.metrics.requests, 60);
     assert!(!rec.is_empty(), "a full-capture chaos run must emit events");
 
@@ -170,8 +183,7 @@ fn golden_chaos_trace() {
 
 #[test]
 fn golden_disagg_trace() {
-    let engine = disagg_scenario().with_telemetry(TelemetryConfig::full(0.5));
-    let (report, rec) = engine.run_telemetry(requests(60), &MetricsMode::Exact);
+    let (report, rec) = traced(&disagg_scenario(), requests(60), TelemetryConfig::full(0.5));
     assert_eq!(report.fleet.merged.metrics.requests, 60);
     assert!(
         report.transfers.transfers > 0,
@@ -195,33 +207,22 @@ fn golden_disagg_trace() {
     check_golden("telemetry_disagg.chrome.json", &chrome);
 }
 
-/// Zero-cost-when-off: a `NullRecorder` run and a disabled-config
-/// `run_telemetry` are *equal* to the plain run on every fleet shape
-/// (the reports derive `PartialEq`, so this compares every metric,
-/// timeline, ledger, and counter).
+/// Zero-cost-when-off: a disabled-config and a live [`TraceRecorder`]
+/// run are *equal* to the [`NullRecorder`] run on every fleet shape (the
+/// reports derive `PartialEq`, so this compares every metric, timeline,
+/// ledger, and counter), and the disabled one records nothing.
 #[test]
 fn null_recorder_runs_are_bit_identical() {
     let reqs = requests(200);
-
-    let chaos = chaos_scenario();
-    let untraced = chaos.run(reqs.clone());
-    assert_eq!(
-        untraced,
-        chaos.run_traced(reqs.clone(), &MetricsMode::Exact, &mut NullRecorder)
-    );
-    let (report, rec) = chaos.run_telemetry(reqs.clone(), &MetricsMode::Exact);
-    assert_eq!(untraced, report);
-    assert!(rec.is_empty(), "a disabled config must record nothing");
-
-    let disagg = disagg_scenario();
-    let untraced = disagg.run(reqs.clone());
-    assert_eq!(
-        untraced,
-        disagg.run_traced(reqs.clone(), &MetricsMode::Exact, &mut NullRecorder)
-    );
-    let (report, rec) = disagg.run_telemetry(reqs.clone(), &MetricsMode::Exact);
-    assert_eq!(untraced, report);
-    assert!(rec.is_empty());
+    for engine in [chaos_scenario(), disagg_scenario()] {
+        let untraced = engine.run(reqs.clone(), &MetricsMode::Exact, &mut NullRecorder);
+        let (report, rec) = traced(&engine, reqs.clone(), TelemetryConfig::disabled());
+        assert_eq!(untraced, report);
+        assert!(rec.is_empty(), "a disabled config must record nothing");
+        let (report, rec) = traced(&engine, reqs.clone(), TelemetryConfig::full(0.5));
+        assert_eq!(untraced, report);
+        assert!(!rec.is_empty());
+    }
 }
 
 /// Live traces are deterministic: rerunning the same seeded scenario
@@ -229,9 +230,8 @@ fn null_recorder_runs_are_bit_identical() {
 #[test]
 fn traces_are_byte_identical_across_runs() {
     for scenario in [chaos_scenario(), disagg_scenario()] {
-        let engine = scenario.with_telemetry(TelemetryConfig::full(0.5));
-        let (first_report, first) = engine.run_telemetry(requests(60), &MetricsMode::Exact);
-        let (second_report, second) = engine.run_telemetry(requests(60), &MetricsMode::Exact);
+        let (first_report, first) = traced(&scenario, requests(60), TelemetryConfig::full(0.5));
+        let (second_report, second) = traced(&scenario, requests(60), TelemetryConfig::full(0.5));
         assert_eq!(first_report, second_report);
         assert_eq!(export_jsonl(first.events()), export_jsonl(second.events()));
         assert_eq!(

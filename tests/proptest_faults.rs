@@ -26,6 +26,8 @@ use rago::serving_sim::faults::{
     ScalingPlan,
 };
 use rago::serving_sim::fleet::FleetEngine;
+use rago::serving_sim::MetricsMode;
+use rago::telemetry::NullRecorder;
 
 fn pipeline(stage_latency: f64, batch: u32) -> PipelineSpec {
     PipelineSpec::new(
@@ -95,7 +97,7 @@ proptest! {
         )
         .with_faults(faults)
         .with_crash_policy(policy)
-        .run(reqs);
+        .run(reqs, &MetricsMode::Exact, &mut NullRecorder);
         let fault = &report.fault;
         prop_assert_eq!(fault.injected, n);
         prop_assert_eq!(fault.completed + fault.shed + fault.failed, n);
@@ -130,7 +132,7 @@ proptest! {
             ScaleDriver::Static { replicas: 1 },
         )
         .with_admission(admission)
-        .run(reqs);
+        .run(reqs, &MetricsMode::Exact, &mut NullRecorder);
         let shed_of = |class: u32| {
             report
                 .fault
@@ -164,14 +166,14 @@ proptest! {
             RouterPolicy::RoundRobin,
             ScaleDriver::Static { replicas },
         );
-        let baseline = build().run(requests(n, 0.02, 1));
+        let baseline = build().run(requests(n, 0.02, 1), &MetricsMode::Exact, &mut NullRecorder);
         let makespan = baseline.fleet.merged.metrics.makespan_s;
         let faults = FaultSchedule::new(vec![FaultEvent::Crash {
             replica: 0,
             at_s: makespan + 1.0,
             restart_delay_s: 5.0,
         }]);
-        let late = build().with_faults(faults).run(requests(n, 0.02, 1));
+        let late = build().with_faults(faults).run(requests(n, 0.02, 1), &MetricsMode::Exact, &mut NullRecorder);
         prop_assert_eq!(late.fault.completed, n);
         prop_assert_eq!(late.fault.retried, 0);
         prop_assert_eq!(
@@ -196,7 +198,7 @@ proptest! {
             ScaleDriver::Static { replicas: 1 },
         )
         .with_faults(faults)
-        .run(requests(n, 0.02, 1));
+        .run(requests(n, 0.02, 1), &MetricsMode::Exact, &mut NullRecorder);
         prop_assert_eq!(report.fault.completed, 0);
         prop_assert_eq!(report.fault.failed, n);
         prop_assert!(report.fleet.merged.timelines.is_empty());
@@ -214,13 +216,13 @@ proptest! {
             RouterPolicy::LeastOutstanding,
             ScaleDriver::Static { replicas },
         )
-        .run(requests(n, 0.015, 1));
+        .run(requests(n, 0.015, 1), &MetricsMode::Exact, &mut NullRecorder);
         let predictive = FleetEngine::new(
             pipeline(0.01, 4),
             RouterPolicy::LeastOutstanding,
             ScaleDriver::Predictive(PredictivePolicy::new(ScalingPlan::flat(replicas), 0.5)),
         )
-        .run(requests(n, 0.015, 1));
+        .run(requests(n, 0.015, 1), &MetricsMode::Exact, &mut NullRecorder);
         prop_assert_eq!(&predictive.fleet, &static_run.fleet);
         prop_assert_eq!(predictive.replica_seconds, static_run.replica_seconds);
         prop_assert!(predictive.events.is_empty());

@@ -18,17 +18,16 @@
 //!    the trace.
 //! 4. **`NullRecorder` bit-identity** — for any router policy, metrics
 //!    mode, fleet size, and fleet shape (faulted flat fleet, split
-//!    fleet),
-//!    `run_traced` with a [`NullRecorder`] returns
-//!    a report equal to the untraced run, and a disabled
-//!    [`TelemetryConfig`] records zero events.
+//!    fleet), a run recorded into a [`TraceRecorder`] under a disabled
+//!    [`TelemetryConfig`] returns a report equal to the [`NullRecorder`]
+//!    run and records zero events.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 use rago::schema::{KvTransferModel, PoolRole, PoolSpec, RouterPolicy};
 use rago::serving_sim::engine::{DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, StageSpec};
-use rago::serving_sim::faults::{FaultEvent, FaultSchedule, ScaleDriver};
+use rago::serving_sim::faults::{ChaosReport, FaultEvent, FaultSchedule, ScaleDriver};
 use rago::serving_sim::fleet::FleetEngine;
 use rago::serving_sim::{MetricsMode, StreamingConfig};
 use rago::telemetry::{
@@ -63,6 +62,19 @@ fn requests(n: usize, gap: f64) -> Vec<EngineRequest> {
         .collect()
 }
 
+/// `engine` over `reqs` in `mode`, recorded into a fresh [`TraceRecorder`]
+/// under `config`.
+fn traced(
+    engine: &FleetEngine,
+    reqs: Vec<EngineRequest>,
+    mode: &MetricsMode,
+    config: TelemetryConfig,
+) -> (ChaosReport, TraceRecorder) {
+    let mut rec = TraceRecorder::new(config);
+    let report = engine.run(reqs, mode, &mut rec);
+    (report, rec)
+}
+
 fn router(choice: u32) -> RouterPolicy {
     match choice % 4 {
         0 => RouterPolicy::RoundRobin,
@@ -88,7 +100,12 @@ fn chaos_events(
             restart_delay_s: 0.25,
         }]))
         .with_telemetry(TelemetryConfig::full(0.25));
-    let (_, rec) = engine.run_telemetry(requests(n, 0.02), &MetricsMode::Exact);
+    let (_, rec) = traced(
+        &engine,
+        requests(n, 0.02),
+        &MetricsMode::Exact,
+        TelemetryConfig::full(0.25),
+    );
     rec.into_events()
 }
 
@@ -179,7 +196,12 @@ proptest! {
             restart_delay_s: 0.25,
         }]))
         .with_telemetry(TelemetryConfig::full(0.25));
-        let (report, rec) = engine.run_telemetry(requests(n, 0.02), &MetricsMode::Exact);
+        let (report, rec) = traced(
+            &engine,
+            requests(n, 0.02),
+            &MetricsMode::Exact,
+            TelemetryConfig::full(0.25),
+        );
 
         let mut traced: Vec<u64> = rec
             .events()
@@ -223,13 +245,9 @@ proptest! {
             at_s: 0.4,
             restart_delay_s: 0.25,
         }]));
-        let untraced = chaos.run_with_mode(reqs.clone(), &mode);
-        prop_assert_eq!(
-            untraced.clone(),
-            chaos.run_traced(reqs.clone(), &mode, &mut NullRecorder)
-        );
         // Disabled config: same report, empty recorder.
-        let (report, rec) = chaos.run_telemetry(reqs.clone(), &mode);
+        let untraced = chaos.run(reqs.clone(), &mode, &mut NullRecorder);
+        let (report, rec) = traced(&chaos, reqs.clone(), &mode, TelemetryConfig::disabled());
         prop_assert_eq!(untraced, report);
         prop_assert!(rec.is_empty());
 
@@ -241,10 +259,10 @@ proptest! {
             &PoolSpec::new(PoolRole::Decode, 1, policy),
             KvTransferModel::new(131_072.0, 100e9, 5e-6),
         );
-        prop_assert_eq!(
-            disagg.run(reqs.clone()),
-            disagg.run_traced(reqs, &MetricsMode::Exact, &mut NullRecorder)
-        );
+        let untraced = disagg.run(reqs.clone(), &MetricsMode::Exact, &mut NullRecorder);
+        let (report, rec) = traced(&disagg, reqs, &MetricsMode::Exact, TelemetryConfig::disabled());
+        prop_assert_eq!(untraced, report);
+        prop_assert!(rec.is_empty());
     }
 
     /// A live recorder is observationally inert: the traced report equals
@@ -267,10 +285,14 @@ proptest! {
             restart_delay_s: 0.25,
         }]))
         .with_telemetry(TelemetryConfig::full(0.25));
-        let mut rec = TraceRecorder::new(TelemetryConfig::full(0.25));
-        let traced = engine.run_traced(requests(n, 0.02), &MetricsMode::Exact, &mut rec);
-        let untraced = engine.run(requests(n, 0.02));
-        prop_assert_eq!(traced, untraced);
+        let (report, rec) = traced(
+            &engine,
+            requests(n, 0.02),
+            &MetricsMode::Exact,
+            TelemetryConfig::full(0.25),
+        );
+        let untraced = engine.run(requests(n, 0.02), &MetricsMode::Exact, &mut NullRecorder);
+        prop_assert_eq!(report, untraced);
         prop_assert!(!rec.is_empty());
     }
 }

@@ -117,10 +117,10 @@ fn bench_cache_json(_c: &mut Criterion) {
         let rate = frac * static_qps;
         let trace = trace_at(rate, duration_s, 101 + i as u64);
         let off = rago
-            .evaluate_dynamic(&best.schedule, &trace, &slo)
+            .evaluate_dynamic(&best.schedule, &trace, &slo, None)
             .expect("cache-off evaluation succeeds");
         let on = rago
-            .evaluate_cached(&best.schedule, &trace, &slo, &cache)
+            .evaluate_dynamic(&best.schedule, &trace, &slo, Some(&cache))
             .expect("cache-on evaluation succeeds");
         off_points.push((rate, off.attainment));
         on_points.push((rate, on.attainment));

@@ -24,7 +24,8 @@
 //!   drop under the crash stays below the fleet share of the lost replica.
 //! * `matches_baseline` — with no faults, no admission, and a static
 //!   driver the chaos engine's fleet report is bit-identical to the plain
-//!   fleet evaluation (`Rago::evaluate_fleet`) of the same fleet.
+//!   exact-mode fleet evaluation (`evaluate_fleet_dynamic_with`) of the
+//!   same fleet.
 //!
 //! Set `RAGO_BENCH_QUICK=1` for the CI-friendly quick mode (shorter
 //! profile, same JSON shape). The bench refuses to write non-finite
@@ -32,7 +33,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rago_core::faulted::{scaling_plan_from_profile, FaultScenario, FaultedEvaluation};
-use rago_core::{CapacityOptions, Rago, SearchOptions};
+use rago_core::{evaluate_fleet_dynamic_with, CapacityOptions, MetricsMode, Rago, SearchOptions};
 use rago_schema::presets::{self, LlmSize};
 use rago_schema::{FleetConfig, RouterPolicy, SequenceProfile, SloTarget};
 use rago_serving_sim::autoscaler::AutoscalerPolicy;
@@ -219,14 +220,15 @@ fn bench_chaos_json(_c: &mut Criterion) {
         .expect("healthy run succeeds");
 
     // ---- Baseline pin: faultless static chaos run == plain fleet run ----
-    let baseline = rago
-        .evaluate_fleet(
-            &best.schedule,
-            &FleetConfig::new(crash_replicas, RouterPolicy::LeastOutstanding),
-            &crash_trace,
-            &crash_mix.classes[0].slo,
-        )
-        .expect("baseline evaluation succeeds");
+    let baseline = evaluate_fleet_dynamic_with(
+        rago.profiler(),
+        &best.schedule,
+        &FleetConfig::new(crash_replicas, RouterPolicy::LeastOutstanding),
+        &crash_trace,
+        &crash_mix.classes[0].slo,
+        &MetricsMode::Exact,
+    )
+    .expect("baseline evaluation succeeds");
     let matches_baseline = healthy.chaos.fleet == baseline.report;
     assert!(
         matches_baseline,

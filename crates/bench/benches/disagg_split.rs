@@ -27,7 +27,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rago_core::disagg::transfer_model_from_interconnect;
-use rago_core::{BatchingPolicy, PlacementPlan, Rago, ResourceAllocation, Schedule};
+use rago_core::{
+    evaluate_fleet_dynamic_with, BatchingPolicy, MetricsMode, PlacementPlan, Rago,
+    ResourceAllocation, Schedule,
+};
 use rago_hardware::InterconnectSpec;
 use rago_schema::presets::{self, LlmSize};
 use rago_schema::{FleetConfig, KvTransferModel, RouterPolicy, SequenceProfile, SloTarget, Stage};
@@ -110,14 +113,15 @@ fn bench_disagg_json(_c: &mut Criterion) {
             // paying for the full schedule's chips.
             let mut collocated: Option<Best> = None;
             for n in 1..=3u32 {
-                let eval = rago
-                    .evaluate_fleet(
-                        &schedule,
-                        &FleetConfig::new(n, RouterPolicy::LeastOutstanding),
-                        &trace,
-                        slo,
-                    )
-                    .expect("collocated evaluation succeeds");
+                let eval = evaluate_fleet_dynamic_with(
+                    rago.profiler(),
+                    &schedule,
+                    &FleetConfig::new(n, RouterPolicy::LeastOutstanding),
+                    &trace,
+                    slo,
+                    &MetricsMode::Exact,
+                )
+                .expect("collocated evaluation succeeds");
                 let per_chip = eval.goodput_rps / f64::from(chips_collocated * n);
                 if n == 1 {
                     collocated_points.push((rate, eval.attainment));

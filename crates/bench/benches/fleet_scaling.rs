@@ -27,8 +27,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rago_core::{
-    transfer_model_from_interconnect, CapacityOptions, CapacityPlan, PoolCapacityPlan, Rago,
-    SearchOptions,
+    evaluate_fleet_dynamic_with, transfer_model_from_interconnect, CapacityOptions, CapacityPlan,
+    MetricsMode, PoolCapacityPlan, Rago, SearchOptions,
 };
 use rago_hardware::InterconnectSpec;
 use rago_schema::presets::{self, LlmSize};
@@ -110,14 +110,15 @@ fn bench_fleet_json(_c: &mut Criterion) {
         let mut points = Vec::new();
         for &f in fractions {
             let rate = f * static_qps;
-            let eval = rago
-                .evaluate_fleet(
-                    &best.schedule,
-                    &fleet,
-                    &trace_at(rate, duration_s, profile),
-                    &slo,
-                )
-                .expect("fleet evaluation succeeds");
+            let eval = evaluate_fleet_dynamic_with(
+                rago.profiler(),
+                &best.schedule,
+                &fleet,
+                &trace_at(rate, duration_s, profile),
+                &slo,
+                &MetricsMode::Exact,
+            )
+            .expect("fleet evaluation succeeds");
             points.push(ScalePoint {
                 rate_rps: rate,
                 attainment: eval.attainment,
@@ -154,14 +155,15 @@ fn bench_fleet_json(_c: &mut Criterion) {
     let policy_trace = trace_at(policy_rate, duration_s, profile);
     let mut policy_rows = Vec::new();
     for policy in RouterPolicy::ALL {
-        let eval = rago
-            .evaluate_fleet(
-                &best.schedule,
-                &FleetConfig::new(policy_replicas, policy),
-                &policy_trace,
-                &slo,
-            )
-            .expect("fleet evaluation succeeds");
+        let eval = evaluate_fleet_dynamic_with(
+            rago.profiler(),
+            &best.schedule,
+            &FleetConfig::new(policy_replicas, policy),
+            &policy_trace,
+            &slo,
+            &MetricsMode::Exact,
+        )
+        .expect("fleet evaluation succeeds");
         policy_rows.push(PolicyRow {
             policy,
             attainment: eval.attainment,
@@ -196,11 +198,13 @@ fn bench_fleet_json(_c: &mut Criterion) {
     .generate();
     let linear_scan = (1..=capacity.max_replicas)
         .find(|&n| {
-            rago.evaluate_fleet(
+            evaluate_fleet_dynamic_with(
+                rago.profiler(),
                 &best.schedule,
                 &FleetConfig::new(n, capacity.router),
                 &scan_trace,
                 &slo,
+                &MetricsMode::Exact,
             )
             .expect("fleet evaluation succeeds")
             .meets_slo
@@ -231,11 +235,13 @@ fn bench_fleet_json(_c: &mut Criterion) {
     let pool_scan = (1..=max)
         .flat_map(|p| (1..=max).map(move |d| (p, d)))
         .filter(|&(p, d)| {
-            rago.evaluate_fleet(
+            evaluate_fleet_dynamic_with(
+                rago.profiler(),
                 &best.schedule,
                 &FleetConfig::split(p, d, capacity.router).with_transfer(transfer),
                 &scan_trace,
                 &pool_slo,
+                &MetricsMode::Exact,
             )
             .expect("fleet evaluation succeeds")
             .meets_slo

@@ -76,7 +76,7 @@ fn workload_entry(name: &str, schema: RagSchema, slo: &SloTarget, num_requests: 
         }
         .generate();
         let eval = rago
-            .evaluate_dynamic(&best.schedule, &trace, slo)
+            .evaluate_dynamic(&best.schedule, &trace, slo, None)
             .expect("dynamic evaluation succeeds");
         let m = &eval.report.metrics;
         points.push(RatePoint {
@@ -115,7 +115,7 @@ fn workload_entry(name: &str, schema: RagSchema, slo: &SloTarget, num_requests: 
     }
     .generate();
     let burst_eval = rago
-        .evaluate_dynamic(&best.schedule, &burst_trace, slo)
+        .evaluate_dynamic(&best.schedule, &burst_trace, slo, None)
         .expect("dynamic evaluation succeeds");
     let bm = &burst_eval.report.metrics;
 
@@ -206,7 +206,10 @@ fn bench_engine_throughput(c: &mut Criterion) {
     }
     .generate();
     c.bench_function("serving_engine_case1_poisson_300req", |b| {
-        b.iter(|| rago.evaluate_dynamic(&best.schedule, &trace, &slo).unwrap())
+        b.iter(|| {
+            rago.evaluate_dynamic(&best.schedule, &trace, &slo, None)
+                .unwrap()
+        })
     });
 }
 

@@ -41,7 +41,7 @@
 //! infeasible target is reported with the full run's attainment. Plans
 //! count their DES runs, stopped runs and events exactly.
 
-use crate::dynamic::{fleet_engine, pipeline_spec};
+use crate::dynamic::{fleet_engine, pipeline_spec, rank, FleetRun};
 use crate::error::RagoError;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
@@ -51,9 +51,7 @@ use rago_schema::{FleetConfig, KvTransferModel, RouterPolicy, SequenceProfile, S
 use rago_serving_sim::cluster::FleetReport;
 use rago_serving_sim::faults::{ChaosReport, ScaleDriver};
 use rago_serving_sim::fleet::FleetEngine;
-use rago_serving_sim::MetricsMode;
 use rago_workloads::{ArrivalProcess, ContentSpec, RateSegment, Trace, TraceSpec};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -179,6 +177,8 @@ pub(crate) fn plan_flat(
     if let Some((_, content)) = cached {
         trace = content.tag(&trace);
     }
+    // Profiled once above and cloned for every probe, which the one
+    // builder, profiling per build, cannot serve.
     let engine = |_, replicas| {
         FleetEngine::new(
             spec.clone(),
@@ -470,16 +470,11 @@ pub fn plan_capacity_pools(
     let (p0, d0) = analytic_split(profiler, schedule, target_qps, max)?;
     let trace = sizing_trace(target_qps, options);
     let engine = |p: u32, d: u32| {
-        let fleet = FleetConfig::split(p, d, options.router).with_transfer(*transfer);
-        fleet_engine(
-            profiler,
-            schedule,
-            &fleet,
-            &trace,
-            slo,
-            &MetricsMode::Exact,
-            None,
-        )
+        let run = FleetRun {
+            fleet: FleetConfig::split(p, d, options.router).with_transfer(*transfer),
+            ..FleetRun::default()
+        };
+        fleet_engine(profiler, schedule, &trace, &run)
     };
     // Building one split surfaces every input error before any DES run;
     // the probes differ from it only in their pool sizes.
@@ -638,27 +633,20 @@ pub fn rank_frontier_by_cost_at_qps(
     if let Err(e) = validate_capacity_inputs(target_qps, options) {
         panic!("{e}");
     }
-    let mut ranked: Vec<(ParetoPoint, CapacityPlan)> = frontier
-        .iter()
-        .par_bridge()
-        .fold(Vec::new, |mut acc, point| {
-            if let Ok(plan) = plan_capacity(profiler, &point.schedule, slo, target_qps, options) {
-                acc.push((point.clone(), plan));
-            }
-            acc
-        })
-        .reduce(Vec::new, |mut a, mut b| {
-            a.append(&mut b);
-            a
-        });
-    ranked.sort_by(|a, b| {
-        a.1.total_xpus
-            .cmp(&b.1.total_xpus)
-            .then(a.1.replicas.cmp(&b.1.replicas))
-            .then(a.0.performance.ttft_s.total_cmp(&b.0.performance.ttft_s))
-            .then_with(|| a.0.schedule.describe().cmp(&b.0.schedule.describe()))
-    });
-    ranked
+    rank(
+        frontier.iter(),
+        |point| {
+            let plan = plan_capacity(profiler, &point.schedule, slo, target_qps, options);
+            Some((point.clone(), plan.ok()?))
+        },
+        |a, b| {
+            a.1.total_xpus
+                .cmp(&b.1.total_xpus)
+                .then(a.1.replicas.cmp(&b.1.replicas))
+                .then(a.0.performance.ttft_s.total_cmp(&b.0.performance.ttft_s))
+                .then_with(|| a.0.schedule.describe().cmp(&b.0.schedule.describe()))
+        },
+    )
 }
 
 /// One interval of a capacity schedule: how many replicas a rate segment
@@ -1131,22 +1119,14 @@ mod tests {
     fn pool_engine(
         profiler: &StageProfiler,
         schedule: &Schedule,
-        slo: &SloTarget,
         trace: &rago_workloads::Trace,
         (p, d): (u32, u32),
     ) -> FleetEngine {
-        let fleet =
-            FleetConfig::split(p, d, RouterPolicy::default()).with_transfer(pool_transfer());
-        fleet_engine(
-            profiler,
-            schedule,
-            &fleet,
-            trace,
-            slo,
-            &MetricsMode::Exact,
-            None,
-        )
-        .unwrap()
+        let run = FleetRun {
+            fleet: FleetConfig::split(p, d, RouterPolicy::default()).with_transfer(pool_transfer()),
+            ..FleetRun::default()
+        };
+        fleet_engine(profiler, schedule, trace, &run).unwrap()
     }
 
     /// The cheapest split in `1..=max` squared whose full run meets `slo`,
@@ -1165,7 +1145,7 @@ mod tests {
         (1..=max)
             .flat_map(|p| (1..=max).map(move |d| (p, d)))
             .filter(|&split| {
-                pool_engine(profiler, schedule, slo, &trace, split)
+                pool_engine(profiler, schedule, &trace, split)
                     .run_trace(&trace)
                     .fleet
                     .attainment(slo)
@@ -1328,7 +1308,7 @@ mod tests {
             .unwrap();
             assert_eq!((plan.prefill_replicas, plan.decode_replicas), split);
             let trace = sizing_trace(target_qps, &options);
-            let engine = |split| pool_engine(&profiler, &schedule, &slo, &trace, split);
+            let engine = |split| pool_engine(&profiler, &schedule, &trace, split);
             let full_events: u64 = full
                 .iter()
                 .map(|&split| {

@@ -12,12 +12,13 @@
 //! * [`evaluate_fleet_disagg`] — drives a trace through a disaggregated
 //!   [`FleetConfig`] (a `[Prefill, Decode]` pool pair plus its
 //!   [`KvTransferModel`]) on
-//!   [`rago_serving_sim::fleet::FleetEngine::disaggregated`], and scores the
-//!   stitched result per chip. The flat evaluators build the same engine
-//!   for pool fleets, so [`crate::dynamic::evaluate_fleet_dynamic_with`]
-//!   *accepts* pool configs unchanged, and
-//!   [`crate::Rago::evaluate_fleet_cached`] puts its caches on the prefill
-//!   pool.
+//!   [`rago_serving_sim::fleet::FleetEngine::disaggregated`], optionally
+//!   while per-pool crashes ([`PoolCrash`]) play against it, and scores the
+//!   stitched result per chip. A pool pair is one configuration of the
+//!   crate's one fleet builder, so
+//!   [`crate::dynamic::evaluate_fleet_dynamic_with`] *accepts* pool configs
+//!   unchanged, and [`crate::Rago::evaluate_fleet_cached`] puts its caches
+//!   on the prefill pool.
 //! * [`transfer_model_from_interconnect`] — prices the handoff from first
 //!   principles: the generative model's KV bytes per token over an
 //!   [`InterconnectSpec`]'s link bandwidth plus its per-message overhead.
@@ -33,21 +34,21 @@
 //! replica only its decode XPUs ([`decode_xpus`]) — that asymmetry is the
 //! entire economic case for disaggregation.
 
-use crate::dynamic::{fleet_engine, pipeline_spec, run_fleet, validate_trace, validate_unique_ids};
+use crate::dynamic::{
+    fleet_engine, pipeline_spec, rank, run_fleet, validate_trace, validate_unique_ids, FleetRun,
+};
 use crate::error::RagoError;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
 use rago_cache::CacheConfig;
 use rago_hardware::InterconnectSpec;
-use rago_schema::{FleetConfig, KvTransferModel, PoolSpec, RagSchema, SloTarget};
+use rago_schema::{FleetConfig, KvTransferModel, PoolRole, RagSchema, SloTarget};
 use rago_serving_sim::engine::PipelineSpec;
-use rago_serving_sim::faults::ChaosReport;
-use rago_serving_sim::pools::DisaggReport;
-use rago_serving_sim::MetricsMode;
+use rago_serving_sim::faults::{ChaosReport, FaultSchedule};
+use rago_serving_sim::pools::{DisaggReport, PoolCrash};
 use rago_telemetry::NullRecorder;
 use rago_workloads::Trace;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// The outcome of one disaggregated fleet evaluation: the two-pool report
@@ -144,16 +145,45 @@ pub(crate) fn split_pipeline_spec(
     Ok((prefill_spec, decode_spec))
 }
 
-/// The `[Prefill, Decode]` pool pair of `fleet`, or the error a
-/// disaggregated entry point returns for any other fleet.
-pub(crate) fn pool_pair(fleet: &FleetConfig) -> Result<(&PoolSpec, &PoolSpec), RagoError> {
-    fleet
-        .prefill_decode()
-        .ok_or_else(|| RagoError::InvalidConfig {
-            reason: "disaggregated evaluation needs a [Prefill, Decode] pool pair; \
-                     flat fleets go through evaluate_fleet_dynamic_with"
+/// Lowers `crashes` onto the replica slots of the `[Prefill, Decode]` pool
+/// pair `fleet`, once each targets a real replica of either pool with
+/// finite, non-negative timings.
+pub(crate) fn crash_schedule(
+    fleet: &FleetConfig,
+    crashes: &[PoolCrash],
+) -> Result<FaultSchedule, RagoError> {
+    let invalid = |reason: String| Err(RagoError::InvalidConfig { reason });
+    let Some((prefill, decode)) = fleet.prefill_decode() else {
+        return invalid(
+            "disaggregated evaluation needs a [Prefill, Decode] pool pair; \
+             flat fleets go through evaluate_fleet_dynamic_with"
                 .into(),
-        })
+        );
+    };
+    for c in crashes {
+        let pool_len = match c.pool {
+            PoolRole::Prefill => prefill.replicas,
+            PoolRole::Decode => decode.replicas,
+            PoolRole::Monolithic => {
+                return invalid("pool crashes target the Prefill or Decode pool".into())
+            }
+        };
+        if c.replica as u64 >= u64::from(pool_len) {
+            return invalid(format!(
+                "crash at {:.3}s targets replica {} of a {}-replica {} pool",
+                c.at_s, c.replica, pool_len, c.pool
+            ));
+        }
+        let valid = |t: f64| t.is_finite() && t >= 0.0;
+        if !(valid(c.at_s) && c.restart_delay_s.map_or(true, valid)) {
+            return invalid(format!(
+                "crash times and restart delays must be finite and non-negative, got {} and {:?}",
+                c.at_s, c.restart_delay_s
+            ));
+        }
+    }
+    let faults = crashes.iter().map(|c| c.to_fault(prefill.replicas));
+    Ok(FaultSchedule::new(faults.collect()))
 }
 
 /// Scores a finished run of the pool fleet `fleet` against `slo`, billing
@@ -189,40 +219,41 @@ pub(crate) fn score_disagg(
 
 /// Drives `trace` through the disaggregated `fleet` — its Prefill pool runs
 /// `schedule`'s pre-decode stages, its Decode pool the continuous-batching
-/// decode, with every handoff priced by `fleet.transfer` — and scores the
-/// stitched result against `slo`.
+/// decode, with every handoff priced by `fleet.transfer` — while `crashes`
+/// play against its pools, and scores the stitched result against `slo`.
+///
+/// A crash re-queues work within its pool: a prefill replica's
+/// un-transferred work onto prefill *survivors*, a decode replica's
+/// in-flight decodes (their KV state has crossed) onto decode survivors.
+/// Work whose pool has no live replica waits for a restart's cold
+/// replacement, which joins the victim's pool, or fails and is missing from
+/// the stitched timelines. The requeue counters land in
+/// [`rago_serving_sim::pools::TransferStats`]; chips are billed for the
+/// configured pool sizes.
 ///
 /// # Errors
 ///
 /// Returns [`RagoError::InvalidConfig`] for invalid schedules, fleets that
 /// are not a `[Prefill, Decode]` pool pair, schedules without a pre-decode
-/// stage, an empty or malformed trace, or a trace that repeats a request id
-/// (the two legs are stitched by id), and [`RagoError::CostModel`] when the
-/// schedule cannot be profiled.
+/// stage, an empty or malformed trace, a trace that repeats a request id
+/// (the two legs are stitched by id), or a crash targeting the Monolithic
+/// pool or an out-of-range replica, or carrying non-finite timings, and
+/// [`RagoError::CostModel`] when the schedule cannot be profiled.
 pub fn evaluate_fleet_disagg(
     profiler: &StageProfiler,
     schedule: &Schedule,
     fleet: &FleetConfig,
+    crashes: &[PoolCrash],
     trace: &Trace,
     slo: &SloTarget,
 ) -> Result<DisaggEvaluation, RagoError> {
-    pool_pair(fleet)?;
-    let engine = fleet_engine(
-        profiler,
-        schedule,
-        fleet,
-        trace,
-        slo,
-        &MetricsMode::Exact,
-        None,
-    )?;
-    let report = run_fleet(
-        profiler,
-        &engine,
-        trace,
-        &MetricsMode::Exact,
-        &mut NullRecorder,
-    );
+    let run = FleetRun {
+        fleet: fleet.clone(),
+        faults: crash_schedule(fleet, crashes)?,
+        ..FleetRun::default()
+    };
+    let engine = fleet_engine(profiler, schedule, trace, &run)?;
+    let report = run_fleet(profiler, &engine, trace, &run.mode, &mut NullRecorder);
     Ok(score_disagg(report, schedule, fleet, slo))
 }
 
@@ -283,54 +314,44 @@ pub fn rank_frontier_by_goodput_disagg(
         "the joint search needs at least one candidate interconnect"
     );
     let schema = profiler.schema();
-    let candidates: Vec<(&ParetoPoint, DisaggChoice)> = frontier
-        .iter()
-        .flat_map(|point| {
-            splits.iter().flat_map(move |&(p, d)| {
-                interconnects.iter().map(move |ic| {
-                    (
-                        point,
-                        DisaggChoice {
-                            prefill_replicas: p,
-                            decode_replicas: d,
-                            interconnect: ic.name.clone(),
-                            transfer: transfer_model_from_interconnect(schema, ic),
-                        },
-                    )
-                })
+    let candidates = frontier.iter().flat_map(|point| {
+        splits.iter().flat_map(move |&(p, d)| {
+            interconnects.iter().map(move |ic| {
+                (
+                    point,
+                    DisaggChoice {
+                        prefill_replicas: p,
+                        decode_replicas: d,
+                        interconnect: ic.name.clone(),
+                        transfer: transfer_model_from_interconnect(schema, ic),
+                    },
+                )
             })
         })
-        .collect();
-    let mut ranked: Vec<(ParetoPoint, DisaggChoice, DisaggEvaluation)> = candidates
-        .into_iter()
-        .par_bridge()
-        .fold(Vec::new, |mut acc, (point, choice)| {
+    });
+    rank(
+        candidates.collect::<Vec<_>>().into_iter(),
+        |(point, choice)| {
             let fleet = FleetConfig::split(
                 choice.prefill_replicas,
                 choice.decode_replicas,
                 rago_schema::RouterPolicy::default(),
             )
             .with_transfer(choice.transfer);
-            if let Ok(eval) = evaluate_fleet_disagg(profiler, &point.schedule, &fleet, trace, slo) {
-                acc.push((point.clone(), choice, eval));
-            }
-            acc
-        })
-        .reduce(Vec::new, |mut a, mut b| {
-            a.append(&mut b);
-            a
-        });
-    ranked.sort_by(|a, b| {
-        b.2.goodput_per_chip
-            .total_cmp(&a.2.goodput_per_chip)
-            .then(a.2.total_xpus.cmp(&b.2.total_xpus))
-            .then(a.0.performance.ttft_s.total_cmp(&b.0.performance.ttft_s))
-            .then_with(|| a.0.schedule.describe().cmp(&b.0.schedule.describe()))
-            .then(a.1.prefill_replicas.cmp(&b.1.prefill_replicas))
-            .then(a.1.decode_replicas.cmp(&b.1.decode_replicas))
-            .then_with(|| a.1.interconnect.cmp(&b.1.interconnect))
-    });
-    ranked
+            let eval = evaluate_fleet_disagg(profiler, &point.schedule, &fleet, &[], trace, slo);
+            Some((point.clone(), choice, eval.ok()?))
+        },
+        |a, b| {
+            b.2.goodput_per_chip
+                .total_cmp(&a.2.goodput_per_chip)
+                .then(a.2.total_xpus.cmp(&b.2.total_xpus))
+                .then(a.0.performance.ttft_s.total_cmp(&b.0.performance.ttft_s))
+                .then_with(|| a.0.schedule.describe().cmp(&b.0.schedule.describe()))
+                .then(a.1.prefill_replicas.cmp(&b.1.prefill_replicas))
+                .then(a.1.decode_replicas.cmp(&b.1.decode_replicas))
+                .then_with(|| a.1.interconnect.cmp(&b.1.interconnect))
+        },
+    )
 }
 
 #[cfg(test)]
@@ -342,7 +363,7 @@ mod tests {
     use rago_hardware::ClusterSpec;
     use rago_schema::presets::{self, LlmSize};
     use rago_schema::{PoolRole, RouterPolicy, SequenceProfile, Stage};
-    use rago_serving_sim::pools::PoolCrash;
+    use rago_serving_sim::MetricsMode;
     use rago_workloads::{ArrivalProcess, TraceSpec};
 
     fn case1_profiler() -> StageProfiler {
@@ -386,7 +407,7 @@ mod tests {
         let ic = InterconnectSpec::torus_3d();
         let fleet = FleetConfig::split(1, 1, RouterPolicy::LeastOutstanding)
             .with_transfer(transfer_model_from_interconnect(profiler.schema(), &ic));
-        let eval = evaluate_fleet_disagg(&profiler, &schedule, &fleet, &trace, &slo).unwrap();
+        let eval = evaluate_fleet_disagg(&profiler, &schedule, &fleet, &[], &trace, &slo).unwrap();
         assert_eq!(eval.report.merged.metrics.completed, 80);
         assert_eq!(eval.report.transfers.transfers, 80);
         assert!(eval.report.transfers.bytes_total > 0.0);
@@ -416,7 +437,8 @@ mod tests {
         .unwrap();
         let split = FleetConfig::split(1, 1, RouterPolicy::LeastOutstanding);
         assert!(split.transfer.is_zero_cost());
-        let disagg = evaluate_fleet_disagg(&profiler, &schedule, &split, &trace, &slo).unwrap();
+        let disagg =
+            evaluate_fleet_disagg(&profiler, &schedule, &split, &[], &trace, &slo).unwrap();
         assert_eq!(disagg.attainment, flat.attainment);
         assert!((disagg.goodput_rps - flat.goodput_rps).abs() < 1e-9);
         assert_eq!(disagg.meets_slo, flat.meets_slo);
@@ -447,7 +469,8 @@ mod tests {
         assert_eq!(eval.report.per_replica.len(), 3);
         // Two dispatches per request: arrival + transfer completion.
         assert_eq!(eval.report.assignments.len(), 120);
-        let direct = evaluate_fleet_disagg(&profiler, &schedule, &fleet, &trace, &slo).unwrap();
+        let direct =
+            evaluate_fleet_disagg(&profiler, &schedule, &fleet, &[], &trace, &slo).unwrap();
         assert_eq!(eval.report.merged, direct.report.merged);
         assert_eq!(eval.attainment, direct.attainment);
 
@@ -470,7 +493,7 @@ mod tests {
         let slo = SloTarget::new(1.0, 0.1);
         let flat = FleetConfig::new(2, RouterPolicy::RoundRobin);
         assert!(matches!(
-            evaluate_fleet_disagg(&profiler, &schedule, &flat, &trace, &slo),
+            evaluate_fleet_disagg(&profiler, &schedule, &flat, &[], &trace, &slo),
             Err(RagoError::InvalidConfig { .. })
         ));
         // Invalid crash targets surface as errors, not panics.
@@ -482,14 +505,7 @@ mod tests {
             restart_delay_s: None,
         };
         assert!(matches!(
-            crate::faulted::evaluate_fleet_faulted_pools(
-                &profiler,
-                &schedule,
-                &fleet,
-                &[bad_crash],
-                &trace,
-                &slo
-            ),
+            evaluate_fleet_disagg(&profiler, &schedule, &fleet, &[bad_crash], &trace, &slo),
             Err(RagoError::InvalidConfig { .. })
         ));
     }

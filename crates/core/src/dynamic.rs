@@ -14,17 +14,16 @@
 //! latency SLO (the direction of the disaggregated-serving literature in
 //! `PAPERS.md`).
 //!
-//! Each result type has one build, run and score path:
-//!
-//! * every run is a [`FleetEngine`] run, built by `fleet_engine` from a
-//!   [`FleetConfig`] — flat, a single `[Monolithic]` pool, or a
-//!   `[Prefill, Decode]` split, optionally cached — so every evaluation
-//!   shares one validation and one simulation loop;
-//! * a [`DynamicEvaluation`] comes from [`evaluate_schedule_dynamic`]: an
-//!   exact-mode one-replica fleet, scored on its merged report;
-//! * a [`FleetEvaluation`] (and [`crate::disagg::DisaggEvaluation`]) comes
-//!   from the fleet that `run_fleet` drives over the trace in place, with
-//!   or without a telemetry recorder, in either metrics mode.
+//! Every trace-driven evaluator of the crate takes one path: `fleet_engine`
+//! validates a run's whole configuration (a `FleetRun`: fleet shape, scale
+//! driver, faults, crash policy, admission, cache, metrics mode, telemetry)
+//! and builds its [`FleetEngine`]; `run_fleet` drives the trace through it
+//! in place; and each result type has one scorer. A [`DynamicEvaluation`]
+//! is the [`FleetEvaluation`] of [`FleetConfig::single`], scored on the
+//! merged report. The frontier rankers share one parallel loop, `rank`.
+//! Only [`evaluate_heterogeneous_fleet_dynamic`] (one spec per replica) and
+//! the capacity planner's flat probes (one profiled spec, cloned per probe)
+//! build their engines directly.
 
 use crate::error::RagoError;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
@@ -36,13 +35,16 @@ use rago_serving_sim::cluster::FleetReport;
 use rago_serving_sim::engine::{
     DecodeSpec, IterativeSpec, LatencyTable, PipelineSpec, ServingReport,
 };
-use rago_serving_sim::faults::{ChaosReport, ScaleDriver};
+use rago_serving_sim::faults::{
+    AdmissionConfig, ChaosReport, CrashPolicy, FaultSchedule, ScaleDriver,
+};
 use rago_serving_sim::fleet::{arrivals, FleetEngine};
 use rago_serving_sim::MetricsMode;
-use rago_telemetry::{NullRecorder, Recorder};
+use rago_telemetry::{NullRecorder, Recorder, TelemetryConfig};
 use rago_workloads::Trace;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// Seed of the iterative-retrieval trigger positions, shared with the static
 /// path so both evaluate the same random draw.
@@ -103,21 +105,17 @@ pub fn evaluate_schedule_dynamic(
     slo: &SloTarget,
     cache: Option<&CacheConfig>,
 ) -> Result<DynamicEvaluation, RagoError> {
-    let engine = fleet_engine(
-        profiler,
-        schedule,
-        &FleetConfig::single(),
-        trace,
-        slo,
-        &MetricsMode::Exact,
-        cache,
-    )?;
-    let report = engine.run_trace(trace).fleet.merged;
+    let run = FleetRun {
+        cache: cache.copied(),
+        ..FleetRun::default()
+    };
+    // A fleet's scores are its merged report's.
+    let eval = evaluate_fleet(profiler, schedule, trace, slo, &run, &mut NullRecorder)?;
     Ok(DynamicEvaluation {
-        attainment: report.attainment(slo),
-        goodput_rps: report.goodput_rps(slo),
-        meets_slo: report.meets_slo(slo),
-        report,
+        report: eval.report.merged,
+        attainment: eval.attainment,
+        goodput_rps: eval.goodput_rps,
+        meets_slo: eval.meets_slo,
     })
 }
 
@@ -125,49 +123,24 @@ pub fn evaluate_schedule_dynamic(
 /// Profile-lane counters on the fleet track, using the same `sim.*` names
 /// as [`rago_telemetry::SimProfile`]. Compiles to nothing for a
 /// [`rago_telemetry::NullRecorder`].
-pub fn record_profiler_memo<R: Recorder>(profiler: &StageProfiler, rec: &mut R, time_s: f64) {
+fn record_profiler_memo<R: Recorder>(profiler: &StageProfiler, rec: &mut R, time_s: f64) {
     if !R::ENABLED {
         return;
     }
     use rago_telemetry::{Lane, TraceEvent, FLEET_TRACK};
     let (hits, misses) = profiler.memo_stats();
-    let total = hits + misses;
-    if total == 0 {
+    let total = (hits + misses) as f64;
+    if total == 0.0 {
         return;
     }
-    let mut emit = |name: &str, value: f64| {
-        rec.record(TraceEvent::counter(
-            time_s,
-            FLEET_TRACK,
-            Lane::Profile,
-            name,
-            value,
-        ));
-    };
-    emit("sim.profiler_memo_hits", hits as f64);
-    emit("sim.profiler_memo_misses", misses as f64);
-    emit("sim.profiler_memo_hit_rate", hits as f64 / total as f64);
-}
-
-/// Rejects a streaming mode whose configured run-level SLO differs from the
-/// SLO the evaluation scores against. The histogram sink counts attainment
-/// *during* the run; querying a different SLO afterwards is unanswerable
-/// (and the report accessors would panic), so the mismatch is surfaced as a
-/// configuration error up front.
-fn check_mode_slo(mode: &MetricsMode, slo: &SloTarget) -> Result<(), RagoError> {
-    if let MetricsMode::Streaming(config) = mode {
-        if config.slo.as_ref() != Some(slo) {
-            return Err(RagoError::InvalidConfig {
-                reason: format!(
-                    "streaming evaluation scores against {slo:?}, but the streaming \
-                     configuration names {:?}; set StreamingConfig::with_slo to the \
-                     scored SLO before the run",
-                    config.slo
-                ),
-            });
-        }
+    for (name, value) in [
+        ("sim.profiler_memo_hits", hits as f64),
+        ("sim.profiler_memo_misses", misses as f64),
+        ("sim.profiler_memo_hit_rate", hits as f64 / total),
+    ] {
+        let event = TraceEvent::counter(time_s, FLEET_TRACK, Lane::Profile, name, value);
+        rec.record(event);
     }
-    Ok(())
 }
 
 /// Validates a trace before it reaches the simulator: rejects zero-request
@@ -265,9 +238,12 @@ pub fn evaluate_fleet_dynamic_with(
     slo: &SloTarget,
     mode: &MetricsMode,
 ) -> Result<FleetEvaluation, RagoError> {
-    let engine = fleet_engine(profiler, schedule, fleet, trace, slo, mode, None)?;
-    let report = run_fleet(profiler, &engine, trace, mode, &mut NullRecorder);
-    Ok(score_fleet(report.fleet, slo))
+    let run = FleetRun {
+        fleet: fleet.clone(),
+        mode: mode.clone(),
+        ..FleetRun::default()
+    };
+    evaluate_fleet(profiler, schedule, trace, slo, &run, &mut NullRecorder)
 }
 
 /// [`evaluate_fleet_dynamic_with`] recording a telemetry trace into `rec`:
@@ -291,75 +267,132 @@ pub fn evaluate_fleet_dynamic_traced<R: Recorder>(
     trace: &Trace,
     slo: &SloTarget,
     mode: &MetricsMode,
-    telemetry: &rago_telemetry::TelemetryConfig,
+    telemetry: &TelemetryConfig,
     rec: &mut R,
 ) -> Result<FleetEvaluation, RagoError> {
-    telemetry
-        .validate()
-        .map_err(|reason| RagoError::InvalidConfig { reason })?;
-    let engine = fleet_engine(profiler, schedule, fleet, trace, slo, mode, None)?
-        .with_telemetry(telemetry.clone());
-    let report = run_fleet(profiler, &engine, trace, mode, rec);
+    let run = FleetRun {
+        fleet: fleet.clone(),
+        mode: mode.clone(),
+        telemetry: Some(telemetry.clone()),
+        ..FleetRun::default()
+    };
+    evaluate_fleet(profiler, schedule, trace, slo, &run, rec)
+}
+
+/// The one fleet evaluator: builds `run`, drives `trace` through it into
+/// `rec` and scores the fleet against `slo`. A streaming sink counts
+/// attainment *during* the run, so its mode must name `slo`: any other SLO
+/// is unanswerable afterwards (the report accessors would panic).
+pub(crate) fn evaluate_fleet<R: Recorder>(
+    profiler: &StageProfiler,
+    schedule: &Schedule,
+    trace: &Trace,
+    slo: &SloTarget,
+    run: &FleetRun,
+    rec: &mut R,
+) -> Result<FleetEvaluation, RagoError> {
+    if let MetricsMode::Streaming(config) = &run.mode {
+        if config.slo.as_ref() != Some(slo) {
+            return Err(RagoError::InvalidConfig {
+                reason: format!(
+                    "streaming evaluation scores against {slo:?}, but the streaming \
+                     configuration names {:?}; set StreamingConfig::with_slo to the \
+                     scored SLO before the run",
+                    config.slo
+                ),
+            });
+        }
+    }
+    let engine = fleet_engine(profiler, schedule, trace, run)?;
+    let report = run_fleet(profiler, &engine, trace, &run.mode, rec);
     Ok(score_fleet(report.fleet, slo))
 }
 
-/// Validates one fleet evaluation and builds its [`FleetEngine`] from any
-/// [`FleetConfig`]: a static fleet of `schedule`'s pipeline, or a split
-/// fleet running its two halves. `cache` lives on every replica of a flat
-/// fleet and on a split fleet's prefill pool, where the prefix and
-/// retrieval stages run. Every evaluator that takes a [`FleetConfig`]
-/// builds its fleet here; the capacity planner's replica search,
-/// [`evaluate_heterogeneous_fleet_dynamic`] and
-/// [`crate::faulted::evaluate_fleet_faulted`] size their fleets otherwise
-/// (a probed count, one spec per replica, a scale driver) and call
-/// [`FleetEngine::new`] or [`FleetEngine::heterogeneous`] directly.
+/// The whole configuration of one evaluated fleet run, which
+/// [`fleet_engine`] validates and builds. The default is one static
+/// replica behind the default router in exact metrics mode, with no
+/// faults, admission control, cache or telemetry.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FleetRun {
+    /// Flat, one `[Monolithic]` pool, or a `[Prefill, Decode]` pool pair.
+    pub fleet: FleetConfig,
+    /// Sizes a flat fleet over time in place of `fleet.replicas`.
+    pub driver: Option<ScaleDriver>,
+    /// Faults played against the fleet's replica slots.
+    pub faults: FaultSchedule,
+    /// What happens to a dying replica's in-flight work.
+    pub crash_policy: CrashPolicy,
+    /// Admission control, or `None` to admit everything.
+    pub admission: Option<AdmissionConfig>,
+    /// Caches on every flat replica, or on a split's prefill pool.
+    pub cache: Option<CacheConfig>,
+    /// The metrics pipeline; a pool pair runs [`MetricsMode::Exact`] only.
+    pub mode: MetricsMode,
+    /// The gauge cadence of a traced run.
+    pub telemetry: Option<TelemetryConfig>,
+}
+
+/// Validates `run` for `schedule` and `trace` and builds its
+/// [`FleetEngine`]: the one place an evaluator does either. A flat fleet
+/// runs `schedule`'s pipeline on every replica; a `[Prefill, Decode]` pair
+/// runs its two halves.
 pub(crate) fn fleet_engine(
     profiler: &StageProfiler,
     schedule: &Schedule,
-    fleet: &FleetConfig,
     trace: &Trace,
-    slo: &SloTarget,
-    mode: &MetricsMode,
-    cache: Option<&CacheConfig>,
+    run: &FleetRun,
 ) -> Result<FleetEngine, RagoError> {
+    let invalid = |reason: String| RagoError::InvalidConfig { reason };
+    if let Some(telemetry) = &run.telemetry {
+        telemetry.validate().map_err(invalid)?;
+    }
     schedule.validate()?;
-    fleet.validate().map_err(|e| RagoError::InvalidConfig {
-        reason: e.to_string(),
-    })?;
+    run.fleet.validate().map_err(|e| invalid(e.to_string()))?;
+    if let Some(driver) = &run.driver {
+        driver.validate().map_err(invalid)?;
+    }
+    if let Some(admission) = &run.admission {
+        admission.validate().map_err(invalid)?;
+    }
     validate_trace(trace)?;
-    check_mode_slo(mode, slo)?;
-    if let Some((prefill, decode)) = fleet.prefill_decode() {
-        if !matches!(mode, MetricsMode::Exact) {
-            return Err(RagoError::InvalidConfig {
-                reason: "streaming metrics are not supported for disaggregated pool fleets; \
-                         score the exact merged report instead"
+    let cache = run.cache.as_ref();
+    let engine = if let Some((prefill, decode)) = run.fleet.prefill_decode() {
+        if !matches!(run.mode, MetricsMode::Exact) {
+            return Err(invalid(
+                "streaming metrics are not supported for disaggregated pool fleets; \
+                 score the exact merged report instead"
                     .into(),
-            });
+            ));
         }
         validate_unique_ids(trace)?;
         let (prefill_spec, decode_spec) =
             crate::disagg::split_pipeline_spec(profiler, schedule, cache)?;
-        return Ok(FleetEngine::disaggregated(
-            prefill_spec,
-            decode_spec,
-            prefill,
-            decode,
-            fleet.transfer,
-        ));
-    }
-    // A single declared Monolithic pool is the flat fleet spelled in pool
-    // form — honour the pool's router (`validate` pinned the totals).
-    let router = match fleet.pools.as_slice() {
-        [only] => only.router,
-        _ => fleet.router,
+        let transfer = run.fleet.transfer;
+        FleetEngine::disaggregated(prefill_spec, decode_spec, prefill, decode, transfer)
+    } else {
+        // One declared Monolithic pool is the flat fleet in pool form —
+        // honour the pool's router (`validate` pinned the totals).
+        let router = match run.fleet.pools.as_slice() {
+            [only] => only.router,
+            _ => run.fleet.router,
+        };
+        let replicas = run.fleet.replicas;
+        let driver = run
+            .driver
+            .clone()
+            .unwrap_or(ScaleDriver::Static { replicas });
+        FleetEngine::new(pipeline_spec(profiler, schedule, cache)?, router, driver)
     };
-    let spec = pipeline_spec(profiler, schedule, cache)?;
-    let replicas = fleet.replicas;
-    Ok(FleetEngine::new(
-        spec,
-        router,
-        ScaleDriver::Static { replicas },
-    ))
+    let mut engine = engine
+        .with_faults(run.faults.clone())
+        .with_crash_policy(run.crash_policy);
+    if let Some(admission) = &run.admission {
+        engine = engine.with_admission(admission.clone());
+    }
+    if let Some(telemetry) = &run.telemetry {
+        engine = engine.with_telemetry(telemetry.clone());
+    }
+    Ok(engine)
 }
 
 /// The one run core behind every fleet evaluation: drives `trace` through
@@ -404,6 +437,7 @@ pub fn evaluate_heterogeneous_fleet_dynamic(
         schedule.validate()?;
         specs.push(pipeline_spec(profiler, schedule, None)?);
     }
+    // One spec per replica, which `fleet_engine`'s one spec cannot serve.
     let replicas = specs.len() as u32;
     let engine = FleetEngine::heterogeneous(specs, router, ScaleDriver::Static { replicas });
     let report = run_fleet(
@@ -417,15 +451,12 @@ pub fn evaluate_heterogeneous_fleet_dynamic(
 }
 
 /// Scores a finished fleet run against `slo`.
-pub(crate) fn score_fleet(report: FleetReport, slo: &SloTarget) -> FleetEvaluation {
-    let attainment = report.attainment(slo);
-    let goodput_rps = report.goodput_rps(slo);
-    let meets_slo = report.meets_slo(slo);
+fn score_fleet(report: FleetReport, slo: &SloTarget) -> FleetEvaluation {
     FleetEvaluation {
+        attainment: report.attainment(slo),
+        goodput_rps: report.goodput_rps(slo),
+        meets_slo: report.meets_slo(slo),
         report,
-        attainment,
-        goodput_rps,
-        meets_slo,
     }
 }
 
@@ -577,27 +608,41 @@ pub fn rank_frontier_by_goodput(
     if let Err(e) = validate_trace(trace) {
         panic!("cannot rank a frontier by goodput: {e}");
     }
-    let mut ranked: Vec<(ParetoPoint, DynamicEvaluation)> = frontier
-        .iter()
+    rank(
+        frontier.iter(),
+        |point| {
+            let eval = evaluate_schedule_dynamic(profiler, &point.schedule, trace, slo, cache);
+            Some((point.clone(), eval.ok()?))
+        },
+        |a, b| {
+            b.1.goodput_rps
+                .total_cmp(&a.1.goodput_rps)
+                .then(a.0.performance.ttft_s.total_cmp(&b.0.performance.ttft_s))
+                .then_with(|| a.0.schedule.describe().cmp(&b.0.schedule.describe()))
+        },
+    )
+}
+
+/// The one ranking loop of the frontier rankers: evaluates `candidates`
+/// across rayon workers, keeps those `evaluate` scores, and sorts them by
+/// `order`, whose tie-breaks make the ranking independent of scheduling.
+/// The source is sized so the bridge can give every worker a share.
+pub(crate) fn rank<C: Send, T: Send>(
+    candidates: impl ExactSizeIterator<Item = C> + Send,
+    evaluate: impl Fn(C) -> Option<T> + Sync,
+    order: impl Fn(&T, &T) -> Ordering,
+) -> Vec<T> {
+    let mut ranked = candidates
         .par_bridge()
-        .fold(Vec::new, |mut acc, point| {
-            if let Ok(eval) =
-                evaluate_schedule_dynamic(profiler, &point.schedule, trace, slo, cache)
-            {
-                acc.push((point.clone(), eval));
-            }
+        .fold(Vec::new, |mut acc, candidate| {
+            acc.extend(evaluate(candidate));
             acc
         })
         .reduce(Vec::new, |mut a, mut b| {
             a.append(&mut b);
             a
         });
-    ranked.sort_by(|a, b| {
-        b.1.goodput_rps
-            .total_cmp(&a.1.goodput_rps)
-            .then(a.0.performance.ttft_s.total_cmp(&b.0.performance.ttft_s))
-            .then_with(|| a.0.schedule.describe().cmp(&b.0.schedule.describe()))
-    });
+    ranked.sort_by(order);
     ranked
 }
 
@@ -1406,23 +1451,37 @@ mod tests {
             rago.evaluate_fleet_disagg(&schedule, &split, &trace, &slo)
                 .map(|_| ())
         ));
+        let exact = |fleet| {
+            evaluate_fleet_dynamic_with(
+                rago.profiler(),
+                &schedule,
+                fleet,
+                &trace,
+                &slo,
+                &MetricsMode::Exact,
+            )
+        };
+        assert!(rejected(exact(&split).map(|_| ())));
+        // A crash schedule does not bypass the check.
+        let crash = rago_serving_sim::pools::PoolCrash {
+            pool: rago_schema::PoolRole::Prefill,
+            replica: 0,
+            at_s: 0.1,
+            restart_delay_s: Some(0.1),
+        };
         assert!(rejected(
-            rago.evaluate_fleet(&schedule, &split, &trace, &slo)
-                .map(|_| ())
-        ));
-        assert!(rejected(
-            crate::faulted::evaluate_fleet_faulted_pools(
+            crate::disagg::evaluate_fleet_disagg(
                 rago.profiler(),
                 &schedule,
                 &split,
-                &[],
+                &[crash],
                 &trace,
                 &slo
             )
             .map(|_| ())
         ));
         let flat = FleetConfig::new(2, RouterPolicy::LeastOutstanding);
-        let eval = rago.evaluate_fleet(&schedule, &flat, &trace, &slo).unwrap();
+        let eval = exact(&flat).unwrap();
         assert_eq!(eval.report.merged.metrics.completed, 4);
     }
 

@@ -23,24 +23,24 @@
 //! after each disruption) come from the windowed attainment timeline of
 //! the [`ChaosReport`].
 //!
-//! With one class, no faults, no admission control, and a static driver
-//! the scores are **bit-identical** to
+//! The scenario is one configuration of the crate's one fleet builder (see
+//! [`crate::dynamic`]), so with one class, no faults, no admission
+//! control, and a static driver the scores are **bit-identical** to
 //! [`crate::dynamic::evaluate_fleet_dynamic_with`]'s — pinned by
-//! `faultless_static_scenario_matches_fleet_dynamic` below.
+//! `faultless_static_scenario_matches_fleet_dynamic` below. Pool-typed
+//! crashes of a disaggregated fleet are scored by
+//! [`crate::disagg::evaluate_fleet_disagg`].
 
 use crate::capacity::CapacityProfile;
-use crate::dynamic::{fleet_engine, pipeline_spec, run_fleet, validate_trace};
+use crate::dynamic::{fleet_engine, run_fleet, FleetRun};
 use crate::error::RagoError;
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
-use rago_schema::{FleetConfig, PoolRole, RouterPolicy, SloTarget};
+use rago_schema::{FleetConfig, RouterPolicy, SloTarget};
 use rago_serving_sim::faults::{
     AdmissionConfig, AttainmentWindow, ChaosReport, CrashPolicy, FaultSchedule, PlanStep,
     RecoveryMetrics, ScaleDriver, ScalingPlan,
 };
-use rago_serving_sim::fleet::FleetEngine;
-use rago_serving_sim::pools::PoolCrash;
-use rago_serving_sim::MetricsMode;
 use rago_telemetry::NullRecorder;
 use rago_workloads::{Trace, WorkloadMix};
 use serde::{Deserialize, Serialize};
@@ -133,13 +133,44 @@ impl FaultScenario {
     /// Panics unless `window_s` is finite and positive.
     #[must_use]
     pub fn with_recovery_window(mut self, window_s: f64) -> Self {
-        assert!(
-            window_s.is_finite() && window_s > 0.0,
-            "recovery window must be finite and positive, got {window_s}"
-        );
+        if let Err(e) = check_recovery_window(window_s) {
+            panic!("{e}");
+        }
         self.recovery_window_s = window_s;
         self
     }
+
+    /// Checks what a struct literal can get wrong: a malformed driver
+    /// ([`ScaleDriver::validate`]) or admission configuration
+    /// ([`AdmissionConfig::validate`]), a recovery window that is not
+    /// finite and positive, or an invalid recovery SLO.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RagoError::InvalidConfig`] naming the first such field.
+    pub fn validate(&self) -> Result<(), RagoError> {
+        check_recovery_window(self.recovery_window_s)?;
+        let invalid = |reason: String| RagoError::InvalidConfig { reason };
+        if let Some(slo) = &self.recovery_slo {
+            slo.validate()
+                .map_err(|e| invalid(format!("recovery SLO: {e}")))?;
+        }
+        self.driver.validate().map_err(invalid)?;
+        match &self.admission {
+            Some(admission) => admission.validate().map_err(invalid),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The recovery-window rule: finite and positive.
+fn check_recovery_window(window_s: f64) -> Result<(), RagoError> {
+    if window_s.is_finite() && window_s > 0.0 {
+        return Ok(());
+    }
+    Err(RagoError::InvalidConfig {
+        reason: format!("recovery window must be finite and positive, got {window_s}"),
+    })
 }
 
 /// One tenant class's outcome under faults, scored on *offered* traffic.
@@ -331,8 +362,8 @@ pub fn scaling_plan_from_profile(profile: &CapacityProfile, lead_s: f64) -> Scal
 ///
 /// # Errors
 ///
-/// Returns [`RagoError::InvalidConfig`] for invalid schedules, a malformed
-/// scale driver ([`ScaleDriver::validate`]), an empty trace, a class tag
+/// Returns [`RagoError::InvalidConfig`] for invalid schedules, an invalid
+/// scenario ([`FaultScenario::validate`]), an empty trace, a class tag
 /// outside the mix, or an invalid per-class SLO, and
 /// [`RagoError::CostModel`] when the schedule cannot be profiled.
 pub fn evaluate_fleet_faulted(
@@ -343,12 +374,7 @@ pub fn evaluate_fleet_faulted(
     trace: &Trace,
     scenario: &FaultScenario,
 ) -> Result<FaultedEvaluation, RagoError> {
-    schedule.validate()?;
-    scenario
-        .driver
-        .validate()
-        .map_err(|reason| RagoError::InvalidConfig { reason })?;
-    validate_trace(trace)?;
+    scenario.validate()?;
     let num_classes = mix.num_classes() as u32;
     if let Some(bad) = trace.requests.iter().find(|r| r.class >= num_classes) {
         return Err(RagoError::InvalidConfig {
@@ -375,14 +401,17 @@ pub fn evaluate_fleet_faulted(
         a
     });
 
-    let spec = pipeline_spec(profiler, schedule, None)?;
-    let mut engine = FleetEngine::new(spec, router, scenario.driver.clone())
-        .with_faults(scenario.faults.clone())
-        .with_crash_policy(scenario.crash_policy);
-    if let Some(a) = admission.clone() {
-        engine = engine.with_admission(a);
-    }
-    let chaos = engine.run_trace(trace);
+    let run = FleetRun {
+        // The driver sizes the fleet; the config gives its router.
+        fleet: FleetConfig::new(1, router),
+        driver: Some(scenario.driver.clone()),
+        faults: scenario.faults.clone(),
+        crash_policy: scenario.crash_policy,
+        admission,
+        ..FleetRun::default()
+    };
+    let engine = fleet_engine(profiler, schedule, trace, &run)?;
+    let chaos = run_fleet(profiler, &engine, trace, &run.mode, &mut NullRecorder);
 
     // Offered attainment: a shed request is an offered request that missed
     // its SLO. Completed counts and SLO hits come from the merged report's
@@ -413,7 +442,8 @@ pub fn evaluate_fleet_faulted(
             } else {
                 met as f64 / offered as f64
             };
-            let priority = admission
+            let priority = run
+                .admission
                 .as_ref()
                 .map_or_else(|| c.priority, |a| a.priority_of(class));
             FaultedClassOutcome {
@@ -464,112 +494,12 @@ pub fn evaluate_fleet_faulted(
     })
 }
 
-/// The disaggregated analogue of [`evaluate_fleet_faulted`]: plays a
-/// schedule of per-pool crashes ([`rago_serving_sim::pools::PoolCrash`])
-/// against a `[Prefill, Decode]` pool fleet while it serves `trace`, and
-/// scores the stitched result against `slo`.
-///
-/// Crash semantics are pool-typed: a prefill-replica crash re-queues its
-/// un-prefilled and un-transferred work onto prefill *survivors* only; a
-/// decode-replica crash re-injects its in-flight decodes directly into
-/// surviving decode replicas (their KV state has already crossed the
-/// interconnect). Work whose pool has no live replica waits for a
-/// restart's cold replacement, which joins the victim's pool, or fails if
-/// none comes; a failed request is missing from the stitched timelines.
-/// The requeue counters land in
-/// [`rago_serving_sim::pools::TransferStats`] on the returned report, and
-/// chips are billed for the configured pool sizes.
-///
-/// # Errors
-///
-/// As [`crate::disagg::evaluate_fleet_disagg`], plus
-/// [`RagoError::InvalidConfig`] for crashes targeting the Monolithic pool,
-/// an out-of-range replica, or carrying non-finite timings.
-pub fn evaluate_fleet_faulted_pools(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    fleet: &FleetConfig,
-    crashes: &[PoolCrash],
-    trace: &Trace,
-    slo: &SloTarget,
-) -> Result<crate::disagg::DisaggEvaluation, RagoError> {
-    let engine = faulted_pool_engine(profiler, schedule, fleet, crashes, trace, slo)?;
-    let report = run_fleet(
-        profiler,
-        &engine,
-        trace,
-        &MetricsMode::Exact,
-        &mut NullRecorder,
-    );
-    Ok(crate::disagg::score_disagg(report, schedule, fleet, slo))
-}
-
-/// The pool fleet `fleet` as [`fleet_engine`] builds it, with `crashes`
-/// played onto it once each is checked to target a real replica of the
-/// Prefill or Decode pool at a finite, non-negative time.
-pub(crate) fn faulted_pool_engine(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    fleet: &FleetConfig,
-    crashes: &[PoolCrash],
-    trace: &Trace,
-    slo: &SloTarget,
-) -> Result<FleetEngine, RagoError> {
-    let (prefill, decode) = crate::disagg::pool_pair(fleet)?;
-    let engine = fleet_engine(
-        profiler,
-        schedule,
-        fleet,
-        trace,
-        slo,
-        &MetricsMode::Exact,
-        None,
-    )?;
-    for c in crashes {
-        let pool_len = match c.pool {
-            PoolRole::Prefill => prefill.replicas,
-            PoolRole::Decode => decode.replicas,
-            PoolRole::Monolithic => {
-                return Err(RagoError::InvalidConfig {
-                    reason: "pool crashes target the Prefill or Decode pool".into(),
-                })
-            }
-        };
-        if c.replica as u64 >= u64::from(pool_len) {
-            return Err(RagoError::InvalidConfig {
-                reason: format!(
-                    "crash at {:.3}s targets replica {} of a {}-replica {} pool",
-                    c.at_s, c.replica, pool_len, c.pool
-                ),
-            });
-        }
-        if !(c.at_s.is_finite() && c.at_s >= 0.0) {
-            return Err(RagoError::InvalidConfig {
-                reason: format!(
-                    "crash times must be finite and non-negative, got {}",
-                    c.at_s
-                ),
-            });
-        }
-        if let Some(d) = c.restart_delay_s {
-            if !(d.is_finite() && d >= 0.0) {
-                return Err(RagoError::InvalidConfig {
-                    reason: format!("restart delays must be finite and non-negative, got {d}"),
-                });
-            }
-        }
-    }
-    let faults = crashes
-        .iter()
-        .map(|c| c.to_fault(prefill.replicas))
-        .collect();
-    Ok(engine.with_faults(FaultSchedule::new(faults)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::capacity::{plan_capacity_profile, CapacityOptions};
+    use crate::disagg::evaluate_fleet_disagg;
+    use crate::dynamic::pipeline_spec;
     use crate::placement::PlacementPlan;
     use crate::schedule::{BatchingPolicy, ResourceAllocation};
     use rago_hardware::ClusterSpec;
@@ -577,6 +507,8 @@ mod tests {
     use rago_schema::{FleetConfig, SequenceProfile, Stage};
     use rago_serving_sim::autoscaler::AutoscalerPolicy;
     use rago_serving_sim::faults::FaultEvent;
+    use rago_serving_sim::fleet::FleetEngine;
+    use rago_serving_sim::MetricsMode;
     use rago_workloads::{ArrivalProcess, MixTraceSpec, RateSegment, RequestClass};
 
     fn case1_profiler() -> StageProfiler {
@@ -1085,6 +1017,97 @@ mod tests {
         }
     }
 
+    /// One replica crashing at 2 s with a 3 s restart, serving 400 Poisson
+    /// requests at 30 rps, under `scenario`.
+    fn crashed_single_replica(
+        scenario: impl Fn(FaultScenario) -> FaultScenario,
+    ) -> Result<FaultedEvaluation, RagoError> {
+        let slo = SloTarget::new(2.0, 0.1);
+        let profile = SequenceProfile::paper_default().with_decode_tokens(32);
+        let mix = WorkloadMix::single("all", profile, 0.1, slo);
+        let trace = MixTraceSpec {
+            num_requests: 400,
+            mix: mix.clone(),
+            arrival: ArrivalProcess::Poisson { rate_rps: 30.0 },
+            seed: 5,
+        }
+        .generate();
+        let crash = FaultSchedule::new(vec![FaultEvent::Crash {
+            replica: 0,
+            at_s: 2.0,
+            restart_delay_s: 3.0,
+        }]);
+        let base = FaultScenario::new(ScaleDriver::Static { replicas: 1 }).with_faults(crash);
+        evaluate_fleet_faulted(
+            &case1_profiler(),
+            &case1_schedule(),
+            RouterPolicy::LeastOutstanding,
+            &mix,
+            &trace,
+            &scenario(base),
+        )
+    }
+
+    /// Regression: the scenario's fields are public, so a struct literal
+    /// skipped `with_recovery_window`'s check. A zero, NaN or negative
+    /// window then scored an empty timeline as an instant recovery, and a
+    /// NaN recovery TTFT as no recovery at all; each is now a config error.
+    #[test]
+    fn malformed_recovery_windows_and_slos_are_rejected() {
+        let good = crashed_single_replica(|s| s.with_recovery_window(0.5)).unwrap();
+        assert_eq!(good.recovery.len(), 1);
+        assert!(!good.timeline.is_empty());
+        for window in [0.0, f64::NAN, -1.0] {
+            let result = crashed_single_replica(|s| FaultScenario {
+                recovery_window_s: window,
+                ..s
+            });
+            assert!(
+                matches!(&result, Err(RagoError::InvalidConfig { reason }) if reason.contains("recovery window")),
+                "window {window}: {result:?}"
+            );
+            let built = std::panic::catch_unwind(|| {
+                FaultScenario::new(ScaleDriver::Static { replicas: 1 }).with_recovery_window(window)
+            });
+            assert!(
+                built.is_err(),
+                "with_recovery_window({window}) was accepted"
+            );
+        }
+        let nan_ttft = SloTarget {
+            ttft_s: f64::NAN,
+            ..SloTarget::new(2.0, 0.1)
+        };
+        let result = crashed_single_replica(|s| s.with_recovery_slo(nan_ttft));
+        assert!(
+            matches!(&result, Err(RagoError::InvalidConfig { reason }) if reason.contains("recovery SLO")),
+            "{result:?}"
+        );
+    }
+
+    /// Regression: a struct-literal admission config with a NaN or
+    /// negative threshold shed every arrival and still returned `Ok`.
+    #[test]
+    fn malformed_admission_thresholds_are_rejected() {
+        for depth in [f64::NAN, -1.0] {
+            let admission = AdmissionConfig {
+                shed_queue_depth: depth,
+                ..AdmissionConfig::new(4.0, 4.0)
+            };
+            let result = crashed_single_replica(|s| FaultScenario {
+                driver: ScaleDriver::Static { replicas: 2 },
+                ..s.with_admission(admission.clone())
+            });
+            assert!(
+                matches!(&result, Err(RagoError::InvalidConfig { reason }) if reason.contains("shed queue depth")),
+                "depth {depth}: {result:?}"
+            );
+        }
+        let scenario = FaultScenario::new(ScaleDriver::Static { replicas: 2 })
+            .with_admission(AdmissionConfig::new(4.0, 4.0));
+        assert!(scenario.validate().is_ok());
+    }
+
     #[test]
     fn invalid_inputs_are_rejected() {
         let profiler = case1_profiler();
@@ -1140,8 +1163,7 @@ mod tests {
         .generate();
         let fleet = FleetConfig::split(2, 1, RouterPolicy::LeastOutstanding);
         let healthy =
-            crate::disagg::evaluate_fleet_disagg(&profiler, &schedule, &fleet, &trace, &slo)
-                .unwrap();
+            evaluate_fleet_disagg(&profiler, &schedule, &fleet, &[], &trace, &slo).unwrap();
         let crash = PoolCrash {
             pool: PoolRole::Prefill,
             replica: 0,
@@ -1149,8 +1171,7 @@ mod tests {
             restart_delay_s: None,
         };
         let crashed =
-            evaluate_fleet_faulted_pools(&profiler, &schedule, &fleet, &[crash], &trace, &slo)
-                .unwrap();
+            evaluate_fleet_disagg(&profiler, &schedule, &fleet, &[crash], &trace, &slo).unwrap();
         // Conservation: every request still completes on the survivors.
         assert_eq!(crashed.report.merged.metrics.completed, 120);
         assert!(crashed.attainment <= healthy.attainment);
@@ -1162,7 +1183,7 @@ mod tests {
             restart_delay_s: None,
         };
         assert!(matches!(
-            evaluate_fleet_faulted_pools(&profiler, &schedule, &fleet, &[bad], &trace, &slo),
+            evaluate_fleet_disagg(&profiler, &schedule, &fleet, &[bad], &trace, &slo),
             Err(RagoError::InvalidConfig { .. })
         ));
     }
@@ -1199,31 +1220,26 @@ mod tests {
                 at_s: 1.0,
                 restart_delay_s: Some(0.5),
             };
-            let eval = evaluate_fleet_faulted_pools(
-                &profiler,
-                &schedule,
-                &fleet,
-                &[restart],
-                &trace,
-                &slo,
-            )
-            .unwrap();
+            let eval =
+                evaluate_fleet_disagg(&profiler, &schedule, &fleet, &[restart], &trace, &slo)
+                    .unwrap();
             assert_eq!(eval.report.merged.metrics.completed, 120, "{pool} restart");
 
             let lost = PoolCrash {
                 restart_delay_s: None,
                 ..restart
             };
-            assert!(evaluate_fleet_faulted_pools(
-                &profiler,
-                &schedule,
-                &fleet,
-                &[lost],
-                &trace,
-                &slo
-            )
-            .is_ok());
-            let chaos = faulted_pool_engine(&profiler, &schedule, &fleet, &[lost], &trace, &slo)
+            assert!(
+                evaluate_fleet_disagg(&profiler, &schedule, &fleet, &[lost], &trace, &slo).is_ok()
+            );
+            // The evaluation carries no fault ledger: read it off the same
+            // engine, built from the lowered crash schedule.
+            let run = FleetRun {
+                fleet: fleet.clone(),
+                faults: crate::disagg::crash_schedule(&fleet, &[lost]).unwrap(),
+                ..FleetRun::default()
+            };
+            let chaos = fleet_engine(&profiler, &schedule, &trace, &run)
                 .unwrap()
                 .run_trace(&trace);
             let fault = &chaos.fault;
@@ -1253,7 +1269,7 @@ mod tests {
             at_s: 0.5,
             restart_delay_s: Some(0.2),
         };
-        let eval = evaluate_fleet_faulted_pools(
+        let eval = evaluate_fleet_disagg(
             &profiler,
             &schedule,
             &fleet,

@@ -64,12 +64,12 @@ pub use disagg::{
 pub use dynamic::{
     evaluate_fleet_dynamic_traced, evaluate_fleet_dynamic_with,
     evaluate_heterogeneous_fleet_dynamic, evaluate_schedule_dynamic, rank_frontier_by_goodput,
-    record_profiler_memo, DynamicEvaluation, FleetEvaluation,
+    DynamicEvaluation, FleetEvaluation,
 };
 pub use error::RagoError;
 pub use faulted::{
-    evaluate_fleet_faulted, evaluate_fleet_faulted_pools, scaling_plan_from_profile, FaultScenario,
-    FaultedClassOutcome, FaultedEvaluation,
+    evaluate_fleet_faulted, scaling_plan_from_profile, FaultScenario, FaultedClassOutcome,
+    FaultedEvaluation,
 };
 pub use metrics::RagPerformance;
 pub use optimizer::{Rago, SearchOptions};

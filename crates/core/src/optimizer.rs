@@ -229,21 +229,11 @@ impl Rago {
         self.budget
     }
 
-    /// Evaluates one explicit schedule.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Schedule::evaluate`] errors.
-    pub fn evaluate(
-        &self,
-        schedule: &Schedule,
-    ) -> Result<crate::metrics::RagPerformance, RagoError> {
-        schedule.evaluate(&self.profiler)
-    }
-
     /// Evaluates one schedule dynamically: drives a request trace through
     /// the discrete-event serving engine and scores TTFT/TPOT distributions,
-    /// queueing, and SLO attainment. See
+    /// queueing, and SLO attainment. With a `cache`, the replica carries
+    /// prefix-KV and retrieval-result caches that exploit the trace's
+    /// content identity (see [`crate::cached`]). See
     /// [`crate::dynamic::evaluate_schedule_dynamic`].
     ///
     /// # Examples
@@ -269,7 +259,7 @@ impl Rago {
     /// .generate();
     /// let slo = SloTarget::paper_default();
     /// let best = frontier.max_qps_per_chip().unwrap();
-    /// let eval = rago.evaluate_dynamic(&best.schedule, &trace, &slo)?;
+    /// let eval = rago.evaluate_dynamic(&best.schedule, &trace, &slo, None)?;
     /// assert_eq!(eval.report.metrics.completed, 40);
     /// # Ok::<(), rago_core::RagoError>(())
     /// ```
@@ -282,8 +272,9 @@ impl Rago {
         schedule: &Schedule,
         trace: &rago_workloads::Trace,
         slo: &rago_schema::SloTarget,
+        cache: Option<&rago_cache::CacheConfig>,
     ) -> Result<crate::dynamic::DynamicEvaluation, RagoError> {
-        crate::dynamic::evaluate_schedule_dynamic(&self.profiler, schedule, trace, slo, None)
+        crate::dynamic::evaluate_schedule_dynamic(&self.profiler, schedule, trace, slo, cache)
     }
 
     /// Re-scores a Pareto frontier under a request trace and ranks its
@@ -299,31 +290,6 @@ impl Rago {
         crate::dynamic::DynamicEvaluation,
     )> {
         crate::dynamic::rank_frontier_by_goodput(&self.profiler, frontier, trace, slo, None)
-    }
-
-    /// Evaluates one schedule as a *fleet*: `fleet.replicas` copies of its
-    /// pipeline behind `fleet.router`, sharing the trace's arrival stream.
-    /// See [`crate::dynamic::evaluate_fleet_dynamic_with`] in
-    /// [`crate::MetricsMode::Exact`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::dynamic::evaluate_fleet_dynamic_with`] errors.
-    pub fn evaluate_fleet(
-        &self,
-        schedule: &Schedule,
-        fleet: &rago_schema::FleetConfig,
-        trace: &rago_workloads::Trace,
-        slo: &rago_schema::SloTarget,
-    ) -> Result<crate::dynamic::FleetEvaluation, RagoError> {
-        crate::dynamic::evaluate_fleet_dynamic_with(
-            &self.profiler,
-            schedule,
-            fleet,
-            trace,
-            slo,
-            &crate::MetricsMode::Exact,
-        )
     }
 
     /// Sizes a fleet of `schedule` replicas for `target_qps` within `slo`:
@@ -366,8 +332,8 @@ impl Rago {
 
     /// Evaluates one schedule as a *disaggregated* fleet: its pre-decode
     /// stages on a Prefill pool, its decode on a Decode pool, every KV
-    /// handoff priced by `fleet.transfer`, scored per chip. See
-    /// [`crate::disagg::evaluate_fleet_disagg`].
+    /// handoff priced by `fleet.transfer`, scored per chip, with no pool
+    /// crashes. See [`crate::disagg::evaluate_fleet_disagg`].
     ///
     /// # Errors
     ///
@@ -379,7 +345,7 @@ impl Rago {
         trace: &rago_workloads::Trace,
         slo: &rago_schema::SloTarget,
     ) -> Result<crate::disagg::DisaggEvaluation, RagoError> {
-        crate::disagg::evaluate_fleet_disagg(&self.profiler, schedule, fleet, trace, slo)
+        crate::disagg::evaluate_fleet_disagg(&self.profiler, schedule, fleet, &[], trace, slo)
     }
 
     /// Sizes the cheapest disaggregated `(prefill, decode)` split of
@@ -461,24 +427,6 @@ impl Rago {
         )
     }
 
-    /// Evaluates one schedule dynamically **with caching enabled**:
-    /// per-replica prefix-KV and retrieval-result caches exploit the
-    /// trace's content identity. See
-    /// [`crate::dynamic::evaluate_schedule_dynamic`] and [`crate::cached`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::dynamic::evaluate_schedule_dynamic`] errors.
-    pub fn evaluate_cached(
-        &self,
-        schedule: &Schedule,
-        trace: &rago_workloads::Trace,
-        slo: &rago_schema::SloTarget,
-        cache: &rago_cache::CacheConfig,
-    ) -> Result<crate::dynamic::DynamicEvaluation, RagoError> {
-        crate::dynamic::evaluate_schedule_dynamic(&self.profiler, schedule, trace, slo, Some(cache))
-    }
-
     /// Evaluates one schedule as a fleet with per-replica caches, each
     /// replica's cold at the start. Pair it with the content-aware routers
     /// ([`rago_schema::RouterPolicy::CacheAffinity`] /
@@ -500,24 +448,13 @@ impl Rago {
         slo: &rago_schema::SloTarget,
         cache: &rago_cache::CacheConfig,
     ) -> Result<crate::dynamic::FleetEvaluation, RagoError> {
-        let mode = crate::MetricsMode::Exact;
-        let engine = crate::dynamic::fleet_engine(
-            &self.profiler,
-            schedule,
-            fleet,
-            trace,
-            slo,
-            &mode,
-            Some(cache),
-        )?;
-        let report = crate::dynamic::run_fleet(
-            &self.profiler,
-            &engine,
-            trace,
-            &mode,
-            &mut rago_telemetry::NullRecorder,
-        );
-        Ok(crate::dynamic::score_fleet(report.fleet, slo))
+        let run = crate::dynamic::FleetRun {
+            fleet: fleet.clone(),
+            cache: Some(*cache),
+            ..Default::default()
+        };
+        let rec = &mut rago_telemetry::NullRecorder;
+        crate::dynamic::evaluate_fleet(&self.profiler, schedule, trace, slo, &run, rec)
     }
 
     /// Sizes a fleet for `target_qps` within `slo` with caching enabled,

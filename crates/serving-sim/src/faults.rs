@@ -363,19 +363,29 @@ impl AdmissionConfig {
     ///
     /// Panics if either threshold is negative or non-finite.
     pub fn new(shed_queue_depth: f64, depth_per_priority: f64) -> Self {
-        assert!(
-            shed_queue_depth.is_finite() && shed_queue_depth >= 0.0,
-            "the shed queue depth must be non-negative and finite"
-        );
-        assert!(
-            depth_per_priority.is_finite() && depth_per_priority >= 0.0,
-            "the per-priority depth must be non-negative and finite"
-        );
-        Self {
+        let config = Self {
             shed_queue_depth,
             depth_per_priority,
             class_priorities: Vec::new(),
+        };
+        if let Err(e) = config.validate() {
+            panic!("{e}");
         }
+        config
+    }
+
+    /// Checks that both thresholds are non-negative and finite (a struct
+    /// literal skips [`Self::new`]'s check), naming the first that is not.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, depth) in [
+            ("shed queue depth", self.shed_queue_depth),
+            ("per-priority depth", self.depth_per_priority),
+        ] {
+            if !(depth.is_finite() && depth >= 0.0) {
+                return Err(format!("the {name} must be non-negative and finite"));
+            }
+        }
+        Ok(())
     }
 
     /// Sets one class's priority (growing the table as needed).

@@ -261,8 +261,15 @@ impl FleetEngine {
     }
 
     /// Enables priority-aware admission control.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`AdmissionConfig::validate`] fails.
     #[must_use]
     pub fn with_admission(mut self, admission: AdmissionConfig) -> Self {
+        if let Err(e) = admission.validate() {
+            panic!("{e}");
+        }
         self.admission = Some(admission);
         self
     }
@@ -2062,6 +2069,32 @@ mod tests {
             ScaleDriver::Static { replicas: 1 },
         )
         .with_telemetry(rago_telemetry::TelemetryConfig::full(f64::INFINITY));
+    }
+
+    /// Regression: the thresholds are public, so a struct literal skipped
+    /// `AdmissionConfig::new`'s check, and a NaN or negative threshold shed
+    /// every arrival.
+    #[test]
+    #[should_panic(expected = "the shed queue depth must be non-negative and finite")]
+    fn malformed_admission_thresholds_are_rejected() {
+        let nan = AdmissionConfig {
+            shed_queue_depth: f64::NAN,
+            ..AdmissionConfig::new(2.0, 4.0)
+        };
+        let negative = AdmissionConfig {
+            depth_per_priority: -1.0,
+            ..AdmissionConfig::new(2.0, 4.0)
+        };
+        assert!(negative
+            .validate()
+            .unwrap_err()
+            .contains("per-priority depth"));
+        let _ = FleetEngine::new(
+            one_stage_spec(0.03),
+            RouterPolicy::LeastOutstanding,
+            ScaleDriver::Static { replicas: 2 },
+        )
+        .with_admission(nan);
     }
 
     #[test]

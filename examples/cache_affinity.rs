@@ -10,8 +10,9 @@
 //!    ([`ContentSpec`]): a dozen hot prompt templates (80 % of each
 //!    prefix shared) and a few dozen hot retrieval keys;
 //! 3. evaluate the schedule cache-off versus cache-on at the same offered
-//!    rate (`evaluate_cached`): hits charge prefill only for the uncached
-//!    suffix and skip retrieve + rerank outright;
+//!    rate (`evaluate_dynamic` with and without a cache): hits charge
+//!    prefill only for the uncached suffix and skip retrieve + rerank
+//!    outright;
 //! 4. size the fleet for a rate one replica cannot hold cache-less
 //!    (`plan_capacity` versus `plan_capacity_cached`) — the
 //!    chips-per-goodput answer changes when caching is on;
@@ -80,10 +81,10 @@ fn main() {
     // Step 3: the same trace, cache-off vs cache-on.
     let slo = SloTarget::new(1.0, 0.1);
     let off = rago
-        .evaluate_dynamic(&best.schedule, &trace, &slo)
+        .evaluate_dynamic(&best.schedule, &trace, &slo, None)
         .expect("cache-off evaluation succeeds");
     let on = rago
-        .evaluate_cached(&best.schedule, &trace, &slo, &cache)
+        .evaluate_dynamic(&best.schedule, &trace, &slo, Some(&cache))
         .expect("cache-on evaluation succeeds");
     let usage = &on.report.cache;
     println!(

@@ -23,8 +23,8 @@
 //! ```
 
 use rago::core::{
-    transfer_model_from_interconnect, BatchingPolicy, CapacityOptions, ParetoFrontier, ParetoPoint,
-    PlacementPlan, Rago, ResourceAllocation, Schedule,
+    evaluate_fleet_dynamic_with, transfer_model_from_interconnect, BatchingPolicy, CapacityOptions,
+    MetricsMode, ParetoFrontier, ParetoPoint, PlacementPlan, Rago, ResourceAllocation, Schedule,
 };
 use rago::hardware::{ClusterSpec, InterconnectSpec};
 use rago::schema::{presets, FleetConfig, RouterPolicy, SequenceProfile, SloTarget, Stage};
@@ -109,14 +109,15 @@ fn main() {
     .generate();
     println!("\ngoodput per chip at {rate:.0} rps offered:");
     for n in 1..=2u32 {
-        let eval = rago
-            .evaluate_fleet(
-                &schedule,
-                &FleetConfig::new(n, RouterPolicy::LeastOutstanding),
-                &trace,
-                &slo,
-            )
-            .expect("collocated evaluation succeeds");
+        let eval = evaluate_fleet_dynamic_with(
+            rago.profiler(),
+            &schedule,
+            &FleetConfig::new(n, RouterPolicy::LeastOutstanding),
+            &trace,
+            &slo,
+            &MetricsMode::Exact,
+        )
+        .expect("collocated evaluation succeeds");
         let chips = schedule.allocation.total_xpus() * n;
         println!(
             "  {n} x collocated : {:3} chips, attainment {:5.1} %, {:.2} goodput/chip",
@@ -155,7 +156,9 @@ fn main() {
     let frontier = ParetoFrontier {
         points: vec![ParetoPoint {
             schedule: schedule.clone(),
-            performance: rago.evaluate(&schedule).expect("static model evaluates"),
+            performance: schedule
+                .evaluate(rago.profiler())
+                .expect("static model evaluates"),
         }],
         evaluated_schedules: 1,
     };

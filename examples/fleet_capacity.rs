@@ -17,7 +17,7 @@
 //! cargo run --release --example fleet_capacity
 //! ```
 
-use rago::core::{CapacityOptions, Rago, SearchOptions};
+use rago::core::{evaluate_fleet_dynamic_with, CapacityOptions, MetricsMode, Rago, SearchOptions};
 use rago::hardware::ClusterSpec;
 use rago::schema::{presets, FleetConfig, RouterPolicy, SequenceProfile, SloTarget};
 use rago::workloads::{ArrivalProcess, TraceSpec};
@@ -62,9 +62,15 @@ fn main() {
     );
     for replicas in 1..=4u32 {
         let fleet = FleetConfig::new(replicas, RouterPolicy::LeastOutstanding);
-        let eval = rago
-            .evaluate_fleet(&best.schedule, &fleet, &trace, &slo)
-            .expect("the schedule is feasible");
+        let eval = evaluate_fleet_dynamic_with(
+            rago.profiler(),
+            &best.schedule,
+            &fleet,
+            &trace,
+            &slo,
+            &MetricsMode::Exact,
+        )
+        .expect("the schedule is feasible");
         let m = &eval.report.merged.metrics;
         println!(
             "  {replicas} replica(s): attainment {:5.1} %, goodput {:6.1} rps, \

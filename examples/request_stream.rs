@@ -55,7 +55,7 @@ fn main() {
 
     // Step 3: the dynamic evaluation.
     let eval = rago
-        .evaluate_dynamic(&best.schedule, &trace, &slo)
+        .evaluate_dynamic(&best.schedule, &trace, &slo, None)
         .expect("the schedule is feasible");
     let m = &eval.report.metrics;
     println!("\nunder {rate:.1} rps Poisson ({} requests):", m.requests);
@@ -97,7 +97,7 @@ fn main() {
         }
         .generate();
         let e = rago
-            .evaluate_dynamic(&best.schedule, &t, &slo)
+            .evaluate_dynamic(&best.schedule, &t, &slo, None)
             .expect("the schedule is feasible");
         println!(
             "  {r:7.1} rps offered -> attainment {:5.1} %, goodput {:6.1} rps, TTFT p99 {:7.1} ms",

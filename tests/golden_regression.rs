@@ -28,8 +28,9 @@
 //!   diurnal trace through a faultless `evaluate_fleet_faulted`, static and
 //!   autoscaled, with per-tenant outcomes and the provisioning cost.
 //! * `cache_run.json` — the PR 5 cache subsystem: a seeded Zipfian
-//!   content-tagged trace through `Rago::evaluate_cached`, pinning the
-//!   hit/miss/eviction counters, tokens saved, and the cached TTFT.
+//!   content-tagged trace through `Rago::evaluate_dynamic` with a cache,
+//!   pinning the hit/miss/eviction counters, tokens saved, and the cached
+//!   TTFT.
 //! * `fault_crash.json` / `fault_straggler.json` — the PR 7 chaos layer:
 //!   the engine-metrics scenario rerun under a replica crash (cold
 //!   restart) and under a straggler window, pinning the fault ledger,
@@ -73,7 +74,7 @@
 //! and commit the diff — the point is that the drift shows up in review.
 
 use rago::cache::{CacheConfig, EvictionPolicy, PrefixKvCacheConfig, RetrievalCacheConfig};
-use rago::core::{FaultScenario, Rago, SearchOptions};
+use rago::core::{evaluate_fleet_dynamic_with, FaultScenario, Rago, SearchOptions};
 use rago::hardware::ClusterSpec;
 use rago::schema::presets::{self, LlmSize};
 use rago::schema::{
@@ -315,9 +316,15 @@ fn golden_fleet_knees() {
                 seed: 17,
             }
             .generate();
-            let eval = rago
-                .evaluate_fleet(&best.schedule, &fleet, &trace, &slo)
-                .expect("fleet evaluation succeeds");
+            let eval = evaluate_fleet_dynamic_with(
+                rago.profiler(),
+                &best.schedule,
+                &fleet,
+                &trace,
+                &slo,
+                &MetricsMode::Exact,
+            )
+            .expect("fleet evaluation succeeds");
             points.push((rate, eval.attainment));
         }
         let knee = sustained_throughput_knee(&points, &slo);
@@ -456,7 +463,7 @@ fn golden_timevarying() {
 #[test]
 fn golden_cache_run() {
     // The cache subsystem end to end: a seeded Zipfian content-tagged trace
-    // through `Rago::evaluate_cached`, with every cache counter pinned.
+    // through `Rago::evaluate_dynamic` with a cache, every counter pinned.
     let rago = Rago::new(
         presets::case1_hyperscale(LlmSize::B8, 1),
         ClusterSpec::paper_default(),
@@ -492,7 +499,7 @@ fn golden_cache_run() {
     };
     let slo = SloTarget::new(1.0, 0.1);
     let eval = rago
-        .evaluate_cached(&best.schedule, &trace, &slo, &cache)
+        .evaluate_dynamic(&best.schedule, &trace, &slo, Some(&cache))
         .expect("cached evaluation succeeds");
     let counters = |c: &rago::cache::CacheCounters| {
         format!(

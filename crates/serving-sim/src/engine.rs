@@ -908,10 +908,10 @@ pub struct CacheProbe {
 /// reusable buffers on the simulation ([`ReplicaSim::stage_batches`] per
 /// resource, [`ReplicaSim::step_members`], the retrieval-batch pool), so the
 /// inner loop schedules and applies events without allocating. Ordering at
-/// equal timestamps is `(time, arrival-class, seq)` — arrivals apply before
-/// every other event — enforced structurally by the two-lane
-/// [`EventQueue`]; see `crate::equeue` for why the lanes reproduce the
-/// historical global-heap order bit for bit.
+/// equal timestamps is `(time, class, step-last, seq)` — faults, then
+/// arrivals, then stage and retrieval completions, then the decode step —
+/// enforced structurally by the lanes of [`EventQueue`]; see
+/// `crate::equeue` for why that order is independent of push time.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// Request `r` arrives and joins the first stage queue (or decode
@@ -1862,7 +1862,7 @@ impl ReplicaSim {
                 self.acc.fill_weighted_time += f64::from(fill) * dur;
                 self.acc.stepping_time += dur;
                 self.stepping = true;
-                self.queue.push_scheduled(now + dur, Ev::StepDone);
+                self.queue.set_step(now + dur, Ev::StepDone);
             }
         }
     }

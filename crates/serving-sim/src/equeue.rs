@@ -9,21 +9,29 @@
 //! * **Arrival lane** (class 0): arrivals are injected in non-decreasing
 //!   time order (the fleet pulls them in time order), so they live in a
 //!   plain FIFO — `O(1)` push and pop, no comparisons against the backlog.
-//! * **Scheduled lane** (class 1): scheduled completions (stage, step and
+//! * **Scheduled lane** (class 1): scheduled completions (stage and
 //!   retrieval events) go into a `BinaryHeap` keyed `(time, seq)`. Only
-//!   *in-flight* work lives here. Under continuous batching a replica has
-//!   one decode step, one micro-batch per resource and its outstanding
-//!   retrieval batches in flight, so the lane holds a handful of entries:
-//!   at seed 1 a replica's lane peaks at 3 entries in the `stream` and
-//!   `ops` benchmark journeys and at 10 in `sizing`. A split fleet's
-//!   KV-transfer lane, which fills in bulk once the prefill pool runs dry,
-//!   peaks at 960 entries in `sizing` — still a shallow heap.
+//!   *in-flight* work lives here: one micro-batch per resource and the
+//!   outstanding retrieval batches, so the lane holds a handful of
+//!   entries. A split fleet's KV-transfer lane, which fills in bulk once
+//!   the prefill pool runs dry, peaks at 960 entries in the `sizing`
+//!   benchmark journey — still a shallow heap.
+//! * **Step slot**: the scheduled lane's one decode event. A replica has
+//!   at most one decode step in flight, so this is a single slot, and
+//!   setting it replaces the pending entry. At equal times it orders
+//!   *after* every other scheduled event, so the scheduled lane is keyed
+//!   `(time, step-last, seq)`. Same-instant order therefore does not
+//!   depend on when the step event was pushed. Reordering equal-time
+//!   events changes neither a group's members nor its `now`, and a step
+//!   touches other requests than the stage and retrieval batches it
+//!   meets, so this order reproduces the pure `(time, seq)` one.
 //!
-//! [`EventQueue::pop`] merges the lanes with exactly the historical
-//! ordering: earlier time first (`f64::total_cmp`), arrivals before
-//! same-instant scheduled events (class 0 < class 1), and FIFO/sequence
-//! order within a lane. Because each lane is itself emitted in sorted order,
-//! the merge reproduces the global heap order bit for bit.
+//! [`EventQueue::pop`] merges the lanes with exactly that ordering:
+//! earlier time first (`f64::total_cmp`), arrivals before same-instant
+//! scheduled events (class 0 < class 1), the step slot after the other
+//! scheduled events, and FIFO/sequence order within a lane. Because each
+//! lane is itself emitted in sorted order, the merge is the global heap
+//! order of the `(time, class, step-last, seq)` key.
 //!
 //! A third **fault lane** carries externally injected control events
 //! (straggler slowdown changes and the like). Faults order *before*
@@ -80,7 +88,8 @@ pub struct EventQueueStats {
     pub fault_pops: u64,
     /// Events popped from the FIFO arrival lane (class 0).
     pub arrival_pops: u64,
-    /// Events popped from the scheduled lane (class 1).
+    /// Events popped from the scheduled lane (class 1), the step slot
+    /// included.
     pub scheduled_pops: u64,
 }
 
@@ -104,6 +113,9 @@ pub(crate) struct EventQueue<E> {
     /// `(t, payload)` arrivals in non-decreasing `t`, FIFO.
     arrivals: VecDeque<(f64, E)>,
     scheduled: BinaryHeap<Scheduled<E>>,
+    /// The step slot: at most one `(t, payload)` scheduled event, ordered
+    /// after every same-instant entry of `scheduled`.
+    step: Option<(f64, E)>,
     /// Sequence counter for scheduled events (arrivals order by FIFO
     /// position; the two lanes never compare sequence numbers against each
     /// other because the class decides same-instant ties).
@@ -120,6 +132,7 @@ impl<E: Copy> EventQueue<E> {
             faults: VecDeque::new(),
             arrivals: VecDeque::new(),
             scheduled: BinaryHeap::new(),
+            step: None,
             seq: 0,
             fault_pops: 0,
             arrival_pops: 0,
@@ -165,71 +178,77 @@ impl<E: Copy> EventQueue<E> {
         self.faults.push_back((t, ev));
     }
 
+    /// Schedules the step slot's event at `t`, replacing any pending one.
+    pub(crate) fn set_step(&mut self, t: f64, ev: E) {
+        self.step = Some((t, ev));
+    }
+
     /// Time of the next event without removing it.
     pub(crate) fn peek_time(&self) -> Option<f64> {
-        let merged = self.peek_rest();
-        match (self.faults.front().map(|&(t, _)| t), merged) {
-            // Faults (class −1) win ties against every other lane.
-            (Some(tf), Some(tm)) => Some(if tf.total_cmp(&tm) != Ordering::Greater {
-                tf
-            } else {
-                tm
-            }),
-            (Some(tf), None) => Some(tf),
-            (None, tm) => tm,
-        }
+        self.head(true).map(|(_, t)| t)
     }
 
-    /// Removes and returns the next event in `(time, class, seq)` order.
+    /// Removes and returns the next event in `(time, class, step-last,
+    /// seq)` order.
     pub(crate) fn pop(&mut self) -> Option<(f64, E)> {
-        if let Some(&(tf, _)) = self.faults.front() {
-            // Faults (class −1) win ties against every other lane.
-            let rest = self.peek_rest();
-            if rest.map_or(true, |tr| tf.total_cmp(&tr) != Ordering::Greater) {
+        let (lane, _) = self.head(true)?;
+        match lane {
+            Lane::Fault => {
                 self.fault_pops += 1;
-                return self.faults.pop_front();
+                self.faults.pop_front()
             }
-        }
-        let take_arrival = match (self.arrivals.front(), self.scheduled.peek()) {
-            (Some(_), None) => true,
-            (None, _) => false,
-            // Arrivals (class 0) win ties against scheduled events.
-            (Some(&(ta, _)), Some(s)) => ta.total_cmp(&s.t) != Ordering::Greater,
-        };
-        let out = if take_arrival {
-            self.arrivals.pop_front()
-        } else {
-            self.scheduled.pop().map(|s| (s.t, s.ev))
-        };
-        if out.is_some() {
-            if take_arrival {
+            Lane::Arrival => {
                 self.arrival_pops += 1;
-            } else {
+                self.arrivals.pop_front()
+            }
+            Lane::Scheduled => {
                 self.scheduled_pops += 1;
+                self.scheduled.pop().map(|s| (s.t, s.ev))
+            }
+            Lane::Step => {
+                self.scheduled_pops += 1;
+                self.step.take()
             }
         }
-        out
     }
 
-    /// Earliest time across the arrival and scheduled lanes only.
-    fn peek_rest(&self) -> Option<f64> {
-        match (
-            self.arrivals.front().map(|&(t, _)| t),
-            self.scheduled.peek().map(|s| s.t),
-        ) {
-            (Some(ta), Some(ts)) => Some(if ta.total_cmp(&ts) != Ordering::Greater {
-                ta
+    /// The lane holding the next event and that event's time, the step
+    /// slot considered only `with_step`. Lanes are listed in tie-break
+    /// order, and a later lane wins only on a strictly earlier time.
+    fn head(&self, with_step: bool) -> Option<(Lane, f64)> {
+        let step = self.step.filter(|_| with_step);
+        [
+            (Lane::Fault, self.faults.front().map(|e| e.0)),
+            (Lane::Arrival, self.arrivals.front().map(|e| e.0)),
+            (Lane::Scheduled, self.scheduled.peek().map(|s| s.t)),
+            (Lane::Step, step.map(|e| e.0)),
+        ]
+        .into_iter()
+        .filter_map(|(lane, t)| t.map(|t| (lane, t)))
+        .reduce(|best, next| {
+            if next.1.total_cmp(&best.1) == Ordering::Less {
+                next
             } else {
-                ts
-            }),
-            (Some(ta), None) => Some(ta),
-            (None, ts) => ts,
-        }
+                best
+            }
+        })
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.faults.is_empty() && self.arrivals.is_empty() && self.scheduled.is_empty()
+        self.faults.is_empty()
+            && self.arrivals.is_empty()
+            && self.scheduled.is_empty()
+            && self.step.is_none()
     }
+}
+
+/// The queue's lanes, in same-instant tie-break order.
+#[derive(Debug, Clone, Copy)]
+enum Lane {
+    Fault,
+    Arrival,
+    Scheduled,
+    Step,
 }
 
 #[cfg(test)]
@@ -302,6 +321,32 @@ mod tests {
         assert!(!q.is_empty());
         assert_eq!(q.pop(), Some((2.0, 12)));
         assert!(q.is_empty());
+    }
+
+    /// Pins the step slot: at one instant it pops after every other lane,
+    /// whenever it was set, and setting it again replaces the pending
+    /// step. Its pops count as scheduled pops.
+    #[test]
+    fn the_step_slot_pops_last_at_its_instant_and_is_replaced_when_set() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.set_step(1.0, 40);
+        q.push_scheduled(1.0, 30);
+        q.push_arrival(1.0, 20);
+        q.push_fault(1.0, 10);
+        q.set_step(1.0, 41);
+        q.push_scheduled(0.5, 5);
+        for want in [(0.5, 5), (1.0, 10), (1.0, 20), (1.0, 30), (1.0, 41)] {
+            assert_eq!(q.pop(), Some(want));
+        }
+        assert!(q.is_empty());
+        q.push_scheduled(2.0, 1);
+        q.set_step(1.5, 2);
+        assert_eq!(q.peek_time(), Some(1.5));
+        assert_eq!(q.pop(), Some((1.5, 2)));
+        assert_eq!(q.pop(), Some((2.0, 1)));
+        let stats = q.stats();
+        assert_eq!((stats.fault_pops, stats.arrival_pops), (1, 1));
+        assert_eq!(stats.scheduled_pops, 5);
     }
 
     #[test]

@@ -112,6 +112,9 @@ struct TierResult {
 
 struct EngineTier {
     events: u64,
+    /// Event-queue pops of the streaming run: `events` less the decode
+    /// steps that passed inside a decode run.
+    queue_pops: u64,
     baseline: Option<EngineFigures>,
     exact: Option<EngineFigures>,
     streaming: EngineFigures,
@@ -123,6 +126,7 @@ struct EngineTier {
 struct PulledFigures {
     arrival: &'static str,
     events: u64,
+    queue_pops: u64,
     wall_s: f64,
     peak_live_requests: usize,
 }
@@ -288,6 +292,7 @@ fn run_engines(spec: &PipelineSpec, n: u64, with_baseline: bool, with_exact: boo
 
     EngineTier {
         events,
+        queue_pops: streaming_report.metrics.queue_pops,
         baseline,
         exact,
         streaming,
@@ -346,6 +351,7 @@ fn run_pulled(spec: &PipelineSpec, n: u64, diurnal: bool) -> PulledFigures {
     PulledFigures {
         arrival: if diurnal { "diurnal" } else { "poisson" },
         events: metrics.events_processed,
+        queue_pops: metrics.queue_pops,
         wall_s,
         peak_live_requests: report.fleet.per_replica[0].peak_live_requests,
     }
@@ -509,10 +515,11 @@ fn fmt_engine(f: Option<&EngineFigures>) -> String {
 
 fn fmt_pulled(p: &PulledFigures) -> String {
     format!(
-        "{{\"arrival\": \"{}\", \"events\": {}, \"wall_s\": {:.4}, \"events_per_s\": {:.0}, \
-         \"peak_live_requests\": {}}}",
+        "{{\"arrival\": \"{}\", \"events\": {}, \"queue_pops\": {}, \"wall_s\": {:.4}, \
+         \"events_per_s\": {:.0}, \"peak_live_requests\": {}}}",
         p.arrival,
         p.events,
+        p.queue_pops,
         p.wall_s,
         p.events as f64 / p.wall_s.max(1e-9),
         p.peak_live_requests
@@ -537,7 +544,8 @@ fn render_json(
                     .map(|b| e.streaming.events_per_s / b.events_per_s)
             });
             format!(
-                "    {{\"requests\": {}, \"events\": {},\n      \"baseline\": {},\n      \
+                "    {{\"requests\": {}, \"events\": {}, \"queue_pops\": {},\n      \
+                 \"baseline\": {},\n      \
                  \"exact\": {},\n      \"streaming\": {},\n      \
                  \"speedup_streaming_vs_baseline\": {},\n      \
                  \"baseline_matches_exact\": {},\n      \
@@ -545,6 +553,7 @@ fn render_json(
                  \"pulled_fleet\": {}}}",
                 t.requests,
                 e.map_or_else(|| "null".into(), |e| e.events.to_string()),
+                e.map_or_else(|| "null".into(), |e| e.queue_pops.to_string()),
                 fmt_engine(e.and_then(|e| e.baseline.as_ref())),
                 fmt_engine(e.and_then(|e| e.exact.as_ref())),
                 fmt_engine(e.map(|e| &e.streaming)),

@@ -12,11 +12,13 @@
 //! timing them separately.
 //!
 //! Scope: cache-less, non-iterative pipelines only (the tiers the scale
-//! bench exercises). The event order is the engine's `(time, class, seq)`
-//! rule with arrivals (class 0) before same-instant completions, and events
-//! within `TIME_EPS` of the group head apply together before one dispatch
-//! pass — byte-for-byte the semantics of the optimized loop, which is what
-//! makes the bit-identity assertion meaningful.
+//! bench exercises). The loop schedules one event per decode step and
+//! orders events `(time, class, seq)`, with arrivals (class 0) before
+//! same-instant completions; events within `TIME_EPS` of the group head
+//! apply together before one dispatch pass. The engine schedules one event
+//! per decode run and orders a same-instant decode step after other
+//! completions, so agreement with this loop is what shows both changes
+//! leave every number as it was.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
@@ -407,6 +409,71 @@ mod tests {
         let report = run_alone(spec, requests);
         assert_eq!(baseline.timelines, report.timelines);
         assert_eq!(baseline.events, report.metrics.events_processed);
+    }
+
+    /// The engine's decode runs against this per-step loop over a sweep
+    /// of decode lengths (1 to 300 tokens), decode batches (1 to 64) and
+    /// one- and two-stage pipelines. Constant step tables with arrivals
+    /// and stage latencies on multiples of the step put step boundaries
+    /// within the grouping tolerance of arrivals and stage completions:
+    /// exactly on them for the power-of-two step, within a few ulps for
+    /// the decimal one.
+    #[test]
+    fn decode_runs_match_the_per_step_loop_across_a_sweep() {
+        let steps: [fn(u32) -> LatencyTable; 3] = [
+            |batch| LatencyTable::constant(batch, 0.002),
+            |batch| LatencyTable::constant(batch, 1.0 / 512.0),
+            |batch| LatencyTable::from_fn(batch, |b| 0.001 + 0.0001 * f64::from(b)),
+        ];
+        let lengths: [fn(u64) -> u32; 3] = [
+            |i| 1 + (i % 8) as u32,
+            |i| 1 + (i * 37 % 300) as u32,
+            |i| if i % 5 == 0 { 300 } else { 1 + (i % 3) as u32 },
+        ];
+        let mut cases = 0;
+        for two_stage in [false, true] {
+            for decode_batch in [1, 3, 16, 64] {
+                for step in steps {
+                    let table = step(decode_batch);
+                    let grid = table.latency(1);
+                    let stage = |name: &str, resource, batch, multiple: f64| {
+                        StageSpec::new(
+                            name,
+                            resource,
+                            batch,
+                            LatencyTable::constant(batch, multiple * grid),
+                        )
+                    };
+                    let stages = if two_stage {
+                        vec![stage("retrieval", 0, 4, 1.0), stage("prefix", 1, 2, 3.0)]
+                    } else {
+                        vec![stage("prefix", 0, 4, 2.0)]
+                    };
+                    let spec = PipelineSpec::new(stages, DecodeSpec::new(decode_batch, table));
+                    for length in lengths {
+                        for gap in [1.0, 3.0] {
+                            let requests: Vec<EngineRequest> = (0..48)
+                                .map(|i| EngineRequest {
+                                    id: i,
+                                    // Pairs of arrivals share an instant.
+                                    arrival_s: (i / 2) as f64 * gap * grid,
+                                    prefix_tokens: 0,
+                                    decode_tokens: length(i),
+                                    identity: None,
+                                    class: 0,
+                                })
+                                .collect();
+                            let baseline = run_baseline(&spec, &requests);
+                            let report = run_alone(spec.clone(), requests);
+                            assert_eq!(baseline.timelines, report.timelines);
+                            assert_eq!(baseline.events, report.metrics.events_processed);
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 144);
     }
 
     #[test]

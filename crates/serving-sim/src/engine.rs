@@ -82,7 +82,8 @@ use rago_workloads::{ContentIdentity, Request};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// Tolerance used when comparing event timestamps, matching the resume
 /// tolerance of [`crate::iterative::IterativeDecodeSim`].
@@ -107,15 +108,28 @@ impl LatencyTable {
     ///
     /// Panics if the table is empty or any entry is negative or non-finite.
     pub fn from_table(per_fill: Vec<f64>) -> Self {
-        assert!(
-            !per_fill.is_empty(),
-            "a latency table needs at least one entry"
-        );
-        assert!(
-            per_fill.iter().all(|l| l.is_finite() && *l >= 0.0),
-            "latencies must be finite and non-negative"
-        );
-        Self { per_fill }
+        let table = Self { per_fill };
+        if let Err(e) = table.validate() {
+            panic!("{e}");
+        }
+        table
+    }
+
+    /// Checks that the table has an entry and that every entry is finite
+    /// and non-negative (a deserialized table skips
+    /// [`Self::from_table`]'s check).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first rule the table breaks.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.per_fill.is_empty() {
+            return Err("a latency table needs at least one entry".into());
+        }
+        if !self.per_fill.iter().all(|l| l.is_finite() && *l >= 0.0) {
+            return Err("latencies must be finite and non-negative".into());
+        }
+        Ok(())
     }
 
     /// Samples `f` at every fill in `1..=max_batch`.
@@ -180,13 +194,24 @@ impl StageSpec {
         batch: u32,
         latency: LatencyTable,
     ) -> Self {
-        assert!(batch > 0, "stage micro-batch must be at least 1");
-        Self {
+        let stage = Self {
             name: name.into(),
             resource,
             batch,
             latency,
+        };
+        if let Err(e) = stage.validate() {
+            panic!("{e}");
         }
+        stage
+    }
+
+    /// Checks the batch cap and the latency table.
+    fn validate(&self) -> Result<(), String> {
+        if self.batch == 0 {
+            return Err("stage micro-batch must be at least 1".into());
+        }
+        self.latency.validate()
     }
 }
 
@@ -210,15 +235,28 @@ impl DecodeSpec {
     /// Panics if the batch cap is zero or any step latency is not strictly
     /// positive (a zero-latency decode step would let simulated time stall).
     pub fn new(max_batch: u32, step_latency: LatencyTable) -> Self {
-        assert!(max_batch > 0, "decode batch must be at least 1");
-        assert!(
-            (1..=step_latency.max_fill()).all(|f| step_latency.latency(f) > 0.0),
-            "decode step latency must be strictly positive"
-        );
-        Self {
+        let decode = Self {
             max_batch,
             step_latency,
+        };
+        if let Err(e) = decode.validate() {
+            panic!("{e}");
         }
+        decode
+    }
+
+    /// Checks the batch cap and that every step latency is finite and
+    /// strictly positive.
+    fn validate(&self) -> Result<(), String> {
+        if self.max_batch == 0 {
+            return Err("decode batch must be at least 1".into());
+        }
+        self.step_latency.validate()?;
+        let table = &self.step_latency;
+        if !(1..=table.max_fill()).all(|f| table.latency(f) > 0.0) {
+            return Err("decode step latency must be strictly positive".into());
+        }
+        Ok(())
     }
 }
 
@@ -235,6 +273,20 @@ pub struct IterativeSpec {
     /// RNG seed controlling the per-sequence trigger positions (same scheme
     /// as [`crate::iterative::IterativeDecodeParams::seed`]).
     pub seed: u64,
+}
+
+impl IterativeSpec {
+    /// Checks the retrieval batch and latency.
+    fn validate(&self) -> Result<(), String> {
+        if self.retrievals_per_sequence > 0 && self.iterative_batch == 0 {
+            return Err("iterative_batch must be at least 1 when retrievals are issued".into());
+        }
+        let latency = self.retrieval_prefix_latency_s;
+        if !(latency.is_finite() && latency >= 0.0) {
+            return Err("retrieval latency must be finite and non-negative".into());
+        }
+        Ok(())
+    }
 }
 
 /// How the caches of `rago-cache` attach to a pipeline: which capacities to
@@ -281,13 +333,49 @@ pub struct PipelineSpec {
 
 impl PipelineSpec {
     /// Creates a pipeline without iterative retrieval or caches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Self::validate`] fails.
     pub fn new(stages: Vec<StageSpec>, decode: DecodeSpec) -> Self {
-        Self {
+        let spec = Self {
             stages,
             decode,
             iterative: None,
             cache: None,
             handoff: false,
+        };
+        spec.assert_valid();
+        spec
+    }
+
+    /// Checks what the constructors of the parts assert, which a struct
+    /// literal skips: every stage's micro-batch is at least 1, the decode
+    /// batch is at least 1, every latency table is well formed, every
+    /// decode step takes strictly positive time, and an iterative spec
+    /// that issues retrievals has a batch of at least 1 and a finite,
+    /// non-negative latency. A spec that breaks one of these would stall
+    /// the simulation or report zero-time decoding.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first rule the spec breaks.
+    pub fn validate(&self) -> Result<(), String> {
+        for stage in &self.stages {
+            stage
+                .validate()
+                .map_err(|e| format!("stage `{}`: {e}", stage.name))?;
+        }
+        self.decode.validate()?;
+        self.iterative
+            .as_ref()
+            .map_or(Ok(()), IterativeSpec::validate)
+    }
+
+    /// Panics with the message of a failed [`Self::validate`].
+    pub(crate) fn assert_valid(&self) {
+        if let Err(e) = self.validate() {
+            panic!("{e}");
         }
     }
 
@@ -373,19 +461,12 @@ impl PipelineSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the iterative batch is zero while retrievals are requested,
-    /// or the retrieval latency is negative or non-finite.
+    /// Panics if [`Self::validate`] fails: for instance, the iterative
+    /// batch is zero while retrievals are requested, or the retrieval
+    /// latency is negative or non-finite.
     pub fn with_iterative(mut self, iterative: IterativeSpec) -> Self {
-        assert!(
-            iterative.retrievals_per_sequence == 0 || iterative.iterative_batch > 0,
-            "iterative_batch must be at least 1 when retrievals are issued"
-        );
-        assert!(
-            iterative.retrieval_prefix_latency_s.is_finite()
-                && iterative.retrieval_prefix_latency_s >= 0.0,
-            "retrieval latency must be finite and non-negative"
-        );
         self.iterative = Some(iterative);
+        self.assert_valid();
         self
     }
 
@@ -609,6 +690,12 @@ pub struct ServingMetrics {
     /// and per-class rows repeat the run-level value. The `scale_stress`
     /// bench divides it by wall-clock time for its events/sec figure.
     pub events_processed: u64,
+    /// Event-queue pops the simulation made, summed like
+    /// `events_processed`. A decode run of `k` steps is one pop but `k`
+    /// events, so `events_processed − queue_pops` is the decode-step
+    /// boundaries that passed inside runs.
+    #[serde(default)]
+    pub queue_pops: u64,
     /// Requests shed by fleet-level admission control before reaching a
     /// replica. Always zero without admission control; the fleet engine
     /// ([`crate::fleet`]) patches it into merged and per-class rows.
@@ -906,12 +993,20 @@ pub struct CacheProbe {
 ///
 /// Events carry no member lists: the requests an event covers live in
 /// reusable buffers on the simulation ([`ReplicaSim::stage_batches`] per
-/// resource, [`ReplicaSim::step_members`], the retrieval-batch pool), so the
-/// inner loop schedules and applies events without allocating. Ordering at
+/// resource, the decode batch's [`ReplicaSim::changes`], the
+/// retrieval-batch pool), so the inner loop schedules and applies events
+/// without allocating. Ordering at
 /// equal timestamps is `(time, class, step-last, seq)` — faults, then
 /// arrivals, then stage and retrieval completions, then the decode step —
 /// enforced structurally by the lanes of [`EventQueue`]; see
 /// `crate::equeue` for why that order is independent of push time.
+///
+/// The decode batch is one [`DecodeRun`]: consecutive steps over one
+/// membership, and one [`Ev::StepDone`] at the last step's boundary. The
+/// queue never holds the boundaries before it. Each of them is still one
+/// logical event — it counts in `events_processed`, and it joins the group
+/// of any event within [`TIME_EPS`] of it exactly as a queued step event
+/// would (see [`ReplicaSim::process_group`]).
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// Request `r` arrives and joins the first stage queue (or decode
@@ -920,8 +1015,9 @@ enum Ev {
     /// The micro-batch running on `resource` finishes; its stage and
     /// members are in the resource's [`StageBatch`] buffer.
     StageDone { resource: u32 },
-    /// One decode step ends for the members in
-    /// [`ReplicaSim::step_members`].
+    /// The decode run in flight ends with its step in flight: a member
+    /// finishes or pauses for a retrieval, or the next step changes (see
+    /// [`DecodeRun`]).
     StepDone,
     /// The iterative retrieval batch in pool slot `slot` completes; its
     /// members resume decoding.
@@ -931,6 +1027,36 @@ enum Ev {
     /// recovery resets it to exactly 1). Carried as bits so `Ev` stays
     /// `Copy + Debug` without an `Eq`-hostile float field.
     SlowdownChange { factor_bits: u64 },
+}
+
+/// The decode run in flight: consecutive decode steps over one
+/// membership. Under continuous batching, sequences join and leave the
+/// batch only at step boundaries, so until the next membership change
+/// every step has the same fill and the same duration. The run's one
+/// scheduled event is its last boundary, the earliest step at which a
+/// member finishes or reaches its next retrieval trigger. The boundaries
+/// before it pass as counters.
+///
+/// Members keep no running token count. Each active member's next change
+/// is an absolute step count on [`ReplicaSim::changes`], and its
+/// `generated` column already holds its count at that step, so neither a
+/// run's start nor its end touches a member that does not join or leave.
+///
+/// An admission, a resume or a slowdown change alters the next step, so it
+/// cuts the run short at the step in flight. Boundaries are computed by
+/// repeated addition, one `+= dur` per step, and each step's share of the
+/// fill accumulators is added when the step starts, so every timestamp
+/// and sum has the bits of a step-by-step loop.
+#[derive(Debug, Clone, Copy)]
+struct DecodeRun {
+    /// Duration of every step of the run.
+    dur: f64,
+    /// End of the step in flight.
+    step_end: f64,
+    /// Steps whose boundary has passed.
+    passed: u32,
+    /// Steps in the run. The last one ends at the queued [`Ev::StepDone`].
+    len: u32,
 }
 
 /// The micro-batch in flight on one resource: which stage it runs and the
@@ -956,14 +1082,14 @@ const COMPACT_MIN: usize = 64;
 /// Per-request simulation state in struct-of-arrays layout: one dense slot
 /// per in-flight request, each field a parallel `Vec`. The hot loop
 /// touches narrow field groups per event — admission writes
-/// `decode_join_s`/`queueing_s`, a step touches `generated`/`paused` — so
+/// `decode_join_s`/`queueing_s`, a decode run touches `generated` — so
 /// splitting the fields keeps those writes on dense cache lines, and slot
 /// creation is a handful of `Vec` pushes instead of a per-request struct
 /// with three heap-allocated vectors.
 ///
 /// A request's *slot id* is its injection (= arrival) index on the
-/// replica, monotone over the run: event payloads, `resident` and the
-/// stage/retrieval queues all hold slot ids, so member iteration and the
+/// replica, monotone over the run: event payloads, the decode batch and
+/// the stage/retrieval queues all hold slot ids, so member iteration and the
 /// arrival-order tie-break reproduce the original engine exactly. Slots
 /// are retired in that same order — the head slot once it completes (see
 /// [`ReplicaSim::retire`]) — and a full arena drains its retired prefix
@@ -986,13 +1112,14 @@ struct ReqArena {
     first_token_s: Vec<f64>,
     completion_s: Vec<f64>,
     queueing_s: Vec<f64>,
+    /// Tokens generated: for an active decode member, the count it will
+    /// have at its next membership change (see [`DecodeRun`]).
     generated: Vec<u32>,
-    /// Dense copy of each request's `decode_tokens` — the step loop reads
-    /// only this field of the request, and the dense copy keeps that read
-    /// off the 48-byte `EngineRequest` stride.
+    /// Dense copy of each request's `decode_tokens` — the decode batch
+    /// reads only this field of the request, and the dense copy keeps that
+    /// read off the 48-byte `EngineRequest` stride.
     tokens: Vec<u32>,
     next_retrieval: Vec<u32>,
-    paused: Vec<bool>,
     /// The request's retrieval result was cached at arrival, so the plan's
     /// retrieval stages are skipped as zero-duration pass-throughs.
     skip_retrieval: Vec<bool>,
@@ -1056,7 +1183,6 @@ impl ReqArena {
         self.generated.push(0);
         self.tokens.push(req.decode_tokens);
         self.next_retrieval.push(0);
-        self.paused.push(false);
         self.skip_retrieval.push(false);
         self.stage_starts_s
             .resize(self.stage_starts_s.len() + self.num_stages, 0.0);
@@ -1131,7 +1257,6 @@ impl ReqArena {
         self.generated.drain(..k);
         self.tokens.drain(..k);
         self.next_retrieval.drain(..k);
-        self.paused.drain(..k);
         self.skip_retrieval.drain(..k);
         self.stage_starts_s.drain(..strided);
         self.stage_starts_len.drain(..k);
@@ -1225,7 +1350,11 @@ pub(crate) struct SimAccumulators {
     pub(crate) stepping_time: f64,
     /// Discrete events applied by the simulation loop — the unit the
     /// `scale_stress` bench divides by wall time for its events/sec figure.
+    /// A decode run of `k` steps counts `k`.
     pub(crate) events: u64,
+    /// Events popped from the event queue: `events` less the decode-step
+    /// boundaries that passed inside a run.
+    pub(crate) queue_pops: u64,
     pub(crate) cache: CacheAcc,
 }
 
@@ -1237,6 +1366,7 @@ impl SimAccumulators {
         self.fill_weighted_time += other.fill_weighted_time;
         self.stepping_time += other.stepping_time;
         self.events += other.events;
+        self.queue_pops += other.queue_pops;
         self.cache.merge_from(&other.cache);
     }
 }
@@ -1271,15 +1401,27 @@ pub(crate) struct ReplicaSim {
     /// The micro-batch in flight on each resource, valid while the
     /// resource is busy; the buffers are reused across dispatches.
     stage_batches: Vec<StageBatch>,
-    /// Requests resident in the decode batch (active or paused), kept
-    /// sorted ascending — the same iteration order as the `BTreeSet` it
-    /// replaces, as one contiguous `O(max_batch)` scan.
-    resident: Vec<u32>,
+    /// Requests holding a decode slot (active or paused).
+    resident: usize,
     admission: VecDeque<u32>,
-    stepping: bool,
-    /// Members of the in-flight decode step, valid while `stepping`;
-    /// reused across steps.
-    step_members: Vec<u32>,
+    /// Decode steps completed before the run in flight.
+    decode_steps: u64,
+    /// `(step, slot)` of each member of the run in flight: the absolute
+    /// step count at which it finishes or reaches its next retrieval
+    /// trigger, earliest first. Equal steps pop in slot order, the order a
+    /// step-by-step loop walks the batch.
+    changes: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Requests admitted or resumed since the last run started; they join
+    /// the next one.
+    joining: Vec<u32>,
+    /// The decode run in flight, if any.
+    run: Option<DecodeRun>,
+    /// Set while processing a group that changed the next decode step (an
+    /// admission, a resume or a slowdown change): the group's decode tick
+    /// cuts the run in flight short at its current step.
+    cut_run: bool,
+    /// Decode-step boundaries applied without a queue pop.
+    unpopped_steps: u64,
     retrieval_queue: VecDeque<u32>,
     /// Member buffers of in-flight iterative-retrieval batches, indexed by
     /// the pool slot carried in [`Ev::RetrievalDone`]. `retrieval_free`
@@ -1358,10 +1500,14 @@ impl ReplicaSim {
             stage_queues: vec![VecDeque::new(); num_stages],
             resource_busy: vec![false; num_resources],
             stage_batches: vec![StageBatch::default(); num_resources],
-            resident: Vec::new(),
+            resident: 0,
             admission: VecDeque::new(),
-            stepping: false,
-            step_members: Vec::new(),
+            decode_steps: 0,
+            changes: BinaryHeap::new(),
+            joining: Vec::new(),
+            run: None,
+            cut_run: false,
+            unpopped_steps: 0,
             retrieval_queue: VecDeque::new(),
             retrieval_pool: Vec::new(),
             retrieval_free: Vec::new(),
@@ -1418,10 +1564,13 @@ impl ReplicaSim {
         self.arena.injected() - self.completed
     }
 
-    /// Snapshot of the event queue's internal work counters (for
-    /// [`crate::EventQueueStats`]-based self-profiling).
+    /// Events applied per queue lane (for [`crate::EventQueueStats`]-based
+    /// self-profiling). Step boundaries that passed inside a decode run
+    /// count as scheduled events, so a `k`-step run counts `k`.
     pub(crate) fn equeue_stats(&self) -> crate::equeue::EventQueueStats {
-        self.queue.stats()
+        let mut stats = self.queue.stats();
+        stats.scheduled_pops += self.unpopped_steps;
+        stats
     }
 
     /// Takes the cache-probe log recorded so far (empty unless
@@ -1438,7 +1587,7 @@ impl ReplicaSim {
 
     /// Fraction of decode slots occupied, in `[0, 1]`.
     pub(crate) fn decode_fill_fraction(&self) -> f64 {
-        self.resident.len() as f64 / f64::from(self.spec.decode.max_batch)
+        self.resident as f64 / f64::from(self.spec.decode.max_batch)
     }
 
     /// Whether this replica's prefix-KV cache currently holds `prefix_id` —
@@ -1455,9 +1604,9 @@ impl ReplicaSim {
     /// queued so an arrival injected at `t` joins their group — exactly as
     /// it would have had the arrival been scheduled up front.
     pub(crate) fn advance_before(&mut self, t: f64) {
-        while let Some(head_t) = self.queue.peek_time() {
+        while let Some((head_t, _)) = self.peek_next() {
             if head_t + TIME_EPS < t {
-                self.process_group();
+                self.process_group(t);
             } else {
                 break;
             }
@@ -1466,26 +1615,47 @@ impl ReplicaSim {
 
     /// Drains the event queue, completing every injected request.
     pub(crate) fn run_to_completion(&mut self) {
-        while self.process_group() {}
+        while self.process_group(f64::INFINITY) {}
+    }
+
+    /// The next logical event: its time, and whether it is a boundary of
+    /// the decode run in flight that the queue does not hold (any but the
+    /// run's last). At equal times a queued event comes first, since the
+    /// step orders last (see `crate::equeue`).
+    fn peek_next(&self) -> Option<(f64, bool)> {
+        match self.run.filter(|run| run.passed + 1 < run.len) {
+            Some(run) => Some(match self.queue.peek_time_without_step() {
+                Some(t) if t.total_cmp(&run.step_end).is_le() => (t, false),
+                _ => (run.step_end, true),
+            }),
+            None => self.queue.peek_time().map(|t| (t, false)),
+        }
     }
 
     /// Pops one event group — every event within the timestamp tolerance of
     /// the head — applies it, then runs a single dispatch pass, so state
     /// changes (resumes, arrivals, routing) at one instant are all visible
     /// to that pass. Returns `false` when the queue is empty.
-    fn process_group(&mut self) -> bool {
-        let Some((head_t, head_ev)) = self.queue.pop() else {
+    ///
+    /// A run boundary that no other event comes within the tolerance of is
+    /// a group of its own that changes nothing but the step count: its
+    /// dispatch pass would start the same step again. Such boundaries pass
+    /// as counters, as many in a row as come before `limit` by more than
+    /// the tolerance. A boundary that does meet another event joins its
+    /// group as that group's [`Ev::StepDone`], and the run ends there.
+    fn process_group(&mut self, limit: f64) -> bool {
+        let Some((head_t, boundary)) = self.peek_next() else {
             return false;
         };
+        if boundary && self.pass_steps(limit) {
+            return true;
+        }
         let mut now = head_t;
-        self.apply(head_t, head_ev);
-        while let Some(next_t) = self.queue.peek_time() {
-            if next_t <= now + TIME_EPS {
-                let Some((t, ev)) = self.queue.pop() else {
-                    break;
-                };
+        self.take_next(boundary);
+        while let Some((t, boundary)) = self.peek_next() {
+            if t <= now + TIME_EPS {
                 now = now.max(t);
-                self.apply(t, ev);
+                self.take_next(boundary);
             } else {
                 break;
             }
@@ -1494,6 +1664,46 @@ impl ReplicaSim {
         self.decode_tick(now);
         self.retire();
         true
+    }
+
+    /// Passes the decode run's boundaries that come before `limit` and
+    /// before the run's last by more than the tolerance, and that no
+    /// queued event comes within the tolerance of. Returns whether it
+    /// passed any. The queue does not change while steps pass, so its
+    /// head is read once.
+    fn pass_steps(&mut self, limit: f64) -> bool {
+        let next = self.queue.peek_time_without_step();
+        let Some(run) = self.run.as_mut() else {
+            return false;
+        };
+        let fill = f64::from(self.changes.len() as u32);
+        let passed = run.passed;
+        while run.passed + 1 < run.len
+            && run.step_end + TIME_EPS < limit
+            && next.map_or(true, |t| t > run.step_end + TIME_EPS)
+        {
+            run.passed += 1;
+            run.step_end += run.dur;
+            self.acc.fill_weighted_time += fill * run.dur;
+            self.acc.stepping_time += run.dur;
+        }
+        let steps = u64::from(run.passed - passed);
+        self.acc.events += steps;
+        self.unpopped_steps += steps;
+        steps > 0
+    }
+
+    /// Applies the next logical event: the queue head, or the run boundary
+    /// before it, which ends the run early and supersedes its queued event.
+    fn take_next(&mut self, boundary: bool) {
+        if boundary {
+            let t = self.run.map(|run| run.step_end);
+            let t = t.expect("a run boundary needs a run in flight");
+            self.unpopped_steps += 1;
+            self.apply(t, Ev::StepDone);
+        } else if let Some((t, ev)) = self.queue.pop() {
+            self.apply(t, ev);
+        }
     }
 
     /// Retires every completed slot at the head of the arena into the
@@ -1591,11 +1801,12 @@ impl ReplicaSim {
     }
 
     /// Pure state mutation for one event; no dispatching. Events that cover
-    /// a member set (`StageDone`, `StepDone`, `RetrievalDone`) temporarily
-    /// take their member buffer out of `self`, walk it, then clear and
-    /// restore it — the buffers are guaranteed idle once their event fires
-    /// (`resource_busy` / `stepping` / the pool free-list), so no
-    /// allocation happens per event.
+    /// a member set (`StageDone`, `RetrievalDone`) temporarily take their
+    /// member buffer out of `self`, walk it, then clear and restore it —
+    /// the buffers are guaranteed idle once their event fires
+    /// (`resource_busy` / the pool free-list), so no allocation happens per
+    /// event. `StepDone` pops the members that change at the run's end off
+    /// [`ReplicaSim::changes`].
     fn apply(&mut self, t: f64, ev: Ev) {
         self.acc.events += 1;
         match ev {
@@ -1630,62 +1841,61 @@ impl ReplicaSim {
                 members.clear();
                 self.stage_batches[resource].members = members;
             }
-            Ev::StepDone => {
-                self.stepping = false;
-                let mut members = std::mem::take(&mut self.step_members);
-                for &r in &members {
-                    let ri = self.arena.at(r);
-                    let tokens = self.arena.tokens[ri];
-                    self.arena.generated[ri] += 1;
-                    let generated = self.arena.generated[ri];
-                    if self.arena.first_token_s[ri] == UNSET {
-                        self.arena.first_token_s[ri] = t;
-                    }
-                    let pos_cursor = self.arena.retrieval_pos_off[ri] as usize
-                        + self.arena.next_retrieval[ri] as usize;
-                    if pos_cursor < self.arena.retrieval_pos_off[ri + 1] as usize
-                        && generated == self.arena.retrieval_pos[pos_cursor]
-                        && generated < tokens
-                    {
-                        self.arena.next_retrieval[ri] += 1;
-                        self.arena.paused[ri] = true;
-                        self.retrieval_queue.push_back(r);
-                    }
-                    if generated >= tokens {
-                        self.arena.completion_s[ri] = t;
-                        if let Ok(pos) = self.resident.binary_search(&r) {
-                            self.resident.remove(pos);
-                        }
-                        self.completed += 1;
-                        if self.track_completions {
-                            let first = self.arena.first_token_s[ri];
-                            debug_assert!(first != UNSET, "first token precedes completion");
-                            let ttft = first - self.arena.requests[ri].arrival_s;
-                            let tpot =
-                                (t - self.arena.decode_join_s[ri]) / f64::from(tokens.max(1));
-                            self.completion_log.push((t, ttft, tpot));
-                        }
-                    }
-                }
-                members.clear();
-                self.step_members = members;
-            }
+            Ev::StepDone => self.end_run(t),
             Ev::RetrievalDone(slot) => {
                 self.in_flight_retrievals -= 1;
                 let mut members = std::mem::take(&mut self.retrieval_pool[slot as usize]);
-                for &r in &members {
-                    let i = self.arena.at(r);
-                    self.arena.paused[i] = false;
-                }
+                self.joining.extend_from_slice(&members);
                 members.clear();
                 self.retrieval_pool[slot as usize] = members;
                 self.retrieval_free.push(slot);
+                self.cut_run = true;
             }
             Ev::SlowdownChange { factor_bits } => {
                 // Work already in flight keeps its scheduled completion;
                 // only batches and steps dispatched after this instant see
                 // the new factor.
                 self.slowdown = f64::from_bits(factor_bits);
+                self.cut_run = true;
+            }
+        }
+    }
+
+    /// Ends the decode run in flight at its step boundary `t`. By the
+    /// run's length, no member finished or reached a retrieval trigger
+    /// before this step. The members whose change falls on it finish, or
+    /// pause until their retrieval returns; the others step on.
+    fn end_run(&mut self, t: f64) {
+        let run = self.run.take().expect("a step event ends a run in flight");
+        debug_assert!(
+            run.step_end.to_bits() == t.to_bits(),
+            "run ends off its grid"
+        );
+        // The boundary may come before the run's queued last one.
+        self.queue.clear_step();
+        self.decode_steps += u64::from(run.passed + 1);
+        while let Some(&Reverse((step, r))) = self.changes.peek() {
+            if step != self.decode_steps {
+                debug_assert!(step > self.decode_steps, "a member outran its change");
+                break;
+            }
+            self.changes.pop();
+            let ri = self.arena.at(r);
+            let tokens = self.arena.tokens[ri];
+            if self.arena.generated[ri] < tokens {
+                self.arena.next_retrieval[ri] += 1;
+                self.retrieval_queue.push_back(r);
+                continue;
+            }
+            self.arena.completion_s[ri] = t;
+            self.resident -= 1;
+            self.completed += 1;
+            if self.track_completions {
+                let first = self.arena.first_token_s[ri];
+                debug_assert!(first != UNSET, "first token precedes completion");
+                let ttft = first - self.arena.requests[ri].arrival_s;
+                let tpot = (t - self.arena.decode_join_s[ri]) / f64::from(tokens.max(1));
+                self.completion_log.push((t, ttft, tpot));
             }
         }
     }
@@ -1775,21 +1985,21 @@ impl ReplicaSim {
     }
 
     /// Decode bookkeeping at one instant: admit, dispatch iterative
-    /// retrievals, and start the next step.
+    /// retrievals, and start the next run — or cut the run in flight short
+    /// when this instant changed its next step.
     fn decode_tick(&mut self, now: f64) {
         // Admit waiting requests into free decode slots (continuous
         // batching join).
-        while self.resident.len() < self.spec.decode.max_batch as usize {
+        while self.resident < self.spec.decode.max_batch as usize {
             let Some(r) = self.admission.pop_front() else {
                 break;
             };
             let ri = self.arena.at(r);
             self.arena.decode_join_s[ri] = now;
             self.arena.queueing_s[ri] += now - self.arena.queue_entry_s[ri];
-            let pos = match self.resident.binary_search(&r) {
-                Ok(pos) | Err(pos) => pos,
-            };
-            self.resident.insert(pos, r);
+            self.resident += 1;
+            self.joining.push(r);
+            self.cut_run = true;
         }
 
         // Dispatch the iterative retrieval queue: when full, or when decode
@@ -1801,7 +2011,8 @@ impl ReplicaSim {
                 if queued == 0 {
                     break;
                 }
-                let active_empty = !self.stepping && self.active_count() == 0;
+                let active_empty =
+                    self.run.is_none() && self.changes.is_empty() && self.joining.is_empty();
                 let full = queued >= it.iterative_batch as usize;
                 let stalled = active_empty && self.in_flight_retrievals == 0;
                 if !(full || stalled) {
@@ -1814,13 +2025,8 @@ impl ReplicaSim {
                     // A zero-latency batch completes within this instant:
                     // resume inline so the members join the very next step,
                     // exactly as the reference simulator's loop does.
-                    for _ in 0..take {
-                        let Some(r) = self.retrieval_queue.pop_front() else {
-                            break;
-                        };
-                        let i = self.arena.at(r);
-                        self.arena.paused[i] = false;
-                    }
+                    self.joining.extend(self.retrieval_queue.drain(..take));
+                    self.cut_run = true;
                 } else {
                     self.in_flight_retrievals += 1;
                     let slot = match self.retrieval_free.pop() {
@@ -1841,37 +2047,67 @@ impl ReplicaSim {
             }
         }
 
-        // Start the next decode step over the currently active sequences.
-        if !self.stepping {
-            debug_assert!(self.step_members.is_empty(), "idle step buffer not drained");
-            let Self {
-                step_members,
-                resident,
-                arena,
-                ..
-            } = &mut *self;
-            step_members.extend(
-                resident
-                    .iter()
-                    .copied()
-                    .filter(|&r| !arena.paused[arena.at(r)]),
-            );
-            let fill = self.step_members.len() as u32;
-            if fill > 0 {
-                let dur = self.scaled(self.spec.decode.step_latency.latency(fill));
-                self.acc.fill_weighted_time += f64::from(fill) * dur;
-                self.acc.stepping_time += dur;
-                self.stepping = true;
-                self.queue.set_step(now + dur, Ev::StepDone);
+        let cut = std::mem::take(&mut self.cut_run);
+        match self.run.as_mut() {
+            // The step in flight keeps its boundary; the run ends there.
+            Some(run) => {
+                if cut && run.passed + 1 < run.len {
+                    run.len = run.passed + 1;
+                    self.queue.set_step(run.step_end, Ev::StepDone);
+                }
             }
+            None => self.start_run(now),
         }
     }
 
-    fn active_count(&self) -> usize {
-        self.resident
-            .iter()
-            .filter(|&&r| !self.arena.paused[self.arena.at(r)])
-            .count()
+    /// Starts a decode run at `now` over the active members and the
+    /// joining ones, lasting until the first step at which one of them
+    /// finishes or reaches its next retrieval trigger. A joining member
+    /// that has no first token gets it at the end of the run's first step.
+    fn start_run(&mut self, now: f64) {
+        let fill = (self.changes.len() + self.joining.len()) as u32;
+        if fill == 0 {
+            return;
+        }
+        let dur = self.scaled(self.spec.decode.step_latency.latency(fill));
+        self.acc.fill_weighted_time += f64::from(fill) * dur;
+        self.acc.stepping_time += dur;
+        let first_end = now + dur;
+        let arena = &mut self.arena;
+        for r in self.joining.drain(..) {
+            let i = arena.at(r);
+            let generated = arena.generated[i];
+            let tokens = arena.tokens[i];
+            let mut steps = tokens - generated;
+            let cursor = arena.retrieval_pos_off[i] as usize + arena.next_retrieval[i] as usize;
+            if cursor < arena.retrieval_pos_off[i + 1] as usize {
+                let pos = arena.retrieval_pos[cursor];
+                if pos > generated && pos < tokens {
+                    steps = pos - generated;
+                }
+            }
+            arena.generated[i] = generated + steps;
+            if arena.first_token_s[i] == UNSET {
+                arena.first_token_s[i] = first_end;
+            }
+            self.changes
+                .push(Reverse((self.decode_steps + u64::from(steps), r)));
+        }
+        let Some(&Reverse((next, _))) = self.changes.peek() else {
+            unreachable!("a run has members");
+        };
+        let len = (next - self.decode_steps) as u32;
+        let mut end = first_end;
+        for _ in 1..len {
+            end += dur;
+        }
+        self.run = Some(DecodeRun {
+            dur,
+            step_end: first_end,
+            passed: 0,
+            len,
+        });
+        self.queue.set_step(end, Ev::StepDone);
     }
 
     /// Applies the straggler slowdown to a service duration. The healthy
@@ -2002,6 +2238,8 @@ impl ReplicaSim {
         if let RunSink::Exact(sink) = &mut self.sink {
             sink.build_timelines();
         }
+        let pops = self.queue.stats();
+        self.acc.queue_pops = pops.fault_pops + pops.arrival_pops + pops.scheduled_pops;
         *self.sink.acc_mut() = self.acc;
         Retired {
             sink: self.sink,
@@ -2170,6 +2408,7 @@ pub(crate) fn compute_metrics_for(
             acc.retrieval_fill as f64 / f64::from(acc.retrieval_batches)
         },
         events_processed: acc.events,
+        queue_pops: acc.queue_pops,
         shed: 0,
     }
 }
@@ -2544,6 +2783,70 @@ mod tests {
     #[should_panic(expected = "strictly positive")]
     fn zero_step_latency_is_rejected() {
         let _ = DecodeSpec::new(4, LatencyTable::constant(4, 0.0));
+    }
+
+    /// One 5 ms prefix stage of batch 4 and a decode batch of 4 at 2 ms
+    /// per step: valid until a test breaks one field of it, as a struct
+    /// literal can. Building the fleet must then fail, where a run would
+    /// hang, panic mid-run or report zero-time decoding.
+    fn literal_spec() -> PipelineSpec {
+        one_stage_spec(0.005, 4, 0.002, 4)
+    }
+
+    fn iterative(batch: u32, latency_s: f64) -> Option<IterativeSpec> {
+        Some(IterativeSpec {
+            retrievals_per_sequence: 1,
+            iterative_batch: batch,
+            retrieval_prefix_latency_s: latency_s,
+            seed: 1,
+        })
+    }
+
+    #[test]
+    #[should_panic(expected = "stage `prefix`: stage micro-batch must be at least 1")]
+    fn a_zero_stage_batch_is_rejected_when_the_fleet_is_built() {
+        let mut spec = literal_spec();
+        spec.stages[0].batch = 0;
+        let _ = alone(spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "iterative_batch must be at least 1")]
+    fn a_zero_iterative_batch_is_rejected_when_the_fleet_is_built() {
+        let mut spec = literal_spec();
+        spec.iterative = iterative(0, 0.01);
+        let _ = alone(spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "decode batch must be at least 1")]
+    fn a_zero_decode_batch_is_rejected_when_the_fleet_is_built() {
+        let mut spec = literal_spec();
+        spec.decode = DecodeSpec {
+            max_batch: 0,
+            step_latency: LatencyTable::constant(4, 0.002),
+        };
+        let _ = alone(spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "decode step latency must be strictly positive")]
+    fn a_zero_latency_decode_literal_is_rejected_when_the_fleet_is_built() {
+        let mut spec = literal_spec();
+        spec.decode = DecodeSpec {
+            max_batch: 4,
+            step_latency: LatencyTable::constant(4, 0.0),
+        };
+        let _ = alone(spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "retrieval latency must be finite and non-negative")]
+    fn a_nan_retrieval_latency_is_rejected_when_the_fleet_is_built() {
+        let mut spec = literal_spec();
+        spec.iterative = iterative(4, f64::NAN);
+        assert!(spec.validate().is_err());
+        let _ = alone(spec);
     }
 
     /// Audit pin: every percentile of a single-sample distribution is the

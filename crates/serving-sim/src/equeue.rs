@@ -17,8 +17,10 @@
 //!   the prefill pool runs dry, peaks at 960 entries in the `sizing`
 //!   benchmark journey — still a shallow heap.
 //! * **Step slot**: the scheduled lane's one decode event. A replica has
-//!   at most one decode step in flight, so this is a single slot, and
-//!   setting it replaces the pending entry. At equal times it orders
+//!   at most one decode run in flight, and the run is one event at its
+//!   last step's boundary, so this is a single slot. Setting it replaces
+//!   the pending entry, which is how a run cut short drops the event it
+//!   no longer reaches. At equal times it orders
 //!   *after* every other scheduled event, so the scheduled lane is keyed
 //!   `(time, step-last, seq)`. Same-instant order therefore does not
 //!   depend on when the step event was pushed. Reordering equal-time
@@ -80,16 +82,17 @@ fn key_cmp(t_a: f64, seq_a: u64, t_b: f64, seq_b: u64) -> Ordering {
 }
 
 /// Observability snapshot of one event queue's internal work: per-lane
-/// pop counts. Pure counters — reading them never perturbs the
-/// simulation, so traced and untraced runs stay bit-identical.
+/// event counts. Pure counters — reading them never perturbs the
+/// simulation, so traced and untraced runs stay bit-identical. A replica
+/// reports the events it applied per lane, so a decode run of `k` steps
+/// counts `k` scheduled events though it is popped once.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EventQueueStats {
-    /// Events popped from the fault lane (class −1).
+    /// Events of the fault lane (class −1).
     pub fault_pops: u64,
-    /// Events popped from the FIFO arrival lane (class 0).
+    /// Events of the FIFO arrival lane (class 0).
     pub arrival_pops: u64,
-    /// Events popped from the scheduled lane (class 1), the step slot
-    /// included.
+    /// Events of the scheduled lane (class 1), the step slot included.
     pub scheduled_pops: u64,
 }
 
@@ -116,6 +119,9 @@ pub(crate) struct EventQueue<E> {
     /// The step slot: at most one `(t, payload)` scheduled event, ordered
     /// after every same-instant entry of `scheduled`.
     step: Option<(f64, E)>,
+    /// Lane and time of the earliest event outside the step slot, renewed
+    /// by every push and pop of those lanes, so a peek reads two fields.
+    rest: Option<(Lane, f64)>,
     /// Sequence counter for scheduled events (arrivals order by FIFO
     /// position; the two lanes never compare sequence numbers against each
     /// other because the class decides same-instant ties).
@@ -133,6 +139,7 @@ impl<E: Copy> EventQueue<E> {
             arrivals: VecDeque::new(),
             scheduled: BinaryHeap::new(),
             step: None,
+            rest: None,
             seq: 0,
             fault_pops: 0,
             arrival_pops: 0,
@@ -158,6 +165,7 @@ impl<E: Copy> EventQueue<E> {
             "arrivals must be enqueued in non-decreasing time order"
         );
         self.arrivals.push_back((t, ev));
+        self.rest = self.head_rest();
     }
 
     /// Enqueues a scheduled completion (class 1).
@@ -165,6 +173,7 @@ impl<E: Copy> EventQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         self.scheduled.push(Scheduled { t, seq, ev });
+        self.rest = self.head_rest();
     }
 
     /// Enqueues a fault-lane event (class −1). Like arrivals, fault events
@@ -176,6 +185,7 @@ impl<E: Copy> EventQueue<E> {
             "fault events must be enqueued in non-decreasing time order"
         );
         self.faults.push_back((t, ev));
+        self.rest = self.head_rest();
     }
 
     /// Schedules the step slot's event at `t`, replacing any pending one.
@@ -183,16 +193,30 @@ impl<E: Copy> EventQueue<E> {
         self.step = Some((t, ev));
     }
 
+    /// Empties the step slot.
+    pub(crate) fn clear_step(&mut self) {
+        self.step = None;
+    }
+
     /// Time of the next event without removing it.
     pub(crate) fn peek_time(&self) -> Option<f64> {
-        self.head(true).map(|(_, t)| t)
+        self.head().map(|(_, t)| t)
+    }
+
+    /// Time of the next event outside the step slot.
+    pub(crate) fn peek_time_without_step(&self) -> Option<f64> {
+        self.rest.map(|(_, t)| t)
     }
 
     /// Removes and returns the next event in `(time, class, step-last,
     /// seq)` order.
     pub(crate) fn pop(&mut self) -> Option<(f64, E)> {
-        let (lane, _) = self.head(true)?;
-        match lane {
+        let (lane, _) = self.head()?;
+        let out = match lane {
+            Lane::Step => {
+                self.scheduled_pops += 1;
+                return self.step.take();
+            }
             Lane::Fault => {
                 self.fault_pops += 1;
                 self.faults.pop_front()
@@ -205,33 +229,23 @@ impl<E: Copy> EventQueue<E> {
                 self.scheduled_pops += 1;
                 self.scheduled.pop().map(|s| (s.t, s.ev))
             }
-            Lane::Step => {
-                self.scheduled_pops += 1;
-                self.step.take()
-            }
-        }
+        };
+        self.rest = self.head_rest();
+        out
     }
 
-    /// The lane holding the next event and that event's time, the step
-    /// slot considered only `with_step`. Lanes are listed in tie-break
-    /// order, and a later lane wins only on a strictly earlier time.
-    fn head(&self, with_step: bool) -> Option<(Lane, f64)> {
-        let step = self.step.filter(|_| with_step);
-        [
-            (Lane::Fault, self.faults.front().map(|e| e.0)),
-            (Lane::Arrival, self.arrivals.front().map(|e| e.0)),
-            (Lane::Scheduled, self.scheduled.peek().map(|s| s.t)),
-            (Lane::Step, step.map(|e| e.0)),
-        ]
-        .into_iter()
-        .filter_map(|(lane, t)| t.map(|t| (lane, t)))
-        .reduce(|best, next| {
-            if next.1.total_cmp(&best.1) == Ordering::Less {
-                next
-            } else {
-                best
-            }
-        })
+    /// The lane holding the next event and that event's time.
+    fn head(&self) -> Option<(Lane, f64)> {
+        earlier(self.rest, Lane::Step, self.step.map(|(t, _)| t))
+    }
+
+    /// [`Self::head`] outside the step slot. Lanes are compared in
+    /// tie-break order, and a later lane wins only on a strictly earlier
+    /// time.
+    fn head_rest(&self) -> Option<(Lane, f64)> {
+        let head = self.faults.front().map(|&(t, _)| (Lane::Fault, t));
+        let head = earlier(head, Lane::Arrival, self.arrivals.front().map(|&(t, _)| t));
+        earlier(head, Lane::Scheduled, self.scheduled.peek().map(|s| s.t))
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -239,6 +253,15 @@ impl<E: Copy> EventQueue<E> {
             && self.arrivals.is_empty()
             && self.scheduled.is_empty()
             && self.step.is_none()
+    }
+}
+
+/// `head`, or `lane` when its next event comes strictly earlier.
+fn earlier(head: Option<(Lane, f64)>, lane: Lane, t: Option<f64>) -> Option<(Lane, f64)> {
+    match (head, t) {
+        (Some((_, head_t)), Some(t)) if t.total_cmp(&head_t) != Ordering::Less => head,
+        (_, Some(t)) => Some((lane, t)),
+        (head, None) => head,
     }
 }
 

@@ -139,7 +139,8 @@ impl FleetEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the driver is malformed ([`ScaleDriver::validate`]).
+    /// Panics if the driver is malformed ([`ScaleDriver::validate`]) or the
+    /// spec is ([`PipelineSpec::validate`]).
     pub fn new(spec: PipelineSpec, router: RouterPolicy, driver: ScaleDriver) -> Self {
         Self::from_specs(vec![spec], router, driver)
     }
@@ -150,7 +151,8 @@ impl FleetEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `specs` is empty, or `driver` is not
+    /// Panics if `specs` is empty, a spec fails [`PipelineSpec::validate`],
+    /// or `driver` is not
     /// [`ScaleDriver::Static`] with exactly one replica per spec — an
     /// elastic fleet would have no pipeline to provision a new replica with.
     pub fn heterogeneous(
@@ -178,8 +180,9 @@ impl FleetEngine {
     /// # Panics
     ///
     /// Panics unless the pools are a Prefill and a Decode pool of at least
-    /// one replica each, the prefill spec has a pre-decode stage, and the
-    /// decode spec has none (use [`PipelineSpec::decode_only`]).
+    /// one replica each, the prefill spec has a pre-decode stage, the
+    /// decode spec has none (use [`PipelineSpec::decode_only`]), and both
+    /// specs pass [`PipelineSpec::validate`].
     pub fn disaggregated(
         prefill_spec: PipelineSpec,
         decode_spec: PipelineSpec,
@@ -217,6 +220,9 @@ impl FleetEngine {
     fn from_specs(specs: Vec<PipelineSpec>, router: RouterPolicy, driver: ScaleDriver) -> Self {
         if let Err(e) = driver.validate() {
             panic!("{e}");
+        }
+        for spec in &specs {
+            spec.assert_valid();
         }
         Self {
             specs,
@@ -2095,6 +2101,62 @@ mod tests {
             ScaleDriver::Static { replicas: 2 },
         )
         .with_admission(nan);
+    }
+
+    /// A decode run is one queue pop for all of its steps, while
+    /// `events_processed` still counts every step. Both counts are pinned
+    /// on a seeded three-replica run with 64-token decodes; the events are
+    /// the step-by-step loop's.
+    #[test]
+    fn queue_pops_count_the_pops_a_decode_run_saves() {
+        let engine = FleetEngine::new(
+            one_stage_spec(0.01),
+            RouterPolicy::LeastOutstanding,
+            ScaleDriver::Static { replicas: 3 },
+        );
+        let trace = poisson_trace(400, 120.0, 64);
+        let metrics = engine.run_trace(&trace).fleet.merged.metrics;
+        assert_eq!(
+            (metrics.events_processed, metrics.queue_pops),
+            (6_103, 1_529)
+        );
+        assert!(metrics.queue_pops < metrics.events_processed);
+        let streamed = engine.run(
+            arrivals(&trace),
+            &MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default())),
+            &mut NullRecorder,
+        );
+        let m = &streamed.fleet.merged.metrics;
+        assert_eq!((m.events_processed, m.queue_pops), (6_103, 1_529));
+    }
+
+    /// Every fleet constructor checks its specs: a struct literal that
+    /// skips the part constructors fails here instead of mid-run.
+    #[test]
+    #[should_panic(expected = "decode batch must be at least 1")]
+    fn heterogeneous_fleets_reject_a_malformed_spec() {
+        let mut bad = one_stage_spec(0.01);
+        bad.decode.max_batch = 0;
+        let _ = FleetEngine::heterogeneous(
+            vec![one_stage_spec(0.01), bad],
+            RouterPolicy::LeastOutstanding,
+            ScaleDriver::Static { replicas: 2 },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "decode step latency must be strictly positive")]
+    fn split_fleets_reject_a_malformed_spec() {
+        let mut decode =
+            PipelineSpec::decode_only(DecodeSpec::new(8, LatencyTable::constant(8, 1e-3)), None);
+        decode.decode.step_latency = LatencyTable::constant(8, 0.0);
+        let _ = FleetEngine::disaggregated(
+            one_stage_spec(0.01),
+            decode,
+            &PoolSpec::new(PoolRole::Prefill, 1, RouterPolicy::LeastOutstanding),
+            &PoolSpec::new(PoolRole::Decode, 1, RouterPolicy::LeastOutstanding),
+            KvTransferModel::zero(),
+        );
     }
 
     #[test]

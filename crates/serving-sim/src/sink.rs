@@ -487,6 +487,7 @@ impl StreamAgg {
             retrieval_batches: 0,
             mean_retrieval_batch_fill: 0.0,
             events_processed: 0,
+            queue_pops: 0,
             shed: 0,
         }
     }
@@ -564,6 +565,7 @@ impl HistogramSink {
                 acc.retrieval_fill as f64 / f64::from(acc.retrieval_batches)
             };
             m.events_processed = acc.events;
+            m.queue_pops = acc.queue_pops;
             m
         };
         let metrics = fill(self.run.metrics());

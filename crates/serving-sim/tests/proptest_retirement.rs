@@ -130,6 +130,7 @@ fn replayed(
         m.retrieval_batches = streamed.metrics.retrieval_batches;
         m.mean_retrieval_batch_fill = streamed.metrics.mean_retrieval_batch_fill;
         m.events_processed = streamed.metrics.events_processed;
+        m.queue_pops = streamed.metrics.queue_pops;
     };
     shared(&mut report.metrics);
     for row in &mut report.per_class {

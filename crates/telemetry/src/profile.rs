@@ -15,11 +15,14 @@ pub struct SimProfile {
     pub sim_time_s: f64,
     /// Total DES events processed.
     pub events: u64,
-    /// Events popped from the fault lane of the event queue.
+    /// Events applied from the fault lane of the event queue.
     pub fault_pops: u64,
-    /// Events popped from the FIFO arrival lane.
+    /// Events applied from the FIFO arrival lane.
     pub arrival_pops: u64,
-    /// Events popped from the scheduled (in-flight) lane.
+    /// Events applied from the scheduled (in-flight) lane. These counters
+    /// count applied events, not queue pops: a decode run of `k` steps is
+    /// one pop but counts `k` here, as each of its steps is an event
+    /// (`ServingMetrics::queue_pops` in `rago-serving-sim` counts pops).
     pub scheduled_pops: u64,
     /// `StageProfiler` memoization hits.
     pub profiler_memo_hits: u64,

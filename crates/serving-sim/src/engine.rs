@@ -118,11 +118,7 @@ impl LatencyTable {
     /// Checks that the table has an entry and that every entry is finite
     /// and non-negative (a deserialized table skips
     /// [`Self::from_table`]'s check).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first rule the table breaks.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if self.per_fill.is_empty() {
             return Err("a latency table needs at least one entry".into());
         }

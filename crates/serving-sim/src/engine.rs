@@ -1412,10 +1412,6 @@ pub(crate) struct ReplicaSim {
     joining: Vec<u32>,
     /// The decode run in flight, if any.
     run: Option<DecodeRun>,
-    /// Set while processing a group that changed the next decode step (an
-    /// admission, a resume or a slowdown change): the group's decode tick
-    /// cuts the run in flight short at its current step.
-    cut_run: bool,
     /// Decode-step boundaries applied without a queue pop.
     unpopped_steps: u64,
     retrieval_queue: VecDeque<u32>,
@@ -1502,7 +1498,6 @@ impl ReplicaSim {
             changes: BinaryHeap::new(),
             joining: Vec::new(),
             run: None,
-            cut_run: false,
             unpopped_steps: 0,
             retrieval_queue: VecDeque::new(),
             retrieval_pool: Vec::new(),
@@ -1693,8 +1688,7 @@ impl ReplicaSim {
     /// before it, which ends the run early and supersedes its queued event.
     fn take_next(&mut self, boundary: bool) {
         if boundary {
-            let t = self.run.map(|run| run.step_end);
-            let t = t.expect("a run boundary needs a run in flight");
+            let t = self.run.expect("a boundary needs a run in flight").step_end;
             self.unpopped_steps += 1;
             self.apply(t, Ev::StepDone);
         } else if let Some((t, ev)) = self.queue.pop() {
@@ -1845,14 +1839,14 @@ impl ReplicaSim {
                 members.clear();
                 self.retrieval_pool[slot as usize] = members;
                 self.retrieval_free.push(slot);
-                self.cut_run = true;
+                self.cut_run();
             }
             Ev::SlowdownChange { factor_bits } => {
                 // Work already in flight keeps its scheduled completion;
                 // only batches and steps dispatched after this instant see
                 // the new factor.
                 self.slowdown = f64::from_bits(factor_bits);
-                self.cut_run = true;
+                self.cut_run();
             }
         }
     }
@@ -1879,6 +1873,8 @@ impl ReplicaSim {
             let ri = self.arena.at(r);
             let tokens = self.arena.tokens[ri];
             if self.arena.generated[ri] < tokens {
+                // Short of its last token, the change is a retrieval
+                // trigger: the member pauses until its batch returns.
                 self.arena.next_retrieval[ri] += 1;
                 self.retrieval_queue.push_back(r);
                 continue;
@@ -1981,8 +1977,7 @@ impl ReplicaSim {
     }
 
     /// Decode bookkeeping at one instant: admit, dispatch iterative
-    /// retrievals, and start the next run — or cut the run in flight short
-    /// when this instant changed its next step.
+    /// retrievals, and start the next run unless one is in flight.
     fn decode_tick(&mut self, now: f64) {
         // Admit waiting requests into free decode slots (continuous
         // batching join).
@@ -1995,7 +1990,7 @@ impl ReplicaSim {
             self.arena.queueing_s[ri] += now - self.arena.queue_entry_s[ri];
             self.resident += 1;
             self.joining.push(r);
-            self.cut_run = true;
+            self.cut_run();
         }
 
         // Dispatch the iterative retrieval queue: when full, or when decode
@@ -2022,7 +2017,7 @@ impl ReplicaSim {
                     // resume inline so the members join the very next step,
                     // exactly as the reference simulator's loop does.
                     self.joining.extend(self.retrieval_queue.drain(..take));
-                    self.cut_run = true;
+                    self.cut_run();
                 } else {
                     self.in_flight_retrievals += 1;
                     let slot = match self.retrieval_free.pop() {
@@ -2043,16 +2038,17 @@ impl ReplicaSim {
             }
         }
 
-        let cut = std::mem::take(&mut self.cut_run);
-        match self.run.as_mut() {
-            // The step in flight keeps its boundary; the run ends there.
-            Some(run) => {
-                if cut && run.passed + 1 < run.len {
-                    run.len = run.passed + 1;
-                    self.queue.set_step(run.step_end, Ev::StepDone);
-                }
-            }
-            None => self.start_run(now),
+        if self.run.is_none() {
+            self.start_run(now);
+        }
+    }
+
+    /// Ends the run in flight with its current step, whose boundary stays:
+    /// an admission, a resume or a slowdown change alters the next step.
+    fn cut_run(&mut self) {
+        if let Some(run) = self.run.as_mut().filter(|run| run.passed + 1 < run.len) {
+            run.len = run.passed + 1;
+            self.queue.set_step(run.step_end, Ev::StepDone);
         }
     }
 

@@ -1412,8 +1412,6 @@ pub(crate) struct ReplicaSim {
     joining: Vec<u32>,
     /// The decode run in flight, if any.
     run: Option<DecodeRun>,
-    /// Decode-step boundaries applied without a queue pop.
-    unpopped_steps: u64,
     retrieval_queue: VecDeque<u32>,
     /// Member buffers of in-flight iterative-retrieval batches, indexed by
     /// the pool slot carried in [`Ev::RetrievalDone`]. `retrieval_free`
@@ -1498,7 +1496,6 @@ impl ReplicaSim {
             changes: BinaryHeap::new(),
             joining: Vec::new(),
             run: None,
-            unpopped_steps: 0,
             retrieval_queue: VecDeque::new(),
             retrieval_pool: Vec::new(),
             retrieval_free: Vec::new(),
@@ -1559,8 +1556,10 @@ impl ReplicaSim {
     /// self-profiling). Step boundaries that passed inside a decode run
     /// count as scheduled events, so a `k`-step run counts `k`.
     pub(crate) fn equeue_stats(&self) -> crate::equeue::EventQueueStats {
+        // Every event applied is a pop except the step boundaries passed
+        // inside a run, and those are scheduled events.
         let mut stats = self.queue.stats();
-        stats.scheduled_pops += self.unpopped_steps;
+        stats.scheduled_pops = self.acc.events - stats.fault_pops - stats.arrival_pops;
         stats
     }
 
@@ -1678,10 +1677,8 @@ impl ReplicaSim {
             self.acc.fill_weighted_time += fill * run.dur;
             self.acc.stepping_time += run.dur;
         }
-        let steps = u64::from(run.passed - passed);
-        self.acc.events += steps;
-        self.unpopped_steps += steps;
-        steps > 0
+        self.acc.events += u64::from(run.passed - passed);
+        run.passed > passed
     }
 
     /// Applies the next logical event: the queue head, or the run boundary
@@ -1689,7 +1686,6 @@ impl ReplicaSim {
     fn take_next(&mut self, boundary: bool) {
         if boundary {
             let t = self.run.expect("a boundary needs a run in flight").step_end;
-            self.unpopped_steps += 1;
             self.apply(t, Ev::StepDone);
         } else if let Some((t, ev)) = self.queue.pop() {
             self.apply(t, ev);

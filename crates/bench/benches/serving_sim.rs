@@ -1,7 +1,7 @@
 //! Criterion benches of the discrete-event serving simulator.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rago_serving_sim::iterative::{IterativeDecodeParams, IterativeDecodeSim};
+use rago_serving_sim::iterative::{simulate, IterativeDecodeParams};
 use rago_serving_sim::microbatch::simulate_pipelined_burst;
 
 fn bench_iterative_decode(c: &mut Criterion) {
@@ -17,7 +17,7 @@ fn bench_iterative_decode(c: &mut Criterion) {
         };
         c.bench_function(
             &format!("iterative_decode_d{decode_batch}_i{iterative_batch}"),
-            |b| b.iter(|| IterativeDecodeSim::new(params).run()),
+            |b| b.iter(|| simulate(params)),
         );
     }
 }

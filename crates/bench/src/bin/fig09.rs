@@ -7,7 +7,7 @@ use rago_accel_sim::{AcceleratorGroup, InferenceSimulator};
 use rago_bench::{default_cluster, fmt_f, print_header, print_row};
 use rago_retrieval_sim::RetrievalSimulator;
 use rago_schema::presets::{self, LlmSize};
-use rago_serving_sim::iterative::{IterativeDecodeParams, IterativeDecodeSim};
+use rago_serving_sim::iterative::{simulate, IterativeDecodeParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cluster = default_cluster();
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let reprefix = sim
             .best_prefix_cost(model, prefix_len, iter_batch.max(1), &prefix_group)
             .expect("prefix fits on 16 chips");
-        IterativeDecodeSim::new(IterativeDecodeParams {
+        simulate(IterativeDecodeParams {
             decode_batch,
             iterative_batch: iter_batch,
             decode_len,
@@ -42,7 +42,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             retrieval_prefix_latency_s: retrieval_cost.latency_s + reprefix.latency_s,
             seed: 9,
         })
-        .run()
         .tpot_worst_s
     };
 

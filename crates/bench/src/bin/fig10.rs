@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release -p rago-bench --bin fig10`
 
 use rago_bench::{fmt_f, print_header, print_row};
-use rago_serving_sim::iterative::{IterativeDecodeParams, IterativeDecodeSim};
+use rago_serving_sim::iterative::{simulate, IterativeDecodeParams};
 
 fn main() {
     println!("Figure 10b: normalized decoding latency from batching-induced idleness");
@@ -27,7 +27,7 @@ fn main() {
                 cells.push("-".to_string());
                 continue;
             }
-            let result = IterativeDecodeSim::new(IterativeDecodeParams {
+            let result = simulate(IterativeDecodeParams {
                 decode_batch,
                 iterative_batch: iter_batch,
                 decode_len: 256,
@@ -35,8 +35,7 @@ fn main() {
                 step_latency_s: 1e-3,
                 retrieval_prefix_latency_s: 0.0,
                 seed: 17,
-            })
-            .run();
+            });
             cells.push(fmt_f(result.normalized_decode_latency, 2));
         }
         print_row(&cells, 8);

@@ -19,24 +19,16 @@
 //! [`StageProfiler::cached_profiles`] whatever the thread count.
 //!
 //! Iterative workloads (Case III) also score every candidate with a
-//! decode-stall simulation ([`IterativeDecodeSim`]), by far the most
-//! expensive part of an evaluation. [`StageProfiler::decode_stall`]
-//! memoizes it by its full input, an [`IterativeDecodeParams`] with each
-//! float keyed by bit pattern. Those inputs are the decode and iterative
-//! batches, the decode step latency and the iterative retrieval + re-prefix
-//! latency. The pre-decode batch is not among them, so every pre-decode
+//! decode-stall simulation ([`iterative::simulate`], a decode-only run of
+//! the request-level replica engine), by far the most expensive part of
+//! an evaluation. [`StageProfiler::decode_stall`] memoizes it by its full
+//! input, an [`IterativeDecodeParams`] with each float keyed by bit
+//! pattern. Those inputs are the decode and iterative batches, the decode
+//! step latency and the iterative retrieval + re-prefix latency. The pre-decode batch is not among them, so every pre-decode
 //! step of the grid shares one simulation, and, as for profiles, each
 //! distinct input is simulated once however many threads ask for it.
 //! Its counters ([`StageProfiler::decode_stall_stats`]) are separate from
 //! the stage-profile ones ([`StageProfiler::memo_stats`]).
-//!
-//! A simulation's retrieval trigger positions depend only on its seed,
-//! decode length, retrieval count and sequence index, and a profiler's
-//! inputs share the first three. So the memoized simulations read one
-//! shared [`TriggerTable`], grown to the largest decode batch simulated so
-//! far: a simulation of batch `B` reads the first `B` rows, exactly the
-//! positions it would draw for itself. With memoization disabled each
-//! simulation draws its own.
 //!
 //! [`StageProfiler::with_memoization`] disables both caches, which exists
 //! solely to benchmark the unmemoized search.
@@ -54,16 +46,14 @@
 //! batches. Each profile is computed once, so after a cold search the memo
 //! misses equal [`StageProfiler::cached_profiles`]. For iterative
 //! workloads one serial pass over the candidates then reserves a
-//! decode-stall memo cell for each distinct input they reach, sizes the
-//! trigger table for the largest of them, and workers simulate those
-//! inputs in parallel, each worker on different inputs and none redrawing
-//! the table; the results stay in the decode-stall memo. Scoring, one
-//! allocation's candidates per work unit, reads the immutable table
-//! without a lock. Each worker tallies its
-//! lookups and the total is added to the memo hits once, at the end, less
-//! one per table entry: the fill's request for an entry stands in for its
-//! first lookup, so the counters add up to one request per lookup, as when
-//! candidates query the profiler directly.
+//! decode-stall memo cell for each distinct input they reach, and workers
+//! simulate those inputs in parallel, each worker on different inputs;
+//! the results stay in the decode-stall memo. Scoring, one allocation's
+//! candidates per work unit, reads the immutable table without a lock.
+//! Each worker tallies its lookups and the total is added to the memo
+//! hits once, at the end, less one per table entry: the fill's request for
+//! an entry stands in for its first lookup, so the counters add up to one
+//! request per lookup, as when candidates query the profiler directly.
 
 use crate::error::RagoError;
 use crate::schedule::Schedule;
@@ -72,9 +62,7 @@ use rago_accel_sim::{AcceleratorGroup, InferenceSimulator};
 use rago_hardware::ClusterSpec;
 use rago_retrieval_sim::RetrievalSimulator;
 use rago_schema::{RagSchema, Stage};
-use rago_serving_sim::iterative::{
-    IterativeDecodeParams, IterativeDecodeResult, IterativeDecodeSim, TriggerTable,
-};
+use rago_serving_sim::iterative::{self, IterativeDecodeParams, IterativeDecodeResult};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
@@ -193,10 +181,6 @@ pub struct StageProfiler {
     retrieval: RetrievalSimulator,
     cache: ProfileCache,
     stalls: StallCache,
-    /// The trigger positions memoized decode-stall simulations read, grown
-    /// to the largest decode batch simulated so far; `None` before the
-    /// first simulation.
-    triggers: RwLock<Option<Arc<TriggerTable>>>,
     memoize: bool,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
@@ -213,12 +197,6 @@ impl Clone for StageProfiler {
             retrieval: self.retrieval.clone(),
             cache: clone_memo(&self.cache),
             stalls: clone_memo(&self.stalls),
-            triggers: RwLock::new(
-                self.triggers
-                    .read()
-                    .expect("trigger table poisoned")
-                    .clone(),
-            ),
             memoize: self.memoize,
             memo_hits: AtomicU64::new(self.memo_hits.load(Ordering::Relaxed)),
             memo_misses: AtomicU64::new(self.memo_misses.load(Ordering::Relaxed)),
@@ -239,7 +217,6 @@ impl StageProfiler {
             retrieval,
             cache: RwLock::new(HashMap::new()),
             stalls: RwLock::new(HashMap::new()),
-            triggers: RwLock::new(None),
             memoize: true,
             memo_hits: AtomicU64::new(0),
             memo_misses: AtomicU64::new(0),
@@ -281,7 +258,7 @@ impl StageProfiler {
     }
 
     /// Lifetime decode-stall counters: `(hits, misses)`. A miss runs one
-    /// [`IterativeDecodeSim`]; a hit is answered from the cache, including a
+    /// [`iterative::simulate`]; a hit is answered from the cache, including a
     /// call that waited while another thread simulated the same input. Each
     /// distinct input is simulated once, so with memoization enabled the
     /// misses count the distinct inputs seen. These counters are separate
@@ -347,34 +324,15 @@ impl StageProfiler {
     ///
     /// # Panics
     ///
-    /// Panics on the inputs [`IterativeDecodeSim::new`] rejects.
+    /// Panics on the inputs [`iterative::simulate`] rejects.
     pub fn decode_stall(&self, params: IterativeDecodeParams) -> IterativeDecodeResult {
         if !self.memoize {
             self.stall_misses.fetch_add(1, Ordering::Relaxed);
-            return IterativeDecodeSim::new(params).run();
+            return iterative::simulate(params);
         }
         let cell = memo_cell(&self.stalls, stall_key(&params));
         memo_get(&cell, (&self.stall_hits, &self.stall_misses), || {
-            IterativeDecodeSim::new(params).run_with(&self.triggers_for(&params))
-        })
-    }
-
-    /// The trigger table, redrawn first with `params.decode_batch` rows
-    /// when it does not fit `params`. A profiler's simulations all share
-    /// one seed, decode length and retrieval count, so the redraw only ever
-    /// grows the table to a larger decode batch.
-    fn triggers_for(&self, params: &IterativeDecodeParams) -> Arc<TriggerTable> {
-        let fitting = |slot: &Option<Arc<TriggerTable>>| {
-            slot.as_ref().filter(|table| table.fits(params)).cloned()
-        };
-        if let Some(table) = fitting(&self.triggers.read().expect("trigger table poisoned")) {
-            return table;
-        }
-        let mut slot = self.triggers.write().expect("trigger table poisoned");
-        fitting(&slot).unwrap_or_else(|| {
-            let table = Arc::new(TriggerTable::draw(params, params.decode_batch));
-            *slot = Some(Arc::clone(&table));
-            table
+            iterative::simulate(params)
         })
     }
 
@@ -727,11 +685,6 @@ impl<'p> ProfileTable<'p> {
         // Larger decode batches simulate for longer: start them first so
         // the workers run out of inputs at about the same time.
         inputs.sort_by_key(|p| Reverse(p.decode_batch));
-        // Size the trigger table for the largest batch now, so no worker
-        // redraws it.
-        if let Some(largest) = inputs.first() {
-            self.profiler.triggers_for(largest);
-        }
         inputs
             .into_iter()
             .par_bridge()
@@ -846,7 +799,7 @@ mod tests {
     #[test]
     fn decode_stalls_are_memoized_apart_from_stage_profiles() {
         let params = stall_params();
-        let direct = IterativeDecodeSim::new(params).run();
+        let direct = iterative::simulate(params);
         let p = profiler_case1();
         assert_eq!(p.decode_stall(params), direct);
         assert_eq!(p.decode_stall(params), direct);

@@ -1,14 +1,13 @@
 //! The request-level discrete-event simulation of one RAG pipeline
 //! replica.
 //!
-//! The two special-case simulators in this crate answer narrow questions:
-//! [`crate::iterative`] models one decode batch with mid-generation
-//! retrievals, and [`crate::microbatch`] pushes one burst through the
-//! pre-decode stages. This module generalizes both into a single replica
-//! simulation that drives **whole requests** — encode → rewrite → retrieve
-//! → rerank → prefix → decode, with optional iterative retrieval — from
-//! their arrival timestamps to their last generated token, under any
-//! arrival process from `rago-workloads`:
+//! The replica simulation drives **whole requests** — encode → rewrite →
+//! retrieve → rerank → prefix → decode, with optional iterative retrieval —
+//! from their arrival timestamps to their last generated token, under any
+//! arrival process from `rago-workloads`. It generalizes the closed-form
+//! burst model of [`crate::microbatch`], which pushes one burst through the
+//! pre-decode stages, and it is the one decode model of the crate: the
+//! decode-stall study of [`crate::iterative`] runs on it too.
 //!
 //! * **Per-resource queues.** Every pipeline stage is mapped to a resource
 //!   (an accelerator group or the retrieval CPU pool). A resource executes
@@ -23,10 +22,12 @@
 //!   changes at step boundaries, and the step latency follows the current
 //!   batch fill through a [`LatencyTable`].
 //! * **Iterative retrieval.** With an [`IterativeSpec`], sequences pause at
-//!   sampled token positions and their retrievals dispatch in batches,
-//!   exactly as in [`crate::iterative::IterativeDecodeSim`] — the replica
-//!   reproduces that simulator's numbers when configured as its degenerate
-//!   case (see `tests/engine_equivalence.rs`).
+//!   sampled token positions and their retrievals dispatch in batches of
+//!   [`IterativeSpec::iterative_batch`], or earlier when nothing else can
+//!   make progress. [`crate::iterative::simulate`] is this mechanism on
+//!   one decode batch with every request present at t = 0; it matches a
+//!   step-by-step reference loop (`tests/engine_equivalence.rs`,
+//!   `tests/proptest_serving.rs`).
 //!
 //! Every run goes through [`crate::fleet::FleetEngine`]: one pipeline is a
 //! one-replica static fleet, whose merged report is the replica's own. The
@@ -72,7 +73,6 @@
 //! ```
 
 use crate::equeue::EventQueue;
-use crate::iterative::sample_positions;
 use crate::sink::{MetricsMode, RunSink};
 use rago_cache::{
     CacheConfig, CacheCounters, PrefixKvCache, PrefixLookup, RetrievalLookup, RetrievalResultCache,
@@ -80,13 +80,15 @@ use rago_cache::{
 use rago_schema::SloTarget;
 use rago_workloads::{ContentIdentity, Request};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
-/// Tolerance used when comparing event timestamps, matching the resume
-/// tolerance of [`crate::iterative::IterativeDecodeSim`].
+/// Tolerance used when comparing event timestamps: events this close
+/// apply together, so a retrieval returning at a step boundary resumes
+/// before the next step forms.
 const TIME_EPS: f64 = 1e-12;
 
 /// A latency model as a table indexed by batch fill (1-based), saturating at
@@ -266,8 +268,9 @@ pub struct IterativeSpec {
     pub iterative_batch: u32,
     /// Latency of one iterative retrieval + re-prefix pass, in seconds.
     pub retrieval_prefix_latency_s: f64,
-    /// RNG seed controlling the per-sequence trigger positions (same scheme
-    /// as [`crate::iterative::IterativeDecodeParams::seed`]).
+    /// RNG seed controlling the per-sequence trigger positions: each
+    /// request draws its positions from this stream at injection, in
+    /// injection order, uniformly among its tokens but the last.
     pub seed: u64,
 }
 
@@ -546,8 +549,7 @@ impl RequestTimeline {
     }
 
     /// Achieved time-per-output-token: decode residency divided by tokens
-    /// generated (the quantity [`crate::iterative::IterativeDecodeSim`]
-    /// reports).
+    /// generated (the quantity [`crate::iterative::simulate`] reports).
     pub fn tpot_s(&self) -> f64 {
         (self.completion_s - self.decode_join_s) / f64::from(self.decode_tokens.max(1))
     }
@@ -984,8 +986,8 @@ pub struct CacheProbe {
 
 /// Discrete events. Same-timestamp events are applied together (state first,
 /// then one dispatch pass), so a retrieval completing exactly at a step
-/// boundary resumes before the next step forms — mirroring the loop order of
-/// [`crate::iterative::IterativeDecodeSim`].
+/// boundary resumes before the next step forms, as in a step-by-step loop
+/// that resumes sequences before it steps.
 ///
 /// Events carry no member lists: the requests an event covers live in
 /// reusable buffers on the simulation ([`ReplicaSim::stage_batches`] per
@@ -1385,7 +1387,7 @@ impl SimAccumulators {
 pub(crate) struct ReplicaSim {
     spec: PipelineSpec,
     /// RNG for iterative trigger positions, sampled per request at injection
-    /// in arrival order — the exact scheme of `IterativeDecodeSim`.
+    /// in arrival order by [`sample_positions`].
     iterative_rng: Option<StdRng>,
     arena: ReqArena,
     /// Where retired requests go, in injection order.
@@ -2244,6 +2246,26 @@ pub(crate) struct Retired {
     pub(crate) peak_live: usize,
 }
 
+/// Samples `count` distinct retrieval positions uniformly from
+/// `[1, decode_len - 1]`, sorted ascending (retrievals never trigger on the
+/// final token — there is nothing left to generate). Draws nothing from
+/// `rng` when `count` is zero or `decode_len` at most 1.
+///
+/// A replica calls it once per request, at injection, so a request's
+/// positions depend only on the seed, its decode length, the retrieval
+/// count and the draws of the requests injected before it.
+fn sample_positions(rng: &mut StdRng, decode_len: u32, count: u32) -> Vec<u32> {
+    if count == 0 || decode_len <= 1 {
+        return Vec::new();
+    }
+    let mut candidates: Vec<u32> = (1..decode_len).collect();
+    candidates.shuffle(rng);
+    let take = (count as usize).min(candidates.len());
+    let mut positions = candidates[..take].to_vec();
+    positions.sort_unstable();
+    positions
+}
+
 /// Builds a [`ServingReport`] from completed timelines and the simulation
 /// accumulators. Shared by each replica's own report and the fleet-level
 /// merge in [`crate::fleet`], so replica and fleet metrics are computed by
@@ -2427,6 +2449,19 @@ mod tests {
     fn alone(spec: PipelineSpec) -> FleetEngine {
         let one = ScaleDriver::Static { replicas: 1 };
         FleetEngine::new(spec, RouterPolicy::default(), one)
+    }
+
+    #[test]
+    fn sample_positions_are_sorted_unique_and_in_range() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let pos = sample_positions(&mut rng, 256, 8);
+        assert_eq!(pos.len(), 8);
+        for w in pos.windows(2) {
+            assert!(w[1] > w[0]);
+        }
+        assert!(pos.iter().all(|&p| (1..256).contains(&p)));
+        assert!(sample_positions(&mut rng, 1, 5).is_empty());
+        assert!(sample_positions(&mut rng, 256, 0).is_empty());
     }
 
     fn one_stage_spec(

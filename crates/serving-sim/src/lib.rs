@@ -8,9 +8,9 @@
 //! * **Iterative-retrieval stalls** (§5.3, Figures 9 and 10): when decoding
 //!   pauses to issue mid-generation retrievals, the achieved TPOT depends on
 //!   how retrieval requests are batched against the set of actively decoding
-//!   sequences. [`iterative::IterativeDecodeSim`] reproduces that behaviour,
-//!   including the pure batching-idleness study of Figure 10 (zero-latency
-//!   retrieval + prefix).
+//!   sequences. [`iterative::simulate`] reproduces that behaviour on the
+//!   request-level [`engine`], including the pure batching-idleness study
+//!   of Figure 10 (zero-latency retrieval + prefix).
 //! * **Micro-batched execution of the pre-decode stages** (§6.1, Figures 14
 //!   and 19): a burst of requests can be split into micro-batches that flow
 //!   through the encoder/rewriter/retrieval/rerank/prefix stages either on
@@ -24,9 +24,10 @@
 //!   [`rago_workloads::ArrivalProcess`], with per-resource queues,
 //!   continuous batching for decode, and per-request timelines. It reports
 //!   TTFT/TPOT distributions, queueing-versus-service breakdown, and SLO
-//!   attainment/goodput against a [`rago_schema::SloTarget`] — and it
-//!   reproduces the two special-case simulators above as degenerate cases
-//!   (`tests/engine_equivalence.rs`).
+//!   attainment/goodput against a [`rago_schema::SloTarget`]. It is the
+//!   one decode model: the stall study above is one of its configurations,
+//!   and it reproduces the burst model of [`microbatch`] as a degenerate
+//!   case (`tests/engine_equivalence.rs`).
 //! * **Fleets** — the scale dimension on top of all three: one loop,
 //!   [`fleet::FleetEngine`], runs N replicas of a pipeline (optionally
 //!   heterogeneous, or split into prefill/decode pools) behind a
@@ -80,7 +81,7 @@
 //! # Examples
 //!
 //! ```
-//! use rago_serving_sim::iterative::{IterativeDecodeParams, IterativeDecodeSim};
+//! use rago_serving_sim::iterative::{simulate, IterativeDecodeParams};
 //!
 //! // 64 decoding sequences, 4 retrievals each, retrieval batch of 16.
 //! let params = IterativeDecodeParams {
@@ -92,7 +93,7 @@
 //!     retrieval_prefix_latency_s: 0.05,
 //!     seed: 7,
 //! };
-//! let result = IterativeDecodeSim::new(params).run();
+//! let result = simulate(params);
 //! assert!(result.tpot_worst_s >= result.tpot_mean_s);
 //! assert!(result.normalized_decode_latency >= 1.0);
 //! ```
@@ -154,9 +155,7 @@ pub use faults::{
     ScaleDriver, ScalingPlan, ShedEvent,
 };
 pub use fleet::{arrivals, FleetEngine, LostVerdict};
-pub use iterative::{
-    IterativeDecodeParams, IterativeDecodeResult, IterativeDecodeSim, TriggerTable,
-};
+pub use iterative::{IterativeDecodeParams, IterativeDecodeResult};
 pub use microbatch::{simulate_collocated_burst, simulate_pipelined_burst, BurstResult};
 pub use pools::{DisaggReport, PoolCrash, PoolReport, TransferStats};
 pub use sink::{

@@ -1,11 +1,11 @@
 //! Degenerate-case equivalence of the request-level replica simulation —
-//! run as a one-replica fleet — against the two special-case simulators it
-//! subsumes (the acceptance criterion of the engine):
+//! run as a one-replica fleet — against two independent models of the
+//! cases it subsumes (the acceptance criterion of the engine):
 //!
 //! * With no pre-decode stages, all requests present at t = 0, and a decode
-//!   batch equal to the request count, the replica **is**
-//!   [`IterativeDecodeSim`] — same TPOT, same completion time, same
-//!   retrieval-batch accounting.
+//!   batch equal to the request count, the replica **is** the step-by-step
+//!   decode loop of `reference_loop` — same TPOT, same completion time,
+//!   same retrieval-batch accounting.
 //! * With a burst at t = 0 flowing through pre-decode stages only, the
 //!   replica's TTFT distribution **is** the micro-batch burst model — the
 //!   pipelined variant when every stage owns a resource, the collocated
@@ -18,10 +18,13 @@ use rago_serving_sim::engine::{
 };
 use rago_serving_sim::faults::ScaleDriver;
 use rago_serving_sim::fleet::FleetEngine;
-use rago_serving_sim::iterative::{IterativeDecodeParams, IterativeDecodeSim};
+use rago_serving_sim::iterative::IterativeDecodeParams;
 use rago_serving_sim::microbatch::{simulate_collocated_burst, simulate_pipelined_burst};
 use rago_serving_sim::MetricsMode;
 use rago_telemetry::NullRecorder;
+
+mod reference_loop;
+use reference_loop::reference_run;
 
 const EPS: f64 = 1e-9;
 
@@ -36,7 +39,7 @@ fn run_alone(spec: PipelineSpec, requests: Vec<EngineRequest>) -> ServingReport 
 }
 
 /// Runs the replica configuration that degenerates to one
-/// `IterativeDecodeSim` run.
+/// [`reference_run`].
 fn run_iterative_case(params: IterativeDecodeParams) -> ServingReport {
     let spec = PipelineSpec::new(
         Vec::new(),
@@ -64,8 +67,8 @@ fn run_iterative_case(params: IterativeDecodeParams) -> ServingReport {
     run_alone(spec, requests)
 }
 
-fn assert_matches_iterative_sim(params: IterativeDecodeParams) {
-    let reference = IterativeDecodeSim::new(params).run();
+fn assert_matches_reference_loop(params: IterativeDecodeParams) {
+    let reference = reference_run(params);
     let report = run_iterative_case(params);
 
     let tpots: Vec<f64> = report
@@ -96,15 +99,15 @@ fn assert_matches_iterative_sim(params: IterativeDecodeParams) {
         report.metrics.retrieval_batches,
         reference.retrieval_batches
     );
-    assert!(
-        (report.metrics.mean_retrieval_batch_fill - reference.mean_retrieval_batch_fill).abs()
-            < EPS
+    assert_eq!(
+        report.metrics.mean_retrieval_batch_fill,
+        reference.mean_retrieval_batch_fill
     );
 }
 
 #[test]
 fn engine_reproduces_iterative_decode_sim_exactly() {
-    assert_matches_iterative_sim(IterativeDecodeParams {
+    assert_matches_reference_loop(IterativeDecodeParams {
         decode_batch: 64,
         iterative_batch: 16,
         decode_len: 256,
@@ -128,7 +131,7 @@ fn engine_reproduces_iterative_decode_sim_across_the_figure10_grid() {
         (8, 8, 0.05),
     ] {
         for seed in [0u64, 7, 1234] {
-            assert_matches_iterative_sim(IterativeDecodeParams {
+            assert_matches_reference_loop(IterativeDecodeParams {
                 decode_batch,
                 iterative_batch,
                 decode_len: 128,
@@ -143,7 +146,7 @@ fn engine_reproduces_iterative_decode_sim_across_the_figure10_grid() {
 
 #[test]
 fn engine_without_retrievals_decodes_unobstructed() {
-    assert_matches_iterative_sim(IterativeDecodeParams {
+    assert_matches_reference_loop(IterativeDecodeParams {
         decode_batch: 48,
         iterative_batch: 8,
         decode_len: 200,

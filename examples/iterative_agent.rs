@@ -13,7 +13,7 @@ use rago::accel_sim::{AcceleratorGroup, InferenceSimulator};
 use rago::hardware::{ClusterSpec, XpuSpec};
 use rago::retrieval_sim::RetrievalSimulator;
 use rago::schema::presets::{self, LlmSize};
-use rago::serving_sim::iterative::{IterativeDecodeParams, IterativeDecodeSim};
+use rago::serving_sim::iterative::{simulate, IterativeDecodeParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cluster = ClusterSpec::paper_default();
@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 iter_batch,
                 &prefix_group,
             )?;
-            let result = IterativeDecodeSim::new(IterativeDecodeParams {
+            let result = simulate(IterativeDecodeParams {
                 decode_batch,
                 iterative_batch: iter_batch,
                 decode_len: schema.sequence.decode_tokens,
@@ -56,8 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 step_latency_s: decode.step_latency_s,
                 retrieval_prefix_latency_s: retrieval_cost.latency_s + reprefix.latency_s,
                 seed: 11,
-            })
-            .run();
+            });
             println!(
                 "{:>14} {:>12} {:>12.1} {:>11.2}x",
                 decode_batch,

@@ -59,8 +59,9 @@
 //!   a grid of decode batch × iterative batch × retrievals × decode length ×
 //!   retrieval latency × seed, plus the Case III fast-grid frontier
 //!   (identity keys and performance bits). Pinned to the bit, not to nine
-//!   decimals, so a rewrite of the simulator loop must reproduce every
-//!   floating-point operation in order.
+//!   decimals, so a change to the replica engine's decode runs or
+//!   iterative retrievals must reproduce every floating-point operation in
+//!   order.
 //!
 //! # Updating
 //!
@@ -1117,7 +1118,7 @@ fn golden_iterative_decode() {
     // one- and two-token generations, and retrieval latencies of zero,
     // under one step, and far above one step. Then the Case III search that
     // scores every candidate with it.
-    use rago::serving_sim::iterative::{IterativeDecodeParams, IterativeDecodeSim};
+    use rago::serving_sim::iterative::{simulate, IterativeDecodeParams};
     let step_latency_s = 1e-3;
     let latencies = [("zero", 0.0), ("under_step", 4e-4), ("over_step", 0.05)];
     let mut rows = Vec::new();
@@ -1127,7 +1128,7 @@ fn golden_iterative_decode() {
                 for decode_len in [1u32, 2, 256] {
                     for (latency_name, latency) in latencies {
                         for seed in [7u64, 0x5EED] {
-                            let r = IterativeDecodeSim::new(IterativeDecodeParams {
+                            let r = simulate(IterativeDecodeParams {
                                 decode_batch,
                                 iterative_batch,
                                 decode_len,
@@ -1135,19 +1136,17 @@ fn golden_iterative_decode() {
                                 step_latency_s,
                                 retrieval_prefix_latency_s: latency,
                                 seed,
-                            })
-                            .run();
+                            });
                             rows.push(format!(
                                 "    [{decode_batch}, {iterative_batch}, {retrievals}, \
                                  {decode_len}, \"{latency_name}\", {seed}, {}, {}, {}, {}, {}, \
-                                 {}, {}]",
+                                 {}]",
                                 bits(r.total_time_s),
                                 bits(r.tpot_mean_s),
                                 bits(r.tpot_worst_s),
                                 bits(r.normalized_decode_latency),
                                 r.retrieval_batches,
                                 bits(r.mean_retrieval_batch_fill),
-                                bits(r.idle_fraction),
                             ));
                         }
                     }
@@ -1187,7 +1186,7 @@ fn golden_iterative_decode() {
         "  \"columns\": [\"decode_batch\", \"iterative_batch\", \"retrievals\", \
          \"decode_len\", \"latency\", \"seed\", \"total_time_s\", \"tpot_mean_s\", \
          \"tpot_worst_s\", \"normalized_decode_latency\", \"retrieval_batches\", \
-         \"mean_retrieval_batch_fill\", \"idle_fraction\"],\n",
+         \"mean_retrieval_batch_fill\"],\n",
     );
     out.push_str("  \"simulations\": [\n");
     out.push_str(&rows.join(",\n"));

@@ -6,7 +6,7 @@ use rago::core::{breakdown, StageProfiler};
 use rago::hardware::{ClusterSpec, XpuSpec};
 use rago::schema::presets::{self, LlmSize};
 use rago::schema::{ModelConfig, Stage};
-use rago::serving_sim::iterative::{IterativeDecodeParams, IterativeDecodeSim};
+use rago::serving_sim::iterative::{simulate, IterativeDecodeParams};
 
 #[test]
 fn claim_5_1_retrieval_share_grows_with_scan_fraction() {
@@ -92,7 +92,7 @@ fn claim_5_3_idleness_peaks_when_batches_match() {
     // size approaches the decode batch size, and ~1.0 when the iterative
     // batch is 1.
     let run = |iterative_batch: u32| {
-        IterativeDecodeSim::new(IterativeDecodeParams {
+        simulate(IterativeDecodeParams {
             decode_batch: 64,
             iterative_batch,
             decode_len: 256,
@@ -101,7 +101,6 @@ fn claim_5_3_idleness_peaks_when_batches_match() {
             retrieval_prefix_latency_s: 0.0,
             seed: 3,
         })
-        .run()
         .normalized_decode_latency
     };
     let small = run(1);

@@ -6,33 +6,71 @@
 use rago_bench::{default_cluster, fmt_f, print_header, print_row};
 use rago_core::StageProfiler;
 use rago_schema::presets::{self, LlmSize};
-use rago_schema::{RagSchema, Stage};
-use rago_serving_sim::microbatch::simulate_pipelined_burst;
+use rago_schema::{RagSchema, RouterPolicy, Stage};
+use rago_serving_sim::engine::{DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, StageSpec};
+use rago_serving_sim::{FleetEngine, MetricsMode, ScaleDriver};
+use rago_telemetry::NullRecorder;
 
 /// Mean TTFT of a burst pushed through the pre-decode stages, split into
-/// micro-batches of the given size. Stage latencies come from the analytical
-/// profiler with fixed per-stage resources (16 XPUs / 32 retrieval servers).
-fn mean_ttft(profiler: &StageProfiler, schema: &RagSchema, burst: u32, microbatch: u32) -> f64 {
-    let stages: Vec<Stage> = schema
-        .pipeline()
-        .into_iter()
-        .filter(|s| s.affects_ttft())
-        .collect();
-    let latency_fns: Vec<Box<dyn Fn(u32) -> f64>> = stages
+/// micro-batches of `microbatch`: one replica runs every TTFT-affecting
+/// stage on its own resource, with the whole burst arriving at t = 0.
+/// Stage latencies come from the analytical profiler with fixed per-stage
+/// resources (16 XPUs / 32 retrieval servers); `None` if a stage cannot
+/// run a batch.
+fn mean_ttft(
+    profiler: &StageProfiler,
+    schema: &RagSchema,
+    burst: u32,
+    microbatch: u32,
+) -> Option<f64> {
+    let mut stages = Vec::new();
+    for stage in schema.pipeline().into_iter().filter(|s| s.affects_ttft()) {
+        let resources = if stage == Stage::Retrieval { 32 } else { 16 };
+        let mut table = Vec::with_capacity(microbatch as usize);
+        for fill in 1..=microbatch {
+            table.push(profiler.profile(stage, resources, fill).ok()?.latency_s);
+        }
+        stages.push(StageSpec::new(
+            stage.to_string(),
+            stages.len(),
+            microbatch,
+            LatencyTable::from_table(table),
+        ));
+    }
+    // TTFT ends before decoding starts: one negligible step per request.
+    let spec = PipelineSpec::new(
+        stages,
+        DecodeSpec::new(burst, LatencyTable::constant(burst, 1e-9)),
+    );
+    let requests = (0..burst).map(|i| EngineRequest {
+        id: u64::from(i),
+        arrival_s: 0.0,
+        prefix_tokens: 0,
+        decode_tokens: 1,
+        class: 0,
+        identity: None,
+    });
+    let one = ScaleDriver::Static { replicas: 1 };
+    let engine = FleetEngine::new(spec, RouterPolicy::default(), one);
+    let timelines = engine
+        .run(requests, &MetricsMode::Exact, &mut NullRecorder)
+        .fleet
+        .merged
+        .timelines;
+    let total: f64 = timelines
         .iter()
-        .map(|&stage| {
-            let resources = if stage == Stage::Retrieval { 32 } else { 16 };
-            let profiler = profiler.clone();
-            Box::new(move |batch: u32| {
-                profiler
-                    .profile(stage, resources, batch.max(1))
-                    .map(|p| p.latency_s)
-                    .unwrap_or(f64::INFINITY)
-            }) as Box<dyn Fn(u32) -> f64>
-        })
-        .collect();
-    let refs: Vec<&dyn Fn(u32) -> f64> = latency_fns.iter().map(|f| f.as_ref()).collect();
-    simulate_pipelined_burst(&refs, burst, microbatch).mean_completion_s
+        .map(|t| t.stage_ends_s.last().expect("every pipeline has a prefix") - t.arrival_s)
+        .sum();
+    Some(total / timelines.len() as f64)
+}
+
+/// The TTFT reduction (%) of micro-batching over one whole batch, or `-`
+/// when either run is infeasible.
+fn reduction_cell(whole: Option<f64>, micro: Option<f64>) -> String {
+    match (whole, micro) {
+        (Some(whole), Some(micro)) => fmt_f((1.0 - micro / whole).max(0.0) * 100.0, 1),
+        _ => "-".to_string(),
+    }
 }
 
 fn reduction_table(
@@ -53,8 +91,7 @@ fn reduction_table(
         for &burst in bursts {
             let whole = mean_ttft(&profiler, &schema, burst, burst);
             let micro = mean_ttft(&profiler, &schema, burst, 2.max(burst / 8));
-            let reduction = (1.0 - micro / whole).max(0.0) * 100.0;
-            cells.push(fmt_f(reduction, 1));
+            cells.push(reduction_cell(whole, micro));
         }
         print_row(&cells, 14);
     }
@@ -105,4 +142,23 @@ fn main() {
     println!("expected shape: compute-heavy pipelines (Case II) benefit even at small bursts;");
     println!("Case I only benefits once the burst exceeds the retrieval latency floor (~16);");
     println!("Case IV sees moderate reductions limited by the rewriter's decode.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::reduction_cell;
+
+    #[test]
+    fn a_feasible_cell_prints_the_reduction() {
+        assert_eq!(reduction_cell(Some(2.0), Some(1.5)), "25.0");
+        // Micro-batching that hurts prints no negative reduction.
+        assert_eq!(reduction_cell(Some(1.0), Some(1.2)), "0.0");
+    }
+
+    #[test]
+    fn an_infeasible_run_prints_a_dash() {
+        assert_eq!(reduction_cell(None, Some(1.0)), "-");
+        assert_eq!(reduction_cell(Some(1.0), None), "-");
+        assert_eq!(reduction_cell(None, None), "-");
+    }
 }

@@ -2,10 +2,11 @@
 //! Criterion benches of the RAGO reproduction.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper's
-//! evaluation, printing the same rows or series the paper reports (see
-//! `EXPERIMENTS.md` at the workspace root for the mapping and the recorded
-//! results). The helpers here keep the binaries small: common clusters,
-//! search options, and fixed-width table printing.
+//! evaluation, printing the same rows or series the paper reports (see the
+//! "Which module reproduces which paper result" table of `ARCHITECTURE.md`
+//! at the workspace root for the mapping). The helpers here keep the
+//! binaries small: common clusters, search options, and fixed-width table
+//! printing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,10 +4,10 @@
 //! The replica simulation drives **whole requests** — encode → rewrite →
 //! retrieve → rerank → prefix → decode, with optional iterative retrieval —
 //! from their arrival timestamps to their last generated token, under any
-//! arrival process from `rago-workloads`. It generalizes the closed-form
-//! burst model of [`crate::microbatch`], which pushes one burst through the
-//! pre-decode stages, and it is the one decode model of the crate: the
-//! decode-stall study of [`crate::iterative`] runs on it too.
+//! arrival process from `rago-workloads`. It is the one model of the
+//! crate: the micro-batched bursts of Figures 14 and 19 are a burst at
+//! t = 0 through the pre-decode stages, and the decode-stall study of
+//! [`crate::iterative`] runs on it too.
 //!
 //! * **Per-resource queues.** Every pipeline stage is mapped to a resource
 //!   (an accelerator group or the retrieval CPU pool). A resource executes

@@ -15,8 +15,10 @@
 //!   and 19): a burst of requests can be split into micro-batches that flow
 //!   through the encoder/rewriter/retrieval/rerank/prefix stages either on
 //!   disaggregated resources (pipelined) or on one collocated resource
-//!   (time-multiplexed with an execution-order policy).
-//!   [`microbatch`] computes per-request completion times for both policies.
+//!   (time-multiplexed with an execution-order policy). Both run on the
+//!   [`engine`] below: one [`engine::StageSpec`] per stage, on its own
+//!   resource or all on one, with the whole burst arriving at t = 0
+//!   (`bin/fig19` in `rago-bench`).
 //! * **Request streams** — the general case subsuming both: [`engine`] is a
 //!   request-level discrete-event simulation that drives whole requests
 //!   through the full pipeline (encode → rewrite → retrieve → rerank →
@@ -24,10 +26,9 @@
 //!   [`rago_workloads::ArrivalProcess`], with per-resource queues,
 //!   continuous batching for decode, and per-request timelines. It reports
 //!   TTFT/TPOT distributions, queueing-versus-service breakdown, and SLO
-//!   attainment/goodput against a [`rago_schema::SloTarget`]. It is the
-//!   one decode model: the stall study above is one of its configurations,
-//!   and it reproduces the burst model of [`microbatch`] as a degenerate
-//!   case (`tests/engine_equivalence.rs`).
+//!   attainment/goodput against a [`rago_schema::SloTarget`]. It
+//!   reproduces a step-by-step decode loop and the closed-form burst
+//!   models as degenerate cases (`tests/engine_equivalence.rs`).
 //! * **Fleets** — the scale dimension on top of all three: one loop,
 //!   [`fleet::FleetEngine`], runs N replicas of a pipeline (optionally
 //!   heterogeneous, or split into prefill/decode pools) behind a
@@ -134,7 +135,6 @@ mod equeue;
 pub mod faults;
 pub mod fleet;
 pub mod iterative;
-pub mod microbatch;
 pub mod pools;
 pub mod sink;
 mod telemetry;
@@ -156,7 +156,6 @@ pub use faults::{
 };
 pub use fleet::{arrivals, FleetEngine, LostVerdict};
 pub use iterative::{IterativeDecodeParams, IterativeDecodeResult};
-pub use microbatch::{simulate_collocated_burst, simulate_pipelined_burst, BurstResult};
 pub use pools::{DisaggReport, PoolCrash, PoolReport, TransferStats};
 pub use sink::{
     ClassSloScore, HistogramSink, LatencyHistogram, MetricsMode, RequestOutcome, StreamedScores,

@@ -198,7 +198,6 @@ pub(crate) fn record_load_gauges<R: Recorder>(
     if !R::ENABLED || cadence_s <= 0.0 || !end_s.is_finite() {
         return;
     }
-    // Delta lists: +1 when a request enters the state, -1 when it leaves.
     let mut queue: Vec<(f64, i64)> = Vec::with_capacity(2 * timelines.len());
     let mut decode: Vec<(f64, i64)> = Vec::with_capacity(2 * timelines.len());
     for tl in timelines {
@@ -211,35 +210,22 @@ pub(crate) fn record_load_gauges<R: Recorder>(
             decode.push((tl.completion_s, -1));
         }
     }
-    queue.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    decode.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-    let samples = (end_s / cadence_s).floor() as u64;
-    let (mut qi, mut di) = (0usize, 0usize);
-    let (mut qlevel, mut dlevel) = (0i64, 0i64);
-    for k in 0..=samples {
-        let t = k as f64 * cadence_s;
-        while qi < queue.len() && queue[qi].0 <= t {
-            qlevel += queue[qi].1;
-            qi += 1;
-        }
-        while di < decode.len() && decode[di].0 <= t {
-            dlevel += decode[di].1;
-            di += 1;
-        }
+    let queue = step_samples(queue, cadence_s, end_s);
+    let decode = step_samples(decode, cadence_s, end_s);
+    for ((t, queued), (_, decoding)) in queue.zip(decode) {
         rec.record(TraceEvent::counter(
             t,
             track,
             Lane::Gauge,
             "queue_depth",
-            qlevel as f64,
+            queued,
         ));
         rec.record(TraceEvent::counter(
             t,
             track,
             Lane::Gauge,
             "decode_fill",
-            dlevel as f64,
+            decoding,
         ));
     }
 }
@@ -370,24 +356,37 @@ pub(crate) fn record_routable_gauge<R: Recorder>(
             deltas.push((d, -1));
         }
     }
-    deltas.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let samples = (end_s / cadence_s).floor() as u64;
-    let mut i = 0usize;
-    let mut level = 0i64;
-    for k in 0..=samples {
-        let t = k as f64 * cadence_s;
-        while i < deltas.len() && deltas[i].0 <= t {
-            level += deltas[i].1;
-            i += 1;
-        }
+    for (t, routable) in step_samples(deltas, cadence_s, end_s) {
         rec.record(TraceEvent::counter(
             t,
             rago_telemetry::FLEET_TRACK,
             Lane::Gauge,
             "routable_replicas",
-            level as f64,
+            routable,
         ));
     }
+}
+
+/// Samples a step function at every `k * cadence_s` over `[0, end_s]`,
+/// yielding `(t, level)`. `deltas` are `(time, +1)` when something enters
+/// the state and `(time, -1)` when it leaves; a change at exactly `t`
+/// counts.
+fn step_samples(
+    mut deltas: Vec<(f64, i64)>,
+    cadence_s: f64,
+    end_s: f64,
+) -> impl Iterator<Item = (f64, f64)> {
+    deltas.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let samples = (end_s / cadence_s).floor() as u64;
+    let (mut i, mut level) = (0usize, 0i64);
+    (0..=samples).map(move |k| {
+        let t = k as f64 * cadence_s;
+        while i < deltas.len() && deltas[i].0 <= t {
+            level += deltas[i].1;
+            i += 1;
+        }
+        (t, level as f64)
+    })
 }
 
 /// Folds one event queue's counters (plus the DES event total) into a

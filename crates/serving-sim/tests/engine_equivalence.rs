@@ -7,36 +7,27 @@
 //!   decode loop of `reference_loop` — same TPOT, same completion time,
 //!   same retrieval-batch accounting.
 //! * With a burst at t = 0 flowing through pre-decode stages only, the
-//!   replica's TTFT distribution **is** the micro-batch burst model — the
-//!   pipelined variant when every stage owns a resource, the collocated
-//!   variant when all stages share one.
+//!   replica's TTFT distribution **is** the closed-form burst model of
+//!   `reference_burst` — the pipelined variant when every stage owns a
+//!   resource, the collocated variant when all stages share one.
+//!
+//! The burst tests after those pin the §6.1 micro-batching behaviours of
+//! Figures 14 and 19 on the engine itself.
 
-use rago_schema::RouterPolicy;
 use rago_serving_sim::engine::{
     DecodeSpec, EngineRequest, IterativeSpec, LatencyTable, PipelineSpec, RequestTimeline,
-    ServingReport, StageSpec,
+    ServingReport,
 };
-use rago_serving_sim::faults::ScaleDriver;
-use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::iterative::IterativeDecodeParams;
-use rago_serving_sim::microbatch::{simulate_collocated_burst, simulate_pipelined_burst};
-use rago_serving_sim::MetricsMode;
-use rago_telemetry::NullRecorder;
 
+mod one_replica;
+mod reference_burst;
 mod reference_loop;
+use one_replica::{affine, dispatches, run_alone, run_burst, ttft_first_mean_makespan};
+use reference_burst::{collocated_burst, pipelined_burst, BurstResult};
 use reference_loop::reference_run;
 
 const EPS: f64 = 1e-9;
-
-/// Runs `requests` through one replica of `spec`: a one-replica static
-/// fleet, whose merged report is the replica's own.
-fn run_alone(spec: PipelineSpec, requests: Vec<EngineRequest>) -> ServingReport {
-    let one = ScaleDriver::Static { replicas: 1 };
-    FleetEngine::new(spec, RouterPolicy::default(), one)
-        .run(requests, &MetricsMode::Exact, &mut NullRecorder)
-        .fleet
-        .merged
-}
 
 /// Runs the replica configuration that degenerates to one
 /// [`reference_run`].
@@ -157,86 +148,31 @@ fn engine_without_retrievals_decodes_unobstructed() {
     });
 }
 
-/// Affine stage latencies shared by both burst models.
-fn affine(base: f64, per_item: f64) -> impl Fn(u32) -> f64 {
-    move |b: u32| base + per_item * f64::from(b)
-}
-
-/// Runs a burst over the given stage closures, one resource per stage
-/// (`disaggregated`) or all on resource zero (`collocated`).
-fn run_burst(
-    stages: &[(f64, f64)],
-    burst: u32,
-    microbatch: u32,
-    disaggregated: bool,
-) -> ServingReport {
-    let specs: Vec<StageSpec> = stages
-        .iter()
-        .enumerate()
-        .map(|(s, &(base, per))| {
-            StageSpec::new(
-                format!("s{s}"),
-                if disaggregated { s } else { 0 },
-                microbatch,
-                LatencyTable::from_fn(microbatch, affine(base, per)),
-            )
-        })
-        .collect();
-    // A trivially fast decode stage: TTFT is unaffected by decoding.
-    let spec = PipelineSpec::new(
-        specs,
-        DecodeSpec::new(burst, LatencyTable::constant(burst, 1e-9)),
-    );
-    let requests = (0..burst)
-        .map(|i| EngineRequest {
-            id: u64::from(i),
-            arrival_s: 0.0,
-            prefix_tokens: 0,
-            decode_tokens: 1,
-            class: 0,
-            identity: None,
-        })
-        .collect();
-    run_alone(spec, requests)
-}
-
-fn ttft_first_mean_makespan(report: &ServingReport) -> (f64, f64, f64) {
-    let ttfts: Vec<f64> = report
-        .timelines
-        .iter()
-        .map(RequestTimeline::ttft_s)
-        .collect();
-    let first = ttfts.iter().fold(f64::INFINITY, |a, &b| a.min(b));
-    let mean = ttfts.iter().sum::<f64>() / ttfts.len() as f64;
-    let max = ttfts.iter().fold(0.0f64, |a, &b| a.max(b));
-    (first, mean, max)
+/// Asserts that the engine's burst TTFTs match the closed form's
+/// completion times.
+fn assert_matches_reference(report: &ServingReport, reference: &BurstResult, case: &str) {
+    let (first, mean, max) = ttft_first_mean_makespan(report);
+    for (what, engine, closed_form) in [
+        ("first", first, reference.first_completion_s),
+        ("mean", mean, reference.mean_completion_s),
+        ("makespan", max, reference.makespan_s),
+    ] {
+        assert!(
+            (engine - closed_form).abs() < EPS,
+            "{case}: {what} {engine} != {closed_form}"
+        );
+    }
 }
 
 #[test]
 fn engine_reproduces_pipelined_burst_completion_times() {
     let stage_params = [(0.01, 0.001), (0.02, 0.002), (0.005, 0.004)];
-    let s0 = affine(0.01, 0.001);
-    let s1 = affine(0.02, 0.002);
-    let s2 = affine(0.005, 0.004);
-    let closures: Vec<&dyn Fn(u32) -> f64> = vec![&s0, &s1, &s2];
+    let stages: Vec<_> = stage_params.iter().map(|&(b, p)| affine(b, p)).collect();
     for (burst, microbatch) in [(32u32, 4u32), (32, 32), (17, 5), (8, 1), (3, 16)] {
-        let reference = simulate_pipelined_burst(&closures, burst, microbatch);
-        let report = run_burst(&stage_params, burst, microbatch, true);
-        let (first, mean, max) = ttft_first_mean_makespan(&report);
-        assert!(
-            (first - reference.first_completion_s).abs() < EPS,
-            "burst={burst} mb={microbatch}: first {first} != {}",
-            reference.first_completion_s
-        );
-        assert!(
-            (mean - reference.mean_completion_s).abs() < EPS,
-            "burst={burst} mb={microbatch}: mean {mean} != {}",
-            reference.mean_completion_s
-        );
-        assert!(
-            (max - reference.makespan_s).abs() < EPS,
-            "burst={burst} mb={microbatch}: makespan {max} != {}",
-            reference.makespan_s
+        assert_matches_reference(
+            &run_burst(&stage_params, burst, microbatch, true),
+            &pipelined_burst(&stages, burst, microbatch),
+            &format!("burst={burst} mb={microbatch}"),
         );
     }
 }
@@ -244,27 +180,12 @@ fn engine_reproduces_pipelined_burst_completion_times() {
 #[test]
 fn engine_reproduces_collocated_burst_completion_times() {
     let stage_params = [(0.0, 0.01), (0.0, 0.01)];
-    let s0 = affine(0.0, 0.01);
-    let s1 = affine(0.0, 0.01);
-    let closures: Vec<&dyn Fn(u32) -> f64> = vec![&s0, &s1];
+    let stages: Vec<_> = stage_params.iter().map(|&(b, p)| affine(b, p)).collect();
     for (burst, microbatch) in [(8u32, 4u32), (16, 4), (16, 16), (9, 2)] {
-        let reference = simulate_collocated_burst(&closures, burst, microbatch);
-        let report = run_burst(&stage_params, burst, microbatch, false);
-        let (first, mean, max) = ttft_first_mean_makespan(&report);
-        assert!(
-            (first - reference.first_completion_s).abs() < EPS,
-            "burst={burst} mb={microbatch}: first {first} != {}",
-            reference.first_completion_s
-        );
-        assert!(
-            (mean - reference.mean_completion_s).abs() < EPS,
-            "burst={burst} mb={microbatch}: mean {mean} != {}",
-            reference.mean_completion_s
-        );
-        assert!(
-            (max - reference.makespan_s).abs() < EPS,
-            "burst={burst} mb={microbatch}: makespan {max} != {}",
-            reference.makespan_s
+        assert_matches_reference(
+            &run_burst(&stage_params, burst, microbatch, false),
+            &collocated_burst(&stages, burst, microbatch),
+            &format!("burst={burst} mb={microbatch}"),
         );
     }
 }
@@ -272,19 +193,72 @@ fn engine_reproduces_collocated_burst_completion_times() {
 #[test]
 fn engine_collocated_matches_heterogeneous_stage_costs_too() {
     let stage_params = [(0.01, 0.005), (0.02, 0.001), (0.005, 0.002)];
-    let s0 = affine(0.01, 0.005);
-    let s1 = affine(0.02, 0.001);
-    let s2 = affine(0.005, 0.002);
-    let closures: Vec<&dyn Fn(u32) -> f64> = vec![&s0, &s1, &s2];
+    let stages: Vec<_> = stage_params.iter().map(|&(b, p)| affine(b, p)).collect();
     for mb in [1u32, 2, 4, 8, 16] {
-        let reference = simulate_collocated_burst(&closures, 16, mb);
-        let report = run_burst(&stage_params, 16, mb, false);
-        let (_, mean, max) = ttft_first_mean_makespan(&report);
-        assert!(
-            (mean - reference.mean_completion_s).abs() < EPS,
-            "mb={mb}: mean {mean} != {}",
-            reference.mean_completion_s
+        assert_matches_reference(
+            &run_burst(&stage_params, 16, mb, false),
+            &collocated_burst(&stages, 16, mb),
+            &format!("mb={mb}"),
         );
-        assert!((max - reference.makespan_s).abs() < EPS);
     }
+}
+
+#[test]
+fn one_microbatch_takes_the_sum_of_the_stage_latencies() {
+    // Pipelined or collocated, a single micro-batch runs the stages back
+    // to back, and every request completes with it.
+    let stages = [(0.01, 0.001), (0.02, 0.002)];
+    let serial = (0.01 + 0.001 * 8.0) + (0.02 + 0.002 * 8.0);
+    for disaggregated in [true, false] {
+        let report = run_burst(&stages, 8, 8, disaggregated);
+        let (first, mean, makespan) = ttft_first_mean_makespan(&report);
+        assert!((makespan - serial).abs() < EPS, "{makespan} != {serial}");
+        assert!((first - makespan).abs() < EPS && (mean - makespan).abs() < EPS);
+        assert_eq!(dispatches(&report), 1);
+    }
+}
+
+#[test]
+fn microbatching_cuts_first_and_mean_ttft_for_compute_heavy_stages() {
+    // Stages with negligible fixed overhead: smaller batches finish the
+    // first requests much earlier (the Figure 19b regime).
+    let stages = [(1e-4, 0.01), (1e-4, 0.02)];
+    let (whole_first, whole_mean, _) = ttft_first_mean_makespan(&run_burst(&stages, 32, 32, true));
+    let micro = run_burst(&stages, 32, 4, true);
+    let (micro_first, micro_mean, _) = ttft_first_mean_makespan(&micro);
+    assert!(micro_first < whole_first * 0.5);
+    assert!(micro_mean < whole_mean);
+    assert_eq!(dispatches(&micro), 8);
+}
+
+#[test]
+fn microbatching_does_not_help_a_latency_floor_stage() {
+    // A stage dominated by a fixed per-batch cost (like the vector search
+    // below batch 16 in Figure 19a) gains nothing from smaller batches, and
+    // the mean gets worse because later micro-batches queue.
+    let stages = [(0.05, 1e-5)];
+    let (whole_first, whole_mean, _) = ttft_first_mean_makespan(&run_burst(&stages, 16, 16, true));
+    let (micro_first, micro_mean, _) = ttft_first_mean_makespan(&run_burst(&stages, 16, 2, true));
+    assert!(micro_first >= whole_first * 0.95);
+    assert!(micro_mean > whole_mean);
+}
+
+#[test]
+fn collocation_finishes_the_first_microbatch_before_starting_the_next() {
+    // Two micro-batches of 4 through two stages on one resource: the
+    // optimal order of Figure 14(b) runs micro-batch 1's second stage
+    // before micro-batch 2's first, so the first completion is
+    // s1(4) + s2(4) = 0.08 s, not 2·s1(4) + s2(4), and the makespan is all
+    // four jobs back to back.
+    let report = run_burst(&[(0.0, 0.01), (0.0, 0.01)], 8, 4, false);
+    let (first, _, makespan) = ttft_first_mean_makespan(&report);
+    assert!((first - 0.08).abs() < EPS, "{first}");
+    assert!((makespan - 0.16).abs() < EPS, "{makespan}");
+}
+
+#[test]
+fn a_burst_smaller_than_the_microbatch_is_one_dispatch() {
+    let report = run_burst(&[(0.01, 0.001)], 3, 16, true);
+    assert_eq!(dispatches(&report), 1);
+    assert_eq!(report.metrics.completed, 3);
 }

@@ -1,29 +1,13 @@
 //! Property-based tests for the discrete-event serving simulators.
 
 use proptest::prelude::*;
-use rago_schema::RouterPolicy;
-use rago_serving_sim::engine::{
-    DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, ServingReport, StageSpec,
-};
-use rago_serving_sim::faults::ScaleDriver;
-use rago_serving_sim::fleet::FleetEngine;
+use rago_serving_sim::engine::{DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, StageSpec};
 use rago_serving_sim::iterative::{simulate, IterativeDecodeParams, IterativeDecodeResult};
-use rago_serving_sim::microbatch::{simulate_collocated_burst, simulate_pipelined_burst};
-use rago_serving_sim::MetricsMode;
-use rago_telemetry::NullRecorder;
 
+mod one_replica;
 mod reference_loop;
+use one_replica::{dispatches, run_alone, run_burst, ttft_first_mean_makespan};
 use reference_loop::reference_run;
-
-/// Runs `requests` through one replica of `spec`: a one-replica static
-/// fleet, whose merged report is the replica's own.
-fn run_alone(spec: PipelineSpec, requests: Vec<EngineRequest>) -> ServingReport {
-    let one = ScaleDriver::Static { replicas: 1 };
-    FleetEngine::new(spec, RouterPolicy::default(), one)
-        .run(requests, &MetricsMode::Exact, &mut NullRecorder)
-        .fleet
-        .merged
-}
 
 /// Whether the four time fields agree within the 1e-9 tolerance of the
 /// engine-versus-loop pins. The last bits may differ: when a retrieval
@@ -137,7 +121,8 @@ proptest! {
     }
 
     /// Pipelined execution never loses to collocated execution on the same
-    /// stage costs, and both preserve basic ordering invariants.
+    /// stage costs, both preserve basic ordering invariants, and both
+    /// dispatch ceil(burst / microbatch) micro-batches.
     #[test]
     fn pipelined_never_loses_to_collocated(
         burst in 1u32..64,
@@ -147,18 +132,18 @@ proptest! {
         base2 in 1e-4f64..0.05,
         per2 in 1e-5f64..0.01,
     ) {
-        let s1 = move |b: u32| base1 + per1 * f64::from(b);
-        let s2 = move |b: u32| base2 + per2 * f64::from(b);
-        let stages: Vec<&dyn Fn(u32) -> f64> = vec![&s1, &s2];
-        let pipe = simulate_pipelined_burst(&stages, burst, microbatch);
-        let col = simulate_collocated_burst(&stages, burst, microbatch);
-        prop_assert!(pipe.makespan_s <= col.makespan_s + 1e-9);
-        prop_assert!(pipe.first_completion_s <= pipe.mean_completion_s + 1e-9);
-        prop_assert!(pipe.mean_completion_s <= pipe.makespan_s + 1e-9);
-        prop_assert!(col.first_completion_s <= col.mean_completion_s + 1e-9);
-        prop_assert_eq!(pipe.num_microbatches, col.num_microbatches);
-        // Number of micro-batches is ceil(burst / microbatch).
-        prop_assert_eq!(pipe.num_microbatches, burst.div_ceil(microbatch));
+        let stages = [(base1, per1), (base2, per2)];
+        let pipe = run_burst(&stages, burst, microbatch, true);
+        let col = run_burst(&stages, burst, microbatch, false);
+        let (pipe_first, pipe_mean, pipe_max) = ttft_first_mean_makespan(&pipe);
+        let (col_first, col_mean, col_max) = ttft_first_mean_makespan(&col);
+        prop_assert!(pipe_max <= col_max + 1e-9);
+        prop_assert!(pipe_first <= pipe_mean + 1e-9);
+        prop_assert!(pipe_mean <= pipe_max + 1e-9);
+        prop_assert!(col_first <= col_mean + 1e-9);
+        let expected = burst.div_ceil(microbatch) as usize;
+        prop_assert_eq!(dispatches(&pipe), expected);
+        prop_assert_eq!(dispatches(&col), expected);
     }
 
     /// Engine timelines are causally ordered and every request completes,
@@ -218,14 +203,13 @@ proptest! {
         per1 in 1e-5f64..0.01,
         per2 in 1e-5f64..0.01,
     ) {
-        let s1 = move |b: u32| per1 * f64::from(b);
-        let s2 = move |b: u32| per2 * f64::from(b);
-        let stages: Vec<&dyn Fn(u32) -> f64> = vec![&s1, &s2];
-        let r = simulate_pipelined_burst(&stages, burst, microbatch);
+        let r = run_burst(&[(0.0, per1), (0.0, per2)], burst, microbatch, true);
+        let (_, _, makespan) = ttft_first_mean_makespan(&r);
         let total1 = per1 * f64::from(burst);
         let total2 = per2 * f64::from(burst);
         let serial = total1 + total2;
-        prop_assert!(r.makespan_s >= total1.max(total2) - 1e-12);
-        prop_assert!(r.makespan_s <= serial + 1e-9);
+        prop_assert!(makespan >= total1.max(total2) - 1e-12);
+        prop_assert!(makespan <= serial + 1e-9);
+        prop_assert_eq!(dispatches(&r), burst.div_ceil(microbatch) as usize);
     }
 }

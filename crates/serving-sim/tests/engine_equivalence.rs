@@ -15,15 +15,16 @@
 //! Figures 14 and 19 on the engine itself.
 
 use rago_serving_sim::engine::{
-    DecodeSpec, EngineRequest, IterativeSpec, LatencyTable, PipelineSpec, RequestTimeline,
-    ServingReport,
+    DecodeSpec, IterativeSpec, LatencyTable, PipelineSpec, RequestTimeline, ServingReport,
 };
 use rago_serving_sim::iterative::IterativeDecodeParams;
 
 mod one_replica;
 mod reference_burst;
 mod reference_loop;
-use one_replica::{affine, dispatches, run_alone, run_burst, ttft_first_mean_makespan};
+use one_replica::{
+    affine, burst_requests, dispatches, run_alone, run_burst, ttft_first_mean_makespan,
+};
 use reference_burst::{collocated_burst, pipelined_burst, BurstResult};
 use reference_loop::reference_run;
 
@@ -45,17 +46,7 @@ fn run_iterative_case(params: IterativeDecodeParams) -> ServingReport {
         retrieval_prefix_latency_s: params.retrieval_prefix_latency_s,
         seed: params.seed,
     });
-    let requests = (0..params.decode_batch)
-        .map(|i| EngineRequest {
-            id: u64::from(i),
-            arrival_s: 0.0,
-            prefix_tokens: 0,
-            decode_tokens: params.decode_len,
-            class: 0,
-            identity: None,
-        })
-        .collect();
-    run_alone(spec, requests)
+    run_alone(spec, burst_requests(params.decode_batch, params.decode_len))
 }
 
 fn assert_matches_reference_loop(params: IterativeDecodeParams) {
@@ -203,19 +194,61 @@ fn engine_collocated_matches_heterogeneous_stage_costs_too() {
     }
 }
 
+/// Asserts that a burst run as one micro-batch completes every request at
+/// `serial`, the sum of the stage latencies.
+fn assert_one_microbatch_at(report: &ServingReport, serial: f64) {
+    let (first, mean, makespan) = ttft_first_mean_makespan(report);
+    assert!((makespan - serial).abs() < EPS, "{makespan} != {serial}");
+    assert!((first - makespan).abs() < EPS && (mean - makespan).abs() < EPS);
+    assert_eq!(dispatches(report), 1);
+}
+
 #[test]
-fn one_microbatch_takes_the_sum_of_the_stage_latencies() {
-    // Pipelined or collocated, a single micro-batch runs the stages back
-    // to back, and every request completes with it.
-    let stages = [(0.01, 0.001), (0.02, 0.002)];
-    let serial = (0.01 + 0.001 * 8.0) + (0.02 + 0.002 * 8.0);
-    for disaggregated in [true, false] {
-        let report = run_burst(&stages, 8, 8, disaggregated);
-        let (first, mean, makespan) = ttft_first_mean_makespan(&report);
-        assert!((makespan - serial).abs() < EPS, "{makespan} != {serial}");
-        assert!((first - makespan).abs() < EPS && (mean - makespan).abs() < EPS);
-        assert_eq!(dispatches(&report), 1);
+fn one_pipelined_microbatch_takes_the_sum_of_the_stage_latencies() {
+    let report = run_burst(&[(0.01, 0.001), (0.02, 0.002)], 8, 8, true);
+    assert_one_microbatch_at(&report, (0.01 + 0.008) + (0.02 + 0.016));
+}
+
+#[test]
+fn one_collocated_microbatch_takes_the_sum_of_the_stage_latencies() {
+    let report = run_burst(&[(0.01, 0.001), (0.03, 0.0)], 4, 4, false);
+    assert_one_microbatch_at(&report, (0.01 + 0.004) + 0.03);
+}
+
+#[test]
+fn two_microbatches_pipeline_across_two_constant_stages() {
+    // 0.1 s per stage: 0.2 s for the first micro-batch of 4, then one more
+    // 0.1 s slot for the second.
+    let report = run_burst(&[(0.1, 0.0), (0.1, 0.0)], 8, 4, true);
+    let (first, _, makespan) = ttft_first_mean_makespan(&report);
+    assert_eq!(dispatches(&report), 2);
+    assert!((first - 0.2).abs() < EPS && (makespan - 0.3).abs() < EPS);
+}
+
+#[test]
+fn pipelining_is_no_slower_than_collocation() {
+    let stages = [(0.01, 0.005), (0.02, 0.001), (0.005, 0.002)];
+    for mb in [1u32, 2, 4, 8] {
+        let (_, pipe_mean, pipe_max) = ttft_first_mean_makespan(&run_burst(&stages, 16, mb, true));
+        let (_, col_mean, col_max) = ttft_first_mean_makespan(&run_burst(&stages, 16, mb, false));
+        assert!(pipe_max <= col_max + EPS, "mb={mb}: {pipe_max} > {col_max}");
+        assert!(
+            pipe_mean <= col_mean + EPS,
+            "mb={mb}: {pipe_mean} > {col_mean}"
+        );
     }
+}
+
+#[test]
+fn dedicated_stage_resources_overlap_what_collocation_serialises() {
+    // Two micro-batches of 4 through two stages of 0.01 s per request: a
+    // resource per stage overlaps micro-batch 2's first stage with
+    // micro-batch 1's second (0.12 s); one shared resource runs the four
+    // jobs back to back (0.16 s).
+    let stages = [(0.0, 0.01), (0.0, 0.01)];
+    let (_, _, pipelined) = ttft_first_mean_makespan(&run_burst(&stages, 8, 4, true));
+    let (_, _, collocated) = ttft_first_mean_makespan(&run_burst(&stages, 8, 4, false));
+    assert!((pipelined - 0.12).abs() < EPS && (collocated - 0.16).abs() < EPS);
 }
 
 #[test]
@@ -261,4 +294,11 @@ fn a_burst_smaller_than_the_microbatch_is_one_dispatch() {
     let report = run_burst(&[(0.01, 0.001)], 3, 16, true);
     assert_eq!(dispatches(&report), 1);
     assert_eq!(report.metrics.completed, 3);
+}
+
+#[test]
+#[should_panic(expected = "max_batch must be at least 1")]
+fn a_zero_microbatch_burst_is_rejected() {
+    // The stage's latency table, sized by the micro-batch, refuses it.
+    let _ = run_burst(&[(0.01, 0.001)], 4, 0, true);
 }

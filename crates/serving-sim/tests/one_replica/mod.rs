@@ -51,17 +51,21 @@ pub fn run_burst(
         specs,
         DecodeSpec::new(burst, LatencyTable::constant(burst, 1e-9)),
     );
-    let requests = (0..burst)
+    run_alone(spec, burst_requests(burst, 1))
+}
+
+/// `burst` requests arriving at t = 0, each decoding `decode_tokens`.
+pub fn burst_requests(burst: u32, decode_tokens: u32) -> Vec<EngineRequest> {
+    (0..burst)
         .map(|i| EngineRequest {
             id: u64::from(i),
             arrival_s: 0.0,
             prefix_tokens: 0,
-            decode_tokens: 1,
+            decode_tokens,
             class: 0,
             identity: None,
         })
-        .collect();
-    run_alone(spec, requests)
+        .collect()
 }
 
 /// The first, mean and last TTFT of a run.

@@ -16,15 +16,8 @@ pub struct BurstResult {
 
 /// Splits `burst` requests into micro-batches of at most `microbatch`.
 fn split(burst: u32, microbatch: u32) -> Vec<u32> {
-    assert!(burst > 0 && microbatch > 0);
-    let mut sizes = Vec::new();
-    let mut remaining = burst;
-    while remaining > 0 {
-        let b = remaining.min(microbatch);
-        sizes.push(b);
-        remaining -= b;
-    }
-    sizes
+    let starts = (0..burst).step_by(microbatch as usize);
+    starts.map(|start| microbatch.min(burst - start)).collect()
 }
 
 /// Every stage has its own resource and processes micro-batches in order,

@@ -38,6 +38,8 @@ type ReproducibleSurface<'a> = (
     u128,
     bool,
     Vec<(usize, &'a rago_core::ParetoFrontier)>,
+    &'a [u64],
+    &'a [u64],
 );
 
 fn reproducible_surface(report: &StochasticSearchReport) -> ReproducibleSurface<'_> {
@@ -53,6 +55,8 @@ fn reproducible_surface(report: &StochasticSearchReport) -> ReproducibleSurface<
             .iter()
             .map(|s| (s.evaluations, &s.frontier))
             .collect(),
+        &report.round_evals,
+        &report.beam_churn,
     )
 }
 
@@ -104,6 +108,19 @@ fn same_seed_is_bit_reproducible_for_any_worker_count() {
             "workers {workers} changed the reproducible surface"
         );
     }
+    // The seed-42 run itself, as recorded with one worker: a change to the
+    // search's parallel plumbing must not move any of it.
+    assert_eq!(baseline.evaluations, 2744);
+    assert_eq!(baseline.rounds, 15);
+    assert_eq!(
+        baseline.round_evals,
+        [256, 277, 254, 241, 220, 205, 180, 196, 176, 162, 165, 138, 139, 128, 7]
+    );
+    let mut churn = vec![0u64; 15];
+    churn[..2].copy_from_slice(&[28, 9]);
+    assert_eq!(baseline.beam_churn, churn);
+    assert_eq!(baseline.feasible_evaluations, 2744);
+    assert_eq!(baseline.frontier.len(), 4);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Anytime-quality bench of the stochastic schedule search: on a grid far
 //! too large to enumerate comfortably (≥100k candidates, heterogeneous
-//! placements), how quickly does [`rago_core::SearchMode::Stochastic`]
+//! placements), how quickly does [`rago_core::Rago::optimize_stochastic`]
 //! reach ≥99 % of the exhaustive frontier's hypervolume?
 //!
 //! Writes `BENCH_search.json` at the workspace root with the space size,

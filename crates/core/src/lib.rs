@@ -79,6 +79,6 @@ pub use profiler::{StagePerf, StageProfiler};
 pub use rago_serving_sim::{MetricsMode, StreamingConfig};
 pub use schedule::{BatchingPolicy, ResourceAllocation, Schedule};
 pub use search::{
-    AnytimeSample, BeamEntry, BestSamples, ScheduleIter, ScheduleSpace, SearchMode,
-    StochasticConfig, StochasticSearchReport,
+    AnytimeSample, BeamEntry, BestSamples, ScheduleIter, ScheduleSpace, StochasticConfig,
+    StochasticSearchReport,
 };

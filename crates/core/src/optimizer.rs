@@ -65,9 +65,10 @@
 //! candidates arrive in. This is covered by the
 //! `streaming_matches_serial_reference` tests in `tests/determinism.rs`.
 //!
-//! For grids too large to enumerate, [`Rago::optimize_with_mode`] selects
-//! the anytime stochastic search ([`crate::search`]) behind the same
-//! frontier interface.
+//! For grids too large to enumerate, [`Rago::optimize_stochastic`] samples
+//! the same [`ScheduleSpace`] with the anytime stochastic search
+//! ([`crate::search`]) and returns the same [`ParetoFrontier`] type. Its
+//! rounds run on the same parallel loop as phase 3.
 
 use crate::error::RagoError;
 use crate::pareto::{ParetoAccumulator, ParetoFrontier, ParetoPoint};
@@ -537,37 +538,13 @@ impl Rago {
         ScheduleSpace::new(self, options)
     }
 
-    /// Runs the search in the requested mode: [`crate::search::SearchMode::Exhaustive`]
-    /// enumerates every candidate ([`Rago::optimize`]);
-    /// [`crate::search::SearchMode::Stochastic`] runs the seeded anytime search
-    /// ([`Rago::optimize_stochastic`]) and returns its frontier. Both modes
-    /// produce a [`ParetoFrontier`], so every frontier consumer
-    /// (`rank_frontier_by_goodput{,_disagg}`,
-    /// `rank_frontier_by_cost_at_qps`, …) works with either.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RagoError::NoFeasibleSchedule`] when no candidate schedule
-    /// is feasible within the budget, and [`RagoError::InvalidConfig`] for
-    /// malformed `options` (see [`Rago::optimize`]) or a malformed
-    /// [`crate::search::StochasticConfig`].
-    pub fn optimize_with_mode(
-        &self,
-        options: &SearchOptions,
-        mode: &crate::search::SearchMode,
-    ) -> Result<ParetoFrontier, RagoError> {
-        match mode {
-            crate::search::SearchMode::Exhaustive => self.optimize(options),
-            crate::search::SearchMode::Stochastic(cfg) => {
-                Ok(self.optimize_stochastic(options, cfg)?.frontier)
-            }
-        }
-    }
-
     /// Runs the seeded, time-budgeted anytime stochastic search over the
     /// same candidate space as [`Rago::optimize`] and returns the full
     /// report (frontier + anytime timeline + telemetry). See
-    /// [`crate::search`] for the algorithm.
+    /// [`crate::search`] for the algorithm. Its `frontier` is a
+    /// [`ParetoFrontier`] like [`Rago::optimize`]'s, so every frontier
+    /// consumer (`rank_frontier_by_goodput{,_disagg}`,
+    /// `rank_frontier_by_cost_at_qps`, …) takes either.
     ///
     /// # Errors
     ///
@@ -1171,8 +1148,8 @@ mod tests {
         let invalid = |r: Result<ParetoFrontier, RagoError>| matches!(r, Err(RagoError::InvalidConfig { reason }) if reason.contains("`rerank`"));
         assert!(invalid(rago.optimize(&opts)));
         assert!(invalid(rago.optimize_serial(&opts)));
-        let stochastic = crate::search::SearchMode::Stochastic(Default::default());
-        assert!(invalid(rago.optimize_with_mode(&opts, &stochastic)));
+        let stochastic = rago.optimize_stochastic(&opts, &Default::default());
+        assert!(invalid(stochastic.map(|report| report.frontier)));
         // One bad entry spoils the list, wherever it sits.
         let mut mixed = PlacementPlan::enumerate(rago.profiler().schema());
         mixed.push(PlacementPlan {

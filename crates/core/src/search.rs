@@ -1,5 +1,5 @@
 //! The schedule space and its anytime stochastic search: sample → beam →
-//! coordinate descent → worker exchange.
+//! coordinate descent → exchange.
 //!
 //! [`ScheduleSpace`] is the one description of a search grid, shared by
 //! both searches. The exhaustive search streams it in index order through
@@ -27,14 +27,16 @@
 //!    along one placement/parallelism axis at a time (each group's XPU
 //!    count, the decode allocation, the server count, each batch axis),
 //!    against a snapshot of the scores known at the round start.
-//! 4. **Worker exchange.** Within a round, the batch is split across
-//!    `workers` threads that evaluate independently; their results merge at
-//!    the round boundary — a fixed evaluation-count checkpoint — into the
-//!    shared beam and frontier, which the next round's sampling and descent
-//!    read. Because the work list is generated sequentially up front, every
-//!    merge is order-insensitive (identity tie-breaks), and descent only
-//!    consults the frozen snapshot, **seeded runs are bit-reproducible
-//!    regardless of worker count or thread timing.**
+//! 4. **Exchange.** Within a round, the batch and then the survivors'
+//!    descents run on the crate's one parallel loop (`par_bridge().fold()
+//!    .reduce()`, as wide as the rayon pool), which hands the results back
+//!    in work-list order. They merge at the round boundary — a fixed
+//!    evaluation-count checkpoint — into the shared beam and frontier, which
+//!    the next round's sampling and descent read. Because the work list is
+//!    generated sequentially up front, every merge is order-insensitive
+//!    (identity tie-breaks), and descent only consults the frozen snapshot,
+//!    **seeded runs are bit-reproducible regardless of thread count or
+//!    thread timing.**
 //!
 //! The only reproducibility trade-off is the optional wall-clock budget
 //! ([`StochasticConfig::time_budget_s`]): it is checked at round boundaries
@@ -44,7 +46,7 @@
 //!
 //! The design follows the sparrow placement-search exemplars (SNIPPETS.md
 //! 1–2): a capacity-bounded deduplicated best-sample set, focussed + uniform
-//! samplers, coordinate-descent refinement, and parallel workers with
+//! samplers, coordinate-descent refinement, and parallel evaluation with
 //! periodic best-solution exchange under a strict budget.
 
 use crate::error::RagoError;
@@ -58,20 +60,11 @@ use rago_hardware::ResourceBudget;
 use rago_schema::RagSchema;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// How [`Rago::optimize_with_mode`] searches the schedule space.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum SearchMode {
-    /// Enumerate and evaluate every candidate (exact; the default).
-    #[default]
-    Exhaustive,
-    /// The seeded anytime stochastic search of this module.
-    Stochastic(StochasticConfig),
-}
 
 /// Tuning knobs of the stochastic search. [`StochasticConfig::default`] is
 /// sized for exploratory runs; [`StochasticConfig::with_budget`] is the knob
@@ -81,9 +74,6 @@ pub struct StochasticConfig {
     /// RNG seed. Two runs with the same seed, budget, and grid produce
     /// bit-identical reports (modulo wall-clock fields).
     pub seed: u64,
-    /// Worker threads evaluating each round's batch. The result is
-    /// independent of this value — it only changes wall-clock time.
-    pub workers: usize,
     /// Budget: total novel candidate evaluations across all rounds. The
     /// search stops at the first round boundary at or beyond it (a round's
     /// coordinate-descent phase may overshoot by at most
@@ -112,7 +102,6 @@ impl Default for StochasticConfig {
     fn default() -> Self {
         Self {
             seed: 0x5EED,
-            workers: rayon::current_num_threads().max(1),
             max_evaluations: 4096,
             time_budget_s: None,
             beam_width: 8,
@@ -128,12 +117,6 @@ impl StochasticConfig {
     /// Sets the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the worker-thread count (result-invariant; speed only).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
         self
     }
 
@@ -153,14 +136,11 @@ impl StochasticConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`RagoError::InvalidConfig`] on a zero worker count, beam
-    /// width, round size, or budget, a non-finite uniform fraction, or a
-    /// non-positive time budget.
+    /// Returns [`RagoError::InvalidConfig`] on a zero beam width, round
+    /// size, or budget, a non-finite uniform fraction, or a non-positive
+    /// time budget.
     pub fn validate(&self) -> Result<(), RagoError> {
         let reject = |reason: String| Err(RagoError::InvalidConfig { reason });
-        if self.workers == 0 {
-            return reject("stochastic search needs at least one worker".into());
-        }
         if self.beam_width == 0 {
             return reject("stochastic search needs a beam of at least one survivor".into());
         }
@@ -460,43 +440,28 @@ impl ScheduleSpace {
         }
     }
 
-    fn axis_digit(d: &Digits, axis: usize) -> usize {
-        if axis < d.groups.len() {
-            return d.groups[axis];
+    /// The digit of `axis`, in [`ScheduleSpace::num_axes`]' order.
+    fn axis_mut(d: &mut Digits, axis: usize) -> &mut usize {
+        let groups = d.groups.len();
+        if axis < groups {
+            return &mut d.groups[axis];
         }
-        match axis - d.groups.len() {
-            0 => d.decode,
-            1 => d.server,
-            2 => d.predecode,
-            3 => d.decode_batch,
-            _ => d.iterative,
-        }
-    }
-
-    fn set_axis_digit(d: &mut Digits, axis: usize, value: usize) {
-        if axis < d.groups.len() {
-            d.groups[axis] = value;
-            return;
-        }
-        match axis - d.groups.len() {
-            0 => d.decode = value,
-            1 => d.server = value,
-            2 => d.predecode = value,
-            3 => d.decode_batch = value,
-            _ => d.iterative = value,
+        match axis - groups {
+            0 => &mut d.decode,
+            1 => &mut d.server,
+            2 => &mut d.predecode,
+            3 => &mut d.decode_batch,
+            _ => &mut d.iterative,
         }
     }
 
     /// One coordinate step: the neighbour of `d` along `axis` in direction
     /// `dir` (±1), or `None` at the axis boundary.
-    fn step(&self, d: &Digits, axis: usize, dir: i64) -> Option<Digits> {
-        let len = self.axis_len(d.block, axis) as i64;
-        let next = Self::axis_digit(d, axis) as i64 + dir;
-        if next < 0 || next >= len {
-            return None;
-        }
+    fn step(&self, d: &Digits, axis: usize, dir: isize) -> Option<Digits> {
+        let len = self.axis_len(d.block, axis);
         let mut out = d.clone();
-        Self::set_axis_digit(&mut out, axis, next as usize);
+        let digit = Self::axis_mut(&mut out, axis);
+        *digit = digit.checked_add_signed(dir).filter(|&next| next < len)?;
         Some(out)
     }
 }
@@ -635,7 +600,7 @@ impl BestSamples {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            entries: Vec::with_capacity(capacity + 1),
+            entries: Vec::new(),
         }
     }
 
@@ -765,59 +730,92 @@ fn draw_index<R: RngCore>(rng: &mut R, size: u128) -> u128 {
 /// Evaluation outcome of one candidate, in work-list order.
 type Evaluated = (u128, Schedule, Option<RagPerformance>);
 
-/// Evaluates `batch` across `workers` threads, returning results in batch
-/// order regardless of thread timing (each worker owns a contiguous chunk;
-/// chunks are concatenated in order).
-fn evaluate_batch(
-    profiler: &StageProfiler,
-    batch: Vec<(u128, Schedule)>,
-    workers: usize,
-) -> Vec<Evaluated> {
-    let eval_one = |(index, schedule): (u128, Schedule)| -> Evaluated {
-        let perf = schedule.evaluate_with(profiler).ok();
-        (index, schedule, perf)
-    };
-    if workers <= 1 || batch.len() <= 1 {
-        return batch.into_iter().map(eval_one).collect();
-    }
-    let chunk = batch.len().div_ceil(workers);
-    let chunks: Vec<Vec<(u128, Schedule)>> = batch.chunks(chunk).map(|c| c.to_vec()).collect();
-    let mut results: Vec<Vec<Evaluated>> = Vec::with_capacity(chunks.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|c| scope.spawn(move || c.into_iter().map(eval_one).collect::<Vec<_>>()))
-            .collect();
-        for h in handles {
-            results.push(h.join().expect("search evaluation worker panicked"));
+/// `work.map(f)` on the crate's one parallel loop: each item is tagged with
+/// its position, the rayon workers fold their share, and the merged results
+/// are sorted back by position, so thread timing never shows in the order.
+fn in_order<I, R>(work: I, f: impl Fn(I::Item) -> R + Sync) -> Vec<R>
+where
+    I: IntoIterator,
+    I::IntoIter: Send,
+    I::Item: Send,
+    R: Send,
+{
+    let mut tagged = work
+        .into_iter()
+        .enumerate()
+        .par_bridge()
+        .fold(Vec::new, |mut acc, (position, item)| {
+            acc.push((position, f(item)));
+            acc
+        })
+        .reduce(Vec::new, |mut a, mut b| {
+            a.append(&mut b);
+            a
+        });
+    tagged.sort_unstable_by_key(|&(position, _)| position);
+    tagged.into_iter().map(|(_, result)| result).collect()
+}
+
+/// What the search has learned so far: every reserved index, the QPS/chip
+/// of every feasible evaluation, the survivor beam, the frontier, and the
+/// evaluation counters. The descent phase reads it as a frozen snapshot.
+struct Known {
+    seen: HashSet<u128>,
+    scores: HashMap<u128, f64>,
+    beam: BestSamples,
+    accumulator: ParetoAccumulator,
+    evaluations: usize,
+    feasible_evaluations: usize,
+}
+
+impl Known {
+    /// Reserves `index` and returns its candidate when it is novel and
+    /// within the XPU budget. An index over the budget stays reserved, so it
+    /// is never drawn again.
+    fn reserve(&mut self, space: &ScheduleSpace, index: u128) -> Option<(u128, Schedule)> {
+        if !self.seen.insert(index) {
+            return None;
         }
-    });
-    results.into_iter().flatten().collect()
+        let digits = space.digits_of(index).expect("index in range");
+        space
+            .digits_feasible(&digits)
+            .then(|| (index, space.schedule_at(&digits)))
+    }
+
+    /// Charges one evaluation and merges a feasible one into the scores,
+    /// the beam and the frontier. Returns whether it entered the beam.
+    fn record(&mut self, (index, schedule, perf): Evaluated) -> bool {
+        self.evaluations += 1;
+        let Some(performance) = perf else {
+            return false;
+        };
+        self.feasible_evaluations += 1;
+        self.scores.insert(index, performance.qps_per_chip);
+        let entered = self
+            .beam
+            .report(index, performance.qps_per_chip, schedule.clone());
+        self.accumulator.push(ParetoPoint {
+            schedule,
+            performance,
+        });
+        entered
+    }
 }
 
-/// The frozen knowledge a descent worker may consult: everything evaluated
-/// before the current round's descent phase.
-struct Snapshot<'a> {
-    seen: &'a HashSet<u128>,
-    scores: &'a HashMap<u128, f64>,
-}
-
-/// Hill-climbs one survivor along one axis at a time against the frozen
-/// snapshot, evaluating at most `eval_cap` novel candidates. Returns the
-/// ordered list of evaluations performed (the caller merges them; nothing
-/// global is mutated here, which is what keeps the phase deterministic
-/// under any worker count).
+/// Hill-climbs one survivor along one axis at a time against `known`, as
+/// frozen before the round's descent phase, evaluating at most `eval_cap`
+/// novel candidates. Returns the ordered list of evaluations performed (the
+/// caller merges them; nothing shared is mutated here, which is what keeps
+/// the phase deterministic under any thread count).
 fn coordinate_descent(
     space: &ScheduleSpace,
     profiler: &StageProfiler,
-    snapshot: &Snapshot<'_>,
+    known: &Known,
     entry: &BeamEntry,
     sweeps: usize,
     eval_cap: usize,
 ) -> Vec<Evaluated> {
-    let Some(mut digits) = space.digits_of(entry.index) else {
-        return Vec::new();
-    };
+    let mut digits = space.digits_of(entry.index).expect("survivor in range");
     let mut best = entry.score;
     let mut evals: Vec<Evaluated> = Vec::new();
     let mut local: HashMap<u128, Option<f64>> = HashMap::new();
@@ -826,13 +824,13 @@ fn coordinate_descent(
     'sweeps: for _ in 0..sweeps {
         let mut improved = false;
         for axis in 0..space.num_axes(digits.block) {
-            for dir in [1i64, -1] {
+            for dir in [1, -1] {
                 // Walk this direction while it keeps strictly improving.
                 while let Some(next) = space.step(&digits, axis, dir) {
                     let index = space.encode(&next);
-                    let score = if let Some(&s) = snapshot.scores.get(&index) {
+                    let score = if let Some(&s) = known.scores.get(&index) {
                         Some(s)
-                    } else if snapshot.seen.contains(&index) {
+                    } else if known.seen.contains(&index) {
                         // Known infeasible (or cost-model-rejected).
                         None
                     } else if let Some(&s) = local.get(&index) {
@@ -842,12 +840,11 @@ fn coordinate_descent(
                             break 'sweeps;
                         }
                         budget_left -= 1;
-                        let (schedule, perf) = if space.digits_feasible(&next) {
-                            let schedule = space.schedule_at(&next);
-                            let perf = schedule.evaluate_with(profiler).ok();
-                            (schedule, perf)
+                        let schedule = space.schedule_at(&next);
+                        let perf = if space.digits_feasible(&next) {
+                            schedule.evaluate_with(profiler).ok()
                         } else {
-                            (space.schedule_at(&next), None)
+                            None
                         };
                         let s = perf.as_ref().map(|p| p.qps_per_chip);
                         local.insert(index, s);
@@ -872,8 +869,8 @@ fn coordinate_descent(
     evals
 }
 
-/// Runs the stochastic search over `space` for `rago`'s workload. Prefer
-/// the façade [`Rago::optimize_stochastic`].
+/// Runs the stochastic search over `space` for `rago`'s workload; the
+/// façade is [`Rago::optimize_stochastic`].
 ///
 /// # Errors
 ///
@@ -881,7 +878,7 @@ fn coordinate_descent(
 /// placement that fails [`PlacementPlan::validate`], and
 /// [`RagoError::NoFeasibleSchedule`] when the budget ran out before any
 /// feasible candidate was found (or the space holds none).
-pub fn run_stochastic(
+pub(crate) fn run_stochastic(
     rago: &Rago,
     space: &ScheduleSpace,
     config: &StochasticConfig,
@@ -892,12 +889,14 @@ pub fn run_stochastic(
     let profiler = rago.profiler();
     let uniform_fraction = config.uniform_fraction.clamp(0.0, 1.0);
 
-    let mut seen: HashSet<u128> = HashSet::new();
-    let mut scores: HashMap<u128, f64> = HashMap::new();
-    let mut accumulator = ParetoAccumulator::new();
-    let mut beam = BestSamples::new(config.beam_width);
-    let mut evaluations = 0usize;
-    let mut feasible_evaluations = 0usize;
+    let mut known = Known {
+        seen: HashSet::new(),
+        scores: HashMap::new(),
+        beam: BestSamples::new(config.beam_width),
+        accumulator: ParetoAccumulator::new(),
+        evaluations: 0,
+        feasible_evaluations: 0,
+    };
     let mut rounds = 0usize;
     let mut scan_cursor: u128 = 0;
     let mut scanned: u128 = 0; // indices the fallback scan has consumed
@@ -906,55 +905,44 @@ pub fn run_stochastic(
     let mut beam_churn: Vec<u64> = Vec::new();
     let mut exhausted = space.size() == 0;
 
-    while !exhausted && evaluations < config.max_evaluations {
+    while !exhausted && known.evaluations < config.max_evaluations {
         rounds += 1;
-        let round_start_evals = evaluations;
+        let round_start_evals = known.evaluations;
         let mut round_churn = 0u64;
-        let remaining = config.max_evaluations - evaluations;
+        let remaining = config.max_evaluations - known.evaluations;
         let target = config.round_evaluations.min(remaining);
 
         // ---- Generation (sequential, deterministic): the round's work
-        // list of novel candidates, reserved in `seen` up front. ----
-        let mut batch: Vec<(u128, Schedule)> = Vec::with_capacity(target);
-        let uniform_quota = if beam.is_empty() {
+        // list of novel candidates, reserved in `seen` up front. It grows
+        // as it fills, so it never holds more than the space has left. ----
+        let mut batch: Vec<(u128, Schedule)> = Vec::new();
+        let uniform_quota = if known.beam.is_empty() {
             target
         } else {
             ((target as f64) * uniform_fraction).round() as usize
         };
 
         // Uniform draws; on sustained novelty misses, fall back to a
-        // deterministic cursor scan so coverage is guaranteed.
+        // deterministic cursor scan so coverage is guaranteed. Once every
+        // index is reserved each draw would miss, so drawing stops there.
         let mut rng = stream_rng(config.seed, rounds, 0xA11C_E5EE);
-        let miss_limit = 4 * uniform_quota + 64;
+        let miss_limit = uniform_quota.saturating_mul(4).saturating_add(64);
         let mut misses = 0usize;
-        while batch.len() < uniform_quota && misses < miss_limit {
-            let index = draw_index(&mut rng, space.size());
-            if seen.contains(&index) {
-                misses += 1;
-                continue;
+        while batch.len() < uniform_quota
+            && misses < miss_limit
+            && (known.seen.len() as u128) < space.size()
+        {
+            match known.reserve(space, draw_index(&mut rng, space.size())) {
+                Some(candidate) => batch.push(candidate),
+                None => misses += 1,
             }
-            seen.insert(index);
-            let digits = space.digits_of(index).expect("index in range");
-            if !space.digits_feasible(&digits) {
-                misses += 1;
-                continue;
-            }
-            batch.push((index, space.schedule_at(&digits)));
         }
         if batch.len() < uniform_quota {
             // Saturated: sweep the cursor over the remaining unseen indices.
             while batch.len() < uniform_quota && scanned < space.size() {
-                let index = scan_cursor;
+                batch.extend(known.reserve(space, scan_cursor));
                 scan_cursor = (scan_cursor + 1) % space.size();
                 scanned += 1;
-                if seen.contains(&index) {
-                    continue;
-                }
-                seen.insert(index);
-                let digits = space.digits_of(index).expect("index in range");
-                if space.digits_feasible(&digits) {
-                    batch.push((index, space.schedule_at(&digits)));
-                }
             }
             if scanned >= space.size() {
                 // Every index is now reserved; whatever is in flight this
@@ -965,153 +953,84 @@ pub fn run_stochastic(
 
         // Focussed draws: perturb one axis of a beam survivor (or jump to a
         // fresh placement block), one RNG stream per survivor slot.
-        let survivors: Vec<BeamEntry> = beam.entries().to_vec();
-        if !survivors.is_empty() {
-            let focussed_quota = target.saturating_sub(batch.len());
-            let share = focussed_quota.div_ceil(survivors.len());
-            for (slot, survivor) in survivors.iter().enumerate() {
-                let quota = share.min(target.saturating_sub(batch.len()));
-                if quota == 0 {
-                    break;
-                }
-                let mut rng = stream_rng(config.seed, rounds, 0xF0C0_5000 + slot as u64);
-                let Some(base) = space.digits_of(survivor.index) else {
-                    continue;
+        let survivors: Vec<BeamEntry> = known.beam.entries().to_vec();
+        let share = target
+            .saturating_sub(batch.len())
+            .div_ceil(survivors.len().max(1));
+        for (slot, survivor) in survivors.iter().enumerate() {
+            let quota = share.min(target.saturating_sub(batch.len()));
+            if quota == 0 {
+                break;
+            }
+            let mut rng = stream_rng(config.seed, rounds, 0xF0C0_5000 + slot as u64);
+            let base = space.digits_of(survivor.index).expect("survivor in range");
+            let axes = space.num_axes(base.block);
+            let attempt_limit = quota.saturating_mul(8).saturating_add(16);
+            let mut drawn = 0usize;
+            let mut attempts = 0usize;
+            while drawn < quota && attempts < attempt_limit {
+                attempts += 1;
+                // Axis `axes` is the "jump" move: a fresh uniform index
+                // (possibly another placement), keeping the sampler
+                // ergodic across blocks.
+                let axis = rng.gen_range(0..=axes);
+                let index = if axis == axes {
+                    draw_index(&mut rng, space.size())
+                } else {
+                    let mut d = base.clone();
+                    let len = space.axis_len(d.block, axis);
+                    *ScheduleSpace::axis_mut(&mut d, axis) = rng.gen_range(0..len);
+                    space.encode(&d)
                 };
-                let axes = space.num_axes(base.block);
-                let mut drawn = 0usize;
-                let mut attempts = 0usize;
-                while drawn < quota && attempts < 8 * quota + 16 {
-                    attempts += 1;
-                    // Axis `axes` is the "jump" move: a fresh uniform index
-                    // (possibly another placement), keeping the sampler
-                    // ergodic across blocks.
-                    let axis = rng.gen_range(0..=axes);
-                    let index = if axis == axes {
-                        draw_index(&mut rng, space.size())
-                    } else {
-                        let mut d = base.clone();
-                        let len = space.axis_len(d.block, axis);
-                        ScheduleSpace::set_axis_digit(&mut d, axis, rng.gen_range(0..len));
-                        space.encode(&d)
-                    };
-                    if seen.contains(&index) {
-                        continue;
-                    }
-                    seen.insert(index);
-                    let digits = space.digits_of(index).expect("index in range");
-                    if !space.digits_feasible(&digits) {
-                        continue;
-                    }
-                    batch.push((index, space.schedule_at(&digits)));
+                if let Some(candidate) = known.reserve(space, index) {
+                    batch.push(candidate);
                     drawn += 1;
                 }
             }
         }
 
         // ---- Parallel evaluation; merge in work-list order. ----
-        let descent_enabled =
-            config.descent_sweeps > 0 && config.descent_evaluations > 0 && !survivors.is_empty();
         let had_batch = !batch.is_empty();
-        for (index, schedule, perf) in evaluate_batch(profiler, batch, config.workers) {
-            evaluations += 1;
-            if let Some(perf) = perf {
-                feasible_evaluations += 1;
-                scores.insert(index, perf.qps_per_chip);
-                if beam.report(index, perf.qps_per_chip, schedule.clone()) {
-                    round_churn += 1;
-                }
-                accumulator.push(ParetoPoint {
-                    schedule,
-                    performance: perf,
-                });
-            }
+        let evaluated = in_order(batch, |(index, schedule)| {
+            let perf = schedule.evaluate_with(profiler).ok();
+            (index, schedule, perf)
+        });
+        for evaluation in evaluated {
+            round_churn += u64::from(known.record(evaluation));
         }
 
         // ---- Coordinate descent on the round-start survivors, against the
         // frozen snapshot; results merge in survivor order. ----
         let mut descent_progress = false;
-        if descent_enabled {
-            let snapshot_seen = seen.clone();
-            let snapshot = Snapshot {
-                seen: &snapshot_seen,
-                scores: &scores,
-            };
-            let descent_results: Vec<Vec<Evaluated>> =
-                if config.workers <= 1 || survivors.len() <= 1 {
-                    survivors
-                        .iter()
-                        .map(|e| {
-                            coordinate_descent(
-                                space,
-                                profiler,
-                                &snapshot,
-                                e,
-                                config.descent_sweeps,
-                                config.descent_evaluations,
-                            )
-                        })
-                        .collect()
-                } else {
-                    let chunk = survivors.len().div_ceil(config.workers);
-                    let mut out: Vec<Vec<Vec<Evaluated>>> = Vec::new();
-                    std::thread::scope(|scope| {
-                        let snapshot = &snapshot;
-                        let handles: Vec<_> = survivors
-                            .chunks(chunk)
-                            .map(|c| {
-                                scope.spawn(move || {
-                                    c.iter()
-                                        .map(|e| {
-                                            coordinate_descent(
-                                                space,
-                                                profiler,
-                                                snapshot,
-                                                e,
-                                                config.descent_sweeps,
-                                                config.descent_evaluations,
-                                            )
-                                        })
-                                        .collect::<Vec<_>>()
-                                })
-                            })
-                            .collect();
-                        for h in handles {
-                            out.push(h.join().expect("search descent worker panicked"));
-                        }
-                    });
-                    out.into_iter().flatten().collect()
-                };
-            for (index, schedule, perf) in descent_results.into_iter().flatten() {
-                if !seen.insert(index) {
-                    // Two survivors explored the same neighbour; charge and
-                    // record it once (the first, in survivor order).
-                    continue;
-                }
-                descent_progress = true;
-                evaluations += 1;
-                if let Some(perf) = perf {
-                    feasible_evaluations += 1;
-                    scores.insert(index, perf.qps_per_chip);
-                    if beam.report(index, perf.qps_per_chip, schedule.clone()) {
-                        round_churn += 1;
-                    }
-                    accumulator.push(ParetoPoint {
-                        schedule,
-                        performance: perf,
-                    });
+        if config.descent_sweeps > 0 && config.descent_evaluations > 0 {
+            let descents = in_order(&survivors, |entry| {
+                coordinate_descent(
+                    space,
+                    profiler,
+                    &known,
+                    entry,
+                    config.descent_sweeps,
+                    config.descent_evaluations,
+                )
+            });
+            for evaluation in descents.into_iter().flatten() {
+                // Two survivors may explore the same neighbour; charge and
+                // record it once (the first, in survivor order).
+                if known.seen.insert(evaluation.0) {
+                    descent_progress = true;
+                    round_churn += u64::from(known.record(evaluation));
                 }
             }
         }
 
         // ---- Exchange checkpoint: everything learned this round is now in
-        // the shared beam + frontier for the next round's workers. ----
+        // the shared beam + frontier for the next round. ----
         timeline.push(AnytimeSample {
-            evaluations,
+            evaluations: known.evaluations,
             elapsed_s: start.elapsed().as_secs_f64(),
-            frontier: accumulator.clone().into_frontier(),
+            frontier: known.accumulator.clone().into_frontier(),
         });
-        round_evals.push((evaluations - round_start_evals) as u64);
+        round_evals.push((known.evaluations - round_start_evals) as u64);
         beam_churn.push(round_churn);
         if !had_batch && !descent_progress {
             // Nothing novel can be generated any more.
@@ -1124,13 +1043,13 @@ pub fn run_stochastic(
         }
     }
 
-    if accumulator.is_empty() {
+    if known.accumulator.is_empty() {
         return Err(rago.no_feasible_schedule());
     }
     Ok(StochasticSearchReport {
-        frontier: accumulator.into_frontier(),
-        evaluations,
-        feasible_evaluations,
+        frontier: known.accumulator.into_frontier(),
+        evaluations: known.evaluations,
+        feasible_evaluations: known.feasible_evaluations,
         rounds,
         space_size: space.size(),
         exhausted,
@@ -1323,10 +1242,6 @@ mod tests {
         assert!(ok.validate().is_ok());
         for bad in [
             StochasticConfig {
-                workers: 0,
-                ..ok.clone()
-            },
-            StochasticConfig {
                 beam_width: 0,
                 ..ok.clone()
             },
@@ -1359,13 +1274,41 @@ mod tests {
         let rago = case1();
         let options = tiny_options();
         let exhaustive = rago.optimize(&options).unwrap();
-        let config = StochasticConfig::default()
-            .with_seed(7)
-            .with_budget(64)
-            .with_workers(2);
+        let config = StochasticConfig::default().with_seed(7).with_budget(64);
         let report = rago.optimize_stochastic(&options, &config).unwrap();
         assert!(report.exhausted, "8-candidate space must be exhausted");
         assert_eq!(report.frontier.points, exhaustive.points);
+    }
+
+    #[test]
+    fn unbounded_round_and_budget_exhaust_the_tiny_grid() {
+        // These knobs pass validation at `usize::MAX`; neither the round's
+        // work list nor the beam may try to reserve that many slots, and
+        // the miss and attempt limits must not overflow.
+        let rago = case1();
+        let options = tiny_options();
+        let config = StochasticConfig {
+            round_evaluations: usize::MAX,
+            max_evaluations: usize::MAX,
+            beam_width: usize::MAX,
+            ..StochasticConfig::default()
+        };
+        let report = rago.optimize_stochastic(&options, &config).unwrap();
+        assert!(report.exhausted);
+        assert_eq!(report.evaluations, 8);
+        assert_eq!(
+            report.frontier.points,
+            rago.optimize(&options).unwrap().points
+        );
+    }
+
+    #[test]
+    fn in_order_keeps_work_list_order() {
+        // Longer than every worker's 64-item chunk put together, so the
+        // workers' shares interleave.
+        let work: Vec<u64> = (0..(rayon::current_num_threads() as u64 * 64 * 3 + 5)).collect();
+        let expected: Vec<u64> = work.iter().map(|x| x * x + 1).collect();
+        assert_eq!(in_order(work, |x| x * x + 1), expected);
     }
 
     #[test]
@@ -1383,22 +1326,5 @@ mod tests {
             .optimize_stochastic(&options, &StochasticConfig::default())
             .unwrap_err();
         assert!(matches!(err, RagoError::NoFeasibleSchedule { .. }));
-    }
-
-    #[test]
-    fn optimize_with_mode_dispatches_both_paths() {
-        let rago = case1();
-        let options = tiny_options();
-        let exhaustive = rago
-            .optimize_with_mode(&options, &SearchMode::Exhaustive)
-            .unwrap();
-        assert_eq!(exhaustive, rago.optimize(&options).unwrap());
-        let stochastic = rago
-            .optimize_with_mode(
-                &options,
-                &SearchMode::Stochastic(StochasticConfig::default().with_budget(64)),
-            )
-            .unwrap();
-        assert_eq!(stochastic.points, exhaustive.points);
     }
 }

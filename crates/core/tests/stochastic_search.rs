@@ -2,13 +2,14 @@
 //!
 //! On a grid the budget can exhaust, the stochastic search must recover the
 //! exhaustive Pareto frontier **bit-identically** — same points, same
-//! schedules, same tie representatives — for any worker count and any seed
-//! (the deterministic fallback scan guarantees full coverage; the
-//! identity-key tie-break makes the frontier a function of the candidate
-//! *set* alone). And for one seed, two runs must produce bit-identical
-//! reports regardless of thread timing.
+//! schedules, same tie representatives — for any seed (the deterministic
+//! fallback scan guarantees full coverage; the identity-key tie-break makes
+//! the frontier a function of the candidate *set* alone). And for one seed,
+//! two runs must produce bit-identical reports regardless of thread timing.
+//! The thread count is the rayon pool's: CI runs this suite both at its
+//! default and with `RAYON_NUM_THREADS=1`, against the same pinned counts.
 
-use rago_core::{Rago, SearchMode, SearchOptions, StochasticConfig, StochasticSearchReport};
+use rago_core::{Rago, SearchOptions, StochasticConfig, StochasticSearchReport};
 use rago_hardware::ClusterSpec;
 use rago_schema::presets::{self, LlmSize};
 
@@ -21,10 +22,9 @@ fn paper_rago() -> Rago {
 
 /// The paper's case-1 grid (`SearchOptions::paper_default()`) is small
 /// enough to exhaust in tests.
-fn paper_grid_config(seed: u64, workers: usize) -> StochasticConfig {
+fn paper_grid_config(seed: u64) -> StochasticConfig {
     StochasticConfig::default()
         .with_seed(seed)
-        .with_workers(workers)
         .with_budget(8192)
 }
 
@@ -71,23 +71,21 @@ fn recovers_exhaustive_frontier_across_workers_and_seeds() {
         "budget must cover the grid for the exhaustion guarantee ({})",
         space.size()
     );
-    for workers in [1usize, 2, 4] {
-        for seed in [1u64, 2, 3] {
-            let report = rago
-                .optimize_stochastic(&options, &paper_grid_config(seed, workers))
-                .unwrap();
-            assert!(
-                report.exhausted,
-                "seed {seed} workers {workers}: grid not exhausted after {} evaluations",
-                report.evaluations
-            );
-            // Bit-identical frontier: same (ttft, qps) points AND the same
-            // schedule representing every exact performance tie.
-            assert_eq!(
-                report.frontier.points, exhaustive.points,
-                "seed {seed} workers {workers} diverged from the exhaustive frontier"
-            );
-        }
+    for seed in [1u64, 2, 3] {
+        let report = rago
+            .optimize_stochastic(&options, &paper_grid_config(seed))
+            .unwrap();
+        assert!(
+            report.exhausted,
+            "seed {seed}: grid not exhausted after {} evaluations",
+            report.evaluations
+        );
+        // Bit-identical frontier: same (ttft, qps) points AND the same
+        // schedule representing every exact performance tie.
+        assert_eq!(
+            report.frontier.points, exhaustive.points,
+            "seed {seed} diverged from the exhaustive frontier"
+        );
     }
 }
 
@@ -95,21 +93,24 @@ fn recovers_exhaustive_frontier_across_workers_and_seeds() {
 fn same_seed_is_bit_reproducible_for_any_worker_count() {
     let rago = paper_rago();
     let options = SearchOptions::paper_default();
-    let baseline = rago
-        .optimize_stochastic(&options, &paper_grid_config(42, 1))
-        .unwrap();
-    for workers in [1usize, 2, 4] {
-        let run = rago
-            .optimize_stochastic(&options, &paper_grid_config(42, workers))
+    for seed in [1u64, 42] {
+        let first = rago
+            .optimize_stochastic(&options, &paper_grid_config(seed))
+            .unwrap();
+        let second = rago
+            .optimize_stochastic(&options, &paper_grid_config(seed))
             .unwrap();
         assert_eq!(
-            reproducible_surface(&run),
-            reproducible_surface(&baseline),
-            "workers {workers} changed the reproducible surface"
+            reproducible_surface(&first),
+            reproducible_surface(&second),
+            "seed {seed} changed its reproducible surface between runs"
         );
     }
-    // The seed-42 run itself, as recorded with one worker: a change to the
-    // search's parallel plumbing must not move any of it.
+    // The seed-42 run itself, as recorded on one thread: neither the thread
+    // count nor a change to the search's parallel plumbing may move it.
+    let baseline = rago
+        .optimize_stochastic(&options, &paper_grid_config(42))
+        .unwrap();
     assert_eq!(baseline.evaluations, 2744);
     assert_eq!(baseline.rounds, 15);
     assert_eq!(
@@ -130,10 +131,7 @@ fn truncated_budgets_are_anytime_and_monotone() {
     let exhaustive = rago.optimize(&options).unwrap();
     // A budget far below the grid still yields a usable frontier and a
     // monotone anytime timeline.
-    let config = StochasticConfig::default()
-        .with_seed(9)
-        .with_workers(2)
-        .with_budget(600);
+    let config = StochasticConfig::default().with_seed(9).with_budget(600);
     let report = rago.optimize_stochastic(&options, &config).unwrap();
     assert!(!report.exhausted);
     assert!(report.evaluations <= 600 + config.beam_width * config.descent_evaluations);
@@ -163,20 +161,4 @@ fn truncated_budgets_are_anytime_and_monotone() {
     }
     // And the exhausted run's hypervolume is the ceiling.
     assert!(last_hv <= exhaustive.hypervolume(ttft_ref, 0.0) + 1e-12);
-}
-
-#[test]
-fn search_mode_facade_matches_direct_calls() {
-    let rago = paper_rago();
-    let options = SearchOptions::paper_default();
-    let exhaustive = rago
-        .optimize_with_mode(&options, &SearchMode::Exhaustive)
-        .unwrap();
-    assert_eq!(exhaustive, rago.optimize(&options).unwrap());
-    let stochastic = rago
-        .optimize_with_mode(&options, &SearchMode::Stochastic(paper_grid_config(5, 2)))
-        .unwrap();
-    // Frontier-only comparison: the report's `evaluated_schedules` counts
-    // differ between modes (the exhaustive path streams the whole grid).
-    assert_eq!(stochastic.points, exhaustive.points);
 }

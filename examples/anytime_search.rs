@@ -6,8 +6,8 @@
 //! ~200k-candidate grid, then compares:
 //!
 //! 1. the exhaustive search (exact frontier, pays for every candidate), and
-//! 2. `SearchMode::Stochastic` — seeded sampling → beam → coordinate
-//!    descent → worker exchange — showing how the anytime timeline closes
+//! 2. `Rago::optimize_stochastic` — seeded sampling → beam → coordinate
+//!    descent → exchange — showing how the anytime timeline closes
 //!    in on the exhaustive hypervolume after evaluating a fraction of the
 //!    grid.
 //!
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Anytime: a seeded stochastic run on a small fraction of the budget.
-    // Same seed + budget => bit-identical result, for any worker count.
+    // Same seed + budget => bit-identical result, for any thread count.
     let config = StochasticConfig::default()
         .with_seed(0x5EED)
         .with_budget(8_192);

@@ -1274,32 +1274,24 @@ mod tests {
         let rago = case1();
         let options = tiny_options();
         let exhaustive = rago.optimize(&options).unwrap();
-        let config = StochasticConfig::default().with_seed(7).with_budget(64);
-        let report = rago.optimize_stochastic(&options, &config).unwrap();
-        assert!(report.exhausted, "8-candidate space must be exhausted");
-        assert_eq!(report.frontier.points, exhaustive.points);
-    }
-
-    #[test]
-    fn unbounded_round_and_budget_exhaust_the_tiny_grid() {
-        // These knobs pass validation at `usize::MAX`; neither the round's
-        // work list nor the beam may try to reserve that many slots, and
-        // the miss and attempt limits must not overflow.
-        let rago = case1();
-        let options = tiny_options();
-        let config = StochasticConfig {
+        // These knobs pass validation at `usize::MAX` too: neither the
+        // round's work list nor the beam may try to reserve that many
+        // slots, and the miss and attempt limits must not overflow.
+        let unbounded = StochasticConfig {
             round_evaluations: usize::MAX,
             max_evaluations: usize::MAX,
             beam_width: usize::MAX,
             ..StochasticConfig::default()
         };
-        let report = rago.optimize_stochastic(&options, &config).unwrap();
-        assert!(report.exhausted);
-        assert_eq!(report.evaluations, 8);
-        assert_eq!(
-            report.frontier.points,
-            rago.optimize(&options).unwrap().points
-        );
+        for config in [
+            StochasticConfig::default().with_seed(7).with_budget(64),
+            unbounded,
+        ] {
+            let report = rago.optimize_stochastic(&options, &config).unwrap();
+            assert!(report.exhausted, "8-candidate space must be exhausted");
+            assert_eq!(report.evaluations, 8);
+            assert_eq!(report.frontier.points, exhaustive.points);
+        }
     }
 
     #[test]

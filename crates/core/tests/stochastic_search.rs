@@ -93,24 +93,20 @@ fn recovers_exhaustive_frontier_across_workers_and_seeds() {
 fn same_seed_is_bit_reproducible_for_any_worker_count() {
     let rago = paper_rago();
     let options = SearchOptions::paper_default();
-    for seed in [1u64, 42] {
-        let first = rago
-            .optimize_stochastic(&options, &paper_grid_config(seed))
-            .unwrap();
-        let second = rago
-            .optimize_stochastic(&options, &paper_grid_config(seed))
-            .unwrap();
+    let run = |seed| {
+        rago.optimize_stochastic(&options, &paper_grid_config(seed))
+            .unwrap()
+    };
+    for seed in [1, 42] {
         assert_eq!(
-            reproducible_surface(&first),
-            reproducible_surface(&second),
+            reproducible_surface(&run(seed)),
+            reproducible_surface(&run(seed)),
             "seed {seed} changed its reproducible surface between runs"
         );
     }
     // The seed-42 run itself, as recorded on one thread: neither the thread
     // count nor a change to the search's parallel plumbing may move it.
-    let baseline = rago
-        .optimize_stochastic(&options, &paper_grid_config(42))
-        .unwrap();
+    let baseline = run(42);
     assert_eq!(baseline.evaluations, 2744);
     assert_eq!(baseline.rounds, 15);
     assert_eq!(

@@ -271,7 +271,9 @@ impl ReplicaLifetime {
 mod tests {
     use super::*;
     use crate::engine::{DecodeSpec, LatencyTable, PipelineSpec, StageSpec};
-    use crate::faults::ScaleDriver;
+    use crate::faults::{
+        AdmissionConfig, ChaosReport, CrashPolicy, FaultEvent, FaultSchedule, ScaleDriver,
+    };
     use crate::fleet::FleetEngine;
     use crate::sink::MetricsMode;
     use rago_schema::{RouterPolicy, SequenceProfile};
@@ -454,6 +456,73 @@ mod tests {
         let reactive =
             elastic(spec, RouterPolicy::LeastOutstanding, with_attainment).run_trace(&trace);
         assert!(reactive.peak_provisioned > quiet.peak_provisioned);
+        assert_eq!(
+            scaling_pins(&reactive),
+            [
+                (0.5, ScalingAction::ScaleOut, 1),
+                (1.0, ScalingAction::ScaleOut, 2),
+                (1.5, ScalingAction::ScaleOut, 3),
+                (5.5, ScalingAction::ScaleIn, 2),
+                (6.0, ScalingAction::ScaleOut, 4),
+                (10.5, ScalingAction::ScaleIn, 4),
+                (11.0, ScalingAction::ScaleOut, 5),
+                (15.5, ScalingAction::ScaleIn, 5),
+                (16.0, ScalingAction::ScaleOut, 6),
+            ]
+        );
+        assert_eq!(reactive.peak_provisioned, 4);
+
+        // The same trigger on a queueing fleet that sheds and loses a
+        // replica: each tick scores only the last interval's completions of
+        // the replicas alive at it.
+        let queueing = PipelineSpec::new(
+            vec![StageSpec::new(
+                "prefix",
+                0,
+                2,
+                LatencyTable::constant(2, 0.04),
+            )],
+            DecodeSpec::new(64, LatencyTable::constant(64, 0.01)),
+        );
+        let policy = AutoscalerPolicy::new(1, 4)
+            .with_evaluation_interval(0.5)
+            .with_scale_out_queue_depth(5.0)
+            .with_attainment_trigger(SloTarget::new(0.08, 0.02), 0.9);
+        let faulted = elastic(queueing, RouterPolicy::LeastOutstanding, policy)
+            .with_faults(FaultSchedule::new(vec![FaultEvent::Crash {
+                replica: 0,
+                at_s: 4.2,
+                restart_delay_s: 1.0,
+            }]))
+            .with_crash_policy(CrashPolicy::Fail)
+            .with_admission(AdmissionConfig::new(4.0, 0.0))
+            .run_trace(&spike_trace(300));
+        // After the spike, the last intervals meet the SLO: the fleet
+        // scales in and stays in, where a trigger scoring every completion
+        // since the start would keep scaling back out.
+        assert_eq!(
+            scaling_pins(&faulted),
+            [
+                (3.5, ScalingAction::ScaleOut, 1),
+                (4.0, ScalingAction::ScaleOut, 2),
+                (5.0, ScalingAction::ScaleOut, 3),
+                (9.0, ScalingAction::ScaleIn, 4),
+                (13.0, ScalingAction::ScaleIn, 3),
+                (17.0, ScalingAction::ScaleIn, 2),
+            ]
+        );
+        assert_eq!(faulted.peak_provisioned, 4);
+        let fault = &faulted.fault;
+        assert_eq!((fault.shed, fault.failed, fault.completed), (90, 15, 195));
+    }
+
+    /// `(time, action, replica)` of each scaling event of `report`.
+    fn scaling_pins(report: &ChaosReport) -> Vec<(f64, ScalingAction, usize)> {
+        report
+            .events
+            .iter()
+            .map(|e| (e.time_s, e.action, e.replica))
+            .collect()
     }
 
     #[test]

@@ -1369,6 +1369,39 @@ impl SimAccumulators {
     }
 }
 
+/// A replica's running count of its completions scored against one SLO:
+/// what the fleet's attainment trigger and miss budget read, in place of a
+/// per-request log.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SloTally {
+    pub(crate) slo: SloTarget,
+    /// Completions scored since the tally was seeded or last restarted.
+    pub(crate) completed: usize,
+    /// Those that met `slo`.
+    pub(crate) met: usize,
+}
+
+impl SloTally {
+    /// An empty tally against `slo`.
+    pub(crate) fn new(slo: SloTarget) -> Self {
+        Self {
+            slo,
+            completed: 0,
+            met: 0,
+        }
+    }
+
+    fn record(&mut self, ttft_s: f64, tpot_s: f64) {
+        self.completed += 1;
+        self.met += usize::from(self.slo.meets(ttft_s, tpot_s));
+    }
+
+    /// Scored completions that missed `slo`.
+    pub(crate) fn misses(&self) -> usize {
+        self.completed - self.met
+    }
+}
+
 /// One pipeline's discrete-event simulation as a steppable state machine.
 ///
 /// The fleet engine ([`crate::fleet`]) drives its replicas from a shared
@@ -1423,21 +1456,14 @@ pub(crate) struct ReplicaSim {
     retrieval_free: Vec<u32>,
     in_flight_retrievals: usize,
     completed: usize,
-    /// Whether completions are appended to `completion_log`. Off by
-    /// default: only the autoscaler's attainment trigger reads the log, and
-    /// a million-request run should not retain 24 bytes per request for a
-    /// consumer that is not there.
-    pub(crate) track_completions: bool,
-    /// `(completion_s, ttft_s, tpot_s)` of every completed request, in
-    /// completion order (appended as completions happen, so the log is
-    /// chronological). Lets the autoscaler's attainment trigger consume
-    /// recent outcomes with a cursor instead of rescanning every request
-    /// at every evaluation tick. Empty unless `track_completions` is set.
-    completion_log: Vec<(f64, f64, f64)>,
-    /// Whether cache probes are appended to `probe_log`. Off by default —
-    /// same zero-cost-when-off contract as `track_completions`: only
-    /// traced runs pay for the log, and reading a cache never depends on
-    /// whether the probe was logged, so traced and untraced runs stay
+    /// Every completion — a prefill handoff (scored with a zero TPOT) or a
+    /// finished decode — is scored into each of these tallies as it
+    /// happens. Empty by default: only the fleet's attainment trigger and
+    /// miss budget seed any, so an unwatched run scores nothing.
+    pub(crate) tallies: Vec<SloTally>,
+    /// Whether cache probes are appended to `probe_log`. Off by default:
+    /// only traced runs pay for the log, and reading a cache never depends
+    /// on whether the probe was logged, so traced and untraced runs stay
     /// bit-identical.
     pub(crate) track_probes: bool,
     /// Every cache probe in simulation order (retrieval-result probes at
@@ -1503,8 +1529,7 @@ impl ReplicaSim {
             retrieval_free: Vec::new(),
             in_flight_retrievals: 0,
             completed: 0,
-            track_completions: false,
-            completion_log: Vec::new(),
+            tallies: Vec::new(),
             track_probes: false,
             probe_log: Vec::new(),
             handoff_log: Vec::new(),
@@ -1783,8 +1808,8 @@ impl ReplicaSim {
         self.completed += 1;
         let req = self.arena.requests[i];
         self.handoff_log.push((t, req));
-        if self.track_completions {
-            self.completion_log.push((t, t - req.arrival_s, 0.0));
+        for tally in &mut self.tallies {
+            tally.record(t - req.arrival_s, 0.0);
         }
     }
 
@@ -1880,12 +1905,14 @@ impl ReplicaSim {
             self.arena.completion_s[ri] = t;
             self.resident -= 1;
             self.completed += 1;
-            if self.track_completions {
+            if !self.tallies.is_empty() {
                 let first = self.arena.first_token_s[ri];
                 debug_assert!(first != UNSET, "first token precedes completion");
                 let ttft = first - self.arena.requests[ri].arrival_s;
                 let tpot = (t - self.arena.decode_join_s[ri]) / f64::from(tokens.max(1));
-                self.completion_log.push((t, ttft, tpot));
+                for tally in &mut self.tallies {
+                    tally.record(ttft, tpot);
+                }
             }
         }
     }
@@ -2180,20 +2207,6 @@ impl ReplicaSim {
     /// re-injection into a decode-pool replica.
     pub(crate) fn take_handoffs(&mut self, out: &mut Vec<(f64, EngineRequest)>) {
         out.append(&mut self.handoff_log);
-    }
-
-    /// `(completion, ttft, tpot)` of every request completed at or before
-    /// `to` and not yet consumed through `cursor`; advances the cursor past
-    /// the returned slice. The completion log is chronological, so
-    /// successive calls with the same cursor visit each completion exactly
-    /// once — the autoscaler's attainment trigger walks it per tick in
-    /// O(new completions) instead of rescanning every request.
-    pub(crate) fn completions_up_to(&self, cursor: &mut usize, to: f64) -> &[(f64, f64, f64)] {
-        let start = *cursor;
-        while *cursor < self.completion_log.len() && self.completion_log[*cursor].0 <= to {
-            *cursor += 1;
-        }
-        &self.completion_log[start..*cursor]
     }
 
     /// Simulation events processed so far.

@@ -609,10 +609,6 @@ impl ScaleDriver {
             ScaleDriver::Predictive(p) => p.warmup_s,
         }
     }
-
-    pub(crate) fn track_completions(&self) -> bool {
-        matches!(self, ScaleDriver::Reactive(p) if p.attainment_trigger.is_some())
-    }
 }
 
 /// The kind of one capacity disruption.

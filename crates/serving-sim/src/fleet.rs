@@ -45,11 +45,11 @@
 //! replica retires a request once it and every earlier one have completed,
 //! so a lazily generated trace drives the fleet with per-request state only
 //! for requests in flight. [`arrivals`] reads a [`Trace`] in injection
-//! order, and [`FleetEngine::run_trace`] runs one exactly and untraced. A
-//! static, fault-free, admission-free fleet can also run *verdict-only*
-//! ([`FleetEngine::run_trace_verdict`]): the same loop, stopped once its
-//! final SLO misses rule the attainment target out — what the capacity
-//! planners use for the probes they do not return.
+//! order, and [`FleetEngine::run_trace`] runs one exactly and untraced. Any
+//! fleet can also run *verdict-only* ([`FleetEngine::run_trace_verdict`]):
+//! the same loop, stopped once its final SLO misses rule the attainment
+//! target out — what the capacity planners use for the probes they do not
+//! return.
 //!
 //! # Examples
 //!
@@ -92,7 +92,7 @@ use crate::autoscaler::{AutoscalerPolicy, ReplicaLifetime, ScalingAction, Scalin
 use crate::cluster::{route_pick, FleetReport, LoadImbalance, ReplicaReport};
 use crate::engine::{
     build_report, compute_metrics_for, CacheProbe, ClassMetrics, EngineRequest, PipelineSpec,
-    ReplicaSim, RequestTimeline, Retired, ServingReport, SimAccumulators,
+    ReplicaSim, RequestTimeline, Retired, ServingReport, SimAccumulators, SloTally,
 };
 use crate::equeue::{EventQueue, EventQueueStats};
 use crate::faults::{
@@ -297,37 +297,32 @@ impl FleetEngine {
     }
 
     /// [`Self::run_trace`] for a caller that needs only the verdict
-    /// `attainment(slo) >= slo.attainment` of a run that misses it. The
-    /// run stops as soon as so many requests have *finally* missed `slo`
-    /// that even if every other request met it the attainment would fall
-    /// short: `(n − misses) / n < slo.attainment`, the verdict's own
-    /// expression over the `n` trace requests. A miss is final once it is
-    /// in a replica's completion log — a flat fleet's request completed
-    /// outside `slo`, a split fleet's TTFT at the prefill handoff or TPOT
-    /// at decode completion. A split fleet stops on the larger of its TTFT
-    /// and TPOT miss counts, a lower bound on its distinct misses.
+    /// `offered_attainment(slo) >= slo.attainment` of a run that misses it.
+    /// The run stops as soon as so many requests have *finally* missed
+    /// `slo` that even if every other request met it the attainment would
+    /// fall short: `(n − misses) / n < slo.attainment`, the verdict's own
+    /// expression over the `n` trace requests. Shed and failed requests are
+    /// final misses, and so is a miss in a live replica's tally: a flat
+    /// fleet's request completed outside `slo`, a split fleet's TTFT at the
+    /// prefill handoff or TPOT at decode completion. A split fleet counts
+    /// the larger of its prefill and decode legs' misses, a lower bound on
+    /// its distinct misses; a dead replica's tally is dropped, which only
+    /// loosens the bound. On a static, fault-free, admission-free fleet the
+    /// verdict is exactly `fleet.attainment(slo) >= slo.attainment`.
     ///
     /// A run that never loses its verdict returns the full report, equal
     /// to [`Self::run_trace`]'s; one that loses it at any point returns
-    /// the [`LostVerdict`] with the work it spent. Checking costs one
-    /// completion-log entry per request and never changes the simulation.
+    /// the [`LostVerdict`] with the work it spent. Checking never changes
+    /// the simulation.
     ///
     /// # Panics
     ///
-    /// As [`Self::run_trace`], and unless the fleet is static, fault-free
-    /// and admission-free — only there does every injected request
-    /// complete, so a logged miss is a miss of the final report.
+    /// As [`Self::run_trace`].
     pub fn run_trace_verdict(
         &self,
         trace: &Trace,
         slo: &SloTarget,
     ) -> Result<ChaosReport, LostVerdict> {
-        assert!(
-            matches!(self.driver, ScaleDriver::Static { .. })
-                && self.faults.is_empty()
-                && self.admission.is_none(),
-            "a verdict-only run needs a static, fault-free, admission-free fleet"
-        );
         self.run_recorded(
             arrivals(trace),
             &MetricsMode::Exact,
@@ -413,8 +408,11 @@ impl FleetEngine {
         );
         let injected = arrivals.len();
         let mut arrivals = Arrivals::new(arrivals);
-        let mut budget = budget.map(|slo| MissBudget::new(*slo, injected));
-        let mut run = Run::new(self, mode, R::ENABLED, budget.is_some(), injected);
+        let mut run = Run::new(self, mode, R::ENABLED, budget.copied(), injected);
+        let budget = budget.map(|&slo| MissBudget {
+            slo,
+            requests: injected,
+        });
         // Reactive tick clock / predictive step cursor.
         let mut next_tick = match &self.driver {
             ScaleDriver::Reactive(policy) => policy.evaluation_interval_s,
@@ -497,7 +495,7 @@ impl FleetEngine {
                         }
                         let req = arrivals.pull();
                         let routed = run.arrive(req, rec);
-                        if let Some(budget) = &mut budget {
+                        if let Some(budget) = &budget {
                             budget.check(&run)?;
                         }
                         if !routed {
@@ -507,7 +505,7 @@ impl FleetEngine {
                 }
                 _ => run.deliver_transfer(rec),
             }
-            if let Some(budget) = &mut budget {
+            if let Some(budget) = &budget {
                 budget.check(&run)?;
             }
         }
@@ -608,55 +606,29 @@ pub struct LostVerdict {
     pub events: u64,
 }
 
-/// The miss budget of a verdict-only run: final misses read from each
-/// replica's completion log through a cursor of the budget's own.
+/// The miss budget of a verdict-only run: the verdict's SLO, scored by the
+/// last tally of every replica, over `requests` offered requests.
 struct MissBudget {
     slo: SloTarget,
-    /// Requests the verdict is scored over.
     requests: usize,
-    /// A flat fleet's misses, or a split fleet's TTFT misses.
-    ttft_misses: usize,
-    /// A split fleet's TPOT misses.
-    tpot_misses: usize,
-    /// Per slot: completion-log entries already scored.
-    cursors: Vec<usize>,
 }
 
 impl MissBudget {
-    fn new(slo: SloTarget, requests: usize) -> Self {
-        Self {
-            slo,
-            requests,
-            ttft_misses: 0,
-            tpot_misses: 0,
-            cursors: Vec::new(),
-        }
-    }
-
-    /// Scores the completions logged since the last check and stops the
-    /// run once even all-met remaining requests could not lift the
-    /// attainment to the target.
-    fn check(&mut self, run: &Run<'_>) -> Result<(), LostVerdict> {
-        self.cursors.resize(run.slots.len(), 0);
-        let slo = self.slo;
-        for (slot, cursor) in run.slots.iter().zip(&mut self.cursors) {
-            let Some(sim) = slot.sim.as_ref() else {
-                continue;
-            };
-            for &(_, ttft, tpot) in sim.completions_up_to(cursor, f64::INFINITY) {
-                if slot.pool == DECODE_POOL {
-                    // A decode leg's TTFT is not the request's; its TPOT is.
-                    self.tpot_misses += usize::from(!slo.meets(0.0, tpot));
-                } else {
-                    // A prefill handoff logs a zero TPOT, so this scores
-                    // its TTFT alone.
-                    self.ttft_misses += usize::from(!slo.meets(ttft, tpot));
-                }
+    /// Stops the run once even all-met remaining requests could not lift
+    /// the offered attainment to the target. Sheds are misses before any
+    /// pool; failures are misses of the last pool's legs, disjoint from
+    /// the ones its live replicas scored.
+    fn check(&self, run: &Run<'_>) -> Result<(), LostVerdict> {
+        let mut leg_misses = [0; 2];
+        for slot in &run.slots {
+            if let Some(tally) = slot.sim.as_ref().and_then(|sim| sim.tallies.last()) {
+                leg_misses[slot.pool] += tally.misses();
             }
         }
-        let misses = self.ttft_misses.max(self.tpot_misses);
+        let last = leg_misses[run.pools.len() - 1] + run.failed;
+        let misses = run.shed_log.len() + leg_misses[ARRIVAL_POOL].max(last);
         let n = self.requests;
-        if n > 0 && ((n - misses) as f64 / n as f64) < slo.attainment {
+        if n > 0 && ((n - misses) as f64 / n as f64) < self.slo.attainment {
             return Err(LostVerdict {
                 events: run
                     .slots
@@ -700,10 +672,6 @@ struct Slot {
     /// here, unlike a decommissioned-but-draining slot.
     retired_at: Option<f64>,
     assigned: usize,
-    /// Position in the replica's chronological completion log up to which
-    /// the attainment trigger has already consumed outcomes — each
-    /// completion is scored exactly once across ticks.
-    completion_cursor: usize,
 }
 
 impl Slot {
@@ -832,9 +800,10 @@ struct Transfers {
 struct Run<'e> {
     engine: &'e FleetEngine,
     mode: &'e MetricsMode,
-    /// Whether new replicas log completions (only the reactive attainment
-    /// trigger and a miss budget read the log).
-    track_completions: bool,
+    /// The reactive attainment trigger's SLO: every replica's first tally.
+    trigger: Option<SloTarget>,
+    /// A verdict-only run's SLO: every replica's last tally.
+    verdict: Option<SloTarget>,
     /// Whether new replicas log cache probes (traced runs only).
     track_probes: bool,
     slots: Vec<Slot>,
@@ -869,7 +838,7 @@ impl<'e> Run<'e> {
         engine: &'e FleetEngine,
         mode: &'e MetricsMode,
         track_probes: bool,
-        track_completions: bool,
+        verdict: Option<SloTarget>,
         requests: usize,
     ) -> Self {
         let initial = engine.driver.initial_replicas();
@@ -891,7 +860,11 @@ impl<'e> Run<'e> {
         let mut run = Self {
             engine,
             mode,
-            track_completions: track_completions || engine.driver.track_completions(),
+            trigger: match &engine.driver {
+                ScaleDriver::Reactive(policy) => policy.attainment_trigger.map(|t| t.slo),
+                _ => None,
+            },
+            verdict,
             track_probes,
             slots: Vec::with_capacity(initial as usize),
             routable: Vec::with_capacity(initial as usize),
@@ -940,7 +913,20 @@ impl<'e> Run<'e> {
     /// `pool`.
     fn provision(&mut self, spec: usize, pool: usize, now: f64, routable_s: f64) -> usize {
         let mut sim = ReplicaSim::new(self.engine.specs[spec].clone(), self.mode);
-        sim.track_completions = self.track_completions;
+        // A decode leg's TTFT is not the request's, so it scores TPOT only.
+        let verdict = self.verdict.map(|slo| match pool {
+            DECODE_POOL => SloTarget {
+                ttft_s: f64::INFINITY,
+                ..slo
+            },
+            _ => slo,
+        });
+        sim.tallies = self
+            .trigger
+            .into_iter()
+            .chain(verdict)
+            .map(SloTally::new)
+            .collect();
         sim.track_probes = self.track_probes;
         let home = self.pools[pool].size;
         self.pools[pool].size += 1;
@@ -954,7 +940,6 @@ impl<'e> Run<'e> {
             decommissioned_s: None,
             retired_at: None,
             assigned: 0,
-            completion_cursor: 0,
         });
         self.slots.len() - 1
     }
@@ -1342,20 +1327,16 @@ impl<'e> Run<'e> {
         let routable = self.routable.len() as u32;
         let (mean_queue_depth, mean_outstanding) = self.mean_load();
         let queue_trigger = mean_queue_depth > policy.scale_out_queue_depth;
-        // Consecutive ticks are `evaluation_interval_s` apart, so consuming
-        // everything up to `now` from each replica's cursor is exactly the
-        // last interval's completions — in O(new completions), not a rescan
-        // of every request.
+        // Each tick reads and restarts every live replica's trigger tally.
+        // A flat fleet's replicas are never simulated past the current
+        // instant, so that is exactly the last interval's completions.
         let attainment_trigger = policy.attainment_trigger.is_some_and(|trigger| {
-            let (mut met, mut total) = (0usize, 0usize);
-            for slot in &mut self.slots {
-                let Some(sim) = slot.sim.as_ref() else {
-                    continue;
-                };
-                for &(_, ttft, tpot) in sim.completions_up_to(&mut slot.completion_cursor, now) {
-                    total += 1;
-                    met += usize::from(trigger.slo.meets(ttft, tpot));
-                }
+            let (mut met, mut total) = (0, 0);
+            for sim in self.slots.iter_mut().filter_map(|s| s.sim.as_mut()) {
+                let tally = &mut sim.tallies[0];
+                met += tally.met;
+                total += tally.completed;
+                *tally = SloTally::new(tally.slo);
             }
             total > 0 && (met as f64 / total as f64) < trigger.floor
         });
@@ -1909,22 +1890,22 @@ mod tests {
     }
 
     /// Runs `engine` both ways under every SLO of `slos` and checks the
-    /// verdict-only run: it stops only when the full run's attainment is
-    /// below target, and otherwise returns the full run's report — also
-    /// at each SLO's boundary target, the full run's own attainment, where
-    /// any overcount of misses would stop a feasible run. Returns
-    /// `(stopped, complete)` counts.
+    /// verdict-only run: it stops only when the full run's offered
+    /// attainment is below target, and otherwise returns the full run's
+    /// report — also at each SLO's boundary target, the full run's own
+    /// offered attainment, where any overcount of misses would stop a
+    /// feasible run. Returns `(stopped, complete)` counts.
     fn check_verdicts(engine: &FleetEngine, trace: &Trace, slos: &[SloTarget]) -> (usize, usize) {
         let full = engine.run_trace(trace);
         let boundaries = slos
             .iter()
-            .map(|slo| slo.with_attainment(full.fleet.attainment(slo)));
+            .map(|slo| slo.with_attainment(full.offered_attainment(slo)));
         let (mut stopped, mut complete) = (0, 0);
         for slo in slos.iter().copied().chain(boundaries) {
             match engine.run_trace_verdict(trace, &slo) {
                 Err(lost) => {
                     stopped += 1;
-                    assert!(full.fleet.attainment(&slo) < slo.attainment, "{slo:?}");
+                    assert!(full.offered_attainment(&slo) < slo.attainment, "{slo:?}");
                     assert!(lost.events <= full.fleet.merged.metrics.events_processed);
                 }
                 Ok(report) => {
@@ -2004,13 +1985,24 @@ mod tests {
             .map(|a| base.with_attainment(a))
             .collect();
         let (mut stopped, mut complete, mut both) = (0, 0, 0);
-        for (p, d) in [(1, 1), (1, 4), (2, 1), (2, 2), (4, 4)] {
+        // An 80 ms handoff puts each decode leg's first token past the TTFT
+        // target while the request's own first token meets it: only a
+        // decode leg that scores TPOT alone keeps this fleet's verdict.
+        let priced = KvTransferModel::new(0.0, f64::INFINITY, 0.08);
+        for (p, d, transfer) in [
+            (1, 1, KvTransferModel::zero()),
+            (1, 4, KvTransferModel::zero()),
+            (2, 1, KvTransferModel::zero()),
+            (2, 2, KvTransferModel::zero()),
+            (4, 4, KvTransferModel::zero()),
+            (4, 4, priced),
+        ] {
             let engine = FleetEngine::disaggregated(
                 prefill.clone(),
                 decode.clone(),
                 &PoolSpec::new(PoolRole::Prefill, p, RouterPolicy::LeastOutstanding),
                 &PoolSpec::new(PoolRole::Decode, d, RouterPolicy::LeastOutstanding),
-                KvTransferModel::zero(),
+                transfer,
             );
             both += engine
                 .run_trace(&trace)
@@ -2029,6 +2021,65 @@ mod tests {
             stopped > 0 && complete > 0,
             "{stopped} stopped, {complete} complete"
         );
+    }
+
+    /// The miss budget is sound on every fleet: a reactive fleet with an
+    /// attainment trigger (whose tally the budget's rides next to), crashes
+    /// that re-queue or fail their in-flight work, and admission control.
+    /// Sheds and failures count as misses, so each fleet both stops and
+    /// completes across the targets.
+    #[test]
+    fn verdict_runs_of_elastic_faulted_and_admission_fleets_are_sound() {
+        let trace = poisson_trace(300, 120.0, 8);
+        let slos: Vec<SloTarget> = [0.3, 0.6, 0.9, 0.99, 1.0]
+            .into_iter()
+            .flat_map(|a| {
+                [SloTarget::new(0.05, 0.01), SloTarget::new(0.2, 0.01)]
+                    .map(|s| s.with_attainment(a))
+            })
+            .collect();
+        let pair = || {
+            FleetEngine::new(
+                one_stage_spec(0.04),
+                RouterPolicy::LeastOutstanding,
+                ScaleDriver::Static { replicas: 2 },
+            )
+        };
+        let crash = FaultSchedule::new(vec![FaultEvent::Crash {
+            replica: 0,
+            at_s: 0.8,
+            restart_delay_s: 0.5,
+        }]);
+        let fleets = [
+            FleetEngine::new(
+                one_stage_spec(0.03),
+                RouterPolicy::LeastOutstanding,
+                ScaleDriver::Reactive(
+                    AutoscalerPolicy::new(1, 3)
+                        .with_evaluation_interval(0.25)
+                        .with_scale_out_queue_depth(4.0)
+                        .with_attainment_trigger(SloTarget::new(0.1, 0.01), 0.9),
+                ),
+            ),
+            pair().with_faults(crash.clone()),
+            pair()
+                .with_faults(crash)
+                .with_crash_policy(CrashPolicy::Fail),
+            pair().with_admission(AdmissionConfig::new(2.0, 0.0)),
+        ];
+        let (mut shed, mut failed) = (0, 0);
+        for engine in &fleets {
+            let (stopped, complete) = check_verdicts(engine, &trace, &slos);
+            assert!(
+                stopped > 0 && complete > 0,
+                "{stopped} stopped, {complete} complete"
+            );
+            let fault = engine.run_trace(&trace).fault;
+            shed += fault.shed;
+            failed += fault.failed;
+        }
+        assert!(fleets[0].run_trace(&trace).peak_provisioned > 1);
+        assert_eq!((shed, failed), (64, 11));
     }
 
     /// A trace is read in place, sorted or not: [`arrivals`] yields an
@@ -2157,44 +2208,5 @@ mod tests {
             &PoolSpec::new(PoolRole::Decode, 1, RouterPolicy::LeastOutstanding),
             KvTransferModel::zero(),
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "static, fault-free, admission-free")]
-    fn verdict_runs_reject_reactive_fleets() {
-        let _ = FleetEngine::new(
-            one_stage_spec(0.03),
-            RouterPolicy::LeastOutstanding,
-            ScaleDriver::Reactive(AutoscalerPolicy::new(1, 4)),
-        )
-        .run_trace_verdict(&poisson_trace(20, 50.0, 8), &SloTarget::new(0.1, 0.01));
-    }
-
-    #[test]
-    #[should_panic(expected = "static, fault-free, admission-free")]
-    fn verdict_runs_reject_faulted_fleets() {
-        let _ = FleetEngine::new(
-            one_stage_spec(0.03),
-            RouterPolicy::LeastOutstanding,
-            ScaleDriver::Static { replicas: 2 },
-        )
-        .with_faults(FaultSchedule::new(vec![FaultEvent::Crash {
-            replica: 0,
-            at_s: 0.1,
-            restart_delay_s: 0.5,
-        }]))
-        .run_trace_verdict(&poisson_trace(20, 50.0, 8), &SloTarget::new(0.1, 0.01));
-    }
-
-    #[test]
-    #[should_panic(expected = "static, fault-free, admission-free")]
-    fn verdict_runs_reject_admission_control() {
-        let _ = FleetEngine::new(
-            one_stage_spec(0.03),
-            RouterPolicy::LeastOutstanding,
-            ScaleDriver::Static { replicas: 2 },
-        )
-        .with_admission(AdmissionConfig::new(2.0, 4.0))
-        .run_trace_verdict(&poisson_trace(20, 50.0, 8), &SloTarget::new(0.1, 0.01));
     }
 }

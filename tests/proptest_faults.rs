@@ -17,9 +17,16 @@
 //! 4. **Flat predictive plans are static fleets** — a
 //!    [`ScalingPlan::flat`] predictive driver reproduces the static driver
 //!    bit-exactly for any replica count.
+//! 5. **Verdict-only runs are sound on every fleet** — on static or
+//!    trigger-reactive fleets, crashed or not, with or without admission,
+//!    a verdict-only run stops only when the full run's offered attainment
+//!    is below target, and otherwise returns the full run's report; at the
+//!    full run's own attainment it never stops.
 
 use proptest::prelude::*;
-use rago::schema::RouterPolicy;
+use proptest::test_runner::TestCaseError;
+use rago::schema::{RouterPolicy, SequenceProfile, SloTarget};
+use rago::serving_sim::autoscaler::AutoscalerPolicy;
 use rago::serving_sim::engine::{DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, StageSpec};
 use rago::serving_sim::faults::{
     AdmissionConfig, CrashPolicy, FaultEvent, FaultSchedule, PredictivePolicy, ScaleDriver,
@@ -28,6 +35,7 @@ use rago::serving_sim::faults::{
 use rago::serving_sim::fleet::FleetEngine;
 use rago::serving_sim::MetricsMode;
 use rago::telemetry::NullRecorder;
+use rago::workloads::{ArrivalProcess, TraceSpec};
 
 fn pipeline(stage_latency: f64, batch: u32) -> PipelineSpec {
     PipelineSpec::new(
@@ -226,5 +234,136 @@ proptest! {
         prop_assert_eq!(&predictive.fleet, &static_run.fleet);
         prop_assert_eq!(predictive.replica_seconds, static_run.replica_seconds);
         prop_assert!(predictive.events.is_empty());
+    }
+}
+
+/// Invariant 5 on one drawn fleet: a static fleet of `replicas`, or a
+/// reactive one growing from it with an attainment trigger; a crash of
+/// replica 0 at `crash_s` that re-queues or fails its work and may restart;
+/// optional admission at `shed_depth`; and an SLO of `ttft_s`, `tpot_s`
+/// and `target`.
+#[allow(clippy::too_many_arguments)]
+fn check_verdict(
+    n: usize,
+    rate_rps: f64,
+    seed: u64,
+    replicas: u32,
+    reactive: bool,
+    crash_s: Option<f64>,
+    restart: bool,
+    fail: bool,
+    shed_depth: Option<f64>,
+    ttft_s: f64,
+    tpot_s: f64,
+    target: f64,
+) -> Result<(), TestCaseError> {
+    let trace = TraceSpec {
+        num_requests: n,
+        profile: SequenceProfile::paper_default().with_decode_tokens(8),
+        arrival: ArrivalProcess::Poisson { rate_rps },
+        length_jitter: 0.2,
+        seed,
+    }
+    .generate();
+    let slo = SloTarget::new(ttft_s, tpot_s).with_attainment(target);
+    let driver = if reactive {
+        ScaleDriver::Reactive(
+            AutoscalerPolicy::new(replicas, replicas + 2)
+                .with_evaluation_interval(0.2)
+                .with_attainment_trigger(slo, 0.9),
+        )
+    } else {
+        ScaleDriver::Static { replicas }
+    };
+    let mut engine = FleetEngine::new(pipeline(0.02, 2), RouterPolicy::LeastOutstanding, driver);
+    if let Some(at_s) = crash_s {
+        engine = engine
+            .with_faults(FaultSchedule::new(vec![FaultEvent::Crash {
+                replica: 0,
+                at_s,
+                restart_delay_s: if restart { 0.3 } else { f64::INFINITY },
+            }]))
+            .with_crash_policy(if fail {
+                CrashPolicy::Fail
+            } else {
+                CrashPolicy::Requeue
+            });
+    }
+    if let Some(depth) = shed_depth {
+        engine = engine.with_admission(AdmissionConfig::new(depth, 0.0));
+    }
+    let full = engine.run_trace(&trace);
+    let attained = full.offered_attainment(&slo);
+    // The full run's own attainment is the sharpest target: any overcount
+    // of misses stops a run that keeps its verdict.
+    for target in [target, attained] {
+        match engine.run_trace_verdict(&trace, &slo.with_attainment(target)) {
+            Err(_) => prop_assert!(
+                attained < target,
+                "stopped, yet the full run attains {attained} >= {target}"
+            ),
+            Ok(report) => prop_assert!(report == full, "the kept report differs from the full run"),
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Invariant 5 over random fleets, faults, admission and SLOs.
+    #[test]
+    fn verdict_runs_are_sound_on_every_fleet(
+        n in 20usize..120,
+        rate_rps in 20.0f64..150.0,
+        seed in 0u64..500,
+        replicas in 1u32..4,
+        reactive in 0u32..2,
+        crash_decis in 0u32..30,
+        restart in 0u32..2,
+        fail in 0u32..2,
+        shed_depth in 0u32..6,
+        ttft_ms in 10u32..200,
+        tpot_ms in 3u32..20,
+        target in 0.2f64..1.0,
+    ) {
+        check_verdict(
+            n, rate_rps, seed, replicas, reactive == 1,
+            (crash_decis < 20).then(|| f64::from(crash_decis) * 0.1),
+            restart == 1, fail == 1,
+            (shed_depth > 0).then(|| f64::from(shed_depth)),
+            f64::from(ttft_ms) * 1e-3, f64::from(tpot_ms) * 1e-3, target,
+        )?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// The slow tier: invariant 5 at 10× the cases. Run with
+    /// `cargo test -q -- --ignored`.
+    #[test]
+    #[ignore = "slow proptest tier (run with --ignored)"]
+    fn verdict_runs_are_sound_on_every_fleet_slow(
+        n in 20usize..250,
+        rate_rps in 10.0f64..250.0,
+        seed in 0u64..5_000,
+        replicas in 1u32..5,
+        reactive in 0u32..2,
+        crash_decis in 0u32..40,
+        restart in 0u32..2,
+        fail in 0u32..2,
+        shed_depth in 0u32..8,
+        ttft_ms in 5u32..300,
+        tpot_ms in 2u32..30,
+        target in 0.05f64..1.0,
+    ) {
+        check_verdict(
+            n, rate_rps, seed, replicas, reactive == 1,
+            (crash_decis < 30).then(|| f64::from(crash_decis) * 0.1),
+            restart == 1, fail == 1,
+            (shed_depth > 0).then(|| f64::from(shed_depth)),
+            f64::from(ttft_ms) * 1e-3, f64::from(tpot_ms) * 1e-3, target,
+        )?;
     }
 }

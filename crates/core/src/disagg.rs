@@ -58,7 +58,8 @@ pub struct DisaggEvaluation {
     /// The stitched two-pool report (merged metrics, per-pool breakdowns,
     /// KV-transfer statistics).
     pub report: DisaggReport,
-    /// Fraction of requests meeting the SLO's latency targets.
+    /// Fraction of offered requests meeting the SLO's latency targets: a
+    /// request that failed never meets them.
     pub attainment: f64,
     /// Requests meeting the SLO per second of fleet serving duration.
     pub goodput_rps: f64,
@@ -198,10 +199,10 @@ pub(crate) fn score_disagg(
     let (prefill, decode) = fleet
         .prefill_decode()
         .expect("scored runs come from a pool fleet");
+    let attainment = report.offered_attainment(slo);
     let report = DisaggReport::from_chaos(report, decode.router, fleet.transfer);
-    let attainment = report.merged.attainment(slo);
     let goodput_rps = report.merged.goodput_rps(slo);
-    let meets_slo = report.merged.meets_slo(slo);
+    let meets_slo = attainment >= slo.attainment;
     let total_xpus = split_xpus(schedule, prefill.replicas, decode.replicas);
     DisaggEvaluation {
         report,
@@ -226,8 +227,8 @@ pub(crate) fn score_disagg(
 /// un-transferred work onto prefill *survivors*, a decode replica's
 /// in-flight decodes (their KV state has crossed) onto decode survivors.
 /// Work whose pool has no live replica waits for a restart's cold
-/// replacement, which joins the victim's pool, or fails and is missing from
-/// the stitched timelines. The requeue counters land in
+/// replacement, which joins the victim's pool, or fails: it is missing from
+/// the stitched timelines and counts as a miss. The requeue counters land in
 /// [`rago_serving_sim::pools::TransferStats`]; chips are billed for the
 /// configured pool sizes.
 ///

@@ -1202,7 +1202,8 @@ mod tests {
     /// The only replica of either pool of a 1+1 split can crash mid-trace:
     /// with a restart its pool's work waits for the cold replacement and
     /// every request completes; with a permanent loss the requests the
-    /// pool can no longer serve fail, and the call still returns `Ok`.
+    /// pool can no longer serve fail and score as misses, and the call
+    /// still returns `Ok`.
     #[test]
     fn single_replica_pool_crashes_wait_or_fail_instead_of_panicking() {
         use rago_schema::PoolRole;
@@ -1229,9 +1230,8 @@ mod tests {
                 restart_delay_s: None,
                 ..restart
             };
-            assert!(
-                evaluate_fleet_disagg(&profiler, &schedule, &fleet, &[lost], &trace, &slo).is_ok()
-            );
+            let lost_eval =
+                evaluate_fleet_disagg(&profiler, &schedule, &fleet, &[lost], &trace, &slo).unwrap();
             // The evaluation carries no fault ledger: read it off the same
             // engine, built from the lowered crash schedule.
             let run = FleetRun {
@@ -1250,6 +1250,12 @@ mod tests {
                 "{pool} loss"
             );
             assert!(fault.failed > 0, "the {pool} loss left nothing to fail");
+            // A failed request is a miss: the split scores its offered
+            // attainment, not the completed requests' full marks.
+            assert_eq!(fault.failed, 77, "{pool} loss");
+            assert_eq!(lost_eval.attainment, chaos.offered_attainment(&slo));
+            assert_eq!(lost_eval.attainment, 43.0 / 120.0);
+            assert!(!lost_eval.meets_slo, "{pool} loss");
         }
     }
 

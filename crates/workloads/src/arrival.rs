@@ -247,12 +247,6 @@ impl ArrivalProcess {
                 base.max(spike)
             }
         };
-        let cycle_s = match self {
-            ArrivalProcess::PiecewiseRate { segments } => {
-                segments.iter().map(|s| s.duration_s).sum()
-            }
-            _ => 0.0,
-        };
         ArrivalTimes {
             process: self,
             rng,
@@ -260,7 +254,6 @@ impl ArrivalProcess {
             index: 0,
             t: 0.0,
             rate_max,
-            cycle_s,
         }
     }
 
@@ -322,49 +315,11 @@ pub struct ArrivalTimes<'a, R> {
     index: u64,
     /// The latest arrival (or thinning candidate).
     t: f64,
-    /// The Poisson rate, or the thinning bound `rate(t) <= rate_max`.
+    /// The Poisson rate, or the thinning bound `rate_at(t) <= rate_max`.
     rate_max: f64,
-    /// A piecewise profile's cycle length.
-    cycle_s: f64,
 }
 
 impl<R: BorrowMut<StdRng>> ArrivalTimes<'_, R> {
-    /// The thinned processes' intensity at `t`.
-    fn rate(&self, t: f64) -> f64 {
-        match self.process {
-            ArrivalProcess::PiecewiseRate { segments } => {
-                let mut rem = t % self.cycle_s;
-                for s in segments {
-                    if rem < s.duration_s {
-                        return s.rate_rps;
-                    }
-                    rem -= s.duration_s;
-                }
-                segments.last().expect("non-empty").rate_rps
-            }
-            &ArrivalProcess::Diurnal {
-                base_rps: base,
-                peak_rps: peak,
-                period_s: period,
-            } => {
-                base + (peak - base) * 0.5 * (1.0 - (2.0 * std::f64::consts::PI * t / period).cos())
-            }
-            &ArrivalProcess::Spike {
-                base_rps: base,
-                spike_rps: spike,
-                start_s: start,
-                duration_s: dur,
-            } => {
-                if t >= start && t < start + dur {
-                    spike
-                } else {
-                    base
-                }
-            }
-            _ => unreachable!("only the time-varying processes are thinned"),
-        }
-    }
-
     /// One exponential gap at the rate bound, added to the clock.
     fn step(&mut self) -> f64 {
         let u: f64 = self.rng.borrow_mut().gen_range(f64::EPSILON..1.0);
@@ -393,7 +348,8 @@ impl<R: BorrowMut<StdRng>> Iterator for ArrivalTimes<'_, R> {
             _ => loop {
                 let t = self.step();
                 let accept: f64 = self.rng.borrow_mut().gen_range(0.0..1.0);
-                if accept * self.rate_max < self.rate(t) {
+                let rate = self.process.rate_at(t).expect("a thinned rate");
+                if accept * self.rate_max < rate {
                     break t;
                 }
             },

@@ -1917,18 +1917,23 @@ mod tests {
         (stopped, complete)
     }
 
-    /// Verdict-only runs of flat fleets stop only on a lost verdict and
-    /// otherwise equal the full run, across loads from overload to idle.
-    #[test]
-    fn verdict_runs_of_flat_fleets_are_sound() {
-        let trace = poisson_trace(300, 120.0, 8);
-        let slos: Vec<SloTarget> = [0.3, 0.6, 0.9, 0.99, 1.0]
+    /// Two SLOs of the one-stage fleets, each at targets from 0.3 to 1.
+    fn flat_slos() -> Vec<SloTarget> {
+        [0.3, 0.6, 0.9, 0.99, 1.0]
             .into_iter()
             .flat_map(|a| {
                 [SloTarget::new(0.05, 0.01), SloTarget::new(0.2, 0.01)]
                     .map(|s| s.with_attainment(a))
             })
-            .collect();
+            .collect()
+    }
+
+    /// Verdict-only runs of flat fleets stop only on a lost verdict and
+    /// otherwise equal the full run, across loads from overload to idle.
+    #[test]
+    fn verdict_runs_of_flat_fleets_are_sound() {
+        let trace = poisson_trace(300, 120.0, 8);
+        let slos = flat_slos();
         let (mut stopped, mut complete) = (0, 0);
         for replicas in 1..=4 {
             let engine = FleetEngine::new(
@@ -2023,21 +2028,15 @@ mod tests {
         );
     }
 
-    /// The miss budget is sound on every fleet: a reactive fleet with an
-    /// attainment trigger (whose tally the budget's rides next to), crashes
-    /// that re-queue or fail their in-flight work, and admission control.
+    /// The miss budget is sound on every fleet: a reactive fleet whose
+    /// replicas carry a trigger tally next to the budget's, crashes that
+    /// re-queue or fail their in-flight work, and admission control.
     /// Sheds and failures count as misses, so each fleet both stops and
     /// completes across the targets.
     #[test]
     fn verdict_runs_of_elastic_faulted_and_admission_fleets_are_sound() {
         let trace = poisson_trace(300, 120.0, 8);
-        let slos: Vec<SloTarget> = [0.3, 0.6, 0.9, 0.99, 1.0]
-            .into_iter()
-            .flat_map(|a| {
-                [SloTarget::new(0.05, 0.01), SloTarget::new(0.2, 0.01)]
-                    .map(|s| s.with_attainment(a))
-            })
-            .collect();
+        let slos = flat_slos();
         let pair = || {
             FleetEngine::new(
                 one_stage_spec(0.04),

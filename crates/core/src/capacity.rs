@@ -41,7 +41,7 @@
 //! infeasible target is reported with the full run's attainment. Plans
 //! count their DES runs, stopped runs and events exactly.
 
-use crate::dynamic::{fleet_engine, pipeline_spec, rank, FleetRun};
+use crate::dynamic::{fleet_engine, rank, FleetRun};
 use crate::error::RagoError;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
@@ -49,7 +49,7 @@ use crate::schedule::Schedule;
 use rago_cache::CacheConfig;
 use rago_schema::{FleetConfig, KvTransferModel, RouterPolicy, SequenceProfile, SloTarget};
 use rago_serving_sim::cluster::FleetReport;
-use rago_serving_sim::faults::{ChaosReport, ScaleDriver};
+use rago_serving_sim::faults::ChaosReport;
 use rago_serving_sim::fleet::FleetEngine;
 use rago_workloads::{ArrivalProcess, ContentSpec, RateSegment, Trace, TraceSpec};
 use serde::{Deserialize, Serialize};
@@ -131,11 +131,12 @@ pub struct CapacityPlan {
 /// the last infeasible count (or 0) and it. Bisection leaves the returned
 /// count's predecessor a probed miss, so the result equals an exhaustive
 /// linear scan whenever attainment is monotone in the replica count
-/// (cross-checked by the `fleet_scaling` bench). The pipeline is profiled
-/// once and replicated; every candidate count is evaluated on the same
-/// generated trace, so plans are comparable across schedules. Probes other
-/// than `max_replicas` are verdict-only and stop once their SLO is lost
-/// (see the module docs); the plan counts the DES runs spent.
+/// (cross-checked by the `fleet_scaling` bench). Every probe builds its
+/// fleet through the memoized profiler, so profiling costs one cold pass;
+/// every candidate count is evaluated on the same generated trace, so
+/// plans are comparable across schedules. Probes other than
+/// `max_replicas` are verdict-only and stop once their SLO is lost (see
+/// the module docs); the plan counts the DES runs spent.
 ///
 /// # Errors
 ///
@@ -169,23 +170,24 @@ pub(crate) fn plan_flat(
     cached: Option<(&CacheConfig, &ContentSpec)>,
 ) -> Result<(CapacityPlan, FleetReport), RagoError> {
     validate_capacity_inputs(target_qps, options)?;
-    schedule.validate()?;
-    let spec = pipeline_spec(profiler, schedule, cached.map(|(cache, _)| cache))?;
-    let max = options.max_replicas;
-    let n0 = analytic_replicas(profiler, schedule, target_qps, max)?;
     let mut trace = sizing_trace(target_qps, options);
     if let Some((_, content)) = cached {
         trace = content.tag(&trace);
     }
-    // Profiled once above and cloned for every probe, which the one
-    // builder, profiling per build, cannot serve.
-    let engine = |_, replicas| {
-        FleetEngine::new(
-            spec.clone(),
-            options.router,
-            ScaleDriver::Static { replicas },
-        )
+    let engine = |replicas| {
+        let run = FleetRun {
+            fleet: FleetConfig::new(replicas, options.router),
+            cache: cached.map(|(cache, _)| *cache),
+            ..FleetRun::default()
+        };
+        fleet_engine(profiler, schedule, &trace, &run)
     };
+    // Building one fleet surfaces every input error before any DES run;
+    // the probes differ from it only in their replica counts.
+    engine(1)?;
+    let max = options.max_replicas;
+    let n0 = analytic_replicas(profiler, schedule, target_qps, max)?;
+    let engine = |_, n| engine(n).expect("every fleet of the validated inputs builds");
     let mut probes = Probes::new(slo, &trace, (1, max));
     let chips = (0, schedule.allocation.total_xpus());
     let Some((_, replicas, total_xpus)) = search_lattice(&mut probes, (1, n0), chips, engine)
@@ -787,6 +789,7 @@ pub fn plan_capacity_profile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dynamic::pipeline_spec;
     use crate::optimizer::{Rago, SearchOptions};
     use crate::placement::PlacementPlan;
     use crate::schedule::{BatchingPolicy, ResourceAllocation};
@@ -794,6 +797,7 @@ mod tests {
     use rago_schema::presets::{self, LlmSize};
     use rago_schema::Stage;
     use rago_serving_sim::engine::PipelineSpec;
+    use rago_serving_sim::faults::ScaleDriver;
 
     fn case1_profiler() -> StageProfiler {
         StageProfiler::new(
@@ -965,6 +969,26 @@ mod tests {
                 )
             );
         }
+    }
+
+    /// Every probe re-profiles its pipeline through the memo, so a plan
+    /// costs the cost model exactly what profiling the pipeline once and
+    /// the analytic seed cost, and its probes add only memo hits.
+    #[test]
+    fn plan_probes_add_memo_hits_but_no_misses() {
+        let schedule = case1_schedule();
+        let slo = SloTarget::new(0.4, 0.1);
+        let options = timed_options(600.0, 3.0);
+        let planned = case1_profiler();
+        let plan = plan_capacity(&planned, &schedule, &slo, 600.0, &options).unwrap();
+        assert!(plan.des_runs > 1);
+        let profiled = case1_profiler();
+        pipeline_spec(&profiled, &schedule, None).unwrap();
+        schedule.evaluate(&profiled).unwrap();
+        let (planned_hits, planned_misses) = planned.memo_stats();
+        let (profiled_hits, profiled_misses) = profiled.memo_stats();
+        assert_eq!(planned_misses, profiled_misses);
+        assert!(planned_hits > profiled_hits);
     }
 
     /// The one walk, exhaustively: for every cap up to 16, every start in

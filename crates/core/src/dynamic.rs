@@ -21,16 +21,15 @@
 //! in place; and each result type has one scorer. A [`DynamicEvaluation`]
 //! is the [`FleetEvaluation`] of [`FleetConfig::single`], scored on the
 //! merged report. The frontier rankers share one parallel loop, `rank`.
-//! Only [`evaluate_heterogeneous_fleet_dynamic`] (one spec per replica) and
-//! the capacity planner's flat probes (one profiled spec, cloned per probe)
-//! build their engines directly.
+//! The capacity planners' probes are built by `fleet_engine` too, so every
+//! engine the crate runs comes from that one function.
 
 use crate::error::RagoError;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
 use rago_cache::CacheConfig;
-use rago_schema::{FleetConfig, RouterPolicy, SloTarget, Stage};
+use rago_schema::{FleetConfig, SloTarget, Stage};
 use rago_serving_sim::cluster::FleetReport;
 use rago_serving_sim::engine::{
     DecodeSpec, IterativeSpec, LatencyTable, PipelineSpec, ServingReport,
@@ -218,8 +217,6 @@ pub struct FleetEvaluation {
 /// Disaggregated `[Prefill, Decode]` pool fleets run as a split
 /// [`FleetEngine`] (see [`crate::disagg`]) with prefill replicas numbered
 /// `0..P` and decode replicas `P..P+D`; they require [`MetricsMode::Exact`].
-/// A fleet declaring a single `[Monolithic]` pool runs the flat path with
-/// the pool's router.
 ///
 /// # Errors
 ///
@@ -314,7 +311,7 @@ pub(crate) fn evaluate_fleet<R: Recorder>(
 /// faults, admission control, cache or telemetry.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FleetRun {
-    /// Flat, one `[Monolithic]` pool, or a `[Prefill, Decode]` pool pair.
+    /// Flat, or a `[Prefill, Decode]` pool pair.
     pub fleet: FleetConfig,
     /// Sizes a flat fleet over time in place of `fleet.replicas`.
     pub driver: Option<ScaleDriver>,
@@ -370,17 +367,12 @@ pub(crate) fn fleet_engine(
         let transfer = run.fleet.transfer;
         FleetEngine::disaggregated(prefill_spec, decode_spec, prefill, decode, transfer)
     } else {
-        // One declared Monolithic pool is the flat fleet in pool form —
-        // honour the pool's router (`validate` pinned the totals).
-        let router = match run.fleet.pools.as_slice() {
-            [only] => only.router,
-            _ => run.fleet.router,
-        };
         let replicas = run.fleet.replicas;
         let driver = run
             .driver
             .clone()
             .unwrap_or(ScaleDriver::Static { replicas });
+        let router = run.fleet.router;
         FleetEngine::new(pipeline_spec(profiler, schedule, cache)?, router, driver)
     };
     let mut engine = engine
@@ -411,45 +403,6 @@ pub(crate) fn run_fleet<R: Recorder>(
     report
 }
 
-/// A heterogeneous fleet: one (possibly different) schedule per replica —
-/// e.g. serving two Pareto-frontier schedules side by side.
-///
-/// # Errors
-///
-/// Returns [`RagoError::InvalidConfig`] when `schedules` is empty, any
-/// schedule is invalid, or the trace is empty or malformed, and
-/// [`RagoError::CostModel`] when any profiled point is infeasible.
-pub fn evaluate_heterogeneous_fleet_dynamic(
-    profiler: &StageProfiler,
-    schedules: &[Schedule],
-    router: RouterPolicy,
-    trace: &Trace,
-    slo: &SloTarget,
-) -> Result<FleetEvaluation, RagoError> {
-    if schedules.is_empty() {
-        return Err(RagoError::InvalidConfig {
-            reason: "a heterogeneous fleet needs at least one schedule".into(),
-        });
-    }
-    validate_trace(trace)?;
-    let mut specs = Vec::with_capacity(schedules.len());
-    for schedule in schedules {
-        schedule.validate()?;
-        specs.push(pipeline_spec(profiler, schedule, None)?);
-    }
-    // One spec per replica, which `fleet_engine`'s one spec cannot serve.
-    let replicas = specs.len() as u32;
-    let engine = FleetEngine::heterogeneous(specs, router, ScaleDriver::Static { replicas });
-    let report = run_fleet(
-        profiler,
-        &engine,
-        trace,
-        &MetricsMode::Exact,
-        &mut NullRecorder,
-    );
-    Ok(score_fleet(report.fleet, slo))
-}
-
 /// Scores a finished fleet run against `slo`.
 fn score_fleet(report: FleetReport, slo: &SloTarget) -> FleetEvaluation {
     FleetEvaluation {
@@ -466,8 +419,8 @@ fn score_fleet(report: FleetReport, slo: &SloTarget) -> FleetEvaluation {
 /// retrieval-result hit skips the [`Stage::Retrieval`] and [`Stage::Rerank`]
 /// stages. With `cache = None` the spec is byte-for-byte the cache-less
 /// pipeline, which is what makes the cached evaluations' degenerate cases
-/// bit-exact. Shared with the capacity planners ([`crate::capacity`]),
-/// which build the spec once and replicate it.
+/// bit-exact. [`fleet_engine`] builds every flat fleet from it, and
+/// [`crate::disagg`] splits it into a prefill/decode pair.
 pub(crate) fn pipeline_spec(
     profiler: &StageProfiler,
     schedule: &Schedule,
@@ -654,7 +607,7 @@ mod tests {
     use crate::schedule::{BatchingPolicy, ResourceAllocation};
     use rago_hardware::ClusterSpec;
     use rago_schema::presets::{self, LlmSize};
-    use rago_schema::SequenceProfile;
+    use rago_schema::{RouterPolicy, SequenceProfile};
     use rago_workloads::{ArrivalProcess, TraceSpec};
 
     fn case1_profiler() -> StageProfiler {
@@ -992,101 +945,6 @@ mod tests {
         assert_eq!(one.report.merged, single.report);
         assert!((one.attainment - single.attainment).abs() < 1e-12);
         assert!((one.goodput_rps - single.goodput_rps).abs() < 1e-12);
-    }
-
-    /// The degenerate pool shape: a fleet declaring one explicit Monolithic
-    /// pool is **bit-identical** to the flat fleet it spells out — same
-    /// engine, same router, same replica count, byte-for-byte equal report.
-    #[test]
-    fn single_monolithic_pool_is_bit_identical_to_flat_fleet() {
-        let profiler = case1_profiler();
-        let schedule = case1_schedule();
-        let slo = SloTarget::new(1.0, 0.1);
-        let trace = TraceSpec {
-            num_requests: 90,
-            profile: SequenceProfile::paper_default().with_decode_tokens(32),
-            arrival: ArrivalProcess::Poisson { rate_rps: 50.0 },
-            length_jitter: 0.2,
-            seed: 7,
-        }
-        .generate();
-        for router in [
-            RouterPolicy::RoundRobin,
-            RouterPolicy::LeastOutstanding,
-            RouterPolicy::JoinShortestQueue,
-        ] {
-            let flat = rago_schema::FleetConfig::new(3, router);
-            let pooled = rago_schema::FleetConfig {
-                replicas: 3,
-                // A deliberately different top-level router: the declared
-                // pool's router must win for the [Monolithic] shape.
-                router: RouterPolicy::RoundRobin,
-                pools: vec![rago_schema::PoolSpec::new(
-                    rago_schema::PoolRole::Monolithic,
-                    3,
-                    router,
-                )],
-                transfer: rago_schema::KvTransferModel::zero(),
-            };
-            let a = evaluate_fleet_dynamic_with(
-                &profiler,
-                &schedule,
-                &flat,
-                &trace,
-                &slo,
-                &MetricsMode::Exact,
-            )
-            .unwrap();
-            let b = evaluate_fleet_dynamic_with(
-                &profiler,
-                &schedule,
-                &pooled,
-                &trace,
-                &slo,
-                &MetricsMode::Exact,
-            )
-            .unwrap();
-            assert_eq!(a.report, b.report, "router {router:?}");
-            assert_eq!(a.attainment, b.attainment);
-            assert_eq!(a.goodput_rps, b.goodput_rps);
-            assert_eq!(a.meets_slo, b.meets_slo);
-        }
-    }
-
-    #[test]
-    fn heterogeneous_fleet_runs_distinct_schedules() {
-        let profiler = case1_profiler();
-        let small = case1_schedule();
-        let mut big = case1_schedule();
-        big.allocation.group_xpus = vec![16];
-        big.allocation.decode_xpus = 16;
-        let slo = SloTarget::paper_default();
-        let trace = TraceSpec {
-            num_requests: 60,
-            profile: SequenceProfile::paper_default().with_decode_tokens(32),
-            arrival: ArrivalProcess::Poisson { rate_rps: 30.0 },
-            length_jitter: 0.1,
-            seed: 3,
-        }
-        .generate();
-        let eval = evaluate_heterogeneous_fleet_dynamic(
-            &profiler,
-            &[small, big],
-            RouterPolicy::LeastOutstanding,
-            &trace,
-            &slo,
-        )
-        .unwrap();
-        assert_eq!(eval.report.per_replica.len(), 2);
-        assert_eq!(eval.report.merged.metrics.completed, 60);
-        assert!(evaluate_heterogeneous_fleet_dynamic(
-            &profiler,
-            &[],
-            RouterPolicy::RoundRobin,
-            &trace,
-            &slo
-        )
-        .is_err());
     }
 
     #[test]

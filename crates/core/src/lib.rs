@@ -62,9 +62,8 @@ pub use disagg::{
     DisaggChoice, DisaggEvaluation,
 };
 pub use dynamic::{
-    evaluate_fleet_dynamic_traced, evaluate_fleet_dynamic_with,
-    evaluate_heterogeneous_fleet_dynamic, evaluate_schedule_dynamic, rank_frontier_by_goodput,
-    DynamicEvaluation, FleetEvaluation,
+    evaluate_fleet_dynamic_traced, evaluate_fleet_dynamic_with, evaluate_schedule_dynamic,
+    rank_frontier_by_goodput, DynamicEvaluation, FleetEvaluation,
 };
 pub use error::RagoError;
 pub use faulted::{

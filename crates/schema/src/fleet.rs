@@ -12,8 +12,8 @@
 //! A fleet may additionally be *disaggregated* into typed pools
 //! ([`PoolSpec`]): a Prefill pool runs the pre-decode stages and hands each
 //! request's KV state to a Decode pool over an interconnect priced by a
-//! [`KvTransferModel`]. The flat single-pool case keeps the original struct
-//! shape (an empty [`FleetConfig::pools`] list means one Monolithic pool).
+//! [`KvTransferModel`]. A flat fleet declares no pools: an empty
+//! [`FleetConfig::pools`] list, whose replicas are labelled Monolithic.
 
 use crate::error::SchemaError;
 use serde::{Deserialize, Serialize};
@@ -261,9 +261,8 @@ impl Default for KvTransferModel {
     }
 }
 
-/// A fleet of pipeline replicas behind a router, either flat (one implicit
-/// Monolithic pool — the original struct shape) or disaggregated into a
-/// Prefill pool feeding a Decode pool.
+/// A fleet of pipeline replicas behind a router, either flat (no declared
+/// pools) or disaggregated into a Prefill pool feeding a Decode pool.
 ///
 /// # Examples
 ///
@@ -290,21 +289,21 @@ pub struct FleetConfig {
     /// Routing policy dispatching arrivals across the replicas (for a
     /// disaggregated fleet this is the Prefill pool's arrival router).
     pub router: RouterPolicy,
-    /// Typed replica pools. Empty means one implicit Monolithic pool of
-    /// `replicas` replicas — the flat fleet every pre-pools config
-    /// deserializes to.
+    /// Typed replica pools: empty for a flat fleet of `replicas` replicas
+    /// (what every pre-pools config deserializes to), or a Prefill pool
+    /// and a Decode pool.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub pools: Vec<PoolSpec>,
-    /// Prices the prefill→decode KV handoff of a disaggregated fleet.
-    /// Ignored by flat / single-Monolithic-pool fleets. Defaults to
-    /// [`KvTransferModel::zero`], under which a 1+1 split reproduces the
+    /// Prices the prefill→decode KV handoff of a disaggregated fleet; a
+    /// flat fleet has no handoff and must keep a zero-cost model. Defaults
+    /// to [`KvTransferModel::zero`], under which a 1+1 split reproduces the
     /// monolithic engine's per-request timings.
     #[serde(default)]
     pub transfer: KvTransferModel,
 }
 
 impl FleetConfig {
-    /// Creates a flat (single implicit Monolithic pool) fleet.
+    /// Creates a flat fleet.
     pub fn new(replicas: u32, router: RouterPolicy) -> Self {
         Self {
             replicas,
@@ -356,25 +355,11 @@ impl FleetConfig {
     }
 
     /// The (prefill, decode) pool pair of a disaggregated fleet, or `None`
-    /// for a flat / single-Monolithic-pool fleet.
+    /// for a flat fleet.
     pub fn prefill_decode(&self) -> Option<(&PoolSpec, &PoolSpec)> {
         match self.pools.as_slice() {
             [p, d] if p.role == PoolRole::Prefill && d.role == PoolRole::Decode => Some((p, d)),
             _ => None,
-        }
-    }
-
-    /// The effective pool list: the declared pools, or the implicit
-    /// Monolithic pool of a flat fleet.
-    pub fn effective_pools(&self) -> Vec<PoolSpec> {
-        if self.pools.is_empty() {
-            vec![PoolSpec::new(
-                PoolRole::Monolithic,
-                self.replicas,
-                self.router,
-            )]
-        } else {
-            self.pools.clone()
         }
     }
 
@@ -384,8 +369,9 @@ impl FleetConfig {
     ///
     /// Returns [`SchemaError::Invalid`] when the fleet has zero replicas,
     /// any pool is invalid, the pool list has an unsupported shape (only
-    /// `[]`, `[Monolithic]`, and `[Prefill, Decode]` are recognized), or
-    /// `replicas` disagrees with the pool total.
+    /// `[]` and `[Prefill, Decode]` are recognized), `replicas` disagrees
+    /// with the pool total, a flat fleet prices a KV handoff it never
+    /// makes, or a split fleet's `router` differs from its Prefill pool's.
     pub fn validate(&self) -> Result<(), SchemaError> {
         if self.replicas == 0 {
             return Err(SchemaError::Invalid {
@@ -399,14 +385,13 @@ impl FleetConfig {
         self.transfer.validate()?;
         let shape_ok = match self.pools.as_slice() {
             [] => true,
-            [only] => only.role == PoolRole::Monolithic,
             [p, d] => p.role == PoolRole::Prefill && d.role == PoolRole::Decode,
             _ => false,
         };
         if !shape_ok {
             return Err(SchemaError::Invalid {
                 field: "pools",
-                reason: "supported pool shapes: [], [Monolithic], [Prefill, Decode]".into(),
+                reason: "supported pool shapes: [], [Prefill, Decode]".into(),
             });
         }
         if !self.pools.is_empty() {
@@ -421,7 +406,20 @@ impl FleetConfig {
                 });
             }
         }
-        Ok(())
+        match self.prefill_decode() {
+            None if !self.transfer.is_zero_cost() => Err(SchemaError::Invalid {
+                field: "transfer",
+                reason: "a flat fleet has no KV handoff to price".into(),
+            }),
+            Some((prefill, _)) if prefill.router != self.router => Err(SchemaError::Invalid {
+                field: "router",
+                reason: format!(
+                    "a split fleet routes arrivals by its prefill pool's router ({}), not {}",
+                    prefill.router, self.router
+                ),
+            }),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -475,7 +473,6 @@ mod tests {
     fn pool_shape_validation() {
         let ok = FleetConfig::split(2, 3, RouterPolicy::LeastOutstanding);
         assert!(ok.validate().is_ok());
-        assert_eq!(ok.effective_pools().len(), 2);
 
         let mut reversed = ok.clone();
         reversed.pools.swap(0, 1);
@@ -489,27 +486,34 @@ mod tests {
         zero_pool.pools[0].replicas = 0;
         assert!(zero_pool.validate().is_err());
 
+        // A flat fleet declares no pools; one Monolithic pool is no shape.
         let mono = FleetConfig {
-            replicas: 3,
-            router: RouterPolicy::RoundRobin,
             pools: vec![PoolSpec::new(
                 PoolRole::Monolithic,
                 3,
                 RouterPolicy::RoundRobin,
             )],
-            transfer: KvTransferModel::zero(),
+            ..FleetConfig::new(3, RouterPolicy::RoundRobin)
         };
-        assert!(mono.validate().is_ok());
-        assert!(!mono.is_disaggregated());
+        assert!(mono.validate().is_err());
     }
 
+    /// A split fleet routes arrivals by its Prefill pool's router, so a
+    /// different top-level `router` would be silently dropped.
     #[test]
-    fn flat_fleet_effective_pools_is_one_monolithic() {
-        let pools = FleetConfig::new(5, RouterPolicy::PrefixHash).effective_pools();
-        assert_eq!(pools.len(), 1);
-        assert_eq!(pools[0].role, PoolRole::Monolithic);
-        assert_eq!(pools[0].replicas, 5);
-        assert_eq!(pools[0].router, RouterPolicy::PrefixHash);
+    fn split_fleets_reject_a_router_other_than_the_prefill_pools() {
+        let mut fleet = FleetConfig::split(2, 3, RouterPolicy::LeastOutstanding);
+        fleet.router = RouterPolicy::RoundRobin;
+        assert!(fleet.validate().is_err());
+    }
+
+    /// A flat fleet has no KV handoff, so a priced transfer model would be
+    /// silently dropped.
+    #[test]
+    fn flat_fleets_reject_a_priced_transfer() {
+        let fleet = FleetConfig::new(2, RouterPolicy::RoundRobin)
+            .with_transfer(KvTransferModel::new(131_072.0, 25e9, 20e-6));
+        assert!(fleet.validate().is_err());
     }
 
     #[test]

@@ -290,7 +290,7 @@ mod tests {
     use crate::engine::{
         DecodeSpec, IterativeSpec, LatencyTable, PipelineSpec, ReplicaSim, StageSpec,
     };
-    use crate::faults::ScaleDriver;
+    use crate::faults::{FaultEvent, FaultSchedule, ScaleDriver};
     use crate::fleet::FleetEngine;
     use crate::sink::{MetricsMode, RunSink};
     use proptest::prelude::*;
@@ -506,16 +506,19 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_fleet_shifts_load_to_the_faster_replica() {
-        // Replica 0 is 4x slower at the prefix stage; least-outstanding
+    fn state_aware_routing_shifts_load_to_the_faster_replica() {
+        // A straggler slows replica 0 4x from the start; least-outstanding
         // should route more requests to replica 1.
-        let slow = one_stage_spec(0.4, 1, 1e-3, 8);
-        let fast = one_stage_spec(0.1, 1, 1e-3, 8);
-        let fleet = FleetEngine::heterogeneous(
-            vec![slow, fast],
+        let fleet = FleetEngine::new(
+            one_stage_spec(0.1, 1, 1e-3, 8),
             RouterPolicy::LeastOutstanding,
             ScaleDriver::Static { replicas: 2 },
-        );
+        )
+        .with_faults(FaultSchedule::new(vec![FaultEvent::StragglerStart {
+            replica: 0,
+            at_s: 0.0,
+            slowdown: 4.0,
+        }]));
         let trace = TraceSpec {
             num_requests: 80,
             profile: SequenceProfile::paper_default().with_decode_tokens(4),

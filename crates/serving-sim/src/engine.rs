@@ -1367,6 +1367,28 @@ impl SimAccumulators {
         self.queue_pops += other.queue_pops;
         self.cache.merge_from(&other.cache);
     }
+
+    /// `metrics` with its pipeline-level fields — decode and retrieval
+    /// batch fill, events and queue pops — set from these accumulators:
+    /// the one definition the exact and streaming reports share.
+    pub(crate) fn with_pipeline_fields(&self, metrics: ServingMetrics) -> ServingMetrics {
+        ServingMetrics {
+            mean_decode_fill: if self.stepping_time > 0.0 {
+                self.fill_weighted_time / self.stepping_time
+            } else {
+                0.0
+            },
+            retrieval_batches: self.retrieval_batches,
+            mean_retrieval_batch_fill: if self.retrieval_batches == 0 {
+                0.0
+            } else {
+                self.retrieval_fill as f64 / f64::from(self.retrieval_batches)
+            },
+            events_processed: self.events,
+            queue_pops: self.queue_pops,
+            ..metrics
+        }
+    }
 }
 
 /// A replica's running count of its completions scored against one SLO:
@@ -2401,7 +2423,7 @@ pub(crate) fn compute_metrics_for(
             .sum::<f64>()
             / n as f64
     };
-    ServingMetrics {
+    acc.with_pipeline_fields(ServingMetrics {
         requests: n,
         completed: n,
         first_arrival_s: first_arrival,
@@ -2419,21 +2441,13 @@ pub(crate) fn compute_metrics_for(
         latency: LatencyStats::from_sorted(&latencies),
         queueing_mean_s: queueing_mean,
         service_mean_s: service_mean,
-        mean_decode_fill: if acc.stepping_time > 0.0 {
-            acc.fill_weighted_time / acc.stepping_time
-        } else {
-            0.0
-        },
-        retrieval_batches: acc.retrieval_batches,
-        mean_retrieval_batch_fill: if acc.retrieval_batches == 0 {
-            0.0
-        } else {
-            acc.retrieval_fill as f64 / f64::from(acc.retrieval_batches)
-        },
-        events_processed: acc.events,
-        queue_pops: acc.queue_pops,
+        mean_decode_fill: 0.0,
+        retrieval_batches: 0,
+        mean_retrieval_batch_fill: 0.0,
+        events_processed: 0,
+        queue_pops: 0,
         shed: 0,
-    }
+    })
 }
 
 #[cfg(test)]

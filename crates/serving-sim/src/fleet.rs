@@ -14,8 +14,7 @@
 //! code:
 //!
 //! * the [`ScaleDriver`] sizes the fleet — `Static` (fixed; the only driver
-//!   a [`FleetEngine::heterogeneous`] or [`FleetEngine::disaggregated`]
-//!   fleet takes), `Reactive` (the
+//!   a [`FleetEngine::disaggregated`] fleet takes), `Reactive` (the
 //!   [`crate::autoscaler::AutoscalerPolicy`] evaluated at its interval), or
 //!   `Predictive` (a feed-forward [`crate::faults::ScalingPlan`]);
 //! * the [`FaultSchedule`] injects crashes, stragglers, and preemptions
@@ -117,9 +116,9 @@ const DECODE_POOL: usize = 1;
 /// The fleet engine. See the module docs.
 #[derive(Debug, Clone)]
 pub struct FleetEngine {
-    /// The pipeline of each initial slot of a heterogeneous fleet, the one
-    /// pipeline every slot of a homogeneous fleet runs, or a split fleet's
-    /// prefill and decode pipelines.
+    /// The pipeline of each pool, indexed like [`Run::pools`]: the one
+    /// pipeline of a flat fleet, or a split fleet's prefill and decode
+    /// pipelines.
     specs: Vec<PipelineSpec>,
     /// The arrival pool's router (a split fleet's prefill router).
     router: RouterPolicy,
@@ -143,29 +142,6 @@ impl FleetEngine {
     /// spec is ([`PipelineSpec::validate`]).
     pub fn new(spec: PipelineSpec, router: RouterPolicy, driver: ScaleDriver) -> Self {
         Self::from_specs(vec![spec], router, driver)
-    }
-
-    /// A fixed fleet with one (possibly different) pipeline per replica —
-    /// e.g. distinct schedules from a Pareto frontier serving side by side.
-    /// A crashed replica restarts with its own pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `specs` is empty, a spec fails [`PipelineSpec::validate`],
-    /// or `driver` is not
-    /// [`ScaleDriver::Static`] with exactly one replica per spec — an
-    /// elastic fleet would have no pipeline to provision a new replica with.
-    pub fn heterogeneous(
-        specs: Vec<PipelineSpec>,
-        router: RouterPolicy,
-        driver: ScaleDriver,
-    ) -> Self {
-        assert!(!specs.is_empty(), "a fleet needs at least one replica");
-        assert!(
-            matches!(driver, ScaleDriver::Static { replicas } if replicas as usize == specs.len()),
-            "a heterogeneous fleet takes a Static driver with one replica per spec"
-        );
-        Self::from_specs(specs, router, driver)
     }
 
     /// A prefill/decode pool fleet (Splitwise/DistServe style): the
@@ -656,11 +632,8 @@ struct PoolSplit {
 /// killed); its pre-death results are parked in [`Run::dead`].
 struct Slot {
     sim: Option<ReplicaSim>,
-    /// Index of the slot's pipeline in [`FleetEngine::specs`]; a restart of
-    /// this slot runs the same pipeline.
-    spec: usize,
-    /// Index of the slot's pool in [`Run::pools`]; a restart of this slot
-    /// joins the same pool.
+    /// Index of the slot's pool in [`Run::pools`] and of its pipeline in
+    /// [`FleetEngine::specs`]; a restart of this slot joins the same pool.
     pool: usize,
     /// The slot's stable id within its pool, in provisioning order: what
     /// hash-based routers key on, and its replica index in a pool report.
@@ -896,23 +869,19 @@ impl<'e> Run<'e> {
             faults_skipped: 0,
             disruptions: Vec::new(),
         };
-        let last_spec = engine.specs.len() - 1;
         for i in 0..initial as usize {
-            // A split fleet's pool `k` runs pipeline `k`.
-            let (spec, pool) = match &engine.split {
-                None => (i.min(last_spec), ARRIVAL_POOL),
-                Some(split) if i < split.prefill => (ARRIVAL_POOL, ARRIVAL_POOL),
-                Some(_) => (DECODE_POOL, DECODE_POOL),
+            let pool = match &engine.split {
+                Some(split) if i >= split.prefill => DECODE_POOL,
+                _ => ARRIVAL_POOL,
             };
-            run.provision(spec, pool, 0.0, 0.0);
+            run.provision(pool, 0.0, 0.0);
         }
         run
     }
 
-    /// Appends a fresh, cold replica slot running pipeline `spec` in
-    /// `pool`.
-    fn provision(&mut self, spec: usize, pool: usize, now: f64, routable_s: f64) -> usize {
-        let mut sim = ReplicaSim::new(self.engine.specs[spec].clone(), self.mode);
+    /// Appends a fresh, cold replica slot to `pool`, running its pipeline.
+    fn provision(&mut self, pool: usize, now: f64, routable_s: f64) -> usize {
+        let mut sim = ReplicaSim::new(self.engine.specs[pool].clone(), self.mode);
         // A decode leg's TTFT is not the request's, so it scores TPOT only.
         let verdict = self.verdict.map(|slo| match pool {
             DECODE_POOL => SloTarget {
@@ -932,7 +901,6 @@ impl<'e> Run<'e> {
         self.pools[pool].size += 1;
         self.slots.push(Slot {
             sim: Some(sim),
-            spec,
             pool,
             home,
             provisioned_s: now,
@@ -1265,8 +1233,8 @@ impl<'e> Run<'e> {
             Action::Restart { like } => {
                 // A cold replacement replica: same provisioning path as a
                 // scale-out (fresh caches, full warm-up).
-                let (spec, pool) = (self.slots[like].spec, self.slots[like].pool);
-                self.provision(spec, pool, now, now + self.engine.driver.warmup_s());
+                let pool = self.slots[like].pool;
+                self.provision(pool, now, now + self.engine.driver.warmup_s());
                 self.peak_provisioned = self.peak_provisioned.max(self.provisioned());
             }
         }
@@ -1351,7 +1319,7 @@ impl<'e> Run<'e> {
         };
 
         if (queue_trigger || attainment_trigger) && provisioned < policy.max_replicas {
-            let replica = self.provision(0, ARRIVAL_POOL, now, now + policy.warmup_s);
+            let replica = self.provision(ARRIVAL_POOL, now, now + policy.warmup_s);
             self.last_action_s = now;
             self.peak_provisioned = self.peak_provisioned.max(provisioned + 1);
             // A zero-warm-up replica is routable at this very tick, so it
@@ -1401,7 +1369,7 @@ impl<'e> Run<'e> {
         let mut provisioned = self.provisioned();
         let mut routable_now = self.routable.len() as u32;
         while provisioned < target {
-            let replica = self.provision(0, ARRIVAL_POOL, now, now + warmup_s);
+            let replica = self.provision(ARRIVAL_POOL, now, now + warmup_s);
             provisioned += 1;
             if warmup_s <= 0.0 {
                 routable_now += 1;
@@ -1811,39 +1779,6 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    #[should_panic(expected = "Static driver with one replica per spec")]
-    fn heterogeneous_fleets_reject_elastic_drivers() {
-        let _ = FleetEngine::heterogeneous(
-            vec![one_stage_spec(0.01), one_stage_spec(0.04)],
-            RouterPolicy::RoundRobin,
-            ScaleDriver::Reactive(AutoscalerPolicy::new(2, 4)),
-        );
-    }
-
-    /// A crashed slot of a heterogeneous fleet restarts with its own
-    /// pipeline: the replacement of the slow replica is just as slow.
-    #[test]
-    fn heterogeneous_restarts_keep_the_crashed_slots_pipeline() {
-        let engine = FleetEngine::heterogeneous(
-            vec![one_stage_spec(0.01), one_stage_spec(0.2)],
-            RouterPolicy::RoundRobin,
-            ScaleDriver::Static { replicas: 2 },
-        )
-        .with_faults(FaultSchedule::new(vec![FaultEvent::Crash {
-            replica: 1,
-            at_s: 0.05,
-            restart_delay_s: 0.0,
-        }]));
-        let report = engine.run(requests(40, 0.5), &MetricsMode::Exact, &mut NullRecorder);
-        assert_eq!(report.fault.completed, 40);
-        let replacement = &report.fleet.per_replica[2].report;
-        assert!(!replacement.timelines.is_empty());
-        for t in &replacement.timelines {
-            assert!((t.stage_ends_s[0] - t.stage_starts_s[0] - 0.2).abs() < 1e-12);
-        }
-    }
-
     /// Streaming mode skips the assignment log but reports the same
     /// counts, assignments per replica, and lifetimes as exact mode.
     #[test]
@@ -2182,18 +2117,8 @@ mod tests {
 
     /// Every fleet constructor checks its specs: a struct literal that
     /// skips the part constructors fails here instead of mid-run.
-    #[test]
-    #[should_panic(expected = "decode batch must be at least 1")]
-    fn heterogeneous_fleets_reject_a_malformed_spec() {
-        let mut bad = one_stage_spec(0.01);
-        bad.decode.max_batch = 0;
-        let _ = FleetEngine::heterogeneous(
-            vec![one_stage_spec(0.01), bad],
-            RouterPolicy::LeastOutstanding,
-            ScaleDriver::Static { replicas: 2 },
-        );
-    }
-
+    /// Every fleet constructor checks its specs: a struct literal that
+    /// skips the part constructors fails here instead of mid-run.
     #[test]
     #[should_panic(expected = "decode step latency must be strictly positive")]
     fn split_fleets_reject_a_malformed_spec() {

@@ -30,9 +30,8 @@
 //!   reproduces a step-by-step decode loop and the closed-form burst
 //!   models as degenerate cases (`tests/engine_equivalence.rs`).
 //! * **Fleets** — the scale dimension on top of all three: one loop,
-//!   [`fleet::FleetEngine`], runs N replicas of a pipeline (optionally
-//!   heterogeneous, or split into prefill/decode pools) behind a
-//!   state-aware router
+//!   [`fleet::FleetEngine`], runs N replicas of a pipeline (flat, or split
+//!   into a prefill pool feeding a decode pool) behind a state-aware router
 //!   ([`rago_schema::RouterPolicy`], [`cluster`]), dispatching a shared
 //!   arrival stream and merging the runs into a [`cluster::FleetReport`]
 //!   with per-replica breakdowns and load-imbalance statistics. What makes

@@ -32,8 +32,7 @@
 //! A split run returns the fleet's [`ChaosReport`]; [`DisaggReport`] is its
 //! two-pool view. Degenerate paths are pinned by tests: a 1+1 split under
 //! [`KvTransferModel::zero`] reproduces a one-replica flat fleet's
-//! per-request timings exactly (`tests/proptest_pools.rs`), and a
-//! single-Monolithic-pool fleet is an ordinary flat fleet.
+//! per-request timings exactly (`tests/proptest_pools.rs`).
 //!
 //! # Examples
 //!

@@ -552,23 +552,7 @@ impl HistogramSink {
     /// its one class row, mirroring the exact path's convention.
     pub fn into_report(self) -> ServingReport {
         let acc = &self.acc;
-        let fill = |mut m: ServingMetrics| {
-            m.mean_decode_fill = if acc.stepping_time > 0.0 {
-                acc.fill_weighted_time / acc.stepping_time
-            } else {
-                0.0
-            };
-            m.retrieval_batches = acc.retrieval_batches;
-            m.mean_retrieval_batch_fill = if acc.retrieval_batches == 0 {
-                0.0
-            } else {
-                acc.retrieval_fill as f64 / f64::from(acc.retrieval_batches)
-            };
-            m.events_processed = acc.events;
-            m.queue_pops = acc.queue_pops;
-            m
-        };
-        let metrics = fill(self.run.metrics());
+        let metrics = acc.with_pipeline_fields(self.run.metrics());
         let per_class: Vec<crate::engine::ClassMetrics> = if self.per_class.len() <= 1 {
             self.per_class
                 .keys()
@@ -582,7 +566,7 @@ impl HistogramSink {
                 .iter()
                 .map(|(&class, agg)| crate::engine::ClassMetrics {
                     class,
-                    metrics: fill(agg.metrics()),
+                    metrics: acc.with_pipeline_fields(agg.metrics()),
                 })
                 .collect()
         };

@@ -46,11 +46,7 @@
 //! * `disagg_run.json` — the PR 8 disaggregated pools: the engine-metrics
 //!   pipeline cut into a 2-prefill + 1-decode split with a priced KV
 //!   handoff, pinning the merged metrics, both pools' per-replica
-//!   breakdowns, and every transfer counter. A companion degenerate test
-//!   pins the single-Monolithic-pool fleet shape *against the committed
-//!   `engine_metrics.json`* byte-for-byte: a fleet that declares one
-//!   Monolithic pool routes through the unchanged flat fleet path with
-//!   the pool's router, so the pool refactor cannot drift the flat stack.
+//!   breakdowns, and every transfer counter.
 //! * `fleet_streaming.json` — the streaming fleet path: a fixed 4-replica
 //!   fleet and a reactive autoscaled fleet in histogram-sink mode, pinning
 //!   merged and per-replica metrics, online SLO scores, and load imbalance.
@@ -1066,44 +1062,6 @@ fn golden_disagg_run() {
     let _ = writeln!(out, "  \"decode\": {}", render_pool(&report.decode));
     out.push_str("}\n");
     check_golden("disagg_run.json", &out);
-}
-
-/// The pool degenerate pin: a fleet declaring one Monolithic pool is not
-/// disaggregated — it routes through the unchanged flat fleet path with
-/// the *pool's* replica count and router — so a single-replica Monolithic
-/// pool must reproduce the committed `engine_metrics.json` **byte for
-/// byte**. This is the same dispatch the core evaluators perform, pinned
-/// here at the engine level against the snapshot.
-#[test]
-fn golden_single_monolithic_pool_reproduces_engine_metrics() {
-    let fleet = FleetConfig {
-        replicas: 1,
-        // Deliberately different from the pool router: the pool's policy,
-        // not the flat field, must drive the dispatch.
-        router: RouterPolicy::LeastOutstanding,
-        pools: vec![PoolSpec::new(
-            PoolRole::Monolithic,
-            1,
-            RouterPolicy::RoundRobin,
-        )],
-        transfer: KvTransferModel::zero(),
-    };
-    fleet.validate().expect("single-pool fleet is valid");
-    assert!(!fleet.is_disaggregated());
-    let [pool] = fleet.pools.as_slice() else {
-        panic!("fleet declares exactly one pool");
-    };
-    let replicas = pool.replicas;
-    let report = FleetEngine::new(
-        engine_metrics_spec(),
-        pool.router,
-        ScaleDriver::Static { replicas },
-    )
-    .run_trace(&engine_metrics_trace());
-    check_golden(
-        "engine_metrics.json",
-        &render_engine_metrics(&report.fleet.merged),
-    );
 }
 
 /// `f64` as its IEEE-754 bit pattern, for bit-exact pins.

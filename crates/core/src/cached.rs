@@ -11,16 +11,14 @@
 //! stages outright. A cache is a parameter of the existing entry points, so
 //! the optimizer's chips-per-goodput answer *changes* when caching is on:
 //!
-//! * [`crate::dynamic::evaluate_schedule_dynamic`] and
-//!   [`crate::dynamic::rank_frontier_by_goodput`] take
-//!   `cache: Option<&CacheConfig>` — schedules with large pre-decode batches
-//!   amortize differently once the prefix stage's work becomes
-//!   hit-rate-dependent;
-//! * [`crate::Rago::evaluate_fleet_cached`] gives every replica of a flat
-//!   fleet, or every prefill replica of a `[Prefill, Decode]` split, its own
-//!   cold caches;
-//! * [`plan_capacity_cached`] — fleet sizing under a content model: the
-//!   sizing trace carries Zipfian identity from a
+//! * [`Rago::evaluate_dynamic`] takes `cache: Option<&CacheConfig>` —
+//!   schedules with large pre-decode batches amortize differently once the
+//!   prefix stage's work becomes hit-rate-dependent;
+//! * [`Rago::evaluate_fleet_cached`] gives every replica of a flat fleet, or
+//!   every prefill replica of a `[Prefill, Decode]` split, its own cold
+//!   caches;
+//! * [`Rago::plan_capacity_cached`] — fleet sizing under a content model:
+//!   the sizing trace carries Zipfian identity from a
 //!   [`rago_workloads::ContentSpec`], and the plan reports the hit rates it
 //!   was sized under (a target hit rate is *achieved* by choosing the
 //!   content model and capacities, then verified in the plan).
@@ -31,12 +29,14 @@
 //! its cache-less run bit-exactly — timelines, metrics, and per-class rows.
 
 use crate::capacity::{plan_flat, CapacityOptions, CapacityPlan};
+use crate::dynamic::{evaluate_fleet, FleetEvaluation, FleetRun};
 use crate::error::RagoError;
-use crate::profiler::StageProfiler;
+use crate::optimizer::Rago;
 use crate::schedule::Schedule;
 pub use rago_cache::CacheConfig;
-use rago_schema::SloTarget;
-use rago_workloads::ContentSpec;
+use rago_schema::{FleetConfig, SloTarget};
+use rago_telemetry::NullRecorder;
+use rago_workloads::{ContentSpec, Trace};
 use serde::{Deserialize, Serialize};
 
 /// A capacity plan sized under a content model, with the hit rates the
@@ -53,63 +53,87 @@ pub struct CachedCapacityPlan {
     pub prefix_tokens_saved: u64,
 }
 
-/// Sizes a fleet of `schedule` replicas for `target_qps` within `slo`
-/// **with caching enabled**: the sizing trace is tagged with `content`'s
-/// Zipfian identity, every candidate fleet runs with per-replica caches
-/// from `cache`, and the returned plan carries the hit rates the chosen
-/// fleet achieved. Because hits shed prefill and retrieval work, the
-/// cached plan needs *at most* as many replicas as
-/// [`crate::capacity::plan_capacity`] at the same rate — the
-/// chips-per-goodput answer the tentpole changes.
-///
-/// "Planning under a target hit rate" works by construction: the hit rate
-/// is a deterministic function of the content skew and cache capacities, so
-/// callers pick those, plan, and read the achieved rates off the result
-/// (the `cache_reuse` bench prints exactly this loop).
-///
-/// # Errors
-///
-/// As [`crate::capacity::plan_capacity`], plus the cached pipeline's
-/// configuration errors and [`RagoError::InvalidConfig`] for a content
-/// model that [`ContentSpec::validate`] rejects, before any DES run.
-pub fn plan_capacity_cached(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    slo: &SloTarget,
-    target_qps: f64,
-    options: &CapacityOptions,
-    cache: &CacheConfig,
-    content: &ContentSpec,
-) -> Result<CachedCapacityPlan, RagoError> {
-    content
-        .validate()
-        .map_err(|reason| RagoError::InvalidConfig {
-            reason: format!("content model: {reason}"),
-        })?;
-    let (plan, report) = plan_flat(
-        profiler,
-        schedule,
-        slo,
-        target_qps,
-        options,
-        Some((cache, content)),
-    )?;
-    let usage = &report.merged.cache;
-    Ok(CachedCapacityPlan {
-        plan,
-        prefix_hit_rate: usage.prefix.hit_rate(),
-        retrieval_hit_rate: usage.retrieval.hit_rate(),
-        prefix_tokens_saved: usage.prefix.tokens_saved,
-    })
+impl Rago {
+    /// Evaluates one schedule as a fleet with per-replica caches, each
+    /// replica's cold at the start. Pair it with the content-aware routers
+    /// ([`rago_schema::RouterPolicy::CacheAffinity`] /
+    /// [`rago_schema::RouterPolicy::PrefixHash`]) to keep each template's KV
+    /// state on one replica instead of duplicating it everywhere. A
+    /// `[Prefill, Decode]` split puts the caches on its prefill pool, where
+    /// the prefix and retrieval stages run.
+    ///
+    /// # Errors
+    ///
+    /// As [`crate::dynamic::evaluate_fleet_dynamic_with`], plus
+    /// [`RagoError::InvalidConfig`] for a cache acting on a stage the
+    /// schema's pipeline lacks.
+    pub fn evaluate_fleet_cached(
+        &self,
+        schedule: &Schedule,
+        fleet: &FleetConfig,
+        trace: &Trace,
+        slo: &SloTarget,
+        cache: &CacheConfig,
+    ) -> Result<FleetEvaluation, RagoError> {
+        let run = FleetRun {
+            fleet: fleet.clone(),
+            cache: Some(*cache),
+            ..FleetRun::default()
+        };
+        let rec = &mut NullRecorder;
+        evaluate_fleet(self.profiler(), schedule, trace, slo, &run, rec)
+    }
+
+    /// Sizes a fleet of `schedule` replicas for `target_qps` within `slo`
+    /// **with caching enabled**: the sizing trace is tagged with `content`'s
+    /// Zipfian identity, every candidate fleet runs with per-replica caches
+    /// from `cache`, and the returned plan carries the hit rates the chosen
+    /// fleet achieved. Because hits shed prefill and retrieval work, the
+    /// cached plan needs *at most* as many replicas as
+    /// [`Rago::plan_capacity`] at the same rate — the
+    /// chips-per-goodput answer the tentpole changes.
+    ///
+    /// "Planning under a target hit rate" works by construction: the hit rate
+    /// is a deterministic function of the content skew and cache capacities, so
+    /// callers pick those, plan, and read the achieved rates off the result
+    /// (the `cache_reuse` bench prints exactly this loop).
+    ///
+    /// # Errors
+    ///
+    /// As [`Rago::plan_capacity`], plus the cached pipeline's
+    /// configuration errors and [`RagoError::InvalidConfig`] for a content
+    /// model that [`ContentSpec::validate`] rejects, before any DES run.
+    pub fn plan_capacity_cached(
+        &self,
+        schedule: &Schedule,
+        slo: &SloTarget,
+        target_qps: f64,
+        options: &CapacityOptions,
+        cache: &CacheConfig,
+        content: &ContentSpec,
+    ) -> Result<CachedCapacityPlan, RagoError> {
+        content
+            .validate()
+            .map_err(|reason| RagoError::InvalidConfig {
+                reason: format!("content model: {reason}"),
+            })?;
+        let cached = Some((cache, content));
+        let (plan, report) =
+            plan_flat(self.profiler(), schedule, slo, target_qps, options, cached)?;
+        let usage = &report.merged.cache;
+        Ok(CachedCapacityPlan {
+            plan,
+            prefix_hit_rate: usage.prefix.hit_rate(),
+            retrieval_hit_rate: usage.retrieval.hit_rate(),
+            prefix_tokens_saved: usage.prefix.tokens_saved,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamic::{
-        evaluate_fleet_dynamic_with, evaluate_schedule_dynamic, rank_frontier_by_goodput,
-    };
-    use crate::optimizer::Rago;
+    use crate::dynamic::evaluate_fleet_dynamic_with;
     use crate::placement::PlacementPlan;
     use crate::schedule::{BatchingPolicy, ResourceAllocation};
     use rago_cache::{EvictionPolicy, PrefixKvCacheConfig, RetrievalCacheConfig};
@@ -118,13 +142,6 @@ mod tests {
     use rago_schema::{FleetConfig, RouterPolicy, SequenceProfile, Stage};
     use rago_serving_sim::MetricsMode;
     use rago_workloads::{ArrivalProcess, PopularityModel, Trace, TraceSpec};
-
-    fn case1_profiler() -> StageProfiler {
-        StageProfiler::new(
-            presets::case1_hyperscale(LlmSize::B8, 1),
-            ClusterSpec::paper_default(),
-        )
-    }
 
     fn case1_rago() -> Rago {
         Rago::new(
@@ -186,14 +203,16 @@ mod tests {
     /// metrics, per-class rows — the cache counters record the misses).
     #[test]
     fn zero_capacity_caches_match_the_dynamic_path_bit_exactly() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let trace = content().tag(&poisson_trace(80, 30.0, 5));
-        let plain = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, None).unwrap();
-        let cached =
-            evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, Some(&zero_cache()))
-                .unwrap();
+        let plain = rago
+            .evaluate_dynamic(&schedule, &trace, &slo, None)
+            .unwrap();
+        let cached = rago
+            .evaluate_dynamic(&schedule, &trace, &slo, Some(&zero_cache()))
+            .unwrap();
         assert_eq!(cached.report.timelines, plain.report.timelines);
         assert_eq!(cached.report.metrics, plain.report.metrics);
         assert_eq!(cached.report.per_class, plain.report.per_class);
@@ -213,18 +232,19 @@ mod tests {
     #[test]
     fn identity_free_traces_match_the_dynamic_path_bit_exactly() {
         let rago = case1_rago();
-        let profiler = rago.profiler();
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let trace = poisson_trace(80, 30.0, 5); // no content tagging
-        let plain = evaluate_schedule_dynamic(profiler, &schedule, &trace, &slo, None).unwrap();
-        let cached =
-            evaluate_schedule_dynamic(profiler, &schedule, &trace, &slo, Some(&hot_cache()))
-                .unwrap();
+        let plain = rago
+            .evaluate_dynamic(&schedule, &trace, &slo, None)
+            .unwrap();
+        let cached = rago
+            .evaluate_dynamic(&schedule, &trace, &slo, Some(&hot_cache()))
+            .unwrap();
         assert_eq!(cached.report, plain.report);
         let fleet = FleetConfig::new(3, RouterPolicy::LeastOutstanding);
         let plain_fleet = evaluate_fleet_dynamic_with(
-            profiler,
+            rago.profiler(),
             &schedule,
             &fleet,
             &trace,
@@ -241,19 +261,16 @@ mod tests {
     /// A disabled cache config is the dynamic path by construction.
     #[test]
     fn disabled_cache_config_matches_bit_exactly() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let trace = content().tag(&poisson_trace(60, 25.0, 9));
-        let plain = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, None).unwrap();
-        let cached = evaluate_schedule_dynamic(
-            &profiler,
-            &schedule,
-            &trace,
-            &slo,
-            Some(&CacheConfig::disabled()),
-        )
-        .unwrap();
+        let plain = rago
+            .evaluate_dynamic(&schedule, &trace, &slo, None)
+            .unwrap();
+        let cached = rago
+            .evaluate_dynamic(&schedule, &trace, &slo, Some(&CacheConfig::disabled()))
+            .unwrap();
         assert_eq!(cached.report, plain.report);
     }
 
@@ -261,14 +278,16 @@ mod tests {
     /// hit rates are real, TTFT improves, goodput does not degrade.
     #[test]
     fn hot_caches_improve_ttft_under_skewed_traffic() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let trace = content().tag(&poisson_trace(150, 60.0, 13));
-        let plain = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, None).unwrap();
-        let cached =
-            evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, Some(&hot_cache()))
-                .unwrap();
+        let plain = rago
+            .evaluate_dynamic(&schedule, &trace, &slo, None)
+            .unwrap();
+        let cached = rago
+            .evaluate_dynamic(&schedule, &trace, &slo, Some(&hot_cache()))
+            .unwrap();
         let usage = &cached.report.cache;
         assert!(
             usage.prefix.hit_rate() > 0.5,
@@ -311,8 +330,7 @@ mod tests {
             .unwrap();
         let slo = SloTarget::new(2.0, 0.1);
         let trace = content().tag(&poisson_trace(60, 20.0, 5));
-        let ranked =
-            rank_frontier_by_goodput(rago.profiler(), &frontier, &trace, &slo, Some(&hot_cache()));
+        let ranked = rago.rank_by_goodput(&frontier, &trace, &slo, Some(&hot_cache()));
         assert_eq!(ranked.len(), frontier.len());
         for pair in ranked.windows(2) {
             assert!(pair[0].1.goodput_rps >= pair[1].1.goodput_rps);
@@ -376,7 +394,7 @@ mod tests {
     /// the hit rates it was sized under.
     #[test]
     fn cached_capacity_plan_needs_no_more_replicas() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let options = CapacityOptions {
@@ -385,18 +403,12 @@ mod tests {
             ..CapacityOptions::default()
         };
         let target = 40.0;
-        let plain =
-            crate::capacity::plan_capacity(&profiler, &schedule, &slo, target, &options).unwrap();
-        let cached = plan_capacity_cached(
-            &profiler,
-            &schedule,
-            &slo,
-            target,
-            &options,
-            &hot_cache(),
-            &content(),
-        )
-        .unwrap();
+        let plain = rago
+            .plan_capacity(&schedule, &slo, target, &options)
+            .unwrap();
+        let cached = rago
+            .plan_capacity_cached(&schedule, &slo, target, &options, &hot_cache(), &content())
+            .unwrap();
         assert!(
             cached.plan.replicas <= plain.replicas,
             "caching increased the fleet: {} vs {}",
@@ -414,18 +426,17 @@ mod tests {
 
     #[test]
     fn degenerate_inputs_are_rejected() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let empty = Trace { requests: vec![] };
         assert!(matches!(
-            evaluate_schedule_dynamic(&profiler, &schedule, &empty, &slo, Some(&hot_cache())),
+            rago.evaluate_dynamic(&schedule, &empty, &slo, Some(&hot_cache())),
             Err(RagoError::InvalidConfig { .. })
         ));
         let options = CapacityOptions::default();
         assert!(matches!(
-            plan_capacity_cached(
-                &profiler,
+            rago.plan_capacity_cached(
                 &schedule,
                 &slo,
                 f64::NAN,
@@ -440,8 +451,7 @@ mod tests {
             ..options
         };
         assert!(matches!(
-            plan_capacity_cached(
-                &profiler,
+            rago.plan_capacity_cached(
                 &schedule,
                 &slo,
                 10.0,
@@ -458,7 +468,7 @@ mod tests {
     /// tagger or a trace whose requests all share one identity.
     #[test]
     fn malformed_content_models_are_rejected() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let options = CapacityOptions {
@@ -493,15 +503,8 @@ mod tests {
             },
         ];
         for spec in malformed {
-            let plan = plan_capacity_cached(
-                &profiler,
-                &schedule,
-                &slo,
-                10.0,
-                &options,
-                &hot_cache(),
-                &spec,
-            );
+            let plan =
+                rago.plan_capacity_cached(&schedule, &slo, 10.0, &options, &hot_cache(), &spec);
             assert!(
                 matches!(&plan, Err(RagoError::InvalidConfig { reason }) if reason.starts_with("content model: ")),
                 "{spec:?}: {plan:?}"

@@ -7,12 +7,15 @@
 //! This module closes that loop on top of the fleet simulation in
 //! `rago-serving-sim::fleet`:
 //!
-//! * [`plan_capacity`] searches the minimum replica count whose fleet-level
-//!   SLO attainment meets the target at a given offered rate;
-//! * [`plan_capacity_pools`] searches the cheapest prefill/decode split;
-//! * [`rank_frontier_by_cost_at_qps`] re-ranks a Pareto frontier by the
-//!   *total chips* each schedule needs to serve that rate — the fleet-level
-//!   analogue of [`crate::dynamic::rank_frontier_by_goodput`]: a schedule
+//! * [`Rago::plan_capacity`] searches the minimum replica count whose
+//!   fleet-level SLO attainment meets the target at a given offered rate;
+//! * [`Rago::plan_capacity_pools`] searches the cheapest prefill/decode
+//!   split;
+//! * [`Rago::plan_capacity_profile`] sizes each segment of a piecewise rate
+//!   profile;
+//! * [`Rago::rank_frontier_by_cost_at_qps`] re-ranks a Pareto frontier by
+//!   the *total chips* each schedule needs to serve that rate — the
+//!   fleet-level analogue of [`Rago::rank_frontier_by_goodput`]: a schedule
 //!   that looks mediocre per chip may win once replica granularity is
 //!   accounted for, and vice versa.
 //!
@@ -43,6 +46,7 @@
 
 use crate::dynamic::{fleet_engine, rank, FleetRun};
 use crate::error::RagoError;
+use crate::optimizer::Rago;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
@@ -103,7 +107,7 @@ pub struct CapacityPlan {
     pub goodput_rps: f64,
     /// Total accelerators across the fleet: the schedule's XPUs times the
     /// replica count — the cost axis
-    /// [`rank_frontier_by_cost_at_qps`] ranks by.
+    /// [`Rago::rank_frontier_by_cost_at_qps`] ranks by.
     pub total_xpus: u32,
     /// Total retrieval CPU servers across the fleet.
     pub total_retrieval_servers: u32,
@@ -121,43 +125,67 @@ pub struct CapacityPlan {
     pub des_events: u64,
 }
 
-/// Finds the minimum replica count of `schedule`'s pipeline whose
-/// fleet-level SLO attainment meets `slo` at a Poisson offered rate of
-/// `target_qps` — the single column `p = 1` of the replica lattice (see the
-/// module docs). The walk starts from the analytic estimate
-/// `n0 = ceil(target_qps / qps)` of [`Schedule::evaluate`], clamped to
-/// `1..=options.max_replicas`; gallops `n0, n0 + 1, n0 + 3, n0 + 7, …`
-/// (capped at the bound) to the first feasible count; and bisects between
-/// the last infeasible count (or 0) and it. Bisection leaves the returned
-/// count's predecessor a probed miss, so the result equals an exhaustive
-/// linear scan whenever attainment is monotone in the replica count
-/// (cross-checked by the `fleet_scaling` bench). Every probe builds its
-/// fleet through the memoized profiler, so profiling costs one cold pass;
-/// every candidate count is evaluated on the same generated trace, so
-/// plans are comparable across schedules. Probes other than
-/// `max_replicas` are verdict-only and stop once their SLO is lost (see
-/// the module docs); the plan counts the DES runs spent.
-///
-/// # Errors
-///
-/// Returns [`RagoError::InvalidConfig`] when the target rate is not
-/// positive and finite, the options are out of range (zero or too many
-/// replicas, zero requests, a length jitter outside `[0, 1)`) or the
-/// schedule is invalid, [`RagoError::CostModel`] when the schedule cannot
-/// be profiled, and [`RagoError::NoFeasibleSchedule`] when even
-/// `options.max_replicas` replicas miss the SLO at the target rate.
-pub fn plan_capacity(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    slo: &SloTarget,
-    target_qps: f64,
-    options: &CapacityOptions,
-) -> Result<CapacityPlan, RagoError> {
-    plan_flat(profiler, schedule, slo, target_qps, options, None).map(|(plan, _)| plan)
+impl Rago {
+    /// Finds the minimum replica count of `schedule`'s pipeline whose
+    /// fleet-level SLO attainment meets `slo` at a Poisson offered rate of
+    /// `target_qps` — the single column `p = 1` of the replica lattice (see the
+    /// module docs). The walk starts from the analytic estimate
+    /// `n0 = ceil(target_qps / qps)` of [`Schedule::evaluate`], clamped to
+    /// `1..=options.max_replicas`; gallops `n0, n0 + 1, n0 + 3, n0 + 7, …`
+    /// (capped at the bound) to the first feasible count; and bisects between
+    /// the last infeasible count (or 0) and it. Bisection leaves the returned
+    /// count's predecessor a probed miss, so the result equals an exhaustive
+    /// linear scan whenever attainment is monotone in the replica count
+    /// (cross-checked by the `fleet_scaling` bench). Every probe builds its
+    /// fleet through the memoized profiler, so profiling costs one cold pass;
+    /// every candidate count is evaluated on the same generated trace, so
+    /// plans are comparable across schedules. Probes other than
+    /// `max_replicas` are verdict-only and stop once their SLO is lost (see
+    /// the module docs); the plan counts the DES runs spent.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rago_core::{CapacityOptions, Rago, SearchOptions};
+    /// use rago_hardware::ClusterSpec;
+    /// use rago_schema::{presets, SloTarget};
+    ///
+    /// let rago = Rago::new(
+    ///     presets::case1_hyperscale(presets::LlmSize::B8, 1),
+    ///     ClusterSpec::paper_default(),
+    /// );
+    /// let frontier = rago.optimize(&SearchOptions::fast())?;
+    /// let best = frontier.max_qps_per_chip().unwrap();
+    /// let slo = SloTarget::paper_default();
+    /// let options = CapacityOptions { max_replicas: 4, num_requests: 60, ..Default::default() };
+    /// let plan = rago.plan_capacity(&best.schedule, &slo, 5.0, &options)?;
+    /// assert!(plan.replicas >= 1);
+    /// assert_eq!(plan.total_xpus, best.schedule.allocation.total_xpus() * plan.replicas);
+    /// # Ok::<(), rago_core::RagoError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RagoError::InvalidConfig`] when the target rate is not
+    /// positive and finite, the options are out of range (zero or too many
+    /// replicas, zero requests, a length jitter outside `[0, 1)`, or a
+    /// sequence profile that [`SequenceProfile::validate`] rejects) or the
+    /// schedule is invalid, [`RagoError::CostModel`] when the schedule
+    /// cannot be profiled, and [`RagoError::NoFeasibleSchedule`] when even
+    /// `options.max_replicas` replicas miss the SLO at the target rate.
+    pub fn plan_capacity(
+        &self,
+        schedule: &Schedule,
+        slo: &SloTarget,
+        target_qps: f64,
+        options: &CapacityOptions,
+    ) -> Result<CapacityPlan, RagoError> {
+        plan_flat(self.profiler(), schedule, slo, target_qps, options, None).map(|(plan, _)| plan)
+    }
 }
 
-/// The one flat planner behind [`plan_capacity`] and
-/// [`crate::cached::plan_capacity_cached`]. With a `(cache, content)` pair,
+/// The one flat planner behind [`Rago::plan_capacity`] and
+/// [`Rago::plan_capacity_cached`]. With a `(cache, content)` pair,
 /// every replica runs with its own cold caches and the sizing trace is
 /// tagged with the content model's identity. Returns the plan and the
 /// planned fleet's report, off which the cached planner reads hit rates.
@@ -259,7 +287,14 @@ fn validate_capacity_inputs(target_qps: f64, options: &CapacityOptions) -> Resul
             ),
         });
     }
-    Ok(())
+    // The sizing trace's generator clamps zero lengths to one, so an
+    // unchecked profile would size a different request shape.
+    options
+        .profile
+        .validate()
+        .map_err(|e| RagoError::InvalidConfig {
+            reason: format!("sizing profile: {e}"),
+        })
 }
 
 /// The Poisson sizing trace every capacity plan is evaluated on; the cached
@@ -420,92 +455,94 @@ pub struct PoolCapacityPlan {
     pub des_events: u64,
 }
 
-/// Finds the cheapest disaggregated `(prefill, decode)` split of
-/// `schedule`'s pipeline whose fleet attainment meets `slo` at a Poisson
-/// offered rate of `target_qps` — the joint-search extension of
-/// [`plan_capacity`], with every KV handoff priced by `transfer`.
-///
-/// The objective is total accelerators, which the pools price
-/// *asymmetrically*: a prefill replica occupies only the schedule's
-/// pre-decode groups, a decode replica only its decode XPUs. Ties break
-/// toward fewer replicas, then fewer prefill replicas.
-///
-/// The search is the replica lattice's grid: each prefill count `p` is a
-/// column searched for its least feasible decode count by the same walk as
-/// the flat planner's column (feasibility is monotone in the decode count,
-/// not in `p`: more prefill replicas hand decode a burstier stream). It
-/// starts from the analytic split `(p0, d0)`: `ceil(target_qps / qps)` of
-/// the slowest pre-decode group or retrieval and of the decode stage, the
-/// two-pool analogue of the flat planner's seed. Column `p0` gallops up
-/// from `d0`, then the columns above it gallop up from one, then the
-/// columns below it probe their cap first (too few prefill replicas: one
-/// stopped probe rules such a column out). Each column is capped at the
-/// largest decode count whose split can still tie the best cost found, and
-/// skipped when even `(p, 1)` costs more than the best split. Probes are
-/// memoized on one sizing trace and verdict-only, so an infeasible split
-/// stops once its SLO is lost and mostly the answer runs in full;
-/// `(max_replicas, max_replicas)` is simulated only when the walk reaches
-/// it, and then to completion. Every candidate is evaluated on the
-/// identical trace, so the returned plan is directly comparable to the
-/// collocated plan at the same rate.
-///
-/// # Errors
-///
-/// As [`plan_capacity`] (including [`RagoError::NoFeasibleSchedule`]
-/// when even a `max_replicas + max_replicas` split misses the SLO), plus
-/// [`RagoError::InvalidConfig`] for an invalid transfer model or a schedule
-/// without a pre-decode stage to disaggregate.
-pub fn plan_capacity_pools(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    slo: &SloTarget,
-    target_qps: f64,
-    transfer: &KvTransferModel,
-    options: &CapacityOptions,
-) -> Result<PoolCapacityPlan, RagoError> {
-    validate_capacity_inputs(target_qps, options)?;
-    schedule.validate()?;
-    transfer.validate().map_err(|e| RagoError::InvalidConfig {
-        reason: e.to_string(),
-    })?;
-    let max = options.max_replicas;
-    let (p0, d0) = analytic_split(profiler, schedule, target_qps, max)?;
-    let trace = sizing_trace(target_qps, options);
-    let engine = |p: u32, d: u32| {
-        let run = FleetRun {
-            fleet: FleetConfig::split(p, d, options.router).with_transfer(*transfer),
-            ..FleetRun::default()
+impl Rago {
+    /// Finds the cheapest disaggregated `(prefill, decode)` split of
+    /// `schedule`'s pipeline whose fleet attainment meets `slo` at a Poisson
+    /// offered rate of `target_qps` — the joint-search extension of
+    /// [`Rago::plan_capacity`], with every KV handoff priced by `transfer`.
+    ///
+    /// The objective is total accelerators, which the pools price
+    /// *asymmetrically*: a prefill replica occupies only the schedule's
+    /// pre-decode groups, a decode replica only its decode XPUs. Ties break
+    /// toward fewer replicas, then fewer prefill replicas.
+    ///
+    /// The search is the replica lattice's grid: each prefill count `p` is a
+    /// column searched for its least feasible decode count by the same walk as
+    /// the flat planner's column (feasibility is monotone in the decode count,
+    /// not in `p`: more prefill replicas hand decode a burstier stream). It
+    /// starts from the analytic split `(p0, d0)`: `ceil(target_qps / qps)` of
+    /// the slowest pre-decode group or retrieval and of the decode stage, the
+    /// two-pool analogue of the flat planner's seed. Column `p0` gallops up
+    /// from `d0`, then the columns above it gallop up from one, then the
+    /// columns below it probe their cap first (too few prefill replicas: one
+    /// stopped probe rules such a column out). Each column is capped at the
+    /// largest decode count whose split can still tie the best cost found, and
+    /// skipped when even `(p, 1)` costs more than the best split. Probes are
+    /// memoized on one sizing trace and verdict-only, so an infeasible split
+    /// stops once its SLO is lost and mostly the answer runs in full;
+    /// `(max_replicas, max_replicas)` is simulated only when the walk reaches
+    /// it, and then to completion. Every candidate is evaluated on the
+    /// identical trace, so the returned plan is directly comparable to the
+    /// collocated plan at the same rate.
+    ///
+    /// # Errors
+    ///
+    /// As [`Rago::plan_capacity`] (including [`RagoError::NoFeasibleSchedule`]
+    /// when even a `max_replicas + max_replicas` split misses the SLO), plus
+    /// [`RagoError::InvalidConfig`] for an invalid transfer model or a schedule
+    /// without a pre-decode stage to disaggregate.
+    pub fn plan_capacity_pools(
+        &self,
+        schedule: &Schedule,
+        slo: &SloTarget,
+        target_qps: f64,
+        transfer: &KvTransferModel,
+        options: &CapacityOptions,
+    ) -> Result<PoolCapacityPlan, RagoError> {
+        validate_capacity_inputs(target_qps, options)?;
+        schedule.validate()?;
+        transfer.validate().map_err(|e| RagoError::InvalidConfig {
+            reason: e.to_string(),
+        })?;
+        let max = options.max_replicas;
+        let (p0, d0) = analytic_split(self.profiler(), schedule, target_qps, max)?;
+        let trace = sizing_trace(target_qps, options);
+        let engine = |p: u32, d: u32| {
+            let run = FleetRun {
+                fleet: FleetConfig::split(p, d, options.router).with_transfer(*transfer),
+                ..FleetRun::default()
+            };
+            fleet_engine(self.profiler(), schedule, &trace, &run)
         };
-        fleet_engine(profiler, schedule, &trace, &run)
-    };
-    // Building one split surfaces every input error before any DES run;
-    // the probes differ from it only in their pool sizes.
-    engine(1, 1)?;
+        // Building one split surfaces every input error before any DES run;
+        // the probes differ from it only in their pool sizes.
+        engine(1, 1)?;
 
-    let mut probes = Probes::new(slo, &trace, (max, max));
-    let chips = (
-        crate::disagg::prefill_xpus(schedule),
-        crate::disagg::decode_xpus(schedule),
-    );
-    let split = |p, d| engine(p, d).expect("every split of the validated inputs builds");
-    let Some((p, d, cost)) = search_lattice(&mut probes, (p0, d0), chips, split) else {
-        let fleet = format!("a {max} + {max} prefill/decode split reaches");
-        return Err(probes.infeasible(&fleet, target_qps));
-    };
-    let report = probes.take((p, d)).fleet.merged;
-    Ok(PoolCapacityPlan {
-        prefill_replicas: p,
-        decode_replicas: d,
-        target_qps,
-        attainment: report.attainment(slo),
-        goodput_rps: report.goodput_rps(slo),
-        total_xpus: cost,
-        total_retrieval_servers: schedule.allocation.retrieval_servers * p,
-        drain_tail_s: report.metrics.drain_tail_s,
-        des_runs: probes.work.runs,
-        des_runs_stopped: probes.work.stopped,
-        des_events: probes.work.events,
-    })
+        let mut probes = Probes::new(slo, &trace, (max, max));
+        let chips = (
+            crate::disagg::prefill_xpus(schedule),
+            crate::disagg::decode_xpus(schedule),
+        );
+        let split = |p, d| engine(p, d).expect("every split of the validated inputs builds");
+        let Some((p, d, cost)) = search_lattice(&mut probes, (p0, d0), chips, split) else {
+            let fleet = format!("a {max} + {max} prefill/decode split reaches");
+            return Err(probes.infeasible(&fleet, target_qps));
+        };
+        let report = probes.take((p, d)).fleet.merged;
+        Ok(PoolCapacityPlan {
+            prefill_replicas: p,
+            decode_replicas: d,
+            target_qps,
+            attainment: report.attainment(slo),
+            goodput_rps: report.goodput_rps(slo),
+            total_xpus: cost,
+            total_retrieval_servers: schedule.allocation.retrieval_servers * p,
+            drain_tail_s: report.metrics.drain_tail_s,
+            des_runs: probes.work.runs,
+            des_runs_stopped: probes.work.stopped,
+            des_events: probes.work.events,
+        })
+    }
 }
 
 /// The cheapest feasible point `(p, d, cost)` of the replica lattice
@@ -590,7 +627,8 @@ fn least_feasible(start: u32, cap: u32, mut meets: impl FnMut(u32) -> bool) -> O
 /// The split the analytic model predicts for `target_qps`: prefill
 /// replicas from the slowest pre-decode group or retrieval, decode
 /// replicas from the decode stage, each `ceil(target_qps / qps)` clamped
-/// to `[1, max_replicas]` — where [`plan_capacity_pools`] starts its walk.
+/// to `[1, max_replicas]` — where [`Rago::plan_capacity_pools`] starts
+/// its walk.
 fn analytic_split(
     profiler: &StageProfiler,
     schedule: &Schedule,
@@ -608,47 +646,50 @@ fn replicas_for(target_qps: f64, qps: f64, max_replicas: u32) -> u32 {
     ((target_qps / qps).ceil() as u32).clamp(1, max_replicas)
 }
 
-/// Re-ranks a Pareto frontier by the total accelerators needed to serve
-/// `target_qps` within `slo`, cheapest fleet first — the fleet-level
-/// analogue of [`crate::dynamic::rank_frontier_by_goodput`]. Each point is
-/// capacity-planned independently (in parallel across rayon workers);
-/// points that cannot meet the SLO even at `options.max_replicas` replicas
-/// are omitted. Ties on total XPUs break toward fewer replicas, then lower
-/// static TTFT, then the schedule description, so the ranking is
-/// deterministic.
-///
-/// # Panics
-///
-/// Panics when the target rate or the options fail the planners' input
-/// validation (a non-positive or non-finite rate, zero requests or
-/// replicas, `max_replicas` above [`MAX_PLANNER_REPLICAS`], or a length
-/// jitter outside `[0, 1)`). Those inputs would fail *every* per-point
-/// plan, and silently returning an empty ranking would be
-/// indistinguishable from "no schedule can serve this rate".
-pub fn rank_frontier_by_cost_at_qps(
-    profiler: &StageProfiler,
-    frontier: &ParetoFrontier,
-    slo: &SloTarget,
-    target_qps: f64,
-    options: &CapacityOptions,
-) -> Vec<(ParetoPoint, CapacityPlan)> {
-    if let Err(e) = validate_capacity_inputs(target_qps, options) {
-        panic!("{e}");
+impl Rago {
+    /// Re-ranks a Pareto frontier by the total accelerators needed to serve
+    /// `target_qps` within `slo`, cheapest fleet first — the fleet-level
+    /// analogue of [`Rago::rank_frontier_by_goodput`]. Each point is
+    /// capacity-planned independently (in parallel across rayon workers);
+    /// points that cannot meet the SLO even at `options.max_replicas` replicas
+    /// are omitted. Ties on total XPUs break toward fewer replicas, then lower
+    /// static TTFT, then the schedule description, so the ranking is
+    /// deterministic.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the target rate or the options fail the planners' input
+    /// validation (a non-positive or non-finite rate, zero requests or
+    /// replicas, `max_replicas` above [`MAX_PLANNER_REPLICAS`], a length
+    /// jitter outside `[0, 1)`, or a sequence profile that
+    /// [`SequenceProfile::validate`] rejects). Those inputs would fail
+    /// *every* per-point plan, and silently returning an empty ranking
+    /// would be indistinguishable from "no schedule can serve this rate".
+    pub fn rank_frontier_by_cost_at_qps(
+        &self,
+        frontier: &ParetoFrontier,
+        slo: &SloTarget,
+        target_qps: f64,
+        options: &CapacityOptions,
+    ) -> Vec<(ParetoPoint, CapacityPlan)> {
+        if let Err(e) = validate_capacity_inputs(target_qps, options) {
+            panic!("{e}");
+        }
+        rank(
+            frontier.iter(),
+            |point| {
+                let plan = self.plan_capacity(&point.schedule, slo, target_qps, options);
+                Some((point.clone(), plan.ok()?))
+            },
+            |a, b| {
+                a.1.total_xpus
+                    .cmp(&b.1.total_xpus)
+                    .then(a.1.replicas.cmp(&b.1.replicas))
+                    .then(a.0.performance.ttft_s.total_cmp(&b.0.performance.ttft_s))
+                    .then_with(|| a.0.schedule.describe().cmp(&b.0.schedule.describe()))
+            },
+        )
     }
-    rank(
-        frontier.iter(),
-        |point| {
-            let plan = plan_capacity(profiler, &point.schedule, slo, target_qps, options);
-            Some((point.clone(), plan.ok()?))
-        },
-        |a, b| {
-            a.1.total_xpus
-                .cmp(&b.1.total_xpus)
-                .then(a.1.replicas.cmp(&b.1.replicas))
-                .then(a.0.performance.ttft_s.total_cmp(&b.0.performance.ttft_s))
-                .then_with(|| a.0.schedule.describe().cmp(&b.0.schedule.describe()))
-        },
-    )
 }
 
 /// One interval of a capacity schedule: how many replicas a rate segment
@@ -688,102 +729,104 @@ pub struct CapacityProfile {
     pub savings_fraction: f64,
 }
 
-/// Plans the minimum replica *schedule* of `schedule`'s pipeline over a
-/// piecewise-constant rate profile: each [`RateSegment`] is sized
-/// independently with [`plan_capacity`] at its own rate (zero-rate
-/// segments need zero replicas), so the result is by construction identical
-/// to per-interval static planning — the cross-check the
-/// `capacity_profile_matches_per_interval_planning` test pins. Repeated
-/// rates are planned once and memoized.
-///
-/// This is the provisioning-side answer to time-varying traffic: where the
-/// reactive autoscaler in `rago-serving-sim` *discovers* the capacity a
-/// trace needs, this planner *derives* it from the rate profile ahead of
-/// time, and the spread between `replica_seconds` and
-/// `static_replica_seconds` bounds what any elastic strategy can save.
-///
-/// # Errors
-///
-/// Returns [`RagoError::InvalidConfig`] when the profile is empty, a
-/// segment is degenerate (non-positive duration, negative or non-finite
-/// rate), the schedule is invalid, or the options describe an empty search,
-/// and [`RagoError::NoFeasibleSchedule`] when some positive-rate segment
-/// cannot meet the SLO within `options.max_replicas`.
-pub fn plan_capacity_profile(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    slo: &SloTarget,
-    profile: &[RateSegment],
-    options: &CapacityOptions,
-) -> Result<CapacityProfile, RagoError> {
-    if profile.is_empty() {
-        return Err(RagoError::InvalidConfig {
-            reason: "a capacity profile needs at least one rate segment".into(),
-        });
-    }
-    for (i, s) in profile.iter().enumerate() {
-        if let Err(reason) = s.validate() {
+impl Rago {
+    /// Plans the minimum replica *schedule* of `schedule`'s pipeline over a
+    /// piecewise-constant rate profile: each [`RateSegment`] is sized
+    /// independently with [`Rago::plan_capacity`] at its own rate (zero-rate
+    /// segments need zero replicas), so the result is by construction identical
+    /// to per-interval static planning — the cross-check the
+    /// `capacity_profile_matches_per_interval_planning` test pins. Repeated
+    /// rates are planned once and memoized.
+    ///
+    /// This is the provisioning-side answer to time-varying traffic: where the
+    /// reactive autoscaler in `rago-serving-sim` *discovers* the capacity a
+    /// trace needs, this planner *derives* it from the rate profile ahead of
+    /// time, and the spread between `replica_seconds` and
+    /// `static_replica_seconds` bounds what any elastic strategy can save.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RagoError::InvalidConfig`] when the profile is empty, a
+    /// segment is degenerate (non-positive duration, negative or non-finite
+    /// rate), the schedule is invalid, or the options describe an empty search,
+    /// and [`RagoError::NoFeasibleSchedule`] when some positive-rate segment
+    /// cannot meet the SLO within `options.max_replicas`.
+    pub fn plan_capacity_profile(
+        &self,
+        schedule: &Schedule,
+        slo: &SloTarget,
+        profile: &[RateSegment],
+        options: &CapacityOptions,
+    ) -> Result<CapacityProfile, RagoError> {
+        if profile.is_empty() {
             return Err(RagoError::InvalidConfig {
-                reason: format!("segment {i}: {reason}"),
+                reason: "a capacity profile needs at least one rate segment".into(),
             });
         }
-    }
-    if profile.iter().all(|s| s.rate_rps == 0.0) {
-        // Without this check an all-idle profile would plan a zero-replica
-        // fleet with vacuous attainment 1.0 everywhere and a "free"
-        // replica-seconds bill — a degenerate answer that upstream
-        // consumers (autoscaler sizing, cost ranking) would take at face
-        // value.
-        return Err(RagoError::InvalidConfig {
-            reason: "a capacity profile needs at least one segment with a positive rate; \
-                     an all-idle profile sizes a zero-replica fleet with vacuous attainment"
-                .into(),
-        });
-    }
-    let mut plans: BTreeMap<u64, (u32, f64)> = BTreeMap::new();
-    let mut intervals = Vec::with_capacity(profile.len());
-    let mut start_s = 0.0;
-    let mut replica_seconds = 0.0;
-    for s in profile {
-        let (replicas, attainment) = if s.rate_rps == 0.0 {
-            (0, 1.0)
-        } else {
-            match plans.entry(s.rate_rps.to_bits()) {
-                std::collections::btree_map::Entry::Occupied(e) => *e.get(),
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    let plan = plan_capacity(profiler, schedule, slo, s.rate_rps, options)?;
-                    *e.insert((plan.replicas, plan.attainment))
-                }
+        for (i, s) in profile.iter().enumerate() {
+            if let Err(reason) = s.validate() {
+                return Err(RagoError::InvalidConfig {
+                    reason: format!("segment {i}: {reason}"),
+                });
             }
+        }
+        if profile.iter().all(|s| s.rate_rps == 0.0) {
+            // Without this check an all-idle profile would plan a zero-replica
+            // fleet with vacuous attainment 1.0 everywhere and a "free"
+            // replica-seconds bill — a degenerate answer that upstream
+            // consumers (autoscaler sizing, cost ranking) would take at face
+            // value.
+            return Err(RagoError::InvalidConfig {
+                reason: "a capacity profile needs at least one segment with a positive rate; \
+                         an all-idle profile sizes a zero-replica fleet with vacuous attainment"
+                    .into(),
+            });
+        }
+        let mut plans: BTreeMap<u64, (u32, f64)> = BTreeMap::new();
+        let mut intervals = Vec::with_capacity(profile.len());
+        let mut start_s = 0.0;
+        let mut replica_seconds = 0.0;
+        for s in profile {
+            let (replicas, attainment) = if s.rate_rps == 0.0 {
+                (0, 1.0)
+            } else {
+                match plans.entry(s.rate_rps.to_bits()) {
+                    std::collections::btree_map::Entry::Occupied(e) => *e.get(),
+                    std::collections::btree_map::Entry::Vacant(e) => {
+                        let plan = self.plan_capacity(schedule, slo, s.rate_rps, options)?;
+                        *e.insert((plan.replicas, plan.attainment))
+                    }
+                }
+            };
+            replica_seconds += f64::from(replicas) * s.duration_s;
+            intervals.push(CapacityInterval {
+                start_s,
+                duration_s: s.duration_s,
+                rate_rps: s.rate_rps,
+                replicas,
+                attainment,
+            });
+            start_s += s.duration_s;
+        }
+        let peak_replicas = intervals
+            .iter()
+            .map(|i| i.replicas)
+            .max()
+            .expect("profile was validated non-empty");
+        let static_replica_seconds = f64::from(peak_replicas) * start_s;
+        let savings_fraction = if static_replica_seconds > 0.0 {
+            1.0 - replica_seconds / static_replica_seconds
+        } else {
+            0.0
         };
-        replica_seconds += f64::from(replicas) * s.duration_s;
-        intervals.push(CapacityInterval {
-            start_s,
-            duration_s: s.duration_s,
-            rate_rps: s.rate_rps,
-            replicas,
-            attainment,
-        });
-        start_s += s.duration_s;
+        Ok(CapacityProfile {
+            intervals,
+            peak_replicas,
+            replica_seconds,
+            static_replica_seconds,
+            savings_fraction,
+        })
     }
-    let peak_replicas = intervals
-        .iter()
-        .map(|i| i.replicas)
-        .max()
-        .expect("profile was validated non-empty");
-    let static_replica_seconds = f64::from(peak_replicas) * start_s;
-    let savings_fraction = if static_replica_seconds > 0.0 {
-        1.0 - replica_seconds / static_replica_seconds
-    } else {
-        0.0
-    };
-    Ok(CapacityProfile {
-        intervals,
-        peak_replicas,
-        replica_seconds,
-        static_replica_seconds,
-        savings_fraction,
-    })
 }
 
 #[cfg(test)]
@@ -799,8 +842,8 @@ mod tests {
     use rago_serving_sim::engine::PipelineSpec;
     use rago_serving_sim::faults::ScaleDriver;
 
-    fn case1_profiler() -> StageProfiler {
-        StageProfiler::new(
+    fn case1_rago() -> Rago {
+        Rago::new(
             presets::case1_hyperscale(LlmSize::B8, 1),
             ClusterSpec::paper_default(),
         )
@@ -866,9 +909,9 @@ mod tests {
     #[test]
     fn plan_matches_an_exhaustive_linear_scan() {
         use std::cmp::Ordering::{Equal, Greater, Less};
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
-        let spec = pipeline_spec(&profiler, &schedule, None).unwrap();
+        let spec = pipeline_spec(rago.profiler(), &schedule, None).unwrap();
         // (TTFT target, rate, where the unclamped n0 lies relative to the
         // scan's answer; `None`: no count within the bound is feasible).
         let sweep = [
@@ -883,10 +926,11 @@ mod tests {
             let slo = SloTarget::new(ttft_s, 0.1);
             let options = timed_options(target_qps, 3.0);
             let n0 =
-                analytic_replicas(&profiler, &schedule, target_qps, MAX_PLANNER_REPLICAS).unwrap();
+                analytic_replicas(rago.profiler(), &schedule, target_qps, MAX_PLANNER_REPLICAS)
+                    .unwrap();
             above_max += usize::from(n0 > options.max_replicas);
             let scan = linear_scan(&spec, &slo, target_qps, &options);
-            let plan = plan_capacity(&profiler, &schedule, &slo, target_qps, &options);
+            let plan = rago.plan_capacity(&schedule, &slo, target_qps, &options);
             let at = format!("{target_qps} rps, TTFT {ttft_s} s, n0 {n0}");
             assert_eq!(scan.map(|n| n0.cmp(&n)), relation, "{at}: sweep drifted");
             match scan {
@@ -920,9 +964,9 @@ mod tests {
     ///    below it: `4` misses, then `6` and `5` meet the SLO in full.
     #[test]
     fn plan_counts_its_des_runs_exactly() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
-        let spec = pipeline_spec(&profiler, &schedule, None).unwrap();
+        let spec = pipeline_spec(rago.profiler(), &schedule, None).unwrap();
         // (TTFT, rate, n0, plan, counts run in full, counts stopped).
         let cases: [(f64, f64, u32, u32, &[_], &[_]); 2] = [
             (0.1, 170.0, 2, 2, &[2], &[1]),
@@ -932,10 +976,13 @@ mod tests {
             let slo = SloTarget::new(ttft_s, 0.1);
             let options = timed_options(target_qps, 3.0);
             assert_eq!(
-                analytic_replicas(&profiler, &schedule, target_qps, options.max_replicas).unwrap(),
+                analytic_replicas(rago.profiler(), &schedule, target_qps, options.max_replicas)
+                    .unwrap(),
                 n0
             );
-            let plan = plan_capacity(&profiler, &schedule, &slo, target_qps, &options).unwrap();
+            let plan = rago
+                .plan_capacity(&schedule, &slo, target_qps, &options)
+                .unwrap();
             assert_eq!(plan.replicas, replicas);
             let trace = sizing_trace(target_qps, &options);
             let fleet = |replicas| {
@@ -979,14 +1026,16 @@ mod tests {
         let schedule = case1_schedule();
         let slo = SloTarget::new(0.4, 0.1);
         let options = timed_options(600.0, 3.0);
-        let planned = case1_profiler();
-        let plan = plan_capacity(&planned, &schedule, &slo, 600.0, &options).unwrap();
+        let planned = case1_rago();
+        let plan = planned
+            .plan_capacity(&schedule, &slo, 600.0, &options)
+            .unwrap();
         assert!(plan.des_runs > 1);
-        let profiled = case1_profiler();
-        pipeline_spec(&profiled, &schedule, None).unwrap();
-        schedule.evaluate(&profiled).unwrap();
-        let (planned_hits, planned_misses) = planned.memo_stats();
-        let (profiled_hits, profiled_misses) = profiled.memo_stats();
+        let profiled = case1_rago();
+        pipeline_spec(profiled.profiler(), &schedule, None).unwrap();
+        schedule.evaluate(profiled.profiler()).unwrap();
+        let (planned_hits, planned_misses) = planned.profiler().memo_stats();
+        let (profiled_hits, profiled_misses) = profiled.profiler().memo_stats();
         assert_eq!(planned_misses, profiled_misses);
         assert!(planned_hits > profiled_hits);
     }
@@ -1026,7 +1075,7 @@ mod tests {
     /// planner, not a panic in the sizing trace's generator.
     #[test]
     fn out_of_range_length_jitter_is_rejected() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         for jitter in [1.0, 1.5, -0.1, f64::NAN] {
@@ -1037,22 +1086,15 @@ mod tests {
             let invalid =
                 |r: Result<(), RagoError>| matches!(r, Err(RagoError::InvalidConfig { .. }));
             assert!(invalid(
-                plan_capacity(&profiler, &schedule, &slo, 10.0, &options).map(|_| ())
+                rago.plan_capacity(&schedule, &slo, 10.0, &options)
+                    .map(|_| ())
             ));
             assert!(invalid(
-                plan_capacity_pools(
-                    &profiler,
-                    &schedule,
-                    &slo,
-                    10.0,
-                    &KvTransferModel::zero(),
-                    &options
-                )
-                .map(|_| ())
+                rago.plan_capacity_pools(&schedule, &slo, 10.0, &KvTransferModel::zero(), &options)
+                    .map(|_| ())
             ));
             assert!(invalid(
-                plan_capacity_profile(
-                    &profiler,
+                rago.plan_capacity_profile(
                     &schedule,
                     &slo,
                     &[RateSegment::new(5.0, 10.0)],
@@ -1061,8 +1103,7 @@ mod tests {
                 .map(|_| ())
             ));
             assert!(invalid(
-                crate::cached::plan_capacity_cached(
-                    &profiler,
+                rago.plan_capacity_cached(
                     &schedule,
                     &slo,
                     10.0,
@@ -1080,6 +1121,59 @@ mod tests {
         }
     }
 
+    /// Regression: the sizing trace's generator clamps zero lengths to one,
+    /// so a profile that `SequenceProfile::validate` rejects used to size a
+    /// different request shape (one replica, `Ok`). Every planner now
+    /// rejects it before any simulation, naming the field.
+    #[test]
+    fn invalid_sizing_profiles_are_rejected() {
+        let rago = case1_rago();
+        let schedule = case1_schedule();
+        let slo = SloTarget::new(1.0, 0.1);
+        let base = quick_options().profile;
+        let profiles = [
+            ("decode_tokens", base.with_decode_tokens(0)),
+            ("question_tokens", base.with_question_tokens(0)),
+            (
+                "bytes_per_token",
+                SequenceProfile {
+                    bytes_per_token: 0,
+                    ..base
+                },
+            ),
+        ];
+        let content = rago_workloads::ContentSpec {
+            prefixes: rago_workloads::PopularityModel::zipf(8, 1.0),
+            shared_prefix_fraction: 0.8,
+            docs: rago_workloads::PopularityModel::zipf(32, 1.0),
+            seed: 5,
+        };
+        for (field, profile) in profiles {
+            let options = CapacityOptions {
+                profile,
+                ..quick_options()
+            };
+            let transfer = KvTransferModel::zero();
+            let segments = [RateSegment::new(5.0, 10.0)];
+            let cache = CacheConfig::disabled();
+            for result in [
+                rago.plan_capacity(&schedule, &slo, 10.0, &options)
+                    .map(drop),
+                rago.plan_capacity_pools(&schedule, &slo, 10.0, &transfer, &options)
+                    .map(drop),
+                rago.plan_capacity_profile(&schedule, &slo, &segments, &options)
+                    .map(drop),
+                rago.plan_capacity_cached(&schedule, &slo, 10.0, &options, &cache, &content)
+                    .map(drop),
+            ] {
+                assert!(
+                    matches!(&result, Err(RagoError::InvalidConfig { reason }) if reason.contains(field)),
+                    "{field}: {result:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "length_jitter must be in [0, 1)")]
     fn cost_ranking_asserts_the_length_jitter() {
@@ -1091,8 +1185,7 @@ mod tests {
             length_jitter: 1.5,
             ..quick_options()
         };
-        let _ = rank_frontier_by_cost_at_qps(
-            rago.profiler(),
+        let _ = rago.rank_frontier_by_cost_at_qps(
             &ParetoFrontier::from_points(Vec::new()),
             &SloTarget::new(1.0, 0.1),
             10.0,
@@ -1113,8 +1206,7 @@ mod tests {
             max_replicas: MAX_PLANNER_REPLICAS + 1,
             ..quick_options()
         };
-        let _ = rank_frontier_by_cost_at_qps(
-            rago.profiler(),
+        let _ = rago.rank_frontier_by_cost_at_qps(
             &ParetoFrontier::from_points(Vec::new()),
             &SloTarget::new(1.0, 0.1),
             10.0,
@@ -1190,7 +1282,7 @@ mod tests {
     #[test]
     fn pool_plan_matches_an_exhaustive_cross_product_scan() {
         use std::cmp::Ordering::{Equal, Greater, Less};
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let symmetric = case1_schedule();
         let asymmetric = Schedule {
             allocation: ResourceAllocation {
@@ -1225,10 +1317,10 @@ mod tests {
             let slo = SloTarget::new(ttft_s, tpot_s);
             let options = pool_options(target_qps, tokens);
             let (p0, d0) =
-                analytic_split(&profiler, schedule, target_qps, MAX_PLANNER_REPLICAS).unwrap();
-            let scan = cross_product_scan(&profiler, schedule, &slo, target_qps, &options);
-            let plan =
-                plan_capacity_pools(&profiler, schedule, &slo, target_qps, &transfer, &options);
+                analytic_split(rago.profiler(), schedule, target_qps, MAX_PLANNER_REPLICAS)
+                    .unwrap();
+            let scan = cross_product_scan(rago.profiler(), schedule, &slo, target_qps, &options);
+            let plan = rago.plan_capacity_pools(schedule, &slo, target_qps, &transfer, &options);
             let at = format!(
                 "{} at {target_qps} rps, TTFT {ttft_s} s, TPOT {tpot_s} s, {tokens} tokens, \
                  seed ({p0}, {d0})",
@@ -1279,7 +1371,7 @@ mod tests {
     /// Every miss stops once its SLO is lost.
     #[test]
     fn pool_plan_counts_its_des_runs_exactly() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         // (TTFT, TPOT, decode tokens, rate, seed, plan, splits run in
         // full, splits stopped).
@@ -1318,21 +1410,16 @@ mod tests {
             let slo = SloTarget::new(ttft_s, tpot_s);
             let options = pool_options(target_qps, tokens);
             assert_eq!(
-                analytic_split(&profiler, &schedule, target_qps, options.max_replicas).unwrap(),
+                analytic_split(rago.profiler(), &schedule, target_qps, options.max_replicas)
+                    .unwrap(),
                 seed
             );
-            let plan = plan_capacity_pools(
-                &profiler,
-                &schedule,
-                &slo,
-                target_qps,
-                &pool_transfer(),
-                &options,
-            )
-            .unwrap();
+            let plan = rago
+                .plan_capacity_pools(&schedule, &slo, target_qps, &pool_transfer(), &options)
+                .unwrap();
             assert_eq!((plan.prefill_replicas, plan.decode_replicas), split);
             let trace = sizing_trace(target_qps, &options);
-            let engine = |split| pool_engine(&profiler, &schedule, &trace, split);
+            let engine = |split| pool_engine(rago.profiler(), &schedule, &trace, split);
             let full_events: u64 = full
                 .iter()
                 .map(|&split| {
@@ -1366,7 +1453,7 @@ mod tests {
 
     #[test]
     fn unreachable_pool_targets_are_reported() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::new(0.5, 1e-6);
         let options = CapacityOptions {
@@ -1374,15 +1461,9 @@ mod tests {
             num_requests: 60,
             ..CapacityOptions::default()
         };
-        let err = plan_capacity_pools(
-            &profiler,
-            &schedule,
-            &slo,
-            100.0,
-            &KvTransferModel::zero(),
-            &options,
-        )
-        .unwrap_err();
+        let err = rago
+            .plan_capacity_pools(&schedule, &slo, 100.0, &KvTransferModel::zero(), &options)
+            .unwrap_err();
         let RagoError::NoFeasibleSchedule { reason } = err else {
             panic!("expected NoFeasibleSchedule, got {err:?}");
         };
@@ -1397,7 +1478,7 @@ mod tests {
         // disaggregate.
         let bad = KvTransferModel::new(-1.0, 1e9, 0.0);
         assert!(matches!(
-            plan_capacity_pools(&profiler, &schedule, &slo, 10.0, &bad, &options),
+            rago.plan_capacity_pools(&schedule, &slo, 10.0, &bad, &options),
             Err(RagoError::InvalidConfig { .. })
         ));
         let decode_only = Schedule {
@@ -1410,15 +1491,9 @@ mod tests {
             },
             ..schedule.clone()
         };
-        let err = plan_capacity_pools(
-            &profiler,
-            &decode_only,
-            &slo,
-            10.0,
-            &KvTransferModel::zero(),
-            &options,
-        )
-        .unwrap_err();
+        let err = rago
+            .plan_capacity_pools(&decode_only, &slo, 10.0, &KvTransferModel::zero(), &options)
+            .unwrap_err();
         assert!(
             matches!(&err, RagoError::InvalidConfig { reason } if reason.contains("`prefix`")),
             "{err:?}"
@@ -1427,7 +1502,7 @@ mod tests {
 
     #[test]
     fn unreachable_targets_are_reported() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         // No replica count can beat a sub-microsecond TPOT target: adding
         // replicas reduces queueing but never the per-step latency.
@@ -1437,28 +1512,38 @@ mod tests {
             num_requests: 80,
             ..CapacityOptions::default()
         };
-        let err = plan_capacity(&profiler, &schedule, &slo, 100.0, &options).unwrap_err();
+        let err = rago
+            .plan_capacity(&schedule, &slo, 100.0, &options)
+            .unwrap_err();
         assert!(matches!(err, RagoError::NoFeasibleSchedule { .. }));
         let slo = SloTarget::new(0.5, 0.05);
-        let err = plan_capacity(&profiler, &schedule, &slo, 0.0, &options).unwrap_err();
+        let err = rago
+            .plan_capacity(&schedule, &slo, 0.0, &options)
+            .unwrap_err();
         assert!(matches!(err, RagoError::InvalidConfig { .. }));
-        let err = plan_capacity(&profiler, &schedule, &slo, f64::NAN, &options).unwrap_err();
+        let err = rago
+            .plan_capacity(&schedule, &slo, f64::NAN, &options)
+            .unwrap_err();
         assert!(matches!(err, RagoError::InvalidConfig { .. }));
         // A zero-request sizing trace would vacuously meet any SLO.
         let empty = CapacityOptions {
             num_requests: 0,
             ..CapacityOptions::default()
         };
-        let err = plan_capacity(&profiler, &schedule, &slo, 10.0, &empty).unwrap_err();
+        let err = rago
+            .plan_capacity(&schedule, &slo, 10.0, &empty)
+            .unwrap_err();
         assert!(matches!(err, RagoError::InvalidConfig { .. }));
     }
 
     #[test]
     fn light_loads_need_one_replica() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::new(5.0, 0.2);
-        let plan = plan_capacity(&profiler, &schedule, &slo, 1.0, &quick_options()).unwrap();
+        let plan = rago
+            .plan_capacity(&schedule, &slo, 1.0, &quick_options())
+            .unwrap();
         assert_eq!(plan.replicas, 1);
         assert!(plan.drain_tail_s >= 0.0);
     }
@@ -1468,7 +1553,7 @@ mod tests {
     /// interval's rate.
     #[test]
     fn capacity_profile_matches_per_interval_planning() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let options = quick_options();
@@ -1478,8 +1563,9 @@ mod tests {
             RateSegment::new(5.0, 0.0),
             RateSegment::new(15.0, 40.0), // repeated rate: memoized plan
         ];
-        let planned =
-            plan_capacity_profile(&profiler, &schedule, &slo, &profile, &options).unwrap();
+        let planned = rago
+            .plan_capacity_profile(&schedule, &slo, &profile, &options)
+            .unwrap();
         assert_eq!(planned.intervals.len(), 4);
         for interval in &planned.intervals {
             if interval.rate_rps == 0.0 {
@@ -1487,8 +1573,9 @@ mod tests {
                 assert_eq!(interval.attainment, 1.0);
                 continue;
             }
-            let single =
-                plan_capacity(&profiler, &schedule, &slo, interval.rate_rps, &options).unwrap();
+            let single = rago
+                .plan_capacity(&schedule, &slo, interval.rate_rps, &options)
+                .unwrap();
             assert_eq!(
                 interval.replicas, single.replicas,
                 "interval at {} rps diverged from static planning",
@@ -1522,12 +1609,12 @@ mod tests {
 
     #[test]
     fn degenerate_capacity_profiles_are_rejected() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let options = quick_options();
         assert!(matches!(
-            plan_capacity_profile(&profiler, &schedule, &slo, &[], &options),
+            rago.plan_capacity_profile(&schedule, &slo, &[], &options),
             Err(RagoError::InvalidConfig { .. })
         ));
         let bad = [RateSegment {
@@ -1535,7 +1622,7 @@ mod tests {
             rate_rps: f64::NAN,
         }];
         assert!(matches!(
-            plan_capacity_profile(&profiler, &schedule, &slo, &bad, &options),
+            rago.plan_capacity_profile(&schedule, &slo, &bad, &options),
             Err(RagoError::InvalidConfig { .. })
         ));
         // An all-idle profile used to plan a zero-replica fleet with
@@ -1543,13 +1630,15 @@ mod tests {
         // be rejected, while the same idle segments mixed with real load
         // (covered above) stay legal.
         let idle = [RateSegment::new(60.0, 0.0), RateSegment::new(30.0, 0.0)];
-        let err = plan_capacity_profile(&profiler, &schedule, &slo, &idle, &options).unwrap_err();
+        let err = rago
+            .plan_capacity_profile(&schedule, &slo, &idle, &options)
+            .unwrap_err();
         assert!(matches!(err, RagoError::InvalidConfig { .. }), "{err}");
         // A segment no fleet within the bound can hold fails loudly.
         let impossible_slo = SloTarget::new(0.5, 1e-6);
         let profile = [RateSegment::new(5.0, 50.0)];
         assert!(matches!(
-            plan_capacity_profile(&profiler, &schedule, &impossible_slo, &profile, &options),
+            rago.plan_capacity_profile(&schedule, &impossible_slo, &profile, &options),
             Err(RagoError::NoFeasibleSchedule { .. })
         ));
     }
@@ -1575,7 +1664,7 @@ mod tests {
             Err(RagoError::InvalidConfig { .. })
         ));
         // The public planners surface the same rejection.
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let absurd = CapacityOptions {
@@ -1583,18 +1672,11 @@ mod tests {
             ..quick_options()
         };
         assert!(matches!(
-            plan_capacity(&profiler, &schedule, &slo, 10.0, &absurd),
+            rago.plan_capacity(&schedule, &slo, 10.0, &absurd),
             Err(RagoError::InvalidConfig { .. })
         ));
         assert!(matches!(
-            plan_capacity_pools(
-                &profiler,
-                &schedule,
-                &slo,
-                10.0,
-                &KvTransferModel::zero(),
-                &absurd
-            ),
+            rago.plan_capacity_pools(&schedule, &slo, 10.0, &KvTransferModel::zero(), &absurd),
             Err(RagoError::InvalidConfig { .. })
         ));
     }
@@ -1620,8 +1702,7 @@ mod tests {
             num_requests: 100,
             ..CapacityOptions::default()
         };
-        let ranked =
-            rank_frontier_by_cost_at_qps(rago.profiler(), &frontier, &slo, 20.0, &capacity);
+        let ranked = rago.rank_frontier_by_cost_at_qps(&frontier, &slo, 20.0, &capacity);
         assert!(!ranked.is_empty());
         for pair in ranked.windows(2) {
             assert!(pair[0].1.total_xpus <= pair[1].1.total_xpus);

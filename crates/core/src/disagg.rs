@@ -9,22 +9,22 @@
 //! each request's KV state crosses an interconnect between the phases. This
 //! module closes the optimizer loop over that placement dimension:
 //!
-//! * [`evaluate_fleet_disagg`] — drives a trace through a disaggregated
-//!   [`FleetConfig`] (a `[Prefill, Decode]` pool pair plus its
-//!   [`KvTransferModel`]) on
-//!   [`rago_serving_sim::fleet::FleetEngine::disaggregated`], optionally
-//!   while per-pool crashes ([`PoolCrash`]) play against it, and scores the
-//!   stitched result per chip. A pool pair is one configuration of the
-//!   crate's one fleet builder, so
+//! * [`Rago::evaluate_fleet_disagg`] — drives a trace through a
+//!   disaggregated [`FleetConfig`] (a `[Prefill, Decode]` pool pair plus
+//!   its [`KvTransferModel`]) on
+//!   [`rago_serving_sim::fleet::FleetEngine::disaggregated`] and scores the
+//!   stitched result per chip. The crate-private `evaluate_split` also
+//!   plays per-pool crashes ([`PoolCrash`]) against the split. A pool pair
+//!   is one configuration of the crate's one fleet builder, so
 //!   [`crate::dynamic::evaluate_fleet_dynamic_with`] *accepts* pool configs
-//!   unchanged, and [`crate::Rago::evaluate_fleet_cached`] puts its caches
-//!   on the prefill pool.
+//!   unchanged, and [`Rago::evaluate_fleet_cached`] puts its caches on the
+//!   prefill pool.
 //! * [`transfer_model_from_interconnect`] — prices the handoff from first
 //!   principles: the generative model's KV bytes per token over an
 //!   [`InterconnectSpec`]'s link bandwidth plus its per-message overhead.
-//! * [`rank_frontier_by_goodput_disagg`] — the joint search: every Pareto
-//!   point × every (prefill, decode) split × every candidate interconnect,
-//!   ranked by goodput per chip. At tight TTFT+TPOT SLOs this sweep
+//! * [`Rago::rank_frontier_by_goodput_disagg`] — the joint search: every
+//!   Pareto point × every (prefill, decode) split × every candidate
+//!   interconnect, ranked by goodput per chip. At tight TTFT+TPOT SLOs this sweep
 //!   discovers the DistServe result — a disaggregated split beating the
 //!   best collocated fleet per chip — and at loose SLOs it correctly
 //!   prefers collocation (no transfer tax, no idle pool).
@@ -38,6 +38,7 @@ use crate::dynamic::{
     fleet_engine, pipeline_spec, rank, run_fleet, validate_trace, validate_unique_ids, FleetRun,
 };
 use crate::error::RagoError;
+use crate::optimizer::Rago;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
@@ -218,10 +219,8 @@ pub(crate) fn score_disagg(
     }
 }
 
-/// Drives `trace` through the disaggregated `fleet` — its Prefill pool runs
-/// `schedule`'s pre-decode stages, its Decode pool the continuous-batching
-/// decode, with every handoff priced by `fleet.transfer` — while `crashes`
-/// play against its pools, and scores the stitched result against `slo`.
+/// [`Rago::evaluate_fleet_disagg`] while `crashes` play against the split's
+/// pools.
 ///
 /// A crash re-queues work within its pool: a prefill replica's
 /// un-transferred work onto prefill *survivors*, a decode replica's
@@ -234,13 +233,10 @@ pub(crate) fn score_disagg(
 ///
 /// # Errors
 ///
-/// Returns [`RagoError::InvalidConfig`] for invalid schedules, fleets that
-/// are not a `[Prefill, Decode]` pool pair, schedules without a pre-decode
-/// stage, an empty or malformed trace, a trace that repeats a request id
-/// (the two legs are stitched by id), or a crash targeting the Monolithic
-/// pool or an out-of-range replica, or carrying non-finite timings, and
-/// [`RagoError::CostModel`] when the schedule cannot be profiled.
-pub fn evaluate_fleet_disagg(
+/// As [`Rago::evaluate_fleet_disagg`], plus [`RagoError::InvalidConfig`]
+/// for a crash targeting the Monolithic pool or an out-of-range replica, or
+/// carrying non-finite timings.
+pub(crate) fn evaluate_split(
     profiler: &StageProfiler,
     schedule: &Schedule,
     fleet: &FleetConfig,
@@ -273,86 +269,117 @@ pub struct DisaggChoice {
     pub transfer: KvTransferModel,
 }
 
-/// The joint (schedule, prefill pool, decode pool, interconnect) search:
-/// evaluates every Pareto point under every `(prefill, decode)` split and
-/// every candidate interconnect, and ranks the survivors by **goodput per
-/// chip**, best first — the disaggregated extension of
-/// [`crate::dynamic::rank_frontier_by_goodput`]. Candidates whose
-/// evaluation fails (e.g. a stage-free schedule) are omitted. Ties break
-/// toward fewer total XPUs, then lower static TTFT, then the schedule
-/// description and choice fields, so the ranking is deterministic across
-/// rayon workers.
-///
-/// Compare the winner's `goodput_per_chip` against
-/// [`crate::dynamic::rank_frontier_by_goodput`]'s best at
-/// `goodput / (replicas × total_xpus)` to decide *whether* to disaggregate
-/// at all — at tight TTFT+TPOT SLOs the split wins (the DistServe result),
-/// at loose SLOs collocation does.
-///
-/// # Panics
-///
-/// Panics on an empty split list, an empty interconnect list, an empty
-/// trace, a trace with an arrival that is not finite and non-negative, or
-/// a trace that repeats a request id (with [`RagoError::InvalidConfig`]'s
-/// reason as the message) — each would silently rank nothing.
-pub fn rank_frontier_by_goodput_disagg(
-    profiler: &StageProfiler,
-    frontier: &ParetoFrontier,
-    trace: &Trace,
-    slo: &SloTarget,
-    splits: &[(u32, u32)],
-    interconnects: &[InterconnectSpec],
-) -> Vec<(ParetoPoint, DisaggChoice, DisaggEvaluation)> {
-    if let Err(e) = validate_trace(trace).and_then(|()| validate_unique_ids(trace)) {
-        panic!("cannot rank a frontier by goodput: {e}");
+impl Rago {
+    /// Drives `trace` through the disaggregated `fleet` — its Prefill pool
+    /// runs `schedule`'s pre-decode stages, its Decode pool the
+    /// continuous-batching decode, with every KV handoff priced by
+    /// `fleet.transfer` — and scores the stitched result against `slo`,
+    /// billing each pool per chip.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RagoError::InvalidConfig`] for invalid schedules, fleets
+    /// that are not a `[Prefill, Decode]` pool pair, schedules without a
+    /// pre-decode stage, an empty or malformed trace, or a trace that
+    /// repeats a request id (the two legs are stitched by id), and
+    /// [`RagoError::CostModel`] when the schedule cannot be profiled.
+    pub fn evaluate_fleet_disagg(
+        &self,
+        schedule: &Schedule,
+        fleet: &FleetConfig,
+        trace: &Trace,
+        slo: &SloTarget,
+    ) -> Result<DisaggEvaluation, RagoError> {
+        evaluate_split(self.profiler(), schedule, fleet, &[], trace, slo)
     }
-    assert!(
-        !splits.is_empty(),
-        "the joint search needs at least one (prefill, decode) split"
-    );
-    assert!(
-        !interconnects.is_empty(),
-        "the joint search needs at least one candidate interconnect"
-    );
-    let schema = profiler.schema();
-    let candidates = frontier.iter().flat_map(|point| {
-        splits.iter().flat_map(move |&(p, d)| {
-            interconnects.iter().map(move |ic| {
-                (
-                    point,
-                    DisaggChoice {
-                        prefill_replicas: p,
-                        decode_replicas: d,
-                        interconnect: ic.name.clone(),
-                        transfer: transfer_model_from_interconnect(schema, ic),
-                    },
-                )
+
+    /// The joint (schedule, prefill pool, decode pool, interconnect) search:
+    /// evaluates every Pareto point under every `(prefill, decode)` split
+    /// and every candidate interconnect, and ranks the survivors by
+    /// **goodput per chip**, best first — the disaggregated extension of
+    /// [`Rago::rank_frontier_by_goodput`]. Candidates whose evaluation fails
+    /// (e.g. a stage-free schedule) are omitted. Ties break toward fewer
+    /// total XPUs, then lower static TTFT, then the schedule description and
+    /// choice fields, so the ranking is deterministic across rayon workers.
+    ///
+    /// Compare the winner's `goodput_per_chip` against
+    /// [`Rago::rank_frontier_by_goodput`]'s best at
+    /// `goodput / (replicas × total_xpus)` to decide *whether* to
+    /// disaggregate at all — at tight TTFT+TPOT SLOs the split wins (the
+    /// DistServe result), at loose SLOs collocation does.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty split list, a split with an empty pool, an empty
+    /// interconnect list, an empty trace, a trace with an arrival that is
+    /// not finite and non-negative, or a trace that repeats a request id
+    /// (with [`RagoError::InvalidConfig`]'s reason as the message) — each
+    /// would silently rank nothing.
+    pub fn rank_frontier_by_goodput_disagg(
+        &self,
+        frontier: &ParetoFrontier,
+        trace: &Trace,
+        slo: &SloTarget,
+        splits: &[(u32, u32)],
+        interconnects: &[InterconnectSpec],
+    ) -> Vec<(ParetoPoint, DisaggChoice, DisaggEvaluation)> {
+        if let Err(e) = validate_trace(trace).and_then(|()| validate_unique_ids(trace)) {
+            panic!("cannot rank a frontier by goodput: {e}");
+        }
+        assert!(
+            !splits.is_empty(),
+            "the joint search needs at least one (prefill, decode) split"
+        );
+        for &(p, d) in splits {
+            assert!(
+                p > 0 && d > 0,
+                "split ({p}, {d}) has an empty pool; the joint search needs a replica in each pool"
+            );
+        }
+        assert!(
+            !interconnects.is_empty(),
+            "the joint search needs at least one candidate interconnect"
+        );
+        let schema = self.profiler().schema();
+        let candidates = frontier.iter().flat_map(|point| {
+            splits.iter().flat_map(move |&(p, d)| {
+                interconnects.iter().map(move |ic| {
+                    (
+                        point,
+                        DisaggChoice {
+                            prefill_replicas: p,
+                            decode_replicas: d,
+                            interconnect: ic.name.clone(),
+                            transfer: transfer_model_from_interconnect(schema, ic),
+                        },
+                    )
+                })
             })
-        })
-    });
-    rank(
-        candidates.collect::<Vec<_>>().into_iter(),
-        |(point, choice)| {
-            let fleet = FleetConfig::split(
-                choice.prefill_replicas,
-                choice.decode_replicas,
-                rago_schema::RouterPolicy::default(),
-            )
-            .with_transfer(choice.transfer);
-            let eval = evaluate_fleet_disagg(profiler, &point.schedule, &fleet, &[], trace, slo);
-            Some((point.clone(), choice, eval.ok()?))
-        },
-        |a, b| {
-            b.2.goodput_per_chip
-                .total_cmp(&a.2.goodput_per_chip)
-                .then(a.2.total_xpus.cmp(&b.2.total_xpus))
-                .then(a.0.performance.ttft_s.total_cmp(&b.0.performance.ttft_s))
-                .then_with(|| a.0.schedule.describe().cmp(&b.0.schedule.describe()))
-                .then(a.1.prefill_replicas.cmp(&b.1.prefill_replicas))
-                .then(a.1.decode_replicas.cmp(&b.1.decode_replicas))
-                .then_with(|| a.1.interconnect.cmp(&b.1.interconnect))
-        },
-    )
+        });
+        rank(
+            candidates.collect::<Vec<_>>().into_iter(),
+            |(point, choice)| {
+                let fleet = FleetConfig::split(
+                    choice.prefill_replicas,
+                    choice.decode_replicas,
+                    rago_schema::RouterPolicy::default(),
+                )
+                .with_transfer(choice.transfer);
+                let eval = self.evaluate_fleet_disagg(&point.schedule, &fleet, trace, slo);
+                Some((point.clone(), choice, eval.ok()?))
+            },
+            |a, b| {
+                b.2.goodput_per_chip
+                    .total_cmp(&a.2.goodput_per_chip)
+                    .then(a.2.total_xpus.cmp(&b.2.total_xpus))
+                    .then(a.0.performance.ttft_s.total_cmp(&b.0.performance.ttft_s))
+                    .then_with(|| a.0.schedule.describe().cmp(&b.0.schedule.describe()))
+                    .then(a.1.prefill_replicas.cmp(&b.1.prefill_replicas))
+                    .then(a.1.decode_replicas.cmp(&b.1.decode_replicas))
+                    .then_with(|| a.1.interconnect.cmp(&b.1.interconnect))
+            },
+        )
+    }
 }
 
 #[cfg(test)]
@@ -367,8 +394,8 @@ mod tests {
     use rago_serving_sim::MetricsMode;
     use rago_workloads::{ArrivalProcess, TraceSpec};
 
-    fn case1_profiler() -> StageProfiler {
-        StageProfiler::new(
+    fn case1_rago() -> Rago {
+        Rago::new(
             presets::case1_hyperscale(LlmSize::B8, 1),
             ClusterSpec::paper_default(),
         )
@@ -401,14 +428,17 @@ mod tests {
 
     #[test]
     fn disagg_evaluation_completes_and_prices_transfers() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let trace = poisson_trace(80, 40.0, 5);
         let slo = SloTarget::new(1.0, 0.1);
         let ic = InterconnectSpec::torus_3d();
-        let fleet = FleetConfig::split(1, 1, RouterPolicy::LeastOutstanding)
-            .with_transfer(transfer_model_from_interconnect(profiler.schema(), &ic));
-        let eval = evaluate_fleet_disagg(&profiler, &schedule, &fleet, &[], &trace, &slo).unwrap();
+        let fleet = FleetConfig::split(1, 1, RouterPolicy::LeastOutstanding).with_transfer(
+            transfer_model_from_interconnect(rago.profiler().schema(), &ic),
+        );
+        let eval = rago
+            .evaluate_fleet_disagg(&schedule, &fleet, &trace, &slo)
+            .unwrap();
         assert_eq!(eval.report.merged.metrics.completed, 80);
         assert_eq!(eval.report.transfers.transfers, 80);
         assert!(eval.report.transfers.bytes_total > 0.0);
@@ -423,12 +453,12 @@ mod tests {
     /// hits are identical).
     #[test]
     fn zero_cost_split_matches_flat_fleet_scores() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let trace = poisson_trace(100, 30.0, 11);
         let slo = SloTarget::new(1.0, 0.1);
         let flat = evaluate_fleet_dynamic_with(
-            &profiler,
+            rago.profiler(),
             &schedule,
             &FleetConfig::new(1, RouterPolicy::LeastOutstanding),
             &trace,
@@ -438,8 +468,9 @@ mod tests {
         .unwrap();
         let split = FleetConfig::split(1, 1, RouterPolicy::LeastOutstanding);
         assert!(split.transfer.is_zero_cost());
-        let disagg =
-            evaluate_fleet_disagg(&profiler, &schedule, &split, &[], &trace, &slo).unwrap();
+        let disagg = rago
+            .evaluate_fleet_disagg(&schedule, &split, &trace, &slo)
+            .unwrap();
         assert_eq!(disagg.attainment, flat.attainment);
         assert!((disagg.goodput_rps - flat.goodput_rps).abs() < 1e-9);
         assert_eq!(disagg.meets_slo, flat.meets_slo);
@@ -450,14 +481,14 @@ mod tests {
     /// fleet shape.
     #[test]
     fn fleet_dynamic_accepts_pool_configs() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let trace = poisson_trace(60, 40.0, 3);
         let slo = SloTarget::new(1.0, 0.1);
         let fleet = FleetConfig::split(1, 2, RouterPolicy::LeastOutstanding)
             .with_transfer(KvTransferModel::new(131_072.0, 25e9, 20e-6));
         let eval = evaluate_fleet_dynamic_with(
-            &profiler,
+            rago.profiler(),
             &schedule,
             &fleet,
             &trace,
@@ -470,8 +501,9 @@ mod tests {
         assert_eq!(eval.report.per_replica.len(), 3);
         // Two dispatches per request: arrival + transfer completion.
         assert_eq!(eval.report.assignments.len(), 120);
-        let direct =
-            evaluate_fleet_disagg(&profiler, &schedule, &fleet, &[], &trace, &slo).unwrap();
+        let direct = rago
+            .evaluate_fleet_disagg(&schedule, &fleet, &trace, &slo)
+            .unwrap();
         assert_eq!(eval.report.merged, direct.report.merged);
         assert_eq!(eval.attainment, direct.attainment);
 
@@ -480,21 +512,27 @@ mod tests {
             rago_serving_sim::StreamingConfig::new(rago_schema::HistogramSpec::default())
                 .with_slo(slo),
         );
-        let err =
-            evaluate_fleet_dynamic_with(&profiler, &schedule, &fleet, &trace, &slo, &streaming)
-                .unwrap_err();
+        let err = evaluate_fleet_dynamic_with(
+            rago.profiler(),
+            &schedule,
+            &fleet,
+            &trace,
+            &slo,
+            &streaming,
+        )
+        .unwrap_err();
         assert!(matches!(err, RagoError::InvalidConfig { .. }));
     }
 
     #[test]
     fn non_pool_fleets_are_rejected_by_the_direct_entry_point() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let trace = poisson_trace(10, 10.0, 1);
         let slo = SloTarget::new(1.0, 0.1);
         let flat = FleetConfig::new(2, RouterPolicy::RoundRobin);
         assert!(matches!(
-            evaluate_fleet_disagg(&profiler, &schedule, &flat, &[], &trace, &slo),
+            rago.evaluate_fleet_disagg(&schedule, &flat, &trace, &slo),
             Err(RagoError::InvalidConfig { .. })
         ));
         // Invalid crash targets surface as errors, not panics.
@@ -506,9 +544,40 @@ mod tests {
             restart_delay_s: None,
         };
         assert!(matches!(
-            evaluate_fleet_disagg(&profiler, &schedule, &fleet, &[bad_crash], &trace, &slo),
+            evaluate_split(
+                rago.profiler(),
+                &schedule,
+                &fleet,
+                &[bad_crash],
+                &trace,
+                &slo
+            ),
             Err(RagoError::InvalidConfig { .. })
         ));
+    }
+
+    /// Regression: a split with an empty pool fails every evaluation, so
+    /// the ranking used to drop its candidates and return the rest, or
+    /// nothing, with no error.
+    #[test]
+    #[should_panic(expected = "split (1, 0) has an empty pool")]
+    fn disagg_ranking_rejects_a_split_with_an_empty_pool() {
+        let rago = case1_rago();
+        let schedule = case1_schedule();
+        let frontier = ParetoFrontier {
+            points: vec![ParetoPoint {
+                performance: schedule.evaluate(rago.profiler()).unwrap(),
+                schedule,
+            }],
+            evaluated_schedules: 1,
+        };
+        let _ = rago.rank_frontier_by_goodput_disagg(
+            &frontier,
+            &poisson_trace(10, 10.0, 1),
+            &SloTarget::new(1.0, 0.1),
+            &[(1, 1), (1, 0)],
+            &[InterconnectSpec::torus_3d()],
+        );
     }
 
     /// The DistServe discovery: at a tight TTFT+TPOT SLO, the joint search
@@ -517,7 +586,7 @@ mod tests {
     /// prefill capacity without paying for idle decode chips.
     #[test]
     fn tight_slo_sweep_discovers_disaggregation() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         // Prefill-heavy traffic: a rate past one replica's prefill knee
         // (one collocated replica's TTFT attainment collapses at the tight
@@ -538,7 +607,7 @@ mod tests {
         let mut best_flat = 0.0f64;
         for n in 1..=3u32 {
             let eval = evaluate_fleet_dynamic_with(
-                &profiler,
+                rago.profiler(),
                 &schedule,
                 &FleetConfig::new(n, RouterPolicy::LeastOutstanding),
                 &trace,
@@ -559,12 +628,11 @@ mod tests {
         let frontier = ParetoFrontier {
             points: vec![ParetoPoint {
                 schedule: schedule.clone(),
-                performance: schedule.evaluate(&profiler).unwrap(),
+                performance: schedule.evaluate(rago.profiler()).unwrap(),
             }],
             evaluated_schedules: 1,
         };
-        let ranked =
-            rank_frontier_by_goodput_disagg(&profiler, &frontier, &trace, &tight, &splits, &ics);
+        let ranked = rago.rank_frontier_by_goodput_disagg(&frontier, &trace, &tight, &splits, &ics);
         assert_eq!(ranked.len(), splits.len() * ics.len());
         for pair in ranked.windows(2) {
             assert!(pair[0].2.goodput_per_chip >= pair[1].2.goodput_per_chip);

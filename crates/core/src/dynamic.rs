@@ -25,6 +25,7 @@
 //! engine the crate runs comes from that one function.
 
 use crate::error::RagoError;
+use crate::optimizer::Rago;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
@@ -62,60 +63,154 @@ pub struct DynamicEvaluation {
     pub meets_slo: bool,
 }
 
-/// Builds the pipeline implied by `schedule` and the profiled stage costs,
-/// then drives `trace` through one replica of it — a one-replica fleet —
-/// and scores the result against `slo`.
-///
-/// Pipeline construction mirrors the static evaluation:
-///
-/// * every pre-decode accelerator group is one resource; stages collocated in
-///   a group time-share it (latest-stage-first), disaggregated groups
-///   pipeline;
-/// * retrieval runs on its own CPU resource;
-/// * per-stage latency tables are sampled from the (memoized) profiler at
-///   every fill up to the schedule's batch sizes;
-/// * iterative workloads pause decoding exactly as in
-///   [`Schedule::evaluate`]'s simulation, with the same trigger-position
-///   seed;
-/// * with a `cache`, the engine carries its own prefix-KV and
-///   retrieval-result caches (see [`crate::cached`]) and the report's
-///   [`rago_serving_sim::engine::CacheUsage`] counts their lookups and
-///   hits. [`CacheConfig::disabled`], zero capacities and an identity-free
-///   trace all reproduce the cache-less run's timelines, metrics and
-///   per-class rows bit-exactly.
-///
-/// The run keeps every request's timeline. For `O(histogram buckets)`
-/// streaming metrics, evaluate the same one-replica fleet with
-/// [`evaluate_fleet_dynamic_with`].
-///
-/// # Errors
-///
-/// Returns [`RagoError::InvalidConfig`] for structurally invalid schedules,
-/// an arrival time that is not finite and non-negative, an empty trace (a
-/// zero-request trace has no attainment to measure — reporting
-/// `meets_slo = true` for it would let a misconfigured sweep pass
-/// silently), or a cache acting on a stage the schema's pipeline lacks, and
-/// [`RagoError::CostModel`] when any profiled point is infeasible under its
-/// allocation.
-pub fn evaluate_schedule_dynamic(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    trace: &Trace,
-    slo: &SloTarget,
-    cache: Option<&CacheConfig>,
-) -> Result<DynamicEvaluation, RagoError> {
-    let run = FleetRun {
-        cache: cache.copied(),
-        ..FleetRun::default()
-    };
-    // A fleet's scores are its merged report's.
-    let eval = evaluate_fleet(profiler, schedule, trace, slo, &run, &mut NullRecorder)?;
-    Ok(DynamicEvaluation {
-        report: eval.report.merged,
-        attainment: eval.attainment,
-        goodput_rps: eval.goodput_rps,
-        meets_slo: eval.meets_slo,
-    })
+impl Rago {
+    /// Evaluates one schedule dynamically: builds the pipeline implied by
+    /// `schedule` and the profiled stage costs, then drives `trace` through
+    /// one replica of it — a one-replica fleet — and scores TTFT/TPOT
+    /// distributions, queueing, and SLO attainment against `slo`.
+    ///
+    /// Pipeline construction mirrors the static evaluation:
+    ///
+    /// * every pre-decode accelerator group is one resource; stages
+    ///   collocated in a group time-share it (latest-stage-first),
+    ///   disaggregated groups pipeline;
+    /// * retrieval runs on its own CPU resource;
+    /// * per-stage latency tables are sampled from the (memoized) profiler
+    ///   at every fill up to the schedule's batch sizes;
+    /// * iterative workloads pause decoding exactly as in
+    ///   [`Schedule::evaluate`]'s simulation, with the same trigger-position
+    ///   seed;
+    /// * with a `cache`, the engine carries its own prefix-KV and
+    ///   retrieval-result caches (see [`crate::cached`]) and the report's
+    ///   [`rago_serving_sim::engine::CacheUsage`] counts their lookups and
+    ///   hits. [`CacheConfig::disabled`], zero capacities and an
+    ///   identity-free trace all reproduce the cache-less run's timelines,
+    ///   metrics and per-class rows bit-exactly.
+    ///
+    /// The run keeps every request's timeline. For `O(histogram buckets)`
+    /// streaming metrics, evaluate the same one-replica fleet with
+    /// [`evaluate_fleet_dynamic_with`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rago_core::{Rago, SearchOptions};
+    /// use rago_hardware::ClusterSpec;
+    /// use rago_schema::{presets, SequenceProfile, SloTarget};
+    /// use rago_workloads::{ArrivalProcess, TraceSpec};
+    ///
+    /// let rago = Rago::new(
+    ///     presets::case1_hyperscale(presets::LlmSize::B8, 1),
+    ///     ClusterSpec::paper_default(),
+    /// );
+    /// let frontier = rago.optimize(&SearchOptions::fast())?;
+    /// let trace = TraceSpec {
+    ///     num_requests: 40,
+    ///     profile: SequenceProfile::paper_default().with_decode_tokens(32),
+    ///     arrival: ArrivalProcess::Poisson { rate_rps: 10.0 },
+    ///     length_jitter: 0.1,
+    ///     seed: 7,
+    /// }
+    /// .generate();
+    /// let slo = SloTarget::paper_default();
+    /// let best = frontier.max_qps_per_chip().unwrap();
+    /// let eval = rago.evaluate_dynamic(&best.schedule, &trace, &slo, None)?;
+    /// assert_eq!(eval.report.metrics.completed, 40);
+    /// # Ok::<(), rago_core::RagoError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RagoError::InvalidConfig`] for structurally invalid
+    /// schedules, an arrival time that is not finite and non-negative, an
+    /// empty trace (a zero-request trace has no attainment to measure —
+    /// reporting `meets_slo = true` for it would let a misconfigured sweep
+    /// pass silently), or a cache acting on a stage the schema's pipeline
+    /// lacks, and [`RagoError::CostModel`] when any profiled point is
+    /// infeasible under its allocation.
+    pub fn evaluate_dynamic(
+        &self,
+        schedule: &Schedule,
+        trace: &Trace,
+        slo: &SloTarget,
+        cache: Option<&CacheConfig>,
+    ) -> Result<DynamicEvaluation, RagoError> {
+        let run = FleetRun {
+            cache: cache.copied(),
+            ..FleetRun::default()
+        };
+        // A fleet's scores are its merged report's.
+        let rec = &mut NullRecorder;
+        let eval = evaluate_fleet(self.profiler(), schedule, trace, slo, &run, rec)?;
+        Ok(DynamicEvaluation {
+            report: eval.report.merged,
+            attainment: eval.attainment,
+            goodput_rps: eval.goodput_rps,
+            meets_slo: eval.meets_slo,
+        })
+    }
+
+    /// Ranks the points of a Pareto frontier by SLO goodput under a request
+    /// trace, best first, each point evaluated by
+    /// [`Rago::evaluate_dynamic`]. Points whose dynamic evaluation fails
+    /// are omitted from the result (frontier points are statically
+    /// feasible, and the dynamic path only profiles at fills up to the
+    /// already-feasible batch sizes, so in practice every point evaluates).
+    ///
+    /// Evaluations run across rayon worker threads — each point's
+    /// discrete-event run is independent and deterministic, and the final
+    /// sort breaks every tie (goodput, static TTFT, schedule description),
+    /// so the ranking does not depend on thread scheduling.
+    ///
+    /// This is the SLO-aware selection step on top of Algorithm 1: the
+    /// static search reduces millions of candidates to a frontier, and the
+    /// dynamic engine — too expensive to run inside the search loop —
+    /// re-scores just the frontier under real arrivals.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty trace or one with an arrival that is not finite
+    /// and non-negative, with [`RagoError::InvalidConfig`]'s reason as the
+    /// message. Every per-point evaluation would reject such a trace, so
+    /// silently dropping the errors here would turn a misconfigured sweep
+    /// into an empty ranking indistinguishable from "nothing was feasible".
+    pub fn rank_frontier_by_goodput(
+        &self,
+        frontier: &ParetoFrontier,
+        trace: &Trace,
+        slo: &SloTarget,
+    ) -> Vec<(ParetoPoint, DynamicEvaluation)> {
+        self.rank_by_goodput(frontier, trace, slo, None)
+    }
+
+    /// [`Rago::rank_frontier_by_goodput`] with every point evaluated with
+    /// `cache`. With caching on, the static frontier's best-QPS/chip point
+    /// can lose this ranking to a point whose larger pre-decode batch turns
+    /// the cached prefix stage into nearly free work.
+    pub(crate) fn rank_by_goodput(
+        &self,
+        frontier: &ParetoFrontier,
+        trace: &Trace,
+        slo: &SloTarget,
+        cache: Option<&CacheConfig>,
+    ) -> Vec<(ParetoPoint, DynamicEvaluation)> {
+        if let Err(e) = validate_trace(trace) {
+            panic!("cannot rank a frontier by goodput: {e}");
+        }
+        rank(
+            frontier.iter(),
+            |point| {
+                let eval = self.evaluate_dynamic(&point.schedule, trace, slo, cache);
+                Some((point.clone(), eval.ok()?))
+            },
+            |a, b| {
+                b.1.goodput_rps
+                    .total_cmp(&a.1.goodput_rps)
+                    .then(a.0.performance.ttft_s.total_cmp(&b.0.performance.ttft_s))
+                    .then_with(|| a.0.schedule.describe().cmp(&b.0.schedule.describe()))
+            },
+        )
+    }
 }
 
 /// Appends the profiler's lifetime memoization counters to a trace as
@@ -205,7 +300,7 @@ pub struct FleetEvaluation {
 /// Drives `trace` through a fleet of `fleet.replicas` identical replicas of
 /// `schedule`'s pipeline behind `fleet.router`, and scores the merged
 /// result against `slo` — the fleet-level analogue of
-/// [`evaluate_schedule_dynamic`].
+/// [`Rago::evaluate_dynamic`].
 ///
 /// `mode` picks the metrics pipeline: [`MetricsMode::Exact`] keeps every
 /// request's timeline, while [`MetricsMode::Streaming`] keeps only
@@ -222,7 +317,7 @@ pub struct FleetEvaluation {
 ///
 /// Returns [`RagoError::InvalidConfig`] for invalid schedules, invalid
 /// fleet configurations, an empty or malformed trace (see
-/// [`evaluate_schedule_dynamic`]), a streaming mode whose configured SLO
+/// [`Rago::evaluate_dynamic`]), a streaming mode whose configured SLO
 /// differs from `slo`, a streaming mode on a disaggregated pool fleet, a
 /// disaggregated pool fleet whose trace repeats a request id, or a pool
 /// fleet whose schedule has no pre-decode stage to prefill, and
@@ -525,57 +620,6 @@ pub(crate) fn pipeline_spec(
     Ok(spec)
 }
 
-/// Ranks the points of a Pareto frontier by SLO goodput under a request
-/// trace, best first, each point evaluated by [`evaluate_schedule_dynamic`]
-/// with `cache`. Points whose dynamic evaluation fails are omitted from the
-/// result (frontier points are statically feasible, and the dynamic path
-/// only profiles at fills up to the already-feasible batch sizes, so in
-/// practice every point evaluates). With caching on, the static frontier's
-/// best-QPS/chip point can lose this ranking to a point whose larger
-/// pre-decode batch turns the cached prefix stage into nearly free work.
-///
-/// Evaluations run across rayon worker threads — each point's
-/// discrete-event run is independent and deterministic, and the final sort
-/// breaks every tie (goodput, static TTFT, schedule description), so the
-/// ranking does not depend on thread scheduling.
-///
-/// This is the SLO-aware selection step on top of Algorithm 1: the static
-/// search reduces millions of candidates to a frontier, and the dynamic
-/// engine — too expensive to run inside the search loop — re-scores just the
-/// frontier under real arrivals.
-///
-/// # Panics
-///
-/// Panics on an empty trace or one with an arrival that is not finite and
-/// non-negative, with [`RagoError::InvalidConfig`]'s reason as the message.
-/// Every per-point evaluation would reject such a trace, so silently
-/// dropping the errors here would turn a misconfigured sweep into an empty
-/// ranking indistinguishable from "nothing was feasible".
-pub fn rank_frontier_by_goodput(
-    profiler: &StageProfiler,
-    frontier: &ParetoFrontier,
-    trace: &Trace,
-    slo: &SloTarget,
-    cache: Option<&CacheConfig>,
-) -> Vec<(ParetoPoint, DynamicEvaluation)> {
-    if let Err(e) = validate_trace(trace) {
-        panic!("cannot rank a frontier by goodput: {e}");
-    }
-    rank(
-        frontier.iter(),
-        |point| {
-            let eval = evaluate_schedule_dynamic(profiler, &point.schedule, trace, slo, cache);
-            Some((point.clone(), eval.ok()?))
-        },
-        |a, b| {
-            b.1.goodput_rps
-                .total_cmp(&a.1.goodput_rps)
-                .then(a.0.performance.ttft_s.total_cmp(&b.0.performance.ttft_s))
-                .then_with(|| a.0.schedule.describe().cmp(&b.0.schedule.describe()))
-        },
-    )
-}
-
 /// The one ranking loop of the frontier rankers: evaluates `candidates`
 /// across rayon workers, keeps those `evaluate` scores, and sorts them by
 /// `order`, whose tie-breaks make the ranking independent of scheduling.
@@ -610,8 +654,8 @@ mod tests {
     use rago_schema::{RouterPolicy, SequenceProfile};
     use rago_workloads::{ArrivalProcess, TraceSpec};
 
-    fn case1_profiler() -> StageProfiler {
-        StageProfiler::new(
+    fn case1_rago() -> Rago {
+        Rago::new(
             presets::case1_hyperscale(LlmSize::B8, 1),
             ClusterSpec::paper_default(),
         )
@@ -636,9 +680,9 @@ mod tests {
     /// the static evaluation on both TTFT and TPOT.
     #[test]
     fn dynamic_matches_static_in_steady_state() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
-        let static_perf = schedule.evaluate(&profiler).unwrap();
+        let static_perf = schedule.evaluate(rago.profiler()).unwrap();
         let trace = TraceSpec {
             num_requests: 8, // == predecode batch, <= decode batch
             profile: SequenceProfile::paper_default(),
@@ -647,14 +691,9 @@ mod tests {
             seed: 0,
         }
         .generate();
-        let eval = evaluate_schedule_dynamic(
-            &profiler,
-            &schedule,
-            &trace,
-            &SloTarget::paper_default(),
-            None,
-        )
-        .unwrap();
+        let eval = rago
+            .evaluate_dynamic(&schedule, &trace, &SloTarget::paper_default(), None)
+            .unwrap();
         // All eight requests flow as one micro-batch through retrieval and
         // prefix: TTFT equals the static sum of stage latencies.
         assert!(
@@ -674,10 +713,10 @@ mod tests {
     /// matches the static step latency exactly.
     #[test]
     fn dynamic_tpot_equals_static_step_latency_at_full_fill() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let mut schedule = case1_schedule();
         schedule.batching = BatchingPolicy::new(8, 8); // decode batch == trace size
-        let static_perf = schedule.evaluate(&profiler).unwrap();
+        let static_perf = schedule.evaluate(rago.profiler()).unwrap();
         let trace = TraceSpec {
             num_requests: 8,
             profile: SequenceProfile::paper_default(),
@@ -686,14 +725,9 @@ mod tests {
             seed: 0,
         }
         .generate();
-        let eval = evaluate_schedule_dynamic(
-            &profiler,
-            &schedule,
-            &trace,
-            &SloTarget::paper_default(),
-            None,
-        )
-        .unwrap();
+        let eval = rago
+            .evaluate_dynamic(&schedule, &trace, &SloTarget::paper_default(), None)
+            .unwrap();
         assert!(
             (eval.report.metrics.tpot.max_s - static_perf.tpot_s).abs() < 1e-9,
             "dynamic TPOT {} != static step latency {}",
@@ -704,7 +738,7 @@ mod tests {
 
     #[test]
     fn overload_degrades_attainment_and_goodput_saturates() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let run = |rate: f64| {
@@ -716,7 +750,8 @@ mod tests {
                 seed: 11,
             }
             .generate();
-            evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, None).unwrap()
+            rago.evaluate_dynamic(&schedule, &trace, &slo, None)
+                .unwrap()
         };
         let light = run(2.0);
         let crushed = run(4000.0);
@@ -732,7 +767,7 @@ mod tests {
 
     #[test]
     fn iterative_workloads_run_dynamically() {
-        let profiler = StageProfiler::new(
+        let rago = Rago::new(
             presets::case3_iterative(LlmSize::B8, 4),
             ClusterSpec::paper_default(),
         );
@@ -748,17 +783,13 @@ mod tests {
             seed: 2,
         }
         .generate();
-        let eval = evaluate_schedule_dynamic(
-            &profiler,
-            &schedule,
-            &trace,
-            &SloTarget::paper_default(),
-            None,
-        )
-        .unwrap();
+        let eval = rago
+            .evaluate_dynamic(&schedule, &trace, &SloTarget::paper_default(), None)
+            .unwrap();
         assert!(eval.report.metrics.retrieval_batches > 0);
         // Pauses stretch the achieved TPOT beyond the raw step latency.
-        let step = profiler
+        let step = rago
+            .profiler()
             .profile(Stage::Decode, 8, 32)
             .unwrap()
             .step_latency_s
@@ -767,32 +798,70 @@ mod tests {
     }
 
     /// Regression: an empty trace used to score a vacuous `attainment = 1.0`
-    /// and `meets_slo = true`; it must be rejected instead.
+    /// and `meets_slo = true`; every public trace-taking evaluator must
+    /// reject it instead.
     #[test]
     fn empty_traces_are_rejected() {
-        let profiler = case1_profiler();
+        use crate::faulted::FaultScenario;
+        use rago_telemetry::{TelemetryConfig, TraceRecorder};
+
+        let rago = case1_rago();
         let schedule = case1_schedule();
-        let trace = TraceSpec {
-            num_requests: 0,
-            profile: SequenceProfile::paper_default(),
-            arrival: ArrivalProcess::Instantaneous,
-            length_jitter: 0.0,
-            seed: 0,
-        }
-        .generate();
+        let trace = Trace {
+            requests: Vec::new(),
+        };
         let slo = SloTarget::paper_default();
-        let err = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, None).unwrap_err();
-        assert!(matches!(err, RagoError::InvalidConfig { .. }));
-        let err = evaluate_fleet_dynamic_with(
-            &profiler,
-            &schedule,
-            &rago_schema::FleetConfig::new(2, RouterPolicy::LeastOutstanding),
-            &trace,
-            &slo,
-            &MetricsMode::Exact,
-        )
-        .unwrap_err();
-        assert!(matches!(err, RagoError::InvalidConfig { .. }));
+        let exact = &MetricsMode::Exact;
+        let router = RouterPolicy::LeastOutstanding;
+        let flat = FleetConfig::new(2, router);
+        let split = FleetConfig::split(1, 1, router);
+        let telemetry = TelemetryConfig::full(0.25);
+        let mut rec = TraceRecorder::new(telemetry.clone());
+        let mix =
+            rago_workloads::WorkloadMix::single("all", SequenceProfile::paper_default(), 0.2, slo);
+        let scenario = FaultScenario::new(ScaleDriver::Static { replicas: 2 });
+        let cache = CacheConfig::disabled();
+        let profiler = rago.profiler();
+        let results: [(&str, Result<(), RagoError>); 6] = [
+            (
+                "evaluate_dynamic",
+                rago.evaluate_dynamic(&schedule, &trace, &slo, None)
+                    .map(drop),
+            ),
+            (
+                "evaluate_fleet_dynamic_with",
+                evaluate_fleet_dynamic_with(profiler, &schedule, &flat, &trace, &slo, exact)
+                    .map(drop),
+            ),
+            (
+                "evaluate_fleet_dynamic_traced",
+                evaluate_fleet_dynamic_traced(
+                    profiler, &schedule, &flat, &trace, &slo, exact, &telemetry, &mut rec,
+                )
+                .map(drop),
+            ),
+            (
+                "evaluate_fleet_cached",
+                rago.evaluate_fleet_cached(&schedule, &flat, &trace, &slo, &cache)
+                    .map(drop),
+            ),
+            (
+                "evaluate_fleet_disagg",
+                rago.evaluate_fleet_disagg(&schedule, &split, &trace, &slo)
+                    .map(drop),
+            ),
+            (
+                "evaluate_fleet_faulted",
+                rago.evaluate_fleet_faulted(&schedule, router, &mix, &trace, &scenario)
+                    .map(drop),
+            ),
+        ];
+        for (entry_point, result) in results {
+            assert!(
+                matches!(&result, Err(RagoError::InvalidConfig { reason }) if reason.contains("zero-request trace")),
+                "{entry_point}: {result:?}"
+            );
+        }
     }
 
     /// Regression: a NaN or infinite arrival made the fleet loop spin
@@ -802,7 +871,7 @@ mod tests {
     /// the single-schedule path.
     #[test]
     fn malformed_arrivals_are_rejected() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::paper_default();
         let fleet = rago_schema::FleetConfig::new(2, RouterPolicy::LeastOutstanding);
@@ -821,16 +890,23 @@ mod tests {
             .generate();
             trace.requests[7].arrival_s = bad;
             for mode in [&MetricsMode::Exact, &streaming] {
-                let err =
-                    evaluate_fleet_dynamic_with(&profiler, &schedule, &fleet, &trace, &slo, mode)
-                        .unwrap_err();
+                let err = evaluate_fleet_dynamic_with(
+                    rago.profiler(),
+                    &schedule,
+                    &fleet,
+                    &trace,
+                    &slo,
+                    mode,
+                )
+                .unwrap_err();
                 assert!(
                     matches!(&err, RagoError::InvalidConfig { reason } if reason.contains("request 7")),
                     "{bad}: {err:?}"
                 );
             }
-            let err =
-                evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, None).unwrap_err();
+            let err = rago
+                .evaluate_dynamic(&schedule, &trace, &slo, None)
+                .unwrap_err();
             assert!(matches!(err, RagoError::InvalidConfig { .. }), "{bad}");
         }
     }
@@ -870,7 +946,7 @@ mod tests {
     /// measured over the serving window and invariant to the shift.
     #[test]
     fn goodput_is_invariant_to_a_shifted_trace() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::paper_default();
         let trace = TraceSpec {
@@ -885,8 +961,12 @@ mod tests {
         }
         .generate();
         let shifted = trace.with_arrival_offset(100.0);
-        let base = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, None).unwrap();
-        let moved = evaluate_schedule_dynamic(&profiler, &schedule, &shifted, &slo, None).unwrap();
+        let base = rago
+            .evaluate_dynamic(&schedule, &trace, &slo, None)
+            .unwrap();
+        let moved = rago
+            .evaluate_dynamic(&schedule, &shifted, &slo, None)
+            .unwrap();
         assert!(base.goodput_rps > 0.0);
         assert!(
             (moved.goodput_rps - base.goodput_rps).abs() < 1e-9,
@@ -906,7 +986,7 @@ mod tests {
 
     #[test]
     fn fleet_evaluation_scales_attainment_with_replicas() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let trace = TraceSpec {
@@ -919,7 +999,7 @@ mod tests {
         .generate();
         let fleet = |n: u32| {
             evaluate_fleet_dynamic_with(
-                &profiler,
+                rago.profiler(),
                 &schedule,
                 &rago_schema::FleetConfig::new(n, RouterPolicy::LeastOutstanding),
                 &trace,
@@ -941,7 +1021,9 @@ mod tests {
             120
         );
         // A 1-replica fleet agrees with the single-schedule path.
-        let single = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, None).unwrap();
+        let single = rago
+            .evaluate_dynamic(&schedule, &trace, &slo, None)
+            .unwrap();
         assert_eq!(one.report.merged, single.report);
         assert!((one.attainment - single.attainment).abs() < 1e-12);
         assert!((one.goodput_rps - single.goodput_rps).abs() < 1e-12);
@@ -949,7 +1031,7 @@ mod tests {
 
     #[test]
     fn invalid_schedules_are_rejected() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let mut schedule = case1_schedule();
         schedule.allocation.decode_xpus = 0;
         let trace = TraceSpec {
@@ -960,14 +1042,9 @@ mod tests {
             seed: 0,
         }
         .generate();
-        let err = evaluate_schedule_dynamic(
-            &profiler,
-            &schedule,
-            &trace,
-            &SloTarget::paper_default(),
-            None,
-        )
-        .unwrap_err();
+        let err = rago
+            .evaluate_dynamic(&schedule, &trace, &SloTarget::paper_default(), None)
+            .unwrap_err();
         assert!(matches!(err, RagoError::InvalidConfig { .. }));
     }
 
@@ -976,7 +1053,7 @@ mod tests {
         // Every stage is placed, but the prefix group comes before the
         // rewriter's: the DES takes the same placement check as the static
         // evaluation.
-        let profiler = StageProfiler::new(
+        let rago = Rago::new(
             presets::case4_rewriter_reranker(LlmSize::B8),
             ClusterSpec::paper_default(),
         );
@@ -1002,14 +1079,9 @@ mod tests {
             seed: 0,
         }
         .generate();
-        let err = evaluate_schedule_dynamic(
-            &profiler,
-            &schedule,
-            &trace,
-            &SloTarget::paper_default(),
-            None,
-        )
-        .unwrap_err();
+        let err = rago
+            .evaluate_dynamic(&schedule, &trace, &SloTarget::paper_default(), None)
+            .unwrap_err();
         assert!(
             matches!(&err, RagoError::InvalidConfig { reason } if reason.contains("pipeline order")),
             "{err:?}"
@@ -1056,7 +1128,7 @@ mod tests {
         use rago_schema::HistogramSpec;
         use rago_serving_sim::StreamingConfig;
 
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::new(2.0, 0.1);
         let trace = TraceSpec {
@@ -1067,12 +1139,15 @@ mod tests {
             seed: 11,
         }
         .generate();
-        let exact = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo, None).unwrap();
+        let exact = rago
+            .evaluate_dynamic(&schedule, &trace, &slo, None)
+            .unwrap();
         let mode =
             MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()).with_slo(slo));
         let one = FleetConfig::new(1, RouterPolicy::LeastOutstanding);
         let streamed =
-            evaluate_fleet_dynamic_with(&profiler, &schedule, &one, &trace, &slo, &mode).unwrap();
+            evaluate_fleet_dynamic_with(rago.profiler(), &schedule, &one, &trace, &slo, &mode)
+                .unwrap();
 
         assert_eq!(streamed.attainment, exact.attainment);
         assert_eq!(streamed.goodput_rps, exact.goodput_rps);
@@ -1102,7 +1177,7 @@ mod tests {
         // A larger fleet agrees through the same sink plumbing.
         let fleet = FleetConfig::new(2, RouterPolicy::LeastOutstanding);
         let exact_fleet = evaluate_fleet_dynamic_with(
-            &profiler,
+            rago.profiler(),
             &schedule,
             &fleet,
             &trace,
@@ -1111,7 +1186,8 @@ mod tests {
         )
         .unwrap();
         let streamed_fleet =
-            evaluate_fleet_dynamic_with(&profiler, &schedule, &fleet, &trace, &slo, &mode).unwrap();
+            evaluate_fleet_dynamic_with(rago.profiler(), &schedule, &fleet, &trace, &slo, &mode)
+                .unwrap();
         assert_eq!(streamed_fleet.attainment, exact_fleet.attainment);
         assert_eq!(streamed_fleet.goodput_rps, exact_fleet.goodput_rps);
         assert!(streamed_fleet.report.merged.timelines.is_empty());
@@ -1124,7 +1200,7 @@ mod tests {
         use rago_schema::HistogramSpec;
         use rago_serving_sim::StreamingConfig;
 
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let trace = TraceSpec {
             num_requests: 5,
@@ -1137,7 +1213,7 @@ mod tests {
         let unconfigured = MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()));
         assert!(matches!(
             evaluate_fleet_dynamic_with(
-                &profiler,
+                rago.profiler(),
                 &schedule,
                 &FleetConfig::new(1, RouterPolicy::LeastOutstanding),
                 &trace,
@@ -1158,7 +1234,7 @@ mod tests {
         use rago_serving_sim::StreamingConfig;
         use rago_telemetry::{TelemetryConfig, TraceRecorder};
 
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let trace = TraceSpec {
@@ -1179,12 +1255,19 @@ mod tests {
             (&split, &MetricsMode::Exact),
         ] {
             let untraced =
-                evaluate_fleet_dynamic_with(&profiler, &schedule, fleet, &trace, &slo, mode)
+                evaluate_fleet_dynamic_with(rago.profiler(), &schedule, fleet, &trace, &slo, mode)
                     .unwrap();
             let telemetry = TelemetryConfig::full(0.25);
             let mut rec = TraceRecorder::new(telemetry.clone());
             let traced = evaluate_fleet_dynamic_traced(
-                &profiler, &schedule, fleet, &trace, &slo, mode, &telemetry, &mut rec,
+                rago.profiler(),
+                &schedule,
+                fleet,
+                &trace,
+                &slo,
+                mode,
+                &telemetry,
+                &mut rec,
             )
             .unwrap();
             assert_eq!(traced, untraced, "{fleet:?} in {mode:?}");
@@ -1206,7 +1289,7 @@ mod tests {
     fn malformed_gauge_cadences_are_rejected() {
         use rago_telemetry::{TelemetryConfig, TraceRecorder};
 
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let trace = TraceSpec {
             num_requests: 10,
             profile: SequenceProfile::paper_default().with_decode_tokens(8),
@@ -1220,7 +1303,7 @@ mod tests {
             let telemetry = TelemetryConfig::full(cadence);
             let mut rec = TraceRecorder::new(telemetry.clone());
             let result = evaluate_fleet_dynamic_traced(
-                &profiler,
+                rago.profiler(),
                 &case1_schedule(),
                 &fleet,
                 &trace,
@@ -1328,7 +1411,7 @@ mod tests {
             restart_delay_s: Some(0.1),
         };
         assert!(rejected(
-            crate::disagg::evaluate_fleet_disagg(
+            crate::disagg::evaluate_split(
                 rago.profiler(),
                 &schedule,
                 &split,

@@ -2,7 +2,7 @@
 //! faults, and admission control, with every request scored against its
 //! own class's SLO.
 //!
-//! [`evaluate_fleet_faulted`] is the one evaluator that scores a fleet
+//! [`Rago::evaluate_fleet_faulted`] is the one evaluator that scores a fleet
 //! against per-tenant SLOs. The trace may be class-tagged (a
 //! [`WorkloadMix`] of tenants, each with its own [`SloTarget`]) and
 //! generated by a time-varying [`rago_workloads::ArrivalProcess`]
@@ -28,13 +28,14 @@
 //! control, and a static driver the scores are **bit-identical** to
 //! [`crate::dynamic::evaluate_fleet_dynamic_with`]'s — pinned by
 //! `faultless_static_scenario_matches_fleet_dynamic` below. Pool-typed
-//! crashes of a disaggregated fleet are scored by
-//! [`crate::disagg::evaluate_fleet_disagg`].
+//! crashes of a disaggregated fleet are scored by the crate-private
+//! `disagg::evaluate_split`, the crash-playing form of
+//! [`Rago::evaluate_fleet_disagg`].
 
 use crate::capacity::CapacityProfile;
 use crate::dynamic::{fleet_engine, run_fleet, FleetRun};
 use crate::error::RagoError;
-use crate::profiler::StageProfiler;
+use crate::optimizer::Rago;
 use crate::schedule::Schedule;
 use rago_schema::{FleetConfig, RouterPolicy, SloTarget};
 use rago_serving_sim::faults::{
@@ -264,7 +265,7 @@ impl FaultedEvaluation {
 }
 
 /// Converts a provisioning-side [`CapacityProfile`] (the per-interval
-/// replica schedule [`crate::capacity::plan_capacity_profile`] computes)
+/// replica schedule [`Rago::plan_capacity_profile`] computes)
 /// into the feed-forward [`ScalingPlan`] a predictive
 /// [`ScaleDriver::Predictive`] executes — the planning loop closed: size
 /// the fleet offline from the known rate profile, then play that schedule
@@ -350,155 +351,163 @@ pub fn scaling_plan_from_profile(profile: &CapacityProfile, lead_s: f64) -> Scal
     ScalingPlan::new(initial, steps)
 }
 
-/// Evaluates `schedule`'s pipeline as a fleet under `trace` while the
-/// `scenario`'s fault schedule plays against it, scoring every tenant's
-/// *offered* traffic against its own SLO from `mix`.
-///
-/// The fleet is sized by `scenario.driver` behind `router`, admission
-/// control sheds by class priority when configured, and every disruption's
-/// recovery is measured on the windowed attainment timeline. Untagged
-/// traces (all requests class 0) work with any single-class mix — the
-/// homogeneous special case.
-///
-/// # Errors
-///
-/// Returns [`RagoError::InvalidConfig`] for invalid schedules, an invalid
-/// scenario ([`FaultScenario::validate`]), an empty trace, a class tag
-/// outside the mix, or an invalid per-class SLO, and
-/// [`RagoError::CostModel`] when the schedule cannot be profiled.
-pub fn evaluate_fleet_faulted(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    router: RouterPolicy,
-    mix: &WorkloadMix,
-    trace: &Trace,
-    scenario: &FaultScenario,
-) -> Result<FaultedEvaluation, RagoError> {
-    scenario.validate()?;
-    let num_classes = mix.num_classes() as u32;
-    if let Some(bad) = trace.requests.iter().find(|r| r.class >= num_classes) {
-        return Err(RagoError::InvalidConfig {
-            reason: format!(
-                "request {} carries class tag {} but the mix has only {num_classes} classes",
-                bad.id, bad.class
-            ),
-        });
-    }
-    for class in &mix.classes {
-        class.slo.validate().map_err(|e| RagoError::InvalidConfig {
-            reason: format!("class `{}`: {e}", class.name),
-        })?;
-    }
-
-    // An admission configuration with an empty priority table inherits the
-    // mix's per-class priorities.
-    let admission = scenario.admission.clone().map(|mut a| {
-        if a.class_priorities.is_empty() {
-            for (i, class) in mix.classes.iter().enumerate() {
-                a = a.with_class_priority(i as u32, class.priority);
-            }
+impl Rago {
+    /// Evaluates `schedule`'s pipeline as a fleet under `trace` while the
+    /// `scenario`'s fault schedule plays against it, scoring every tenant's
+    /// *offered* traffic against its own SLO from `mix`.
+    ///
+    /// The fleet is sized by `scenario.driver` behind `router`, admission
+    /// control sheds by class priority when configured, and every disruption's
+    /// recovery is measured on the windowed attainment timeline. Untagged
+    /// traces (all requests class 0) work with any single-class mix — the
+    /// homogeneous special case.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RagoError::InvalidConfig`] for invalid schedules, an invalid
+    /// scenario ([`FaultScenario::validate`]), an empty trace, a class tag
+    /// outside the mix, or an invalid per-class SLO, and
+    /// [`RagoError::CostModel`] when the schedule cannot be profiled.
+    pub fn evaluate_fleet_faulted(
+        &self,
+        schedule: &Schedule,
+        router: RouterPolicy,
+        mix: &WorkloadMix,
+        trace: &Trace,
+        scenario: &FaultScenario,
+    ) -> Result<FaultedEvaluation, RagoError> {
+        scenario.validate()?;
+        let num_classes = mix.num_classes() as u32;
+        if let Some(bad) = trace.requests.iter().find(|r| r.class >= num_classes) {
+            return Err(RagoError::InvalidConfig {
+                reason: format!(
+                    "request {} carries class tag {} but the mix has only {num_classes} classes",
+                    bad.id, bad.class
+                ),
+            });
         }
-        a
-    });
+        for class in &mix.classes {
+            class.slo.validate().map_err(|e| RagoError::InvalidConfig {
+                reason: format!("class `{}`: {e}", class.name),
+            })?;
+        }
 
-    let run = FleetRun {
-        // The driver sizes the fleet; the config gives its router.
-        fleet: FleetConfig::new(1, router),
-        driver: Some(scenario.driver.clone()),
-        faults: scenario.faults.clone(),
-        crash_policy: scenario.crash_policy,
-        admission,
-        ..FleetRun::default()
-    };
-    let engine = fleet_engine(profiler, schedule, trace, &run)?;
-    let chaos = run_fleet(profiler, &engine, trace, &run.mode, &mut NullRecorder);
-
-    // Offered attainment: a shed request is an offered request that missed
-    // its SLO. Completed counts and SLO hits come from the merged report's
-    // per-class accounting; shed counts from the fault ledger.
-    let shed_of = |class: u32| {
-        chaos
-            .fault
-            .shed_by_class
-            .iter()
-            .find(|s| s.class == class)
-            .map_or(0, |s| s.shed)
-    };
-    let mut met_total = 0usize;
-    let mut offered_total = 0usize;
-    let per_class: Vec<FaultedClassOutcome> = mix
-        .classes
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let class = i as u32;
-            let (met, completed) = chaos.fleet.merged.class_slo_counts(class, &c.slo);
-            let shed = shed_of(class);
-            let offered = completed + shed;
-            met_total += met;
-            offered_total += offered;
-            let attainment = if offered == 0 {
-                1.0
-            } else {
-                met as f64 / offered as f64
-            };
-            let priority = run
-                .admission
-                .as_ref()
-                .map_or_else(|| c.priority, |a| a.priority_of(class));
-            FaultedClassOutcome {
-                class,
-                name: c.name.clone(),
-                offered,
-                completed,
-                shed,
-                priority,
-                slo: c.slo,
-                attainment,
-                goodput_rps: chaos.fleet.merged.class_goodput_rps(class, &c.slo),
-                meets_slo: attainment >= c.slo.attainment,
+        // An admission configuration with an empty priority table inherits the
+        // mix's per-class priorities.
+        let admission = scenario.admission.clone().map(|mut a| {
+            if a.class_priorities.is_empty() {
+                for (i, class) in mix.classes.iter().enumerate() {
+                    a = a.with_class_priority(i as u32, class.priority);
+                }
             }
+            a
+        });
+
+        let run = FleetRun {
+            // The driver sizes the fleet; the config gives its router.
+            fleet: FleetConfig::new(1, router),
+            driver: Some(scenario.driver.clone()),
+            faults: scenario.faults.clone(),
+            crash_policy: scenario.crash_policy,
+            admission,
+            ..FleetRun::default()
+        };
+        let engine = fleet_engine(self.profiler(), schedule, trace, &run)?;
+        let chaos = run_fleet(
+            self.profiler(),
+            &engine,
+            trace,
+            &run.mode,
+            &mut NullRecorder,
+        );
+
+        // Offered attainment: a shed request is an offered request that missed
+        // its SLO. Completed counts and SLO hits come from the merged report's
+        // per-class accounting; shed counts from the fault ledger.
+        let shed_of = |class: u32| {
+            chaos
+                .fault
+                .shed_by_class
+                .iter()
+                .find(|s| s.class == class)
+                .map_or(0, |s| s.shed)
+        };
+        let mut met_total = 0usize;
+        let mut offered_total = 0usize;
+        let per_class: Vec<FaultedClassOutcome> = mix
+            .classes
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let class = i as u32;
+                let (met, completed) = chaos.fleet.merged.class_slo_counts(class, &c.slo);
+                let shed = shed_of(class);
+                let offered = completed + shed;
+                met_total += met;
+                offered_total += offered;
+                let attainment = if offered == 0 {
+                    1.0
+                } else {
+                    met as f64 / offered as f64
+                };
+                let priority = run
+                    .admission
+                    .as_ref()
+                    .map_or_else(|| c.priority, |a| a.priority_of(class));
+                FaultedClassOutcome {
+                    class,
+                    name: c.name.clone(),
+                    offered,
+                    completed,
+                    shed,
+                    priority,
+                    slo: c.slo,
+                    attainment,
+                    goodput_rps: chaos.fleet.merged.class_goodput_rps(class, &c.slo),
+                    meets_slo: attainment >= c.slo.attainment,
+                }
+            })
+            .collect();
+        // Lost requests (failed) have no class attribution; count them against
+        // the fleet-wide denominator so attainment stays honest.
+        let offered_all = offered_total + chaos.fault.failed;
+        let attainment = if offered_all == 0 {
+            1.0
+        } else {
+            met_total as f64 / offered_all as f64
+        };
+        let serving_duration = chaos.fleet.merged.metrics.serving_duration_s;
+        let goodput_rps = if serving_duration > 0.0 {
+            met_total as f64 / serving_duration
+        } else {
+            0.0
+        };
+        let meets_slo = per_class.iter().all(|c| c.meets_slo) && chaos.fault.failed == 0;
+
+        let recovery_slo = scenario.recovery_slo.unwrap_or(mix.classes[0].slo);
+        let timeline = chaos.attainment_timeline(&recovery_slo, scenario.recovery_window_s);
+        let recovery = chaos.recovery(&recovery_slo, scenario.recovery_window_s);
+
+        let chip_seconds = chaos.replica_seconds * f64::from(schedule.allocation.total_xpus());
+
+        Ok(FaultedEvaluation {
+            chaos,
+            attainment,
+            goodput_rps,
+            meets_slo,
+            per_class,
+            timeline,
+            recovery,
+            chip_seconds,
         })
-        .collect();
-    // Lost requests (failed) have no class attribution; count them against
-    // the fleet-wide denominator so attainment stays honest.
-    let offered_all = offered_total + chaos.fault.failed;
-    let attainment = if offered_all == 0 {
-        1.0
-    } else {
-        met_total as f64 / offered_all as f64
-    };
-    let serving_duration = chaos.fleet.merged.metrics.serving_duration_s;
-    let goodput_rps = if serving_duration > 0.0 {
-        met_total as f64 / serving_duration
-    } else {
-        0.0
-    };
-    let meets_slo = per_class.iter().all(|c| c.meets_slo) && chaos.fault.failed == 0;
-
-    let recovery_slo = scenario.recovery_slo.unwrap_or(mix.classes[0].slo);
-    let timeline = chaos.attainment_timeline(&recovery_slo, scenario.recovery_window_s);
-    let recovery = chaos.recovery(&recovery_slo, scenario.recovery_window_s);
-
-    let chip_seconds = chaos.replica_seconds * f64::from(schedule.allocation.total_xpus());
-
-    Ok(FaultedEvaluation {
-        chaos,
-        attainment,
-        goodput_rps,
-        meets_slo,
-        per_class,
-        timeline,
-        recovery,
-        chip_seconds,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capacity::{plan_capacity_profile, CapacityOptions};
-    use crate::disagg::evaluate_fleet_disagg;
+    use crate::capacity::CapacityOptions;
+    use crate::disagg::evaluate_split;
     use crate::dynamic::pipeline_spec;
     use crate::placement::PlacementPlan;
     use crate::schedule::{BatchingPolicy, ResourceAllocation};
@@ -511,8 +520,8 @@ mod tests {
     use rago_serving_sim::MetricsMode;
     use rago_workloads::{ArrivalProcess, MixTraceSpec, RateSegment, RequestClass};
 
-    fn case1_profiler() -> StageProfiler {
-        StageProfiler::new(
+    fn case1_rago() -> Rago {
+        Rago::new(
             presets::case1_hyperscale(LlmSize::B8, 1),
             ClusterSpec::paper_default(),
         )
@@ -591,7 +600,7 @@ mod tests {
     /// `replicas × makespan` replica-seconds.
     #[test]
     fn faultless_static_scenario_matches_fleet_dynamic() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let profile = SequenceProfile::paper_default().with_decode_tokens(32);
@@ -604,17 +613,17 @@ mod tests {
         }
         .generate();
         let mix = WorkloadMix::single("all", profile, 0.2, slo);
-        let faulted = evaluate_fleet_faulted(
-            &profiler,
-            &schedule,
-            RouterPolicy::LeastOutstanding,
-            &mix,
-            &trace,
-            &FaultScenario::new(ScaleDriver::Static { replicas: 3 }),
-        )
-        .unwrap();
+        let faulted = rago
+            .evaluate_fleet_faulted(
+                &schedule,
+                RouterPolicy::LeastOutstanding,
+                &mix,
+                &trace,
+                &FaultScenario::new(ScaleDriver::Static { replicas: 3 }),
+            )
+            .unwrap();
         let dynamic = crate::dynamic::evaluate_fleet_dynamic_with(
-            &profiler,
+            rago.profiler(),
             &schedule,
             &FleetConfig::new(3, RouterPolicy::LeastOutstanding),
             &trace,
@@ -645,7 +654,7 @@ mod tests {
     /// recomputed here from that run's request timelines.
     #[test]
     fn faultless_scenario_matches_timevarying() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let mix = priority_mix();
         let trace = diurnal_trace(&mix, 300);
@@ -656,21 +665,21 @@ mod tests {
             .with_cooldown(2.0)
             .with_warmup(0.5);
         let baseline = FleetEngine::new(
-            pipeline_spec(&profiler, &schedule, None).unwrap(),
+            pipeline_spec(rago.profiler(), &schedule, None).unwrap(),
             RouterPolicy::LeastOutstanding,
             ScaleDriver::Reactive(policy),
         )
         .run_trace(&trace);
         let scenario = FaultScenario::new(ScaleDriver::Reactive(policy));
-        let faulted = evaluate_fleet_faulted(
-            &profiler,
-            &schedule,
-            RouterPolicy::LeastOutstanding,
-            &mix,
-            &trace,
-            &scenario,
-        )
-        .unwrap();
+        let faulted = rago
+            .evaluate_fleet_faulted(
+                &schedule,
+                RouterPolicy::LeastOutstanding,
+                &mix,
+                &trace,
+                &scenario,
+            )
+            .unwrap();
         assert_eq!(faulted.chaos, baseline);
         assert!(!baseline.events.is_empty(), "the diurnal run never scaled");
         assert_eq!(
@@ -716,7 +725,7 @@ mod tests {
 
     #[test]
     fn tenants_are_scored_against_their_own_slos() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let mix = two_class_mix();
         let trace = MixTraceSpec {
@@ -726,15 +735,15 @@ mod tests {
             seed: 7,
         }
         .generate();
-        let eval = evaluate_fleet_faulted(
-            &profiler,
-            &schedule,
-            RouterPolicy::LeastOutstanding,
-            &mix,
-            &trace,
-            &FaultScenario::new(ScaleDriver::Static { replicas: 2 }),
-        )
-        .unwrap();
+        let eval = rago
+            .evaluate_fleet_faulted(
+                &schedule,
+                RouterPolicy::LeastOutstanding,
+                &mix,
+                &trace,
+                &FaultScenario::new(ScaleDriver::Static { replicas: 2 }),
+            )
+            .unwrap();
         assert_eq!(eval.per_class.len(), 2);
         let total: usize = eval.per_class.iter().map(|c| c.offered).sum();
         assert_eq!(total, 120);
@@ -757,7 +766,7 @@ mod tests {
 
     #[test]
     fn autoscaled_diurnal_run_saves_chip_time_at_matching_attainment() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let profile = SequenceProfile::paper_default().with_decode_tokens(32);
         let slo = SloTarget::new(2.0, 0.1);
@@ -775,8 +784,7 @@ mod tests {
         }
         .generate();
         let run = |driver| {
-            evaluate_fleet_faulted(
-                &profiler,
+            rago.evaluate_fleet_faulted(
                 &schedule,
                 RouterPolicy::LeastOutstanding,
                 &mix,
@@ -817,7 +825,7 @@ mod tests {
     /// configuration error, not a panic inside the engine.
     #[test]
     fn malformed_scale_drivers_are_rejected() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let mix = priority_mix();
         let trace = diurnal_trace(&mix, 10);
@@ -838,8 +846,7 @@ mod tests {
             ScaleDriver::Reactive(nan_interval),
             ScaleDriver::Predictive(empty_plan),
         ] {
-            let result = evaluate_fleet_faulted(
-                &profiler,
+            let result = rago.evaluate_fleet_faulted(
                 &schedule,
                 RouterPolicy::RoundRobin,
                 &mix,
@@ -858,7 +865,7 @@ mod tests {
     /// fleet's share of the lost replica.
     #[test]
     fn high_priority_class_degrades_less_than_fleet_share() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let mix = priority_mix();
         let trace = diurnal_trace(&mix, 400);
@@ -871,24 +878,24 @@ mod tests {
         let scenario = FaultScenario::new(ScaleDriver::Static { replicas })
             .with_faults(crash)
             .with_admission(AdmissionConfig::new(4.0, 24.0));
-        let healthy = evaluate_fleet_faulted(
-            &profiler,
-            &schedule,
-            RouterPolicy::LeastOutstanding,
-            &mix,
-            &trace,
-            &FaultScenario::new(ScaleDriver::Static { replicas }),
-        )
-        .unwrap();
-        let faulted = evaluate_fleet_faulted(
-            &profiler,
-            &schedule,
-            RouterPolicy::LeastOutstanding,
-            &mix,
-            &trace,
-            &scenario,
-        )
-        .unwrap();
+        let healthy = rago
+            .evaluate_fleet_faulted(
+                &schedule,
+                RouterPolicy::LeastOutstanding,
+                &mix,
+                &trace,
+                &FaultScenario::new(ScaleDriver::Static { replicas }),
+            )
+            .unwrap();
+        let faulted = rago
+            .evaluate_fleet_faulted(
+                &schedule,
+                RouterPolicy::LeastOutstanding,
+                &mix,
+                &trace,
+                &scenario,
+            )
+            .unwrap();
         // Priorities were inherited from the mix (empty table).
         let chat = &faulted.per_class[1];
         assert_eq!(chat.priority, 2);
@@ -914,7 +921,7 @@ mod tests {
 
     #[test]
     fn predictive_plan_from_profile_closes_the_loop() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::new(2.0, 0.1);
         let profile_segments = vec![
@@ -936,8 +943,9 @@ mod tests {
             num_requests: 80,
             ..Default::default()
         };
-        let capacity =
-            plan_capacity_profile(&profiler, &schedule, &slo, &profile_segments, &options).unwrap();
+        let capacity = rago
+            .plan_capacity_profile(&schedule, &slo, &profile_segments, &options)
+            .unwrap();
         let plan = scaling_plan_from_profile(&capacity, 1.0);
         assert!(plan.initial >= 1);
         // The plan follows the profile: the mid-window surge needs more
@@ -964,22 +972,22 @@ mod tests {
         let scenario = FaultScenario::new(ScaleDriver::Predictive(
             rago_serving_sim::faults::PredictivePolicy::new(plan.clone(), 0.5),
         ));
-        let eval = evaluate_fleet_faulted(
-            &profiler,
-            &schedule,
-            RouterPolicy::LeastOutstanding,
-            &mix,
-            &trace,
-            &scenario,
-        )
-        .unwrap();
+        let eval = rago
+            .evaluate_fleet_faulted(
+                &schedule,
+                RouterPolicy::LeastOutstanding,
+                &mix,
+                &trace,
+                &scenario,
+            )
+            .unwrap();
         assert_eq!(eval.chaos.fault.completed, 300);
         assert_eq!(eval.chaos.peak_provisioned, peak_target.max(plan.initial));
     }
 
     #[test]
     fn recovery_metrics_follow_a_crash() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::new(2.0, 0.1).with_attainment(0.8);
         let profile = SequenceProfile::paper_default().with_decode_tokens(32);
@@ -998,15 +1006,15 @@ mod tests {
                 restart_delay_s: 1.0,
             }]))
             .with_recovery_window(0.5);
-        let eval = evaluate_fleet_faulted(
-            &profiler,
-            &schedule,
-            RouterPolicy::LeastOutstanding,
-            &mix,
-            &trace,
-            &scenario,
-        )
-        .unwrap();
+        let eval = rago
+            .evaluate_fleet_faulted(
+                &schedule,
+                RouterPolicy::LeastOutstanding,
+                &mix,
+                &trace,
+                &scenario,
+            )
+            .unwrap();
         assert_eq!(eval.recovery.len(), 1);
         assert!(eval.recovery[0].dip_area >= 0.0);
         assert!(!eval.timeline.is_empty());
@@ -1038,8 +1046,7 @@ mod tests {
             restart_delay_s: 3.0,
         }]);
         let base = FaultScenario::new(ScaleDriver::Static { replicas: 1 }).with_faults(crash);
-        evaluate_fleet_faulted(
-            &case1_profiler(),
+        case1_rago().evaluate_fleet_faulted(
             &case1_schedule(),
             RouterPolicy::LeastOutstanding,
             &mix,
@@ -1110,14 +1117,13 @@ mod tests {
 
     #[test]
     fn invalid_inputs_are_rejected() {
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let mix = priority_mix();
         let scenario = FaultScenario::new(ScaleDriver::Static { replicas: 1 });
         let empty = Trace { requests: vec![] };
         assert!(matches!(
-            evaluate_fleet_faulted(
-                &profiler,
+            rago.evaluate_fleet_faulted(
                 &schedule,
                 RouterPolicy::RoundRobin,
                 &mix,
@@ -1129,8 +1135,7 @@ mod tests {
         let mut trace = diurnal_trace(&mix, 10);
         trace.requests[2].class = 9;
         assert!(matches!(
-            evaluate_fleet_faulted(
-                &profiler,
+            rago.evaluate_fleet_faulted(
                 &schedule,
                 RouterPolicy::RoundRobin,
                 &mix,
@@ -1150,7 +1155,7 @@ mod tests {
         use rago_serving_sim::pools::PoolCrash;
         use rago_workloads::{ArrivalProcess, TraceSpec};
 
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let trace = TraceSpec {
@@ -1162,8 +1167,9 @@ mod tests {
         }
         .generate();
         let fleet = FleetConfig::split(2, 1, RouterPolicy::LeastOutstanding);
-        let healthy =
-            evaluate_fleet_disagg(&profiler, &schedule, &fleet, &[], &trace, &slo).unwrap();
+        let healthy = rago
+            .evaluate_fleet_disagg(&schedule, &fleet, &trace, &slo)
+            .unwrap();
         let crash = PoolCrash {
             pool: PoolRole::Prefill,
             replica: 0,
@@ -1171,7 +1177,7 @@ mod tests {
             restart_delay_s: None,
         };
         let crashed =
-            evaluate_fleet_disagg(&profiler, &schedule, &fleet, &[crash], &trace, &slo).unwrap();
+            evaluate_split(rago.profiler(), &schedule, &fleet, &[crash], &trace, &slo).unwrap();
         // Conservation: every request still completes on the survivors.
         assert_eq!(crashed.report.merged.metrics.completed, 120);
         assert!(crashed.attainment <= healthy.attainment);
@@ -1183,7 +1189,7 @@ mod tests {
             restart_delay_s: None,
         };
         assert!(matches!(
-            evaluate_fleet_disagg(&profiler, &schedule, &fleet, &[bad], &trace, &slo),
+            evaluate_split(rago.profiler(), &schedule, &fleet, &[bad], &trace, &slo),
             Err(RagoError::InvalidConfig { .. })
         ));
     }
@@ -1209,7 +1215,7 @@ mod tests {
         use rago_schema::PoolRole;
         use rago_serving_sim::pools::PoolCrash;
 
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let trace = pool_trace();
@@ -1221,9 +1227,8 @@ mod tests {
                 at_s: 1.0,
                 restart_delay_s: Some(0.5),
             };
-            let eval =
-                evaluate_fleet_disagg(&profiler, &schedule, &fleet, &[restart], &trace, &slo)
-                    .unwrap();
+            let eval = evaluate_split(rago.profiler(), &schedule, &fleet, &[restart], &trace, &slo)
+                .unwrap();
             assert_eq!(eval.report.merged.metrics.completed, 120, "{pool} restart");
 
             let lost = PoolCrash {
@@ -1231,7 +1236,7 @@ mod tests {
                 ..restart
             };
             let lost_eval =
-                evaluate_fleet_disagg(&profiler, &schedule, &fleet, &[lost], &trace, &slo).unwrap();
+                evaluate_split(rago.profiler(), &schedule, &fleet, &[lost], &trace, &slo).unwrap();
             // The evaluation carries no fault ledger: read it off the same
             // engine, built from the lowered crash schedule.
             let run = FleetRun {
@@ -1239,7 +1244,7 @@ mod tests {
                 faults: crate::disagg::crash_schedule(&fleet, &[lost]).unwrap(),
                 ..FleetRun::default()
             };
-            let chaos = fleet_engine(&profiler, &schedule, &trace, &run)
+            let chaos = fleet_engine(rago.profiler(), &schedule, &trace, &run)
                 .unwrap()
                 .run_trace(&trace);
             let fault = &chaos.fault;
@@ -1266,7 +1271,7 @@ mod tests {
         use rago_schema::PoolRole;
         use rago_serving_sim::pools::PoolCrash;
 
-        let profiler = case1_profiler();
+        let rago = case1_rago();
         let schedule = case1_schedule();
         let fleet = FleetConfig::split(2, 1, RouterPolicy::LeastOutstanding);
         let crash = PoolCrash {
@@ -1275,8 +1280,8 @@ mod tests {
             at_s: 0.5,
             restart_delay_s: Some(0.2),
         };
-        let eval = evaluate_fleet_disagg(
-            &profiler,
+        let eval = evaluate_split(
+            rago.profiler(),
             &schedule,
             &fleet,
             &[crash],

@@ -51,24 +51,18 @@ pub mod search;
 
 pub use baseline::BaselineSystem;
 pub use breakdown::{stage_breakdown, StageShare};
-pub use cached::{plan_capacity_cached, CacheConfig, CachedCapacityPlan};
+pub use cached::{CacheConfig, CachedCapacityPlan};
 pub use capacity::{
-    plan_capacity, plan_capacity_pools, plan_capacity_profile, rank_frontier_by_cost_at_qps,
     CapacityInterval, CapacityOptions, CapacityPlan, CapacityProfile, PoolCapacityPlan,
     MAX_PLANNER_REPLICAS,
 };
-pub use disagg::{
-    evaluate_fleet_disagg, rank_frontier_by_goodput_disagg, transfer_model_from_interconnect,
-    DisaggChoice, DisaggEvaluation,
-};
+pub use disagg::{transfer_model_from_interconnect, DisaggChoice, DisaggEvaluation};
 pub use dynamic::{
-    evaluate_fleet_dynamic_traced, evaluate_fleet_dynamic_with, evaluate_schedule_dynamic,
-    rank_frontier_by_goodput, DynamicEvaluation, FleetEvaluation,
+    evaluate_fleet_dynamic_traced, evaluate_fleet_dynamic_with, DynamicEvaluation, FleetEvaluation,
 };
 pub use error::RagoError;
 pub use faulted::{
-    evaluate_fleet_faulted, scaling_plan_from_profile, FaultScenario, FaultedClassOutcome,
-    FaultedEvaluation,
+    scaling_plan_from_profile, FaultScenario, FaultedClassOutcome, FaultedEvaluation,
 };
 pub use metrics::RagPerformance;
 pub use optimizer::{Rago, SearchOptions};

@@ -60,7 +60,7 @@
 //!
 //! The parallel path is frontier-identical to the serial reference
 //! ([`Rago::optimize_serial`]): performance ties between schedules are
-//! broken by the schedule's identity key ([`Schedule::identity_key`]),
+//! broken by the schedule's identity key ([`crate::Schedule::identity_key`]),
 //! making the result independent of thread scheduling and of the order
 //! candidates arrive in. This is covered by the
 //! `streaming_matches_serial_reference` tests in `tests/determinism.rs`.
@@ -74,7 +74,7 @@ use crate::error::RagoError;
 use crate::pareto::{ParetoAccumulator, ParetoFrontier, ParetoPoint};
 use crate::placement::PlacementPlan;
 use crate::profiler::{ProfileTable, StageProfiler};
-use crate::schedule::{ResourceAllocation, Schedule};
+use crate::schedule::ResourceAllocation;
 use crate::search::{ScheduleIter, ScheduleSpace};
 use rago_hardware::{power_of_two_steps, ClusterSpec, ResourceBudget};
 use rago_schema::RagSchema;
@@ -190,6 +190,14 @@ impl Default for SearchOptions {
 /// The RAGO optimizer (Figure 2): holds the workload, the cluster, and the
 /// per-stage profiler, and searches the scheduling space for the performance
 /// Pareto frontier.
+///
+/// Every evaluation, planning and ranking question is a method of it. This
+/// module holds construction and the schedule search; the other methods
+/// live with their layers: dynamic evaluation and goodput ranking in
+/// [`crate::dynamic`], capacity planning and cost ranking in
+/// [`crate::capacity`], cached evaluation and planning in [`crate::cached`],
+/// disaggregated evaluation and ranking in [`crate::disagg`], and faulted
+/// evaluation in [`crate::faulted`].
 #[derive(Debug, Clone)]
 pub struct Rago {
     profiler: StageProfiler,
@@ -228,298 +236,6 @@ impl Rago {
     /// The resource budget constraining the search.
     pub fn budget(&self) -> ResourceBudget {
         self.budget
-    }
-
-    /// Evaluates one schedule dynamically: drives a request trace through
-    /// the discrete-event serving engine and scores TTFT/TPOT distributions,
-    /// queueing, and SLO attainment. With a `cache`, the replica carries
-    /// prefix-KV and retrieval-result caches that exploit the trace's
-    /// content identity (see [`crate::cached`]). See
-    /// [`crate::dynamic::evaluate_schedule_dynamic`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use rago_core::{Rago, SearchOptions};
-    /// use rago_hardware::ClusterSpec;
-    /// use rago_schema::{presets, SequenceProfile, SloTarget};
-    /// use rago_workloads::{ArrivalProcess, TraceSpec};
-    ///
-    /// let rago = Rago::new(
-    ///     presets::case1_hyperscale(presets::LlmSize::B8, 1),
-    ///     ClusterSpec::paper_default(),
-    /// );
-    /// let frontier = rago.optimize(&SearchOptions::fast())?;
-    /// let trace = TraceSpec {
-    ///     num_requests: 40,
-    ///     profile: SequenceProfile::paper_default().with_decode_tokens(32),
-    ///     arrival: ArrivalProcess::Poisson { rate_rps: 10.0 },
-    ///     length_jitter: 0.1,
-    ///     seed: 7,
-    /// }
-    /// .generate();
-    /// let slo = SloTarget::paper_default();
-    /// let best = frontier.max_qps_per_chip().unwrap();
-    /// let eval = rago.evaluate_dynamic(&best.schedule, &trace, &slo, None)?;
-    /// assert_eq!(eval.report.metrics.completed, 40);
-    /// # Ok::<(), rago_core::RagoError>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::dynamic::evaluate_schedule_dynamic`] errors.
-    pub fn evaluate_dynamic(
-        &self,
-        schedule: &Schedule,
-        trace: &rago_workloads::Trace,
-        slo: &rago_schema::SloTarget,
-        cache: Option<&rago_cache::CacheConfig>,
-    ) -> Result<crate::dynamic::DynamicEvaluation, RagoError> {
-        crate::dynamic::evaluate_schedule_dynamic(&self.profiler, schedule, trace, slo, cache)
-    }
-
-    /// Re-scores a Pareto frontier under a request trace and ranks its
-    /// schedules by SLO goodput, best first. See
-    /// [`crate::dynamic::rank_frontier_by_goodput`].
-    pub fn rank_frontier_by_goodput(
-        &self,
-        frontier: &ParetoFrontier,
-        trace: &rago_workloads::Trace,
-        slo: &rago_schema::SloTarget,
-    ) -> Vec<(
-        crate::pareto::ParetoPoint,
-        crate::dynamic::DynamicEvaluation,
-    )> {
-        crate::dynamic::rank_frontier_by_goodput(&self.profiler, frontier, trace, slo, None)
-    }
-
-    /// Sizes a fleet of `schedule` replicas for `target_qps` within `slo`:
-    /// the minimum replica count whose fleet attainment meets the SLO. See
-    /// [`crate::capacity::plan_capacity`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use rago_core::{CapacityOptions, Rago, SearchOptions};
-    /// use rago_hardware::ClusterSpec;
-    /// use rago_schema::{presets, SloTarget};
-    ///
-    /// let rago = Rago::new(
-    ///     presets::case1_hyperscale(presets::LlmSize::B8, 1),
-    ///     ClusterSpec::paper_default(),
-    /// );
-    /// let frontier = rago.optimize(&SearchOptions::fast())?;
-    /// let best = frontier.max_qps_per_chip().unwrap();
-    /// let slo = SloTarget::paper_default();
-    /// let options = CapacityOptions { max_replicas: 4, num_requests: 60, ..Default::default() };
-    /// let plan = rago.plan_capacity(&best.schedule, &slo, 5.0, &options)?;
-    /// assert!(plan.replicas >= 1);
-    /// assert_eq!(plan.total_xpus, best.schedule.allocation.total_xpus() * plan.replicas);
-    /// # Ok::<(), rago_core::RagoError>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::capacity::plan_capacity`] errors.
-    pub fn plan_capacity(
-        &self,
-        schedule: &Schedule,
-        slo: &rago_schema::SloTarget,
-        target_qps: f64,
-        options: &crate::capacity::CapacityOptions,
-    ) -> Result<crate::capacity::CapacityPlan, RagoError> {
-        crate::capacity::plan_capacity(&self.profiler, schedule, slo, target_qps, options)
-    }
-
-    /// Evaluates one schedule as a *disaggregated* fleet: its pre-decode
-    /// stages on a Prefill pool, its decode on a Decode pool, every KV
-    /// handoff priced by `fleet.transfer`, scored per chip, with no pool
-    /// crashes. See [`crate::disagg::evaluate_fleet_disagg`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::disagg::evaluate_fleet_disagg`] errors.
-    pub fn evaluate_fleet_disagg(
-        &self,
-        schedule: &Schedule,
-        fleet: &rago_schema::FleetConfig,
-        trace: &rago_workloads::Trace,
-        slo: &rago_schema::SloTarget,
-    ) -> Result<crate::disagg::DisaggEvaluation, RagoError> {
-        crate::disagg::evaluate_fleet_disagg(&self.profiler, schedule, fleet, &[], trace, slo)
-    }
-
-    /// Sizes the cheapest disaggregated `(prefill, decode)` split of
-    /// `schedule` for `target_qps` within `slo` — the joint pool-size
-    /// search. See [`crate::capacity::plan_capacity_pools`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::capacity::plan_capacity_pools`] errors.
-    pub fn plan_capacity_pools(
-        &self,
-        schedule: &Schedule,
-        slo: &rago_schema::SloTarget,
-        target_qps: f64,
-        transfer: &rago_schema::KvTransferModel,
-        options: &crate::capacity::CapacityOptions,
-    ) -> Result<crate::capacity::PoolCapacityPlan, RagoError> {
-        crate::capacity::plan_capacity_pools(
-            &self.profiler,
-            schedule,
-            slo,
-            target_qps,
-            transfer,
-            options,
-        )
-    }
-
-    /// The joint (schedule, pool split, interconnect) ranking by goodput
-    /// per chip. See [`crate::disagg::rank_frontier_by_goodput_disagg`].
-    pub fn rank_frontier_by_goodput_disagg(
-        &self,
-        frontier: &ParetoFrontier,
-        trace: &rago_workloads::Trace,
-        slo: &rago_schema::SloTarget,
-        splits: &[(u32, u32)],
-        interconnects: &[rago_hardware::InterconnectSpec],
-    ) -> Vec<(
-        crate::pareto::ParetoPoint,
-        crate::disagg::DisaggChoice,
-        crate::disagg::DisaggEvaluation,
-    )> {
-        crate::disagg::rank_frontier_by_goodput_disagg(
-            &self.profiler,
-            frontier,
-            trace,
-            slo,
-            splits,
-            interconnects,
-        )
-    }
-
-    /// Evaluates one schedule as a fleet under a class-tagged, possibly
-    /// time-varying trace, scoring every tenant against its own SLO, while
-    /// a fault scenario plays against it: static/reactive/predictive
-    /// scaling, replica crashes, stragglers, and preemptions from a
-    /// [`rago_serving_sim::faults::FaultSchedule`], and priority-aware
-    /// admission control, scored on *offered* attainment with
-    /// per-disruption recovery metrics. See
-    /// [`crate::faulted::evaluate_fleet_faulted`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::faulted::evaluate_fleet_faulted`] errors.
-    pub fn evaluate_fleet_faulted(
-        &self,
-        schedule: &Schedule,
-        router: rago_schema::RouterPolicy,
-        mix: &rago_workloads::WorkloadMix,
-        trace: &rago_workloads::Trace,
-        scenario: &crate::faulted::FaultScenario,
-    ) -> Result<crate::faulted::FaultedEvaluation, RagoError> {
-        crate::faulted::evaluate_fleet_faulted(
-            &self.profiler,
-            schedule,
-            router,
-            mix,
-            trace,
-            scenario,
-        )
-    }
-
-    /// Evaluates one schedule as a fleet with per-replica caches, each
-    /// replica's cold at the start. Pair it with the content-aware routers
-    /// ([`rago_schema::RouterPolicy::CacheAffinity`] /
-    /// [`rago_schema::RouterPolicy::PrefixHash`]) to keep each template's KV
-    /// state on one replica instead of duplicating it everywhere. A
-    /// `[Prefill, Decode]` split puts the caches on its prefill pool, where
-    /// the prefix and retrieval stages run. See [`crate::cached`].
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::dynamic::evaluate_fleet_dynamic_with`], plus
-    /// [`RagoError::InvalidConfig`] for a cache acting on a stage the
-    /// schema's pipeline lacks.
-    pub fn evaluate_fleet_cached(
-        &self,
-        schedule: &Schedule,
-        fleet: &rago_schema::FleetConfig,
-        trace: &rago_workloads::Trace,
-        slo: &rago_schema::SloTarget,
-        cache: &rago_cache::CacheConfig,
-    ) -> Result<crate::dynamic::FleetEvaluation, RagoError> {
-        let run = crate::dynamic::FleetRun {
-            fleet: fleet.clone(),
-            cache: Some(*cache),
-            ..Default::default()
-        };
-        let rec = &mut rago_telemetry::NullRecorder;
-        crate::dynamic::evaluate_fleet(&self.profiler, schedule, trace, slo, &run, rec)
-    }
-
-    /// Sizes a fleet for `target_qps` within `slo` with caching enabled,
-    /// under the content model `content`. See
-    /// [`crate::cached::plan_capacity_cached`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::cached::plan_capacity_cached`] errors.
-    #[allow(clippy::too_many_arguments)]
-    pub fn plan_capacity_cached(
-        &self,
-        schedule: &Schedule,
-        slo: &rago_schema::SloTarget,
-        target_qps: f64,
-        options: &crate::capacity::CapacityOptions,
-        cache: &rago_cache::CacheConfig,
-        content: &rago_workloads::ContentSpec,
-    ) -> Result<crate::cached::CachedCapacityPlan, RagoError> {
-        crate::cached::plan_capacity_cached(
-            &self.profiler,
-            schedule,
-            slo,
-            target_qps,
-            options,
-            cache,
-            content,
-        )
-    }
-
-    /// Plans the minimum replica schedule of `schedule`'s pipeline over a
-    /// piecewise rate profile. See
-    /// [`crate::capacity::plan_capacity_profile`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::capacity::plan_capacity_profile`] errors.
-    pub fn plan_capacity_profile(
-        &self,
-        schedule: &Schedule,
-        slo: &rago_schema::SloTarget,
-        profile: &[rago_workloads::RateSegment],
-        options: &crate::capacity::CapacityOptions,
-    ) -> Result<crate::capacity::CapacityProfile, RagoError> {
-        crate::capacity::plan_capacity_profile(&self.profiler, schedule, slo, profile, options)
-    }
-
-    /// Re-ranks a Pareto frontier by the total chips needed to serve
-    /// `target_qps` within `slo`, cheapest fleet first. See
-    /// [`crate::capacity::rank_frontier_by_cost_at_qps`].
-    pub fn rank_frontier_by_cost_at_qps(
-        &self,
-        frontier: &ParetoFrontier,
-        slo: &rago_schema::SloTarget,
-        target_qps: f64,
-        options: &crate::capacity::CapacityOptions,
-    ) -> Vec<(crate::pareto::ParetoPoint, crate::capacity::CapacityPlan)> {
-        crate::capacity::rank_frontier_by_cost_at_qps(
-            &self.profiler,
-            frontier,
-            slo,
-            target_qps,
-            options,
-        )
     }
 
     /// Streams the candidate schedules implied by `options` (Step 2 of
@@ -788,6 +504,7 @@ impl Rago {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::Schedule;
     use rago_schema::presets::{self, LlmSize};
     use rago_schema::Stage;
 

@@ -73,7 +73,7 @@
 //! ```
 
 use crate::equeue::EventQueue;
-use crate::sink::{MetricsMode, RunSink};
+use crate::sink::{MetricsMode, RequestOutcome, RunSink, ScopeFold};
 use rago_cache::{
     CacheConfig, CacheCounters, PrefixKvCache, PrefixLookup, RetrievalLookup, RetrievalResultCache,
 };
@@ -543,25 +543,42 @@ pub struct RequestTimeline {
 }
 
 impl RequestTimeline {
+    /// This request as a sink records it, borrowing its stage slices. The
+    /// latency methods below read [`RequestOutcome`]'s one definition.
+    pub(crate) fn outcome(&self) -> RequestOutcome<'_> {
+        RequestOutcome {
+            id: self.id,
+            class: self.class,
+            arrival_s: self.arrival_s,
+            stage_starts_s: &self.stage_starts_s,
+            stage_ends_s: &self.stage_ends_s,
+            decode_join_s: self.decode_join_s,
+            first_token_s: self.first_token_s,
+            completion_s: self.completion_s,
+            queueing_s: self.queueing_s,
+            decode_tokens: self.decode_tokens,
+        }
+    }
+
     /// Time-to-first-token of this request.
     pub fn ttft_s(&self) -> f64 {
-        self.first_token_s - self.arrival_s
+        self.outcome().ttft_s()
     }
 
     /// Achieved time-per-output-token: decode residency divided by tokens
     /// generated (the quantity [`crate::iterative::simulate`] reports).
     pub fn tpot_s(&self) -> f64 {
-        (self.completion_s - self.decode_join_s) / f64::from(self.decode_tokens.max(1))
+        self.outcome().tpot_s()
     }
 
     /// End-to-end latency from arrival to final token.
     pub fn latency_s(&self) -> f64 {
-        self.completion_s - self.arrival_s
+        self.outcome().latency_s()
     }
 
     /// Time in service (everything not spent queueing).
     pub fn service_s(&self) -> f64 {
-        (self.latency_s() - self.queueing_s).max(0.0)
+        self.outcome().service_s()
     }
 }
 
@@ -581,18 +598,18 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
+    /// The stats of no samples.
+    pub(crate) const ZERO: Self = Self {
+        mean_s: 0.0,
+        p50_s: 0.0,
+        p95_s: 0.0,
+        p99_s: 0.0,
+        max_s: 0.0,
+    };
+
     /// Computes the stats of `samples` (order irrelevant; empty input yields
     /// all-zero stats).
     pub fn from_samples(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return Self {
-                mean_s: 0.0,
-                p50_s: 0.0,
-                p95_s: 0.0,
-                p99_s: 0.0,
-                max_s: 0.0,
-            };
-        }
         let mut sorted = samples.to_vec();
         sorted.sort_by(f64::total_cmp);
         Self::from_sorted(&sorted)
@@ -608,13 +625,7 @@ impl LatencyStats {
     /// metric family.
     pub fn from_sorted(sorted: &[f64]) -> Self {
         if sorted.is_empty() {
-            return Self {
-                mean_s: 0.0,
-                p50_s: 0.0,
-                p95_s: 0.0,
-                p99_s: 0.0,
-                max_s: 0.0,
-            };
+            return Self::ZERO;
         }
         debug_assert!(sorted.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()));
         let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
@@ -816,6 +827,10 @@ impl ServingReport {
     /// Fraction of class `class`'s requests meeting both latency targets of
     /// `slo` (1.0 when the class has no requests, mirroring
     /// [`Self::attainment`] on an empty run).
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::class_slo_counts`].
     pub fn class_attainment(&self, class: u32, slo: &SloTarget) -> f64 {
         let (met, total) = self.class_slo_counts(class, slo);
         if total == 0 {
@@ -828,6 +843,10 @@ impl ServingReport {
     /// the *class's own* serving window (its first arrival to its last
     /// completion), in requests per second. Zero when the class has no
     /// requests or a degenerate window.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::class_slo_counts`].
     pub fn class_goodput_rps(&self, class: u32, slo: &SloTarget) -> f64 {
         let duration = self
             .per_class
@@ -851,9 +870,10 @@ impl ServingReport {
     ///
     /// # Panics
     ///
-    /// For a streaming report, panics unless `slo` is the SLO the class was
-    /// counted against (its [`crate::sink::StreamingConfig`] override, else
-    /// the run-level SLO).
+    /// For a streaming report, panics if the class has requests and `slo`
+    /// is not the SLO they were counted against (the class's
+    /// [`crate::sink::StreamingConfig`] override, else the run-level SLO)
+    /// — including when no SLO was configured for the class at all.
     pub fn class_slo_counts(&self, class: u32, slo: &SloTarget) -> (usize, usize) {
         if let Some(streamed) = &self.streamed {
             let total = self
@@ -1211,14 +1231,14 @@ impl ReqArena {
 
     /// The finished outcome of completed slot `i`, borrowing its stage
     /// slices.
-    fn outcome(&self, i: usize) -> crate::sink::RequestOutcome<'_> {
+    fn outcome(&self, i: usize) -> RequestOutcome<'_> {
         let req = &self.requests[i];
         let stride = i * self.num_stages;
         debug_assert!(
             self.first_token_s[i] != UNSET,
             "completed without a first token"
         );
-        crate::sink::RequestOutcome {
+        RequestOutcome {
             id: req.id,
             class: req.class,
             arrival_s: req.arrival_s,
@@ -1828,10 +1848,20 @@ impl ReplicaSim {
         self.arena.decode_join_s[i] = t;
         self.arena.completion_s[i] = t;
         self.completed += 1;
-        let req = self.arena.requests[i];
-        self.handoff_log.push((t, req));
+        self.handoff_log.push((t, self.arena.requests[i]));
+        self.score(i);
+    }
+
+    /// Scores completed slot `i` into every SLO tally (a handoff's zero
+    /// decode residency scores a zero TPOT).
+    fn score(&mut self, i: usize) {
+        if self.tallies.is_empty() {
+            return;
+        }
+        let outcome = self.arena.outcome(i);
+        let (ttft, tpot) = (outcome.ttft_s(), outcome.tpot_s());
         for tally in &mut self.tallies {
-            tally.record(t - req.arrival_s, 0.0);
+            tally.record(ttft, tpot);
         }
     }
 
@@ -1927,15 +1957,7 @@ impl ReplicaSim {
             self.arena.completion_s[ri] = t;
             self.resident -= 1;
             self.completed += 1;
-            if !self.tallies.is_empty() {
-                let first = self.arena.first_token_s[ri];
-                debug_assert!(first != UNSET, "first token precedes completion");
-                let ttft = first - self.arena.requests[ri].arrival_s;
-                let tpot = (t - self.arena.decode_join_s[ri]) / f64::from(tokens.max(1));
-                for tally in &mut self.tallies {
-                    tally.record(ttft, tpot);
-                }
-            }
+            self.score(ri);
         }
     }
 
@@ -2304,35 +2326,36 @@ fn sample_positions(rng: &mut StdRng, decode_len: u32, count: u32) -> Vec<u32> {
 /// Builds a [`ServingReport`] from completed timelines and the simulation
 /// accumulators. Shared by each replica's own report and the fleet-level
 /// merge in [`crate::fleet`], so replica and fleet metrics are computed by
-/// one definition. The per-class rows reuse the same metric
-/// computation over each class's timeline subset; for a run with a single
-/// distinct class the row is the aggregate metrics verbatim, which is what
-/// makes a one-class mix bit-identical to an untagged run.
+/// one definition: each scope folds its timelines, in order, into a
+/// [`ScopeFold`] and takes exact latency statistics from its sorted
+/// samples ([`LatencyStats::from_sorted`]).
 pub(crate) fn build_report(
     timelines: Vec<RequestTimeline>,
     acc: &SimAccumulators,
 ) -> ServingReport {
-    let metrics = compute_metrics(&timelines, acc);
     let mut classes: Vec<u32> = timelines.iter().map(|t| t.class).collect();
     classes.sort_unstable();
     classes.dedup();
-    let per_class = if classes.len() <= 1 {
-        classes
-            .into_iter()
-            .map(|class| ClassMetrics {
-                class,
-                metrics: metrics.clone(),
-            })
-            .collect()
-    } else {
-        classes
-            .into_iter()
-            .map(|class| ClassMetrics {
-                class,
-                metrics: compute_metrics_for(&timelines, Some(class), acc),
-            })
-            .collect()
-    };
+    let (metrics, per_class) = crate::sink::scope_rows(classes, |class| {
+        let mut fold = ScopeFold::EMPTY;
+        let mut samples: [Vec<f64>; 3] =
+            std::array::from_fn(|_| Vec::with_capacity(timelines.len()));
+        for t in timelines
+            .iter()
+            .filter(|t| class.map_or(true, |c| t.class == c))
+        {
+            for (buf, v) in samples.iter_mut().zip(fold.observe(&t.outcome(), None)) {
+                buf.push(v);
+            }
+        }
+        fold.metrics(
+            acc,
+            samples.map(|mut buf| {
+                buf.sort_by(f64::total_cmp);
+                LatencyStats::from_sorted(&buf)
+            }),
+        )
+    });
     ServingReport {
         timelines,
         metrics,
@@ -2340,114 +2363,6 @@ pub(crate) fn build_report(
         cache: acc.cache.to_usage(),
         streamed: None,
     }
-}
-
-/// Computes aggregate [`ServingMetrics`] over a set of timelines. The
-/// accumulator-derived fields (decode fill, iterative-retrieval batching)
-/// describe the shared pipeline, not a timeline subset — per-class rows pass
-/// the run's accumulators through unchanged.
-fn compute_metrics(timelines: &[RequestTimeline], acc: &SimAccumulators) -> ServingMetrics {
-    compute_metrics_for(timelines, None, acc)
-}
-
-/// [`compute_metrics`] restricted to one class (`None` = every request).
-/// Per-class rows are computed by filtering in place rather than cloning
-/// each class's timeline subset into a scratch vector; the filter preserves
-/// timeline order, so the resulting metrics are identical to the
-/// clone-the-subset formulation. Sample buffers are sorted once in place
-/// and sliced for the percentile fields ([`LatencyStats::from_sorted`])
-/// instead of being re-copied per metric family.
-pub(crate) fn compute_metrics_for(
-    timelines: &[RequestTimeline],
-    class: Option<u32>,
-    acc: &SimAccumulators,
-) -> ServingMetrics {
-    let sel = move |t: &&RequestTimeline| class.map_or(true, |c| t.class == c);
-    let mut ttfts: Vec<f64> = timelines
-        .iter()
-        .filter(sel)
-        .map(RequestTimeline::ttft_s)
-        .collect();
-    let mut tpots: Vec<f64> = timelines
-        .iter()
-        .filter(sel)
-        .map(RequestTimeline::tpot_s)
-        .collect();
-    let mut latencies: Vec<f64> = timelines
-        .iter()
-        .filter(sel)
-        .map(RequestTimeline::latency_s)
-        .collect();
-    ttfts.sort_by(f64::total_cmp);
-    tpots.sort_by(f64::total_cmp);
-    latencies.sort_by(f64::total_cmp);
-    let makespan = timelines
-        .iter()
-        .filter(sel)
-        .map(|t| t.completion_s)
-        .fold(0.0f64, f64::max);
-    let n = ttfts.len();
-    let first_arrival = if n == 0 {
-        0.0
-    } else {
-        timelines
-            .iter()
-            .filter(sel)
-            .map(|t| t.arrival_s)
-            .fold(f64::INFINITY, f64::min)
-    };
-    let last_arrival = timelines
-        .iter()
-        .filter(sel)
-        .map(|t| t.arrival_s)
-        .fold(0.0f64, f64::max);
-    let serving_duration = (makespan - first_arrival).max(0.0);
-    let drain_tail = (makespan - last_arrival).max(0.0);
-    let queueing_mean = if n == 0 {
-        0.0
-    } else {
-        timelines
-            .iter()
-            .filter(sel)
-            .map(|t| t.queueing_s)
-            .sum::<f64>()
-            / n as f64
-    };
-    let service_mean = if n == 0 {
-        0.0
-    } else {
-        timelines
-            .iter()
-            .filter(sel)
-            .map(RequestTimeline::service_s)
-            .sum::<f64>()
-            / n as f64
-    };
-    acc.with_pipeline_fields(ServingMetrics {
-        requests: n,
-        completed: n,
-        first_arrival_s: first_arrival,
-        last_arrival_s: last_arrival,
-        makespan_s: makespan,
-        serving_duration_s: serving_duration,
-        drain_tail_s: drain_tail,
-        throughput_rps: if serving_duration > 0.0 {
-            n as f64 / serving_duration
-        } else {
-            0.0
-        },
-        ttft: LatencyStats::from_sorted(&ttfts),
-        tpot: LatencyStats::from_sorted(&tpots),
-        latency: LatencyStats::from_sorted(&latencies),
-        queueing_mean_s: queueing_mean,
-        service_mean_s: service_mean,
-        mean_decode_fill: 0.0,
-        retrieval_batches: 0,
-        mean_retrieval_batch_fill: 0.0,
-        events_processed: 0,
-        queue_pops: 0,
-        shed: 0,
-    })
 }
 
 #[cfg(test)]

@@ -90,8 +90,8 @@
 use crate::autoscaler::{AutoscalerPolicy, ReplicaLifetime, ScalingAction, ScalingEvent};
 use crate::cluster::{route_pick, FleetReport, LoadImbalance, ReplicaReport};
 use crate::engine::{
-    build_report, compute_metrics_for, CacheProbe, ClassMetrics, EngineRequest, PipelineSpec,
-    ReplicaSim, RequestTimeline, Retired, ServingReport, SimAccumulators, SloTally,
+    build_report, CacheProbe, ClassMetrics, EngineRequest, LatencyStats, PipelineSpec, ReplicaSim,
+    RequestTimeline, Retired, ServingReport, SimAccumulators, SloTally,
 };
 use crate::equeue::{EventQueue, EventQueueStats};
 use crate::faults::{
@@ -99,7 +99,7 @@ use crate::faults::{
     FaultReport, FaultSchedule, ScaleDriver, ShedEvent,
 };
 use crate::pools::TransferStats;
-use crate::sink::{MetricsMode, RunSink};
+use crate::sink::{MetricsMode, RunSink, ScopeFold};
 use rago_schema::{KvTransferModel, PoolRole, PoolSpec, RouterPolicy, SloTarget};
 use rago_telemetry::Recorder;
 use rago_workloads::{Request, Trace};
@@ -1291,10 +1291,9 @@ impl<'e> Run<'e> {
         if self.routable.is_empty() {
             return; // only transiently, while the whole fleet warms up or is dead
         }
-        let provisioned = self.provisioned();
-        let routable = self.routable.len() as u32;
-        let (mean_queue_depth, mean_outstanding) = self.mean_load();
-        let queue_trigger = mean_queue_depth > policy.scale_out_queue_depth;
+        let mut counts = (self.provisioned(), self.routable.len() as u32);
+        let load = self.mean_load();
+        let queue_trigger = load.0 > policy.scale_out_queue_depth;
         // Each tick reads and restarts every live replica's trigger tally.
         // A flat fleet's replicas are never simulated past the current
         // instant, so that is exactly the last interval's completions.
@@ -1308,99 +1307,84 @@ impl<'e> Run<'e> {
             }
             total > 0 && (met as f64 / total as f64) < trigger.floor
         });
-        let event = |action, replica, provisioned_after, routable_after| ScalingEvent {
-            time_s: now,
-            action,
-            replica,
-            provisioned_after,
-            routable_after,
-            mean_queue_depth,
-            mean_outstanding,
-        };
-
-        if (queue_trigger || attainment_trigger) && provisioned < policy.max_replicas {
-            let replica = self.provision(ARRIVAL_POOL, now, now + policy.warmup_s);
-            self.last_action_s = now;
-            self.peak_provisioned = self.peak_provisioned.max(provisioned + 1);
-            // A zero-warm-up replica is routable at this very tick, so it
-            // already counts.
-            let routable_after = routable + u32::from(policy.warmup_s <= 0.0);
-            self.events.push(event(
-                ScalingAction::ScaleOut,
-                replica,
-                provisioned + 1,
-                routable_after,
-            ));
-        } else if mean_outstanding < policy.scale_in_outstanding
-            && routable > policy.min_replicas
+        let action = if (queue_trigger || attainment_trigger) && counts.0 < policy.max_replicas {
+            ScalingAction::ScaleOut
+        } else if load.1 < policy.scale_in_outstanding
+            && counts.1 > policy.min_replicas
             && now - self.last_action_s >= policy.cooldown_s
         {
-            let victim = self.emptiest_routable();
-            self.slots[victim].decommissioned_s = Some(now);
-            self.last_action_s = now;
-            self.min_provisioned = self.min_provisioned.min(provisioned - 1);
-            self.events.push(event(
-                ScalingAction::ScaleIn,
-                victim,
-                provisioned - 1,
-                routable - 1,
-            ));
-        }
+            ScalingAction::ScaleIn
+        } else {
+            return;
+        };
+        self.scale(action, now, policy.warmup_s, load, &mut counts);
+        self.last_action_s = now;
     }
 
     /// One predictive plan step: provision or decommission until the live
     /// fleet matches `target`.
     fn apply_plan_target(&mut self, target: u32, warmup_s: f64, now: f64) {
         self.refresh_routable(now, ARRIVAL_POOL);
-        let (mean_queue_depth, mean_outstanding) = if self.routable.is_empty() {
+        let load = if self.routable.is_empty() {
             (0.0, 0.0)
         } else {
             self.mean_load()
         };
-        let event = |action, replica, provisioned_after, routable_after| ScalingEvent {
-            time_s: now,
-            action,
-            replica,
-            provisioned_after,
-            routable_after,
-            mean_queue_depth,
-            mean_outstanding,
-        };
-        let mut provisioned = self.provisioned();
-        let mut routable_now = self.routable.len() as u32;
-        while provisioned < target {
-            let replica = self.provision(ARRIVAL_POOL, now, now + warmup_s);
-            provisioned += 1;
-            if warmup_s <= 0.0 {
-                routable_now += 1;
-            }
-            self.peak_provisioned = self.peak_provisioned.max(provisioned);
-            self.events.push(event(
-                ScalingAction::ScaleOut,
-                replica,
-                provisioned,
-                routable_now,
-            ));
+        let mut counts = (self.provisioned(), self.routable.len() as u32);
+        while counts.0 < target {
+            self.scale(ScalingAction::ScaleOut, now, warmup_s, load, &mut counts);
         }
-        while provisioned > target {
-            // Decommission the emptiest routable replica; never the last
-            // one (warming replicas cannot drain the backlog).
+        while counts.0 > target {
+            // Never decommission the last routable replica (warming
+            // replicas cannot drain the backlog).
             self.refresh_routable(now, ARRIVAL_POOL);
             if self.routable.len() <= 1 {
                 break;
             }
-            let victim = self.emptiest_routable();
-            self.slots[victim].decommissioned_s = Some(now);
-            provisioned -= 1;
-            routable_now = routable_now.saturating_sub(1);
-            self.min_provisioned = self.min_provisioned.min(provisioned);
-            self.events.push(event(
-                ScalingAction::ScaleIn,
-                victim,
-                provisioned,
-                routable_now,
-            ));
+            self.scale(ScalingAction::ScaleIn, now, warmup_s, load, &mut counts);
         }
+    }
+
+    /// One scaling step of the arrival pool at `now`, logged with the mean
+    /// `(queue depth, outstanding)` load the decision saw: a scale-out
+    /// provisions a replica routable after `warmup_s` and raises the peak;
+    /// a scale-in decommissions the emptiest routable replica and lowers
+    /// the minimum. `counts` is `(provisioned, routable)` before the step
+    /// and after it; a zero-warm-up replica is routable at once, so it
+    /// already counts.
+    fn scale(
+        &mut self,
+        action: ScalingAction,
+        now: f64,
+        warmup_s: f64,
+        load: (f64, f64),
+        counts: &mut (u32, u32),
+    ) {
+        let replica = match action {
+            ScalingAction::ScaleOut => {
+                counts.0 += 1;
+                counts.1 += u32::from(warmup_s <= 0.0);
+                self.peak_provisioned = self.peak_provisioned.max(counts.0);
+                self.provision(ARRIVAL_POOL, now, now + warmup_s)
+            }
+            ScalingAction::ScaleIn => {
+                counts.0 -= 1;
+                counts.1 = counts.1.saturating_sub(1);
+                self.min_provisioned = self.min_provisioned.min(counts.0);
+                let victim = self.emptiest_routable();
+                self.slots[victim].decommissioned_s = Some(now);
+                victim
+            }
+        };
+        self.events.push(ScalingEvent {
+            time_s: now,
+            action,
+            replica,
+            provisioned_after: counts.0,
+            routable_after: counts.1,
+            mean_queue_depth: load.0,
+            mean_outstanding: load.1,
+        });
     }
 
     /// Drains and merges the fleet and assembles the report: requests still
@@ -1625,7 +1609,7 @@ fn with_sheds(
             // A class shed in its entirety still gets a row: zero
             // completions, its shed count, shared-resource fields repeating
             // the run-level values like every class row.
-            let mut metrics = compute_metrics_for(&[], Some(class), acc);
+            let mut metrics = ScopeFold::EMPTY.metrics(acc, [LatencyStats::ZERO; 3]);
             metrics.shed = count;
             report.per_class.push(ClassMetrics { class, metrics });
         }

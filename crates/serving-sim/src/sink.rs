@@ -11,17 +11,28 @@
 //!   the default report **bit for bit** — it is the identity path, pinned
 //!   against the golden outputs.
 //! * [`HistogramSink`] folds each outcome into fixed-resolution linear
-//!   histograms ([`rago_schema::HistogramSpec`]) plus scalar accumulators,
-//!   holding `O(buckets)` state regardless of trace length. Percentiles
-//!   reported from it are within one bucket width of the exact
-//!   nearest-rank values (for samples under the histogram cap), means and
-//!   maxima are tracked exactly, and SLO attainment/goodput are counted
-//!   online against the SLOs named up front in the [`StreamingConfig`].
+//!   histograms ([`rago_schema::HistogramSpec`]), holding `O(buckets)`
+//!   state regardless of trace length. Percentiles reported from it are
+//!   within one bucket width of the exact nearest-rank values (for samples
+//!   under the histogram cap), means and maxima are tracked exactly, and
+//!   SLO attainment/goodput are counted online against the SLOs named up
+//!   front in the [`StreamingConfig`].
+//!
+//! Both modes compute a scope's request-level metrics (the whole run, or
+//! one workload class) with one fold, `ScopeFold`: counts, queueing and
+//! service sums, the arrival window and makespan, and the SLO-met count.
+//! An exact report folds each scope's timelines in arrival order and takes
+//! its latency statistics from the sorted samples; the streaming sink
+//! folds each outcome online, beside its histograms. `scope_rows` builds
+//! the per-class rows of either report, and [`RequestOutcome`] holds the
+//! one definition of TTFT, TPOT, latency and service time.
 //!
 //! The choice is the `mode` argument of the fleet's one run method,
 //! `FleetEngine::run`, and of the fleet evaluators in `rago-core`.
 
-use crate::engine::{RequestTimeline, ServingMetrics, ServingReport};
+use crate::engine::{
+    ClassMetrics, LatencyStats, RequestTimeline, ServingMetrics, ServingReport, SimAccumulators,
+};
 use rago_schema::{HistogramSpec, SloTarget};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -151,7 +162,7 @@ impl RequestOutcome<'_> {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ExactSink {
     pub(crate) timelines: Vec<RequestTimeline>,
-    pub(crate) acc: crate::engine::SimAccumulators,
+    pub(crate) acc: SimAccumulators,
     /// Outcomes recorded since the last [`ExactSink::build_timelines`].
     recorded: Vec<Recorded>,
     /// Each recorded outcome's stage starts, then its stage ends.
@@ -246,7 +257,7 @@ impl RunSink {
     }
 
     /// The run's accumulators.
-    pub(crate) fn acc_mut(&mut self) -> &mut crate::engine::SimAccumulators {
+    pub(crate) fn acc_mut(&mut self) -> &mut SimAccumulators {
         match self {
             RunSink::Exact(sink) => &mut sink.acc,
             RunSink::Streaming(sink) => &mut sink.acc,
@@ -349,11 +360,11 @@ impl LatencyHistogram {
 
     /// The summary statistics of the folded distribution (mean and max are
     /// exact; percentiles within one bucket width for unclamped samples).
-    pub fn stats(&self) -> crate::engine::LatencyStats {
+    pub fn stats(&self) -> LatencyStats {
         if self.count == 0 {
-            return crate::engine::LatencyStats::from_samples(&[]);
+            return LatencyStats::ZERO;
         }
-        crate::engine::LatencyStats {
+        LatencyStats {
             mean_s: self.sum_s / self.count as f64,
             p50_s: self.percentile(50.0),
             p95_s: self.percentile(95.0),
@@ -389,53 +400,53 @@ impl LatencyHistogram {
     }
 }
 
-/// Scalar accumulators plus histograms for one scope (the whole run, or
-/// one workload class).
-#[derive(Debug, Clone)]
-struct StreamAgg {
+/// The running totals of one scope's completed requests (the whole run,
+/// or one workload class): the one fold behind every request-level field
+/// of [`ServingMetrics`] in both metrics modes. An exact report folds it
+/// over the scope's timelines in arrival order and takes its latency
+/// statistics from the sorted samples; a streaming sink folds it online,
+/// beside its histograms. Every term summed is non-negative, so folding
+/// from `0.0` matches `Iterator::sum` bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScopeFold {
     count: u64,
+    /// Requests meeting the scope's SLO, when one is counted.
     met: u64,
     queueing_sum_s: f64,
     service_sum_s: f64,
     first_arrival_s: f64,
     last_arrival_s: f64,
     makespan_s: f64,
-    ttft: LatencyHistogram,
-    tpot: LatencyHistogram,
-    latency: LatencyHistogram,
 }
 
-impl StreamAgg {
-    fn new(spec: &HistogramSpec) -> Self {
-        Self {
-            count: 0,
-            met: 0,
-            queueing_sum_s: 0.0,
-            service_sum_s: 0.0,
-            first_arrival_s: f64::INFINITY,
-            last_arrival_s: 0.0,
-            makespan_s: 0.0,
-            ttft: LatencyHistogram::new(spec),
-            tpot: LatencyHistogram::new(spec),
-            latency: LatencyHistogram::new(spec),
-        }
-    }
+impl ScopeFold {
+    /// The fold of no requests.
+    pub(crate) const EMPTY: Self = Self {
+        count: 0,
+        met: 0,
+        queueing_sum_s: 0.0,
+        service_sum_s: 0.0,
+        first_arrival_s: f64::INFINITY,
+        last_arrival_s: 0.0,
+        makespan_s: 0.0,
+    };
 
-    fn observe(&mut self, outcome: &RequestOutcome<'_>, slo: Option<&SloTarget>) {
+    /// Folds one request in, counting it against `slo` if given, and
+    /// returns its `[ttft, tpot, latency]` samples.
+    pub(crate) fn observe(
+        &mut self,
+        outcome: &RequestOutcome<'_>,
+        slo: Option<&SloTarget>,
+    ) -> [f64; 3] {
+        let samples = [outcome.ttft_s(), outcome.tpot_s(), outcome.latency_s()];
         self.count += 1;
+        self.met += u64::from(slo.is_some_and(|s| s.meets(samples[0], samples[1])));
         self.queueing_sum_s += outcome.queueing_s;
         self.service_sum_s += outcome.service_s();
         self.first_arrival_s = self.first_arrival_s.min(outcome.arrival_s);
         self.last_arrival_s = self.last_arrival_s.max(outcome.arrival_s);
         self.makespan_s = self.makespan_s.max(outcome.completion_s);
-        let ttft = outcome.ttft_s();
-        let tpot = outcome.tpot_s();
-        self.ttft.record(ttft);
-        self.tpot.record(tpot);
-        self.latency.record(outcome.latency_s());
-        if slo.is_some_and(|s| s.meets(ttft, tpot)) {
-            self.met += 1;
-        }
+        samples
     }
 
     fn merge_from(&mut self, other: &Self) {
@@ -446,18 +457,21 @@ impl StreamAgg {
         self.first_arrival_s = self.first_arrival_s.min(other.first_arrival_s);
         self.last_arrival_s = self.last_arrival_s.max(other.last_arrival_s);
         self.makespan_s = self.makespan_s.max(other.makespan_s);
-        self.ttft.merge_from(&other.ttft);
-        self.tpot.merge_from(&other.tpot);
-        self.latency.merge_from(&other.latency);
     }
 
-    /// Builds the scope's [`ServingMetrics`]; accumulator-derived fields
-    /// are filled in by the caller (they describe the shared pipeline).
-    fn metrics(&self) -> ServingMetrics {
+    /// The scope's [`ServingMetrics`] from its `[ttft, tpot, latency]`
+    /// statistics, with the pipeline-level fields from `acc`.
+    pub(crate) fn metrics(
+        &self,
+        acc: &SimAccumulators,
+        stats: [LatencyStats; 3],
+    ) -> ServingMetrics {
         let n = self.count as usize;
+        let mean = |sum: f64| if n == 0 { 0.0 } else { sum / n as f64 };
         let first_arrival = if n == 0 { 0.0 } else { self.first_arrival_s };
         let serving_duration = (self.makespan_s - first_arrival).max(0.0);
-        ServingMetrics {
+        let [ttft, tpot, latency] = stats;
+        acc.with_pipeline_fields(ServingMetrics {
             requests: n,
             completed: n,
             first_arrival_s: first_arrival,
@@ -470,38 +484,91 @@ impl StreamAgg {
             } else {
                 0.0
             },
-            ttft: self.ttft.stats(),
-            tpot: self.tpot.stats(),
-            latency: self.latency.stats(),
-            queueing_mean_s: if n == 0 {
-                0.0
-            } else {
-                self.queueing_sum_s / n as f64
-            },
-            service_mean_s: if n == 0 {
-                0.0
-            } else {
-                self.service_sum_s / n as f64
-            },
+            ttft,
+            tpot,
+            latency,
+            queueing_mean_s: mean(self.queueing_sum_s),
+            service_mean_s: mean(self.service_sum_s),
             mean_decode_fill: 0.0,
             retrieval_batches: 0,
             mean_retrieval_batch_fill: 0.0,
             events_processed: 0,
             queue_pops: 0,
             shed: 0,
+        })
+    }
+}
+
+/// A report's run-level metrics and its per-class rows, one per class of
+/// the ascending `classes`: `scope(None)` measures the whole run and
+/// `scope(Some(class))` one class. A single-class run repeats the run
+/// metrics in its one row, which makes a one-class mix bit-identical to an
+/// untagged run. Shared by the exact and streaming reports.
+pub(crate) fn scope_rows(
+    classes: Vec<u32>,
+    scope: impl Fn(Option<u32>) -> ServingMetrics,
+) -> (ServingMetrics, Vec<ClassMetrics>) {
+    let metrics = scope(None);
+    let single = classes.len() <= 1;
+    let per_class = classes
+        .into_iter()
+        .map(|class| ClassMetrics {
+            class,
+            metrics: if single {
+                metrics.clone()
+            } else {
+                scope(Some(class))
+            },
+        })
+        .collect();
+    (metrics, per_class)
+}
+
+/// One streaming scope: its fold, beside histograms of its TTFT, TPOT and
+/// latency samples.
+#[derive(Debug, Clone)]
+struct HistScope {
+    fold: ScopeFold,
+    hists: [LatencyHistogram; 3],
+}
+
+impl HistScope {
+    fn new(spec: &HistogramSpec) -> Self {
+        Self {
+            fold: ScopeFold::EMPTY,
+            hists: std::array::from_fn(|_| LatencyHistogram::new(spec)),
         }
+    }
+
+    fn observe(&mut self, outcome: &RequestOutcome<'_>, slo: Option<&SloTarget>) {
+        for (hist, v) in self.hists.iter_mut().zip(self.fold.observe(outcome, slo)) {
+            hist.record(v);
+        }
+    }
+
+    fn merge_from(&mut self, other: &Self) {
+        self.fold.merge_from(&other.fold);
+        for (mine, theirs) in self.hists.iter_mut().zip(&other.hists) {
+            mine.merge_from(theirs);
+        }
+    }
+
+    fn metrics(&self, acc: &SimAccumulators) -> ServingMetrics {
+        let [ttft, tpot, latency] = &self.hists;
+        self.fold
+            .metrics(acc, [ttft.stats(), tpot.stats(), latency.stats()])
     }
 }
 
 /// The streaming sink: folds outcomes into run-level and per-class
-/// `StreamAgg` accumulators and emits an `O(buckets)` [`ServingReport`]
-/// with no timelines.
+/// `ScopeFold`s and histograms, and emits an `O(buckets)`
+/// [`ServingReport`] with no timelines.
 #[derive(Debug, Clone)]
 pub struct HistogramSink {
     config: StreamingConfig,
-    run: StreamAgg,
-    per_class: BTreeMap<u32, StreamAgg>,
-    pub(crate) acc: crate::engine::SimAccumulators,
+    run: HistScope,
+    per_class: BTreeMap<u32, HistScope>,
+    pub(crate) acc: SimAccumulators,
 }
 
 impl HistogramSink {
@@ -512,16 +579,16 @@ impl HistogramSink {
             .validate()
             .expect("streaming metrics need a valid histogram spec");
         Self {
-            run: StreamAgg::new(&config.spec),
+            run: HistScope::new(&config.spec),
             per_class: BTreeMap::new(),
             config: config.clone(),
-            acc: crate::engine::SimAccumulators::default(),
+            acc: SimAccumulators::default(),
         }
     }
 
     /// Outcomes recorded so far.
     pub fn count(&self) -> u64 {
-        self.run.count
+        self.run.fold.count
     }
 
     /// Merges another sink of the same configuration (used to fold
@@ -537,61 +604,47 @@ impl HistogramSink {
             "only identically-configured streaming sinks can merge"
         );
         self.run.merge_from(&other.run);
-        for (class, agg) in &other.per_class {
+        for (class, scope) in &other.per_class {
             self.per_class
                 .entry(*class)
-                .or_insert_with(|| StreamAgg::new(&self.config.spec))
-                .merge_from(agg);
+                .or_insert_with(|| HistScope::new(&self.config.spec))
+                .merge_from(scope);
         }
         self.acc.merge_from(&other.acc);
     }
 
     /// Builds the streaming [`ServingReport`]: empty timelines, metrics
     /// from the histograms, per-class rows, and [`StreamedScores`] carrying
-    /// the online SLO counts. A single-class run repeats the run metrics in
-    /// its one class row, mirroring the exact path's convention.
+    /// the online SLO counts.
     pub fn into_report(self) -> ServingReport {
         let acc = &self.acc;
-        let metrics = acc.with_pipeline_fields(self.run.metrics());
-        let per_class: Vec<crate::engine::ClassMetrics> = if self.per_class.len() <= 1 {
-            self.per_class
-                .keys()
-                .map(|&class| crate::engine::ClassMetrics {
-                    class,
-                    metrics: metrics.clone(),
-                })
-                .collect()
-        } else {
-            self.per_class
-                .iter()
-                .map(|(&class, agg)| crate::engine::ClassMetrics {
-                    class,
-                    metrics: acc.with_pipeline_fields(agg.metrics()),
-                })
-                .collect()
-        };
+        let (metrics, per_class) = scope_rows(self.per_class.keys().copied().collect(), |class| {
+            class
+                .map_or(&self.run, |c| &self.per_class[&c])
+                .metrics(acc)
+        });
         let class_scores = self
             .per_class
             .iter()
-            .filter_map(|(&class, agg)| {
+            .filter_map(|(&class, scope)| {
                 self.config.slo_for_class(class).map(|slo| ClassSloScore {
                     class,
                     slo,
-                    met: agg.met,
+                    met: scope.fold.met,
                 })
             })
             .collect();
         let streamed = StreamedScores {
             spec: self.config.spec,
             slo: self.config.slo,
-            met: self.run.met,
+            met: self.run.fold.met,
             class_scores,
         };
         ServingReport {
             timelines: Vec::new(),
             metrics,
             per_class,
-            cache: self.acc.cache.to_usage(),
+            cache: acc.cache.to_usage(),
             streamed: Some(streamed),
         }
     }
@@ -601,13 +654,12 @@ impl HistogramSink {
     /// as it retires: once it and every request injected before it have
     /// completed.
     pub fn record(&mut self, outcome: &RequestOutcome<'_>) {
-        let run_slo = self.config.slo;
-        self.run.observe(outcome, run_slo.as_ref());
+        self.run.observe(outcome, self.config.slo.as_ref());
         let class_slo = self.config.slo_for_class(outcome.class);
         let spec = self.config.spec;
         self.per_class
             .entry(outcome.class)
-            .or_insert_with(|| StreamAgg::new(&spec))
+            .or_insert_with(|| HistScope::new(&spec))
             .observe(outcome, class_slo.as_ref());
     }
 }
@@ -661,21 +713,19 @@ impl StreamedScores {
     ///
     /// # Panics
     ///
-    /// Panics if the class has a row and its counted SLO differs from the
-    /// queried one. Returns zero for classes without a row (no requests).
+    /// Panics unless the class has a row counted against `slo` — a class
+    /// with no requests has no row, and neither has a class no SLO was
+    /// configured for.
     pub fn class_met(&self, class: u32, slo: &SloTarget) -> u64 {
-        match self.class_scores.iter().find(|c| c.class == class) {
-            Some(row) => {
-                assert!(
-                    row.slo == *slo,
-                    "streaming report counted class {class} against SLO {:?}, \
-                     not the queried {slo:?}",
-                    row.slo,
-                );
-                row.met
-            }
-            None => 0,
-        }
+        let row = self.class_scores.iter().find(|c| c.class == class);
+        assert!(
+            row.is_some_and(|row| row.slo == *slo),
+            "streaming report counted class {class} against SLO {:?}, \
+             not the queried {slo:?}; configure the queried SLO in \
+             StreamingConfig before the run",
+            row.map(|row| row.slo),
+        );
+        row.map_or(0, |row| row.met)
     }
 
     /// Bytes of retained state.
@@ -778,22 +828,10 @@ mod tests {
         a.merge_from(&b);
     }
 
-    #[test]
-    fn streamed_scores_reject_unconfigured_slo() {
-        let cfg =
-            StreamingConfig::new(HistogramSpec::default()).with_slo(SloTarget::new(2.0, 0.05));
-        let sink = HistogramSink::new(&cfg);
-        let report = sink.into_report();
-        // Queried with the configured SLO: fine (empty run ⇒ attainment 1).
-        assert_eq!(report.attainment(&SloTarget::new(2.0, 0.05)), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "streaming report counted SLO")]
-    fn querying_a_different_slo_panics() {
-        let cfg =
-            StreamingConfig::new(HistogramSpec::default()).with_slo(SloTarget::new(2.0, 0.05));
-        let mut sink = HistogramSink::new(&cfg);
+    /// The streaming report of one class-0 request counted against
+    /// `cfg`'s SLOs.
+    fn one_request(cfg: &StreamingConfig) -> ServingReport {
+        let mut sink = HistogramSink::new(cfg);
         sink.record(&RequestOutcome {
             id: 0,
             class: 0,
@@ -806,7 +844,34 @@ mod tests {
             queueing_s: 0.0,
             decode_tokens: 4,
         });
-        let report = sink.into_report();
-        report.attainment(&SloTarget::new(9.0, 9.0));
+        sink.into_report()
+    }
+
+    #[test]
+    #[should_panic(expected = "streaming report counted SLO None")]
+    fn streamed_scores_reject_unconfigured_slo() {
+        let slo = SloTarget::new(2.0, 0.05);
+        let cfg = StreamingConfig::new(HistogramSpec::default()).with_slo(slo);
+        // Queried with the configured SLO: fine (empty run ⇒ attainment 1).
+        assert_eq!(HistogramSink::new(&cfg).into_report().attainment(&slo), 1.0);
+        one_request(&StreamingConfig::new(HistogramSpec::default())).attainment(&slo);
+    }
+
+    #[test]
+    #[should_panic(expected = "streaming report counted class 0 against SLO None")]
+    fn class_queries_reject_an_unconfigured_slo() {
+        let slo = SloTarget::new(2.0, 0.05);
+        let report = one_request(&StreamingConfig::new(HistogramSpec::default()));
+        // A class with no requests has nothing to score.
+        assert_eq!(report.class_slo_counts(1, &slo), (0, 0));
+        report.class_attainment(0, &slo);
+    }
+
+    #[test]
+    #[should_panic(expected = "streaming report counted SLO")]
+    fn querying_a_different_slo_panics() {
+        let cfg =
+            StreamingConfig::new(HistogramSpec::default()).with_slo(SloTarget::new(2.0, 0.05));
+        one_request(&cfg).attainment(&SloTarget::new(9.0, 9.0));
     }
 }

@@ -3,8 +3,10 @@
 //!
 //! * On random traces, the streaming (histogram) report tracks the exact
 //!   report within the sink's documented error bars — percentiles within
-//!   one bucket width, maxima and makespan bit-equal, means up to
-//!   summation order — and online SLO counts match post-hoc scoring.
+//!   one bucket width, maxima and the fold's scalar fields (arrival
+//!   window, makespan, throughput, queueing and service means) bit-equal,
+//!   latency means up to summation order — and online SLO counts match
+//!   post-hoc scoring.
 //! * Injection order is canonical: shuffled or reversed traces, read
 //!   through `fleet::arrivals`, produce reports identical to sorted input,
 //!   for a one-replica fleet and the autoscaled fleet alike (reading a
@@ -130,8 +132,21 @@ proptest! {
 
         prop_assert_eq!(exact.metrics.requests, streaming.metrics.requests);
         prop_assert_eq!(exact.metrics.events_processed, streaming.metrics.events_processed);
-        prop_assert_eq!(exact.metrics.makespan_s, streaming.metrics.makespan_s);
-        prop_assert_eq!(exact.metrics.last_arrival_s, streaming.metrics.last_arrival_s);
+        // One replica: both modes fold the same outcomes in the same order
+        // into the same per-scope fold, so its scalar fields agree bit for
+        // bit.
+        for (e, s) in [
+            (exact.metrics.makespan_s, streaming.metrics.makespan_s),
+            (exact.metrics.first_arrival_s, streaming.metrics.first_arrival_s),
+            (exact.metrics.last_arrival_s, streaming.metrics.last_arrival_s),
+            (exact.metrics.serving_duration_s, streaming.metrics.serving_duration_s),
+            (exact.metrics.drain_tail_s, streaming.metrics.drain_tail_s),
+            (exact.metrics.throughput_rps, streaming.metrics.throughput_rps),
+            (exact.metrics.queueing_mean_s, streaming.metrics.queueing_mean_s),
+            (exact.metrics.service_mean_s, streaming.metrics.service_mean_s),
+        ] {
+            prop_assert_eq!(e.to_bits(), s.to_bits());
+        }
 
         let width = HistogramSpec::default().bucket_width_s * (1.0 + 1e-9);
         for (e, s) in [

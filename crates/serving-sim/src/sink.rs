@@ -848,12 +848,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "streaming report counted SLO None")]
     fn streamed_scores_reject_unconfigured_slo() {
         let slo = SloTarget::new(2.0, 0.05);
         let cfg = StreamingConfig::new(HistogramSpec::default()).with_slo(slo);
         // Queried with the configured SLO: fine (empty run ⇒ attainment 1).
         assert_eq!(HistogramSink::new(&cfg).into_report().attainment(&slo), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "streaming report counted SLO None")]
+    fn querying_an_unconfigured_slo_panics() {
+        let slo = SloTarget::new(2.0, 0.05);
         one_request(&StreamingConfig::new(HistogramSpec::default())).attainment(&slo);
     }
 

@@ -23,7 +23,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
-use rago_serving_sim::engine::{EngineRequest, PipelineSpec, RequestTimeline};
+use rago_serving_sim::engine::{EngineRequest, PipelineSpec, RequestTimeline, StageTimes};
 
 /// Same-instant grouping tolerance, mirroring the engine's constant.
 const TIME_EPS: f64 = 1e-12;
@@ -306,8 +306,7 @@ impl OldSim {
             .map(|(req, st)| RequestTimeline {
                 id: req.id,
                 arrival_s: req.arrival_s,
-                stage_starts_s: st.stage_starts_s.clone(),
-                stage_ends_s: st.stage_ends_s.clone(),
+                stages: StageTimes::new(&st.stage_starts_s, &st.stage_ends_s),
                 class: req.class,
                 decode_join_s: st.decode_join_s,
                 first_token_s: st

@@ -59,7 +59,7 @@ fn mean_ttft(
         .timelines;
     let total: f64 = timelines
         .iter()
-        .map(|t| t.stage_ends_s.last().expect("every pipeline has a prefix") - t.arrival_s)
+        .map(|t| t.stages.ends().last().expect("every pipeline has a prefix") - t.arrival_s)
         .sum();
     Some(total / timelines.len() as f64)
 }

@@ -77,7 +77,7 @@ use crate::sink::{MetricsMode, RequestOutcome, RunSink, ScopeFold};
 use rago_cache::{
     CacheConfig, CacheCounters, PrefixKvCache, PrefixLookup, RetrievalLookup, RetrievalResultCache,
 };
-use rago_schema::SloTarget;
+use rago_schema::{SloTarget, Stage};
 use rago_workloads::{ContentIdentity, Request};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -85,6 +85,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 /// Tolerance used when comparing event timestamps: events this close
 /// apply together, so a retrieval returning at a step boundary resumes
@@ -349,17 +350,26 @@ impl PipelineSpec {
     }
 
     /// Checks what the constructors of the parts assert, which a struct
-    /// literal skips: every stage's micro-batch is at least 1, the decode
-    /// batch is at least 1, every latency table is well formed, every
-    /// decode step takes strictly positive time, and an iterative spec
-    /// that issues retrievals has a batch of at least 1 and a finite,
-    /// non-negative latency. A spec that breaks one of these would stall
-    /// the simulation or report zero-time decoding.
+    /// literal skips: there are no more pre-decode stages than pipeline
+    /// stages ([`Stage::PIPELINE_ORDER`]), every stage's micro-batch is at
+    /// least 1, the decode batch is at least 1, every latency table is well
+    /// formed, every decode step takes strictly positive time, and an
+    /// iterative spec that issues retrievals has a batch of at least 1 and
+    /// a finite, non-negative latency. A spec that breaks one of these
+    /// would stall the simulation, report zero-time decoding, or overflow
+    /// a timeline's [`StageTimes`].
     ///
     /// # Errors
     ///
     /// Returns a description of the first rule the spec breaks.
     pub fn validate(&self) -> Result<(), String> {
+        if self.stages.len() > Stage::PIPELINE_ORDER.len() {
+            return Err(format!(
+                "{} pre-decode stages; a pipeline has at most {}",
+                self.stages.len(),
+                Stage::PIPELINE_ORDER.len()
+            ));
+        }
         for stage in &self.stages {
             stage
                 .validate()
@@ -515,6 +525,76 @@ impl From<&Request> for EngineRequest {
     }
 }
 
+/// The pre-decode stage times of one request: the start of service at each
+/// executed stage, then each stage's completion, both in pipeline order,
+/// in one immutable buffer.
+///
+/// A clone shares the buffer instead of copying it, so a fleet's merged
+/// timeline, its replica's timeline and a split fleet's stitched timeline
+/// all read one allocation. An empty value allocates nothing.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct StageTimes {
+    /// The starts, then the ends.
+    times: Arc<[f64]>,
+    /// How many of `times` are starts.
+    split: u32,
+}
+
+impl StageTimes {
+    /// The stage times `starts` then `ends`, in one allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either slice holds more times than there are pipeline
+    /// stages ([`Stage::PIPELINE_ORDER`]).
+    pub fn new(starts: &[f64], ends: &[f64]) -> Self {
+        let split = stage_count(starts.len());
+        stage_count(ends.len());
+        let times = if starts.is_empty() && ends.is_empty() {
+            Arc::default()
+        } else {
+            starts.iter().chain(ends).copied().collect()
+        };
+        Self { times, split }
+    }
+
+    /// Start of service at each executed pre-decode stage.
+    pub fn starts(&self) -> &[f64] {
+        &self.times[..self.split as usize]
+    }
+
+    /// Completion of each executed pre-decode stage.
+    pub fn ends(&self) -> &[f64] {
+        &self.times[self.split as usize..]
+    }
+
+    /// Bytes of the buffer's allocation: its two reference counts and the
+    /// times, or nothing for an empty value.
+    fn heap_bytes(&self) -> usize {
+        if self.times.is_empty() {
+            0
+        } else {
+            2 * std::mem::size_of::<usize>() + std::mem::size_of_val(&*self.times)
+        }
+    }
+}
+
+/// `n` stage times as a count.
+///
+/// # Panics
+///
+/// Panics if `n` exceeds the number of pipeline stages
+/// ([`Stage::PIPELINE_ORDER`]): no request executes a stage twice.
+pub(crate) fn stage_count(n: usize) -> u32 {
+    match u32::try_from(n) {
+        Ok(count) if n <= Stage::PIPELINE_ORDER.len() => count,
+        _ => panic!(
+            "{n} stage times; a pipeline has at most {} stages",
+            Stage::PIPELINE_ORDER.len()
+        ),
+    }
+}
+
 /// The per-request record of a simulated lifetime.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RequestTimeline {
@@ -522,10 +602,8 @@ pub struct RequestTimeline {
     pub id: u64,
     /// Arrival time, in seconds.
     pub arrival_s: f64,
-    /// Start of service at each pre-decode stage (pipeline order).
-    pub stage_starts_s: Vec<f64>,
-    /// Completion of each pre-decode stage (pipeline order).
-    pub stage_ends_s: Vec<f64>,
+    /// Start and completion of each executed pre-decode stage.
+    pub stages: StageTimes,
     /// Workload-class tag of the request (0 for untagged traffic).
     pub class: u32,
     /// Time the request joined the decode batch.
@@ -550,8 +628,8 @@ impl RequestTimeline {
             id: self.id,
             class: self.class,
             arrival_s: self.arrival_s,
-            stage_starts_s: &self.stage_starts_s,
-            stage_ends_s: &self.stage_ends_s,
+            stage_starts_s: self.stages.starts(),
+            stage_ends_s: self.stages.ends(),
             decode_join_s: self.decode_join_s,
             first_token_s: self.first_token_s,
             completion_s: self.completion_s,
@@ -920,16 +998,19 @@ impl ServingReport {
     /// An estimate of the bytes this report retains after the run — the
     /// quantity the `scale_stress` bench tracks as its peak-memory proxy.
     /// Exact reports grow `O(requests)` (one [`RequestTimeline`] plus its
-    /// stage vectors per request); streaming reports stay `O(classes)`.
+    /// [`StageTimes`] buffer per request); streaming reports stay
+    /// `O(classes)`.
+    ///
+    /// Each report counts every stage buffer it reads, but reports share
+    /// them: a fleet's merged report reads the buffers of its per-replica
+    /// reports (a split fleet's, those of its prefill replicas), so a sum
+    /// over a fleet's reports counts each shared buffer more than once.
     pub fn retained_bytes(&self) -> usize {
         let timelines = std::mem::size_of::<RequestTimeline>() * self.timelines.capacity()
             + self
                 .timelines
                 .iter()
-                .map(|t| {
-                    (t.stage_starts_s.capacity() + t.stage_ends_s.capacity())
-                        * std::mem::size_of::<f64>()
-                })
+                .map(|t| t.stages.heap_bytes())
                 .sum::<usize>();
         std::mem::size_of::<Self>()
             + timelines
@@ -2941,5 +3022,47 @@ mod tests {
         assert_eq!(report.per_class.len(), 1);
         assert_eq!(report.per_class[0].class, 0);
         assert_eq!(report.per_class[0].metrics, report.metrics);
+    }
+
+    #[test]
+    fn stage_times_split_one_buffer_that_clones_share() {
+        let times = StageTimes::new(&[1.0, 2.0], &[1.5]);
+        assert_eq!(times.starts(), [1.0, 2.0]);
+        assert_eq!(times.ends(), [1.5]);
+        let copy = times.clone();
+        assert_eq!(copy.starts().as_ptr(), times.starts().as_ptr());
+        assert_eq!(copy.ends().as_ptr(), times.ends().as_ptr());
+        assert_eq!(times.heap_bytes(), 16 + 3 * 8);
+        let none = StageTimes::new(&[], &[]);
+        assert!(none.starts().is_empty() && none.ends().is_empty());
+        assert_eq!(none.heap_bytes(), 0);
+        assert_eq!(none, StageTimes::new(&[], &[]));
+        assert_ne!(times, StageTimes::new(&[1.0], &[2.0, 1.5]));
+    }
+
+    #[test]
+    #[should_panic(expected = "8 stage times; a pipeline has at most 7 stages")]
+    fn stage_times_hold_at_most_one_time_per_pipeline_stage() {
+        let _ = StageTimes::new(&[], &[0.0; 8]);
+    }
+
+    /// An exact report retains, per request, an 80-byte timeline and one
+    /// stage buffer: 16 bytes of reference counts and 8 bytes per stage
+    /// time, 128 bytes in all for a two-stage pipeline.
+    #[test]
+    fn exact_reports_retain_one_stage_buffer_per_request() {
+        let spec = PipelineSpec::new(
+            vec![
+                StageSpec::new("retrieval", 0, 4, LatencyTable::constant(4, 0.01)),
+                StageSpec::new("prefix", 1, 2, LatencyTable::constant(2, 0.02)),
+            ],
+            DecodeSpec::new(8, LatencyTable::constant(8, 2e-3)),
+        );
+        let report = run(spec, (0..50).map(|i| req(i, 0.01 * i as f64, 4)).collect());
+        assert_eq!(std::mem::size_of::<RequestTimeline>(), 80);
+        assert_eq!(report.timelines.capacity(), 50);
+        let fixed = std::mem::size_of::<ServingReport>()
+            + report.per_class.capacity() * std::mem::size_of::<ClassMetrics>();
+        assert_eq!(report.retained_bytes() - fixed, 50 * 128);
     }
 }

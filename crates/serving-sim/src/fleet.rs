@@ -2117,4 +2117,71 @@ mod tests {
             KvTransferModel::zero(),
         );
     }
+
+    /// A pipeline with more pre-decode stages than there are pipeline
+    /// stages would overflow its timelines' stage times; the fleet refuses
+    /// it up front.
+    #[test]
+    #[should_panic(expected = "8 pre-decode stages; a pipeline has at most 7")]
+    fn fleets_reject_more_stages_than_a_pipeline_has() {
+        let mut spec = one_stage_spec(0.01);
+        spec.stages = vec![spec.stages[0].clone(); 8];
+        let _ = FleetEngine::new(
+            spec,
+            RouterPolicy::LeastOutstanding,
+            ScaleDriver::Static { replicas: 1 },
+        );
+    }
+
+    /// Each exact timeline's stage times are built once: the merged report
+    /// of a two-replica fleet reads the very buffers of its per-replica
+    /// reports, and a split fleet's stitched timeline reads its prefill
+    /// leg's.
+    #[test]
+    fn merged_timelines_share_their_replicas_stage_times() {
+        let two_stages = PipelineSpec::new(
+            vec![
+                StageSpec::new("retrieval", 0, 4, LatencyTable::constant(4, 0.01)),
+                StageSpec::new("prefix", 1, 2, LatencyTable::constant(2, 0.02)),
+            ],
+            DecodeSpec::new(8, LatencyTable::constant(8, 2e-3)),
+        );
+        let trace = poisson_trace(200, 80.0, 8);
+        let decode =
+            PipelineSpec::decode_only(DecodeSpec::new(16, LatencyTable::constant(16, 2e-3)), None);
+        let fleets = [
+            FleetEngine::new(
+                two_stages.clone(),
+                RouterPolicy::LeastOutstanding,
+                ScaleDriver::Static { replicas: 2 },
+            ),
+            FleetEngine::disaggregated(
+                two_stages,
+                decode,
+                &PoolSpec::new(PoolRole::Prefill, 2, RouterPolicy::LeastOutstanding),
+                &PoolSpec::new(PoolRole::Decode, 2, RouterPolicy::LeastOutstanding),
+                KvTransferModel::zero(),
+            ),
+        ];
+        for engine in fleets {
+            let fleet = engine.run_trace(&trace).fleet;
+            // Decode legs run no pre-decode stage; every other leg ran two.
+            let legs: HashMap<u64, &RequestTimeline> = fleet
+                .per_replica
+                .iter()
+                .flat_map(|r| &r.report.timelines)
+                .filter(|t| !t.stages.starts().is_empty())
+                .map(|t| (t.id, t))
+                .collect();
+            assert_eq!(legs.len(), trace.requests.len());
+            assert_eq!(fleet.merged.timelines.len(), trace.requests.len());
+            for t in &fleet.merged.timelines {
+                let leg = legs[&t.id];
+                assert_eq!(t.stages.starts().len(), 2);
+                assert_eq!(t.stages.ends().len(), 2);
+                assert_eq!(t.stages.starts().as_ptr(), leg.stages.starts().as_ptr());
+                assert_eq!(t.stages.ends().as_ptr(), leg.stages.ends().as_ptr());
+            }
+        }
+    }
 }

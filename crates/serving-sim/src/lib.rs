@@ -145,7 +145,7 @@ pub use cluster::{FleetReport, LoadImbalance, ReplicaReport};
 pub use engine::{
     sustained_throughput_knee, CachePlan, CacheProbe, CacheUsage, ClassCacheUsage, ClassMetrics,
     DecodeSpec, EngineRequest, IterativeSpec, LatencyStats, LatencyTable, PipelineSpec,
-    RequestTimeline, ServingMetrics, ServingReport, StageSpec,
+    RequestTimeline, ServingMetrics, ServingReport, StageSpec, StageTimes,
 };
 pub use equeue::EventQueueStats;
 pub use faults::{

@@ -366,11 +366,11 @@ mod tests {
             assert_eq!(d.id, m.id);
             assert_eq!(d.arrival_s, m.arrival_s);
             assert_eq!(d.decode_tokens, m.decode_tokens);
-            assert_eq!(d.stage_starts_s.len(), m.stage_starts_s.len());
-            for (ds, ms) in d.stage_starts_s.iter().zip(&m.stage_starts_s) {
+            assert_eq!(d.stages.starts().len(), m.stages.starts().len());
+            for (ds, ms) in d.stages.starts().iter().zip(m.stages.starts()) {
                 assert_time_eq("stage start", d.id, *ds, *ms);
             }
-            for (de, me) in d.stage_ends_s.iter().zip(&m.stage_ends_s) {
+            for (de, me) in d.stages.ends().iter().zip(m.stages.ends()) {
                 assert_time_eq("stage end", d.id, *de, *me);
             }
             assert_time_eq("first token", d.id, d.first_token_s, m.first_token_s);

@@ -31,7 +31,8 @@
 //! `FleetEngine::run`, and of the fleet evaluators in `rago-core`.
 
 use crate::engine::{
-    ClassMetrics, LatencyStats, RequestTimeline, ServingMetrics, ServingReport, SimAccumulators,
+    stage_count, ClassMetrics, LatencyStats, RequestTimeline, ServingMetrics, ServingReport,
+    SimAccumulators, StageTimes,
 };
 use rago_schema::{HistogramSpec, SloTarget};
 use serde::{Deserialize, Serialize};
@@ -155,10 +156,11 @@ impl RequestOutcome<'_> {
 /// The identity sink: rebuilds every [`RequestTimeline`] and reports
 /// exactly what the default engine path reports, bit for bit.
 ///
-/// Outcomes are recorded flat — scalars plus one shared pool of stage
-/// times — and built into timelines in one pass when the report is made,
-/// so a run that retires requests as it goes does not interleave two small
-/// allocations per request with the rest of its working set.
+/// Outcomes are recorded flat — scalars plus one pool of stage times — and
+/// built into timelines in one pass when the report is made, so a run that
+/// retires requests as it goes does not interleave a small allocation per
+/// request with the rest of its working set. Each built timeline then owns
+/// one [`StageTimes`] buffer, which the fleet's merged report shares.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ExactSink {
     pub(crate) timelines: Vec<RequestTimeline>,
@@ -198,8 +200,7 @@ impl ExactSink {
             self.timelines.push(RequestTimeline {
                 id: r.id,
                 arrival_s: r.arrival_s,
-                stage_starts_s: starts.to_vec(),
-                stage_ends_s: ends.to_vec(),
+                stages: StageTimes::new(starts, ends),
                 class: r.class,
                 decode_join_s: r.decode_join_s,
                 first_token_s: r.first_token_s,
@@ -217,8 +218,8 @@ impl ExactSink {
             id: outcome.id,
             class: outcome.class,
             arrival_s: outcome.arrival_s,
-            starts: outcome.stage_starts_s.len() as u32,
-            ends: outcome.stage_ends_s.len() as u32,
+            starts: stage_count(outcome.stage_starts_s.len()),
+            ends: stage_count(outcome.stage_ends_s.len()),
             decode_join_s: outcome.decode_join_s,
             first_token_s: outcome.first_token_s,
             completion_s: outcome.completion_s,

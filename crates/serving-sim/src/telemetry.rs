@@ -84,7 +84,8 @@ pub(crate) fn record_kv_transfer<R: Recorder>(
 /// stage, or its decode join for stage-less pipelines. `None` for a
 /// request that died waiting.
 fn service_start_s(tl: &RequestTimeline) -> Option<f64> {
-    tl.stage_starts_s
+    tl.stages
+        .starts()
         .iter()
         .copied()
         .find(|s| s.is_finite())
@@ -117,12 +118,7 @@ pub(crate) fn record_request_spans<R: Recorder>(
                     .with_class(tl.class),
             );
         }
-        for (i, (&s, &e)) in tl
-            .stage_starts_s
-            .iter()
-            .zip(tl.stage_ends_s.iter())
-            .enumerate()
-        {
+        for (i, (&s, &e)) in tl.stages.starts().iter().zip(tl.stages.ends()).enumerate() {
             if s.is_finite() && e.is_finite() && e >= s {
                 let name = format!("stage {i}");
                 rec.record(
@@ -409,14 +405,14 @@ pub(crate) fn profile_from_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::StageTimes;
     use rago_telemetry::{Phase, TelemetryConfig, TraceRecorder};
 
     fn finished(id: u64) -> RequestTimeline {
         RequestTimeline {
             id,
             arrival_s: 0.0,
-            stage_starts_s: vec![1.0],
-            stage_ends_s: vec![2.0],
+            stages: StageTimes::new(&[1.0], &[2.0]),
             class: 3,
             decode_join_s: 2.0,
             first_token_s: 2.0,
@@ -430,8 +426,7 @@ mod tests {
         RequestTimeline {
             id,
             arrival_s: 0.5,
-            stage_starts_s: vec![f64::NEG_INFINITY],
-            stage_ends_s: vec![f64::NEG_INFINITY],
+            stages: StageTimes::new(&[f64::NEG_INFINITY], &[f64::NEG_INFINITY]),
             class: 0,
             decode_join_s: f64::NEG_INFINITY,
             first_token_s: f64::NEG_INFINITY,

@@ -124,7 +124,7 @@ fn prefix_hit_charges_only_the_uncached_suffix() {
         ],
     );
     let prefix_duration =
-        |i: usize| report.timelines[i].stage_ends_s[1] - report.timelines[i].stage_starts_s[1];
+        |i: usize| report.timelines[i].stages.ends()[1] - report.timelines[i].stages.starts()[1];
     assert!(
         (prefix_duration(0) - 0.2).abs() < 1e-12,
         "cold miss pays full prefill"
@@ -161,11 +161,11 @@ fn retrieval_hit_skips_the_stage() {
     let t0 = &report.timelines[0];
     let t1 = &report.timelines[1];
     // First request executes retrieval for 0.05 s.
-    assert!((t0.stage_ends_s[0] - t0.stage_starts_s[0] - 0.05).abs() < 1e-12);
+    assert!((t0.stages.ends()[0] - t0.stages.starts()[0] - 0.05).abs() < 1e-12);
     assert!((t0.ttft_s() - 0.25).abs() < 1e-12);
     // Second passes retrieval through at its arrival instant.
-    assert_eq!(t1.stage_starts_s[0], t1.stage_ends_s[0]);
-    assert!((t1.stage_starts_s[0] - 1.0).abs() < 1e-12);
+    assert_eq!(t1.stages.starts()[0], t1.stages.ends()[0]);
+    assert!((t1.stages.starts()[0] - 1.0).abs() < 1e-12);
     assert!((t1.ttft_s() - 0.2).abs() < 1e-12, "only prefill remains");
     assert_eq!(report.cache.retrieval.hits, 1);
     assert_eq!(report.cache.retrieval.lookups, 2);

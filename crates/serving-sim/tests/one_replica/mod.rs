@@ -83,7 +83,7 @@ pub fn dispatches(report: &ServingReport) -> usize {
     let mut starts: Vec<f64> = report
         .timelines
         .iter()
-        .map(|t| t.stage_starts_s[0])
+        .map(|t| t.stages.starts()[0])
         .collect();
     starts.sort_by(f64::total_cmp);
     starts.dedup();

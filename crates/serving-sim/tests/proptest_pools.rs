@@ -279,7 +279,7 @@ proptest! {
             prop_assert_eq!(s.id, m.id);
             prop_assert_eq!(s.class, m.class);
             prop_assert_eq!(s.decode_tokens, m.decode_tokens);
-            prop_assert_eq!(s.stage_starts_s.len(), m.stage_starts_s.len());
+            prop_assert_eq!(s.stages.starts().len(), m.stages.starts().len());
             prop_assert!((s.arrival_s - m.arrival_s).abs() <= TIME_TOL);
             prop_assert!((s.first_token_s - m.first_token_s).abs() <= TIME_TOL,
                 "id {}: first token {} vs {}", s.id, s.first_token_s, m.first_token_s);
@@ -288,10 +288,10 @@ proptest! {
             prop_assert!((s.completion_s - m.completion_s).abs() <= TIME_TOL,
                 "id {}: completion {} vs {}", s.id, s.completion_s, m.completion_s);
             prop_assert!((s.queueing_s - m.queueing_s).abs() <= TIME_TOL);
-            for (a, b) in s.stage_starts_s.iter().zip(m.stage_starts_s.iter()) {
+            for (a, b) in s.stages.starts().iter().zip(m.stages.starts()) {
                 prop_assert!((a - b).abs() <= TIME_TOL);
             }
-            for (a, b) in s.stage_ends_s.iter().zip(m.stage_ends_s.iter()) {
+            for (a, b) in s.stages.ends().iter().zip(m.stages.ends()) {
                 prop_assert!((a - b).abs() <= TIME_TOL);
             }
         }

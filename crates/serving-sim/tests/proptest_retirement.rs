@@ -115,8 +115,8 @@ fn replayed(
             id: t.id,
             class: t.class,
             arrival_s: t.arrival_s,
-            stage_starts_s: &t.stage_starts_s,
-            stage_ends_s: &t.stage_ends_s,
+            stage_starts_s: t.stages.starts(),
+            stage_ends_s: t.stages.ends(),
             decode_join_s: t.decode_join_s,
             first_token_s: t.first_token_s,
             completion_s: t.completion_s,

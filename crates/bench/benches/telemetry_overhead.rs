@@ -15,6 +15,11 @@
 //!   under a full-capture config (reported, not gated — capturing is
 //!   allowed to cost something).
 //!
+//! It also times what a traced run costs after recording, on the live
+//! run's events in recording order (so the exporters' sort runs):
+//! `export_best_s` is the best trial of both exporters together and
+//! `summary_best_s` the best trial of `TelemetryReport::from_events`.
+//!
 //! Acceptance (asserted, and gated by CI on the JSON flags):
 //!
 //! * `disabled_is_bit_identical` — the untraced report equals the
@@ -30,6 +35,7 @@
 //! trace, same JSON shape). The bench refuses to write non-finite
 //! numbers.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -40,7 +46,7 @@ use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::MetricsMode;
 use rago_telemetry::{
     export_chrome_trace, export_jsonl, validate_json, validate_jsonl, NullRecorder,
-    TelemetryConfig, TraceRecorder,
+    TelemetryConfig, TelemetryReport, TraceRecorder,
 };
 use rago_workloads::{ArrivalProcess, TraceSpec};
 
@@ -184,12 +190,25 @@ fn bench_telemetry_json(_c: &mut Criterion) {
     assert!(traces_parse, "exported traces failed JSON validation");
     assert_eq!(rec.len(), events_captured, "capture count is not stable");
 
+    // ---- Export and summary of the recording-order stream ----
+    let (mut export_best_s, mut summary_best_s) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..trials {
+        let start = Instant::now();
+        black_box(export_chrome_trace(black_box(rec.events())));
+        black_box(export_jsonl(black_box(rec.events())));
+        export_best_s = export_best_s.min(start.elapsed().as_secs_f64());
+        let start = Instant::now();
+        black_box(TelemetryReport::from_events(black_box(rec.events())));
+        summary_best_s = summary_best_s.min(start.elapsed().as_secs_f64());
+    }
+
     let events_per_request = events_captured as f64 / num_requests as f64;
     println!(
         "telemetry overhead over {num_requests} requests (best of {trials}): \
          untraced {untraced_best_s:.4}s, null-recorded {nullrec_best_s:.4}s \
          ({:+.2}%), live {live_best_s:.4}s ({:+.2}%, {events_captured} events, \
-         {events_per_request:.1}/request)",
+         {events_per_request:.1}/request); export {export_best_s:.4}s, \
+         summary {summary_best_s:.4}s",
         null_overhead * 100.0,
         live_overhead * 100.0,
     );
@@ -202,6 +221,8 @@ fn bench_telemetry_json(_c: &mut Criterion) {
          \"live_best_s\": {live_best_s:.6},\n  \
          \"null_overhead_frac\": {null_overhead:.6},\n  \
          \"live_overhead_frac\": {live_overhead:.6},\n  \
+         \"export_best_s\": {export_best_s:.6},\n  \
+         \"summary_best_s\": {summary_best_s:.6},\n  \
          \"events_captured\": {events_captured},\n  \
          \"events_per_request\": {events_per_request:.3},\n  \
          \"chrome_trace_bytes\": {},\n  \"jsonl_bytes\": {},\n  \

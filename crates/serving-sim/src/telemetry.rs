@@ -105,6 +105,8 @@ pub(crate) fn record_request_spans<R: Recorder>(
     if !R::ENABLED {
         return;
     }
+    // "stage 0", "stage 1", ...: named once per call, not once per span.
+    let mut stage_names: Vec<String> = Vec::new();
     for tl in timelines {
         if let Some(start) = service_start_s(tl) {
             rec.record(
@@ -120,9 +122,12 @@ pub(crate) fn record_request_spans<R: Recorder>(
         }
         for (i, (&s, &e)) in tl.stages.starts().iter().zip(tl.stages.ends()).enumerate() {
             if s.is_finite() && e.is_finite() && e >= s {
-                let name = format!("stage {i}");
+                while stage_names.len() <= i {
+                    stage_names.push(format!("stage {}", stage_names.len()));
+                }
+                let name = stage_names[i].as_str();
                 rec.record(
-                    TraceEvent::begin(s, track, Lane::Request, name.clone())
+                    TraceEvent::begin(s, track, Lane::Request, name)
                         .with_req(tl.id)
                         .with_class(tl.class),
                 );

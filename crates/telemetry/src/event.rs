@@ -210,3 +210,17 @@ impl TraceEvent {
 pub fn sort_events(events: &mut [TraceEvent]) {
     events.sort_by_key(|e| e.sort_key());
 }
+
+/// Borrows `events` in the canonical export order `(time_s, seq)` without
+/// copying one. Input that is already in order is returned as is;
+/// otherwise the references are stable-sorted, so ties keep their input
+/// order exactly as [`sort_events`] does. The sort reads each key once
+/// (`sort_by_cached_key` is stable), not once per comparison through a
+/// reference.
+pub(crate) fn canonical_order(events: &[TraceEvent]) -> Vec<&TraceEvent> {
+    let mut refs: Vec<&TraceEvent> = events.iter().collect();
+    if refs.windows(2).any(|w| w[0].sort_key() > w[1].sort_key()) {
+        refs.sort_by_cached_key(|e| e.sort_key());
+    }
+    refs
+}

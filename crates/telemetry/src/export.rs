@@ -1,34 +1,59 @@
 //! Trace exporters: Chrome-trace/Perfetto JSON and JSONL.
 //!
-//! Both exporters first sort a copy of the events into the canonical
-//! `(time_s, seq)` order, then render with fixed-precision `format!` so a
-//! seeded run exports byte-identical text on every platform and worker
-//! count. All JSON is rendered by hand (the workspace `serde` is a no-op
-//! shim); `crate::json::validate_json` proves it parses.
+//! Both exporters borrow the events in the canonical `(time_s, seq)`
+//! order (sorting references only when the input is out of order, never
+//! cloning an event) and render every field straight into one output
+//! buffer: escaped strings, integers, and fixed 3- and 9-decimal floats
+//! with the exact text of `{:.3}`/`{:.9}`, so a seeded run exports
+//! byte-identical text on every platform and worker count. All JSON is
+//! rendered by hand (the workspace `serde` is a no-op shim);
+//! `crate::json::validate_json` proves it parses.
 
-use crate::event::{sort_events, Lane, Phase, TraceEvent};
-use crate::json::escape_json;
+use crate::event::{canonical_order, Lane, Phase, TraceEvent, FLEET_TRACK};
+use crate::json::{push_escaped, push_fixed, push_u64};
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
-/// Microseconds with a fixed 3-decimal render (Chrome-trace `ts` unit).
-fn ts_us(time_s: f64) -> String {
-    format!("{:.3}", time_s * 1e6)
-}
-
-/// Fixed 9-decimal render for seconds and metric values — matches the
-/// golden-snapshot convention used across the repo.
-fn f9(v: f64) -> String {
-    format!("{v:.9}")
-}
-
-/// Human label for a track id.
-fn track_label(track: u32) -> String {
-    if track == crate::event::FLEET_TRACK {
-        "fleet".to_string()
-    } else {
-        format!("replica {track}")
+/// Appends the optional `req`, `class`, `value` and `detail` members that
+/// `ev` carries, writing `sep` before the first and `,` between the rest.
+fn push_optional_fields(out: &mut String, ev: &TraceEvent, mut sep: &'static str) {
+    if let Some(req) = ev.req {
+        out.push_str(sep);
+        out.push_str("\"req\":");
+        push_u64(out, req);
+        sep = ",";
     }
+    if let Some(class) = ev.class {
+        out.push_str(sep);
+        out.push_str("\"class\":");
+        push_u64(out, u64::from(class));
+        sep = ",";
+    }
+    if let Some(value) = ev.value {
+        out.push_str(sep);
+        out.push_str("\"value\":");
+        push_fixed(out, value, 9);
+        sep = ",";
+    }
+    if !ev.detail.is_empty() {
+        out.push_str(sep);
+        out.push_str("\"detail\":\"");
+        push_escaped(out, &ev.detail);
+        out.push('"');
+    }
+}
+
+/// Appends one Chrome-trace metadata event naming `pid` (and `tid`) as
+/// `label`.
+fn push_metadata(out: &mut String, kind: &str, pid: u32, tid: u32, label: &str) {
+    out.push_str("{\"name\":\"");
+    out.push_str(kind);
+    out.push_str("\",\"ph\":\"M\",\"pid\":");
+    push_u64(out, u64::from(pid));
+    out.push_str(",\"tid\":");
+    push_u64(out, u64::from(tid));
+    out.push_str(",\"args\":{\"name\":\"");
+    out.push_str(label);
+    out.push_str("\"}}");
 }
 
 /// Renders events as a Chrome-trace / Perfetto-loadable JSON document
@@ -37,20 +62,11 @@ fn track_label(track: u32) -> String {
 /// track and lane. Load it at <https://ui.perfetto.dev> or
 /// `chrome://tracing`.
 pub fn export_chrome_trace(events: &[TraceEvent]) -> String {
-    let mut sorted = events.to_vec();
-    sort_events(&mut sorted);
+    let sorted = canonical_order(events);
 
     let mut out = String::with_capacity(128 + 160 * sorted.len());
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    let mut emit = |line: String, out: &mut String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push('\n');
-        out.push_str(&line);
-    };
+    let mut sep = "\n";
 
     // Metadata: name every (track, lane) pair present so Perfetto shows
     // "replica 0 / request" instead of raw pid/tid integers.
@@ -59,52 +75,26 @@ pub fn export_chrome_trace(events: &[TraceEvent]) -> String {
         pairs.insert((ev.track, ev.lane));
     }
     let tracks: BTreeSet<u32> = pairs.iter().map(|&(t, _)| t).collect();
+    let mut label = String::new();
     for &track in &tracks {
-        emit(
-            format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{track},\"tid\":0,\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape_json(&track_label(track))
-            ),
-            &mut out,
-        );
+        label.clear();
+        if track == FLEET_TRACK {
+            label.push_str("fleet");
+        } else {
+            label.push_str("replica ");
+            push_u64(&mut label, u64::from(track));
+        }
+        out.push_str(sep);
+        sep = ",\n";
+        push_metadata(&mut out, "process_name", track, 0, &label);
     }
     for &(track, lane) in &pairs {
-        emit(
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{track},\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                lane.name(),
-                tid = lane.id()
-            ),
-            &mut out,
-        );
+        out.push_str(sep);
+        push_metadata(&mut out, "thread_name", track, lane.id(), lane.name());
+        sep = ",\n";
     }
 
-    for ev in &sorted {
-        let mut args = String::new();
-        if let Some(req) = ev.req {
-            let _ = write!(args, "\"req\":{req}");
-        }
-        if let Some(class) = ev.class {
-            if !args.is_empty() {
-                args.push(',');
-            }
-            let _ = write!(args, "\"class\":{class}");
-        }
-        if let Some(value) = ev.value {
-            if !args.is_empty() {
-                args.push(',');
-            }
-            let _ = write!(args, "\"value\":{}", f9(value));
-        }
-        if !ev.detail.is_empty() {
-            if !args.is_empty() {
-                args.push(',');
-            }
-            let _ = write!(args, "\"detail\":\"{}\"", escape_json(&ev.detail));
-        }
-
+    for ev in sorted {
         // Request-scoped spans become *async* events (`b`/`e` keyed by the
         // request id): unlike synchronous `B`/`E` pairs they need no stack
         // discipline per thread, so overlapping per-request spans render
@@ -114,26 +104,34 @@ pub fn export_chrome_trace(events: &[TraceEvent]) -> String {
             (Phase::End, Some(_)) => "e",
             (phase, _) => phase.letter(),
         };
-        let mut line = format!(
-            "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"{ph}\",\"ts\":{ts},\
-             \"pid\":{pid},\"tid\":{tid}",
-            name = escape_json(&ev.name),
-            cat = ev.lane.name(),
-            ts = ts_us(ev.time_s),
-            pid = ev.track,
-            tid = ev.lane.id(),
-        );
+        out.push_str(sep);
+        sep = ",\n";
+        out.push_str("{\"name\":\"");
+        push_escaped(&mut out, &ev.name);
+        out.push_str("\",\"cat\":\"");
+        out.push_str(ev.lane.name());
+        out.push_str("\",\"ph\":\"");
+        out.push_str(ph);
+        out.push_str("\",\"ts\":");
+        // Chrome-trace `ts` is in microseconds.
+        push_fixed(&mut out, ev.time_s * 1e6, 3);
+        out.push_str(",\"pid\":");
+        push_u64(&mut out, u64::from(ev.track));
+        out.push_str(",\"tid\":");
+        push_u64(&mut out, u64::from(ev.lane.id()));
         if let (Phase::Begin | Phase::End, Some(req)) = (ev.phase, ev.req) {
-            let _ = write!(line, ",\"id\":{req}");
+            out.push_str(",\"id\":");
+            push_u64(&mut out, req);
         }
         if ev.phase == Phase::Instant {
-            line.push_str(",\"s\":\"t\"");
+            out.push_str(",\"s\":\"t\"");
         }
-        if !args.is_empty() {
-            let _ = write!(line, ",\"args\":{{{args}}}");
+        if ev.req.is_some() || ev.class.is_some() || ev.value.is_some() || !ev.detail.is_empty() {
+            out.push_str(",\"args\":{");
+            push_optional_fields(&mut out, ev, "");
+            out.push('}');
         }
-        line.push('}');
-        emit(line, &mut out);
+        out.push('}');
     }
     out.push_str("\n]}\n");
     out
@@ -143,34 +141,24 @@ pub fn export_chrome_trace(events: &[TraceEvent]) -> String {
 /// canonical `(time_s, seq)` order. Optional fields (`req`, `class`,
 /// `value`, `detail`) are omitted when absent.
 pub fn export_jsonl(events: &[TraceEvent]) -> String {
-    let mut sorted = events.to_vec();
-    sort_events(&mut sorted);
+    let sorted = canonical_order(events);
 
-    let mut out = String::with_capacity(120 * sorted.len());
-    for ev in &sorted {
-        let _ = write!(
-            out,
-            "{{\"t\":{t},\"seq\":{seq},\"track\":{track},\"lane\":\"{lane}\",\
-             \"phase\":\"{phase}\",\"name\":\"{name}\"",
-            t = f9(ev.time_s),
-            seq = ev.seq,
-            track = ev.track,
-            lane = ev.lane.name(),
-            phase = ev.phase.name(),
-            name = escape_json(&ev.name),
-        );
-        if let Some(req) = ev.req {
-            let _ = write!(out, ",\"req\":{req}");
-        }
-        if let Some(class) = ev.class {
-            let _ = write!(out, ",\"class\":{class}");
-        }
-        if let Some(value) = ev.value {
-            let _ = write!(out, ",\"value\":{}", f9(value));
-        }
-        if !ev.detail.is_empty() {
-            let _ = write!(out, ",\"detail\":\"{}\"", escape_json(&ev.detail));
-        }
+    let mut out = String::with_capacity(136 * sorted.len());
+    for ev in sorted {
+        out.push_str("{\"t\":");
+        push_fixed(&mut out, ev.time_s, 9);
+        out.push_str(",\"seq\":");
+        push_u64(&mut out, ev.seq);
+        out.push_str(",\"track\":");
+        push_u64(&mut out, u64::from(ev.track));
+        out.push_str(",\"lane\":\"");
+        out.push_str(ev.lane.name());
+        out.push_str("\",\"phase\":\"");
+        out.push_str(ev.phase.name());
+        out.push_str("\",\"name\":\"");
+        push_escaped(&mut out, &ev.name);
+        out.push('"');
+        push_optional_fields(&mut out, ev, ",");
         out.push_str("}\n");
     }
     out

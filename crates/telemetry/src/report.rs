@@ -1,8 +1,9 @@
 //! Post-hoc summarization of an event stream into a [`TelemetryReport`]:
 //! time-in-state breakdowns and per-class queueing attribution.
 
-use crate::event::{sort_events, Lane, Phase, TraceEvent};
-use std::collections::BTreeMap;
+use crate::event::{canonical_order, Lane, Phase, TraceEvent};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
 /// Total time spent in one named state across all requests and tracks.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,34 +60,41 @@ pub struct TelemetryReport {
 }
 
 impl TelemetryReport {
-    /// Builds the report from an event stream (any order; the stream is
-    /// re-sorted into canonical order first).
+    /// Builds the report from an event stream in any order. The events are
+    /// read by reference in canonical `(time_s, seq)` order, sorting only
+    /// references and only when the stream is out of order. Each span
+    /// closes the most recent open begin with the same `(track, lane,
+    /// name, req)`; an end without one is ignored.
     pub fn from_events(events: &[TraceEvent]) -> Self {
-        let mut sorted = events.to_vec();
-        sort_events(&mut sorted);
-
         let mut report = TelemetryReport::default();
-        let mut states: BTreeMap<String, StateTime> = BTreeMap::new();
+        let mut states: BTreeMap<&str, StateTime> = BTreeMap::new();
         let mut classes: BTreeMap<u32, ClassQueueing> = BTreeMap::new();
-        // Open spans keyed (track, lane, name, req) — LIFO within a key.
-        let mut open: BTreeMap<(u32, u32, String, Option<u64>), Vec<&TraceEvent>> = BTreeMap::new();
+        // Open spans keyed (track, lane, name, req) — LIFO within a key; a
+        // key is dropped once its last open span closes.
+        let mut open: HashMap<(u32, Lane, &str, Option<u64>), Vec<&TraceEvent>> = HashMap::new();
 
-        for ev in &sorted {
+        for ev in canonical_order(events) {
             if ev.lane == Lane::Decision {
                 report.decisions += 1;
             }
+            let key = (ev.track, ev.lane, ev.name.as_str(), ev.req);
             match ev.phase {
-                Phase::Begin => {
-                    open.entry((ev.track, ev.lane.id(), ev.name.clone(), ev.req))
-                        .or_default()
-                        .push(ev);
-                }
+                Phase::Begin => open.entry(key).or_default().push(ev),
                 Phase::End => {
-                    let key = (ev.track, ev.lane.id(), ev.name.clone(), ev.req);
-                    if let Some(begin) = open.get_mut(&key).and_then(Vec::pop) {
+                    let begin = match open.entry(key) {
+                        Entry::Occupied(mut stack) => {
+                            let begin = stack.get_mut().pop();
+                            if stack.get().is_empty() {
+                                stack.remove();
+                            }
+                            begin
+                        }
+                        Entry::Vacant(_) => None,
+                    };
+                    if let Some(begin) = begin {
                         report.spans += 1;
                         let dur = (ev.time_s - begin.time_s).max(0.0);
-                        let state = states.entry(ev.name.clone()).or_insert_with(|| StateTime {
+                        let state = states.entry(&ev.name).or_insert_with(|| StateTime {
                             name: ev.name.clone(),
                             spans: 0,
                             total_s: 0.0,

@@ -15,7 +15,7 @@
 //!   schedules with large pre-decode batches amortize differently once the
 //!   prefix stage's work becomes hit-rate-dependent;
 //! * [`Rago::evaluate_fleet_cached`] gives every replica of a flat fleet, or
-//!   every prefill replica of a `[Prefill, Decode]` split, its own cold
+//!   every prefill replica of a prefill/decode split, its own cold
 //!   caches;
 //! * [`Rago::plan_capacity_cached`] — fleet sizing under a content model:
 //!   the sizing trace carries Zipfian identity from a
@@ -59,7 +59,7 @@ impl Rago {
     /// ([`rago_schema::RouterPolicy::CacheAffinity`] /
     /// [`rago_schema::RouterPolicy::PrefixHash`]) to keep each template's KV
     /// state on one replica instead of duplicating it everywhere. A
-    /// `[Prefill, Decode]` split puts the caches on its prefill pool, where
+    /// prefill/decode split puts the caches on its prefill pool, where
     /// the prefix and retrieval stages run.
     ///
     /// # Errors
@@ -309,38 +309,7 @@ mod tests {
         assert!(cached.attainment >= plain.attainment);
     }
 
-    /// Cache-aware frontier re-ranking runs every point and sorts by
-    /// goodput.
-    #[test]
-    fn cached_frontier_ranking_is_sorted() {
-        use crate::optimizer::{Rago, SearchOptions};
-        let rago = Rago::new(
-            presets::case1_hyperscale(LlmSize::B8, 1),
-            ClusterSpec::paper_default(),
-        );
-        let frontier = rago
-            .optimize(&SearchOptions {
-                xpu_steps: vec![8, 32],
-                server_steps: vec![32],
-                predecode_batch_steps: vec![1, 16],
-                decode_batch_steps: vec![128],
-                iterative_batch_steps: vec![8],
-                placements: None,
-            })
-            .unwrap();
-        let slo = SloTarget::new(2.0, 0.1);
-        let trace = content().tag(&poisson_trace(60, 20.0, 5));
-        let ranked = rago.rank_by_goodput(&frontier, &trace, &slo, Some(&hot_cache()));
-        assert_eq!(ranked.len(), frontier.len());
-        for pair in ranked.windows(2) {
-            assert!(pair[0].1.goodput_rps >= pair[1].1.goodput_rps);
-        }
-        assert!(ranked
-            .iter()
-            .all(|(_, e)| e.report.cache.prefix.lookups > 0));
-    }
-
-    /// Caches on a `[Prefill, Decode]` split live on the prefill pool. The
+    /// Caches on a prefill/decode split live on the prefill pool. The
     /// degenerate configurations reproduce the cache-less split run
     /// bit-exactly (a disabled config down to the whole report, zero
     /// capacities everywhere but the miss counters), and hot caches on a

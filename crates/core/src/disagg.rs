@@ -10,15 +10,14 @@
 //! module closes the optimizer loop over that placement dimension:
 //!
 //! * [`Rago::evaluate_fleet_disagg`] — drives a trace through a
-//!   disaggregated [`FleetConfig`] (a `[Prefill, Decode]` pool pair plus
-//!   its [`KvTransferModel`]) on
+//!   disaggregated [`FleetConfig`] (a prefill pool, its decode pool and
+//!   their [`KvTransferModel`]) on
 //!   [`rago_serving_sim::fleet::FleetEngine::disaggregated`] and scores the
-//!   stitched result per chip. The crate-private `evaluate_split` also
-//!   plays per-pool crashes ([`PoolCrash`]) against the split. A pool pair
-//!   is one configuration of the crate's one fleet builder, so
-//!   [`crate::dynamic::evaluate_fleet_dynamic_with`] *accepts* pool configs
-//!   unchanged, and [`Rago::evaluate_fleet_cached`] puts its caches on the
-//!   prefill pool.
+//!   stitched result per chip. A split is one configuration of the
+//!   crate's one fleet builder, so
+//!   [`crate::dynamic::evaluate_fleet_dynamic_with`] *accepts* pool
+//!   configs unchanged, and [`Rago::evaluate_fleet_cached`] puts its
+//!   caches on the prefill pool.
 //! * [`transfer_model_from_interconnect`] — prices the handoff from first
 //!   principles: the generative model's KV bytes per token over an
 //!   [`InterconnectSpec`]'s link bandwidth plus its per-message overhead.
@@ -44,10 +43,10 @@ use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
 use rago_cache::CacheConfig;
 use rago_hardware::InterconnectSpec;
-use rago_schema::{FleetConfig, KvTransferModel, PoolRole, RagSchema, SloTarget};
+use rago_schema::{FleetConfig, KvTransferModel, RagSchema, SloTarget};
 use rago_serving_sim::engine::PipelineSpec;
-use rago_serving_sim::faults::{ChaosReport, FaultSchedule};
-use rago_serving_sim::pools::{DisaggReport, PoolCrash};
+use rago_serving_sim::faults::ChaosReport;
+use rago_serving_sim::pools::DisaggReport;
 use rago_telemetry::NullRecorder;
 use rago_workloads::Trace;
 use serde::{Deserialize, Serialize};
@@ -147,48 +146,7 @@ pub(crate) fn split_pipeline_spec(
     Ok((prefill_spec, decode_spec))
 }
 
-/// Lowers `crashes` onto the replica slots of the `[Prefill, Decode]` pool
-/// pair `fleet`, once each targets a real replica of either pool with
-/// finite, non-negative timings.
-pub(crate) fn crash_schedule(
-    fleet: &FleetConfig,
-    crashes: &[PoolCrash],
-) -> Result<FaultSchedule, RagoError> {
-    let invalid = |reason: String| Err(RagoError::InvalidConfig { reason });
-    let Some((prefill, decode)) = fleet.prefill_decode() else {
-        return invalid(
-            "disaggregated evaluation needs a [Prefill, Decode] pool pair; \
-             flat fleets go through evaluate_fleet_dynamic_with"
-                .into(),
-        );
-    };
-    for c in crashes {
-        let pool_len = match c.pool {
-            PoolRole::Prefill => prefill.replicas,
-            PoolRole::Decode => decode.replicas,
-            PoolRole::Monolithic => {
-                return invalid("pool crashes target the Prefill or Decode pool".into())
-            }
-        };
-        if c.replica as u64 >= u64::from(pool_len) {
-            return invalid(format!(
-                "crash at {:.3}s targets replica {} of a {}-replica {} pool",
-                c.at_s, c.replica, pool_len, c.pool
-            ));
-        }
-        let valid = |t: f64| t.is_finite() && t >= 0.0;
-        if !(valid(c.at_s) && c.restart_delay_s.map_or(true, valid)) {
-            return invalid(format!(
-                "crash times and restart delays must be finite and non-negative, got {} and {:?}",
-                c.at_s, c.restart_delay_s
-            ));
-        }
-    }
-    let faults = crashes.iter().map(|c| c.to_fault(prefill.replicas));
-    Ok(FaultSchedule::new(faults.collect()))
-}
-
-/// Scores a finished run of the pool fleet `fleet` against `slo`, billing
+/// Scores a finished run of the split fleet `fleet` against `slo`, billing
 /// its configured pools per chip — a crashed replica's cold replacement
 /// stands in for it and is not billed on top.
 pub(crate) fn score_disagg(
@@ -197,14 +155,12 @@ pub(crate) fn score_disagg(
     fleet: &FleetConfig,
     slo: &SloTarget,
 ) -> DisaggEvaluation {
-    let (prefill, decode) = fleet
-        .prefill_decode()
-        .expect("scored runs come from a pool fleet");
+    let decode = fleet.decode.expect("scored runs come from a split fleet");
     let attainment = report.offered_attainment(slo);
     let report = DisaggReport::from_chaos(report, decode.router, fleet.transfer);
     let goodput_rps = report.merged.goodput_rps(slo);
     let meets_slo = attainment >= slo.attainment;
-    let total_xpus = split_xpus(schedule, prefill.replicas, decode.replicas);
+    let total_xpus = split_xpus(schedule, fleet.replicas, decode.replicas);
     DisaggEvaluation {
         report,
         attainment,
@@ -217,41 +173,6 @@ pub(crate) fn score_disagg(
             0.0
         },
     }
-}
-
-/// [`Rago::evaluate_fleet_disagg`] while `crashes` play against the split's
-/// pools.
-///
-/// A crash re-queues work within its pool: a prefill replica's
-/// un-transferred work onto prefill *survivors*, a decode replica's
-/// in-flight decodes (their KV state has crossed) onto decode survivors.
-/// Work whose pool has no live replica waits for a restart's cold
-/// replacement, which joins the victim's pool, or fails: it is missing from
-/// the stitched timelines and counts as a miss. The requeue counters land in
-/// [`rago_serving_sim::pools::TransferStats`]; chips are billed for the
-/// configured pool sizes.
-///
-/// # Errors
-///
-/// As [`Rago::evaluate_fleet_disagg`], plus [`RagoError::InvalidConfig`]
-/// for a crash targeting the Monolithic pool or an out-of-range replica, or
-/// carrying non-finite timings.
-pub(crate) fn evaluate_split(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    fleet: &FleetConfig,
-    crashes: &[PoolCrash],
-    trace: &Trace,
-    slo: &SloTarget,
-) -> Result<DisaggEvaluation, RagoError> {
-    let run = FleetRun {
-        fleet: fleet.clone(),
-        faults: crash_schedule(fleet, crashes)?,
-        ..FleetRun::default()
-    };
-    let engine = fleet_engine(profiler, schedule, trace, &run)?;
-    let report = run_fleet(profiler, &engine, trace, &run.mode, &mut NullRecorder);
-    Ok(score_disagg(report, schedule, fleet, slo))
 }
 
 /// One candidate of the joint disaggregation search: a pool split priced
@@ -279,9 +200,8 @@ impl Rago {
     /// # Errors
     ///
     /// Returns [`RagoError::InvalidConfig`] for invalid schedules, fleets
-    /// that are not a `[Prefill, Decode]` pool pair, schedules without a
-    /// pre-decode stage, an empty or malformed trace, or a trace that
-    /// repeats a request id (the two legs are stitched by id), and
+    /// without a decode pool, schedules without a pre-decode stage, an
+    /// empty or malformed trace, or a trace that repeats a request id (the two legs are stitched by id), and
     /// [`RagoError::CostModel`] when the schedule cannot be profiled.
     pub fn evaluate_fleet_disagg(
         &self,
@@ -290,7 +210,21 @@ impl Rago {
         trace: &Trace,
         slo: &SloTarget,
     ) -> Result<DisaggEvaluation, RagoError> {
-        evaluate_split(self.profiler(), schedule, fleet, &[], trace, slo)
+        if !fleet.is_disaggregated() {
+            return Err(RagoError::InvalidConfig {
+                reason: "disaggregated evaluation needs a decode pool; \
+                         flat fleets go through evaluate_fleet_dynamic_with"
+                    .into(),
+            });
+        }
+        let run = FleetRun {
+            fleet: fleet.clone(),
+            ..FleetRun::default()
+        };
+        let profiler = self.profiler();
+        let engine = fleet_engine(profiler, schedule, trace, &run)?;
+        let report = run_fleet(profiler, &engine, trace, &run.mode, &mut NullRecorder);
+        Ok(score_disagg(report, schedule, fleet, slo))
     }
 
     /// The joint (schedule, prefill pool, decode pool, interconnect) search:
@@ -390,7 +324,8 @@ mod tests {
     use crate::schedule::{BatchingPolicy, ResourceAllocation};
     use rago_hardware::ClusterSpec;
     use rago_schema::presets::{self, LlmSize};
-    use rago_schema::{PoolRole, RouterPolicy, SequenceProfile, Stage};
+    use rago_schema::{RouterPolicy, SequenceProfile, Stage};
+    use rago_serving_sim::faults::{FaultEvent, FaultSchedule};
     use rago_serving_sim::MetricsMode;
     use rago_workloads::{ArrivalProcess, TraceSpec};
 
@@ -535,25 +470,25 @@ mod tests {
             rago.evaluate_fleet_disagg(&schedule, &flat, &trace, &slo),
             Err(RagoError::InvalidConfig { .. })
         ));
-        // Invalid crash targets surface as errors, not panics.
+        // A crash aimed past the split's two slots is skipped, not a panic.
         let fleet = FleetConfig::split(1, 1, RouterPolicy::RoundRobin);
-        let bad_crash = PoolCrash {
-            pool: PoolRole::Prefill,
-            replica: 5,
-            at_s: 0.1,
-            restart_delay_s: None,
+        let run = FleetRun {
+            fleet: fleet.clone(),
+            faults: FaultSchedule::new(vec![FaultEvent::Crash {
+                replica: 5,
+                at_s: 0.1,
+                restart_delay_s: f64::INFINITY,
+            }]),
+            ..FleetRun::default()
         };
-        assert!(matches!(
-            evaluate_split(
-                rago.profiler(),
-                &schedule,
-                &fleet,
-                &[bad_crash],
-                &trace,
-                &slo
-            ),
-            Err(RagoError::InvalidConfig { .. })
-        ));
+        let chaos = fleet_engine(rago.profiler(), &schedule, &trace, &run)
+            .unwrap()
+            .run_trace(&trace);
+        assert_eq!(chaos.fault.faults_skipped, 1);
+        let healthy = rago
+            .evaluate_fleet_disagg(&schedule, &fleet, &trace, &slo)
+            .unwrap();
+        assert_eq!(score_disagg(chaos, &schedule, &fleet, &slo), healthy);
     }
 
     /// Regression: a split with an empty pool fails every evaluation, so

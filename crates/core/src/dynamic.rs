@@ -30,7 +30,7 @@ use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
 use rago_cache::CacheConfig;
-use rago_schema::{FleetConfig, SloTarget, Stage};
+use rago_schema::{FleetConfig, PoolSpec, SloTarget, Stage};
 use rago_serving_sim::cluster::FleetReport;
 use rago_serving_sim::engine::{
     DecodeSpec, IterativeSpec, LatencyTable, PipelineSpec, ServingReport,
@@ -180,27 +180,13 @@ impl Rago {
         trace: &Trace,
         slo: &SloTarget,
     ) -> Vec<(ParetoPoint, DynamicEvaluation)> {
-        self.rank_by_goodput(frontier, trace, slo, None)
-    }
-
-    /// [`Rago::rank_frontier_by_goodput`] with every point evaluated with
-    /// `cache`. With caching on, the static frontier's best-QPS/chip point
-    /// can lose this ranking to a point whose larger pre-decode batch turns
-    /// the cached prefix stage into nearly free work.
-    pub(crate) fn rank_by_goodput(
-        &self,
-        frontier: &ParetoFrontier,
-        trace: &Trace,
-        slo: &SloTarget,
-        cache: Option<&CacheConfig>,
-    ) -> Vec<(ParetoPoint, DynamicEvaluation)> {
         if let Err(e) = validate_trace(trace) {
             panic!("cannot rank a frontier by goodput: {e}");
         }
         rank(
             frontier.iter(),
             |point| {
-                let eval = self.evaluate_dynamic(&point.schedule, trace, slo, cache);
+                let eval = self.evaluate_dynamic(&point.schedule, trace, slo, None);
                 Some((point.clone(), eval.ok()?))
             },
             |a, b| {
@@ -309,7 +295,7 @@ pub struct FleetEvaluation {
 /// `slo` in its [`rago_serving_sim::StreamingConfig`], because SLO
 /// attainment is counted online during the run.
 ///
-/// Disaggregated `[Prefill, Decode]` pool fleets run as a split
+/// Disaggregated prefill/decode fleets run as a split
 /// [`FleetEngine`] (see [`crate::disagg`]) with prefill replicas numbered
 /// `0..P` and decode replicas `P..P+D`; they require [`MetricsMode::Exact`].
 ///
@@ -406,7 +392,7 @@ pub(crate) fn evaluate_fleet<R: Recorder>(
 /// faults, admission control, cache or telemetry.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FleetRun {
-    /// Flat, or a `[Prefill, Decode]` pool pair.
+    /// Flat, or split into a prefill and a decode pool.
     pub fleet: FleetConfig,
     /// Sizes a flat fleet over time in place of `fleet.replicas`.
     pub driver: Option<ScaleDriver>,
@@ -418,7 +404,7 @@ pub(crate) struct FleetRun {
     pub admission: Option<AdmissionConfig>,
     /// Caches on every flat replica, or on a split's prefill pool.
     pub cache: Option<CacheConfig>,
-    /// The metrics pipeline; a pool pair runs [`MetricsMode::Exact`] only.
+    /// The metrics pipeline; a split fleet runs [`MetricsMode::Exact`] only.
     pub mode: MetricsMode,
     /// The gauge cadence of a traced run.
     pub telemetry: Option<TelemetryConfig>,
@@ -426,7 +412,7 @@ pub(crate) struct FleetRun {
 
 /// Validates `run` for `schedule` and `trace` and builds its
 /// [`FleetEngine`]: the one place an evaluator does either. A flat fleet
-/// runs `schedule`'s pipeline on every replica; a `[Prefill, Decode]` pair
+/// runs `schedule`'s pipeline on every replica; a prefill/decode split
 /// runs its two halves.
 pub(crate) fn fleet_engine(
     profiler: &StageProfiler,
@@ -448,7 +434,7 @@ pub(crate) fn fleet_engine(
     }
     validate_trace(trace)?;
     let cache = run.cache.as_ref();
-    let engine = if let Some((prefill, decode)) = run.fleet.prefill_decode() {
+    let engine = if let Some(decode) = run.fleet.decode {
         if !matches!(run.mode, MetricsMode::Exact) {
             return Err(invalid(
                 "streaming metrics are not supported for disaggregated pool fleets; \
@@ -459,6 +445,7 @@ pub(crate) fn fleet_engine(
         validate_unique_ids(trace)?;
         let (prefill_spec, decode_spec) =
             crate::disagg::split_pipeline_spec(profiler, schedule, cache)?;
+        let prefill = PoolSpec::new(run.fleet.replicas, run.fleet.router);
         let transfer = run.fleet.transfer;
         FleetEngine::disaggregated(prefill_spec, decode_spec, prefill, decode, transfer)
     } else {
@@ -652,6 +639,7 @@ mod tests {
     use rago_hardware::ClusterSpec;
     use rago_schema::presets::{self, LlmSize};
     use rago_schema::{RouterPolicy, SequenceProfile};
+    use rago_serving_sim::faults::FaultEvent;
     use rago_workloads::{ArrivalProcess, TraceSpec};
 
     fn case1_rago() -> Rago {
@@ -1404,22 +1392,17 @@ mod tests {
         };
         assert!(rejected(exact(&split).map(|_| ())));
         // A crash schedule does not bypass the check.
-        let crash = rago_serving_sim::pools::PoolCrash {
-            pool: rago_schema::PoolRole::Prefill,
-            replica: 0,
-            at_s: 0.1,
-            restart_delay_s: Some(0.1),
+        let crashed = FleetRun {
+            fleet: split.clone(),
+            faults: FaultSchedule::new(vec![FaultEvent::Crash {
+                replica: 0,
+                at_s: 0.1,
+                restart_delay_s: 0.1,
+            }]),
+            ..FleetRun::default()
         };
         assert!(rejected(
-            crate::disagg::evaluate_split(
-                rago.profiler(),
-                &schedule,
-                &split,
-                &[crash],
-                &trace,
-                &slo
-            )
-            .map(|_| ())
+            fleet_engine(rago.profiler(), &schedule, &trace, &crashed).map(|_| ())
         ));
         let flat = FleetConfig::new(2, RouterPolicy::LeastOutstanding);
         let eval = exact(&flat).unwrap();

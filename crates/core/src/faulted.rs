@@ -27,10 +27,7 @@
 //! [`crate::dynamic`]), so with one class, no faults, no admission
 //! control, and a static driver the scores are **bit-identical** to
 //! [`crate::dynamic::evaluate_fleet_dynamic_with`]'s — pinned by
-//! `faultless_static_scenario_matches_fleet_dynamic` below. Pool-typed
-//! crashes of a disaggregated fleet are scored by the crate-private
-//! `disagg::evaluate_split`, the crash-playing form of
-//! [`Rago::evaluate_fleet_disagg`].
+//! `faultless_static_scenario_matches_fleet_dynamic` below.
 
 use crate::capacity::CapacityProfile;
 use crate::dynamic::{fleet_engine, run_fleet, FleetRun};
@@ -507,7 +504,7 @@ impl Rago {
 mod tests {
     use super::*;
     use crate::capacity::CapacityOptions;
-    use crate::disagg::evaluate_split;
+    use crate::disagg::{score_disagg, DisaggEvaluation};
     use crate::dynamic::pipeline_spec;
     use crate::placement::PlacementPlan;
     use crate::schedule::{BatchingPolicy, ResourceAllocation};
@@ -1146,13 +1143,32 @@ mod tests {
         ));
     }
 
+    /// Runs `trace` through the split `fleet` with `crashes` played onto
+    /// its slots (prefill `0..P`, then decode `P..P+D`), and scores it as
+    /// [`Rago::evaluate_fleet_disagg`] does, alongside the fleet's report.
+    fn crashed_split(
+        rago: &Rago,
+        schedule: &Schedule,
+        fleet: &FleetConfig,
+        crashes: Vec<FaultEvent>,
+        trace: &Trace,
+        slo: &SloTarget,
+    ) -> (DisaggEvaluation, ChaosReport) {
+        let run = FleetRun {
+            fleet: fleet.clone(),
+            faults: FaultSchedule::new(crashes),
+            ..FleetRun::default()
+        };
+        let profiler = rago.profiler();
+        let engine = fleet_engine(profiler, schedule, trace, &run).unwrap();
+        let chaos = run_fleet(profiler, &engine, trace, &run.mode, &mut NullRecorder);
+        (score_disagg(chaos.clone(), schedule, fleet, slo), chaos)
+    }
+
     /// A prefill-pool crash mid-run degrades (never improves) the split's
-    /// attainment, conserves every request onto the survivors, and invalid
-    /// crash targets error instead of panicking.
+    /// attainment and conserves every request onto the survivors.
     #[test]
     fn pool_crashes_requeue_to_survivors_and_degrade_attainment() {
-        use rago_schema::{FleetConfig, PoolRole, SloTarget};
-        use rago_serving_sim::pools::PoolCrash;
         use rago_workloads::{ArrivalProcess, TraceSpec};
 
         let rago = case1_rago();
@@ -1170,28 +1186,15 @@ mod tests {
         let healthy = rago
             .evaluate_fleet_disagg(&schedule, &fleet, &trace, &slo)
             .unwrap();
-        let crash = PoolCrash {
-            pool: PoolRole::Prefill,
+        let crash = FaultEvent::Crash {
             replica: 0,
             at_s: 0.2,
-            restart_delay_s: None,
+            restart_delay_s: f64::INFINITY,
         };
-        let crashed =
-            evaluate_split(rago.profiler(), &schedule, &fleet, &[crash], &trace, &slo).unwrap();
+        let (crashed, _) = crashed_split(&rago, &schedule, &fleet, vec![crash], &trace, &slo);
         // Conservation: every request still completes on the survivors.
         assert_eq!(crashed.report.merged.metrics.completed, 120);
         assert!(crashed.attainment <= healthy.attainment);
-        // Crashing the Monolithic pool is a configuration error.
-        let bad = PoolCrash {
-            pool: PoolRole::Monolithic,
-            replica: 0,
-            at_s: 0.1,
-            restart_delay_s: None,
-        };
-        assert!(matches!(
-            evaluate_split(rago.profiler(), &schedule, &fleet, &[bad], &trace, &slo),
-            Err(RagoError::InvalidConfig { .. })
-        ));
     }
 
     fn pool_trace() -> Trace {
@@ -1212,41 +1215,23 @@ mod tests {
     /// still returns `Ok`.
     #[test]
     fn single_replica_pool_crashes_wait_or_fail_instead_of_panicking() {
-        use rago_schema::PoolRole;
-        use rago_serving_sim::pools::PoolCrash;
-
         let rago = case1_rago();
         let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let trace = pool_trace();
         let fleet = FleetConfig::split(1, 1, RouterPolicy::LeastOutstanding);
-        for pool in [PoolRole::Prefill, PoolRole::Decode] {
-            let restart = PoolCrash {
-                pool,
-                replica: 0,
+        // Slot 0 is the prefill replica, slot 1 the decode replica.
+        for (pool, replica) in [("prefill", 0), ("decode", 1)] {
+            let crash = |restart_delay_s| FaultEvent::Crash {
+                replica,
                 at_s: 1.0,
-                restart_delay_s: Some(0.5),
+                restart_delay_s,
             };
-            let eval = evaluate_split(rago.profiler(), &schedule, &fleet, &[restart], &trace, &slo)
-                .unwrap();
+            let (eval, _) = crashed_split(&rago, &schedule, &fleet, vec![crash(0.5)], &trace, &slo);
             assert_eq!(eval.report.merged.metrics.completed, 120, "{pool} restart");
 
-            let lost = PoolCrash {
-                restart_delay_s: None,
-                ..restart
-            };
-            let lost_eval =
-                evaluate_split(rago.profiler(), &schedule, &fleet, &[lost], &trace, &slo).unwrap();
-            // The evaluation carries no fault ledger: read it off the same
-            // engine, built from the lowered crash schedule.
-            let run = FleetRun {
-                fleet: fleet.clone(),
-                faults: crate::disagg::crash_schedule(&fleet, &[lost]).unwrap(),
-                ..FleetRun::default()
-            };
-            let chaos = fleet_engine(rago.profiler(), &schedule, &trace, &run)
-                .unwrap()
-                .run_trace(&trace);
+            let lost = vec![crash(f64::INFINITY)];
+            let (lost_eval, chaos) = crashed_split(&rago, &schedule, &fleet, lost, &trace, &slo);
             let fault = &chaos.fault;
             assert_eq!(fault.injected, 120);
             assert_eq!(
@@ -1268,27 +1253,22 @@ mod tests {
     /// billed in its place: the split still costs its configured chips.
     #[test]
     fn restarted_pool_replicas_are_billed_once() {
-        use rago_schema::PoolRole;
-        use rago_serving_sim::pools::PoolCrash;
-
         let rago = case1_rago();
         let schedule = case1_schedule();
         let fleet = FleetConfig::split(2, 1, RouterPolicy::LeastOutstanding);
-        let crash = PoolCrash {
-            pool: PoolRole::Prefill,
+        let crash = FaultEvent::Crash {
             replica: 0,
             at_s: 0.5,
-            restart_delay_s: Some(0.2),
+            restart_delay_s: 0.2,
         };
-        let eval = evaluate_split(
-            rago.profiler(),
+        let (eval, _) = crashed_split(
+            &rago,
             &schedule,
             &fleet,
-            &[crash],
+            vec![crash],
             &pool_trace(),
             &SloTarget::new(1.0, 0.1),
-        )
-        .unwrap();
+        );
         assert_eq!(eval.report.prefill.per_replica.len(), 3);
         assert_eq!(eval.total_xpus, crate::disagg::split_xpus(&schedule, 2, 1));
     }

@@ -1,5 +1,5 @@
 //! Fleet-level serving configuration: replica counts, request routing, and
-//! typed replica pools.
+//! the prefill/decode pool split.
 //!
 //! One schedule describes one pipeline replica. Serving heavy traffic means
 //! running *N* replicas of that pipeline behind a router — the decisions
@@ -9,11 +9,11 @@
 //! the cluster simulation in `rago-serving-sim` and the capacity planner in
 //! `rago-core` can share one description.
 //!
-//! A fleet may additionally be *disaggregated* into typed pools
-//! ([`PoolSpec`]): a Prefill pool runs the pre-decode stages and hands each
-//! request's KV state to a Decode pool over an interconnect priced by a
-//! [`KvTransferModel`]. A flat fleet declares no pools: an empty
-//! [`FleetConfig::pools`] list, whose replicas are labelled Monolithic.
+//! A fleet may additionally be *disaggregated*: its `replicas` and `router`
+//! then describe a Prefill pool that runs the pre-decode stages and hands
+//! each request's KV state to a Decode pool ([`FleetConfig::decode`], a
+//! [`PoolSpec`]) over an interconnect priced by a [`KvTransferModel`]. A
+//! flat fleet has no decode pool, and its replicas are labelled Monolithic.
 
 use crate::error::SchemaError;
 use serde::{Deserialize, Serialize};
@@ -111,36 +111,31 @@ impl fmt::Display for PoolRole {
     }
 }
 
-/// One typed pool of identical replicas inside a disaggregated fleet.
+/// The decode pool of a disaggregated fleet: its replica count and the
+/// router that dispatches transfer completions across it.
 ///
 /// # Examples
 ///
 /// ```
-/// use rago_schema::{PoolRole, PoolSpec, RouterPolicy};
+/// use rago_schema::{PoolSpec, RouterPolicy};
 ///
-/// let pool = PoolSpec::new(PoolRole::Decode, 3, RouterPolicy::CacheAffinity);
+/// let pool = PoolSpec::new(3, RouterPolicy::CacheAffinity);
 /// assert!(pool.validate().is_ok());
-/// assert!(PoolSpec::new(PoolRole::Prefill, 0, RouterPolicy::RoundRobin).validate().is_err());
+/// assert!(PoolSpec::new(0, RouterPolicy::RoundRobin).validate().is_err());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PoolSpec {
-    /// The phase this pool serves.
-    pub role: PoolRole,
     /// Number of replicas in the pool (at least 1).
     pub replicas: u32,
     /// Intra-pool routing policy dispatching requests across the pool's
-    /// replicas (for a Decode pool this routes transfer completions).
+    /// replicas.
     pub router: RouterPolicy,
 }
 
 impl PoolSpec {
     /// Creates a pool.
-    pub fn new(role: PoolRole, replicas: u32, router: RouterPolicy) -> Self {
-        Self {
-            role,
-            replicas,
-            router,
-        }
+    pub fn new(replicas: u32, router: RouterPolicy) -> Self {
+        Self { replicas, router }
     }
 
     /// Validates the pool.
@@ -152,7 +147,7 @@ impl PoolSpec {
         if self.replicas == 0 {
             return Err(SchemaError::Invalid {
                 field: "pool.replicas",
-                reason: format!("a {} pool needs at least one replica", self.role),
+                reason: "a pool needs at least one replica".into(),
             });
         }
         Ok(())
@@ -261,13 +256,13 @@ impl Default for KvTransferModel {
     }
 }
 
-/// A fleet of pipeline replicas behind a router, either flat (no declared
-/// pools) or disaggregated into a Prefill pool feeding a Decode pool.
+/// A fleet of pipeline replicas behind a router, either flat or
+/// disaggregated into a Prefill pool feeding a Decode pool.
 ///
 /// # Examples
 ///
 /// ```
-/// use rago_schema::{FleetConfig, PoolRole, RouterPolicy};
+/// use rago_schema::{FleetConfig, PoolSpec, RouterPolicy};
 ///
 /// let fleet = FleetConfig::new(4, RouterPolicy::LeastOutstanding);
 /// assert_eq!(fleet.replicas, 4);
@@ -277,23 +272,21 @@ impl Default for KvTransferModel {
 ///
 /// let split = FleetConfig::split(2, 3, RouterPolicy::LeastOutstanding);
 /// assert!(split.is_disaggregated());
-/// assert_eq!(split.replicas, 5);
-/// let (prefill, decode) = split.prefill_decode().unwrap();
-/// assert_eq!((prefill.role, prefill.replicas), (PoolRole::Prefill, 2));
-/// assert_eq!((decode.role, decode.replicas), (PoolRole::Decode, 3));
+/// // `replicas` and `router` describe the arrival (prefill) pool.
+/// assert_eq!(split.replicas, 2);
+/// assert_eq!(split.decode, Some(PoolSpec::new(3, RouterPolicy::LeastOutstanding)));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetConfig {
-    /// Total number of pipeline replicas across all pools (at least 1).
+    /// Replicas of the pool arrivals route over (at least 1): every
+    /// replica of a flat fleet, or a split fleet's prefill pool.
     pub replicas: u32,
-    /// Routing policy dispatching arrivals across the replicas (for a
-    /// disaggregated fleet this is the Prefill pool's arrival router).
+    /// Routing policy dispatching arrivals across those replicas.
     pub router: RouterPolicy,
-    /// Typed replica pools: empty for a flat fleet of `replicas` replicas
-    /// (what every pre-pools config deserializes to), or a Prefill pool
-    /// and a Decode pool.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub pools: Vec<PoolSpec>,
+    /// A split fleet's decode pool; `None` for a flat fleet (what every
+    /// pre-pools config deserializes to).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub decode: Option<PoolSpec>,
     /// Prices the prefill→decode KV handoff of a disaggregated fleet; a
     /// flat fleet has no handoff and must keep a zero-cost model. Defaults
     /// to [`KvTransferModel::zero`], under which a 1+1 split reproduces the
@@ -308,7 +301,7 @@ impl FleetConfig {
         Self {
             replicas,
             router,
-            pools: Vec::new(),
+            decode: None,
             transfer: KvTransferModel::zero(),
         }
     }
@@ -317,17 +310,6 @@ impl FleetConfig {
     /// equivalent to running the engine directly.
     pub fn single() -> Self {
         Self::new(1, RouterPolicy::default())
-    }
-
-    /// Creates a disaggregated fleet from explicit pools. `replicas` is set
-    /// to the pool total and `router` to the prefill pool's router.
-    pub fn disaggregated(prefill: PoolSpec, decode: PoolSpec) -> Self {
-        Self {
-            replicas: prefill.replicas + decode.replicas,
-            router: prefill.router,
-            pools: vec![prefill, decode],
-            transfer: KvTransferModel::zero(),
-        }
     }
 
     /// Prices the KV handoff of a disaggregated fleet (see
@@ -340,38 +322,27 @@ impl FleetConfig {
         self
     }
 
-    /// Convenience constructor: `prefill_replicas` + `decode_replicas`
-    /// pools, both routed by `router`.
+    /// A disaggregated fleet: `prefill_replicas` prefill replicas feeding
+    /// `decode_replicas` decode replicas, both pools routed by `router`.
     pub fn split(prefill_replicas: u32, decode_replicas: u32, router: RouterPolicy) -> Self {
-        Self::disaggregated(
-            PoolSpec::new(PoolRole::Prefill, prefill_replicas, router),
-            PoolSpec::new(PoolRole::Decode, decode_replicas, router),
-        )
+        Self {
+            decode: Some(PoolSpec::new(decode_replicas, router)),
+            ..Self::new(prefill_replicas, router)
+        }
     }
 
     /// Whether the fleet splits prefill and decode onto separate pools.
     pub fn is_disaggregated(&self) -> bool {
-        self.prefill_decode().is_some()
-    }
-
-    /// The (prefill, decode) pool pair of a disaggregated fleet, or `None`
-    /// for a flat fleet.
-    pub fn prefill_decode(&self) -> Option<(&PoolSpec, &PoolSpec)> {
-        match self.pools.as_slice() {
-            [p, d] if p.role == PoolRole::Prefill && d.role == PoolRole::Decode => Some((p, d)),
-            _ => None,
-        }
+        self.decode.is_some()
     }
 
     /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// Returns [`SchemaError::Invalid`] when the fleet has zero replicas,
-    /// any pool is invalid, the pool list has an unsupported shape (only
-    /// `[]` and `[Prefill, Decode]` are recognized), `replicas` disagrees
-    /// with the pool total, a flat fleet prices a KV handoff it never
-    /// makes, or a split fleet's `router` differs from its Prefill pool's.
+    /// Returns [`SchemaError::Invalid`] when the arrival pool or the decode
+    /// pool has zero replicas, the transfer model is invalid, or a flat
+    /// fleet prices a KV handoff it never makes.
     pub fn validate(&self) -> Result<(), SchemaError> {
         if self.replicas == 0 {
             return Err(SchemaError::Invalid {
@@ -379,47 +350,17 @@ impl FleetConfig {
                 reason: "a fleet needs at least one replica".into(),
             });
         }
-        for pool in &self.pools {
-            pool.validate()?;
+        if let Some(decode) = &self.decode {
+            decode.validate()?;
         }
         self.transfer.validate()?;
-        let shape_ok = match self.pools.as_slice() {
-            [] => true,
-            [p, d] => p.role == PoolRole::Prefill && d.role == PoolRole::Decode,
-            _ => false,
-        };
-        if !shape_ok {
+        if self.decode.is_none() && !self.transfer.is_zero_cost() {
             return Err(SchemaError::Invalid {
-                field: "pools",
-                reason: "supported pool shapes: [], [Prefill, Decode]".into(),
-            });
-        }
-        if !self.pools.is_empty() {
-            let total: u32 = self.pools.iter().map(|p| p.replicas).sum();
-            if total != self.replicas {
-                return Err(SchemaError::Invalid {
-                    field: "replicas",
-                    reason: format!(
-                        "replicas ({}) must equal the pool total ({total})",
-                        self.replicas
-                    ),
-                });
-            }
-        }
-        match self.prefill_decode() {
-            None if !self.transfer.is_zero_cost() => Err(SchemaError::Invalid {
                 field: "transfer",
                 reason: "a flat fleet has no KV handoff to price".into(),
-            }),
-            Some((prefill, _)) if prefill.router != self.router => Err(SchemaError::Invalid {
-                field: "router",
-                reason: format!(
-                    "a split fleet routes arrivals by its prefill pool's router ({}), not {}",
-                    prefill.router, self.router
-                ),
-            }),
-            _ => Ok(()),
+            });
         }
+        Ok(())
     }
 }
 
@@ -460,13 +401,12 @@ mod tests {
     #[test]
     fn flat_constructors_keep_the_original_shape() {
         // `new`/`single` must keep producing the pre-pools flat fleet: no
-        // declared pools, same replica count and router as before.
+        // decode pool, same replica count and router as before.
         let flat = FleetConfig::new(4, RouterPolicy::RoundRobin);
-        assert!(flat.pools.is_empty());
+        assert!(flat.decode.is_none());
         assert!(!flat.is_disaggregated());
-        assert!(flat.prefill_decode().is_none());
         assert_eq!(FleetConfig::single().replicas, 1);
-        assert!(FleetConfig::single().pools.is_empty());
+        assert!(FleetConfig::single().decode.is_none());
     }
 
     #[test]
@@ -474,37 +414,12 @@ mod tests {
         let ok = FleetConfig::split(2, 3, RouterPolicy::LeastOutstanding);
         assert!(ok.validate().is_ok());
 
-        let mut reversed = ok.clone();
-        reversed.pools.swap(0, 1);
-        assert!(reversed.validate().is_err());
+        let mut zero_prefill = ok.clone();
+        zero_prefill.replicas = 0;
+        assert!(zero_prefill.validate().is_err());
 
-        let mut mismatched = ok.clone();
-        mismatched.replicas = 4;
-        assert!(mismatched.validate().is_err());
-
-        let mut zero_pool = ok;
-        zero_pool.pools[0].replicas = 0;
-        assert!(zero_pool.validate().is_err());
-
-        // A flat fleet declares no pools; one Monolithic pool is no shape.
-        let mono = FleetConfig {
-            pools: vec![PoolSpec::new(
-                PoolRole::Monolithic,
-                3,
-                RouterPolicy::RoundRobin,
-            )],
-            ..FleetConfig::new(3, RouterPolicy::RoundRobin)
-        };
-        assert!(mono.validate().is_err());
-    }
-
-    /// A split fleet routes arrivals by its Prefill pool's router, so a
-    /// different top-level `router` would be silently dropped.
-    #[test]
-    fn split_fleets_reject_a_router_other_than_the_prefill_pools() {
-        let mut fleet = FleetConfig::split(2, 3, RouterPolicy::LeastOutstanding);
-        fleet.router = RouterPolicy::RoundRobin;
-        assert!(fleet.validate().is_err());
+        let zero_decode = FleetConfig::split(2, 0, RouterPolicy::LeastOutstanding);
+        assert!(zero_decode.validate().is_err());
     }
 
     /// A flat fleet has no KV handoff, so a priced transfer model would be

@@ -123,8 +123,9 @@ pub struct FleetEngine {
     /// The arrival pool's router (a split fleet's prefill router).
     router: RouterPolicy,
     driver: ScaleDriver,
-    /// The decode side of a prefill/decode split; `None` for a flat fleet.
-    split: Option<PoolSplit>,
+    /// A split fleet's prefill and decode pools and the KV handoff between
+    /// them; `None` for a flat fleet.
+    split: Option<(PoolSpec, PoolSpec, KvTransferModel)>,
     faults: FaultSchedule,
     crash_policy: CrashPolicy,
     admission: Option<AdmissionConfig>,
@@ -155,21 +156,17 @@ impl FleetEngine {
     ///
     /// # Panics
     ///
-    /// Panics unless the pools are a Prefill and a Decode pool of at least
-    /// one replica each, the prefill spec has a pre-decode stage, the
-    /// decode spec has none (use [`PipelineSpec::decode_only`]), and both
-    /// specs pass [`PipelineSpec::validate`].
+    /// Panics unless each pool has at least one replica, the prefill spec
+    /// has a pre-decode stage, the decode spec has none (use
+    /// [`PipelineSpec::decode_only`]), and both specs pass
+    /// [`PipelineSpec::validate`].
     pub fn disaggregated(
         prefill_spec: PipelineSpec,
         decode_spec: PipelineSpec,
-        prefill: &PoolSpec,
-        decode: &PoolSpec,
+        prefill: PoolSpec,
+        decode: PoolSpec,
         transfer: KvTransferModel,
     ) -> Self {
-        assert!(
-            prefill.role == PoolRole::Prefill && decode.role == PoolRole::Decode,
-            "a split fleet takes a Prefill and a Decode pool"
-        );
         assert!(
             prefill.replicas > 0 && decode.replicas > 0,
             "each pool of a split fleet needs a replica"
@@ -185,11 +182,7 @@ impl FleetEngine {
             prefill.router,
             ScaleDriver::Static { replicas },
         );
-        engine.split = Some(PoolSplit {
-            prefill: prefill.replicas as usize,
-            decode_router: decode.router,
-            transfer,
-        });
+        engine.split = Some((prefill, decode, transfer));
         engine
     }
 
@@ -618,16 +611,6 @@ impl MissBudget {
     }
 }
 
-/// The decode side of a prefill/decode split fleet.
-#[derive(Debug, Clone)]
-struct PoolSplit {
-    /// Initial prefill replicas: slots `0..prefill` start in the prefill
-    /// pool, the rest in the decode pool.
-    prefill: usize,
-    decode_router: RouterPolicy,
-    transfer: KvTransferModel,
-}
-
 /// One fleet slot. `sim` is `None` once the replica is dead (crashed or
 /// killed); its pre-death results are parked in [`Run::dead`].
 struct Slot {
@@ -819,13 +802,13 @@ impl<'e> Run<'e> {
         let log_capacity = if log_assignments { requests } else { 0 };
         let pools = match &engine.split {
             None => vec![Pool::new(PoolRole::Monolithic, engine.router, log_capacity)],
-            Some(split) => vec![
+            Some((_, decode, _)) => vec![
                 Pool::new(PoolRole::Prefill, engine.router, log_capacity),
-                Pool::new(PoolRole::Decode, split.decode_router, log_capacity),
+                Pool::new(PoolRole::Decode, decode.router, log_capacity),
             ],
         };
-        let transfers = engine.split.as_ref().map(|split| Transfers {
-            model: split.transfer,
+        let transfers = engine.split.map(|(_, _, model)| Transfers {
+            model,
             in_flight: EventQueue::new(),
             harvest: Vec::new(),
             stats: TransferStats::default(),
@@ -871,7 +854,7 @@ impl<'e> Run<'e> {
         };
         for i in 0..initial as usize {
             let pool = match &engine.split {
-                Some(split) if i >= split.prefill => DECODE_POOL,
+                Some((prefill, _, _)) if i >= prefill.replicas as usize => DECODE_POOL,
                 _ => ARRIVAL_POOL,
             };
             run.provision(pool, 0.0, 0.0);
@@ -1924,8 +1907,8 @@ mod tests {
             let engine = FleetEngine::disaggregated(
                 prefill.clone(),
                 decode.clone(),
-                &PoolSpec::new(PoolRole::Prefill, p, RouterPolicy::LeastOutstanding),
-                &PoolSpec::new(PoolRole::Decode, d, RouterPolicy::LeastOutstanding),
+                PoolSpec::new(p, RouterPolicy::LeastOutstanding),
+                PoolSpec::new(d, RouterPolicy::LeastOutstanding),
                 transfer,
             );
             both += engine
@@ -2112,8 +2095,8 @@ mod tests {
         let _ = FleetEngine::disaggregated(
             one_stage_spec(0.01),
             decode,
-            &PoolSpec::new(PoolRole::Prefill, 1, RouterPolicy::LeastOutstanding),
-            &PoolSpec::new(PoolRole::Decode, 1, RouterPolicy::LeastOutstanding),
+            PoolSpec::new(1, RouterPolicy::LeastOutstanding),
+            PoolSpec::new(1, RouterPolicy::LeastOutstanding),
             KvTransferModel::zero(),
         );
     }
@@ -2158,8 +2141,8 @@ mod tests {
             FleetEngine::disaggregated(
                 two_stages,
                 decode,
-                &PoolSpec::new(PoolRole::Prefill, 2, RouterPolicy::LeastOutstanding),
-                &PoolSpec::new(PoolRole::Decode, 2, RouterPolicy::LeastOutstanding),
+                PoolSpec::new(2, RouterPolicy::LeastOutstanding),
+                PoolSpec::new(2, RouterPolicy::LeastOutstanding),
                 KvTransferModel::zero(),
             ),
         ];

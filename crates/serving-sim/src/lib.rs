@@ -56,17 +56,18 @@
 //!   every request scheduled up front (pinned in [`cluster`]'s tests).
 //! * **Disaggregated prefill/decode pools** — the placement dimension, as
 //!   a configuration of the same loop: [`fleet::FleetEngine::disaggregated`]
-//!   splits the fleet into a typed Prefill pool and a Decode pool
+//!   splits the fleet into a Prefill pool and a Decode pool
 //!   (Splitwise/DistServe style). A request finishing its pre-decode stages
 //!   on a prefill replica emits its first token there and hands its KV
 //!   state across the interconnect — priced by a
 //!   [`rago_schema::KvTransferModel`] on the loop's transfer lane — before
 //!   the decode pool's own router re-injects it into a decode replica.
-//!   Crashes are per pool ([`pools::PoolCrash`]): un-transferred work
-//!   re-queues to prefill survivors only. [`pools::DisaggReport`] is the
-//!   two-pool view of the run, and a 1+1 split at zero transfer cost
-//!   reproduces a one-replica flat fleet's per-request timings exactly
-//!   (`tests/proptest_pools.rs`).
+//!   Crashes are slot-indexed [`faults::FaultEvent`]s (prefill slots
+//!   first, then decode), and a crashed replica's work re-queues within
+//!   its own pool: un-transferred work to prefill survivors only.
+//!   [`pools::DisaggReport`] is the two-pool view of the run, and a 1+1
+//!   split at zero transfer cost reproduces a one-replica flat fleet's
+//!   per-request timings exactly (`tests/proptest_pools.rs`).
 //! * **Caching** — the content-reuse dimension on top of everything: a
 //!   [`engine::CachePlan`] attaches the deterministic cache simulators of
 //!   `rago-cache` to a pipeline. Each replica owns cold, replica-local
@@ -155,7 +156,7 @@ pub use faults::{
 };
 pub use fleet::{arrivals, FleetEngine, LostVerdict};
 pub use iterative::{IterativeDecodeParams, IterativeDecodeResult};
-pub use pools::{DisaggReport, PoolCrash, PoolReport, TransferStats};
+pub use pools::{DisaggReport, PoolReport, TransferStats};
 pub use sink::{
     ClassSloScore, HistogramSink, LatencyHistogram, MetricsMode, RequestOutcome, StreamedScores,
     StreamingConfig,

@@ -1,4 +1,4 @@
-//! Disaggregated prefill/decode serving: typed replica pools linked by a
+//! Disaggregated prefill/decode serving: two replica pools linked by a
 //! KV-cache handoff.
 //!
 //! Splitwise and DistServe size a *Prefill* pool for TTFT and a *Decode*
@@ -21,12 +21,13 @@
 //!    the request is re-injected with its *original* arrival time, so
 //!    end-to-end latency includes queueing, prefill, transfer, and decode.
 //!
-//! Faults operate per pool ([`PoolCrash`], lowered onto the fleet's fault
-//! schedule): a crash in the prefill pool re-queues un-transferred work to
-//! prefill survivors only (handoffs already emitted keep their in-flight
-//! transfers), a decode crash re-queues unfinished decodes to decode
-//! survivors, and a restart provisions a cold replacement into the
-//! victim's pool. Work that finds no live replica in its pool waits for
+//! Faults are the fleet's slot-indexed [`FaultEvent`](crate::FaultEvent)s:
+//! slots `0..P` are the prefill pool and `P..P+D` the decode pool, and a
+//! fault aimed past them is skipped. A crash in the prefill pool re-queues
+//! un-transferred work to prefill survivors only (handoffs already emitted
+//! keep their in-flight transfers), a decode crash re-queues unfinished
+//! decodes to decode survivors, and a restart provisions a cold
+//! replacement into the victim's pool. Work that finds no live replica in its pool waits for
 //! one, and fails if none ever comes back.
 //!
 //! A split run returns the fleet's [`ChaosReport`]; [`DisaggReport`] is its
@@ -40,7 +41,7 @@
 //! use rago_serving_sim::engine::{DecodeSpec, LatencyTable, PipelineSpec, StageSpec};
 //! use rago_serving_sim::fleet::FleetEngine;
 //! use rago_serving_sim::pools::DisaggReport;
-//! use rago_schema::{FleetConfig, KvTransferModel, RouterPolicy, SequenceProfile};
+//! use rago_schema::{KvTransferModel, PoolSpec, RouterPolicy, SequenceProfile};
 //! use rago_workloads::{ArrivalProcess, TraceSpec};
 //!
 //! let prefill = PipelineSpec::new(
@@ -48,8 +49,8 @@
 //!     DecodeSpec::new(32, LatencyTable::constant(32, 3e-3)),
 //! );
 //! let decode = PipelineSpec::decode_only(DecodeSpec::new(32, LatencyTable::constant(32, 3e-3)), None);
-//! let fleet = FleetConfig::split(1, 2, RouterPolicy::LeastOutstanding);
-//! let (prefill_pool, decode_pool) = fleet.prefill_decode().unwrap();
+//! let prefill_pool = PoolSpec::new(1, RouterPolicy::LeastOutstanding);
+//! let decode_pool = PoolSpec::new(2, RouterPolicy::LeastOutstanding);
 //! let trace = TraceSpec {
 //!     num_requests: 50,
 //!     profile: SequenceProfile::paper_default().with_decode_tokens(16),
@@ -68,51 +69,9 @@
 
 use crate::cluster::{LoadImbalance, ReplicaReport};
 use crate::engine::ServingReport;
-use crate::faults::{ChaosReport, FaultEvent};
+use crate::faults::ChaosReport;
 use rago_schema::{KvTransferModel, PoolRole, RouterPolicy};
 use serde::{Deserialize, Serialize};
-
-/// A deterministic per-pool fault: replica `replica` of `pool` crashes at
-/// `at_s`, losing all in-flight work (re-queued to same-pool survivors),
-/// and optionally a cold replacement joins the pool `restart_delay_s`
-/// later.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PoolCrash {
-    /// Which pool the crash hits ([`PoolRole::Prefill`] or
-    /// [`PoolRole::Decode`]).
-    pub pool: PoolRole,
-    /// Slot index of the victim within its pool.
-    pub replica: usize,
-    /// Crash instant in seconds. At a tie the crash wins against
-    /// same-instant transfers and arrivals (the fault-lane convention of
-    /// [`crate::faults`]).
-    pub at_s: f64,
-    /// Cold-restart delay, or `None` for a permanent loss.
-    pub restart_delay_s: Option<f64>,
-}
-
-impl PoolCrash {
-    /// The crash as a fleet-wide [`FaultEvent::Crash`] on a split fleet
-    /// with `prefill_replicas` prefill replicas: prefill replica `i` is
-    /// fleet slot `i`, decode replica `j` is slot `prefill_replicas + j`,
-    /// and a permanent loss never restarts.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a crash aimed at [`PoolRole::Monolithic`].
-    pub fn to_fault(&self, prefill_replicas: u32) -> FaultEvent {
-        let replica = match self.pool {
-            PoolRole::Prefill => self.replica,
-            PoolRole::Decode => prefill_replicas as usize + self.replica,
-            PoolRole::Monolithic => panic!("pool crashes target the Prefill or Decode pool"),
-        };
-        FaultEvent::Crash {
-            replica,
-            at_s: self.at_s,
-            restart_delay_s: self.restart_delay_s.unwrap_or(f64::INFINITY),
-        }
-    }
-}
 
 /// Aggregate statistics of the prefill→decode KV handoffs of one run.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -255,7 +214,7 @@ impl DisaggReport {
 mod tests {
     use super::*;
     use crate::engine::{DecodeSpec, LatencyTable, PipelineSpec, StageSpec};
-    use crate::faults::{FaultSchedule, ScaleDriver};
+    use crate::faults::{FaultEvent, FaultSchedule, ScaleDriver};
     use crate::fleet::FleetEngine;
     use rago_schema::{FleetConfig, PoolSpec, SequenceProfile};
     use rago_workloads::{ArrivalProcess, TraceSpec};
@@ -317,8 +276,8 @@ mod tests {
         let engine = FleetEngine::disaggregated(
             two_stage_spec(),
             decode_spec,
-            &PoolSpec::new(PoolRole::Prefill, prefill, prefill_router),
-            &PoolSpec::new(PoolRole::Decode, decode, decode_router),
+            PoolSpec::new(prefill, prefill_router),
+            PoolSpec::new(decode, decode_router),
             transfer,
         );
         let view = move |report| DisaggReport::from_chaos(report, decode_router, transfer);
@@ -498,15 +457,15 @@ mod tests {
             RouterPolicy::RoundRobin,
             KvTransferModel::new(131_072.0, 25e9, 20e-6),
         );
-        let crash = PoolCrash {
-            pool: PoolRole::Prefill,
+        // Prefill replica 0 is fleet slot 0; it never restarts.
+        let crash = FaultEvent::Crash {
             replica: 0,
             at_s: 0.2,
-            restart_delay_s: None,
+            restart_delay_s: f64::INFINITY,
         };
         let report = view(
             engine
-                .with_faults(FaultSchedule::new(vec![crash.to_fault(2)]))
+                .with_faults(FaultSchedule::new(vec![crash]))
                 .run_trace(&trace),
         );
         // Nothing is lost: every request still prefills, transfers, decodes.
@@ -545,15 +504,15 @@ mod tests {
             RouterPolicy::JoinShortestQueue,
             KvTransferModel::new(131_072.0, 25e9, 20e-6),
         );
-        let crash = PoolCrash {
-            pool: PoolRole::Decode,
-            replica: 1,
+        // Decode replica 1 follows the one prefill slot: fleet slot 2.
+        let crash = FaultEvent::Crash {
+            replica: 2,
             at_s: 0.5,
-            restart_delay_s: Some(0.4),
+            restart_delay_s: 0.4,
         };
         let report = view(
             engine
-                .with_faults(FaultSchedule::new(vec![crash.to_fault(1)]))
+                .with_faults(FaultSchedule::new(vec![crash]))
                 .run_trace(&trace),
         );
         assert_eq!(report.merged.metrics.completed, 100);
@@ -571,15 +530,15 @@ mod tests {
 
     #[test]
     fn from_fleet_rejects_flat_fleets() {
-        // Only a [Prefill, Decode] pool pair configures a split fleet.
+        // Only a fleet with a decode pool configures a split fleet.
         let flat = FleetConfig::new(4, RouterPolicy::RoundRobin);
-        assert!(flat.prefill_decode().is_none());
+        assert!(flat.decode.is_none());
         let split = FleetConfig::split(1, 3, RouterPolicy::RoundRobin);
-        let engine = split.prefill_decode().map(|(prefill, decode)| {
+        let engine = split.decode.map(|decode| {
             FleetEngine::disaggregated(
                 two_stage_spec(),
                 decode_spec(),
-                prefill,
+                PoolSpec::new(split.replicas, split.router),
                 decode,
                 split.transfer,
             )
@@ -589,5 +548,41 @@ mod tests {
             engine.unwrap().driver(),
             &ScaleDriver::Static { replicas: 4 }
         );
+    }
+
+    /// A split fleet's slots are `0..P` then `P..P+D`; a crash and a
+    /// straggler aimed past them are skipped and leave the run untouched.
+    #[test]
+    fn faults_beyond_the_split_are_skipped() {
+        let trace = trace(60, 40.0, 17);
+        let run = |faults: Vec<FaultEvent>| {
+            let (engine, _) = split(
+                2,
+                RouterPolicy::LeastOutstanding,
+                decode_spec(),
+                1,
+                RouterPolicy::RoundRobin,
+                KvTransferModel::new(131_072.0, 25e9, 20e-6),
+            );
+            engine
+                .with_faults(FaultSchedule::new(faults))
+                .run_trace(&trace)
+        };
+        let baseline = run(Vec::new());
+        let report = run(vec![
+            FaultEvent::Crash {
+                replica: 3,
+                at_s: 0.3,
+                restart_delay_s: 0.1,
+            },
+            FaultEvent::StragglerStart {
+                replica: 5,
+                at_s: 0.4,
+                slowdown: 3.0,
+            },
+        ]);
+        assert_eq!(report.fault.faults_skipped, 2);
+        assert_eq!(report.fault.faults_applied, 0);
+        assert_eq!(report.fleet, baseline.fleet);
     }
 }

@@ -16,13 +16,13 @@
 //!    epsilon but never more).
 
 use proptest::prelude::*;
-use rago_schema::{KvTransferModel, PoolRole, PoolSpec, RouterPolicy};
+use rago_schema::{KvTransferModel, PoolSpec, RouterPolicy};
 use rago_serving_sim::engine::{
     DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, ServingReport, StageSpec,
 };
-use rago_serving_sim::faults::{FaultSchedule, ScaleDriver};
+use rago_serving_sim::faults::{FaultEvent, FaultSchedule, ScaleDriver};
 use rago_serving_sim::fleet::FleetEngine;
-use rago_serving_sim::pools::{DisaggReport, PoolCrash};
+use rago_serving_sim::pools::DisaggReport;
 use rago_serving_sim::MetricsMode;
 use rago_telemetry::NullRecorder;
 
@@ -90,23 +90,23 @@ fn policy(index: usize) -> RouterPolicy {
     RouterPolicy::ALL[index % RouterPolicy::ALL.len()]
 }
 
-/// Runs `reqs` through a `prefill + decode` split of `full` with `crashes`
-/// played onto its pools, and returns the two-pool view.
+/// Runs `reqs` through a `prefill + decode` split of `full` with `faults`
+/// played onto its slots (prefill first, then decode), and returns the
+/// two-pool view.
 fn run_split(
     full: &PipelineSpec,
     prefill: (u32, RouterPolicy),
     decode: (u32, RouterPolicy),
     transfer: KvTransferModel,
-    crashes: &[PoolCrash],
+    faults: Vec<FaultEvent>,
     reqs: Vec<EngineRequest>,
 ) -> DisaggReport {
     let (prefill_spec, decode_spec) = split_specs(full);
-    let faults = crashes.iter().map(|c| c.to_fault(prefill.0)).collect();
     let report = FleetEngine::disaggregated(
         prefill_spec,
         decode_spec,
-        &PoolSpec::new(PoolRole::Prefill, prefill.0, prefill.1),
-        &PoolSpec::new(PoolRole::Decode, decode.0, decode.1),
+        PoolSpec::new(prefill.0, prefill.1),
+        PoolSpec::new(decode.0, decode.1),
         transfer,
     )
     .with_faults(FaultSchedule::new(faults))
@@ -144,7 +144,7 @@ proptest! {
             (prefill_replicas, policy(prefill_policy)),
             (decode_replicas, policy(decode_policy)),
             transfer,
-            &[],
+            Vec::new(),
             reqs.clone(),
         );
 
@@ -214,23 +214,28 @@ proptest! {
         let full = full_pipeline(1, 4, 0.012, decode_batch, 2e-3);
         let reqs = requests(n, gap);
         let crashed_pool = if single_replica_pool { 1 } else { 2 };
-        let crash = PoolCrash {
-            pool: if crash_decode_pool { PoolRole::Decode } else { PoolRole::Prefill },
-            replica: victim % crashed_pool as usize,
-            at_s: crash_at,
-            restart_delay_s: (single_replica_pool || !permanent).then_some(restart_delay),
-        };
         let (prefill_replicas, decode_replicas) = if crash_decode_pool {
             (2, crashed_pool)
         } else {
             (crashed_pool, 2)
+        };
+        // Decode slots follow the prefill slots.
+        let first_slot = if crash_decode_pool { prefill_replicas as usize } else { 0 };
+        let crash = FaultEvent::Crash {
+            replica: first_slot + victim % crashed_pool as usize,
+            at_s: crash_at,
+            restart_delay_s: if single_replica_pool || !permanent {
+                restart_delay
+            } else {
+                f64::INFINITY
+            },
         };
         let report = run_split(
             &full,
             (prefill_replicas, policy(prefill_policy)),
             (decode_replicas, policy(decode_policy)),
             KvTransferModel::new(1e4, 25e9, 20e-6),
-            &[crash],
+            vec![crash],
             reqs.clone(),
         );
 
@@ -270,7 +275,7 @@ proptest! {
             (1, policy(prefill_policy)),
             (1, policy(decode_policy)),
             KvTransferModel::zero(),
-            &[],
+            Vec::new(),
             reqs,
         );
 
@@ -320,7 +325,7 @@ proptest! {
                 (prefill_replicas, policy(prefill_policy)),
                 (decode_replicas, policy(decode_policy)),
                 KvTransferModel::new(1e4, 25e9, 5e-6),
-                &[],
+                Vec::new(),
                 requests(n, gap),
             )
         };

@@ -75,8 +75,7 @@ use rago::core::{evaluate_fleet_dynamic_with, FaultScenario, Rago, SearchOptions
 use rago::hardware::ClusterSpec;
 use rago::schema::presets::{self, LlmSize};
 use rago::schema::{
-    FleetConfig, KvTransferModel, PoolRole, PoolSpec, RouterPolicy, SequenceProfile, SloTarget,
-    Stage,
+    FleetConfig, KvTransferModel, PoolSpec, RouterPolicy, SequenceProfile, SloTarget, Stage,
 };
 use rago::serving_sim::autoscaler::AutoscalerPolicy;
 use rago::serving_sim::engine::{
@@ -997,12 +996,12 @@ fn golden_disagg_run() {
     let full = engine_metrics_spec();
     let decode_spec = PipelineSpec::decode_only(full.decode.clone(), None);
     let transfer = KvTransferModel::new(131_072.0, 100e9, 5e-6);
-    let decode = PoolSpec::new(PoolRole::Decode, 1, RouterPolicy::LeastOutstanding);
+    let decode = PoolSpec::new(1, RouterPolicy::LeastOutstanding);
     let engine = FleetEngine::disaggregated(
         full,
         decode_spec,
-        &PoolSpec::new(PoolRole::Prefill, 2, RouterPolicy::LeastOutstanding),
-        &decode,
+        PoolSpec::new(2, RouterPolicy::LeastOutstanding),
+        decode,
         transfer,
     );
     let report = DisaggReport::from_chaos(

@@ -32,7 +32,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test golden_telemetry
 //! ```
 
-use rago::schema::{KvTransferModel, PoolRole, PoolSpec, RouterPolicy, SequenceProfile};
+use rago::schema::{KvTransferModel, PoolSpec, RouterPolicy, SequenceProfile};
 use rago::serving_sim::engine::{DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, StageSpec};
 use rago::serving_sim::faults::{ChaosReport, FaultEvent, FaultSchedule, ScaleDriver};
 use rago::serving_sim::fleet::FleetEngine;
@@ -142,8 +142,8 @@ fn disagg_scenario() -> FleetEngine {
     FleetEngine::disaggregated(
         full,
         decode_spec,
-        &PoolSpec::new(PoolRole::Prefill, 2, RouterPolicy::LeastOutstanding),
-        &PoolSpec::new(PoolRole::Decode, 1, RouterPolicy::LeastOutstanding),
+        PoolSpec::new(2, RouterPolicy::LeastOutstanding),
+        PoolSpec::new(1, RouterPolicy::LeastOutstanding),
         KvTransferModel::new(131_072.0, 100e9, 5e-6),
     )
 }

@@ -25,7 +25,7 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use rago::schema::{KvTransferModel, PoolRole, PoolSpec, RouterPolicy};
+use rago::schema::{KvTransferModel, PoolSpec, RouterPolicy};
 use rago::serving_sim::engine::{DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, StageSpec};
 use rago::serving_sim::faults::{ChaosReport, FaultEvent, FaultSchedule, ScaleDriver};
 use rago::serving_sim::fleet::FleetEngine;
@@ -255,8 +255,8 @@ proptest! {
         let disagg = FleetEngine::disaggregated(
             full.clone(),
             PipelineSpec::decode_only(full.decode.clone(), None),
-            &PoolSpec::new(PoolRole::Prefill, replicas as u32, policy),
-            &PoolSpec::new(PoolRole::Decode, 1, policy),
+            PoolSpec::new(replicas as u32, policy),
+            PoolSpec::new(1, policy),
             KvTransferModel::new(131_072.0, 100e9, 5e-6),
         );
         let untraced = disagg.run(reqs.clone(), &MetricsMode::Exact, &mut NullRecorder);

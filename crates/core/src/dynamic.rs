@@ -550,7 +550,7 @@ pub(crate) fn pipeline_spec(
     let mut step_table = Vec::with_capacity(decode_batch as usize);
     for fill in 1..=decode_batch {
         let perf = profiler.profile(Stage::Decode, schedule.allocation.decode_xpus, fill)?;
-        step_table.push(perf.step_latency_s.unwrap_or(perf.latency_s));
+        step_table.push(perf.step_latency()?);
     }
     let mut spec = PipelineSpec::new(
         stages,

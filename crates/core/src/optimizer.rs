@@ -39,9 +39,10 @@
 //! 2. **Simulate distinct stalls in parallel.** Iterative workloads also
 //!    score every candidate with a decode-stall simulation. One pass over
 //!    the candidates collects the distinct simulation inputs that feasible
-//!    candidates reach; rayon workers then simulate them through
+//!    candidates reach; rayon workers then simulate them into the memo of
 //!    [`StageProfiler::decode_stall`], each worker on different inputs,
-//!    all reading one table of retrieval trigger positions. The
+//!    all reading one table of retrieval trigger positions drawn before
+//!    they start. The
 //!    pre-decode batch is not an input, so all `|predecode_batch|` steps
 //!    share one simulation (see the profiler module docs).
 //! 3. **Score lock-free.** The allocation units are bridged across rayon

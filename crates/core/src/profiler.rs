@@ -46,10 +46,15 @@
 //! batches. Each profile is computed once, so after a cold search the memo
 //! misses equal [`StageProfiler::cached_profiles`]. For iterative
 //! workloads one serial pass over the candidates then reserves a
-//! decode-stall memo cell for each distinct input they reach, and workers
-//! simulate those inputs in parallel, each worker on different inputs;
-//! the results stay in the decode-stall memo. Scoring, one allocation's
-//! candidates per work unit, reads the immutable table without a lock.
+//! decode-stall memo cell for each distinct input they reach, draws one
+//! [`TriggerTable`] per seed, decode length and retrieval count, sized
+//! for the largest decode batch among them, and workers simulate those
+//! inputs in parallel, each worker on different inputs and every one
+//! reading its trigger positions from the shared table instead of
+//! drawing them ([`iterative::simulate_with`], bit-identical to
+//! [`iterative::simulate`]); the results stay in the decode-stall memo.
+//! Scoring, one allocation's candidates per work unit, reads the
+//! immutable table without a lock.
 //! Each worker tallies its lookups and the total is added to the memo
 //! hits once, at the end, less one per table entry: the fill's request for
 //! an entry stands in for its first lookup, so the counters add up to one
@@ -62,7 +67,9 @@ use rago_accel_sim::{AcceleratorGroup, InferenceSimulator};
 use rago_hardware::ClusterSpec;
 use rago_retrieval_sim::RetrievalSimulator;
 use rago_schema::{RagSchema, Stage};
-use rago_serving_sim::iterative::{self, IterativeDecodeParams, IterativeDecodeResult};
+use rago_serving_sim::iterative::{
+    self, IterativeDecodeParams, IterativeDecodeResult, TriggerTable,
+};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
@@ -89,6 +96,24 @@ pub struct StagePerf {
     pub throughput_rps: f64,
     /// Per-output-token step latency — populated only for decode stages.
     pub step_latency_s: Option<f64>,
+}
+
+impl StagePerf {
+    /// The decode step latency, [`Self::step_latency_s`], read where a
+    /// decode profile must carry one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RagoError::CostModel`] when the profile has none.
+    pub(crate) fn step_latency(&self) -> Result<f64, RagoError> {
+        self.step_latency_s.ok_or_else(|| RagoError::CostModel {
+            stage: self.stage.to_string(),
+            reason: format!(
+                "no decode step latency at {} resources and batch {}",
+                self.resources, self.batch
+            ),
+        })
+    }
 }
 
 /// Memoization key: `(stage, resource count, batch size)` — the full input
@@ -326,14 +351,37 @@ impl StageProfiler {
     ///
     /// Panics on the inputs [`iterative::simulate`] rejects.
     pub fn decode_stall(&self, params: IterativeDecodeParams) -> IterativeDecodeResult {
+        self.memo_stall(params, || iterative::simulate(params))
+    }
+
+    /// As [`Self::decode_stall`], simulating a miss on the trigger
+    /// positions of `triggers` instead of drawing them, which gives the
+    /// same result.
+    ///
+    /// # Panics
+    ///
+    /// As [`iterative::simulate_with`].
+    fn decode_stall_with(
+        &self,
+        params: IterativeDecodeParams,
+        triggers: &TriggerTable,
+    ) -> IterativeDecodeResult {
+        self.memo_stall(params, || iterative::simulate_with(params, triggers))
+    }
+
+    /// `params`' decode-stall result, memoized unless memoization is off;
+    /// `simulate` runs it on a miss.
+    fn memo_stall(
+        &self,
+        params: IterativeDecodeParams,
+        simulate: impl FnOnce() -> IterativeDecodeResult,
+    ) -> IterativeDecodeResult {
         if !self.memoize {
             self.stall_misses.fetch_add(1, Ordering::Relaxed);
-            return iterative::simulate(params);
+            return simulate();
         }
         let cell = memo_cell(&self.stalls, stall_key(&params));
-        memo_get(&cell, (&self.stall_hits, &self.stall_misses), || {
-            iterative::simulate(params)
-        })
+        memo_get(&cell, (&self.stall_hits, &self.stall_misses), simulate)
     }
 
     fn profile_uncached(
@@ -685,13 +733,32 @@ impl<'p> ProfileTable<'p> {
         // Larger decode batches simulate for longer: start them first so
         // the workers run out of inputs at about the same time.
         inputs.sort_by_key(|p| Reverse(p.decode_batch));
+        // Draw the trigger positions once per seed, decode length and
+        // retrieval count, for the largest batch that shares them (the
+        // first in this order); every simulation reads its prefix rows.
+        let mut tables: Vec<TriggerTable> = Vec::new();
+        for p in &inputs {
+            if !tables.iter().any(|table| table.fits(p)) {
+                tables.push(TriggerTable::draw(
+                    p.seed,
+                    p.decode_len,
+                    p.retrievals_per_sequence,
+                    p.decode_batch,
+                ));
+            }
+        }
+        let tables = &tables;
         inputs
             .into_iter()
             .par_bridge()
             .fold(
                 || (),
                 |(), params| {
-                    self.profiler.decode_stall(params);
+                    let triggers = tables
+                        .iter()
+                        .find(|table| table.fits(&params))
+                        .expect("a table is drawn for every input");
+                    self.profiler.decode_stall_with(params, triggers);
                 },
             )
             .reduce(|| (), |(), ()| ());

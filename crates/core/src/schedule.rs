@@ -234,7 +234,7 @@ impl Schedule {
             self.allocation.decode_xpus,
             self.batching.decode_batch,
         )?;
-        let mut tpot = decode_perf.step_latency_s.unwrap_or(0.0);
+        let mut tpot = decode_perf.step_latency()?;
         let mut decode_qps = decode_perf.throughput_rps;
 
         // Iterative retrieval (Case III): decoding stalls while batched
@@ -322,7 +322,7 @@ impl Schedule {
             decode_len: schema.sequence.decode_tokens,
             // One retrieval happens before decoding; the rest interrupt it.
             retrievals_per_sequence: retrieval_cfg.retrievals_per_sequence.saturating_sub(1),
-            step_latency_s: decode.step_latency_s.unwrap_or(1e-3),
+            step_latency_s: decode.step_latency()?,
             retrieval_prefix_latency_s: retrieval_latency_s + reprefix.latency_s,
             seed: 0x5EED,
         })
@@ -475,6 +475,52 @@ mod tests {
             p_single.tpot_s
         );
         assert!(p_iter.qps <= p_single.qps + 1e-9);
+    }
+
+    /// A cost source whose decode profiles carry no step latency.
+    struct NoStepLatency(StageProfiler);
+
+    impl CostSource for NoStepLatency {
+        fn profiler(&self) -> &StageProfiler {
+            &self.0
+        }
+
+        fn profile(
+            &self,
+            stage: Stage,
+            resources: u32,
+            batch: u32,
+        ) -> Result<StagePerf, RagoError> {
+            let perf = self.0.profile(stage, resources, batch)?;
+            Ok(StagePerf {
+                step_latency_s: None,
+                ..perf
+            })
+        }
+    }
+
+    #[test]
+    fn a_decode_profile_without_a_step_latency_is_a_cost_model_error() {
+        let cluster = ClusterSpec::paper_default();
+        let schedule = Schedule {
+            batching: BatchingPolicy::new(8, 64).with_iterative_batch(16),
+            ..case1_schedule()
+        };
+        for schema in [
+            presets::case1_hyperscale(LlmSize::B8, 1),
+            presets::case3_iterative(LlmSize::B8, 4),
+        ] {
+            let costs = NoStepLatency(StageProfiler::new(schema, cluster.clone()));
+            assert!(schedule.evaluate_with(&costs.0).is_ok());
+            let err = schedule.evaluate_with(&costs).unwrap_err();
+            assert_eq!(
+                err,
+                RagoError::CostModel {
+                    stage: Stage::Decode.to_string(),
+                    reason: "no decode step latency at 8 resources and batch 64".into(),
+                }
+            );
+        }
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //! iterative-decode simulation, and the profiler runs each distinct
 //! simulation input exactly once — whatever the pre-decode batch axis, and
 //! however many search threads ask at the same time — without moving the
-//! frontier.
+//! frontier. The search's workers share one table of trigger positions,
+//! and each input's memoized result is the one it simulates alone.
 
 use rago_core::{Rago, SearchOptions};
 use rago_hardware::ClusterSpec;
 use rago_schema::presets::{self, LlmSize};
-use std::collections::HashSet;
+use rago_serving_sim::iterative::{self, IterativeDecodeParams, IterativeDecodeResult};
+use std::collections::{HashMap, HashSet};
 
 fn case3() -> Rago {
     Rago::new(
@@ -102,4 +104,57 @@ fn decode_stall_is_simulated_once_under_threads() {
     let (_, serial_misses) = serial.profiler().decode_stall_stats();
     assert_eq!(parallel_misses, serial_misses);
     assert_eq!(serial_misses, distinct_stall_inputs(&serial, &options));
+}
+
+/// The six fields of a decode-stall result, the floats by bit pattern.
+fn result_bits(r: &IterativeDecodeResult) -> [u64; 6] {
+    [
+        r.total_time_s.to_bits(),
+        r.tpot_mean_s.to_bits(),
+        r.tpot_worst_s.to_bits(),
+        r.normalized_decode_latency.to_bits(),
+        u64::from(r.retrieval_batches),
+        r.mean_retrieval_batch_fill.to_bits(),
+    ]
+}
+
+#[test]
+fn memoized_stalls_equal_their_own_simulations() {
+    let options = SearchOptions::fast();
+    let rago = case3();
+    rago.optimize(&options).unwrap();
+    let profiler = rago.profiler();
+    // One simulation per distinct input and one hit per feasible
+    // candidate of the fast grid.
+    assert_eq!(profiler.decode_stall_stats(), (108, 36));
+    // Every distinct input of a feasible candidate, keyed by bit pattern.
+    let inputs: HashMap<_, IterativeDecodeParams> = rago
+        .schedule_iter(&options)
+        .filter(|s| s.evaluate(profiler).is_ok())
+        .filter_map(|s| s.decode_stall_params(profiler).unwrap())
+        .map(|p| {
+            let key = (
+                p.decode_batch,
+                p.iterative_batch,
+                p.decode_len,
+                p.retrievals_per_sequence,
+                p.step_latency_s.to_bits(),
+                p.retrieval_prefix_latency_s.to_bits(),
+                p.seed,
+            );
+            (key, p)
+        })
+        .collect();
+    assert_eq!(inputs.len(), 36);
+    let (hits, misses) = profiler.decode_stall_stats();
+    for params in inputs.values() {
+        let memoized = profiler.decode_stall(*params);
+        let alone = iterative::simulate(*params);
+        assert_eq!(result_bits(&memoized), result_bits(&alone), "{params:?}");
+    }
+    // Every read was answered by the memo: none simulated again.
+    assert_eq!(
+        profiler.decode_stall_stats(),
+        (hits + inputs.len() as u64, misses)
+    );
 }

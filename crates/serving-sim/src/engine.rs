@@ -1673,6 +1673,30 @@ impl ReplicaSim {
     /// Panics if the arrival time is negative or non-finite, or the request
     /// generates zero tokens.
     pub(crate) fn inject(&mut self, req: EngineRequest) {
+        let positions = self.draw_positions(&req);
+        self.inject_at_positions(req, &positions);
+    }
+
+    /// `req`'s retrieval trigger positions, drawn from the replica's RNG
+    /// (none when the pipeline has no iterative retrievals).
+    fn draw_positions(&mut self, req: &EngineRequest) -> Vec<u32> {
+        match (&self.spec.iterative, &mut self.iterative_rng) {
+            (Some(it), Some(rng)) => {
+                sample_positions(rng, req.decode_tokens, it.retrievals_per_sequence)
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    /// As [`ReplicaSim::inject`], with the request's retrieval trigger
+    /// positions given rather than drawn from the replica's RNG, which this
+    /// leaves untouched. Given the positions `inject` would draw, the run
+    /// is the same.
+    ///
+    /// # Panics
+    ///
+    /// As [`ReplicaSim::inject`].
+    pub(crate) fn inject_at_positions(&mut self, req: EngineRequest, positions: &[u32]) {
         assert!(
             req.arrival_s.is_finite() && req.arrival_s >= 0.0,
             "arrival times must be finite and non-negative"
@@ -1681,18 +1705,12 @@ impl ReplicaSim {
             req.decode_tokens > 0,
             "every request must generate at least one token"
         );
-        let positions = match (&self.spec.iterative, &mut self.iterative_rng) {
-            (Some(it), Some(rng)) => {
-                sample_positions(rng, req.decode_tokens, it.retrievals_per_sequence)
-            }
-            _ => Vec::new(),
-        };
         self.push_arrival(req, positions, req.arrival_s);
     }
 
     /// Appends `req`'s slot and schedules its arrival event at `at`.
-    fn push_arrival(&mut self, req: EngineRequest, positions: Vec<u32>, at: f64) {
-        let slot = self.arena.push_slot(req, &positions);
+    fn push_arrival(&mut self, req: EngineRequest, positions: &[u32], at: f64) {
+        let slot = self.arena.push_slot(req, positions);
         self.peak_live = self.peak_live.max(self.arena.live());
         self.queue.push_arrival(at, Ev::Arrival(slot));
     }
@@ -2293,13 +2311,8 @@ impl ReplicaSim {
             req.decode_tokens > 0,
             "every request must generate at least one token"
         );
-        let positions = match (&self.spec.iterative, &mut self.iterative_rng) {
-            (Some(it), Some(rng)) => {
-                sample_positions(rng, req.decode_tokens, it.retrievals_per_sequence)
-            }
-            _ => Vec::new(),
-        };
-        self.push_arrival(req, positions, now);
+        let positions = self.draw_positions(&req);
+        self.push_arrival(req, &positions, now);
     }
 
     /// Tears down a crashed or preempted replica at its current instant:
@@ -2392,7 +2405,9 @@ pub(crate) struct Retired {
 /// A replica calls it once per request, at injection, so a request's
 /// positions depend only on the seed, its decode length, the retrieval
 /// count and the draws of the requests injected before it.
-fn sample_positions(rng: &mut StdRng, decode_len: u32, count: u32) -> Vec<u32> {
+/// [`crate::iterative::TriggerTable::draw`] makes the same calls in the
+/// same order.
+pub(crate) fn sample_positions(rng: &mut StdRng, decode_len: u32, count: u32) -> Vec<u32> {
     if count == 0 || decode_len <= 1 {
         return Vec::new();
     }

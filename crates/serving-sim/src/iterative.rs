@@ -15,12 +15,26 @@
 //! decode-only replica whose decode batch holds them all, so they decode
 //! together from the first step and pause and resume exactly as described
 //! above.
+//!
+//! The replica draws each request's retrieval trigger positions at
+//! injection, from an RNG seeded with the simulation's seed, in request
+//! order. So the positions of request `i` depend only on the seed, the
+//! decode length, the retrieval count and `i`, never on the batches or
+//! the latencies. A [`TriggerTable`] holds them for the first `rows`
+//! requests, drawn by those same calls, and [`simulate_with`] reads them
+//! from it: one table drawn for the largest decode batch serves every
+//! simulation that shares the other three inputs, bit for bit.
+//! [`simulate`] draws a table of its own and calls [`simulate_with`], so
+//! both run the one decode path.
 
 use crate::engine::{
-    DecodeSpec, EngineRequest, IterativeSpec, LatencyTable, PipelineSpec, ReplicaSim,
+    sample_positions, DecodeSpec, EngineRequest, IterativeSpec, LatencyTable, PipelineSpec,
+    ReplicaSim,
 };
 use crate::sink::{MetricsMode, RunSink, StreamingConfig};
 use rago_schema::HistogramSpec;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Parameters of one iterative-decode simulation.
@@ -66,6 +80,84 @@ pub struct IterativeDecodeResult {
     pub mean_retrieval_batch_fill: f64,
 }
 
+/// The retrieval trigger positions of the first `rows` requests of a
+/// decode-stall simulation: the positions a replica seeded `seed` draws
+/// for them, for sequences of `decode_len` tokens with `count` retrievals
+/// each. See the module documentation.
+#[derive(Debug, Clone)]
+pub struct TriggerTable {
+    seed: u64,
+    decode_len: u32,
+    count: u32,
+    rows: u32,
+    /// Positions per row: `min(count, decode_len - 1)`, or 0 when there
+    /// are none.
+    stride: usize,
+    /// Row `i` is `positions[i * stride..(i + 1) * stride]`, ascending.
+    positions: Vec<u32>,
+}
+
+impl TriggerTable {
+    /// Draws the positions of requests `0..rows`, in request order, with
+    /// the same calls on the same RNG a replica makes when they are
+    /// injected.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rago_serving_sim::iterative::{IterativeDecodeParams, TriggerTable};
+    ///
+    /// // 8 sequences of 32 tokens, each triggering 3 retrievals.
+    /// let table = TriggerTable::draw(7, 32, 3, 8);
+    /// let params = IterativeDecodeParams {
+    ///     decode_batch: 8,
+    ///     iterative_batch: 4,
+    ///     decode_len: 32,
+    ///     retrievals_per_sequence: 3,
+    ///     step_latency_s: 1e-3,
+    ///     retrieval_prefix_latency_s: 0.01,
+    ///     seed: 7,
+    /// };
+    /// assert!(table.fits(&params));
+    /// assert!(!table.fits(&IterativeDecodeParams { decode_batch: 9, ..params }));
+    /// assert!(!table.fits(&IterativeDecodeParams { seed: 8, ..params }));
+    /// ```
+    pub fn draw(seed: u64, decode_len: u32, count: u32, rows: u32) -> Self {
+        let stride = count.min(decode_len.saturating_sub(1)) as usize;
+        let mut positions = Vec::with_capacity(stride * rows as usize);
+        if stride > 0 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..rows {
+                positions.extend(sample_positions(&mut rng, decode_len, count));
+            }
+        }
+        Self {
+            seed,
+            decode_len,
+            count,
+            rows,
+            stride,
+            positions,
+        }
+    }
+
+    /// The trigger positions of request `i`, ascending.
+    fn row(&self, i: u32) -> &[u32] {
+        let start = i as usize * self.stride;
+        &self.positions[start..start + self.stride]
+    }
+
+    /// Whether a simulation of `params` can read its positions here: the
+    /// table was drawn for its seed, decode length and retrieval count,
+    /// with a row for every sequence of its decode batch.
+    pub fn fits(&self, params: &IterativeDecodeParams) -> bool {
+        self.seed == params.seed
+            && self.decode_len == params.decode_len
+            && self.count == params.retrievals_per_sequence
+            && self.rows >= params.decode_batch
+    }
+}
+
 /// Runs the simulation of `params` to completion and returns the aggregate
 /// metrics. See the module documentation.
 ///
@@ -97,12 +189,61 @@ pub struct IterativeDecodeResult {
 /// ```
 pub fn simulate(params: IterativeDecodeParams) -> IterativeDecodeResult {
     let p = params;
+    simulate_with(
+        p,
+        &TriggerTable::draw(
+            p.seed,
+            p.decode_len,
+            p.retrievals_per_sequence,
+            p.decode_batch,
+        ),
+    )
+}
+
+/// As [`simulate`], reading the trigger positions from `triggers` instead
+/// of drawing them. The result is bit-identical to [`simulate`]'s.
+///
+/// # Panics
+///
+/// As [`simulate`], and also unless `triggers` [`TriggerTable::fits`]
+/// `params`.
+///
+/// # Examples
+///
+/// ```
+/// use rago_serving_sim::iterative::{simulate, simulate_with, IterativeDecodeParams, TriggerTable};
+///
+/// let params = |decode_batch| IterativeDecodeParams {
+///     decode_batch,
+///     iterative_batch: 4,
+///     decode_len: 64,
+///     retrievals_per_sequence: 2,
+///     step_latency_s: 1e-3,
+///     retrieval_prefix_latency_s: 0.01,
+///     seed: 9,
+/// };
+/// // One table drawn for the largest batch serves every smaller one.
+/// let table = TriggerTable::draw(9, 64, 2, 16);
+/// for decode_batch in [1, 8, 16] {
+///     assert_eq!(simulate_with(params(decode_batch), &table), simulate(params(decode_batch)));
+/// }
+/// ```
+pub fn simulate_with(
+    params: IterativeDecodeParams,
+    triggers: &TriggerTable,
+) -> IterativeDecodeResult {
+    let p = params;
     assert!(p.decode_batch > 0, "decode_batch must be at least 1");
     assert!(p.decode_len > 0, "decode_len must be at least 1");
     assert!(p.step_latency_s > 0.0, "step_latency_s must be positive");
     assert!(
         p.retrievals_per_sequence == 0 || p.iterative_batch > 0,
         "iterative_batch must be at least 1 when retrievals are issued"
+    );
+    assert!(
+        triggers.fits(&p),
+        "trigger table does not fit the simulation: drawn for another seed, \
+         decode length or retrieval count, or fewer rows than the decode batch"
     );
     let spec = PipelineSpec::decode_only(
         DecodeSpec::new(
@@ -125,14 +266,15 @@ pub fn simulate(params: IterativeDecodeParams) -> IterativeDecodeResult {
     let mode = MetricsMode::Streaming(StreamingConfig::new(one_bucket));
     let mut sim = ReplicaSim::new(spec, &mode);
     for id in 0..p.decode_batch {
-        sim.inject(EngineRequest {
+        let request = EngineRequest {
             id: u64::from(id),
             arrival_s: 0.0,
             prefix_tokens: 0,
             decode_tokens: p.decode_len,
             class: 0,
             identity: None,
-        });
+        };
+        sim.inject_at_positions(request, triggers.row(id));
     }
     sim.run_to_completion();
     let RunSink::Streaming(sink) = sim.finish().sink else {
@@ -293,6 +435,14 @@ mod tests {
         assert_eq!(r.tpot_worst_s, 6.0);
         assert_eq!(r.retrieval_batches, 1);
         assert_eq!(r.mean_retrieval_batch_fill, 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "trigger table does not fit the simulation")]
+    fn simulate_with_rejects_a_table_that_does_not_fit() {
+        let p = base_params();
+        let short = TriggerTable::draw(p.seed, p.decode_len, p.retrievals_per_sequence, 63);
+        simulate_with(p, &short);
     }
 
     #[test]

@@ -155,7 +155,7 @@ pub use faults::{
     ScaleDriver, ScalingPlan, ShedEvent,
 };
 pub use fleet::{arrivals, FleetEngine, LostVerdict};
-pub use iterative::{IterativeDecodeParams, IterativeDecodeResult};
+pub use iterative::{IterativeDecodeParams, IterativeDecodeResult, TriggerTable};
 pub use pools::{DisaggReport, PoolReport, TransferStats};
 pub use sink::{
     ClassSloScore, HistogramSink, LatencyHistogram, MetricsMode, RequestOutcome, StreamedScores,

@@ -1,12 +1,21 @@
 //! Property-based tests for the discrete-event serving simulators.
 
 use proptest::prelude::*;
-use rago_serving_sim::engine::{DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, StageSpec};
-use rago_serving_sim::iterative::{simulate, IterativeDecodeParams, IterativeDecodeResult};
+use rago_schema::{HistogramSpec, RouterPolicy};
+use rago_serving_sim::engine::{
+    DecodeSpec, EngineRequest, IterativeSpec, LatencyTable, PipelineSpec, StageSpec,
+};
+use rago_serving_sim::faults::ScaleDriver;
+use rago_serving_sim::fleet::FleetEngine;
+use rago_serving_sim::iterative::{
+    simulate, simulate_with, IterativeDecodeParams, IterativeDecodeResult, TriggerTable,
+};
+use rago_serving_sim::{MetricsMode, StreamingConfig};
+use rago_telemetry::NullRecorder;
 
 mod one_replica;
 mod reference_loop;
-use one_replica::{dispatches, run_alone, run_burst, ttft_first_mean_makespan};
+use one_replica::{burst_requests, dispatches, run_alone, run_burst, ttft_first_mean_makespan};
 use reference_loop::reference_run;
 
 /// Whether the four time fields agree within the 1e-9 tolerance of the
@@ -57,6 +66,102 @@ proptest! {
             engine.mean_retrieval_batch_fill.to_bits(),
             reference.mean_retrieval_batch_fill.to_bits()
         );
+    }
+}
+
+/// The six fields of a decode-stall result, the floats by bit pattern.
+fn result_bits(r: &IterativeDecodeResult) -> [u64; 6] {
+    [
+        r.total_time_s.to_bits(),
+        r.tpot_mean_s.to_bits(),
+        r.tpot_worst_s.to_bits(),
+        r.normalized_decode_latency.to_bits(),
+        u64::from(r.retrieval_batches),
+        r.mean_retrieval_batch_fill.to_bits(),
+    ]
+}
+
+/// The decode-stall simulation of `params` on a one-replica fleet: the
+/// replica draws each request's trigger positions itself, at injection.
+fn drawn_at_injection(params: IterativeDecodeParams) -> IterativeDecodeResult {
+    let spec = PipelineSpec::decode_only(
+        DecodeSpec::new(
+            params.decode_batch,
+            LatencyTable::constant(params.decode_batch, params.step_latency_s),
+        ),
+        Some(IterativeSpec {
+            retrievals_per_sequence: params.retrievals_per_sequence,
+            iterative_batch: params.iterative_batch,
+            retrieval_prefix_latency_s: params.retrieval_prefix_latency_s,
+            seed: params.seed,
+        }),
+    );
+    // The streaming sink `simulate_with` retires into; one bucket, since
+    // the mean, the maximum and the makespan are tracked outside them.
+    let mode = MetricsMode::Streaming(StreamingConfig::new(HistogramSpec {
+        bucket_width_s: 1.0,
+        max_buckets: 1,
+    }));
+    let one = ScaleDriver::Static { replicas: 1 };
+    let m = FleetEngine::new(spec, RouterPolicy::default(), one)
+        .run(
+            burst_requests(params.decode_batch, params.decode_len),
+            &mode,
+            &mut NullRecorder,
+        )
+        .fleet
+        .merged
+        .metrics;
+    IterativeDecodeResult {
+        total_time_s: m.makespan_s,
+        tpot_mean_s: m.tpot.mean_s,
+        tpot_worst_s: m.tpot.max_s,
+        normalized_decode_latency: m.makespan_s
+            / (f64::from(params.decode_len) * params.step_latency_s),
+        retrieval_batches: m.retrieval_batches,
+        mean_retrieval_batch_fill: m.mean_retrieval_batch_fill,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One trigger table serves every decode batch up to its rows: reading
+    /// its prefix rows equals, bit for bit, a replica that draws each
+    /// request's positions at injection. Covers one-token generations,
+    /// zero retrievals and more retrievals than positions to trigger them
+    /// at.
+    #[test]
+    fn trigger_table_reproduces_the_injection_draws(
+        rows in 1u32..24,
+        iterative_batch in 1u32..16,
+        retrievals in 0u32..=8,
+        decode_len in prop_oneof![Just(1u32), Just(2u32), 1u32..=8, 1u32..=300],
+        retrieval_latency in prop_oneof![Just(0.0f64), 0.0f64..0.2],
+        seed in any::<u64>(),
+    ) {
+        let params = |decode_batch| IterativeDecodeParams {
+            decode_batch,
+            iterative_batch,
+            decode_len,
+            retrievals_per_sequence: retrievals,
+            step_latency_s: 2e-3,
+            retrieval_prefix_latency_s: retrieval_latency,
+            seed,
+        };
+        let table = TriggerTable::draw(seed, decode_len, retrievals, rows);
+        for decode_batch in 1..=rows {
+            let shared = simulate_with(params(decode_batch), &table);
+            let drawn = drawn_at_injection(params(decode_batch));
+            prop_assert_eq!(
+                result_bits(&shared),
+                result_bits(&drawn),
+                "decode batch {}: {:?} vs {:?}",
+                decode_batch,
+                shared,
+                drawn
+            );
+        }
     }
 }
 

@@ -222,20 +222,20 @@ pub(crate) fn plan_flat(
     else {
         return Err(probes.infeasible(&format!("{max} replicas reach"), target_qps));
     };
-    let report = probes.take((1, replicas)).fleet;
+    let report = probes.take((1, replicas));
     let plan = CapacityPlan {
         replicas,
         target_qps,
-        attainment: report.attainment(slo),
-        goodput_rps: report.goodput_rps(slo),
+        attainment: report.offered_attainment(slo),
+        goodput_rps: report.fleet.goodput_rps(slo),
         total_xpus,
         total_retrieval_servers: schedule.allocation.retrieval_servers * replicas,
-        drain_tail_s: report.merged.metrics.drain_tail_s,
+        drain_tail_s: report.fleet.merged.metrics.drain_tail_s,
         des_runs: probes.work.runs,
         des_runs_stopped: probes.work.stopped,
         des_events: probes.work.events,
     };
-    Ok((plan, report))
+    Ok((plan, report.fleet))
 }
 
 /// Upper bound on [`CapacityOptions::max_replicas`] accepted by the
@@ -392,7 +392,7 @@ impl<'a> Probes<'a> {
                 }
             })
             .as_ref()
-            .is_some_and(|report| report.fleet.attainment(slo) >= slo.attainment)
+            .is_some_and(|report| report.offered_attainment(slo) >= slo.attainment)
     }
 
     /// Hands over the completed report of fleet `key`.
@@ -412,7 +412,7 @@ impl<'a> Probes<'a> {
         RagoError::NoFeasibleSchedule {
             reason: format!(
                 "even {fleet} only {:.1} % attainment at {target_qps:.1} rps (target {:.1} %)",
-                top.fleet.attainment(self.slo) * 100.0,
+                top.offered_attainment(self.slo) * 100.0,
                 self.slo.attainment * 100.0
             ),
         }
@@ -528,16 +528,16 @@ impl Rago {
             let fleet = format!("a {max} + {max} prefill/decode split reaches");
             return Err(probes.infeasible(&fleet, target_qps));
         };
-        let report = probes.take((p, d)).fleet.merged;
+        let report = probes.take((p, d));
         Ok(PoolCapacityPlan {
             prefill_replicas: p,
             decode_replicas: d,
             target_qps,
-            attainment: report.attainment(slo),
-            goodput_rps: report.goodput_rps(slo),
+            attainment: report.offered_attainment(slo),
+            goodput_rps: report.fleet.goodput_rps(slo),
             total_xpus: cost,
             total_retrieval_servers: schedule.allocation.retrieval_servers * p,
-            drain_tail_s: report.metrics.drain_tail_s,
+            drain_tail_s: report.fleet.merged.metrics.drain_tail_s,
             des_runs: probes.work.runs,
             des_runs_stopped: probes.work.stopped,
             des_events: probes.work.events,

@@ -46,10 +46,6 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
-/// Seed of the iterative-retrieval trigger positions, shared with the static
-/// path so both evaluate the same random draw.
-const ITERATIVE_SEED: u64 = 0x5EED;
-
 /// The outcome of one dynamic schedule evaluation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DynamicEvaluation {
@@ -200,8 +196,10 @@ impl Rago {
 }
 
 /// Appends the profiler's lifetime memoization counters to a trace as
-/// Profile-lane counters on the fleet track, using the same `sim.*` names
-/// as [`rago_telemetry::SimProfile`]. Compiles to nothing for a
+/// Profile-lane counters on the fleet track: `sim.profiler_memo_hits`,
+/// `sim.profiler_memo_misses` and `sim.profiler_memo_hit_rate`. This is the
+/// one emitter of those counters; a fleet's [`rago_telemetry::SimProfile`]
+/// covers only its event loop. Compiles to nothing for a
 /// [`rago_telemetry::NullRecorder`].
 fn record_profiler_memo<R: Recorder>(profiler: &StageProfiler, rec: &mut R, time_s: f64) {
     if !R::ENABLED {
@@ -548,9 +546,11 @@ pub(crate) fn pipeline_spec(
 
     let decode_batch = schedule.batching.decode_batch;
     let mut step_table = Vec::with_capacity(decode_batch as usize);
+    let mut decode = None;
     for fill in 1..=decode_batch {
         let perf = profiler.profile(Stage::Decode, schedule.allocation.decode_xpus, fill)?;
         step_table.push(perf.step_latency()?);
+        decode = Some(perf);
     }
     let mut spec = PipelineSpec::new(
         stages,
@@ -558,27 +558,20 @@ pub(crate) fn pipeline_spec(
     );
 
     if schema.is_iterative() {
-        let cfg = schema
-            .retrieval
-            .as_ref()
-            .expect("iterative implies retrieval");
-        let iter_batch = schedule.batching.iterative_batch.unwrap_or(batch).max(1);
+        // The analytic path's stall input, so both paths draw the same
+        // triggers from the same seed.
+        let decode = decode.expect("the decode step table is not empty");
         let retrieval = profiler.profile(
             Stage::Retrieval,
             schedule.allocation.retrieval_servers,
-            iter_batch,
+            schedule.iterative_batch(),
         )?;
-        let prefix_chips = schedule
-            .placement
-            .group_of(Stage::Prefix)
-            .map(|g| schedule.allocation.group_xpus[g])
-            .unwrap_or(schedule.allocation.decode_xpus);
-        let reprefix = profiler.profile(Stage::Prefix, prefix_chips, iter_batch)?;
+        let stall = schedule.stall_params(profiler, &decode, retrieval.latency_s)?;
         spec = spec.with_iterative(IterativeSpec {
-            retrievals_per_sequence: cfg.retrievals_per_sequence.saturating_sub(1),
-            iterative_batch: iter_batch,
-            retrieval_prefix_latency_s: retrieval.latency_s + reprefix.latency_s,
-            seed: ITERATIVE_SEED,
+            retrievals_per_sequence: stall.retrievals_per_sequence,
+            iterative_batch: stall.iterative_batch,
+            retrieval_prefix_latency_s: stall.retrieval_prefix_latency_s,
+            seed: stall.seed,
         });
     }
 
@@ -783,6 +776,45 @@ mod tests {
             .step_latency_s
             .unwrap();
         assert!(eval.report.metrics.tpot.max_s > step);
+    }
+
+    /// The DES pipeline's Case III input is the analytic stall input: the
+    /// same batch, retrieval count and trigger seed, and the same pass
+    /// latency bit for bit.
+    #[test]
+    fn iterative_pipelines_take_the_analytic_stall_input() {
+        let rago = Rago::new(
+            presets::case3_iterative(LlmSize::B8, 4),
+            ClusterSpec::paper_default(),
+        );
+        let options = SearchOptions {
+            xpu_steps: vec![8, 16],
+            server_steps: vec![32],
+            predecode_batch_steps: vec![4, 16],
+            decode_batch_steps: vec![64],
+            iterative_batch_steps: vec![2, 8],
+            placements: None,
+        };
+        let frontier = rago.optimize(&options).unwrap();
+        assert!(!frontier.points.is_empty());
+        for point in &frontier.points {
+            let stall = point
+                .schedule
+                .decode_stall_params(rago.profiler())
+                .unwrap()
+                .expect("Case III stalls");
+            let spec = pipeline_spec(rago.profiler(), &point.schedule, None)
+                .unwrap()
+                .iterative
+                .expect("a Case III pipeline is iterative");
+            assert_eq!(spec.retrievals_per_sequence, stall.retrievals_per_sequence);
+            assert_eq!(spec.iterative_batch, stall.iterative_batch);
+            assert_eq!(
+                spec.retrieval_prefix_latency_s.to_bits(),
+                stall.retrieval_prefix_latency_s.to_bits()
+            );
+            assert_eq!(spec.seed, stall.seed);
+        }
     }
 
     /// Regression: an empty trace used to score a vacuous `attainment = 1.0`

@@ -287,7 +287,7 @@ impl Schedule {
 
     /// The batch of iterative retrieval + re-prefix passes: the policy's
     /// iterative batch, or the pre-decode batch when it sets none.
-    fn iterative_batch(&self) -> u32 {
+    pub(crate) fn iterative_batch(&self) -> u32 {
         self.batching
             .iterative_batch
             .unwrap_or(self.batching.predecode_batch)
@@ -295,8 +295,11 @@ impl Schedule {
     }
 
     /// Builds the decode-stall input from the decode profile and the
-    /// iterative retrieval latency, profiling the re-prefix pass.
-    fn stall_params(
+    /// iterative retrieval latency, profiling the re-prefix pass. It is the
+    /// one source of Case III's stall input: the analytic evaluation
+    /// simulates it, and the DES pipeline (`dynamic::pipeline_spec`) takes
+    /// its batch, retrieval count, pass latency and trigger seed.
+    pub(crate) fn stall_params(
         &self,
         costs: &impl CostSource,
         decode: &StagePerf,

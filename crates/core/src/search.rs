@@ -38,11 +38,10 @@
 //!    **seeded runs are bit-reproducible regardless of thread count or
 //!    thread timing.**
 //!
-//! The only reproducibility trade-off is the optional wall-clock budget
-//! ([`StochasticConfig::time_budget_s`]): it is checked at round boundaries
-//! only, so a time-capped run still never splits a round, but *which* round
-//! it stops after depends on the machine. Leave it `None` (budgeting by
-//! `max_evaluations` alone) for bit-reproducible results.
+//! A run has two knobs, the seed and the evaluation budget
+//! ([`StochasticConfig`]). The beam width, the round size, the uniform
+//! share and the descent limits are fixed as its associated constants, and
+//! no wall clock stops a run, so every seeded run is reproducible.
 //!
 //! The design follows the sparrow placement-search exemplars (SNIPPETS.md
 //! 1–2): a capacity-bounded deduplicated best-sample set, focussed + uniform
@@ -66,9 +65,9 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Tuning knobs of the stochastic search. [`StochasticConfig::default`] is
-/// sized for exploratory runs; [`StochasticConfig::with_budget`] is the knob
-/// that matters most (how many novel candidate evaluations to spend).
+/// The stochastic search's two knobs: the seed and the evaluation budget.
+/// The search's tuning is fixed as associated constants, so a seed and a
+/// budget on one grid name exactly one run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StochasticConfig {
     /// RNG seed. Two runs with the same seed, budget, and grid produce
@@ -77,25 +76,9 @@ pub struct StochasticConfig {
     /// Budget: total novel candidate evaluations across all rounds. The
     /// search stops at the first round boundary at or beyond it (a round's
     /// coordinate-descent phase may overshoot by at most
-    /// `beam_width × descent_evaluations`).
+    /// [`StochasticConfig::BEAM_WIDTH`] ×
+    /// [`StochasticConfig::DESCENT_EVALUATIONS`]).
     pub max_evaluations: usize,
-    /// Optional wall-clock budget in seconds, checked at round boundaries
-    /// only. **Setting this trades bit-reproducibility across machines for
-    /// an anytime cap** — see the module docs.
-    pub time_budget_s: Option<f64>,
-    /// Best-sample beam capacity (survivors refined and exchanged).
-    pub beam_width: usize,
-    /// Novel evaluations per sampling round (the exchange checkpoint
-    /// interval).
-    pub round_evaluations: usize,
-    /// Fraction of each round's samples drawn uniformly from the whole
-    /// space; the rest focus around beam survivors. Clamped to `[0, 1]`.
-    pub uniform_fraction: f64,
-    /// Maximum full axis sweeps per survivor in one descent phase.
-    pub descent_sweeps: usize,
-    /// Maximum novel evaluations one survivor's descent may spend per
-    /// round. `0` disables coordinate descent.
-    pub descent_evaluations: usize,
 }
 
 impl Default for StochasticConfig {
@@ -103,17 +86,24 @@ impl Default for StochasticConfig {
         Self {
             seed: 0x5EED,
             max_evaluations: 4096,
-            time_budget_s: None,
-            beam_width: 8,
-            round_evaluations: 256,
-            uniform_fraction: 0.5,
-            descent_sweeps: 4,
-            descent_evaluations: 96,
         }
     }
 }
 
 impl StochasticConfig {
+    /// Best-sample beam capacity (survivors refined and exchanged).
+    pub const BEAM_WIDTH: usize = 8;
+    /// Novel evaluations per sampling round (the exchange checkpoint
+    /// interval).
+    pub const ROUND_EVALUATIONS: usize = 256;
+    /// Fraction of each round's samples drawn uniformly from the whole
+    /// space; the rest focus around beam survivors.
+    pub const UNIFORM_FRACTION: f64 = 0.5;
+    /// Maximum full axis sweeps per survivor in one descent phase.
+    pub const DESCENT_SWEEPS: usize = 4;
+    /// Maximum novel evaluations one survivor's descent may spend per round.
+    pub const DESCENT_EVALUATIONS: usize = 96;
+
     /// Sets the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -126,40 +116,16 @@ impl StochasticConfig {
         self
     }
 
-    /// Sets the wall-clock budget (see [`StochasticConfig::time_budget_s`]).
-    pub fn with_time_budget(mut self, seconds: f64) -> Self {
-        self.time_budget_s = Some(seconds);
-        self
-    }
-
     /// Validates the knobs.
     ///
     /// # Errors
     ///
-    /// Returns [`RagoError::InvalidConfig`] on a zero beam width, round
-    /// size, or budget, a non-finite uniform fraction, or a non-positive
-    /// time budget.
+    /// Returns [`RagoError::InvalidConfig`] on a zero budget.
     pub fn validate(&self) -> Result<(), RagoError> {
-        let reject = |reason: String| Err(RagoError::InvalidConfig { reason });
-        if self.beam_width == 0 {
-            return reject("stochastic search needs a beam of at least one survivor".into());
-        }
-        if self.round_evaluations == 0 {
-            return reject("stochastic search needs at least one evaluation per round".into());
-        }
         if self.max_evaluations == 0 {
-            return reject("stochastic search needs a non-zero evaluation budget".into());
-        }
-        if !self.uniform_fraction.is_finite() {
-            return reject(format!(
-                "uniform_fraction must be finite, got {}",
-                self.uniform_fraction
-            ));
-        }
-        if let Some(t) = self.time_budget_s {
-            if t <= 0.0 || t.is_nan() {
-                return reject(format!("time budget must be positive, got {t}"));
-            }
+            return Err(RagoError::InvalidConfig {
+                reason: "stochastic search needs a non-zero evaluation budget".into(),
+            });
         }
         Ok(())
     }
@@ -683,28 +649,6 @@ pub struct StochasticSearchReport {
     /// reference point, `frontier.hypervolume(..)` over this timeline is
     /// non-decreasing.
     pub timeline: Vec<AnytimeSample>,
-    /// Novel candidate evaluations charged in each round, oldest first
-    /// (uniform + focussed + descent). Sums to `evaluations`.
-    pub round_evals: Vec<u64>,
-    /// Beam admissions in each round, oldest first: how many evaluated
-    /// candidates entered the survivor beam (displacing a weaker entry or
-    /// filling a free slot). A settling search trends toward zero churn.
-    pub beam_churn: Vec<u64>,
-}
-
-impl StochasticSearchReport {
-    /// The search's self-profiling counters in [`rago_telemetry::SimProfile`]
-    /// form: rounds completed, novel evaluations per round, and beam churn
-    /// per round (every other field is zero — merge with an engine-produced
-    /// profile via [`rago_telemetry::SimProfile::merge_from`] if desired).
-    pub fn sim_profile(&self) -> rago_telemetry::SimProfile {
-        rago_telemetry::SimProfile {
-            search_rounds: self.rounds as u64,
-            search_round_evals: self.round_evals.clone(),
-            search_beam_churn: self.beam_churn.clone(),
-            ..Default::default()
-        }
-    }
 }
 
 /// Splits a `u64` seed into an independent per-(round, stream) RNG.
@@ -783,45 +727,43 @@ impl Known {
     }
 
     /// Charges one evaluation and merges a feasible one into the scores,
-    /// the beam and the frontier. Returns whether it entered the beam.
-    fn record(&mut self, (index, schedule, perf): Evaluated) -> bool {
+    /// the beam and the frontier.
+    fn record(&mut self, (index, schedule, perf): Evaluated) {
         self.evaluations += 1;
         let Some(performance) = perf else {
-            return false;
+            return;
         };
         self.feasible_evaluations += 1;
         self.scores.insert(index, performance.qps_per_chip);
-        let entered = self
-            .beam
+        self.beam
             .report(index, performance.qps_per_chip, schedule.clone());
         self.accumulator.push(ParetoPoint {
             schedule,
             performance,
         });
-        entered
     }
 }
 
 /// Hill-climbs one survivor along one axis at a time against `known`, as
-/// frozen before the round's descent phase, evaluating at most `eval_cap`
-/// novel candidates. Returns the ordered list of evaluations performed (the
-/// caller merges them; nothing shared is mutated here, which is what keeps
-/// the phase deterministic under any thread count).
+/// frozen before the round's descent phase, for at most
+/// [`StochasticConfig::DESCENT_SWEEPS`] sweeps and
+/// [`StochasticConfig::DESCENT_EVALUATIONS`] novel candidates. Returns the
+/// ordered list of evaluations performed (the caller merges them; nothing
+/// shared is mutated here, which is what keeps the phase deterministic
+/// under any thread count).
 fn coordinate_descent(
     space: &ScheduleSpace,
     profiler: &StageProfiler,
     known: &Known,
     entry: &BeamEntry,
-    sweeps: usize,
-    eval_cap: usize,
 ) -> Vec<Evaluated> {
     let mut digits = space.digits_of(entry.index).expect("survivor in range");
     let mut best = entry.score;
     let mut evals: Vec<Evaluated> = Vec::new();
     let mut local: HashMap<u128, Option<f64>> = HashMap::new();
-    let mut budget_left = eval_cap;
+    let mut budget_left = StochasticConfig::DESCENT_EVALUATIONS;
 
-    'sweeps: for _ in 0..sweeps {
+    'sweeps: for _ in 0..StochasticConfig::DESCENT_SWEEPS {
         let mut improved = false;
         for axis in 0..space.num_axes(digits.block) {
             for dir in [1, -1] {
@@ -887,12 +829,11 @@ pub(crate) fn run_stochastic(
     space.validate_placements(rago.profiler().schema())?;
     let start = Instant::now();
     let profiler = rago.profiler();
-    let uniform_fraction = config.uniform_fraction.clamp(0.0, 1.0);
 
     let mut known = Known {
         seen: HashSet::new(),
         scores: HashMap::new(),
-        beam: BestSamples::new(config.beam_width),
+        beam: BestSamples::new(StochasticConfig::BEAM_WIDTH),
         accumulator: ParetoAccumulator::new(),
         evaluations: 0,
         feasible_evaluations: 0,
@@ -901,16 +842,12 @@ pub(crate) fn run_stochastic(
     let mut scan_cursor: u128 = 0;
     let mut scanned: u128 = 0; // indices the fallback scan has consumed
     let mut timeline: Vec<AnytimeSample> = Vec::new();
-    let mut round_evals: Vec<u64> = Vec::new();
-    let mut beam_churn: Vec<u64> = Vec::new();
     let mut exhausted = space.size() == 0;
 
     while !exhausted && known.evaluations < config.max_evaluations {
         rounds += 1;
-        let round_start_evals = known.evaluations;
-        let mut round_churn = 0u64;
         let remaining = config.max_evaluations - known.evaluations;
-        let target = config.round_evaluations.min(remaining);
+        let target = StochasticConfig::ROUND_EVALUATIONS.min(remaining);
 
         // ---- Generation (sequential, deterministic): the round's work
         // list of novel candidates, reserved in `seen` up front. It grows
@@ -919,7 +856,7 @@ pub(crate) fn run_stochastic(
         let uniform_quota = if known.beam.is_empty() {
             target
         } else {
-            ((target as f64) * uniform_fraction).round() as usize
+            ((target as f64) * StochasticConfig::UNIFORM_FRACTION).round() as usize
         };
 
         // Uniform draws; on sustained novelty misses, fall back to a
@@ -996,30 +933,21 @@ pub(crate) fn run_stochastic(
             (index, schedule, perf)
         });
         for evaluation in evaluated {
-            round_churn += u64::from(known.record(evaluation));
+            known.record(evaluation);
         }
 
         // ---- Coordinate descent on the round-start survivors, against the
         // frozen snapshot; results merge in survivor order. ----
         let mut descent_progress = false;
-        if config.descent_sweeps > 0 && config.descent_evaluations > 0 {
-            let descents = in_order(&survivors, |entry| {
-                coordinate_descent(
-                    space,
-                    profiler,
-                    &known,
-                    entry,
-                    config.descent_sweeps,
-                    config.descent_evaluations,
-                )
-            });
-            for evaluation in descents.into_iter().flatten() {
-                // Two survivors may explore the same neighbour; charge and
-                // record it once (the first, in survivor order).
-                if known.seen.insert(evaluation.0) {
-                    descent_progress = true;
-                    round_churn += u64::from(known.record(evaluation));
-                }
+        let descents = in_order(&survivors, |entry| {
+            coordinate_descent(space, profiler, &known, entry)
+        });
+        for evaluation in descents.into_iter().flatten() {
+            // Two survivors may explore the same neighbour; charge and
+            // record it once (the first, in survivor order).
+            if known.seen.insert(evaluation.0) {
+                descent_progress = true;
+                known.record(evaluation);
             }
         }
 
@@ -1030,16 +958,9 @@ pub(crate) fn run_stochastic(
             elapsed_s: start.elapsed().as_secs_f64(),
             frontier: known.accumulator.clone().into_frontier(),
         });
-        round_evals.push((known.evaluations - round_start_evals) as u64);
-        beam_churn.push(round_churn);
         if !had_batch && !descent_progress {
             // Nothing novel can be generated any more.
             exhausted = true;
-        }
-        if let Some(budget) = config.time_budget_s {
-            if start.elapsed().as_secs_f64() >= budget {
-                break;
-            }
         }
     }
 
@@ -1055,8 +976,6 @@ pub(crate) fn run_stochastic(
         exhausted,
         elapsed_s: start.elapsed().as_secs_f64(),
         timeline,
-        round_evals,
-        beam_churn,
     })
 }
 
@@ -1240,33 +1159,11 @@ mod tests {
     fn invalid_configs_are_rejected() {
         let ok = StochasticConfig::default();
         assert!(ok.validate().is_ok());
-        for bad in [
-            StochasticConfig {
-                beam_width: 0,
-                ..ok.clone()
-            },
-            StochasticConfig {
-                round_evaluations: 0,
-                ..ok.clone()
-            },
-            StochasticConfig {
-                max_evaluations: 0,
-                ..ok.clone()
-            },
-            StochasticConfig {
-                uniform_fraction: f64::NAN,
-                ..ok.clone()
-            },
-            StochasticConfig {
-                time_budget_s: Some(0.0),
-                ..ok.clone()
-            },
-        ] {
-            assert!(
-                matches!(bad.validate(), Err(RagoError::InvalidConfig { .. })),
-                "{bad:?} should be rejected"
-            );
-        }
+        let bad = ok.with_budget(0);
+        assert!(
+            matches!(bad.validate(), Err(RagoError::InvalidConfig { .. })),
+            "{bad:?} should be rejected"
+        );
     }
 
     #[test]
@@ -1274,18 +1171,12 @@ mod tests {
         let rago = case1();
         let options = tiny_options();
         let exhaustive = rago.optimize(&options).unwrap();
-        // These knobs pass validation at `usize::MAX` too: neither the
-        // round's work list nor the beam may try to reserve that many
-        // slots, and the miss and attempt limits must not overflow.
-        let unbounded = StochasticConfig {
-            round_evaluations: usize::MAX,
-            max_evaluations: usize::MAX,
-            beam_width: usize::MAX,
-            ..StochasticConfig::default()
-        };
+        // A `usize::MAX` budget passes validation too: the round's work list
+        // may not try to reserve that many slots, and the miss and attempt
+        // limits must not overflow.
         for config in [
             StochasticConfig::default().with_seed(7).with_budget(64),
-            unbounded,
+            StochasticConfig::default().with_budget(usize::MAX),
         ] {
             let report = rago.optimize_stochastic(&options, &config).unwrap();
             assert!(report.exhausted, "8-candidate space must be exhausted");

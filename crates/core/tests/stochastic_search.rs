@@ -38,8 +38,6 @@ type ReproducibleSurface<'a> = (
     u128,
     bool,
     Vec<(usize, &'a rago_core::ParetoFrontier)>,
-    &'a [u64],
-    &'a [u64],
 );
 
 fn reproducible_surface(report: &StochasticSearchReport) -> ReproducibleSurface<'_> {
@@ -55,8 +53,6 @@ fn reproducible_surface(report: &StochasticSearchReport) -> ReproducibleSurface<
             .iter()
             .map(|s| (s.evaluations, &s.frontier))
             .collect(),
-        &report.round_evals,
-        &report.beam_churn,
     )
 }
 
@@ -109,13 +105,21 @@ fn same_seed_is_bit_reproducible_for_any_worker_count() {
     let baseline = run(42);
     assert_eq!(baseline.evaluations, 2744);
     assert_eq!(baseline.rounds, 15);
+    // Each round's evaluations, as the differences of the timeline's
+    // running totals.
+    let per_round: Vec<usize> = baseline
+        .timeline
+        .iter()
+        .scan(0, |spent, sample| {
+            let round = sample.evaluations - *spent;
+            *spent = sample.evaluations;
+            Some(round)
+        })
+        .collect();
     assert_eq!(
-        baseline.round_evals,
+        per_round,
         [256, 277, 254, 241, 220, 205, 180, 196, 176, 162, 165, 138, 139, 128, 7]
     );
-    let mut churn = vec![0u64; 15];
-    churn[..2].copy_from_slice(&[28, 9]);
-    assert_eq!(baseline.beam_churn, churn);
     assert_eq!(baseline.feasible_evaluations, 2744);
     assert_eq!(baseline.frontier.len(), 4);
 }
@@ -130,7 +134,10 @@ fn truncated_budgets_are_anytime_and_monotone() {
     let config = StochasticConfig::default().with_seed(9).with_budget(600);
     let report = rago.optimize_stochastic(&options, &config).unwrap();
     assert!(!report.exhausted);
-    assert!(report.evaluations <= 600 + config.beam_width * config.descent_evaluations);
+    assert!(
+        report.evaluations
+            <= 600 + StochasticConfig::BEAM_WIDTH * StochasticConfig::DESCENT_EVALUATIONS
+    );
     assert!(!report.frontier.points.is_empty());
     assert!(!report.timeline.is_empty());
     // The last checkpoint is the returned frontier.

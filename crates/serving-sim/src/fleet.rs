@@ -276,8 +276,7 @@ impl FleetEngine {
     /// prefill handoff or TPOT at decode completion. A split fleet counts
     /// the larger of its prefill and decode legs' misses, a lower bound on
     /// its distinct misses; a dead replica's tally is dropped, which only
-    /// loosens the bound. On a static, fault-free, admission-free fleet the
-    /// verdict is exactly `fleet.attainment(slo) >= slo.attainment`.
+    /// loosens the bound.
     ///
     /// A run that never loses its verdict returns the full report, equal
     /// to [`Self::run_trace`]'s; one that loses it at any point returns
@@ -390,8 +389,7 @@ impl FleetEngine {
         let mut next_step = 0usize;
 
         loop {
-            let agenda_pick = run.next_agendum();
-            let agenda_t = agenda_pick.map(|(_, t)| t);
+            let agenda_t = run.agenda.peek_time();
             let flush_t = run.flush_time();
             let arrival_t = arrivals.peek().map(|r| r.arrival_s);
             // Policy ticks run up to the last arrival: live while another
@@ -427,8 +425,7 @@ impl FleetEngine {
 
             match lane {
                 0 => {
-                    let (idx, _) = agenda_pick.expect("lane 0 implies an agenda entry");
-                    let action = run.agenda.remove(idx).action;
+                    let (_, action) = run.agenda.pop().expect("lane 0 implies an agenda entry");
                     run.apply_action(action, now, rec);
                 }
                 1 => run.flush(now, rec),
@@ -701,12 +698,6 @@ impl Action {
     }
 }
 
-struct Agendum {
-    t: f64,
-    seq: u64,
-    action: Action,
-}
-
 /// The routing state of one pool: a flat fleet's only pool, or a split
 /// fleet's prefill or decode pool.
 struct Pool {
@@ -766,8 +757,10 @@ struct Run<'e> {
     /// Routable slot indices of one pool as of the last
     /// [`Run::refresh_routable`] — one buffer reused for every clock point.
     routable: Vec<usize>,
-    agenda: Vec<Agendum>,
-    next_seq: u64,
+    /// Pending fault-lane actions, keyed `(t, seq)` in scheduling order:
+    /// the fault schedule's events first, in list order, then every
+    /// action scheduled during the run.
+    agenda: EventQueue<Action>,
     /// The arrival pool, then a split fleet's decode pool.
     pools: Vec<Pool>,
     /// A split fleet's transfer lane.
@@ -824,18 +817,7 @@ impl<'e> Run<'e> {
             track_probes,
             slots: Vec::with_capacity(initial as usize),
             routable: Vec::with_capacity(initial as usize),
-            agenda: engine
-                .faults
-                .events()
-                .iter()
-                .enumerate()
-                .map(|(i, e)| Agendum {
-                    t: e.at_s(),
-                    seq: i as u64,
-                    action: Action::of(e),
-                })
-                .collect(),
-            next_seq: engine.faults.len() as u64,
+            agenda: EventQueue::new(),
             pools,
             transfers,
             dead: Vec::new(),
@@ -852,6 +834,9 @@ impl<'e> Run<'e> {
             faults_skipped: 0,
             disruptions: Vec::new(),
         };
+        for event in engine.faults.events() {
+            run.agenda.push_scheduled(event.at_s(), Action::of(event));
+        }
         for i in 0..initial as usize {
             let pool = match &engine.split {
                 Some((prefill, _, _)) if i >= prefill.replicas as usize => DECODE_POOL,
@@ -895,16 +880,6 @@ impl<'e> Run<'e> {
         self.slots.len() - 1
     }
 
-    /// The earliest agenda entry (ties in scheduling order): its index and
-    /// instant.
-    fn next_agendum(&self) -> Option<(usize, f64)> {
-        self.agenda
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.t.total_cmp(&b.t).then(a.seq.cmp(&b.seq)))
-            .map(|(i, a)| (i, a.t))
-    }
-
     /// When waiting requests can next be routed: the earliest instant a
     /// provisioned replica of a pool with waiting requests is (or becomes)
     /// routable.
@@ -917,15 +892,6 @@ impl<'e> Run<'e> {
             .filter(|s| s.provisioned() && !self.pools[s.pool].pending.is_empty())
             .map(|s| s.routable_s)
             .min_by(f64::total_cmp)
-    }
-
-    fn schedule(&mut self, t: f64, action: Action) {
-        self.agenda.push(Agendum {
-            t,
-            seq: self.next_seq,
-            action,
-        });
-        self.next_seq += 1;
     }
 
     fn alive(&self, slot: usize) -> bool {
@@ -1186,7 +1152,8 @@ impl<'e> Run<'e> {
                     kind: FaultKind::Crash,
                 });
                 if restart_delay_s.is_finite() {
-                    self.schedule(now + restart_delay_s, Action::Restart { like: slot });
+                    self.agenda
+                        .push_scheduled(now + restart_delay_s, Action::Restart { like: slot });
                 }
             }
             Action::PreemptNotice { slot, notice_s } => {
@@ -1204,7 +1171,8 @@ impl<'e> Run<'e> {
                     replica: slot,
                     kind: FaultKind::Preemption,
                 });
-                self.schedule(now + notice_s, Action::Kill { slot });
+                self.agenda
+                    .push_scheduled(now + notice_s, Action::Kill { slot });
             }
             Action::Kill { slot } => {
                 // The preemption deadline; skip silently if the replica
@@ -1777,6 +1745,57 @@ mod tests {
         assert_eq!(
             streamed.fleet.attainment(&slo),
             exact.fleet.attainment(&slo)
+        );
+    }
+
+    /// Same-instant agenda actions apply in the order they were
+    /// scheduled: two crashes listed slot 1 first then slot 0 disrupt in
+    /// that order, and their zero-delay restarts provision the
+    /// replacements in that order too (slot 2 replaces the decode replica,
+    /// slot 3 the prefill one).
+    #[test]
+    fn same_instant_agenda_actions_follow_the_fault_list() {
+        let prefill = PipelineSpec::new(
+            vec![StageSpec::new(
+                "prefix",
+                0,
+                8,
+                LatencyTable::constant(8, 0.01),
+            )],
+            DecodeSpec::new(8, LatencyTable::constant(8, 1e-3)),
+        );
+        let decode =
+            PipelineSpec::decode_only(DecodeSpec::new(8, LatencyTable::constant(8, 2e-3)), None);
+        let crash = |replica| FaultEvent::Crash {
+            replica,
+            at_s: 1.0,
+            restart_delay_s: 0.0,
+        };
+        let engine = FleetEngine::disaggregated(
+            prefill,
+            decode,
+            PoolSpec::new(1, RouterPolicy::LeastOutstanding),
+            PoolSpec::new(1, RouterPolicy::LeastOutstanding),
+            KvTransferModel::zero(),
+        )
+        .with_faults(FaultSchedule::new(vec![crash(1), crash(0)]));
+        let report = engine.run(requests(300, 0.01), &MetricsMode::Exact, &mut NullRecorder);
+        let disrupted: Vec<(usize, f64)> = report
+            .fault
+            .disruptions
+            .iter()
+            .map(|d| (d.replica, d.time_s))
+            .collect();
+        assert_eq!(disrupted, [(1, 1.0), (0, 1.0)]);
+        let replacements: Vec<(usize, PoolRole, f64)> = report
+            .lifetimes
+            .iter()
+            .filter(|l| l.replica >= 2)
+            .map(|l| (l.replica, l.pool, l.provisioned_s))
+            .collect();
+        assert_eq!(
+            replacements,
+            [(2, PoolRole::Decode, 1.0), (3, PoolRole::Prefill, 1.0)]
         );
     }
 

@@ -403,7 +403,6 @@ pub(crate) fn profile_from_stats(
         fault_pops: stats.fault_pops,
         arrival_pops: stats.arrival_pops,
         scheduled_pops: stats.scheduled_pops,
-        ..SimProfile::default()
     }
 }
 

@@ -16,8 +16,7 @@
 //!   [`export_chrome_trace`] (Perfetto-loadable) or [`export_jsonl`], and
 //!   summarize with [`TelemetryReport`].
 //! - **[`SimProfile`]** — self-profiling counters for the simulator's own
-//!   hot paths (per-lane event-queue pops, `StageProfiler`
-//!   memoization, stochastic-search rounds).
+//!   event loop (events processed and per-lane event-queue pops).
 //!
 //! All JSON is rendered by hand and checked by the bundled
 //! [`validate_json`] parser — the workspace `serde` is a no-op shim.

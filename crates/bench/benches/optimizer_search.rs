@@ -15,7 +15,11 @@
 //! million candidates and no simulator, on the parallel path and on one
 //! thread scoring straight against the profiler, and checks that the cold
 //! search computed each stage profile once: the
-//! `profile_misses_equal_cached_profiles` flag. Set `RAGO_BENCH_QUICK=1`
+//! `profile_misses_equal_cached_profiles` flag. Every row also gives the
+//! candidates the search scored beside the feasible ones it covered
+//! (`scored_schedules`, `evaluated_schedules`): the search drops the decode
+//! choices another one beats, and the `case4_decode_cut_scores_fewer` flag
+//! checks that Case IV scores fewer than it covers. Set `RAGO_BENCH_QUICK=1`
 //! for a CI-friendly quick mode (fewer samples, the coarse grid for Case
 //! III and the medium grid for Case IV, same JSON).
 
@@ -70,6 +74,7 @@ struct PathTiming {
     seconds: f64,
     schedules_per_sec: f64,
     evaluated_schedules: usize,
+    scored_schedules: usize,
     frontier_len: usize,
 }
 
@@ -89,14 +94,15 @@ fn time_path<F: Fn() -> rago_core::ParetoFrontier>(
         seconds: best,
         schedules_per_sec: grid_candidates as f64 / best,
         evaluated_schedules: frontier.evaluated_schedules,
+        scored_schedules: frontier.scored_schedules,
         frontier_len: frontier.len(),
     }
 }
 
 fn json_path_entry(name: &str, t: &PathTiming) -> String {
     format!(
-        "  \"{name}\": {{\n    \"seconds\": {:.6},\n    \"schedules_per_sec\": {:.1},\n    \"evaluated_schedules\": {},\n    \"frontier_len\": {}\n  }}",
-        t.seconds, t.schedules_per_sec, t.evaluated_schedules, t.frontier_len
+        "  \"{name}\": {{\n    \"seconds\": {:.6},\n    \"schedules_per_sec\": {:.1},\n    \"evaluated_schedules\": {},\n    \"scored_schedules\": {},\n    \"frontier_len\": {}\n  }}",
+        t.seconds, t.schedules_per_sec, t.evaluated_schedules, t.scored_schedules, t.frontier_len
     )
 }
 
@@ -163,8 +169,9 @@ fn case3_section(runs: usize) -> String {
          {unmemoized_seconds:.3}s unmemoized"
     );
     format!(
-        "  \"case3_iterative\": {{\n    \"grid\": \"{grid}\",\n    \"candidates\": {candidates},\n    \"evaluated_schedules\": {},\n    \"frontier_len\": {},\n    \"iterative_sims\": {iterative_sims},\n    \"distinct_inputs\": {distinct_inputs},\n    \"memoized_seconds\": {memoized_seconds:.6},\n    \"unmemoized_seconds\": {unmemoized_seconds:.6},\n    \"memo_speedup\": {:.2},\n    \"iterative_sims_equal_distinct_inputs\": {}\n  }}",
+        "  \"case3_iterative\": {{\n    \"grid\": \"{grid}\",\n    \"candidates\": {candidates},\n    \"evaluated_schedules\": {},\n    \"scored_schedules\": {},\n    \"frontier_len\": {},\n    \"iterative_sims\": {iterative_sims},\n    \"distinct_inputs\": {distinct_inputs},\n    \"memoized_seconds\": {memoized_seconds:.6},\n    \"unmemoized_seconds\": {unmemoized_seconds:.6},\n    \"memo_speedup\": {:.2},\n    \"iterative_sims_equal_distinct_inputs\": {}\n  }}",
         frontier.evaluated_schedules,
+        frontier.scored_schedules,
         frontier.len(),
         unmemoized_seconds / memoized_seconds,
         iterative_sims == distinct_inputs as u64,
@@ -225,16 +232,19 @@ fn case4_section(runs: usize) -> String {
     let candidates = rago.schedule_iter(&options).count();
     let threads = rayon::current_num_threads();
     println!(
-        "case4 {grid} grid: {candidates} candidates, {profile_misses} stage-profile misses for \
-         {cached_profiles} cached profiles; cold search {parallel_seconds:.3}s on {threads} \
-         threads vs {serial_seconds:.3}s on one"
+        "case4 {grid} grid: {candidates} candidates, {} scored, {profile_misses} stage-profile \
+         misses for {cached_profiles} cached profiles; cold search {parallel_seconds:.3}s on \
+         {threads} threads vs {serial_seconds:.3}s on one",
+        frontier.scored_schedules
     );
     format!(
-        "  \"case4_rewriter_reranker\": {{\n    \"grid\": \"{grid}\",\n    \"candidates\": {candidates},\n    \"evaluated_schedules\": {},\n    \"frontier_len\": {},\n    \"profile_misses\": {profile_misses},\n    \"cached_profiles\": {cached_profiles},\n    \"threads\": {threads},\n    \"parallel_seconds\": {parallel_seconds:.6},\n    \"serial_seconds\": {serial_seconds:.6},\n    \"parallel_speedup\": {:.2},\n    \"profile_misses_equal_cached_profiles\": {}\n  }}",
+        "  \"case4_rewriter_reranker\": {{\n    \"grid\": \"{grid}\",\n    \"candidates\": {candidates},\n    \"evaluated_schedules\": {},\n    \"scored_schedules\": {},\n    \"frontier_len\": {},\n    \"profile_misses\": {profile_misses},\n    \"cached_profiles\": {cached_profiles},\n    \"threads\": {threads},\n    \"parallel_seconds\": {parallel_seconds:.6},\n    \"serial_seconds\": {serial_seconds:.6},\n    \"parallel_speedup\": {:.2},\n    \"profile_misses_equal_cached_profiles\": {},\n    \"case4_decode_cut_scores_fewer\": {}\n  }}",
         frontier.evaluated_schedules,
+        frontier.scored_schedules,
         frontier.len(),
         serial_seconds / parallel_seconds,
         profile_misses == cached_profiles as u64,
+        frontier.scored_schedules < frontier.evaluated_schedules,
     )
 }
 

@@ -635,9 +635,9 @@ fn analytic_split(
     target_qps: f64,
     max_replicas: u32,
 ) -> Result<(u32, u32), RagoError> {
-    let rates = schedule.side_rates(profiler)?;
+    let (predecode, decode) = schedule.side_rates(profiler)?;
     let count = |qps: f64| replicas_for(target_qps, qps, max_replicas);
-    Ok((count(rates.predecode_qps), count(rates.decode_qps)))
+    Ok((count(predecode.predecode_qps), count(decode.decode_qps)))
 }
 
 /// `ceil(target_qps / qps)` clamped to `[1, max_replicas]`.

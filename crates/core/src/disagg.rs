@@ -505,6 +505,7 @@ mod tests {
                 schedule,
             }],
             evaluated_schedules: 1,
+            scored_schedules: 1,
         };
         let _ = rago.rank_frontier_by_goodput_disagg(
             &frontier,
@@ -566,6 +567,7 @@ mod tests {
                 performance: schedule.evaluate(rago.profiler()).unwrap(),
             }],
             evaluated_schedules: 1,
+            scored_schedules: 1,
         };
         let ranked = rago.rank_frontier_by_goodput_disagg(&frontier, &trace, &tight, &splits, &ics);
         assert_eq!(ranked.len(), splits.len() * ics.len());

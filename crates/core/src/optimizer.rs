@@ -3,7 +3,7 @@
 //!
 //! # Search space and complexity
 //!
-//! For a workload with `k` collocatable pre-decode stages the search visits
+//! For a workload with `k` collocatable pre-decode stages the search covers
 //!
 //! ```text
 //! Σ_placements |xpu_steps|^groups(p)            (per-group allocations)
@@ -16,15 +16,29 @@
 //! candidates — `Σ_p |xpu_steps|^groups(p)` is `Σ_{g=1..k} C(k-1, g-1) ·
 //! |xpu_steps|^g` over the `2^(k-1)` contiguous-partition placements. At the
 //! paper's grid ([`SearchOptions::paper_default`]) this reaches millions of
-//! schedules for Case IV, so the implementation is built not to touch memory
-//! proportionally:
+//! schedules for Case IV. The search covers every one of them but evaluates
+//! far fewer: a schedule is a *pre-decode choice* (placement, group XPUs,
+//! retrieval servers, pre-decode batch) beside a *decode choice* (decode
+//! XPUs, decode batch, iterative batch), and without iterative retrievals
+//! the two sides meet only through their rates and their chips. So the
+//! search evaluates the pre-decode half of each of the
+//!
+//! ```text
+//! Σ_placements |xpu_steps|^groups(p) × |server_steps| × |predecode_batch|
+//! ```
+//!
+//! pre-decode choices once, the decode half of each of the
+//! `|xpu_steps| × |decode_batch|` decode choices once, and scores only the
+//! pairs whose decode choice no other decode choice beats. Nor does it
+//! touch memory in proportion to the grid:
 //!
 //! * **Streaming** — [`Rago::schedule_iter`] walks the grid's
 //!   [`ScheduleSpace`] in index order ([`ScheduleIter`]), building each
 //!   candidate on demand; nothing is materialized. The stream is the
-//!   in-order concatenation of one work unit per allocation (placement ×
-//!   group XPUs × decode XPUs), each spanning that allocation's server ×
-//!   batching sub-space; a unit over the XPU budget is empty.
+//!   in-order concatenation of one work unit per pre-decode allocation
+//!   (placement × group XPUs), each spanning that allocation's decode XPUs
+//!   × server × batching sub-space; a decode allocation over the XPU budget
+//!   is passed over with its sub-space.
 //!
 //! [`Rago::optimize`] and [`Rago::frontiers_by_plan`] then run Algorithm 1
 //! in three phases:
@@ -45,26 +59,35 @@
 //!    they start. The
 //!    pre-decode batch is not an input, so all `|predecode_batch|` steps
 //!    share one simulation (see the profiler module docs).
-//! 3. **Score lock-free.** The allocation units are bridged across rayon
-//!    worker threads, so each worker builds its own units' candidates
-//!    outside the source's lock. Each scores against the table with no
-//!    lock and no shared counter per lookup, and folds into a thread-local
-//!    incremental
+//! 3. **Score each pre-decode choice once, lock-free.** The decode choices
+//!    are listed once, from the table. Without iterative retrievals each
+//!    one's decode half is evaluated there, and [`Rago::optimize`] drops
+//!    every choice that another one beats, which can never reach the
+//!    frontier. The pre-decode units are bridged across rayon worker
+//!    threads. A worker evaluates each pre-decode choice's half once
+//!    against the table, with no lock and no shared counter per lookup,
+//!    and combines it with each listed decode choice that fits the XPU
+//!    budget; Case III evaluates the decode half, stall included, per
+//!    candidate. It folds the points into a thread-local incremental
 //!    [`ParetoAccumulator`] (online dominance pruning). The per-thread
 //!    frontiers merge at the end, and the workers' lookup tallies are added
 //!    to the profiler's memo hits once. Peak candidate storage is
 //!    O(frontier + threads), never O(grid).
 //!
 //! With memoization disabled ([`Rago::with_memoization`]) the table stays
-//! empty and no stall is simulated up front, so every candidate is scored
-//! straight against the profiler.
+//! empty and no stall is simulated up front, so every lookup goes straight
+//! to the profiler.
 //!
 //! The parallel path is frontier-identical to the serial reference
-//! ([`Rago::optimize_serial`]): performance ties between schedules are
-//! broken by the schedule's identity key ([`crate::Schedule::identity_key`]),
-//! making the result independent of thread scheduling and of the order
-//! candidates arrive in. This is covered by the
-//! `streaming_matches_serial_reference` tests in `tests/determinism.rs`.
+//! ([`Rago::optimize_serial`]), which evaluates every candidate in full,
+//! and covers the same `evaluated_schedules`. Both evaluate through the
+//! same two halves and the same combining step, so a candidate's
+//! performance is the same float operations in the same order. Performance
+//! ties between schedules are broken by the schedule's identity key
+//! ([`crate::Schedule::identity_key`]), making the result independent of
+//! thread scheduling and of the order candidates arrive in. This is covered
+//! by the `streaming_matches_serial_reference` tests in
+//! `tests/determinism.rs` and by the property in `tests/proptest_search.rs`.
 //!
 //! For grids too large to enumerate, [`Rago::optimize_stochastic`] samples
 //! the same [`ScheduleSpace`] with the anytime stochastic search
@@ -74,9 +97,9 @@
 use crate::error::RagoError;
 use crate::pareto::{ParetoAccumulator, ParetoFrontier, ParetoPoint};
 use crate::placement::PlacementPlan;
-use crate::profiler::{ProfileTable, StageProfiler};
-use crate::schedule::ResourceAllocation;
-use crate::search::{ScheduleIter, ScheduleSpace};
+use crate::profiler::{CostSource, ProfileTable, StageProfiler};
+use crate::schedule::{DecodeRates, ResourceAllocation, Schedule};
+use crate::search::{PredecodeAllocation, ScheduleIter, ScheduleSpace};
 use rago_hardware::{power_of_two_steps, ClusterSpec, ResourceBudget};
 use rago_schema::RagSchema;
 use rayon::prelude::*;
@@ -255,7 +278,7 @@ impl Rago {
         ScheduleSpace::new(self, options)
     }
 
-    /// Runs the seeded, time-budgeted anytime stochastic search over the
+    /// Runs the seeded, evaluation-budgeted anytime stochastic search over the
     /// same candidate space as [`Rago::optimize`] and returns the full
     /// report (frontier + anytime timeline + telemetry). See
     /// [`crate::search`] for the algorithm. Its `frontier` is a
@@ -312,12 +335,14 @@ impl Rago {
     /// [`RagoError::NoFeasibleSchedule`] when no candidate schedule is
     /// feasible within the budget.
     pub fn optimize(&self, options: &SearchOptions) -> Result<ParetoFrontier, RagoError> {
-        let accumulator = self.search_exhaustive(
+        let (mut accumulator, unscored) = self.search_exhaustive(
             options,
+            true,
             ParetoAccumulator::new,
             ParetoAccumulator::push,
             ParetoAccumulator::merge,
         )?;
+        accumulator.cover(unscored);
         if accumulator.is_empty() {
             return Err(self.no_feasible_schedule());
         }
@@ -368,43 +393,46 @@ impl Rago {
     /// the options and their placements are valid. First, profile the
     /// grid once into a table. Second, simulate the distinct decode stalls
     /// in parallel. Third, score the candidates across rayon workers against
-    /// the table, without a lock. Each worker folds its feasible points into
-    /// an accumulator from `init` with `push`, and `merge` joins the
-    /// workers' accumulators.
+    /// the table, without a lock: each worker evaluates the pre-decode half
+    /// of each of its units' pre-decode choices once, and combines it with
+    /// every [`DecodeChoices`] entry that fits the XPU budget beside it. It
+    /// folds the feasible points into an accumulator from `init` with
+    /// `push`, and `merge` joins the workers' accumulators.
+    ///
+    /// With `cut`, decode choices that another choice beats are not scored
+    /// (see [`DecodeChoices::new`]); the second value returned counts the
+    /// feasible candidates they would have made. Without it, that count is
+    /// zero.
     fn search_exhaustive<A: Send>(
         &self,
         options: &SearchOptions,
+        cut: bool,
         init: impl Fn() -> A + Sync,
         push: impl Fn(&mut A, ParetoPoint) + Sync,
         merge: impl Fn(A, A) -> A,
-    ) -> Result<A, RagoError> {
+    ) -> Result<(A, usize), RagoError> {
         let space = Arc::new(self.searched_space(options)?);
         let table = ProfileTable::fill(&self.profiler, &space);
-        table.simulate_stalls(Arc::clone(&space).allocations().flatten());
-        let (accumulator, lookups) = space
-            .allocations()
+        table.simulate_stalls(Arc::clone(&space).candidates());
+        let reader = table.reader();
+        let decode = DecodeChoices::new(&space, &reader, cut);
+        let (accumulator, unscored, lookups) = space
+            .predecode_allocations()
             .par_bridge()
             .fold(
-                || (init(), 0),
-                |(mut acc, lookups), unit| {
+                || (init(), 0, 0),
+                |(mut acc, unscored, lookups), unit| {
                     let reader = table.reader();
-                    for schedule in unit {
-                        if let Ok(performance) = schedule.evaluate_with(&reader) {
-                            push(
-                                &mut acc,
-                                ParetoPoint {
-                                    schedule,
-                                    performance,
-                                },
-                            );
-                        }
-                    }
-                    (acc, lookups + reader.lookups())
+                    let cut = decode.score(&unit, &reader, |point| push(&mut acc, point));
+                    (acc, unscored + cut, lookups + reader.lookups())
                 },
             )
-            .reduce(|| (init(), 0), |(a, x), (b, y)| (merge(a, b), x + y));
-        table.count_hits(lookups);
-        Ok(accumulator)
+            .reduce(
+                || (init(), 0, 0),
+                |(a, x, m), (b, y, n)| (merge(a, b), x + y, m + n),
+            );
+        table.count_hits(reader.lookups() + lookups);
+        Ok((accumulator, unscored))
     }
 
     /// Groups all evaluated points by (placement, allocation) and returns the
@@ -413,7 +441,9 @@ impl Rago {
     ///
     /// Uses the same streaming/parallel pipeline as [`Rago::optimize`], with
     /// one incremental accumulator per plan: memory is proportional to the
-    /// number of plans and their frontiers, not to the grid.
+    /// number of plans and their frontiers, not to the grid. It scores every
+    /// feasible decode choice: a choice another beats on the whole frontier
+    /// may still lead its own plan.
     ///
     /// # Errors
     ///
@@ -425,8 +455,9 @@ impl Rago {
         options: &SearchOptions,
     ) -> Result<Vec<(PlacementPlan, ResourceAllocation, ParetoFrontier)>, RagoError> {
         type PlanKey = (PlacementPlan, ResourceAllocation);
-        let by_plan: HashMap<PlanKey, ParetoAccumulator> = self.search_exhaustive(
+        let (by_plan, _): (HashMap<PlanKey, ParetoAccumulator>, _) = self.search_exhaustive(
             options,
+            false,
             HashMap::new,
             |map: &mut HashMap<PlanKey, ParetoAccumulator>, point| {
                 map.entry((
@@ -502,10 +533,165 @@ impl Rago {
     }
 }
 
+/// One decode choice of the exhaustive search: the decode fields of a
+/// schedule and, when they alone set its decode side, that side's rates.
+#[derive(Debug, Clone, Copy)]
+struct DecodeChoice {
+    xpus: u32,
+    batch: u32,
+    iterative_batch: Option<u32>,
+    /// `None` for workloads with iterative retrievals, whose decode side
+    /// also reads the pre-decode choice: it is evaluated per candidate.
+    rates: Option<DecodeRates>,
+}
+
+impl DecodeChoice {
+    /// Sets `schedule`'s decode fields to this choice.
+    fn apply(&self, schedule: &mut Schedule) {
+        schedule.allocation.decode_xpus = self.xpus;
+        schedule.batching.decode_batch = self.batch;
+        schedule.batching.iterative_batch = self.iterative_batch;
+    }
+}
+
+/// The decode choices the exhaustive search combines with each pre-decode
+/// choice, built once per search.
+#[derive(Debug, Default)]
+struct DecodeChoices {
+    /// Scored beside every pre-decode choice whose budget they fit.
+    scored: Vec<DecodeChoice>,
+    /// The decode XPUs of every feasible choice the cut drops.
+    cut_xpus: Vec<u32>,
+}
+
+impl DecodeChoices {
+    /// Every setting of `space`'s decode axes. Without iterative
+    /// retrievals a choice's decode side reaches a schedule's performance
+    /// only through its decode XPUs and decode QPS, so it is evaluated
+    /// here, once, and an infeasible choice is dropped.
+    ///
+    /// With `cut` too, a choice D is dropped when another choice E has no
+    /// more XPUs, at least D's decode QPS, and comes first in
+    /// [`Schedule::identity_key`] order. Beside any pre-decode choice E then
+    /// fits wherever D does, has D's TTFT and at least its QPS/chip, and
+    /// wins an exact tie, so D is never on the frontier and the cut is
+    /// exact. Iterative workloads keep every choice: their decode rate also
+    /// reads the retrieval servers and the prefix group's chips. So does
+    /// [`Rago::frontiers_by_plan`], whose plan key holds the decode XPUs.
+    fn new(space: &ScheduleSpace, costs: &impl CostSource, cut: bool) -> Self {
+        let Some(mut template) = space.decode(0) else {
+            return Self::default();
+        };
+        let iterative = costs.profiler().schema().is_iterative();
+        let mut choices = Vec::new();
+        for &xpus in &space.xpu_steps {
+            for &batch in &space.decode_batches {
+                for &iterative_batch in &space.iterative_batches {
+                    let mut choice = DecodeChoice {
+                        xpus,
+                        batch,
+                        iterative_batch,
+                        rates: None,
+                    };
+                    if !iterative {
+                        choice.apply(&mut template);
+                        let Ok(rates) = template.decode_rates(costs) else {
+                            continue;
+                        };
+                        choice.rates = Some(rates);
+                    }
+                    choices.push(choice);
+                }
+            }
+        }
+        if !cut || iterative {
+            return Self {
+                scored: choices,
+                cut_xpus: Vec::new(),
+            };
+        }
+        let rank = decode_key_ranks(&template, &choices);
+        let qps = |i: usize| choices[i].rates.expect("evaluated above").decode_qps;
+        let beats = |e: usize, d: usize| {
+            choices[e].xpus <= choices[d].xpus && qps(e) >= qps(d) && rank[e] < rank[d]
+        };
+        let mut out = Self::default();
+        for d in 0..choices.len() {
+            if (0..choices.len()).any(|e| beats(e, d)) {
+                out.cut_xpus.push(choices[d].xpus);
+            } else {
+                out.scored.push(choices[d]);
+            }
+        }
+        out
+    }
+
+    /// Scores `unit`'s candidates: the pre-decode half of each of its
+    /// pre-decode choices once, then, unless it is infeasible, every listed
+    /// decode choice that fits the XPU budget beside it. Returns how many
+    /// feasible candidates the cut covered without scoring.
+    fn score(
+        &self,
+        unit: &PredecodeAllocation,
+        costs: &impl CostSource,
+        mut push: impl FnMut(ParetoPoint),
+    ) -> usize {
+        let room = unit.decode_room().unwrap_or(0);
+        if !self.scored.iter().any(|choice| choice.xpus <= room) {
+            return 0;
+        }
+        let cut = self.cut_xpus.iter().filter(|&&xpus| xpus <= room).count();
+        let mut unscored = 0;
+        for mut schedule in unit.predecode_choices() {
+            let Ok(predecode) = schedule.predecode_rates(costs) else {
+                continue;
+            };
+            for choice in self.scored.iter().filter(|choice| choice.xpus <= room) {
+                choice.apply(&mut schedule);
+                let rates = match choice.rates {
+                    Some(rates) => rates,
+                    None => match schedule.decode_rates(costs) {
+                        Ok(rates) => rates,
+                        Err(_) => continue,
+                    },
+                };
+                let performance = schedule.combine(costs.profiler(), predecode, rates);
+                push(ParetoPoint {
+                    schedule: schedule.clone(),
+                    performance,
+                });
+            }
+            unscored += cut;
+        }
+        unscored
+    }
+}
+
+/// Each choice's position in the [`Schedule::identity_key`] order of
+/// `template` with that choice's decode fields. Two schedules that differ
+/// only in their decode fields order by those fields alone, so every
+/// template gives the same positions.
+fn decode_key_ranks(template: &Schedule, choices: &[DecodeChoice]) -> Vec<usize> {
+    let mut schedule = template.clone();
+    let keys: Vec<String> = choices
+        .iter()
+        .map(|choice| {
+            choice.apply(&mut schedule);
+            schedule.identity_key()
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..choices.len()).collect();
+    order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
+    let mut rank = vec![0; choices.len()];
+    for (position, &choice) in order.iter().enumerate() {
+        rank[choice] = position;
+    }
+    rank
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::Schedule;
     use rago_schema::presets::{self, LlmSize};
     use rago_schema::Stage;
 
@@ -802,6 +988,82 @@ mod tests {
         let parallel = rago.optimize(&tiny_options()).unwrap();
         let serial = rago.optimize_serial(&tiny_options()).unwrap();
         assert_eq!(parallel, serial);
+    }
+
+    /// Case I's 8B decode stage runs a little faster on 4 chips than on 16,
+    /// and at pre-decode batch 1 the pre-decode side is the bottleneck, so
+    /// the two choices tie on QPS/chip: the retrieval servers set the chip
+    /// count. `16dec` comes first by identity key, so the frontier keeps it,
+    /// and a cut that drops the choice with more XPUs would move it.
+    #[test]
+    fn a_tied_decode_choice_first_by_key_stays_on_the_frontier() {
+        let rago = Rago::new(
+            presets::case1_hyperscale(LlmSize::B8, 1),
+            ClusterSpec::paper_default(),
+        );
+        let options = SearchOptions {
+            xpu_steps: vec![4, 16],
+            server_steps: vec![32],
+            predecode_batch_steps: vec![1, 8, 32],
+            decode_batch_steps: vec![64, 128],
+            iterative_batch_steps: vec![8],
+            placements: None,
+        };
+        let profiler = rago.profiler();
+        let decode_qps = |xpus| {
+            profiler
+                .profile(Stage::Decode, xpus, 128)
+                .unwrap()
+                .throughput_rps
+        };
+        assert!(decode_qps(4) >= decode_qps(16));
+        let frontier = rago.optimize(&options).unwrap();
+        assert_eq!(frontier, rago.optimize_serial(&options).unwrap());
+        assert!(frontier.scored_schedules < frontier.evaluated_schedules);
+        let fastest = frontier.min_ttft().unwrap();
+        assert_eq!(fastest.schedule.allocation.decode_xpus, 16);
+        let mut twin = fastest.schedule.clone();
+        twin.allocation.decode_xpus = 4;
+        let tied = twin.evaluate(profiler).unwrap();
+        assert_eq!(tied.ttft_s.to_bits(), fastest.performance.ttft_s.to_bits());
+        assert_eq!(
+            tied.qps_per_chip.to_bits(),
+            fastest.performance.qps_per_chip.to_bits()
+        );
+        assert!(fastest.schedule.identity_key() < twin.identity_key());
+    }
+
+    #[test]
+    fn decode_key_order_is_the_same_under_any_template() {
+        let choices: Vec<DecodeChoice> = [1, 2, 4, 16, 64, 128]
+            .into_iter()
+            .flat_map(|xpus| {
+                [16, 64, 128, 1024].map(|batch| DecodeChoice {
+                    xpus,
+                    batch,
+                    iterative_batch: None,
+                    rates: None,
+                })
+            })
+            .collect();
+        let template = |group_xpus: u32, retrieval_servers: u32| {
+            let mut schedule = Schedule::test_dummy();
+            schedule.allocation.group_xpus = vec![group_xpus];
+            schedule.allocation.retrieval_servers = retrieval_servers;
+            schedule
+        };
+        let ranks = decode_key_ranks(&template(1, 32), &choices);
+        assert_eq!(ranks, decode_key_ranks(&template(128, 64), &choices));
+        let rank = |xpus: u32, batch: u32| {
+            ranks[choices
+                .iter()
+                .position(|c| (c.xpus, c.batch) == (xpus, batch))
+                .unwrap()]
+        };
+        // Keys compare as strings: `16dec` before `4dec`, `/1024` before
+        // `/16`.
+        assert!(rank(16, 16) < rank(4, 16));
+        assert!(rank(4, 1024) < rank(4, 16));
     }
 
     #[test]

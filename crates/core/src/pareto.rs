@@ -32,13 +32,29 @@ pub struct ParetoPoint {
 }
 
 /// The Pareto frontier of evaluated schedules, sorted by increasing TTFT.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+///
+/// Two frontiers are equal when their points and their
+/// `evaluated_schedules` are: `scored_schedules` counts the work a search
+/// spent, not what it found, so a search that covers candidates without
+/// scoring them still equals the full enumeration.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ParetoFrontier {
     /// Non-dominated points, sorted by increasing TTFT (and therefore
     /// increasing QPS/chip).
     pub points: Vec<ParetoPoint>,
-    /// Total number of schedules that were evaluated to produce the frontier.
+    /// Total number of feasible schedules the frontier covers: every one is
+    /// on it or beaten by a schedule that was scored.
     pub evaluated_schedules: usize,
+    /// How many of them were scored; the rest were beaten, by construction,
+    /// by a scored schedule of the same search. At most
+    /// `evaluated_schedules`.
+    pub scored_schedules: usize,
+}
+
+impl PartialEq for ParetoFrontier {
+    fn eq(&self, other: &Self) -> bool {
+        self.points == other.points && self.evaluated_schedules == other.evaluated_schedules
+    }
 }
 
 impl ParetoFrontier {
@@ -71,6 +87,7 @@ impl ParetoFrontier {
         Self {
             points,
             evaluated_schedules: evaluated,
+            scored_schedules: evaluated,
         }
     }
 
@@ -141,8 +158,11 @@ pub struct ParetoAccumulator {
     /// Non-dominated points, sorted by strictly increasing TTFT and
     /// (equivalently) strictly increasing QPS/chip.
     entries: Vec<ParetoPoint>,
-    /// Number of points pushed (the `evaluated_schedules` of the result).
+    /// Number of points pushed or covered (the `evaluated_schedules` of the
+    /// result).
     evaluated: usize,
+    /// Number of points pushed (the `scored_schedules` of the result).
+    scored: usize,
 }
 
 impl ParetoAccumulator {
@@ -161,9 +181,16 @@ impl ParetoAccumulator {
         self.entries.is_empty()
     }
 
-    /// Number of points pushed so far (across merges).
+    /// Number of points pushed or covered so far (across merges).
     pub fn evaluated(&self) -> usize {
         self.evaluated
+    }
+
+    /// Counts `candidates` feasible schedules the caller covered without
+    /// pushing them, each beaten by a point it did push: they count towards
+    /// `evaluated_schedules` but not `scored_schedules`.
+    pub(crate) fn cover(&mut self, candidates: usize) {
+        self.evaluated += candidates;
     }
 
     /// Folds one evaluated candidate into the frontier. Exact performance
@@ -171,6 +198,7 @@ impl ParetoAccumulator {
     /// independent of the order points arrive in.
     pub fn push(&mut self, point: ParetoPoint) {
         self.evaluated += 1;
+        self.scored += 1;
         self.insert(point);
     }
 
@@ -178,6 +206,7 @@ impl ParetoAccumulator {
     /// tie-break — order-insensitive).
     pub fn merge(mut self, other: Self) -> Self {
         self.evaluated += other.evaluated;
+        self.scored += other.scored;
         for point in other.entries {
             self.insert(point);
         }
@@ -189,6 +218,7 @@ impl ParetoAccumulator {
         ParetoFrontier {
             points: self.entries,
             evaluated_schedules: self.evaluated,
+            scored_schedules: self.scored,
         }
     }
 

@@ -53,12 +53,16 @@
 //! reading its trigger positions from the shared table instead of
 //! drawing them ([`iterative::simulate_with`], bit-identical to
 //! [`iterative::simulate`]); the results stay in the decode-stall memo.
-//! Scoring, one allocation's candidates per work unit, reads the
+//! Scoring, one pre-decode allocation's candidates per work unit, reads the
 //! immutable table without a lock.
 //! Each worker tallies its lookups and the total is added to the memo
 //! hits once, at the end, less one per table entry: the fill's request for
 //! an entry stands in for its first lookup, so the counters add up to one
-//! request per lookup, as when candidates query the profiler directly.
+//! request per lookup the search actually makes. The search looks a
+//! pre-decode half up once per pre-decode choice, and a decode half without
+//! iterative retrievals once per search, so it makes far fewer lookups than
+//! candidates querying the profiler one by one: the misses are the same,
+//! the hits fewer.
 
 use crate::error::RagoError;
 use crate::schedule::Schedule;
@@ -699,8 +703,7 @@ impl<'p> ProfileTable<'p> {
     /// Counts a search's `lookups` answered by the table as memo hits, once
     /// the workers have tallied them. Filling the table asked the profiler
     /// for each entry once, and that request stands in for the entry's first
-    /// lookup: the memo then counts one request per lookup, as it does when
-    /// candidates query the profiler directly.
+    /// lookup: the memo then counts one request per lookup the search made.
     pub(crate) fn count_hits(&self, lookups: u64) {
         let filled: usize = self
             .grids

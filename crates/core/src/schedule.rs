@@ -60,16 +60,22 @@ impl BatchingPolicy {
     }
 }
 
-/// The analytic latencies and throughputs of a schedule's pre-decode side
-/// (every accelerator group and retrieval) and of its decode stage.
+/// The analytic latency and throughput of a schedule's pre-decode side:
+/// every accelerator group and retrieval, at the pre-decode batch.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SideRates {
+pub(crate) struct PredecodeRates {
     /// Time to first token: every pre-decode stage's latency, summed.
     pub(crate) ttft_s: f64,
-    /// Time per output token of the decode stage.
-    pub(crate) tpot_s: f64,
     /// Requests per second of the slowest pre-decode group or retrieval.
     pub(crate) predecode_qps: f64,
+}
+
+/// The analytic latency and throughput of a schedule's decode stage,
+/// including the stalls of iterative retrievals.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DecodeRates {
+    /// Time per output token of the decode stage.
+    pub(crate) tpot_s: f64,
     /// Requests per second of the decode stage.
     pub(crate) decode_qps: f64,
 }
@@ -149,42 +155,35 @@ impl Schedule {
         &self,
         costs: &impl CostSource,
     ) -> Result<RagPerformance, RagoError> {
-        let rates = self.side_rates(costs)?;
-        let schema = costs.profiler().schema();
-        let qps = rates.predecode_qps.min(rates.decode_qps).max(0.0);
-        let total_xpus = self.allocation.total_xpus();
-        // QPS/chip reflects whole-system cost efficiency (§4). In the paper's
-        // deployment the XPUs live on the same host servers that hold the
-        // sharded database, so the system's chip count is set by however many
-        // servers the schedule occupies: enough to carry the inference XPUs
-        // (xpus_per_server each) *and* at least the retrieval server count —
-        // retrieval-only servers contribute idle XPUs to the denominator.
-        let xpus_per_server = costs.profiler().cluster().xpus_per_server.max(1);
-        let inference_servers = total_xpus.div_ceil(xpus_per_server);
-        let occupied_servers = if schema.has_retrieval() {
-            inference_servers.max(self.allocation.retrieval_servers)
-        } else {
-            inference_servers
-        };
-        let chip_denominator = f64::from((occupied_servers * xpus_per_server).max(1));
-        Ok(RagPerformance {
-            ttft_s: rates.ttft_s,
-            tpot_s: rates.tpot_s,
-            qps,
-            qps_per_chip: qps / chip_denominator,
-            total_xpus,
-            retrieval_servers: self.allocation.retrieval_servers,
-        })
+        let (predecode, decode) = self.side_rates(costs)?;
+        Ok(self.combine(costs.profiler(), predecode, decode))
     }
 
     /// The latencies and throughputs of the schedule's two sides, the one
     /// stage walk behind [`Self::evaluate`] and the pool planner's
-    /// analytic split.
+    /// analytic split: the pre-decode half, then the decode half.
     ///
     /// # Errors
     ///
     /// As [`Self::evaluate`].
-    pub(crate) fn side_rates(&self, costs: &impl CostSource) -> Result<SideRates, RagoError> {
+    pub(crate) fn side_rates(
+        &self,
+        costs: &impl CostSource,
+    ) -> Result<(PredecodeRates, DecodeRates), RagoError> {
+        Ok((self.predecode_rates(costs)?, self.decode_rates(costs)?))
+    }
+
+    /// The pre-decode half of [`Self::side_rates`]: the structural checks,
+    /// then every accelerator group and retrieval at the pre-decode batch.
+    /// It reads no decode field but the ones [`Self::validate`] checks.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::evaluate`].
+    pub(crate) fn predecode_rates(
+        &self,
+        costs: &impl CostSource,
+    ) -> Result<PredecodeRates, RagoError> {
         self.validate()?;
         let schema = costs.profiler().schema();
         let batch = self.batching.predecode_batch;
@@ -213,22 +212,40 @@ impl Schedule {
         }
 
         // Retrieval (CPU servers).
-        let mut retrieval_latency_at_iter_batch = 0.0;
         if schema.has_retrieval() {
             let perf = costs.profile(Stage::Retrieval, self.allocation.retrieval_servers, batch)?;
             ttft += perf.latency_s;
             predecode_qps = predecode_qps.min(perf.throughput_rps);
-            if schema.is_iterative() {
-                let iter_perf = costs.profile(
+        }
+        Ok(PredecodeRates {
+            ttft_s: ttft,
+            predecode_qps,
+        })
+    }
+
+    /// The decode half of [`Self::side_rates`]: the decode stage and, for
+    /// iterative workloads, the stalls of its iterative retrievals. Without
+    /// iterative retrievals it reads only the decode XPUs and the decode
+    /// batch; with them, also the retrieval servers, the iterative batch and
+    /// the chips of the group holding the main prefix.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::evaluate`], for the stages the decode side is profiled
+    /// from.
+    pub(crate) fn decode_rates(&self, costs: &impl CostSource) -> Result<DecodeRates, RagoError> {
+        let schema = costs.profiler().schema();
+        let retrieval_latency_at_iter_batch = if schema.is_iterative() {
+            costs
+                .profile(
                     Stage::Retrieval,
                     self.allocation.retrieval_servers,
                     self.iterative_batch(),
-                )?;
-                retrieval_latency_at_iter_batch = iter_perf.latency_s;
-            }
-        }
-
-        // Decode stage.
+                )?
+                .latency_s
+        } else {
+            0.0
+        };
         let decode_perf = costs.profile(
             Stage::Decode,
             self.allocation.decode_xpus,
@@ -245,12 +262,45 @@ impl Schedule {
             tpot = result.tpot_worst_s;
             decode_qps = f64::from(self.batching.decode_batch) / result.total_time_s;
         }
-        Ok(SideRates {
-            ttft_s: ttft,
+        Ok(DecodeRates {
             tpot_s: tpot,
-            predecode_qps,
             decode_qps,
         })
+    }
+
+    /// Step 3 of Algorithm 1 on the two halves' rates: TTFT from the
+    /// pre-decode side, TPOT from the decode side, the slower side's QPS,
+    /// and QPS/chip over the chips of the servers the schedule occupies.
+    pub(crate) fn combine(
+        &self,
+        profiler: &StageProfiler,
+        predecode: PredecodeRates,
+        decode: DecodeRates,
+    ) -> RagPerformance {
+        let qps = predecode.predecode_qps.min(decode.decode_qps).max(0.0);
+        let total_xpus = self.allocation.total_xpus();
+        // QPS/chip reflects whole-system cost efficiency (§4). In the paper's
+        // deployment the XPUs live on the same host servers that hold the
+        // sharded database, so the system's chip count is set by however many
+        // servers the schedule occupies: enough to carry the inference XPUs
+        // (xpus_per_server each) *and* at least the retrieval server count —
+        // retrieval-only servers contribute idle XPUs to the denominator.
+        let xpus_per_server = profiler.cluster().xpus_per_server.max(1);
+        let inference_servers = total_xpus.div_ceil(xpus_per_server);
+        let occupied_servers = if profiler.schema().has_retrieval() {
+            inference_servers.max(self.allocation.retrieval_servers)
+        } else {
+            inference_servers
+        };
+        let chip_denominator = f64::from((occupied_servers * xpus_per_server).max(1));
+        RagPerformance {
+            ttft_s: predecode.ttft_s,
+            tpot_s: decode.tpot_s,
+            qps,
+            qps_per_chip: qps / chip_denominator,
+            total_xpus,
+            retrieval_servers: self.allocation.retrieval_servers,
+        }
     }
 
     /// The decode-stall simulation [`Self::evaluate`] runs for this schedule,

@@ -167,8 +167,8 @@ pub struct ScheduleSpace {
 
 /// The digit vector of one candidate: its placement block and one index
 /// into every axis. The coordinate-descent refinement steps these digits
-/// one at a time, and the exhaustive search's [`Allocation`] units carry
-/// through them in index order.
+/// one at a time, and the exhaustive search's [`PredecodeAllocation`]
+/// units carry through them in index order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Digits {
     block: usize,
@@ -184,6 +184,10 @@ struct Digits {
 /// significant: the server and three batch digits below it span one
 /// allocation's sub-space.
 const ALLOCATION_RANK: usize = 4;
+
+/// The rank of the first group digit: the decode-allocation digit and every
+/// digit below it span one pre-decode allocation's sub-space.
+const PREDECODE_ALLOCATION_RANK: usize = ALLOCATION_RANK + 1;
 
 impl ScheduleSpace {
     /// The space `options` spans for `rago`'s workload and budget. Steps
@@ -268,24 +272,38 @@ impl ScheduleSpace {
             * self.iterative_batches.len()
     }
 
-    /// The exhaustive search's work units: one [`Allocation`] per
-    /// allocation of the space, in index order.
-    pub(crate) fn allocations(self: Arc<Self>) -> Allocations {
+    /// Every candidate within the XPU budget, in index order: the stream
+    /// `into_iter` gives.
+    pub(crate) fn candidates(self: Arc<Self>) -> ScheduleIter {
+        ScheduleIter {
+            units: self
+                .predecode_allocations()
+                .flat_map(PredecodeAllocation::candidates as fn(_) -> _),
+        }
+    }
+
+    /// The exhaustive search's work units: one [`PredecodeAllocation`]
+    /// per placement and group XPUs of the space, in index order.
+    pub(crate) fn predecode_allocations(self: Arc<Self>) -> PredecodeAllocations {
         let cursor = self.digits_of(0);
-        let remaining = match self.allocation_size() {
+        let remaining = match self.allocation_size() * self.xpu_steps.len() {
             0 => 0,
             size => usize::try_from(self.size / size as u128).unwrap_or(usize::MAX),
         };
-        Allocations {
+        PredecodeAllocations {
             space: self,
             cursor,
             remaining,
         }
     }
 
+    /// The XPUs of every pre-decode group of `d`, summed.
+    fn group_xpus(&self, d: &Digits) -> u32 {
+        d.groups.iter().map(|&i| self.xpu_steps[i]).sum()
+    }
+
     fn digits_feasible(&self, d: &Digits) -> bool {
-        let groups: u32 = d.groups.iter().map(|&i| self.xpu_steps[i]).sum();
-        groups + self.xpu_steps[d.decode] <= self.max_total_xpus
+        self.group_xpus(d) + self.xpu_steps[d.decode] <= self.max_total_xpus
     }
 
     fn digits_of(&self, index: u128) -> Option<Digits> {
@@ -437,41 +455,33 @@ impl IntoIterator for ScheduleSpace {
     type IntoIter = ScheduleIter;
 
     fn into_iter(self) -> ScheduleIter {
-        ScheduleIter {
-            units: Arc::new(self).allocations().flatten(),
-        }
+        Arc::new(self).candidates()
     }
 }
 
-/// The allocations of a [`ScheduleSpace`] in index order, each yielded as
-/// an [`Allocation`] work unit. The source reports its exact length, so a
-/// parallel consumer can split even a short list across its workers.
+/// The pre-decode allocations of a [`ScheduleSpace`] in index order, each
+/// yielded as a [`PredecodeAllocation`] work unit. The source reports its
+/// exact length, so a parallel consumer can split even a short list across
+/// its workers.
 #[derive(Debug, Clone)]
-pub(crate) struct Allocations {
+pub(crate) struct PredecodeAllocations {
     space: Arc<ScheduleSpace>,
-    /// The digits of the next allocation's first candidate; `None` past the
-    /// end.
+    /// The digits of the next unit's first candidate; `None` past the end.
     cursor: Option<Digits>,
-    /// Allocations not yet yielded.
+    /// Units not yet yielded.
     remaining: usize,
 }
 
-impl Iterator for Allocations {
-    type Item = Allocation;
+impl Iterator for PredecodeAllocations {
+    type Item = PredecodeAllocation;
 
-    fn next(&mut self) -> Option<Allocation> {
+    fn next(&mut self) -> Option<PredecodeAllocation> {
         let digits = self.cursor.as_mut()?;
-        let remaining = if self.space.digits_feasible(digits) {
-            self.space.allocation_size()
-        } else {
-            0
-        };
-        let unit = Allocation {
+        let unit = PredecodeAllocation {
             space: Arc::clone(&self.space),
             digits: digits.clone(),
-            remaining,
         };
-        if !self.space.carry(digits, ALLOCATION_RANK) {
+        if !self.space.carry(digits, PREDECODE_ALLOCATION_RANK) {
             self.cursor = None;
         }
         self.remaining = self.remaining.saturating_sub(1);
@@ -483,45 +493,96 @@ impl Iterator for Allocations {
     }
 }
 
-/// One allocation's candidates, every server × batching setting in index
-/// order, built on demand. An allocation over the XPU budget has none.
+/// One placement with one XPU count per group: the sub-space of every
+/// decode allocation × server × batching setting beside it.
 #[derive(Debug, Clone)]
-pub(crate) struct Allocation {
+pub(crate) struct PredecodeAllocation {
+    space: Arc<ScheduleSpace>,
+    /// The digits of the unit's first candidate.
+    digits: Digits,
+}
+
+impl PredecodeAllocation {
+    /// The XPUs the budget leaves for the decode stage, or `None` when the
+    /// groups alone exceed it.
+    pub(crate) fn decode_room(&self) -> Option<u32> {
+        let groups = self.space.group_xpus(&self.digits);
+        self.space.max_total_xpus.checked_sub(groups)
+    }
+
+    /// One schedule per server × pre-decode batch of the unit, in index
+    /// order. Its decode fields are the first step of each decode axis.
+    pub(crate) fn predecode_choices(&self) -> impl Iterator<Item = Schedule> + '_ {
+        let servers = 0..self.space.server_steps.len();
+        servers.flat_map(move |server| {
+            (0..self.space.predecode_batches.len()).map(move |predecode| {
+                self.space.schedule_at(&Digits {
+                    server,
+                    predecode,
+                    ..self.digits.clone()
+                })
+            })
+        })
+    }
+
+    /// The unit's candidates within the XPU budget, in index order, built
+    /// on demand.
+    pub(crate) fn candidates(self) -> Candidates {
+        let remaining = self.space.xpu_steps.len() * self.space.allocation_size();
+        Candidates {
+            space: self.space,
+            digits: self.digits,
+            remaining,
+        }
+    }
+}
+
+/// One pre-decode allocation's candidates, every decode allocation within
+/// the XPU budget × server × batching setting in index order, built on
+/// demand.
+#[derive(Debug, Clone)]
+pub(crate) struct Candidates {
     space: Arc<ScheduleSpace>,
     /// The digits of the next candidate.
     digits: Digits,
-    /// Candidates not yet yielded.
+    /// Candidates of the unit not yet passed, over the budget or not.
     remaining: usize,
 }
 
-impl Iterator for Allocation {
+impl Iterator for Candidates {
     type Item = Schedule;
 
     fn next(&mut self) -> Option<Schedule> {
-        if self.remaining == 0 {
-            return None;
+        while self.remaining > 0 {
+            if !self.space.digits_feasible(&self.digits) {
+                // A decode allocation over the budget: pass over its whole
+                // server × batching sub-space.
+                self.remaining -= self.space.allocation_size();
+                if self.remaining > 0 {
+                    self.space.carry(&mut self.digits, ALLOCATION_RANK);
+                }
+                continue;
+            }
+            let schedule = self.space.schedule_at(&self.digits);
+            self.remaining -= 1;
+            if self.remaining > 0 {
+                self.space.carry(&mut self.digits, 0);
+            }
+            return Some(schedule);
         }
-        let schedule = self.space.schedule_at(&self.digits);
-        self.remaining -= 1;
-        if self.remaining > 0 {
-            self.space.carry(&mut self.digits, 0);
-        }
-        Some(schedule)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
+        None
     }
 }
 
 /// The exhaustive stream over a [`ScheduleSpace`]: every candidate within
 /// the XPU budget, in index order, built on demand. It is the in-order
-/// concatenation of the exhaustive search's per-allocation work units, so
-/// an allocation over the budget is passed over with its whole server ×
-/// batching sub-space.
+/// concatenation of the candidates of the exhaustive search's work units,
+/// one per pre-decode allocation; an allocation over the budget is passed
+/// over with its whole server × batching sub-space.
 #[derive(Debug, Clone)]
 pub struct ScheduleIter {
-    units: std::iter::Flatten<Allocations>,
+    units:
+        std::iter::FlatMap<PredecodeAllocations, Candidates, fn(PredecodeAllocation) -> Candidates>,
 }
 
 impl Iterator for ScheduleIter {
@@ -1059,36 +1120,46 @@ mod tests {
     fn allocation_units_are_the_stream_split_by_allocation() {
         let (rago, options) = case4_at_40_xpus();
         let space = Arc::new(rago.schedule_space(&options));
-        let allocation_of = |s: &Schedule| {
-            (
-                s.placement.clone(),
-                s.allocation.group_xpus.clone(),
-                s.allocation.decode_xpus,
-            )
-        };
-        // Every allocation of the space, in index order, with its fit.
-        let mut allocations = Vec::new();
+        let allocation_of = |s: &Schedule| (s.placement.clone(), s.allocation.group_xpus.clone());
+        // Every pre-decode allocation of the space, in index order, with
+        // whether any of its candidates fits.
+        let mut allocations: Vec<(_, bool)> = Vec::new();
         for index in 0..space.size() {
-            let schedule = space.decode(index).expect("index in range");
-            let key = (allocation_of(&schedule), space.feasible(index));
-            if allocations.last() != Some(&key) {
-                allocations.push(key);
+            let key = allocation_of(&space.decode(index).expect("index in range"));
+            match allocations.last_mut() {
+                Some((last, fits)) if *last == key => *fits |= space.feasible(index),
+                _ => allocations.push((key, space.feasible(index))),
             }
         }
-        let units = Arc::clone(&space).allocations();
+        let units = Arc::clone(&space).predecode_allocations();
         assert_eq!(
             units.size_hint(),
             (allocations.len(), Some(allocations.len()))
         );
-        let units: Vec<Vec<Schedule>> = units.map(Iterator::collect).collect();
+        let units: Vec<PredecodeAllocation> = units.collect();
         assert_eq!(units.len(), allocations.len());
+        let mut streamed = Vec::new();
         for (unit, (allocation, fits)) in units.iter().zip(&allocations) {
-            assert_eq!(unit.is_empty(), !fits, "{allocation:?}");
-            assert!(unit.iter().all(|s| allocation_of(s) == *allocation));
+            let groups: u32 = allocation.1.iter().sum();
+            assert_eq!(unit.decode_room(), 40u32.checked_sub(groups));
+            // One pre-decode choice per server × pre-decode batch.
+            let choices: Vec<Schedule> = unit.predecode_choices().collect();
+            assert_eq!(choices.len(), 2 * 2);
+            assert!(choices.iter().all(|s| allocation_of(s) == *allocation));
+            let candidates: Vec<Schedule> = unit.clone().candidates().collect();
+            assert_eq!(candidates.is_empty(), !fits, "{allocation:?}");
+            assert!(candidates.iter().all(|s| allocation_of(s) == *allocation));
+            streamed.push(candidates);
         }
-        assert!(units.iter().any(Vec::is_empty), "no allocation over budget");
-        let streamed: Vec<Schedule> = rago.schedule_iter(&options).collect();
-        assert_eq!(units.concat(), streamed);
+        assert!(
+            streamed.iter().any(Vec::is_empty),
+            "no allocation over budget"
+        );
+        // Some unit passes over one decode allocation but not the other.
+        let full = space.xpu_steps.len() * space.allocation_size();
+        assert!(streamed.iter().any(|c| !c.is_empty() && c.len() < full));
+        let stream: Vec<Schedule> = rago.schedule_iter(&options).collect();
+        assert_eq!(streamed.concat(), stream);
     }
 
     #[test]

@@ -161,6 +161,7 @@ fn main() {
                 .expect("static model evaluates"),
         }],
         evaluated_schedules: 1,
+        scored_schedules: 1,
     };
     let splits = [(1, 1), (2, 1), (2, 2), (3, 1)];
     let interconnects = [

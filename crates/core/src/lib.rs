@@ -71,7 +71,4 @@ pub use placement::PlacementPlan;
 pub use profiler::{StagePerf, StageProfiler};
 pub use rago_serving_sim::{MetricsMode, StreamingConfig};
 pub use schedule::{BatchingPolicy, ResourceAllocation, Schedule};
-pub use search::{
-    AnytimeSample, BeamEntry, BestSamples, ScheduleIter, ScheduleSpace, StochasticConfig,
-    StochasticSearchReport,
-};
+pub use search::{ScheduleIter, ScheduleSpace};

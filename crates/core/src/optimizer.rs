@@ -88,11 +88,6 @@
 //! thread scheduling and of the order candidates arrive in. This is covered
 //! by the `streaming_matches_serial_reference` tests in
 //! `tests/determinism.rs` and by the property in `tests/proptest_search.rs`.
-//!
-//! For grids too large to enumerate, [`Rago::optimize_stochastic`] samples
-//! the same [`ScheduleSpace`] with the anytime stochastic search
-//! ([`crate::search`]) and returns the same [`ParetoFrontier`] type. Its
-//! rounds run on the same parallel loop as phase 3.
 
 use crate::error::RagoError;
 use crate::pareto::{ParetoAccumulator, ParetoFrontier, ParetoPoint};
@@ -272,40 +267,24 @@ impl Rago {
 
     /// The candidate space implied by `options`: placement blocks ×
     /// mixed-radix digits, decodable at any index. The exhaustive search
-    /// streams it and the stochastic search samples it. See
-    /// [`ScheduleSpace`].
+    /// streams it. See [`ScheduleSpace`].
     pub fn schedule_space(&self, options: &SearchOptions) -> ScheduleSpace {
         ScheduleSpace::new(self, options)
-    }
-
-    /// Runs the seeded, evaluation-budgeted anytime stochastic search over the
-    /// same candidate space as [`Rago::optimize`] and returns the full
-    /// report (frontier + anytime timeline + telemetry). See
-    /// [`crate::search`] for the algorithm. Its `frontier` is a
-    /// [`ParetoFrontier`] like [`Rago::optimize`]'s, so every frontier
-    /// consumer (`rank_frontier_by_goodput{,_disagg}`,
-    /// `rank_frontier_by_cost_at_qps`, …) takes either.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RagoError::InvalidConfig`] for malformed `options` (see
-    /// [`Rago::optimize`]) or a malformed config, and
-    /// [`RagoError::NoFeasibleSchedule`] when no feasible candidate was
-    /// found within the budget.
-    pub fn optimize_stochastic(
-        &self,
-        options: &SearchOptions,
-        config: &crate::search::StochasticConfig,
-    ) -> Result<crate::search::StochasticSearchReport, RagoError> {
-        options.validate(self.profiler.schema())?;
-        crate::search::run_stochastic(self, &self.schedule_space(options), config)
     }
 
     /// Evaluates every candidate schedule and returns all feasible points
     /// (infeasible ones — e.g. out-of-memory allocations — are skipped), in
     /// enumeration order.
-    pub fn evaluate_all(&self, options: &SearchOptions) -> Vec<ParetoPoint> {
-        self.schedule_iter(options)
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RagoError::InvalidConfig`] when `options` fails
+    /// [`SearchOptions::validate`] or one of its placements fails
+    /// [`PlacementPlan::validate`].
+    pub fn evaluate_all(&self, options: &SearchOptions) -> Result<Vec<ParetoPoint>, RagoError> {
+        Ok(self
+            .searched_space(options)?
+            .into_iter()
             .filter_map(move |schedule| {
                 schedule
                     .evaluate(&self.profiler)
@@ -315,7 +294,7 @@ impl Rago {
                         performance,
                     })
             })
-            .collect()
+            .collect())
     }
 
     /// Runs the full search (Algorithm 1) and returns the performance Pareto
@@ -359,8 +338,7 @@ impl Rago {
     ///
     /// As [`Rago::optimize`].
     pub fn optimize_serial(&self, options: &SearchOptions) -> Result<ParetoFrontier, RagoError> {
-        self.searched_space(options)?;
-        let points = self.evaluate_all(options);
+        let points = self.evaluate_all(options)?;
         if points.is_empty() {
             return Err(self.no_feasible_schedule());
         }
@@ -378,7 +356,7 @@ impl Rago {
         Ok(space)
     }
 
-    pub(crate) fn no_feasible_schedule(&self) -> RagoError {
+    fn no_feasible_schedule(&self) -> RagoError {
         RagoError::NoFeasibleSchedule {
             reason: format!(
                 "no feasible schedule for workload `{}` within {} XPUs / {} servers",
@@ -757,7 +735,6 @@ mod tests {
             presets::case3_iterative(LlmSize::B8, 4),
             ClusterSpec::paper_default(),
         );
-        let stochastic = crate::search::StochasticConfig::default().with_budget(64);
         type Malform = fn(&mut SearchOptions);
         let malformed: [(&str, Malform); 7] = [
             ("iterative_batch_steps", |o| {
@@ -781,7 +758,7 @@ mod tests {
                 rago.optimize(&options).map(drop),
                 rago.optimize_serial(&options).map(drop),
                 rago.frontiers_by_plan(&options).map(drop),
-                rago.optimize_stochastic(&options, &stochastic).map(drop),
+                rago.evaluate_all(&options).map(drop),
             ] {
                 assert!(
                     matches!(result, Err(RagoError::InvalidConfig { ref reason }) if reason.contains(axis)),
@@ -806,10 +783,6 @@ mod tests {
         };
         assert!(matches!(
             rago.optimize(&over_budget),
-            Err(RagoError::NoFeasibleSchedule { .. })
-        ));
-        assert!(matches!(
-            rago.optimize_stochastic(&over_budget, &stochastic),
             Err(RagoError::NoFeasibleSchedule { .. })
         ));
     }
@@ -846,7 +819,7 @@ mod tests {
         let plans = rago.frontiers_by_plan(&tiny_options()).unwrap();
         assert!(!plans.is_empty());
         let total: usize = plans.iter().map(|(_, _, f)| f.evaluated_schedules).sum();
-        assert_eq!(total, rago.evaluate_all(&tiny_options()).len());
+        assert_eq!(total, rago.evaluate_all(&tiny_options()).unwrap().len());
         // Plans are sorted by best QPS/chip, descending.
         let best: Vec<f64> = plans
             .iter()
@@ -1125,11 +1098,10 @@ mod tests {
             predecode_groups: vec![vec![Stage::Prefix]],
         };
         let opts = SearchOptions::fast().with_placements(vec![prefix_only]);
-        let invalid = |r: Result<ParetoFrontier, RagoError>| matches!(r, Err(RagoError::InvalidConfig { reason }) if reason.contains("`rerank`"));
-        assert!(invalid(rago.optimize(&opts)));
-        assert!(invalid(rago.optimize_serial(&opts)));
-        let stochastic = rago.optimize_stochastic(&opts, &Default::default());
-        assert!(invalid(stochastic.map(|report| report.frontier)));
+        let invalid = |r: Result<(), RagoError>| matches!(r, Err(RagoError::InvalidConfig { reason }) if reason.contains("`rerank`"));
+        assert!(invalid(rago.optimize(&opts).map(drop)));
+        assert!(invalid(rago.optimize_serial(&opts).map(drop)));
+        assert!(invalid(rago.evaluate_all(&opts).map(drop)));
         // One bad entry spoils the list, wherever it sits.
         let mut mixed = PlacementPlan::enumerate(rago.profiler().schema());
         mixed.push(PlacementPlan {
@@ -1137,6 +1109,7 @@ mod tests {
         });
         assert!(invalid(
             rago.optimize(&SearchOptions::fast().with_placements(mixed))
+                .map(drop)
         ));
     }
 }

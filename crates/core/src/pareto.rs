@@ -14,8 +14,7 @@
 //! the schedule's own identity ([`Schedule::identity_key`]) — the
 //! lexicographically smallest schedule wins. The result therefore depends
 //! only on the *set* of evaluated points: not on thread interleaving, not on
-//! insertion order, and not on any enumeration index — which sampled
-//! candidates (the stochastic search) don't have in the first place.
+//! insertion order, and not on any enumeration index.
 
 use crate::metrics::RagPerformance;
 use crate::schedule::Schedule;
@@ -114,33 +113,6 @@ impl ParetoFrontier {
     /// Iterates over the frontier points in increasing-TTFT order.
     pub fn iter(&self) -> std::slice::Iter<'_, ParetoPoint> {
         self.points.iter()
-    }
-
-    /// The 2-D hypervolume indicator: the area of the objective region
-    /// dominated by this frontier, clipped to the box whose worst corner is
-    /// the reference point `(ttft_ref, qps_ref)` (TTFT is minimized,
-    /// QPS/chip maximized). Points at or beyond the reference contribute
-    /// nothing.
-    ///
-    /// For a fixed reference, the hypervolume is monotone: a frontier that
-    /// dominates at least the same region never scores lower. This is the
-    /// anytime-quality metric of the stochastic search — see
-    /// [`crate::search`].
-    pub fn hypervolume(&self, ttft_ref: f64, qps_ref: f64) -> f64 {
-        let mut area = 0.0;
-        let mut qps_floor = qps_ref;
-        // Points arrive sorted by increasing TTFT and increasing QPS/chip,
-        // so each adds the strip between the previous QPS level and its own.
-        for p in &self.points {
-            let ttft = p.performance.ttft_s;
-            let qps = p.performance.qps_per_chip;
-            if ttft >= ttft_ref || qps <= qps_floor {
-                continue;
-            }
-            area += (ttft_ref - ttft) * (qps - qps_floor);
-            qps_floor = qps;
-        }
-        area
     }
 }
 
@@ -436,25 +408,5 @@ mod tests {
             assert_eq!(frontier.len(), 1);
             assert_eq!(&frontier.points[0].schedule, winner);
         }
-    }
-
-    #[test]
-    fn hypervolume_of_simple_frontiers() {
-        let empty = ParetoFrontier::from_points(vec![]);
-        assert_eq!(empty.hypervolume(1.0, 0.0), 0.0);
-
-        // One point: a rectangle.
-        let single = ParetoFrontier::from_points(vec![point(0.2, 2.0)]);
-        assert!((single.hypervolume(1.0, 0.0) - 0.8 * 2.0).abs() < 1e-12);
-        // Points at or beyond the reference contribute nothing.
-        assert_eq!(single.hypervolume(0.2, 0.0), 0.0);
-        assert_eq!(single.hypervolume(1.0, 2.0), 0.0);
-
-        // Two points: union of two rectangles.
-        let double = ParetoFrontier::from_points(vec![point(0.2, 2.0), point(0.5, 3.0)]);
-        let expected = 0.8 * 2.0 + 0.5 * 1.0;
-        assert!((double.hypervolume(1.0, 0.0) - expected).abs() < 1e-12);
-        // Growing the frontier never shrinks the hypervolume.
-        assert!(double.hypervolume(1.0, 0.0) >= single.hypervolume(1.0, 0.0));
     }
 }

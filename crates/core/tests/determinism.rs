@@ -56,7 +56,7 @@ fn streaming_matches_serial_reference_case2_with_infeasible_candidates() {
         ..SearchOptions::fast()
     };
     let rago = fresh(&schema);
-    let feasible = rago.evaluate_all(&options).len();
+    let feasible = rago.evaluate_all(&options).unwrap().len();
     assert!(
         feasible < rago.schedule_iter(&options).count(),
         "every case II candidate is feasible; the table's error entries go untested"
@@ -106,7 +106,7 @@ fn frontiers_by_plan_match_the_serial_reference_grouped_by_plan() {
     ] {
         let mut by_plan: HashMap<(PlacementPlan, ResourceAllocation), Vec<ParetoPoint>> =
             HashMap::new();
-        for point in fresh(&schema).evaluate_all(&options) {
+        for point in fresh(&schema).evaluate_all(&options).unwrap() {
             by_plan
                 .entry((
                     point.schedule.placement.clone(),

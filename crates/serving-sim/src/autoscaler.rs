@@ -392,10 +392,9 @@ mod tests {
             );
             // No request was routed to the replica before it became
             // routable.
-            let report_r = &report.fleet.per_replica[lifetime.replica].report;
-            assert!(report_r
-                .timelines
-                .iter()
+            assert!(report
+                .fleet
+                .replica_timelines(lifetime.replica)
                 .all(|t| t.arrival_s >= lifetime.routable_s - 1e-12));
         }
     }

@@ -51,11 +51,23 @@
 //! assert!(fleet.attainment(&SloTarget::new(5.0, 1.0)) > 0.0);
 //! ```
 
-use crate::engine::{EngineRequest, ReplicaSim, ServingReport};
+use crate::engine::{
+    CacheUsage, ClassMetrics, EngineRequest, ReplicaSim, RequestTimeline, ServingMetrics,
+    ServingReport,
+};
+use crate::sink::StreamedScores;
 use rago_schema::{RouterPolicy, SloTarget};
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 
 /// One replica's slice of a fleet run.
+///
+/// The replica's metrics are its own, computed exactly as a standalone
+/// engine run over the routed subset would compute them. Its requests are
+/// not copied here: a flat fleet's replica holds the positions of its
+/// requests in the fleet's merged log, and a split fleet's replica its own
+/// legs (see [`FleetReport::replica_timelines`]). So a replica answers no
+/// SLO query from timelines; the fleet's merged report does.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplicaReport {
     /// Replica index within the fleet.
@@ -69,10 +81,135 @@ pub struct ReplicaReport {
     /// the trace length.
     #[serde(default)]
     pub peak_live_requests: usize,
-    /// The replica's own serving report (its timelines and metrics, computed
-    /// exactly as a standalone engine run over the routed subset would).
-    pub report: ServingReport,
+    /// The replica's aggregate distributions and throughput.
+    pub metrics: ServingMetrics,
+    /// The replica's per-workload-class rows, sorted by class id.
+    pub per_class: Vec<ClassMetrics>,
+    /// The replica's cache accounting.
+    pub cache: CacheUsage,
+    /// The replica's online SLO scores in a streaming run; `None` in an
+    /// exact one.
+    pub streamed: Option<StreamedScores>,
+    /// Where the replica's requests are.
+    requests: ReplicaRequests,
 }
+
+/// Where a replica's requests are kept.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub(crate) enum ReplicaRequests {
+    /// A flat fleet's replica: the positions of its requests in the
+    /// fleet's merged log, in the replica's own (injection) order. Empty
+    /// in a streaming run.
+    Rows(Vec<u32>),
+    /// A split fleet's replica: its own prefill or decode legs, in
+    /// arrival order. A leg is not a merged timeline, which stitches both.
+    Legs(Vec<RequestTimeline>),
+}
+
+impl ReplicaReport {
+    /// The replica's report, its timelines replaced by `requests`.
+    pub(crate) fn new(
+        replica: usize,
+        assigned: usize,
+        peak_live_requests: usize,
+        report: ServingReport,
+        requests: ReplicaRequests,
+    ) -> Self {
+        let ServingReport {
+            timelines,
+            metrics,
+            per_class,
+            cache,
+            streamed,
+        } = report;
+        debug_assert!(
+            timelines.is_empty(),
+            "a replica keeps its requests in `requests`"
+        );
+        Self {
+            replica,
+            assigned,
+            peak_live_requests,
+            metrics,
+            per_class,
+            cache,
+            streamed,
+            requests,
+        }
+    }
+
+    /// The replica's rows into the merged log, if it is a flat fleet's.
+    pub(crate) fn rows_mut(&mut self) -> Option<&mut Vec<u32>> {
+        match &mut self.requests {
+            ReplicaRequests::Rows(rows) => Some(rows),
+            ReplicaRequests::Legs(_) => None,
+        }
+    }
+
+    /// The replica's requests in its own order: its rows read from `log`,
+    /// the merged log of its fleet, or its own legs.
+    pub(crate) fn timelines<'a>(&'a self, log: &'a [RequestTimeline]) -> ReplicaTimelines<'a> {
+        match &self.requests {
+            ReplicaRequests::Rows(rows) => ReplicaTimelines::Rows {
+                log,
+                rows: rows.iter(),
+            },
+            ReplicaRequests::Legs(legs) => ReplicaTimelines::Legs(legs.iter()),
+        }
+    }
+
+    /// Heap bytes this replica retains beyond the merged log: its class
+    /// rows, streamed scores, and rows or legs. A leg's stage buffer
+    /// counts unless `shared` (the merged log's buffers) holds it.
+    fn heap_bytes(&self, shared: &HashSet<*const f64>) -> usize {
+        let requests = match &self.requests {
+            ReplicaRequests::Rows(rows) => rows.capacity() * std::mem::size_of::<u32>(),
+            ReplicaRequests::Legs(legs) => {
+                legs.capacity() * std::mem::size_of::<RequestTimeline>()
+                    + legs
+                        .iter()
+                        .filter(|t| !shared.contains(&t.stages.buffer()))
+                        .map(|t| t.stages.heap_bytes())
+                        .sum::<usize>()
+            }
+        };
+        requests
+            + self.per_class.capacity() * std::mem::size_of::<ClassMetrics>()
+            + self
+                .streamed
+                .as_ref()
+                .map_or(0, StreamedScores::retained_bytes)
+    }
+}
+
+/// The iterator behind [`FleetReport::replica_timelines`].
+pub(crate) enum ReplicaTimelines<'a> {
+    Rows {
+        log: &'a [RequestTimeline],
+        rows: std::slice::Iter<'a, u32>,
+    },
+    Legs(std::slice::Iter<'a, RequestTimeline>),
+}
+
+impl<'a> Iterator for ReplicaTimelines<'a> {
+    type Item = &'a RequestTimeline;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self {
+            ReplicaTimelines::Rows { log, rows } => rows.next().map(|&row| &log[row as usize]),
+            ReplicaTimelines::Legs(legs) => legs.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            ReplicaTimelines::Rows { rows, .. } => rows.size_hint(),
+            ReplicaTimelines::Legs(legs) => legs.size_hint(),
+        }
+    }
+}
+
+impl ExactSizeIterator for ReplicaTimelines<'_> {}
 
 /// How evenly the router spread requests across replicas.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -159,6 +296,53 @@ impl FleetReport {
     /// Whether the fleet meets `slo` including its attainment requirement.
     pub fn meets_slo(&self, slo: &SloTarget) -> bool {
         self.merged.meets_slo(slo)
+    }
+
+    /// Replica `i`'s requests (`i` indexes [`Self::per_replica`]), in its
+    /// own order: the order the router dispatched them to it, less any a
+    /// crash took back. A flat fleet's replica reads them from the merged
+    /// log, which owns every timeline once; a split fleet's replica holds
+    /// its own prefill or decode legs. Empty in a streaming run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a replica index.
+    pub fn replica_timelines(
+        &self,
+        i: usize,
+    ) -> impl ExactSizeIterator<Item = &RequestTimeline> + '_ {
+        self.per_replica[i].timelines(&self.merged.timelines)
+    }
+
+    /// An estimate of the bytes the whole report retains, counting each
+    /// timeline and each stage buffer once: the merged report, each
+    /// replica's rows (a flat fleet's) or legs (a split fleet's, whose
+    /// prefill legs share their stage buffers with the stitched merged
+    /// timelines), and the assignment log.
+    pub fn retained_bytes(&self) -> usize {
+        let has_legs = self
+            .per_replica
+            .iter()
+            .any(|r| matches!(r.requests, ReplicaRequests::Legs(_)));
+        let shared: HashSet<*const f64> = if has_legs {
+            self.merged
+                .timelines
+                .iter()
+                .map(|t| t.stages.buffer())
+                .collect()
+        } else {
+            HashSet::new()
+        };
+        std::mem::size_of::<Self>() - std::mem::size_of::<ServingReport>()
+            + self.merged.retained_bytes()
+            + self.per_replica.capacity() * std::mem::size_of::<ReplicaReport>()
+            + self
+                .per_replica
+                .iter()
+                .map(|r| r.heap_bytes(&shared))
+                .sum::<usize>()
+            + self.assignments.capacity() * std::mem::size_of::<(u64, usize)>()
+            + self.imbalance.assigned_per_replica.capacity() * std::mem::size_of::<usize>()
     }
 }
 
@@ -294,7 +478,7 @@ mod tests {
     use crate::fleet::FleetEngine;
     use crate::sink::{MetricsMode, RunSink};
     use proptest::prelude::*;
-    use rago_schema::SequenceProfile;
+    use rago_schema::{KvTransferModel, PoolSpec, SequenceProfile};
     use rago_telemetry::NullRecorder;
     use rago_workloads::{ArrivalProcess, TraceSpec};
 
@@ -312,6 +496,38 @@ mod tests {
             unreachable!("an exact replica retires into an exact sink")
         };
         ServingReport::from_exact_sink(*sink)
+    }
+
+    /// What a standalone engine run reports that a replica reports too:
+    /// metrics, class rows, cache accounting, streamed scores and, in
+    /// order, timelines.
+    type Parts<'a> = (
+        &'a ServingMetrics,
+        &'a [ClassMetrics],
+        &'a CacheUsage,
+        &'a Option<StreamedScores>,
+        Vec<&'a RequestTimeline>,
+    );
+
+    fn engine_parts(report: &ServingReport) -> Parts<'_> {
+        (
+            &report.metrics,
+            &report.per_class,
+            &report.cache,
+            &report.streamed,
+            report.timelines.iter().collect(),
+        )
+    }
+
+    fn replica_parts(fleet: &FleetReport, i: usize) -> Parts<'_> {
+        let r = &fleet.per_replica[i];
+        (
+            &r.metrics,
+            &r.per_class,
+            &r.cache,
+            &r.streamed,
+            fleet.replica_timelines(i).collect(),
+        )
     }
 
     fn one_stage_spec(
@@ -455,7 +671,7 @@ mod tests {
         for policy in RouterPolicy::ALL {
             let fleet = fixed(spec.clone(), 1, policy).run_trace(&trace).fleet;
             assert_eq!(fleet.merged, engine, "policy {policy} diverged");
-            assert_eq!(fleet.per_replica[0].report, engine);
+            assert_eq!(replica_parts(&fleet, 0), engine_parts(&engine));
         }
     }
 
@@ -553,10 +769,8 @@ mod tests {
             .run_trace(&trace)
             .fleet;
         // Conservation: every request appears exactly once across replicas.
-        let per_replica_total: usize = fleet
-            .per_replica
-            .iter()
-            .map(|r| r.report.timelines.len())
+        let per_replica_total: usize = (0..fleet.per_replica.len())
+            .map(|i| fleet.replica_timelines(i).len())
             .sum();
         assert_eq!(per_replica_total, 90);
         assert_eq!(fleet.merged.timelines.len(), 90);
@@ -565,13 +779,13 @@ mod tests {
         let makespan = fleet
             .per_replica
             .iter()
-            .map(|r| r.report.metrics.makespan_s)
+            .map(|r| r.metrics.makespan_s)
             .fold(0.0f64, f64::max);
         assert!((fleet.merged.metrics.makespan_s - makespan).abs() < 1e-12);
         // Imbalance counts match the reports.
-        for r in &fleet.per_replica {
+        for (i, r) in fleet.per_replica.iter().enumerate() {
             assert_eq!(r.assigned, fleet.imbalance.assigned_per_replica[r.replica]);
-            assert_eq!(r.assigned, r.report.timelines.len());
+            assert_eq!(r.assigned, fleet.replica_timelines(i).len());
         }
         // Fleet runs are deterministic.
         let spec = one_stage_spec(0.03, 4, 2e-3, 8);
@@ -579,6 +793,59 @@ mod tests {
             .run_trace(&trace)
             .fleet;
         assert_eq!(again, fleet);
+    }
+
+    /// A flat exact fleet keeps each timeline once: beyond its merged
+    /// report it retains a row (`u32`) and an assignment per request, and
+    /// a constant per replica — not a second timeline per request.
+    #[test]
+    fn exact_fleets_retain_each_timeline_once() {
+        let n = 300;
+        let trace = TraceSpec {
+            num_requests: n,
+            profile: SequenceProfile::paper_default().with_decode_tokens(16),
+            arrival: ArrivalProcess::Poisson { rate_rps: 70.0 },
+            length_jitter: 0.1,
+            seed: 13,
+        }
+        .generate();
+        let fleet = fixed(
+            one_stage_spec(0.03, 4, 2e-3, 8),
+            3,
+            RouterPolicy::RoundRobin,
+        )
+        .run_trace(&trace)
+        .fleet;
+        assert_eq!(fleet.merged.timelines.len(), n);
+        let per_request = std::mem::size_of::<u32>() + std::mem::size_of::<(u64, usize)>();
+        let per_replica = std::mem::size_of::<ReplicaReport>()
+            + std::mem::size_of::<ClassMetrics>()
+            + std::mem::size_of::<usize>();
+        let fixed = 3 * per_replica + std::mem::size_of::<FleetReport>();
+        let excess = fleet.retained_bytes() - fleet.merged.retained_bytes();
+        assert!(
+            excess <= n * per_request + fixed,
+            "{excess} bytes beyond the merged report for {n} requests"
+        );
+
+        // A split fleet's replicas keep two legs per request, and the
+        // prefill legs' stage buffers are the stitched timelines' own.
+        let split = FleetEngine::disaggregated(
+            one_stage_spec(0.03, 4, 2e-3, 8),
+            PipelineSpec::decode_only(DecodeSpec::new(8, LatencyTable::constant(8, 2e-3)), None),
+            PoolSpec::new(2, RouterPolicy::RoundRobin),
+            PoolSpec::new(1, RouterPolicy::RoundRobin),
+            KvTransferModel::zero(),
+        )
+        .run_trace(&trace)
+        .fleet;
+        assert_eq!(split.merged.timelines.len(), n);
+        let per_leg = std::mem::size_of::<RequestTimeline>() + std::mem::size_of::<(u64, usize)>();
+        let excess = split.retained_bytes() - split.merged.retained_bytes();
+        assert!(
+            excess <= 2 * n * per_leg + fixed,
+            "{excess} bytes beyond the merged report for {n} split requests"
+        );
     }
 
     /// Regression for the content-aware routers under autoscaling: the
@@ -687,7 +954,7 @@ mod tests {
             let policy = RouterPolicy::ALL[policy_idx];
             let fleet = fixed(spec, 1, policy).run(reqs, &MetricsMode::Exact, &mut NullRecorder).fleet;
             prop_assert_eq!(&fleet.merged, &engine, "one-replica fleet diverged from the replica");
-            prop_assert_eq!(&fleet.per_replica[0].report, &engine);
+            prop_assert_eq!(replica_parts(&fleet, 0), engine_parts(&engine));
             prop_assert_eq!(fleet.per_replica[0].assigned, engine.timelines.len());
         }
 

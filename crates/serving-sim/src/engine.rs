@@ -84,7 +84,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// Tolerance used when comparing event timestamps: events this close
@@ -529,9 +529,9 @@ impl From<&Request> for EngineRequest {
 /// executed stage, then each stage's completion, both in pipeline order,
 /// in one immutable buffer.
 ///
-/// A clone shares the buffer instead of copying it, so a fleet's merged
-/// timeline, its replica's timeline and a split fleet's stitched timeline
-/// all read one allocation. An empty value allocates nothing.
+/// A clone shares the buffer instead of copying it, so a split fleet's
+/// stitched timeline and its prefill leg read one allocation. An empty
+/// value allocates nothing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageTimes {
     /// The starts, then the ends.
@@ -568,9 +568,14 @@ impl StageTimes {
         &self.times[self.split as usize..]
     }
 
+    /// The address of the buffer, which its clones share.
+    pub(crate) fn buffer(&self) -> *const f64 {
+        self.times.as_ptr()
+    }
+
     /// Bytes of the buffer's allocation: its two reference counts and the
     /// times, or nothing for an empty value.
-    fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         if self.times.is_empty() {
             0
         } else {
@@ -1001,10 +1006,11 @@ impl ServingReport {
     /// [`StageTimes`] buffer per request); streaming reports stay
     /// `O(classes)`.
     ///
-    /// Each report counts every stage buffer it reads, but reports share
-    /// them: a fleet's merged report reads the buffers of its per-replica
-    /// reports (a split fleet's, those of its prefill replicas), so a sum
-    /// over a fleet's reports counts each shared buffer more than once.
+    /// Each report counts every stage buffer it reads. A flat fleet's
+    /// merged report owns its timelines outright; a split fleet's stitched
+    /// timelines share their stage buffers with the prefill legs its
+    /// replicas keep. [`crate::FleetReport::retained_bytes`] counts a
+    /// whole fleet report, each buffer once.
     pub fn retained_bytes(&self) -> usize {
         let timelines = std::mem::size_of::<RequestTimeline>() * self.timelines.capacity()
             + self
@@ -2429,9 +2435,12 @@ pub(crate) fn build_report(
     timelines: Vec<RequestTimeline>,
     acc: &SimAccumulators,
 ) -> ServingReport {
-    let mut classes: Vec<u32> = timelines.iter().map(|t| t.class).collect();
-    classes.sort_unstable();
-    classes.dedup();
+    let classes: Vec<u32> = timelines
+        .iter()
+        .map(|t| t.class)
+        .collect::<BTreeSet<u32>>()
+        .into_iter()
+        .collect();
     let (metrics, per_class) = crate::sink::scope_rows(classes, |class| {
         let mut fold = ScopeFold::EMPTY;
         let mut samples: [Vec<f64>; 3] =

@@ -1154,8 +1154,10 @@ mod tests {
                 l.routable_s - l.provisioned_s
             );
             // And no request reached it before it became routable.
-            let r = &report.fleet.per_replica[l.replica].report;
-            assert!(r.timelines.iter().all(|t| t.arrival_s >= 0.0));
+            assert!(report
+                .fleet
+                .replica_timelines(l.replica)
+                .all(|t| t.arrival_s >= 0.0));
         }
         assert_eq!(report.fault.completed, 200);
     }
@@ -1185,8 +1187,10 @@ mod tests {
         assert_eq!(preempted.decommissioned_s, Some(1.0));
         assert_eq!(preempted.retired_s, 1.5);
         // No request was routed to it after the notice.
-        let r = &report.fleet.per_replica[0].report;
-        assert!(r.timelines.iter().all(|t| t.arrival_s <= 1.0 + 1e-12));
+        assert!(report
+            .fleet
+            .replica_timelines(0)
+            .all(|t| t.arrival_s <= 1.0 + 1e-12));
         assert_eq!(
             report.fault.completed + report.fault.failed,
             report.fault.injected
@@ -1292,8 +1296,10 @@ mod tests {
         assert_eq!(report.fault.failed, 0);
         assert_eq!(report.min_provisioned, 0);
         // The pre-restart arrivals were served no earlier than the restart.
-        let replacement = &report.fleet.per_replica[1].report;
-        assert!(replacement.timelines.iter().all(|t| t.first_token_s >= 0.5));
+        assert!(report
+            .fleet
+            .replica_timelines(1)
+            .all(|t| t.first_token_s >= 0.5));
     }
 
     #[test]

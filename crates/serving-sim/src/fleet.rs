@@ -88,7 +88,7 @@
 //! ```
 
 use crate::autoscaler::{AutoscalerPolicy, ReplicaLifetime, ScalingAction, ScalingEvent};
-use crate::cluster::{route_pick, FleetReport, LoadImbalance, ReplicaReport};
+use crate::cluster::{route_pick, FleetReport, LoadImbalance, ReplicaReport, ReplicaRequests};
 use crate::engine::{
     build_report, CacheProbe, ClassMetrics, EngineRequest, LatencyStats, PipelineSpec, ReplicaSim,
     RequestTimeline, Retired, ServingReport, SimAccumulators, SloTally,
@@ -1377,7 +1377,6 @@ impl<'e> Run<'e> {
         let mut replica_seconds = 0.0;
         for (replica, slot) in self.slots.iter().enumerate() {
             let last_completion = fleet.per_replica[replica]
-                .report
                 .metrics
                 .makespan_s
                 .max(slot.provisioned_s);
@@ -1451,28 +1450,44 @@ impl ReplicaObs {
 /// timelines of every replica; a streaming one merges histograms.
 impl RunSink {
     /// Folds one replica's sink into this fleet-level one and returns the
-    /// replica's own report.
-    fn absorb(&mut self, replica: RunSink) -> ServingReport {
+    /// replica's own report and its requests. A flat fleet's replica
+    /// moves its timelines into this sink's log and keeps their positions
+    /// in it, in its own order; a split fleet's keeps its legs, and this
+    /// sink a copy of them to stitch.
+    fn absorb(&mut self, replica: RunSink, split: bool) -> (ServingReport, ReplicaRequests) {
         match (self, replica) {
             (RunSink::Exact(all), RunSink::Exact(sink)) => {
-                all.timelines.extend(sink.timelines.iter().cloned());
                 all.acc.merge_from(&sink.acc);
-                ServingReport::from_exact_sink(*sink)
+                let mut report = ServingReport::from_exact_sink(*sink);
+                let requests = if split {
+                    all.timelines.extend(report.timelines.iter().cloned());
+                    ReplicaRequests::Legs(std::mem::take(&mut report.timelines))
+                } else {
+                    let start = all.timelines.len();
+                    all.timelines.append(&mut report.timelines);
+                    ReplicaRequests::Rows((start..all.timelines.len()).map(log_row).collect())
+                };
+                (report, requests)
             }
             (RunSink::Streaming(all), RunSink::Streaming(sink)) => {
                 all.merge_from(&sink);
-                sink.into_report()
+                (sink.into_report(), ReplicaRequests::Rows(Vec::new()))
             }
             _ => unreachable!("every replica retires in the run's metrics mode"),
         }
     }
 
-    /// The merged fleet report (timelines in arrival order), with admission
-    /// sheds threaded in.
-    fn into_merged_report(self, shed_by_class: &BTreeMap<u32, usize>) -> ServingReport {
+    /// The merged report of a flat fleet (timelines in arrival order),
+    /// with admission sheds threaded in. The log is sorted in place, and
+    /// each replica's rows follow their timelines to their new positions.
+    fn into_merged_report(
+        self,
+        per_replica: &mut [ReplicaReport],
+        shed_by_class: &BTreeMap<u32, usize>,
+    ) -> ServingReport {
         let (report, acc) = match self {
             RunSink::Exact(mut sink) => {
-                sink.timelines.sort_by(by_arrival);
+                sort_log(&mut sink.timelines, per_replica);
                 (build_report(sink.timelines, &sink.acc), sink.acc)
             }
             RunSink::Streaming(sink) => {
@@ -1530,6 +1545,48 @@ impl RunSink {
     }
 }
 
+/// Sorts a flat fleet's merged log into arrival order and moves each
+/// replica's rows with it. The sort orders a permutation of positions with
+/// the stable [`by_arrival`], which leaves the log exactly as a stable
+/// sort of the timelines would; the log is then permuted in place, one
+/// cycle of swaps at a time, so no timeline is copied.
+fn sort_log(log: &mut [RequestTimeline], per_replica: &mut [ReplicaReport]) {
+    // `order[k]`: the position, before the sort, of the `k`-th timeline.
+    let mut order: Vec<u32> = (0..log.len()).map(log_row).collect();
+    order.sort_by(|&a, &b| by_arrival(&log[a as usize], &log[b as usize]));
+    // `position[p]`: where the timeline at position `p` moves to.
+    let mut position = vec![0u32; log.len()];
+    for (k, &p) in order.iter().enumerate() {
+        position[p as usize] = log_row(k);
+    }
+    for rows in per_replica.iter_mut().filter_map(ReplicaReport::rows_mut) {
+        for row in rows.iter_mut() {
+            *row = position[*row as usize];
+        }
+    }
+    // Each cycle of `order` rotates its timelines into place; a placed
+    // position is marked by `order[k] == k`.
+    for start in 0..log.len() {
+        let mut k = start;
+        while order[k] as usize != start {
+            let from = order[k] as usize;
+            log.swap(k, from);
+            order[k] = log_row(k);
+            k = from;
+        }
+        order[k] = log_row(k);
+    }
+}
+
+/// Position `p` of a merged log as a replica's row.
+///
+/// # Panics
+///
+/// Panics past `u32::MAX` timelines, 320 GiB of them.
+fn log_row(p: usize) -> u32 {
+    u32::try_from(p).expect("a merged log holds at most u32::MAX timelines")
+}
+
 /// The fleet's injection order: ascending `(arrival_s, id)`.
 fn injection_order(a: (f64, u64), b: (f64, u64)) -> Ordering {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
@@ -1575,9 +1632,10 @@ fn with_sheds(
 /// either metrics mode. The drain is the expensive leg (each replica runs
 /// out its remaining events with no routing interaction), so a
 /// multi-replica fleet drains in parallel; the slot-order merge keeps the
-/// report identical to a serial drain. A split fleet merges each pool's
-/// legs separately, lists each replica's legs in arrival order, and
-/// stitches the two pools' legs into the merged report.
+/// report identical to a serial drain. A flat fleet's replicas move their
+/// timelines into the merged log and keep rows into it. A split fleet
+/// merges each pool's legs separately, lists each replica's legs in
+/// arrival order, and stitches the two pools' legs into the merged report.
 fn drain_and_merge(
     live: Vec<(usize, ReplicaSim)>,
     mut harvests: Vec<(usize, Retired, ReplicaObs)>,
@@ -1624,17 +1682,19 @@ fn drain_and_merge(
         if let (true, RunSink::Exact(sink)) = (split, &mut retired.sink) {
             sink.timelines.sort_by(by_arrival);
         }
-        per_replica.push(ReplicaReport {
+        let (report, requests) = leg.absorb(retired.sink, split);
+        per_replica.push(ReplicaReport::new(
             replica,
-            assigned: slots[replica].assigned,
-            peak_live_requests: retired.peak_live,
-            report: leg.absorb(retired.sink),
-        });
+            slots[replica].assigned,
+            retired.peak_live,
+            report,
+            requests,
+        ));
         obs.push(ob);
     }
     let report = FleetReport {
         merged: match decode {
-            None => merged.into_merged_report(shed_by_class),
+            None => merged.into_merged_report(&mut per_replica, shed_by_class),
             Some(decode) => merged.stitch(decode, shed_by_class),
         },
         per_replica,
@@ -1655,13 +1715,13 @@ fn record_fleet_observability<R: Recorder>(
     gauge_cadence_s: f64,
 ) {
     let end_s = report.merged.metrics.makespan_s;
-    for rr in &report.per_replica {
+    for (i, rr) in report.per_replica.iter().enumerate() {
         let track = rr.replica as u32;
-        crate::telemetry::record_request_spans(rec, track, &rr.report.timelines);
+        crate::telemetry::record_request_spans(rec, track, report.replica_timelines(i));
         crate::telemetry::record_load_gauges(
             rec,
             track,
-            &rr.report.timelines,
+            report.replica_timelines(i),
             gauge_cadence_s,
             end_s,
         );
@@ -1672,7 +1732,7 @@ fn record_fleet_observability<R: Recorder>(
         let events = report
             .per_replica
             .get(i)
-            .map_or(0, |rr| rr.report.metrics.events_processed);
+            .map_or(0, |rr| rr.metrics.events_processed);
         profile.merge_from(&crate::telemetry::profile_from_stats(
             &ob.equeue, events, end_s,
         ));
@@ -2135,10 +2195,86 @@ mod tests {
         );
     }
 
-    /// Each exact timeline's stage times are built once: the merged report
-    /// of a two-replica fleet reads the very buffers of its per-replica
-    /// reports, and a split fleet's stitched timeline reads its prefill
-    /// leg's.
+    /// FNV-1a over `bytes`: a short, stable fingerprint of an export.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// A crash whose in-flight requests are re-queued leaves every
+    /// replica's view whole: the views partition the merged log, each in
+    /// its replica's dispatch order, and the traced export is the same on
+    /// every run and every thread count (the pinned fingerprints; CI also
+    /// runs this at one thread).
+    #[test]
+    fn replica_views_survive_a_requeueing_crash() {
+        let telemetry = rago_telemetry::TelemetryConfig::full(0.25);
+        let engine = FleetEngine::new(
+            one_stage_spec(0.03),
+            RouterPolicy::LeastOutstanding,
+            ScaleDriver::Static { replicas: 3 },
+        )
+        .with_faults(FaultSchedule::new(vec![FaultEvent::Crash {
+            replica: 0,
+            at_s: 1.0,
+            restart_delay_s: 0.5,
+        }]))
+        .with_crash_policy(CrashPolicy::Requeue)
+        .with_telemetry(telemetry.clone());
+        let traced = || {
+            let mut rec = rago_telemetry::TraceRecorder::new(telemetry.clone());
+            let report = engine.run(requests(300, 0.01), &MetricsMode::Exact, &mut rec);
+            let events = rec.into_events();
+            let exports = (
+                rago_telemetry::export_chrome_trace(&events),
+                rago_telemetry::export_jsonl(&events),
+            );
+            (report, exports)
+        };
+        let (report, exports) = traced();
+        assert!(report.fault.retried > 0, "the crash must re-queue work");
+        assert_eq!(report.fault.completed, 300);
+        let fleet = &report.fleet;
+
+        let mut viewed: Vec<u64> = (0..fleet.per_replica.len())
+            .flat_map(|i| fleet.replica_timelines(i).map(|t| t.id))
+            .collect();
+        let mut logged: Vec<u64> = fleet.merged.timelines.iter().map(|t| t.id).collect();
+        viewed.sort_unstable();
+        logged.sort_unstable();
+        assert_eq!(viewed, logged);
+
+        for (i, r) in fleet.per_replica.iter().enumerate() {
+            let mut dispatched = fleet
+                .assignments
+                .iter()
+                .filter(|&&(_, slot)| slot == r.replica)
+                .map(|&(id, _)| id);
+            for t in fleet.replica_timelines(i) {
+                assert!(
+                    dispatched.any(|id| id == t.id),
+                    "replica {i} holds request {} out of dispatch order",
+                    t.id
+                );
+            }
+        }
+
+        let (again, exports_again) = traced();
+        assert_eq!(again.fleet, report.fleet);
+        assert!(
+            exports_again == exports,
+            "traced exports differ between runs"
+        );
+        assert_eq!(
+            (fnv1a(exports.0.as_bytes()), fnv1a(exports.1.as_bytes())),
+            (0xcbea_a544_f03f_798b, 0x714b_e932_a505_9483)
+        );
+    }
+
+    /// Each exact timeline is kept once: a two-replica fleet's replicas
+    /// read their requests from the merged log itself, and a split fleet's
+    /// stitched timeline reads its prefill leg's stage times.
     #[test]
     fn merged_timelines_share_their_replicas_stage_times() {
         let two_stages = PipelineSpec::new(
@@ -2149,41 +2285,52 @@ mod tests {
             DecodeSpec::new(8, LatencyTable::constant(8, 2e-3)),
         );
         let trace = poisson_trace(200, 80.0, 8);
+        let n = trace.requests.len();
+
+        let flat = FleetEngine::new(
+            two_stages.clone(),
+            RouterPolicy::LeastOutstanding,
+            ScaleDriver::Static { replicas: 2 },
+        )
+        .run_trace(&trace)
+        .fleet;
+        let log: HashMap<u64, &RequestTimeline> =
+            flat.merged.timelines.iter().map(|t| (t.id, t)).collect();
+        assert_eq!(log.len(), n);
+        let mut read = 0;
+        for i in 0..flat.per_replica.len() {
+            for t in flat.replica_timelines(i) {
+                assert!(std::ptr::eq(t, log[&t.id]), "request {} copied", t.id);
+                read += 1;
+            }
+        }
+        assert_eq!(read, n);
+
         let decode =
             PipelineSpec::decode_only(DecodeSpec::new(16, LatencyTable::constant(16, 2e-3)), None);
-        let fleets = [
-            FleetEngine::new(
-                two_stages.clone(),
-                RouterPolicy::LeastOutstanding,
-                ScaleDriver::Static { replicas: 2 },
-            ),
-            FleetEngine::disaggregated(
-                two_stages,
-                decode,
-                PoolSpec::new(2, RouterPolicy::LeastOutstanding),
-                PoolSpec::new(2, RouterPolicy::LeastOutstanding),
-                KvTransferModel::zero(),
-            ),
-        ];
-        for engine in fleets {
-            let fleet = engine.run_trace(&trace).fleet;
-            // Decode legs run no pre-decode stage; every other leg ran two.
-            let legs: HashMap<u64, &RequestTimeline> = fleet
-                .per_replica
-                .iter()
-                .flat_map(|r| &r.report.timelines)
-                .filter(|t| !t.stages.starts().is_empty())
-                .map(|t| (t.id, t))
-                .collect();
-            assert_eq!(legs.len(), trace.requests.len());
-            assert_eq!(fleet.merged.timelines.len(), trace.requests.len());
-            for t in &fleet.merged.timelines {
-                let leg = legs[&t.id];
-                assert_eq!(t.stages.starts().len(), 2);
-                assert_eq!(t.stages.ends().len(), 2);
-                assert_eq!(t.stages.starts().as_ptr(), leg.stages.starts().as_ptr());
-                assert_eq!(t.stages.ends().as_ptr(), leg.stages.ends().as_ptr());
-            }
+        let split = FleetEngine::disaggregated(
+            two_stages,
+            decode,
+            PoolSpec::new(2, RouterPolicy::LeastOutstanding),
+            PoolSpec::new(2, RouterPolicy::LeastOutstanding),
+            KvTransferModel::zero(),
+        )
+        .run_trace(&trace)
+        .fleet;
+        // Decode legs run no pre-decode stage; the prefill legs ran two.
+        let legs: HashMap<u64, &RequestTimeline> = (0..split.per_replica.len())
+            .flat_map(|i| split.replica_timelines(i))
+            .filter(|t| !t.stages.starts().is_empty())
+            .map(|t| (t.id, t))
+            .collect();
+        assert_eq!(legs.len(), n);
+        assert_eq!(split.merged.timelines.len(), n);
+        for t in &split.merged.timelines {
+            let leg = legs[&t.id];
+            assert_eq!(t.stages.starts().len(), 2);
+            assert_eq!(t.stages.ends().len(), 2);
+            assert_eq!(t.stages.starts().as_ptr(), leg.stages.starts().as_ptr());
+            assert_eq!(t.stages.ends().as_ptr(), leg.stages.ends().as_ptr());
         }
     }
 }

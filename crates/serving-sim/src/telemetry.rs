@@ -97,10 +97,10 @@ fn service_start_s(tl: &RequestTimeline) -> Option<f64> {
 /// executed pre-decode stage, a `decode` residency span, and a
 /// `first_token` instant. Unfinished phases (a request that died mid-run)
 /// emit nothing, so every recorded begin has a matching end.
-pub(crate) fn record_request_spans<R: Recorder>(
+pub(crate) fn record_request_spans<'a, R: Recorder>(
     rec: &mut R,
     track: u32,
-    timelines: &[RequestTimeline],
+    timelines: impl IntoIterator<Item = &'a RequestTimeline>,
 ) {
     if !R::ENABLED {
         return;
@@ -189,18 +189,20 @@ pub(crate) fn record_cache_probes<R: Recorder>(rec: &mut R, track: u32, probes: 
 /// `decode_fill` (resident in the decode batch) gauges from `timelines`
 /// every `cadence_s` simulated seconds over `[0, end_s]`, onto `track`.
 /// No-op when the cadence is zero or negative.
-pub(crate) fn record_load_gauges<R: Recorder>(
+pub(crate) fn record_load_gauges<'a, R: Recorder>(
     rec: &mut R,
     track: u32,
-    timelines: &[RequestTimeline],
+    timelines: impl IntoIterator<Item = &'a RequestTimeline>,
     cadence_s: f64,
     end_s: f64,
 ) {
     if !R::ENABLED || cadence_s <= 0.0 || !end_s.is_finite() {
         return;
     }
-    let mut queue: Vec<(f64, i64)> = Vec::with_capacity(2 * timelines.len());
-    let mut decode: Vec<(f64, i64)> = Vec::with_capacity(2 * timelines.len());
+    let timelines = timelines.into_iter();
+    let (len, _) = timelines.size_hint();
+    let mut queue: Vec<(f64, i64)> = Vec::with_capacity(2 * len);
+    let mut decode: Vec<(f64, i64)> = Vec::with_capacity(2 * len);
     for tl in timelines {
         if let Some(start) = service_start_s(tl) {
             queue.push((tl.arrival_s, 1));

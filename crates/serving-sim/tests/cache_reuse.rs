@@ -253,8 +253,8 @@ fn cluster_replicas_start_cold_and_warm_independently() {
     assert_eq!(usage.prefix.insertions, 2, "one cold miss per replica");
     assert_eq!(usage.prefix.hits, 4);
     for replica in &fleet.per_replica {
-        assert_eq!(replica.report.cache.prefix.insertions, 1);
-        assert_eq!(replica.report.cache.prefix.hits, 2);
+        assert_eq!(replica.cache.prefix.insertions, 1);
+        assert_eq!(replica.cache.prefix.hits, 2);
     }
 }
 

@@ -79,16 +79,18 @@ fn check_invariants(
     // Conservation: every request completes exactly once.
     prop_assert_eq!(report.fleet.merged.metrics.completed, n);
     prop_assert_eq!(report.fleet.assignments.len(), n);
-    let per_replica_total: usize = report
-        .fleet
-        .per_replica
-        .iter()
-        .map(|r| r.report.timelines.len())
+    let per_replica_total: usize = (0..report.fleet.per_replica.len())
+        .map(|i| report.fleet.replica_timelines(i).len())
         .sum();
     prop_assert_eq!(per_replica_total, n);
-    for (lifetime, replica) in report.lifetimes.iter().zip(report.fleet.per_replica.iter()) {
+    for (i, (lifetime, replica)) in report
+        .lifetimes
+        .iter()
+        .zip(report.fleet.per_replica.iter())
+        .enumerate()
+    {
         prop_assert_eq!(lifetime.assigned, replica.assigned);
-        prop_assert_eq!(replica.assigned, replica.report.timelines.len());
+        prop_assert_eq!(replica.assigned, report.fleet.replica_timelines(i).len());
     }
 
     // Bounds: provisioned count within [min, max] at every event, and the
@@ -120,10 +122,9 @@ fn check_invariants(
 
     // Warm-up: no replica received a request before becoming routable.
     for lifetime in &report.lifetimes {
-        let report_r = &report.fleet.per_replica[lifetime.replica].report;
-        prop_assert!(report_r
-            .timelines
-            .iter()
+        prop_assert!(report
+            .fleet
+            .replica_timelines(lifetime.replica)
             .all(|t| t.arrival_s >= lifetime.routable_s - 1e-9));
         prop_assert!(lifetime.retired_s >= lifetime.provisioned_s);
     }

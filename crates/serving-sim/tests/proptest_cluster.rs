@@ -89,10 +89,8 @@ proptest! {
         let report = fleet.run(reqs.clone(), &MetricsMode::Exact, &mut NullRecorder).fleet;
 
         // Union of per-replica timelines == input set, no loss/duplication.
-        let mut seen: Vec<u64> = report
-            .per_replica
-            .iter()
-            .flat_map(|r| r.report.timelines.iter().map(|t| t.id))
+        let mut seen: Vec<u64> = (0..report.per_replica.len())
+            .flat_map(|i| report.replica_timelines(i).map(|t| t.id))
             .collect();
         seen.sort_unstable();
         let mut expected: Vec<u64> = reqs.iter().map(|r| r.id).collect();
@@ -110,14 +108,14 @@ proptest! {
 
         // Assignments agree with the per-replica counts.
         prop_assert_eq!(report.assignments.len(), n);
-        for rep in &report.per_replica {
+        for (i, rep) in report.per_replica.iter().enumerate() {
             let assigned_here = report
                 .assignments
                 .iter()
                 .filter(|&&(_, r)| r == rep.replica)
                 .count();
             prop_assert_eq!(assigned_here, rep.assigned);
-            prop_assert_eq!(rep.assigned, rep.report.timelines.len());
+            prop_assert_eq!(rep.assigned, report.replica_timelines(i).len());
         }
         let total: usize = report.imbalance.assigned_per_replica.iter().sum();
         prop_assert_eq!(total, n);

@@ -14,12 +14,13 @@ use proptest::prelude::*;
 use rago_schema::{HistogramSpec, RouterPolicy, SequenceProfile, SloTarget};
 use rago_serving_sim::autoscaler::AutoscalerPolicy;
 use rago_serving_sim::engine::{
-    DecodeSpec, EngineRequest, IterativeSpec, LatencyTable, PipelineSpec, ServingReport, StageSpec,
+    DecodeSpec, EngineRequest, IterativeSpec, LatencyTable, PipelineSpec, RequestTimeline,
+    ServingReport, StageSpec,
 };
 use rago_serving_sim::faults::{FaultEvent, FaultSchedule, ScaleDriver};
 use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::sink::{HistogramSink, RequestOutcome};
-use rago_serving_sim::{MetricsMode, StreamingConfig};
+use rago_serving_sim::{MetricsMode, ReplicaReport, StreamingConfig};
 use rago_telemetry::NullRecorder;
 use rago_workloads::{ArrivalProcess, TraceSpec};
 
@@ -100,17 +101,17 @@ fn requests(raw: &[(f64, u32, u32)]) -> Vec<EngineRequest> {
         .collect()
 }
 
-/// A fresh histogram sink fed `exact`'s timelines in order, with the
-/// pipeline-level fields (decode fill, retrieval batching, events, cache
-/// counters) — which the sink takes from the simulation, not from the
-/// outcomes — copied from `streamed`.
-fn replayed(
+/// A fresh histogram sink fed an exact replica's timelines in order, with
+/// the pipeline-level fields (decode fill, retrieval batching, events,
+/// cache counters) — which the sink takes from the simulation, not from
+/// the outcomes — copied from the `streamed` replica.
+fn replayed<'a>(
     config: &StreamingConfig,
-    exact: &ServingReport,
-    streamed: &ServingReport,
+    exact: impl IntoIterator<Item = &'a RequestTimeline>,
+    streamed: &ReplicaReport,
 ) -> ServingReport {
     let mut sink = HistogramSink::new(config);
-    for t in &exact.timelines {
+    for t in exact {
         sink.record(&RequestOutcome {
             id: t.id,
             class: t.class,
@@ -159,7 +160,7 @@ proptest! {
         let exact = engine.run(reqs.clone(), &MetricsMode::Exact, &mut NullRecorder);
         let streamed = engine.run(reqs, &MetricsMode::Streaming(config.clone()), &mut NullRecorder);
         prop_assert_eq!(exact.fleet.per_replica.len(), streamed.fleet.per_replica.len());
-        for (e, s) in exact.fleet.per_replica.iter().zip(&streamed.fleet.per_replica) {
+        for (i, (e, s)) in exact.fleet.per_replica.iter().zip(&streamed.fleet.per_replica).enumerate() {
             // The exact timelines are in injection order: the order the
             // router dispatched to the replica, less any requests a crash
             // took back.
@@ -169,12 +170,16 @@ proptest! {
                 .iter()
                 .filter(|&&(_, slot)| slot == e.replica)
                 .map(|&(id, _)| id);
-            for t in &e.report.timelines {
+            for t in exact.fleet.replica_timelines(i) {
                 prop_assert!(dispatched.any(|id| id == t.id), "request {} out of order", t.id);
             }
             prop_assert_eq!(e.peak_live_requests, s.peak_live_requests);
             prop_assert!(e.peak_live_requests >= usize::from(e.assigned > 0));
-            prop_assert_eq!(&s.report, &replayed(&config, &e.report, &s.report));
+            let replay = replayed(&config, exact.fleet.replica_timelines(i), s);
+            prop_assert_eq!(
+                (&s.metrics, &s.per_class, &s.cache, &s.streamed),
+                (&replay.metrics, &replay.per_class, &replay.cache, &replay.streamed)
+            );
         }
     }
 }

@@ -104,7 +104,7 @@ proptest! {
             let across_replicas: usize = fleet
                 .per_replica
                 .iter()
-                .flat_map(|r| r.report.per_class.iter())
+                .flat_map(|r| r.per_class.iter())
                 .filter(|c| c.class == row.class)
                 .map(|c| c.metrics.requests)
                 .sum();

@@ -838,7 +838,7 @@ fn render_streamed_fleet(fleet: &rago::serving_sim::FleetReport, slo: &SloTarget
                 "        {{\"replica\": {}, \"assigned\": {}, \"metrics\": {}}}",
                 r.replica,
                 r.assigned,
-                render_streamed_metrics(&r.report.metrics)
+                render_streamed_metrics(&r.metrics)
             )
         })
         .collect();
@@ -968,8 +968,8 @@ fn render_pool(pool: &PoolReport) -> String {
                  \"makespan_s\": {}}}",
                 r.replica,
                 r.assigned,
-                r.report.metrics.completed,
-                f(r.report.metrics.makespan_s),
+                r.metrics.completed,
+                f(r.metrics.makespan_s),
             )
         })
         .collect();

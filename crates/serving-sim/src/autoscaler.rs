@@ -260,16 +260,10 @@ pub struct ReplicaLifetime {
     pub assigned: usize,
 }
 
-impl ReplicaLifetime {
-    /// Seconds this replica's chips were provisioned.
-    pub fn provisioned_duration_s(&self) -> f64 {
-        (self.retired_s - self.provisioned_s).max(0.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::tests::replica_requests;
     use crate::engine::{DecodeSpec, LatencyTable, PipelineSpec, StageSpec};
     use crate::faults::{
         AdmissionConfig, ChaosReport, CrashPolicy, FaultEvent, FaultSchedule, ScaleDriver,
@@ -381,6 +375,7 @@ mod tests {
             policy,
         )
         .run_trace(&spike_trace(120));
+        let requests = replica_requests(&report.fleet);
         for (lifetime, scaled_out) in report.lifetimes.iter().zip([false, true, true, true]) {
             if !scaled_out {
                 continue;
@@ -392,9 +387,8 @@ mod tests {
             );
             // No request was routed to the replica before it became
             // routable.
-            assert!(report
-                .fleet
-                .replica_timelines(lifetime.replica)
+            assert!(requests[lifetime.replica]
+                .iter()
                 .all(|t| t.arrival_s >= lifetime.routable_s - 1e-12));
         }
     }

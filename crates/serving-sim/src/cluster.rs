@@ -52,22 +52,20 @@
 //! ```
 
 use crate::engine::{
-    CacheUsage, ClassMetrics, EngineRequest, ReplicaSim, RequestTimeline, ServingMetrics,
-    ServingReport,
+    CacheUsage, ClassMetrics, EngineRequest, ReplicaSim, ServingMetrics, ServingReport,
 };
 use crate::sink::StreamedScores;
 use rago_schema::{RouterPolicy, SloTarget};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// One replica's slice of a fleet run.
 ///
 /// The replica's metrics are its own, computed exactly as a standalone
 /// engine run over the routed subset would compute them. Its requests are
-/// not copied here: a flat fleet's replica holds the positions of its
-/// requests in the fleet's merged log, and a split fleet's replica its own
-/// legs (see [`FleetReport::replica_timelines`]). So a replica answers no
-/// SLO query from timelines; the fleet's merged report does.
+/// not kept here: the fleet's merged report owns every timeline, and the
+/// run records each replica's request spans and load gauges while it
+/// merges them. So a replica answers no SLO query from timelines; the
+/// fleet's merged report does.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplicaReport {
     /// Replica index within the fleet.
@@ -90,30 +88,15 @@ pub struct ReplicaReport {
     /// The replica's online SLO scores in a streaming run; `None` in an
     /// exact one.
     pub streamed: Option<StreamedScores>,
-    /// Where the replica's requests are.
-    requests: ReplicaRequests,
-}
-
-/// Where a replica's requests are kept.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) enum ReplicaRequests {
-    /// A flat fleet's replica: the positions of its requests in the
-    /// fleet's merged log, in the replica's own (injection) order. Empty
-    /// in a streaming run.
-    Rows(Vec<u32>),
-    /// A split fleet's replica: its own prefill or decode legs, in
-    /// arrival order. A leg is not a merged timeline, which stitches both.
-    Legs(Vec<RequestTimeline>),
 }
 
 impl ReplicaReport {
-    /// The replica's report, its timelines replaced by `requests`.
+    /// The replica's report, whose timelines have moved to the fleet's.
     pub(crate) fn new(
         replica: usize,
         assigned: usize,
         peak_live_requests: usize,
         report: ServingReport,
-        requests: ReplicaRequests,
     ) -> Self {
         let ServingReport {
             timelines,
@@ -124,7 +107,7 @@ impl ReplicaReport {
         } = report;
         debug_assert!(
             timelines.is_empty(),
-            "a replica keeps its requests in `requests`"
+            "a replica's timelines move to the fleet's report"
         );
         Self {
             replica,
@@ -134,82 +117,18 @@ impl ReplicaReport {
             per_class,
             cache,
             streamed,
-            requests,
         }
     }
 
-    /// The replica's rows into the merged log, if it is a flat fleet's.
-    pub(crate) fn rows_mut(&mut self) -> Option<&mut Vec<u32>> {
-        match &mut self.requests {
-            ReplicaRequests::Rows(rows) => Some(rows),
-            ReplicaRequests::Legs(_) => None,
-        }
-    }
-
-    /// The replica's requests in its own order: its rows read from `log`,
-    /// the merged log of its fleet, or its own legs.
-    pub(crate) fn timelines<'a>(&'a self, log: &'a [RequestTimeline]) -> ReplicaTimelines<'a> {
-        match &self.requests {
-            ReplicaRequests::Rows(rows) => ReplicaTimelines::Rows {
-                log,
-                rows: rows.iter(),
-            },
-            ReplicaRequests::Legs(legs) => ReplicaTimelines::Legs(legs.iter()),
-        }
-    }
-
-    /// Heap bytes this replica retains beyond the merged log: its class
-    /// rows, streamed scores, and rows or legs. A leg's stage buffer
-    /// counts unless `shared` (the merged log's buffers) holds it.
-    fn heap_bytes(&self, shared: &HashSet<*const f64>) -> usize {
-        let requests = match &self.requests {
-            ReplicaRequests::Rows(rows) => rows.capacity() * std::mem::size_of::<u32>(),
-            ReplicaRequests::Legs(legs) => {
-                legs.capacity() * std::mem::size_of::<RequestTimeline>()
-                    + legs
-                        .iter()
-                        .filter(|t| !shared.contains(&t.stages.buffer()))
-                        .map(|t| t.stages.heap_bytes())
-                        .sum::<usize>()
-            }
-        };
-        requests
-            + self.per_class.capacity() * std::mem::size_of::<ClassMetrics>()
+    /// Heap bytes this replica retains: its class rows and streamed scores.
+    fn heap_bytes(&self) -> usize {
+        self.per_class.capacity() * std::mem::size_of::<ClassMetrics>()
             + self
                 .streamed
                 .as_ref()
                 .map_or(0, StreamedScores::retained_bytes)
     }
 }
-
-/// The iterator behind [`FleetReport::replica_timelines`].
-pub(crate) enum ReplicaTimelines<'a> {
-    Rows {
-        log: &'a [RequestTimeline],
-        rows: std::slice::Iter<'a, u32>,
-    },
-    Legs(std::slice::Iter<'a, RequestTimeline>),
-}
-
-impl<'a> Iterator for ReplicaTimelines<'a> {
-    type Item = &'a RequestTimeline;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            ReplicaTimelines::Rows { log, rows } => rows.next().map(|&row| &log[row as usize]),
-            ReplicaTimelines::Legs(legs) => legs.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            ReplicaTimelines::Rows { rows, .. } => rows.size_hint(),
-            ReplicaTimelines::Legs(legs) => legs.size_hint(),
-        }
-    }
-}
-
-impl ExactSizeIterator for ReplicaTimelines<'_> {}
 
 /// How evenly the router spread requests across replicas.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -262,7 +181,8 @@ impl LoadImbalance {
     }
 }
 
-/// The merged result of one fleet run.
+/// The merged result of one fleet run. Its merged report owns every exact
+/// timeline; its replica reports keep only their own metrics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetReport {
     /// The fleet-level report: every request's timeline (merged across
@@ -298,48 +218,17 @@ impl FleetReport {
         self.merged.meets_slo(slo)
     }
 
-    /// Replica `i`'s requests (`i` indexes [`Self::per_replica`]), in its
-    /// own order: the order the router dispatched them to it, less any a
-    /// crash took back. A flat fleet's replica reads them from the merged
-    /// log, which owns every timeline once; a split fleet's replica holds
-    /// its own prefill or decode legs. Empty in a streaming run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is not a replica index.
-    pub fn replica_timelines(
-        &self,
-        i: usize,
-    ) -> impl ExactSizeIterator<Item = &RequestTimeline> + '_ {
-        self.per_replica[i].timelines(&self.merged.timelines)
-    }
-
-    /// An estimate of the bytes the whole report retains, counting each
-    /// timeline and each stage buffer once: the merged report, each
-    /// replica's rows (a flat fleet's) or legs (a split fleet's, whose
-    /// prefill legs share their stage buffers with the stitched merged
-    /// timelines), and the assignment log.
+    /// An estimate of the bytes the whole report retains: the merged
+    /// report, which owns every timeline once, each replica's class rows
+    /// and streamed scores, and the assignment log.
     pub fn retained_bytes(&self) -> usize {
-        let has_legs = self
-            .per_replica
-            .iter()
-            .any(|r| matches!(r.requests, ReplicaRequests::Legs(_)));
-        let shared: HashSet<*const f64> = if has_legs {
-            self.merged
-                .timelines
-                .iter()
-                .map(|t| t.stages.buffer())
-                .collect()
-        } else {
-            HashSet::new()
-        };
         std::mem::size_of::<Self>() - std::mem::size_of::<ServingReport>()
             + self.merged.retained_bytes()
             + self.per_replica.capacity() * std::mem::size_of::<ReplicaReport>()
             + self
                 .per_replica
                 .iter()
-                .map(|r| r.heap_bytes(&shared))
+                .map(ReplicaReport::heap_bytes)
                 .sum::<usize>()
             + self.assignments.capacity() * std::mem::size_of::<(u64, usize)>()
             + self.imbalance.assigned_per_replica.capacity() * std::mem::size_of::<usize>()
@@ -469,10 +358,11 @@ fn argmin_by<'a>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::engine::{
-        DecodeSpec, IterativeSpec, LatencyTable, PipelineSpec, ReplicaSim, StageSpec,
+        DecodeSpec, IterativeSpec, LatencyTable, PipelineSpec, ReplicaSim, RequestTimeline,
+        StageSpec,
     };
     use crate::faults::{FaultEvent, FaultSchedule, ScaleDriver};
     use crate::fleet::FleetEngine;
@@ -481,6 +371,30 @@ mod tests {
     use rago_schema::{KvTransferModel, PoolSpec, SequenceProfile};
     use rago_telemetry::NullRecorder;
     use rago_workloads::{ArrivalProcess, TraceSpec};
+    use std::collections::HashMap;
+
+    /// Each replica's requests in a flat exact fleet (indexed like
+    /// [`FleetReport::per_replica`]), in its dispatch order: each request
+    /// is read from the merged log under its *last* dispatch, since a crash
+    /// that re-queues a request dispatches it again. Ids must be unique; a
+    /// request that never completed is left out.
+    pub(crate) fn replica_requests(fleet: &FleetReport) -> Vec<Vec<&RequestTimeline>> {
+        let log: HashMap<u64, &RequestTimeline> =
+            fleet.merged.timelines.iter().map(|t| (t.id, t)).collect();
+        let last: HashMap<u64, usize> = fleet
+            .assignments
+            .iter()
+            .enumerate()
+            .map(|(k, &(id, _))| (id, k))
+            .collect();
+        let mut requests = vec![Vec::new(); fleet.per_replica.len()];
+        for (k, &(id, slot)) in fleet.assignments.iter().enumerate() {
+            if last[&id] == k {
+                requests[slot].extend(log.get(&id).copied());
+            }
+        }
+        requests
+    }
 
     /// The reference a one-replica fleet must reproduce: a bare replica
     /// simulation of `spec` with every request injected up front, then
@@ -498,9 +412,9 @@ mod tests {
         ServingReport::from_exact_sink(*sink)
     }
 
-    /// What a standalone engine run reports that a replica reports too:
-    /// metrics, class rows, cache accounting, streamed scores and, in
-    /// order, timelines.
+    /// What a standalone engine run reports that a one-replica fleet
+    /// reports too: the replica's metrics, class rows, cache accounting
+    /// and streamed scores, and, in order, the fleet's timelines.
     type Parts<'a> = (
         &'a ServingMetrics,
         &'a [ClassMetrics],
@@ -519,14 +433,16 @@ mod tests {
         )
     }
 
-    fn replica_parts(fleet: &FleetReport, i: usize) -> Parts<'_> {
-        let r = &fleet.per_replica[i];
+    fn replica_parts(fleet: &FleetReport) -> Parts<'_> {
+        let [r] = fleet.per_replica.as_slice() else {
+            panic!("a one-replica fleet has one replica report")
+        };
         (
             &r.metrics,
             &r.per_class,
             &r.cache,
             &r.streamed,
-            fleet.replica_timelines(i).collect(),
+            fleet.merged.timelines.iter().collect(),
         )
     }
 
@@ -671,7 +587,7 @@ mod tests {
         for policy in RouterPolicy::ALL {
             let fleet = fixed(spec.clone(), 1, policy).run_trace(&trace).fleet;
             assert_eq!(fleet.merged, engine, "policy {policy} diverged");
-            assert_eq!(replica_parts(&fleet, 0), engine_parts(&engine));
+            assert_eq!(replica_parts(&fleet), engine_parts(&engine));
         }
     }
 
@@ -769,9 +685,7 @@ mod tests {
             .run_trace(&trace)
             .fleet;
         // Conservation: every request appears exactly once across replicas.
-        let per_replica_total: usize = (0..fleet.per_replica.len())
-            .map(|i| fleet.replica_timelines(i).len())
-            .sum();
+        let per_replica_total: usize = fleet.per_replica.iter().map(|r| r.metrics.completed).sum();
         assert_eq!(per_replica_total, 90);
         assert_eq!(fleet.merged.timelines.len(), 90);
         assert_eq!(fleet.assignments.len(), 90);
@@ -783,9 +697,9 @@ mod tests {
             .fold(0.0f64, f64::max);
         assert!((fleet.merged.metrics.makespan_s - makespan).abs() < 1e-12);
         // Imbalance counts match the reports.
-        for (i, r) in fleet.per_replica.iter().enumerate() {
+        for r in &fleet.per_replica {
             assert_eq!(r.assigned, fleet.imbalance.assigned_per_replica[r.replica]);
-            assert_eq!(r.assigned, fleet.replica_timelines(i).len());
+            assert_eq!(r.assigned, r.metrics.completed);
         }
         // Fleet runs are deterministic.
         let spec = one_stage_spec(0.03, 4, 2e-3, 8);
@@ -795,9 +709,10 @@ mod tests {
         assert_eq!(again, fleet);
     }
 
-    /// A flat exact fleet keeps each timeline once: beyond its merged
-    /// report it retains a row (`u32`) and an assignment per request, and
-    /// a constant per replica — not a second timeline per request.
+    /// An exact fleet keeps each timeline once, in its merged report:
+    /// beyond it a flat fleet retains one assignment per request and a
+    /// split fleet two (one per pool), plus a constant per replica — no
+    /// row, leg or second timeline per request.
     #[test]
     fn exact_fleets_retain_each_timeline_once() {
         let n = 300;
@@ -817,7 +732,7 @@ mod tests {
         .run_trace(&trace)
         .fleet;
         assert_eq!(fleet.merged.timelines.len(), n);
-        let per_request = std::mem::size_of::<u32>() + std::mem::size_of::<(u64, usize)>();
+        let per_request = std::mem::size_of::<(u64, usize)>();
         let per_replica = std::mem::size_of::<ReplicaReport>()
             + std::mem::size_of::<ClassMetrics>()
             + std::mem::size_of::<usize>();
@@ -828,8 +743,6 @@ mod tests {
             "{excess} bytes beyond the merged report for {n} requests"
         );
 
-        // A split fleet's replicas keep two legs per request, and the
-        // prefill legs' stage buffers are the stitched timelines' own.
         let split = FleetEngine::disaggregated(
             one_stage_spec(0.03, 4, 2e-3, 8),
             PipelineSpec::decode_only(DecodeSpec::new(8, LatencyTable::constant(8, 2e-3)), None),
@@ -840,10 +753,9 @@ mod tests {
         .run_trace(&trace)
         .fleet;
         assert_eq!(split.merged.timelines.len(), n);
-        let per_leg = std::mem::size_of::<RequestTimeline>() + std::mem::size_of::<(u64, usize)>();
         let excess = split.retained_bytes() - split.merged.retained_bytes();
         assert!(
-            excess <= 2 * n * per_leg + fixed,
+            excess <= 2 * n * per_request + fixed,
             "{excess} bytes beyond the merged report for {n} split requests"
         );
     }
@@ -954,7 +866,7 @@ mod tests {
             let policy = RouterPolicy::ALL[policy_idx];
             let fleet = fixed(spec, 1, policy).run(reqs, &MetricsMode::Exact, &mut NullRecorder).fleet;
             prop_assert_eq!(&fleet.merged, &engine, "one-replica fleet diverged from the replica");
-            prop_assert_eq!(replica_parts(&fleet, 0), engine_parts(&engine));
+            prop_assert_eq!(replica_parts(&fleet), engine_parts(&engine));
             prop_assert_eq!(fleet.per_replica[0].assigned, engine.timelines.len());
         }
 

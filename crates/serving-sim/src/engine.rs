@@ -529,9 +529,10 @@ impl From<&Request> for EngineRequest {
 /// executed stage, then each stage's completion, both in pipeline order,
 /// in one immutable buffer.
 ///
-/// A clone shares the buffer instead of copying it, so a split fleet's
-/// stitched timeline and its prefill leg read one allocation. An empty
-/// value allocates nothing.
+/// A clone shares the buffer instead of copying it. A fleet moves each
+/// timeline into its merged report, and a split fleet's stitched timeline
+/// takes its prefill leg's buffer, so each request's times are allocated
+/// once. An empty value allocates nothing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageTimes {
     /// The starts, then the ends.
@@ -568,14 +569,9 @@ impl StageTimes {
         &self.times[self.split as usize..]
     }
 
-    /// The address of the buffer, which its clones share.
-    pub(crate) fn buffer(&self) -> *const f64 {
-        self.times.as_ptr()
-    }
-
     /// Bytes of the buffer's allocation: its two reference counts and the
     /// times, or nothing for an empty value.
-    pub(crate) fn heap_bytes(&self) -> usize {
+    fn heap_bytes(&self) -> usize {
         if self.times.is_empty() {
             0
         } else {
@@ -1006,11 +1002,9 @@ impl ServingReport {
     /// [`StageTimes`] buffer per request); streaming reports stay
     /// `O(classes)`.
     ///
-    /// Each report counts every stage buffer it reads. A flat fleet's
-    /// merged report owns its timelines outright; a split fleet's stitched
-    /// timelines share their stage buffers with the prefill legs its
-    /// replicas keep. [`crate::FleetReport::retained_bytes`] counts a
-    /// whole fleet report, each buffer once.
+    /// A fleet's merged report owns its timelines outright, and its
+    /// replicas keep none; [`crate::FleetReport::retained_bytes`] counts a
+    /// whole fleet report.
     pub fn retained_bytes(&self) -> usize {
         let timelines = std::mem::size_of::<RequestTimeline>() * self.timelines.capacity()
             + self

@@ -870,6 +870,7 @@ impl ChaosReport {
 mod tests {
     use super::*;
     use crate::autoscaler::ScalingAction;
+    use crate::cluster::tests::replica_requests;
     use crate::engine::{DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, StageSpec};
     use crate::fleet::FleetEngine;
     use crate::sink::{MetricsMode, StreamingConfig};
@@ -1146,6 +1147,7 @@ mod tests {
             .filter(|l| l.provisioned_s > 0.0)
             .collect();
         assert!(late.len() >= 2, "need both a scale-out and a restart");
+        let requests = replica_requests(&report.fleet);
         for l in late {
             assert!(
                 (l.routable_s - l.provisioned_s - 0.75).abs() < 1e-12,
@@ -1154,10 +1156,7 @@ mod tests {
                 l.routable_s - l.provisioned_s
             );
             // And no request reached it before it became routable.
-            assert!(report
-                .fleet
-                .replica_timelines(l.replica)
-                .all(|t| t.arrival_s >= 0.0));
+            assert!(requests[l.replica].iter().all(|t| t.arrival_s >= 0.0));
         }
         assert_eq!(report.fault.completed, 200);
     }
@@ -1187,9 +1186,8 @@ mod tests {
         assert_eq!(preempted.decommissioned_s, Some(1.0));
         assert_eq!(preempted.retired_s, 1.5);
         // No request was routed to it after the notice.
-        assert!(report
-            .fleet
-            .replica_timelines(0)
+        assert!(replica_requests(&report.fleet)[0]
+            .iter()
             .all(|t| t.arrival_s <= 1.0 + 1e-12));
         assert_eq!(
             report.fault.completed + report.fault.failed,
@@ -1296,9 +1294,8 @@ mod tests {
         assert_eq!(report.fault.failed, 0);
         assert_eq!(report.min_provisioned, 0);
         // The pre-restart arrivals were served no earlier than the restart.
-        assert!(report
-            .fleet
-            .replica_timelines(1)
+        assert!(replica_requests(&report.fleet)[1]
+            .iter()
             .all(|t| t.first_token_s >= 0.5));
     }
 

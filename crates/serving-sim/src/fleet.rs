@@ -88,7 +88,7 @@
 //! ```
 
 use crate::autoscaler::{AutoscalerPolicy, ReplicaLifetime, ScalingAction, ScalingEvent};
-use crate::cluster::{route_pick, FleetReport, LoadImbalance, ReplicaReport, ReplicaRequests};
+use crate::cluster::{route_pick, FleetReport, LoadImbalance, ReplicaReport};
 use crate::engine::{
     build_report, CacheProbe, ClassMetrics, EngineRequest, LatencyStats, PipelineSpec, ReplicaSim,
     RequestTimeline, Retired, ServingReport, SimAccumulators, SloTally,
@@ -313,13 +313,15 @@ impl FleetEngine {
     /// differ in the last bits from the exact path's.
     ///
     /// `rec` sees router picks (crash re-picks included) and a split
-    /// fleet's KV transfers live. Request spans, cache probes, load gauges
-    /// (at the [`Self::with_telemetry`] cadence), profile counters, sheds
-    /// and — only when a flat fleet's size can change, under a non-`Static`
-    /// driver or faults — the scaling, lifecycle, disruption and routable
-    /// lanes are derived from the report's ledgers afterwards. A
-    /// [`rago_telemetry::NullRecorder`] records nothing and leaves the run
-    /// unchanged.
+    /// fleet's KV transfers live. Each replica's request spans and load
+    /// gauges (at the [`Self::with_telemetry`] cadence, over the merged
+    /// makespan) are recorded in slot order as the merge after the drain
+    /// moves its requests into the fleet's report. Cache probes, profile
+    /// counters, sheds and — only when a flat fleet's size can change,
+    /// under a non-`Static` driver or faults — the scaling, lifecycle,
+    /// disruption and routable lanes are derived from the report's ledgers
+    /// afterwards. A [`rago_telemetry::NullRecorder`] records nothing and
+    /// leaves the run unchanged.
     ///
     /// # Panics
     ///
@@ -338,7 +340,7 @@ impl FleetEngine {
         if R::ENABLED {
             let cadence = self.gauge_cadence_s;
             let end_s = report.fleet.merged.metrics.makespan_s;
-            record_fleet_observability(rec, &report.fleet, &obs, cadence);
+            record_fleet_observability(rec, &report.fleet, &obs);
             // Disruptions exist only under a non-empty fault schedule.
             let lifecycle = self.split.is_none()
                 && (!matches!(self.driver, ScaleDriver::Static { .. }) || !self.faults.is_empty());
@@ -356,7 +358,8 @@ impl FleetEngine {
     }
 
     /// The one fleet loop, pulling sorted arrivals from `arrivals`. The
-    /// recorder sees router picks only; everything else is derived from
+    /// recorder sees router picks, transfers and, during the final merge,
+    /// each replica's spans and gauges; everything else is derived from
     /// the returned ledgers. With a miss budget the loop stops once
     /// `budget`'s verdict is lost (see [`Self::run_trace_verdict`]);
     /// without one it always runs out.
@@ -475,7 +478,7 @@ impl FleetEngine {
                 budget.check(&run)?;
             }
         }
-        Ok(run.finish(injected))
+        Ok(run.finish(injected, rec))
     }
 }
 
@@ -1340,8 +1343,13 @@ impl<'e> Run<'e> {
 
     /// Drains and merges the fleet and assembles the report: requests still
     /// waiting fail, and a replica's chips are paid until its death, the
-    /// end of its drain after a decommission, or the end of the run.
-    fn finish(mut self, injected: usize) -> (ChaosReport, Vec<ReplicaObs>) {
+    /// end of its drain after a decommission, or the end of the run. `rec`
+    /// sees each replica's spans and gauges as the merge reaches it.
+    fn finish<R: Recorder>(
+        mut self,
+        injected: usize,
+        rec: &mut R,
+    ) -> (ChaosReport, Vec<ReplicaObs>) {
         // The dispatch log lists the arrival pool's dispatches, then the
         // decode pool's.
         let mut assignments = std::mem::take(&mut self.pools[ARRIVAL_POOL].assignments);
@@ -1363,6 +1371,8 @@ impl<'e> Run<'e> {
             self.engine.router,
             self.mode,
             &self.shed_by_class,
+            self.engine.gauge_cadence_s,
+            rec,
         );
         let completed = fleet.merged.metrics.completed;
         let shed = self.shed_log.len();
@@ -1449,45 +1459,29 @@ impl ReplicaObs {
 /// Fleet-level merging of the replicas' sinks. An exact fleet keeps the
 /// timelines of every replica; a streaming one merges histograms.
 impl RunSink {
-    /// Folds one replica's sink into this fleet-level one and returns the
-    /// replica's own report and its requests. A flat fleet's replica
-    /// moves its timelines into this sink's log and keeps their positions
-    /// in it, in its own order; a split fleet's keeps its legs, and this
-    /// sink a copy of them to stitch.
-    fn absorb(&mut self, replica: RunSink, split: bool) -> (ServingReport, ReplicaRequests) {
+    /// Folds one replica's sink into this fleet-level one's accumulators
+    /// and returns the replica's own report, its timelines still in it
+    /// (none in a streaming run).
+    fn absorb(&mut self, replica: RunSink) -> ServingReport {
         match (self, replica) {
             (RunSink::Exact(all), RunSink::Exact(sink)) => {
                 all.acc.merge_from(&sink.acc);
-                let mut report = ServingReport::from_exact_sink(*sink);
-                let requests = if split {
-                    all.timelines.extend(report.timelines.iter().cloned());
-                    ReplicaRequests::Legs(std::mem::take(&mut report.timelines))
-                } else {
-                    let start = all.timelines.len();
-                    all.timelines.append(&mut report.timelines);
-                    ReplicaRequests::Rows((start..all.timelines.len()).map(log_row).collect())
-                };
-                (report, requests)
+                ServingReport::from_exact_sink(*sink)
             }
             (RunSink::Streaming(all), RunSink::Streaming(sink)) => {
                 all.merge_from(&sink);
-                (sink.into_report(), ReplicaRequests::Rows(Vec::new()))
+                sink.into_report()
             }
             _ => unreachable!("every replica retires in the run's metrics mode"),
         }
     }
 
     /// The merged report of a flat fleet (timelines in arrival order),
-    /// with admission sheds threaded in. The log is sorted in place, and
-    /// each replica's rows follow their timelines to their new positions.
-    fn into_merged_report(
-        self,
-        per_replica: &mut [ReplicaReport],
-        shed_by_class: &BTreeMap<u32, usize>,
-    ) -> ServingReport {
+    /// with admission sheds threaded in. The log is sorted in place.
+    fn into_merged_report(self, shed_by_class: &BTreeMap<u32, usize>) -> ServingReport {
         let (report, acc) = match self {
             RunSink::Exact(mut sink) => {
-                sort_log(&mut sink.timelines, per_replica);
+                sort_log(&mut sink.timelines);
                 (build_report(sink.timelines, &sink.acc), sink.acc)
             }
             RunSink::Streaming(sink) => {
@@ -1545,25 +1539,15 @@ impl RunSink {
     }
 }
 
-/// Sorts a flat fleet's merged log into arrival order and moves each
-/// replica's rows with it. The sort orders a permutation of positions with
-/// the stable [`by_arrival`], which leaves the log exactly as a stable
-/// sort of the timelines would; the log is then permuted in place, one
-/// cycle of swaps at a time, so no timeline is copied.
-fn sort_log(log: &mut [RequestTimeline], per_replica: &mut [ReplicaReport]) {
+/// Sorts a flat fleet's merged log into arrival order. The sort orders a
+/// permutation of positions with the stable [`by_arrival`], which leaves
+/// the log exactly as a stable sort of the timelines would; the log is then
+/// permuted in place, one cycle of swaps at a time, so the sort needs no
+/// scratch copy of the timelines.
+fn sort_log(log: &mut [RequestTimeline]) {
     // `order[k]`: the position, before the sort, of the `k`-th timeline.
     let mut order: Vec<u32> = (0..log.len()).map(log_row).collect();
     order.sort_by(|&a, &b| by_arrival(&log[a as usize], &log[b as usize]));
-    // `position[p]`: where the timeline at position `p` moves to.
-    let mut position = vec![0u32; log.len()];
-    for (k, &p) in order.iter().enumerate() {
-        position[p as usize] = log_row(k);
-    }
-    for rows in per_replica.iter_mut().filter_map(ReplicaReport::rows_mut) {
-        for row in rows.iter_mut() {
-            *row = position[*row as usize];
-        }
-    }
     // Each cycle of `order` rotates its timelines into place; a placed
     // position is marked by `order[k] == k`.
     for start in 0..log.len() {
@@ -1578,7 +1562,7 @@ fn sort_log(log: &mut [RequestTimeline], per_replica: &mut [ReplicaReport]) {
     }
 }
 
-/// Position `p` of a merged log as a replica's row.
+/// Position `p` of a merged log as a `u32`.
 ///
 /// # Panics
 ///
@@ -1632,11 +1616,19 @@ fn with_sheds(
 /// either metrics mode. The drain is the expensive leg (each replica runs
 /// out its remaining events with no routing interaction), so a
 /// multi-replica fleet drains in parallel; the slot-order merge keeps the
-/// report identical to a serial drain. A flat fleet's replicas move their
-/// timelines into the merged log and keep rows into it. A split fleet
-/// merges each pool's legs separately, lists each replica's legs in
-/// arrival order, and stitches the two pools' legs into the merged report.
-fn drain_and_merge(
+/// report identical to a serial drain. A split fleet merges each pool's
+/// legs separately, folds each replica's legs in arrival order, and
+/// stitches the two pools' legs into the merged report.
+///
+/// Once every replica's report is built, the merge records each replica's
+/// request spans and load gauges on `rec` (track: its slot), in slot
+/// order, and then moves its timelines into the merged log or the stitch,
+/// so no replica keeps a request. The gauges run over the merged makespan,
+/// which is the latest replica makespan of a flat fleet and the latest
+/// decode replica makespan of a split one: the stitch keeps every decode
+/// leg and no request without one.
+#[allow(clippy::too_many_arguments)]
+fn drain_and_merge<R: Recorder>(
     live: Vec<(usize, ReplicaSim)>,
     mut harvests: Vec<(usize, Retired, ReplicaObs)>,
     slots: &[Slot],
@@ -1644,6 +1636,8 @@ fn drain_and_merge(
     router: RouterPolicy,
     mode: &MetricsMode,
     shed_by_class: &BTreeMap<u32, usize>,
+    gauge_cadence_s: f64,
+    rec: &mut R,
 ) -> (FleetReport, Vec<ReplicaObs>) {
     let drain = |(replica, mut sim): (usize, ReplicaSim)| {
         sim.run_to_completion();
@@ -1672,29 +1666,35 @@ fn drain_and_merge(
     let legs_per_pool = assignments.len() / (1 + usize::from(split));
     let mut merged = RunSink::new(mode, legs_per_pool);
     let mut decode = split.then(|| RunSink::new(mode, legs_per_pool));
-    let mut per_replica = Vec::with_capacity(harvests.len());
+    let mut reports = Vec::with_capacity(harvests.len());
     let mut obs = Vec::with_capacity(harvests.len());
     for (replica, mut retired, ob) in harvests {
-        let leg = match &mut decode {
-            Some(decode) if slots[replica].pool == DECODE_POOL => decode,
-            _ => &mut merged,
-        };
         if let (true, RunSink::Exact(sink)) = (split, &mut retired.sink) {
             sink.timelines.sort_by(by_arrival);
         }
-        let (report, requests) = leg.absorb(retired.sink, split);
-        per_replica.push(ReplicaReport::new(
-            replica,
-            slots[replica].assigned,
-            retired.peak_live,
-            report,
-            requests,
-        ));
+        let sink = pool_sink(&mut merged, &mut decode, slots[replica].pool);
+        reports.push((replica, retired.peak_live, sink.absorb(retired.sink)));
         obs.push(ob);
+    }
+    let end_s = reports
+        .iter()
+        .filter(|(replica, ..)| !split || slots[*replica].pool == DECODE_POOL)
+        .map(|(.., report)| report.metrics.makespan_s)
+        .fold(0.0, f64::max);
+    let mut per_replica = Vec::with_capacity(reports.len());
+    for (replica, peak_live, mut report) in reports {
+        let track = replica as u32;
+        crate::telemetry::record_request_spans(rec, track, &report.timelines);
+        crate::telemetry::record_load_gauges(rec, track, &report.timelines, gauge_cadence_s, end_s);
+        if let RunSink::Exact(all) = pool_sink(&mut merged, &mut decode, slots[replica].pool) {
+            all.timelines.append(&mut report.timelines);
+        }
+        let assigned = slots[replica].assigned;
+        per_replica.push(ReplicaReport::new(replica, assigned, peak_live, report));
     }
     let report = FleetReport {
         merged: match decode {
-            None => merged.into_merged_report(&mut per_replica, shed_by_class),
+            None => merged.into_merged_report(shed_by_class),
             Some(decode) => merged.stitch(decode, shed_by_class),
         },
         per_replica,
@@ -1702,30 +1702,28 @@ fn drain_and_merge(
         imbalance: LoadImbalance::from_counts(slots.iter().map(|s| s.assigned).collect()),
         router,
     };
+    debug_assert_eq!(end_s, report.merged.metrics.makespan_s);
     (report, obs)
 }
 
-/// Post-hoc derivation over a finished fleet: per-replica spans, probes,
-/// gauges, and profile counters, walked in replica-index order so the
-/// event stream is deterministic on any worker count.
-fn record_fleet_observability<R: Recorder>(
-    rec: &mut R,
-    report: &FleetReport,
-    obs: &[ReplicaObs],
-    gauge_cadence_s: f64,
-) {
-    let end_s = report.merged.metrics.makespan_s;
-    for (i, rr) in report.per_replica.iter().enumerate() {
-        let track = rr.replica as u32;
-        crate::telemetry::record_request_spans(rec, track, report.replica_timelines(i));
-        crate::telemetry::record_load_gauges(
-            rec,
-            track,
-            report.replica_timelines(i),
-            gauge_cadence_s,
-            end_s,
-        );
+/// The fleet-level sink a replica of `pool` merges into: `decode` for a
+/// split fleet's decode pool, `merged` otherwise.
+fn pool_sink<'a>(
+    merged: &'a mut RunSink,
+    decode: &'a mut Option<RunSink>,
+    pool: usize,
+) -> &'a mut RunSink {
+    match decode {
+        Some(decode) if pool == DECODE_POOL => decode,
+        _ => merged,
     }
+}
+
+/// Post-hoc derivation over a finished fleet: per-replica cache probes,
+/// then the fleet's profile counters, walked in replica-index order so the
+/// event stream is deterministic on any worker count.
+fn record_fleet_observability<R: Recorder>(rec: &mut R, report: &FleetReport, obs: &[ReplicaObs]) {
+    let end_s = report.merged.metrics.makespan_s;
     let mut profile = rago_telemetry::SimProfile::default();
     for (i, ob) in obs.iter().enumerate() {
         crate::telemetry::record_cache_probes(rec, ob.replica as u32, &ob.probes);
@@ -2163,8 +2161,6 @@ mod tests {
 
     /// Every fleet constructor checks its specs: a struct literal that
     /// skips the part constructors fails here instead of mid-run.
-    /// Every fleet constructor checks its specs: a struct literal that
-    /// skips the part constructors fails here instead of mid-run.
     #[test]
     #[should_panic(expected = "decode step latency must be strictly positive")]
     fn split_fleets_reject_a_malformed_spec() {
@@ -2202,13 +2198,13 @@ mod tests {
         })
     }
 
-    /// A crash whose in-flight requests are re-queued leaves every
-    /// replica's view whole: the views partition the merged log, each in
-    /// its replica's dispatch order, and the traced export is the same on
-    /// every run and every thread count (the pinned fingerprints; CI also
-    /// runs this at one thread).
+    /// A crash whose in-flight requests are re-queued leaves the fleet's
+    /// requests whole: each completed request sits under the replica it
+    /// was last dispatched to, which counts it, and the traced export is
+    /// the same on every run and every thread count (the pinned
+    /// fingerprints; CI also runs this at one thread).
     #[test]
-    fn replica_views_survive_a_requeueing_crash() {
+    fn traced_exports_survive_a_requeueing_crash() {
         let telemetry = rago_telemetry::TelemetryConfig::full(0.25);
         let engine = FleetEngine::new(
             one_stage_spec(0.03),
@@ -2237,27 +2233,14 @@ mod tests {
         assert_eq!(report.fault.completed, 300);
         let fleet = &report.fleet;
 
-        let mut viewed: Vec<u64> = (0..fleet.per_replica.len())
-            .flat_map(|i| fleet.replica_timelines(i).map(|t| t.id))
-            .collect();
+        let requests = crate::cluster::tests::replica_requests(fleet);
+        let mut viewed: Vec<u64> = requests.iter().flatten().map(|t| t.id).collect();
         let mut logged: Vec<u64> = fleet.merged.timelines.iter().map(|t| t.id).collect();
         viewed.sort_unstable();
         logged.sort_unstable();
         assert_eq!(viewed, logged);
-
-        for (i, r) in fleet.per_replica.iter().enumerate() {
-            let mut dispatched = fleet
-                .assignments
-                .iter()
-                .filter(|&&(_, slot)| slot == r.replica)
-                .map(|&(id, _)| id);
-            for t in fleet.replica_timelines(i) {
-                assert!(
-                    dispatched.any(|id| id == t.id),
-                    "replica {i} holds request {} out of dispatch order",
-                    t.id
-                );
-            }
+        for (r, served) in fleet.per_replica.iter().zip(&requests) {
+            assert_eq!(r.metrics.completed, served.len(), "replica {}", r.replica);
         }
 
         let (again, exports_again) = traced();
@@ -2272,65 +2255,62 @@ mod tests {
         );
     }
 
-    /// Each exact timeline is kept once: a two-replica fleet's replicas
-    /// read their requests from the merged log itself, and a split fleet's
-    /// stitched timeline reads its prefill leg's stage times.
+    /// A split fleet that loses its only decode replica samples every
+    /// replica's gauges up to the merged makespan, its last decode
+    /// completion, although its prefill pool runs on long after; the
+    /// traced exports are pinned.
     #[test]
-    fn merged_timelines_share_their_replicas_stage_times() {
-        let two_stages = PipelineSpec::new(
-            vec![
-                StageSpec::new("retrieval", 0, 4, LatencyTable::constant(4, 0.01)),
-                StageSpec::new("prefix", 1, 2, LatencyTable::constant(2, 0.02)),
-            ],
-            DecodeSpec::new(8, LatencyTable::constant(8, 2e-3)),
+    fn split_gauges_end_at_the_merged_makespan_when_decode_dies() {
+        let telemetry = rago_telemetry::TelemetryConfig::full(0.1);
+        let decode = DecodeSpec::new(16, LatencyTable::constant(16, 2e-3));
+        let prefill = PipelineSpec::new(
+            vec![StageSpec::new(
+                "prefix",
+                0,
+                4,
+                LatencyTable::constant(4, 0.02),
+            )],
+            decode.clone(),
         );
-        let trace = poisson_trace(200, 80.0, 8);
-        let n = trace.requests.len();
-
-        let flat = FleetEngine::new(
-            two_stages.clone(),
-            RouterPolicy::LeastOutstanding,
-            ScaleDriver::Static { replicas: 2 },
-        )
-        .run_trace(&trace)
-        .fleet;
-        let log: HashMap<u64, &RequestTimeline> =
-            flat.merged.timelines.iter().map(|t| (t.id, t)).collect();
-        assert_eq!(log.len(), n);
-        let mut read = 0;
-        for i in 0..flat.per_replica.len() {
-            for t in flat.replica_timelines(i) {
-                assert!(std::ptr::eq(t, log[&t.id]), "request {} copied", t.id);
-                read += 1;
-            }
-        }
-        assert_eq!(read, n);
-
-        let decode =
-            PipelineSpec::decode_only(DecodeSpec::new(16, LatencyTable::constant(16, 2e-3)), None);
-        let split = FleetEngine::disaggregated(
-            two_stages,
-            decode,
+        let engine = FleetEngine::disaggregated(
+            prefill,
+            PipelineSpec::decode_only(decode, None),
             PoolSpec::new(2, RouterPolicy::LeastOutstanding),
-            PoolSpec::new(2, RouterPolicy::LeastOutstanding),
-            KvTransferModel::zero(),
+            PoolSpec::new(1, RouterPolicy::LeastOutstanding),
+            KvTransferModel::new(131_072.0, 25e9, 20e-6),
         )
-        .run_trace(&trace)
-        .fleet;
-        // Decode legs run no pre-decode stage; the prefill legs ran two.
-        let legs: HashMap<u64, &RequestTimeline> = (0..split.per_replica.len())
-            .flat_map(|i| split.replica_timelines(i))
-            .filter(|t| !t.stages.starts().is_empty())
-            .map(|t| (t.id, t))
-            .collect();
-        assert_eq!(legs.len(), n);
-        assert_eq!(split.merged.timelines.len(), n);
-        for t in &split.merged.timelines {
-            let leg = legs[&t.id];
-            assert_eq!(t.stages.starts().len(), 2);
-            assert_eq!(t.stages.ends().len(), 2);
-            assert_eq!(t.stages.starts().as_ptr(), leg.stages.starts().as_ptr());
-            assert_eq!(t.stages.ends().as_ptr(), leg.stages.ends().as_ptr());
-        }
+        .with_faults(FaultSchedule::new(vec![FaultEvent::Crash {
+            replica: 2,
+            at_s: 1.0,
+            restart_delay_s: f64::INFINITY,
+        }]))
+        .with_telemetry(telemetry.clone());
+        let mut rec = rago_telemetry::TraceRecorder::new(telemetry);
+        let trace = poisson_trace(150, 50.0, 16);
+        let report = engine.run(arrivals(&trace), &MetricsMode::Exact, &mut rec);
+        let events = rec.into_events();
+
+        let end_s = report.fleet.merged.metrics.makespan_s;
+        let prefill_end = report.fleet.per_replica[..2]
+            .iter()
+            .map(|r| r.metrics.makespan_s)
+            .fold(0.0, f64::max);
+        assert!(prefill_end > end_s, "prefill {prefill_end} vs {end_s}");
+        let last_sample = events
+            .iter()
+            .filter(|e| e.name == "queue_depth")
+            .map(|e| e.time_s)
+            .fold(f64::NEG_INFINITY, f64::max);
+        assert!(
+            (0.0..=end_s).contains(&last_sample),
+            "{last_sample} vs {end_s}"
+        );
+        assert_eq!(
+            (
+                fnv1a(rago_telemetry::export_chrome_trace(&events).as_bytes()),
+                fnv1a(rago_telemetry::export_jsonl(&events).as_bytes())
+            ),
+            (0x441f_846f_883d_cf25, 0x8f1f_0630_db82_2f58)
+        );
     }
 }

@@ -68,7 +68,7 @@
 //! ```
 
 use crate::cluster::{LoadImbalance, ReplicaReport};
-use crate::engine::{RequestTimeline, ServingReport};
+use crate::engine::ServingReport;
 use crate::faults::ChaosReport;
 use rago_schema::{KvTransferModel, PoolRole, RouterPolicy};
 use serde::{Deserialize, Serialize};
@@ -109,8 +109,9 @@ pub struct PoolReport {
     pub role: PoolRole,
     /// Per-replica breakdowns by index within the pool, in provisioning
     /// order. A crashed replica reports the work it completed before
-    /// dying; its cold replacement is the pool's next index. Each holds
-    /// its own legs ([`Self::replica_timelines`]).
+    /// dying; its cold replacement is the pool's next index. A replica
+    /// keeps no legs: its metrics fold its own legs, and the stitch into
+    /// [`DisaggReport::merged`] owns them.
     pub per_replica: Vec<ReplicaReport>,
     /// How evenly the pool's router spread its requests (transfer
     /// completions for the decode pool; re-queued work counts toward the
@@ -123,22 +124,6 @@ pub struct PoolReport {
     /// for the decode pool. A request re-queued by a crash appears again
     /// under its new replica.
     pub assignments: Vec<(u64, usize)>,
-}
-
-impl PoolReport {
-    /// Replica `i`'s legs (`i` indexes [`Self::per_replica`]), in arrival
-    /// order: the prefill pool's pre-decode legs or the decode pool's
-    /// decode legs, as [`crate::FleetReport::replica_timelines`] reads them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is not a replica index.
-    pub fn replica_timelines(
-        &self,
-        i: usize,
-    ) -> impl ExactSizeIterator<Item = &RequestTimeline> + '_ {
-        self.per_replica[i].timelines(&[])
-    }
 }
 
 /// The merged result of a disaggregated two-pool run.
@@ -425,8 +410,11 @@ mod tests {
         assert_eq!(decode_assigned.iter().sum::<usize>(), 80);
         assert!(decode_assigned.iter().all(|&a| a >= 26));
         // Every request appears exactly once per pool.
-        let prefill_served: usize = (0..report.prefill.per_replica.len())
-            .map(|i| report.prefill.replica_timelines(i).len())
+        let prefill_served: usize = report
+            .prefill
+            .per_replica
+            .iter()
+            .map(|r| r.metrics.completed)
             .sum();
         assert_eq!(prefill_served, 80);
         // Per-pool assignment ledgers record every dispatch.
@@ -488,12 +476,7 @@ mod tests {
         assert_eq!(report.transfers.requeued_decode, 0);
         // The dead replica serves nothing after the crash; the survivor
         // carries the re-queued work on top of its own.
-        let t0_max = report
-            .prefill
-            .replica_timelines(0)
-            .map(|t| t.completion_s)
-            .fold(0.0f64, f64::max);
-        assert!(t0_max <= 0.2 + 1e-9);
+        assert!(report.prefill.per_replica[0].metrics.makespan_s <= 0.2 + 1e-9);
     }
 
     #[test]

@@ -160,9 +160,9 @@ impl RequestOutcome<'_> {
 /// built into timelines in one pass when the report is made, so a run that
 /// retires requests as it goes does not interleave a small allocation per
 /// request with the rest of its working set. Each built timeline then owns
-/// one [`StageTimes`] buffer. A flat fleet moves the timelines into its
-/// merged report; a split fleet's stitched timeline shares its prefill
-/// leg's buffer.
+/// one [`StageTimes`] buffer. A fleet moves the timelines into its merged
+/// report or, for a split fleet, into the stitch, whose timeline takes its
+/// prefill leg's buffer.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ExactSink {
     pub(crate) timelines: Vec<RequestTimeline>,

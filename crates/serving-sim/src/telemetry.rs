@@ -1,14 +1,17 @@
-//! Post-hoc trace derivation: turns a fleet run's deterministic ledgers —
+//! Trace derivation: turns a fleet run's deterministic ledgers —
 //! [`RequestTimeline`]s, cache-probe logs, event-queue stats — into
 //! [`rago_telemetry`] event streams.
 //!
 //! The design keeps the hot paths recorder-free: the DES loops record
 //! almost nothing live (only router picks and KV-transfer deliveries,
 //! which happen in serial orchestration code). Everything else is derived
-//! *after* the run from state the replicas already produce, in a
-//! deterministic order — per-replica ledgers walked in replica-index
-//! order, requests in ledger order — so a seeded run yields a
-//! byte-identical event stream on any worker count.
+//! from state the replicas already produce, in a deterministic order, so
+//! a seeded run yields a byte-identical event stream on any worker count.
+//! Request spans and load gauges are derived per replica, in slot order,
+//! by the serial merge after the parallel drain — from each replica's own
+//! timelines, in its order, just before they move into the fleet's merged
+//! report. Cache probes, profile counters and the lifecycle lanes are
+//! derived from the finished report afterwards.
 //!
 //! Spans and gauges need retained timelines, so they are only derivable
 //! under [`crate::sink::MetricsMode::Exact`]; a streaming run still gets
@@ -97,10 +100,10 @@ fn service_start_s(tl: &RequestTimeline) -> Option<f64> {
 /// executed pre-decode stage, a `decode` residency span, and a
 /// `first_token` instant. Unfinished phases (a request that died mid-run)
 /// emit nothing, so every recorded begin has a matching end.
-pub(crate) fn record_request_spans<'a, R: Recorder>(
+pub(crate) fn record_request_spans<R: Recorder>(
     rec: &mut R,
     track: u32,
-    timelines: impl IntoIterator<Item = &'a RequestTimeline>,
+    timelines: &[RequestTimeline],
 ) {
     if !R::ENABLED {
         return;
@@ -189,20 +192,18 @@ pub(crate) fn record_cache_probes<R: Recorder>(rec: &mut R, track: u32, probes: 
 /// `decode_fill` (resident in the decode batch) gauges from `timelines`
 /// every `cadence_s` simulated seconds over `[0, end_s]`, onto `track`.
 /// No-op when the cadence is zero or negative.
-pub(crate) fn record_load_gauges<'a, R: Recorder>(
+pub(crate) fn record_load_gauges<R: Recorder>(
     rec: &mut R,
     track: u32,
-    timelines: impl IntoIterator<Item = &'a RequestTimeline>,
+    timelines: &[RequestTimeline],
     cadence_s: f64,
     end_s: f64,
 ) {
     if !R::ENABLED || cadence_s <= 0.0 || !end_s.is_finite() {
         return;
     }
-    let timelines = timelines.into_iter();
-    let (len, _) = timelines.size_hint();
-    let mut queue: Vec<(f64, i64)> = Vec::with_capacity(2 * len);
-    let mut decode: Vec<(f64, i64)> = Vec::with_capacity(2 * len);
+    let mut queue: Vec<(f64, i64)> = Vec::with_capacity(2 * timelines.len());
+    let mut decode: Vec<(f64, i64)> = Vec::with_capacity(2 * timelines.len());
     for tl in timelines {
         if let Some(start) = service_start_s(tl) {
             queue.push((tl.arrival_s, 1));

@@ -26,6 +26,9 @@ use rago_serving_sim::faults::ScaleDriver;
 use rago_serving_sim::fleet::FleetEngine;
 use rago_workloads::{ArrivalProcess, TraceSpec};
 
+mod replica_requests;
+use replica_requests::replica_requests;
+
 fn pipeline(stage_latency: f64, stage_batch: u32) -> PipelineSpec {
     PipelineSpec::new(
         vec![StageSpec::new(
@@ -79,18 +82,16 @@ fn check_invariants(
     // Conservation: every request completes exactly once.
     prop_assert_eq!(report.fleet.merged.metrics.completed, n);
     prop_assert_eq!(report.fleet.assignments.len(), n);
-    let per_replica_total: usize = (0..report.fleet.per_replica.len())
-        .map(|i| report.fleet.replica_timelines(i).len())
+    let per_replica_total: usize = report
+        .fleet
+        .per_replica
+        .iter()
+        .map(|r| r.metrics.completed)
         .sum();
     prop_assert_eq!(per_replica_total, n);
-    for (i, (lifetime, replica)) in report
-        .lifetimes
-        .iter()
-        .zip(report.fleet.per_replica.iter())
-        .enumerate()
-    {
+    for (lifetime, replica) in report.lifetimes.iter().zip(report.fleet.per_replica.iter()) {
         prop_assert_eq!(lifetime.assigned, replica.assigned);
-        prop_assert_eq!(replica.assigned, report.fleet.replica_timelines(i).len());
+        prop_assert_eq!(replica.assigned, replica.metrics.completed);
     }
 
     // Bounds: provisioned count within [min, max] at every event, and the
@@ -121,10 +122,10 @@ fn check_invariants(
     }
 
     // Warm-up: no replica received a request before becoming routable.
+    let requests = replica_requests(&report.fleet);
     for lifetime in &report.lifetimes {
-        prop_assert!(report
-            .fleet
-            .replica_timelines(lifetime.replica)
+        prop_assert!(requests[lifetime.replica]
+            .iter()
             .all(|t| t.arrival_s >= lifetime.routable_s - 1e-9));
         prop_assert!(lifetime.retired_s >= lifetime.provisioned_s);
     }

@@ -15,6 +15,9 @@ use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::MetricsMode;
 use rago_telemetry::NullRecorder;
 
+mod replica_requests;
+use replica_requests::replica_requests;
+
 /// Builds a pipeline with one or two pre-decode stages plus decode.
 fn pipeline(
     stages: usize,
@@ -88,10 +91,9 @@ proptest! {
         );
         let report = fleet.run(reqs.clone(), &MetricsMode::Exact, &mut NullRecorder).fleet;
 
-        // Union of per-replica timelines == input set, no loss/duplication.
-        let mut seen: Vec<u64> = (0..report.per_replica.len())
-            .flat_map(|i| report.replica_timelines(i).map(|t| t.id))
-            .collect();
+        // Union of per-replica requests == input set, no loss/duplication.
+        let served = replica_requests(&report);
+        let mut seen: Vec<u64> = served.iter().flatten().map(|t| t.id).collect();
         seen.sort_unstable();
         let mut expected: Vec<u64> = reqs.iter().map(|r| r.id).collect();
         expected.sort_unstable();
@@ -108,14 +110,15 @@ proptest! {
 
         // Assignments agree with the per-replica counts.
         prop_assert_eq!(report.assignments.len(), n);
-        for (i, rep) in report.per_replica.iter().enumerate() {
+        for (rep, served) in report.per_replica.iter().zip(&served) {
             let assigned_here = report
                 .assignments
                 .iter()
                 .filter(|&&(_, r)| r == rep.replica)
                 .count();
             prop_assert_eq!(assigned_here, rep.assigned);
-            prop_assert_eq!(rep.assigned, report.replica_timelines(i).len());
+            prop_assert_eq!(rep.assigned, rep.metrics.completed);
+            prop_assert_eq!(rep.assigned, served.len());
         }
         let total: usize = report.imbalance.assigned_per_replica.iter().sum();
         prop_assert_eq!(total, n);

@@ -3,10 +3,11 @@
 //! have completed, instead of walking its whole arena after the run.
 //!
 //! * Retirement oracle: on flat, reactive-autoscaled, crash-requeue and
-//!   iterative-pipeline fleets, every replica's exact-mode timelines are in
-//!   injection order, and its streaming report equals, bit for bit, a
-//!   [`HistogramSink`] fed those timelines in order — the sink sees exactly
-//!   the sequence of outcomes a post-run walk would feed it.
+//!   iterative-pipeline fleets, every replica's streaming report equals,
+//!   bit for bit, a [`HistogramSink`] fed the replica's exact-mode
+//!   timelines in injection order (its dispatch order, read back from the
+//!   exact run's merged log) — the sink sees exactly the sequence of
+//!   outcomes a post-run walk would feed it.
 //! * Bounded state: a streaming run pulled from a lazy trace generator
 //!   holds no more live request slots at 50k requests than at 5k.
 
@@ -23,6 +24,9 @@ use rago_serving_sim::sink::{HistogramSink, RequestOutcome};
 use rago_serving_sim::{MetricsMode, ReplicaReport, StreamingConfig};
 use rago_telemetry::NullRecorder;
 use rago_workloads::{ArrivalProcess, TraceSpec};
+
+mod replica_requests;
+use replica_requests::replica_requests;
 
 fn pipeline() -> PipelineSpec {
     PipelineSpec::new(
@@ -105,9 +109,9 @@ fn requests(raw: &[(f64, u32, u32)]) -> Vec<EngineRequest> {
 /// the pipeline-level fields (decode fill, retrieval batching, events,
 /// cache counters) — which the sink takes from the simulation, not from
 /// the outcomes — copied from the `streamed` replica.
-fn replayed<'a>(
+fn replayed(
     config: &StreamingConfig,
-    exact: impl IntoIterator<Item = &'a RequestTimeline>,
+    exact: &[&RequestTimeline],
     streamed: &ReplicaReport,
 ) -> ServingReport {
     let mut sink = HistogramSink::new(config);
@@ -160,22 +164,14 @@ proptest! {
         let exact = engine.run(reqs.clone(), &MetricsMode::Exact, &mut NullRecorder);
         let streamed = engine.run(reqs, &MetricsMode::Streaming(config.clone()), &mut NullRecorder);
         prop_assert_eq!(exact.fleet.per_replica.len(), streamed.fleet.per_replica.len());
-        for (i, (e, s)) in exact.fleet.per_replica.iter().zip(&streamed.fleet.per_replica).enumerate() {
-            // The exact timelines are in injection order: the order the
-            // router dispatched to the replica, less any requests a crash
-            // took back.
-            let mut dispatched = exact
-                .fleet
-                .assignments
-                .iter()
-                .filter(|&&(_, slot)| slot == e.replica)
-                .map(|&(id, _)| id);
-            for t in exact.fleet.replica_timelines(i) {
-                prop_assert!(dispatched.any(|id| id == t.id), "request {} out of order", t.id);
-            }
+        // Each replica's requests in injection order: the order the router
+        // dispatched them to it, less any a crash took back.
+        let dispatched = replica_requests(&exact.fleet);
+        for ((e, s), served) in exact.fleet.per_replica.iter().zip(&streamed.fleet.per_replica).zip(&dispatched) {
+            prop_assert_eq!(e.metrics.completed, served.len());
             prop_assert_eq!(e.peak_live_requests, s.peak_live_requests);
             prop_assert!(e.peak_live_requests >= usize::from(e.assigned > 0));
-            let replay = replayed(&config, exact.fleet.replica_timelines(i), s);
+            let replay = replayed(&config, served, s);
             prop_assert_eq!(
                 (&s.metrics, &s.per_class, &s.cache, &s.streamed),
                 (&replay.metrics, &replay.per_class, &replay.cache, &replay.streamed)

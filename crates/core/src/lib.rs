@@ -71,4 +71,4 @@ pub use placement::PlacementPlan;
 pub use profiler::{StagePerf, StageProfiler};
 pub use rago_serving_sim::{MetricsMode, StreamingConfig};
 pub use schedule::{BatchingPolicy, ResourceAllocation, Schedule};
-pub use search::{ScheduleIter, ScheduleSpace};
+pub use search::ScheduleIter;

@@ -32,13 +32,12 @@
 //! pairs whose decode choice no other decode choice beats. Nor does it
 //! touch memory in proportion to the grid:
 //!
-//! * **Streaming** — [`Rago::schedule_iter`] walks the grid's
-//!   [`ScheduleSpace`] in index order ([`ScheduleIter`]), building each
-//!   candidate on demand; nothing is materialized. The stream is the
-//!   in-order concatenation of one work unit per pre-decode allocation
-//!   (placement × group XPUs), each spanning that allocation's decode XPUs
-//!   × server × batching sub-space; a decode allocation over the XPU budget
-//!   is passed over with its sub-space.
+//! * **Streaming** — [`Rago::schedule_iter`] walks the grid one way
+//!   ([`ScheduleIter`]), building each candidate on demand; nothing is
+//!   materialized. The stream is the in-order concatenation of one work
+//!   unit per pre-decode allocation (placement × group XPUs), each yielding
+//!   its pre-decode choices (servers × pre-decode batch) beside every
+//!   decode setting that fits the XPU budget.
 //!
 //! [`Rago::optimize`] and [`Rago::frontiers_by_plan`] then run Algorithm 1
 //! in three phases:
@@ -94,7 +93,7 @@ use crate::pareto::{ParetoAccumulator, ParetoFrontier, ParetoPoint};
 use crate::placement::PlacementPlan;
 use crate::profiler::{CostSource, ProfileTable, StageProfiler};
 use crate::schedule::{DecodeRates, ResourceAllocation, Schedule};
-use crate::search::{PredecodeAllocation, ScheduleIter, ScheduleSpace};
+use crate::search::{DecodeSetting, PredecodeAllocation, ScheduleIter, ScheduleSpace};
 use rago_hardware::{power_of_two_steps, ClusterSpec, ResourceBudget};
 use rago_schema::RagSchema;
 use rayon::prelude::*;
@@ -259,22 +258,15 @@ impl Rago {
 
     /// Streams the candidate schedules implied by `options` (Step 2 of
     /// Algorithm 1): every placement × allocation within the budget ×
-    /// batching policy of [`Rago::schedule_space`], yielded lazily in index
-    /// order.
+    /// batching policy, yielded lazily in the search's walk order (see
+    /// [`ScheduleIter`]).
     pub fn schedule_iter(&self, options: &SearchOptions) -> ScheduleIter {
-        self.schedule_space(options).into_iter()
-    }
-
-    /// The candidate space implied by `options`: placement blocks ×
-    /// mixed-radix digits, decodable at any index. The exhaustive search
-    /// streams it. See [`ScheduleSpace`].
-    pub fn schedule_space(&self, options: &SearchOptions) -> ScheduleSpace {
-        ScheduleSpace::new(self, options)
+        Arc::new(ScheduleSpace::new(self, options)).candidates()
     }
 
     /// Evaluates every candidate schedule and returns all feasible points
     /// (infeasible ones — e.g. out-of-memory allocations — are skipped), in
-    /// enumeration order.
+    /// the order [`Rago::schedule_iter`] yields them.
     ///
     /// # Errors
     ///
@@ -284,7 +276,7 @@ impl Rago {
     pub fn evaluate_all(&self, options: &SearchOptions) -> Result<Vec<ParetoPoint>, RagoError> {
         Ok(self
             .searched_space(options)?
-            .into_iter()
+            .candidates()
             .filter_map(move |schedule| {
                 schedule
                     .evaluate(&self.profiler)
@@ -348,12 +340,12 @@ impl Rago {
     /// The space a search of `options` walks, once `options` passes
     /// [`SearchOptions::validate`] and its placements pass
     /// [`PlacementPlan::validate`].
-    fn searched_space(&self, options: &SearchOptions) -> Result<ScheduleSpace, RagoError> {
+    fn searched_space(&self, options: &SearchOptions) -> Result<Arc<ScheduleSpace>, RagoError> {
         let schema = self.profiler.schema();
         options.validate(schema)?;
-        let space = self.schedule_space(options);
+        let space = ScheduleSpace::new(self, options);
         space.validate_placements(schema)?;
-        Ok(space)
+        Ok(Arc::new(space))
     }
 
     fn no_feasible_schedule(&self) -> RagoError {
@@ -389,7 +381,7 @@ impl Rago {
         push: impl Fn(&mut A, ParetoPoint) + Sync,
         merge: impl Fn(A, A) -> A,
     ) -> Result<(A, usize), RagoError> {
-        let space = Arc::new(self.searched_space(options)?);
+        let space = self.searched_space(options)?;
         let table = ProfileTable::fill(&self.profiler, &space);
         table.simulate_stalls(Arc::clone(&space).candidates());
         let reader = table.reader();
@@ -511,25 +503,15 @@ impl Rago {
     }
 }
 
-/// One decode choice of the exhaustive search: the decode fields of a
-/// schedule and, when they alone set its decode side, that side's rates.
+/// One decode choice of the exhaustive search: a setting of the decode
+/// axes and, when it alone sets a schedule's decode side, that side's
+/// rates.
 #[derive(Debug, Clone, Copy)]
 struct DecodeChoice {
-    xpus: u32,
-    batch: u32,
-    iterative_batch: Option<u32>,
+    setting: DecodeSetting,
     /// `None` for workloads with iterative retrievals, whose decode side
     /// also reads the pre-decode choice: it is evaluated per candidate.
     rates: Option<DecodeRates>,
-}
-
-impl DecodeChoice {
-    /// Sets `schedule`'s decode fields to this choice.
-    fn apply(&self, schedule: &mut Schedule) {
-        schedule.allocation.decode_xpus = self.xpus;
-        schedule.batching.decode_batch = self.batch;
-        schedule.batching.iterative_batch = self.iterative_batch;
-    }
 }
 
 /// The decode choices the exhaustive search combines with each pre-decode
@@ -556,31 +538,24 @@ impl DecodeChoices {
     /// exact. Iterative workloads keep every choice: their decode rate also
     /// reads the retrieval servers and the prefix group's chips. So does
     /// [`Rago::frontiers_by_plan`], whose plan key holds the decode XPUs.
-    fn new(space: &ScheduleSpace, costs: &impl CostSource, cut: bool) -> Self {
-        let Some(mut template) = space.decode(0) else {
+    fn new(space: &Arc<ScheduleSpace>, costs: &impl CostSource, cut: bool) -> Self {
+        let first_unit = Arc::clone(space).predecode_allocations().next();
+        let Some(mut template) = first_unit.and_then(|unit| unit.predecode_choices().next()) else {
             return Self::default();
         };
         let iterative = costs.profiler().schema().is_iterative();
         let mut choices = Vec::new();
-        for &xpus in &space.xpu_steps {
-            for &batch in &space.decode_batches {
-                for &iterative_batch in &space.iterative_batches {
-                    let mut choice = DecodeChoice {
-                        xpus,
-                        batch,
-                        iterative_batch,
-                        rates: None,
-                    };
-                    if !iterative {
-                        choice.apply(&mut template);
-                        let Ok(rates) = template.decode_rates(costs) else {
-                            continue;
-                        };
-                        choice.rates = Some(rates);
-                    }
-                    choices.push(choice);
-                }
-            }
+        for setting in space.decode_settings() {
+            let rates = if iterative {
+                None
+            } else {
+                setting.apply(&mut template);
+                let Ok(rates) = template.decode_rates(costs) else {
+                    continue;
+                };
+                Some(rates)
+            };
+            choices.push(DecodeChoice { setting, rates });
         }
         if !cut || iterative {
             return Self {
@@ -591,12 +566,14 @@ impl DecodeChoices {
         let rank = decode_key_ranks(&template, &choices);
         let qps = |i: usize| choices[i].rates.expect("evaluated above").decode_qps;
         let beats = |e: usize, d: usize| {
-            choices[e].xpus <= choices[d].xpus && qps(e) >= qps(d) && rank[e] < rank[d]
+            choices[e].setting.xpus <= choices[d].setting.xpus
+                && qps(e) >= qps(d)
+                && rank[e] < rank[d]
         };
         let mut out = Self::default();
         for d in 0..choices.len() {
             if (0..choices.len()).any(|e| beats(e, d)) {
-                out.cut_xpus.push(choices[d].xpus);
+                out.cut_xpus.push(choices[d].setting.xpus);
             } else {
                 out.scored.push(choices[d]);
             }
@@ -615,7 +592,7 @@ impl DecodeChoices {
         mut push: impl FnMut(ParetoPoint),
     ) -> usize {
         let room = unit.decode_room().unwrap_or(0);
-        if !self.scored.iter().any(|choice| choice.xpus <= room) {
+        if !self.scored.iter().any(|choice| choice.setting.xpus <= room) {
             return 0;
         }
         let cut = self.cut_xpus.iter().filter(|&&xpus| xpus <= room).count();
@@ -624,8 +601,8 @@ impl DecodeChoices {
             let Ok(predecode) = schedule.predecode_rates(costs) else {
                 continue;
             };
-            for choice in self.scored.iter().filter(|choice| choice.xpus <= room) {
-                choice.apply(&mut schedule);
+            for choice in self.scored.iter().filter(|c| c.setting.xpus <= room) {
+                choice.setting.apply(&mut schedule);
                 let rates = match choice.rates {
                     Some(rates) => rates,
                     None => match schedule.decode_rates(costs) {
@@ -654,7 +631,7 @@ fn decode_key_ranks(template: &Schedule, choices: &[DecodeChoice]) -> Vec<usize>
     let keys: Vec<String> = choices
         .iter()
         .map(|choice| {
-            choice.apply(&mut schedule);
+            choice.setting.apply(&mut schedule);
             schedule.identity_key()
         })
         .collect();
@@ -911,20 +888,19 @@ mod tests {
             ClusterSpec::paper_default(),
         );
         let clean = SearchOptions::fast();
+        // Every placement, listed twice.
+        let placements = PlacementPlan::enumerate(rago.profiler().schema());
         let noisy = SearchOptions {
             predecode_batch_steps: vec![1, 8, 8, 32],
             decode_batch_steps: vec![64, 0, 256],
             iterative_batch_steps: vec![4, 16, 16],
+            placements: Some([placements.clone(), placements].concat()),
             ..SearchOptions::fast()
         };
         assert_eq!(rago.schedule_iter(&clean).count(), 108);
         assert_eq!(
             rago.schedule_iter(&noisy).count(),
             rago.schedule_iter(&clean).count()
-        );
-        assert_eq!(
-            rago.schedule_space(&noisy).size(),
-            rago.schedule_space(&clean).size()
         );
         assert_eq!(
             rago.optimize(&noisy).unwrap(),
@@ -1012,9 +988,11 @@ mod tests {
             .into_iter()
             .flat_map(|xpus| {
                 [16, 64, 128, 1024].map(|batch| DecodeChoice {
-                    xpus,
-                    batch,
-                    iterative_batch: None,
+                    setting: DecodeSetting {
+                        xpus,
+                        batch,
+                        iterative_batch: None,
+                    },
                     rates: None,
                 })
             })
@@ -1030,7 +1008,7 @@ mod tests {
         let rank = |xpus: u32, batch: u32| {
             ranks[choices
                 .iter()
-                .position(|c| (c.xpus, c.batch) == (xpus, batch))
+                .position(|c| (c.setting.xpus, c.setting.batch) == (xpus, batch))
                 .unwrap()]
         };
         // Keys compare as strings: `16dec` before `4dec`, `/1024` before
@@ -1068,7 +1046,7 @@ mod tests {
     fn zero_collocatable_stage_guard_terminates() {
         // A schema whose placement list contains only zero-group plans must
         // terminate and still cover decode-only schedules: a zero-group
-        // block has no group digits to carry through.
+        // placement has no group XPUs to step through.
         let rago = Rago::new(presets::llm_only(LlmSize::B8), ClusterSpec::paper_default());
         let opts = SearchOptions {
             placements: Some(vec![PlacementPlan {
@@ -1083,6 +1061,16 @@ mod tests {
         assert!(rago
             .schedule_iter(&tiny_options())
             .all(|s| s.placement.group_of(Stage::Prefix).is_some()));
+        // With every XPU step over the budget nothing is yielded, whatever
+        // the order of the placements.
+        let mut placements = PlacementPlan::enumerate(rago.profiler().schema());
+        placements.extend(opts.placements.clone().unwrap());
+        let over_budget = SearchOptions {
+            xpu_steps: vec![4096],
+            placements: Some(placements),
+            ..tiny_options()
+        };
+        assert_eq!(rago.schedule_iter(&over_budget).count(), 0);
     }
 
     #[test]

@@ -561,33 +561,6 @@ impl StageProfiler {
         };
         Ok(perf)
     }
-
-    /// Profiles every stage of the workload at the given resource and batch
-    /// grids, returning all feasible results (infeasible combinations, e.g.
-    /// out-of-memory ones, are skipped).
-    pub fn profile_grid(
-        &self,
-        xpu_steps: &[u32],
-        server_steps: &[u32],
-        batch_steps: &[u32],
-    ) -> Vec<StagePerf> {
-        let mut out = Vec::new();
-        for stage in self.schema.pipeline() {
-            let resource_steps: &[u32] = if stage == Stage::Retrieval {
-                server_steps
-            } else {
-                xpu_steps
-            };
-            for &r in resource_steps {
-                for &b in batch_steps {
-                    if let Ok(perf) = self.profile(stage, r, b) {
-                        out.push(perf);
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Where [`Schedule::evaluate`] reads its costs from: the profiler itself,
@@ -995,24 +968,5 @@ mod tests {
         // prefix over the same short question (§5.4).
         assert!(rw_decode.latency_s > rw_prefix.latency_s * 3.0);
         assert!(rerank.latency_s > 0.0);
-    }
-
-    #[test]
-    fn profile_grid_skips_infeasible_points() {
-        let p = StageProfiler::new(
-            presets::case1_hyperscale(LlmSize::B70, 1),
-            ClusterSpec::paper_default(),
-        );
-        let grid = p.profile_grid(&[1, 8], &[4, 32], &[1, 16]);
-        // 70B does not fit on 1 chip with any KV cache for batch 16 contexts,
-        // and retrieval on 4 servers is infeasible; both are skipped silently.
-        assert!(!grid.is_empty());
-        assert!(grid.iter().all(|s| s.latency_s > 0.0));
-        assert!(grid
-            .iter()
-            .any(|s| s.stage == Stage::Retrieval && s.resources == 32));
-        assert!(!grid
-            .iter()
-            .any(|s| s.stage == Stage::Retrieval && s.resources == 4));
     }
 }

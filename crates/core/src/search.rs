@@ -1,10 +1,10 @@
-//! The schedule space and its exhaustive stream.
+//! The schedule space and its exhaustive walk.
 //!
-//! [`ScheduleSpace`] is the one description of a search grid. The
-//! exhaustive search ([`Rago::optimize`], [`Rago::frontiers_by_plan`])
-//! walks it in index order, one work unit per pre-decode allocation
-//! (placement × group XPUs), and [`ScheduleIter`] is the in-order
-//! concatenation of those units' candidates.
+//! `ScheduleSpace` is the one description of a search grid. The exhaustive
+//! search ([`Rago::optimize`], [`Rago::frontiers_by_plan`]) walks it one
+//! work unit per pre-decode allocation (placement × group XPUs), and
+//! [`ScheduleIter`] is the in-order concatenation of those units'
+//! candidates.
 
 use crate::error::RagoError;
 use crate::optimizer::{Rago, SearchOptions};
@@ -14,76 +14,61 @@ use rago_hardware::ResourceBudget;
 use rago_schema::RagSchema;
 use std::sync::Arc;
 
-/// One placement's block of the candidate space: a contiguous index range,
-/// from `offset` up to the next block's, whose digits are the per-group XPU
-/// steps, the decode step, the server step, and the batch steps.
-#[derive(Debug, Clone)]
-struct PlacementBlock {
-    placement: PlacementPlan,
-    offset: u128,
-}
-
 /// The one description of a search grid: placements × budget-filtered
-/// allocation steps × batching axes, as a mixed-radix codec from a dense
-/// index in `0..size()` to its schedule. Decoding is O(axes); no candidate
-/// is ever materialized eagerly.
-///
-/// Each placement owns a contiguous block of indices. Within a block the
-/// iterative batch is the least significant digit, then the decode batch,
-/// the pre-decode batch, the server count, the decode allocation, and the
-/// groups' XPU counts, first group fastest. An *allocation* is one setting
-/// of the placement, group and decode digits; the server and batch digits
-/// below it span its sub-space. Indices cover allocations over the XPU
-/// budget too: [`ScheduleSpace::feasible`] rejects them, and the exhaustive
-/// stream ([`ScheduleIter`], from `into_iter`) skips them.
+/// allocation steps × batching axes. It is walked one way, never
+/// materialized: the units are the placements × group XPUs, first group
+/// fastest; within a unit come its pre-decode choices (servers, then
+/// pre-decode batch), and beside each of them every decode setting
+/// ([`ScheduleSpace::decode_settings`]) that fits the XPU budget.
 #[derive(Debug, Clone)]
-pub struct ScheduleSpace {
-    blocks: Vec<PlacementBlock>,
+pub(crate) struct ScheduleSpace {
+    placements: Vec<PlacementPlan>,
     pub(crate) xpu_steps: Vec<u32>,
     pub(crate) server_steps: Vec<u32>,
     pub(crate) predecode_batches: Vec<u32>,
     pub(crate) decode_batches: Vec<u32>,
     pub(crate) iterative_batches: Vec<Option<u32>>,
     max_total_xpus: u32,
-    size: u128,
 }
 
-/// The digit vector of one candidate: its placement block and one index
-/// into every axis. The exhaustive search's [`PredecodeAllocation`] units
-/// and their candidates carry through them in index order.
-#[derive(Debug, Clone)]
-struct Digits {
-    block: usize,
-    groups: Vec<usize>,
-    decode: usize,
-    server: usize,
-    predecode: usize,
-    decode_batch: usize,
-    iterative: usize,
+/// One setting of the decode axes: the decode XPUs, the decode batch and
+/// the iterative batch of a schedule.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct DecodeSetting {
+    pub(crate) xpus: u32,
+    pub(crate) batch: u32,
+    pub(crate) iterative_batch: Option<u32>,
 }
 
-/// The rank of the decode-allocation digit, counting from the least
-/// significant: the server and three batch digits below it span one
-/// allocation's sub-space.
-const ALLOCATION_RANK: usize = 4;
-
-/// The rank of the first group digit: the decode-allocation digit and every
-/// digit below it span one pre-decode allocation's sub-space.
-const PREDECODE_ALLOCATION_RANK: usize = ALLOCATION_RANK + 1;
+impl DecodeSetting {
+    /// Sets `schedule`'s decode fields to this setting.
+    pub(crate) fn apply(&self, schedule: &mut Schedule) {
+        schedule.allocation.decode_xpus = self.xpus;
+        schedule.batching.decode_batch = self.batch;
+        schedule.batching.iterative_batch = self.iterative_batch;
+    }
+}
 
 impl ScheduleSpace {
     /// The space `options` spans for `rago`'s workload and budget. Steps
     /// that can never yield a valid candidate are dropped up front: zero,
     /// duplicate and above-budget steps ([`ResourceBudget`]'s
-    /// `admissible_*_steps`). Only iterative workloads spin the iterative
-    /// axis; elsewhere it is the single step `None`.
+    /// `admissible_*_steps`), and every placement listed before. Only
+    /// iterative workloads spin the iterative axis; elsewhere it is the
+    /// single step `None`.
     pub(crate) fn new(rago: &Rago, options: &SearchOptions) -> Self {
         let schema = rago.profiler().schema();
         let budget = rago.budget();
-        let placements = options
+        let mut placements = Vec::new();
+        for placement in options
             .placements
             .clone()
-            .unwrap_or_else(|| PlacementPlan::enumerate(schema));
+            .unwrap_or_else(|| PlacementPlan::enumerate(schema))
+        {
+            if !placements.contains(&placement) {
+                placements.push(placement);
+            }
+        }
         let iterative_batches = if schema.is_iterative() {
             admissible_batches(&options.iterative_batch_steps)
                 .into_iter()
@@ -92,70 +77,42 @@ impl ScheduleSpace {
         } else {
             vec![None]
         };
-        let mut space = Self {
-            blocks: Vec::with_capacity(placements.len()),
+        Self {
+            placements,
             xpu_steps: budget.admissible_xpu_steps(&options.xpu_steps),
             server_steps: budget.admissible_server_steps(&rago.server_steps(options)),
             predecode_batches: admissible_batches(&options.predecode_batch_steps),
             decode_batches: admissible_batches(&options.decode_batch_steps),
             iterative_batches,
             max_total_xpus: budget.max_xpus,
-            size: 0,
-        };
-        // Every axis but the groups; an empty axis empties the space.
-        let inner = (space.xpu_steps.len()
-            * space.server_steps.len()
-            * space.predecode_batches.len()
-            * space.decode_batches.len()
-            * space.iterative_batches.len()) as u128;
-        for placement in placements {
-            let groups = placement.num_groups() as u32;
-            space.blocks.push(PlacementBlock {
-                placement,
-                offset: space.size,
-            });
-            space.size += inner * (space.xpu_steps.len() as u128).pow(groups);
         }
-        space
     }
 
     /// Checks every placement of the space with [`PlacementPlan::validate`].
     /// The searches call it once, up front, so no candidate pays for it.
     pub(crate) fn validate_placements(&self, schema: &RagSchema) -> Result<(), RagoError> {
-        self.blocks
+        self.placements
             .iter()
-            .try_for_each(|block| block.placement.validate(schema))
+            .try_for_each(|placement| placement.validate(schema))
     }
 
-    /// Total number of addressable candidates (including allocations over
-    /// the XPU budget, which [`ScheduleSpace::feasible`] rejects).
-    pub fn size(&self) -> u128 {
-        self.size
+    /// Every setting of the decode axes, in walk order: decode XPUs, then
+    /// decode batch, then iterative batch.
+    pub(crate) fn decode_settings(&self) -> impl Iterator<Item = DecodeSetting> + '_ {
+        self.xpu_steps.iter().flat_map(move |&xpus| {
+            self.decode_batches.iter().flat_map(move |&batch| {
+                self.iterative_batches
+                    .iter()
+                    .map(move |&iterative_batch| DecodeSetting {
+                        xpus,
+                        batch,
+                        iterative_batch,
+                    })
+            })
+        })
     }
 
-    /// The schedule at `index`, or `None` past the end of the space.
-    pub fn decode(&self, index: u128) -> Option<Schedule> {
-        self.digits_of(index).map(|d| self.schedule_at(&d))
-    }
-
-    /// Whether the candidate at `index` fits the XPU budget. (Budget-wise
-    /// inadmissible *steps* were already filtered from the axes; this
-    /// rejects admissible steps whose *sum* exceeds the budget.)
-    pub fn feasible(&self, index: u128) -> bool {
-        self.digits_of(index)
-            .is_some_and(|d| self.digits_feasible(&d))
-    }
-
-    /// The candidates in one allocation's sub-space: servers × batching.
-    fn allocation_size(&self) -> usize {
-        self.server_steps.len()
-            * self.predecode_batches.len()
-            * self.decode_batches.len()
-            * self.iterative_batches.len()
-    }
-
-    /// Every candidate within the XPU budget, in index order: the stream
-    /// `into_iter` gives.
+    /// Every candidate within the XPU budget, in walk order.
     pub(crate) fn candidates(self: Arc<Self>) -> ScheduleIter {
         ScheduleIter {
             units: self
@@ -165,132 +122,39 @@ impl ScheduleSpace {
     }
 
     /// The exhaustive search's work units: one [`PredecodeAllocation`]
-    /// per placement and group XPUs of the space, in index order.
+    /// per placement and group XPUs of the space, in walk order.
     pub(crate) fn predecode_allocations(self: Arc<Self>) -> PredecodeAllocations {
-        let cursor = self.digits_of(0);
-        let remaining = match self.allocation_size() * self.xpu_steps.len() {
+        // Without an XPU step there is no unit: even a zero-group placement
+        // needs decode XPUs.
+        let remaining = match self.xpu_steps.len() {
             0 => 0,
-            size => usize::try_from(self.size / size as u128).unwrap_or(usize::MAX),
+            steps => self
+                .placements
+                .iter()
+                .map(|placement| steps.pow(placement.num_groups() as u32))
+                .sum(),
         };
+        let groups = self.placements.first().map_or(0, PlacementPlan::num_groups);
         PredecodeAllocations {
             space: self,
-            cursor,
+            placement: 0,
+            groups: vec![0; groups],
             remaining,
         }
     }
-
-    /// The XPUs of every pre-decode group of `d`, summed.
-    fn group_xpus(&self, d: &Digits) -> u32 {
-        d.groups.iter().map(|&i| self.xpu_steps[i]).sum()
-    }
-
-    fn digits_feasible(&self, d: &Digits) -> bool {
-        self.group_xpus(d) + self.xpu_steps[d.decode] <= self.max_total_xpus
-    }
-
-    fn digits_of(&self, index: u128) -> Option<Digits> {
-        if index >= self.size {
-            return None;
-        }
-        // Blocks are never empty in a non-empty space, so offsets rise.
-        let block = self.blocks.partition_point(|b| b.offset <= index) - 1;
-        let mut rem = index - self.blocks[block].offset;
-        let mut take = |len: usize| {
-            let digit = (rem % len as u128) as usize;
-            rem /= len as u128;
-            digit
-        };
-        let iterative = take(self.iterative_batches.len());
-        let decode_batch = take(self.decode_batches.len());
-        let predecode = take(self.predecode_batches.len());
-        let server = take(self.server_steps.len());
-        let decode = take(self.xpu_steps.len());
-        let groups: Vec<usize> = (0..self.blocks[block].placement.num_groups())
-            .map(|_| take(self.xpu_steps.len()))
-            .collect();
-        Some(Digits {
-            block,
-            groups,
-            decode,
-            server,
-            predecode,
-            decode_batch,
-            iterative,
-        })
-    }
-
-    /// Steps `d` to a later index, carrying like an odometer: the digit of
-    /// rank `from` (counting from the least significant) goes up by one and
-    /// every digit below it resets to zero. Rank 0 steps to the next index;
-    /// [`ALLOCATION_RANK`] steps past the current allocation's sub-space.
-    /// Returns `false` past the end of the space.
-    fn carry(&self, d: &mut Digits, from: usize) -> bool {
-        let xpus = self.xpu_steps.len();
-        let inner = [
-            (&mut d.iterative, self.iterative_batches.len()),
-            (&mut d.decode_batch, self.decode_batches.len()),
-            (&mut d.predecode, self.predecode_batches.len()),
-            (&mut d.server, self.server_steps.len()),
-            (&mut d.decode, xpus),
-        ];
-        let groups = d.groups.iter_mut().map(|g| (g, xpus));
-        for (rank, (digit, len)) in inner.into_iter().chain(groups).enumerate() {
-            if rank >= from {
-                *digit += 1;
-                if *digit < len {
-                    return true;
-                }
-            }
-            *digit = 0;
-        }
-        d.block += 1;
-        match self.blocks.get(d.block) {
-            Some(block) => {
-                d.groups = vec![0; block.placement.num_groups()];
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn schedule_at(&self, d: &Digits) -> Schedule {
-        let placement = self.blocks[d.block].placement.clone();
-        let group_xpus: Vec<u32> = d.groups.iter().map(|&i| self.xpu_steps[i]).collect();
-        let mut batching = BatchingPolicy::new(
-            self.predecode_batches[d.predecode],
-            self.decode_batches[d.decode_batch],
-        );
-        batching.iterative_batch = self.iterative_batches[d.iterative];
-        Schedule {
-            placement,
-            allocation: ResourceAllocation {
-                group_xpus,
-                decode_xpus: self.xpu_steps[d.decode],
-                retrieval_servers: self.server_steps[d.server],
-            },
-            batching,
-        }
-    }
 }
 
-impl IntoIterator for ScheduleSpace {
-    type Item = Schedule;
-    type IntoIter = ScheduleIter;
-
-    fn into_iter(self) -> ScheduleIter {
-        Arc::new(self).candidates()
-    }
-}
-
-/// The pre-decode allocations of a [`ScheduleSpace`] in index order, each
+/// The pre-decode allocations of a `ScheduleSpace` in walk order, each
 /// yielded as a [`PredecodeAllocation`] work unit. The source reports its
 /// exact length, so a parallel consumer can split even a short list across
 /// its workers.
 #[derive(Debug, Clone)]
 pub(crate) struct PredecodeAllocations {
     space: Arc<ScheduleSpace>,
-    /// The digits of the next unit's first candidate; `None` past the end.
-    cursor: Option<Digits>,
+    /// The placement of the next unit.
+    placement: usize,
+    /// The next unit's XPU step per group, first group fastest.
+    groups: Vec<usize>,
     /// Units not yet yielded.
     remaining: usize,
 }
@@ -299,15 +163,26 @@ impl Iterator for PredecodeAllocations {
     type Item = PredecodeAllocation;
 
     fn next(&mut self) -> Option<PredecodeAllocation> {
-        let digits = self.cursor.as_mut()?;
+        self.remaining = self.remaining.checked_sub(1)?;
+        let space = &self.space;
         let unit = PredecodeAllocation {
-            space: Arc::clone(&self.space),
-            digits: digits.clone(),
+            space: Arc::clone(space),
+            placement: space.placements[self.placement].clone(),
+            group_xpus: self.groups.iter().map(|&i| space.xpu_steps[i]).collect(),
         };
-        if !self.space.carry(digits, PREDECODE_ALLOCATION_RANK) {
-            self.cursor = None;
+        // Step like an odometer; past the last group, on to the next
+        // placement.
+        for step in &mut self.groups {
+            *step += 1;
+            if *step < space.xpu_steps.len() {
+                return Some(unit);
+            }
+            *step = 0;
         }
-        self.remaining = self.remaining.saturating_sub(1);
+        self.placement += 1;
+        if let Some(placement) = space.placements.get(self.placement) {
+            self.groups = vec![0; placement.num_groups()];
+        }
         Some(unit)
     }
 
@@ -316,92 +191,97 @@ impl Iterator for PredecodeAllocations {
     }
 }
 
-/// One placement with one XPU count per group: the sub-space of every
-/// decode allocation × server × batching setting beside it.
+/// One placement with one XPU count per group: every server × batching
+/// setting beside it, with every decode setting that fits the budget.
 #[derive(Debug, Clone)]
 pub(crate) struct PredecodeAllocation {
     space: Arc<ScheduleSpace>,
-    /// The digits of the unit's first candidate.
-    digits: Digits,
+    placement: PlacementPlan,
+    group_xpus: Vec<u32>,
 }
 
 impl PredecodeAllocation {
     /// The XPUs the budget leaves for the decode stage, or `None` when the
     /// groups alone exceed it.
     pub(crate) fn decode_room(&self) -> Option<u32> {
-        let groups = self.space.group_xpus(&self.digits);
+        let groups = self.group_xpus.iter().sum();
         self.space.max_total_xpus.checked_sub(groups)
     }
 
-    /// One schedule per server × pre-decode batch of the unit, in index
-    /// order. Its decode fields are the first step of each decode axis.
+    /// One schedule per server × pre-decode batch of the unit, in walk
+    /// order. Its decode fields are the first decode setting (zero when a
+    /// decode axis is empty, and then nothing is paired with it).
     pub(crate) fn predecode_choices(&self) -> impl Iterator<Item = Schedule> + '_ {
-        let servers = 0..self.space.server_steps.len();
-        servers.flat_map(move |server| {
-            (0..self.space.predecode_batches.len()).map(move |predecode| {
-                self.space.schedule_at(&Digits {
-                    server,
-                    predecode,
-                    ..self.digits.clone()
-                })
-            })
+        let space = &*self.space;
+        let decode = space.decode_settings().next().unwrap_or_default();
+        let choice = move |retrieval_servers, predecode_batch| Schedule {
+            placement: self.placement.clone(),
+            allocation: ResourceAllocation {
+                group_xpus: self.group_xpus.clone(),
+                decode_xpus: decode.xpus,
+                retrieval_servers,
+            },
+            batching: BatchingPolicy {
+                predecode_batch,
+                decode_batch: decode.batch,
+                iterative_batch: decode.iterative_batch,
+            },
+        };
+        space.server_steps.iter().flat_map(move |&servers| {
+            space
+                .predecode_batches
+                .iter()
+                .map(move |&batch| choice(servers, batch))
         })
     }
 
-    /// The unit's candidates within the XPU budget, in index order, built
-    /// on demand.
+    /// The unit's candidates within the XPU budget, in walk order: each
+    /// pre-decode choice beside every decode setting that fits.
     pub(crate) fn candidates(self) -> Candidates {
-        let remaining = self.space.xpu_steps.len() * self.space.allocation_size();
+        let room = self.decode_room().unwrap_or(0);
+        let fitting: Vec<DecodeSetting> = self
+            .space
+            .decode_settings()
+            .filter(|decode| decode.xpus <= room)
+            .collect();
         Candidates {
-            space: self.space,
-            digits: self.digits,
-            remaining,
+            choices: self.predecode_choices().collect(),
+            fitting,
+            next: 0,
         }
     }
 }
 
-/// One pre-decode allocation's candidates, every decode allocation within
-/// the XPU budget × server × batching setting in index order, built on
-/// demand.
+/// One pre-decode allocation's candidates: its pre-decode choices, each
+/// beside every decode setting that fits the XPU budget, in walk order.
 #[derive(Debug, Clone)]
 pub(crate) struct Candidates {
-    space: Arc<ScheduleSpace>,
-    /// The digits of the next candidate.
-    digits: Digits,
-    /// Candidates of the unit not yet passed, over the budget or not.
-    remaining: usize,
+    choices: Vec<Schedule>,
+    fitting: Vec<DecodeSetting>,
+    /// The position of the next candidate: pre-decode choice outer,
+    /// decode setting inner.
+    next: usize,
 }
 
 impl Iterator for Candidates {
     type Item = Schedule;
 
     fn next(&mut self) -> Option<Schedule> {
-        while self.remaining > 0 {
-            if !self.space.digits_feasible(&self.digits) {
-                // A decode allocation over the budget: pass over its whole
-                // server × batching sub-space.
-                self.remaining -= self.space.allocation_size();
-                if self.remaining > 0 {
-                    self.space.carry(&mut self.digits, ALLOCATION_RANK);
-                }
-                continue;
-            }
-            let schedule = self.space.schedule_at(&self.digits);
-            self.remaining -= 1;
-            if self.remaining > 0 {
-                self.space.carry(&mut self.digits, 0);
-            }
-            return Some(schedule);
-        }
-        None
+        let choice = self.next.checked_div(self.fitting.len())?;
+        let mut schedule = self.choices.get(choice)?.clone();
+        self.fitting[self.next % self.fitting.len()].apply(&mut schedule);
+        self.next += 1;
+        Some(schedule)
     }
 }
 
-/// The exhaustive stream over a [`ScheduleSpace`]: every candidate within
-/// the XPU budget, in index order, built on demand. It is the in-order
-/// concatenation of the candidates of the exhaustive search's work units,
-/// one per pre-decode allocation; an allocation over the budget is passed
-/// over with its whole server × batching sub-space.
+/// The exhaustive stream over a search grid: every candidate within the
+/// XPU budget, built on demand. It is the in-order concatenation of the
+/// candidates of the exhaustive search's work units, one per pre-decode
+/// allocation (placement × group XPUs, first group fastest); within a
+/// unit, each pre-decode choice (servers, then pre-decode batch) comes
+/// beside every decode setting that fits the budget (decode XPUs, then
+/// decode batch, then iterative batch).
 #[derive(Debug, Clone)]
 pub struct ScheduleIter {
     units:
@@ -428,36 +308,9 @@ mod tests {
     use rago_hardware::ClusterSpec;
     use rago_schema::presets::{self, LlmSize};
 
-    fn case1() -> Rago {
-        Rago::new(
-            presets::case1_hyperscale(LlmSize::B8, 1),
-            ClusterSpec::paper_default(),
-        )
-    }
-
-    fn tiny_options() -> SearchOptions {
-        SearchOptions {
-            xpu_steps: vec![8, 32],
-            server_steps: vec![32],
-            predecode_batch_steps: vec![1, 16],
-            decode_batch_steps: vec![128],
-            iterative_batch_steps: vec![8],
-            placements: None,
-        }
-    }
-
-    #[test]
-    fn space_size_matches_axis_product() {
-        let rago = case1();
-        let space = rago.schedule_space(&tiny_options());
-        // Case 1 has one collocatable stage → one placement with one group:
-        // 2 (group) × 2 (decode) × 1 (server) × 2 (pre) × 1 (decode batch).
-        assert_eq!(space.size(), 8);
-    }
-
     /// Case IV has placements of one to four groups. At 40 XPUs some
-    /// allocations are over budget, so the stream's skip past an
-    /// allocation's sub-space runs.
+    /// allocations are over budget, so the walk passes over decode
+    /// settings and whole units.
     fn case4_at_40_xpus() -> (Rago, SearchOptions) {
         let rago = Rago::new(
             presets::case4_rewriter_reranker(LlmSize::B8),
@@ -475,42 +328,86 @@ mod tests {
         (rago, options)
     }
 
+    /// Every candidate of `options` (whose steps are positive, distinct and
+    /// within the budget) with at most `max_xpus` XPUs, by nested loops in
+    /// the walk's order.
+    fn cross_product(rago: &Rago, options: &SearchOptions, max_xpus: u32) -> Vec<Schedule> {
+        let schema = rago.profiler().schema();
+        let xpus = &options.xpu_steps;
+        let iterative: Vec<Option<u32>> = if schema.is_iterative() {
+            options
+                .iterative_batch_steps
+                .iter()
+                .copied()
+                .map(Some)
+                .collect()
+        } else {
+            vec![None]
+        };
+        let mut out = Vec::new();
+        for placement in PlacementPlan::enumerate(schema) {
+            // Every setting of the group XPUs, first group fastest.
+            let mut settings = vec![Vec::new()];
+            for _ in 0..placement.num_groups() {
+                settings = xpus
+                    .iter()
+                    .flat_map(|&x| settings.iter().map(move |s| [s.as_slice(), &[x]].concat()))
+                    .collect();
+            }
+            for group_xpus in settings {
+                for &retrieval_servers in &options.server_steps {
+                    for &predecode in &options.predecode_batch_steps {
+                        for &decode_xpus in xpus {
+                            for &decode in &options.decode_batch_steps {
+                                for &iterative_batch in &iterative {
+                                    let allocation = ResourceAllocation {
+                                        group_xpus: group_xpus.clone(),
+                                        decode_xpus,
+                                        retrieval_servers,
+                                    };
+                                    if allocation.total_xpus() > max_xpus {
+                                        continue;
+                                    }
+                                    let mut batching = BatchingPolicy::new(predecode, decode);
+                                    batching.iterative_batch = iterative_batch;
+                                    out.push(Schedule {
+                                        placement: placement.clone(),
+                                        allocation,
+                                        batching,
+                                    });
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn schedule_iter_streams_the_feasible_decodes_in_order() {
         let (rago, options) = case4_at_40_xpus();
-        let space = rago.schedule_space(&options);
-        let mut decoded: Vec<Schedule> = Vec::new();
-        for index in 0..space.size() {
-            let schedule = space.decode(index).expect("index in range");
-            assert_eq!(
-                space.feasible(index),
-                schedule.allocation.total_xpus() <= rago.budget().max_xpus
-            );
-            if space.feasible(index) {
-                decoded.push(schedule);
-            }
-        }
+        let feasible = cross_product(&rago, &options, 40);
         assert!(
-            (decoded.len() as u128) < space.size(),
+            feasible.len() < cross_product(&rago, &options, u32::MAX).len(),
             "no allocation rejected"
         );
         let streamed: Vec<Schedule> = rago.schedule_iter(&options).collect();
-        assert_eq!(streamed, decoded);
+        assert_eq!(streamed, feasible);
     }
 
     #[test]
     fn allocation_units_are_the_stream_split_by_allocation() {
         let (rago, options) = case4_at_40_xpus();
-        let space = Arc::new(rago.schedule_space(&options));
+        let space = Arc::new(ScheduleSpace::new(&rago, &options));
         let allocation_of = |s: &Schedule| (s.placement.clone(), s.allocation.group_xpus.clone());
-        // Every pre-decode allocation of the space, in index order, with
-        // whether any of its candidates fits.
-        let mut allocations: Vec<(_, bool)> = Vec::new();
-        for index in 0..space.size() {
-            let key = allocation_of(&space.decode(index).expect("index in range"));
-            match allocations.last_mut() {
-                Some((last, fits)) if *last == key => *fits |= space.feasible(index),
-                _ => allocations.push((key, space.feasible(index))),
+        // Every pre-decode allocation, in walk order, over the budget or not.
+        let mut allocations = Vec::new();
+        for schedule in cross_product(&rago, &options, u32::MAX) {
+            let key = allocation_of(&schedule);
+            if allocations.last() != Some(&key) {
+                allocations.push(key);
             }
         }
         let units = Arc::clone(&space).predecode_allocations();
@@ -520,8 +417,9 @@ mod tests {
         );
         let units: Vec<PredecodeAllocation> = units.collect();
         assert_eq!(units.len(), allocations.len());
+        let feasible = cross_product(&rago, &options, 40);
         let mut streamed = Vec::new();
-        for (unit, (allocation, fits)) in units.iter().zip(&allocations) {
+        for (unit, allocation) in units.iter().zip(&allocations) {
             let groups: u32 = allocation.1.iter().sum();
             assert_eq!(unit.decode_room(), 40u32.checked_sub(groups));
             // One pre-decode choice per server × pre-decode batch.
@@ -529,17 +427,21 @@ mod tests {
             assert_eq!(choices.len(), 2 * 2);
             assert!(choices.iter().all(|s| allocation_of(s) == *allocation));
             let candidates: Vec<Schedule> = unit.clone().candidates().collect();
-            assert_eq!(candidates.is_empty(), !fits, "{allocation:?}");
-            assert!(candidates.iter().all(|s| allocation_of(s) == *allocation));
+            let expected: Vec<Schedule> = feasible
+                .iter()
+                .filter(|s| allocation_of(s) == *allocation)
+                .cloned()
+                .collect();
+            assert_eq!(candidates, expected, "{allocation:?}");
             streamed.push(candidates);
         }
         assert!(
             streamed.iter().any(Vec::is_empty),
             "no allocation over budget"
         );
-        // Some unit passes over one decode allocation but not the other.
-        let full = space.xpu_steps.len() * space.allocation_size();
-        assert!(streamed.iter().any(|c| !c.is_empty() && c.len() < full));
+        // Some unit passes over one decode XPU step but not the other:
+        // 2 decode XPUs × 2 servers × 2 pre-decode × 2 decode batches.
+        assert!(streamed.iter().any(|c| !c.is_empty() && c.len() < 16));
         let stream: Vec<Schedule> = rago.schedule_iter(&options).collect();
         assert_eq!(streamed.concat(), stream);
     }

@@ -5,16 +5,95 @@
 //! for bit, and the same count of feasible candidates covered. The steps
 //! come unsorted and repeated, and the XPU budget often leaves only part of
 //! the decode axis beside a pre-decode allocation. The per-plan frontiers
-//! of [`Rago::frontiers_by_plan`] cover the same candidates.
+//! of [`Rago::frontiers_by_plan`] cover the same candidates, and
+//! [`Rago::schedule_iter`] yields a plain nested-loop cross product of the
+//! axes, filtered by the budget.
 
 use proptest::prelude::*;
-use rago_core::{ParetoFrontier, Rago, SearchOptions};
+use rago_core::{
+    BatchingPolicy, ParetoFrontier, PlacementPlan, Rago, ResourceAllocation, Schedule,
+    SearchOptions,
+};
 use rago_hardware::{ClusterSpec, ResourceBudget};
 use rago_schema::presets::{self, LlmSize};
 
 /// The steps of `picks`, each an index into `menu`: repeats and any order.
 fn steps(menu: &[u32], picks: &[usize]) -> Vec<u32> {
     picks.iter().map(|&i| menu[i % menu.len()]).collect()
+}
+
+/// The steps of `steps` without repeats, in first-seen order.
+fn distinct(steps: &[u32]) -> Vec<u32> {
+    let mut out = Vec::new();
+    for &step in steps {
+        if !out.contains(&step) {
+            out.push(step);
+        }
+    }
+    out
+}
+
+/// Every candidate of `options` within `rago`'s budget, by nested loops
+/// over the distinct steps: placements × group XPUs (first group fastest),
+/// then servers, pre-decode batch, decode XPUs, decode batch and
+/// iterative batch. The menus hold no zero step.
+fn cross_product(rago: &Rago, options: &SearchOptions) -> Vec<Schedule> {
+    let schema = rago.profiler().schema();
+    let budget = rago.budget();
+    let xpus: Vec<u32> = distinct(&options.xpu_steps)
+        .into_iter()
+        .filter(|&x| x <= budget.max_xpus)
+        .collect();
+    let servers: Vec<u32> = distinct(&options.server_steps)
+        .into_iter()
+        .filter(|&s| s <= budget.max_cpu_servers)
+        .collect();
+    let iterative: Vec<Option<u32>> = if schema.is_iterative() {
+        distinct(&options.iterative_batch_steps)
+            .into_iter()
+            .map(Some)
+            .collect()
+    } else {
+        vec![None]
+    };
+    let mut out = Vec::new();
+    for placement in PlacementPlan::enumerate(schema) {
+        let mut settings = vec![Vec::new()];
+        for _ in 0..placement.num_groups() {
+            settings = xpus
+                .iter()
+                .flat_map(|&x| settings.iter().map(move |s| [s.as_slice(), &[x]].concat()))
+                .collect();
+        }
+        for group_xpus in settings {
+            for &retrieval_servers in &servers {
+                for predecode in distinct(&options.predecode_batch_steps) {
+                    for &decode_xpus in &xpus {
+                        for decode in distinct(&options.decode_batch_steps) {
+                            for &iterative_batch in &iterative {
+                                let allocation = ResourceAllocation {
+                                    group_xpus: group_xpus.clone(),
+                                    decode_xpus,
+                                    retrieval_servers,
+                                };
+                                if allocation.total_xpus() > budget.max_xpus {
+                                    continue;
+                                }
+                                let mut batching = BatchingPolicy::new(predecode, decode);
+                                batching.iterative_batch = iterative_batch;
+                                out.push(Schedule {
+                                    placement: placement.clone(),
+                                    allocation,
+                                    batching,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
 }
 
 /// Every point's schedule and performance, the floats by bit pattern.
@@ -68,6 +147,8 @@ proptest! {
             Rago::new(schema.clone(), ClusterSpec::paper_default())
                 .with_budget(ResourceBudget::new(max_xpus, 64))
         };
+        let streamed: Vec<Schedule> = rago().schedule_iter(&options).collect();
+        prop_assert_eq!(streamed, cross_product(&rago(), &options));
         let serial = rago().optimize_serial(&options);
         let search = rago().optimize(&options);
         match (&search, &serial) {

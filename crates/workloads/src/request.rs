@@ -68,7 +68,10 @@ impl Trace {
     /// Offered load in requests per second (requests divided by the span of
     /// arrival times; infinite for instantaneous traces).
     pub fn offered_load_rps(&self) -> f64 {
-        let span = self.requests.last().map(|r| r.arrival_s).unwrap_or(0.0);
+        let span = match (self.requests.first(), self.requests.last()) {
+            (Some(first), Some(last)) => last.arrival_s - first.arrival_s,
+            _ => 0.0,
+        };
         if span <= 0.0 {
             return f64::INFINITY;
         }
@@ -436,6 +439,11 @@ mod tests {
             assert_eq!(a.prefix_tokens, b.prefix_tokens);
             assert_eq!(a.decode_tokens, b.decode_tokens);
         }
+        let (load, shifted_load) = (trace.offered_load_rps(), shifted.offered_load_rps());
+        assert!(
+            (shifted_load - load).abs() <= 1e-9 * load,
+            "{shifted_load} vs {load}"
+        );
     }
 
     #[test]

@@ -40,7 +40,8 @@
 //!   decode setting that fits the XPU budget.
 //!
 //! [`Rago::optimize`] and [`Rago::frontiers_by_plan`] then run Algorithm 1
-//! in three phases:
+//! in three phases, the last two repeated for iterative workloads until
+//! the frontier they find is exact:
 //!
 //! 1. **Profile once.** Candidate evaluation decomposes into per-stage
 //!    profiles keyed by `(stage, resources, batch)`. The grid is a cross
@@ -49,16 +50,7 @@
 //!    resource steps and at each batch of its own axis, through
 //!    [`StageProfiler::profile`], into an immutable table. Each profile is
 //!    computed exactly once, and the profiler's memo ends up warm.
-//! 2. **Simulate distinct stalls in parallel.** Iterative workloads also
-//!    score every candidate with a decode-stall simulation. One pass over
-//!    the candidates collects the distinct simulation inputs that feasible
-//!    candidates reach; rayon workers then simulate them into the memo of
-//!    [`StageProfiler::decode_stall`], each worker on different inputs,
-//!    all reading one table of retrieval trigger positions drawn before
-//!    they start. The
-//!    pre-decode batch is not an input, so all `|predecode_batch|` steps
-//!    share one simulation (see the profiler module docs).
-//! 3. **Score each pre-decode choice once, lock-free.** The decode choices
+//! 2. **Score each pre-decode choice once, lock-free.** The decode choices
 //!    are listed once, from the table. Without iterative retrievals each
 //!    one's decode half is evaluated there, and [`Rago::optimize`] drops
 //!    every choice that another one beats, which can never reach the
@@ -72,10 +64,25 @@
 //!    frontiers merge at the end, and the workers' lookup tallies are added
 //!    to the profiler's memo hits once. Peak candidate storage is
 //!    O(frontier + threads), never O(grid).
+//! 3. **Refine the optimistic points (iterative workloads).** Case III
+//!    scores each candidate with a decode-stall simulation, and only a
+//!    few of the distinct inputs its candidates reach sit behind a
+//!    frontier point. So phase 2 scores an input not yet in the memo of
+//!    [`StageProfiler::decode_stall`] optimistically, with the lower bound
+//!    [`IterativeDecodeParams::min_total_time_s`] on its total time: the
+//!    candidate gets its true TTFT and a QPS/chip no lower than its true
+//!    one. The inputs behind the kept points that were scored this way are
+//!    then simulated, in parallel, and phase 2 runs again. When no kept
+//!    point is optimistic the kept points are the true frontier, since
+//!    every other candidate's optimistic point, at least as good as its
+//!    true one, lost to them. The pre-decode batch is not a stall input, so
+//!    all `|predecode_batch|` steps share one simulation (see the profiler
+//!    module docs). On the `bench_e2e` paper grid the search simulates 7 of
+//!    the 1,220 inputs, in 4 rounds.
 //!
 //! With memoization disabled ([`Rago::with_memoization`]) the table stays
-//! empty and no stall is simulated up front, so every lookup goes straight
-//! to the profiler.
+//! empty, every lookup goes straight to the profiler, and every feasible
+//! Case III candidate simulates its own stall in one round.
 //!
 //! The parallel path is frontier-identical to the serial reference
 //! ([`Rago::optimize_serial`]), which evaluates every candidate in full,
@@ -91,11 +98,13 @@
 use crate::error::RagoError;
 use crate::pareto::{ParetoAccumulator, ParetoFrontier, ParetoPoint};
 use crate::placement::PlacementPlan;
-use crate::profiler::{CostSource, ProfileTable, StageProfiler};
+use crate::profiler::{CostSource, Lookups, ProfileTable, StageProfiler};
 use crate::schedule::{DecodeRates, ResourceAllocation, Schedule};
 use crate::search::{DecodeSetting, PredecodeAllocation, ScheduleIter, ScheduleSpace};
 use rago_hardware::{power_of_two_steps, ClusterSpec, ResourceBudget};
 use rago_schema::RagSchema;
+#[cfg(doc)]
+use rago_serving_sim::iterative::IterativeDecodeParams;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -292,11 +301,12 @@ impl Rago {
     /// Runs the full search (Algorithm 1) and returns the performance Pareto
     /// frontier over (TTFT, QPS/chip) with the schedules achieving it.
     ///
-    /// The grid's stage profiles and distinct decode stalls are computed
-    /// first; candidates are then streamed across rayon worker threads,
-    /// each folding into an incremental [`ParetoAccumulator`], and the
-    /// per-thread frontiers merge at the end. The result is bit-identical to
-    /// [`Rago::optimize_serial`] — see the module docs.
+    /// The grid's stage profiles are computed first; candidates are then
+    /// streamed across rayon worker threads, each folding into an
+    /// incremental [`ParetoAccumulator`], and the per-thread frontiers merge
+    /// at the end. An iterative workload repeats the stream until every
+    /// kept point's decode stall is simulated. The result is bit-identical
+    /// to [`Rago::optimize_serial`] — see the module docs.
     ///
     /// # Errors
     ///
@@ -312,6 +322,7 @@ impl Rago {
             ParetoAccumulator::new,
             ParetoAccumulator::push,
             ParetoAccumulator::merge,
+            |accumulator| accumulator.points().iter().collect(),
         )?;
         accumulator.cover(unscored);
         if accumulator.is_empty() {
@@ -359,15 +370,25 @@ impl Rago {
         }
     }
 
-    /// Algorithm 1 over every candidate of `options`, in three phases, once
-    /// the options and their placements are valid. First, profile the
-    /// grid once into a table. Second, simulate the distinct decode stalls
-    /// in parallel. Third, score the candidates across rayon workers against
-    /// the table, without a lock: each worker evaluates the pre-decode half
-    /// of each of its units' pre-decode choices once, and combines it with
+    /// Algorithm 1 over every candidate of `options`, once the options and
+    /// their placements are valid. First, profile the grid once into a
+    /// table. Then score the candidates across rayon workers against the
+    /// table, without a lock: each worker evaluates the pre-decode half of
+    /// each of its units' pre-decode choices once, and combines it with
     /// every [`DecodeChoices`] entry that fits the XPU budget beside it. It
     /// folds the feasible points into an accumulator from `init` with
     /// `push`, and `merge` joins the workers' accumulators.
+    ///
+    /// A Case III candidate whose decode stall the memo lacks scores
+    /// optimistically (see [`crate::profiler::TableReader`]). While any
+    /// point `kept` lists of the merged accumulator is such a candidate, the
+    /// stalls behind those points are simulated and the candidates scored
+    /// again, into fresh accumulators. An optimistic point has its true
+    /// TTFT and a QPS/chip no lower than its true one, so once every kept
+    /// point is exact no other candidate can beat one of them: the kept
+    /// points are those of the full simulation. The lookups are counted
+    /// for the last round only, which makes every lookup of a one-round
+    /// search.
     ///
     /// With `cut`, decode choices that another choice beats are not scored
     /// (see [`DecodeChoices::new`]); the second value returned counts the
@@ -380,29 +401,34 @@ impl Rago {
         init: impl Fn() -> A + Sync,
         push: impl Fn(&mut A, ParetoPoint) + Sync,
         merge: impl Fn(A, A) -> A,
+        kept: fn(&A) -> Vec<&ParetoPoint>,
     ) -> Result<(A, usize), RagoError> {
         let space = self.searched_space(options)?;
         let table = ProfileTable::fill(&self.profiler, &space);
-        table.simulate_stalls(Arc::clone(&space).candidates());
         let reader = table.reader();
         let decode = DecodeChoices::new(&space, &reader, cut);
-        let (accumulator, unscored, lookups) = space
-            .predecode_allocations()
-            .par_bridge()
-            .fold(
-                || (init(), 0, 0),
-                |(mut acc, unscored, lookups), unit| {
-                    let reader = table.reader();
-                    let cut = decode.score(&unit, &reader, |point| push(&mut acc, point));
-                    (acc, unscored + cut, lookups + reader.lookups())
-                },
-            )
-            .reduce(
-                || (init(), 0, 0),
-                |(a, x, m), (b, y, n)| (merge(a, b), x + y, m + n),
-            );
-        table.count_hits(reader.lookups() + lookups);
-        Ok((accumulator, unscored))
+        loop {
+            let (accumulator, unscored, lookups) = Arc::clone(&space)
+                .predecode_allocations()
+                .par_bridge()
+                .fold(
+                    || (init(), 0, Lookups::default()),
+                    |(mut acc, unscored, lookups), unit| {
+                        let reader = table.reader();
+                        let cut = decode.score(&unit, &reader, |point| push(&mut acc, point));
+                        (acc, unscored + cut, lookups + reader.lookups())
+                    },
+                )
+                .reduce(
+                    || (init(), 0, Lookups::default()),
+                    |(a, x, m), (b, y, n)| (merge(a, b), x + y, m + n),
+                );
+            let points = kept(&accumulator);
+            if !table.simulate_stalls(points.into_iter().map(|point| &point.schedule)) {
+                table.count_hits(reader.lookups() + lookups);
+                return Ok((accumulator, unscored));
+            }
+        }
     }
 
     /// Groups all evaluated points by (placement, allocation) and returns the
@@ -451,6 +477,7 @@ impl Rago {
                 }
                 merged
             },
+            |map| map.values().flat_map(|acc| acc.points()).collect(),
         )?;
 
         let mut out: Vec<(PlacementPlan, ResourceAllocation, ParetoFrontier)> = by_plan
@@ -1015,6 +1042,36 @@ mod tests {
         // `/16`.
         assert!(rank(16, 16) < rank(4, 16));
         assert!(rank(4, 1024) < rank(4, 16));
+    }
+
+    /// The benchmark's paper grid for Case III (8B, four retrievals): the
+    /// search simulates the stalls behind 7 of the 1,220 distinct inputs
+    /// its 9,760 feasible candidates reach, and still finds the frontier
+    /// that simulating every one finds.
+    #[test]
+    fn case3_paper_grid_simulates_only_the_stalls_the_frontier_needs() {
+        let options = SearchOptions {
+            xpu_steps: vec![1, 2, 4, 8, 16, 32, 64, 96, 128],
+            server_steps: vec![32, 64],
+            predecode_batch_steps: vec![1, 2, 4, 8, 16, 32, 64, 128],
+            decode_batch_steps: vec![64, 128, 256, 512, 1024],
+            iterative_batch_steps: vec![1, 4, 16, 64],
+            placements: None,
+        };
+        let case3 = || {
+            Rago::new(
+                presets::case3_iterative(LlmSize::B8, 4),
+                ClusterSpec::paper_default(),
+            )
+        };
+        let rago = case3();
+        let frontier = rago.optimize(&options).unwrap();
+        assert_eq!(frontier.evaluated_schedules, 9_760);
+        let (_, misses) = rago.profiler().decode_stall_stats();
+        assert_eq!(misses, 7);
+        let serial = case3();
+        assert_eq!(frontier, serial.optimize_serial(&options).unwrap());
+        assert_eq!(serial.profiler().decode_stall_stats().1, 1_220);
     }
 
     #[test]

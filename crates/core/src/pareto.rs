@@ -158,6 +158,11 @@ impl ParetoAccumulator {
         self.evaluated
     }
 
+    /// The non-dominated points held so far, by increasing TTFT.
+    pub(crate) fn points(&self) -> &[ParetoPoint] {
+        &self.entries
+    }
+
     /// Counts `candidates` feasible schedules the caller covered without
     /// pushing them, each beaten by a point it did push: they count towards
     /// `evaluated_schedules` but not `scored_schedules`.

@@ -18,17 +18,18 @@
 //! same time wait for one evaluation: with memoization on, the misses equal
 //! [`StageProfiler::cached_profiles`] whatever the thread count.
 //!
-//! Iterative workloads (Case III) also score every candidate with a
+//! Iterative workloads (Case III) also score candidates with a
 //! decode-stall simulation ([`iterative::simulate`], a decode-only run of
 //! the request-level replica engine), by far the most expensive part of
 //! an evaluation. [`StageProfiler::decode_stall`] memoizes it by its full
 //! input, an [`IterativeDecodeParams`] with each float keyed by bit
 //! pattern. Those inputs are the decode and iterative batches, the decode
-//! step latency and the iterative retrieval + re-prefix latency. The pre-decode batch is not among them, so every pre-decode
-//! step of the grid shares one simulation, and, as for profiles, each
-//! distinct input is simulated once however many threads ask for it.
-//! Its counters ([`StageProfiler::decode_stall_stats`]) are separate from
-//! the stage-profile ones ([`StageProfiler::memo_stats`]).
+//! step latency and the iterative retrieval + re-prefix latency. The
+//! pre-decode batch is not among them, so every pre-decode step of the
+//! grid shares one simulation, and, as for profiles, each distinct input
+//! is simulated once however many threads ask for it. Its counters
+//! ([`StageProfiler::decode_stall_stats`]) are separate from the
+//! stage-profile ones ([`StageProfiler::memo_stats`]).
 //!
 //! [`StageProfiler::with_memoization`] disables both caches, which exists
 //! solely to benchmark the unmemoized search.
@@ -44,25 +45,45 @@
 //! batches; prefix and retrieval, which iterative retrievals re-enter, the
 //! pre-decode and iterative batches; every other stage the pre-decode
 //! batches. Each profile is computed once, so after a cold search the memo
-//! misses equal [`StageProfiler::cached_profiles`]. For iterative
-//! workloads one serial pass over the candidates then reserves a
-//! decode-stall memo cell for each distinct input they reach, draws one
-//! [`TriggerTable`] per seed, decode length and retrieval count, sized
-//! for the largest decode batch among them, and workers simulate those
-//! inputs in parallel, each worker on different inputs and every one
-//! reading its trigger positions from the shared table instead of
-//! drawing them ([`iterative::simulate_with`], bit-identical to
-//! [`iterative::simulate`]); the results stay in the decode-stall memo.
-//! Scoring, one pre-decode allocation's candidates per work unit, reads the
-//! immutable table without a lock.
-//! Each worker tallies its lookups and the total is added to the memo
-//! hits once, at the end, less one per table entry: the fill's request for
-//! an entry stands in for its first lookup, so the counters add up to one
-//! request per lookup the search actually makes. The search looks a
-//! pre-decode half up once per pre-decode choice, and a decode half without
-//! iterative retrievals once per search, so it makes far fewer lookups than
-//! candidates querying the profiler one by one: the misses are the same,
-//! the hits fewer.
+//! misses equal [`StageProfiler::cached_profiles`]. Scoring, one
+//! pre-decode allocation's candidates per work unit, reads the immutable
+//! table without a lock.
+//!
+//! # Simulating only the stalls the frontier needs
+//!
+//! A feasible Case III candidate reaches one of far fewer distinct stall
+//! inputs than there are candidates, but most of those inputs still sit
+//! behind candidates that no frontier keeps. So the search does not
+//! simulate an input before scoring it. A table reader scores an input the
+//! memo already holds with its simulated result, and any other input with
+//! an optimistic one: the total time of
+//! [`IterativeDecodeParams::min_total_time_s`], a lower bound on the
+//! simulated one. Such a candidate has its true TTFT and a QPS/chip no
+//! lower than its true one. After each round over the candidates, every
+//! input behind a point the round kept that the memo lacks is simulated,
+//! as one parallel wave. Each worker takes different inputs, and every one
+//! reads its trigger positions from one [`TriggerTable`] per seed, decode
+//! length and retrieval count, drawn for the largest decode batch of the
+//! wave ([`iterative::simulate_with`], bit-identical to
+//! [`iterative::simulate`]). The search then walks the candidates again.
+//! Once no kept point is optimistic, no other candidate can beat one of
+//! them, so they are the frontier of the full simulation. The wave reads
+//! only the kept points, which the identity tie-break makes independent of
+//! the thread count, and so does the number of simulations: on the
+//! `bench_e2e` paper grid, 7 of the 1,220 inputs that its 9,760 feasible
+//! Case III candidates reach. With memoization off no input is held, and
+//! every feasible candidate simulates its own, as through the profiler.
+//!
+//! Each worker tallies its lookups, and the last round's total is added to
+//! the memo hits once, at the end, less one per table entry: the fill's
+//! request for an entry stands in for its first lookup, so the counters
+//! add up to one request per lookup a one-round search makes. The search
+//! looks a pre-decode half up once per pre-decode choice, and a decode
+//! half without iterative retrievals once per search, so it makes far
+//! fewer lookups than candidates querying the profiler one by one: the
+//! misses are the same, the hits fewer. A decode stall the last round
+//! reads from the memo counts as a decode-stall hit; an optimistic score
+//! counts as neither.
 
 use crate::error::RagoError;
 use crate::schedule::Schedule;
@@ -76,9 +97,9 @@ use rago_serving_sim::iterative::{
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -290,8 +311,10 @@ impl StageProfiler {
     /// [`iterative::simulate`]; a hit is answered from the cache, including a
     /// call that waited while another thread simulated the same input. Each
     /// distinct input is simulated once, so with memoization enabled the
-    /// misses count the distinct inputs seen. These counters are separate
-    /// from [`Self::memo_stats`], which counts stage profiles only.
+    /// misses count the distinct inputs simulated. The exhaustive search
+    /// simulates only the inputs behind the points it keeps (see the module
+    /// docs). These counters are separate from [`Self::memo_stats`], which
+    /// counts stage profiles only.
     pub fn decode_stall_stats(&self) -> (u64, u64) {
         (
             self.stall_hits.load(Ordering::Relaxed),
@@ -386,6 +409,15 @@ impl StageProfiler {
         }
         let cell = memo_cell(&self.stalls, stall_key(&params));
         memo_get(&cell, (&self.stall_hits, &self.stall_misses), simulate)
+    }
+
+    /// `params`' simulated decode-stall result, if the memo holds one.
+    fn simulated_stall(&self, params: &IterativeDecodeParams) -> Option<IterativeDecodeResult> {
+        self.stalls
+            .read()
+            .expect("memo cache poisoned")
+            .get(&stall_key(params))
+            .and_then(|cell| cell.get().copied())
     }
 
     fn profile_uncached(
@@ -665,47 +697,59 @@ impl<'p> ProfileTable<'p> {
     }
 
     /// A cost source for one candidate that counts the lookups the table
-    /// answers.
+    /// and the decode-stall memo answer.
     pub(crate) fn reader(&self) -> TableReader<'_> {
         TableReader {
             table: self,
-            lookups: Cell::new(0),
+            lookups: Cell::new(Lookups::default()),
         }
     }
 
-    /// Counts a search's `lookups` answered by the table as memo hits, once
-    /// the workers have tallied them. Filling the table asked the profiler
-    /// for each entry once, and that request stands in for the entry's first
-    /// lookup: the memo then counts one request per lookup the search made.
-    pub(crate) fn count_hits(&self, lookups: u64) {
+    /// Counts a search's `lookups` answered by the table and by the
+    /// decode-stall memo as memo hits, once the workers have tallied them.
+    /// Filling the table asked the profiler for each entry once, and that
+    /// request stands in for the entry's first lookup: the memo then counts
+    /// one request per lookup the search made.
+    pub(crate) fn count_hits(&self, lookups: Lookups) {
         let filled: usize = self
             .grids
             .iter()
             .flatten()
             .map(|grid| grid.profiles.len())
             .sum();
-        let hits = lookups.saturating_sub(filled as u64);
+        let hits = lookups.profiles.saturating_sub(filled as u64);
         self.profiler.memo_hits.fetch_add(hits, Ordering::Relaxed);
+        self.profiler
+            .stall_hits
+            .fetch_add(lookups.stalls, Ordering::Relaxed);
     }
 
-    /// Simulates, in parallel, every distinct decode-stall input that the
-    /// feasible `candidates` reach, so that scoring finds each one in the
-    /// decode-stall memo. Does nothing for workloads without iterative
-    /// retrievals or with memoization disabled.
-    pub(crate) fn simulate_stalls(&self, candidates: impl Iterator<Item = Schedule>) {
+    /// Simulates, in parallel, every decode-stall input behind the `kept`
+    /// schedules that the memo lacks, and returns whether there was one. A
+    /// reader scores such an input with an optimistic result instead (see
+    /// [`TableReader`]), so a kept schedule whose input is simulated here
+    /// may leave the frontier when the search walks again. Does nothing for
+    /// workloads without iterative retrievals or with memoization disabled,
+    /// whose readers never score optimistically.
+    pub(crate) fn simulate_stalls<'s>(&self, kept: impl Iterator<Item = &'s Schedule>) -> bool {
         if !self.profiler.memoize || !self.profiler.schema.is_iterative() {
-            return;
+            return false;
         }
-        let collector = StallInputs {
-            table: self,
-            fresh: RefCell::new(Vec::new()),
-        };
-        for schedule in candidates {
-            // Only the inputs reaching the simulator matter; an infeasible
-            // candidate fails before it.
-            let _ = schedule.evaluate_with(&collector);
+        let reader = self.reader();
+        let mut inputs: Vec<IterativeDecodeParams> = Vec::new();
+        for schedule in kept {
+            let Ok(Some(params)) = schedule.stall_input(&reader) else {
+                continue;
+            };
+            let fresh = self.profiler.simulated_stall(&params).is_none()
+                && !inputs.iter().any(|p| stall_key(p) == stall_key(&params));
+            if fresh {
+                inputs.push(params);
+            }
         }
-        let mut inputs = collector.fresh.into_inner();
+        if inputs.is_empty() {
+            return false;
+        }
         // Larger decode batches simulate for longer: start them first so
         // the workers run out of inputs at about the same time.
         inputs.sort_by_key(|p| Reverse(p.decode_batch));
@@ -738,19 +782,47 @@ impl<'p> ProfileTable<'p> {
                 },
             )
             .reduce(|| (), |(), ()| ());
+        true
+    }
+}
+
+/// Lookups a search answered without computing: stage profiles from a
+/// [`ProfileTable`], decode stalls from the memo.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Lookups {
+    profiles: u64,
+    stalls: u64,
+}
+
+impl std::ops::Add for Lookups {
+    type Output = Self;
+
+    fn add(self, other: Self) -> Self {
+        Self {
+            profiles: self.profiles + other.profiles,
+            stalls: self.stalls + other.stalls,
+        }
     }
 }
 
 /// One candidate's view of a [`ProfileTable`], counting the lookups the
-/// table answers.
+/// table and the decode-stall memo answer.
+///
+/// With memoization on, it never simulates a decode stall: an input the
+/// memo holds scores with its simulated result, and any other with an
+/// optimistic one, whose total time is
+/// [`IterativeDecodeParams::min_total_time_s`]. A candidate scored
+/// optimistically has its true TTFT and a QPS/chip no lower than its true
+/// one. With memoization off, every input is simulated, as through the
+/// profiler.
 pub(crate) struct TableReader<'t> {
     table: &'t ProfileTable<'t>,
-    lookups: Cell<u64>,
+    lookups: Cell<Lookups>,
 }
 
 impl TableReader<'_> {
-    /// Lookups the table answered.
-    pub(crate) fn lookups(&self) -> u64 {
+    /// Lookups the table and the memo answered.
+    pub(crate) fn lookups(&self) -> Lookups {
         self.lookups.get()
     }
 }
@@ -762,35 +834,41 @@ impl CostSource for TableReader<'_> {
 
     fn profile(&self, stage: Stage, resources: u32, batch: u32) -> Result<StagePerf, RagoError> {
         let (profile, hit) = self.table.lookup(stage, resources, batch);
-        self.lookups.set(self.lookups.get() + u64::from(hit));
+        let mut lookups = self.lookups.get();
+        lookups.profiles += u64::from(hit);
+        self.lookups.set(lookups);
         profile
-    }
-}
-
-/// A cost source over a [`ProfileTable`] whose decode-stall simulator only
-/// records its input: evaluating candidates against it reserves a memo
-/// cell for each input they reach and lists the inputs the memo lacked.
-struct StallInputs<'t> {
-    table: &'t ProfileTable<'t>,
-    fresh: RefCell<Vec<IterativeDecodeParams>>,
-}
-
-impl CostSource for StallInputs<'_> {
-    fn profiler(&self) -> &StageProfiler {
-        self.table.profiler
-    }
-
-    fn profile(&self, stage: Stage, resources: u32, batch: u32) -> Result<StagePerf, RagoError> {
-        self.table.lookup(stage, resources, batch).0
     }
 
     fn decode_stall(&self, params: IterativeDecodeParams) -> IterativeDecodeResult {
-        let mut stalls = self.profiler().stalls.write().expect("memo cache poisoned");
-        if let Entry::Vacant(cell) = stalls.entry(stall_key(&params)) {
-            cell.insert(Memo::default());
-            self.fresh.borrow_mut().push(params);
+        let profiler = self.table.profiler;
+        if !profiler.memoize {
+            return profiler.decode_stall(params);
         }
-        IterativeDecodeResult::default()
+        match profiler.simulated_stall(&params) {
+            Some(result) => {
+                let mut lookups = self.lookups.get();
+                lookups.stalls += 1;
+                self.lookups.set(lookups);
+                result
+            }
+            None => optimistic_stall(&params),
+        }
+    }
+}
+
+/// The result a [`TableReader`] scores an unsimulated decode stall with:
+/// no simulation finishes sooner, and no sequence decodes faster than one
+/// token per step.
+fn optimistic_stall(params: &IterativeDecodeParams) -> IterativeDecodeResult {
+    let total_time_s = params.min_total_time_s();
+    IterativeDecodeResult {
+        total_time_s,
+        tpot_mean_s: params.step_latency_s,
+        tpot_worst_s: params.step_latency_s,
+        normalized_decode_latency: total_time_s
+            / (f64::from(params.decode_len) * params.step_latency_s),
+        ..IterativeDecodeResult::default()
     }
 }
 

@@ -317,21 +317,33 @@ impl Schedule {
         &self,
         profiler: &StageProfiler,
     ) -> Result<Option<IterativeDecodeParams>, RagoError> {
+        self.stall_input(profiler)
+    }
+
+    /// [`Self::decode_stall_params`] against any cost source.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::decode_stall_params`].
+    pub(crate) fn stall_input(
+        &self,
+        costs: &impl CostSource,
+    ) -> Result<Option<IterativeDecodeParams>, RagoError> {
         self.validate()?;
-        if !profiler.schema().is_iterative() {
+        if !costs.profiler().schema().is_iterative() {
             return Ok(None);
         }
-        let retrieval = profiler.profile(
+        let retrieval = costs.profile(
             Stage::Retrieval,
             self.allocation.retrieval_servers,
             self.iterative_batch(),
         )?;
-        let decode = profiler.profile(
+        let decode = costs.profile(
             Stage::Decode,
             self.allocation.decode_xpus,
             self.batching.decode_batch,
         )?;
-        self.stall_params(profiler, &decode, retrieval.latency_s)
+        self.stall_params(costs, &decode, retrieval.latency_s)
             .map(Some)
     }
 

@@ -6,8 +6,15 @@
 //! the same against [`rago_vectordb::ProductQuantizer::scan`]: measure how
 //! many bytes of PQ codes one thread scans per second, and produce a
 //! [`CpuServerSpec`] with that measured constant. Our scalar Rust scanner is
-//! slower than ScaNN's SIMD kernels, which only shifts absolute retrieval
-//! latencies — the bottleneck *structure* studied in the paper is preserved.
+//! far slower than ScaNN's SIMD kernels, and the difference does not only
+//! shift absolute retrieval latencies: it can move the bottleneck. One
+//! calibration read 0.30 GB/s per core. At that rate, with
+//! `SearchOptions::paper_default()` on `ClusterSpec::paper_default()`,
+//! Case III 8B (4 retrievals) falls from 1.519 to 0.274 QPS/chip, and
+//! retrieval becomes its bottleneck; Case I 8B's least TTFT rises from
+//! 22.4 to 694.6 ms. The presets therefore keep the paper's constant, and
+//! a calibrated spec answers a different question: how this scanner's
+//! deployment would perform.
 
 use rago_hardware::CpuServerSpec;
 use rago_vectordb::{ProductQuantizer, SyntheticDataset};

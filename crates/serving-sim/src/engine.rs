@@ -90,7 +90,7 @@ use std::sync::Arc;
 /// Tolerance used when comparing event timestamps: events this close
 /// apply together, so a retrieval returning at a step boundary resumes
 /// before the next step forms.
-const TIME_EPS: f64 = 1e-12;
+pub(crate) const TIME_EPS: f64 = 1e-12;
 
 /// A latency model as a table indexed by batch fill (1-based), saturating at
 /// the largest entry.

@@ -29,7 +29,7 @@
 
 use crate::engine::{
     sample_positions, DecodeSpec, EngineRequest, IterativeSpec, LatencyTable, PipelineSpec,
-    ReplicaSim,
+    ReplicaSim, TIME_EPS,
 };
 use crate::sink::{MetricsMode, RunSink, StreamingConfig};
 use rago_schema::HistogramSpec;
@@ -59,6 +59,53 @@ pub struct IterativeDecodeParams {
     pub retrieval_prefix_latency_s: f64,
     /// RNG seed controlling the retrieval trigger positions.
     pub seed: u64,
+}
+
+impl IterativeDecodeParams {
+    /// A lower bound on the [`IterativeDecodeResult::total_time_s`] of
+    /// simulating these parameters, computed without simulating.
+    ///
+    /// Every sequence decodes `decode_len` steps of the constant step
+    /// latency, and pauses at each of its `r′ = min(retrievals,
+    /// decode_len − 1)` distinct trigger positions until its retrieval +
+    /// re-prefix pass returns, which takes at least the pass latency `L`
+    /// after it pauses. So the last sequence finishes no earlier than
+    /// `decode_len · step + r′ · L`. When `L` is within the engine's event
+    /// tolerance the pass resumes its sequences inline and the pauses may
+    /// take no time, so they count as zero. The bound is lowered by a slack
+    /// covering float summation and that tolerance, and is never negative.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rago_serving_sim::iterative::{simulate, IterativeDecodeParams};
+    ///
+    /// let params = IterativeDecodeParams {
+    ///     decode_batch: 16,
+    ///     iterative_batch: 4,
+    ///     decode_len: 64,
+    ///     retrievals_per_sequence: 3,
+    ///     step_latency_s: 1e-3,
+    ///     retrieval_prefix_latency_s: 0.01,
+    ///     seed: 3,
+    /// };
+    /// let bound = params.min_total_time_s();
+    /// assert!(bound > 64.0 * 1e-3 + 3.0 * 0.01 - 1e-9);
+    /// assert!(simulate(params).total_time_s >= bound);
+    /// ```
+    pub fn min_total_time_s(&self) -> f64 {
+        let pauses = self
+            .retrievals_per_sequence
+            .min(self.decode_len.saturating_sub(1));
+        let pause_s = if self.retrieval_prefix_latency_s <= TIME_EPS {
+            0.0
+        } else {
+            self.retrieval_prefix_latency_s
+        };
+        let bound = f64::from(self.decode_len) * self.step_latency_s + f64::from(pauses) * pause_s;
+        let slack = bound * 1e-9 + (f64::from(self.decode_len) + f64::from(pauses)) * TIME_EPS;
+        (bound - slack).max(0.0)
+    }
 }
 
 /// Result of an iterative-decode simulation.

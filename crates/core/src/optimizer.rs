@@ -386,9 +386,9 @@ impl Rago {
     /// again, into fresh accumulators. An optimistic point has its true
     /// TTFT and a QPS/chip no lower than its true one, so once every kept
     /// point is exact no other candidate can beat one of them: the kept
-    /// points are those of the full simulation. The lookups are counted
-    /// for the last round only, which makes every lookup of a one-round
-    /// search.
+    /// points are those of the full simulation. Only the last round's
+    /// lookups are counted: it makes every lookup a one-round search
+    /// would.
     ///
     /// With `cut`, decode choices that another choice beats are not scored
     /// (see [`DecodeChoices::new`]); the second value returned counts the

@@ -192,7 +192,7 @@ fn case3_section(runs: usize) -> String {
         frontier.scored_schedules,
         frontier.len(),
         unmemoized_seconds / memoized_seconds,
-        iterative_sims == distinct_inputs - skipped,
+        distinct_inputs.checked_sub(skipped) == Some(iterative_sims),
         iterative_sims < distinct_inputs,
     )
 }

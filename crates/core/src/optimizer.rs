@@ -58,11 +58,14 @@
 //!    threads. A worker evaluates each pre-decode choice's half once
 //!    against the table, with no lock and no shared counter per lookup,
 //!    and combines it with each listed decode choice that fits the XPU
-//!    budget; Case III evaluates the decode half, stall included, per
-//!    candidate. It folds the points into a thread-local incremental
-//!    [`ParetoAccumulator`] (online dominance pruning). The per-thread
-//!    frontiers merge at the end, and the workers' lookup tallies are added
-//!    to the profiler's memo hits once. Peak candidate storage is
+//!    budget; Case III evaluates the decode half, stall included, once per
+//!    server count and decode choice, for all of the unit's pre-decode
+//!    batches, since it never reads the pre-decode batch. It offers each
+//!    point, its schedule borrowed, to a thread-local incremental
+//!    [`ParetoAccumulator`] (online dominance pruning), which clones the
+//!    schedule only if the point survives. The per-thread frontiers merge
+//!    at the end, and the workers' lookup tallies are added to the
+//!    profiler's memo hits once. Peak candidate storage is
 //!    O(frontier + threads), never O(grid).
 //! 3. **Refine the optimistic points (iterative workloads).** Case III
 //!    scores each candidate with a decode-stall simulation, and only a
@@ -81,8 +84,10 @@
 //!    the 1,220 inputs, in 4 rounds.
 //!
 //! With memoization disabled ([`Rago::with_memoization`]) the table stays
-//! empty, every lookup goes straight to the profiler, and every feasible
-//! Case III candidate simulates its own stall in one round.
+//! empty, every lookup goes straight to the profiler, and every Case III
+//! decode half the search evaluates simulates its own stall in one round:
+//! one per unit, server count and decode choice with a feasible pre-decode
+//! batch, where the serial reference simulates one per feasible candidate.
 //!
 //! The parallel path is frontier-identical to the serial reference
 //! ([`Rago::optimize_serial`]), which evaluates every candidate in full,
@@ -90,12 +95,14 @@
 //! same two halves and the same combining step, so a candidate's
 //! performance is the same float operations in the same order. Performance
 //! ties between schedules are broken by the schedule's identity key
-//! ([`crate::Schedule::identity_key`]), making the result independent of
-//! thread scheduling and of the order candidates arrive in. This is covered
-//! by the `streaming_matches_serial_reference` tests in
+//! ([`crate::Schedule::identity_key`], compared without building a string),
+//! making the result independent of thread scheduling and of the order
+//! candidates arrive in. This is covered by the
+//! `streaming_matches_serial_reference` tests in
 //! `tests/determinism.rs` and by the property in `tests/proptest_search.rs`.
 
 use crate::error::RagoError;
+use crate::metrics::RagPerformance;
 use crate::pareto::{ParetoAccumulator, ParetoFrontier, ParetoPoint};
 use crate::placement::PlacementPlan;
 use crate::profiler::{CostSource, Lookups, ProfileTable, StageProfiler};
@@ -320,7 +327,7 @@ impl Rago {
             options,
             true,
             ParetoAccumulator::new,
-            ParetoAccumulator::push,
+            ParetoAccumulator::offer,
             ParetoAccumulator::merge,
             |accumulator| accumulator.points().iter().collect(),
         )?;
@@ -376,8 +383,9 @@ impl Rago {
     /// table, without a lock: each worker evaluates the pre-decode half of
     /// each of its units' pre-decode choices once, and combines it with
     /// every [`DecodeChoices`] entry that fits the XPU budget beside it. It
-    /// folds the feasible points into an accumulator from `init` with
-    /// `push`, and `merge` joins the workers' accumulators.
+    /// folds each feasible point into an accumulator from `init` with
+    /// `push`, which gets the schedule borrowed (the walk reuses it for the
+    /// next candidate), and `merge` joins the workers' accumulators.
     ///
     /// A Case III candidate whose decode stall the memo lacks scores
     /// optimistically (see [`crate::profiler::TableReader`]). While any
@@ -399,7 +407,7 @@ impl Rago {
         options: &SearchOptions,
         cut: bool,
         init: impl Fn() -> A + Sync,
-        push: impl Fn(&mut A, ParetoPoint) + Sync,
+        push: impl Fn(&mut A, &Schedule, RagPerformance) + Sync,
         merge: impl Fn(A, A) -> A,
         kept: fn(&A) -> Vec<&ParetoPoint>,
     ) -> Result<(A, usize), RagoError> {
@@ -415,7 +423,9 @@ impl Rago {
                     || (init(), 0, Lookups::default()),
                     |(mut acc, unscored, lookups), unit| {
                         let reader = table.reader();
-                        let cut = decode.score(&unit, &reader, |point| push(&mut acc, point));
+                        let cut = decode.score(&unit, &reader, |schedule, performance| {
+                            push(&mut acc, schedule, performance)
+                        });
                         (acc, unscored + cut, lookups + reader.lookups())
                     },
                 )
@@ -455,13 +465,10 @@ impl Rago {
             options,
             false,
             HashMap::new,
-            |map: &mut HashMap<PlanKey, ParetoAccumulator>, point| {
-                map.entry((
-                    point.schedule.placement.clone(),
-                    point.schedule.allocation.clone(),
-                ))
-                .or_default()
-                .push(point)
+            |map: &mut HashMap<PlanKey, ParetoAccumulator>, schedule, performance| {
+                map.entry((schedule.placement.clone(), schedule.allocation.clone()))
+                    .or_default()
+                    .offer(schedule, performance)
             },
             |mut merged, map| {
                 for (key, acc) in map {
@@ -537,7 +544,10 @@ impl Rago {
 struct DecodeChoice {
     setting: DecodeSetting,
     /// `None` for workloads with iterative retrievals, whose decode side
-    /// also reads the pre-decode choice: it is evaluated per candidate.
+    /// also reads the retrieval servers and the prefix group's chips: it is
+    /// evaluated once per unit, server count and decode choice, and shared
+    /// by every pre-decode batch. It never reads the pre-decode batch,
+    /// since an iterative space sets every iterative batch.
     rates: Option<DecodeRates>,
 }
 
@@ -608,15 +618,18 @@ impl DecodeChoices {
         out
     }
 
-    /// Scores `unit`'s candidates: the pre-decode half of each of its
-    /// pre-decode choices once, then, unless it is infeasible, every listed
-    /// decode choice that fits the XPU budget beside it. Returns how many
-    /// feasible candidates the cut covered without scoring.
+    /// Scores `unit`'s candidates, one server count at a time: the
+    /// pre-decode half of each of its pre-decode batches once, then, unless
+    /// all of them are infeasible, every listed decode choice that fits the
+    /// XPU budget, its decode half (when [`DecodeChoice::rates`] does not
+    /// hold it) once for all of those batches. `push` gets each scored
+    /// candidate as a borrowed schedule. Returns how many feasible
+    /// candidates the cut covered without scoring.
     fn score(
         &self,
         unit: &PredecodeAllocation,
         costs: &impl CostSource,
-        mut push: impl FnMut(ParetoPoint),
+        mut push: impl FnMut(&Schedule, RagPerformance),
     ) -> usize {
         let room = unit.decode_room().unwrap_or(0);
         if !self.scored.iter().any(|choice| choice.setting.xpus <= room) {
@@ -624,10 +637,18 @@ impl DecodeChoices {
         }
         let cut = self.cut_xpus.iter().filter(|&&xpus| xpus <= room).count();
         let mut unscored = 0;
-        for mut schedule in unit.predecode_choices() {
-            let Ok(predecode) = schedule.predecode_rates(costs) else {
+        let mut predecode = Vec::with_capacity(unit.predecode_batches().len());
+        for mut schedule in unit.server_choices() {
+            predecode.clear();
+            for &batch in unit.predecode_batches() {
+                schedule.batching.predecode_batch = batch;
+                if let Ok(rates) = schedule.predecode_rates(costs) {
+                    predecode.push((batch, rates));
+                }
+            }
+            if predecode.is_empty() {
                 continue;
-            };
+            }
             for choice in self.scored.iter().filter(|c| c.setting.xpus <= room) {
                 choice.setting.apply(&mut schedule);
                 let rates = match choice.rates {
@@ -637,13 +658,15 @@ impl DecodeChoices {
                         Err(_) => continue,
                     },
                 };
-                let performance = schedule.combine(costs.profiler(), predecode, rates);
-                push(ParetoPoint {
-                    schedule: schedule.clone(),
-                    performance,
-                });
+                for &(batch, predecode) in &predecode {
+                    schedule.batching.predecode_batch = batch;
+                    push(
+                        &schedule,
+                        schedule.combine(costs.profiler(), predecode, rates),
+                    );
+                }
             }
-            unscored += cut;
+            unscored += cut * predecode.len();
         }
         unscored
     }
@@ -1072,6 +1095,37 @@ mod tests {
         let serial = case3();
         assert_eq!(frontier, serial.optimize_serial(&options).unwrap());
         assert_eq!(serial.profiler().decode_stall_stats().1, 1_220);
+    }
+
+    /// The search evaluates a Case III decode side once for all of a
+    /// server count's pre-decode batches; the rates it shares are the ones
+    /// each candidate computes alone.
+    #[test]
+    fn case3_decode_rates_are_the_same_at_every_predecode_batch() {
+        let rago = Rago::new(
+            presets::case3_iterative(LlmSize::B8, 4),
+            ClusterSpec::paper_default(),
+        );
+        let profiler = rago.profiler();
+        let options = SearchOptions {
+            predecode_batch_steps: SearchOptions::paper_default().predecode_batch_steps,
+            ..SearchOptions::fast()
+        };
+        let bits = |rates: DecodeRates| (rates.tpot_s.to_bits(), rates.decode_qps.to_bits());
+        let mut checked = 0;
+        for schedule in rago.schedule_iter(&options) {
+            let Ok(rates) = schedule.decode_rates(profiler) else {
+                continue;
+            };
+            for &batch in &options.predecode_batch_steps {
+                let mut other = schedule.clone();
+                other.batching.predecode_batch = batch;
+                let again = other.decode_rates(profiler).expect("feasible at one batch");
+                assert_eq!(bits(again), bits(rates), "{schedule} at batch {batch}");
+            }
+            checked += 1;
+        }
+        assert_eq!(checked, 288);
     }
 
     #[test]

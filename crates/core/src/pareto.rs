@@ -12,13 +12,21 @@
 //!
 //! Ties (two schedules with bit-identical TTFT *and* QPS/chip) are broken by
 //! the schedule's own identity ([`Schedule::identity_key`]) — the
-//! lexicographically smallest schedule wins. The result therefore depends
-//! only on the *set* of evaluated points: not on thread interleaving, not on
-//! insertion order, and not on any enumeration index.
+//! lexicographically smallest schedule wins. Both paths compare the keys
+//! through one reusable pair of buffers (`IdentityOrder`), never a `String`
+//! per comparison. The result therefore depends only on the *set* of
+//! evaluated points: not on thread interleaving, not on insertion order, and
+//! not on any enumeration index.
+//!
+//! The search offers the accumulator a borrowed schedule
+//! (`ParetoAccumulator::offer`); the accumulator clones it only when the
+//! point survives, so a candidate beaten on arrival costs no allocation.
 
 use crate::metrics::RagPerformance;
-use crate::schedule::Schedule;
+use crate::schedule::{IdentityOrder, Schedule};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 
 /// One point of the performance Pareto frontier: a schedule and the
 /// performance it achieves.
@@ -64,6 +72,7 @@ impl ParetoFrontier {
         // performance ties by schedule identity so a single sweep keeps
         // exactly the non-dominated points and the survivor of a tie does
         // not depend on input order.
+        let mut identity = IdentityOrder::default();
         candidates.sort_by(|a, b| {
             a.performance
                 .ttft_s
@@ -73,7 +82,7 @@ impl ParetoFrontier {
                         .qps_per_chip
                         .total_cmp(&a.performance.qps_per_chip),
                 )
-                .then_with(|| a.schedule.identity_key().cmp(&b.schedule.identity_key()))
+                .then_with(|| identity.cmp(&a.schedule, &b.schedule))
         });
         let mut points: Vec<ParetoPoint> = Vec::new();
         let mut best_qps = f64::NEG_INFINITY;
@@ -135,6 +144,8 @@ pub struct ParetoAccumulator {
     evaluated: usize,
     /// Number of points pushed (the `scored_schedules` of the result).
     scored: usize,
+    /// The buffers exact ties compare identity keys in.
+    identity: IdentityOrder,
 }
 
 impl ParetoAccumulator {
@@ -176,7 +187,15 @@ impl ParetoAccumulator {
     pub fn push(&mut self, point: ParetoPoint) {
         self.evaluated += 1;
         self.scored += 1;
-        self.insert(point);
+        self.insert(Cow::Owned(point.schedule), point.performance);
+    }
+
+    /// [`Self::push`] of a borrowed schedule, cloned only if the point
+    /// survives.
+    pub(crate) fn offer(&mut self, schedule: &Schedule, performance: RagPerformance) {
+        self.evaluated += 1;
+        self.scored += 1;
+        self.insert(Cow::Borrowed(schedule), performance);
     }
 
     /// Merges two accumulators (associative and — thanks to the identity
@@ -185,7 +204,7 @@ impl ParetoAccumulator {
         self.evaluated += other.evaluated;
         self.scored += other.scored;
         for point in other.entries {
-            self.insert(point);
+            self.insert(Cow::Owned(point.schedule), point.performance);
         }
         self
     }
@@ -199,11 +218,12 @@ impl ParetoAccumulator {
         }
     }
 
-    fn insert(&mut self, point: ParetoPoint) {
-        use std::cmp::Ordering;
-
-        let ttft = point.performance.ttft_s;
-        let qps = point.performance.qps_per_chip;
+    /// The one insert routine behind [`Self::push`], [`Self::offer`] and
+    /// [`Self::merge`]: a borrowed schedule is cloned only when the point
+    /// is kept.
+    fn insert(&mut self, schedule: Cow<'_, Schedule>, performance: RagPerformance) {
+        let ttft = performance.ttft_s;
+        let qps = performance.qps_per_chip;
         // First entry whose TTFT is not below the candidate's.
         let pos = self
             .entries
@@ -222,15 +242,17 @@ impl ParetoAccumulator {
         }
 
         // An entry with exactly the candidate's TTFT: resolve by QPS/chip,
-        // then by schedule identity (keys are computed lazily — exact ties
-        // are the rare case).
+        // then by schedule identity (keys are written only for exact ties).
         if let Some(existing) = self.entries.get_mut(pos) {
             if existing.performance.ttft_s.total_cmp(&ttft) == Ordering::Equal {
                 match existing.performance.qps_per_chip.total_cmp(&qps) {
                     Ordering::Greater => return,
                     Ordering::Equal => {
-                        if point.schedule.identity_key() < existing.schedule.identity_key() {
-                            *existing = point;
+                        if self.identity.cmp(&schedule, &existing.schedule) == Ordering::Less {
+                            *existing = ParetoPoint {
+                                schedule: schedule.into_owned(),
+                                performance,
+                            };
                         }
                         return;
                     }
@@ -245,6 +267,10 @@ impl ParetoAccumulator {
             + self.entries[pos..].partition_point(|e| {
                 e.performance.qps_per_chip.total_cmp(&qps) != Ordering::Greater
             });
+        let point = ParetoPoint {
+            schedule: schedule.into_owned(),
+            performance,
+        };
         self.entries.splice(pos..end, std::iter::once(point));
     }
 }
@@ -253,6 +279,10 @@ impl ParetoAccumulator {
 mod tests {
     use super::*;
     use crate::schedule::Schedule;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
 
     fn point(ttft: f64, qpc: f64) -> ParetoPoint {
         ParetoPoint {
@@ -389,6 +419,66 @@ mod tests {
         assert_eq!(frontier.len(), 1);
         assert!((frontier.points[0].performance.qps_per_chip - 2.0).abs() < 1e-12);
         assert_eq!(frontier.evaluated_schedules, 3);
+    }
+
+    /// The frontier, `evaluated_schedules` and `scored_schedules` of an
+    /// accumulator.
+    fn parts(acc: ParetoAccumulator) -> (Vec<ParetoPoint>, usize, usize) {
+        let frontier = acc.into_frontier();
+        (
+            frontier.points,
+            frontier.evaluated_schedules,
+            frontier.scored_schedules,
+        )
+    }
+
+    fn pushed(points: &[ParetoPoint]) -> ParetoAccumulator {
+        let mut acc = ParetoAccumulator::new();
+        for p in points {
+            acc.push(p.clone());
+        }
+        acc
+    }
+
+    fn offered(points: &[ParetoPoint]) -> ParetoAccumulator {
+        let mut acc = ParetoAccumulator::new();
+        for p in points {
+            acc.offer(&p.schedule, p.performance);
+        }
+        acc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// On a coarse grid that makes exact ties common, with decode XPUs
+        /// of one to three digits (repeats make identical schedules too).
+        #[test]
+        fn offered_points_accumulate_as_pushed_clones(
+            grid in prop::collection::vec((0u32..6, 0u32..6, 0u32..40), 0..80),
+            split_at in 0usize..80,
+            cover in 0usize..5,
+            shuffle_seed in any::<u64>(),
+        ) {
+            let points: Vec<ParetoPoint> = grid
+                .iter()
+                .map(|&(t, q, id)| point_on(1 + 3 * id, 0.01 * f64::from(t), 0.5 * f64::from(q)))
+                .collect();
+            let mut shuffled = points.clone();
+            shuffled.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
+            for stream in [&points, &shuffled] {
+                let whole = parts(pushed(stream));
+                prop_assert_eq!(&parts(offered(stream)), &whole);
+                let (left, right) = stream.split_at(split_at.min(stream.len()));
+                prop_assert_eq!(&parts(offered(left).merge(offered(right))), &whole);
+                prop_assert_eq!(&parts(offered(right).merge(pushed(left))), &whole);
+                prop_assert_eq!(&parts(pushed(left).merge(offered(right))), &whole);
+                let (mut a, mut b) = (pushed(stream), offered(stream));
+                a.cover(cover);
+                b.cover(cover);
+                prop_assert_eq!(parts(a), parts(b));
+            }
+        }
     }
 
     #[test]

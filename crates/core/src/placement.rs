@@ -9,6 +9,7 @@
 use crate::error::RagoError;
 use rago_schema::{RagSchema, Stage};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// A task placement plan: contiguous groups of collocated pre-decode XPU
 /// stages (in pipeline order). The decode stage always forms its own
@@ -125,19 +126,31 @@ impl PlacementPlan {
             .position(|g| g.contains(&stage))
     }
 
-    /// A short human-readable description, e.g. `"[rewrite-prefix+rewrite-decode][rerank+prefix]"`.
+    /// A short human-readable description, e.g. `"[rewrite-prefix+rewrite-decode][rerank+prefix]"`:
+    /// the plan's [`Display`](fmt::Display) text.
     pub fn describe(&self) -> String {
+        self.to_string()
+    }
+}
+
+impl fmt::Display for PlacementPlan {
+    /// Each group's stages joined by `+` in brackets, or `[prefix-only]`
+    /// for a plan without groups.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.predecode_groups.is_empty() {
-            return "[prefix-only]".to_string();
+            return f.write_str("[prefix-only]");
         }
-        self.predecode_groups
-            .iter()
-            .map(|g| {
-                let names: Vec<&str> = g.iter().map(|s| s.short_name()).collect();
-                format!("[{}]", names.join("+"))
-            })
-            .collect::<Vec<_>>()
-            .join("")
+        for group in &self.predecode_groups {
+            f.write_str("[")?;
+            for (i, stage) in group.iter().enumerate() {
+                if i > 0 {
+                    f.write_str("+")?;
+                }
+                f.write_str(stage.short_name())?;
+            }
+            f.write_str("]")?;
+        }
+        Ok(())
     }
 }
 

@@ -72,14 +72,17 @@
 //! the thread count, and so does the number of simulations: on the
 //! `bench_e2e` paper grid, 7 of the 1,220 inputs that its 9,760 feasible
 //! Case III candidates reach. With memoization off no input is held, and
-//! every feasible candidate simulates its own, as through the profiler.
+//! every decode half the search evaluates simulates its own, as through the
+//! profiler: one per pre-decode allocation, server count and decode choice,
+//! shared by all of its pre-decode batches.
 //!
 //! Each worker tallies its lookups, and the last round's total is added to
 //! the memo hits once, at the end, less one per table entry: the fill's
 //! request for an entry stands in for its first lookup, so the counters
 //! add up to one request per lookup a one-round search makes. The search
-//! looks a pre-decode half up once per pre-decode choice, and a decode
-//! half without iterative retrievals once per search, so it makes far
+//! looks a pre-decode half up once per pre-decode choice, a decode half
+//! without iterative retrievals once per search, and one with them once per
+//! pre-decode allocation, server count and decode choice, so it makes far
 //! fewer lookups than candidates querying the profiler one by one: the
 //! misses are the same, the hits fewer. A decode stall the last round
 //! reads from the memo counts as a decode-stall hit; an optimistic score

@@ -8,6 +8,8 @@ use crate::profiler::{CostSource, StagePerf, StageProfiler};
 use rago_schema::Stage;
 use rago_serving_sim::iterative::IterativeDecodeParams;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+use std::fmt::{self, Write as _};
 
 /// Resource allocation of one schedule (§6.1 \[II\]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -412,32 +414,63 @@ impl Schedule {
 
     /// A stable identity key: two schedules produce equal keys exactly when
     /// they encode the same scheduling decision. Used to break exact
-    /// performance ties deterministically in [`crate::pareto`] and to
-    /// deduplicate sampled candidates in [`crate::search`] — unlike an
-    /// enumeration index, the key exists for every schedule regardless of
-    /// where (or whether) it appears in an enumeration order.
+    /// performance ties deterministically in [`crate::pareto`] (through
+    /// `IdentityOrder`, which compares the same text without allocating)
+    /// — unlike an enumeration index, the key exists for every schedule
+    /// regardless of where (or whether) it appears in an enumeration order.
     pub fn identity_key(&self) -> String {
-        // `describe` prints every axis of the decision (placement groups are
-        // bracket-delimited, all allocations and batch sizes appear
-        // verbatim), so it is injective over any one workload's space.
-        self.describe()
+        // The `Display` text prints every axis of the decision (placement
+        // groups are bracket-delimited, all allocations and batch sizes
+        // appear verbatim), so it is injective over any one workload's
+        // space.
+        self.to_string()
     }
 
-    /// A one-line description of the schedule for reports.
+    /// A one-line description of the schedule for reports: its
+    /// [`Display`](fmt::Display) text, the same as [`Self::identity_key`].
     pub fn describe(&self) -> String {
-        format!(
-            "{} xpus={:?}+{}dec servers={} batch={}/{}{}",
-            self.placement.describe(),
+        self.to_string()
+    }
+}
+
+impl fmt::Display for Schedule {
+    /// The one writer of a schedule's text, e.g.
+    /// `[prefix] xpus=[8]+16dec servers=32 batch=8/64/iter16`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} xpus={:?}+{}dec servers={} batch={}/{}",
+            self.placement,
             self.allocation.group_xpus,
             self.allocation.decode_xpus,
             self.allocation.retrieval_servers,
             self.batching.predecode_batch,
             self.batching.decode_batch,
-            self.batching
-                .iterative_batch
-                .map(|b| format!("/iter{b}"))
-                .unwrap_or_default()
-        )
+        )?;
+        match self.batching.iterative_batch {
+            Some(batch) => write!(f, "/iter{batch}"),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The [`Schedule::identity_key`] order without a `String` per comparison:
+/// both keys are written into buffers kept from one comparison to the
+/// next, so once they have grown a comparison allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct IdentityOrder {
+    left: String,
+    right: String,
+}
+
+impl IdentityOrder {
+    /// `a.identity_key().cmp(&b.identity_key())`.
+    pub(crate) fn cmp(&mut self, a: &Schedule, b: &Schedule) -> Ordering {
+        for (buffer, schedule) in [(&mut self.left, a), (&mut self.right, b)] {
+            buffer.clear();
+            write!(buffer, "{schedule}").expect("writing to a String cannot fail");
+        }
+        self.left.cmp(&self.right)
     }
 }
 
@@ -445,6 +478,7 @@ impl Schedule {
 mod tests {
     use super::*;
     use crate::profiler::StageProfiler;
+    use proptest::prelude::*;
     use rago_hardware::ClusterSpec;
     use rago_schema::presets::{self, LlmSize};
 
@@ -643,6 +677,155 @@ mod tests {
             prefix_only.evaluate(&profiler),
             Err(RagoError::InvalidConfig { .. })
         ));
+    }
+
+    /// One- to four-digit steps, so drawn keys compare `16dec` with `4dec`
+    /// and `/1024` with `/16`.
+    const STEPS: [u32; 8] = [1, 2, 4, 8, 16, 64, 128, 1024];
+    const STAGES: [Stage; 5] = [
+        Stage::DatabaseEncode,
+        Stage::RewritePrefix,
+        Stage::RewriteDecode,
+        Stage::Rerank,
+        Stage::Prefix,
+    ];
+
+    /// A schedule from drawn indices: each group is (first stage, stage
+    /// count, XPU step); `iterative` 8 is `None`.
+    fn drawn(
+        groups: &[(usize, usize, usize)],
+        (servers, decode_xpus, predecode_batch, decode_batch): (usize, usize, usize, usize),
+        iterative: usize,
+    ) -> Schedule {
+        Schedule {
+            placement: PlacementPlan {
+                predecode_groups: groups
+                    .iter()
+                    .map(|&(first, len, _)| STAGES[first..(first + len).min(STAGES.len())].to_vec())
+                    .collect(),
+            },
+            allocation: ResourceAllocation {
+                group_xpus: groups.iter().map(|&(_, _, xpus)| STEPS[xpus]).collect(),
+                decode_xpus: STEPS[decode_xpus],
+                retrieval_servers: STEPS[servers],
+            },
+            batching: BatchingPolicy {
+                predecode_batch: STEPS[predecode_batch],
+                decode_batch: STEPS[decode_batch],
+                iterative_batch: STEPS.get(iterative).copied(),
+            },
+        }
+    }
+
+    /// `schedule` with one axis moved to the drawn step (the last group
+    /// dropped for axis 6), so the two keys share a long prefix.
+    fn mutated(schedule: &Schedule, (axis, step): (usize, usize)) -> Schedule {
+        let mut out = schedule.clone();
+        let value = STEPS[step % STEPS.len()];
+        match axis {
+            0 => {
+                if let Some(last) = out.allocation.group_xpus.last_mut() {
+                    *last = value;
+                }
+            }
+            1 => out.allocation.decode_xpus = value,
+            2 => out.allocation.retrieval_servers = value,
+            3 => out.batching.predecode_batch = value,
+            4 => out.batching.decode_batch = value,
+            5 => out.batching.iterative_batch = STEPS.get(step).copied(),
+            _ => {
+                out.placement.predecode_groups.pop();
+                out.allocation.group_xpus.pop();
+            }
+        }
+        out
+    }
+
+    /// The key text as it was first written, one `format!` and `join` at a
+    /// time: the writer behind the keys must keep producing it.
+    fn reference_key(s: &Schedule) -> String {
+        let placement = if s.placement.predecode_groups.is_empty() {
+            "[prefix-only]".to_string()
+        } else {
+            s.placement
+                .predecode_groups
+                .iter()
+                .map(|g| {
+                    let names: Vec<&str> = g.iter().map(|s| s.short_name()).collect();
+                    format!("[{}]", names.join("+"))
+                })
+                .collect::<Vec<_>>()
+                .join("")
+        };
+        format!(
+            "{} xpus={:?}+{}dec servers={} batch={}/{}{}",
+            placement,
+            s.allocation.group_xpus,
+            s.allocation.decode_xpus,
+            s.allocation.retrieval_servers,
+            s.batching.predecode_batch,
+            s.batching.decode_batch,
+            s.batching
+                .iterative_batch
+                .map(|b| format!("/iter{b}"))
+                .unwrap_or_default()
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn identity_order_is_the_identity_key_order(
+            groups in prop::collection::vec((0usize..5, 1usize..3, 0usize..8), 0..5),
+            fields in (0usize..8, 0usize..8, 0usize..8, 0usize..8),
+            iterative in 0usize..9,
+            mutation in (0usize..7, 0usize..9),
+            other_groups in prop::collection::vec((0usize..5, 1usize..3, 0usize..8), 0..5),
+            other_fields in (0usize..8, 0usize..8, 0usize..8, 0usize..8),
+            other_iterative in 0usize..9,
+        ) {
+            let a = drawn(&groups, fields, iterative);
+            let b = mutated(&a, mutation);
+            let c = drawn(&other_groups, other_fields, other_iterative);
+            let mut order = IdentityOrder::default();
+            for (x, y) in [(&a, &b), (&b, &a), (&a, &c), (&c, &b), (&a, &a)] {
+                prop_assert_eq!(order.cmp(x, y), x.identity_key().cmp(&y.identity_key()));
+            }
+            for schedule in [&a, &b, &c] {
+                prop_assert_eq!(schedule.identity_key(), reference_key(schedule));
+                prop_assert_eq!(schedule.describe(), reference_key(schedule));
+            }
+        }
+    }
+
+    #[test]
+    fn identity_order_puts_more_digits_first_where_the_text_does() {
+        let mut order = IdentityOrder::default();
+        let with = |decode_xpus: u32, iterative_batch: Option<u32>| {
+            let mut schedule = case1_schedule();
+            schedule.allocation.decode_xpus = decode_xpus;
+            schedule.batching.iterative_batch = iterative_batch;
+            schedule
+        };
+        assert_eq!(order.cmp(&with(16, None), &with(4, None)), Ordering::Less);
+        assert_eq!(order.cmp(&with(4, None), &with(4, Some(1))), Ordering::Less);
+        assert_eq!(
+            order.cmp(&with(4, Some(1024)), &with(4, Some(16))),
+            Ordering::Less
+        );
+        let prefix_only = Schedule {
+            placement: PlacementPlan {
+                predecode_groups: Vec::new(),
+            },
+            ..case1_schedule()
+        };
+        assert_eq!(
+            prefix_only.identity_key(),
+            "[prefix-only] xpus=[8]+8dec servers=32 batch=8/64"
+        );
+        // `-` sorts before `]`.
+        assert_eq!(order.cmp(&prefix_only, &case1_schedule()), Ordering::Less);
     }
 
     #[test]

@@ -208,30 +208,47 @@ impl PredecodeAllocation {
         self.space.max_total_xpus.checked_sub(groups)
     }
 
-    /// One schedule per server × pre-decode batch of the unit, in walk
-    /// order. Its decode fields are the first decode setting (zero when a
-    /// decode axis is empty, and then nothing is paired with it).
-    pub(crate) fn predecode_choices(&self) -> impl Iterator<Item = Schedule> + '_ {
+    /// One schedule per server step of the unit, in walk order, at the
+    /// first pre-decode batch. Its decode fields are the first decode
+    /// setting (zero when a decode axis is empty, and then nothing is
+    /// paired with it). Each of the unit's pre-decode choices is one of
+    /// these at one of [`Self::predecode_batches`].
+    pub(crate) fn server_choices(&self) -> impl Iterator<Item = Schedule> + '_ {
         let space = &*self.space;
         let decode = space.decode_settings().next().unwrap_or_default();
-        let choice = move |retrieval_servers, predecode_batch| Schedule {
-            placement: self.placement.clone(),
-            allocation: ResourceAllocation {
-                group_xpus: self.group_xpus.clone(),
-                decode_xpus: decode.xpus,
-                retrieval_servers,
-            },
-            batching: BatchingPolicy {
-                predecode_batch,
-                decode_batch: decode.batch,
-                iterative_batch: decode.iterative_batch,
-            },
-        };
-        space.server_steps.iter().flat_map(move |&servers| {
-            space
-                .predecode_batches
-                .iter()
-                .map(move |&batch| choice(servers, batch))
+        let predecode_batch = space.predecode_batches.first().copied().unwrap_or_default();
+        space
+            .server_steps
+            .iter()
+            .map(move |&retrieval_servers| Schedule {
+                placement: self.placement.clone(),
+                allocation: ResourceAllocation {
+                    group_xpus: self.group_xpus.clone(),
+                    decode_xpus: decode.xpus,
+                    retrieval_servers,
+                },
+                batching: BatchingPolicy {
+                    predecode_batch,
+                    decode_batch: decode.batch,
+                    iterative_batch: decode.iterative_batch,
+                },
+            })
+    }
+
+    /// The pre-decode batches of the space, in walk order.
+    pub(crate) fn predecode_batches(&self) -> &[u32] {
+        &self.space.predecode_batches
+    }
+
+    /// One schedule per server × pre-decode batch of the unit, in walk
+    /// order, with the decode fields of [`Self::server_choices`].
+    pub(crate) fn predecode_choices(&self) -> impl Iterator<Item = Schedule> + '_ {
+        self.server_choices().flat_map(move |schedule| {
+            self.predecode_batches().iter().map(move |&batch| {
+                let mut choice = schedule.clone();
+                choice.batching.predecode_batch = batch;
+                choice
+            })
         })
     }
 

@@ -77,9 +77,12 @@ fn memoized_case3_frontier_matches_unmemoized() {
     let memoized = case3();
     let frontier = memoized.optimize(&options).unwrap();
     let feasible = frontier.evaluated_schedules as u64;
-    // Without the memo every feasible candidate runs its own simulation, on
-    // the parallel path as on the serial reference.
-    for parallel in [false, true] {
+    assert_eq!(feasible, 108);
+    // Without the memo the serial reference runs one simulation per
+    // feasible candidate. The search evaluates a decode side once per unit,
+    // server count and decode choice, for all three pre-decode batches, so
+    // it runs a third as many.
+    for (parallel, simulations) in [(false, feasible), (true, 36)] {
         let unmemoized = case3().with_memoization(false);
         let reference = if parallel {
             unmemoized.optimize(&options)
@@ -87,7 +90,11 @@ fn memoized_case3_frontier_matches_unmemoized() {
             unmemoized.optimize_serial(&options)
         };
         assert_eq!(frontier, reference.unwrap(), "parallel: {parallel}");
-        assert_eq!(unmemoized.profiler().decode_stall_stats(), (0, feasible));
+        assert_eq!(
+            unmemoized.profiler().decode_stall_stats(),
+            (0, simulations),
+            "parallel: {parallel}"
+        );
     }
     // With it, the search simulates at most each distinct input once, and
     // only those behind points it kept: fewer than the grid reaches.
@@ -185,9 +192,10 @@ fn memoized_stalls_equal_their_own_simulations() {
     let rago = case3();
     rago.optimize(&options).unwrap();
     let profiler = rago.profiler();
-    // Five simulations, and one hit per candidate of the last round whose
-    // input was simulated, on the fast grid.
-    assert_eq!(profiler.decode_stall_stats(), (15, 5));
+    // Five simulations, and one hit per decode side of the last round
+    // whose input was simulated, on the fast grid: the search evaluates a
+    // decode side once for every pre-decode batch.
+    assert_eq!(profiler.decode_stall_stats(), (5, 5));
     let inputs = distinct_stall_inputs(&options);
     assert_eq!(inputs.len(), 36);
     for params in inputs.values() {
@@ -197,5 +205,5 @@ fn memoized_stalls_equal_their_own_simulations() {
     }
     // The replay simulated exactly the 31 inputs the search skipped, and
     // answered the other five from the memo.
-    assert_eq!(profiler.decode_stall_stats(), (15 + 5, 5 + 31));
+    assert_eq!(profiler.decode_stall_stats(), (5 + 5, 5 + 31));
 }

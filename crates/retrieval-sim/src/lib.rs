@@ -13,10 +13,6 @@
 //! vector corpus) and brute-force full-precision search (Case II's tiny
 //! per-request databases).
 //!
-//! The per-core scan-throughput constant defaults to the paper's calibrated
-//! 18 GB/s but can be re-derived from this workspace's own PQ implementation
-//! via [`calibrate::calibrate_scan_throughput`].
-//!
 //! # Examples
 //!
 //! ```
@@ -35,14 +31,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod calibrate;
 pub mod cost;
 pub mod error;
-pub mod quality;
 pub mod simulator;
 
-pub use calibrate::{calibrate_scan_throughput, CalibrationReport};
 pub use cost::RetrievalCost;
 pub use error::RetrievalSimError;
-pub use quality::recall_estimate;
 pub use simulator::RetrievalSimulator;

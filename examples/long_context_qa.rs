@@ -1,14 +1,8 @@
 //! Case II walk-through: answering questions over a long uploaded document.
 //!
-//! Shows the two sides of the paper's long-context study (§5.2):
-//!
-//! 1. an end-to-end *functional* pass using the vector-search substrate — a
-//!    synthetic "document" is chunked, encoded as vectors, indexed, and
-//!    queried with exact kNN, exactly the retrieval structure the paradigm
-//!    assumes; and
-//! 2. the *performance* side — RAGO's schedule for the 1M-token workload
-//!    versus the LLM-extension baseline, and the speedup over feeding the
-//!    whole context to the LLM.
+//! Shows the performance side of the paper's long-context study (§5.2):
+//! RAGO's schedule for the 1M-token workload versus the LLM-extension
+//! baseline, and the speedup over feeding the whole context to the LLM.
 //!
 //! Run with: `cargo run --release --example long_context_qa`
 
@@ -17,21 +11,8 @@ use rago::core::{BaselineSystem, Rago, SearchOptions};
 use rago::hardware::ClusterSpec;
 use rago::schema::presets::{self, LlmSize};
 use rago::schema::ModelConfig;
-use rago::vectordb::{FlatIndex, SyntheticDataset};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // --- functional retrieval over a chunked "document" -------------------
-    let chunks = 7_812; // ~1M tokens / 128-token chunks
-    let dim = 64; // reduced dimensionality keeps the example fast
-    let corpus = SyntheticDataset::clustered(chunks, dim, 32, 42);
-    let index = FlatIndex::build(dim, corpus.vectors.clone())?;
-    let question_vec = corpus.vectors[123].clone(); // a "question" near chunk 123
-    let neighbors = index.search(&question_vec, 5);
-    println!("retrieved chunks for the question: {:?}", {
-        let ids: Vec<usize> = neighbors.iter().map(|n| n.id).collect();
-        ids
-    });
-
     // --- serving-performance side -----------------------------------------
     let cluster = ClusterSpec::paper_default();
     let schema = presets::case2_long_context(LlmSize::B70, 1_000_000);
@@ -47,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expect("non-empty frontier")
         .clone();
 
-    println!("\n== 1M-token long-context RAG serving (70B generator) ==");
+    println!("== 1M-token long-context RAG serving (70B generator) ==");
     println!(
         "RAGO:     QPS/chip = {:.3}, TTFT = {:.2} s, schedule = {}",
         rago_best.performance.qps_per_chip,

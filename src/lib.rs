@@ -5,7 +5,6 @@
 //!
 //! * [`schema`] — the RAGSchema workload abstraction (§3 of the paper);
 //! * [`hardware`] — XPU / CPU / cluster models (Table 2, §4);
-//! * [`vectordb`] — the IVF-PQ vector-search substrate;
 //! * [`cache`] — deterministic prefix-KV and retrieval-result cache
 //!   simulators (capacity in tokens / entries, LRU/LFU/size-aware
 //!   eviction), driven by popularity-skewed content identity from
@@ -50,5 +49,4 @@ pub use rago_retrieval_sim as retrieval_sim;
 pub use rago_schema as schema;
 pub use rago_serving_sim as serving_sim;
 pub use rago_telemetry as telemetry;
-pub use rago_vectordb as vectordb;
 pub use rago_workloads as workloads;

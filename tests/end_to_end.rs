@@ -176,29 +176,22 @@ fn workload_trace_statistics_match_the_schema_profile() {
 }
 
 #[test]
-fn retrieval_cost_model_and_substrate_agree_on_scan_volume() {
-    // The analytic model prices N * bytes * scan_fraction per query; the
-    // IVF-PQ substrate reports the same quantity from its own index.
+fn retrieval_cost_model_scans_at_least_the_leaf_fraction() {
+    // An IVF-PQ query probing `nprobe` of `nlist` leaf lists reads
+    // `num_vectors * bytes_per_vector * nprobe / nlist` bytes of codes.
     use rago::retrieval_sim::RetrievalSimulator;
     use rago::schema::RetrievalConfig;
-    use rago::vectordb::{IvfPqIndex, IvfPqParams, SyntheticDataset};
 
-    let data = SyntheticDataset::clustered(4_096, 32, 16, 9).vectors;
-    let params = IvfPqParams {
-        num_lists: 64,
-        num_subspaces: 8,
-        bits_per_code: 4,
-        training_sample: 1_000,
-    };
-    let index = IvfPqIndex::train(32, &data, params, 1).unwrap();
-    let nprobe = 8;
-    let substrate_bytes = index.scanned_bytes_per_query(nprobe);
+    let (num_vectors, bytes_per_vector) = (4_096_u64, 8_u32);
+    let (nprobe, nlist) = (8.0, 64.0);
+    let leaf_bytes = num_vectors as f64 * f64::from(bytes_per_vector) * nprobe / nlist;
+    assert_eq!(leaf_bytes, 4_096.0);
 
     let cfg = RetrievalConfig {
-        num_vectors: 4_096,
+        num_vectors,
         dim: 32,
-        bytes_per_vector: 8,
-        scan_fraction: index.scan_fraction(nprobe),
+        bytes_per_vector,
+        scan_fraction: nprobe / nlist,
         queries_per_retrieval: 1,
         retrievals_per_sequence: 1,
         top_k: 10,
@@ -207,7 +200,7 @@ fn retrieval_cost_model_and_substrate_agree_on_scan_volume() {
     let sim = RetrievalSimulator::default();
     let cost = sim.retrieval_cost(&cfg, 1, 1).unwrap();
     // The model additionally scans intermediate-level centroids, so it should
-    // be within 2x of the leaf-only substrate number but never below it.
-    assert!(cost.scanned_bytes_per_query >= substrate_bytes * 0.99);
-    assert!(cost.scanned_bytes_per_query < substrate_bytes * 3.0 + 1e5);
+    // be within 2x of the leaf-only volume but never below it.
+    assert!(cost.scanned_bytes_per_query >= leaf_bytes * 0.99);
+    assert!(cost.scanned_bytes_per_query < leaf_bytes * 3.0 + 1e5);
 }

@@ -45,9 +45,9 @@ fn claim_5_1_retrieval_share_shrinks_with_longer_sequences() {
         short > long,
         "retrieval share should fall with sequence length: short {short} vs long {long}"
     );
-    // The paper reports 86% at 128/128 on its calibration; our substrate puts
-    // the same point above 50% — the shape (retrieval-dominant and shrinking
-    // with sequence length) is what we assert.
+    // The paper reports 86% at 128/128 on its calibration; our cost model
+    // puts the same point above 50% — the shape (retrieval-dominant and
+    // shrinking with sequence length) is what we assert.
     assert!(
         short > 0.5,
         "short sequences should be retrieval bound: {short}"

@@ -176,9 +176,10 @@ fn workload_trace_statistics_match_the_schema_profile() {
 }
 
 #[test]
-fn retrieval_cost_model_scans_at_least_the_leaf_fraction() {
+fn retrieval_cost_model_and_substrate_agree_on_scan_volume() {
     // An IVF-PQ query probing `nprobe` of `nlist` leaf lists reads
-    // `num_vectors * bytes_per_vector * nprobe / nlist` bytes of codes.
+    // `num_vectors * bytes_per_vector * nprobe / nlist` bytes of codes: the
+    // leaf volume an IVF-PQ substrate scans, here in closed form.
     use rago::retrieval_sim::RetrievalSimulator;
     use rago::schema::RetrievalConfig;
 

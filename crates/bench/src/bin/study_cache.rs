@@ -1,7 +1,6 @@
-//! Cache-reuse acceptance bench: the serving stack with prefix-KV and
-//! retrieval-result caching versus the identical cache-less stack on a
-//! popularity-skewed (Zipfian) two-tenant trace, written to
-//! `BENCH_cache.json` at the workspace root.
+//! Cache-reuse study: the serving stack with prefix-KV and retrieval-result
+//! caching versus the identical cache-less stack on a popularity-skewed
+//! (Zipfian) two-tenant trace, printed as JSON.
 //!
 //! Three measurements, all on the same best-QPS/chip schedule:
 //!
@@ -19,13 +18,12 @@
 //!   template's KV state on one replica and must achieve at least the
 //!   least-outstanding policy's prefix hit rate.
 //!
-//! Acceptance (asserted, and gated by CI on the JSON): the cached knee is
-//! **no lower** than the cache-less knee, and caching **helps** — a
-//! strictly higher knee or a strictly cheaper capacity plan. Set
-//! `RAGO_BENCH_QUICK=1` for the CI-friendly quick mode (same JSON shape).
-//! The bench refuses to write non-finite numbers.
+//! Acceptance (asserted): the cached knee is **no lower** than the
+//! cache-less knee, and caching **helps** — a strictly higher knee or a
+//! strictly cheaper capacity plan.
+//!
+//! Run with: `cargo run --release -p rago-bench --bin study_cache`
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rago_cache::{CacheConfig, EvictionPolicy, PrefixKvCacheConfig, RetrievalCacheConfig};
 use rago_core::{CapacityOptions, Rago, SearchOptions};
 use rago_schema::presets::{self, LlmSize};
@@ -35,7 +33,7 @@ use rago_workloads::{
     ArrivalProcess, ContentSpec, MixTraceSpec, PopularityModel, RequestClass, Trace, WorkloadMix,
 };
 
-/// The two-tenant mix of the `tenant_mix` bench: an interactive chat tenant
+/// The two-tenant mix of the `study_tenant` binary: an interactive chat tenant
 /// (3× the traffic) and a long-form report tenant.
 fn mix() -> WorkloadMix {
     WorkloadMix::new(vec![
@@ -76,8 +74,7 @@ fn trace_at(rate: f64, duration_s: f64, seed: u64) -> Trace {
     content().tag(&spec.generate())
 }
 
-fn bench_cache_json(_c: &mut Criterion) {
-    let quick = rago_bench::quick_mode();
+fn main() {
     let rago = Rago::new(
         presets::case1_hyperscale(LlmSize::B8, 1),
         rago_bench::default_cluster(),
@@ -104,12 +101,8 @@ fn bench_cache_json(_c: &mut Criterion) {
     };
 
     // --- Knee sweep: one replica, cache-on vs cache-off. ---------------
-    let duration_s = if quick { 6.0 } else { 10.0 };
-    let fractions: &[f64] = if quick {
-        &[0.6, 1.0, 1.4, 1.8, 2.2]
-    } else {
-        &[0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5]
-    };
+    let duration_s = 10.0;
+    let fractions = [0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5];
     let mut off_points = Vec::new();
     let mut on_points = Vec::new();
     let mut sweep_rows = Vec::new();
@@ -147,7 +140,7 @@ fn bench_cache_json(_c: &mut Criterion) {
 
     // --- Capacity at the peak: equal attainment at fewer chips? --------
     let peak_rate = 2.0 * static_qps;
-    let sizing_duration_s = if quick { 4.0 } else { 6.0 };
+    let sizing_duration_s = 6.0;
     let options = CapacityOptions {
         max_replicas: 6,
         num_requests: (peak_rate * sizing_duration_s).ceil() as usize,
@@ -190,7 +183,7 @@ fn bench_cache_json(_c: &mut Criterion) {
     let fleet_size = plan_off.replicas.max(2);
     let routing_trace = trace_at(peak_rate, duration_s, 211);
     let mut routing_rows = Vec::new();
-    let mut hit_rate_of = |router: RouterPolicy| -> (f64, f64) {
+    let mut hit_rate_of = |router: RouterPolicy| -> f64 {
         let eval = rago
             .evaluate_fleet_cached(
                 &best.schedule,
@@ -208,17 +201,17 @@ fn bench_cache_json(_c: &mut Criterion) {
             eval.attainment,
             eval.goodput_rps,
         ));
-        (hit_rate, eval.attainment)
+        hit_rate
     };
-    let (affinity_hits, _) = hit_rate_of(RouterPolicy::CacheAffinity);
-    let (hash_hits, _) = hit_rate_of(RouterPolicy::PrefixHash);
-    let (lo_hits, _) = hit_rate_of(RouterPolicy::LeastOutstanding);
+    let affinity_hits = hit_rate_of(RouterPolicy::CacheAffinity);
+    let hash_hits = hit_rate_of(RouterPolicy::PrefixHash);
+    let lo_hits = hit_rate_of(RouterPolicy::LeastOutstanding);
     assert!(
         affinity_hits >= lo_hits,
         "cache-affinity hit rate {affinity_hits} fell below least-outstanding {lo_hits}"
     );
 
-    let json = format!(
+    print!(
         "{{\n  \"bench\": \"cache_reuse/zipf_two_tenant\",\n  \
          \"schedule\": \"{}\",\n  \"static_qps\": {static_qps:.3},\n  \
          \"content\": {{\"prefix_templates\": 12, \"prefix_zipf_s\": 1.0, \
@@ -252,24 +245,4 @@ fn bench_cache_json(_c: &mut Criterion) {
         knee_strictly_higher || cheaper_fleet,
         affinity_hits >= lo_hits,
     );
-    // Rust formats non-finite floats as "NaN" / "inf"; match the rendered
-    // number forms (": inf") so the word "affinity" never false-positives.
-    assert!(
-        !json.contains("NaN") && !json.contains(": inf") && !json.contains(": -inf"),
-        "refusing to write non-finite cache metrics"
-    );
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_cache.json");
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("wrote {}", out.display()),
-        Err(e) => eprintln!("could not write {}: {e}", out.display()),
-    }
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_cache_json
-}
-criterion_main!(benches);

@@ -1,6 +1,5 @@
-//! Chaos acceptance bench: predictive-versus-reactive scaling and
-//! crash-at-peak degradation under admission control, written to
-//! `BENCH_chaos.json` at the workspace root.
+//! Chaos study: predictive-versus-reactive scaling and crash-at-peak
+//! degradation under admission control, printed as JSON.
 //!
 //! Three runs over the same optimized schedule:
 //!
@@ -9,13 +8,13 @@
 //!   lag at every ramp.
 //! * **Predictive** — the *same* profile is handed to
 //!   `plan_capacity_profile`, its per-interval replica schedule becomes a
-//!   feed-forward [`ScalingPlan`] (`scaling_plan_from_profile`, led by the
+//!   feed-forward `ScalingPlan` (`scaling_plan_from_profile`, led by the
 //!   warm-up time), and the fleet executes it open-loop.
 //! * **Crash at peak** — a three-priority tenant mix on a static fleet
 //!   loses one replica at the traffic peak with admission control on, and
 //!   is compared against the identical run without the fault.
 //!
-//! Acceptance (asserted, and gated by CI on the JSON flags):
+//! Acceptance (asserted, and printed as the JSON's `acceptance` flags):
 //!
 //! * `predictive_beats_reactive` — the predictive run serves the profile
 //!   at no worse offered attainment than the reactive run for no more
@@ -27,11 +26,8 @@
 //!   exact-mode fleet evaluation (`evaluate_fleet_dynamic_with`) of the
 //!   same fleet.
 //!
-//! Set `RAGO_BENCH_QUICK=1` for the CI-friendly quick mode (shorter
-//! profile, same JSON shape). The bench refuses to write non-finite
-//! numbers.
+//! Run with: `cargo run --release -p rago-bench --bin study_chaos`
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rago_core::faulted::{scaling_plan_from_profile, FaultScenario, FaultedEvaluation};
 use rago_core::{evaluate_fleet_dynamic_with, CapacityOptions, MetricsMode, Rago, SearchOptions};
 use rago_schema::presets::{self, LlmSize};
@@ -80,8 +76,7 @@ fn class_rows(eval: &FaultedEvaluation) -> String {
         .join(",\n")
 }
 
-fn bench_chaos_json(_c: &mut Criterion) {
-    let quick = rago_bench::quick_mode();
+fn main() {
     let rago = Rago::new(
         presets::case1_hyperscale(LlmSize::B8, 1),
         rago_bench::default_cluster(),
@@ -99,7 +94,7 @@ fn bench_chaos_json(_c: &mut Criterion) {
     let slo = SloTarget::new(2.0, 0.1);
     let profile_def = SequenceProfile::paper_default().with_decode_tokens(32);
     let mix = WorkloadMix::single("all", profile_def, 0.1, slo);
-    let period_s = if quick { 16.0 } else { 32.0 };
+    let period_s = 32.0;
     let base_rps = 0.3 * static_qps;
     let peak_rps = 2.2 * static_qps;
     let segments = diurnal_segments(base_rps, peak_rps, period_s, 8);
@@ -115,7 +110,7 @@ fn bench_chaos_json(_c: &mut Criterion) {
     }
     .generate();
 
-    let sizing_duration_s = if quick { 4.0 } else { 6.0 };
+    let sizing_duration_s = 6.0;
     let capacity = CapacityOptions {
         max_replicas: 6,
         num_requests: (peak_rps * sizing_duration_s).ceil() as usize,
@@ -277,7 +272,7 @@ fn bench_chaos_json(_c: &mut Criterion) {
         },
     );
 
-    let json = format!(
+    print!(
         "{{\n  \"bench\": \"chaos_suite\",\n  \
          \"schedule\": \"{}\",\n  \"static_qps\": {static_qps:.3},\n  \
          \"profile\": {{\"base_rps\": {base_rps:.3}, \"peak_rps\": {peak_rps:.3}, \
@@ -314,24 +309,4 @@ fn bench_chaos_json(_c: &mut Criterion) {
         class_rows(&healthy),
         class_rows(&crashed),
     );
-    // Case-sensitive on purpose: Rust formats non-finite floats as "NaN"
-    // and "inf".
-    assert!(
-        !json.contains("NaN") && !json.contains("inf"),
-        "refusing to write non-finite chaos metrics"
-    );
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_chaos.json");
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("wrote {}", out.display()),
-        Err(e) => eprintln!("could not write {}: {e}", out.display()),
-    }
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_chaos_json
-}
-criterion_main!(benches);

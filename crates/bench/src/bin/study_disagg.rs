@@ -1,9 +1,8 @@
-//! Disaggregation acceptance bench: collocated versus prefill/decode-split
-//! fleets across SLO tightness, written to `BENCH_disagg.json` at the
-//! workspace root.
+//! Disaggregation study: collocated versus prefill/decode-split fleets
+//! across SLO tightness, printed as JSON.
 //!
 //! One fixed case-1 schedule is driven at several offered rates under three
-//! (TTFT, TPOT) SLO levels. At each (SLO, rate) point the bench reports the
+//! (TTFT, TPOT) SLO levels. At each (SLO, rate) point the study reports the
 //! best goodput-per-chip collocated fleet (1..=3 monolithic replicas, each
 //! paying for prefill *and* decode chips) against the best disaggregated
 //! split (prefill pool + decode pool, each paying only for its own chips,
@@ -13,7 +12,7 @@
 //! transfer link from free to a pathological 100 MB/s path, exposing the
 //! handoff tax.
 //!
-//! Acceptance (asserted, and gated by CI on the JSON flags):
+//! Acceptance (asserted, and printed as the JSON's `acceptance` flags):
 //!
 //! * `disagg_beats_collocated_at_tight_slo` — at the tight SLO and the
 //!   prefill-bound design rate, the best split beats the best collocated
@@ -21,11 +20,8 @@
 //! * `transfer_cost_monotone` — goodput per chip never *improves* as the
 //!   interconnect degrades from free to the slow link.
 //!
-//! Set `RAGO_BENCH_QUICK=1` for the CI-friendly quick mode (fewer rates,
-//! shorter traces, same JSON shape). The bench refuses to write non-finite
-//! numbers.
+//! Run with: `cargo run --release -p rago-bench --bin study_disagg`
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rago_core::disagg::transfer_model_from_interconnect;
 use rago_core::{
     evaluate_fleet_dynamic_with, BatchingPolicy, MetricsMode, PlacementPlan, Rago,
@@ -73,8 +69,7 @@ struct Best {
     attainment: f64,
 }
 
-fn bench_disagg_json(_c: &mut Criterion) {
-    let quick = rago_bench::quick_mode();
+fn main() {
     let schema = presets::case1_hyperscale(LlmSize::B8, 1);
     let torus = transfer_model_from_interconnect(&schema, &InterconnectSpec::torus_3d());
     let datacenter =
@@ -86,12 +81,8 @@ fn bench_disagg_json(_c: &mut Criterion) {
     let chips_prefill: u32 = schedule.allocation.group_xpus.iter().sum();
     let chips_decode = schedule.allocation.decode_xpus;
 
-    let rates: &[f64] = if quick {
-        &[120.0, 160.0]
-    } else {
-        &[80.0, 120.0, 160.0, 200.0]
-    };
-    let duration_s = if quick { 15.0 / 16.0 } else { 15.0 / 8.0 };
+    let rates = [80.0, 120.0, 160.0, 200.0];
+    let duration_s = 15.0 / 8.0;
     let tight_rate = 160.0;
     let splits: &[(u32, u32)] = &[(1, 1), (2, 1), (2, 2), (3, 1)];
     let slos = [
@@ -106,7 +97,7 @@ fn bench_disagg_json(_c: &mut Criterion) {
         let mut point_rows = Vec::new();
         let mut collocated_points = Vec::new();
         let mut disagg_points = Vec::new();
-        for &rate in rates {
+        for rate in rates {
             let trace = trace_at(rate, duration_s);
 
             // Best collocated fleet: n identical monolithic replicas, each
@@ -236,7 +227,7 @@ fn bench_disagg_json(_c: &mut Criterion) {
         "goodput per chip improved while the interconnect degraded"
     );
 
-    let json = format!(
+    print!(
         "{{\n  \"bench\": \"disagg_split\",\n  \"schedule\": \"{}\",\n  \
          \"chips\": {{\"collocated_per_replica\": {chips_collocated}, \
          \"prefill_per_replica\": {chips_prefill}, \"decode_per_replica\": {chips_decode}}},\n  \
@@ -249,24 +240,4 @@ fn bench_disagg_json(_c: &mut Criterion) {
         slo_rows.join(",\n"),
         link_rows.join(",\n"),
     );
-    // Case-sensitive on purpose: Rust formats non-finite floats as "NaN"
-    // and "inf".
-    assert!(
-        !json.contains("NaN") && !json.contains("inf"),
-        "refusing to write non-finite disaggregation metrics"
-    );
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_disagg.json");
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("wrote {}", out.display()),
-        Err(e) => eprintln!("could not write {}: {e}", out.display()),
-    }
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_disagg_json
-}
-criterion_main!(benches);

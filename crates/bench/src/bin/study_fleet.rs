@@ -1,8 +1,7 @@
-//! Fleet-level acceptance bench: attainment versus replica count, router
-//! policy comparison, and a capacity-planning cross-check, written to
-//! `BENCH_fleet.json` at the workspace root.
+//! Fleet study: attainment versus replica count, router policy comparison,
+//! and capacity-planning cross-checks, printed as JSON.
 //!
-//! Three studies over the case-1 (hyperscale retrieval) best-QPS/chip
+//! Four studies over the case-1 (hyperscale retrieval) best-QPS/chip
 //! schedule:
 //!
 //! 1. **Scaling** — SLO attainment across a shared offered-rate grid for
@@ -18,17 +17,13 @@
 //! 4. **Pool planning** — `plan_capacity_pools`' search of the
 //!    prefill/decode grid, the same walk per prefill column, must agree
 //!    with an exhaustive cross-product scan of the same splits on the same
-//!    trace; its DES runs are recorded next to the scan's `max_replicas²`.
+//!    trace, in fewer DES runs than the scan's `max_replicas²`.
 //!
-//! Set `RAGO_BENCH_QUICK=1` for a CI-friendly quick mode (smaller grid and
-//! traces, same JSON shape). The bench asserts its acceptance criteria and
-//! refuses to write JSON containing non-finite numbers, so CI can gate on
-//! the file's presence and NaN-freeness.
+//! Run with: `cargo run --release -p rago-bench --bin study_fleet`
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rago_core::{
-    evaluate_fleet_dynamic_with, transfer_model_from_interconnect, CapacityOptions, CapacityPlan,
-    MetricsMode, PoolCapacityPlan, Rago, SearchOptions,
+    evaluate_fleet_dynamic_with, transfer_model_from_interconnect, CapacityOptions, MetricsMode,
+    Rago, SearchOptions,
 };
 use rago_hardware::InterconnectSpec;
 use rago_schema::presets::{self, LlmSize};
@@ -73,14 +68,9 @@ fn trace_at(rate_rps: f64, duration_s: f64, profile: SequenceProfile) -> rago_wo
     .generate()
 }
 
-fn fmt_policy(p: RouterPolicy) -> String {
-    p.to_string()
-}
-
-fn bench_fleet_json(_c: &mut Criterion) {
-    let quick = rago_bench::quick_mode();
+fn main() {
     let slo = SloTarget::paper_default();
-    let duration_s = if quick { 4.0 } else { 8.0 };
+    let duration_s = 8.0;
     let profile = SequenceProfile::paper_default().with_decode_tokens(64);
 
     let rago = Rago::new(
@@ -98,17 +88,12 @@ fn bench_fleet_json(_c: &mut Criterion) {
 
     // Study 1: attainment vs replica count on a shared absolute rate grid
     // (so knees are directly comparable across fleet sizes).
-    let fractions: &[f64] = if quick {
-        &[0.5, 1.0, 1.5, 2.0, 3.0]
-    } else {
-        &[0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0]
-    };
-    let replica_counts: &[u32] = if quick { &[1, 2] } else { &[1, 2, 3, 4] };
+    let fractions = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0];
     let mut series = Vec::new();
-    for &replicas in replica_counts {
+    for replicas in 1..=4 {
         let fleet = FleetConfig::new(replicas, RouterPolicy::LeastOutstanding);
         let mut points = Vec::new();
-        for &f in fractions {
+        for f in fractions {
             let rate = f * static_qps;
             let eval = evaluate_fleet_dynamic_with(
                 rago.profiler(),
@@ -150,7 +135,7 @@ fn bench_fleet_json(_c: &mut Criterion) {
 
     // Study 2: router policies at a fixed operating point — enough load
     // that routing matters (beyond one replica's knee, below the fleet's).
-    let policy_replicas: u32 = if quick { 2 } else { 3 };
+    let policy_replicas: u32 = 3;
     let policy_rate = 0.8 * f64::from(policy_replicas) * static_qps;
     let policy_trace = trace_at(policy_rate, duration_s, profile);
     let mut policy_rows = Vec::new();
@@ -178,7 +163,7 @@ fn bench_fleet_json(_c: &mut Criterion) {
     // replica grid, trace, and router.
     let target_qps = 2.0 * static_qps;
     let capacity = CapacityOptions {
-        max_replicas: if quick { 4 } else { 6 },
+        max_replicas: 6,
         num_requests: (target_qps * duration_s).ceil() as usize,
         profile,
         ..CapacityOptions::default()
@@ -253,59 +238,13 @@ fn bench_fleet_json(_c: &mut Criterion) {
         pool_scan,
         "the pool search disagrees with the exhaustive scan"
     );
-
-    let json = render_json(
-        &slo,
-        &best.schedule.describe(),
-        static_qps,
-        duration_s,
-        &series,
-        policy_replicas,
-        policy_rate,
-        &policy_rows,
-        target_qps,
-        capacity.max_replicas,
-        &plan,
-        linear_scan,
-        pool_slo.ttft_s,
-        &pools,
-        pool_scan,
-        knee_1,
-        knee_2,
-    );
+    let scan_des_runs = max * max;
     assert!(
-        !json.to_ascii_lowercase().contains("nan") && !json.contains("inf"),
-        "refusing to write non-finite fleet metrics"
+        pools.des_runs < scan_des_runs,
+        "the pool search ran {} DES runs, not fewer than the scan's {scan_des_runs}",
+        pools.des_runs
     );
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_fleet.json");
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("wrote {}", out.display()),
-        Err(e) => eprintln!("could not write {}: {e}", out.display()),
-    }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    slo: &SloTarget,
-    schedule: &str,
-    static_qps: f64,
-    trace_duration_s: f64,
-    series: &[ScaleSeries],
-    policy_replicas: u32,
-    policy_rate: f64,
-    policy_rows: &[PolicyRow],
-    target_qps: f64,
-    max_replicas: u32,
-    plan: &CapacityPlan,
-    linear_scan_replicas: u32,
-    pool_ttft_s: f64,
-    pools: &PoolCapacityPlan,
-    pool_scan: (u32, u32),
-    knee_1: f64,
-    knee_2: f64,
-) -> String {
     let series_json = series
         .iter()
         .map(|s| {
@@ -332,14 +271,13 @@ fn render_json(
         })
         .collect::<Vec<_>>()
         .join(",\n");
-    let pool_agrees = (pools.prefill_replicas, pools.decode_replicas) == pool_scan;
     let policies_json = policy_rows
         .iter()
         .map(|r| {
             format!(
                 "      {{\"policy\": \"{}\", \"attainment\": {:.4}, \"goodput_rps\": {:.3}, \
                  \"ttft_p99_s\": {:.6}, \"imbalance_cv\": {:.4}, \"max_over_mean\": {:.4}}}",
-                fmt_policy(r.policy),
+                r.policy,
                 r.attainment,
                 r.goodput_rps,
                 r.ttft_p99_s,
@@ -349,32 +287,35 @@ fn render_json(
         })
         .collect::<Vec<_>>()
         .join(",\n");
-    format!(
-        "{{\n  \"bench\": \"fleet_scaling/cluster\",\n  \"trace_duration_s\": {trace_duration_s:.1},\n  \
+    let pool_agrees = (pools.prefill_replicas, pools.decode_replicas) == pool_scan;
+    print!(
+        "{{\n  \"bench\": \"fleet_scaling/cluster\",\n  \"trace_duration_s\": {duration_s:.1},\n  \
          \"slo\": {{\"ttft_s\": {:.3}, \"tpot_s\": {:.3}, \"attainment\": {:.2}}},\n  \
-         \"schedule\": \"{schedule}\",\n  \"static_qps\": {static_qps:.3},\n  \
+         \"schedule\": \"{}\",\n  \"static_qps\": {static_qps:.3},\n  \
          \"attainment_vs_replicas\": [\n{series_json}\n  ],\n  \
          \"router_comparison\": {{\n    \"replicas\": {policy_replicas}, \"rate_rps\": {policy_rate:.3},\n    \"policies\": [\n{policies_json}\n    ]\n  }},\n  \
-         \"capacity_plan\": {{\"target_qps\": {target_qps:.3}, \"max_replicas\": {max_replicas}, \
-         \"planned_replicas\": {}, \"linear_scan_replicas\": {linear_scan_replicas}, \"agrees\": {}, \
+         \"capacity_plan\": {{\"target_qps\": {target_qps:.3}, \"max_replicas\": {max}, \
+         \"planned_replicas\": {}, \"linear_scan_replicas\": {linear_scan}, \"agrees\": {}, \
          \"attainment\": {:.4}, \"total_xpus\": {}, \"des_runs\": {}, \"des_runs_stopped\": {}, \
          \"des_events\": {}}},\n  \
-         \"pool_plan\": {{\"ttft_s\": {pool_ttft_s:.3}, \"prefill_replicas\": {}, \"decode_replicas\": {}, \
+         \"pool_plan\": {{\"ttft_s\": {:.3}, \"prefill_replicas\": {}, \"decode_replicas\": {}, \
          \"scan_prefill_replicas\": {}, \"scan_decode_replicas\": {}, \"agrees\": {pool_agrees}, \
          \"attainment\": {:.4}, \"total_xpus\": {}, \"des_runs\": {}, \"des_runs_stopped\": {}, \
-         \"des_events\": {}, \"scan_des_runs\": {}}},\n  \
+         \"des_events\": {}, \"scan_des_runs\": {scan_des_runs}}},\n  \
          \"acceptance\": {{\"knee_1_replica_rps\": {knee_1:.3}, \"knee_2_replicas_rps\": {knee_2:.3}, \
          \"two_replicas_beat_one\": {}, \"pool_agrees\": {pool_agrees}}}\n}}\n",
         slo.ttft_s,
         slo.tpot_s,
         slo.attainment,
+        best.schedule.describe(),
         plan.replicas,
-        plan.replicas == linear_scan_replicas,
+        plan.replicas == linear_scan,
         plan.attainment,
         plan.total_xpus,
         plan.des_runs,
         plan.des_runs_stopped,
         plan.des_events,
+        pool_slo.ttft_s,
         pools.prefill_replicas,
         pools.decode_replicas,
         pool_scan.0,
@@ -384,14 +325,6 @@ fn render_json(
         pools.des_runs,
         pools.des_runs_stopped,
         pools.des_events,
-        max_replicas * max_replicas,
         knee_2 > knee_1,
-    )
+    );
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_fleet_json
-}
-criterion_main!(benches);

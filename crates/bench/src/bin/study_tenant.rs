@@ -1,6 +1,5 @@
-//! Multi-tenant, time-varying acceptance bench: a reactive autoscaler
-//! versus static peak provisioning on a diurnal two-tenant trace, written
-//! to `BENCH_tenant.json` at the workspace root.
+//! Multi-tenant, time-varying study: a reactive autoscaler versus static
+//! peak provisioning on a diurnal two-tenant trace, printed as JSON.
 //!
 //! The scenario: an interactive chat tenant (tight SLO, short decodes,
 //! 3× the traffic) shares the fleet with a long-form report tenant (loose
@@ -15,15 +14,13 @@
 //!   out on queue depth with a warm-up delay and scaling in after a
 //!   cooldown, capped at the static plan's size.
 //!
-//! Acceptance (asserted, and gated by CI on the JSON): the autoscaler
-//! serves the trace at **no worse SLO attainment** than the static plan
-//! while paying **fewer chip-hours**. The JSON also carries the per-tenant
-//! goodput ranking of the autoscaled run.
+//! Acceptance (asserted): the autoscaler serves the trace at **no worse
+//! SLO attainment** than the static plan while paying **fewer
+//! chip-hours**. The JSON also carries the per-tenant goodput ranking of
+//! the autoscaled run.
 //!
-//! Set `RAGO_BENCH_QUICK=1` for the CI-friendly quick mode (one shorter
-//! cycle, same JSON shape). The bench refuses to write non-finite numbers.
+//! Run with: `cargo run --release -p rago-bench --bin study_tenant`
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rago_core::faulted::{FaultScenario, FaultedEvaluation};
 use rago_core::{CapacityOptions, Rago, SearchOptions};
 use rago_schema::presets::{self, LlmSize};
@@ -46,8 +43,7 @@ fn class_rows(eval: &FaultedEvaluation) -> String {
         .join(",\n")
 }
 
-fn bench_tenant_json(_c: &mut Criterion) {
-    let quick = rago_bench::quick_mode();
+fn main() {
     let rago = Rago::new(
         presets::case1_hyperscale(LlmSize::B8, 1),
         rago_bench::default_cluster(),
@@ -81,7 +77,7 @@ fn bench_tenant_json(_c: &mut Criterion) {
 
     // One diurnal cycle: trough at 0.3× the single-replica static QPS,
     // peak at 2.2× — a fleet question at the peak, near-idle at the trough.
-    let period_s = if quick { 16.0 } else { 32.0 };
+    let period_s = 32.0;
     let base_rps = 0.3 * static_qps;
     let peak_rps = 2.2 * static_qps;
     let mean_rps = 0.5 * (base_rps + peak_rps);
@@ -103,7 +99,7 @@ fn bench_tenant_json(_c: &mut Criterion) {
     // several seconds of *sustained* peak traffic — a fixed request count
     // would be a sub-second burst the fleet drains within the SLO, sizing
     // every fleet to one replica.
-    let sizing_duration_s = if quick { 4.0 } else { 6.0 };
+    let sizing_duration_s = 6.0;
     let capacity = CapacityOptions {
         max_replicas: 6,
         num_requests: (peak_rps * sizing_duration_s).ceil() as usize,
@@ -178,7 +174,7 @@ fn bench_tenant_json(_c: &mut Criterion) {
             )
         })
         .count();
-    let json = format!(
+    print!(
         "{{\n  \"bench\": \"tenant_mix/autoscale\",\n  \
          \"schedule\": \"{}\",\n  \"static_qps\": {static_qps:.3},\n  \
          \"diurnal\": {{\"base_rps\": {base_rps:.3}, \"peak_rps\": {peak_rps:.3}, \
@@ -206,24 +202,4 @@ fn bench_tenant_json(_c: &mut Criterion) {
         elastic.chip_seconds < fixed.chip_seconds,
         1.0 - elastic.chip_seconds / fixed.chip_seconds,
     );
-    // Case-sensitive on purpose: Rust formats non-finite floats as "NaN"
-    // and "inf", while the word "tenants" itself contains "nan".
-    assert!(
-        !json.contains("NaN") && !json.contains("inf"),
-        "refusing to write non-finite tenant metrics"
-    );
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_tenant.json");
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("wrote {}", out.display()),
-        Err(e) => eprintln!("could not write {}: {e}", out.display()),
-    }
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_tenant_json
-}
-criterion_main!(benches);

@@ -1,12 +1,16 @@
-//! Shared helpers for the figure/table regeneration binaries and the
-//! Criterion benches of the RAGO reproduction.
+//! Shared helpers for the figure/table regeneration binaries, the study
+//! binaries and the Criterion benches of the RAGO reproduction.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper's
-//! evaluation, printing the same rows or series the paper reports (see the
-//! "Which module reproduces which paper result" table of `ARCHITECTURE.md`
-//! at the workspace root for the mapping). The helpers here keep the
-//! binaries small: common clusters, search options, and fixed-width table
-//! printing.
+//! The `figNN` and `tableN` binaries in `src/bin/` each regenerate one table
+//! or figure of the paper's evaluation, printing the same rows or series the
+//! paper reports (see the "Which module reproduces which paper result" table
+//! of `ARCHITECTURE.md` at the workspace root for the mapping). The
+//! `study_*` binaries run one serving-level study of the model each
+//! (request streams, fleets, tenants, caches, chaos, disaggregation), assert
+//! its acceptance claims and print its results as JSON. Every binary's
+//! stdout is pinned byte for byte by `tests/figure_goldens.rs`; the benches
+//! in `benches/` only measure cost. The helpers here keep the binaries
+//! small: common clusters, search options, and fixed-width table printing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,10 +1,16 @@
-//! Pins the stdout of every figure and table binary byte for byte against
-//! `tests/golden/<bin>.txt`.
+//! Pins the stdout of every figure, table and study binary byte for byte
+//! against `tests/golden/<bin>.txt`.
 //!
 //! Each binary runs on its full grid: `RAGO_BENCH_QUICK` is removed from its
 //! environment, because quick mode prints different numbers for several of
-//! them. Regenerate one golden after an intentional change with
+//! the figures. Regenerate one golden after an intentional change with
 //! `env -u RAGO_BENCH_QUICK cargo run -p rago-bench --bin <bin> > crates/bench/tests/golden/<bin>.txt`.
+//!
+//! A study binary (`study_<x>`) reads no environment variable, runs its one
+//! study, asserts the study's acceptance claims (it exits non-zero, and its
+//! test fails, when one breaks) and prints the study's JSON. Regenerate its
+//! golden with
+//! `cargo run -p rago-bench --bin study_<x> > crates/bench/tests/golden/study_<x>.txt`.
 
 use std::path::Path;
 use std::process::Command;
@@ -17,8 +23,9 @@ fn assert_stdout_matches_golden(bin: &str, exe: &str) {
         .unwrap_or_else(|e| panic!("{bin} does not run: {e}"));
     assert!(
         output.status.success(),
-        "{bin} exited with {}",
-        output.status
+        "{bin} exited with {}:\n{}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
     );
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/{bin}.txt"));
     let expected = std::fs::read_to_string(&golden)
@@ -58,4 +65,10 @@ figure_goldens! {
     table2_stdout_matches_golden => "table2",
     table3_stdout_matches_golden => "table3",
     table4_stdout_matches_golden => "table4",
+    study_serving_stdout_matches_golden => "study_serving",
+    study_fleet_stdout_matches_golden => "study_fleet",
+    study_tenant_stdout_matches_golden => "study_tenant",
+    study_cache_stdout_matches_golden => "study_cache",
+    study_chaos_stdout_matches_golden => "study_chaos",
+    study_disagg_stdout_matches_golden => "study_disagg",
 }

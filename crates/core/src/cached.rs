@@ -96,7 +96,7 @@ impl Rago {
     /// "Planning under a target hit rate" works by construction: the hit rate
     /// is a deterministic function of the content skew and cache capacities, so
     /// callers pick those, plan, and read the achieved rates off the result
-    /// (the `cache_reuse` bench prints exactly this loop).
+    /// (the `study_cache` binary prints exactly this loop).
     ///
     /// # Errors
     ///

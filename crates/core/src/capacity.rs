@@ -29,7 +29,7 @@
 //! a seed to the first feasible count, then bisect between the last miss
 //! and it. Bisection leaves the answer's predecessor a probed miss, so the
 //! result equals an exhaustive scan whenever the column is monotone; the
-//! `fleet_scaling` bench cross-checks both planners against one.
+//! `study_fleet` binary cross-checks both planners against one.
 //!
 //! **Probe discipline.** Each candidate fleet is one DES run over the same
 //! sizing trace, memoized per search. The seeds are analytic: the flat
@@ -136,7 +136,7 @@ impl Rago {
     /// the last infeasible count (or 0) and it. Bisection leaves the returned
     /// count's predecessor a probed miss, so the result equals an exhaustive
     /// linear scan whenever attainment is monotone in the replica count
-    /// (cross-checked by the `fleet_scaling` bench). Every probe builds its
+    /// (cross-checked by the `study_fleet` binary). Every probe builds its
     /// fleet through the memoized profiler, so profiling costs one cold pass;
     /// every candidate count is evaluated on the same generated trace, so
     /// plans are comparable across schedules. Probes other than

@@ -9,29 +9,22 @@
 //! section times a cold Case III search, where candidates are scored with
 //! a decode-stall simulation, memoized and unmemoized, and counts the
 //! simulations the memoized search runs against the distinct simulation
-//! inputs its candidates reach. Asking for every reached input again must
-//! simulate exactly the ones the search skipped: the
-//! `iterative_sims_equal_simulated_inputs` flag is the exact check that no
-//! input is simulated twice. The `case3_stall_bound_simulates_fewer` flag
-//! checks that the search, which simulates only the stalls behind the
-//! points it keeps, runs fewer simulations than there are inputs. Its
-//! `case4_rewriter_reranker` section times a cold Case IV search, about a
-//! million candidates and no simulator, on the parallel path and on one
-//! thread scoring straight against the profiler, and checks that the cold
-//! search computed each stage profile once: the
-//! `profile_misses_equal_cached_profiles` flag. Every row also gives the
-//! candidates the search scored beside the feasible ones it covered
-//! (`scored_schedules`, `evaluated_schedules`): the search drops the decode
-//! choices another one beats, and the `case4_decode_cut_scores_fewer` flag
-//! checks that Case IV scores fewer than it covers. Set `RAGO_BENCH_QUICK=1`
-//! for a CI-friendly quick mode (fewer samples, the coarse grid for Case
-//! III and the medium grid for Case IV, same JSON).
+//! inputs its candidates reach. Its `case4_rewriter_reranker` section times
+//! a cold Case IV search, about a million candidates and no simulator, on
+//! the parallel path and on one thread scoring straight against the
+//! profiler, asserts that both found the same frontier, and counts the
+//! stage profiles the cold search computed against the ones it cached.
+//! Every row also gives the candidates the search scored beside the
+//! feasible ones it covered (`scored_schedules`, `evaluated_schedules`):
+//! the search drops the decode choices another one beats.
+//!
+//! The bench measures; the search's claims on these grids are tests of
+//! `rago-core` (`tests/decode_stall_memo.rs`, `tests/determinism.rs`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rago_core::{ParetoAccumulator, ParetoPoint, Rago, SearchOptions};
 use rago_hardware::ClusterSpec;
 use rago_schema::presets::{self, LlmSize};
-use rago_serving_sim::iterative::IterativeDecodeParams;
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -73,6 +66,9 @@ fn medium_grid() -> SearchOptions {
     }
 }
 
+/// Timed runs per search path; each row reports the best.
+const RUNS: usize = 3;
+
 /// One timed run of a search path: wall-clock seconds and candidate
 /// throughput over the full enumerated grid.
 struct PathTiming {
@@ -83,14 +79,10 @@ struct PathTiming {
     frontier_len: usize,
 }
 
-fn time_path<F: Fn() -> rago_core::ParetoFrontier>(
-    grid_candidates: usize,
-    runs: usize,
-    run: F,
-) -> PathTiming {
+fn time_path<F: Fn() -> rago_core::ParetoFrontier>(grid_candidates: usize, run: F) -> PathTiming {
     let mut best = f64::INFINITY;
     let mut frontier = run(); // warm-up (also primes any memo cache)
-    for _ in 0..runs {
+    for _ in 0..RUNS {
         let start = Instant::now();
         frontier = run();
         best = best.min(start.elapsed().as_secs_f64());
@@ -111,21 +103,20 @@ fn json_path_entry(name: &str, t: &PathTiming) -> String {
     )
 }
 
-/// The distinct decode-stall inputs the feasible candidates of `options`
-/// reach, with the latencies compared by bit pattern. A fresh optimizer
-/// evaluates them, so the searched one's counters stay put.
-fn distinct_stall_inputs(options: &SearchOptions) -> Vec<IterativeDecodeParams> {
+/// The number of distinct decode-stall inputs the feasible candidates of
+/// `options` reach, with the latencies compared by bit pattern. A fresh
+/// optimizer evaluates them, so the searched one's counters stay put.
+fn distinct_stall_inputs(options: &SearchOptions) -> usize {
     let rago = Rago::new(
         presets::case3_iterative(LlmSize::B8, 4),
         ClusterSpec::paper_default(),
     );
     let profiler = rago.profiler();
-    let mut seen = HashSet::new();
     rago.schedule_iter(options)
         .filter(|s| s.evaluate(profiler).is_ok())
         .filter_map(|s| s.decode_stall_params(profiler).ok().flatten())
-        .filter(|p| {
-            seen.insert((
+        .map(|p| {
+            (
                 p.decode_batch,
                 p.iterative_batch,
                 p.decode_len,
@@ -133,21 +124,18 @@ fn distinct_stall_inputs(options: &SearchOptions) -> Vec<IterativeDecodeParams> 
                 p.step_latency_s.to_bits(),
                 p.retrieval_prefix_latency_s.to_bits(),
                 p.seed,
-            ))
+            )
         })
-        .collect()
+        .collect::<HashSet<_>>()
+        .len()
 }
 
 /// The Case III section of `BENCH_optimizer.json`: a cold search (fresh
 /// profiler per run, so the memo is paid for inside the timing) with and
 /// without memoization, and the memoized search's simulation count against
-/// the distinct inputs of the grid and against a replay of them.
-fn case3_section(runs: usize) -> String {
-    let (grid, options) = if rago_bench::quick_mode() {
-        ("coarse", SearchOptions::fast())
-    } else {
-        ("paper", SearchOptions::paper_default())
-    };
+/// the distinct inputs of the grid.
+fn case3_section() -> String {
+    let options = SearchOptions::paper_default();
     let cold = |memoize: bool| {
         Rago::new(
             presets::case3_iterative(LlmSize::B8, 4),
@@ -156,7 +144,7 @@ fn case3_section(runs: usize) -> String {
         .with_memoization(memoize)
     };
     let best_cold_seconds = |memoize: bool| {
-        (0..runs)
+        (0..RUNS)
             .map(|_| {
                 let rago = cold(memoize);
                 let start = Instant::now();
@@ -172,41 +160,27 @@ fn case3_section(runs: usize) -> String {
     let candidates = rago.schedule_iter(&options).count();
     let frontier = rago.optimize(&options).expect("case3 search succeeds");
     let (_, iterative_sims) = rago.profiler().decode_stall_stats();
-    let inputs = distinct_stall_inputs(&options);
-    let distinct_inputs = inputs.len() as u64;
-    // Ask for every reached input again: the memo simulates exactly those
-    // the search skipped, so the search simulated none twice.
-    for params in &inputs {
-        rago.profiler().decode_stall(*params);
-    }
-    let (_, replayed) = rago.profiler().decode_stall_stats();
-    let skipped = replayed - iterative_sims;
+    let distinct_inputs = distinct_stall_inputs(&options);
     println!(
-        "case3 {grid} grid: {candidates} candidates, {iterative_sims} decode-stall simulations \
-         for {distinct_inputs} distinct inputs ({skipped} skipped); cold search \
+        "case3 paper grid: {candidates} candidates, {iterative_sims} decode-stall simulations \
+         for {distinct_inputs} distinct inputs; cold search \
          {memoized_seconds:.3}s memoized vs {unmemoized_seconds:.3}s unmemoized"
     );
     format!(
-        "  \"case3_iterative\": {{\n    \"grid\": \"{grid}\",\n    \"candidates\": {candidates},\n    \"evaluated_schedules\": {},\n    \"scored_schedules\": {},\n    \"frontier_len\": {},\n    \"iterative_sims\": {iterative_sims},\n    \"distinct_inputs\": {distinct_inputs},\n    \"memoized_seconds\": {memoized_seconds:.6},\n    \"unmemoized_seconds\": {unmemoized_seconds:.6},\n    \"memo_speedup\": {:.2},\n    \"iterative_sims_equal_simulated_inputs\": {},\n    \"case3_stall_bound_simulates_fewer\": {}\n  }}",
+        "  \"case3_iterative\": {{\n    \"grid\": \"paper\",\n    \"candidates\": {candidates},\n    \"evaluated_schedules\": {},\n    \"scored_schedules\": {},\n    \"frontier_len\": {},\n    \"iterative_sims\": {iterative_sims},\n    \"distinct_inputs\": {distinct_inputs},\n    \"memoized_seconds\": {memoized_seconds:.6},\n    \"unmemoized_seconds\": {unmemoized_seconds:.6},\n    \"memo_speedup\": {:.2}\n  }}",
         frontier.evaluated_schedules,
         frontier.scored_schedules,
         frontier.len(),
         unmemoized_seconds / memoized_seconds,
-        distinct_inputs.checked_sub(skipped) == Some(iterative_sims),
-        iterative_sims < distinct_inputs,
     )
 }
 
-/// The Case IV section of `BENCH_optimizer.json`: the best of `runs` cold
+/// The Case IV section of `BENCH_optimizer.json`: the best of [`RUNS`] cold
 /// searches (fresh profiler per run) on the parallel path and on one thread
 /// that scores every candidate straight against the profiler, and the
 /// parallel search's stage-profile misses against the profiles it cached.
-fn case4_section(runs: usize) -> String {
-    let (grid, options) = if rago_bench::quick_mode() {
-        ("medium", medium_grid())
-    } else {
-        ("paper", SearchOptions::paper_default())
-    };
+fn case4_section() -> String {
+    let options = SearchOptions::paper_default();
     let cold = || {
         Rago::new(
             presets::case4_rewriter_reranker(LlmSize::B8),
@@ -226,7 +200,7 @@ fn case4_section(runs: usize) -> String {
         acc.into_frontier()
     };
     let best_cold_seconds = |search: &dyn Fn(&Rago) -> rago_core::ParetoFrontier| {
-        (0..runs)
+        (0..RUNS)
             .map(|_| {
                 let rago = cold();
                 let start = Instant::now();
@@ -251,19 +225,17 @@ fn case4_section(runs: usize) -> String {
     let candidates = rago.schedule_iter(&options).count();
     let threads = rayon::current_num_threads();
     println!(
-        "case4 {grid} grid: {candidates} candidates, {} scored, {profile_misses} stage-profile \
+        "case4 paper grid: {candidates} candidates, {} scored, {profile_misses} stage-profile \
          misses for {cached_profiles} cached profiles; cold search {parallel_seconds:.3}s on \
          {threads} threads vs {serial_seconds:.3}s on one",
         frontier.scored_schedules
     );
     format!(
-        "  \"case4_rewriter_reranker\": {{\n    \"grid\": \"{grid}\",\n    \"candidates\": {candidates},\n    \"evaluated_schedules\": {},\n    \"scored_schedules\": {},\n    \"frontier_len\": {},\n    \"profile_misses\": {profile_misses},\n    \"cached_profiles\": {cached_profiles},\n    \"threads\": {threads},\n    \"parallel_seconds\": {parallel_seconds:.6},\n    \"serial_seconds\": {serial_seconds:.6},\n    \"parallel_speedup\": {:.2},\n    \"profile_misses_equal_cached_profiles\": {},\n    \"case4_decode_cut_scores_fewer\": {}\n  }}",
+        "  \"case4_rewriter_reranker\": {{\n    \"grid\": \"paper\",\n    \"candidates\": {candidates},\n    \"evaluated_schedules\": {},\n    \"scored_schedules\": {},\n    \"frontier_len\": {},\n    \"profile_misses\": {profile_misses},\n    \"cached_profiles\": {cached_profiles},\n    \"threads\": {threads},\n    \"parallel_seconds\": {parallel_seconds:.6},\n    \"serial_seconds\": {serial_seconds:.6},\n    \"parallel_speedup\": {:.2}\n  }}",
         frontier.evaluated_schedules,
         frontier.scored_schedules,
         frontier.len(),
         serial_seconds / parallel_seconds,
-        profile_misses == cached_profiles as u64,
-        frontier.scored_schedules < frontier.evaluated_schedules,
     )
 }
 
@@ -278,17 +250,16 @@ fn bench_paper_grid_speedup(c: &mut Criterion) {
     let optimized = Rago::new(schema.clone(), cluster.clone());
     let baseline = Rago::new(schema, cluster).with_memoization(false);
     let grid_candidates = optimized.schedule_iter(&options).count();
-    let runs = if rago_bench::quick_mode() { 1 } else { 3 };
 
-    let parallel_memoized = time_path(grid_candidates, runs, || {
+    let parallel_memoized = time_path(grid_candidates, || {
         optimized.optimize(&options).expect("case1 search succeeds")
     });
-    let serial_memoized = time_path(grid_candidates, runs, || {
+    let serial_memoized = time_path(grid_candidates, || {
         optimized
             .optimize_serial(&options)
             .expect("case1 search succeeds")
     });
-    let serial_unmemoized = time_path(grid_candidates, runs, || {
+    let serial_unmemoized = time_path(grid_candidates, || {
         baseline
             .optimize_serial(&options)
             .expect("case1 search succeeds")
@@ -303,8 +274,8 @@ fn bench_paper_grid_speedup(c: &mut Criterion) {
         json_path_entry("serial_memoized", &serial_memoized),
         json_path_entry("serial_unmemoized", &serial_unmemoized),
         speedup,
-        case3_section(runs),
-        case4_section(runs),
+        case3_section(),
+        case4_section(),
     );
     // The bench runs with the package as CWD; the JSON belongs at the
     // workspace root next to the other tracked reports.

@@ -3,41 +3,38 @@
 //! pre-optimization loop, written to `BENCH_scale.json` at the workspace
 //! root.
 //!
-//! One synthetic open-loop workload (deterministic arrivals at a fixed
-//! rate, two pre-decode stages, continuous-batching decode) is replayed at
-//! increasing request tiers:
+//! One synthetic open-loop workload (`rago_bench::stress`: deterministic
+//! arrivals at a fixed rate, two pre-decode stages, continuous-batching
+//! decode) is replayed at increasing request tiers:
 //!
-//! * **10k, 100k** — always run; the CI smoke tiers (`RAGO_BENCH_QUICK=1`).
-//! * **1M** — full mode; the acceptance tier: the streaming engine must
-//!   process events at least 5x faster than the vendored baseline. Each
-//!   engine row's wall time is the median of [`REPS`] interleaved runs, so
-//!   one noisy run cannot swing the ratio.
-//! * **10M** — full mode, streaming-only (an exact run would retain tens of
-//!   millions of timeline allocations for no extra information).
-//! * **100M** — full mode, `pulled_fleet` only: a day-scale diurnal trace.
+//! * **10k, 100k, 1M** — the vendored baseline, the exact engine and the
+//!   streaming engine. At 1M the streaming engine must process events at
+//!   least 5x faster than the baseline. Each engine row's wall time is the
+//!   median of [`REPS`] interleaved runs, so one noisy run cannot swing the
+//!   ratio.
+//! * **10M** — streaming-only (an exact run would retain tens of millions
+//!   of timeline allocations for no extra information).
+//! * **100M** — `pulled_fleet` only: a day-scale diurnal trace.
 //!
 //! Every tier also has a `pulled_fleet` row: a one-replica streaming
 //! `FleetEngine` pulling its arrivals straight from a lazy
 //! `TraceSpec::requests()` generator, so no trace is ever materialized. Its
-//! exact `peak_live_requests` — the most requests the replica held state
-//! for at once — must stay flat across tiers (`flat_live_requests`: the
-//! largest tier's peak at most twice the smallest's), which is what lets
-//! the 100M-request tier run in bounded memory.
+//! `peak_live_requests` is the most requests the replica held state for at
+//! once, which is what lets the 100M-request tier run in bounded memory.
 //!
-//! At every tier that runs both engines, the bench asserts the optimized
-//! exact run reproduces the baseline's timelines **bit for bit** — speed
-//! must not buy drift. Where exact and streaming both run, every reported
-//! percentile must agree within one histogram bucket width.
-//!
-//! The JSON refuses to serialize non-finite numbers, so CI can gate on the
-//! file's presence, NaN-freeness, and the acceptance flags being `true`.
+//! The 5x gate is the bench's one claim. Besides it, the bench asserts
+//! only that the timed runs computed the same thing: every engine of a
+//! tier applies the same events, and the baseline's timelines equal the
+//! exact engine's bit for bit — speed must not buy drift. The model's claims about these runs
+//! (streaming percentiles within one bucket of exact, flat streaming
+//! memory, flat live requests, the 10k tier's exact counters) are tests.
+//! The bench refuses to write non-finite numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rago_bench::baseline::run_baseline;
+use rago_bench::stress::{open_loop_requests, stress_spec, RATE_RPS};
 use rago_schema::{HistogramSpec, RouterPolicy, SequenceProfile};
-use rago_serving_sim::engine::{
-    DecodeSpec, EngineRequest, LatencyStats, LatencyTable, PipelineSpec, ServingReport, StageSpec,
-};
+use rago_serving_sim::engine::{EngineRequest, LatencyStats, PipelineSpec, ServingReport};
 use rago_serving_sim::faults::ScaleDriver;
 use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::{MetricsMode, StreamingConfig};
@@ -45,56 +42,9 @@ use rago_telemetry::NullRecorder;
 use rago_workloads::{ArrivalProcess, TraceSpec};
 use std::time::Instant;
 
-/// Offered rate of the open-loop workload, just under the pipeline's
-/// bottleneck (the prefix stage) so queues stay bounded and the event count
-/// scales linearly with the tier.
-const RATE_RPS: f64 = 1000.0;
-
 /// Timed runs per engine row, interleaved across the engines; a row
 /// reports the median.
 const REPS: usize = 5;
-
-/// The stress pipeline: hyperscale-retrieval shape (retrieval + prefix +
-/// decode) with latency tables cheap enough that the bench measures the
-/// event loop, not the cost model.
-fn stress_spec() -> PipelineSpec {
-    PipelineSpec::new(
-        vec![
-            StageSpec::new(
-                "retrieval",
-                0,
-                16,
-                LatencyTable::from_fn(16, |b| 0.002 + 0.0002 * f64::from(b)),
-            ),
-            StageSpec::new(
-                "prefix",
-                1,
-                16,
-                LatencyTable::from_fn(16, |b| 0.005 + 0.0005 * f64::from(b)),
-            ),
-        ],
-        DecodeSpec::new(
-            128,
-            LatencyTable::from_fn(128, |b| 0.001 + 0.00002 * f64::from(b)),
-        ),
-    )
-}
-
-/// Deterministic open-loop arrivals: request `i` arrives at `i / rate`,
-/// with a small repeating spread of decode lengths. No RNG — every tier is
-/// exactly reproducible, and the 10M tier costs no generation entropy.
-fn open_loop_requests(n: u64, rate_rps: f64) -> Vec<EngineRequest> {
-    (0..n)
-        .map(|i| EngineRequest {
-            id: i,
-            arrival_s: i as f64 / rate_rps,
-            prefix_tokens: 0,
-            decode_tokens: 8 + (i % 5) as u32,
-            class: 0,
-            identity: None,
-        })
-        .collect()
-}
 
 struct EngineFigures {
     wall_s: f64,
@@ -118,8 +68,6 @@ struct EngineTier {
     baseline: Option<EngineFigures>,
     exact: Option<EngineFigures>,
     streaming: EngineFigures,
-    baseline_matches_exact: Option<bool>,
-    percentile_delta_within_bucket: Option<bool>,
 }
 
 /// The `pulled_fleet` row: a one-replica streaming fleet fed lazily.
@@ -139,35 +87,16 @@ fn figures(wall_s: f64, events: u64, retained_bytes: usize) -> EngineFigures {
     }
 }
 
-/// Largest absolute difference between the streaming and exact reports over
-/// the percentile fields the histogram estimates (means and maxima are
-/// exact in both modes and compared for bit-equality instead).
-fn max_percentile_delta(streaming: &ServingReport, exact: &ServingReport) -> f64 {
-    let pairs = [
-        (&streaming.metrics.ttft, &exact.metrics.ttft),
-        (&streaming.metrics.tpot, &exact.metrics.tpot),
-        (&streaming.metrics.latency, &exact.metrics.latency),
-    ];
-    pairs
-        .iter()
-        .flat_map(|(s, e)| {
-            [
-                (s.p50_s - e.p50_s).abs(),
-                (s.p95_s - e.p95_s).abs(),
-                (s.p99_s - e.p99_s).abs(),
-            ]
-        })
-        .fold(0.0_f64, f64::max)
-}
-
 /// The median of `samples` (an odd count: the middle one).
 fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
 }
 
-/// Runs one tier through baseline / exact / streaming as requested and
-/// cross-checks the runs against each other.
+/// Runs one tier through the streaming engine and, `with_references`,
+/// through the exact engine and the vendored baseline too, and checks
+/// that every run applied the same events and that the baseline's
+/// timelines equal the exact engine's.
 ///
 /// The optimized engine is a one-replica static fleet pulling the prebuilt
 /// requests in place ([`FleetEngine::run`]), so no copy or sort of
@@ -180,7 +109,7 @@ fn median(mut samples: Vec<f64>) -> f64 {
 /// the host's speed lands on every engine alike. Combined with the
 /// allocator retention configured in `bench_scale_json`, the timed runs
 /// measure the simulation loops, not the host's memory plumbing.
-fn run_engines(spec: &PipelineSpec, n: u64, with_baseline: bool, with_exact: bool) -> EngineTier {
+fn run_engines(spec: &PipelineSpec, n: u64, with_references: bool) -> EngineTier {
     let requests = open_loop_requests(n, RATE_RPS);
     let streaming_mode = MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()));
     let engine = FleetEngine::new(
@@ -205,13 +134,11 @@ fn run_engines(spec: &PipelineSpec, n: u64, with_baseline: bool, with_exact: boo
         walls[0].push(wall);
         streaming_report.get_or_insert(report);
 
-        if with_exact {
+        if with_references {
             let (wall, report) = run(&MetricsMode::Exact);
             walls[1].push(wall);
             exact_report.get_or_insert(report);
-        }
 
-        if with_baseline {
             // The baseline's wall time includes the old metrics path —
             // cloning each distribution out of the timelines and sorting
             // it — because that is what the pre-optimization `run()` paid.
@@ -253,42 +180,12 @@ fn run_engines(spec: &PipelineSpec, n: u64, with_baseline: bool, with_exact: boo
         );
         figures(median(baseline_walls), run.events, 0)
     });
-
-    let baseline_matches_exact = match (&baseline_run, &exact_report) {
-        (Some(base), Some(exact)) => {
-            assert_eq!(
-                base.timelines, exact.timelines,
-                "vendored baseline diverged from the optimized exact engine at n={n}"
-            );
-            Some(true)
-        }
-        _ => None,
-    };
-
-    let percentile_delta_within_bucket = exact_report.as_ref().map(|exact| {
-        let delta = max_percentile_delta(&streaming_report, exact);
-        let width = HistogramSpec::default().bucket_width_s;
-        assert!(
-            delta <= width * (1.0 + 1e-9),
-            "streaming percentile strayed {delta} beyond one bucket width {width} at n={n}"
-        );
-        // Maxima are tracked exactly by the streaming sink; means agree up
-        // to summation order (the exact path sums sorted samples, the sink
-        // sums in arrival order).
-        assert!(
-            (exact.metrics.ttft.mean_s - streaming_report.metrics.ttft.mean_s).abs()
-                <= 1e-9 * exact.metrics.ttft.mean_s.abs().max(1.0)
-        );
+    if let (Some(base), Some(exact)) = (&baseline_run, &exact_report) {
         assert_eq!(
-            exact.metrics.ttft.max_s,
-            streaming_report.metrics.ttft.max_s
+            base.timelines, exact.timelines,
+            "vendored baseline diverged from the optimized exact engine at n={n}"
         );
-        assert_eq!(
-            exact.metrics.makespan_s,
-            streaming_report.metrics.makespan_s
-        );
-        true
-    });
+    }
 
     EngineTier {
         events,
@@ -296,8 +193,6 @@ fn run_engines(spec: &PipelineSpec, n: u64, with_baseline: bool, with_exact: boo
         baseline,
         exact,
         streaming,
-        baseline_matches_exact,
-        percentile_delta_within_bucket,
     }
 }
 
@@ -369,36 +264,33 @@ const M_TRIM_THRESHOLD: i32 = -1;
 fn bench_scale_json(_c: &mut Criterion) {
     // Keep freed memory inside the process: no mmap for large blocks (their
     // pages would be returned to the OS on free and re-faulted by the next
-    // tier) and no heap trimming. The warmup pass in `run_tier` then really
-    // warms — on hosts with lazily materialized memory, re-faulting pages
-    // costs microseconds each and would drown the event-loop measurement.
+    // tier) and no heap trimming. The warmup pass in `run_engines` then
+    // really warms — on hosts with lazily materialized memory, re-faulting
+    // pages costs microseconds each and would drown the event-loop
+    // measurement.
     unsafe {
         mallopt(M_MMAP_MAX, 0);
         mallopt(M_TRIM_THRESHOLD, i32::MAX);
     }
-    let quick = rago_bench::quick_mode();
     let spec = stress_spec();
 
-    // Tier plan: (requests, engine rows as (run baseline, run exact)). The
-    // 10M tier is streaming-only — its exact twin would retain tens of
-    // millions of timeline allocations without adding information the 1M
-    // tier lacks — and the 100M diurnal tier is pulled-fleet only.
-    let plan: &[(u64, Option<(bool, bool)>)] = if quick {
-        &[(10_000, Some((true, true))), (100_000, Some((true, true)))]
-    } else {
-        &[
-            (10_000, Some((true, true))),
-            (100_000, Some((true, true))),
-            (1_000_000, Some((true, true))),
-            (10_000_000, Some((false, false))),
-            (100_000_000, None),
-        ]
-    };
+    // Tier plan: (requests, engine rows, and whether they include the
+    // exact engine and the baseline). The 10M tier is streaming-only — its
+    // exact twin would retain tens of millions of timeline allocations
+    // without adding information the 1M tier lacks — and the 100M diurnal
+    // tier is pulled-fleet only.
+    let plan: [(u64, Option<bool>); 5] = [
+        (10_000, Some(true)),
+        (100_000, Some(true)),
+        (1_000_000, Some(true)),
+        (10_000_000, Some(false)),
+        (100_000_000, None),
+    ];
     let tiers: Vec<TierResult> = plan
         .iter()
         .map(|&(n, engines)| {
-            let engines = engines.map(|(with_baseline, with_exact)| {
-                let tier = run_engines(&spec, n, with_baseline, with_exact);
+            let engines = engines.map(|with_references| {
+                let tier = run_engines(&spec, n, with_references);
                 println!(
                     "tier {n}: {} events, streaming {:.2}M ev/s",
                     tier.events,
@@ -419,71 +311,22 @@ fn bench_scale_json(_c: &mut Criterion) {
         })
         .collect();
 
-    // Acceptance 1 (full mode): streaming events/sec at the 1M tier beats
-    // the vendored baseline by at least 5x.
+    // The gate: streaming events/sec at the 1M tier beats the vendored
+    // baseline by at least 5x.
     const SPEEDUP_TARGET: f64 = 5.0;
     let speedup_at_1m = tiers
         .iter()
         .find(|t| t.requests == 1_000_000)
         .and_then(|t| t.engines.as_ref())
-        .and_then(|t| {
-            t.baseline
-                .as_ref()
-                .map(|b| t.streaming.events_per_s / b.events_per_s)
-        });
-    if let Some(speedup) = speedup_at_1m {
-        assert!(
-            speedup >= SPEEDUP_TARGET,
-            "streaming engine reached only {speedup:.2}x the baseline at 1M requests \
-             (target {SPEEDUP_TARGET}x)"
-        );
-    }
-
-    // Acceptance 2: streaming retained memory is sub-linear in the tier
-    // size — the histogram state must not grow with the request count.
-    let streamed: Vec<(u64, &EngineTier)> = tiers
-        .iter()
-        .filter_map(|t| t.engines.as_ref().map(|e| (t.requests, e)))
-        .collect();
-    let (first_n, first) = streamed.first().expect("at least one engine tier");
-    let (last_n, last) = streamed.last().expect("at least one engine tier");
-    let retained_growth =
-        last.streaming.retained_bytes as f64 / first.streaming.retained_bytes.max(1) as f64;
-    let request_growth = *last_n as f64 / *first_n as f64;
+        .and_then(speedup)
+        .expect("the 1M tier runs the baseline");
     assert!(
-        retained_growth <= request_growth.sqrt().max(2.0),
-        "streaming retained bytes grew {retained_growth:.1}x over a {request_growth:.0}x \
-         request increase — not sub-linear"
+        speedup_at_1m >= SPEEDUP_TARGET,
+        "streaming engine reached only {speedup_at_1m:.2}x the baseline at 1M requests \
+         (target {SPEEDUP_TARGET}x)"
     );
 
-    // Acceptance 3: the pulled fleet's per-request state is bounded by its
-    // in-flight load — the largest tier holds at most twice the live
-    // requests of the smallest.
-    let smallest = tiers
-        .first()
-        .expect("at least one tier")
-        .pulled
-        .peak_live_requests;
-    let largest = tiers
-        .last()
-        .expect("at least one tier")
-        .pulled
-        .peak_live_requests;
-    let flat_live_requests = largest <= 2 * smallest;
-    assert!(
-        flat_live_requests,
-        "the pulled fleet held {largest} live requests at its largest tier, \
-         {smallest} at its smallest — per-request state grew with the trace"
-    );
-
-    let json = render_json(
-        quick,
-        &tiers,
-        speedup_at_1m,
-        SPEEDUP_TARGET,
-        retained_growth,
-        flat_live_requests,
-    );
+    let json = render_json(&tiers, speedup_at_1m, SPEEDUP_TARGET);
     assert!(
         !json.to_ascii_lowercase().contains("nan") && !json.contains("inf"),
         "refusing to write non-finite scale metrics"
@@ -497,8 +340,11 @@ fn bench_scale_json(_c: &mut Criterion) {
     }
 }
 
-fn fmt_opt_bool(v: Option<bool>) -> String {
-    v.map_or_else(|| "null".into(), |b| b.to_string())
+/// Streaming events/sec over the baseline's, on a tier that ran both.
+fn speedup(tier: &EngineTier) -> Option<f64> {
+    tier.baseline
+        .as_ref()
+        .map(|b| tier.streaming.events_per_s / b.events_per_s)
 }
 
 fn fmt_engine(f: Option<&EngineFigures>) -> String {
@@ -526,30 +372,16 @@ fn fmt_pulled(p: &PulledFigures) -> String {
     )
 }
 
-fn render_json(
-    quick: bool,
-    tiers: &[TierResult],
-    speedup_at_1m: Option<f64>,
-    speedup_target: f64,
-    retained_growth: f64,
-    flat_live_requests: bool,
-) -> String {
+fn render_json(tiers: &[TierResult], speedup_at_1m: f64, speedup_target: f64) -> String {
     let tiers_json = tiers
         .iter()
         .map(|t| {
             let e = t.engines.as_ref();
-            let speedup = e.and_then(|e| {
-                e.baseline
-                    .as_ref()
-                    .map(|b| e.streaming.events_per_s / b.events_per_s)
-            });
             format!(
                 "    {{\"requests\": {}, \"events\": {}, \"queue_pops\": {},\n      \
                  \"baseline\": {},\n      \
                  \"exact\": {},\n      \"streaming\": {},\n      \
                  \"speedup_streaming_vs_baseline\": {},\n      \
-                 \"baseline_matches_exact\": {},\n      \
-                 \"percentile_delta_within_bucket\": {},\n      \
                  \"pulled_fleet\": {}}}",
                 t.requests,
                 e.map_or_else(|| "null".into(), |e| e.events.to_string()),
@@ -557,26 +389,21 @@ fn render_json(
                 fmt_engine(e.and_then(|e| e.baseline.as_ref())),
                 fmt_engine(e.and_then(|e| e.exact.as_ref())),
                 fmt_engine(e.map(|e| &e.streaming)),
-                speedup.map_or_else(|| "null".into(), |s| format!("{s:.2}")),
-                fmt_opt_bool(e.and_then(|e| e.baseline_matches_exact)),
-                fmt_opt_bool(e.and_then(|e| e.percentile_delta_within_bucket)),
+                e.and_then(speedup)
+                    .map_or_else(|| "null".into(), |s| format!("{s:.2}")),
                 fmt_pulled(&t.pulled),
             )
         })
         .collect::<Vec<_>>()
         .join(",\n");
     format!(
-        "{{\n  \"bench\": \"scale_stress/des\",\n  \"quick\": {quick},\n  \
+        "{{\n  \"bench\": \"scale_stress/des\",\n  \
          \"rate_rps\": {RATE_RPS:.0},\n  \
          \"histogram_bucket_width_s\": {},\n  \"tiers\": [\n{tiers_json}\n  ],\n  \
-         \"acceptance\": {{\"speedup_streaming_vs_baseline_1m\": {}, \
-         \"speedup_target\": {speedup_target:.1}, \"meets_speedup\": {}, \
-         \"streaming_retained_growth\": {retained_growth:.2}, \
-         \"sublinear_retained_growth\": true, \
-         \"flat_live_requests\": {flat_live_requests}}}\n}}\n",
+         \"acceptance\": {{\"speedup_streaming_vs_baseline_1m\": {speedup_at_1m:.2}, \
+         \"speedup_target\": {speedup_target:.1}, \"meets_speedup\": {}}}\n}}\n",
         HistogramSpec::default().bucket_width_s,
-        speedup_at_1m.map_or_else(|| "null".into(), |s| format!("{s:.2}")),
-        speedup_at_1m.map_or_else(|| "null".into(), |s| (s >= speedup_target).to_string()),
+        speedup_at_1m >= speedup_target,
     )
 }
 

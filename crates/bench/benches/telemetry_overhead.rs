@@ -1,4 +1,4 @@
-//! Telemetry acceptance bench: the tracing layer costs nothing when off
+//! Telemetry overhead bench: the tracing layer costs nothing when off
 //! and stays cheap when on, written to `BENCH_telemetry.json` at the
 //! workspace root.
 //!
@@ -20,19 +20,11 @@
 //! `export_best_s` is the best trial of both exporters together and
 //! `summary_best_s` the best trial of `TelemetryReport::from_events`.
 //!
-//! Acceptance (asserted, and gated by CI on the JSON flags):
-//!
-//! * `disabled_is_bit_identical` — the untraced report equals the
-//!   null-recorded report *and* the live-traced report (recording never
-//!   perturbs the simulation), and a disabled config captures zero
-//!   events.
-//! * `overhead_under_2pct` — best-of-N wall time of the null-recorded
-//!   run stays within 2% of the untraced run.
-//! * `traces_parse` — the Chrome-trace and JSONL exports of the live run
-//!   pass the strict JSON validators.
-//!
-//! Set `RAGO_BENCH_QUICK=1` for the CI-friendly quick mode (smaller
-//! trace, same JSON shape). The bench refuses to write non-finite
+//! The one claim it asserts is about wall-clock time,
+//! `overhead_under_2pct`: the best-of-N wall time of the null-recorded run
+//! stays within 2% of the untraced run. That recording never perturbs the
+//! simulation and that the exports parse are tests of the workspace
+//! (`tests/golden_telemetry.rs`). The bench refuses to write non-finite
 //! numbers.
 
 use std::hint::black_box;
@@ -45,8 +37,8 @@ use rago_serving_sim::faults::{ChaosReport, FaultEvent, FaultSchedule, ScaleDriv
 use rago_serving_sim::fleet::FleetEngine;
 use rago_serving_sim::MetricsMode;
 use rago_telemetry::{
-    export_chrome_trace, export_jsonl, validate_json, validate_jsonl, NullRecorder,
-    TelemetryConfig, TelemetryReport, TraceRecorder,
+    export_chrome_trace, export_jsonl, NullRecorder, TelemetryConfig, TelemetryReport,
+    TraceRecorder,
 };
 use rago_workloads::{ArrivalProcess, TraceSpec};
 
@@ -106,23 +98,21 @@ fn scenario(num_requests: usize) -> FleetEngine {
 
 /// One timed sample: `reps` back-to-back runs (so a sample is long
 /// enough to dwarf timer and scheduler noise), returning the mean
-/// per-run seconds and the last report.
-fn sample<F: FnMut() -> ChaosReport>(reps: usize, run: &mut F) -> (f64, ChaosReport) {
+/// per-run seconds. The last report is dropped after the clock stops.
+fn sample<F: FnMut() -> ChaosReport>(reps: usize, run: &mut F) -> f64 {
     let start = Instant::now();
-    let mut report = None;
+    let mut last = None;
     for _ in 0..reps {
-        report = Some(run());
+        last = Some(run());
     }
-    (
-        start.elapsed().as_secs_f64() / reps as f64,
-        report.expect("at least one rep"),
-    )
+    let seconds = start.elapsed().as_secs_f64() / reps as f64;
+    drop(last);
+    seconds
 }
 
 fn bench_telemetry_json(_c: &mut Criterion) {
-    let quick = rago_bench::quick_mode();
-    let num_requests = if quick { 2_000 } else { 20_000 };
-    let (trials, reps) = if quick { (7, 8) } else { (7, 2) };
+    let num_requests = 20_000;
+    let (trials, reps) = (7, 2);
     let reqs = requests(num_requests);
     let engine = scenario(num_requests);
 
@@ -132,46 +122,28 @@ fn bench_telemetry_json(_c: &mut Criterion) {
     let mut run_untraced = || engine.run(reqs.clone(), &MetricsMode::Exact, &mut NullRecorder);
     let mut run_nullrec = || engine.run(reqs.clone(), &MetricsMode::Exact, &mut NullRecorder);
     let live_engine = scenario(num_requests).with_telemetry(TelemetryConfig::full(0.25));
-    let traced = |engine: &FleetEngine, config: TelemetryConfig| {
-        let mut rec = TraceRecorder::new(config);
-        let report = engine.run(reqs.clone(), &MetricsMode::Exact, &mut rec);
+    let traced = || {
+        let mut rec = TraceRecorder::new(TelemetryConfig::full(0.25));
+        let report = live_engine.run(reqs.clone(), &MetricsMode::Exact, &mut rec);
         (report, rec)
     };
     let mut events_captured = 0usize;
     let mut run_live = || {
-        let (report, rec) = traced(&live_engine, TelemetryConfig::full(0.25));
+        let (report, rec) = traced();
         events_captured = rec.len();
         report
     };
     // Warm-up: touch every path once before timing anything.
-    let mut untraced = run_untraced();
-    let mut nullrec = run_nullrec();
-    let mut live = run_live();
+    black_box((run_untraced(), run_nullrec(), run_live()));
     let (mut untraced_best_s, mut nullrec_best_s, mut live_best_s) =
         (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for _ in 0..trials {
-        let (t, r) = sample(reps, &mut run_untraced);
-        untraced_best_s = untraced_best_s.min(t);
-        untraced = r;
-        let (t, r) = sample(reps, &mut run_nullrec);
-        nullrec_best_s = nullrec_best_s.min(t);
-        nullrec = r;
-        let (t, r) = sample(reps, &mut run_live);
-        live_best_s = live_best_s.min(t);
-        live = r;
+        untraced_best_s = untraced_best_s.min(sample(reps, &mut run_untraced));
+        nullrec_best_s = nullrec_best_s.min(sample(reps, &mut run_nullrec));
+        live_best_s = live_best_s.min(sample(reps, &mut run_live));
     }
 
-    // ---- Flag 1: disabled (and even live) recording is inert ----
-    let disabled_is_bit_identical = untraced == nullrec && untraced == live && {
-        let (report, rec) = traced(&engine, TelemetryConfig::disabled());
-        report == untraced && rec.is_empty()
-    };
-    assert!(
-        disabled_is_bit_identical,
-        "recording perturbed the simulation"
-    );
-
-    // ---- Flag 2: the null-recorded path costs nothing measurable ----
+    // ---- The null-recorded path costs nothing measurable ----
     let null_overhead = nullrec_best_s / untraced_best_s.max(1e-12) - 1.0;
     let overhead_under_2pct = null_overhead < 0.02;
     assert!(
@@ -182,15 +154,11 @@ fn bench_telemetry_json(_c: &mut Criterion) {
     );
     let live_overhead = live_best_s / untraced_best_s.max(1e-12) - 1.0;
 
-    // ---- Flag 3: the exports are valid JSON / JSONL ----
-    let (_, rec) = traced(&live_engine, TelemetryConfig::full(0.25));
+    // ---- Export and summary of the recording-order stream ----
+    let (_, rec) = traced();
+    assert_eq!(rec.len(), events_captured, "capture count is not stable");
     let chrome = export_chrome_trace(rec.events());
     let jsonl = export_jsonl(rec.events());
-    let traces_parse = validate_json(&chrome).is_ok() && validate_jsonl(&jsonl).is_ok();
-    assert!(traces_parse, "exported traces failed JSON validation");
-    assert_eq!(rec.len(), events_captured, "capture count is not stable");
-
-    // ---- Export and summary of the recording-order stream ----
     let (mut export_best_s, mut summary_best_s) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..trials {
         let start = Instant::now();
@@ -226,9 +194,7 @@ fn bench_telemetry_json(_c: &mut Criterion) {
          \"events_captured\": {events_captured},\n  \
          \"events_per_request\": {events_per_request:.3},\n  \
          \"chrome_trace_bytes\": {},\n  \"jsonl_bytes\": {},\n  \
-         \"acceptance\": {{\"disabled_is_bit_identical\": {disabled_is_bit_identical}, \
-         \"overhead_under_2pct\": {overhead_under_2pct}, \
-         \"traces_parse\": {traces_parse}}}\n}}\n",
+         \"acceptance\": {{\"overhead_under_2pct\": {overhead_under_2pct}}}\n}}\n",
         chrome.len(),
         jsonl.len(),
     );

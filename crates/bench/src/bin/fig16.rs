@@ -3,22 +3,18 @@
 //!
 //! Run with: `cargo run --release -p rago-bench --bin fig16`
 
-use rago_bench::{default_cluster, fmt_f, print_header, print_row, quick_mode};
+use rago_bench::{default_cluster, fmt_f, print_header, print_row};
 use rago_core::{Rago, SearchOptions};
 use rago_schema::presets::{self, LlmSize};
 
 fn options() -> SearchOptions {
-    if quick_mode() {
-        SearchOptions::fast()
-    } else {
-        SearchOptions {
-            xpu_steps: vec![1, 4, 16, 32, 64],
-            server_steps: vec![32],
-            predecode_batch_steps: vec![1, 4, 16, 64],
-            decode_batch_steps: vec![128, 512],
-            iterative_batch_steps: vec![8],
-            placements: None,
-        }
+    SearchOptions {
+        xpu_steps: vec![1, 4, 16, 32, 64],
+        server_steps: vec![32],
+        predecode_batch_steps: vec![1, 4, 16, 64],
+        decode_batch_steps: vec![128, 512],
+        iterative_batch_steps: vec![8],
+        placements: None,
     }
 }
 

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release -p rago-bench --bin fig18`
 
-use rago_bench::{default_cluster, fmt_f, print_header, print_row, quick_mode};
+use rago_bench::{default_cluster, fmt_f, print_header, print_row};
 use rago_core::{PlacementPlan, Rago, SearchOptions};
 use rago_schema::presets::{self, LlmSize};
 
@@ -13,17 +13,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let schema = presets::case2_long_context(LlmSize::B70, 1_000_000);
     let rago = Rago::new(schema.clone(), cluster);
 
-    let opts = if quick_mode() {
-        SearchOptions::fast()
-    } else {
-        SearchOptions {
-            xpu_steps: vec![1, 2, 4, 8, 16, 32, 64],
-            server_steps: vec![32],
-            predecode_batch_steps: vec![1, 4, 16, 64],
-            decode_batch_steps: vec![256, 1024],
-            iterative_batch_steps: vec![8],
-            placements: None,
-        }
+    let opts = SearchOptions {
+        xpu_steps: vec![1, 2, 4, 8, 16, 32, 64],
+        server_steps: vec![32],
+        predecode_batch_steps: vec![1, 4, 16, 64],
+        decode_batch_steps: vec![256, 1024],
+        iterative_batch_steps: vec![8],
+        placements: None,
     };
 
     for (label, placement) in [

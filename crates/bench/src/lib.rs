@@ -8,14 +8,18 @@
 //! `study_*` binaries run one serving-level study of the model each
 //! (request streams, fleets, tenants, caches, chaos, disaggregation), assert
 //! its acceptance claims and print its results as JSON. Every binary's
-//! stdout is pinned byte for byte by `tests/figure_goldens.rs`; the benches
-//! in `benches/` only measure cost. The helpers here keep the binaries
-//! small: common clusters, search options, and fixed-width table printing.
+//! stdout is pinned byte for byte by `tests/figure_goldens.rs`. Each binary
+//! and each bench has one configuration, and the benches in `benches/` only
+//! measure cost: the model's claims are tests. The helpers here keep the
+//! binaries small: common clusters, search options, and fixed-width table
+//! printing. [`stress`] is the `scale_stress` bench's workload and
+//! [`baseline`] its vendored reference loop.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline;
+pub mod stress;
 
 use rago_core::SearchOptions;
 use rago_hardware::ClusterSpec;
@@ -26,28 +30,17 @@ pub fn default_cluster() -> ClusterSpec {
     ClusterSpec::paper_default()
 }
 
-/// Search options for the optimizer-driven figures. `quick` is used when the
-/// `RAGO_BENCH_QUICK` environment variable is set (CI smoke runs); otherwise a
-/// heavier grid closer to the paper's powers-of-two search is used.
+/// Search options for the optimizer-driven figures: a grid close to the
+/// paper's powers-of-two search.
 pub fn figure_search_options() -> SearchOptions {
-    if quick_mode() {
-        SearchOptions::fast()
-    } else {
-        SearchOptions {
-            xpu_steps: vec![1, 2, 4, 8, 16, 32, 64, 96, 128],
-            server_steps: vec![32, 64],
-            predecode_batch_steps: vec![1, 2, 4, 8, 16, 32, 64, 128],
-            decode_batch_steps: vec![64, 128, 256, 512, 1024],
-            iterative_batch_steps: vec![1, 4, 16, 64],
-            placements: None,
-        }
+    SearchOptions {
+        xpu_steps: vec![1, 2, 4, 8, 16, 32, 64, 96, 128],
+        server_steps: vec![32, 64],
+        predecode_batch_steps: vec![1, 2, 4, 8, 16, 32, 64, 128],
+        decode_batch_steps: vec![64, 128, 256, 512, 1024],
+        iterative_batch_steps: vec![1, 4, 16, 64],
+        placements: None,
     }
-}
-
-/// Whether quick (coarse-grid) mode is enabled via `RAGO_BENCH_QUICK`
-/// (set to anything except empty or `0`).
-pub fn quick_mode() -> bool {
-    std::env::var("RAGO_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 /// Prints a header row followed by a separator, with every column
@@ -89,13 +82,5 @@ mod tests {
         assert!(fmt_f(1e-6, 2).contains('e'));
         assert!(fmt_f(2.5e7, 1).contains('e'));
         assert_eq!(fmt_f(0.0, 1), "0.0");
-    }
-
-    #[test]
-    fn search_options_depend_on_quick_mode() {
-        // Can't mutate the environment safely in tests; just exercise both
-        // helpers for panic-freedom.
-        let _ = figure_search_options();
-        let _ = quick_mode();
     }
 }

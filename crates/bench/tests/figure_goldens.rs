@@ -1,16 +1,12 @@
 //! Pins the stdout of every figure, table and study binary byte for byte
 //! against `tests/golden/<bin>.txt`.
 //!
-//! Each binary runs on its full grid: `RAGO_BENCH_QUICK` is removed from its
-//! environment, because quick mode prints different numbers for several of
-//! the figures. Regenerate one golden after an intentional change with
-//! `env -u RAGO_BENCH_QUICK cargo run -p rago-bench --bin <bin> > crates/bench/tests/golden/<bin>.txt`.
-//!
-//! A study binary (`study_<x>`) reads no environment variable, runs its one
-//! study, asserts the study's acceptance claims (it exits non-zero, and its
-//! test fails, when one breaks) and prints the study's JSON. Regenerate its
-//! golden with
-//! `cargo run -p rago-bench --bin study_<x> > crates/bench/tests/golden/study_<x>.txt`.
+//! Each binary has one configuration: a figure or table binary runs its
+//! grid, and a study binary (`study_<x>`) runs its one study, asserts the
+//! study's acceptance claims (it exits non-zero, and its test fails, when
+//! one breaks) and prints the study's JSON. Regenerate one golden after an
+//! intentional change with
+//! `cargo run -p rago-bench --bin <bin> > crates/bench/tests/golden/<bin>.txt`.
 
 use std::path::Path;
 use std::process::Command;
@@ -18,7 +14,6 @@ use std::process::Command;
 /// Runs the binary at `exe` and compares its stdout with `golden/<bin>.txt`.
 fn assert_stdout_matches_golden(bin: &str, exe: &str) {
     let output = Command::new(exe)
-        .env_remove("RAGO_BENCH_QUICK")
         .output()
         .unwrap_or_else(|e| panic!("{bin} does not run: {e}"));
     assert!(

@@ -174,6 +174,20 @@ fn decode_stall_is_simulated_once_under_threads() {
     assert_eq!(serial_misses, distinct_stall_inputs(&options).len() as u64);
 }
 
+/// On the paper grid the search simulates 9 of the 2,401 distinct inputs
+/// its candidates reach, none twice. Replaying the other 2,392 is what
+/// makes this slow.
+#[test]
+#[ignore = "slow proptest tier (run with --ignored)"]
+fn paper_grid_decode_stall_is_simulated_once() {
+    let options = SearchOptions::paper_default();
+    let rago = case3();
+    rago.optimize(&options).unwrap();
+    assert_eq!(rago.profiler().decode_stall_stats().1, 9);
+    assert_eq!(distinct_stall_inputs(&options).len(), 2_401);
+    assert_eq!(replay_simulates_only_the_skipped(&rago, &options), 9);
+}
+
 /// The six fields of a decode-stall result, the floats by bit pattern.
 fn result_bits(r: &IterativeDecodeResult) -> [u64; 6] {
     [

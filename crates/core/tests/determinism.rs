@@ -85,6 +85,19 @@ fn streaming_matches_serial_reference_case3_iterative() {
     );
 }
 
+/// The paper grid's Case IV frontier, against the serial reference, which
+/// scores all of its 1,143,744 candidates one by one: most of a minute in
+/// a debug build.
+#[test]
+#[ignore = "slow proptest tier (run with --ignored)"]
+fn streaming_matches_serial_reference_case4_paper_grid() {
+    assert_parallel_matches_serial(
+        &presets::case4_rewriter_reranker(LlmSize::B8),
+        &SearchOptions::paper_default(),
+        "case4/paper",
+    );
+}
+
 #[test]
 fn memoization_does_not_change_the_frontier() {
     let options = SearchOptions::fast();
@@ -175,4 +188,15 @@ fn cold_searches_compute_each_stage_profile_once() {
             serial.0
         );
     }
+    // On the paper grid too, a cold Case IV search computes each of its
+    // stage profiles once; its decode cut scores about a ninth of the
+    // candidates it covers.
+    let rago = fresh(&presets::case4_rewriter_reranker(LlmSize::B8));
+    let frontier = rago.optimize(&SearchOptions::paper_default()).unwrap();
+    let (_, misses) = rago.profiler().memo_stats();
+    assert_eq!((misses, rago.profiler().cached_profiles()), (281, 281));
+    assert_eq!(
+        (frontier.scored_schedules, frontier.evaluated_schedules),
+        (127_112, 1_143_744)
+    );
 }

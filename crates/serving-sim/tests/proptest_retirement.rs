@@ -9,7 +9,8 @@
 //!   exact run's merged log) — the sink sees exactly the sequence of
 //!   outcomes a post-run walk would feed it.
 //! * Bounded state: a streaming run pulled from a lazy trace generator
-//!   holds no more live request slots at 50k requests than at 5k.
+//!   holds no more live request slots at 50k requests than at 5k, and its
+//!   report retains no more bytes.
 
 use proptest::prelude::*;
 use rago_schema::{HistogramSpec, RouterPolicy, SequenceProfile, SloTarget};
@@ -181,8 +182,9 @@ proptest! {
 }
 
 /// The live-slot peak of a one-replica streaming fleet pulled from a lazy
-/// fixed-rate trace of `n` requests.
-fn pulled_peak(n: usize) -> usize {
+/// fixed-rate trace of `n` requests, and the bytes its merged report
+/// retains.
+fn pulled(n: usize) -> (usize, usize) {
     let spec = TraceSpec {
         num_requests: n,
         profile: SequenceProfile::paper_default().with_decode_tokens(12),
@@ -205,18 +207,34 @@ fn pulled_peak(n: usize) -> usize {
         &mut NullRecorder,
     );
     assert_eq!(report.fleet.merged.metrics.completed, n);
-    report.fleet.per_replica[0].peak_live_requests
+    (
+        report.fleet.per_replica[0].peak_live_requests,
+        report.fleet.merged.retained_bytes(),
+    )
 }
 
 /// Per-request state is bounded by the in-flight load, not the trace
 /// length: ten times the requests at the same rate hold no more slots.
 #[test]
 fn live_slots_do_not_grow_with_trace_length() {
-    let short = pulled_peak(5_000);
-    let long = pulled_peak(50_000);
+    let (short, _) = pulled(5_000);
+    let (long, _) = pulled(50_000);
     assert!(short > 0);
     assert!(
         long <= short,
         "50k requests held {long} slots, 5k held {short}"
+    );
+}
+
+/// A streaming report keeps its metrics, class rows and scores, not its
+/// requests' timelines: ten times the requests retain no more bytes.
+#[test]
+fn streaming_retained_bytes_do_not_grow_with_trace_length() {
+    let (_, short) = pulled(5_000);
+    let (_, long) = pulled(50_000);
+    assert!(short > 0);
+    assert!(
+        long <= short,
+        "50k requests retained {long} bytes, 5k retained {short}"
     );
 }

@@ -7,8 +7,7 @@
 //!
 //! Each `bench_function` runs one warm-up pass, then `sample_size` timed
 //! samples, and prints the per-iteration minimum / mean / maximum. There is
-//! no statistical analysis, HTML report, or baseline comparison. Set
-//! `RAGO_BENCH_QUICK=1` to clamp sample counts for CI smoke runs.
+//! no statistical analysis, HTML report, or baseline comparison.
 
 use std::time::{Duration, Instant};
 
@@ -39,13 +38,6 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        // Quick mode: RAGO_BENCH_QUICK set to anything except empty or "0".
-        let quick = std::env::var("RAGO_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
-        let samples = if quick {
-            self.sample_size.min(3)
-        } else {
-            self.sample_size
-        };
         // Warm-up pass (not recorded).
         let mut bencher = Bencher {
             elapsed: Duration::ZERO,
@@ -53,8 +45,8 @@ impl Criterion {
         };
         f(&mut bencher);
 
-        let mut per_iter: Vec<f64> = Vec::with_capacity(samples);
-        for _ in 0..samples {
+        let mut per_iter: Vec<f64> = Vec::with_capacity(self.sample_size);
+        for _ in 0..self.sample_size {
             let mut bencher = Bencher {
                 elapsed: Duration::ZERO,
                 iters: 0,
